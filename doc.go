@@ -14,9 +14,10 @@
 //   - BFHM — Bloom Filter Histogram Matrix rank join with a guaranteed
 //     100% recall (Section 5)
 //   - DRJN — the 2-D histogram comparator (Section 7.1)
-//   - Any-k — per-tree-node priority queues over partial solutions,
-//     enumerating any acyclic join tree in score order with no k
-//     fixed up front
+//   - Any-k — score-ordered streams per leaf joined on arrival and
+//     one heap of complete matches behind a generalized HRJN
+//     threshold, enumerating any acyclic join tree in score order
+//     with no k fixed up front
 //
 // plus online index maintenance (Section 6) and a cost model reporting
 // the paper's three evaluation metrics for every query: simulated
@@ -107,9 +108,11 @@
 // Structurally invalid trees (cyclic, disconnected, self-loops,
 // out-of-range endpoints, duplicate edges, non-finite band widths)
 // fail with a typed *ShapeError. AlgoAnyK executes every tree shape
-// incrementally — per-leaf score-ordered streams feed priority queues
-// of partial solutions, and a generalized HRJN threshold releases a
-// match only when nothing unseen can beat it — so tree queries
+// incrementally — per-leaf score-ordered streams are joined as their
+// tuples arrive, complete matches wait in one heap, and a generalized
+// HRJN threshold releases a match only when nothing unseen can beat it
+// (README, "Join trees & any-k", says what that holds in memory and
+// costs per tuple) — so tree queries
 // stream, paginate, and respect budgets exactly like binary ones; the
 // other executors answer trees through the materializing adapter.
 // ParseTreeSpec and NewTreeQueryFromSpec decode the JSON wire form

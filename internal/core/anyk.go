@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -18,6 +17,15 @@ import (
 // result only once its score provably precedes every result not yet
 // assembled — the same threshold bound HRJN uses, generalized over the
 // tree's leaves.
+//
+// In memory the operator keeps each pulled tuple once (per-leaf arrival
+// arenas indexed by ordinal, see leafIndex in jointree.go) and one heap
+// of complete combinations stored as ordinals; there are no queues of
+// partial solutions. A pulled tuple costs an O(log n) index insert plus
+// an O(log n) probe per partial combination it extends, a completed
+// combination an O(log r) heap push, and none of it allocates beyond
+// the amortised growth of the arenas. A paused cursor retains all of
+// that until it is closed.
 
 // EnsureISLN idempotently builds the shared n-way inverse-score-list
 // index for a tree's leaf set: one table keyed by LeafID with one
@@ -103,19 +111,30 @@ func (anykExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts Ex
 	return WrapBudget(cur, opts.Budget), nil
 }
 
-// anyKOp is the tree-generalized ranked-enumeration operator.
+// anyKOp is the tree-generalized ranked-enumeration operator. It holds
+// each pulled tuple once (treeJoin's per-leaf arenas and ordinal
+// indexes) and one heap of the complete combinations not yet released,
+// each parked as n ordinals in a flat arena behind a pointer-free heap
+// entry; a result is materialised only when it is released.
 type anyKOp struct {
 	tree   *JoinTree
 	n      int
+	join   *treeJoin
 	orders [][]walkStep // expansion order rooted at each leaf
-	seen   []*leafIndex // per-leaf tuples pulled so far
-	ready  nresultHeap  // assembled results awaiting release
+	ready  []readyEntry // heap of parked combinations, best first under before
+	parked []int32      // n ordinals per parked combination, by slot
 	maxS   []float64    // first (highest) score seen per leaf
 	minS   []float64    // last (lowest) score seen per leaf
 	got    []bool       // leaf has yielded at least one tuple
 	done   []bool       // leaf's list is exhausted
-	combo  []Tuple      // scratch assignment during assembly
 	scores []float64    // scratch score vector
+}
+
+// readyEntry is one parked combination: its aggregate score and the
+// slot of its ordinals in anyKOp.parked.
+type readyEntry struct {
+	score float64
+	slot  int32
 }
 
 func newAnyKOp(t *JoinTree) *anyKOp {
@@ -124,17 +143,15 @@ func newAnyKOp(t *JoinTree) *anyKOp {
 		tree:   t,
 		n:      n,
 		orders: make([][]walkStep, n),
-		seen:   make([]*leafIndex, n),
 		maxS:   make([]float64, n),
 		minS:   make([]float64, n),
 		got:    make([]bool, n),
 		done:   make([]bool, n),
-		combo:  make([]Tuple, n),
 		scores: make([]float64, n),
 	}
+	op.join = newTreeJoin(t, op.park)
 	for i := 0; i < n; i++ {
 		op.orders[i] = t.walkOrder(i)
-		op.seen[i] = newLeafIndex(t, i)
 		op.maxS[i] = math.Inf(-1)
 		op.minS[i] = math.Inf(1)
 	}
@@ -153,27 +170,70 @@ func (o *anyKOp) push(i int, t Tuple) {
 	if t.Score < o.minS[i] {
 		o.minS[i] = t.Score
 	}
-	o.seen[i].add(t)
-	o.combo[i] = t
-	o.assemble(o.orders[i], 0)
+	o.join.combo[i] = o.join.leaves[i].add(t)
+	o.join.expand(o.orders[i], 0)
 }
 
-func (o *anyKOp) assemble(steps []walkStep, d int) {
-	if d == len(steps) {
-		for j := 0; j < o.n; j++ {
-			o.scores[j] = o.combo[j].Score
+// park files the combination treeJoin just completed. Slots are not
+// reused after release: one costs 4n bytes, far less than the tuples
+// the leaf arenas retain for the operator's whole life anyway.
+func (o *anyKOp) park(score float64) {
+	o.ready = append(o.ready, readyEntry{score: score, slot: int32(len(o.parked) / o.n)})
+	o.parked = append(o.parked, o.join.combo...)
+	o.siftUp(len(o.ready) - 1)
+}
+
+// siftUp and siftDown restore the heap order around position i.
+func (o *anyKOp) siftUp(i int) {
+	e := o.ready[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !o.before(e, o.ready[p]) {
+			break
 		}
-		heap.Push(&o.ready, NJoinResult{
-			Tuples: append([]Tuple(nil), o.combo...),
-			Score:  o.tree.Score.Fn(o.scores),
-		})
-		return
+		o.ready[i] = o.ready[p]
+		i = p
 	}
-	s := steps[d]
-	for _, cand := range o.seen[s.leaf].candidates(s.edge, o.combo[s.from].JoinValue) {
-		o.combo[s.leaf] = cand
-		o.assemble(steps, d+1)
+	o.ready[i] = e
+}
+
+func (o *anyKOp) siftDown(i int) {
+	e := o.ready[i]
+	for {
+		c := 2*i + 1
+		if c >= len(o.ready) {
+			break
+		}
+		if c+1 < len(o.ready) && o.before(o.ready[c+1], o.ready[c]) {
+			c++
+		}
+		if !o.before(o.ready[c], e) {
+			break
+		}
+		o.ready[i] = o.ready[c]
+		i = c
 	}
+	o.ready[i] = e
+}
+
+// combo returns the ordinals parked in slot.
+func (o *anyKOp) combo(slot int32) []int32 {
+	return o.parked[int(slot)*o.n:][:o.n]
+}
+
+// before is NJoinResult.less over parked combinations: score
+// descending, then row keys ascending in leaf order.
+func (o *anyKOp) before(a, b readyEntry) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	ca, cb := o.combo(a.slot), o.combo(b.slot)
+	for i, li := range o.join.leaves {
+		if ka, kb := li.tuple(ca[i]).RowKey, li.tuple(cb[i]).RowKey; ka != kb {
+			return ka < kb
+		}
+	}
+	return false
 }
 
 // exhaust marks leaf i's inverse score list drained.
@@ -234,11 +294,11 @@ func (o *anyKOp) threshold() float64 {
 // strictly above the threshold (a tied future result could tie-break
 // earlier, so ties wait) or anything once every list is exhausted.
 func (o *anyKOp) releasable() bool {
-	if o.ready.Len() == 0 {
+	if len(o.ready) == 0 {
 		return false
 	}
 	th := o.threshold()
-	return o.ready.rs[0].Score > th || math.IsInf(th, -1)
+	return o.ready[0].score > th || math.IsInf(th, -1)
 }
 
 // pop releases the best result if releasable.
@@ -246,7 +306,14 @@ func (o *anyKOp) pop() (NJoinResult, bool) {
 	if !o.releasable() {
 		return NJoinResult{}, false
 	}
-	return heap.Pop(&o.ready).(NJoinResult), true
+	best := o.ready[0]
+	last := len(o.ready) - 1
+	o.ready[0] = o.ready[last]
+	o.ready = o.ready[:last]
+	if last > 0 {
+		o.siftDown(0)
+	}
+	return o.join.result(o.combo(best.slot), best.score), true
 }
 
 // anyKCursor drives the operator from the per-leaf inverse score
@@ -309,28 +376,11 @@ func (a *anyKCursor) fill() error {
 }
 
 // Close implements Cursor. An early close abandons the scanners, so no
-// further read units accrue.
+// further read units accrue, and drops the operator: a closed cursor
+// someone still references (a Rows kept for its Cost, an evicted page
+// cursor) must not pin the leaf arenas and the ready heap.
 func (a *anyKCursor) Close() error {
 	a.closed = true
+	a.op, a.streams = nil, nil
 	return nil
-}
-
-// nresultHeap orders assembled results best-first under the n-way
-// result precedence (score descending, row keys ascending in leaf
-// order for ties).
-type nresultHeap struct {
-	rs []NJoinResult
-}
-
-func (h *nresultHeap) Len() int           { return len(h.rs) }
-func (h *nresultHeap) Less(i, j int) bool { return h.rs[i].less(&h.rs[j]) }
-func (h *nresultHeap) Swap(i, j int)      { h.rs[i], h.rs[j] = h.rs[j], h.rs[i] }
-func (h *nresultHeap) Push(x any)         { h.rs = append(h.rs, x.(NJoinResult)) }
-func (h *nresultHeap) Pop() any {
-	old := h.rs
-	n := len(old)
-	r := old[n-1]
-	old[n-1] = NJoinResult{}
-	h.rs = old[:n-1]
-	return r
 }

@@ -1,0 +1,136 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"strconv"
+	"testing"
+)
+
+// Operator microbenchmarks: what the any-k operator and its leaf index
+// cost per tuple, apart from the store reads that feed them. Shapes
+// follow the repository benchmark's chain workload (bench/workload.go):
+// leaves of 4,000 rows, join values uniform integers in [0, rows), band
+// edges of width 1 — about three band partners per tuple and neighbour.
+
+const benchChainRows = 4000
+
+// chainLeaves generates the tuples of n chain leaves, each sorted by
+// descending score — the order an inverse score list delivers them in.
+func chainLeaves(n, rows int) [][]Tuple {
+	rng := rand.New(rand.NewSource(1))
+	leaves := make([][]Tuple, n)
+	for i := range leaves {
+		tuples := make([]Tuple, rows)
+		for j := range tuples {
+			tuples[j] = Tuple{
+				RowKey:    fmt.Sprintf("c%d-%06d", i, j),
+				JoinValue: strconv.Itoa(rng.Intn(rows)),
+				Score:     math.Round(rng.Float64()*1e6) / 1e6,
+			}
+		}
+		sort.SliceStable(tuples, func(a, b int) bool { return tuples[a].Score > tuples[b].Score })
+		leaves[i] = tuples
+	}
+	return leaves
+}
+
+// bandChain builds the n-leaf band chain over placeholder relations
+// (the operator never touches the store).
+func bandChain(n int) *JoinTree {
+	t := &JoinTree{Score: SumN, K: 10}
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("c%d", i)
+		t.Relations = append(t.Relations, Relation{Name: name, Table: "tbl_" + name, Family: "d", JoinQual: "join", ScoreQual: "score"})
+		if i > 0 {
+			t.Edges = append(t.Edges, TreeEdge{A: i - 1, B: i, Kind: PredBand, Band: 1})
+		}
+	}
+	return t
+}
+
+// BenchmarkLeafIndexAdd measures one add into a band-probed leaf,
+// averaged over building the leaf from empty to the named size. The
+// per-add cost must stay flat as the leaf grows.
+func BenchmarkLeafIndexAdd(b *testing.B) {
+	tree := bandChain(2)
+	for _, size := range []int{1 << 10, 4 << 10, 16 << 10} {
+		b.Run(fmt.Sprintf("%dk", size>>10), func(b *testing.B) {
+			tuples := chainLeaves(1, size)[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			var li *leafIndex
+			for i := 0; i < b.N; i++ {
+				if i%size == 0 {
+					li = newLeafIndex(tree, 1)
+				}
+				li.add(tuples[i%size])
+			}
+		})
+	}
+}
+
+// BenchmarkAnyKPush measures one pushed tuple on the 4-chain, driven as
+// the cursor drives the operator: round-robin batches of DefaultISLBatch
+// per leaf, a releasable check after every push, and the first 30
+// results popped — the deepest read of the chain workload, which pulls
+// about 12,000 tuples and parks about 24,000 combinations to release
+// them. A stream restarts on a fresh operator after 3,000 tuples per
+// leaf.
+func BenchmarkAnyKPush(b *testing.B) {
+	const n, perLeaf, k = 4, 3000, 30
+	tree := bandChain(n)
+	leaves := chainLeaves(n, benchChainRows)
+	type pull struct {
+		leaf int
+		t    Tuple
+	}
+	var order []pull
+	for base := 0; base < perLeaf; base += DefaultISLBatch {
+		for i := 0; i < n; i++ {
+			for _, t := range leaves[i][base : base+DefaultISLBatch] {
+				order = append(order, pull{i, t})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var op *anyKOp
+	released := 0
+	for i := 0; i < b.N; i++ {
+		p := order[i%len(order)]
+		if i%len(order) == 0 {
+			op, released = newAnyKOp(tree), 0
+		}
+		op.push(p.leaf, p.t)
+		if released < k && op.releasable() {
+			op.pop()
+			released++
+		}
+	}
+}
+
+// BenchmarkNaiveTreeTopK measures the full-scan reference on a 3-chain
+// of 1,000-row leaves: scans, leaf-index builds and the enumeration of
+// every assignment.
+func BenchmarkNaiveTreeTopK(b *testing.B) {
+	const n, rows = 3, 1000
+	c := newTestCluster()
+	tree := bandChain(n)
+	for i, tuples := range chainLeaves(n, rows) {
+		tree.Relations[i] = loadRelation(b, c, tree.Relations[i].Name, tuples)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := NaiveTreeTopK(c, tree)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Results) != tree.K {
+			b.Fatalf("%d results, want %d", len(res.Results), tree.K)
+		}
+	}
+}

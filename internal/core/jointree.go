@@ -18,6 +18,12 @@ import (
 // Binary and star queries are trivial trees (see TreeFromQuery /
 // TreeFromMulti), so every executor runs against trees and the legacy
 // shapes survive as views.
+//
+// It also holds what the two executors that enumerate a tree in memory
+// share — any-k (anyk.go) and the naive reference at the end of this
+// file: walk orders, the per-leaf index (leafIndex: an arrival arena
+// plus ordinal-only equi chains and a chunked sorted band list) and the
+// assignment enumerator over those indexes (treeJoin).
 
 // PredKind names a join-edge predicate family.
 type PredKind string
@@ -309,19 +315,42 @@ func (t *JoinTree) walkOrder(root int) []walkStep {
 	return steps
 }
 
-// leafIndex holds one leaf's available tuples, indexed for the
-// predicates of its incident edges: a hash map on the join value for
-// equi probes and a value-sorted list for band range probes.
+// ---- Leaf indexes ----
+
+// leafIndex holds the tuples one leaf has made available, indexed for
+// the predicates of its incident edges. Tuples live once, in arrival
+// order, in an arena; a tuple's position there is its ordinal, and
+// every other structure (here and in the consumers) refers to tuples by
+// ordinal only, so nothing but the arena holds pointers. Adding a tuple
+// costs O(1) for the equi chains and O(log n) plus a bounded shift for
+// the band list; a probe costs O(log n) plus its matches and allocates
+// nothing.
 type leafIndex struct {
 	hasEqui bool
 	hasBand bool
-	byJoin  map[string][]Tuple
-	nums    []numTuple // ascending by (value, RowKey)
+
+	// The arena, in pages of tuplePage: regrowing one flat slice would
+	// clear and recopy pointerful memory over and over as a leaf fills.
+	pages [][]Tuple
+	n     int32
+
+	// Equi probes: the ordinals sharing a join value form a chain from
+	// the latest arrival (head) back through prev; -1 ends a chain.
+	head map[string]int32
+	prev []int32
+
+	// Band probes: every tuple's join value parsed once at add (NaN for
+	// one that can never band-match), and the matchable ones sorted.
+	vals []float64
+	band bandList
 }
 
-type numTuple struct {
-	v float64
-	t Tuple
+// tuplePage is the arena page size in tuples (20 KB of Tuple headers).
+const tuplePage = 512
+
+// tuple returns the tuple at ordinal ord.
+func (li *leafIndex) tuple(ord int32) *Tuple {
+	return &li.pages[ord/tuplePage][ord%tuplePage]
 }
 
 // newLeafIndex prepares the index structures leaf needs given the
@@ -340,54 +369,256 @@ func newLeafIndex(t *JoinTree, leaf int) *leafIndex {
 		}
 	}
 	if li.hasEqui {
-		li.byJoin = map[string][]Tuple{}
+		li.head = map[string]int32{}
 	}
 	return li
 }
 
-// add indexes one tuple. Tuples whose join value does not parse as a
-// number stay out of the band structure — they can never band-match.
-func (li *leafIndex) add(t Tuple) {
+// bandValue parses a join value for band predicates. NaN stands for
+// every value no band predicate can match — unparseable, NaN, or
+// infinite: |a-b| <= Band is false for each of them, as in
+// TreeEdge.Match — so such tuples stay out of the sorted structure and
+// such probes return nothing.
+func bandValue(s string) float64 {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || math.IsInf(v, 0) {
+		return math.NaN()
+	}
+	return v
+}
+
+// add indexes one tuple and returns its ordinal.
+func (li *leafIndex) add(t Tuple) int32 {
+	ord := li.n
+	li.n++
+	if ord%tuplePage == 0 {
+		li.pages = append(li.pages, make([]Tuple, 0, tuplePage))
+	}
+	last := &li.pages[len(li.pages)-1]
+	*last = append(*last, t)
 	if li.hasEqui {
-		li.byJoin[t.JoinValue] = append(li.byJoin[t.JoinValue], t)
+		p, ok := li.head[t.JoinValue]
+		if !ok {
+			p = -1
+		}
+		li.prev = append(li.prev, p)
+		li.head[t.JoinValue] = ord
 	}
 	if li.hasBand {
-		v, err := strconv.ParseFloat(t.JoinValue, 64)
-		if err != nil {
-			return
+		v := bandValue(t.JoinValue)
+		li.vals = append(li.vals, v)
+		if !math.IsNaN(v) {
+			li.band.insert(v, ord)
 		}
-		pos := sort.Search(len(li.nums), func(i int) bool {
-			if li.nums[i].v != v {
-				return li.nums[i].v > v
-			}
-			return li.nums[i].t.RowKey > t.RowKey
-		})
-		li.nums = append(li.nums, numTuple{})
-		copy(li.nums[pos+1:], li.nums[pos:])
-		li.nums[pos] = numTuple{v: v, t: t}
+	}
+	return ord
+}
+
+// candidates appends to buf the ordinals of this leaf's tuples that
+// match edge e against the tuple at ordinal ord of the leaf at the
+// edge's other endpoint, in no particular order (both consumers rank by
+// NJoinResult.less, a total order).
+func (li *leafIndex) candidates(e *TreeEdge, from *leafIndex, ord int32, buf []int32) []int32 {
+	if e.Kind != PredBand {
+		return li.equiMatches(from.tuple(ord).JoinValue, buf)
+	}
+	return li.band.appendMatches(from.vals[ord], e.Band, buf)
+}
+
+func (li *leafIndex) equiMatches(v string, buf []int32) []int32 {
+	p, ok := li.head[v]
+	if !ok {
+		return buf
+	}
+	for ; p >= 0; p = li.prev[p] {
+		buf = append(buf, p)
+	}
+	return buf
+}
+
+// bandChunkCap bounds how many entries one insert can shift.
+const bandChunkCap = 256
+
+// bandList is a sorted multiset of (join value, ordinal) pairs kept as
+// a chunked list: a directory of fixed-capacity chunks in value order,
+// which concatenated are the sorted list. An insert binary-searches the
+// directory and the chunk and shifts at most bandChunkCap pointer-free
+// entries; a full chunk splits in two, so nothing is ever recopied as
+// the list grows.
+type bandList struct {
+	chunks []bandChunk
+}
+
+type bandEntry struct {
+	v   float64
+	ord int32
+}
+
+type bandChunk struct {
+	min float64     // value of the first entry
+	es  []bandEntry // sorted, cap bandChunkCap
+}
+
+// firstFrom returns the first position i in [0, n) whose at(i) is >= v,
+// or > v when strict; at must be non-decreasing. It serves both levels
+// of the list: the directory by chunk min and a chunk by entry value.
+func firstFrom(n int, at func(int) float64, v float64, strict bool) int {
+	lo, hi := 0, n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if x := at(m); x < v || (strict && x == v) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// chunkFrom returns the directory position of the first chunk whose min
+// is >= v, or > v when strict.
+func (b *bandList) chunkFrom(v float64, strict bool) int {
+	return firstFrom(len(b.chunks), func(i int) float64 { return b.chunks[i].min }, v, strict)
+}
+
+// firstEntry returns the position in the sorted es of the first entry
+// whose value is >= v, or > v when strict.
+func firstEntry(es []bandEntry, v float64, strict bool) int {
+	return firstFrom(len(es), func(i int) float64 { return es[i].v }, v, strict)
+}
+
+// insert adds one entry; v must not be NaN.
+func (b *bandList) insert(v float64, ord int32) {
+	if len(b.chunks) == 0 {
+		b.chunks = []bandChunk{{min: v, es: make([]bandEntry, 0, bandChunkCap)}}
+	}
+	// The last chunk whose min is <= v, or the first when v precedes
+	// every entry.
+	ci := b.chunkFrom(v, true) - 1
+	if ci < 0 {
+		ci = 0
+	}
+	if len(b.chunks[ci].es) == bandChunkCap {
+		ci = b.split(ci, v)
+	}
+	c := &b.chunks[ci]
+	pos := firstEntry(c.es, v, true)
+	c.es = c.es[:len(c.es)+1]
+	copy(c.es[pos+1:], c.es[pos:])
+	c.es[pos] = bandEntry{v: v, ord: ord}
+	if pos == 0 {
+		c.min = v
 	}
 }
 
-// candidates returns this leaf's indexed tuples matching edge e against
-// the join value v bound at the edge's other endpoint.
-func (li *leafIndex) candidates(e *TreeEdge, v string) []Tuple {
-	if e.Kind != PredBand {
-		return li.byJoin[v]
+// split moves the upper half of full chunk ci into a new chunk placed
+// right after it, and returns which of the two v belongs in.
+func (b *bandList) split(ci int, v float64) int {
+	b.chunks = append(b.chunks, bandChunk{})
+	copy(b.chunks[ci+2:], b.chunks[ci+1:])
+	c := &b.chunks[ci]
+	up := append(make([]bandEntry, 0, bandChunkCap), c.es[bandChunkCap/2:]...)
+	c.es = c.es[:bandChunkCap/2]
+	b.chunks[ci+1] = bandChunk{min: up[0].v, es: up}
+	if v >= up[0].v {
+		return ci + 1
 	}
-	fv, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return nil
+	return ci
+}
+
+// appendMatches appends the ordinals of the entries whose value a
+// satisfies |a-fv| <= band, evaluated exactly as TreeEdge.Match does.
+// fv-band and fv+band round differently from a-fv, so the sorted walk
+// covers a window widened by more than that rounding and each entry in
+// it takes the exact test.
+func (b *bandList) appendMatches(fv, band float64, buf []int32) []int32 {
+	if math.IsNaN(fv) {
+		return buf
 	}
-	lo := sort.Search(len(li.nums), func(i int) bool { return li.nums[i].v >= fv-e.Band })
-	hi := sort.Search(len(li.nums), func(i int) bool { return li.nums[i].v > fv+e.Band })
-	if lo >= hi {
-		return nil
+	slack := (math.Abs(fv) + band) * 0x1p-50
+	lo, hi := fv-band-slack, fv+band+slack
+	// Entries >= lo start in the chunk before the first whose min is
+	// >= lo, at the earliest.
+	ci := b.chunkFrom(lo, false)
+	if ci > 0 {
+		ci--
 	}
-	out := make([]Tuple, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, li.nums[i].t)
+	for ; ci < len(b.chunks); ci++ {
+		c := &b.chunks[ci]
+		if c.min > hi {
+			break
+		}
+		for _, e := range c.es[firstEntry(c.es, lo, false):] {
+			if e.v > hi {
+				break
+			}
+			d := e.v - fv
+			if d < 0 {
+				d = -d
+			}
+			if d <= band {
+				buf = append(buf, e.ord)
+			}
+		}
 	}
-	return out
+	return buf
+}
+
+// treeJoin enumerates join-tree assignments over per-leaf indexes. An
+// assignment is a combo of ordinals, one per leaf; tuples are copied out
+// of the arenas only for the results a consumer keeps.
+type treeJoin struct {
+	tree    *JoinTree
+	leaves  []*leafIndex
+	combo   []int32             // the assignment being extended
+	emit    func(score float64) // receives each complete combo, in place
+	scratch [][]int32           // candidate buffer per expansion depth
+	scores  []float64
+}
+
+func newTreeJoin(t *JoinTree, emit func(score float64)) *treeJoin {
+	n := len(t.Relations)
+	j := &treeJoin{
+		tree:    t,
+		leaves:  make([]*leafIndex, n),
+		combo:   make([]int32, n),
+		emit:    emit,
+		scratch: make([][]int32, n-1),
+		scores:  make([]float64, n),
+	}
+	for i := range j.leaves {
+		j.leaves[i] = newLeafIndex(t, i)
+	}
+	return j
+}
+
+// expand binds the leaves of steps[d:] in every way the edge predicates
+// allow, given the leaves already bound in combo, and emits each
+// completed assignment with its aggregate score.
+func (j *treeJoin) expand(steps []walkStep, d int) {
+	if d == len(steps) {
+		for i, ord := range j.combo {
+			j.scores[i] = j.leaves[i].tuple(ord).Score
+		}
+		j.emit(j.tree.Score.Fn(j.scores))
+		return
+	}
+	s := steps[d]
+	cands := j.leaves[s.leaf].candidates(s.edge, j.leaves[s.from], j.combo[s.from], j.scratch[d][:0])
+	j.scratch[d] = cands // keep what the buffer grew to
+	for _, ord := range cands {
+		j.combo[s.leaf] = ord
+		j.expand(steps, d+1)
+	}
+}
+
+// result materialises the assignment combo.
+func (j *treeJoin) result(combo []int32, score float64) NJoinResult {
+	tuples := make([]Tuple, len(combo))
+	for i, ord := range combo {
+		tuples[i] = *j.leaves[i].tuple(ord)
+	}
+	return NJoinResult{Tuples: tuples, Score: score}
 }
 
 // toJoinResult projects an n-way result onto the JoinResult shape: the
@@ -419,50 +650,27 @@ func NaiveTreeTopK(c *kvstore.Cluster, t *JoinTree) (*Result, error) {
 		return nil, err
 	}
 	before := c.Metrics().Snapshot()
-	n := len(t.Relations)
-	idx := make([]*leafIndex, n)
-	var roots []Tuple
-	for i := 0; i < n; i++ {
+	top := NewNTopKList(t.K)
+	var join *treeJoin
+	join = newTreeJoin(t, func(score float64) {
+		if top.Full() && score < top.KthScore() {
+			return
+		}
+		top.Add(join.result(join.combo, score))
+	})
+	for i, li := range join.leaves {
 		tuples, err := scanRelation(c, &t.Relations[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: tree scan of %s: %w", t.Relations[i].Name, err)
 		}
-		if i == 0 {
-			roots = tuples
-			continue
-		}
-		li := newLeafIndex(t, i)
 		for _, tp := range tuples {
 			li.add(tp)
 		}
-		idx[i] = li
 	}
 	steps := t.walkOrder(0)
-	top := NewNTopKList(t.K)
-	combo := make([]Tuple, n)
-	scores := make([]float64, n)
-	var rec func(d int)
-	rec = func(d int) {
-		if d == len(steps) {
-			for j := 0; j < n; j++ {
-				scores[j] = combo[j].Score
-			}
-			score := t.Score.Fn(scores)
-			if top.Full() && score < top.KthScore() {
-				return
-			}
-			top.Add(NJoinResult{Tuples: append([]Tuple(nil), combo...), Score: score})
-			return
-		}
-		s := steps[d]
-		for _, cand := range idx[s.leaf].candidates(s.edge, combo[s.from].JoinValue) {
-			combo[s.leaf] = cand
-			rec(d + 1)
-		}
-	}
-	for _, rt := range roots {
-		combo[0] = rt
-		rec(0)
+	for ord := int32(0); ord < join.leaves[0].n; ord++ {
+		join.combo[0] = ord
+		join.expand(steps, 0)
 	}
 	return &Result{Results: treeResults(top.Results()), Cost: c.Metrics().Snapshot().Sub(before)}, nil
 }

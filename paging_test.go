@@ -1,6 +1,10 @@
 package rankjoin
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -288,5 +292,64 @@ func TestStreamN(t *testing.T) {
 	}
 	if _, err := db.StreamN(mq, AlgoBFHM, nil); err == nil {
 		t.Error("StreamN accepted an unsupported algorithm")
+	}
+}
+
+// TestTreePagingWithTiesMatchesBatch: on a band chain whose scores are
+// quantised so that most results tie, any-k pages resumed through page
+// tokens must concatenate to exactly the batch TopK — the row-key
+// tie-break has to survive the operator being parked in the cursor
+// cache between pages.
+func TestTreePagingWithTiesMatchesBatch(t *testing.T) {
+	db := mustOpen(t, Config{})
+	rng := rand.New(rand.NewSource(17))
+	names := []string{"t0", "t1", "t2"}
+	for _, name := range names {
+		h, err := db.DefineRelation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples := make([]Tuple, 60)
+		for i := range tuples {
+			tuples[i] = Tuple{
+				RowKey:    fmt.Sprintf("%s-%03d", name, i),
+				JoinValue: strconv.Itoa(rng.Intn(10)),
+				Score:     float64(rng.Intn(4)) / 10,
+			}
+		}
+		if err := h.BulkLoad(tuples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edges := []TreeEdge{{A: 0, B: 1, Kind: PredBand, Band: 1}, {A: 1, B: 2, Kind: PredBand, Band: 0}}
+	q, err := db.NewTreeQuery(names, edges, SumN, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnsureIndexes(q, AlgoAnyK); err != nil {
+		t.Fatal(err)
+	}
+	const page, total = 7, 70
+	batch, err := db.TopK(q.WithK(total), AlgoAnyK, &QueryOptions{ISLBatch: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ties := 0
+	for i := 1; i < len(batch.Results); i++ {
+		if batch.Results[i].Score == batch.Results[i-1].Score {
+			ties++
+		}
+	}
+	if len(batch.Results) != total || ties < total/2 {
+		t.Fatalf("batch: %d results, %d tied with their predecessor — not a tie test", len(batch.Results), ties)
+	}
+	paged, _ := pageAll(t, db, q, AlgoAnyK, page, total)
+	if len(paged) != len(batch.Results) {
+		t.Fatalf("paged %d results, batch %d", len(paged), len(batch.Results))
+	}
+	for i := range paged {
+		if !reflect.DeepEqual(paged[i], batch.Results[i]) {
+			t.Fatalf("paged result %d = %+v, batch has %+v", i, paged[i], batch.Results[i])
+		}
 	}
 }
