@@ -25,7 +25,10 @@
 //
 // # Quick start
 //
-//	db := rankjoin.Open(rankjoin.Config{})
+//	db, err := rankjoin.Open(rankjoin.Config{})
+//	if err != nil {
+//	    log.Fatal(err)
+//	}
 //	docs, _ := db.DefineRelation("docs")
 //	imgs, _ := db.DefineRelation("imgs")
 //	docs.Insert("d1", "apple", 0.9)

@@ -409,10 +409,11 @@ func decodeIndexBlock(payload []byte) ([]indexEntry, error) {
 	return out, nil
 }
 
-// sstMeta is the statistics block: key range, counts, and the logical
-// (uncompressed StoredSize) byte total the cost model and compaction
-// tiers operate on.
+// sstMeta is the statistics block: the one column family the file
+// holds, key range, counts, and the logical (uncompressed StoredSize)
+// byte total the cost model and compaction tiers operate on.
 type sstMeta struct {
+	family  string
 	minRow  string
 	maxRow  string
 	count   uint64
@@ -422,6 +423,8 @@ type sstMeta struct {
 
 func encodeMetaBlock(m sstMeta) []byte {
 	var out []byte
+	out = binary.AppendUvarint(out, uint64(len(m.family)))
+	out = append(out, m.family...)
 	out = binary.AppendUvarint(out, uint64(len(m.minRow)))
 	out = append(out, m.minRow...)
 	out = binary.AppendUvarint(out, uint64(len(m.maxRow)))
@@ -454,6 +457,9 @@ func decodeMetaBlock(payload []byte) (sstMeta, error) {
 		return v, true
 	}
 	var ok bool
+	if m.family, ok = readStr(); !ok || m.family == "" {
+		return m, corruptf("meta: bad family")
+	}
 	if m.minRow, ok = readStr(); !ok {
 		return m, corruptf("meta: bad min row")
 	}

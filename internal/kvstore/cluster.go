@@ -173,8 +173,9 @@ func OpenClusterFS(profile sim.Profile, metrics *sim.Metrics, dir string, fsys V
 }
 
 // openRegion rebuilds one region from its manifest record: SSTables
-// opened newest-first, WAL replayed into the memtable, sequence and
-// clock floors advanced past everything recovered.
+// opened newest-first and grouped into family stores, WAL replayed into
+// the family memtables, sequence and clock floors advanced past
+// everything recovered.
 func (c *Cluster) openRegion(rec *manifestRegion) (*Region, error) {
 	s := c.state
 	s.mu.RLock()
@@ -188,19 +189,24 @@ func (c *Cluster) openRegion(rec *manifestRegion) (*Region, error) {
 		return nil, err
 	}
 	var maxTs int64
+	r.mu.Lock()
+	r.seq = rec.Seq
 	for _, f := range rec.Files {
 		seg, err := openSSTable(s.store.fs, s.store.dir, f, s.store.cache)
 		if err != nil {
+			r.mu.Unlock()
 			r.shutdown()
 			return nil, err
 		}
-		r.segments = append(r.segments, seg)
+		// The manifest lists a region's files flat; each file's meta
+		// block names the family store it belongs to, and list order
+		// keeps every store newest-first.
+		st := r.storeLocked(seg.meta.family)
+		st.runs = append(st.runs, seg)
 		if seg.meta.maxTs > maxTs {
 			maxTs = seg.meta.maxTs
 		}
 	}
-	r.mu.Lock()
-	r.seq = rec.Seq
 	if _, err := r.replayWALLocked(r.log); err != nil {
 		r.mu.Unlock()
 		r.shutdown()

@@ -1,10 +1,12 @@
 package kvstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -44,6 +46,25 @@ func sstFilesOnDisk(t *testing.T, dir string) []string {
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), sstFileSuffix) {
 			out = append(out, e.Name())
+		}
+	}
+	return out
+}
+
+// orphanSSTs lists the .sst files in dir that no region record of the
+// store's current manifest references.
+func orphanSSTs(t *testing.T, dir string, store *diskStore) []string {
+	t.Helper()
+	referenced := map[string]bool{}
+	for _, rec := range store.snapshotManifest().Regions {
+		for _, f := range rec.Files {
+			referenced[f] = true
+		}
+	}
+	var out []string
+	for _, f := range sstFilesOnDisk(t, dir) {
+		if !referenced[f] {
+			out = append(out, f)
 		}
 	}
 	return out
@@ -195,7 +216,7 @@ func TestCompactionCrashLosesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	regs[0].mu.RLock()
-	nSegs := len(regs[0].segments)
+	nSegs := len(regs[0].stores[0].runs)
 	regs[0].mu.RUnlock()
 	if nSegs < 2 {
 		t.Fatalf("workload built %d segments, want >= 2 so compaction has real inputs", nSegs)
@@ -211,21 +232,7 @@ func TestCompactionCrashLosesNothing(t *testing.T) {
 	}
 	// The crash window leaves the replaced inputs on disk as orphans:
 	// the saved manifest references only the merged output.
-	onDisk := sstFilesOnDisk(t, dir)
-	man := store.snapshotManifest()
-	referenced := map[string]bool{}
-	for _, rec := range man.Regions {
-		for _, f := range rec.Files {
-			referenced[f] = true
-		}
-	}
-	orphans := 0
-	for _, f := range onDisk {
-		if !referenced[f] {
-			orphans++
-		}
-	}
-	if orphans == 0 {
+	if len(orphanSSTs(t, dir, store)) == 0 {
 		t.Fatal("crash hook left no orphan files; the simulated window is empty")
 	}
 	// Abandon c without Close: the process died mid-compaction.
@@ -237,20 +244,175 @@ func TestCompactionCrashLosesNothing(t *testing.T) {
 	}
 	// Recovery GC: every .sst still on disk is referenced by the
 	// recovered manifest.
-	man2 := c2.state.store.snapshotManifest()
-	referenced = map[string]bool{}
-	for _, rec := range man2.Regions {
-		for _, f := range rec.Files {
-			referenced[f] = true
-		}
-	}
-	for _, f := range sstFilesOnDisk(t, dir) {
-		if !referenced[f] {
-			t.Errorf("orphan %s survived recovery", f)
-		}
+	if orphans := orphanSSTs(t, dir, c2.state.store); len(orphans) != 0 {
+		t.Errorf("orphans %v survived recovery", orphans)
 	}
 	if err := c2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// flushFaultFS is a VFS that fails renames while failRename is set (the
+// manifest's atomic replace never lands, so whatever a flush wrote stays
+// unregistered) and fails the failCreate-th Create from now (1 = the
+// next one; 0 = none).
+type flushFaultFS struct {
+	VFS
+	failRename bool
+	failCreate int
+}
+
+func (f *flushFaultFS) Rename(oldpath, newpath string) error {
+	if f.failRename {
+		return errors.New("injected rename failure")
+	}
+	return f.VFS.Rename(oldpath, newpath)
+}
+
+func (f *flushFaultFS) Create(path string) (File, error) {
+	if f.failCreate > 0 {
+		if f.failCreate--; f.failCreate == 0 {
+			return nil, errors.New("injected create failure")
+		}
+	}
+	return f.VFS.Create(path)
+}
+
+// TestFlushCrashTwoFamilies fails a flush that writes one SSTable per
+// family at each point around its single manifest save. If the second
+// family's file cannot be written the first is dropped again and the
+// region keeps serving from its memtables. A crash before the save
+// leaves both files as orphans the next open sweeps, and every
+// acknowledged write comes back from the WAL; a crash after it (the
+// crash-after-register hook) leaves both files registered. Never one
+// family's file without the other's: a flush is not visible by halves.
+func TestFlushCrashTwoFamilies(t *testing.T) {
+	for _, crash := range []string{"second-write-fails", "before-register", "after-register"} {
+		t.Run(crash, func(t *testing.T) {
+			dir := t.TempDir()
+			fsys := &flushFaultFS{VFS: DefaultVFS()}
+			c, err := OpenClusterFS(sim.LC(), nil, dir, fsys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustCreate(t, c, "t", []string{"fa", "fb"}, nil)
+			put := func(from, to int) {
+				t.Helper()
+				for i := from; i < to; i++ {
+					for _, fam := range []string{"fa", "fb"} {
+						cell := Cell{Row: fmt.Sprintf("r%03d", i), Family: fam, Qualifier: "q", Value: []byte(fmt.Sprintf("%s-%d", fam, i))}
+						if err := c.Put("t", cell); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			put(0, 40)
+			if err := c.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			put(40, 80) // acknowledged, in the WAL and both family memtables
+			want := snapshotRows(t, c, "t")
+			before := len(sstFilesOnDisk(t, dir))
+
+			store := c.state.store
+			r := mustRegion(t, c, "t")
+			left := 2 // SSTables the failed flush leaves behind
+			switch crash {
+			case "second-write-fails":
+				fsys.failCreate, left = 2, 0
+				if err := r.Flush(); err == nil {
+					t.Fatal("flush succeeded although its second SSTable could not be created")
+				}
+				if got := snapshotRows(t, c, "t"); !reflect.DeepEqual(got, want) {
+					t.Fatalf("failed flush changed what the region serves: %d rows vs %d", len(got), len(want))
+				}
+			case "before-register":
+				fsys.failRename = true
+				if err := r.Flush(); err == nil {
+					t.Fatal("flush succeeded although the manifest save failed")
+				}
+			case "after-register":
+				store.mu.Lock()
+				store.crashAfterRegister = true
+				store.mu.Unlock()
+				if err := r.Flush(); !errors.Is(err, errSimulatedCrash) {
+					t.Fatalf("Flush under crash hook: %v, want errSimulatedCrash", err)
+				}
+			}
+			if got := len(sstFilesOnDisk(t, dir)) - before; got != left {
+				t.Fatalf("failed flush left %d new SSTables, want %d", got, left)
+			}
+			// Abandon c without Close: the process died mid-flush.
+
+			c2 := openDiskCluster(t, dir)
+			if got := snapshotRows(t, c2, "t"); !reflect.DeepEqual(got, want) {
+				t.Fatalf("flush crash lost data: %d rows vs %d acknowledged", len(got), len(want))
+			}
+			if orphans := orphanSSTs(t, dir, c2.state.store); len(orphans) != 0 {
+				t.Errorf("orphans %v survived recovery", orphans)
+			}
+			registered := len(sstFilesOnDisk(t, dir)) - before
+			if crash == "after-register" && registered != 2 || crash != "after-register" && registered != 0 {
+				t.Errorf("%d of the failed flush's files are registered after reopen, want all or none", registered)
+			}
+			r2 := mustRegion(t, c2, "t")
+			r2.mu.RLock()
+			for _, st := range r2.stores {
+				if wantRuns := 1 + registered/2; len(st.runs) != wantRuns {
+					t.Errorf("family %q reopened with %d runs, want %d", st.family, len(st.runs), wantRuns)
+				}
+			}
+			r2.mu.RUnlock()
+			if err := c2.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSSTableV1Refused pins the format guard: a version-1 SSTable (one
+// mixed-family run per flush, no family in its meta block) met at open
+// fails with a typed error naming the version — the store never opens
+// and mis-groups its cells. The v1 file is a current one with a
+// hand-patched footer.
+func TestSSTableV1Refused(t *testing.T) {
+	dir := t.TempDir()
+	c := openDiskCluster(t, dir)
+	mustCreate(t, c, "t", []string{"cf"}, nil)
+	if err := c.Put("t", Cell{Row: "r", Family: "cf", Qualifier: "q", Value: []byte("v")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := sstFilesOnDisk(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("%d SSTables on disk, want 1", len(files))
+	}
+	path := filepath.Join(dir, files[0])
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(raw[len(raw)-sstFooterLen+48:], 1)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = OpenCluster(sim.LC(), nil, dir)
+	var fve *FormatVersionError
+	if !errors.As(err, &fve) {
+		t.Fatalf("open over a v1 SSTable: %v, want a FormatVersionError", err)
+	}
+	if fve.Version != 1 || fve.Supported != sstVersion || fve.Path != files[0] || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("error %q (%+v) does not name file %s and version 1", err, fve, files[0])
+	}
+	if errors.Is(err, ErrCorruption) {
+		t.Error("a format-version mismatch is reported as corruption")
 	}
 }
 

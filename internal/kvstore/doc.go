@@ -14,12 +14,24 @@
 //
 // # Storage engine
 //
-// Each region is a miniature LSM tree. Writes append to a WAL and a
-// skip-list memtable; when the memtable exceeds its flush threshold it
-// becomes an immutable sorted segment (the in-memory analogue of an
-// HBase HFile). Internal cell keys embed bit-inverted timestamps and
-// sequence numbers so the newest version of a column sorts first, which
-// lets every reader take the first version it encounters.
+// Each region is a miniature LSM tree with one WAL and one store per
+// column family — HBase's Store: a skip-list memtable plus immutable
+// sorted segments (the in-memory analogue of HFiles) holding that
+// family's cells only. A write appends to the region's WAL and to its
+// family's memtable; when the region's TOTAL memstore size exceeds the
+// flush threshold, every non-empty family memtable becomes a segment of
+// its store in one flush. Internal cell keys embed bit-inverted
+// timestamps and sequence numbers so the newest version of a column
+// sorts first, which lets every reader take the first version it
+// encounters.
+//
+// Reads merge the stores of the requested families only (Scan.Families,
+// Get's family list; none = all): a family-restricted read never walks —
+// or, in disk mode, faults in — another family's cells. This is the
+// access model the paper's ISL index relies on (Section 4.2: both
+// relations' score lists in one table, one family per relation). Rows
+// keep their (family, qualifier) cell order because the stores merge by
+// the same internal key.
 //
 // The read path is tiered, cheapest first:
 //
@@ -32,18 +44,20 @@
 //     bloom filter over its row keys (~1% false positives); a point get
 //     consults both and binary-searches only the segments that may
 //     contain the row.
-//   - Merge. Scans (and multi-segment gets) merge the memtable and
-//     surviving segments through a heap-based k-way merge: O(1) access
-//     to the current winner, O(log k) advance.
+//   - Merge. Scans (and multi-segment gets) merge the requested
+//     families' memtables and surviving segments through a heap-based
+//     k-way merge: O(1) access to the current winner, O(log k) advance.
 //
-// Compaction is size-tiered: when a flush leaves more than
-// compactThreshold segments, runs of similar size (~4x-wide tiers) are
-// merged together, rather than rewriting the whole region on every
-// trigger. A merge covering every run drops tombstones and dead
-// versions like an HBase major compaction; a subset merge retains
+// Compaction is size-tiered and runs per family store: when a flush
+// leaves a store more than compactThreshold segments, its runs of
+// similar size (~4x-wide tiers) are merged together, rather than
+// rewriting the whole store on every trigger. A merge covering every
+// run of the family drops tombstones and dead versions like an HBase
+// major compaction (a column's versions live nowhere else); a subset
+// merge retains
 // every version — it only reduces run count — so snapshot (ReadTs)
 // reads against untouched runs stay correct. Region.Compact still
-// forces a full major compaction.
+// forces a full major compaction of every family store.
 //
 // # Durable storage
 //
@@ -51,8 +65,19 @@
 // mixed within a region. NewCluster keeps flushed segments in memory
 // (the original simulator behavior); OpenCluster roots the cluster in
 // a directory and makes every layer real: per-region write-ahead logs
-// (rNNNNNN.wal), binary SSTables (NNNNNN.sst), and a MANIFEST naming
-// them. The test suites run in disk mode under KVSTORE_DISK=1.
+// (rNNNNNN.wal, all families interleaved), binary SSTables (NNNNNN.sst,
+// one family's run each), and a MANIFEST naming them. Both modes share
+// the per-family layout. The test suites run in disk mode under
+// KVSTORE_DISK=1.
+//
+// A flush of a region with n dirty families writes n SSTables and
+// registers all of them in ONE manifest save before the WAL truncates;
+// the manifest lists a region's files flat, newest first per family,
+// and each file's meta block names its family — that is how cold start
+// regroups them into stores. This is format version 2. A version-1 file
+// (one mixed-family run per flush) fails the open with a
+// FormatVersionError naming the version; it is never opened and
+// mis-grouped.
 //
 // An SSTable is a sequence of framed blocks — data blocks, then index
 // blocks, then a summary, bloom, and meta block, then a fixed 60-byte
@@ -79,15 +104,19 @@
 // does the rest:
 //
 //   - Flush/compaction writes and fsyncs new SSTables, registers them
-//     in the MANIFEST, and only then unlinks obsolete files (replaced
-//     runs, the drained WAL). A crash before registration leaves the
-//     old manifest pointing at the old, still-present files; a crash
-//     after registration but before the unlinks leaves orphans.
+//     in the MANIFEST — one save per flush however many family files
+//     it wrote, one per family-store compaction — and only then
+//     unlinks obsolete files (replaced runs) and truncates the drained
+//     WAL. A crash before registration leaves the old manifest pointing
+//     at the old, still-present files and the WAL intact; a crash after
+//     registration but before the unlinks leaves orphans. A flush is
+//     never visible for some of its families only.
 //   - Open reads the MANIFEST, deletes any file it does not reference
 //     (the orphans of a mid-compaction crash), advances the file
 //     allocator past everything on disk, opens each region's segments
-//     (footer, then summary/bloom/meta), and replays the region's WAL
-//     into a fresh memtable. The cluster clock resumes past the
+//     (footer, then summary/bloom/meta) into the family stores their
+//     meta blocks name, and replays the region's WAL, each record into
+//     the memtable of the family in its key. The cluster clock resumes past the
 //     largest recovered timestamp, so recovered writes never collide
 //     with new ones.
 //
@@ -111,13 +140,18 @@
 //     and recovery proceeds, because a torn tail is a crash mid-append
 //     and that record was never acknowledged. A CRC failure with valid
 //     records after it can only be at-rest damage and fails the open.
+//   - FormatVersionError names a file written in a format version this
+//     build does not read, and that version. The bytes are intact, so
+//     it does not match ErrCorruption and Scrub/repair do not apply.
 //
 // Cluster.Scrub walks every on-disk frame verifying checksums,
 // bypassing the block cache so the verification reads the media, and
 // quarantines tables that fail: a quarantined table leaves the read
-// path (reads that could touch its key range return a typed
-// CorruptionError instead of silently missing rows) and its file is
-// never deleted. Cluster.Quarantined lists them; the scrub's reads are
+// path of its family store (reads of that family that could touch its
+// key range return a typed CorruptionError instead of silently missing
+// rows; reads restricted to other families are unaffected; all-family
+// reads — TableCells for Merkle digests, splits — fail, so replica
+// repair escalates to a full resync) and its file is never deleted. Cluster.Quarantined lists them; the scrub's reads are
 // measured I/O, charged like any client-visible work.
 //
 // Long operations degrade cooperatively: a view wrapped by WithGuard

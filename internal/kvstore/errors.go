@@ -8,8 +8,9 @@ import (
 	"time"
 )
 
-// This file is the typed failure taxonomy of the storage layer. Every
-// durable-path error surfaces as one of two kinds:
+// This file is the typed failure taxonomy of the storage layer. Apart
+// from FormatVersionError (a file from another format version, met at
+// open), every durable-path error surfaces as one of two kinds:
 //
 //   - CorruptionError: the bytes came back, but they are wrong — a CRC
 //     mismatch, an impossible frame length, a WAL record that fails its
@@ -63,6 +64,20 @@ func corruptionAt(path string, offset int64, err error) error {
 		err = fmt.Errorf("%w: %v", errCorruptBlock, err)
 	}
 	return &CorruptionError{Path: path, Offset: offset, Err: err}
+}
+
+// FormatVersionError reports a durable file written in a format version
+// this build does not read. It is not corruption — the bytes are intact
+// — so it does not match ErrCorruption: the store must be rebuilt or
+// migrated by the build that wrote it, and Scrub/repair cannot help.
+type FormatVersionError struct {
+	Path      string // offending file (name within the store directory)
+	Version   uint32 // version found in the file
+	Supported uint32 // the one version this build reads and writes
+}
+
+func (e *FormatVersionError) Error() string {
+	return fmt.Sprintf("kvstore: %s has format version %d, this build reads only version %d", e.Path, e.Version, e.Supported)
 }
 
 // IOError reports a failed filesystem operation on the durable path,

@@ -435,3 +435,98 @@ func TestScrubDetectsQuarantinesAndCharges(t *testing.T) {
 		t.Fatalf("clean table serves %d rows, want 50", len(rows))
 	}
 }
+
+// TestScrubQuarantineIsPerFamily: each column family has its own store and
+// files, so at-rest rot in one family's SSTable must fail only reads
+// that ask for that family. On an ISL-shaped table (both relations'
+// lists in one table, one family each) a rotted lineitem_pk file leaves
+// part-only gets and scans of the same rows fully served, while every
+// read that covers lineitem_pk — by name or by asking for all families:
+// scans, gets, the anti-entropy snapshot, a split — still fails typed,
+// so a replica's repair escalates to a full resync exactly as before.
+func TestScrubQuarantineIsPerFamily(t *testing.T) {
+	gateSchedule(t, "bit-rot")
+	dir := t.TempDir()
+	c, err := openFaultCluster(t, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateTable("isl", []string{"part", "lineitem_pk"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	const rows = 50
+	for i := 0; i < rows; i++ {
+		for _, fam := range []string{"part", "lineitem_pk"} {
+			cell := kvstore.Cell{Row: fmt.Sprintf("row%03d", i), Family: fam, Qualifier: "v",
+				Value: []byte(fmt.Sprintf("%s-%d", fam, i))}
+			if err := c.Put("isl", cell); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Scrub()
+	if err != nil || rep.Corrupt != 0 {
+		t.Fatalf("clean scrub: %+v, %v", rep, err)
+	}
+	badFile := ""
+	for _, f := range rep.Files {
+		if f.Family == "lineitem_pk" {
+			badFile = f.Name
+		}
+	}
+	if badFile == "" || len(rep.Files) != 2 {
+		t.Fatalf("scrub saw files %+v, want one per family", rep.Files)
+	}
+	path := filepath.Join(dir, badFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[20] ^= 0x08
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = c.Scrub(); err != nil || rep.Corrupt != 1 {
+		t.Fatalf("scrub after rot: %+v, %v", rep, err)
+	}
+	if q := c.Quarantined(); len(q) != 1 || q[0] != badFile {
+		t.Fatalf("Quarantined() = %v, want [%s]", q, badFile)
+	}
+
+	// The healthy family keeps serving the very rows the rot covers.
+	got, err := c.ScanAll(kvstore.Scan{Table: "isl", Families: []string{"part"}})
+	if err != nil || len(got) != rows {
+		t.Fatalf("part-only scan beside a quarantined sibling: %d rows, %v; want %d", len(got), err, rows)
+	}
+	row, err := c.Get("isl", "row010", "part")
+	if err != nil || row == nil || string(row.Cells[0].Value) != "part-10" {
+		t.Fatalf("part-only get beside a quarantined sibling: %+v, %v", row, err)
+	}
+
+	// Anything that covers the rotted family fails loudly.
+	for name, read := range map[string]func() error{
+		"family scan": func() error {
+			_, err := c.ScanAll(kvstore.Scan{Table: "isl", Families: []string{"lineitem_pk"}})
+			return err
+		},
+		"all-family scan": func() error { _, err := c.ScanAll(kvstore.Scan{Table: "isl"}); return err },
+		"family get":      func() error { _, err := c.Get("isl", "row010", "lineitem_pk"); return err },
+		"all-family get":  func() error { _, err := c.Get("isl", "row010"); return err },
+		"anti-entropy snapshot": func() error {
+			_, err := c.TableCells("isl")
+			return err
+		},
+		"split": func() error { return c.SplitRegion("isl", "row025") },
+	} {
+		if err := read(); !errors.Is(err, kvstore.ErrCorruption) {
+			t.Errorf("%s over the quarantined family: %v, want ErrCorruption", name, err)
+		}
+	}
+	// The refused split left the region in service.
+	if got, err = c.ScanAll(kvstore.Scan{Table: "isl", Families: []string{"part"}}); err != nil || len(got) != rows {
+		t.Fatalf("part-only scan after the refused split: %d rows, %v", len(got), err)
+	}
+}

@@ -96,6 +96,13 @@ func FuzzBlockCodec(f *testing.F) {
 	f.Add(mangled)
 	f.Add([]byte{})
 	f.Add([]byte("not a frame at all"))
+	// Meta blocks of the current format (version 2: the family leads),
+	// whole, truncated, and with the family emptied — the shape a
+	// version-1 meta block has when read as version 2.
+	meta := encodeMetaBlock(sstMeta{family: "f", minRow: "row000", maxRow: "row015", count: 64, logical: 4096, maxTs: 63})
+	f.Add(encodeFrame(meta))
+	f.Add(encodeFrame(meta[:len(meta)-3]))
+	f.Add(encodeFrame(encodeMetaBlock(sstMeta{minRow: "row000", maxRow: "row015", count: 64, logical: 4096, maxTs: 63})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Hostile path: every decoder must reject garbage gracefully. A
@@ -110,7 +117,16 @@ func FuzzBlockCodec(f *testing.F) {
 				}
 			}
 			_, _ = decodeIndexBlock(p)
-			_, _ = decodeMetaBlock(p)
+			if m, merr := decodeMetaBlock(p); merr == nil {
+				// Cold start groups files by this name: a meta block
+				// that decodes must name a family and survive a re-encode.
+				if m.family == "" {
+					t.Fatal("decoded meta block names no family")
+				}
+				if m2, rerr := decodeMetaBlock(encodeMetaBlock(m)); rerr != nil || m2 != m {
+					t.Fatalf("meta block re-encode: %+v, %v, want %+v", m2, rerr, m)
+				}
+			}
 		}
 		if len(data) > 0 {
 			if p, err := decodeFrame(data[:len(data)-1]); err == nil {

@@ -172,3 +172,70 @@ func BenchmarkSustainedLoad(b *testing.B) {
 		}
 	}
 }
+
+// buildTwoFamilyRegion loads a single-region table with families "list"
+// (one cell per row) and "sibling" (siblingCols cells per row, possibly
+// none), each round of rows flushed into its own run and the last left
+// in the memtable — the ISL shape: two relations' score lists in one
+// table, one family each, one much longer than the other.
+func buildTwoFamilyRegion(tb testing.TB, rows, siblingCols int) (*Cluster, []string) {
+	tb.Helper()
+	c := testCluster(tb)
+	if _, err := c.CreateTable("t", []string{"list", "sibling"}, nil); err != nil {
+		tb.Fatal(err)
+	}
+	const rounds = 3
+	r := mustRegion(tb, c, "t")
+	keys := benchKeys(rows)
+	for round := 0; round < rounds; round++ {
+		for i := round; i < rows; i += rounds {
+			cells := []Cell{{Row: keys[i], Family: "list", Qualifier: "v", Value: []byte("0123456789abcdef")}}
+			for q := 0; q < siblingCols; q++ {
+				cells = append(cells, Cell{Row: keys[i], Family: "sibling", Qualifier: fmt.Sprintf("q%02d", q), Value: []byte("0123456789abcdef")})
+			}
+			if err := c.MutateRow("t", cells); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if round < rounds-1 {
+			if err := r.Flush(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return c, keys
+}
+
+// BenchmarkScanOneFamily scans family "list" alone, with and without a
+// 30x larger sibling family in the same rows. Each family has its own
+// store, so ns/op must not depend on the sibling's size.
+func BenchmarkScanOneFamily(b *testing.B) {
+	for _, siblingCols := range []int{0, 30} {
+		b.Run(fmt.Sprintf("sibling%dx", siblingCols), func(b *testing.B) {
+			const rows = 3000
+			c, _ := buildTwoFamilyRegion(b, rows, siblingCols)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, err := c.ScanAll(Scan{Table: "t", Families: []string{"list"}, Caching: 1000})
+				if err != nil || len(got) != rows {
+					b.Fatalf("rows=%d err=%v", len(got), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGetOneFamily is the keyed twin: family-restricted gets (which
+// bypass the row cache) beside a 30x larger sibling family.
+func BenchmarkGetOneFamily(b *testing.B) {
+	c, keys := buildTwoFamilyRegion(b, 3000, 30)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		row, err := c.Get("t", keys[i%len(keys)], "list")
+		if err != nil || row == nil || len(row.Cells) != 1 {
+			b.Fatalf("get: %v %v", row, err)
+		}
+	}
+}

@@ -3,6 +3,9 @@ package kvstore
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -392,7 +395,7 @@ func TestTieredCompactionEquivalence(t *testing.T) {
 	}
 	check("final")
 	tr.mu.RLock()
-	nseg := len(tr.segments)
+	nseg := len(tr.stores[0].runs)
 	tr.mu.RUnlock()
 	if nseg > tr.maxSegmentsLocked() {
 		t.Errorf("tiered policy left %d segments, cap %d", nseg, tr.maxSegmentsLocked())
@@ -441,8 +444,9 @@ func TestSubsetMergeKeepsShadowedTombstones(t *testing.T) {
 		t.Fatalf("pre-merge snapshot at ts=60 sees %+v, want deleted", rows)
 	}
 	r.mu.Lock()
-	r.mergeSegmentsLocked([]int{0, 1}) // segments are newest first: A, B
-	nseg := len(r.segments)
+	st := r.storeLocked("cf")
+	r.mergeSegmentsLocked(st, []int{0, 1}) // runs are newest first: A, B
+	nseg := len(st.runs)
 	r.mu.Unlock()
 	if nseg != 2 {
 		t.Fatalf("expected 2 segments after subset merge, got %d", nseg)
@@ -473,7 +477,7 @@ func TestSubsetMergeKeepsShadowedVersions(t *testing.T) {
 		r.Flush()
 	}
 	r.mu.Lock()
-	r.mergeSegmentsLocked([]int{0, 1}) // merge ts=100 and ts=50 runs; ts=30 stays outside
+	r.mergeSegmentsLocked(r.storeLocked("cf"), []int{0, 1}) // merge ts=100 and ts=50 runs; ts=30 stays outside
 	r.mu.Unlock()
 	rows, _, err := r.scan("", "", 0, nil, 60, nil)
 	if err != nil {
@@ -539,5 +543,435 @@ func TestTieredCompactionCutsWriteAmplification(t *testing.T) {
 	// a small multiple (log-ish in the number of tiers).
 	if written > 8*data {
 		t.Errorf("compaction wrote %d bytes for %d live bytes (amplification %.1fx)", written, data, float64(written)/float64(data))
+	}
+}
+
+// TestFamilyScanWalksOnlyItsFamily pins the family-store layout by
+// counting, not timing: on a two-family region whose sibling family is
+// 30x larger, with data spread over a live memtable and two flushed
+// runs, the iterator a one-family scan or get is handed yields exactly
+// that family's stored versions — shadowed versions and tombstones
+// included — and not one cell of the sibling.
+func TestFamilyScanWalksOnlyItsFamily(t *testing.T) {
+	c := testCluster(t)
+	mustCreate(t, c, "t", []string{"big", "small"}, nil)
+	r := mustRegion(t, c, "t")
+	const rows, siblingCols = 40, 30
+	stored, perRow := 0, 0
+	for round := 0; round < 3; round++ {
+		for i := 0; i < rows; i++ {
+			row := fmt.Sprintf("r%03d", i)
+			cells := []Cell{{Row: row, Family: "small", Qualifier: "v", Value: []byte(fmt.Sprint(round)), Timestamp: int64(round + 1)}}
+			for q := 0; q < siblingCols; q++ {
+				cells = append(cells, Cell{Row: row, Family: "big", Qualifier: fmt.Sprintf("q%02d", q), Value: []byte("sibling"), Timestamp: int64(round + 1)})
+			}
+			if err := r.mutateRow(cells); err != nil {
+				t.Fatal(err)
+			}
+			stored++
+		}
+		perRow++
+		if round < 2 {
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// A tombstone is a stored version of its family too.
+	if err := r.mutateRow([]Cell{{Row: "r000", Family: "small", Qualifier: "v", Timestamp: 9, Tombstone: true}}); err != nil {
+		t.Fatal(err)
+	}
+	stored++
+
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, st := range r.stores {
+		if len(st.runs) < 2 || st.mem.count == 0 {
+			t.Fatalf("family %q: %d runs, %d memtable cells; want >= 2 runs and a live memtable", st.family, len(st.runs), st.mem.count)
+		}
+	}
+	steps := 0
+	for it := r.iteratorsLocked("", []string{"small"}, nil); it.valid(); it.next() {
+		if f := it.cell().Family; f != "small" {
+			t.Fatalf("one-family scan iterator yielded a %q cell", f)
+		}
+		steps++
+	}
+	if steps != stored {
+		t.Errorf("one-family scan iterator took %d steps, want the family's %d stored versions", steps, stored)
+	}
+
+	prefix := rowPrefix("r007")
+	it, err := r.rowIterLocked("r007", prefix, []string{"small"}, nil)
+	if err != nil || it == nil {
+		t.Fatalf("rowIterLocked = %v, %v", it, err)
+	}
+	steps = 0
+	for ; it.valid() && strings.HasPrefix(it.key(), prefix); it.next() {
+		if f := it.cell().Family; f != "small" {
+			t.Fatalf("one-family get iterator yielded a %q cell", f)
+		}
+		steps++
+	}
+	if steps != perRow {
+		t.Errorf("one-family get iterator took %d steps inside the row, want its %d stored versions", steps, perRow)
+	}
+}
+
+// storedVersion is one physical cell version of the model in
+// TestMultiFamilyModelEquivalence, with the global write order that
+// breaks timestamp ties.
+type storedVersion struct {
+	cell  Cell
+	order int
+}
+
+// familyModel is the brute-force oracle of the multi-family property
+// test: every version ever written, never compacted.
+type familyModel struct {
+	versions []storedVersion
+}
+
+func (m *familyModel) write(c Cell) {
+	m.versions = append(m.versions, storedVersion{cell: c, order: len(m.versions)})
+}
+
+// rows resolves the model to what a read of the given families (nil =
+// all) at readTs (0 = latest) must return: per column the newest
+// version not after readTs, tombstones dropping the column, rows in key
+// order with cells in (family, qualifier) order.
+func (m *familyModel) rows(families []string, readTs int64) []Row {
+	type col struct{ row, fam, qual string }
+	newest := map[col]storedVersion{}
+	for _, v := range m.versions {
+		if !famMatch(families, v.cell.Family) || (readTs != 0 && v.cell.Timestamp > readTs) {
+			continue
+		}
+		k := col{v.cell.Row, v.cell.Family, v.cell.Qualifier}
+		if cur, ok := newest[k]; !ok || v.cell.Timestamp > cur.cell.Timestamp ||
+			(v.cell.Timestamp == cur.cell.Timestamp && v.order > cur.order) {
+			newest[k] = v
+		}
+	}
+	byRow := map[string][]Cell{}
+	for _, v := range newest {
+		if !v.cell.Tombstone {
+			byRow[v.cell.Row] = append(byRow[v.cell.Row], v.cell)
+		}
+	}
+	out := make([]Row, 0, len(byRow))
+	for row, cells := range byRow {
+		sort.Slice(cells, func(i, j int) bool {
+			if cells[i].Family != cells[j].Family {
+				return cells[i].Family < cells[j].Family
+			}
+			return cells[i].Qualifier < cells[j].Qualifier
+		})
+		out = append(out, Row{Key: row, Cells: cells})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
+// physicalCells dumps every stored version of a region — each family
+// store's memtable and runs walked one source at a time, the read
+// path's merge not involved — sorted by internal key: the mixed-family
+// stream the single-store layout used to hand its read loops.
+func physicalCells(t *testing.T, r *Region) (keys []string, cells []*Cell) {
+	t.Helper()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var sources []cellIter
+	for _, st := range r.stores {
+		sources = append(sources, st.mem.iterator(""))
+		for _, s := range st.runs {
+			sources = append(sources, s.iterAt("", nil))
+		}
+	}
+	type kc struct {
+		k string
+		c *Cell
+	}
+	var all []kc
+	for _, it := range sources {
+		for ; it.valid(); it.next() {
+			all = append(all, kc{it.key(), it.cell()})
+		}
+		if err := it.fail(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].k < all[j].k })
+	for _, e := range all {
+		keys = append(keys, e.k)
+		cells = append(cells, e.c)
+	}
+	return keys, cells
+}
+
+// referenceScan is the scan loop of the single-store layout, run over
+// the mixed-family dump of physicalCells with a per-cell family filter:
+// the formula OpStats must keep matching.
+func referenceScan(r *Region, keys []string, cells []*Cell, startRow, endRow string, limit int, families []string, readTs int64) ([]Row, OpStats) {
+	var stats OpStats
+	var rows []Row
+	var cur *Row
+	lastFam, lastQual := "", ""
+	sawCol := false
+	flush := func() {
+		if cur != nil && len(cur.Cells) > 0 {
+			stats.CellsReturned += uint64(len(cur.Cells))
+			stats.BytesReturned += cur.Size()
+			rows = append(rows, *cur)
+		}
+		cur = nil
+	}
+	i := 0
+	if startRow != "" {
+		i = sort.SearchStrings(keys, rowPrefix(startRow))
+	}
+	for ; i < len(cells); i++ {
+		c := cells[i]
+		if endRow != "" && c.Row >= endRow {
+			break
+		}
+		if !famMatch(families, c.Family) {
+			continue
+		}
+		stats.BytesRead += c.StoredSize()
+		if cur == nil || cur.Key != c.Row {
+			flush()
+			if limit > 0 && len(rows) >= limit {
+				return rows, stats
+			}
+			cur = &Row{Key: c.Row}
+			sawCol = false
+		}
+		if (readTs == 0 || c.Timestamp <= readTs) && (!sawCol || c.Family != lastFam || c.Qualifier != lastQual) {
+			sawCol = true
+			lastFam, lastQual = c.Family, c.Qualifier
+			stats.CellsExamined++
+			if !c.Tombstone {
+				cur.Cells = append(cur.Cells, *c)
+			}
+		}
+	}
+	flush()
+	return rows, stats
+}
+
+// TestMultiFamilyModelEquivalence is the randomised property test of
+// the family-store layout: seeded interleavings of puts, deletes,
+// flushes (which trigger tiered compaction), major compactions, region
+// splits and WAL-replay recoveries on a 3-family table, and after every
+// step, for EVERY family subset:
+//
+//   - cluster-level scans and gets equal the brute-force model, at the
+//     latest view and at a ReadTs snapshot (taken no older than the last
+//     step that may have garbage-collected history);
+//   - region-level scans and gets — random ranges, limits and ReadTs —
+//     return the rows AND bill the OpStats the single-store read loop
+//     produced over the same stored versions (BytesRead compared in
+//     memory mode only; disk mode bills measured block reads).
+//
+// Under KVSTORE_DISK=1 the cluster lives in a directory of its own and
+// is closed and reopened mid-run.
+func TestMultiFamilyModelEquivalence(t *testing.T) {
+	fams := []string{"fa", "fb", "fc"}
+	subsets := [][]string{nil}
+	for mask := 1; mask < 1<<len(fams); mask++ {
+		var sub []string
+		for i, f := range fams {
+			if mask&(1<<i) != 0 {
+				sub = append(sub, f)
+			}
+		}
+		subsets = append(subsets, sub)
+	}
+	onDisk := os.Getenv("KVSTORE_DISK") == "1"
+	steps := 200
+	if testing.Short() {
+		steps = 80
+	}
+
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			dir := ""
+			var c *Cluster
+			if onDisk {
+				dir = t.TempDir()
+				c = openDiskCluster(t, dir)
+			} else {
+				c = testCluster(t)
+			}
+			defer func() { c.Close() }()
+			c.SetRowCacheBytes(0) // gets must bill the LSM walk every time
+			mustCreate(t, c, "t", fams, nil)
+			model := &familyModel{}
+			var now, horizon int64 = 1, 0
+			rowKey := func() string { return fmt.Sprintf("k%02d", rng.Intn(30)) }
+			regions := func() []*Region {
+				regs, err := c.TableRegions("t")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return regs
+			}
+
+			check := func(step int, what string) {
+				t.Helper()
+				type dump struct {
+					keys  []string
+					cells []*Cell
+				}
+				regs := regions()
+				dumps := make([]dump, len(regs))
+				for i, r := range regs {
+					dumps[i].keys, dumps[i].cells = physicalCells(t, r)
+				}
+				snapTs := horizon + rng.Int63n(now-horizon+1)
+				for _, sub := range subsets {
+					for _, ts := range []int64{0, snapTs} {
+						got, err := c.ScanAll(Scan{Table: "t", Families: sub, ReadTs: ts, Caching: 7})
+						if err != nil {
+							t.Fatalf("step %d (%s) fams %v ts %d: %v", step, what, sub, ts, err)
+						}
+						if want := model.rows(sub, ts); fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("step %d (%s) fams %v ts %d: scan diverges from the model\ngot  %v\nwant %v", step, what, sub, ts, got, want)
+						}
+					}
+					latest := map[string]Row{}
+					for _, row := range model.rows(sub, 0) {
+						latest[row.Key] = row
+					}
+					for n := 0; n < 3; n++ {
+						key := rowKey()
+						got, err := c.Get("t", key, sub...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, ok := latest[key]
+						if (got != nil) != ok || (ok && fmt.Sprint(*got) != fmt.Sprint(want)) {
+							t.Fatalf("step %d (%s) fams %v: get %q = %v, model %v (present %v)", step, what, sub, key, got, want, ok)
+						}
+					}
+
+					for i, r := range regs {
+						start, end, limit, ts := "", "", rng.Intn(4), int64(0)
+						if rng.Intn(2) == 0 {
+							start = rowKey()
+						}
+						if rng.Intn(2) == 0 {
+							end = rowKey()
+						}
+						if rng.Intn(2) == 0 {
+							ts = 1 + rng.Int63n(now)
+						}
+						got, gotStats, err := r.scan(start, end, limit, sub, ts, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						refStart := start
+						if refStart == "" || refStart < r.startKey {
+							refStart = r.startKey
+						}
+						want, wantStats := referenceScan(r, dumps[i].keys, dumps[i].cells, refStart, end, limit, sub, ts)
+						if onDisk {
+							gotStats.BytesRead, wantStats.BytesRead = 0, 0
+							gotStats.BlockReads, gotStats.BlockCacheHits = 0, 0
+						}
+						if fmt.Sprint(got) != fmt.Sprint(want) || gotStats != wantStats {
+							t.Fatalf("step %d (%s) region %d fams %v scan[%q,%q) limit %d ts %d:\ngot  %v %+v\nwant %v %+v",
+								step, what, r.id, sub, start, end, limit, ts, got, gotStats, want, wantStats)
+						}
+
+						key := rowKey()
+						if !r.contains(key) {
+							continue
+						}
+						gotRow, gs, err := r.get(key, sub)
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantRows, ws := referenceScan(r, dumps[i].keys, dumps[i].cells, key, key+"\x00", 0, sub, 0)
+						// A keyed read bills its returned payload, not the
+						// versions it walked, and nothing when it returns
+						// no row.
+						ws.BytesRead = ws.BytesReturned
+						if onDisk {
+							gs.BytesRead, ws.BytesRead = 0, 0
+							gs.BlockReads, gs.BlockCacheHits = 0, 0
+						}
+						if (gotRow != nil) != (len(wantRows) == 1) || (gotRow != nil && fmt.Sprint(*gotRow) != fmt.Sprint(wantRows[0])) || gs != ws {
+							t.Fatalf("step %d (%s) region %d fams %v get %q:\ngot  %v %+v\nwant %v %+v", step, what, r.id, sub, key, gotRow, gs, wantRows, ws)
+						}
+					}
+				}
+			}
+
+			for step := 0; step < steps; step++ {
+				what := ""
+				switch op := rng.Intn(100); {
+				case op < 55:
+					what = "put"
+					if rng.Intn(4) > 0 {
+						now++ // otherwise reuse the timestamp: write order breaks the tie
+					}
+					cell := Cell{Row: rowKey(), Family: fams[rng.Intn(len(fams))], Qualifier: fmt.Sprintf("q%d", rng.Intn(2)),
+						Value: []byte(fmt.Sprintf("v%d-%024d", step, step)), Timestamp: now}
+					if err := c.Put("t", cell); err != nil {
+						t.Fatal(err)
+					}
+					model.write(cell)
+				case op < 70:
+					what = "delete"
+					now++
+					cell := Cell{Row: rowKey(), Family: fams[rng.Intn(len(fams))], Qualifier: fmt.Sprintf("q%d", rng.Intn(2)), Timestamp: now, Tombstone: true}
+					if err := c.Delete("t", cell.Row, cell.Family, cell.Qualifier, cell.Timestamp); err != nil {
+						t.Fatal(err)
+					}
+					model.write(cell)
+				case op < 85:
+					what = "flush"
+					for _, r := range regions() {
+						if err := r.Flush(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					horizon = now
+				case op < 90:
+					what = "major compaction"
+					regs := regions()
+					if err := regs[rng.Intn(len(regs))].Compact(); err != nil {
+						t.Fatal(err)
+					}
+					horizon = now
+				case op < 93:
+					what = "split"
+					if len(regions()) < 4 {
+						// A region too small to split says so; nothing changed.
+						_ = c.SplitRegion("t", rowKey())
+						horizon = now
+					}
+				default:
+					what = "recover"
+					for _, r := range regions() {
+						if _, err := r.recover(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if onDisk && step == steps/2 {
+					what += " + reopen"
+					if err := c.Close(); err != nil {
+						t.Fatal(err)
+					}
+					c = openDiskCluster(t, dir)
+					c.SetRowCacheBytes(0)
+				}
+				check(step, what)
+			}
+		})
 	}
 }

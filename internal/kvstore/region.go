@@ -14,13 +14,33 @@ import (
 // a NotServingRegionException after a split.
 var errRegionSplit = errors.New("kvstore: region closed by split")
 
+// familyStore is one column family's LSM pipeline inside a region, the
+// analogue of an HBase Store: its own memtable and its own immutable
+// runs, so reading one family never walks another family's cells. Every
+// cell in mem and runs has Family == family. The region's lock guards
+// all of it.
+type familyStore struct {
+	family string
+	mem    *memtable
+	runs   []run // newest first
+
+	// quarantined holds this family's on-disk runs that failed checksum
+	// verification in a Scrub pass. They are off the read path — any
+	// read of this family whose key range may touch one fails with a
+	// typed CorruptionError rather than silently missing rows — and
+	// their files are never unlinked, so the damaged bytes remain
+	// available for repair.
+	quarantined []*diskSegment
+}
+
 // Region is one horizontal shard of a table: the half-open row-key range
-// [StartKey, EndKey), hosted by a single node. Each region owns an LSM
-// pipeline — WAL, memtable, immutable runs — and a mutex providing
-// the row-level atomicity HBase guarantees (Section 6 relies on it).
-// With a diskStore attached the runs are on-disk SSTables and the WAL is
-// file-backed; without one everything lives in memory (the original
-// simulated mode). The two modes never mix within a region.
+// [StartKey, EndKey), hosted by a single node. Each region owns one WAL,
+// one LSM store per column family (memtable + immutable runs), and a
+// mutex providing the row-level atomicity HBase guarantees (Section 6
+// relies on it). With a diskStore attached the runs are on-disk SSTables
+// and the WAL is file-backed; without one everything lives in memory
+// (the original simulated mode). The two modes never mix within a
+// region.
 type Region struct {
 	mu       sync.RWMutex
 	id       int
@@ -28,25 +48,20 @@ type Region struct {
 	startKey string // inclusive; "" = unbounded low
 	endKey   string // exclusive; "" = unbounded high
 	node     int    // guarded by: mu
+	seed     int64  // memtable skip-list seed base
 
-	mem      *memtable // guarded by: mu
-	segments []run     // newest first; guarded by: mu
-	log      *wal      // guarded by: mu
-	seq      uint64    // guarded by: mu
-	cache    *rowCache
-	store    *diskStore // nil = memory-only
+	// stores holds one store per column family that has ever received a
+	// cell, sorted by family name; created on first write (or at cold
+	// start from the region's files and WAL), never removed.
+	stores []*familyStore // guarded by: mu
+	log    *wal           // guarded by: mu
+	seq    uint64         // guarded by: mu
+	cache  *rowCache
+	store  *diskStore // nil = memory-only
 	// closed marks a region retired by a split: every read or write
 	// returns errRegionSplit so the caller re-routes to the children.
 	// guarded by: mu
 	closed bool
-
-	// quarantined holds on-disk runs that failed checksum verification
-	// in a Scrub pass. They are off the read path — any read whose key
-	// range may touch one fails with a typed CorruptionError rather
-	// than silently missing rows — and their files are never unlinked,
-	// so the damaged bytes remain available for repair.
-	// guarded by: mu
-	quarantined []*diskSegment
 
 	// liveCells caches LiveCellCount's merge walk, keyed by the seq that
 	// produced it. Flushes and compactions never change the live set, so
@@ -78,7 +93,7 @@ func newRegion(id int, table, startKey, endKey string, node int, seed int64, cac
 		startKey:         startKey,
 		endKey:           endKey,
 		node:             node,
-		mem:              newMemtable(seed),
+		seed:             seed,
 		log:              &wal{},
 		cache:            newRowCache(cacheBytes),
 		flushThreshold:   defaultFlushThreshold,
@@ -112,16 +127,55 @@ func (r *Region) manifestTemplateLocked() manifestRegion {
 	return manifestRegion{ID: r.id, Table: r.table, Start: r.startKey, End: r.endKey, Node: r.node}
 }
 
-// diskFilesLocked lists the region's SSTable file names, newest first.
-// Caller holds r.mu; all runs are disk segments in disk mode.
-func (r *Region) diskFilesLocked() []string {
-	files := make([]string, 0, len(r.segments))
-	for _, s := range r.segments {
-		if d, ok := s.(*diskSegment); ok {
+// storeLocked returns the family's store, creating it on first use.
+// Caller holds r.mu exclusively.
+func (r *Region) storeLocked(family string) *familyStore {
+	i := 0
+	for ; i < len(r.stores) && r.stores[i].family < family; i++ {
+	}
+	if i < len(r.stores) && r.stores[i].family == family {
+		return r.stores[i]
+	}
+	// Clone: family may be a substring of a WAL key being replayed.
+	st := &familyStore{family: strings.Clone(family), mem: r.newMemtableLocked()}
+	r.stores = append(r.stores, nil)
+	copy(r.stores[i+1:], r.stores[i:])
+	r.stores[i] = st
+	return st
+}
+
+// newMemtableLocked returns an empty memtable, seeded from the region's
+// seed and sequence so region behaviour is deterministic run to run.
+// Caller holds r.mu.
+func (r *Region) newMemtableLocked() *memtable {
+	return newMemtable(r.seed + int64(r.seq))
+}
+
+// memSizeLocked is the region's total memstore size — the flush trigger
+// — summed over its family stores. Caller holds r.mu.
+func (r *Region) memSizeLocked() uint64 {
+	var n uint64
+	for _, st := range r.stores {
+		n += st.mem.size
+	}
+	return n
+}
+
+// diskFilesLocked lists the region's SSTable file names for the
+// manifest, family by family and newest first within each, plus the
+// largest cell timestamp they hold. Caller holds r.mu; all runs are disk
+// segments in disk mode.
+func (r *Region) diskFilesLocked() (files []string, maxTs int64) {
+	for _, st := range r.stores {
+		for _, s := range st.runs {
+			d := s.(*diskSegment)
 			files = append(files, d.name)
+			if d.meta.maxTs > maxTs {
+				maxTs = d.meta.maxTs
+			}
 		}
 	}
-	return files
+	return files, maxTs
 }
 
 // shutdown releases the region's file handles (disk mode). The region
@@ -130,14 +184,16 @@ func (r *Region) shutdown() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var first error
-	for _, s := range r.segments {
-		if err := s.close(); err != nil && first == nil {
-			first = err
+	for _, st := range r.stores {
+		for _, s := range st.runs {
+			if err := s.close(); err != nil && first == nil {
+				first = err
+			}
 		}
-	}
-	for _, s := range r.quarantined {
-		if err := s.close(); err != nil && first == nil {
-			first = err
+		for _, s := range st.quarantined {
+			if err := s.close(); err != nil && first == nil {
+				first = err
+			}
 		}
 	}
 	if err := r.log.close(); err != nil && first == nil {
@@ -234,9 +290,9 @@ func (r *Region) applyMutation(c Cell) error {
 	if err := r.log.append(key, &cp); err != nil {
 		return err
 	}
-	r.mem.put(key, &cp)
+	r.storeLocked(cp.Family).mem.put(key, &cp)
 	r.cache.invalidate(cp.Row)
-	if r.mem.size > r.flushThreshold {
+	if r.memSizeLocked() > r.flushThreshold {
 		return r.flushLocked()
 	}
 	return nil
@@ -300,37 +356,70 @@ func (r *Region) reopen() {
 	r.closed = false
 }
 
-// flushLocked materializes the memtable into a new run — an in-memory
-// segment, or a registered SSTable in disk mode — and truncates the WAL.
+// flushLocked materializes every non-empty family memtable into a new
+// run of its store — an in-memory segment, or in disk mode one SSTable
+// per family, all registered by ONE manifest save — and only then
+// truncates the WAL: a crash before the save leaves orphan files and an
+// intact WAL, a crash after it replays records the files already hold
+// (harmless), and no flush is ever visible for some families only.
 // Caller holds r.mu.
 //
 //lint:allow chargecheck flushes are server-side background work, free in the client cost model (writes were already billed when applied)
 func (r *Region) flushLocked() error {
-	if r.mem.count == 0 {
+	var dirty []*familyStore
+	for _, st := range r.stores {
+		if st.mem.count > 0 {
+			dirty = append(dirty, st)
+		}
+	}
+	if len(dirty) == 0 {
 		return nil
 	}
-	if r.store == nil {
-		seg := newSegment(r.mem.keys(), r.mem.entries())
-		r.segments = append([]run{seg}, r.segments...)
-	} else {
+	flushed := make([]run, len(dirty))
+	for i, st := range dirty {
+		if r.store == nil {
+			flushed[i] = newSegment(st.mem.keys(), st.mem.entries())
+			continue
+		}
 		name := r.store.allocFile()
-		seg, err := writeSSTable(r.store.fs, r.store.dir, name, r.store.cache, r.mem.iterator(""))
+		seg, err := writeSSTable(r.store.fs, r.store.dir, name, r.store.cache, st.mem.iterator(""))
 		if err != nil {
+			// The earlier families' files were never registered and
+			// nothing references them: drop them now, best effort —
+			// the next open's orphan sweep takes what this misses.
+			for _, s := range flushed[:i] {
+				s.close()
+				_ = r.store.fs.Remove(r.store.dir + "/" + s.(*diskSegment).name)
+			}
 			return err
 		}
-		files := append([]string{name}, r.diskFilesLocked()...)
-		if err := r.store.registerSegments(r.manifestTemplateLocked(), files, r.seq, seg.meta.maxTs, nil); err != nil {
-			seg.close()
-			return err
-		}
-		r.segments = append([]run{seg}, r.segments...)
+		flushed[i] = seg
 	}
-	r.mem = newMemtable(int64(r.id)<<32 | int64(r.seq))
+	for i, st := range dirty {
+		st.runs = append([]run{flushed[i]}, st.runs...)
+	}
+	if r.store != nil {
+		files, maxTs := r.diskFilesLocked()
+		if err := r.store.registerSegments(r.manifestTemplateLocked(), files, r.seq, maxTs, nil); err != nil {
+			for i, st := range dirty {
+				st.runs = st.runs[1:]
+				flushed[i].close()
+			}
+			return err
+		}
+	}
+	for _, st := range dirty {
+		st.mem = r.newMemtableLocked()
+	}
 	if err := r.log.truncate(); err != nil {
 		return err
 	}
-	if len(r.segments) > r.compactThreshold {
-		return r.compactTieredLocked()
+	for _, st := range dirty {
+		if len(st.runs) > r.compactThreshold {
+			if err := r.compactTieredLocked(st); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -423,21 +512,22 @@ func sizeTier(size uint64) int {
 	return t
 }
 
-// maxSegmentsLocked bounds the read fan-out: past this count the policy
-// falls back to a full merge even when no tier is full.
+// maxSegmentsLocked bounds one family store's read fan-out: past this
+// run count the policy falls back to a full merge even when no tier is
+// full.
 func (r *Region) maxSegmentsLocked() int { return 3 * r.compactThreshold }
 
-// compactTieredLocked runs size-tiered compaction: merge only runs of
-// similar size (the smallest qualifying tier first), instead of
-// rewriting the whole region on every trigger. A merge of a strict
-// subset retains every version (it only reduces run count; see
-// mergeSegments), while a merge that happens to cover every run
-// garbage-collects like a major compaction. Caller holds r.mu.
-func (r *Region) compactTieredLocked() error {
-	for len(r.segments) > r.compactThreshold {
+// compactTieredLocked runs size-tiered compaction on one family store:
+// merge only runs of similar size (the smallest qualifying tier first),
+// instead of rewriting the whole store on every trigger. A merge of a
+// strict subset retains every version (it only reduces run count; see
+// mergeSegments), while a merge that happens to cover every run of the
+// family garbage-collects like a major compaction. Caller holds r.mu.
+func (r *Region) compactTieredLocked(st *familyStore) error {
+	for len(st.runs) > r.compactThreshold {
 		tiers := map[int][]int{}
 		maxTier := 0
-		for i, s := range r.segments {
+		for i, s := range st.runs {
 			t := sizeTier(s.dataSize())
 			tiers[t] = append(tiers[t], i)
 			if t > maxTier {
@@ -452,7 +542,7 @@ func (r *Region) compactTieredLocked() error {
 			}
 		}
 		if picked == nil {
-			if len(r.segments) <= r.maxSegmentsLocked() {
+			if len(st.runs) <= r.maxSegmentsLocked() {
 				return nil
 			}
 			// Fan-out cap exceeded with no full tier: fall back to a
@@ -460,36 +550,45 @@ func (r *Region) compactTieredLocked() error {
 			// steady-state garbage collector — subset merges retain
 			// every version, so without periodic full merges an
 			// update-heavy workload would accumulate dead versions and
-			// tombstones forever. The memtable is always empty here
-			// (the only caller is flushLocked, right after a flush), so
-			// dropping tombstones cannot resurrect memtable versions.
-			picked = make([]int, len(r.segments))
-			for i := range picked {
-				picked[i] = i
-			}
+			// tombstones forever. The family's memtable is always empty
+			// here (the only caller is flushLocked, right after a
+			// flush), so dropping tombstones cannot resurrect memtable
+			// versions.
+			picked = allRuns(st)
 		}
-		if err := r.mergeSegmentsLocked(picked); err != nil {
+		if err := r.mergeSegmentsLocked(st, picked); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// mergeSegmentsLocked replaces the runs at the given (ascending) indices
-// with their merge, placed at the newest picked position. In disk mode
-// the merge streams block-by-block into a new SSTable, the replacement
-// is durably registered in the manifest, and ONLY THEN are the input
-// files unlinked — a crash between the write and the register leaves an
-// orphan new file (cleaned at next open); a crash between the register
-// and the unlink leaves orphan old files; neither loses data.
+// allRuns returns the index of every run of st, the pick of a full merge.
+func allRuns(st *familyStore) []int {
+	picked := make([]int, len(st.runs))
+	for i := range picked {
+		picked[i] = i
+	}
+	return picked
+}
+
+// mergeSegmentsLocked replaces st's runs at the given (ascending)
+// indices with their merge, placed at the newest picked position. A
+// column's versions live only in its family's store, so a merge covering
+// every run of st may garbage-collect whatever the other families hold.
+// In disk mode the merge streams block-by-block into a new SSTable, the
+// replacement is durably registered in the manifest, and ONLY THEN are
+// the input files unlinked — a crash between the write and the register
+// leaves an orphan new file (cleaned at next open); a crash between the
+// register and the unlink leaves orphan old files; neither loses data.
 //
 //lint:allow chargecheck compactions are server-side background work, free in the client cost model; write amplification is tracked in CompactionBytes instead
-func (r *Region) mergeSegmentsLocked(picked []int) error {
+func (r *Region) mergeSegmentsLocked(st *familyStore, picked []int) error {
 	runs := make([]run, 0, len(picked))
 	for _, i := range picked {
-		runs = append(runs, r.segments[i])
+		runs = append(runs, st.runs[i])
 	}
-	full := len(picked) == len(r.segments)
+	full := len(picked) == len(st.runs)
 
 	var merged run // nil = merge produced no cells (disk mode only)
 	var obsolete []string
@@ -522,9 +621,9 @@ func (r *Region) mergeSegmentsLocked(picked []int) error {
 		}
 	}
 
-	out := make([]run, 0, len(r.segments)-len(picked)+1)
+	out := make([]run, 0, len(st.runs)-len(picked)+1)
 	pi := 0
-	for i, s := range r.segments {
+	for i, s := range st.runs {
 		if pi < len(picked) && picked[pi] == i {
 			if pi == 0 && merged != nil {
 				out = append(out, merged)
@@ -535,17 +634,12 @@ func (r *Region) mergeSegmentsLocked(picked []int) error {
 		out = append(out, s)
 	}
 
+	before := st.runs
+	st.runs = out
 	if r.store != nil {
-		files := make([]string, 0, len(out))
-		var maxTs int64
-		for _, s := range out {
-			d := s.(*diskSegment)
-			files = append(files, d.name)
-			if d.meta.maxTs > maxTs {
-				maxTs = d.meta.maxTs
-			}
-		}
+		files, maxTs := r.diskFilesLocked()
 		if err := r.store.registerSegments(r.manifestTemplateLocked(), files, r.seq, maxTs, obsolete); err != nil {
+			st.runs = before
 			if merged != nil {
 				merged.close()
 			}
@@ -559,32 +653,27 @@ func (r *Region) mergeSegmentsLocked(picked []int) error {
 			s.close()
 		}
 	}
-	r.segments = out
 	return nil
 }
 
-// compactLocked performs a major compaction: merge all runs into one,
-// keeping only the newest version of each column and dropping columns
-// whose newest version is a tombstone. Caller holds r.mu.
-func (r *Region) compactLocked() error {
-	if len(r.segments) == 0 {
-		return nil
-	}
-	picked := make([]int, len(r.segments))
-	for i := range picked {
-		picked[i] = i
-	}
-	return r.mergeSegmentsLocked(picked)
-}
-
-// Compact forces a major compaction.
+// Compact forces a major compaction: flush, then merge each family
+// store's runs into one, keeping only the newest version of each column
+// and dropping columns whose newest version is a tombstone.
 func (r *Region) Compact() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.flushLocked(); err != nil {
 		return err
 	}
-	return r.compactLocked()
+	for _, st := range r.stores {
+		if len(st.runs) == 0 {
+			continue
+		}
+		if err := r.mergeSegmentsLocked(st, allRuns(st)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CompactionBytes returns the cumulative bytes written by compactions
@@ -595,20 +684,27 @@ func (r *Region) CompactionBytes() uint64 {
 	return r.compactionBytes
 }
 
-// iteratorsLocked returns merged read sources, newest first, charging
-// block I/O to io (nil = uncharged introspection). Caller holds a read
-// lock.
-func (r *Region) iteratorsLocked(start string, io *OpStats) *mergedIter {
-	its := make([]cellIter, 0, len(r.segments)+1)
-	its = append(its, r.mem.iterator(start))
-	for _, s := range r.segments {
-		its = append(its, s.iterAt(start, io))
+// iteratorsLocked merges the read sources — memtable and runs, newest
+// first — of the requested families' stores (nil = all), positioned at
+// start and charging block I/O to io (nil = uncharged introspection).
+// Caller holds a read lock.
+func (r *Region) iteratorsLocked(start string, families []string, io *OpStats) *mergedIter {
+	var arr [8]cellIter // newMergedIter copies what it keeps
+	its := arr[:0]
+	for _, st := range r.stores {
+		if !famMatch(families, st.family) {
+			continue
+		}
+		its = append(its, st.mem.iterator(start))
+		for _, s := range st.runs {
+			its = append(its, s.iterAt(start, io))
+		}
 	}
 	return newMergedIter(its...)
 }
 
 // famMatch reports whether family f passes the (possibly empty) family
-// restriction without building a set.
+// restriction without building a set. It selects stores, never cells.
 func famMatch(families []string, f string) bool {
 	if len(families) == 0 {
 		return true
@@ -636,6 +732,11 @@ func (r *Region) scan(startRow, endRow string, limit int, families []string, rea
 // segments still hold the complete pre-split data for the range, and
 // the job never sees the children, so no row is lost or read twice.
 //
+// Column families are physically separate stores (HBase Stores/HFiles):
+// the scan merges only the requested families' memtables and runs, so a
+// family-restricted scan never touches — or pays for — another family's
+// cells, and a quarantined run fails only reads of its own family.
+//
 // Cost accounting: in memory mode BytesRead is charged per examined
 // cell from the stored-size formula; in disk mode it accumulates the
 // MEASURED framed bytes of every block the scan faults in (block-cache
@@ -646,9 +747,14 @@ func (r *Region) scanAt(startRow, endRow string, limit int, families []string, r
 	if r.closed && !allowClosed {
 		return nil, OpStats{}, errRegionSplit
 	}
-	for _, q := range r.quarantined {
-		if q.overlapsRows(startRow, endRow) {
-			return nil, OpStats{}, errQuarantined(q.name)
+	for _, st := range r.stores {
+		if !famMatch(families, st.family) {
+			continue
+		}
+		for _, q := range st.quarantined {
+			if q.overlapsRows(startRow, endRow) {
+				return nil, OpStats{}, errQuarantined(q.name)
+			}
 		}
 	}
 	diskBacked := r.store != nil
@@ -663,7 +769,7 @@ func (r *Region) scanAt(startRow, endRow string, limit int, families []string, r
 	}
 	var stats OpStats
 	var rows []Row
-	it := r.iteratorsLocked(seekKey, &stats)
+	it := r.iteratorsLocked(seekKey, families, &stats)
 
 	var cur *Row
 	lastFam, lastQual := "", ""
@@ -688,13 +794,6 @@ func (r *Region) scanAt(startRow, endRow string, limit int, families []string, r
 		}
 		if endRow != "" && c.Row >= endRow {
 			break
-		}
-		if !famMatch(families, c.Family) {
-			// Column families are physically separate stores (HBase
-			// HFiles): a family-restricted scan never touches — or
-			// pays for — other families' cells.
-			it.next()
-			continue
 		}
 		if !diskBacked {
 			stats.BytesRead += c.StoredSize()
@@ -725,14 +824,52 @@ func (r *Region) scanAt(startRow, endRow string, limit int, families []string, r
 	return rows, stats, nil
 }
 
-// get reads a single row (all families, latest versions) through the
-// dedicated point-get fast path: a row-cache lookup first, then only the
-// sources that may contain the row — the memtable plus the runs
-// surviving the min/max-range and bloom-filter checks — each positioned
-// by binary search, merged, and cut off at the first (newest) live
-// version of every column. In disk mode the positioning walks summary →
-// one index block → one data block per surviving SSTable, so a warm get
-// touches no disk at all.
+// rowIterLocked positions one iterator on row's cells: only the sources
+// that may contain the row — per requested family store (nil = all), the
+// memtable plus the runs surviving the min/max-range and bloom-filter
+// checks — each placed by binary search and merged. It returns nil when
+// no source holds the row; the stream runs past the row's last cell, so
+// callers stop at the first key without prefix (= rowPrefix(row)). Block
+// I/O is charged to io. Caller holds a read lock.
+func (r *Region) rowIterLocked(row, prefix string, families []string, io *OpStats) (cellIter, error) {
+	var arr [8]cellIter
+	sources := arr[:0]
+	for _, st := range r.stores {
+		if !famMatch(families, st.family) {
+			continue
+		}
+		if mit := st.mem.iterator(prefix); mit.valid() && strings.HasPrefix(mit.key(), prefix) {
+			sources = append(sources, mit)
+		}
+		for _, s := range st.runs {
+			if !s.mayContainRow(row) {
+				continue
+			}
+			sit := s.iterAt(prefix, io)
+			if sit.valid() && strings.HasPrefix(sit.key(), prefix) {
+				sources = append(sources, sit)
+			} else if err := sit.fail(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	switch len(sources) {
+	case 0:
+		return nil, nil
+	case 1:
+		return sources[0], nil
+	}
+	return newMergedIter(sources...), nil
+}
+
+// get reads a single row (the given families, nil = all; latest
+// versions) through the dedicated point-get fast path: a row-cache
+// lookup first, then rowIterLocked's merge of only the sources that may
+// contain the row, cut off at the first (newest) live version of every
+// column. In disk mode the positioning walks summary → one index block
+// → one data block per surviving SSTable, so a warm get touches no disk
+// at all. Like a scan, a family-restricted get consults only its
+// families' stores — runs and quarantine alike.
 //
 // Cost convention: a keyed read bills one seek plus the returned bytes,
 // never a range scan, so in memory mode BytesRead is the returned
@@ -747,9 +884,14 @@ func (r *Region) get(row string, families []string) (*Row, OpStats, error) {
 	if r.closed {
 		return nil, OpStats{}, errRegionSplit
 	}
-	for _, q := range r.quarantined {
-		if q.mayContainRow(row) {
-			return nil, OpStats{}, errQuarantined(q.name)
+	for _, st := range r.stores {
+		if !famMatch(families, st.family) {
+			continue
+		}
+		for _, q := range st.quarantined {
+			if q.mayContainRow(row) {
+				return nil, OpStats{}, errQuarantined(q.name)
+			}
 		}
 	}
 	var stats OpStats
@@ -770,32 +912,14 @@ func (r *Region) get(row string, families []string) (*Row, OpStats, error) {
 		}
 	}
 	prefix := rowPrefix(row)
-
-	// Collect only the sources that may hold the row.
-	var arr [8]cellIter
-	sources := arr[:0]
-	if mit := r.mem.iterator(prefix); mit.valid() && strings.HasPrefix(mit.key(), prefix) {
-		sources = append(sources, mit)
-	}
-	for _, s := range r.segments {
-		if !s.mayContainRow(row) {
-			continue
-		}
-		sit := s.iterAt(prefix, &stats)
-		if sit.valid() && strings.HasPrefix(sit.key(), prefix) {
-			sources = append(sources, sit)
-		} else if err := sit.fail(); err != nil {
-			return nil, stats, err
-		}
+	it, err := r.rowIterLocked(row, prefix, families, &stats)
+	if err != nil {
+		return nil, stats, err
 	}
 
 	var out Row
 	out.Key = row
-	if len(sources) > 0 {
-		var it cellIter = sources[0]
-		if len(sources) > 1 {
-			it = newMergedIter(sources...)
-		}
+	if it != nil {
 		lastFam, lastQual := "", ""
 		sawCol := false
 		for it.valid() {
@@ -803,10 +927,6 @@ func (r *Region) get(row string, families []string) (*Row, OpStats, error) {
 				break
 			}
 			c := it.cell()
-			if !full && !famMatch(families, c.Family) {
-				it.next()
-				continue
-			}
 			if !sawCol || c.Family != lastFam || c.Qualifier != lastQual {
 				// First (newest) version of this column decides it.
 				sawCol = true
@@ -845,15 +965,18 @@ func (r *Region) get(row string, families []string) (*Row, OpStats, error) {
 	return &out, stats, nil
 }
 
-// DiskSize returns the logical bytes held by this region (memtable +
-// runs); in disk mode this is the uncompressed StoredSize total, not the
-// (compressed) file size, so planner statistics are mode-independent.
+// DiskSize returns the logical bytes held by this region (every family's
+// memtable + runs); in disk mode this is the uncompressed StoredSize
+// total, not the (compressed) file size, so planner statistics are
+// mode-independent.
 func (r *Region) DiskSize() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	size := r.mem.size
-	for _, s := range r.segments {
-		size += s.dataSize()
+	size := r.memSizeLocked()
+	for _, st := range r.stores {
+		for _, s := range st.runs {
+			size += s.dataSize()
+		}
 	}
 	return size
 }
@@ -862,9 +985,12 @@ func (r *Region) DiskSize() uint64 {
 func (r *Region) CellCount() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	n := r.mem.count
-	for _, s := range r.segments {
-		n += s.numCells()
+	n := 0
+	for _, st := range r.stores {
+		n += st.mem.count
+		for _, s := range st.runs {
+			n += s.numCells()
+		}
 	}
 	return n
 }
@@ -893,7 +1019,7 @@ func (r *Region) LiveCellCount() uint64 {
 	var n uint64
 	lastRow, lastFam, lastQual := "", "", ""
 	first := true
-	it := r.iteratorsLocked("", nil)
+	it := r.iteratorsLocked("", nil, nil)
 	for it.valid() {
 		c := it.cell()
 		if first || c.Row != lastRow || c.Family != lastFam || c.Qualifier != lastQual {
@@ -935,14 +1061,16 @@ func (r *Region) setRowCacheBytes(n uint64) {
 	r.cache.setCapacity(n)
 }
 
-// recover rebuilds the memtable from the WAL, simulating a region server
+// recover rebuilds every family's memtable from the WAL, simulating a region server
 // crash after segments were persisted but before the memstore was
 // flushed. It returns the number of replayed records.
 func (r *Region) recover() (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	replayLog := r.log
-	r.mem = newMemtable(int64(r.id) << 16)
+	for _, st := range r.stores {
+		st.mem = r.newMemtableLocked()
+	}
 	r.log = &wal{}
 	n, err := r.replayWALLocked(replayLog)
 	if err != nil {
@@ -953,8 +1081,9 @@ func (r *Region) recover() (int, error) {
 	return n, nil
 }
 
-// replayWALLocked replays w's records into the memtable, advancing the
-// region sequence past every replayed record's. Caller holds r.mu.
+// replayWALLocked replays w's records, each into the memtable of the
+// family its key names, advancing the region sequence past every
+// replayed record's. Caller holds r.mu.
 func (r *Region) replayWALLocked(w *wal) (int, error) {
 	n := 0
 	err := w.replay(func(key string, value []byte, tombstone bool) error {
@@ -963,7 +1092,7 @@ func (r *Region) replayWALLocked(w *wal) (int, error) {
 			return err
 		}
 		c := &Cell{Row: row, Family: family, Qualifier: qualifier, Value: value, Timestamp: ts, Tombstone: tombstone}
-		r.mem.put(key, c)
+		r.storeLocked(family).mem.put(key, c)
 		if seq > r.seq {
 			r.seq = seq
 		}
@@ -997,7 +1126,7 @@ func (r *Region) splitPoint() string {
 	defer r.mu.RUnlock()
 	var rows []string
 	last := ""
-	it := r.iteratorsLocked("", nil)
+	it := r.iteratorsLocked("", nil, nil)
 	for it.valid() {
 		c := it.cell()
 		if c.Row != last {
@@ -1020,12 +1149,19 @@ func (r *Region) allCells() ([]Cell, error) {
 	return r.allCellsLocked()
 }
 
-// allCellsLocked is allCells with r.mu already held.
+// allCellsLocked is allCells with r.mu already held. It reads every
+// family, so any quarantined run fails it: a split or a Merkle digest
+// built around the hole would make the missing rows' absence permanent.
 func (r *Region) allCellsLocked() ([]Cell, error) {
+	for _, st := range r.stores {
+		if len(st.quarantined) > 0 {
+			return nil, errQuarantined(st.quarantined[0].name)
+		}
+	}
 	var out []Cell
 	lastRow, lastFam, lastQual := "", "", ""
 	first := true
-	it := r.iteratorsLocked("", nil)
+	it := r.iteratorsLocked("", nil, nil)
 	for it.valid() {
 		c := it.cell()
 		if first || c.Row != lastRow || c.Family != lastFam || c.Qualifier != lastQual {

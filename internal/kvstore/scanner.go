@@ -11,6 +11,9 @@ type Scan struct {
 	Table    string
 	StartRow string // inclusive; "" = table start
 	StopRow  string // exclusive; "" = table end
+	// Families restricts the scan to these column families (nil = all).
+	// Every region keeps one store per family, so a restricted scan
+	// merges — and is billed for — only the named families' cells.
 	Families []string
 	Filter   Filter
 	// Caching is the scanner batch size: rows fetched per RPC, HBase's

@@ -9,6 +9,7 @@ import (
 type FileScrubReport struct {
 	Table  string
 	Region int
+	Family string // the column family whose store holds the file
 	Name   string // file name within the store directory
 	Blocks int    // frames whose checksums were verified
 	Bytes  uint64 // bytes read and checksummed
@@ -92,8 +93,8 @@ func (c *Cluster) Quarantined() []string {
 	return out
 }
 
-// scrubRuns verifies every on-disk run of the region, quarantining the
-// ones that fail, and returns per-file reports plus the measured
+// scrubRuns verifies every on-disk run of every family store, moving the
+// ones that fail to their store's quarantine, and returns per-file reports plus the measured
 // verification I/O (the OpStats convention: this function is a metering
 // primitive, the caller charges). It holds the region write lock for
 // the duration so no compaction can unlink a file mid-verification and
@@ -103,30 +104,33 @@ func (r *Region) scrubRuns() ([]FileScrubReport, OpStats) {
 	defer r.mu.Unlock()
 	var stats OpStats
 	var reports []FileScrubReport
-	keep := make([]run, 0, len(r.segments))
-	for _, s := range r.segments {
-		d, ok := s.(*diskSegment)
-		if !ok {
-			keep = append(keep, s)
-			continue
+	for _, st := range r.stores {
+		keep := make([]run, 0, len(st.runs))
+		for _, s := range st.runs {
+			d, ok := s.(*diskSegment)
+			if !ok {
+				keep = append(keep, s)
+				continue
+			}
+			blocks, ss, err := scrubSegment(d)
+			stats.add(ss)
+			reports = append(reports, FileScrubReport{
+				Table:  r.table,
+				Region: r.id,
+				Family: st.family,
+				Name:   d.name,
+				Blocks: blocks,
+				Bytes:  ss.BytesRead,
+				Err:    err,
+			})
+			if err != nil {
+				st.quarantined = append(st.quarantined, d)
+			} else {
+				keep = append(keep, s)
+			}
 		}
-		blocks, st, err := scrubSegment(d)
-		stats.add(st)
-		reports = append(reports, FileScrubReport{
-			Table:  r.table,
-			Region: r.id,
-			Name:   d.name,
-			Blocks: blocks,
-			Bytes:  st.BytesRead,
-			Err:    err,
-		})
-		if err != nil {
-			r.quarantined = append(r.quarantined, d)
-		} else {
-			keep = append(keep, s)
-		}
+		st.runs = keep
 	}
-	r.segments = keep
 	return reports, stats
 }
 
@@ -179,15 +183,17 @@ func scrubSegment(d *diskSegment) (int, OpStats, error) {
 func (r *Region) quarantinedNames() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.quarantined))
-	for _, d := range r.quarantined {
-		names = append(names, d.name)
+	var names []string
+	for _, st := range r.stores {
+		for _, d := range st.quarantined {
+			names = append(names, d.name)
+		}
 	}
 	return names
 }
 
 // errQuarantined is the typed error a read returns when its key range
-// may intersect a quarantined table: the data might exist but cannot be
+// may intersect a quarantined table of a family it asked for: the data might exist but cannot be
 // proven intact, and pretending the rows are absent would be silent
 // data loss.
 func errQuarantined(name string) error {

@@ -37,7 +37,7 @@ const (
 	indexBlockFanout = 64
 
 	sstMagic      = uint64(0x524a535354424c31) // "RJSSTBL1"
-	sstVersion    = 1
+	sstVersion    = 2
 	sstFooterLen  = 60
 	sstFileSuffix = ".sst"
 )
@@ -324,10 +324,11 @@ func (w *sstWriter) writeFramed(payload []byte) (off, length uint64, err error) 
 	return off, uint64(len(frame)), nil
 }
 
-// writeSSTable drains it (sorted by internal key, newest version first
-// within a column) into a new SSTable file in dir, fsyncs it, and
-// returns an open diskSegment reading from the same descriptor. An
-// empty iterator writes nothing and returns (nil, nil). The caller
+// writeSSTable drains it (cells of one family, sorted by internal key,
+// newest version first within a column) into a new SSTable file in dir,
+// fsyncs it, and returns an open diskSegment reading from the same
+// descriptor. An empty iterator writes nothing and returns (nil, nil);
+// a second family in the stream is an error, never a mixed file. The caller
 // registers the file in the store manifest; until then a crash leaves
 // an orphan that cleanOrphans removes at next open.
 func writeSSTable(fsys VFS, dir, name string, cache *blockCache, it cellIter) (seg *diskSegment, err error) {
@@ -361,8 +362,11 @@ func writeSSTable(fsys VFS, dir, name string, cache *blockCache, it cellIter) (s
 			return nil, perr
 		}
 		if !w.haveFirst {
+			w.meta.family = c.Family
 			w.meta.minRow = c.Row
 			w.haveFirst = true
+		} else if c.Family != w.meta.family {
+			return nil, fmt.Errorf("kvstore: SSTable %s would mix families %q and %q", name, w.meta.family, c.Family)
 		}
 		if w.blk.empty() {
 			w.blkFirst = k
@@ -504,7 +508,7 @@ func (d *diskSegment) loadTail() error {
 		return corruptionAt(d.name, footerOff, corruptf("bad magic %016x", got))
 	}
 	if v := binary.BigEndian.Uint32(footer[48:52]); v != sstVersion {
-		return corruptionAt(d.name, footerOff, corruptf("unsupported format version %d", v))
+		return &FormatVersionError{Path: d.name, Version: v, Supported: sstVersion}
 	}
 	summaryOff := binary.BigEndian.Uint64(footer[0:8])
 	summaryLen := binary.BigEndian.Uint64(footer[8:16])

@@ -58,6 +58,9 @@ type (
 	// IOError reports a storage operation that failed at the
 	// filesystem layer after retries, naming the file and operation.
 	IOError = kvstore.IOError
+	// FormatVersionError reports a store file written in a format
+	// version this build does not read (OpenAt over an older store).
+	FormatVersionError = kvstore.FormatVersionError
 )
 
 // Typed failure sentinels, matched with errors.Is.
