@@ -1,0 +1,83 @@
+package rankjoin_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	rankjoin "repro"
+	"repro/internal/benchkit"
+	"repro/internal/sim"
+)
+
+// bfhmPins holds, per "<query>/<surface>/k=<k>", a digest of the result
+// rows (order, ties, tuples, scores) and the query's Cost, recorded with
+// the hash-map hybrid filter of PR 15. The filter's in-memory form, the
+// intersection and the k'th-estimate bookkeeping are not allowed to
+// change what BFHM fetches or returns; any drift here is a diff to
+// explain, not to re-pin.
+var bfhmPins = map[string]string{
+	"q1/topk/k=1":     "b4879ecf3d956c5e time=30.019285ms net=7442B kvReads=71 kvWrites=0 rpc=40 disk=4722B shipped=0",
+	"q1/stream/k=1":   "b4879ecf3d956c5e time=6.015127ms net=7442B kvReads=71 kvWrites=0 rpc=40 disk=0B shipped=0",
+	"q1/topk/k=10":    "c8dce19c219ad251 time=19.823183ms net=11209B kvReads=109 kvWrites=0 rpc=42 disk=3239B shipped=0",
+	"q1/stream/k=10":  "c8dce19c219ad251 time=6.322747ms net=11209B kvReads=109 kvWrites=0 rpc=42 disk=0B shipped=0",
+	"q1/topk/k=100":   "08e6b19952ef27c3 time=97.872174ms net=34839B kvReads=344 kvWrites=0 rpc=52 disk=20270B shipped=0",
+	"q1/stream/k=100": "08e6b19952ef27c3 time=7.869953ms net=34839B kvReads=344 kvWrites=0 rpc=52 disk=0B shipped=0",
+	"q2/topk/k=1":     "8bac2d77f6e22437 time=75.468503ms net=26633B kvReads=194 kvWrites=0 rpc=116 disk=19177B shipped=0",
+	"q2/stream/k=1":   "8bac2d77f6e22437 time=17.447425ms net=26633B kvReads=194 kvWrites=0 rpc=116 disk=0B shipped=0",
+	"q2/topk/k=10":    "031da29bf8133108 time=34.463121ms net=33093B kvReads=245 kvWrites=0 rpc=126 disk=5484B shipped=0",
+	"q2/stream/k=10":  "031da29bf8133108 time=18.959108ms net=33093B kvReads=245 kvWrites=0 rpc=126 disk=0B shipped=0",
+	"q2/topk/k=100":   "26798a154bdae8d0 time=152.888587ms net=70137B kvReads=560 kvWrites=0 rpc=155 disk=31460B shipped=0",
+	"q2/stream/k=100": "26798a154bdae8d0 time=23.377182ms net=70137B kvReads=560 kvWrites=0 rpc=155 disk=0B shipped=0",
+}
+
+// TestBFHMPinnedResults runs BFHM on TPC-H Q1 and Q2 (SF 0.005, seed 1,
+// LC profile) through TopK and Stream at k = 1, 10, 100 and compares rows
+// and Cost with the pinned values.
+func TestBFHMPinnedResults(t *testing.T) {
+	env, err := benchkit.Setup(sim.LC(), 0.005, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.DB.Close()
+	digest := func(rows []rankjoin.JoinResult, cost sim.Snapshot) string {
+		sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", rows)))
+		return fmt.Sprintf("%x %+v", sum[:8], cost)
+	}
+	check := func(name string, rows []rankjoin.JoinResult, cost sim.Snapshot) {
+		got := digest(rows, cost)
+		if want, ok := bfhmPins[name]; !ok {
+			t.Errorf("unpinned: %q: %q,", name, got)
+		} else if got != want {
+			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
+		}
+	}
+	for _, qc := range []struct {
+		name string
+		q    rankjoin.Query
+	}{{"q1", env.Q1}, {"q2", env.Q2}} {
+		for _, k := range []int{1, 10, 100} {
+			q := qc.q.WithK(k)
+			res, err := env.DB.TopK(q, rankjoin.AlgoBFHM, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s/topk/k=%d", qc.name, k), res.Results, res.Cost)
+
+			rows, err := env.DB.Stream(q, rankjoin.AlgoBFHM, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var streamed []rankjoin.JoinResult
+			for len(streamed) < k && rows.Next() {
+				streamed = append(streamed, rows.Result())
+			}
+			if err := rows.Err(); err != nil {
+				t.Fatal(err)
+			}
+			cost := rows.Cost()
+			rows.Close()
+			check(fmt.Sprintf("%s/stream/k=%d", qc.name, k), streamed, cost)
+		}
+	}
+}

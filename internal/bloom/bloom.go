@@ -1,13 +1,24 @@
 // Package bloom implements the Bloom-filter family used by the BFHM index
 // (Section 5.1 of the paper): a classic k-hash Bloom filter, a counting
 // Bloom filter, and the paper's hybrid structure fusing a single-hash-
-// function Bloom filter with a hash table of counters, both Golomb-coded
-// for storage ("Golomb Compressed Set" + counting filter fusion).
+// function Bloom filter with per-bit counters, both Golomb-coded for
+// storage ("Golomb Compressed Set" + counting filter fusion).
 //
 // Single-hash filters keep the join-size estimation math simple (the
 // count of items mapping to a bit is exactly the counter value, up to hash
 // collisions) but need very large bitmaps for a usable false-positive rate,
 // which is why compression is an integral part of the design.
+//
+// In memory the hybrid filter is what its blob is: the set bit positions
+// in increasing order and, beside them, their counters. A Golomb
+// Compressed Set is a sorted sequence of gaps, so decoding produces that
+// form with no further work, and the query-time operation on two filters
+// (Algorithm 7: intersect the bitmaps, multiply the counters at common
+// bits) is a merge of two sorted columns that emits its common bits
+// already in order. A hash table from bit to counter would make updates
+// O(1) but pay a scatter on every decode and a sort on every
+// intersection, and a query updates a filter only for the handful of
+// Section 6 mutation records it replays per bucket.
 package bloom
 
 import (

@@ -1,10 +1,14 @@
 package bloom
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/golomb"
 )
 
 func TestFilterNoFalseNegatives(t *testing.T) {
@@ -363,6 +367,16 @@ func TestHybridRoundTripProperty(t *testing.T) {
 	}
 }
 
+// rawBlob assembles a hybrid blob from hand-chosen header fields and
+// Golomb streams, for the decode cases Encode never produces.
+func rawBlob(m, n, nbits, posParam, cntParam uint64, posBuf, cntBuf []byte) []byte {
+	blob := make([]byte, 48, 48+len(posBuf)+len(cntBuf))
+	for i, v := range []uint64{m, n, nbits, posParam, cntParam, uint64(len(posBuf))} {
+		binary.BigEndian.PutUint64(blob[8*i:], v)
+	}
+	return append(append(blob, posBuf...), cntBuf...)
+}
+
 func TestDecodeHybridCorrupt(t *testing.T) {
 	if _, err := DecodeHybrid([]byte{1, 2, 3}); err == nil {
 		t.Error("short blob must fail")
@@ -376,6 +390,50 @@ func TestDecodeHybridCorrupt(t *testing.T) {
 		if _, err := DecodeHybrid(blob[:49]); err == nil {
 			t.Error("badly truncated blob must fail")
 		}
+	}
+
+	const big = uint64(1) << 63
+	ones := func(n int) []uint64 { return make([]uint64, n) } // n counters of 1
+	lenWraps := rawBlob(1<<16, 0, 0, 8, 1, nil, nil)
+	binary.BigEndian.PutUint64(lenWraps[40:], math.MaxUint64-15) // 48+posLen wraps to 32
+	cases := []struct {
+		name string
+		blob []byte
+	}{
+		// The header's set-bit count sizes the decoded columns. These
+		// used to reach make() unchecked: a panic at 1<<62, the
+		// process killed for memory at 1<<40.
+		{"nbits 1<<62", rawBlob(1<<16, 1, 1<<62, 8, 1, []byte{0}, []byte{0})},
+		{"nbits 1<<40", rawBlob(1<<16, 1, 1<<40, 8, 1, []byte{0}, []byte{0})},
+		{"nbits 1<<63", rawBlob(1<<16, 1, 1<<63, 8, 1, []byte{0}, []byte{0})},
+		{"more set bits than bits", rawBlob(4, 8, 5, 1, 1, []byte{0}, []byte{0})},
+		{"more set bits than counter bits", rawBlob(1<<16, 9, 9, 1, 1, []byte{0, 0}, []byte{0})},
+		{"position length wraps", lenWraps},
+		// A gap that wraps the running position: 5, then +2^64-4+1 = 2.
+		{"positions wrap to smaller", rawBlob(1<<16, 2, 2, big, 1,
+			golomb.EncodeAll([]uint64{5, math.MaxUint64 - 3}, big), golomb.EncodeAll(ones(2), 1))},
+		// ... or back onto itself: the map form kept one of the two.
+		{"positions wrap to duplicate", rawBlob(1<<16, 2, 2, big, 1,
+			golomb.EncodeAll([]uint64{5, math.MaxUint64}, big), golomb.EncodeAll(ones(2), 1))},
+		{"position beyond width", rawBlob(1<<16, 2, 2, 8, 1,
+			golomb.EncodeAll([]uint64{5, 1 << 16}, 8), golomb.EncodeAll(ones(2), 1))},
+		// Stored counter-minus-one of 2^32-1 wrapped to a zero counter
+		// on a set bit; 2^32 truncated to a counter of 1.
+		{"counter wraps to zero", rawBlob(1<<16, 1, 1, 8, 1<<31,
+			golomb.EncodeAll([]uint64{5}, 8), golomb.EncodeAll([]uint64{math.MaxUint32}, 1<<31))},
+		{"counter truncated", rawBlob(1<<16, 1, 1, 8, 1<<31,
+			golomb.EncodeAll([]uint64{5}, 8), golomb.EncodeAll([]uint64{1 << 32}, 1<<31))},
+	}
+	for _, tc := range cases {
+		if f, err := DecodeHybrid(tc.blob); err == nil {
+			t.Errorf("%s: decoded to a filter (n=%d popcount=%d bits=%v)", tc.name, f.N(), f.PopCount(), f.SetBits())
+		}
+	}
+	// The largest counter that fits still decodes.
+	ok := rawBlob(1<<16, math.MaxUint32, 1, 8, 1<<31,
+		golomb.EncodeAll([]uint64{5}, 8), golomb.EncodeAll([]uint64{math.MaxUint32 - 1}, 1<<31))
+	if f, err := DecodeHybrid(ok); err != nil || f.Counter(5) != math.MaxUint32 {
+		t.Errorf("counter 2^32-1: %v, %v", f, err)
 	}
 }
 

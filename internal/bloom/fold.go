@@ -1,6 +1,10 @@
 package bloom
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
 
 // This file implements the enabling primitive for the paper's stated
 // future work ("the adoption of dynamic Bloom filters to further improve
@@ -21,12 +25,23 @@ func (h *Hybrid) Fold(newM uint64) (*Hybrid, error) {
 	if newM == 0 || h.m%newM != 0 {
 		return nil, fmt.Errorf("bloom: cannot fold width %d to %d (not a divisor)", h.m, newM)
 	}
-	out := NewHybrid(newM)
-	out.n = h.n
-	for pos, c := range h.counters {
-		out.counters[pos%newM] += c
+	out := &Hybrid{m: newM, n: h.n, pos: make([]uint64, len(h.pos)), cnt: slices.Clone(h.cnt)}
+	for i, p := range h.pos {
+		out.pos[i] = p % newM
 	}
+	sort.Sort(byPos{out})
+	out.coalesce()
 	return out, nil
+}
+
+// byPos orders a filter's two columns together by bit position.
+type byPos struct{ *Hybrid }
+
+func (s byPos) Len() int           { return len(s.pos) }
+func (s byPos) Less(i, j int) bool { return s.pos[i] < s.pos[j] }
+func (s byPos) Swap(i, j int) {
+	s.pos[i], s.pos[j] = s.pos[j], s.pos[i]
+	s.cnt[i], s.cnt[j] = s.cnt[j], s.cnt[i]
 }
 
 // CommonWidth returns the largest width both filters can be folded to:

@@ -136,23 +136,24 @@ func BuildBFHM(c *kvstore.Cluster, rel Relation, opts BFHMOptions) (*BFHMIndex, 
 			return nil
 		}),
 		Reducer: mapreduce.ReducerFunc(func(key string, values [][]byte, ctx mapreduce.Context) error {
-			filter := bloom.NewHybrid(mbits)
+			bucketNo, err := bucketFromKey(key)
+			if err != nil {
+				return err
+			}
+			bits := make([]uint64, 0, len(values))
 			minScore, maxScore := math.Inf(1), math.Inf(-1)
 			for _, v := range values {
 				t, err := DecodeTuple(v)
 				if err != nil {
 					return err
 				}
-				bitPos := filter.Insert(t.JoinValue)
+				bitPos := bloomBitPos(mbits, t.JoinValue)
+				bits = append(bits, bitPos)
 				if t.Score < minScore {
 					minScore = t.Score
 				}
 				if t.Score > maxScore {
 					maxScore = t.Score
-				}
-				bucketNo, err := bucketFromKey(key)
-				if err != nil {
-					return err
 				}
 				// Reverse mapping entry (Algorithm 5 line 17).
 				ctx.WriteCell(idx.Table, kvstore.Cell{
@@ -161,6 +162,11 @@ func BuildBFHM(c *kvstore.Cluster, rel Relation, opts BFHMOptions) (*BFHMIndex, 
 					Qualifier: t.RowKey,
 					Value:     EncodeTuple(t),
 				})
+			}
+			// One sort-and-coalesce per bucket, however populous.
+			filter, err := bloom.HybridFromBits(mbits, bits)
+			if err != nil {
+				return err
 			}
 			blob, err := filter.Encode()
 			if err != nil {
@@ -273,6 +279,9 @@ type bfhmBucket struct {
 	// mutQuals lists the replayed mutation record qualifiers (for
 	// write-back purging).
 	mutQuals []string
+	// idx is the index a query fetched the bucket from (lazy write-back
+	// goes back to it).
+	idx *BFHMIndex
 }
 
 // WriteBackMode selects when reconstructed BFHM blobs are persisted
@@ -359,6 +368,9 @@ func fetchBFHMBucket(c *kvstore.Cluster, idx *BFHMIndex, b int) (*bfhmBucket, er
 		}
 		out.Filter = f
 	}
+	if len(muts) == 0 {
+		return out, nil // a blob and nothing to replay: the common case
+	}
 	// Replay mutations in timestamp order (Section 6: "replay all row
 	// mutations in timestamp order and reconstruct the up-to-date blob").
 	// At equal timestamps, deletions apply first: an update ships its
@@ -379,7 +391,7 @@ func fetchBFHMBucket(c *kvstore.Cluster, idx *BFHMIndex, b int) (*bfhmBucket, er
 		keyPresent = 1
 		keyAbsent  = 2
 	)
-	keyState := map[string]int{}
+	keyState := make(map[string]int, len(muts))
 	for _, m := range muts {
 		st := keyState[m.t.RowKey]
 		if m.ins {
@@ -478,11 +490,14 @@ type bfhmState struct {
 	bucketsB []*bfhmBucket
 	nextA    int // next bucket number to fetch
 	nextB    int
-	est      []estimatedResult
+	est      []estimatedResult // in the order the bucket pairs were joined
 	estCard  float64
+	// estOrder indexes est in descending (maxScore, minScore) order. It
+	// covers est[:len(estOrder)]; kthEstimate merges later pairs in.
+	estOrder []int
 
-	revCache map[string][]Tuple // "<rel>|<bucket>|<bit>" -> tuples
-	dirty    []*bfhmBucket      // buckets awaiting lazy write-back
+	revCache map[revKey][]Tuple
+	dirty    []*bfhmBucket // buckets awaiting lazy write-back
 	top      *TopKList
 }
 
@@ -499,7 +514,7 @@ func QueryBFHM(c *kvstore.Cluster, q Query, idxA, idxB *BFHMIndex, opts BFHMQuer
 	before := c.Metrics().Snapshot()
 	st := &bfhmState{
 		c: c, q: &q, idxA: idxA, idxB: idxB, opts: opts,
-		revCache: map[string][]Tuple{},
+		revCache: map[revKey][]Tuple{},
 		top:      NewTopKList(q.K),
 	}
 
@@ -563,21 +578,12 @@ func QueryBFHM(c *kvstore.Cluster, q Query, idxA, idxB *BFHMIndex, opts BFHMQuer
 	}
 	if opts.WriteBack == WriteBackLazy {
 		for _, b := range st.dirty {
-			if err := writeBackBucket(c, st.idxFor(b), b); err != nil {
+			if err := writeBackBucket(c, b.idx, b); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return &Result{Results: st.top.Results(), Cost: c.Metrics().Snapshot().Sub(before)}, nil
-}
-
-func (st *bfhmState) idxFor(b *bfhmBucket) *BFHMIndex {
-	for _, fb := range st.bucketsA {
-		if fb == b {
-			return st.idxA
-		}
-	}
-	return st.idxB
 }
 
 func (st *bfhmState) exhausted() bool {
@@ -613,25 +619,54 @@ func (st *bfhmState) kthEstimate(k int) (maxScore, minScore float64, ok bool) {
 	if st.estCard < float64(k) {
 		return 0, 0, false
 	}
-	idxs := make([]int, len(st.est))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	sort.Slice(idxs, func(a, b int) bool {
-		ea, eb := &st.est[idxs[a]], &st.est[idxs[b]]
-		if ea.maxScore != eb.maxScore {
-			return ea.maxScore > eb.maxScore
-		}
-		return ea.minScore > eb.minScore
-	})
+	st.orderEstimates()
 	var acc float64
-	for _, i := range idxs {
+	for _, i := range st.estOrder {
 		acc += st.est[i].cardinality
 		if acc >= float64(k) {
 			return st.est[i].maxScore, st.est[i].minScore, true
 		}
 	}
 	return 0, 0, false
+}
+
+// estBefore is the walk order of kthEstimate: descending maxScore, then
+// descending minScore, then the order the pairs were joined in.
+func (st *bfhmState) estBefore(i, j int) bool {
+	ei, ej := &st.est[i], &st.est[j]
+	if ei.maxScore != ej.maxScore {
+		return ei.maxScore > ej.maxScore
+	}
+	if ei.minScore != ej.minScore {
+		return ei.minScore > ej.minScore
+	}
+	return i < j
+}
+
+// orderEstimates brings estOrder up to date with est. Algorithm 6 asks
+// for the k'th estimate after every bucket fetch, and a fetch appends only
+// the new bucket's pairs, so they alone are sorted and then merged into
+// the standing order from the back; est is never re-sorted.
+func (st *bfhmState) orderEstimates() {
+	old := len(st.estOrder)
+	if old == len(st.est) {
+		return
+	}
+	fresh := make([]int, len(st.est)-old)
+	for i := range fresh {
+		fresh[i] = old + i
+	}
+	sort.Slice(fresh, func(a, b int) bool { return st.estBefore(fresh[a], fresh[b]) })
+	st.estOrder = append(st.estOrder, fresh...) // grow; overwritten below
+	for i, j, w := old-1, len(fresh)-1, len(st.estOrder)-1; j >= 0; w-- {
+		if i >= 0 && st.estBefore(fresh[j], st.estOrder[i]) {
+			st.estOrder[w] = st.estOrder[i]
+			i--
+		} else {
+			st.estOrder[w] = fresh[j]
+			j--
+		}
+	}
 }
 
 // fetchNext fetches the next bucket of one relation and joins it against
@@ -764,6 +799,7 @@ func (st *bfhmState) fetchBucket(idx *BFHMIndex, no int) (*bfhmBucket, error) {
 	if err != nil {
 		return nil, err
 	}
+	b.idx = idx
 	if b.Dirty {
 		switch st.opts.WriteBack {
 		case WriteBackEager:
@@ -853,8 +889,8 @@ func (st *bfhmState) reverseMappingPhase(target int) error {
 	st.top = NewTopKList(st.q.K)
 	for _, er := range cands {
 		for _, bit := range er.bits {
-			tuplesA := st.revCache[revCacheKey("A", er.bucketA, bit)]
-			tuplesB := st.revCache[revCacheKey("B", er.bucketB, bit)]
+			tuplesA := st.revCache[revKey{true, er.bucketA, bit}]
+			tuplesB := st.revCache[revKey{false, er.bucketB, bit}]
 			for _, ta := range tuplesA {
 				for _, tb := range tuplesB {
 					if ta.JoinValue != tb.JoinValue {
@@ -872,8 +908,12 @@ func (st *bfhmState) reverseMappingPhase(target int) error {
 	return nil
 }
 
-func revCacheKey(tag string, bucket int, bit uint64) string {
-	return fmt.Sprintf("%s|%d|%d", tag, bucket, bit)
+// revKey names one reverse-mapping row in a query's cache: which side of
+// the join, which bucket, which bit.
+type revKey struct {
+	sideA  bool
+	bucket int
+	bit    uint64
 }
 
 // revBatchSize rows per multi-get RPC during reverse-mapping fetch.
@@ -883,19 +923,19 @@ const revBatchSize = 128
 // the candidate pairs need.
 func (st *bfhmState) prefetchReverse(cands []*estimatedResult) error {
 	type want struct {
-		cacheKey string
+		cacheKey revKey
 		rowKey   string
 	}
 	var needA, needB []want
-	seen := map[string]bool{}
+	seen := map[revKey]bool{}
 	for _, er := range cands {
 		for _, bit := range er.bits {
-			ka := revCacheKey("A", er.bucketA, bit)
+			ka := revKey{true, er.bucketA, bit}
 			if _, ok := st.revCache[ka]; !ok && !seen[ka] {
 				seen[ka] = true
 				needA = append(needA, want{ka, kvstore.ReverseMapKey(er.bucketA, bit)})
 			}
-			kb := revCacheKey("B", er.bucketB, bit)
+			kb := revKey{false, er.bucketB, bit}
 			if _, ok := st.revCache[kb]; !ok && !seen[kb] {
 				seen[kb] = true
 				needB = append(needB, want{kb, kvstore.ReverseMapKey(er.bucketB, bit)})

@@ -1,0 +1,119 @@
+package core
+
+import (
+	"math/rand"
+	"sort"
+	"strconv"
+	"testing"
+
+	"repro/internal/tpch"
+)
+
+// kthEstimateReference is kthEstimate as Algorithm 6 states it: sort
+// every estimated result and accumulate, from scratch on each call.
+func kthEstimateReference(est []estimatedResult, estCard float64, k int) (maxScore, minScore float64, ok bool) {
+	if estCard < float64(k) {
+		return 0, 0, false
+	}
+	sorted := append([]estimatedResult(nil), est...)
+	sort.SliceStable(sorted, func(a, b int) bool {
+		if sorted[a].maxScore != sorted[b].maxScore {
+			return sorted[a].maxScore > sorted[b].maxScore
+		}
+		return sorted[a].minScore > sorted[b].minScore
+	})
+	var acc float64
+	for i := range sorted {
+		acc += sorted[i].cardinality
+		if acc >= float64(k) {
+			return sorted[i].maxScore, sorted[i].minScore, true
+		}
+	}
+	return 0, 0, false
+}
+
+// TestKthEstimateIncremental feeds a bfhmState batches of estimated
+// results the way joinBucketAgainst does and checks the incrementally
+// ordered k'th estimate against the from-scratch reference after every
+// batch. Scores come from a small grid so ties on maxScore and on
+// (maxScore, minScore) are common; k rises between calls as in the
+// Section 5.3 repair loop, and some calls repeat with nothing appended.
+func TestKthEstimateIncremental(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := &bfhmState{}
+		k := 1 + rng.Intn(5)
+		for batch := 0; batch < 60; batch++ {
+			for n := rng.Intn(8); n > 0; n-- { // 0 included: an empty bucket join
+				hi := float64(rng.Intn(6)) / 5
+				er := estimatedResult{
+					bucketA:     rng.Intn(100),
+					bucketB:     rng.Intn(100),
+					cardinality: 1 + 20*rng.Float64(),
+					maxScore:    hi,
+					minScore:    hi - float64(rng.Intn(3))/10,
+				}
+				st.est = append(st.est, er)
+				st.estCard += er.cardinality
+			}
+			for _, kk := range []int{k, k, 1, k + 500} {
+				gotMax, gotMin, gotOK := st.kthEstimate(kk)
+				wantMax, wantMin, wantOK := kthEstimateReference(st.est, st.estCard, kk)
+				if gotMax != wantMax || gotMin != wantMin || gotOK != wantOK {
+					t.Fatalf("seed %d batch %d k=%d over %d results: got (%g, %g, %v), want (%g, %g, %v)",
+						seed, batch, kk, len(st.est), gotMax, gotMin, gotOK, wantMax, wantMin, wantOK)
+				}
+			}
+			if rng.Intn(3) == 0 {
+				k += 1 + rng.Intn(40)
+			}
+		}
+		if len(st.estOrder) != len(st.est) {
+			t.Fatalf("seed %d: order covers %d of %d results", seed, len(st.estOrder), len(st.est))
+		}
+		for i := 1; i < len(st.estOrder); i++ {
+			if !st.estBefore(st.estOrder[i-1], st.estOrder[i]) {
+				t.Fatalf("seed %d: estOrder out of order at %d", seed, i)
+			}
+		}
+	}
+}
+
+// BenchmarkBFHMEstimationQ1 times the estimation phase alone (Algorithm
+// 6: bucket gets, blob decode, Algorithm 7 joins, k'th-estimate checks)
+// for TPC-H Q1, part ⋈ lineitem on partkey with a product score, k=100,
+// at the repository benchmark's scale factor 0.01, in memory. No reverse
+// mappings are fetched.
+func BenchmarkBFHMEstimationQ1(b *testing.B) {
+	data := tpch.Generate(0.01, 1)
+	var part, lineitem []Tuple
+	for i := range data.Parts {
+		r := &data.Parts[i]
+		part = append(part, Tuple{RowKey: tpch.RowKeyPart(r.PartKey), JoinValue: strconv.Itoa(r.PartKey), Score: r.Score})
+	}
+	for i := range data.Lineitems {
+		r := &data.Lineitems[i]
+		lineitem = append(lineitem, Tuple{RowKey: tpch.RowKeyLineitem(r.OrderKey, r.LineNumber), JoinValue: strconv.Itoa(r.PartKey), Score: r.Score})
+	}
+	c := newTestCluster()
+	q := Query{Left: loadRelation(b, c, "part", part), Right: loadRelation(b, c, "lineitem_pk", lineitem), Score: Product, K: 100}
+	idxA, _, err := BuildBFHM(c, q.Left, BFHMOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	idxB, _, err := BuildBFHM(c, q.Right, BFHMOptions{MBits: idxA.MBits})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		st := &bfhmState{c: c, q: &q, idxA: idxA, idxB: idxB}
+		fetched, err := st.estimationPhase(q.K)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if fetched == 0 || len(st.est) == 0 {
+			b.Fatalf("estimation did nothing: %d buckets, %d pairs", fetched, len(st.est))
+		}
+	}
+}

@@ -54,20 +54,33 @@ func FuzzSortedSetRoundTrip(f *testing.F) {
 }
 
 // FuzzDecodeNoPanic feeds arbitrary bytes to both decoders: corrupt
-// streams must produce errors (or bogus values), never panics or
-// unbounded loops.
+// streams must produce errors (or bogus values), never panics, unbounded
+// loops or allocations sized by the claimed count. count is taken from a
+// header in real use (the BFHM blob's nbits), so it ranges far beyond
+// what buf can hold — up to 1<<62, whose make() would panic — and m over
+// the full uint64 range, 0 included: decoders must clamp like NewEncoder.
 func FuzzDecodeNoPanic(f *testing.F) {
-	f.Add([]byte{}, uint64(0), byte(1))
-	f.Add([]byte{0xff, 0xff, 0xff}, uint64(3), byte(8))
-	f.Add([]byte{0x00, 0x80, 0x01}, uint64(1), byte(4))
-	f.Fuzz(func(t *testing.T, buf []byte, m uint64, n byte) {
-		m = m % 5000 // 0 included: decoders must clamp like NewEncoder
-		count := int(n % 64)
-		if _, err := DecodeAll(buf, m, count); err != nil {
-			_ = err
+	f.Add([]byte{}, uint64(0), uint64(1))
+	f.Add([]byte{0xff, 0xff, 0xff}, uint64(3), uint64(8))
+	f.Add([]byte{0x00, 0x80, 0x01}, uint64(1), uint64(4))
+	f.Add([]byte{0x00, 0x00}, uint64(7), uint64(1)<<40)
+	f.Add([]byte{0x55, 0x55}, uint64(1)<<63+1, uint64(1)<<62)
+	f.Fuzz(func(t *testing.T, buf []byte, m uint64, n uint64) {
+		count := int(n % (1<<62 + 1))
+		if _, err := DecodeAll(buf, m, count); err == nil && count > 8*len(buf) {
+			t.Fatalf("decoded %d values from %d bytes", count, len(buf))
 		}
-		if _, err := DecodeSortedSet(buf, m, count); err != nil {
-			_ = err
+		set, err := DecodeSortedSet(buf, m, count)
+		if err != nil {
+			return
+		}
+		if len(set) != count {
+			t.Fatalf("decoded %d positions, want %d", len(set), count)
+		}
+		for i := 1; i < len(set); i++ {
+			if set[i] <= set[i-1] {
+				t.Fatalf("sorted set not strictly increasing at %d: %d after %d", i, set[i], set[i-1])
+			}
 		}
 	})
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrCorrupt is returned when a decoder runs off the end of its input or
@@ -31,6 +32,12 @@ func OptimalM(p float64) uint64 {
 	}
 	if p >= 1 {
 		return 1
+	}
+	if 1-p == 1 {
+		// p is below float64 resolution (< 2^-53), so the formula would
+		// divide by log2(1) = 0 and fall through to M = 1 — a unary code
+		// for gaps of order 1/p. The true optimum is above 2^52.
+		return 1 << 52
 	}
 	m := math.Ceil(-1 / math.Log2(1-p))
 	if m < 1 || math.IsNaN(m) || math.IsInf(m, 0) {
@@ -159,6 +166,16 @@ func (r *BitReader) ReadUnary() (uint64, error) {
 	}
 }
 
+// remainderCode returns the truncated-binary remainder layout for
+// parameter m >= 1: b = ceil(log2 m) bits, of which the first
+// t = 2^b - m remainders take the short (b-1 bit) form. bits.Len64 keeps
+// this total for every m — a header-supplied m above 2^63 gives b = 64,
+// where a shift-and-compare loop would never terminate (1<<64 is 0).
+func remainderCode(m uint64) (b uint, t uint64) {
+	b = uint(bits.Len64(m - 1))
+	return b, (uint64(1) << b) - m
+}
+
 // Encoder writes Golomb-coded values with a fixed parameter M.
 type Encoder struct {
 	w BitWriter
@@ -172,12 +189,7 @@ func NewEncoder(m uint64) *Encoder {
 	if m < 1 {
 		m = 1
 	}
-	b := uint(0)
-	for (uint64(1) << b) < m {
-		b++
-	}
-	// t = 2^b - m values get the short (b-1 bit) remainder form.
-	t := (uint64(1) << b) - m
+	b, t := remainderCode(m)
 	return &Encoder{m: m, b: b, t: t}
 }
 
@@ -218,11 +230,7 @@ func NewDecoder(buf []byte, m uint64) *Decoder {
 	if m < 1 {
 		m = 1
 	}
-	b := uint(0)
-	for (uint64(1) << b) < m {
-		b++
-	}
-	t := (uint64(1) << b) - m
+	b, t := remainderCode(m)
 	return &Decoder{r: NewBitReader(buf), m: m, b: b, t: t}
 }
 
@@ -265,8 +273,18 @@ func EncodeAll(values []uint64, m uint64) []byte {
 	return e.Bytes()
 }
 
+// fits reports whether n Golomb values can be present in buf: every code
+// word ends its unary part with a zero bit, so a value costs at least one
+// bit. Decoders check it before sizing their output from an untrusted n.
+func fits(buf []byte, n int) bool {
+	return n >= 0 && uint64(n) <= 8*uint64(len(buf))
+}
+
 // DecodeAll decodes exactly n values from buf with parameter m.
 func DecodeAll(buf []byte, m uint64, n int) ([]uint64, error) {
+	if !fits(buf, n) {
+		return nil, ErrCorrupt
+	}
 	d := NewDecoder(buf, m)
 	out := make([]uint64, 0, n)
 	for i := 0; i < n; i++ {
@@ -299,8 +317,13 @@ func EncodeSortedSet(positions []uint64, m uint64) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// DecodeSortedSet reverses EncodeSortedSet for n positions.
+// DecodeSortedSet reverses EncodeSortedSet for n positions. The result is
+// strictly increasing: a gap that would wrap past the uint64 range is
+// reported as ErrCorrupt.
 func DecodeSortedSet(buf []byte, m uint64, n int) ([]uint64, error) {
+	if !fits(buf, n) {
+		return nil, ErrCorrupt
+	}
 	d := NewDecoder(buf, m)
 	out := make([]uint64, 0, n)
 	prev := uint64(0)
@@ -312,6 +335,9 @@ func DecodeSortedSet(buf []byte, m uint64, n int) ([]uint64, error) {
 		if i == 0 {
 			prev = v
 		} else {
+			if v >= math.MaxUint64-prev {
+				return nil, ErrCorrupt
+			}
 			prev = prev + v + 1
 		}
 		out = append(out, prev)

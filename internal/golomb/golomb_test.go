@@ -1,6 +1,7 @@
 package golomb
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -181,6 +182,11 @@ func TestOptimalM(t *testing.T) {
 	if OptimalM(0) == 0 {
 		t.Error("OptimalM(0) must be positive")
 	}
+	// One set bit in a 2^60-bit filter: a parameter of 1 would spend
+	// ~2^59 unary bits on it.
+	if got := OptimalM(1.0 / (1 << 60)); got < 1<<52 {
+		t.Errorf("OptimalM(2^-60) = %d, want >= 2^52", got)
+	}
 	if OptimalM(1.5) != 1 {
 		t.Error("OptimalM(>=1) should clamp to 1")
 	}
@@ -230,6 +236,30 @@ func TestDecodeCorrupt(t *testing.T) {
 	// A stream of all ones never terminates its unary part.
 	if _, err := DecodeAll([]byte{0xFF, 0xFF}, 3, 5); err == nil {
 		t.Error("expected corrupt-stream error")
+	}
+	// A count the buffer cannot hold (a value costs at least one bit) is
+	// refused before the output is sized from it: 1<<62 would panic in
+	// make, 1<<40 would exhaust memory.
+	for _, n := range []int{17, 1 << 40, 1 << 62, -1} {
+		if _, err := DecodeAll([]byte{0, 0}, 1, n); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("DecodeAll n=%d: err = %v, want ErrCorrupt", n, err)
+		}
+		if _, err := DecodeSortedSet([]byte{0, 0}, 1, n); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("DecodeSortedSet n=%d: err = %v, want ErrCorrupt", n, err)
+		}
+	}
+	if got, err := DecodeAll([]byte{0, 0}, 1, 16); err != nil || len(got) != 16 {
+		t.Errorf("16 one-bit values in two bytes: %v, %v", got, err)
+	}
+	// A gap that wraps the running position is not a sorted set.
+	const big = uint64(1) << 63
+	wrap := EncodeAll([]uint64{big + 5, big}, big+7) // 5+big, then +big+1 wraps to 6
+	if set, err := DecodeSortedSet(wrap, big+7, 2); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("wrapping gap decoded to %v, err %v", set, err)
+	}
+	// A parameter above 2^63 has a 64-bit remainder field.
+	if got, err := DecodeAll(wrap, big+7, 2); err != nil || got[0] != big+5 || got[1] != big {
+		t.Errorf("m > 2^63 round trip: %v, %v", got, err)
 	}
 }
 
