@@ -39,8 +39,8 @@
 //	    spec describing a general acyclic join-tree query —
 //	    {"relations":["a","b","c"],
 //	     "edges":[{"a":0,"b":1},{"a":1,"b":2,"kind":"band","band":2}],
-//	     "score":"sum","k":10} — covering two-way, star (the multiway
-//	    StreamN shape), chain, and mixed shapes; results carry the third
+//	     "score":"sum","k":10} — covering two-way, star (the
+//	    NewMultiQuery shape), chain, and mixed shapes; results carry the third
 //	    and later leaves' rows in rest_rows. A cyclic or disconnected
 //	    tree is rejected with a 400 whose body carries the shape
 //	    diagnostic. algo=anyk (or auto) streams tree results in score
@@ -149,7 +149,7 @@ func (s *server) query(name string) (rankjoin.Query, string, error) {
 
 // resolveQuery resolves a request's query: an inline tree spec when one
 // was supplied (general acyclic join-tree queries, including the
-// multiway star shape StreamN serves in-process), a named preset
+// multiway star shape NewMultiQuery builds in-process), a named preset
 // otherwise. Tree specs are validated structurally; a cyclic or
 // disconnected shape surfaces as a *rankjoin.ShapeError that
 // writeResolveError maps to a 400 carrying the diagnostic.

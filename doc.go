@@ -10,14 +10,16 @@
 //
 //   - Naive, Hive-style, and Pig-style baselines (Section 3)
 //   - IJLMR — Inverse Join List MapReduce rank join (Section 4.1)
-//   - ISL — Inverse Score List rank join over HRJN (Section 4.2)
+//   - ISL — Inverse Score List rank join over HRJN (Section 4.2), for
+//     two-way and n-way equi-joins
 //   - BFHM — Bloom Filter Histogram Matrix rank join with a guaranteed
 //     100% recall (Section 5)
 //   - DRJN — the 2-D histogram comparator (Section 7.1)
 //   - Any-k — score-ordered streams per leaf joined on arrival and
 //     one heap of complete matches behind a generalized HRJN
 //     threshold, enumerating any acyclic join tree in score order
-//     with no k fixed up front
+//     with no k fixed up front (the one rank-join operator; ISL runs
+//     it on all-equi trees)
 //
 // plus online index maintenance (Section 6) and a cost model reporting
 // the paper's three evaluation metrics for every query: simulated
@@ -76,10 +78,12 @@
 //	defer rows.Close()
 //	for rows.Next() { fmt.Println(rows.Result().Score) }
 //
-// Which executors stream natively: ISL and DRJN are incremental — their
-// sorted-access loops (the HRJN coordinator's batched scans, DRJN's
-// histogram band walk) pause at the exact input prefix each emitted
-// result needs, so the next page pays only marginal work. Naive, Hive,
+// Which executors stream natively: ISL (two-way and n-way), any-k and
+// DRJN are incremental — their sorted-access loops (one rank-join
+// operator behind one cursor over batched inverse-score-list scans for
+// ISL and any-k, DRJN's histogram band walk) pause at the exact input
+// prefix each emitted result needs, so the next page pays only marginal
+// work, and tied results always leave in row-key order. Naive, Hive,
 // Pig, IJLMR, and BFHM are batch-shaped (their pipelines target a fixed
 // k end to end) and stream through a materializing adapter that re-runs
 // at doubled depths when drained past the page hint. AlgoAuto knows the
@@ -94,9 +98,11 @@
 // leaves, the n-1 edges are join predicates — equi-predicates on the
 // join attributes, or band predicates |a-b| <= w over numeric join
 // values — and an n-ary monotonic aggregate (SumN, ProductN) scores
-// complete matches. NewQuery (binary) and NewMultiQuery (star) build
-// the two trivial tree shapes; NewTreeQuery builds chains and general
-// acyclic mixes:
+// complete matches. NewQuery (binary) and NewMultiQuery (star, the
+// paper's n-way equi-join) build the two trivial tree shapes;
+// NewTreeQuery builds chains and general acyclic mixes. All three
+// return a Query for the same TopK, Stream, Explain and EnsureIndexes;
+// results carry the third and later leaves' tuples in JoinResult.Rest:
 //
 //	q, _ := db.NewTreeQuery(
 //	    []string{"sensors", "readings", "alerts"},
@@ -116,8 +122,9 @@
 // HRJN threshold releases a match only when nothing unseen can beat it
 // (README, "Join trees & any-k", says what that holds in memory and
 // costs per tuple) — so tree queries
-// stream, paginate, and respect budgets exactly like binary ones; the
-// other executors answer trees through the materializing adapter.
+// stream, paginate, and respect budgets exactly like binary ones.
+// AlgoISL is the same operator and cursor on all-equi trees; the naive
+// executor answers trees through the materializing adapter.
 // ParseTreeSpec and NewTreeQueryFromSpec decode the JSON wire form
 // the HTTP server accepts on /topk, /stream, and /explain.
 //

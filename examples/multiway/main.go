@@ -53,25 +53,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := db.EnsureMultiIndexes(q); err != nil {
+	if err := db.EnsureIndexes(q, rankjoin.AlgoISL); err != nil {
 		log.Fatal(err)
 	}
 
-	res, err := db.TopKN(q, rankjoin.AlgoISL, nil)
+	res, err := db.TopK(q, rankjoin.AlgoISL, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Top-10 phrases by Mon+Tue+Wed popularity (3-way ISL rank join):\n\n")
 	for i, r := range res.Results {
 		fmt.Printf("%2d. %-14s total %.3f  (%.3f + %.3f + %.3f)\n",
-			i+1, r.Tuples[0].JoinValue, r.Score,
-			r.Tuples[0].Score, r.Tuples[1].Score, r.Tuples[2].Score)
+			i+1, r.Left.JoinValue, r.Score,
+			r.Left.Score, r.Right.Score, r.Rest[0].Score)
 	}
 	fmt.Printf("\ncost: %v, %d B network, %d KV reads ($%.2f)\n",
 		res.Cost.SimTime, res.Cost.NetworkBytes, res.Cost.KVReads, res.Cost.Dollars())
 
 	// Cross-check with the naive plan.
-	naive, err := db.TopKN(q, rankjoin.AlgoNaive, nil)
+	naive, err := db.TopK(q, rankjoin.AlgoNaive, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

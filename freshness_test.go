@@ -341,7 +341,7 @@ func TestBatchedMaintenanceFewerWriteRPCs(t *testing.T) {
 
 // TestMultiwayISLNMaintained: the n-way ISLN inverse lists are part of
 // "every index built over the relation" — a write must reach them too,
-// or TopKN silently serves stale results.
+// or an n-way TopK silently serves stale results.
 func TestMultiwayISLNMaintained(t *testing.T) {
 	db := mustOpen(t, Config{})
 	rng := rand.New(rand.NewSource(53))
@@ -368,7 +368,7 @@ func TestMultiwayISLNMaintained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.EnsureMultiIndexes(mq); err != nil {
+	if err := db.EnsureIndexes(mq, AlgoISL); err != nil {
 		t.Fatal(err)
 	}
 
@@ -380,7 +380,7 @@ func TestMultiwayISLNMaintained(t *testing.T) {
 		}
 	}
 	for _, algo := range []Algorithm{AlgoISL, AlgoNaive} {
-		res, err := db.TopKN(mq, algo, nil)
+		res, err := db.TopK(mq, algo, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -395,7 +395,7 @@ func TestMultiwayISLNMaintained(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []Algorithm{AlgoISL, AlgoNaive} {
-		res, err := db.TopKN(mq, algo, nil)
+		res, err := db.TopK(mq, algo, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -408,12 +408,12 @@ func TestMultiwayISLNMaintained(t *testing.T) {
 	if err := handles["mb"].DeleteKey("mbHOT"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.TopKN(mq, AlgoISL, nil)
+	res, err := db.TopK(mq, AlgoISL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range res.Results {
-		for _, tp := range r.Tuples {
+		for _, tp := range append([]Tuple{r.Left, r.Right}, r.Rest...) {
 			if tp.RowKey == "mbHOT" {
 				t.Fatalf("deleted mbHOT still joined: %+v", r)
 			}

@@ -55,7 +55,7 @@ func runAll(t *testing.T, c *kvstore.Cluster, q Query, left, right []Tuple, skip
 		t.Fatal(err)
 	}
 	for _, batch := range []int{1, 7, 100} {
-		isl, err := QueryISL(c, q, islIdx, ISLOptions{BatchLeft: batch, BatchRight: batch})
+		isl, err := queryISL(c, q, islIdx, ExecOptions{ISLBatch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,16 +7,18 @@ import (
 	"repro/internal/kvstore"
 )
 
-// This file implements the any-k executor: ranked enumeration over an
-// acyclic join tree with no k fixed up front (the ANYK/QUICK family of
-// Tziavelis et al., adapted to the paper's inverse-score-list storage).
-// Each leaf's tuples arrive in descending score order from its inverse
-// score list; arriving tuples join against the already-seen tuples of
-// neighboring leaves (so every complete result is assembled exactly
-// once, when its last tuple arrives), and a priority queue releases a
-// result only once its score provably precedes every result not yet
-// assembled — the same threshold bound HRJN uses, generalized over the
-// tree's leaves.
+// This file implements the rank-join operator — the only HRJN-family
+// operator in the package — and the anyk executor. The operator is
+// ranked enumeration over an acyclic join tree with no k fixed up front
+// (the ANYK/QUICK family of Tziavelis et al., adapted to the paper's
+// inverse-score-list storage); HRJN (Section 4.2.1) is its two-leaf
+// equi case and the n-way form the paper states there its all-equi
+// case. Each leaf's tuples arrive in descending score order from its
+// inverse score list; arriving tuples join against the already-seen
+// tuples of neighboring leaves (so every complete result is assembled
+// exactly once, when its last tuple arrives), and a priority queue
+// releases a result only once its score provably precedes every result
+// not yet assembled — the HRJN threshold over the tree's leaves.
 //
 // In memory the operator keeps each pulled tuple once (per-leaf arrival
 // arenas indexed by ordinal, see leafIndex in jointree.go) and one heap
@@ -26,31 +28,9 @@ import (
 // combination an O(log r) heap push, and none of it allocates beyond
 // the amortised growth of the arenas. A paused cursor retains all of
 // that until it is closed.
-
-// EnsureISLN idempotently builds the shared n-way inverse-score-list
-// index for a tree's leaf set: one table keyed by LeafID with one
-// column family per relation. Edge predicates never change the indexed
-// content, so every tree over the same leaves and aggregate shares one
-// physical index (and the star ISLN executor reads the same table).
-func EnsureISLN(c *kvstore.Cluster, t *JoinTree, store *IndexStore) error {
-	leafID := t.LeafID()
-	lock := store.BuildScope("isln/" + leafID)
-	lock.Lock()
-	defer lock.Unlock()
-	if _, ok := store.ISLN(leafID); ok {
-		return nil
-	}
-	star := MultiQuery{Relations: t.Relations, Score: t.Score, K: t.K}
-	if star.K < 1 {
-		star.K = 1
-	}
-	idx, _, err := BuildISLN(c, star)
-	if err != nil {
-		return err
-	}
-	store.PutISLN(leafID, idx)
-	return nil
-}
+//
+// The operator is driven by listCursor (isl.go), which both the isl and
+// the anyk executor open over inverse score lists.
 
 // anykExec is the registry executor behind AlgoAnyK. It supports every
 // valid tree shape, including band predicates.
@@ -82,33 +62,13 @@ func (anykExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) ui
 	return tableSize(c, idx.Table)
 }
 
-func (anykExec) Run(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (*Result, error) {
-	return RunCursor(c, t.K, func() (Cursor, error) { return anykExec{}.Open(c, t, store, opts) })
-}
-
 func (anykExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
 	idx, ok := store.ISLN(t.LeafID())
 	if !ok {
 		return nil, fmt.Errorf("rankjoin: no any-k index for %s; call EnsureIndexes first", t.LeafID())
 	}
-	if len(idx.Families) != len(t.Relations) {
-		return nil, fmt.Errorf("core: any-k index for %s has %d families, tree has %d leaves",
-			t.LeafID(), len(idx.Families), len(t.Relations))
-	}
-	opts = opts.WithDefaults()
-	streams := make([]*islStream, len(t.Relations))
-	for i := range t.Relations {
-		s, err := newISLStream(c, idx.Table, idx.Families[i], opts.ISLBatch, opts.Parallelism >= 2)
-		if err != nil {
-			return nil, err
-		}
-		streams[i] = s
-	}
-	cur := &anyKCursor{op: newAnyKOp(t), streams: streams, batch: opts.ISLBatch}
-	return WrapBudget(cur, opts.Budget), nil
+	// A release also ends the current leaf's batch (releaseEndsBatch).
+	return openLists(c, t, idx.Table, idx.Families, opts.WithDefaults(), true)
 }
 
 // anyKOp is the tree-generalized ranked-enumeration operator. It holds
@@ -221,7 +181,7 @@ func (o *anyKOp) combo(slot int32) []int32 {
 	return o.parked[int(slot)*o.n:][:o.n]
 }
 
-// before is NJoinResult.less over parked combinations: score
+// before is JoinResult.less over parked combinations: score
 // descending, then row keys ascending in leaf order.
 func (o *anyKOp) before(a, b readyEntry) bool {
 	if a.score != b.score {
@@ -301,11 +261,9 @@ func (o *anyKOp) releasable() bool {
 	return o.ready[0].score > th || math.IsInf(th, -1)
 }
 
-// pop releases the best result if releasable.
-func (o *anyKOp) pop() (NJoinResult, bool) {
-	if !o.releasable() {
-		return NJoinResult{}, false
-	}
+// pop removes and materialises the best assembled result; the caller
+// has checked releasable.
+func (o *anyKOp) pop() JoinResult {
 	best := o.ready[0]
 	last := len(o.ready) - 1
 	o.ready[0] = o.ready[last]
@@ -313,74 +271,5 @@ func (o *anyKOp) pop() (NJoinResult, bool) {
 	if last > 0 {
 		o.siftDown(0)
 	}
-	return o.join.result(o.combo(best.slot), best.score), true
-}
-
-// anyKCursor drives the operator from the per-leaf inverse score
-// lists, pulling batches round-robin from the non-exhausted leaves.
-type anyKCursor struct {
-	op      *anyKOp
-	streams []*islStream
-	batch   int
-	next    int // round-robin position
-	closed  bool
-}
-
-// Next implements Cursor.
-func (a *anyKCursor) Next() (*JoinResult, error) {
-	if a.closed {
-		return nil, ErrCursorClosed
-	}
-	for {
-		if r, ok := a.op.pop(); ok {
-			jr := toJoinResult(r)
-			return &jr, nil
-		}
-		if a.op.allDone() {
-			return nil, nil
-		}
-		if err := a.fill(); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// fill pulls up to one batch from the next non-exhausted leaf,
-// stopping early the moment a result becomes releasable so the cursor
-// never consumes read units past what the next result needs.
-func (a *anyKCursor) fill() error {
-	n := len(a.streams)
-	for tries := 0; tries < n; tries++ {
-		i := a.next % n
-		a.next++
-		if a.op.done[i] {
-			continue
-		}
-		for pulled := 0; pulled < a.batch; pulled++ {
-			t, err := a.streams[i].Next()
-			if err != nil {
-				return err
-			}
-			if t == nil {
-				a.op.exhaust(i)
-				break
-			}
-			a.op.push(i, *t)
-			if a.op.releasable() {
-				return nil
-			}
-		}
-		return nil
-	}
-	return nil
-}
-
-// Close implements Cursor. An early close abandons the scanners, so no
-// further read units accrue, and drops the operator: a closed cursor
-// someone still references (a Rows kept for its Cost, an evicted page
-// cursor) must not pin the leaf arenas and the ready heap.
-func (a *anyKCursor) Close() error {
-	a.closed = true
-	a.op, a.streams = nil, nil
-	return nil
+	return o.join.result(o.combo(best.slot), best.score)
 }

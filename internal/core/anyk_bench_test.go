@@ -42,8 +42,7 @@ func chainLeaves(n, rows int) [][]Tuple {
 func bandChain(n int) *JoinTree {
 	t := &JoinTree{Score: SumN, K: 10}
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("c%d", i)
-		t.Relations = append(t.Relations, Relation{Name: name, Table: "tbl_" + name, Family: "d", JoinQual: "join", ScoreQual: "score"})
+		t.Relations = append(t.Relations, stubRel(fmt.Sprintf("c%d", i)))
 		if i > 0 {
 			t.Edges = append(t.Edges, TreeEdge{A: i - 1, B: i, Kind: PredBand, Band: 1})
 		}
@@ -72,16 +71,23 @@ func BenchmarkLeafIndexAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkAnyKPush measures one pushed tuple on the 4-chain, driven as
-// the cursor drives the operator: round-robin batches of DefaultISLBatch
+// BenchmarkAnyKPush measures one pushed tuple, driven as the list
+// cursor drives the operator: round-robin batches of DefaultISLBatch
 // per leaf, a releasable check after every push, and the first 30
-// results popped — the deepest read of the chain workload, which pulls
-// about 12,000 tuples and parks about 24,000 combinations to release
-// them. A stream restarts on a fresh operator after 3,000 tuples per
+// results popped. chain4 is the deepest read of the chain workload,
+// which pulls about 12,000 tuples and parks about 24,000 combinations
+// to release them; equi2 is the binary rank join (HRJN's case, what ISL
+// runs on the TPC-H workloads): two leaves, about one equi partner per
+// tuple. A stream restarts on a fresh operator after 3,000 tuples per
 // leaf.
 func BenchmarkAnyKPush(b *testing.B) {
-	const n, perLeaf, k = 4, 3000, 30
-	tree := bandChain(n)
+	b.Run("chain4", func(b *testing.B) { benchPush(b, bandChain(4)) })
+	b.Run("equi2", func(b *testing.B) { benchPush(b, binaryTree(Sum)) })
+}
+
+func benchPush(b *testing.B, tree *JoinTree) {
+	const perLeaf, k = 3000, 30
+	n := len(tree.Relations)
 	leaves := chainLeaves(n, benchChainRows)
 	type pull struct {
 		leaf int

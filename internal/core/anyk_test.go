@@ -164,7 +164,7 @@ func TestBandTreeUnmatchableJoinValues(t *testing.T) {
 // TestAnyKTieOrder: with scores quantised to one decimal most results
 // tie, so the emitted order is decided by the row-key tie-break the
 // ready heap evaluates through the leaf arenas. The full enumeration
-// must equal a sort of the brute-force join by NJoinResult.less,
+// must equal a sort of the brute-force join by JoinResult.less,
 // whether drained in one go or in pages.
 func TestAnyKTieOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -192,7 +192,7 @@ func TestAnyKTieOrder(t *testing.T) {
 	}
 	for i := 1; i < len(want); i++ {
 		if !want[i-1].less(&want[i]) {
-			t.Fatalf("oracle order disagrees with NJoinResult.less at %d", i)
+			t.Fatalf("oracle order disagrees with JoinResult.less at %d", i)
 		}
 	}
 	store := NewIndexStore()
@@ -203,6 +203,52 @@ func TestAnyKTieOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertTreeResultsByteMatch(t, fmt.Sprintf("pages of %d", page), got, want)
+	}
+	tieAtThreshold(t)
+}
+
+// tieAtThreshold is TestAnyKTieOrder's crafted case: a result that ties
+// the threshold must
+// wait, because an unseen result can tie it and sort earlier on row
+// keys. Here (a9,b1) is assembled first and scores exactly the
+// threshold, while (a5,b9) — same score, earlier row key — still needs
+// a5 pulled. Through the isl executor, binary and as a 3-leaf star, at
+// every batch size the order must be naive's down to the row keys, for
+// k=1 (where releasing early returns the wrong result) and drained.
+func tieAtThreshold(t *testing.T) {
+	leaves := [][]Tuple{
+		{{RowKey: "a9", JoinValue: "x", Score: 0.75}, {RowKey: "a3", JoinValue: "z", Score: 0.5}, {RowKey: "a5", JoinValue: "y", Score: 0.5}},
+		{{RowKey: "b9", JoinValue: "y", Score: 0.5}, {RowKey: "b1", JoinValue: "x", Score: 0.25}},
+		{{RowKey: "c1", JoinValue: "x", Score: 0.5}, {RowKey: "c2", JoinValue: "y", Score: 0.5}},
+	}
+	for n := 2; n <= 3; n++ {
+		c := newTestCluster()
+		tr := loadTree(t, c, leaves[:n], starEdges(n), 5)
+		naive, err := NaiveTreeTopK(c, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := naive.Results
+		if len(want) != 2 || want[0].Score != want[1].Score || want[0].Left.RowKey != "a5" {
+			t.Fatalf("%d leaves: naive = %+v, want two tied results led by a5", n, want)
+		}
+		isl, _ := Lookup("isl")
+		store := NewIndexStore()
+		if err := isl.EnsureIndex(c, tr, store, IndexBuildConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range []int{1, 2, 100} {
+			for _, k := range []int{1, 5} {
+				bounded := *tr
+				bounded.K = k
+				res, err := runExec(c, "isl", &bounded, store, ExecOptions{ISLBatch: batch})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertTreeResultsByteMatch(t, fmt.Sprintf("%d leaves, batch %d, k=%d", n, batch, k),
+					res.Results, want[:min(k, len(want))])
+			}
+		}
 	}
 }
 
@@ -218,7 +264,7 @@ func TestAnyKCursorCloseReleasesOperator(t *testing.T) {
 	if _, err := cur.Next(); err != nil {
 		t.Fatal(err)
 	}
-	ak, ok := cur.(*anyKCursor)
+	ak, ok := cur.(*listCursor)
 	if !ok {
 		t.Fatalf("unbudgeted any-k cursor is a %T", cur)
 	}
@@ -263,6 +309,28 @@ func TestAnyKSteadyStateAllocations(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("push closing no combination: %v allocs per 3 pushes, want 0", avg)
+	}
+
+	// The binary rank join: two equi leaves, about one partner per
+	// tuple, so most pushes do complete a combination and park it.
+	two := newAnyKOp(binaryTree(Sum))
+	for i := 0; i < 2; i++ {
+		for _, tp := range leaves[i][:1000] {
+			two.push(i, tp)
+		}
+	}
+	next = 1000
+	if avg := testing.AllocsPerRun(900, func() {
+		for i := 0; i < 2; i++ {
+			two.push(i, leaves[i][next])
+		}
+		next++
+		two.releasable()
+	}); avg != 0 {
+		t.Errorf("two-leaf equi push: %v allocs per 2 pushes and a threshold check, want 0", avg)
+	}
+	if len(two.ready) < 500 {
+		t.Fatalf("only %d combinations parked: the equi pushes joined nothing", len(two.ready))
 	}
 
 	li, from := op.join.leaves[1], op.join.leaves[0]

@@ -71,7 +71,7 @@ func measureCosts(t *testing.T, k int) costResults {
 		t.Fatal(err)
 	}
 	out.ijlmr = res.Cost
-	res, err = QueryISL(c, q, islIdx, ISLOptions{BatchLeft: 8, BatchRight: 8})
+	res, err = queryISL(c, q, islIdx, ExecOptions{ISLBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,11 @@ func TestISLBatchingTradeoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := QueryISL(c, q, idx, ISLOptions{BatchLeft: 1, BatchRight: 1})
+	small, err := queryISL(c, q, idx, ExecOptions{ISLBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := QueryISL(c, q, idx, ISLOptions{BatchLeft: 200, BatchRight: 200})
+	large, err := queryISL(c, q, idx, ExecOptions{ISLBatch: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestIndexingCostShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	isl, err := QueryISL(c, q, islIdx, ISLOptions{BatchLeft: 8, BatchRight: 8})
+	isl, err := queryISL(c, q, islIdx, ExecOptions{ISLBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,16 +6,17 @@ import (
 	"repro/internal/kvstore"
 )
 
-// This file defines the streaming execution layer: every executor can
-// open a pull-based Cursor that yields join results one at a time in
-// descending score order, without fixing k up front. Rank-join
-// algorithms with a sorted-access loop (ISL's HRJN coordinator, DRJN's
-// band walk) enumerate natively — each Next() does only the marginal
-// work the next result needs — while batch-shaped algorithms (naive,
-// Hive, Pig, IJLMR, BFHM) are adapted through a materializing cursor
-// that re-runs the bounded query at doubling depths. The batch TopK
-// path is a thin drain of the same cursor, so the two APIs can never
-// disagree on results.
+// This file defines the streaming execution layer: every executor
+// opens a pull-based Cursor that yields join results one at a time in
+// descending score order, without fixing k up front. The executors
+// with a sorted-access loop enumerate natively — each Next() does only
+// the marginal work the next result needs: isl and anyk through the
+// one list cursor over inverse score lists (isl.go) feeding the one
+// rank-join operator (anyk.go), DRJN through its band walk — while
+// batch-shaped algorithms (naive, Hive, Pig, IJLMR, BFHM) are adapted
+// through a materializing cursor that re-runs the bounded query at
+// doubling depths. The batch TopK path is a thin drain of the same
+// cursor, so the two APIs can never disagree on results.
 
 // Cursor is a pull-based stream of join results in descending score
 // order (ties broken on row keys, like every batch result list).
@@ -38,7 +39,7 @@ var ErrCursorClosed = fmt.Errorf("core: cursor is closed")
 
 // RunCursor executes a bounded top-k as a drain of a streaming cursor:
 // open, pull k results, close, and report the metrics delta as the
-// query's cost. Every executor's Run is this.
+// query's cost.
 func RunCursor(c *kvstore.Cluster, k int, open func() (Cursor, error)) (*Result, error) {
 	before := c.Metrics().Snapshot()
 	cur, err := open()
@@ -60,80 +61,33 @@ func RunCursor(c *kvstore.Cluster, k int, open func() (Cursor, error)) (*Result,
 	return &Result{Results: out, Cost: c.Metrics().Snapshot().Sub(before)}, nil
 }
 
-// Pager is the doubling-depth schedule every materializing adapter
-// shares: run the bounded computation at an initial depth (the page
-// hint), and when drained past it, re-run at doubled depths until a
-// run comes back short (the result set is exhausted). Deterministic
-// tie-breaking makes each deeper run a strict prefix extension of the
-// previous one, so the emitted stream is consistent across re-runs —
-// but every deepening pays the full batch cost again, which is exactly
-// the penalty the planner charges non-incremental executors for deep
-// pagination. The two-way materializedCursor and the public n-way
-// stream are both thin wrappers over this one state machine.
-type Pager[T any] struct {
-	run     func(k int) ([]T, error)
-	results []T
+// materializedCursor adapts a batch-shaped executor to the Cursor
+// interface on the doubling-depth schedule: run the bounded computation
+// at an initial depth (the page hint), and when drained past it, re-run
+// at doubled depths until a run comes back short (the result set is
+// exhausted). Deterministic tie-breaking makes each deeper run a strict
+// prefix extension of the previous one, so the emitted stream is
+// consistent across re-runs — but every deepening pays the full batch
+// cost again, which is exactly the penalty the planner charges
+// non-incremental executors for deep pagination.
+type materializedCursor struct {
+	run     func(k int) (*Result, error)
+	results []JoinResult
 	pos     int
 	depth   int
 	hint    int
 	done    bool // the last run came back short: nothing deeper exists
-}
-
-// NewPager creates a doubling pager over a bounded run function. hint
-// is the initial depth (minimum 1).
-func NewPager[T any](hint int, run func(k int) ([]T, error)) *Pager[T] {
-	if hint < 1 {
-		hint = 1
-	}
-	return &Pager[T]{run: run, hint: hint}
-}
-
-// Next returns the next result, or nil at exhaustion.
-func (p *Pager[T]) Next() (*T, error) {
-	for p.pos >= len(p.results) {
-		if p.done {
-			return nil, nil
-		}
-		if p.depth == 0 {
-			p.depth = p.hint
-		} else {
-			p.depth *= 2
-		}
-		results, err := p.run(p.depth)
-		if err != nil {
-			return nil, err
-		}
-		p.results = results
-		if len(p.results) < p.depth {
-			p.done = true
-		}
-	}
-	r := &p.results[p.pos]
-	p.pos++
-	return r, nil
-}
-
-// Release drops the buffered results.
-func (p *Pager[T]) Release() { p.results = nil }
-
-// materializedCursor adapts a batch-shaped executor to the Cursor
-// interface via the doubling Pager.
-type materializedCursor struct {
-	pager  *Pager[JoinResult]
-	closed bool
+	closed  bool
 }
 
 // NewMaterializedCursor wraps a bounded batch run (run(k) returns the
 // top-k) as a streaming cursor. hint is the initial materialization
 // depth (minimum 1).
 func NewMaterializedCursor(hint int, run func(k int) (*Result, error)) Cursor {
-	return &materializedCursor{pager: NewPager(hint, func(k int) ([]JoinResult, error) {
-		res, err := run(k)
-		if err != nil {
-			return nil, err
-		}
-		return res.Results, nil
-	})}
+	if hint < 1 {
+		hint = 1
+	}
+	return &materializedCursor{run: run, hint: hint}
 }
 
 // Next implements Cursor.
@@ -141,12 +95,32 @@ func (m *materializedCursor) Next() (*JoinResult, error) {
 	if m.closed {
 		return nil, ErrCursorClosed
 	}
-	return m.pager.Next()
+	for m.pos >= len(m.results) {
+		if m.done {
+			return nil, nil
+		}
+		if m.depth == 0 {
+			m.depth = m.hint
+		} else {
+			m.depth *= 2
+		}
+		res, err := m.run(m.depth)
+		if err != nil {
+			return nil, err
+		}
+		m.results = res.Results
+		if len(m.results) < m.depth {
+			m.done = true
+		}
+	}
+	r := &m.results[m.pos]
+	m.pos++
+	return r, nil
 }
 
-// Close implements Cursor.
+// Close implements Cursor, dropping the buffered results.
 func (m *materializedCursor) Close() error {
 	m.closed = true
-	m.pager.Release()
+	m.results = nil
 	return nil
 }

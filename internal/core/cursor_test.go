@@ -65,9 +65,9 @@ func TestCursorPagesMatchBatch(t *testing.T) {
 	for _, ex := range Executors() {
 		batchQ := q
 		batchQ.K = total
-		batch, err := ex.Run(c, TreeFromQuery(batchQ), store, opts)
+		batch, err := runExec(c, ex.Name(), TreeFromQuery(batchQ), store, opts)
 		if err != nil {
-			t.Fatalf("%s: Run: %v", ex.Name(), err)
+			t.Fatalf("%s: batch: %v", ex.Name(), err)
 		}
 
 		cur, err := ex.Open(c, TreeFromQuery(q), store, opts) // q.K = page hint
@@ -154,90 +154,51 @@ func TestCursorEarlyCloseChargesNothing(t *testing.T) {
 	}
 }
 
-// TestHRJNStreamMatchesBounded: the incremental operator drained k deep
-// must agree with the bounded RunHRJN on the top-k scores.
+// TestHRJNStreamMatchesBounded: one operator paused after every result
+// and resumed must release the sequence a fresh run bounded at k
+// releases, and both must be the oracle's top-k.
 func TestHRJNStreamMatchesBounded(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		left := descending(synthTuples("l", 80, 8, "uniform", seed))
 		right := descending(synthTuples("r", 80, 8, "uniform", seed+5))
+		stream := newSliceRun(binaryTree(Sum), left, right)
+		var got []JoinResult
 		for _, k := range []int{1, 5, 17} {
-			want, err := RunHRJN(k, Sum, &SliceSource{Tuples: left}, &SliceSource{Tuples: right})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cur := OpenHRJNStream(Sum, &SliceSource{Tuples: left}, &SliceSource{Tuples: right})
-			var got []JoinResult
 			for len(got) < k {
-				r, err := cur.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r == nil {
-					break
-				}
-				got = append(got, *r)
+				got = append(got, stream.take(1)...)
 			}
-			cur.Close()
-			assertScoresEqual(t, fmt.Sprintf("hrjn-stream k=%d seed=%d", k, seed),
-				scoresOf(got), scoresOf(want))
+			label := fmt.Sprintf("hrjn-stream k=%d seed=%d", k, seed)
+			bounded := newSliceRun(binaryTree(Sum), left, right).take(k)
+			assertTreeResultsByteMatch(t, label+" vs bounded", got, bounded)
+			assertTreeResultsByteMatch(t, label+" vs oracle", got, oracleTopK(left, right, Sum, k))
 		}
 	}
 }
 
 // TestHRJNStreamResumeCheaperThanRerun: pulling k then k more from one
-// stream must consume fewer input tuples than running the bounded
-// operator from scratch at k and then at 2k — the marginal-cost claim
-// at the operator level.
+// operator must consume fewer input tuples than running from scratch at
+// k and then at 2k — the marginal-cost claim at the operator level.
 func TestHRJNStreamResumeCheaperThanRerun(t *testing.T) {
 	const k = 10
 	left := descending(synthTuples("l", 400, 20, "uniform", 11))
 	right := descending(synthTuples("r", 400, 20, "uniform", 12))
 
 	pulls := func(k int) int {
-		a, b := &SliceSource{Tuples: left}, &SliceSource{Tuples: right}
-		h := NewHRJN(k, Sum)
-		pullA := true
-		for !h.Done() {
-			var src TupleSource
-			if (pullA && !h.doneA) || h.doneB {
-				src = a
-			} else {
-				src = b
-			}
-			tp, err := src.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tp == nil {
-				if src == a {
-					h.ExhaustA()
-				} else {
-					h.ExhaustB()
-				}
-			} else if src == a {
-				h.PushA(*tp)
-			} else {
-				h.PushB(*tp)
-			}
-			pullA = !pullA
-		}
-		return h.TuplesPulled()
+		run := newSliceRun(binaryTree(Sum), left, right)
+		run.take(k)
+		return run.pulled
 	}
 	rerun := pulls(k) + pulls(2*k)
 
-	scur := OpenHRJNStream(Sum, &SliceSource{Tuples: left}, &SliceSource{Tuples: right}).(*hrjnSourceCursor)
-	for i := 0; i < 2*k; i++ {
-		r, err := scur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r == nil {
-			break
-		}
+	stream := newSliceRun(binaryTree(Sum), left, right)
+	stream.take(k)
+	first := stream.pulled
+	stream.take(k)
+	if first != pulls(k) {
+		t.Fatalf("the first page pulled %d tuples, a bounded run %d", first, pulls(k))
 	}
-	streamed := scur.h.TuplesPulled()
-	if streamed >= rerun {
-		t.Fatalf("streaming 2k pulled %d tuples, re-running k then 2k pulled %d — streaming should be cheaper", streamed, rerun)
+	if stream.pulled >= rerun {
+		t.Fatalf("streaming 2k pulled %d tuples, re-running k then 2k pulled %d — streaming should be cheaper", stream.pulled, rerun)
 	}
-	t.Logf("tuples pulled: stream(2k)=%d vs rerun(k)+rerun(2k)=%d", streamed, rerun)
+	t.Logf("tuples pulled: stream(2k)=%d vs rerun(k)+rerun(2k)=%d", stream.pulled, rerun)
 }

@@ -178,7 +178,7 @@ type Executor interface {
 	// Name is the stable identifier ("isl", "bfhm", ...), matching the
 	// public Algorithm constants.
 	Name() string
-	// NeedsIndex reports whether Run requires a prior EnsureIndex.
+	// NeedsIndex reports whether Open requires a prior EnsureIndex.
 	NeedsIndex() bool
 	// Supports reports whether this executor can run the tree's shape
 	// (leaf count and edge predicates). The planner skips unsupported
@@ -189,7 +189,7 @@ type Executor interface {
 	// (single-flight): exactly one caller builds, the rest observe the
 	// finished index.
 	EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, cfg IndexBuildConfig) error
-	// HasIndex reports whether Run's index requirements are met.
+	// HasIndex reports whether Open's index requirements are met.
 	HasIndex(t *JoinTree, store *IndexStore) bool
 	// IndexSize returns the stored bytes of the executor's index(es)
 	// for the tree (0 for index-free executors or unbuilt indexes).
@@ -198,11 +198,9 @@ type Executor interface {
 	// statistics. It must return non-zero costs for any non-empty
 	// input, whether or not the index exists yet.
 	Estimate(st *PlanStats) CostEstimate
-	// Run executes the bounded query (a drain of Open's cursor to t.K
-	// results).
-	Run(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (*Result, error)
-	// Open starts a streaming execution: the cursor yields join results
-	// one at a time in descending score order, with no fixed k. For
+	// Open starts an execution: the cursor yields join results one at a
+	// time in descending score order, with no fixed k; a bounded top-k
+	// is a drain of it to t.K results (RunCursor). For
 	// incremental executors t.K is irrelevant beyond validation; for
 	// materializing ones it is the initial batch depth (the page-size
 	// hint), with deeper pulls re-running at doubled depths.

@@ -7,11 +7,12 @@ import (
 )
 
 // The paper's seven algorithms plus the any-k tree executor as registry
-// executors. This file is the single dispatch surface: what used to be
-// three parallel switch statements (TopK, EnsureIndexes, IndexDiskSize)
-// is now one Executor implementation per strategy. Every executor
-// consumes the JoinTree form; the two-way-only strategies project it
-// back to a binary Query through requireBinary.
+// executors. This file is the single dispatch surface: one Executor
+// implementation per strategy. Every executor consumes the JoinTree
+// form; the two-way-only strategies project it back to a binary Query
+// through requireBinary. isl and anyk share one rank-join operator and
+// one list cursor (anyk.go, isl.go); the batch-shaped strategies stream
+// through the materializing adapter (materialize).
 
 func init() {
 	Register(naiveExec{})
@@ -80,12 +81,6 @@ func (naiveExec) HasIndex(*JoinTree, *IndexStore) bool                      { re
 func (naiveExec) IndexSize(*kvstore.Cluster, *JoinTree, *IndexStore) uint64 { return 0 }
 func (naiveExec) Estimate(st *PlanStats) CostEstimate                       { return estimateNaive(st) }
 func (naiveExec) Incremental() bool                                         { return false }
-func (naiveExec) Run(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, _ ExecOptions) (*Result, error) {
-	if q, ok := t.Binary(); ok {
-		return NaiveTopK(c, q)
-	}
-	return NaiveTreeTopK(c, t)
-}
 func (naiveExec) Open(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, opts ExecOptions) (Cursor, error) {
 	return materialize(t, opts.Budget, func(k int) (*Result, error) {
 		tt := *t
@@ -114,13 +109,6 @@ func (hiveExec) HasIndex(t *JoinTree, _ *IndexStore) bool                  { ret
 func (hiveExec) IndexSize(*kvstore.Cluster, *JoinTree, *IndexStore) uint64 { return 0 }
 func (hiveExec) Estimate(st *PlanStats) CostEstimate                       { return estimateHive(st) }
 func (hiveExec) Incremental() bool                                         { return false }
-func (hiveExec) Run(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, _ ExecOptions) (*Result, error) {
-	q, err := requireBinary("hive", t)
-	if err != nil {
-		return nil, err
-	}
-	return QueryHive(c, q)
-}
 func (hiveExec) Open(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, opts ExecOptions) (Cursor, error) {
 	q, err := requireBinary("hive", t)
 	if err != nil {
@@ -150,13 +138,6 @@ func (pigExec) HasIndex(t *JoinTree, _ *IndexStore) bool                  { retu
 func (pigExec) IndexSize(*kvstore.Cluster, *JoinTree, *IndexStore) uint64 { return 0 }
 func (pigExec) Estimate(st *PlanStats) CostEstimate                       { return estimatePig(st) }
 func (pigExec) Incremental() bool                                         { return false }
-func (pigExec) Run(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, _ ExecOptions) (*Result, error) {
-	q, err := requireBinary("pig", t)
-	if err != nil {
-		return nil, err
-	}
-	return QueryPig(c, q)
-}
 func (pigExec) Open(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, opts ExecOptions) (Cursor, error) {
 	q, err := requireBinary("pig", t)
 	if err != nil {
@@ -220,18 +201,6 @@ func (ijlmrExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) u
 func (ijlmrExec) Estimate(st *PlanStats) CostEstimate { return estimateIJLMR(st) }
 func (ijlmrExec) Incremental() bool                   { return false }
 
-func (ijlmrExec) Run(c *kvstore.Cluster, t *JoinTree, store *IndexStore, _ ExecOptions) (*Result, error) {
-	q, err := requireBinary("ijlmr", t)
-	if err != nil {
-		return nil, err
-	}
-	idx, ok := store.IJLMR(q.ID())
-	if !ok {
-		return nil, fmt.Errorf("rankjoin: no IJLMR index for %s; call EnsureIndexes first", q.ID())
-	}
-	return QueryIJLMR(c, q, idx)
-}
-
 func (ijlmrExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
 	q, err := requireBinary("ijlmr", t)
 	if err != nil {
@@ -250,107 +219,87 @@ func (ijlmrExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts E
 
 // ---- ISL ----
 
-// islExec runs the binary inverse-score-list coordinator for two-way
-// trees and the n-way ISLN generalization for larger all-equi trees
-// (any connected all-equi tree is semantically a star). Band-predicate
-// trees are out of scope — use any-k.
+// islExec is the paper's ISL coordinator (Section 4.2.3) on all-equi
+// trees: the list cursor over the binary index for two-way trees and
+// over the shared n-way index for larger ones (any connected all-equi
+// tree is semantically a star). Band-predicate trees are out of scope —
+// use any-k.
 type islExec struct{}
 
 func (islExec) Name() string              { return "isl" }
 func (islExec) NeedsIndex() bool          { return true }
 func (islExec) Supports(t *JoinTree) bool { return t.AllEqui() }
 
-func (islExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, _ IndexBuildConfig) error {
+// islLists locates the inverse score lists ISL reads for t: the binary
+// index's two families for a two-leaf tree, the shared n-way index's
+// otherwise. ok is false when the index is not built or the shape is
+// not ISL's.
+func islLists(t *JoinTree, store *IndexStore) (table string, families []string, ok bool) {
 	if q, ok := t.Binary(); ok {
-		lock := store.BuildScope("isl/" + q.ID())
-		lock.Lock()
-		defer lock.Unlock()
-		if _, ok := store.ISL(q.ID()); ok {
-			return nil
+		idx, ok := store.ISL(q.ID())
+		if !ok {
+			return "", nil, false
 		}
-		idx, _, err := BuildISL(c, q)
-		if err != nil {
-			return err
-		}
-		store.PutISL(q.ID(), idx)
-		return nil
+		return idx.Table, []string{idx.LeftFamily, idx.RightFamily}, true
 	}
+	if !t.AllEqui() {
+		return "", nil, false
+	}
+	idx, ok := store.ISLN(t.LeafID())
+	if !ok {
+		return "", nil, false
+	}
+	return idx.Table, idx.Families, true
+}
+
+func (islExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, _ IndexBuildConfig) error {
 	if !t.AllEqui() {
 		return unsupportedShape("isl", t)
 	}
-	return EnsureISLN(c, t, store)
+	q, ok := t.Binary()
+	if !ok {
+		return EnsureISLN(c, t, store)
+	}
+	lock := store.BuildScope("isl/" + q.ID())
+	lock.Lock()
+	defer lock.Unlock()
+	if _, ok := store.ISL(q.ID()); ok {
+		return nil
+	}
+	idx, _, err := BuildISL(c, q)
+	if err != nil {
+		return err
+	}
+	store.PutISL(q.ID(), idx)
+	return nil
 }
 
 func (islExec) HasIndex(t *JoinTree, store *IndexStore) bool {
-	if q, ok := t.Binary(); ok {
-		_, ok = store.ISL(q.ID())
-		return ok
-	}
-	if !t.AllEqui() {
-		return false
-	}
-	_, ok := store.ISLN(t.LeafID())
+	_, _, ok := islLists(t, store)
 	return ok
 }
 
 func (islExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64 {
-	if q, ok := t.Binary(); ok {
-		idx, ok := store.ISL(q.ID())
-		if !ok {
-			return 0
-		}
-		return tableSize(c, idx.Table)
-	}
-	idx, ok := store.ISLN(t.LeafID())
+	table, _, ok := islLists(t, store)
 	if !ok {
 		return 0
 	}
-	return tableSize(c, idx.Table)
+	return tableSize(c, table)
 }
 
 func (islExec) Estimate(st *PlanStats) CostEstimate { return estimateISL(st) }
 func (islExec) Incremental() bool                   { return true }
 
-func (islExec) Run(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (*Result, error) {
-	return RunCursor(c, t.K, func() (Cursor, error) { return islExec{}.Open(c, t, store, opts) })
-}
-
 func (islExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-	opts = opts.WithDefaults()
-	if q, ok := t.Binary(); ok {
-		idx, ok := store.ISL(q.ID())
-		if !ok {
-			return nil, fmt.Errorf("rankjoin: no ISL index for %s; call EnsureIndexes first", q.ID())
-		}
-		cur, err := OpenISL(c, q, idx, ISLOptions{
-			BatchLeft:   opts.ISLBatch,
-			BatchRight:  opts.ISLBatch,
-			Parallelism: opts.Parallelism,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return WrapBudget(cur, opts.Budget), nil
-	}
-	star, ok := t.Star()
-	if !ok {
+	if !t.AllEqui() {
 		return nil, unsupportedShape("isl", t)
 	}
-	idx, ok := store.ISLN(t.LeafID())
+	table, families, ok := islLists(t, store)
 	if !ok {
-		return nil, fmt.Errorf("rankjoin: no n-way ISL index for %s; call EnsureMultiIndexes first", t.LeafID())
+		return nil, fmt.Errorf("rankjoin: no ISL index for %s; call EnsureIndexes first", t.LeafID())
 	}
-	// The n-ary coordinator targets a fixed k, so the stream
-	// materializes pages through the doubling schedule.
-	return materialize(t, opts.Budget, func(k int) (*Result, error) {
-		s := star
-		s.K = k
-		nres, err := QueryISLN(c, s, idx, opts.ISLBatch)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Results: treeResults(nres.Results), Cost: nres.Cost, Algorithm: "isl"}, nil
-	})
+	// A release keeps the cursor's place in the batch, as Algorithm 4 does.
+	return openLists(c, t, table, families, opts.WithDefaults(), false)
 }
 
 // ---- BFHM ----
@@ -426,22 +375,6 @@ func (bfhmExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) ui
 
 func (bfhmExec) Estimate(st *PlanStats) CostEstimate { return estimateBFHM(st) }
 func (bfhmExec) Incremental() bool                   { return false }
-
-func (bfhmExec) Run(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (*Result, error) {
-	q, err := requireBinary("bfhm", t)
-	if err != nil {
-		return nil, err
-	}
-	idxA, okA := store.BFHM(q.Left.Name)
-	idxB, okB := store.BFHM(q.Right.Name)
-	if !okA || !okB {
-		return nil, fmt.Errorf("rankjoin: missing BFHM index for %s; call EnsureIndexes first", q.ID())
-	}
-	return QueryBFHM(c, q, idxA, idxB, BFHMQueryOptions{
-		WriteBack:   opts.BFHMWriteBack,
-		Parallelism: opts.Parallelism,
-	})
-}
 
 // Open materializes: BFHM's estimation/reverse-mapping pipeline is
 // k-driven end to end (the histogram walk targets the k'th estimate),
@@ -527,10 +460,6 @@ func (drjnExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) ui
 
 func (drjnExec) Estimate(st *PlanStats) CostEstimate { return estimateDRJN(st) }
 func (drjnExec) Incremental() bool                   { return true }
-
-func (drjnExec) Run(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (*Result, error) {
-	return RunCursor(c, t.K, func() (Cursor, error) { return drjnExec{}.Open(c, t, store, opts) })
-}
 
 func (drjnExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
 	q, err := requireBinary("drjn", t)

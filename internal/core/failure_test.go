@@ -40,7 +40,7 @@ func TestQueriesSurviveRegionSplits(t *testing.T) {
 	}
 
 	want := scoresOf(oracleTopK(left, right, Sum, q.K))
-	isl, err := QueryISL(c, q, islIdx, ISLOptions{BatchLeft: 16, BatchRight: 16})
+	isl, err := queryISL(c, q, islIdx, ExecOptions{ISLBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

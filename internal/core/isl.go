@@ -7,12 +7,17 @@ import (
 	"repro/internal/mapreduce"
 )
 
-// This file implements ISL — Inverse Score List rank join (Section 4.2).
-// The index inverts each relation on its (negated) score: one index row
-// per distinct score value, holding {tuple row key -> join value} entries
-// (Fig. 3). A coordinator drives the HRJN operator over the two lists,
-// scanning them alternately in batches (HBase scanner caching), and stops
-// at the HRJN threshold.
+// This file implements the inverse score lists of ISL (Section 4.2)
+// and the one cursor that reads them. The index inverts each relation
+// on its (negated) score: one index row per distinct score value,
+// holding {tuple row key -> join value} entries (Fig. 3), one column
+// family per relation. The binary index (ISLIndex, built per two-way
+// query) and the n-way index (ISLNIndex, shared by every tree over the
+// same leaves) differ only in table name. listCursor is Algorithm 4's
+// coordinator stated for n lists: it scans them in turn in batches
+// (HBase scanner caching), feeds the rank-join operator of anyk.go, and
+// pauses the moment the next-ranked result is provably complete. The isl
+// and anyk executors both open it.
 
 // ISLIndex locates a built ISL index.
 type ISLIndex struct {
@@ -78,6 +83,63 @@ func BuildISL(c *kvstore.Cluster, q Query) (*ISLIndex, []*mapreduce.Result, erro
 	return idx, []*mapreduce.Result{left, right}, nil
 }
 
+// ISLNIndex is an n-way ISL index: one column family per relation in a
+// shared inverse-score-list table.
+type ISLNIndex struct {
+	Table    string
+	Families []string // one per relation, in leaf order
+}
+
+// BuildISLN builds the n-way ISL index over a tree's relations
+// (Algorithm 3 per relation).
+func BuildISLN(c *kvstore.Cluster, t *JoinTree) (*ISLNIndex, []*mapreduce.Result, error) {
+	v := *t
+	if v.K < 1 {
+		v.K = 1 // the indexed content does not depend on k
+	}
+	if err := v.Validate(); err != nil {
+		return nil, nil, err
+	}
+	idx := &ISLNIndex{Table: "isln_" + t.LeafID()}
+	for i := range t.Relations {
+		idx.Families = append(idx.Families, t.Relations[i].Name)
+	}
+	if _, err := c.CreateTable(idx.Table, idx.Families, scoreKeySplits(c.Nodes())); err != nil {
+		return nil, nil, err
+	}
+	var results []*mapreduce.Result
+	for i := range t.Relations {
+		res, err := BuildISLRelation(c, t.Relations[i], idx.Table, idx.Families[i])
+		if err != nil {
+			return nil, nil, err
+		}
+		results = append(results, res)
+	}
+	return idx, results, nil
+}
+
+// EnsureISLN idempotently builds the shared n-way inverse-score-list
+// index for a tree's leaf set: one table keyed by LeafID with one
+// column family per relation. Edge predicates never change the indexed
+// content, so every tree over the same leaves and aggregate shares one
+// physical index (the anyk executor on any shape, the isl executor on
+// all-equi trees of three or more leaves).
+func EnsureISLN(c *kvstore.Cluster, t *JoinTree, store *IndexStore) error {
+	leafID := t.LeafID()
+	lock := store.BuildScope("isln/" + leafID)
+	lock.Lock()
+	defer lock.Unlock()
+	if _, ok := store.ISLN(leafID); ok {
+		return nil
+	}
+	idx, _, err := BuildISLN(c, t)
+	if err != nil {
+		return err
+	}
+	store.PutISLN(leafID, idx)
+	return nil
+}
+
 // scoreKeySplits pre-splits the negated-score hex key space. Scores in
 // [0,1] negate into a narrow band of the float key space; splitting on
 // the first hex digits of that band spreads regions across nodes.
@@ -95,23 +157,8 @@ func scoreKeySplits(nodes int) []string {
 	return out
 }
 
-// ISLOptions tunes the coordinator's batched scans.
-type ISLOptions struct {
-	// BatchLeft / BatchRight are the scanner caching sizes C_A and C_B
-	// of Algorithm 4 (index rows per RPC). The paper configures them as
-	// a fraction of the score domain (1%, 0.1%, ...).
-	BatchLeft  int
-	BatchRight int
-	// Parallelism >= 2 refills the left and right streams concurrently:
-	// each stream prefetches its next batch while the coordinator
-	// consumes, so the two sides' RPC round trips overlap instead of
-	// strictly alternating.
-	Parallelism int
-}
-
-// islStream adapts a batched scan over one index family to the HRJN
-// operator's pull interface, expanding index rows (one per distinct
-// score) into tuples.
+// islStream is a batched scan over one index family, expanding index
+// rows (one per distinct score) into tuples in descending score order.
 type islStream struct {
 	scanner *kvstore.Scanner
 	buf     []Tuple
@@ -135,7 +182,7 @@ func newISLStream(c *kvstore.Cluster, table, family string, batch int, prefetch 
 	return &islStream{scanner: sc}, nil
 }
 
-// Next implements TupleSource.
+// Next returns the next tuple, or nil when the list is drained.
 func (s *islStream) Next() (*Tuple, error) {
 	for s.pos >= len(s.buf) {
 		if s.done {
@@ -169,137 +216,108 @@ func (s *islStream) Next() (*Tuple, error) {
 	return t, nil
 }
 
-// islCursor is the streaming form of Algorithm 4's coordinator: the
-// same batched, alternating scans of the two inverse score lists, but
-// feeding the incremental HRJN operator and pausing the moment the
-// next-ranked result is provably complete. Pulling k results consumes
-// exactly the input prefix the bounded run consumes; pulling k more
-// resumes mid-batch instead of rescanning from the top of the lists.
-type islCursor struct {
-	left, right *islStream
-	batchLeft   int
-	batchRight  int
-	h           *HRJNStream
-	cur         int // 0 = left, 1 = right (Algorithm 4's CurrentRelation)
-	i           int // progress within the current side's batch
-	closed      bool
+// listCursor drives the rank-join operator from per-leaf inverse score
+// lists on Algorithm 4's schedule generalized to n leaves: consume
+// batch tuples from the current leaf, then move to the next, skipping
+// drained leaves. It feeds one tuple at a time and pauses as soon as a
+// result is releasable, so pulling k results consumes exactly the input
+// prefix they need and pulling k more resumes where the cursor stopped
+// instead of rescanning from the top of the lists.
+type listCursor struct {
+	op      *anyKOp
+	streams []*islStream
+	batch   int
+	leaf    int // the leaf being consumed (Algorithm 4's CurrentRelation)
+	taken   int // tuples consumed from its current batch
+	// releaseEndsBatch makes a released result also end the current
+	// leaf's batch, so the next pull starts on the next leaf; without
+	// it a release keeps the cursor's place in the batch, as
+	// Algorithm 4 does. It is the one difference between the anyk
+	// executor (set) and the isl executor (unset).
+	releaseEndsBatch bool
+	closed           bool
 }
 
-// OpenISL starts a streaming ISL execution over a built index. The
-// query's k is irrelevant to the cursor (enumeration is unbounded); it
-// only shapes the drain in QueryISL.
-func OpenISL(c *kvstore.Cluster, q Query, idx *ISLIndex, opts ISLOptions) (Cursor, error) {
-	if err := q.Validate(); err != nil {
+// openLists opens the list cursor for t over one inverse-score-list
+// table holding a family per leaf, in leaf order. opts must already
+// carry its defaults.
+func openLists(c *kvstore.Cluster, t *JoinTree, table string, families []string, opts ExecOptions, releaseEndsBatch bool) (Cursor, error) {
+	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.BatchLeft < 1 {
-		opts.BatchLeft = 100
+	if len(families) != len(t.Relations) {
+		return nil, fmt.Errorf("core: inverse score list index %s has %d families, tree %s has %d leaves",
+			table, len(families), t.LeafID(), len(t.Relations))
 	}
-	if opts.BatchRight < 1 {
-		opts.BatchRight = opts.BatchLeft
+	streams := make([]*islStream, len(families))
+	for i, fam := range families {
+		// With Parallelism >= 2 every stream reads ahead asynchronously;
+		// the shared collector's clock-progress accounting overlaps the
+		// leaves' RPCs (Section 4.2.3's batched scans, pipelined).
+		s, err := newISLStream(c, table, fam, opts.ISLBatch, opts.Parallelism >= 2)
+		if err != nil {
+			return nil, err
+		}
+		streams[i] = s
 	}
-	// With Parallelism >= 2 both streams read ahead asynchronously; the
-	// shared collector's clock-progress accounting overlaps the two
-	// sides' RPCs (Section 4.2.3's batched scans, now pipelined).
-	prefetch := opts.Parallelism >= 2
-	left, err := newISLStream(c, idx.Table, idx.LeftFamily, opts.BatchLeft, prefetch)
-	if err != nil {
-		return nil, err
-	}
-	right, err := newISLStream(c, idx.Table, idx.RightFamily, opts.BatchRight, prefetch)
-	if err != nil {
-		return nil, err
-	}
-	return &islCursor{
-		left: left, right: right,
-		batchLeft: opts.BatchLeft, batchRight: opts.BatchRight,
-		h: NewHRJNStream(q.Score),
-	}, nil
+	cur := &listCursor{op: newAnyKOp(t), streams: streams, batch: opts.ISLBatch, releaseEndsBatch: releaseEndsBatch}
+	return WrapBudget(cur, opts.Budget), nil
 }
 
 // Next implements Cursor.
-func (cu *islCursor) Next() (*JoinResult, error) {
-	if cu.closed {
+func (lc *listCursor) Next() (*JoinResult, error) {
+	if lc.closed {
 		return nil, ErrCursorClosed
 	}
-	for {
-		if r := cu.h.PopReady(); r != nil {
-			return r, nil
-		}
-		if cu.h.Exhausted() {
+	for !lc.op.releasable() {
+		if lc.op.allDone() {
 			return nil, nil
 		}
-		if err := cu.pullOne(); err != nil {
+		if err := lc.pull(); err != nil {
 			return nil, err
 		}
 	}
+	if lc.releaseEndsBatch && lc.taken > 0 {
+		lc.nextLeaf()
+	}
+	r := lc.op.pop()
+	return &r, nil
 }
 
-// pullOne feeds exactly one tuple (or an exhaustion mark) into the
-// operator, following Algorithm 4's batch alternation: consume a batch
-// from the current side, flip, repeat — with exhausted sides skipped.
-func (cu *islCursor) pullOne() error {
-	for {
-		if cu.h.Exhausted() {
-			return nil
-		}
-		var src *islStream
-		var batch int
-		var done bool
-		if cu.cur == 0 {
-			src, batch, done = cu.left, cu.batchLeft, cu.h.ExhaustedA()
-		} else {
-			src, batch, done = cu.right, cu.batchRight, cu.h.ExhaustedB()
-		}
-		if done || (src.done && src.pos >= len(src.buf)) {
-			// This side is drained; mark it and flip to the other.
-			if cu.cur == 0 {
-				cu.h.ExhaustA()
-			} else {
-				cu.h.ExhaustB()
-			}
-			cu.cur = 1 - cu.cur
-			cu.i = 0
-			continue
-		}
-		t, err := src.Next()
-		if err != nil {
-			return err
-		}
-		if t == nil {
-			if cu.cur == 0 {
-				cu.h.ExhaustA()
-			} else {
-				cu.h.ExhaustB()
-			}
-			cu.cur = 1 - cu.cur
-			cu.i = 0
-			continue
-		}
-		if cu.cur == 0 {
-			cu.h.PushA(*t)
-		} else {
-			cu.h.PushB(*t)
-		}
-		cu.i++
-		if cu.i >= batch {
-			cu.cur = 1 - cu.cur
-			cu.i = 0
-		}
+// pull feeds one tuple, or one exhaustion mark, from the current leaf
+// into the operator. The caller guarantees some leaf is not drained.
+func (lc *listCursor) pull() error {
+	for lc.op.done[lc.leaf] {
+		lc.nextLeaf()
+	}
+	t, err := lc.streams[lc.leaf].Next()
+	if err != nil {
+		return err
+	}
+	if t == nil {
+		lc.op.exhaust(lc.leaf)
+		lc.nextLeaf()
 		return nil
 	}
-}
-
-// Close implements Cursor.
-func (cu *islCursor) Close() error {
-	cu.closed = true
+	lc.op.push(lc.leaf, *t)
+	if lc.taken++; lc.taken >= lc.batch {
+		lc.nextLeaf()
+	}
 	return nil
 }
 
-// QueryISL runs the coordinator rank join of Algorithm 4 as a bounded
-// drain of the streaming cursor: batched, alternating scans of the two
-// inverse score lists feeding the incremental HRJN operator until k
-// results have been released.
-func QueryISL(c *kvstore.Cluster, q Query, idx *ISLIndex, opts ISLOptions) (*Result, error) {
-	return RunCursor(c, q.K, func() (Cursor, error) { return OpenISL(c, q, idx, opts) })
+// nextLeaf ends the current leaf's batch.
+func (lc *listCursor) nextLeaf() {
+	lc.leaf = (lc.leaf + 1) % len(lc.streams)
+	lc.taken = 0
+}
+
+// Close implements Cursor. An early close abandons the scanners, so no
+// further read units accrue, and drops the operator: a closed cursor
+// someone still references (a Rows kept for its Cost, an evicted page
+// cursor) must not pin the leaf arenas and the ready heap.
+func (lc *listCursor) Close() error {
+	lc.closed = true
+	lc.op, lc.streams = nil, nil
+	return nil
 }

@@ -10,20 +10,20 @@ import (
 	"repro/internal/kvstore"
 )
 
-// This file defines the acyclic join-tree query model. A JoinTree
-// generalizes the paper's two shapes — the binary Query and the star
-// MultiQuery — into one representation: relations are leaves, join
-// predicates are tree edges (equality or numeric band), and one
-// monotonic aggregate ranks complete assignments over all leaves.
-// Binary and star queries are trivial trees (see TreeFromQuery /
-// TreeFromMulti), so every executor runs against trees and the legacy
-// shapes survive as views.
+// This file defines the acyclic join-tree query model. A JoinTree is
+// the one query representation: relations are leaves, join predicates
+// are tree edges (equality or numeric band), and one monotonic n-ary
+// aggregate ranks complete assignments over all leaves. The paper's
+// binary equi-join is the two-leaf tree (TreeFromQuery; the two-way-only
+// executors project it back through Binary) and its n-way
+// generalization (Section 3) is the all-equi tree.
 //
-// It also holds what the two executors that enumerate a tree in memory
-// share — any-k (anyk.go) and the naive reference at the end of this
-// file: walk orders, the per-leaf index (leafIndex: an arrival arena
-// plus ordinal-only equi chains and a chunked sorted band list) and the
-// assignment enumerator over those indexes (treeJoin).
+// It also holds what the two consumers that enumerate a tree in memory
+// share — the rank-join operator (anyKOp in anyk.go) and the naive
+// reference at the end of this file: walk orders, the per-leaf index
+// (leafIndex: an arrival arena plus ordinal-only equi chains and a
+// chunked sorted band list) and the assignment enumerator over those
+// indexes (treeJoin).
 
 // PredKind names a join-edge predicate family.
 type PredKind string
@@ -79,6 +79,31 @@ func NewShapeError(msg string) error { return &ShapeError{Msg: msg} }
 func shapeErrf(format string, args ...any) error {
 	return &ShapeError{Msg: fmt.Sprintf(format, args...)}
 }
+
+// NScoreFunc is a monotonic aggregate over n tuple scores, one per leaf
+// in leaf order.
+type NScoreFunc struct {
+	Name string
+	Fn   func(scores []float64) float64
+}
+
+// SumN adds all scores.
+var SumN = NScoreFunc{Name: "sum", Fn: func(s []float64) float64 {
+	var t float64
+	for _, v := range s {
+		t += v
+	}
+	return t
+}}
+
+// ProductN multiplies all scores (monotonic on [0,1] inputs).
+var ProductN = NScoreFunc{Name: "product", Fn: func(s []float64) float64 {
+	t := 1.0
+	for _, v := range s {
+		t *= v
+	}
+	return t
+}}
 
 // JoinTree is a top-k rank join over an acyclic tree of relations:
 // len(Relations) leaves joined pairwise by exactly len(Relations)-1
@@ -185,9 +210,8 @@ func (t *JoinTree) LeafID() string {
 }
 
 // ID returns the tree's deterministic identifier. All-equi trees take
-// the legacy form (it matches Query.ID() / MultiQuery.ID(), and every
-// connected all-equi edge set over the same leaves is semantically
-// identical); trees with band edges append a canonical sorted edge
+// the bare LeafID (it matches Query.ID(), and every connected all-equi
+// edge set over the same leaves is semantically identical); trees with band edges append a canonical sorted edge
 // list, so shapes that can return different results can never share a
 // planner-cache or page-token entry.
 func (t *JoinTree) ID() string {
@@ -226,20 +250,6 @@ func TreeFromQuery(q Query) *JoinTree {
 	}
 }
 
-// TreeFromMulti lifts an n-way star query into its tree form.
-func TreeFromMulti(q MultiQuery) *JoinTree {
-	edges := make([]TreeEdge, 0, len(q.Relations)-1)
-	for i := 1; i < len(q.Relations); i++ {
-		edges = append(edges, TreeEdge{A: 0, B: i, Kind: PredEqui})
-	}
-	return &JoinTree{
-		Relations: append([]Relation(nil), q.Relations...),
-		Edges:     edges,
-		Score:     q.Score,
-		K:         q.K,
-	}
-}
-
 // Binary projects a two-leaf all-equi tree back onto the Query form the
 // paper's two-way executors consume; ok is false for any other shape.
 func (t *JoinTree) Binary() (Query, bool) {
@@ -257,20 +267,6 @@ func (t *JoinTree) Binary() (Query, bool) {
 		}
 	}
 	return q, true
-}
-
-// Star projects an all-equi tree onto the MultiQuery form (any
-// connected all-equi tree is semantically a star — one shared join
-// value); ok is false once a band edge appears.
-func (t *JoinTree) Star() (MultiQuery, bool) {
-	if !t.AllEqui() {
-		return MultiQuery{}, false
-	}
-	return MultiQuery{
-		Relations: append([]Relation(nil), t.Relations...),
-		Score:     t.Score,
-		K:         t.K,
-	}, true
 }
 
 // ---- Tree walking ----
@@ -417,7 +413,7 @@ func (li *leafIndex) add(t Tuple) int32 {
 // candidates appends to buf the ordinals of this leaf's tuples that
 // match edge e against the tuple at ordinal ord of the leaf at the
 // edge's other endpoint, in no particular order (both consumers rank by
-// NJoinResult.less, a total order).
+// JoinResult.less, a total order).
 func (li *leafIndex) candidates(e *TreeEdge, from *leafIndex, ord int32, buf []int32) []int32 {
 	if e.Kind != PredBand {
 		return li.equiMatches(from.tuple(ord).JoinValue, buf)
@@ -612,32 +608,17 @@ func (j *treeJoin) expand(steps []walkStep, d int) {
 	}
 }
 
-// result materialises the assignment combo.
-func (j *treeJoin) result(combo []int32, score float64) NJoinResult {
-	tuples := make([]Tuple, len(combo))
-	for i, ord := range combo {
-		tuples[i] = *j.leaves[i].tuple(ord)
+// result materialises the assignment combo: the first two leaves fill
+// Left and Right, later leaves Rest.
+func (j *treeJoin) result(combo []int32, score float64) JoinResult {
+	r := JoinResult{Left: *j.leaves[0].tuple(combo[0]), Right: *j.leaves[1].tuple(combo[1]), Score: score}
+	if len(combo) > 2 {
+		r.Rest = make([]Tuple, len(combo)-2)
+		for i, ord := range combo[2:] {
+			r.Rest[i] = *j.leaves[i+2].tuple(ord)
+		}
 	}
-	return NJoinResult{Tuples: tuples, Score: score}
-}
-
-// toJoinResult projects an n-way result onto the JoinResult shape: the
-// first two leaves fill Left/Right, later leaves Rest.
-func toJoinResult(r NJoinResult) JoinResult {
-	jr := JoinResult{Left: r.Tuples[0], Right: r.Tuples[1], Score: r.Score}
-	if len(r.Tuples) > 2 {
-		jr.Rest = append([]Tuple(nil), r.Tuples[2:]...)
-	}
-	return jr
-}
-
-// treeResults converts a ranked n-way result list.
-func treeResults(rs []NJoinResult) []JoinResult {
-	out := make([]JoinResult, 0, len(rs))
-	for _, r := range rs {
-		out = append(out, toJoinResult(r))
-	}
-	return out
+	return r
 }
 
 // NaiveTreeTopK is the reference executor for arbitrary join trees: it
@@ -650,7 +631,7 @@ func NaiveTreeTopK(c *kvstore.Cluster, t *JoinTree) (*Result, error) {
 		return nil, err
 	}
 	before := c.Metrics().Snapshot()
-	top := NewNTopKList(t.K)
+	top := NewTopKList(t.K)
 	var join *treeJoin
 	join = newTreeJoin(t, func(score float64) {
 		if top.Full() && score < top.KthScore() {
@@ -672,7 +653,7 @@ func NaiveTreeTopK(c *kvstore.Cluster, t *JoinTree) (*Result, error) {
 		join.combo[0] = ord
 		join.expand(steps, 0)
 	}
-	return &Result{Results: treeResults(top.Results()), Cost: c.Metrics().Snapshot().Sub(before)}, nil
+	return &Result{Results: top.Results(), Cost: c.Metrics().Snapshot().Sub(before)}, nil
 }
 
 // ---- Small helpers ----

@@ -61,7 +61,7 @@ func randomTreeEnv(t *testing.T, c *kvstore.Cluster, rng *rand.Rand, k int) (*Jo
 // tuples with full cartesian enumeration and a plain sort — sharing no
 // code with NaiveTreeTopK or the any-k operator (no walk orders, no
 // leaf indexes, an independently-written predicate check).
-func bruteForceTreeTopK(tr *JoinTree, tuples [][]Tuple, k int) []NJoinResult {
+func bruteForceTreeTopK(tr *JoinTree, tuples [][]Tuple, k int) []JoinResult {
 	n := len(tuples)
 	holds := func(e *TreeEdge, va, vb string) bool {
 		if e.Kind != PredBand {
@@ -74,7 +74,11 @@ func bruteForceTreeTopK(tr *JoinTree, tuples [][]Tuple, k int) []NJoinResult {
 		}
 		return math.Abs(fa-fb) <= e.Band
 	}
-	var all []NJoinResult
+	type assignment struct {
+		Tuples []Tuple
+		Score  float64
+	}
+	var all []assignment
 	combo := make([]Tuple, n)
 	var rec func(i int)
 	rec = func(i int) {
@@ -89,7 +93,7 @@ func bruteForceTreeTopK(tr *JoinTree, tuples [][]Tuple, k int) []NJoinResult {
 			for j, tp := range combo {
 				scores[j] = tp.Score
 			}
-			all = append(all, NJoinResult{
+			all = append(all, assignment{
 				Tuples: append([]Tuple(nil), combo...),
 				Score:  tr.Score.Fn(scores),
 			})
@@ -115,19 +119,22 @@ func bruteForceTreeTopK(tr *JoinTree, tuples [][]Tuple, k int) []NJoinResult {
 	if len(all) > k {
 		all = all[:k]
 	}
-	return all
+	out := make([]JoinResult, len(all))
+	for i, a := range all {
+		out[i] = nResult(a.Tuples, a.Score)
+	}
+	return out
 }
 
 // assertTreeResultsByteMatch requires got to equal want tuple-for-tuple:
 // same row keys, join values, scores, and aggregate, in the same order.
-func assertTreeResultsByteMatch(t *testing.T, label string, got []JoinResult, want []NJoinResult) {
+func assertTreeResultsByteMatch(t *testing.T, label string, got, want []JoinResult) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
 	}
 	for i := range got {
-		g := append([]Tuple{got[i].Left, got[i].Right}, got[i].Rest...)
-		w := want[i].Tuples
+		g, w := tuplesOf(got[i]), tuplesOf(want[i])
 		if len(g) != len(w) {
 			t.Fatalf("%s: result %d has %d tuples, want %d", label, i, len(g), len(w))
 		}
@@ -147,10 +154,7 @@ func assertTreeResultsByteMatch(t *testing.T, label string, got []JoinResult, wa
 // with equi and band edges — must byte-match an independent
 // materialize-and-sort recompute, as must the naive tree reference.
 func TestAnyKMatchesOracleRandomTrees(t *testing.T) {
-	ex, ok := Lookup("anyk")
-	if !ok {
-		t.Fatal("anyk executor not registered")
-	}
+	ex, _ := Lookup("anyk")
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := newTestCluster()
@@ -168,9 +172,9 @@ func TestAnyKMatchesOracleRandomTrees(t *testing.T) {
 		if err := ex.EnsureIndex(c, tr, store, IndexBuildConfig{}.WithDefaults()); err != nil {
 			t.Fatalf("seed %d: EnsureIndex: %v", seed, err)
 		}
-		res, err := ex.Run(c, tr, store, ExecOptions{ISLBatch: 5}.WithDefaults())
+		res, err := runExec(c, "anyk", tr, store, ExecOptions{ISLBatch: 5})
 		if err != nil {
-			t.Fatalf("seed %d: anyk Run: %v", seed, err)
+			t.Fatalf("seed %d: anyk: %v", seed, err)
 		}
 		assertTreeResultsByteMatch(t, fmt.Sprintf("seed %d anyk (n=%d)", seed, len(tr.Relations)), res.Results, want)
 	}
@@ -192,7 +196,7 @@ func TestAnyKTreePagesMatchBatch(t *testing.T) {
 
 	batchT := *tr
 	batchT.K = total
-	batch, err := ex.Run(c, &batchT, store, opts)
+	batch, err := runExec(c, "anyk", &batchT, store, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,19 +254,15 @@ func TestAnyKTreeEarlyCloseChargesNothing(t *testing.T) {
 // different results must never share an ID — planner-cache and
 // page-token entries key on it.
 func TestTreeIDDistinctness(t *testing.T) {
-	mk := func(name string) Relation {
-		return Relation{Name: name, Table: "tbl_" + name, Family: "d", JoinQual: "join", ScoreQual: "score"}
-	}
-	a, b, c3 := mk("a"), mk("b"), mk("c")
+	a, b, c3 := stubRel("a"), stubRel("b"), stubRel("c")
 
 	q := Query{Left: a, Right: b, Score: Sum, K: 10}
 	if got := TreeFromQuery(q).ID(); got != q.ID() {
 		t.Errorf("binary tree ID %q != legacy Query ID %q", got, q.ID())
 	}
-	mq := MultiQuery{Relations: []Relation{a, b, c3}, Score: SumN, K: 10}
-	star := TreeFromMulti(mq)
-	if got := star.ID(); got != mq.ID() {
-		t.Errorf("star tree ID %q != legacy MultiQuery ID %q", got, mq.ID())
+	star := starTree([]Relation{a, b, c3}, SumN, 10)
+	if got := star.ID(); got != "a_b_c_sum" {
+		t.Errorf("star tree ID %q, want the persisted form a_b_c_sum", got)
 	}
 
 	// An all-equi chain is semantically the star (one shared join
@@ -311,10 +311,7 @@ func TestTreeIDDistinctness(t *testing.T) {
 // TestJoinTreeValidateShapes: malformed shapes must come back as typed
 // *ShapeError values carrying a diagnostic, never panic.
 func TestJoinTreeValidateShapes(t *testing.T) {
-	mk := func(name string) Relation {
-		return Relation{Name: name, Table: "tbl_" + name, Family: "d", JoinQual: "join", ScoreQual: "score"}
-	}
-	rels := []Relation{mk("a"), mk("b"), mk("c"), mk("d")}
+	rels := []Relation{stubRel("a"), stubRel("b"), stubRel("c"), stubRel("d")}
 	cases := []struct {
 		name  string
 		edges []TreeEdge

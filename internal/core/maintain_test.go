@@ -85,7 +85,7 @@ func (s *maintSetup) checkAll(t *testing.T, wb WriteBackMode) {
 	}
 	assertScoresEqual(t, "ijlmr-after-updates", scoresOf(ij.Results), want)
 
-	isl, err := QueryISL(s.c, s.q, s.isl, ISLOptions{BatchLeft: 10, BatchRight: 10})
+	isl, err := queryISL(s.c, s.q, s.isl, ExecOptions{ISLBatch: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

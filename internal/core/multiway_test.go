@@ -6,8 +6,12 @@ import (
 	"testing"
 )
 
-// oracleTopKN computes the exact n-way top-k in memory.
-func oracleTopKN(rels [][]Tuple, f NScoreFunc, k int) []NJoinResult {
+// The n-way equi-join of Section 3 is the all-equi tree; these tests
+// run it through the rank-join operator over in-memory leaves and
+// through the isl executor over its n-way index.
+
+// oracleTopKN computes the exact n-way equi-join top-k in memory.
+func oracleTopKN(rels [][]Tuple, f NScoreFunc, k int) []JoinResult {
 	byJoin := make([]map[string][]Tuple, len(rels))
 	for i, ts := range rels {
 		byJoin[i] = map[string][]Tuple{}
@@ -15,7 +19,7 @@ func oracleTopKN(rels [][]Tuple, f NScoreFunc, k int) []NJoinResult {
 			byJoin[i][t.JoinValue] = append(byJoin[i][t.JoinValue], t)
 		}
 	}
-	var all []NJoinResult
+	var all []JoinResult
 	var rec func(v string, i int, combo []Tuple)
 	rec = func(v string, i int, combo []Tuple) {
 		if i == len(rels) {
@@ -23,7 +27,7 @@ func oracleTopKN(rels [][]Tuple, f NScoreFunc, k int) []NJoinResult {
 			for j, t := range combo {
 				scores[j] = t.Score
 			}
-			all = append(all, NJoinResult{Tuples: append([]Tuple(nil), combo...), Score: f.Fn(scores)})
+			all = append(all, nResult(combo, f.Fn(scores)))
 			return
 		}
 		for _, t := range byJoin[i][v] {
@@ -40,14 +44,6 @@ func oracleTopKN(rels [][]Tuple, f NScoreFunc, k int) []NJoinResult {
 	return all
 }
 
-func nscoresOf(rs []NJoinResult) []float64 {
-	out := make([]float64, len(rs))
-	for i, r := range rs {
-		out[i] = r.Score
-	}
-	return out
-}
-
 func TestHRJNNThreeWayMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		r1 := synthTuples("a", 80, 12, "uniform", seed)
@@ -55,39 +51,23 @@ func TestHRJNNThreeWayMatchesOracle(t *testing.T) {
 		r3 := synthTuples("c", 80, 12, "uniform", seed+200)
 		for _, k := range []int{1, 5, 25} {
 			for _, f := range []NScoreFunc{SumN, ProductN} {
-				got, err := RunHRJNN(k, f, []TupleSource{
-					&SliceSource{Tuples: descending(r1)},
-					&SliceSource{Tuples: descending(r2)},
-					&SliceSource{Tuples: descending(r3)},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := oracleTopKN([][]Tuple{r1, r2, r3}, f, k)
-				assertScoresEqual(t, fmt.Sprintf("hrjnn seed=%d k=%d %s", seed, k, f.Name),
-					nscoresOf(got), nscoresOf(want))
+				got := newSliceRun(stubStar(3, f), descending(r1), descending(r2), descending(r3)).take(k)
+				assertTreeResultsByteMatch(t, fmt.Sprintf("3-way seed=%d k=%d %s", seed, k, f.Name),
+					got, oracleTopKN([][]Tuple{r1, r2, r3}, f, k))
 			}
 		}
 	}
 }
 
+// TestHRJNNTwoWayAgreesWithHRJN: the two-leaf tree carrying an n-ary
+// aggregate and the one lifted from a binary query's two-argument
+// aggregate (TreeFromQuery) release the same results.
 func TestHRJNNTwoWayAgreesWithHRJN(t *testing.T) {
-	left := synthTuples("l", 150, 20, "uniform", 3)
-	right := synthTuples("r", 150, 20, "uniform", 4)
-	two, err := RunHRJN(10, Sum,
-		&SliceSource{Tuples: descending(left)},
-		&SliceSource{Tuples: descending(right)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nway, err := RunHRJNN(10, SumN, []TupleSource{
-		&SliceSource{Tuples: descending(left)},
-		&SliceSource{Tuples: descending(right)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertScoresEqual(t, "hrjnn-vs-hrjn", nscoresOf(nway), scoresOf(two))
+	left := descending(synthTuples("l", 150, 20, "uniform", 3))
+	right := descending(synthTuples("r", 150, 20, "uniform", 4))
+	two := newSliceRun(binaryTree(Sum), left, right).take(10)
+	nway := newSliceRun(stubStar(2, SumN), left, right).take(10)
+	assertTreeResultsByteMatch(t, "n-ary vs lifted binary aggregate", nway, two)
 }
 
 func TestHRJNNEarlyTermination(t *testing.T) {
@@ -96,46 +76,38 @@ func TestHRJNNEarlyTermination(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			out = append(out, Tuple{RowKey: tkey(prefix, i), JoinValue: "cold", Score: 0.01})
 		}
-		return out
+		return descending(out)
 	}
-	srcs := []TupleSource{
-		&SliceSource{Tuples: descending(mk("a"))},
-		&SliceSource{Tuples: descending(mk("b"))},
-		&SliceSource{Tuples: descending(mk("c"))},
-	}
-	got, err := RunHRJNN(1, SumN, srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := newSliceRun(stubStar(3, SumN), mk("a"), mk("b"), mk("c"))
+	got := run.take(1)
 	if len(got) != 1 || got[0].Score != 3.0 {
 		t.Fatalf("results = %v", got)
 	}
-	pulled := srcs[0].(*SliceSource).pos + srcs[1].(*SliceSource).pos + srcs[2].(*SliceSource).pos
-	if pulled > 30 {
-		t.Errorf("pulled %d tuples; expected early termination", pulled)
+	if run.pulled > 30 {
+		t.Errorf("pulled %d tuples; expected early termination", run.pulled)
 	}
 }
 
+// TestMultiQueryValidate: the parameter checks of an n-way query (the
+// shape checks are TestJoinTreeValidateShapes).
 func TestMultiQueryValidate(t *testing.T) {
-	rel := Relation{Name: "r", Table: "t", Family: "d", JoinQual: "j", ScoreQual: "s"}
-	q := MultiQuery{Relations: []Relation{rel, rel, rel}, Score: SumN, K: 5}
-	if err := q.Validate(); err != nil {
+	rels := []Relation{stubRel("a"), stubRel("b"), stubRel("c")}
+	if err := starTree(rels, SumN, 5).Validate(); err != nil {
 		t.Errorf("valid query rejected: %v", err)
 	}
-	bad := q
-	bad.Relations = bad.Relations[:1]
-	if err := bad.Validate(); err == nil {
+	if err := starTree(rels[:1], SumN, 5).Validate(); err == nil {
 		t.Error("single relation accepted")
 	}
-	bad = q
-	bad.K = 0
-	if err := bad.Validate(); err == nil {
+	if err := starTree(rels, SumN, 0).Validate(); err == nil {
 		t.Error("k=0 accepted")
 	}
-	bad = q
-	bad.Score = NScoreFunc{}
-	if err := bad.Validate(); err == nil {
+	if err := starTree(rels, NScoreFunc{}, 5).Validate(); err == nil {
 		t.Error("nil score accepted")
+	}
+	bad := append([]Relation(nil), rels...)
+	bad[2].ScoreQual = ""
+	if err := starTree(bad, SumN, 5).Validate(); err == nil {
+		t.Error("relation without a score column accepted")
 	}
 }
 
@@ -144,46 +116,38 @@ func TestISLNThreeWayEndToEnd(t *testing.T) {
 	r1 := synthTuples("a", 120, 15, "uniform", 11)
 	r2 := synthTuples("b", 120, 15, "uniform", 12)
 	r3 := synthTuples("c", 120, 15, "zipfish", 13)
-	relA := loadRelation(t, c, "A", r1)
-	relB := loadRelation(t, c, "B", r2)
-	relC := loadRelation(t, c, "C", r3)
-	q := MultiQuery{Relations: []Relation{relA, relB, relC}, Score: SumN, K: 12}
-
-	idx, _, err := BuildISLN(c, q)
-	if err != nil {
+	tr := starTree([]Relation{
+		loadRelation(t, c, "A", r1), loadRelation(t, c, "B", r2), loadRelation(t, c, "C", r3),
+	}, SumN, 12)
+	store := NewIndexStore()
+	if err := EnsureISLN(c, tr, store); err != nil {
 		t.Fatal(err)
 	}
-	want := oracleTopKN([][]Tuple{r1, r2, r3}, SumN, q.K)
+	want := oracleTopKN([][]Tuple{r1, r2, r3}, SumN, tr.K)
 
 	// Store-backed naive agrees with the in-memory oracle.
-	naive, err := NaiveTopKN(c, q)
+	naive, err := NaiveTreeTopK(c, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertScoresEqual(t, "naive-n", nscoresOf(naive.Results), nscoresOf(want))
+	assertTreeResultsByteMatch(t, "naive-n", naive.Results, want)
 
 	for _, batch := range []int{1, 10, 100} {
-		res, err := QueryISLN(c, q, idx, batch)
+		res, err := runExec(c, "isl", tr, store, ExecOptions{ISLBatch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertScoresEqual(t, fmt.Sprintf("isln batch=%d", batch), nscoresOf(res.Results), nscoresOf(want))
-		// Every result must be a genuine same-join-value combination.
-		for _, r := range res.Results {
-			for i := 1; i < len(r.Tuples); i++ {
-				if r.Tuples[i].JoinValue != r.Tuples[0].JoinValue {
-					t.Fatalf("result mixes join values: %v", r.Tuples)
-				}
-			}
-		}
+		// Byte match covers genuineness too: every result is a
+		// same-join-value combination the oracle formed.
+		assertTreeResultsByteMatch(t, fmt.Sprintf("isl batch=%d", batch), res.Results, want)
 	}
 	// ISL must not scan everything for small k at this scale.
-	res, err := QueryISLN(c, q, idx, 10)
+	res, err := runExec(c, "isl", tr, store, ExecOptions{ISLBatch: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cost.KVReads >= 360 {
-		t.Errorf("ISLN read %d KVs of 360; no early termination", res.Cost.KVReads)
+		t.Errorf("n-way ISL read %d KVs of 360; no early termination", res.Cost.KVReads)
 	}
 }
 
@@ -196,39 +160,46 @@ func TestISLNFourWay(t *testing.T) {
 		data = append(data, ts)
 		rels = append(rels, loadRelation(t, c, fmt.Sprintf("W%d", i), ts))
 	}
-	q := MultiQuery{Relations: rels, Score: ProductN, K: 7}
-	idx, _, err := BuildISLN(c, q)
+	tr := starTree(rels, ProductN, 7)
+	store := NewIndexStore()
+	if err := EnsureISLN(c, tr, store); err != nil {
+		t.Fatal(err)
+	}
+	res, err := runExec(c, "isl", tr, store, ExecOptions{ISLBatch: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := QueryISLN(c, q, idx, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracleTopKN(data, ProductN, q.K)
-	assertScoresEqual(t, "isln-4way", nscoresOf(res.Results), nscoresOf(want))
+	assertTreeResultsByteMatch(t, "isl-4way", res.Results, oracleTopKN(data, ProductN, tr.K))
 }
 
+// TestNTopKList: the bounded list over n-way results, including a tie
+// only the third leaf's row key breaks.
 func TestNTopKList(t *testing.T) {
-	top := NewNTopKList(2)
+	top := NewTopKList(2)
 	add := func(score float64, keys ...string) bool {
 		var ts []Tuple
 		for _, k := range keys {
 			ts = append(ts, Tuple{RowKey: k})
 		}
-		return top.Add(NJoinResult{Tuples: ts, Score: score})
+		return top.Add(nResult(ts, score))
 	}
-	if !add(0.5, "a", "b") || !add(0.9, "c", "d") {
+	if !add(0.5, "a", "b", "z") || !add(0.9, "c", "d", "e") {
 		t.Fatal("adds rejected")
 	}
-	if add(0.1, "e", "f") {
+	if add(0.1, "e", "f", "g") {
 		t.Fatal("below-k accepted")
 	}
 	if top.KthScore() != 0.5 {
 		t.Fatalf("KthScore = %g", top.KthScore())
 	}
+	if add(0.5, "a", "b", "zz") {
+		t.Fatal("tie sorting after the k'th on the third key accepted")
+	}
+	if !add(0.5, "a", "b", "y") {
+		t.Fatal("tie sorting before the k'th on the third key rejected")
+	}
 	rs := top.Results()
-	if rs[0].Score != 0.9 || rs[1].Score != 0.5 {
-		t.Fatalf("order = %v", nscoresOf(rs))
+	if rs[0].Score != 0.9 || rs[1].Score != 0.5 || rs[1].Rest[0].RowKey != "y" {
+		t.Fatalf("order = %+v", rs)
 	}
 }

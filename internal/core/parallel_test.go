@@ -61,11 +61,11 @@ func TestISLParallelRefill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seq, err := QueryISL(c, q, idx, ISLOptions{BatchLeft: 40, BatchRight: 40})
+	seq, err := queryISL(c, q, idx, ExecOptions{ISLBatch: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := QueryISL(c, q, idx, ISLOptions{BatchLeft: 40, BatchRight: 40, Parallelism: 4})
+	par, err := queryISL(c, q, idx, ExecOptions{ISLBatch: 40, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

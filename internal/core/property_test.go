@@ -76,20 +76,20 @@ func TestHRJNThresholdIsUpperBound(t *testing.T) {
 	f := func(seed int64) bool {
 		left := descending(synthTuples("l", 60, 10, "uniform", seed))
 		right := descending(synthTuples("r", 60, 10, "uniform", seed+999))
-		h := NewHRJN(5, Sum)
+		op := newAnyKOp(binaryTree(Sum))
 		la, lb := 0, 0
 		for step := 0; step < 40; step++ {
 			if step%2 == 0 && la < len(left) {
-				h.PushA(left[la])
+				op.push(0, left[la])
 				la++
 			} else if lb < len(right) {
-				h.PushB(right[lb])
+				op.push(1, right[lb])
 				lb++
 			}
 			if la == 0 || lb == 0 {
 				continue
 			}
-			th := h.Threshold()
+			th := op.threshold()
 			// Any future result joins an unseen left tuple (score <=
 			// left[la-1].Score) with any right tuple, or vice versa.
 			for _, lt := range left[la:] {
@@ -142,7 +142,7 @@ func TestEmptyRelations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := QueryISL(c, q, isl, ISLOptions{BatchLeft: 4, BatchRight: 4}); err != nil || len(res.Results) != 0 {
+	if res, err := queryISL(c, q, isl, ExecOptions{ISLBatch: 4}); err != nil || len(res.Results) != 0 {
 		t.Errorf("isl on empty: %v, %v", res, err)
 	}
 	bfL, _, err := BuildBFHM(c, relL, BFHMOptions{NumBuckets: 5})

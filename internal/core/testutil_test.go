@@ -180,3 +180,109 @@ func synthTuples(prefix string, n, joinCard int, dist string, seed int64) []Tupl
 func paperQuery(relL, relR Relation, k int) Query {
 	return Query{Left: relL, Right: relR, Score: Sum, K: k}
 }
+
+// stubRel names a relation no test loads (operator-level tests never
+// touch the store).
+func stubRel(name string) Relation {
+	return Relation{Name: name, Table: "tbl_" + name, Family: "d", JoinQual: "join", ScoreQual: "score"}
+}
+
+// starEdges joins n leaves by equi edges that all meet at leaf 0.
+func starEdges(n int) []TreeEdge {
+	var edges []TreeEdge
+	for i := 1; i < n; i++ {
+		edges = append(edges, TreeEdge{A: 0, B: i, Kind: PredEqui})
+	}
+	return edges
+}
+
+// starTree builds the all-equi star over rels — the n-way equi-join of
+// Section 3.
+func starTree(rels []Relation, f NScoreFunc, k int) *JoinTree {
+	return &JoinTree{Relations: rels, Edges: starEdges(len(rels)), Score: f, K: k}
+}
+
+// stubStar is starTree over n placeholder relations.
+func stubStar(n int, f NScoreFunc) *JoinTree {
+	rels := make([]Relation, n)
+	for i := range rels {
+		rels[i] = stubRel(fmt.Sprintf("s%d", i))
+	}
+	return starTree(rels, f, 1)
+}
+
+// nResult builds the JoinResult of one n-way combination.
+func nResult(combo []Tuple, score float64) JoinResult {
+	r := JoinResult{Left: combo[0], Right: combo[1], Score: score}
+	if len(combo) > 2 {
+		r.Rest = append([]Tuple(nil), combo[2:]...)
+	}
+	return r
+}
+
+// tuplesOf lists a result's tuples in leaf order.
+func tuplesOf(r JoinResult) []Tuple {
+	return append([]Tuple{r.Left, r.Right}, r.Rest...)
+}
+
+// runExec is the bounded top-k of a registered executor: a drain of its
+// cursor to t.K results.
+func runExec(c *kvstore.Cluster, name string, t *JoinTree, store *IndexStore, opts ExecOptions) (*Result, error) {
+	ex, ok := Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("executor %q not registered", name)
+	}
+	return RunCursor(c, t.K, func() (Cursor, error) { return ex.Open(c, t, store, opts) })
+}
+
+// queryISL runs the isl executor over an already-built binary index.
+func queryISL(c *kvstore.Cluster, q Query, idx *ISLIndex, opts ExecOptions) (*Result, error) {
+	store := NewIndexStore()
+	store.PutISL(q.ID(), idx)
+	return runExec(c, "isl", TreeFromQuery(q), store, opts)
+}
+
+// sliceRun drives one rank-join operator over in-memory leaves, each
+// already in descending score order, with single-tuple round-robin
+// pulls (classic HRJN's alternation).
+type sliceRun struct {
+	op     *anyKOp
+	leaves [][]Tuple
+	pos    []int
+	leaf   int
+	pulled int
+}
+
+func newSliceRun(tr *JoinTree, leaves ...[]Tuple) *sliceRun {
+	return &sliceRun{op: newAnyKOp(tr), leaves: leaves, pos: make([]int, len(leaves))}
+}
+
+// take releases up to k more results, pulling only the input they need.
+func (s *sliceRun) take(k int) []JoinResult {
+	var out []JoinResult
+	for len(out) < k {
+		for !s.op.releasable() {
+			if s.op.allDone() {
+				return out
+			}
+			i := s.leaf
+			s.leaf = (s.leaf + 1) % len(s.leaves)
+			switch {
+			case s.op.done[i]:
+			case s.pos[i] == len(s.leaves[i]):
+				s.op.exhaust(i)
+			default:
+				s.op.push(i, s.leaves[i][s.pos[i]])
+				s.pos[i]++
+				s.pulled++
+			}
+		}
+		out = append(out, s.op.pop())
+	}
+	return out
+}
+
+// binaryTree is the two-leaf tree of f over placeholder relations.
+func binaryTree(f ScoreFunc) *JoinTree {
+	return TreeFromQuery(Query{Left: stubRel("l"), Right: stubRel("r"), Score: f, K: 1})
+}

@@ -3,7 +3,8 @@
 //
 //   - Naive / Hive / Pig baselines (Section 3)
 //   - IJLMR: Inverse Join List MapReduce rank join (Section 4.1)
-//   - ISL: Inverse Score List rank join, an HRJN adaptation (Section 4.2)
+//   - ISL: Inverse Score List rank join, an HRJN adaptation (Section 4.2),
+//     binary and n-way
 //   - BFHM: the Bloom Filter Histogram Matrix rank join (Section 5)
 //   - DRJN: the 2-D histogram comparator of Doulkeridis et al. (Section 7.1)
 //   - AnyK: any-k ranked enumeration over acyclic join trees
@@ -17,9 +18,9 @@
 //	SELECT * FROM R1, ..., Rn WHERE <tree edges hold>
 //	ORDER BY f(R1.score, ..., Rn.score) STOP AFTER k
 //
-// The paper's binary equi-join (Section 1.1) and the star query are
-// the two trivial tree shapes (TreeFromQuery, TreeFromMulti). Results
-// are returned highest-score first with deterministic tie-breaking on
+// The paper's binary equi-join (Section 1.1) is the two-leaf tree
+// (TreeFromQuery) and its n-way generalization the all-equi tree.
+// Results are returned highest-score first with deterministic tie-breaking on
 // row keys in leaf order.
 package core
 

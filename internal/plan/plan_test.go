@@ -143,7 +143,9 @@ func TestChooseRunnable(t *testing.T) {
 	if ex.NeedsIndex() && !ex.HasIndex(core.TreeFromQuery(q), store) {
 		t.Fatalf("Choose picked %q whose index is missing", ex.Name())
 	}
-	res, err := ex.Run(c, core.TreeFromQuery(q), store, core.ExecOptions{}.WithDefaults())
+	res, err := core.RunCursor(c, q.K, func() (core.Cursor, error) {
+		return ex.Open(c, core.TreeFromQuery(q), store, core.ExecOptions{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,30 +1,20 @@
 package rankjoin
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/sim"
-)
+import "repro/internal/core"
 
 // Multi-way rank joins (the Section 3 generalization): n relations
 // equi-joined on a common attribute, ranked by an n-ary monotonic
-// aggregate. A MultiQuery is the star-shaped special case of the
-// general JoinTree query model (NewTreeQuery): every relation shares
-// one join attribute, which is exactly a tree whose equi-edges all
-// meet at leaf 0. Supported algorithms: AlgoNaive, AlgoISL (the
-// coordinator-based HRJN generalization), AlgoAnyK (the streaming tree
-// executor), and AlgoAuto.
+// aggregate. This is the star-shaped special case of the general
+// JoinTree query model (NewTreeQuery): every relation shares one join
+// attribute, which is exactly a tree whose equi-edges all meet at leaf
+// 0. NewMultiQuery returns an ordinary Query, so TopK, Stream, Explain,
+// EnsureIndexes and page tokens serve it; results carry the third and
+// later relations' tuples in JoinResult.Rest. Supported algorithms:
+// AlgoNaive, AlgoISL (the coordinator-based HRJN generalization),
+// AlgoAnyK, and AlgoAuto.
 
-// N-ary re-exports.
-type (
-	// NScoreFunc is a monotonic aggregate over n tuple scores.
-	NScoreFunc = core.NScoreFunc
-	// NJoinResult is one n-way join result.
-	NJoinResult = core.NJoinResult
-	// NResult is an executed multi-way query.
-	NResult = core.NResult
-)
+// NScoreFunc is a monotonic aggregate over n tuple scores.
+type NScoreFunc = core.NScoreFunc
 
 // N-ary score aggregates.
 var (
@@ -34,121 +24,12 @@ var (
 	ProductN = core.ProductN
 )
 
-// MultiQuery is an n-way top-k equi-join over defined relations.
-type MultiQuery struct {
-	t *core.JoinTree
-}
-
-// NewMultiQuery builds an n-way query over previously defined relations.
-func (db *DB) NewMultiQuery(relations []string, f NScoreFunc, k int) (MultiQuery, error) {
-	var rels []core.Relation
-	db.mu.Lock()
-	for _, name := range relations {
-		h, ok := db.relations[name]
-		if !ok {
-			db.mu.Unlock()
-			return MultiQuery{}, fmt.Errorf("rankjoin: relation %q not defined", name)
-		}
-		rels = append(rels, h.rel)
+// NewMultiQuery builds an n-way equi-join query over previously defined
+// relations.
+func (db *DB) NewMultiQuery(relations []string, f NScoreFunc, k int) (Query, error) {
+	edges := make([]TreeEdge, 0, len(relations))
+	for i := 1; i < len(relations); i++ {
+		edges = append(edges, TreeEdge{A: 0, B: i, Kind: PredEqui})
 	}
-	db.mu.Unlock()
-	q := core.MultiQuery{Relations: rels, Score: f, K: k}
-	if err := q.Validate(); err != nil {
-		return MultiQuery{}, err
-	}
-	return MultiQuery{t: core.TreeFromMulti(q)}, nil
+	return db.NewTreeQuery(relations, edges, f, k)
 }
-
-// WithK derives a query with a different k (indexes are shared).
-func (q MultiQuery) WithK(k int) MultiQuery {
-	nt := *q.t
-	nt.K = k
-	return MultiQuery{t: &nt}
-}
-
-// ID returns the query's deterministic identifier.
-func (q MultiQuery) ID() string { return q.t.ID() }
-
-// Tree converts to the general tree-query form, so every Query entry
-// point (TopK, Stream, Explain, page tokens) works on a MultiQuery.
-func (q MultiQuery) Tree() Query { return Query{t: q.t} }
-
-// EnsureMultiIndexes builds the n-way ISL index for the query
-// (idempotent; shared by AlgoISL and AlgoAnyK, and by every tree query
-// over the same relations and score).
-func (db *DB) EnsureMultiIndexes(q MultiQuery) error {
-	if err := core.EnsureISLN(db.cluster, q.t, db.store); err != nil {
-		return err
-	}
-	return db.saveCatalog()
-}
-
-// nresultOf converts a tree-query result to the n-ary form.
-func nresultOf(res *Result) *NResult {
-	out := &NResult{Results: make([]NJoinResult, 0, len(res.Results)), Cost: res.Cost}
-	for _, r := range res.Results {
-		tuples := make([]Tuple, 0, 2+len(r.Rest))
-		tuples = append(tuples, r.Left, r.Right)
-		tuples = append(tuples, r.Rest...)
-		out.Results = append(out.Results, NJoinResult{Tuples: tuples, Score: r.Score})
-	}
-	return out
-}
-
-// TopKN executes the n-way query. AlgoNaive needs no index; AlgoISL and
-// AlgoAnyK require a prior EnsureMultiIndexes call. Like TopK, it meters
-// a private per-query collector, so concurrent callers get isolated
-// costs. It dispatches through the same tree-query path as TopK, so
-// AlgoAuto plans n-way queries too.
-func (db *DB) TopKN(q MultiQuery, algo Algorithm, opts *QueryOptions) (*NResult, error) {
-	res, err := db.TopK(q.Tree(), algo, opts)
-	if err != nil {
-		return nil, err
-	}
-	return nresultOf(res), nil
-}
-
-// NRows streams an n-way query's results in descending score order: the
-// n-ary view over DB.Stream's Rows. With AlgoAnyK (or AlgoAuto picking
-// it) the enumeration is native — each result pays marginal work; batch
-// shaped executors (AlgoNaive, AlgoISL) materialize deepening re-runs
-// behind the same interface.
-type NRows struct {
-	rows *Rows
-	res  NJoinResult
-}
-
-// StreamN starts a streaming n-way execution.
-func (db *DB) StreamN(q MultiQuery, algo Algorithm, opts *QueryOptions) (*NRows, error) {
-	rows, err := db.Stream(q.Tree(), algo, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &NRows{rows: rows}, nil
-}
-
-// Next advances to the next result, reporting false at exhaustion or
-// error.
-func (r *NRows) Next() bool {
-	if !r.rows.Next() {
-		return false
-	}
-	jr := r.rows.Result()
-	tuples := make([]Tuple, 0, 2+len(jr.Rest))
-	tuples = append(tuples, jr.Left, jr.Right)
-	tuples = append(tuples, jr.Rest...)
-	r.res = NJoinResult{Tuples: tuples, Score: jr.Score}
-	return true
-}
-
-// Result returns the row Next advanced to.
-func (r *NRows) Result() NJoinResult { return r.res }
-
-// Err returns the first error the stream hit, if any.
-func (r *NRows) Err() error { return r.rows.Err() }
-
-// Cost reports the cumulative resources the stream consumed.
-func (r *NRows) Cost() sim.Snapshot { return r.rows.Cost() }
-
-// Close releases the stream.
-func (r *NRows) Close() error { return r.rows.Close() }

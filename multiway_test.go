@@ -33,7 +33,7 @@ func TestPublicMultiWayJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.EnsureMultiIndexes(q); err != nil {
+	if err := db.EnsureIndexes(q, AlgoISL); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,7 +57,7 @@ func TestPublicMultiWayJoin(t *testing.T) {
 	}
 
 	for _, algo := range []Algorithm{AlgoNaive, AlgoISL} {
-		res, err := db.TopKN(q, algo, nil)
+		res, err := db.TopK(q, algo, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,14 +68,14 @@ func TestPublicMultiWayJoin(t *testing.T) {
 			if d := r.Score - ref[i]; d > 1e-9 || d < -1e-9 {
 				t.Fatalf("%s: score[%d] = %f, want %f", algo, i, r.Score, ref[i])
 			}
-			if len(r.Tuples) != 3 {
-				t.Fatalf("%s: result arity %d", algo, len(r.Tuples))
+			if len(r.Rest) != 1 {
+				t.Fatalf("%s: result arity %d", algo, 2+len(r.Rest))
 			}
 		}
 	}
 
 	// Unsupported algorithm errors cleanly.
-	if _, err := db.TopKN(q, AlgoBFHM, nil); err == nil {
+	if _, err := db.TopK(q, AlgoBFHM, nil); err == nil {
 		t.Error("BFHM multi-way accepted (unsupported)")
 	}
 	// Missing relation errors cleanly.
@@ -83,7 +83,7 @@ func TestPublicMultiWayJoin(t *testing.T) {
 		t.Error("undefined relation accepted")
 	}
 	// WithK.
-	res, err := db.TopKN(q.WithK(2), AlgoISL, nil)
+	res, err := db.TopK(q.WithK(2), AlgoISL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -258,7 +258,8 @@ func TestPageTokenSemantics(t *testing.T) {
 	}
 }
 
-// TestStreamN: the n-way stream must match TopKN prefixes.
+// TestStreamN: a stream over a NewMultiQuery query must match its TopK
+// prefixes.
 func TestStreamN(t *testing.T) {
 	db := mustOpen(t, Config{})
 	loadTwoRelations(t, db, 80)
@@ -266,16 +267,16 @@ func TestStreamN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := db.TopKN(mq.WithK(12), AlgoNaive, nil)
+	batch, err := db.TopK(mq.WithK(12), AlgoNaive, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.StreamN(mq, AlgoNaive, nil)
+	rows, err := db.Stream(mq, AlgoNaive, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rows.Close()
-	var got []NJoinResult
+	var got []JoinResult
 	for len(got) < 12 && rows.Next() {
 		got = append(got, rows.Result())
 	}
@@ -283,15 +284,98 @@ func TestStreamN(t *testing.T) {
 		t.Fatal(rows.Err())
 	}
 	if len(got) != len(batch.Results) {
-		t.Fatalf("streamN yielded %d, batch %d", len(got), len(batch.Results))
+		t.Fatalf("stream yielded %d, batch %d", len(got), len(batch.Results))
 	}
 	for i := range got {
 		if got[i].Score != batch.Results[i].Score {
-			t.Fatalf("streamN score[%d] = %.4f, batch %.4f", i, got[i].Score, batch.Results[i].Score)
+			t.Fatalf("stream score[%d] = %.4f, batch %.4f", i, got[i].Score, batch.Results[i].Score)
 		}
 	}
-	if _, err := db.StreamN(mq, AlgoBFHM, nil); err == nil {
-		t.Error("StreamN accepted an unsupported algorithm")
+	if _, err := db.Stream(mq, AlgoBFHM, nil); err == nil {
+		t.Error("Stream accepted an algorithm whose index was never built")
+	}
+}
+
+// TestStarISLPaging: ISL on a 3-relation star enumerates natively, as
+// its planner flag says. Page 2 by token bills fewer read units than
+// page 1 and than a from-scratch run at twice the depth — together the
+// two pages read exactly what that run reads — the pages concatenate to
+// the batch result, and a Stream closed after one row stops billing.
+func TestStarISLPaging(t *testing.T) {
+	db := mustOpen(t, Config{})
+	rng := rand.New(rand.NewSource(17))
+	names := []string{"sa", "sb", "sc"}
+	for _, name := range names {
+		h, err := db.DefineRelation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tuples []Tuple
+		for i := 0; i < 600; i++ {
+			tuples = append(tuples, Tuple{
+				RowKey:    fmt.Sprintf("%s%04d", name, i),
+				JoinValue: fmt.Sprintf("j%d", rng.Intn(40)),
+				Score:     float64(rng.Intn(1000)) / 1000,
+			})
+		}
+		if err := h.BulkLoad(tuples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const k = 10
+	q, err := db.NewMultiQuery(names, SumN, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnsureIndexes(q, AlgoISL); err != nil {
+		t.Fatal(err)
+	}
+	page1, err := db.TopK(q, AlgoISL, &QueryOptions{ISLBatch: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	page2, err := db.TopK(q, AlgoISL, &QueryOptions{ISLBatch: 10, PageToken: page1.NextPageToken})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := db.TopK(q.WithK(2*k), AlgoISL, &QueryOptions{ISLBatch: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, r2, r12 := page1.Cost.KVReads, page2.Cost.KVReads, scratch.Cost.KVReads
+	if r2 >= r1 || r2 >= r12 || r1+r2 != r12 {
+		t.Errorf("read units: page 1 = %d, page 2 = %d, from scratch at 2k = %d; want page 2 the cheapest and the pages summing to the scratch run", r1, r2, r12)
+	}
+	if paged := append(page1.Results, page2.Results...); !reflect.DeepEqual(paged, scratch.Results) {
+		t.Errorf("pages do not concatenate to the batch result:\n paged %+v\n batch %+v", paged, scratch.Results)
+	}
+	naive, err := db.TopK(q.WithK(2*k), AlgoNaive, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(scratch.Results, naive.Results) {
+		t.Errorf("isl and naive disagree:\n isl   %+v\n naive %+v", scratch.Results, naive.Results)
+	}
+
+	rows, err := db.Stream(q, AlgoISL, &QueryOptions{ISLBatch: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Next() {
+		t.Fatalf("stream yielded nothing: %v", rows.Err())
+	}
+	if first := rows.Cost().KVReads; first == 0 || first > r1 {
+		t.Errorf("one streamed row billed %d read units, a page of %d billed %d", first, k, r1)
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Metrics().Snapshot()
+	if rows.Next() {
+		t.Error("Next returned true after Close")
+	}
+	if delta := db.Metrics().Snapshot().Sub(before); delta.KVReads != 0 {
+		t.Errorf("closed stream consumed %d read units", delta.KVReads)
 	}
 }
 

@@ -102,8 +102,8 @@ func TestOpenAtValidation(t *testing.T) {
 }
 
 // TestCatalogPersistsMultiwayIndexes checks the n-way path: an ISLN
-// index built before close serves StreamN/TopKN after reopen without
-// EnsureMultiIndexes.
+// index built before close serves n-way queries after reopen without
+// another EnsureIndexes.
 func TestCatalogPersistsMultiwayIndexes(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenAt(Config{Dir: dir})
@@ -132,10 +132,10 @@ func TestCatalogPersistsMultiwayIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.EnsureMultiIndexes(mq); err != nil {
+	if err := db.EnsureIndexes(mq, AlgoISL); err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.TopKN(mq, AlgoISL, nil)
+	want, err := db.TopK(mq, AlgoISL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestCatalogPersistsMultiwayIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db2.TopKN(mq2, AlgoISL, nil) // no EnsureMultiIndexes
+	got, err := db2.TopK(mq2, AlgoISL, nil) // no EnsureIndexes
 	if err != nil {
 		t.Fatal(err)
 	}

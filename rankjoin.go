@@ -119,9 +119,9 @@ const (
 	// results of an acyclic join tree (chains, stars, general shapes —
 	// see NewTreeQuery) in descending score order with no k fixed up
 	// front, maintaining HRJN-style bounds per tree node. It requires
-	// the n-way inverse score lists (EnsureIndexes / EnsureMultiIndexes
-	// build them) and is the only index-backed executor for trees with
-	// band-predicate edges.
+	// the n-way inverse score lists (EnsureIndexes builds them) and is
+	// the only index-backed executor for trees with band-predicate
+	// edges.
 	AlgoAnyK Algorithm = "anyk"
 	// AlgoAuto is not an algorithm but a planner mode: TopK runs the
 	// cost-based planner and executes the cheapest strategy whose
