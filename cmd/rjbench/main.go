@@ -41,10 +41,7 @@ func main() {
 	sfEC2 := flag.Float64("sf", 0.02, "TPC-H scale factor for the EC2 profile runs")
 	sfLC := flag.Float64("lcsf", 0.04, "TPC-H scale factor for the LC profile runs")
 	distSF := flag.Float64("distsf", 0.005, "TPC-H scale factor for the distribution figure (loaded 3x: once per replica)")
-	snapshot := flag.String("snapshot", "", "write the measured Q1/Q2 series as JSON to this file (BENCH_<n>.json)")
-	distOut := flag.String("distout", "", "write the distribution figure's comparison as JSON to this file (BENCH_<n>.json)")
 	chainRows := flag.Int("chainrows", 2000, "rows per leaf relation for the chain figure")
-	chainOut := flag.String("chainout", "", "write the chain figure's any-k vs adapter series as JSON to this file (BENCH_<n>.json)")
 	flag.Parse()
 
 	want := func(names ...string) bool {
@@ -59,8 +56,8 @@ func main() {
 		return false
 	}
 
-	needEC2 := want("7a", "7b", "7c", "7d", "7e", "7f", "9", "sizes", "updates", "paging", "mixed") || *snapshot != ""
-	needLC := want("8a", "8b", "8c", "8d", "8e", "8f", "9") || *snapshot != ""
+	needEC2 := want("7a", "7b", "7c", "7d", "7e", "7f", "9", "sizes", "updates", "paging", "mixed")
+	needLC := want("8a", "8b", "8c", "8d", "8e", "8f", "9")
 
 	var ec2Env, lcEnv *benchkit.Env
 	var err error
@@ -189,33 +186,20 @@ func main() {
 	}
 	if want("distribution") {
 		fmt.Fprintln(os.Stderr, "measuring distribution (single process vs 3-node replicated cluster)...")
-		report, distSnap, err := benchkit.DistributionReport(sim.EC2(), *distSF, 1)
+		report, err := benchkit.DistributionReport(sim.EC2(), *distSF, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(report)
-		if *distOut != "" {
-			if err := distSnap.WriteFile(*distOut); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote distribution snapshot %s\n", *distOut)
-		}
 	}
 	if want("chain") {
 		fmt.Fprintln(os.Stderr, "measuring chain queries (any-k vs doubling-depth adapter)...")
-		report, chainSnap, err := benchkit.ChainReport(sim.LC(), *chainRows, 1)
+		report, err := benchkit.ChainReport(sim.LC(), *chainRows, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(report)
-		if *chainOut != "" {
-			if err := chainSnap.WriteFile(*chainOut); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote chain snapshot %s\n", *chainOut)
-		}
 	}
-	var storagePoints map[string]benchkit.StoragePoint
 	if want("storage") {
 		fmt.Fprintln(os.Stderr, "measuring storage engine (memory vs disk)...")
 		dir, err := os.MkdirTemp("", "rjbench-storage-")
@@ -223,32 +207,10 @@ func main() {
 			log.Fatal(err)
 		}
 		defer os.RemoveAll(dir)
-		points, report, err := benchkit.StorageReport(dir, *sfEC2, 1)
+		report, err := benchkit.StorageReport(dir, *sfEC2, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		storagePoints = points
 		fmt.Println(report)
-	}
-
-	if *snapshot != "" {
-		snap := benchkit.NewSnapshot()
-		for _, e := range []*benchkit.Env{ec2Env, lcEnv} {
-			if e == nil {
-				continue
-			}
-			snap.AddEnv(e)
-			algos := benchkit.Algorithms
-			if e.Profile.Name == "LC" {
-				algos = benchkit.LCAlgorithms
-			}
-			snap.AddSeries(e.Profile.Name+"-q1", get(e, e.Q1, e.Profile.Name+"-q1", algos))
-			snap.AddSeries(e.Profile.Name+"-q2", get(e, e.Q2, e.Profile.Name+"-q2", algos))
-		}
-		snap.Storage = storagePoints
-		if err := snap.WriteFile(*snapshot); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote snapshot %s\n", *snapshot)
 	}
 }

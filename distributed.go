@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/transport"
@@ -282,58 +281,36 @@ func (r *DistRelation) Get(rowKey string) (Tuple, bool, error) {
 	return tupleOf(t), true, nil
 }
 
+// defined reports whether a relation name is defined on the cluster.
+func (d *Distributed) defined(name string) bool { return d.router.ReplicasFor(name) != nil }
+
 // NewQuery builds a two-way query over two defined relations — the same
 // Query value the single-process API uses, so Explain output, IDs, and
 // page-size semantics carry over.
 func (d *Distributed) NewQuery(left, right string, f ScoreFunc, k int) (Query, error) {
-	if d.router.ReplicasFor(left) == nil {
-		return Query{}, fmt.Errorf("rankjoin: relation %q not defined", left)
-	}
-	if d.router.ReplicasFor(right) == nil {
-		return Query{}, fmt.Errorf("rankjoin: relation %q not defined", right)
-	}
-	q := core.Query{Left: relationFor(left), Right: relationFor(right), Score: f, K: k}
-	if err := q.Validate(); err != nil {
-		return Query{}, err
-	}
-	return Query{t: core.TreeFromQuery(q)}, nil
+	return newQuery([]string{left, right}, binaryEdges, f, k, d.defined)
 }
 
 // NewTreeQuery builds a general acyclic tree query over defined
 // relations — the distributed counterpart of DB.NewTreeQuery. Tree
 // queries route, page, and fail over exactly like two-way queries: the
 // same node-pinned tokens, the same deterministic deep-re-run failover.
-func (d *Distributed) NewTreeQuery(relations []string, edges []TreeEdge, f NScoreFunc, k int) (Query, error) {
-	seen := map[string]bool{}
-	rels := make([]core.Relation, 0, len(relations))
-	for _, name := range relations {
-		if d.router.ReplicasFor(name) == nil {
-			return Query{}, fmt.Errorf("rankjoin: relation %q not defined", name)
-		}
-		if seen[name] {
-			return Query{}, fmt.Errorf("rankjoin: relation %q listed twice in tree query", name)
-		}
-		seen[name] = true
-		rels = append(rels, relationFor(name))
-	}
-	t := &core.JoinTree{
-		Relations: rels,
-		Edges:     append([]TreeEdge(nil), edges...),
-		Score:     f,
-		K:         k,
-	}
-	if err := t.Validate(); err != nil {
-		return Query{}, err
-	}
-	return Query{t: t}, nil
+func (d *Distributed) NewTreeQuery(relations []string, edges []TreeEdge, f ScoreFunc, k int) (Query, error) {
+	return newQuery(relations, edges, f, k, d.defined)
+}
+
+// NewTreeQueryFromSpec builds a tree query from a decoded spec against
+// the cluster's defined relations.
+func (d *Distributed) NewTreeQueryFromSpec(spec *TreeSpec) (Query, error) {
+	return spec.query(d.defined)
 }
 
 // wireShape renders a query's join shape for the seam: binary equi
 // trees keep the legacy Left/Right fields (wire compatibility with
 // older nodes), everything else ships the explicit tree.
 func wireShape(q Query) (left, right, score string, tree *transport.TreeData) {
-	if bq, ok := q.t.Binary(); ok {
-		return bq.Left.Name, bq.Right.Name, bq.Score.Name, nil
+	if len(q.t.Relations) == 2 && q.t.AllEqui() {
+		return q.t.Relations[0].Name, q.t.Relations[1].Name, q.t.Score.Name, nil
 	}
 	td := &transport.TreeData{}
 	for i := range q.t.Relations {

@@ -142,6 +142,11 @@ func assertExecutorsMatchOracle(t testing.TB, d *Distributed, dq Query, db *DB, 
 			t.Fatalf("cluster %s: %v", algo, err)
 		}
 		assertSameResults(t, string(algo), got.Results, want.Results)
+		// Whole queries ship to one replica, so a cluster query reads
+		// what the single process reads.
+		if got.Cost.KVReads != want.Cost.KVReads {
+			t.Errorf("%s: cluster spent %d read units, single process %d", algo, got.Cost.KVReads, want.Cost.KVReads)
+		}
 	}
 }
 

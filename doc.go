@@ -97,12 +97,16 @@
 // The general query shape is an acyclic join tree: relations are the
 // leaves, the n-1 edges are join predicates — equi-predicates on the
 // join attributes, or band predicates |a-b| <= w over numeric join
-// values — and an n-ary monotonic aggregate (SumN, ProductN) scores
-// complete matches. NewQuery (binary) and NewMultiQuery (star, the
+// values — and a monotonic aggregate (Sum, Product) scores complete
+// matches. It is the only query form, and ScoreFunc — a function of the
+// joined tuples' scores in relation order, however many — the only
+// aggregate type. NewQuery (binary) and NewMultiQuery (star, the
 // paper's n-way equi-join) build the two trivial tree shapes;
-// NewTreeQuery builds chains and general acyclic mixes. All three
-// return a Query for the same TopK, Stream, Explain and EnsureIndexes;
-// results carry the third and later leaves' tuples in JoinResult.Rest:
+// NewTreeQuery builds chains and general acyclic mixes. All three call
+// one constructor, which requires every relation to be defined and
+// listed once, and return a Query for the same TopK, Stream, Explain
+// and EnsureIndexes; results carry the third and later leaves' tuples
+// in JoinResult.Rest:
 //
 //	q, _ := db.NewTreeQuery(
 //	    []string{"sensors", "readings", "alerts"},
@@ -110,9 +114,9 @@
 //	        {A: 0, B: 1, Kind: rankjoin.PredEqui},
 //	        {A: 1, B: 2, Kind: rankjoin.PredBand, Band: 0.5},
 //	    },
-//	    rankjoin.SumN, 10)
+//	    rankjoin.Sum, 10)
 //	res, _ := db.TopK(q, rankjoin.AlgoAnyK, nil)
-//	rows, _ := db.StreamTree(q, rankjoin.AlgoAnyK, nil)
+//	rows, _ := db.Stream(q, rankjoin.AlgoAnyK, nil)
 //
 // Structurally invalid trees (cyclic, disconnected, self-loops,
 // out-of-range endpoints, duplicate edges, non-finite band widths)
@@ -123,7 +127,9 @@
 // (README, "Join trees & any-k", says what that holds in memory and
 // costs per tuple) — so tree queries
 // stream, paginate, and respect budgets exactly like binary ones.
-// AlgoISL is the same operator and cursor on all-equi trees; the naive
+// AlgoISL is the same operator and cursor on all-equi trees, over the
+// same index: one inverse-score-list table per leaf set, built by
+// EnsureIndexes for either executor and read by both. The naive
 // executor answers trees through the materializing adapter.
 // ParseTreeSpec and NewTreeQueryFromSpec decode the JSON wire form
 // the HTTP server accepts on /topk, /stream, and /explain.
@@ -132,9 +138,10 @@
 //
 // Writes flow through a write-through maintenance pipeline (Section 6):
 // every mutation is augmented with the index entries of EVERY structure
-// built over the relation — one inverse-list entry per IJLMR, ISL, and
-// n-way ISLN index (a relation joined in several queries has several,
-// and all are maintained), BFHM mutation records plus reverse mappings,
+// built over the relation — one inverse-list entry per IJLMR index and
+// per inverse-score-list index the relation is a leaf of (a relation
+// joined in several queries has several, and all are maintained), BFHM
+// mutation records plus reverse mappings,
 // and DRJN per-band delta records — and the whole augmented batch ships as one
 // group write: a single write RPC with one shared timestamp, instead of
 // one round trip per index cell.

@@ -7,6 +7,7 @@ package rankjoin
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -339,9 +340,9 @@ func TestBatchedMaintenanceFewerWriteRPCs(t *testing.T) {
 	}
 }
 
-// TestMultiwayISLNMaintained: the n-way ISLN inverse lists are part of
-// "every index built over the relation" — a write must reach them too,
-// or an n-way TopK silently serves stale results.
+// TestMultiwayISLNMaintained: the inverse lists of a three-leaf tree are
+// part of "every index built over the relation" — a write must reach
+// them too, or an n-way TopK silently serves stale results.
 func TestMultiwayISLNMaintained(t *testing.T) {
 	db := mustOpen(t, Config{})
 	rng := rand.New(rand.NewSource(53))
@@ -373,7 +374,7 @@ func TestMultiwayISLNMaintained(t *testing.T) {
 	}
 
 	// Plant a fresh 3-way top pair: every side written AFTER the index
-	// build, visible only if the ISLN lists are maintained.
+	// build, visible only if the inverse lists are maintained.
 	for _, name := range []string{"ma", "mb", "mc"} {
 		if err := handles[name].Insert(name+"HOT", "hot3", 1.0); err != nil {
 			t.Fatal(err)
@@ -389,7 +390,7 @@ func TestMultiwayISLNMaintained(t *testing.T) {
 		}
 	}
 
-	// Demote one side: the old-score ISLN entry must be retired, or the
+	// Demote one side: the old-score list entry must be retired, or the
 	// pair keeps ranking first as a phantom.
 	if err := handles["ma"].Update("maHOT", "hot3", 0.0); err != nil {
 		t.Fatal(err)
@@ -417,6 +418,56 @@ func TestMultiwayISLNMaintained(t *testing.T) {
 			if tp.RowKey == "mbHOT" {
 				t.Fatalf("deleted mbHOT still joined: %+v", r)
 			}
+		}
+	}
+}
+
+// TestOneInverseScoreListIndex: the isl and anyk executors read the
+// same inverse score lists, so ensuring both for a two-way query builds
+// one index table, both report its size, a write maintains it with one
+// cell (two base cells + one list cell = 3 KV writes), and both see
+// that write.
+func TestOneInverseScoreListIndex(t *testing.T) {
+	db := mustOpen(t, Config{})
+	loadTwoRelations(t, db, 120)
+	q, err := db.NewQuery("left", "right", Sum, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnsureIndexes(q, AlgoISL, AlgoAnyK); err != nil {
+		t.Fatal(err)
+	}
+	var indexTables []string
+	for _, name := range db.Cluster().TableNames() {
+		if !strings.HasPrefix(name, "rel_") {
+			indexTables = append(indexTables, name)
+		}
+	}
+	if len(indexTables) != 1 || indexTables[0] != "isl_left_right_sum" {
+		t.Fatalf("index tables %v, want exactly [isl_left_right_sum]", indexTables)
+	}
+	isl, anyk := db.IndexDiskSize(q, AlgoISL), db.IndexDiskSize(q, AlgoAnyK)
+	if isl == 0 || isl != anyk {
+		t.Errorf("IndexDiskSize: isl %d, anyk %d; want equal and non-zero", isl, anyk)
+	}
+
+	before := db.Metrics().Snapshot()
+	if err := db.Relation("left").Insert("lHOT", "hotjoin", 1.0); err != nil {
+		t.Fatal(err)
+	}
+	if w := db.Metrics().Snapshot().Sub(before).KVWrites; w != 3 {
+		t.Errorf("one Insert billed %d KV writes, want 3", w)
+	}
+	if err := db.Relation("right").Insert("rHOT", "hotjoin", 1.0); err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []Algorithm{AlgoISL, AlgoAnyK, AlgoNaive} {
+		res, err := db.TopK(q, algo, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if len(res.Results) == 0 || res.Results[0].Left.RowKey != "lHOT" || res.Results[0].Score != 2.0 {
+			t.Errorf("%s: planted pair not first: %+v", algo, res.Results)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package maintcheck guards the index-maintenance invariant introduced
-// by the write-through pipeline: derived indexes (IJLMR, ISL, ISLN,
-// BFHM, DRJN) stay consistent only when every base-table mutation flows
+// by the write-through pipeline: derived indexes (IJLMR, ISL, BFHM,
+// DRJN) stay consistent only when every base-table mutation flows
 // through core.Maintainer, which shreds the write into index deltas and
 // applies them in the same group.
 //

@@ -164,32 +164,27 @@ func (e *ChainEnv) checkAgreement(n int, cells []Cell) error {
 }
 
 // ChainReport runs the full chain figure: every length in ChainLengths
-// at every k in ChainKValues under both executors. It returns the
-// rendered tables and a snapshot whose series are keyed "chain<n>",
-// ready to write as a BENCH_<n>.json trajectory file.
-func ChainReport(profile sim.Profile, rows int, seed int64) (string, *Snapshot, error) {
+// at every k in ChainKValues under both executors, as rendered tables.
+func ChainReport(profile sim.Profile, rows int, seed int64) (string, error) {
 	env, err := SetupChain(profile, rows, seed)
 	if err != nil {
-		return "", nil, err
+		return "", err
 	}
 	defer env.Close()
 
-	snap := NewSnapshot()
-	snap.ScaleFactors["chain-rows-per-leaf"] = float64(rows)
 	report := fmt.Sprintf("Chain queries: any-k vs doubling-depth adapter (%d rows/leaf, band %.3g)\n\n",
 		rows, chainBand)
 	for _, n := range ChainLengths {
 		cells, err := env.ChainSeries(n)
 		if err != nil {
-			return "", nil, err
+			return "", err
 		}
-		snap.AddSeries(fmt.Sprintf("chain%d", n), cells)
 		title := fmt.Sprintf("%d-relation band chain", n)
 		report += formatChainTable(title, cells, MetricDollar)
 		report += formatChainTable(title, cells, MetricTime)
 		report += "\n"
 	}
-	return report, snap, nil
+	return report, nil
 }
 
 // formatChainTable is FormatTable over the chain's two executors

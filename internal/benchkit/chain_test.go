@@ -1,6 +1,8 @@
 package benchkit
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	rankjoin "repro"
@@ -44,29 +46,35 @@ func TestChainAnyKBeatsAdapterReadUnits(t *testing.T) {
 }
 
 // TestChainReportShape runs the full chain figure at a small scale and
-// checks the snapshot carries every chain<n> series with both
-// executors at every k.
+// checks every chain length carries both executors at every k with
+// non-zero read units, and that the rendered report names each chain.
 func TestChainReportShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chain figure is slow in -short mode")
 	}
-	report, snap, err := ChainReport(sim.LC(), 300, 2)
+	report, err := ChainReport(sim.LC(), 300, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report == "" {
-		t.Fatal("empty chain report")
+	env, err := SetupChain(sim.LC(), 300, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer env.Close()
 	for _, n := range ChainLengths {
-		key := "chain" + string(rune('0'+n))
-		pts := snap.Series[key]
-		want := 2 * len(ChainKValues)
-		if len(pts) != want {
-			t.Errorf("series %s has %d points, want %d", key, len(pts), want)
+		if title := fmt.Sprintf("%d-relation band chain", n); !strings.Contains(report, title) {
+			t.Errorf("report has no %q table", title)
 		}
-		for _, p := range pts {
-			if p.KVReads == 0 {
-				t.Errorf("series %s %s k=%d: zero read units", key, p.Algo, p.K)
+		cells, err := env.ChainSeries(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 2 * len(ChainKValues); len(cells) != want {
+			t.Errorf("chain%d has %d cells, want %d", n, len(cells), want)
+		}
+		for _, c := range cells {
+			if c.Cost.KVReads == 0 {
+				t.Errorf("chain%d %s k=%d: zero read units", n, c.Algo, c.K)
 			}
 		}
 	}

@@ -1,9 +1,7 @@
 package benchkit
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	rankjoin "repro"
 	"repro/internal/sim"
@@ -135,16 +133,16 @@ func (e *DistEnv) Run(q rankjoin.Query, algo rankjoin.Algorithm, k int) (*rankjo
 // DistPoint compares one (query, algorithm) cell between the
 // single-process baseline and the replicated cluster.
 type DistPoint struct {
-	Query        string  `json:"query"`
-	Algo         string  `json:"algo"`
-	K            int     `json:"k"`
-	SingleTimeMS float64 `json:"single_sim_time_ms"`
-	DistTimeMS   float64 `json:"dist_sim_time_ms"`
-	SingleReads  uint64  `json:"single_kv_reads"`
-	DistReads    uint64  `json:"dist_kv_reads"`
+	Query        string
+	Algo         string
+	K            int
+	SingleTimeMS float64
+	DistTimeMS   float64
+	SingleReads  uint64
+	DistReads    uint64
 	// Identical reports whether the cluster returned byte-identical
 	// results (rows, join values, scores, order) to the baseline.
-	Identical bool `json:"identical"`
+	Identical bool
 }
 
 // RepairEconomy measures one scoped anti-entropy repair against the
@@ -152,36 +150,17 @@ type DistPoint struct {
 type RepairEconomy struct {
 	// MissedWrites is the number of acked upserts the stopped replica
 	// never saw.
-	MissedWrites int `json:"missed_writes"`
+	MissedWrites int
 	// ShippedCells is what the scoped Merkle repair actually moved
 	// (summed over repaired tables, base and index).
-	ShippedCells int `json:"shipped_cells"`
+	ShippedCells int
 	// TableCells is what a full resync of the repaired tables would
 	// have copied.
-	TableCells int `json:"table_cells"`
+	TableCells int
 	// Tables is how many tables the pass repaired.
-	Tables int `json:"tables_repaired"`
+	Tables int
 	// Converged reports post-repair Merkle agreement across the group.
-	Converged bool `json:"converged"`
-}
-
-// DistributionSnapshot is the BENCH_<n>.json payload for the
-// distribution figure.
-type DistributionSnapshot struct {
-	ScaleFactor float64        `json:"scale_factor"`
-	Nodes       int            `json:"nodes"`
-	Replication string         `json:"replication"`
-	Points      []DistPoint    `json:"points"`
-	Repair      *RepairEconomy `json:"repair_economy,omitempty"`
-}
-
-// WriteFile writes the snapshot as indented JSON.
-func (s *DistributionSnapshot) WriteFile(path string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	Converged bool
 }
 
 // sameResults reports byte-identical result lists.
@@ -201,12 +180,12 @@ func sameResults(a, b []rankjoin.JoinResult) bool {
 // instance loaded into a single-process DB and a 3-node fully
 // replicated loopback cluster, every executor run on both and checked
 // for identical output, then the repair-economy experiment (stop a
-// replica, keep writing, restart, scoped Merkle repair). Returns the
-// printed report and the JSON snapshot.
-func DistributionReport(profile sim.Profile, sf float64, seed int64) (string, *DistributionSnapshot, error) {
+// replica, keep writing, restart, scoped Merkle repair), as a printed
+// report.
+func DistributionReport(profile sim.Profile, sf float64, seed int64) (string, error) {
 	single, err := Setup(profile, sf, seed)
 	if err != nil {
-		return "", nil, fmt.Errorf("benchkit: single-node setup: %w", err)
+		return "", fmt.Errorf("benchkit: single-node setup: %w", err)
 	}
 	defer single.DB.Close()
 	topo := &rankjoin.Topology{
@@ -214,11 +193,10 @@ func DistributionReport(profile sim.Profile, sf float64, seed int64) (string, *D
 	}
 	dist, err := SetupDistributed(profile, sf, seed, topo)
 	if err != nil {
-		return "", nil, fmt.Errorf("benchkit: distributed setup: %w", err)
+		return "", fmt.Errorf("benchkit: distributed setup: %w", err)
 	}
 	defer dist.D.Close()
 
-	snap := &DistributionSnapshot{ScaleFactor: sf, Nodes: len(topo.Nodes), Replication: "full"}
 	p, o, l := dist.Counts()
 	out := fmt.Sprintf("Distribution: 3-node replicated cluster vs single process (profile %s, SF %g: %d parts, %d orders, %d lineitems)\n",
 		profile.Name, sf, p, o, l)
@@ -232,11 +210,11 @@ func DistributionReport(profile sim.Profile, sf float64, seed int64) (string, *D
 		for _, algo := range algos {
 			sres, err := single.Run(qc.sq, algo, 10)
 			if err != nil {
-				return "", nil, fmt.Errorf("benchkit: single %s/%s: %w", qc.name, algo, err)
+				return "", fmt.Errorf("benchkit: single %s/%s: %w", qc.name, algo, err)
 			}
 			dres, err := dist.Run(qc.dq, algo, 10)
 			if err != nil {
-				return "", nil, fmt.Errorf("benchkit: cluster %s/%s: %w", qc.name, algo, err)
+				return "", fmt.Errorf("benchkit: cluster %s/%s: %w", qc.name, algo, err)
 			}
 			pt := DistPoint{
 				Query:        qc.name,
@@ -248,7 +226,6 @@ func DistributionReport(profile sim.Profile, sf float64, seed int64) (string, *D
 				DistReads:    dres.Cost.KVReads,
 				Identical:    sameResults(sres.Results, dres.Results),
 			}
-			snap.Points = append(snap.Points, pt)
 			out += fmt.Sprintf("%-5s %-6s %14.3f %14.3f %12d %12d  %v\n",
 				pt.Query, pt.Algo, pt.SingleTimeMS, pt.DistTimeMS, pt.SingleReads, pt.DistReads, pt.Identical)
 		}
@@ -256,13 +233,12 @@ func DistributionReport(profile sim.Profile, sf float64, seed int64) (string, *D
 
 	econ, err := repairEconomy(dist)
 	if err != nil {
-		return "", nil, err
+		return "", err
 	}
-	snap.Repair = econ
 	out += fmt.Sprintf("\nRepair economy: replica down for %d acked writes; scoped Merkle repair shipped %d cells across %d tables (full resync: %d cells, %.1fx more); converged=%v\n",
 		econ.MissedWrites, econ.ShippedCells, econ.Tables, econ.TableCells,
 		safeRatio(econ.TableCells, econ.ShippedCells), econ.Converged)
-	return out, snap, nil
+	return out, nil
 }
 
 func safeRatio(num, den int) float64 {

@@ -18,9 +18,9 @@ import (
 // two storage modes. Micros are per-operation for point workloads and
 // per-run for bulk workloads; Ratio is disk over memory.
 type StoragePoint struct {
-	MemoryMicros float64 `json:"memory_micros"`
-	DiskMicros   float64 `json:"disk_micros"`
-	Ratio        float64 `json:"ratio"`
+	MemoryMicros float64
+	DiskMicros   float64
+	Ratio        float64
 }
 
 // storageRun holds one mode's measurements, keyed like the report.
@@ -45,28 +45,28 @@ var StorageOps = []string{
 //
 // The disk run lives under dir (wiped per call). sf sizes the TPC-H
 // instance backing the query rows.
-func StorageReport(dir string, sf float64, seed int64) (map[string]StoragePoint, string, error) {
+func StorageReport(dir string, sf float64, seed int64) (string, error) {
 	mem, err := storageSuite(nil, "")
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	diskRoot := filepath.Join(dir, "kv")
 	if err := os.RemoveAll(diskRoot); err != nil {
-		return nil, "", err
+		return "", err
 	}
 	disk, err := storageSuite(nil, diskRoot)
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	if err := storageQueries(mem, sf, seed, ""); err != nil {
-		return nil, "", err
+		return "", err
 	}
 	qdir := filepath.Join(dir, "db")
 	if err := os.RemoveAll(qdir); err != nil {
-		return nil, "", err
+		return "", err
 	}
 	if err := storageQueries(disk, sf, seed, qdir); err != nil {
-		return nil, "", err
+		return "", err
 	}
 
 	points := map[string]StoragePoint{}
@@ -77,7 +77,7 @@ func StorageReport(dir string, sf float64, seed int64) (map[string]StoragePoint,
 		}
 		points[op] = p
 	}
-	return points, FormatStorageTable(points), nil
+	return FormatStorageTable(points), nil
 }
 
 // FormatStorageTable renders the memory-vs-disk comparison.

@@ -9,7 +9,7 @@ import (
 
 // runAll executes every algorithm against the loaded cluster and checks
 // each one's top-k scores against the in-memory oracle.
-func runAll(t *testing.T, c *kvstore.Cluster, q Query, left, right []Tuple, skipMR bool) {
+func runAll(t *testing.T, c *kvstore.Cluster, q *JoinTree, left, right []Tuple, skipMR bool) {
 	t.Helper()
 	want := scoresOf(oracleTopK(left, right, q.Score, q.K))
 	label := func(name string) string {
@@ -64,11 +64,11 @@ func runAll(t *testing.T, c *kvstore.Cluster, q Query, left, right []Tuple, skip
 	}
 
 	for _, buckets := range []int{4, 16} {
-		bfhmA, _, err := BuildBFHM(c, q.Left, BFHMOptions{NumBuckets: buckets, FPP: 0.05})
+		bfhmA, _, err := BuildBFHM(c, q.Relations[0], BFHMOptions{NumBuckets: buckets, FPP: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bfhmB, _, err := BuildBFHM(c, q.Right, BFHMOptions{NumBuckets: buckets, FPP: 0.05, MBits: bfhmA.MBits})
+		bfhmB, _, err := BuildBFHM(c, q.Relations[1], BFHMOptions{NumBuckets: buckets, FPP: 0.05, MBits: bfhmA.MBits})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,11 +87,11 @@ func runAll(t *testing.T, c *kvstore.Cluster, q Query, left, right []Tuple, skip
 		}
 	}
 
-	drjnA, _, err := BuildDRJN(c, q.Left, DRJNOptions{NumBuckets: 8, JoinParts: 16})
+	drjnA, _, err := BuildDRJN(c, q.Relations[0], DRJNOptions{NumBuckets: 8, JoinParts: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drjnB, _, err := BuildDRJN(c, q.Right, DRJNOptions{NumBuckets: 8, JoinParts: 16})
+	drjnB, _, err := BuildDRJN(c, q.Relations[1], DRJNOptions{NumBuckets: 8, JoinParts: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestAllAlgorithmsRandomWorkloads(t *testing.T) {
 			relL := loadRelation(t, c, "L", left)
 			relR := loadRelation(t, c, "R", right)
 			for _, k := range []int{1, 10, 50} {
-				q := Query{Left: relL, Right: relR, Score: cfg.f, K: k}
+				q := binaryTree(relL, relR, cfg.f, k)
 				runAll(t, c, q, left, right, k != 10) // MR baselines once per config
 			}
 		})
@@ -158,13 +158,13 @@ func TestBFHMRecallUnderCollisions(t *testing.T) {
 		right := synthTuples("r", 150, 30, "uniform", seed+100)
 		relL := loadRelation(t, c, "L", left)
 		relR := loadRelation(t, c, "R", right)
-		q := Query{Left: relL, Right: relR, Score: Sum, K: 10}
+		q := binaryTree(relL, relR, Sum, 10)
 		// MBits=8: nearly every bit is set, collisions everywhere.
-		bfhmA, _, err := BuildBFHM(c, q.Left, BFHMOptions{NumBuckets: 6, MBits: 8})
+		bfhmA, _, err := BuildBFHM(c, q.Relations[0], BFHMOptions{NumBuckets: 6, MBits: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bfhmB, _, err := BuildBFHM(c, q.Right, BFHMOptions{NumBuckets: 6, MBits: 8})
+		bfhmB, _, err := BuildBFHM(c, q.Relations[1], BFHMOptions{NumBuckets: 6, MBits: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,12 +194,12 @@ func TestBFHMFewerResultsThanK(t *testing.T) {
 	}
 	relL := loadRelation(t, c, "L", left)
 	relR := loadRelation(t, c, "R", right)
-	q := Query{Left: relL, Right: relR, Score: Sum, K: 10}
-	bfhmA, _, err := BuildBFHM(c, q.Left, BFHMOptions{NumBuckets: 10})
+	q := binaryTree(relL, relR, Sum, 10)
+	bfhmA, _, err := BuildBFHM(c, q.Relations[0], BFHMOptions{NumBuckets: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bfhmB, _, err := BuildBFHM(c, q.Right, BFHMOptions{NumBuckets: 10, MBits: bfhmA.MBits})
+	bfhmB, _, err := BuildBFHM(c, q.Relations[1], BFHMOptions{NumBuckets: 10, MBits: bfhmA.MBits})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,12 +313,12 @@ func TestDeterministicResults(t *testing.T) {
 		right := synthTuples("r", 200, 25, "uniform", 8)
 		relL := loadRelation(t, c, "L", left)
 		relR := loadRelation(t, c, "R", right)
-		q := Query{Left: relL, Right: relR, Score: Sum, K: 20}
-		bfhmA, _, err := BuildBFHM(c, q.Left, BFHMOptions{NumBuckets: 10})
+		q := binaryTree(relL, relR, Sum, 20)
+		bfhmA, _, err := BuildBFHM(c, q.Relations[0], BFHMOptions{NumBuckets: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bfhmB, _, err := BuildBFHM(c, q.Right, BFHMOptions{NumBuckets: 10, MBits: bfhmA.MBits})
+		bfhmB, _, err := BuildBFHM(c, q.Relations[1], BFHMOptions{NumBuckets: 10, MBits: bfhmA.MBits})
 		if err != nil {
 			t.Fatal(err)
 		}

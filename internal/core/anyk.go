@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/kvstore"
@@ -46,29 +45,21 @@ func (anykExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, 
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	return EnsureISLN(c, t, store)
+	return EnsureISL(c, t, store)
 }
 
 func (anykExec) HasIndex(t *JoinTree, store *IndexStore) bool {
-	_, ok := store.ISLN(t.LeafID())
+	_, ok := store.ISL(t.LeafID())
 	return ok
 }
 
 func (anykExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64 {
-	idx, ok := store.ISLN(t.LeafID())
-	if !ok {
-		return 0
-	}
-	return tableSize(c, idx.Table)
+	return islIndexSize(c, t, store)
 }
 
 func (anykExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-	idx, ok := store.ISLN(t.LeafID())
-	if !ok {
-		return nil, fmt.Errorf("rankjoin: no any-k index for %s; call EnsureIndexes first", t.LeafID())
-	}
 	// A release also ends the current leaf's batch (releaseEndsBatch).
-	return openLists(c, t, idx.Table, idx.Families, opts.WithDefaults(), true)
+	return openLists(c, t, store, "any-k", opts, true)
 }
 
 // anyKOp is the tree-generalized ranked-enumeration operator. It holds

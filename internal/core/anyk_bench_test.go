@@ -40,7 +40,7 @@ func chainLeaves(n, rows int) [][]Tuple {
 // bandChain builds the n-leaf band chain over placeholder relations
 // (the operator never touches the store).
 func bandChain(n int) *JoinTree {
-	t := &JoinTree{Score: SumN, K: 10}
+	t := &JoinTree{Score: Sum, K: 10}
 	for i := 0; i < n; i++ {
 		t.Relations = append(t.Relations, stubRel(fmt.Sprintf("c%d", i)))
 		if i > 0 {
@@ -82,7 +82,7 @@ func BenchmarkLeafIndexAdd(b *testing.B) {
 // leaf.
 func BenchmarkAnyKPush(b *testing.B) {
 	b.Run("chain4", func(b *testing.B) { benchPush(b, bandChain(4)) })
-	b.Run("equi2", func(b *testing.B) { benchPush(b, binaryTree(Sum)) })
+	b.Run("equi2", func(b *testing.B) { benchPush(b, stubBinary(Sum)) })
 }
 
 func benchPush(b *testing.B, tree *JoinTree) {

@@ -13,7 +13,7 @@ import (
 // loadTree loads one relation per tuple list and joins them by edges.
 func loadTree(t *testing.T, c *kvstore.Cluster, tuples [][]Tuple, edges []TreeEdge, k int) *JoinTree {
 	t.Helper()
-	tr := &JoinTree{Edges: edges, Score: SumN, K: k}
+	tr := &JoinTree{Edges: edges, Score: Sum, K: k}
 	for i := range tuples {
 		tr.Relations = append(tr.Relations, loadRelation(t, c, fmt.Sprintf("lt%d", i), tuples[i]))
 	}
@@ -313,7 +313,7 @@ func TestAnyKSteadyStateAllocations(t *testing.T) {
 
 	// The binary rank join: two equi leaves, about one partner per
 	// tuple, so most pushes do complete a combination and park it.
-	two := newAnyKOp(binaryTree(Sum))
+	two := newAnyKOp(stubBinary(Sum))
 	for i := 0; i < 2; i++ {
 		for _, tp := range leaves[i][:1000] {
 			two.push(i, tp)

@@ -482,7 +482,8 @@ type estimatedResult struct {
 // bfhmState carries the query's working state across the repair loop.
 type bfhmState struct {
 	c          *kvstore.Cluster
-	q          *Query
+	k          int
+	score      *pairScore // every score is computed on the query's goroutine
 	idxA, idxB *BFHMIndex
 	opts       BFHMQueryOptions
 
@@ -503,8 +504,8 @@ type bfhmState struct {
 
 // QueryBFHM runs the two-phase BFHM rank join with the 100%-recall
 // repair loop of Section 5.3.
-func QueryBFHM(c *kvstore.Cluster, q Query, idxA, idxB *BFHMIndex, opts BFHMQueryOptions) (*Result, error) {
-	if err := q.Validate(); err != nil {
+func QueryBFHM(c *kvstore.Cluster, t *JoinTree, idxA, idxB *BFHMIndex, opts BFHMQueryOptions) (*Result, error) {
+	if err := requireBinary("bfhm", t); err != nil {
 		return nil, err
 	}
 	if idxA.MBits != idxB.MBits {
@@ -513,12 +514,12 @@ func QueryBFHM(c *kvstore.Cluster, q Query, idxA, idxB *BFHMIndex, opts BFHMQuer
 	}
 	before := c.Metrics().Snapshot()
 	st := &bfhmState{
-		c: c, q: &q, idxA: idxA, idxB: idxB, opts: opts,
+		c: c, k: t.K, score: t.Score.pair(), idxA: idxA, idxB: idxB, opts: opts,
 		revCache: map[revKey][]Tuple{},
-		top:      NewTopKList(q.K),
+		top:      NewTopKList(t.K),
 	}
 
-	target := q.K
+	target := t.K
 	shortRounds := 0
 	for round := 0; ; round++ {
 		if round > 2*(idxA.Layout.Buckets+idxB.Layout.Buckets)+64 {
@@ -536,14 +537,14 @@ func QueryBFHM(c *kvstore.Cluster, q Query, idxA, idxB *BFHMIndex, opts BFHMQuer
 				round, target, fetched, st.nextA, st.nextB, len(st.est), st.estCard, st.top.Len())
 		}
 		// Section 5.3 repair checks.
-		if st.top.Len() < q.K && !st.exhausted() {
+		if st.top.Len() < t.K && !st.exhausted() {
 			// k' < k results produced: resume the query processing
 			// algorithm, now looking for the top k + (k - k'). The
 			// raised target loosens BOTH the estimation termination
 			// and the phase-2 purge threshold. Inflated cardinality
 			// estimates can keep k' stagnant, so the increment grows
 			// geometrically with consecutive short rounds.
-			deficit := q.K - st.top.Len()
+			deficit := t.K - st.top.Len()
 			if shortRounds < 24 {
 				target += deficit << uint(shortRounds)
 			} else {
@@ -559,7 +560,7 @@ func QueryBFHM(c *kvstore.Cluster, q Query, idxA, idxB *BFHMIndex, opts BFHMQuer
 			}
 			continue
 		}
-		if st.top.Len() >= q.K {
+		if st.top.Len() >= t.K {
 			// k or more actual results: compare the k'th actual score
 			// with the max attainable score of unfetched buckets; any
 			// bucket above it must be examined too.
@@ -594,16 +595,15 @@ func (st *bfhmState) exhausted() bool {
 // combination could produce, using bucket-boundary bounds as in the
 // worked example of Section 5.2.
 func (st *bfhmState) maxUnfetchedScore() float64 {
-	f := st.q.Score.Fn
 	best := math.Inf(-1)
 	if st.nextA < st.idxA.Layout.Buckets {
-		s := f(st.idxA.Layout.MaxScore(st.nextA), st.idxB.Layout.Hi)
+		s := st.score.of(st.idxA.Layout.MaxScore(st.nextA), st.idxB.Layout.Hi)
 		if s > best {
 			best = s
 		}
 	}
 	if st.nextB < st.idxB.Layout.Buckets {
-		s := f(st.idxA.Layout.Hi, st.idxB.Layout.MaxScore(st.nextB))
+		s := st.score.of(st.idxA.Layout.Hi, st.idxB.Layout.MaxScore(st.nextB))
 		if s > best {
 			best = s
 		}
@@ -714,12 +714,11 @@ func (st *bfhmState) forceFetchNext() error {
 // fetchBeyond fetches every remaining bucket whose best attainable join
 // score exceeds threshold, returning how many were fetched.
 func (st *bfhmState) fetchBeyond(threshold float64) (int, error) {
-	f := st.q.Score.Fn
 	n := 0
 	for {
 		progressed := false
 		if st.nextA < st.idxA.Layout.Buckets &&
-			f(st.idxA.Layout.MaxScore(st.nextA), st.idxB.Layout.Hi) > threshold {
+			st.score.of(st.idxA.Layout.MaxScore(st.nextA), st.idxB.Layout.Hi) > threshold {
 			if err := st.fetchNext(true); err != nil {
 				return n, err
 			}
@@ -727,7 +726,7 @@ func (st *bfhmState) fetchBeyond(threshold float64) (int, error) {
 			progressed = true
 		}
 		if st.nextB < st.idxB.Layout.Buckets &&
-			f(st.idxA.Layout.Hi, st.idxB.Layout.MaxScore(st.nextB)) > threshold {
+			st.score.of(st.idxA.Layout.Hi, st.idxB.Layout.MaxScore(st.nextB)) > threshold {
 			if err := st.fetchNext(false); err != nil {
 				return n, err
 			}
@@ -842,8 +841,8 @@ func (st *bfhmState) joinBucketAgainst(nb *bfhmBucket, newIsA bool) error {
 			bucketB:     b.No,
 			bits:        est.Bits,
 			cardinality: est.Cardinality,
-			minScore:    st.q.Score.Fn(a.Min, b.Min),
-			maxScore:    st.q.Score.Fn(a.Max, b.Max),
+			minScore:    st.score.of(a.Min, b.Min),
+			maxScore:    st.score.of(a.Max, b.Max),
 		})
 		st.estCard += est.Cardinality
 	}
@@ -886,7 +885,7 @@ func (st *bfhmState) reverseMappingPhase(target int) error {
 	if err := st.prefetchReverse(cands); err != nil {
 		return err
 	}
-	st.top = NewTopKList(st.q.K)
+	st.top = NewTopKList(st.k)
 	for _, er := range cands {
 		for _, bit := range er.bits {
 			tuplesA := st.revCache[revKey{true, er.bucketA, bit}]
@@ -899,7 +898,7 @@ func (st *bfhmState) reverseMappingPhase(target int) error {
 					st.top.Add(JoinResult{
 						Left:  ta,
 						Right: tb,
-						Score: st.q.Score.Fn(ta.Score, tb.Score),
+						Score: st.score.of(ta.Score, tb.Score),
 					})
 				}
 			}

@@ -96,18 +96,19 @@ func BenchmarkBFHMEstimationQ1(b *testing.B) {
 		lineitem = append(lineitem, Tuple{RowKey: tpch.RowKeyLineitem(r.OrderKey, r.LineNumber), JoinValue: strconv.Itoa(r.PartKey), Score: r.Score})
 	}
 	c := newTestCluster()
-	q := Query{Left: loadRelation(b, c, "part", part), Right: loadRelation(b, c, "lineitem_pk", lineitem), Score: Product, K: 100}
-	idxA, _, err := BuildBFHM(c, q.Left, BFHMOptions{})
+	q := binaryTree(loadRelation(b, c, "part", part), loadRelation(b, c, "lineitem_pk", lineitem), Product, 100)
+	idxA, _, err := BuildBFHM(c, q.Relations[0], BFHMOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	idxB, _, err := BuildBFHM(c, q.Right, BFHMOptions{MBits: idxA.MBits})
+	idxB, _, err := BuildBFHM(c, q.Relations[1], BFHMOptions{MBits: idxA.MBits})
 	if err != nil {
 		b.Fatal(err)
 	}
+	score := q.Score.pair() // one per query, like the state's other inputs
 	b.ReportAllocs()
 	for b.Loop() {
-		st := &bfhmState{c: c, q: &q, idxA: idxA, idxB: idxB}
+		st := &bfhmState{c: c, k: q.K, score: score, idxA: idxA, idxB: idxB}
 		fetched, err := st.estimationPhase(q.K)
 		if err != nil {
 			b.Fatal(err)

@@ -38,7 +38,7 @@ func TestBFHMSquaredScoreDistribution(t *testing.T) {
 	c := newTestCluster()
 	relL := loadRelation(t, c, "L", left)
 	relR := loadRelation(t, c, "R", right)
-	q := Query{Left: relL, Right: relR, Score: Sum, K: 10}
+	q := binaryTree(relL, relR, Sum, 10)
 	bfhmL, _, err := BuildBFHM(c, relL, BFHMOptions{NumBuckets: 100})
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func measureCosts(t *testing.T, k int) costResults {
 	right := synthTuples("r", 2000, 20, "uniform", 12)
 	relL := loadRelation(t, c, "L", left)
 	relR := loadRelation(t, c, "R", right)
-	q := Query{Left: relL, Right: relR, Score: Sum, K: k}
+	q := binaryTree(relL, relR, Sum, k)
 
 	ijlmrIdx, _, err := BuildIJLMR(c, q)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestISLBatchingTradeoff(t *testing.T) {
 	right := synthTuples("r", 1000, 50, "uniform", 22)
 	relL := loadRelation(t, c, "L", left)
 	relR := loadRelation(t, c, "R", right)
-	q := Query{Left: relL, Right: relR, Score: Sum, K: 5}
+	q := binaryTree(relL, relR, Sum, 5)
 	idx, _, err := BuildISL(c, q)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestIndexingCostShape(t *testing.T) {
 	right := synthTuples("r", 800, 100, "uniform", 32)
 	relL := loadRelation(t, c, "L", left)
 	relR := loadRelation(t, c, "R", right)
-	q := Query{Left: relL, Right: relR, Score: Sum, K: 10}
+	q := binaryTree(relL, relR, Sum, 10)
 
 	m := c.Metrics()
 	before := m.Snapshot()
@@ -257,7 +257,7 @@ func TestUpdateOverheadUnder10Percent(t *testing.T) {
 		right := synthTuples("r", 800, 100, "uniform", 42)
 		relL := loadRelation(t, c, "L", left)
 		relR := loadRelation(t, c, "R", right)
-		q := Query{Left: relL, Right: relR, Score: Sum, K: 10}
+		q := binaryTree(relL, relR, Sum, 10)
 		bfhmL, _, err := BuildBFHM(c, relL, BFHMOptions{NumBuckets: 100})
 		if err != nil {
 			t.Fatal(err)

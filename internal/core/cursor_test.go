@@ -9,19 +9,19 @@ import (
 
 // newCursorEnv loads synthetic relations, builds every index family,
 // and returns what the executor-level cursor tests need.
-func newCursorEnv(t *testing.T, n, joinCard, k int, seed int64) (*kvstore.Cluster, Query, *IndexStore) {
+func newCursorEnv(t *testing.T, n, joinCard, k int, seed int64) (*kvstore.Cluster, *JoinTree, *IndexStore) {
 	t.Helper()
 	c := newTestCluster()
 	left := synthTuples("l", n, joinCard, "uniform", seed)
 	right := synthTuples("r", n, joinCard, "uniform", seed+77)
 	relL := loadRelation(t, c, "CL", left)
 	relR := loadRelation(t, c, "CR", right)
-	q := Query{Left: relL, Right: relR, Score: Sum, K: k}
+	q := binaryTree(relL, relR, Sum, k)
 	store := NewIndexStore()
 	cfg := IndexBuildConfig{BFHMBuckets: 8, DRJNBuckets: 8, DRJNJoinParts: 16}.WithDefaults()
 	for _, ex := range Executors() {
 		if ex.NeedsIndex() {
-			if err := ex.EnsureIndex(c, TreeFromQuery(q), store, cfg); err != nil {
+			if err := ex.EnsureIndex(c, q, store, cfg); err != nil {
 				t.Fatalf("%s: EnsureIndex: %v", ex.Name(), err)
 			}
 		}
@@ -63,14 +63,13 @@ func TestCursorPagesMatchBatch(t *testing.T) {
 	opts := ExecOptions{ISLBatch: 7}.WithDefaults()
 
 	for _, ex := range Executors() {
-		batchQ := q
-		batchQ.K = total
-		batch, err := runExec(c, ex.Name(), TreeFromQuery(batchQ), store, opts)
+		batchQ := withK(q, total)
+		batch, err := runExec(c, ex.Name(), batchQ, store, opts)
 		if err != nil {
 			t.Fatalf("%s: batch: %v", ex.Name(), err)
 		}
 
-		cur, err := ex.Open(c, TreeFromQuery(q), store, opts) // q.K = page hint
+		cur, err := ex.Open(c, q, store, opts) // q.K = page hint
 		if err != nil {
 			t.Fatalf("%s: Open: %v", ex.Name(), err)
 		}
@@ -106,7 +105,7 @@ func TestCursorDrainsToExhaustion(t *testing.T) {
 
 	opts := ExecOptions{}.WithDefaults()
 	for _, ex := range Executors() {
-		cur, err := ex.Open(c, TreeFromQuery(q), store, opts)
+		cur, err := ex.Open(c, q, store, opts)
 		if err != nil {
 			t.Fatalf("%s: Open: %v", ex.Name(), err)
 		}
@@ -133,7 +132,7 @@ func TestCursorEarlyCloseChargesNothing(t *testing.T) {
 	c, q, store := newCursorEnv(t, 200, 10, 3, 99)
 	opts := ExecOptions{ISLBatch: 5}.WithDefaults()
 	for _, ex := range Executors() {
-		cur, err := ex.Open(c, TreeFromQuery(q), store, opts)
+		cur, err := ex.Open(c, q, store, opts)
 		if err != nil {
 			t.Fatalf("%s: Open: %v", ex.Name(), err)
 		}
@@ -161,14 +160,14 @@ func TestHRJNStreamMatchesBounded(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		left := descending(synthTuples("l", 80, 8, "uniform", seed))
 		right := descending(synthTuples("r", 80, 8, "uniform", seed+5))
-		stream := newSliceRun(binaryTree(Sum), left, right)
+		stream := newSliceRun(stubBinary(Sum), left, right)
 		var got []JoinResult
 		for _, k := range []int{1, 5, 17} {
 			for len(got) < k {
 				got = append(got, stream.take(1)...)
 			}
 			label := fmt.Sprintf("hrjn-stream k=%d seed=%d", k, seed)
-			bounded := newSliceRun(binaryTree(Sum), left, right).take(k)
+			bounded := newSliceRun(stubBinary(Sum), left, right).take(k)
 			assertTreeResultsByteMatch(t, label+" vs bounded", got, bounded)
 			assertTreeResultsByteMatch(t, label+" vs oracle", got, oracleTopK(left, right, Sum, k))
 		}
@@ -184,13 +183,13 @@ func TestHRJNStreamResumeCheaperThanRerun(t *testing.T) {
 	right := descending(synthTuples("r", 400, 20, "uniform", 12))
 
 	pulls := func(k int) int {
-		run := newSliceRun(binaryTree(Sum), left, right)
+		run := newSliceRun(stubBinary(Sum), left, right)
 		run.take(k)
 		return run.pulled
 	}
 	rerun := pulls(k) + pulls(2*k)
 
-	stream := newSliceRun(binaryTree(Sum), left, right)
+	stream := newSliceRun(stubBinary(Sum), left, right)
 	stream.take(k)
 	first := stream.pulled
 	stream.take(k)

@@ -420,9 +420,9 @@ func readPulled(c *kvstore.Cluster, tmpTable string) ([]Tuple, error) {
 // emitted stream stays in global score order across rounds.
 type drjnCursor struct {
 	c          *kvstore.Cluster
-	q          Query
+	t          *JoinTree
 	idxA, idxB *DRJNIndex
-	f          func(a, b float64) float64
+	score      *pairScore
 
 	bandsA, bandsB []*drjnBand
 	nextA, nextB   int
@@ -441,16 +441,16 @@ type drjnCursor struct {
 	closed      bool
 }
 
-// OpenDRJN starts a streaming DRJN execution over built indexes. q.K is
+// OpenDRJN starts a streaming DRJN execution over built indexes. t.K is
 // only a sizing hint for the first round's band-fetch target.
-func OpenDRJN(c *kvstore.Cluster, q Query, idxA, idxB *DRJNIndex) (Cursor, error) {
-	if err := q.Validate(); err != nil {
+func OpenDRJN(c *kvstore.Cluster, t *JoinTree, idxA, idxB *DRJNIndex) (Cursor, error) {
+	if err := requireBinary("drjn", t); err != nil {
 		return nil, err
 	}
 	if idxA.JoinParts != idxB.JoinParts {
 		return nil, fmt.Errorf("drjn: partition counts differ (%d vs %d)", idxA.JoinParts, idxB.JoinParts)
 	}
-	return &drjnCursor{c: c, q: q, idxA: idxA, idxB: idxB, f: q.Score.Fn}, nil
+	return &drjnCursor{c: c, t: t, idxA: idxA, idxB: idxB, score: t.Score.pair()}, nil
 }
 
 func (cu *drjnCursor) exhausted() bool {
@@ -473,7 +473,7 @@ func (cu *drjnCursor) maxUnpulled() float64 {
 	if cu.nextB >= cu.idxB.Layout.Buckets {
 		floorB = 0
 	}
-	return math.Max(cu.f(floorA, cu.idxB.Layout.Hi), cu.f(cu.idxA.Layout.Hi, floorB))
+	return math.Max(cu.score.of(floorA, cu.idxB.Layout.Hi), cu.score.of(cu.idxA.Layout.Hi, floorB))
 }
 
 // fetchBands fetches index bands alternately until the pairwise dot
@@ -534,19 +534,19 @@ func (cu *drjnCursor) pullAndJoin() error {
 	if len(cu.bandsB) > 0 {
 		floorB = cu.bandsB[len(cu.bandsB)-1].floor
 	}
-	c, q := cu.c, cu.q
-	tmpA := fmt.Sprintf("tmp_drjn_%s_a_%d_%d", q.ID(), cu.round, c.Now())
-	tmpB := fmt.Sprintf("tmp_drjn_%s_b_%d_%d", q.ID(), cu.round, c.Now())
+	c, id := cu.c, cu.t.ID()
+	tmpA := fmt.Sprintf("tmp_drjn_%s_a_%d_%d", id, cu.round, c.Now())
+	tmpB := fmt.Sprintf("tmp_drjn_%s_b_%d_%d", id, cu.round, c.Now())
 	if _, err := c.CreateTable(tmpA, []string{drjnFamily}, nil); err != nil {
 		return err
 	}
 	if _, err := c.CreateTable(tmpB, []string{drjnFamily}, nil); err != nil {
 		return err
 	}
-	if err := drjnPull(c, q.Left, tmpA, floorA); err != nil {
+	if err := drjnPull(c, cu.t.Relations[0], tmpA, floorA); err != nil {
 		return err
 	}
-	if err := drjnPull(c, q.Right, tmpB, floorB); err != nil {
+	if err := drjnPull(c, cu.t.Relations[1], tmpB, floorB); err != nil {
 		return err
 	}
 	pulledA, err := readPulled(c, tmpA)
@@ -569,7 +569,7 @@ func (cu *drjnCursor) pullAndJoin() error {
 	var out []JoinResult
 	for _, tb := range pulledB {
 		for _, ta := range byJoin[tb.JoinValue] {
-			out = append(out, JoinResult{Left: ta, Right: tb, Score: cu.f(ta.Score, tb.Score)})
+			out = append(out, JoinResult{Left: ta, Right: tb, Score: cu.score.of(ta.Score, tb.Score)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].less(&out[j]) })
@@ -612,7 +612,7 @@ func (cu *drjnCursor) Next() (*JoinResult, error) {
 		if !cu.pulledOnce {
 			// First round: fetch bands until the estimate covers the
 			// query's k (or one result, for a pure stream).
-			target := uint64(cu.q.K)
+			target := uint64(cu.t.K)
 			if target < 1 {
 				target = 1
 			}
@@ -653,6 +653,6 @@ func (cu *drjnCursor) Close() error {
 
 // QueryDRJN runs the DRJN rank join as a bounded drain of the streaming
 // cursor.
-func QueryDRJN(c *kvstore.Cluster, q Query, idxA, idxB *DRJNIndex) (*Result, error) {
-	return RunCursor(c, q.K, func() (Cursor, error) { return OpenDRJN(c, q, idxA, idxB) })
+func QueryDRJN(c *kvstore.Cluster, t *JoinTree, idxA, idxB *DRJNIndex) (*Result, error) {
+	return RunCursor(c, t.K, func() (Cursor, error) { return OpenDRJN(c, t, idxA, idxB) })
 }

@@ -172,8 +172,8 @@ func RelativeError(est, actual float64) float64 {
 
 // Executor is one rank-join strategy behind the registry. Every
 // executor consumes the JoinTree query form; two-way-only strategies
-// project the tree back to a binary Query via JoinTree.Binary and
-// reject other shapes (see Supports).
+// accept its two-leaf all-equi shape and reject the others (see
+// Supports).
 type Executor interface {
 	// Name is the stable identifier ("isl", "bfhm", ...), matching the
 	// public Algorithm constants.

@@ -9,10 +9,11 @@ import (
 // The paper's seven algorithms plus the any-k tree executor as registry
 // executors. This file is the single dispatch surface: one Executor
 // implementation per strategy. Every executor consumes the JoinTree
-// form; the two-way-only strategies project it back to a binary Query
-// through requireBinary. isl and anyk share one rank-join operator and
-// one list cursor (anyk.go, isl.go); the batch-shaped strategies stream
-// through the materializing adapter (materialize).
+// form; the two-way-only strategies accept its two-leaf all-equi shape
+// (requireBinary) and read the two relations as leaves 0 and 1. isl and
+// anyk share one rank-join operator, one list cursor and one index
+// (anyk.go, isl.go); the batch-shaped strategies stream through the
+// materializing adapter (materialize).
 
 func init() {
 	Register(naiveExec{})
@@ -38,20 +39,27 @@ func unsupportedShape(name string, t *JoinTree) error {
 		name, t.ID(), "naive", "anyk")
 }
 
-// requireBinary projects the tree onto the two-way Query form the
-// binary-only executors consume, or fails with a shape diagnostic.
-func requireBinary(name string, t *JoinTree) (Query, error) {
-	q, ok := t.Binary()
-	if !ok {
-		return Query{}, unsupportedShape(name, t)
-	}
-	return q, nil
+// isBinary reports the two-leaf all-equi shape, the paper's two-way
+// rank join.
+func isBinary(t *JoinTree) bool {
+	return len(t.Relations) == 2 && t.AllEqui()
 }
 
-// isBinary reports the two-leaf all-equi shape.
-func isBinary(t *JoinTree) bool {
-	_, ok := t.Binary()
-	return ok
+// requireBinary validates t for a two-way-only strategy: any shape but
+// the two-leaf all-equi one fails with a shape diagnostic.
+func requireBinary(name string, t *JoinTree) error {
+	if !isBinary(t) {
+		return unsupportedShape(name, t)
+	}
+	return t.Validate()
+}
+
+// withK returns a copy of t with a different result target (the depth
+// of one materializing run).
+func withK(t *JoinTree, k int) *JoinTree {
+	tt := *t
+	tt.K = k
+	return &tt
 }
 
 // materialize adapts a batch-shaped top-k function to Open's streaming
@@ -83,12 +91,10 @@ func (naiveExec) Estimate(st *PlanStats) CostEstimate                       { re
 func (naiveExec) Incremental() bool                                         { return false }
 func (naiveExec) Open(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, opts ExecOptions) (Cursor, error) {
 	return materialize(t, opts.Budget, func(k int) (*Result, error) {
-		tt := *t
-		tt.K = k
-		if q, ok := tt.Binary(); ok {
-			return NaiveTopK(c, q)
+		if isBinary(t) {
+			return NaiveTopK(c, withK(t, k))
 		}
-		return NaiveTreeTopK(c, &tt)
+		return NaiveTreeTopK(c, withK(t, k))
 	})
 }
 
@@ -110,14 +116,11 @@ func (hiveExec) IndexSize(*kvstore.Cluster, *JoinTree, *IndexStore) uint64 { ret
 func (hiveExec) Estimate(st *PlanStats) CostEstimate                       { return estimateHive(st) }
 func (hiveExec) Incremental() bool                                         { return false }
 func (hiveExec) Open(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, opts ExecOptions) (Cursor, error) {
-	q, err := requireBinary("hive", t)
-	if err != nil {
+	if err := requireBinary("hive", t); err != nil {
 		return nil, err
 	}
 	return materialize(t, opts.Budget, func(k int) (*Result, error) {
-		qq := q
-		qq.K = k
-		return QueryHive(c, qq)
+		return QueryHive(c, withK(t, k))
 	})
 }
 
@@ -139,14 +142,11 @@ func (pigExec) IndexSize(*kvstore.Cluster, *JoinTree, *IndexStore) uint64 { retu
 func (pigExec) Estimate(st *PlanStats) CostEstimate                       { return estimatePig(st) }
 func (pigExec) Incremental() bool                                         { return false }
 func (pigExec) Open(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, opts ExecOptions) (Cursor, error) {
-	q, err := requireBinary("pig", t)
-	if err != nil {
+	if err := requireBinary("pig", t); err != nil {
 		return nil, err
 	}
 	return materialize(t, opts.Budget, func(k int) (*Result, error) {
-		qq := q
-		qq.K = k
-		return QueryPig(c, qq)
+		return QueryPig(c, withK(t, k))
 	})
 }
 
@@ -159,39 +159,36 @@ func (ijlmrExec) NeedsIndex() bool          { return true }
 func (ijlmrExec) Supports(t *JoinTree) bool { return isBinary(t) }
 
 func (ijlmrExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, _ IndexBuildConfig) error {
-	q, err := requireBinary("ijlmr", t)
-	if err != nil {
+	if err := requireBinary("ijlmr", t); err != nil {
 		return err
 	}
-	lock := store.BuildScope("ijlmr/" + q.ID())
+	lock := store.BuildScope("ijlmr/" + t.ID())
 	lock.Lock()
 	defer lock.Unlock()
-	if _, ok := store.IJLMR(q.ID()); ok {
+	if _, ok := store.IJLMR(t.ID()); ok {
 		return nil
 	}
-	idx, _, err := BuildIJLMR(c, q)
+	idx, _, err := BuildIJLMR(c, t)
 	if err != nil {
 		return err
 	}
-	store.PutIJLMR(q.ID(), idx)
+	store.PutIJLMR(t.ID(), idx)
 	return nil
 }
 
 func (ijlmrExec) HasIndex(t *JoinTree, store *IndexStore) bool {
-	q, ok := t.Binary()
-	if !ok {
+	if !isBinary(t) {
 		return false
 	}
-	_, ok = store.IJLMR(q.ID())
+	_, ok := store.IJLMR(t.ID())
 	return ok
 }
 
 func (ijlmrExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64 {
-	q, ok := t.Binary()
-	if !ok {
+	if !isBinary(t) {
 		return 0
 	}
-	idx, ok := store.IJLMR(q.ID())
+	idx, ok := store.IJLMR(t.ID())
 	if !ok {
 		return 0
 	}
@@ -202,89 +199,47 @@ func (ijlmrExec) Estimate(st *PlanStats) CostEstimate { return estimateIJLMR(st)
 func (ijlmrExec) Incremental() bool                   { return false }
 
 func (ijlmrExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-	q, err := requireBinary("ijlmr", t)
-	if err != nil {
+	if err := requireBinary("ijlmr", t); err != nil {
 		return nil, err
 	}
-	idx, ok := store.IJLMR(q.ID())
+	idx, ok := store.IJLMR(t.ID())
 	if !ok {
-		return nil, fmt.Errorf("rankjoin: no IJLMR index for %s; call EnsureIndexes first", q.ID())
+		return nil, fmt.Errorf("rankjoin: no IJLMR index for %s; call EnsureIndexes first", t.ID())
 	}
 	return materialize(t, opts.Budget, func(k int) (*Result, error) {
-		qq := q
-		qq.K = k
-		return QueryIJLMR(c, qq, idx)
+		return QueryIJLMR(c, withK(t, k), idx)
 	})
 }
 
 // ---- ISL ----
 
 // islExec is the paper's ISL coordinator (Section 4.2.3) on all-equi
-// trees: the list cursor over the binary index for two-way trees and
-// over the shared n-way index for larger ones (any connected all-equi
-// tree is semantically a star). Band-predicate trees are out of scope —
-// use any-k.
+// trees of any leaf count (any connected all-equi tree is semantically
+// a star), over the same inverse-score-list index the anyk executor
+// reads. Band-predicate trees are out of scope — use any-k.
 type islExec struct{}
 
 func (islExec) Name() string              { return "isl" }
 func (islExec) NeedsIndex() bool          { return true }
 func (islExec) Supports(t *JoinTree) bool { return t.AllEqui() }
 
-// islLists locates the inverse score lists ISL reads for t: the binary
-// index's two families for a two-leaf tree, the shared n-way index's
-// otherwise. ok is false when the index is not built or the shape is
-// not ISL's.
-func islLists(t *JoinTree, store *IndexStore) (table string, families []string, ok bool) {
-	if q, ok := t.Binary(); ok {
-		idx, ok := store.ISL(q.ID())
-		if !ok {
-			return "", nil, false
-		}
-		return idx.Table, []string{idx.LeftFamily, idx.RightFamily}, true
-	}
-	if !t.AllEqui() {
-		return "", nil, false
-	}
-	idx, ok := store.ISLN(t.LeafID())
-	if !ok {
-		return "", nil, false
-	}
-	return idx.Table, idx.Families, true
-}
-
 func (islExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, _ IndexBuildConfig) error {
 	if !t.AllEqui() {
 		return unsupportedShape("isl", t)
 	}
-	q, ok := t.Binary()
-	if !ok {
-		return EnsureISLN(c, t, store)
-	}
-	lock := store.BuildScope("isl/" + q.ID())
-	lock.Lock()
-	defer lock.Unlock()
-	if _, ok := store.ISL(q.ID()); ok {
-		return nil
-	}
-	idx, _, err := BuildISL(c, q)
-	if err != nil {
-		return err
-	}
-	store.PutISL(q.ID(), idx)
-	return nil
+	return EnsureISL(c, t, store)
 }
 
 func (islExec) HasIndex(t *JoinTree, store *IndexStore) bool {
-	_, _, ok := islLists(t, store)
-	return ok
+	_, ok := store.ISL(t.LeafID())
+	return ok && t.AllEqui()
 }
 
 func (islExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64 {
-	table, _, ok := islLists(t, store)
-	if !ok {
+	if !t.AllEqui() {
 		return 0
 	}
-	return tableSize(c, table)
+	return islIndexSize(c, t, store)
 }
 
 func (islExec) Estimate(st *PlanStats) CostEstimate { return estimateISL(st) }
@@ -294,12 +249,8 @@ func (islExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts Exe
 	if !t.AllEqui() {
 		return nil, unsupportedShape("isl", t)
 	}
-	table, families, ok := islLists(t, store)
-	if !ok {
-		return nil, fmt.Errorf("rankjoin: no ISL index for %s; call EnsureIndexes first", t.LeafID())
-	}
 	// A release keeps the cursor's place in the batch, as Algorithm 4 does.
-	return openLists(c, t, table, families, opts.WithDefaults(), false)
+	return openLists(c, t, store, "ISL", opts, false)
 }
 
 // ---- BFHM ----
@@ -317,8 +268,7 @@ func (bfhmExec) Supports(t *JoinTree) bool { return isBinary(t) }
 // overlapping relation pairs would otherwise race the width handshake
 // and persist filters that can never be intersected.
 func (bfhmExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, cfg IndexBuildConfig) error {
-	q, err := requireBinary("bfhm", t)
-	if err != nil {
+	if err := requireBinary("bfhm", t); err != nil {
 		return err
 	}
 	cfg = cfg.WithDefaults()
@@ -326,12 +276,12 @@ func (bfhmExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, 
 	lock.Lock()
 	defer lock.Unlock()
 	var shared uint64
-	if idx, ok := store.BFHM(q.Left.Name); ok {
+	if idx, ok := store.BFHM(t.Relations[0].Name); ok {
 		shared = idx.MBits
-	} else if idx, ok := store.BFHM(q.Right.Name); ok {
+	} else if idx, ok := store.BFHM(t.Relations[1].Name); ok {
 		shared = idx.MBits
 	}
-	for _, rel := range []Relation{q.Left, q.Right} {
+	for _, rel := range t.Relations {
 		if _, ok := store.BFHM(rel.Name); ok {
 			continue
 		}
@@ -350,23 +300,21 @@ func (bfhmExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, 
 }
 
 func (bfhmExec) HasIndex(t *JoinTree, store *IndexStore) bool {
-	q, ok := t.Binary()
-	if !ok {
+	if !isBinary(t) {
 		return false
 	}
-	_, okA := store.BFHM(q.Left.Name)
-	_, okB := store.BFHM(q.Right.Name)
+	_, okA := store.BFHM(t.Relations[0].Name)
+	_, okB := store.BFHM(t.Relations[1].Name)
 	return okA && okB
 }
 
 func (bfhmExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64 {
-	q, ok := t.Binary()
-	if !ok {
+	if !isBinary(t) {
 		return 0
 	}
 	var total uint64
-	for _, name := range []string{q.Left.Name, q.Right.Name} {
-		if idx, ok := store.BFHM(name); ok {
+	for i := range t.Relations {
+		if idx, ok := store.BFHM(t.Relations[i].Name); ok {
 			total += tableSize(c, idx.Table)
 		}
 	}
@@ -380,19 +328,16 @@ func (bfhmExec) Incremental() bool                   { return false }
 // k-driven end to end (the histogram walk targets the k'th estimate),
 // so deeper pulls re-run the bounded query at doubled k.
 func (bfhmExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-	q, err := requireBinary("bfhm", t)
-	if err != nil {
+	if err := requireBinary("bfhm", t); err != nil {
 		return nil, err
 	}
-	idxA, okA := store.BFHM(q.Left.Name)
-	idxB, okB := store.BFHM(q.Right.Name)
+	idxA, okA := store.BFHM(t.Relations[0].Name)
+	idxB, okB := store.BFHM(t.Relations[1].Name)
 	if !okA || !okB {
-		return nil, fmt.Errorf("rankjoin: missing BFHM index for %s; call EnsureIndexes first", q.ID())
+		return nil, fmt.Errorf("rankjoin: missing BFHM index for %s; call EnsureIndexes first", t.ID())
 	}
 	return materialize(t, opts.Budget, func(k int) (*Result, error) {
-		qq := q
-		qq.K = k
-		return QueryBFHM(c, qq, idxA, idxB, BFHMQueryOptions{
+		return QueryBFHM(c, withK(t, k), idxA, idxB, BFHMQueryOptions{
 			WriteBack:   opts.BFHMWriteBack,
 			Parallelism: opts.Parallelism,
 		})
@@ -408,8 +353,7 @@ func (drjnExec) NeedsIndex() bool          { return true }
 func (drjnExec) Supports(t *JoinTree) bool { return isBinary(t) }
 
 func (drjnExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, cfg IndexBuildConfig) error {
-	q, err := requireBinary("drjn", t)
-	if err != nil {
+	if err := requireBinary("drjn", t); err != nil {
 		return err
 	}
 	cfg = cfg.WithDefaults()
@@ -418,7 +362,7 @@ func (drjnExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, 
 	lock := store.BuildScope("drjn")
 	lock.Lock()
 	defer lock.Unlock()
-	for _, rel := range []Relation{q.Left, q.Right} {
+	for _, rel := range t.Relations {
 		if _, ok := store.DRJN(rel.Name); ok {
 			continue
 		}
@@ -435,23 +379,21 @@ func (drjnExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, 
 }
 
 func (drjnExec) HasIndex(t *JoinTree, store *IndexStore) bool {
-	q, ok := t.Binary()
-	if !ok {
+	if !isBinary(t) {
 		return false
 	}
-	_, okA := store.DRJN(q.Left.Name)
-	_, okB := store.DRJN(q.Right.Name)
+	_, okA := store.DRJN(t.Relations[0].Name)
+	_, okB := store.DRJN(t.Relations[1].Name)
 	return okA && okB
 }
 
 func (drjnExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64 {
-	q, ok := t.Binary()
-	if !ok {
+	if !isBinary(t) {
 		return 0
 	}
 	var total uint64
-	for _, name := range []string{q.Left.Name, q.Right.Name} {
-		if idx, ok := store.DRJN(name); ok {
+	for i := range t.Relations {
+		if idx, ok := store.DRJN(t.Relations[i].Name); ok {
 			total += tableSize(c, idx.Table)
 		}
 	}
@@ -462,16 +404,15 @@ func (drjnExec) Estimate(st *PlanStats) CostEstimate { return estimateDRJN(st) }
 func (drjnExec) Incremental() bool                   { return true }
 
 func (drjnExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-	q, err := requireBinary("drjn", t)
-	if err != nil {
+	if err := requireBinary("drjn", t); err != nil {
 		return nil, err
 	}
-	idxA, okA := store.DRJN(q.Left.Name)
-	idxB, okB := store.DRJN(q.Right.Name)
+	idxA, okA := store.DRJN(t.Relations[0].Name)
+	idxB, okB := store.DRJN(t.Relations[1].Name)
 	if !okA || !okB {
-		return nil, fmt.Errorf("rankjoin: missing DRJN index for %s; call EnsureIndexes first", q.ID())
+		return nil, fmt.Errorf("rankjoin: missing DRJN index for %s; call EnsureIndexes first", t.ID())
 	}
-	cur, err := OpenDRJN(c, q, idxA, idxB)
+	cur, err := OpenDRJN(c, t, idxA, idxB)
 	if err != nil {
 		return nil, err
 	}

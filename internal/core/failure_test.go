@@ -14,7 +14,7 @@ func TestQueriesSurviveRegionSplits(t *testing.T) {
 	right := synthTuples("r", 300, 40, "uniform", 72)
 	relL := loadRelation(t, c, "L", left)
 	relR := loadRelation(t, c, "R", right)
-	q := Query{Left: relL, Right: relR, Score: Sum, K: 15}
+	q := binaryTree(relL, relR, Sum, 15)
 
 	islIdx, _, err := BuildISL(c, q)
 	if err != nil {
@@ -63,7 +63,7 @@ func TestQueriesSurviveRegionMoves(t *testing.T) {
 	right := synthTuples("r", 200, 30, "uniform", 82)
 	relL := loadRelation(t, c, "L", left)
 	relR := loadRelation(t, c, "R", right)
-	q := Query{Left: relL, Right: relR, Score: Product, K: 10}
+	q := binaryTree(relL, relR, Product, 10)
 	ijlmrIdx, _, err := BuildIJLMR(c, q)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestSplitDuringMaintenanceWorkload(t *testing.T) {
 			Score:     float64((i*97)%1000) / 1000,
 		})
 		if i == 7 {
-			if err := s.c.SplitRegion(s.q.Left.Table, ""); err != nil {
+			if err := s.c.SplitRegion(s.q.Relations[0].Table, ""); err != nil {
 				t.Fatal(err)
 			}
 		}

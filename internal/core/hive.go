@@ -48,38 +48,39 @@ func splitTagged(v []byte) (byte, Tuple, error) {
 // relations map into a shuffle keyed by join value; reducers emit the
 // cartesian product per join value into tmpTable. pad appends filler
 // bytes to every materialized pair (Hive's missing projection).
-func joinJob(c *kvstore.Cluster, q *Query, name, tmpTable string, pad int) (*mapreduce.Result, error) {
+func joinJob(c *kvstore.Cluster, t *JoinTree, name, tmpTable string, pad int) (*mapreduce.Result, error) {
 	if _, err := c.CreateTable(tmpTable, []string{tmpFamily}, hashSplits(c.Nodes())); err != nil {
 		return nil, err
 	}
 	mkMapper := func(rel Relation, tag byte) mapreduce.Mapper {
 		return mapreduce.MapperFunc(func(row *kvstore.Row, ctx mapreduce.Context) error {
-			t, ok := TupleFromRow(&rel, row)
+			tp, ok := TupleFromRow(&rel, row)
 			if !ok {
 				return nil
 			}
-			ctx.Emit(t.JoinValue, tagTuple(tag, t))
+			ctx.Emit(tp.JoinValue, tagTuple(tag, tp))
 			return nil
 		})
 	}
+	l, r := t.Relations[0], t.Relations[1]
 	return mapreduce.Run(&mapreduce.Job{
 		Name:    name,
 		Cluster: c,
 		Inputs: []mapreduce.TableInput{
-			{Scan: kvstore.Scan{Table: q.Left.Table, Families: []string{q.Left.Family}}, Mapper: mkMapper(q.Left, hiveTagLeft)},
-			{Scan: kvstore.Scan{Table: q.Right.Table, Families: []string{q.Right.Family}}, Mapper: mkMapper(q.Right, hiveTagRight)},
+			{Scan: kvstore.Scan{Table: l.Table, Families: []string{l.Family}}, Mapper: mkMapper(l, hiveTagLeft)},
+			{Scan: kvstore.Scan{Table: r.Table, Families: []string{r.Family}}, Mapper: mkMapper(r, hiveTagRight)},
 		},
 		Reducer: mapreduce.ReducerFunc(func(key string, values [][]byte, ctx mapreduce.Context) error {
 			var left, right []Tuple
 			for _, v := range values {
-				tag, t, err := splitTagged(v)
+				tag, tp, err := splitTagged(v)
 				if err != nil {
 					return err
 				}
 				if tag == hiveTagLeft {
-					left = append(left, t)
+					left = append(left, tp)
 				} else {
-					right = append(right, t)
+					right = append(right, tp)
 				}
 			}
 			for _, lt := range left {
@@ -105,21 +106,21 @@ func joinJob(c *kvstore.Cluster, q *Query, name, tmpTable string, pad int) (*map
 }
 
 // QueryHive runs the Hive baseline.
-func QueryHive(c *kvstore.Cluster, q Query) (*Result, error) {
-	if err := q.Validate(); err != nil {
+func QueryHive(c *kvstore.Cluster, t *JoinTree) (*Result, error) {
+	if err := requireBinary("hive", t); err != nil {
 		return nil, err
 	}
 	before := c.Metrics().Snapshot()
 	uniq := c.Now()
-	tmpJoin := fmt.Sprintf("tmp_hive_join_%s_%d", q.ID(), uniq)
-	tmpSorted := fmt.Sprintf("tmp_hive_sorted_%s_%d", q.ID(), uniq)
+	tmpJoin := fmt.Sprintf("tmp_hive_join_%s_%d", t.ID(), uniq)
+	tmpSorted := fmt.Sprintf("tmp_hive_sorted_%s_%d", t.ID(), uniq)
 	defer func() {
 		_ = c.DropTable(tmpJoin)
 		_ = c.DropTable(tmpSorted)
 	}()
 
 	// Job 1: materialize the join result.
-	if _, err := joinJob(c, &q, "hive-join-"+q.ID(), tmpJoin, hivePadding); err != nil {
+	if _, err := joinJob(c, t, "hive-join-"+t.ID(), tmpJoin, hivePadding); err != nil {
 		return nil, err
 	}
 
@@ -128,26 +129,30 @@ func QueryHive(c *kvstore.Cluster, q Query) (*Result, error) {
 		return nil, err
 	}
 	if _, err := mapreduce.Run(&mapreduce.Job{
-		Name:    "hive-sort-" + q.ID(),
+		Name:    "hive-sort-" + t.ID(),
 		Cluster: c,
 		Input:   kvstore.Scan{Table: tmpJoin},
-		Mapper: mapreduce.MapperFunc(func(row *kvstore.Row, ctx mapreduce.Context) error {
-			cell := row.Cell(tmpFamily, "p")
-			if cell == nil {
+		// Map tasks run concurrently: one scoring scratch per task.
+		MapperFactory: func() mapreduce.Mapper {
+			score := t.Score.pair()
+			return mapreduce.MapperFunc(func(row *kvstore.Row, ctx mapreduce.Context) error {
+				cell := row.Cell(tmpFamily, "p")
+				if cell == nil {
+					return nil
+				}
+				// The decoder ignores the trailing SELECT * padding.
+				pair, err := DecodeJoinResult(cell.Value)
+				if err != nil {
+					return err
+				}
+				pair.Score = score.of(pair.Left.Score, pair.Right.Score)
+				// Hive's ORDER BY drags the full unprojected rows through
+				// the shuffle too.
+				val := append(EncodeJoinResult(pair), make([]byte, hivePadding)...)
+				ctx.Emit(kvstore.EncodeScoreDesc(pair.Score)+"|"+row.Key, val)
 				return nil
-			}
-			// The decoder ignores the trailing SELECT * padding.
-			pair, err := DecodeJoinResult(cell.Value)
-			if err != nil {
-				return err
-			}
-			pair.Score = q.Score.Fn(pair.Left.Score, pair.Right.Score)
-			// Hive's ORDER BY drags the full unprojected rows through
-			// the shuffle too.
-			val := append(EncodeJoinResult(pair), make([]byte, hivePadding)...)
-			ctx.Emit(kvstore.EncodeScoreDesc(pair.Score)+"|"+row.Key, val)
-			return nil
-		}),
+			})
+		},
 		Reducer: mapreduce.ReducerFunc(func(key string, values [][]byte, ctx mapreduce.Context) error {
 			for i, v := range values {
 				ctx.WriteCell(tmpSorted, kvstore.Cell{
@@ -165,12 +170,12 @@ func QueryHive(c *kvstore.Cluster, q Query) (*Result, error) {
 	}
 
 	// Stage 3: fetch the k best rows from the sorted table.
-	top := NewTopKList(q.K)
-	sc, err := c.OpenScanner(kvstore.Scan{Table: tmpSorted, Caching: q.K})
+	top := NewTopKList(t.K)
+	sc, err := c.OpenScanner(kvstore.Scan{Table: tmpSorted, Caching: t.K})
 	if err != nil {
 		return nil, err
 	}
-	for n := 0; n < q.K; n++ {
+	for n := 0; n < t.K; n++ {
 		row, err := sc.Next()
 		if err != nil {
 			return nil, err

@@ -25,7 +25,7 @@ func descending(ts []Tuple) []Tuple {
 func TestHRJNPaperExample(t *testing.T) {
 	// Running example (Fig. 1), f = sum, k = 3. Exact answer:
 	// 1.74 (r1_7 b + r2_11), 1.73 (r1_7 b + r2_2), 1.62 (r1_8 b + r2_11).
-	got := newSliceRun(binaryTree(Sum), descending(paperR1), descending(paperR2)).take(3)
+	got := newSliceRun(stubBinary(Sum), descending(paperR1), descending(paperR2)).take(3)
 	want := oracleTopK(paperR1, paperR2, Sum, 3)
 	assertTreeResultsByteMatch(t, "hrjn-paper", got, want)
 	verifyResultsAreRealJoins(t, "hrjn-paper", got, Sum)
@@ -43,7 +43,7 @@ func TestHRJNMatchesOracleRandom(t *testing.T) {
 		right := synthTuples("r", 150, 25, "uniform", seed+1000)
 		for _, k := range []int{1, 5, 30} {
 			for _, f := range []ScoreFunc{Sum, Product} {
-				got := newSliceRun(binaryTree(f), descending(left), descending(right)).take(k)
+				got := newSliceRun(stubBinary(f), descending(left), descending(right)).take(k)
 				// Quantised scores tie often: the released order must
 				// be the oracle's down to the row keys.
 				assertTreeResultsByteMatch(t, "hrjn-random", got, oracleTopK(left, right, f, k))
@@ -63,7 +63,7 @@ func TestHRJNEarlyTermination(t *testing.T) {
 		left = append(left, Tuple{RowKey: tkey("L", i), JoinValue: "cold", Score: 0.01})
 		right = append(right, Tuple{RowKey: tkey("R", i), JoinValue: "cold", Score: 0.01})
 	}
-	run := newSliceRun(binaryTree(Sum), descending(left), descending(right))
+	run := newSliceRun(stubBinary(Sum), descending(left), descending(right))
 	rs := run.take(1)
 	if run.pulled > 10 {
 		t.Errorf("HRJN pulled %d tuples; expected early termination after a handful", run.pulled)
@@ -78,12 +78,12 @@ func tkey(p string, i int) string {
 }
 
 func TestHRJNEmptyInputs(t *testing.T) {
-	if got := newSliceRun(binaryTree(Sum), nil, nil).take(5); len(got) != 0 {
+	if got := newSliceRun(stubBinary(Sum), nil, nil).take(5); len(got) != 0 {
 		t.Fatalf("empty inputs produced %v", got)
 	}
 	// One-sided emptiness.
 	one := []Tuple{{RowKey: "a", JoinValue: "x", Score: 1}}
-	if got := newSliceRun(binaryTree(Sum), one, nil).take(5); len(got) != 0 {
+	if got := newSliceRun(stubBinary(Sum), one, nil).take(5); len(got) != 0 {
 		t.Fatalf("one-sided input produced %v", got)
 	}
 }
@@ -91,13 +91,13 @@ func TestHRJNEmptyInputs(t *testing.T) {
 func TestHRJNFewerThanKResults(t *testing.T) {
 	left := []Tuple{{RowKey: "a", JoinValue: "x", Score: 0.9}}
 	right := []Tuple{{RowKey: "b", JoinValue: "x", Score: 0.8}}
-	if got := newSliceRun(binaryTree(Sum), left, right).take(10); len(got) != 1 {
+	if got := newSliceRun(stubBinary(Sum), left, right).take(10); len(got) != 1 {
 		t.Fatalf("got %d results, want 1", len(got))
 	}
 }
 
 func TestHRJNThresholdMath(t *testing.T) {
-	op := newAnyKOp(binaryTree(Sum))
+	op := newAnyKOp(stubBinary(Sum))
 	if th := op.threshold(); !math.IsInf(th, 1) {
 		t.Fatalf("initial threshold = %g, want +Inf", th)
 	}

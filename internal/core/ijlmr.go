@@ -24,9 +24,6 @@ type IJLMRIndex struct {
 	RightFamily string
 }
 
-// IJLMRTableName derives the index table name for a query.
-func IJLMRTableName(q *Query) string { return "ijlmr_" + q.ID() }
-
 // BuildIJLMRRelation indexes one relation into family fam of the index
 // table with the map-only job of Algorithm 1. The index table must
 // already exist with that family.
@@ -56,23 +53,23 @@ func BuildIJLMRRelation(c *kvstore.Cluster, rel Relation, indexTable, fam string
 
 // BuildIJLMR creates the index table (pre-split across nodes) and indexes
 // both relations. It returns the index handle and the two build results.
-func BuildIJLMR(c *kvstore.Cluster, q Query) (*IJLMRIndex, []*mapreduce.Result, error) {
-	if err := q.Validate(); err != nil {
+func BuildIJLMR(c *kvstore.Cluster, t *JoinTree) (*IJLMRIndex, []*mapreduce.Result, error) {
+	if err := requireBinary("ijlmr", t); err != nil {
 		return nil, nil, err
 	}
 	idx := &IJLMRIndex{
-		Table:       IJLMRTableName(&q),
-		LeftFamily:  q.Left.Name,
-		RightFamily: q.Right.Name,
+		Table:       "ijlmr_" + t.ID(),
+		LeftFamily:  t.Relations[0].Name,
+		RightFamily: t.Relations[1].Name,
 	}
 	if _, err := c.CreateTable(idx.Table, []string{idx.LeftFamily, idx.RightFamily}, hashSplits(c.Nodes())); err != nil {
 		return nil, nil, err
 	}
-	left, err := BuildIJLMRRelation(c, q.Left, idx.Table, idx.LeftFamily)
+	left, err := BuildIJLMRRelation(c, t.Relations[0], idx.Table, idx.LeftFamily)
 	if err != nil {
 		return nil, nil, err
 	}
-	right, err := BuildIJLMRRelation(c, q.Right, idx.Table, idx.RightFamily)
+	right, err := BuildIJLMRRelation(c, t.Relations[1], idx.Table, idx.RightFamily)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -99,7 +96,7 @@ func hashSplits(nodes int) []string {
 // top-k, emitted when input is exhausted.
 type ijlmrMapper struct {
 	idx   *IJLMRIndex
-	score ScoreFunc
+	score *pairScore
 	top   *TopKList
 }
 
@@ -125,7 +122,7 @@ func (m *ijlmrMapper) Map(row *kvstore.Row, ctx mapreduce.Context) error {
 	// join value), trimmed to k as we go.
 	for _, lt := range left {
 		for _, rt := range right {
-			m.top.Add(JoinResult{Left: lt, Right: rt, Score: m.score.Fn(lt.Score, rt.Score)})
+			m.top.Add(JoinResult{Left: lt, Right: rt, Score: m.score.of(lt.Score, rt.Score)})
 		}
 	}
 	ctx.Counter("rows_joined", 1)
@@ -141,22 +138,22 @@ func (m *ijlmrMapper) Finish(ctx mapreduce.Context) error {
 }
 
 // QueryIJLMR runs the single-job rank join of Algorithm 2.
-func QueryIJLMR(c *kvstore.Cluster, q Query, idx *IJLMRIndex) (*Result, error) {
-	if err := q.Validate(); err != nil {
+func QueryIJLMR(c *kvstore.Cluster, t *JoinTree, idx *IJLMRIndex) (*Result, error) {
+	if err := requireBinary("ijlmr", t); err != nil {
 		return nil, err
 	}
 	before := c.Metrics().Snapshot()
 	res, err := mapreduce.Run(&mapreduce.Job{
-		Name:    "ijlmr-query-" + q.ID(),
+		Name:    "ijlmr-query-" + t.ID(),
 		Cluster: c,
 		Input:   kvstore.Scan{Table: idx.Table},
 		MapperFactory: func() mapreduce.Mapper {
-			return &ijlmrMapper{idx: idx, score: q.Score, top: NewTopKList(q.K)}
+			return &ijlmrMapper{idx: idx, score: t.Score.pair(), top: NewTopKList(t.K)}
 		},
 		// Algorithm 2 lines 22-28: a single reducer merges the local
 		// top-k lists.
 		Reducer: mapreduce.ReducerFunc(func(key string, values [][]byte, ctx mapreduce.Context) error {
-			top, err := mergeTopK(q.K, values)
+			top, err := mergeTopK(t.K, values)
 			if err != nil {
 				return err
 			}
@@ -170,7 +167,7 @@ func QueryIJLMR(c *kvstore.Cluster, q Query, idx *IJLMRIndex) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	top := NewTopKList(q.K)
+	top := NewTopKList(t.K)
 	for _, kv := range res.Output {
 		r, err := DecodeJoinResult(kv.Value)
 		if err != nil {

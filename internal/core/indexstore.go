@@ -3,8 +3,10 @@ package core
 import "sync"
 
 // IndexStore holds every index built over one cluster, keyed the way
-// each index family needs: per-query for IJLMR and ISL (their tables
-// bind two relations and a score function), per-relation for BFHM and
+// each index family needs: per-query for IJLMR (its table binds two
+// relations and a score function), per leaf set for the inverse score
+// lists (one table shared by every tree over the same leaves and
+// aggregate, whichever executor reads it), per-relation for BFHM and
 // DRJN (their tables describe one relation and are shared by every
 // query touching it).
 //
@@ -16,10 +18,9 @@ import "sync"
 type IndexStore struct {
 	mu    sync.Mutex
 	ijlmr map[string]*IJLMRIndex // query ID -> index; guarded by: mu
-	isl   map[string]*ISLIndex   // query ID -> index; guarded by: mu
+	isl   map[string]*ISLIndex   // tree leaf ID -> index; guarded by: mu
 	bfhm  map[string]*BFHMIndex  // relation name -> index; guarded by: mu
 	drjn  map[string]*DRJNIndex  // relation name -> index; guarded by: mu
-	isln  map[string]*ISLNIndex  // tree leaf ID -> index; guarded by: mu
 
 	buildMu sync.Mutex
 	builds  map[string]*sync.Mutex // build scope -> serialization lock; guarded by: buildMu
@@ -32,13 +33,12 @@ func NewIndexStore() *IndexStore {
 		isl:    map[string]*ISLIndex{},
 		bfhm:   map[string]*BFHMIndex{},
 		drjn:   map[string]*DRJNIndex{},
-		isln:   map[string]*ISLNIndex{},
 		builds: map[string]*sync.Mutex{},
 	}
 }
 
 // BuildScope returns the mutex serializing index builds for one scope
-// (e.g. "isl/<queryID>", or the family-wide "bfhm" scope whose builds
+// (e.g. "isl/<leafID>", or the family-wide "bfhm" scope whose builds
 // share a filter width). Callers hold it across their check-then-build
 // sequence.
 func (s *IndexStore) BuildScope(scope string) *sync.Mutex {
@@ -67,19 +67,20 @@ func (s *IndexStore) PutIJLMR(queryID string, idx *IJLMRIndex) {
 	s.ijlmr[queryID] = idx
 }
 
-// ISL returns the ISL index for a query ID.
-func (s *IndexStore) ISL(queryID string) (*ISLIndex, bool) {
+// ISL returns the inverse-score-list index for a tree leaf ID
+// (JoinTree.LeafID — trees over the same leaves share one index).
+func (s *IndexStore) ISL(leafID string) (*ISLIndex, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	idx, ok := s.isl[queryID]
+	idx, ok := s.isl[leafID]
 	return idx, ok
 }
 
-// PutISL stores an ISL index.
-func (s *IndexStore) PutISL(queryID string, idx *ISLIndex) {
+// PutISL stores an inverse-score-list index.
+func (s *IndexStore) PutISL(leafID string, idx *ISLIndex) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.isl[queryID] = idx
+	s.isl[leafID] = idx
 }
 
 // BFHM returns the BFHM index for a relation.
@@ -112,22 +113,6 @@ func (s *IndexStore) PutDRJN(relation string, idx *DRJNIndex) {
 	s.drjn[relation] = idx
 }
 
-// ISLN returns the n-way inverse-score-list index for a tree leaf ID
-// (JoinTree.LeafID — trees over the same leaves share one index).
-func (s *IndexStore) ISLN(leafID string) (*ISLNIndex, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx, ok := s.isln[leafID]
-	return idx, ok
-}
-
-// PutISLN stores an n-way inverse-score-list index.
-func (s *IndexStore) PutISLN(leafID string, idx *ISLNIndex) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.isln[leafID] = idx
-}
-
 // EachIJLMR calls f for every stored IJLMR index (snapshot; f runs
 // without the store lock held).
 func (s *IndexStore) EachIJLMR(f func(queryID string, idx *IJLMRIndex)) {
@@ -142,8 +127,8 @@ func (s *IndexStore) EachIJLMR(f func(queryID string, idx *IJLMRIndex)) {
 	}
 }
 
-// EachISL calls f for every stored ISL index (snapshot).
-func (s *IndexStore) EachISL(f func(queryID string, idx *ISLIndex)) {
+// EachISL calls f for every stored inverse-score-list index (snapshot).
+func (s *IndexStore) EachISL(f func(leafID string, idx *ISLIndex)) {
 	s.mu.Lock()
 	cp := make(map[string]*ISLIndex, len(s.isl))
 	for k, v := range s.isl {
@@ -173,19 +158,6 @@ func (s *IndexStore) EachDRJN(f func(relation string, idx *DRJNIndex)) {
 	s.mu.Lock()
 	cp := make(map[string]*DRJNIndex, len(s.drjn))
 	for k, v := range s.drjn {
-		cp[k] = v
-	}
-	s.mu.Unlock()
-	for k, v := range cp {
-		f(k, v)
-	}
-}
-
-// EachISLN calls f for every stored n-way index (snapshot).
-func (s *IndexStore) EachISLN(f func(leafID string, idx *ISLNIndex)) {
-	s.mu.Lock()
-	cp := make(map[string]*ISLNIndex, len(s.isln))
-	for k, v := range s.isln {
 		cp[k] = v
 	}
 	s.mu.Unlock()

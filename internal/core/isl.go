@@ -11,25 +11,21 @@ import (
 // and the one cursor that reads them. The index inverts each relation
 // on its (negated) score: one index row per distinct score value,
 // holding {tuple row key -> join value} entries (Fig. 3), one column
-// family per relation. The binary index (ISLIndex, built per two-way
-// query) and the n-way index (ISLNIndex, shared by every tree over the
-// same leaves) differ only in table name. listCursor is Algorithm 4's
+// family per relation. There is one index type (ISLIndex), keyed by
+// the tree's leaf set: edge predicates never change the indexed
+// content, so every tree over the same leaves and aggregate — the
+// paper's two-way query included — shares one table, and the isl and
+// anyk executors read the same one. listCursor is Algorithm 4's
 // coordinator stated for n lists: it scans them in turn in batches
 // (HBase scanner caching), feeds the rank-join operator of anyk.go, and
-// pauses the moment the next-ranked result is provably complete. The isl
-// and anyk executors both open it.
+// pauses the moment the next-ranked result is provably complete.
 
-// ISLIndex locates a built ISL index.
+// ISLIndex locates a built inverse-score-list index: one shared table
+// with one column family per relation.
 type ISLIndex struct {
-	// Table is the shared index table.
-	Table string
-	// LeftFamily / RightFamily are the per-relation column families.
-	LeftFamily  string
-	RightFamily string
+	Table    string
+	Families []string // one per relation, in leaf order
 }
-
-// ISLTableName derives the index table name for a query.
-func ISLTableName(q *Query) string { return "isl_" + q.ID() }
 
 // BuildISLRelation indexes one relation (Algorithm 3): a map-only job
 // writing {negated-score: rowKey, joinValue} cells.
@@ -58,41 +54,9 @@ func BuildISLRelation(c *kvstore.Cluster, rel Relation, indexTable, fam string) 
 	})
 }
 
-// BuildISL creates the index table and indexes both relations.
-func BuildISL(c *kvstore.Cluster, q Query) (*ISLIndex, []*mapreduce.Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, nil, err
-	}
-	idx := &ISLIndex{
-		Table:       ISLTableName(&q),
-		LeftFamily:  q.Left.Name,
-		RightFamily: q.Right.Name,
-	}
-	// Score keys are uniform hex; split the key space evenly per node.
-	if _, err := c.CreateTable(idx.Table, []string{idx.LeftFamily, idx.RightFamily}, scoreKeySplits(c.Nodes())); err != nil {
-		return nil, nil, err
-	}
-	left, err := BuildISLRelation(c, q.Left, idx.Table, idx.LeftFamily)
-	if err != nil {
-		return nil, nil, err
-	}
-	right, err := BuildISLRelation(c, q.Right, idx.Table, idx.RightFamily)
-	if err != nil {
-		return nil, nil, err
-	}
-	return idx, []*mapreduce.Result{left, right}, nil
-}
-
-// ISLNIndex is an n-way ISL index: one column family per relation in a
-// shared inverse-score-list table.
-type ISLNIndex struct {
-	Table    string
-	Families []string // one per relation, in leaf order
-}
-
-// BuildISLN builds the n-way ISL index over a tree's relations
-// (Algorithm 3 per relation).
-func BuildISLN(c *kvstore.Cluster, t *JoinTree) (*ISLNIndex, []*mapreduce.Result, error) {
+// BuildISL creates the index table isl_<LeafID> and indexes every
+// relation of the tree (Algorithm 3 per relation).
+func BuildISL(c *kvstore.Cluster, t *JoinTree) (*ISLIndex, []*mapreduce.Result, error) {
 	v := *t
 	if v.K < 1 {
 		v.K = 1 // the indexed content does not depend on k
@@ -100,10 +64,11 @@ func BuildISLN(c *kvstore.Cluster, t *JoinTree) (*ISLNIndex, []*mapreduce.Result
 	if err := v.Validate(); err != nil {
 		return nil, nil, err
 	}
-	idx := &ISLNIndex{Table: "isln_" + t.LeafID()}
+	idx := &ISLIndex{Table: "isl_" + t.LeafID()}
 	for i := range t.Relations {
 		idx.Families = append(idx.Families, t.Relations[i].Name)
 	}
+	// Score keys are uniform hex; split the key space evenly per node.
 	if _, err := c.CreateTable(idx.Table, idx.Families, scoreKeySplits(c.Nodes())); err != nil {
 		return nil, nil, err
 	}
@@ -118,25 +83,21 @@ func BuildISLN(c *kvstore.Cluster, t *JoinTree) (*ISLNIndex, []*mapreduce.Result
 	return idx, results, nil
 }
 
-// EnsureISLN idempotently builds the shared n-way inverse-score-list
-// index for a tree's leaf set: one table keyed by LeafID with one
-// column family per relation. Edge predicates never change the indexed
-// content, so every tree over the same leaves and aggregate shares one
-// physical index (the anyk executor on any shape, the isl executor on
-// all-equi trees of three or more leaves).
-func EnsureISLN(c *kvstore.Cluster, t *JoinTree, store *IndexStore) error {
+// EnsureISL idempotently builds the inverse-score-list index for a
+// tree's leaf set and records it in the store under LeafID.
+func EnsureISL(c *kvstore.Cluster, t *JoinTree, store *IndexStore) error {
 	leafID := t.LeafID()
-	lock := store.BuildScope("isln/" + leafID)
+	lock := store.BuildScope("isl/" + leafID)
 	lock.Lock()
 	defer lock.Unlock()
-	if _, ok := store.ISLN(leafID); ok {
+	if _, ok := store.ISL(leafID); ok {
 		return nil
 	}
-	idx, _, err := BuildISLN(c, t)
+	idx, _, err := BuildISL(c, t)
 	if err != nil {
 		return err
 	}
-	store.PutISLN(leafID, idx)
+	store.PutISL(leafID, idx)
 	return nil
 }
 
@@ -238,23 +199,28 @@ type listCursor struct {
 	closed           bool
 }
 
-// openLists opens the list cursor for t over one inverse-score-list
-// table holding a family per leaf, in leaf order. opts must already
-// carry its defaults.
-func openLists(c *kvstore.Cluster, t *JoinTree, table string, families []string, opts ExecOptions, releaseEndsBatch bool) (Cursor, error) {
+// openLists opens the list cursor for t over its inverse-score-list
+// index; name is the executor asking, for the error when the index is
+// not built.
+func openLists(c *kvstore.Cluster, t *JoinTree, store *IndexStore, name string, opts ExecOptions, releaseEndsBatch bool) (Cursor, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if len(families) != len(t.Relations) {
-		return nil, fmt.Errorf("core: inverse score list index %s has %d families, tree %s has %d leaves",
-			table, len(families), t.LeafID(), len(t.Relations))
+	idx, ok := store.ISL(t.LeafID())
+	if !ok {
+		return nil, fmt.Errorf("rankjoin: no %s index for %s; call EnsureIndexes first", name, t.LeafID())
 	}
-	streams := make([]*islStream, len(families))
-	for i, fam := range families {
+	if len(idx.Families) != len(t.Relations) {
+		return nil, fmt.Errorf("core: inverse score list index %s has %d families, tree %s has %d leaves",
+			idx.Table, len(idx.Families), t.LeafID(), len(t.Relations))
+	}
+	opts = opts.WithDefaults()
+	streams := make([]*islStream, len(idx.Families))
+	for i, fam := range idx.Families {
 		// With Parallelism >= 2 every stream reads ahead asynchronously;
 		// the shared collector's clock-progress accounting overlaps the
 		// leaves' RPCs (Section 4.2.3's batched scans, pipelined).
-		s, err := newISLStream(c, table, fam, opts.ISLBatch, opts.Parallelism >= 2)
+		s, err := newISLStream(c, idx.Table, fam, opts.ISLBatch, opts.Parallelism >= 2)
 		if err != nil {
 			return nil, err
 		}
@@ -262,6 +228,16 @@ func openLists(c *kvstore.Cluster, t *JoinTree, table string, families []string,
 	}
 	cur := &listCursor{op: newAnyKOp(t), streams: streams, batch: opts.ISLBatch, releaseEndsBatch: releaseEndsBatch}
 	return WrapBudget(cur, opts.Budget), nil
+}
+
+// islIndexSize returns the stored bytes of t's inverse-score-list
+// index, 0 when it is not built.
+func islIndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64 {
+	idx, ok := store.ISL(t.LeafID())
+	if !ok {
+		return 0
+	}
+	return tableSize(c, idx.Table)
 }
 
 // Next implements Cursor.

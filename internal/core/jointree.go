@@ -14,9 +14,9 @@ import (
 // the one query representation: relations are leaves, join predicates
 // are tree edges (equality or numeric band), and one monotonic n-ary
 // aggregate ranks complete assignments over all leaves. The paper's
-// binary equi-join is the two-leaf tree (TreeFromQuery; the two-way-only
-// executors project it back through Binary) and its n-way
-// generalization (Section 3) is the all-equi tree.
+// binary equi-join is the two-leaf tree (the shape the two-way-only
+// executors accept, see isBinary) and its n-way generalization
+// (Section 3) is the all-equi tree.
 //
 // It also holds what the two consumers that enumerate a tree in memory
 // share — the rank-join operator (anyKOp in anyk.go) and the naive
@@ -80,31 +80,6 @@ func shapeErrf(format string, args ...any) error {
 	return &ShapeError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// NScoreFunc is a monotonic aggregate over n tuple scores, one per leaf
-// in leaf order.
-type NScoreFunc struct {
-	Name string
-	Fn   func(scores []float64) float64
-}
-
-// SumN adds all scores.
-var SumN = NScoreFunc{Name: "sum", Fn: func(s []float64) float64 {
-	var t float64
-	for _, v := range s {
-		t += v
-	}
-	return t
-}}
-
-// ProductN multiplies all scores (monotonic on [0,1] inputs).
-var ProductN = NScoreFunc{Name: "product", Fn: func(s []float64) float64 {
-	t := 1.0
-	for _, v := range s {
-		t *= v
-	}
-	return t
-}}
-
 // JoinTree is a top-k rank join over an acyclic tree of relations:
 // len(Relations) leaves joined pairwise by exactly len(Relations)-1
 // edges forming a connected acyclic graph, ranked by the monotonic
@@ -112,13 +87,8 @@ var ProductN = NScoreFunc{Name: "product", Fn: func(s []float64) float64 {
 type JoinTree struct {
 	Relations []Relation
 	Edges     []TreeEdge
-	Score     NScoreFunc
+	Score     ScoreFunc
 	K         int
-
-	// score2, when non-nil, is the two-way aggregate this tree was
-	// lifted from; Binary() hands it back unwrapped so the binary
-	// executors' hot loops skip the slice-building shim.
-	score2 *ScoreFunc
 }
 
 // Validate checks the tree is well-formed, returning a *ShapeError for
@@ -210,10 +180,10 @@ func (t *JoinTree) LeafID() string {
 }
 
 // ID returns the tree's deterministic identifier. All-equi trees take
-// the bare LeafID (it matches Query.ID(), and every connected all-equi
-// edge set over the same leaves is semantically identical); trees with band edges append a canonical sorted edge
-// list, so shapes that can return different results can never share a
-// planner-cache or page-token entry.
+// the bare LeafID (every connected all-equi edge set over the same
+// leaves is semantically identical); trees with band edges append a
+// canonical sorted edge list, so shapes that can return different
+// results can never share a planner-cache or page-token entry.
 func (t *JoinTree) ID() string {
 	if t.AllEqui() {
 		return t.LeafID()
@@ -233,40 +203,6 @@ func (t *JoinTree) ID() string {
 	}
 	sort.Strings(descs)
 	return t.LeafID() + "@" + strings.Join(descs, ".")
-}
-
-// TreeFromQuery lifts a two-way query into its tree form.
-func TreeFromQuery(q Query) *JoinTree {
-	f := q.Score
-	return &JoinTree{
-		Relations: []Relation{q.Left, q.Right},
-		Edges:     []TreeEdge{{A: 0, B: 1, Kind: PredEqui}},
-		Score: NScoreFunc{
-			Name: f.Name,
-			Fn:   func(s []float64) float64 { return f.Fn(s[0], s[1]) },
-		},
-		K:      q.K,
-		score2: &f,
-	}
-}
-
-// Binary projects a two-leaf all-equi tree back onto the Query form the
-// paper's two-way executors consume; ok is false for any other shape.
-func (t *JoinTree) Binary() (Query, bool) {
-	if len(t.Relations) != 2 || !t.AllEqui() {
-		return Query{}, false
-	}
-	q := Query{Left: t.Relations[0], Right: t.Relations[1], K: t.K}
-	if t.score2 != nil {
-		q.Score = *t.score2
-	} else {
-		f := t.Score
-		q.Score = ScoreFunc{
-			Name: f.Name,
-			Fn:   func(a, b float64) float64 { return f.Fn([]float64{a, b}) },
-		}
-	}
-	return q, true
 }
 
 // ---- Tree walking ----

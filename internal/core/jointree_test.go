@@ -50,7 +50,7 @@ func randomTreeEnv(t *testing.T, c *kvstore.Cluster, rng *rand.Rand, k int) (*Jo
 		}
 		edges = append(edges, e)
 	}
-	tr := &JoinTree{Relations: rels, Edges: edges, Score: SumN, K: k}
+	tr := &JoinTree{Relations: rels, Edges: edges, Score: Sum, K: k}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +256,12 @@ func TestAnyKTreeEarlyCloseChargesNothing(t *testing.T) {
 func TestTreeIDDistinctness(t *testing.T) {
 	a, b, c3 := stubRel("a"), stubRel("b"), stubRel("c")
 
-	q := Query{Left: a, Right: b, Score: Sum, K: 10}
-	if got := TreeFromQuery(q).ID(); got != q.ID() {
-		t.Errorf("binary tree ID %q != legacy Query ID %q", got, q.ID())
+	// The two-way query keeps the ID — and so the isl_/ijlmr_ index
+	// table names — it had as a query form of its own.
+	if got := binaryTree(a, b, Sum, 10).ID(); got != "a_b_sum" {
+		t.Errorf("binary tree ID %q, want the persisted form a_b_sum", got)
 	}
-	star := starTree([]Relation{a, b, c3}, SumN, 10)
+	star := starTree([]Relation{a, b, c3}, Sum, 10)
 	if got := star.ID(); got != "a_b_c_sum" {
 		t.Errorf("star tree ID %q, want the persisted form a_b_c_sum", got)
 	}
@@ -270,7 +271,7 @@ func TestTreeIDDistinctness(t *testing.T) {
 	equiChain := &JoinTree{
 		Relations: []Relation{a, b, c3},
 		Edges:     []TreeEdge{{A: 0, B: 1}, {A: 1, B: 2}},
-		Score:     SumN, K: 10,
+		Score:     Sum, K: 10,
 	}
 	if equiChain.ID() != star.ID() {
 		t.Errorf("all-equi chain ID %q != star ID %q (semantically identical shapes)", equiChain.ID(), star.ID())
@@ -280,7 +281,7 @@ func TestTreeIDDistinctness(t *testing.T) {
 	bandChain := &JoinTree{
 		Relations: []Relation{a, b, c3},
 		Edges:     []TreeEdge{{A: 0, B: 1}, {A: 1, B: 2, Kind: PredBand, Band: 0.5}},
-		Score:     SumN, K: 10,
+		Score:     Sum, K: 10,
 	}
 	if bandChain.ID() == star.ID() {
 		t.Errorf("band chain shares ID %q with the equi star", star.ID())
@@ -297,7 +298,7 @@ func TestTreeIDDistinctness(t *testing.T) {
 	reordered := &JoinTree{
 		Relations: []Relation{a, b, c3},
 		Edges:     []TreeEdge{{A: 2, B: 1, Kind: PredBand, Band: 0.5}, {A: 1, B: 0}},
-		Score:     SumN, K: 10,
+		Score:     Sum, K: 10,
 	}
 	if reordered.ID() != bandChain.ID() {
 		t.Errorf("reordered edges change ID: %q vs %q", reordered.ID(), bandChain.ID())
@@ -326,7 +327,7 @@ func TestJoinTreeValidateShapes(t *testing.T) {
 		{"bad-band", []TreeEdge{{A: 0, B: 1, Kind: PredBand, Band: math.NaN()}, {A: 1, B: 2}, {A: 2, B: 3}}},
 	}
 	for _, tc := range cases {
-		tr := &JoinTree{Relations: rels, Edges: tc.edges, Score: SumN, K: 5}
+		tr := &JoinTree{Relations: rels, Edges: tc.edges, Score: Sum, K: 5}
 		err := tr.Validate()
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)

@@ -34,8 +34,8 @@ func mutRecordQual(pfx, rowKey string, ts int64) string {
 //
 //   - IJLMR and ISL indexes are inverted lists, so a tuple mutation maps
 //     to one index-cell mutation each — per index: a relation joined in
-//     several queries has several IJLMR/ISL tables, and every one of
-//     them is maintained.
+//     several queries has several IJLMR tables and is a leaf of several
+//     inverse-score-list tables, and every one of them is maintained.
 //   - BFHM blobs cannot be updated in place; mutations append insertion
 //     or tombstone records to the bucket row (same timestamp as the base
 //     mutation) and maintain the reverse mappings directly. Readers
@@ -58,34 +58,23 @@ type BoundIJLMR struct {
 	Family string
 }
 
-// BoundISL attaches one built ISL index to the column family this
-// relation writes in it.
+// BoundISL attaches one built inverse-score-list index to the column
+// family this relation writes in it.
 type BoundISL struct {
 	Idx    *ISLIndex
 	Family string
 }
 
-// BoundISLN attaches one built n-way ISLN index to the column family
-// this relation writes in it. The per-relation cell shape is identical
-// to ISL's (BuildISLN indexes each relation with BuildISLRelation), so
-// maintenance is too.
-type BoundISLN struct {
-	Idx    *ISLNIndex
-	Family string
-}
-
 // Maintainer intercepts tuple-level mutations for one relation and keeps
-// ALL of its registered indexes synchronized. IJLMR and ISL bind
-// per-query, so they are slices: a relation participating in two queries
-// has two inverse-list tables, and a mutation maintains both (the old
-// single-pointer fields silently kept only the last registered index).
+// ALL of its registered indexes synchronized. IJLMR binds per query and
+// ISL per leaf set, so they are slices: a relation participating in two
+// queries has two inverse-list tables, and a mutation maintains both.
 type Maintainer struct {
 	C   *kvstore.Cluster
 	Rel Relation
 	// Any subset of the following may be populated.
 	IJLMR []BoundIJLMR
 	ISL   []BoundISL
-	ISLN  []BoundISLN
 	BFHM  *BFHMIndex
 	DRJN  *DRJNIndex
 }
@@ -154,16 +143,11 @@ func (m *Maintainer) apply(muts []indexMutation, ts int64) error {
 	return me
 }
 
-// appendInverseLists appends one mutation per bound ISL and ISLN index,
-// with cells built for that index's family — the two families share one
-// inverse-list cell shape, so every caller supplies it exactly once.
+// appendInverseLists appends one mutation per bound inverse-score-list
+// index, with cells built for that index's family.
 func (m *Maintainer) appendInverseLists(muts []indexMutation, cells func(family string) []kvstore.Cell) []indexMutation {
 	for _, b := range m.ISL {
 		muts = append(muts, indexMutation{index: "isl", TableMutation: kvstore.TableMutation{
-			Table: b.Idx.Table, Cells: cells(b.Family)}})
-	}
-	for _, b := range m.ISLN {
-		muts = append(muts, indexMutation{index: "isln", TableMutation: kvstore.TableMutation{
 			Table: b.Idx.Table, Cells: cells(b.Family)}})
 	}
 	return muts

@@ -12,7 +12,7 @@ import (
 // relation.
 type maintSetup struct {
 	c      *kvstore.Cluster
-	q      Query
+	q      *JoinTree
 	ijlmr  *IJLMRIndex
 	isl    *ISLIndex
 	bfhmL  *BFHMIndex
@@ -31,7 +31,7 @@ func newMaintSetup(t *testing.T, seed int64) *maintSetup {
 	right := synthTuples("r", 120, 20, "uniform", seed+500)
 	relL := loadRelation(t, c, "L", left)
 	relR := loadRelation(t, c, "R", right)
-	q := Query{Left: relL, Right: relR, Score: Sum, K: 10}
+	q := binaryTree(relL, relR, Sum, 10)
 
 	ijlmr, _, err := BuildIJLMR(c, q)
 	if err != nil {
@@ -62,11 +62,11 @@ func newMaintSetup(t *testing.T, seed int64) *maintSetup {
 		drjnL: drjnL, drjnR: drjnR,
 		mL: &Maintainer{C: c, Rel: relL,
 			IJLMR: []BoundIJLMR{{Idx: ijlmr, Family: ijlmr.LeftFamily}},
-			ISL:   []BoundISL{{Idx: isl, Family: isl.LeftFamily}},
+			ISL:   []BoundISL{{Idx: isl, Family: isl.Families[0]}},
 			BFHM:  bfhmL, DRJN: drjnL},
 		mR: &Maintainer{C: c, Rel: relR,
 			IJLMR: []BoundIJLMR{{Idx: ijlmr, Family: ijlmr.RightFamily}},
-			ISL:   []BoundISL{{Idx: isl, Family: isl.RightFamily}},
+			ISL:   []BoundISL{{Idx: isl, Family: isl.Families[1]}},
 			BFHM:  bfhmR, DRJN: drjnR},
 		left: left, right: right,
 	}
@@ -249,7 +249,7 @@ func TestMaintenanceTimestampsShared(t *testing.T) {
 	tp := Tuple{RowKey: "lts", JoinValue: "j2", Score: 0.5}
 	s.insertLeft(t, tp)
 
-	baseRow, err := s.c.Get(s.q.Left.Table, tp.RowKey)
+	baseRow, err := s.c.Get(s.q.Relations[0].Table, tp.RowKey)
 	if err != nil || baseRow == nil {
 		t.Fatalf("base row: %v %v", baseRow, err)
 	}
@@ -271,7 +271,7 @@ func TestMaintenanceTimestampsShared(t *testing.T) {
 	if err != nil || islRow == nil {
 		t.Fatalf("isl row: %v %v", islRow, err)
 	}
-	icell := islRow.Cell(s.isl.LeftFamily, tp.RowKey)
+	icell := islRow.Cell(s.isl.Families[0], tp.RowKey)
 	if icell == nil || icell.Timestamp != baseTS {
 		t.Fatalf("isl ts mismatch: %+v vs %d", icell, baseTS)
 	}
@@ -327,7 +327,7 @@ func TestUpdatePurgesOldISLEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	if row != nil {
-		if cell := row.Cell(s.isl.LeftFamily, old.RowKey); cell != nil && !cell.Tombstone {
+		if cell := row.Cell(s.isl.Families[0], old.RowKey); cell != nil && !cell.Tombstone {
 			t.Fatalf("stale ISL entry for %s survives at old score %v", old.RowKey, old.Score)
 		}
 	}
@@ -356,7 +356,7 @@ func TestMaintenanceErrorNamesDivergentIndex(t *testing.T) {
 	// The divergence is real: base and the earlier indexes got the write.
 	found := false
 	for _, tbl := range me.Applied {
-		if tbl == s.q.Left.Table {
+		if tbl == s.q.Relations[0].Table {
 			found = true
 		}
 	}
@@ -378,7 +378,7 @@ func TestMaintenanceErrorNamesDivergentIndex(t *testing.T) {
 	s.checkAll(t, WriteBackOff)
 
 	// The re-apply reused the timestamp: base and ISL agree on it.
-	row, err := s.c.Get(s.q.Left.Table, tp.RowKey)
+	row, err := s.c.Get(s.q.Relations[0].Table, tp.RowKey)
 	if err != nil || row == nil {
 		t.Fatalf("base row: %v %v", row, err)
 	}

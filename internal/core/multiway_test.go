@@ -11,7 +11,7 @@ import (
 // through the isl executor over its n-way index.
 
 // oracleTopKN computes the exact n-way equi-join top-k in memory.
-func oracleTopKN(rels [][]Tuple, f NScoreFunc, k int) []JoinResult {
+func oracleTopKN(rels [][]Tuple, f ScoreFunc, k int) []JoinResult {
 	byJoin := make([]map[string][]Tuple, len(rels))
 	for i, ts := range rels {
 		byJoin[i] = map[string][]Tuple{}
@@ -50,24 +50,13 @@ func TestHRJNNThreeWayMatchesOracle(t *testing.T) {
 		r2 := synthTuples("b", 80, 12, "uniform", seed+100)
 		r3 := synthTuples("c", 80, 12, "uniform", seed+200)
 		for _, k := range []int{1, 5, 25} {
-			for _, f := range []NScoreFunc{SumN, ProductN} {
+			for _, f := range []ScoreFunc{Sum, Product} {
 				got := newSliceRun(stubStar(3, f), descending(r1), descending(r2), descending(r3)).take(k)
 				assertTreeResultsByteMatch(t, fmt.Sprintf("3-way seed=%d k=%d %s", seed, k, f.Name),
 					got, oracleTopKN([][]Tuple{r1, r2, r3}, f, k))
 			}
 		}
 	}
-}
-
-// TestHRJNNTwoWayAgreesWithHRJN: the two-leaf tree carrying an n-ary
-// aggregate and the one lifted from a binary query's two-argument
-// aggregate (TreeFromQuery) release the same results.
-func TestHRJNNTwoWayAgreesWithHRJN(t *testing.T) {
-	left := descending(synthTuples("l", 150, 20, "uniform", 3))
-	right := descending(synthTuples("r", 150, 20, "uniform", 4))
-	two := newSliceRun(binaryTree(Sum), left, right).take(10)
-	nway := newSliceRun(stubStar(2, SumN), left, right).take(10)
-	assertTreeResultsByteMatch(t, "n-ary vs lifted binary aggregate", nway, two)
 }
 
 func TestHRJNNEarlyTermination(t *testing.T) {
@@ -78,7 +67,7 @@ func TestHRJNNEarlyTermination(t *testing.T) {
 		}
 		return descending(out)
 	}
-	run := newSliceRun(stubStar(3, SumN), mk("a"), mk("b"), mk("c"))
+	run := newSliceRun(stubStar(3, Sum), mk("a"), mk("b"), mk("c"))
 	got := run.take(1)
 	if len(got) != 1 || got[0].Score != 3.0 {
 		t.Fatalf("results = %v", got)
@@ -92,21 +81,21 @@ func TestHRJNNEarlyTermination(t *testing.T) {
 // shape checks are TestJoinTreeValidateShapes).
 func TestMultiQueryValidate(t *testing.T) {
 	rels := []Relation{stubRel("a"), stubRel("b"), stubRel("c")}
-	if err := starTree(rels, SumN, 5).Validate(); err != nil {
+	if err := starTree(rels, Sum, 5).Validate(); err != nil {
 		t.Errorf("valid query rejected: %v", err)
 	}
-	if err := starTree(rels[:1], SumN, 5).Validate(); err == nil {
+	if err := starTree(rels[:1], Sum, 5).Validate(); err == nil {
 		t.Error("single relation accepted")
 	}
-	if err := starTree(rels, SumN, 0).Validate(); err == nil {
+	if err := starTree(rels, Sum, 0).Validate(); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if err := starTree(rels, NScoreFunc{}, 5).Validate(); err == nil {
+	if err := starTree(rels, ScoreFunc{}, 5).Validate(); err == nil {
 		t.Error("nil score accepted")
 	}
 	bad := append([]Relation(nil), rels...)
 	bad[2].ScoreQual = ""
-	if err := starTree(bad, SumN, 5).Validate(); err == nil {
+	if err := starTree(bad, Sum, 5).Validate(); err == nil {
 		t.Error("relation without a score column accepted")
 	}
 }
@@ -118,12 +107,12 @@ func TestISLNThreeWayEndToEnd(t *testing.T) {
 	r3 := synthTuples("c", 120, 15, "zipfish", 13)
 	tr := starTree([]Relation{
 		loadRelation(t, c, "A", r1), loadRelation(t, c, "B", r2), loadRelation(t, c, "C", r3),
-	}, SumN, 12)
+	}, Sum, 12)
 	store := NewIndexStore()
-	if err := EnsureISLN(c, tr, store); err != nil {
+	if err := EnsureISL(c, tr, store); err != nil {
 		t.Fatal(err)
 	}
-	want := oracleTopKN([][]Tuple{r1, r2, r3}, SumN, tr.K)
+	want := oracleTopKN([][]Tuple{r1, r2, r3}, Sum, tr.K)
 
 	// Store-backed naive agrees with the in-memory oracle.
 	naive, err := NaiveTreeTopK(c, tr)
@@ -160,16 +149,16 @@ func TestISLNFourWay(t *testing.T) {
 		data = append(data, ts)
 		rels = append(rels, loadRelation(t, c, fmt.Sprintf("W%d", i), ts))
 	}
-	tr := starTree(rels, ProductN, 7)
+	tr := starTree(rels, Product, 7)
 	store := NewIndexStore()
-	if err := EnsureISLN(c, tr, store); err != nil {
+	if err := EnsureISL(c, tr, store); err != nil {
 		t.Fatal(err)
 	}
 	res, err := runExec(c, "isl", tr, store, ExecOptions{ISLBatch: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertTreeResultsByteMatch(t, "isl-4way", res.Results, oracleTopKN(data, ProductN, tr.K))
+	assertTreeResultsByteMatch(t, "isl-4way", res.Results, oracleTopKN(data, Product, tr.K))
 }
 
 // TestNTopKList: the bounded list over n-way results, including a tie

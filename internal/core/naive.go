@@ -10,30 +10,33 @@ import (
 // then rank and keep k. It scans both relations through the metered
 // client, hash-joins them at the coordinator, and sorts. It exists as
 // the correctness oracle for every other algorithm and as the upper
-// bound on shipped data.
-func NaiveTopK(c *kvstore.Cluster, q Query) (*Result, error) {
-	if err := q.Validate(); err != nil {
+// bound on shipped data. It stays a hash join of its own, not the
+// two-leaf case of NaiveTreeTopK: that one shares treeJoin with the
+// operator it is the oracle for.
+func NaiveTopK(c *kvstore.Cluster, t *JoinTree) (*Result, error) {
+	if err := requireBinary("naive", t); err != nil {
 		return nil, err
 	}
 	before := c.Metrics().Snapshot()
 
-	left, err := scanRelation(c, &q.Left)
+	left, err := scanRelation(c, &t.Relations[0])
 	if err != nil {
-		return nil, fmt.Errorf("core: naive scan of %s: %w", q.Left.Table, err)
+		return nil, fmt.Errorf("core: naive scan of %s: %w", t.Relations[0].Table, err)
 	}
-	right, err := scanRelation(c, &q.Right)
+	right, err := scanRelation(c, &t.Relations[1])
 	if err != nil {
-		return nil, fmt.Errorf("core: naive scan of %s: %w", q.Right.Table, err)
+		return nil, fmt.Errorf("core: naive scan of %s: %w", t.Relations[1].Table, err)
 	}
 
 	byJoin := map[string][]Tuple{}
-	for _, t := range left {
-		byJoin[t.JoinValue] = append(byJoin[t.JoinValue], t)
+	for _, lt := range left {
+		byJoin[lt.JoinValue] = append(byJoin[lt.JoinValue], lt)
 	}
-	top := NewTopKList(q.K)
+	top := NewTopKList(t.K)
+	score := t.Score.pair()
 	for _, rt := range right {
 		for _, lt := range byJoin[rt.JoinValue] {
-			top.Add(JoinResult{Left: lt, Right: rt, Score: q.Score.Fn(lt.Score, rt.Score)})
+			top.Add(JoinResult{Left: lt, Right: rt, Score: score.of(lt.Score, rt.Score)})
 		}
 	}
 	return &Result{

@@ -9,23 +9,23 @@ import (
 // parallelEnv loads a synthetic pair of relations big enough that the
 // BFHM reverse-mapping phase needs many multi-get batches and ISL pulls
 // many scan batches.
-func parallelEnv(t *testing.T) (*kvstore.Cluster, Query, []Tuple, []Tuple) {
+func parallelEnv(t *testing.T) (*kvstore.Cluster, *JoinTree, []Tuple, []Tuple) {
 	t.Helper()
 	c := newTestCluster()
 	lt := synthTuples("l", 4000, 400, "uniform", 11)
 	rt := synthTuples("r", 4000, 400, "uniform", 23)
 	relL := loadRelation(t, c, "pl", lt)
 	relR := loadRelation(t, c, "pr", rt)
-	return c, Query{Left: relL, Right: relR, Score: Sum, K: 100}, lt, rt
+	return c, binaryTree(relL, relR, Sum, 100), lt, rt
 }
 
 func TestBFHMParallelReverseFetch(t *testing.T) {
 	c, q, lt, rt := parallelEnv(t)
-	idxA, _, err := BuildBFHM(c, q.Left, BFHMOptions{NumBuckets: 100})
+	idxA, _, err := BuildBFHM(c, q.Relations[0], BFHMOptions{NumBuckets: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxB, _, err := BuildBFHM(c, q.Right, BFHMOptions{NumBuckets: 100, MBits: idxA.MBits})
+	idxB, _, err := BuildBFHM(c, q.Relations[1], BFHMOptions{NumBuckets: 100, MBits: idxA.MBits})
 	if err != nil {
 		t.Fatal(err)
 	}

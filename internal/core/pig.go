@@ -27,8 +27,8 @@ const pigSampleRate = 100 // sample 1 in every pigSampleRate records
 // scans (the combiner effect of Section 3.1) and emits the survivors at
 // task end.
 type pigTopKMapper struct {
-	q   *Query
-	top *TopKList
+	score *pairScore
+	top   *TopKList
 }
 
 // Map implements mapreduce.Mapper.
@@ -41,7 +41,7 @@ func (m *pigTopKMapper) Map(row *kvstore.Row, ctx mapreduce.Context) error {
 	if err != nil {
 		return err
 	}
-	pair.Score = m.q.Score.Fn(pair.Left.Score, pair.Right.Score)
+	pair.Score = m.score.of(pair.Left.Score, pair.Right.Score)
 	m.top.Add(pair)
 	return nil
 }
@@ -55,17 +55,17 @@ func (m *pigTopKMapper) Finish(ctx mapreduce.Context) error {
 }
 
 // QueryPig runs the Pig baseline.
-func QueryPig(c *kvstore.Cluster, q Query) (*Result, error) {
-	if err := q.Validate(); err != nil {
+func QueryPig(c *kvstore.Cluster, t *JoinTree) (*Result, error) {
+	if err := requireBinary("pig", t); err != nil {
 		return nil, err
 	}
 	before := c.Metrics().Snapshot()
-	tmpJoin := fmt.Sprintf("tmp_pig_join_%s_%d", q.ID(), c.Now())
+	tmpJoin := fmt.Sprintf("tmp_pig_join_%s_%d", t.ID(), c.Now())
 	defer func() { _ = c.DropTable(tmpJoin) }()
 
 	// Job 1: join with early projection (no padding — Pig strips
 	// unrelated columns in the mappers).
-	if _, err := joinJob(c, &q, "pig-join-"+q.ID(), tmpJoin, 0); err != nil {
+	if _, err := joinJob(c, t, "pig-join-"+t.ID(), tmpJoin, 0); err != nil {
 		return nil, err
 	}
 
@@ -74,26 +74,29 @@ func QueryPig(c *kvstore.Cluster, q Query) (*Result, error) {
 	// with the top-k push-down the final job needs only one reducer, but
 	// Pig still runs the sampling job as part of its ORDER BY plan.
 	if _, err := mapreduce.Run(&mapreduce.Job{
-		Name:    "pig-sample-" + q.ID(),
+		Name:    "pig-sample-" + t.ID(),
 		Cluster: c,
 		Input:   kvstore.Scan{Table: tmpJoin},
-		Mapper: mapreduce.MapperFunc(func(row *kvstore.Row, ctx mapreduce.Context) error {
-			// Deterministic 1-in-N sampling on the row key hash.
-			if bloom.Hash64String(row.Key)%pigSampleRate != 0 {
+		// Map tasks run concurrently: one scoring scratch per task.
+		MapperFactory: func() mapreduce.Mapper {
+			score := t.Score.pair()
+			return mapreduce.MapperFunc(func(row *kvstore.Row, ctx mapreduce.Context) error {
+				// Deterministic 1-in-N sampling on the row key hash.
+				if bloom.Hash64String(row.Key)%pigSampleRate != 0 {
+					return nil
+				}
+				cell := row.Cell(tmpFamily, "p")
+				if cell == nil {
+					return nil
+				}
+				pair, err := DecodeJoinResult(cell.Value)
+				if err != nil {
+					return err
+				}
+				ctx.Emit("sample", []byte(kvstore.EncodeScoreDesc(score.of(pair.Left.Score, pair.Right.Score))))
 				return nil
-			}
-			cell := row.Cell(tmpFamily, "p")
-			if cell == nil {
-				return nil
-			}
-			pair, err := DecodeJoinResult(cell.Value)
-			if err != nil {
-				return err
-			}
-			score := q.Score.Fn(pair.Left.Score, pair.Right.Score)
-			ctx.Emit("sample", []byte(kvstore.EncodeScoreDesc(score)))
-			return nil
-		}),
+			})
+		},
 		Reducer: mapreduce.ReducerFunc(func(key string, values [][]byte, ctx mapreduce.Context) error {
 			// Quantile split points for a balanced partitioner.
 			n := c.Nodes()
@@ -117,14 +120,14 @@ func QueryPig(c *kvstore.Cluster, q Query) (*Result, error) {
 	// Job 3: score-ordered top-k — local top-k lists at the mappers, a
 	// sole reducer merging them.
 	res, err := mapreduce.Run(&mapreduce.Job{
-		Name:    "pig-topk-" + q.ID(),
+		Name:    "pig-topk-" + t.ID(),
 		Cluster: c,
 		Input:   kvstore.Scan{Table: tmpJoin},
 		MapperFactory: func() mapreduce.Mapper {
-			return &pigTopKMapper{q: &q, top: NewTopKList(q.K)}
+			return &pigTopKMapper{score: t.Score.pair(), top: NewTopKList(t.K)}
 		},
 		Reducer: mapreduce.ReducerFunc(func(key string, values [][]byte, ctx mapreduce.Context) error {
-			top, err := mergeTopK(q.K, values)
+			top, err := mergeTopK(t.K, values)
 			if err != nil {
 				return err
 			}
@@ -138,7 +141,7 @@ func QueryPig(c *kvstore.Cluster, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	top := NewTopKList(q.K)
+	top := NewTopKList(t.K)
 	for _, kv := range res.Output {
 		r, err := DecodeJoinResult(kv.Value)
 		if err != nil {

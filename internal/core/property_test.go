@@ -76,7 +76,7 @@ func TestHRJNThresholdIsUpperBound(t *testing.T) {
 	f := func(seed int64) bool {
 		left := descending(synthTuples("l", 60, 10, "uniform", seed))
 		right := descending(synthTuples("r", 60, 10, "uniform", seed+999))
-		op := newAnyKOp(binaryTree(Sum))
+		op := newAnyKOp(stubBinary(Sum))
 		la, lb := 0, 0
 		for step := 0; step < 40; step++ {
 			if step%2 == 0 && la < len(left) {
@@ -94,14 +94,14 @@ func TestHRJNThresholdIsUpperBound(t *testing.T) {
 			// left[la-1].Score) with any right tuple, or vice versa.
 			for _, lt := range left[la:] {
 				for _, rt := range right[:lb] {
-					if lt.JoinValue == rt.JoinValue && Sum.Fn(lt.Score, rt.Score) > th+1e-9 {
+					if lt.JoinValue == rt.JoinValue && Sum.Fn([]float64{lt.Score, rt.Score}) > th+1e-9 {
 						return false
 					}
 				}
 			}
 			for _, rt := range right[lb:] {
 				for _, lt := range left[:la] {
-					if lt.JoinValue == rt.JoinValue && Sum.Fn(lt.Score, rt.Score) > th+1e-9 {
+					if lt.JoinValue == rt.JoinValue && Sum.Fn([]float64{lt.Score, rt.Score}) > th+1e-9 {
 						return false
 					}
 				}
@@ -120,7 +120,7 @@ func TestEmptyRelations(t *testing.T) {
 	c := newTestCluster()
 	relL := loadRelation(t, c, "L", nil)
 	relR := loadRelation(t, c, "R", paperR2)
-	q := Query{Left: relL, Right: relR, Score: Sum, K: 5}
+	q := binaryTree(relL, relR, Sum, 5)
 
 	if res, err := NaiveTopK(c, q); err != nil || len(res.Results) != 0 {
 		t.Errorf("naive on empty: %v, %v", res, err)
@@ -176,6 +176,6 @@ func TestSingleTupleRelations(t *testing.T) {
 	right := []Tuple{{RowKey: "r1", JoinValue: "x", Score: 0.7}}
 	relL := loadRelation(t, c, "L", left)
 	relR := loadRelation(t, c, "R", right)
-	q := Query{Left: relL, Right: relR, Score: Product, K: 3}
+	q := binaryTree(relL, relR, Product, 3)
 	runAll(t, c, q, left, right, false)
 }

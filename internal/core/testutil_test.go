@@ -46,7 +46,7 @@ func oracleTopK(left, right []Tuple, f ScoreFunc, k int) []JoinResult {
 	for _, lt := range left {
 		for _, rt := range right {
 			if lt.JoinValue == rt.JoinValue {
-				all = append(all, JoinResult{Left: lt, Right: rt, Score: f.Fn(lt.Score, rt.Score)})
+				all = append(all, JoinResult{Left: lt, Right: rt, Score: f.Fn([]float64{lt.Score, rt.Score})})
 			}
 		}
 	}
@@ -91,7 +91,7 @@ func verifyResultsAreRealJoins(t *testing.T, label string, rs []JoinResult, f Sc
 		if r.Left.JoinValue != r.Right.JoinValue {
 			t.Fatalf("%s: result %d joins %q with %q", label, i, r.Left.JoinValue, r.Right.JoinValue)
 		}
-		want := f.Fn(r.Left.Score, r.Right.Score)
+		want := f.Fn([]float64{r.Left.Score, r.Right.Score})
 		if d := r.Score - want; d > 1e-9 || d < -1e-9 {
 			t.Fatalf("%s: result %d score %.6f, want %.6f", label, i, r.Score, want)
 		}
@@ -177,8 +177,24 @@ func synthTuples(prefix string, n, joinCard int, dist string, seed int64) []Tupl
 }
 
 // paperQuery builds the running-example query against a loaded cluster.
-func paperQuery(relL, relR Relation, k int) Query {
-	return Query{Left: relL, Right: relR, Score: Sum, K: k}
+func paperQuery(relL, relR Relation, k int) *JoinTree {
+	return binaryTree(relL, relR, Sum, k)
+}
+
+// binaryTree is the two-way rank join of l and r: the two-leaf tree
+// with one equi edge.
+func binaryTree(l, r Relation, f ScoreFunc, k int) *JoinTree {
+	return &JoinTree{
+		Relations: []Relation{l, r},
+		Edges:     []TreeEdge{{A: 0, B: 1, Kind: PredEqui}},
+		Score:     f,
+		K:         k,
+	}
+}
+
+// stubBinary is binaryTree over placeholder relations.
+func stubBinary(f ScoreFunc) *JoinTree {
+	return binaryTree(stubRel("l"), stubRel("r"), f, 1)
 }
 
 // stubRel names a relation no test loads (operator-level tests never
@@ -198,12 +214,12 @@ func starEdges(n int) []TreeEdge {
 
 // starTree builds the all-equi star over rels — the n-way equi-join of
 // Section 3.
-func starTree(rels []Relation, f NScoreFunc, k int) *JoinTree {
+func starTree(rels []Relation, f ScoreFunc, k int) *JoinTree {
 	return &JoinTree{Relations: rels, Edges: starEdges(len(rels)), Score: f, K: k}
 }
 
 // stubStar is starTree over n placeholder relations.
-func stubStar(n int, f NScoreFunc) *JoinTree {
+func stubStar(n int, f ScoreFunc) *JoinTree {
 	rels := make([]Relation, n)
 	for i := range rels {
 		rels[i] = stubRel(fmt.Sprintf("s%d", i))
@@ -235,11 +251,11 @@ func runExec(c *kvstore.Cluster, name string, t *JoinTree, store *IndexStore, op
 	return RunCursor(c, t.K, func() (Cursor, error) { return ex.Open(c, t, store, opts) })
 }
 
-// queryISL runs the isl executor over an already-built binary index.
-func queryISL(c *kvstore.Cluster, q Query, idx *ISLIndex, opts ExecOptions) (*Result, error) {
+// queryISL runs the isl executor over an already-built index.
+func queryISL(c *kvstore.Cluster, q *JoinTree, idx *ISLIndex, opts ExecOptions) (*Result, error) {
 	store := NewIndexStore()
-	store.PutISL(q.ID(), idx)
-	return runExec(c, "isl", TreeFromQuery(q), store, opts)
+	store.PutISL(q.LeafID(), idx)
+	return runExec(c, "isl", q, store, opts)
 }
 
 // sliceRun drives one rank-join operator over in-memory leaves, each
@@ -280,9 +296,4 @@ func (s *sliceRun) take(k int) []JoinResult {
 		out = append(out, s.op.pop())
 	}
 	return out
-}
-
-// binaryTree is the two-leaf tree of f over placeholder relations.
-func binaryTree(f ScoreFunc) *JoinTree {
-	return TreeFromQuery(Query{Left: stubRel("l"), Right: stubRel("r"), Score: f, K: 1})
 }

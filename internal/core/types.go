@@ -4,7 +4,7 @@
 //   - Naive / Hive / Pig baselines (Section 3)
 //   - IJLMR: Inverse Join List MapReduce rank join (Section 4.1)
 //   - ISL: Inverse Score List rank join, an HRJN adaptation (Section 4.2),
-//     binary and n-way
+//     on all-equi trees of any leaf count
 //   - BFHM: the Bloom Filter Histogram Matrix rank join (Section 5)
 //   - DRJN: the 2-D histogram comparator of Doulkeridis et al. (Section 7.1)
 //   - AnyK: any-k ranked enumeration over acyclic join trees
@@ -18,8 +18,9 @@
 //	SELECT * FROM R1, ..., Rn WHERE <tree edges hold>
 //	ORDER BY f(R1.score, ..., Rn.score) STOP AFTER k
 //
-// The paper's binary equi-join (Section 1.1) is the two-leaf tree
-// (TreeFromQuery) and its n-way generalization the all-equi tree.
+// The paper's binary equi-join (Section 1.1) is the two-leaf tree and
+// its n-way generalization the all-equi tree; there is no separate
+// two-way query form and one aggregate type (ScoreFunc) serves both.
 // Results are returned highest-score first with deterministic tie-breaking on
 // row keys in leaf order.
 package core
@@ -102,47 +103,62 @@ func (a *JoinResult) less(b *JoinResult) bool {
 	return false
 }
 
-// ScoreFunc is a named monotonic aggregate over two tuple scores.
+// ScoreFunc is a named monotonic aggregate over n tuple scores, one per
+// leaf in leaf order. It is the only aggregate type: a two-way query's
+// aggregate is the same function applied to two scores.
 type ScoreFunc struct {
 	Name string
-	Fn   func(a, b float64) float64
+	Fn   func(scores []float64) float64
 }
 
-// Sum is the paper's Q2 aggregate (TotalPrice + ExtendedPrice).
-var Sum = ScoreFunc{Name: "sum", Fn: func(a, b float64) float64 { return a + b }}
-
-// Product is the paper's Q1 aggregate (RetailPrice * ExtendedPrice).
-// Monotonic for non-negative scores, which the [0,1] domain guarantees.
-var Product = ScoreFunc{Name: "product", Fn: func(a, b float64) float64 { return a * b }}
-
-// Query is a two-way top-k equi-join.
-type Query struct {
-	Left  Relation
-	Right Relation
-	Score ScoreFunc
-	K     int
-}
-
-// ID derives a short deterministic identifier used in temp/index table
-// names.
-func (q *Query) ID() string {
-	return fmt.Sprintf("%s_%s_%s", q.Left.Name, q.Right.Name, q.Score.Name)
-}
-
-// Validate rejects malformed queries.
-func (q *Query) Validate() error {
-	if q.K < 1 {
-		return fmt.Errorf("core: k = %d, want >= 1", q.K)
+// Sum adds all scores (the paper's Q2: TotalPrice + ExtendedPrice).
+var Sum = ScoreFunc{Name: "sum", Fn: func(s []float64) float64 {
+	var t float64
+	for _, v := range s {
+		t += v
 	}
-	if q.Score.Fn == nil {
-		return fmt.Errorf("core: query needs a score function")
+	return t
+}}
+
+// Product multiplies all scores (the paper's Q1: RetailPrice *
+// ExtendedPrice). Monotonic for non-negative scores, which the [0,1]
+// domain guarantees.
+var Product = ScoreFunc{Name: "product", Fn: func(s []float64) float64 {
+	t := 1.0
+	for _, v := range s {
+		t *= v
 	}
-	for _, r := range []*Relation{&q.Left, &q.Right} {
-		if r.Table == "" || r.Family == "" || r.JoinQual == "" || r.ScoreQual == "" {
-			return fmt.Errorf("core: relation %q underspecified", r.Name)
+	return t
+}}
+
+// ScoreByName resolves an aggregate's name — the form a query takes
+// where a Go function value cannot travel (JSON tree specs, the node
+// wire). It is the one place a name maps to an aggregate; callers wrap
+// a miss in their own error type.
+func ScoreByName(name string) (ScoreFunc, bool) {
+	for _, f := range []ScoreFunc{Sum, Product} {
+		if f.Name == name {
+			return f, true
 		}
 	}
-	return nil
+	return ScoreFunc{}, false
+}
+
+// pairScore evaluates an aggregate on two scores through a scratch it
+// owns, so the two-way executors' pair loops allocate nothing. It is
+// not safe for concurrent use: every query, MapReduce task or other
+// goroutine takes its own (ScoreFunc.pair).
+type pairScore struct {
+	fn func([]float64) float64
+	s  [2]float64
+}
+
+func (f ScoreFunc) pair() *pairScore { return &pairScore{fn: f.Fn} }
+
+// of returns the aggregate of a and b, in leaf order.
+func (p *pairScore) of(a, b float64) float64 {
+	p.s[0], p.s[1] = a, b
+	return p.fn(p.s[:])
 }
 
 // Result is an executed query: the top-k list plus the resources it

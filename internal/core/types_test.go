@@ -105,42 +105,71 @@ func TestJoinResultCodecRoundTrip(t *testing.T) {
 }
 
 func TestQueryValidate(t *testing.T) {
-	rel := Relation{Name: "r", Table: "t", Family: "d", JoinQual: "j", ScoreQual: "s"}
-	q := Query{Left: rel, Right: rel, Score: Sum, K: 5}
+	rel := func(name string) Relation {
+		return Relation{Name: name, Table: "t_" + name, Family: "d", JoinQual: "j", ScoreQual: "s"}
+	}
+	q := binaryTree(rel("l"), rel("r"), Sum, 5)
 	if err := q.Validate(); err != nil {
 		t.Errorf("valid query rejected: %v", err)
 	}
-	bad := q
-	bad.K = 0
-	if err := bad.Validate(); err == nil {
+	if err := withK(q, 0).Validate(); err == nil {
 		t.Error("k=0 accepted")
 	}
-	bad = q
-	bad.Score = ScoreFunc{}
-	if err := bad.Validate(); err == nil {
+	if err := binaryTree(rel("l"), rel("r"), ScoreFunc{}, 5).Validate(); err == nil {
 		t.Error("nil score fn accepted")
 	}
-	bad = q
-	bad.Left.Table = ""
-	if err := bad.Validate(); err == nil {
+	noTable := rel("r")
+	noTable.Table = ""
+	if err := binaryTree(rel("l"), noTable, Sum, 5).Validate(); err == nil {
 		t.Error("empty table accepted")
 	}
-	if q.ID() != "r_r_sum" {
+	if q.ID() != "l_r_sum" {
 		t.Errorf("ID = %q", q.ID())
 	}
 }
 
 func TestScoreFuncs(t *testing.T) {
-	if Sum.Fn(0.3, 0.4) != 0.7 {
+	if Sum.Fn([]float64{0.3, 0.4}) != 0.7 {
 		t.Error("Sum broken")
 	}
-	if Product.Fn(0.5, 0.5) != 0.25 {
+	if Product.Fn([]float64{0.5, 0.5}) != 0.25 {
 		t.Error("Product broken")
 	}
 	// Monotonicity spot checks (required by the rank-join framework).
 	for _, f := range []ScoreFunc{Sum, Product} {
-		if f.Fn(0.5, 0.5) > f.Fn(0.6, 0.5) || f.Fn(0.5, 0.5) > f.Fn(0.5, 0.6) {
+		at := func(a, b float64) float64 { return f.Fn([]float64{a, b}) }
+		if at(0.5, 0.5) > at(0.6, 0.5) || at(0.5, 0.5) > at(0.5, 0.6) {
 			t.Errorf("%s not monotone", f.Name)
+		}
+		if got, ok := ScoreByName(f.Name); !ok || got.Name != f.Name {
+			t.Errorf("ScoreByName(%q) = %q, %v", f.Name, got.Name, ok)
+		}
+	}
+	for _, name := range []string{"", "Sum", "max"} {
+		if _, ok := ScoreByName(name); ok {
+			t.Errorf("ScoreByName(%q) resolved", name)
+		}
+	}
+}
+
+// TestPairScoreNoAllocations pins what lets the two-way executors use
+// the n-ary aggregate: evaluating it on two scores allocates nothing,
+// and gives exactly a+b and a*b.
+func TestPairScoreNoAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		f    ScoreFunc
+		want func(a, b float64) float64
+	}{
+		{Sum, func(a, b float64) float64 { return a + b }},
+		{Product, func(a, b float64) float64 { return a * b }},
+	} {
+		score := tc.f.pair()
+		var got float64
+		if n := testing.AllocsPerRun(1000, func() { got = score.of(0.1, 0.7) }); n != 0 {
+			t.Errorf("%s: %v allocations per two-score evaluation, want 0", tc.f.Name, n)
+		}
+		if want := tc.want(0.1, 0.7); got != want {
+			t.Errorf("%s(0.1, 0.7) = %v, want exactly %v", tc.f.Name, got, want)
 		}
 	}
 }

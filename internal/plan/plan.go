@@ -168,12 +168,11 @@ func Explain(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, opts 
 		}
 		return cand.Estimate
 	}
+	// Stable over core.Executors(): candidates that tie on the objective
+	// keep registration order (the paper's evaluation order), so isl
+	// precedes anyk where the two price the same lists identically.
 	sort.SliceStable(cands, func(i, j int) bool {
-		mi, mj := obj.metric(rankBy(cands[i])), obj.metric(rankBy(cands[j]))
-		if mi != mj {
-			return mi < mj
-		}
-		return cands[i].Executor < cands[j].Executor
+		return obj.metric(rankBy(cands[i])) < obj.metric(rankBy(cands[j]))
 	})
 
 	p := &Plan{Candidates: cands, Objective: obj, Stream: opts.Stream, Stats: *st, PlannerCost: plannerCost}

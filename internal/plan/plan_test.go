@@ -11,7 +11,7 @@ import (
 
 // setupCluster loads two small relations and returns everything a
 // planning pass needs.
-func setupCluster(t *testing.T, n int) (*kvstore.Cluster, core.Query, *core.IndexStore) {
+func setupCluster(t *testing.T, n int) (*kvstore.Cluster, *core.JoinTree, *core.IndexStore) {
 	t.Helper()
 	c, err := kvstore.NewCluster(sim.LC(), nil)
 	if err != nil {
@@ -38,13 +38,18 @@ func setupCluster(t *testing.T, n int) (*kvstore.Cluster, core.Query, *core.Inde
 		}
 		return rel
 	}
-	q := core.Query{Left: mk("pl"), Right: mk("pr"), Score: core.Sum, K: 10}
+	q := &core.JoinTree{
+		Relations: []core.Relation{mk("pl"), mk("pr")},
+		Edges:     []core.TreeEdge{{A: 0, B: 1, Kind: core.PredEqui}},
+		Score:     core.Sum,
+		K:         10,
+	}
 	return c, q, core.NewIndexStore()
 }
 
 func TestExplainUniformFallback(t *testing.T) {
 	c, q, store := setupCluster(t, 400)
-	p, err := Explain(c, core.TreeFromQuery(q), store, Options{})
+	p, err := Explain(c, q, store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +85,11 @@ func TestExplainUniformFallback(t *testing.T) {
 func TestExplainUsesDRJNStatistics(t *testing.T) {
 	c, q, store := setupCluster(t, 400)
 	ex, _ := core.Lookup("drjn")
-	if err := ex.EnsureIndex(c, core.TreeFromQuery(q), store, core.IndexBuildConfig{}); err != nil {
+	if err := ex.EnsureIndex(c, q, store, core.IndexBuildConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Metrics().Snapshot()
-	p, err := Explain(c, core.TreeFromQuery(q), store, Options{})
+	p, err := Explain(c, q, store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +114,7 @@ func TestExplainUsesDRJNStatistics(t *testing.T) {
 func TestExplainObjectives(t *testing.T) {
 	c, q, store := setupCluster(t, 300)
 	for _, obj := range []Objective{ObjectiveTime, ObjectiveNetwork, ObjectiveDollars} {
-		p, err := Explain(c, core.TreeFromQuery(q), store, Options{Objective: obj})
+		p, err := Explain(c, q, store, Options{Objective: obj})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,25 +131,25 @@ func TestExplainObjectives(t *testing.T) {
 
 func TestExplainRejectsUnknownObjective(t *testing.T) {
 	c, q, store := setupCluster(t, 100)
-	if _, err := Explain(c, core.TreeFromQuery(q), store, Options{Objective: "dollar"}); err == nil {
+	if _, err := Explain(c, q, store, Options{Objective: "dollar"}); err == nil {
 		t.Fatal("Explain accepted unknown objective \"dollar\"")
 	}
 }
 
 func TestChooseRunnable(t *testing.T) {
 	c, q, store := setupCluster(t, 200)
-	ex, p, err := Choose(c, core.TreeFromQuery(q), store, Options{})
+	ex, p, err := Choose(c, q, store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ex.Name() != p.Chosen {
 		t.Fatalf("Choose returned %q but plan chose %q", ex.Name(), p.Chosen)
 	}
-	if ex.NeedsIndex() && !ex.HasIndex(core.TreeFromQuery(q), store) {
+	if ex.NeedsIndex() && !ex.HasIndex(q, store) {
 		t.Fatalf("Choose picked %q whose index is missing", ex.Name())
 	}
 	res, err := core.RunCursor(c, q.K, func() (core.Cursor, error) {
-		return ex.Open(c, core.TreeFromQuery(q), store, core.ExecOptions{})
+		return ex.Open(c, q, store, core.ExecOptions{})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,11 +183,11 @@ func TestStatsUseLiveRows(t *testing.T) {
 				kvstore.Cell{Row: row, Family: "d", Qualifier: "score", Value: kvstore.FloatValue(float64((i+round)%991) / 991)},
 			)
 		}
-		if err := c.BatchPut(q.Left.Table, cells); err != nil {
+		if err := c.BatchPut(q.Relations[0].Table, cells); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err := c.TableStats(q.Left.Table)
+	st, err := c.TableStats(q.Relations[0].Table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +195,7 @@ func TestStatsUseLiveRows(t *testing.T) {
 		t.Fatalf("update-heavy table should hold more versions (%d) than live cells (%d)", st.Cells, st.LiveCells)
 	}
 
-	p, err := Explain(c, core.TreeFromQuery(q), store, Options{})
+	p, err := Explain(c, q, store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +215,11 @@ func TestStreamPlanning(t *testing.T) {
 	c, q, store := setupCluster(t, 400)
 	for _, name := range []string{"isl", "bfhm", "drjn", "ijlmr"} {
 		ex, _ := core.Lookup(name)
-		if err := ex.EnsureIndex(c, core.TreeFromQuery(q), store, core.IndexBuildConfig{}); err != nil {
+		if err := ex.EnsureIndex(c, q, store, core.IndexBuildConfig{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p, err := Explain(c, core.TreeFromQuery(q), store, Options{Stream: true})
+	p, err := Explain(c, q, store, Options{Stream: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +256,7 @@ func TestStreamPlanning(t *testing.T) {
 	}
 	// Bounded-mode plans on the same state must rank by the bounded
 	// estimate instead.
-	pb, err := Explain(c, core.TreeFromQuery(q), store, Options{})
+	pb, err := Explain(c, q, store, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,15 +269,15 @@ func TestStreamPlanning(t *testing.T) {
 
 func TestStatsCacheInvalidatedByWrites(t *testing.T) {
 	c, q, store := setupCluster(t, 200)
-	tq := core.TreeFromQuery(q)
+	tq := q
 	cache := NewCache()
 
-	st1, err := gatherStats(c, core.TreeFromQuery(q), store, core.ExecOptions{}, cache)
+	st1, err := gatherStats(c, q, store, core.ExecOptions{}, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Unchanged tables: the cache serves the entry.
-	st2, err := gatherStats(c, core.TreeFromQuery(q), store, core.ExecOptions{}, cache)
+	st2, err := gatherStats(c, q, store, core.ExecOptions{}, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,23 +288,23 @@ func TestStatsCacheInvalidatedByWrites(t *testing.T) {
 	// ANY write to an input — here an update that keeps the live-column
 	// count identical (the shape a count-keyed cache missed) — moves the
 	// table's mutation sequence and must invalidate the entry.
-	if err := c.Put(q.Left.Table, kvstore.Cell{
+	if err := c.Put(q.Relations[0].Table, kvstore.Cell{
 		Row: "pl0000", Family: "d", Qualifier: "score", Value: kvstore.FloatValue(0.123),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	lt, err := c.TableStats(q.Left.Table)
+	lt, err := c.TableStats(q.Relations[0].Table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := c.TableStats(q.Right.Table)
+	rt, err := c.TableStats(q.Relations[1].Table)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := cache.lookup(tq, []uint64{lt.MutSeq, rt.MutSeq}, sourceFingerprint(tq, store)); ok {
 		t.Fatal("stats cache served a stale entry after a write")
 	}
-	if _, err := gatherStats(c, core.TreeFromQuery(q), store, core.ExecOptions{}, cache); err != nil {
+	if _, err := gatherStats(c, q, store, core.ExecOptions{}, cache); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := cache.lookup(tq, []uint64{lt.MutSeq, rt.MutSeq}, sourceFingerprint(tq, store)); !ok {

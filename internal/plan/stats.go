@@ -59,11 +59,11 @@ func gatherStats(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, e
 	st.Leaves = leaves
 	st.Left, st.Right = leaves[0], leaves[1]
 
-	if q, ok := t.Binary(); ok {
+	if len(t.Relations) == 2 && t.AllEqui() {
 		// Two-way queries keep the full statistics ladder: DRJN 2-D
 		// histograms, then BFHM filter walks, then uniform assumptions.
-		if idxA, ok := store.DRJN(q.Left.Name); ok {
-			if idxB, ok := store.DRJN(q.Right.Name); ok && idxA.JoinParts == idxB.JoinParts {
+		if idxA, ok := store.DRJN(t.Relations[0].Name); ok {
+			if idxB, ok := store.DRJN(t.Relations[1].Name); ok && idxA.JoinParts == idxB.JoinParts {
 				if drjnWalk(c, st, idxA, idxB) {
 					st.Source = "drjn"
 					st.DRJNJoinParts = idxA.JoinParts
@@ -71,8 +71,8 @@ func gatherStats(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, e
 			}
 		}
 		if st.Source == "" {
-			if idxA, ok := store.BFHM(q.Left.Name); ok {
-				if idxB, ok := store.BFHM(q.Right.Name); ok {
+			if idxA, ok := store.BFHM(t.Relations[0].Name); ok {
+				if idxB, ok := store.BFHM(t.Relations[1].Name); ok {
 					if bfhmWalk(c, st, idxA, idxB) {
 						st.Source = "bfhm"
 						st.BFHMBuckets = idxA.Layout.Buckets
@@ -85,7 +85,7 @@ func gatherStats(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, e
 			st.Source = "uniform"
 		}
 		if st.BFHMBuckets == 0 {
-			if idx, ok := store.BFHM(q.Left.Name); ok {
+			if idx, ok := store.BFHM(t.Relations[0].Name); ok {
 				st.BFHMBuckets = idx.Layout.Buckets
 			}
 		}

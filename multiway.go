@@ -1,7 +1,5 @@
 package rankjoin
 
-import "repro/internal/core"
-
 // Multi-way rank joins (the Section 3 generalization): n relations
 // equi-joined on a common attribute, ranked by an n-ary monotonic
 // aggregate. This is the star-shaped special case of the general
@@ -13,20 +11,19 @@ import "repro/internal/core"
 // AlgoNaive, AlgoISL (the coordinator-based HRJN generalization),
 // AlgoAnyK, and AlgoAuto.
 
-// NScoreFunc is a monotonic aggregate over n tuple scores.
-type NScoreFunc = core.NScoreFunc
+// NScoreFunc is ScoreFunc: every aggregate is n-ary, and the names
+// from when the two-way form had a type of its own remain for callers.
+type NScoreFunc = ScoreFunc
 
-// N-ary score aggregates.
+// SumN and ProductN are Sum and Product.
 var (
-	// SumN adds all n scores.
-	SumN = core.SumN
-	// ProductN multiplies all n scores.
-	ProductN = core.ProductN
+	SumN     = Sum
+	ProductN = Product
 )
 
 // NewMultiQuery builds an n-way equi-join query over previously defined
 // relations.
-func (db *DB) NewMultiQuery(relations []string, f NScoreFunc, k int) (Query, error) {
+func (db *DB) NewMultiQuery(relations []string, f ScoreFunc, k int) (Query, error) {
 	edges := make([]TreeEdge, 0, len(relations))
 	for i := 1; i < len(relations); i++ {
 		edges = append(edges, TreeEdge{A: 0, B: i, Kind: PredEqui})

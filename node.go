@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/kvstore"
 	"repro/internal/merkle"
 	"repro/internal/sim"
@@ -66,34 +67,6 @@ func CostSnapshot(c transport.CostData) sim.Snapshot {
 	}
 }
 
-// scoreByName resolves a wire score-aggregate name. Queries cross the
-// seam by name because ScoreFunc carries a Go function value.
-func scoreByName(name string) (ScoreFunc, error) {
-	switch name {
-	case Sum.Name:
-		return Sum, nil
-	case Product.Name:
-		return Product, nil
-	default:
-		return ScoreFunc{}, &transport.Error{Kind: transport.KindBadRequest,
-			Msg: fmt.Sprintf("unknown score aggregate %q", name)}
-	}
-}
-
-// nScoreByName resolves a wire score-aggregate name to its n-ary form
-// (tree queries aggregate over every leaf).
-func nScoreByName(name string) (NScoreFunc, error) {
-	switch name {
-	case SumN.Name:
-		return SumN, nil
-	case ProductN.Name:
-		return ProductN, nil
-	default:
-		return NScoreFunc{}, &transport.Error{Kind: transport.KindBadRequest,
-			Msg: fmt.Sprintf("unknown score aggregate %q", name)}
-	}
-}
-
 // treeEdgesOf converts wire edges to the public edge form. Unknown
 // kinds pass through and fail tree validation with a typed ShapeError.
 func treeEdgesOf(wire []transport.TreeEdgeData) []TreeEdge {
@@ -105,24 +78,21 @@ func treeEdgesOf(wire []transport.TreeEdgeData) []TreeEdge {
 }
 
 // queryFromWire rebuilds the query a request describes: the Tree shape
-// when present, the legacy two-way Left/Right fields otherwise.
+// when present, the legacy two-way Left/Right fields otherwise. The
+// aggregate crosses the seam by name because ScoreFunc carries a Go
+// function value.
 func (n *NodeService) queryFromWire(tree *transport.TreeData, left, right, score string, k int) (Query, error) {
+	f, ok := core.ScoreByName(score)
+	if !ok {
+		return Query{}, badRequest("unknown score aggregate %q", score)
+	}
+	var q Query
+	var err error
 	if tree != nil {
-		f, err := nScoreByName(score)
-		if err != nil {
-			return Query{}, err
-		}
-		q, err := n.db.NewTreeQuery(tree.Relations, treeEdgesOf(tree.Edges), f, k)
-		if err != nil {
-			return Query{}, badRequest("%v", err)
-		}
-		return q, nil
+		q, err = n.db.NewTreeQuery(tree.Relations, treeEdgesOf(tree.Edges), f, k)
+	} else {
+		q, err = n.db.NewQuery(left, right, f, k)
 	}
-	f, err := scoreByName(score)
-	if err != nil {
-		return Query{}, err
-	}
-	q, err := n.db.NewQuery(left, right, f, k)
 	if err != nil {
 		return Query{}, badRequest("%v", err)
 	}

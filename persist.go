@@ -23,11 +23,24 @@ const catalogMetaKey = "catalog"
 type catalog struct {
 	Relations []string
 	IJLMR     map[string]*core.IJLMRIndex `json:",omitempty"`
-	ISL       map[string]*core.ISLIndex   `json:",omitempty"`
+	ISL       map[string]*catalogISL      `json:",omitempty"`
 	BFHM      map[string]*core.BFHMIndex  `json:",omitempty"`
 	DRJN      map[string]*core.DRJNIndex  `json:",omitempty"`
-	ISLN      map[string]*core.ISLNIndex  `json:",omitempty"`
 	IdxCfg    IndexConfig
+
+	// ISLN is only ever read: catalogs written before the two inverse-
+	// score-list index types merged kept the n-way ones (isln_<LeafID>
+	// tables) in a map of their own.
+	ISLN map[string]*core.ISLIndex `json:",omitempty"`
+}
+
+// catalogISL is an inverse-score-list entry as written ({Table,
+// Families}) that also reads the older two-way form ({Table,
+// LeftFamily, RightFamily}).
+type catalogISL struct {
+	core.ISLIndex
+	LeftFamily  string `json:",omitempty"`
+	RightFamily string `json:",omitempty"`
 }
 
 // relationFor renders the canonical storage mapping for a relation name
@@ -92,20 +105,41 @@ func (db *DB) loadCatalog() error {
 	}
 	db.idxCfg = cat.IdxCfg
 	db.mu.Unlock()
-	for id, idx := range cat.ISLN {
-		db.store.PutISLN(id, idx)
-	}
 	for id, idx := range cat.IJLMR {
 		db.store.PutIJLMR(id, idx)
 	}
-	for id, idx := range cat.ISL {
-		db.store.PutISL(id, idx)
+	legacy := len(cat.ISLN) > 0
+	for id, e := range cat.ISL {
+		if len(e.Families) == 0 {
+			e.Families = []string{e.LeftFamily, e.RightFamily}
+			legacy = true
+		}
+		db.store.PutISL(id, &e.ISLIndex)
+	}
+	// A two-way query's ID is its tree's LeafID, so where an older
+	// catalog holds the same leaves under both maps the two tables have
+	// the same cells: the isl_ one stays, the isln_ one goes.
+	for id, idx := range cat.ISLN {
+		if _, dup := cat.ISL[id]; !dup {
+			db.store.PutISL(id, idx)
+			continue
+		}
+		// A crash after the drop and before the re-save below finds the
+		// table already gone.
+		if db.cluster.HasTable(idx.Table) {
+			if err := db.cluster.DropTable(idx.Table); err != nil {
+				return fmt.Errorf("rankjoin: dropping superseded index table %s: %w", idx.Table, err)
+			}
+		}
 	}
 	for rel, idx := range cat.BFHM {
 		db.store.PutBFHM(rel, idx)
 	}
 	for rel, idx := range cat.DRJN {
 		db.store.PutDRJN(rel, idx)
+	}
+	if legacy {
+		return db.saveCatalog()
 	}
 	return nil
 }
@@ -120,10 +154,9 @@ func (db *DB) saveCatalog() error {
 	}
 	cat := catalog{
 		IJLMR: map[string]*core.IJLMRIndex{},
-		ISL:   map[string]*core.ISLIndex{},
+		ISL:   map[string]*catalogISL{},
 		BFHM:  map[string]*core.BFHMIndex{},
 		DRJN:  map[string]*core.DRJNIndex{},
-		ISLN:  map[string]*core.ISLNIndex{},
 	}
 	db.mu.Lock()
 	for name := range db.relations {
@@ -132,9 +165,8 @@ func (db *DB) saveCatalog() error {
 	cat.IdxCfg = db.idxCfg
 	db.mu.Unlock()
 	sort.Strings(cat.Relations)
-	db.store.EachISLN(func(id string, idx *core.ISLNIndex) { cat.ISLN[id] = idx })
 	db.store.EachIJLMR(func(id string, idx *core.IJLMRIndex) { cat.IJLMR[id] = idx })
-	db.store.EachISL(func(id string, idx *core.ISLIndex) { cat.ISL[id] = idx })
+	db.store.EachISL(func(id string, idx *core.ISLIndex) { cat.ISL[id] = &catalogISL{ISLIndex: *idx} })
 	db.store.EachBFHM(func(rel string, idx *core.BFHMIndex) { cat.BFHM[rel] = idx })
 	db.store.EachDRJN(func(rel string, idx *core.DRJNIndex) { cat.DRJN[rel] = idx })
 	raw, err := json.Marshal(&cat)

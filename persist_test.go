@@ -5,9 +5,13 @@
 package rankjoin
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestColdStartFreshnessOracle runs a randomized workload on a durable
@@ -163,5 +167,105 @@ func TestCatalogPersistsMultiwayIndexes(t *testing.T) {
 		if got.Results[i].Score != want.Results[i].Score {
 			t.Fatalf("result %d: score %v, want %v", i, got.Results[i].Score, want.Results[i].Score)
 		}
+	}
+}
+
+// TestOpenAtMigratesLegacyISLCatalog opens stores whose catalog and
+// index tables are in the layout written before the two inverse-score-
+// list index types merged: two-way indexes as {Table, LeftFamily,
+// RightFamily} under "ISL" in isl_<id>, n-way ones under "ISLN" in
+// isln_<LeafID>. Either kind — or both for the same leaves — must serve
+// isl and anyk with naive's rows, stay maintained, and be re-saved in
+// the single form.
+func TestOpenAtMigratesLegacyISLCatalog(t *testing.T) {
+	const (
+		islEntry  = `"ISL":{"left_right_sum":{"Table":"isl_left_right_sum","LeftFamily":"left","RightFamily":"right"}}`
+		islnEntry = `"ISLN":{"left_right_sum":{"Table":"isln_left_right_sum","Families":["left","right"]}}`
+	)
+	for _, tc := range []struct {
+		name    string
+		tables  []string // legacy index tables the old store holds
+		catalog string
+		keeps   string // the one index table left after migration
+	}{
+		{"ISL only", []string{"isl_left_right_sum"}, islEntry, "isl_left_right_sum"},
+		{"ISLN only", []string{"isln_left_right_sum"}, islnEntry, "isln_left_right_sum"},
+		{"both", []string{"isl_left_right_sum", "isln_left_right_sum"}, islEntry + "," + islnEntry, "isl_left_right_sum"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			old, err := OpenAt(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadTwoRelations(t, old, 120)
+			for _, table := range tc.tables {
+				if _, err := old.cluster.CreateTable(table, []string{"left", "right"}, nil); err != nil {
+					t.Fatal(err)
+				}
+				for _, rel := range []string{"left", "right"} {
+					if _, err := core.BuildISLRelation(old.cluster, relationFor(rel), table, rel); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := old.cluster.SetMeta(catalogMetaKey, `{"Relations":["left","right"],`+tc.catalog+`}`); err != nil {
+				t.Fatal(err)
+			}
+			if err := old.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			db, err := OpenAt(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			q, err := db.NewQuery("left", "right", Sum, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Relation("left").Insert("lHOT", "hotjoin", 1.0); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Relation("right").Insert("rHOT", "hotjoin", 1.0); err != nil {
+				t.Fatal(err)
+			}
+			want, err := db.TopK(q, AlgoNaive, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Results[0].Left.RowKey != "lHOT" {
+				t.Fatalf("setup broken: naive top %+v", want.Results[0])
+			}
+			for _, algo := range []Algorithm{AlgoISL, AlgoAnyK} {
+				got, err := db.TopK(q, algo, nil) // no EnsureIndexes
+				if err != nil {
+					t.Fatalf("%s over the migrated catalog: %v", algo, err)
+				}
+				assertSameResults(t, string(algo), got.Results, want.Results)
+			}
+
+			var indexTables []string
+			for _, name := range db.cluster.TableNames() {
+				if !strings.HasPrefix(name, "rel_") {
+					indexTables = append(indexTables, name)
+				}
+			}
+			if len(indexTables) != 1 || indexTables[0] != tc.keeps {
+				t.Errorf("index tables after migration %v, want [%s]", indexTables, tc.keeps)
+			}
+			var saved map[string]json.RawMessage
+			if err := json.Unmarshal([]byte(db.cluster.Meta(catalogMetaKey)), &saved); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := saved["ISLN"]; ok {
+				t.Errorf("re-saved catalog still has an ISLN map: %s", saved["ISLN"])
+			}
+			wantISL := `{"left_right_sum":{"Table":"` + tc.keeps + `","Families":["left","right"]}}`
+			if string(saved["ISL"]) != wantISL {
+				t.Errorf("re-saved ISL map %s, want %s", saved["ISL"], wantISL)
+			}
+		})
 	}
 }

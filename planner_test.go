@@ -7,6 +7,7 @@
 package rankjoin_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -162,6 +163,56 @@ func TestExplainAllCandidates(t *testing.T) {
 	}
 	if p2.Stats.Source == "uniform" {
 		t.Errorf("stats source still %q after building DRJN histograms", p2.Stats.Source)
+	}
+}
+
+// TestExplainTieKeepsRegistrationOrder: isl and anyk read the same
+// inverse score lists and price a two-leaf tree identically on read
+// units and bytes. The tie goes to registration order — isl, whose
+// pull rule reads less than any-k's — and the ranking is the same on
+// every run.
+func TestExplainTieKeepsRegistrationOrder(t *testing.T) {
+	db := mustOpenDB(t)
+	for _, name := range []string{"l", "r"} {
+		h, err := db.DefineRelation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ts []rankjoin.Tuple
+		for i := 0; i < 200; i++ {
+			ts = append(ts, rankjoin.Tuple{RowKey: key(name, i), JoinValue: key("j", i%25), Score: float64((i*13)%991) / 991})
+		}
+		if err := h.BulkLoad(ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := db.NewQuery("l", "r", rankjoin.Sum, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnsureIndexes(q, rankjoin.AlgoISL, rankjoin.AlgoAnyK); err != nil {
+		t.Fatal(err)
+	}
+	for _, obj := range []rankjoin.Objective{rankjoin.ObjectiveDollars, rankjoin.ObjectiveNetwork} {
+		var first []string
+		for run := 0; run < 5; run++ {
+			p, err := db.Explain(q, &rankjoin.ExplainOptions{Objective: obj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Chosen != "isl" {
+				t.Fatalf("%s run %d: chose %s, want isl\n%s", obj, run, p.Chosen, p)
+			}
+			var order []string
+			for _, c := range p.Candidates {
+				order = append(order, c.Executor)
+			}
+			if first == nil {
+				first = order
+			} else if !reflect.DeepEqual(order, first) {
+				t.Fatalf("%s run %d: candidate order %v, first run %v", obj, run, order, first)
+			}
+		}
 	}
 }
 

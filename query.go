@@ -10,33 +10,56 @@ import (
 	"repro/internal/sim"
 )
 
-// Query is a top-k rank-join over defined relations. Internally every
-// query — the two-way form NewQuery builds, the star form NewMultiQuery
-// builds, and general acyclic shapes from NewTreeQuery — is one
-// JoinTree; executors that only handle a subset of shapes reject the
-// rest with a shape error.
+// Query is a top-k rank-join over defined relations: an acyclic join
+// tree (core.JoinTree), whichever constructor built it. NewQuery builds
+// the two-leaf tree, NewMultiQuery the star, NewTreeQuery any acyclic
+// shape; executors that only handle a subset of shapes reject the rest
+// with a shape error.
 type Query struct {
 	t *core.JoinTree
 }
 
+// newQuery is the one query constructor behind NewQuery, NewTreeQuery
+// and NewTreeQueryFromSpec, on DB and Distributed alike: relations are
+// the leaves (each must satisfy defined and appear once), edges the
+// join predicates, f the aggregate over all leaf scores, k the result
+// target.
+func newQuery(relations []string, edges []TreeEdge, f ScoreFunc, k int, defined func(name string) bool) (Query, error) {
+	rels := make([]core.Relation, 0, len(relations))
+	seen := map[string]bool{}
+	for _, name := range relations {
+		if !defined(name) {
+			return Query{}, fmt.Errorf("rankjoin: relation %q not defined", name)
+		}
+		if seen[name] {
+			return Query{}, fmt.Errorf("rankjoin: relation %q listed twice in tree query", name)
+		}
+		seen[name] = true
+		rels = append(rels, relationFor(name))
+	}
+	t := &core.JoinTree{
+		Relations: rels,
+		Edges:     append([]TreeEdge(nil), edges...),
+		Score:     f,
+		K:         k,
+	}
+	if err := t.Validate(); err != nil {
+		return Query{}, err
+	}
+	return Query{t: t}, nil
+}
+
+// binaryEdges is the edge list of the two-way query: one equi edge
+// between leaves 0 and 1.
+var binaryEdges = []TreeEdge{{A: 0, B: 1, Kind: PredEqui}}
+
+// defined reports whether a relation name is defined on this DB.
+func (db *DB) defined(name string) bool { return db.Relation(name) != nil }
+
 // NewQuery builds a query joining two defined relations on their join
 // attributes, ranking by the monotonic aggregate f, keeping k results.
 func (db *DB) NewQuery(left, right string, f ScoreFunc, k int) (Query, error) {
-	db.mu.Lock()
-	l, lok := db.relations[left]
-	r, rok := db.relations[right]
-	db.mu.Unlock()
-	if !lok {
-		return Query{}, fmt.Errorf("rankjoin: relation %q not defined", left)
-	}
-	if !rok {
-		return Query{}, fmt.Errorf("rankjoin: relation %q not defined", right)
-	}
-	q := core.Query{Left: l.rel, Right: r.rel, Score: f, K: k}
-	if err := q.Validate(); err != nil {
-		return Query{}, err
-	}
-	return Query{t: core.TreeFromQuery(q)}, nil
+	return newQuery([]string{left, right}, binaryEdges, f, k, db.defined)
 }
 
 // WithK derives a query with a different k (indexes are shared; the

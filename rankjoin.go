@@ -24,7 +24,8 @@ type (
 	// Result is a completed query: the top-k list plus consumed
 	// resources (simulated time, network bytes, KV read units).
 	Result = core.Result
-	// ScoreFunc is a named monotonic score aggregate.
+	// ScoreFunc is a named monotonic aggregate over the scores of the
+	// joined tuples, one per relation in query order.
 	ScoreFunc = core.ScoreFunc
 	// Profile describes simulated cluster hardware.
 	Profile = sim.Profile
@@ -85,7 +86,7 @@ const (
 
 // Score aggregates.
 var (
-	// Sum adds the two tuple scores (the paper's Q2).
+	// Sum adds the tuple scores (the paper's Q2).
 	Sum = core.Sum
 	// Product multiplies them (the paper's Q1).
 	Product = core.Product
@@ -118,10 +119,10 @@ const (
 	// AlgoAnyK is the any-k streaming tree executor: it enumerates the
 	// results of an acyclic join tree (chains, stars, general shapes —
 	// see NewTreeQuery) in descending score order with no k fixed up
-	// front, maintaining HRJN-style bounds per tree node. It requires
-	// the n-way inverse score lists (EnsureIndexes builds them) and is
-	// the only index-backed executor for trees with band-predicate
-	// edges.
+	// front, maintaining HRJN-style bounds per tree node. It reads the
+	// same inverse score lists as AlgoISL (EnsureIndexes for either
+	// builds them) and is the only index-backed executor for trees with
+	// band-predicate edges.
 	AlgoAnyK Algorithm = "anyk"
 	// AlgoAuto is not an algorithm but a planner mode: TopK runs the
 	// cost-based planner and executes the cheapest strategy whose
@@ -250,9 +251,9 @@ type DB struct {
 	cluster   *kvstore.Cluster
 	relations map[string]*RelationHandle // guarded by: mu
 	// store holds every built index behind the executor registry —
-	// per-query two-way indexes, per-relation statistics structures,
-	// and the shared n-way inverse score lists — including the
-	// single-flight build serialization.
+	// per-query IJLMR lists, per-leaf-set inverse score lists and
+	// per-relation statistics structures — including the single-flight
+	// build serialization.
 	store *core.IndexStore
 	// planCache memoizes the planner's statistics walks per (query, k)
 	// until the input tables change.
@@ -364,10 +365,9 @@ func (h *RelationHandle) Name() string { return h.rel.Name }
 
 // maintainer assembles the Section 6 update interceptor for the indexes
 // currently built over this relation — ALL of them: a relation joined in
-// several queries has one IJLMR/ISL table per query, and each gets the
-// mutation (the old single-binding assembly kept only the last match, so
-// whichever query's index happened to be walked last was the only one
-// maintained).
+// several queries has one IJLMR table per query and a column family in
+// the inverse-score-list table of every leaf set it belongs to, and each
+// gets the mutation.
 func (h *RelationHandle) maintainer() *core.Maintainer {
 	m := &core.Maintainer{C: h.db.cluster, Rel: h.rel}
 	h.db.store.EachIJLMR(func(id string, idx *core.IJLMRIndex) {
@@ -375,12 +375,14 @@ func (h *RelationHandle) maintainer() *core.Maintainer {
 			m.IJLMR = append(m.IJLMR, core.BoundIJLMR{Idx: idx, Family: fam})
 		}
 	})
-	h.db.store.EachISL(func(id string, idx *core.ISLIndex) {
-		if fam, ok := familyFor(id, h.rel.Name, idx.LeftFamily, idx.RightFamily); ok {
-			m.ISL = append(m.ISL, core.BoundISL{Idx: idx, Family: fam})
+	h.db.store.EachISL(func(_ string, idx *core.ISLIndex) {
+		for _, fam := range idx.Families {
+			if fam == h.rel.Name {
+				m.ISL = append(m.ISL, core.BoundISL{Idx: idx, Family: fam})
+				break
+			}
 		}
 	})
-	m.ISLN = h.db.islnBindings(h.rel.Name)
 	if idx, ok := h.db.store.BFHM(h.rel.Name); ok {
 		m.BFHM = idx
 	}
@@ -388,22 +390,6 @@ func (h *RelationHandle) maintainer() *core.Maintainer {
 		m.DRJN = idx
 	}
 	return m
-}
-
-// islnBindings snapshots the multiway ISLN indexes covering one
-// relation — each n-way index table carries one column family per
-// member relation, and every one of them is maintained on writes.
-func (db *DB) islnBindings(relName string) []core.BoundISLN {
-	var out []core.BoundISLN
-	db.store.EachISLN(func(_ string, idx *core.ISLNIndex) {
-		for _, fam := range idx.Families {
-			if fam == relName {
-				out = append(out, core.BoundISLN{Idx: idx, Family: fam})
-				break
-			}
-		}
-	})
-	return out
 }
 
 // familyFor matches a relation name against an index's two families.

@@ -1,10 +1,14 @@
 package rankjoin
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
+
+	"repro/internal/transport"
 )
 
 // mustOpen builds a fresh in-memory DB, failing the test on setup
@@ -55,7 +59,7 @@ func refTopK(left, right []Tuple, f ScoreFunc, k int) []float64 {
 	for _, lt := range left {
 		for _, rt := range right {
 			if lt.JoinValue == rt.JoinValue {
-				scores = append(scores, f.Fn(lt.Score, rt.Score))
+				scores = append(scores, f.Fn([]float64{lt.Score, rt.Score}))
 			}
 		}
 	}
@@ -211,6 +215,84 @@ func TestPublicAPIErrors(t *testing.T) {
 	}
 	if names := db.RelationNames(); len(names) != 2 || names[0] != "dup" {
 		t.Errorf("RelationNames = %v", names)
+	}
+}
+
+// TestNewQueryRejectsSelfJoin: every constructor is the same builder, so
+// the two-way form rejects a relation listed twice exactly as the tree
+// and star forms do (index families are named after relations; ijlmr
+// used to answer such a query with an empty result).
+func TestNewQueryRejectsSelfJoin(t *testing.T) {
+	db := mustOpen(t, Config{})
+	d := openLoopbackCluster(t, 1)
+	for _, define := range []func(string) error{
+		func(n string) error { _, err := db.DefineRelation(n); return err },
+		func(n string) error { _, err := d.DefineRelation(n); return err },
+	} {
+		if err := define("a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, newQuery := range map[string]func(l, r string, f ScoreFunc, k int) (Query, error){
+		"DB": db.NewQuery, "Distributed": d.NewQuery,
+	} {
+		_, err := newQuery("a", "a", Sum, 3)
+		if err == nil || !strings.Contains(err.Error(), "listed twice") {
+			t.Errorf("%s.NewQuery(a, a): err = %v, want the listed-twice error", name, err)
+		}
+	}
+	_, treeErr := db.NewTreeQuery([]string{"a", "a"}, []TreeEdge{{A: 0, B: 1}}, SumN, 3)
+	_, pairErr := db.NewQuery("a", "a", Sum, 3)
+	if treeErr == nil || pairErr == nil || treeErr.Error() != pairErr.Error() {
+		t.Errorf("NewTreeQuery: %v; NewQuery: %v; want the same error", treeErr, pairErr)
+	}
+}
+
+// TestScoreNamesAgreeAcrossEntryPoints: one function maps a score name
+// to an aggregate, so a JSON tree spec and both wire shapes of a node
+// request accept exactly the same non-empty names. An unknown name is a
+// plain error from ParseTreeSpec (no shape diagnostic) and a typed bad
+// request on a node.
+func TestScoreNamesAgreeAcrossEntryPoints(t *testing.T) {
+	db := mustOpen(t, Config{})
+	for _, name := range []string{"a", "b"} {
+		if _, err := db.DefineRelation(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := NewNodeService("n", db)
+	tree := &transport.TreeData{Relations: []string{"a", "b"}, Edges: []transport.TreeEdgeData{{A: 0, B: 1, Kind: "band", Band: 1}}}
+	for _, name := range []string{"sum", "product", "Sum", "PRODUCT", "max", "theta", " sum"} {
+		_, specErr := ParseTreeSpec([]byte(fmt.Sprintf(`{"relations":["a","b"],"score":%q}`, name)))
+		_, pairErr := node.queryFromWire(nil, "a", "b", name, 5)
+		_, treeErr := node.queryFromWire(tree, "", "", name, 5)
+		if (specErr == nil) != (pairErr == nil) || (specErr == nil) != (treeErr == nil) {
+			t.Errorf("score %q: ParseTreeSpec err %v, two-way wire err %v, tree wire err %v; want all or none",
+				name, specErr, pairErr, treeErr)
+		}
+		if specErr == nil {
+			continue
+		}
+		var se *ShapeError
+		if errors.As(specErr, &se) {
+			t.Errorf("score %q: ParseTreeSpec reports a shape error: %v", name, specErr)
+		}
+		for _, err := range []error{pairErr, treeErr} {
+			var te *transport.Error
+			if !errors.As(err, &te) || te.Kind != transport.KindBadRequest {
+				t.Errorf("score %q: node error %v, want transport.KindBadRequest", name, err)
+			}
+		}
+	}
+	// The empty name is TreeSpec's default, applied before the lookup;
+	// the wire always carries a name.
+	if spec, err := ParseTreeSpec([]byte(`{"relations":["a","b"]}`)); err != nil {
+		t.Errorf("empty score name: %v", err)
+	} else if q, err := db.NewTreeQueryFromSpec(spec); err != nil || q.ID() != "a_b_sum" {
+		t.Errorf("empty score name built %q, %v; want a_b_sum", q.ID(), err)
+	}
+	if _, err := node.queryFromWire(nil, "a", "b", "", 5); err == nil {
+		t.Error("node accepted an empty score name")
 	}
 }
 

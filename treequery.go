@@ -12,11 +12,11 @@ import (
 // join trees. A tree query names n relations (the leaves) and n-1 join
 // predicates (the edges), each either an equi-predicate on the join
 // attributes or a band predicate |a-b| <= width over numeric join
-// values, ranked by an n-ary monotonic aggregate over all leaf scores.
-// Two-way queries (NewQuery) and star queries (NewMultiQuery) are the
-// trivial tree shapes; NewTreeQuery admits chains and general acyclic
-// shapes, and the AlgoAnyK executor enumerates any of them in score
-// order without fixing k up front.
+// values, ranked by a monotonic aggregate over all leaf scores. Two-way
+// queries (NewQuery) and star queries (NewMultiQuery) are the trivial
+// tree shapes built by the same constructor; NewTreeQuery admits
+// chains and general acyclic shapes, and the AlgoAnyK executor
+// enumerates any of them in score order without fixing k up front.
 
 // Tree-edge re-exports.
 type (
@@ -43,41 +43,8 @@ const (
 // monotonic aggregate over all leaf scores, k the result target. The
 // tree must be connected and acyclic — exactly len(relations)-1 edges —
 // or a *ShapeError is returned.
-func (db *DB) NewTreeQuery(relations []string, edges []TreeEdge, f NScoreFunc, k int) (Query, error) {
-	rels := make([]core.Relation, 0, len(relations))
-	seen := map[string]bool{}
-	db.mu.Lock()
-	for _, name := range relations {
-		h, ok := db.relations[name]
-		if !ok {
-			db.mu.Unlock()
-			return Query{}, fmt.Errorf("rankjoin: relation %q not defined", name)
-		}
-		if seen[name] {
-			db.mu.Unlock()
-			return Query{}, fmt.Errorf("rankjoin: relation %q listed twice in tree query", name)
-		}
-		seen[name] = true
-		rels = append(rels, h.rel)
-	}
-	db.mu.Unlock()
-	t := &core.JoinTree{
-		Relations: rels,
-		Edges:     append([]TreeEdge(nil), edges...),
-		Score:     f,
-		K:         k,
-	}
-	if err := t.Validate(); err != nil {
-		return Query{}, err
-	}
-	return Query{t: t}, nil
-}
-
-// StreamTree starts a streaming execution of a tree query: sugar for
-// DB.Stream that reads naturally next to NewTreeQuery. AlgoAnyK (or
-// AlgoAuto picking it) enumerates results in score order natively.
-func (db *DB) StreamTree(q Query, algo Algorithm, opts *QueryOptions) (*Rows, error) {
-	return db.Stream(q, algo, opts)
+func (db *DB) NewTreeQuery(relations []string, edges []TreeEdge, f ScoreFunc, k int) (Query, error) {
+	return newQuery(relations, edges, f, k, db.defined)
 }
 
 // ---- JSON tree-query shape (the HTTP server's wire form) ----
@@ -106,39 +73,40 @@ type TreeSpec struct {
 	K int `json:"k"`
 }
 
-// edges converts the spec's edge list to core edges, defaulting an
-// empty list on a two-leaf spec to the single equi-edge.
-func (s *TreeSpec) edges() ([]TreeEdge, error) {
-	if len(s.Edges) == 0 && len(s.Relations) == 2 {
-		return []TreeEdge{{A: 0, B: 1, Kind: PredEqui}}, nil
-	}
-	out := make([]TreeEdge, 0, len(s.Edges))
-	for i, e := range s.Edges {
-		var kind PredKind
-		switch e.Kind {
-		case "", string(PredEqui):
-			kind = PredEqui
-		case string(PredBand):
-			kind = PredBand
-		default:
-			return nil, fmt.Errorf("rankjoin: tree edge %d has unknown kind %q (want %q or %q)",
-				i, e.Kind, PredEqui, PredBand)
+// query builds the spec's query over the relations defined accepts:
+// an empty edge list on two relations is the single equi-edge, an
+// empty aggregate name is sum, k = 0 is 10.
+func (s *TreeSpec) query(defined func(name string) bool) (Query, error) {
+	edges := binaryEdges
+	if len(s.Edges) > 0 || len(s.Relations) != 2 {
+		edges = make([]TreeEdge, 0, len(s.Edges))
+		for i, e := range s.Edges {
+			var kind PredKind
+			switch e.Kind {
+			case "", string(PredEqui):
+				kind = PredEqui
+			case string(PredBand):
+				kind = PredBand
+			default:
+				return Query{}, fmt.Errorf("rankjoin: tree edge %d has unknown kind %q (want %q or %q)",
+					i, e.Kind, PredEqui, PredBand)
+			}
+			edges = append(edges, TreeEdge{A: e.A, B: e.B, Kind: kind, Band: e.Band})
 		}
-		out = append(out, TreeEdge{A: e.A, B: e.B, Kind: kind, Band: e.Band})
 	}
-	return out, nil
-}
-
-// scoreFor resolves a spec's aggregate name.
-func scoreFor(name string) (NScoreFunc, error) {
-	switch name {
-	case "", "sum":
-		return SumN, nil
-	case "product":
-		return ProductN, nil
-	default:
-		return NScoreFunc{}, fmt.Errorf("rankjoin: unknown score aggregate %q (want sum or product)", name)
+	name := s.Score
+	if name == "" {
+		name = Sum.Name
 	}
+	f, ok := core.ScoreByName(name)
+	if !ok {
+		return Query{}, fmt.Errorf("rankjoin: unknown score aggregate %q (want sum or product)", name)
+	}
+	k := s.K
+	if k == 0 {
+		k = 10
+	}
+	return newQuery(s.Relations, edges, f, k, defined)
 }
 
 // ParseTreeSpec decodes and structurally validates a JSON tree spec
@@ -155,7 +123,6 @@ func ParseTreeSpec(data []byte) (*TreeSpec, error) {
 		return nil, core.NewShapeError(fmt.Sprintf("tree query needs >= 2 relations, got %d", len(spec.Relations)))
 	}
 	seen := map[string]bool{}
-	rels := make([]core.Relation, 0, len(spec.Relations))
 	for _, name := range spec.Relations {
 		if name == "" {
 			return nil, core.NewShapeError("tree query has an empty relation name")
@@ -167,61 +134,17 @@ func ParseTreeSpec(data []byte) (*TreeSpec, error) {
 			return nil, core.NewShapeError(fmt.Sprintf("relation %q listed twice", name))
 		}
 		seen[name] = true
-		rels = append(rels, relationFor(name))
 	}
-	edges, err := spec.edges()
+	q, err := spec.query(func(string) bool { return true })
 	if err != nil {
 		return nil, err
 	}
-	f, err := scoreFor(spec.Score)
-	if err != nil {
-		return nil, err
-	}
-	k := spec.K
-	if k == 0 {
-		k = 10
-	}
-	t := &core.JoinTree{Relations: rels, Edges: edges, Score: f, K: k}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	spec.K = k
+	spec.K = q.K()
 	return &spec, nil
 }
 
 // NewTreeQueryFromSpec builds a tree query from a decoded spec against
 // this DB's defined relations.
 func (db *DB) NewTreeQueryFromSpec(spec *TreeSpec) (Query, error) {
-	edges, err := spec.edges()
-	if err != nil {
-		return Query{}, err
-	}
-	f, err := scoreFor(spec.Score)
-	if err != nil {
-		return Query{}, err
-	}
-	k := spec.K
-	if k == 0 {
-		k = 10
-	}
-	return db.NewTreeQuery(spec.Relations, edges, f, k)
-}
-
-// NewTreeQueryFromSpec builds a tree query from a decoded spec against
-// the cluster's defined relations; the query routes, pages, and fails
-// over exactly like every other distributed query.
-func (d *Distributed) NewTreeQueryFromSpec(spec *TreeSpec) (Query, error) {
-	edges, err := spec.edges()
-	if err != nil {
-		return Query{}, err
-	}
-	f, err := scoreFor(spec.Score)
-	if err != nil {
-		return Query{}, err
-	}
-	k := spec.K
-	if k == 0 {
-		k = 10
-	}
-	return d.NewTreeQuery(spec.Relations, edges, f, k)
+	return spec.query(db.defined)
 }
