@@ -29,7 +29,10 @@ import (
 // that until it is closed.
 //
 // The operator is driven by listCursor (isl.go), which both the isl and
-// the anyk executor open over inverse score lists.
+// the anyk executor open over inverse score lists. It does not choose
+// which list to read, but evaluating the threshold tells it which list
+// bounds it (bounding): the isl executor's cursor reads that one (HRJN*),
+// the anyk executor's takes turns (Algorithm 4).
 
 // anykExec is the registry executor behind AlgoAnyK. It supports every
 // valid tree shape, including band predicates.
@@ -58,7 +61,7 @@ func (anykExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) ui
 }
 
 func (anykExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-	// A release also ends the current leaf's batch (releaseEndsBatch).
+	// any-k keeps Algorithm 4's turn-taking (turnTaking in isl.go).
 	return openLists(c, t, store, "any-k", opts, true)
 }
 
@@ -79,6 +82,10 @@ type anyKOp struct {
 	got    []bool       // leaf has yielded at least one tuple
 	done   []bool       // leaf's list is exhausted
 	scores []float64    // scratch score vector
+	// bound is the non-exhausted leaf threshold last found bounding — the
+	// one whose corner term is the threshold — or -1: every list is
+	// exhausted, or a tuple or exhaustion mark arrived since.
+	bound int
 }
 
 // readyEntry is one parked combination: its aggregate score and the
@@ -99,6 +106,7 @@ func newAnyKOp(t *JoinTree) *anyKOp {
 		got:    make([]bool, n),
 		done:   make([]bool, n),
 		scores: make([]float64, n),
+		bound:  -1,
 	}
 	op.join = newTreeJoin(t, op.park)
 	for i := 0; i < n; i++ {
@@ -114,7 +122,7 @@ func newAnyKOp(t *JoinTree) *anyKOp {
 // arriving leaf means a result is formed exactly once — by the last of
 // its tuples to arrive.
 func (o *anyKOp) push(i int, t Tuple) {
-	o.got[i] = true
+	o.got[i], o.bound = true, -1
 	if t.Score > o.maxS[i] {
 		o.maxS[i] = t.Score
 	}
@@ -188,7 +196,7 @@ func (o *anyKOp) before(a, b readyEntry) bool {
 }
 
 // exhaust marks leaf i's inverse score list drained.
-func (o *anyKOp) exhaust(i int) { o.done[i] = true }
+func (o *anyKOp) exhaust(i int) { o.done[i], o.bound = true, -1 }
 
 func (o *anyKOp) allDone() bool {
 	for _, d := range o.done {
@@ -202,28 +210,39 @@ func (o *anyKOp) allDone() bool {
 // threshold bounds the score of every result not yet assembled: any
 // such result takes its next tuple from some non-exhausted leaf i at
 // score <= minS[i] and every other leaf at score <= maxS[j]; monotonic
-// aggregation makes f over that vector an upper bound, maximized over
-// the candidate leaves (the HRJN bound, over n lists).
+// aggregation makes f over that vector — leaf i's corner term — an upper
+// bound, maximized over the candidate leaves (the HRJN bound, over n
+// lists). It also records in bound the leaf whose next tuple can lower
+// that maximum, for bounding.
 func (o *anyKOp) threshold() float64 {
-	allDone := true
-	for i := 0; i < o.n; i++ {
-		if !o.done[i] {
-			allDone = false
-		}
-		if !o.got[i] {
-			if o.done[i] {
-				// An empty leaf means no complete result can exist.
-				return math.Inf(-1)
-			}
-			// An unseen leaf could still hold arbitrarily good tuples.
-			return math.Inf(1)
+	// The lowest-numbered non-exhausted leaf, the lowest-numbered one of
+	// those that has yielded nothing yet, and whether some list was empty.
+	live, unseen, empty := -1, -1, false
+	for i := o.n - 1; i >= 0; i-- {
+		switch {
+		case o.done[i]:
+			empty = empty || !o.got[i]
+		case o.got[i]:
+			live = i
+		default:
+			live, unseen = i, i
 		}
 	}
-	if allDone {
+	o.bound = live
+	if unseen >= 0 {
+		o.bound = unseen
+	}
+	switch {
+	case live < 0 || empty:
+		// Every list is exhausted, or one was empty: no further complete
+		// result can exist.
 		return math.Inf(-1)
+	case unseen >= 0:
+		// An unseen leaf could still hold arbitrarily good tuples.
+		return math.Inf(1)
 	}
-	best := math.Inf(-1)
-	for i := 0; i < o.n; i++ {
+	best := math.Inf(-1) // a NaN or -Inf corner term never exceeds it: bound stays live
+	for i := live; i < o.n; i++ {
 		if o.done[i] {
 			continue
 		}
@@ -235,10 +254,25 @@ func (o *anyKOp) threshold() float64 {
 			}
 		}
 		if s := o.tree.Score.Fn(o.scores); s > best {
-			best = s
+			best, o.bound = s, i
 		}
 	}
 	return best
+}
+
+// bounding is HRJN*'s pull rule: the non-exhausted leaf to read next is
+// the one whose corner term is the threshold, because no other read can
+// lower it. A leaf that has yielded nothing yet comes first (in leaf
+// order), ties and corner terms that do not compare (NaN) fall to the
+// lowest-numbered non-exhausted leaf. The caller guarantees some leaf is
+// not exhausted. The answer is threshold's by-product, so it costs a
+// second evaluation only when releasable skipped the first (nothing
+// parked).
+func (o *anyKOp) bounding() int {
+	if o.bound < 0 {
+		o.threshold()
+	}
+	return o.bound
 }
 
 // releasable reports whether the best assembled result may be emitted:

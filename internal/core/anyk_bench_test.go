@@ -140,3 +140,30 @@ func BenchmarkNaiveTreeTopK(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkISLPullSkewed measures the two-way rank join to k = 100 over
+// a 1:4 pair of lists under the isl executor's schedule (bounding: read
+// the list that bounds the threshold) and under alternation, and reports
+// what the schedule decides: tuples pulled per released result.
+func BenchmarkISLPullSkewed(b *testing.B) {
+	const k = 100
+	short, long := skewedPair(1)
+	l, r := descending(short), descending(long)
+	for _, sched := range []struct {
+		name string
+		open func(*JoinTree, ...[]Tuple) *sliceRun
+	}{{"bounding", newBoundingRun}, {"alternating", newSliceRun}} {
+		b.Run(sched.name, func(b *testing.B) {
+			b.ReportAllocs()
+			pulled := 0
+			for i := 0; i < b.N; i++ {
+				run := sched.open(stubBinary(Sum), l, r)
+				if got := run.take(k); len(got) != k {
+					b.Fatalf("%d results, want %d", len(got), k)
+				}
+				pulled += run.pulled
+			}
+			b.ReportMetric(float64(pulled)/float64(b.N)/k, "tuples/result")
+		})
+	}
+}

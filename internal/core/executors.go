@@ -249,7 +249,7 @@ func (islExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts Exe
 	if !t.AllEqui() {
 		return nil, unsupportedShape("isl", t)
 	}
-	// A release keeps the cursor's place in the batch, as Algorithm 4 does.
+	// ISL reads the list that bounds the threshold (HRJN*), not in turns.
 	return openLists(c, t, store, "ISL", opts, false)
 }
 

@@ -16,9 +16,22 @@ import (
 // content, so every tree over the same leaves and aggregate — the
 // paper's two-way query included — shares one table, and the isl and
 // anyk executors read the same one. listCursor is Algorithm 4's
-// coordinator stated for n lists: it scans them in turn in batches
-// (HBase scanner caching), feeds the rank-join operator of anyk.go, and
-// pauses the moment the next-ranked result is provably complete.
+// coordinator stated for n lists: it scans them in batches (HBase
+// scanner caching, ISLBatch rows per RPC), feeds the rank-join operator
+// of anyk.go one tuple at a time, and pauses the moment the next-ranked
+// result is provably complete.
+//
+// Where the isl executor departs from Algorithm 4 is which list the next
+// tuple comes from. Algorithm 4 alternates, so every list is read to the
+// same count; but the HRJN threshold max_i f(min_i, max_-i) only falls
+// when the list attaining the max is read, and on a skewed join every
+// tuple read from the short list past its share is a read unit that can
+// release nothing. ISL therefore follows HRJN* (Ilyas, Aref and
+// Elmagarmid, "Supporting top-k join queries in relational databases"):
+// read the list that bounds the threshold, which for a two-way sum reads
+// each list exactly to the score depth the k-th result needs. Results,
+// release rule and tie order are those of the alternating schedule, which
+// the anyk executor keeps (turnTaking).
 
 // ISLIndex locates a built inverse-score-list index: one shared table
 // with one column family per relation.
@@ -178,31 +191,34 @@ func (s *islStream) Next() (*Tuple, error) {
 }
 
 // listCursor drives the rank-join operator from per-leaf inverse score
-// lists on Algorithm 4's schedule generalized to n leaves: consume
-// batch tuples from the current leaf, then move to the next, skipping
-// drained leaves. It feeds one tuple at a time and pauses as soon as a
-// result is releasable, so pulling k results consumes exactly the input
-// prefix they need and pulling k more resumes where the cursor stopped
-// instead of rescanning from the top of the lists.
+// lists. It feeds one tuple at a time and pauses as soon as a result is
+// releasable, so pulling k results consumes exactly the input prefix
+// they need and pulling k more resumes where the cursor stopped instead
+// of rescanning from the top of the lists. Which list the next tuple
+// comes from is the one difference between the two executors that open
+// it: isl reads the leaf that bounds the threshold (HRJN*'s rule,
+// anyKOp.bounding), anyk takes turns.
 type listCursor struct {
 	op      *anyKOp
 	streams []*islStream
-	batch   int
-	leaf    int // the leaf being consumed (Algorithm 4's CurrentRelation)
-	taken   int // tuples consumed from its current batch
-	// releaseEndsBatch makes a released result also end the current
-	// leaf's batch, so the next pull starts on the next leaf; without
-	// it a release keeps the cursor's place in the batch, as
-	// Algorithm 4 does. It is the one difference between the anyk
-	// executor (set) and the isl executor (unset).
-	releaseEndsBatch bool
-	closed           bool
+	turns   *turnTaking // nil for isl
+	closed  bool
+}
+
+// turnTaking is Algorithm 4's schedule generalized to n leaves, which
+// the anyk executor keeps: consume batch tuples from the current leaf,
+// then move to the next, skipping drained leaves; a released result
+// also ends the current leaf's batch.
+type turnTaking struct {
+	n, batch int // leaves, tuples per turn
+	leaf     int // the leaf being consumed (Algorithm 4's CurrentRelation)
+	taken    int // tuples consumed from its current batch
 }
 
 // openLists opens the list cursor for t over its inverse-score-list
 // index; name is the executor asking, for the error when the index is
-// not built.
-func openLists(c *kvstore.Cluster, t *JoinTree, store *IndexStore, name string, opts ExecOptions, releaseEndsBatch bool) (Cursor, error) {
+// not built, and takeTurns its pull schedule (see listCursor).
+func openLists(c *kvstore.Cluster, t *JoinTree, store *IndexStore, name string, opts ExecOptions, takeTurns bool) (Cursor, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -226,7 +242,10 @@ func openLists(c *kvstore.Cluster, t *JoinTree, store *IndexStore, name string, 
 		}
 		streams[i] = s
 	}
-	cur := &listCursor{op: newAnyKOp(t), streams: streams, batch: opts.ISLBatch, releaseEndsBatch: releaseEndsBatch}
+	cur := &listCursor{op: newAnyKOp(t), streams: streams}
+	if takeTurns {
+		cur.turns = &turnTaking{n: len(streams), batch: opts.ISLBatch}
+	}
 	return WrapBudget(cur, opts.Budget), nil
 }
 
@@ -253,39 +272,65 @@ func (lc *listCursor) Next() (*JoinResult, error) {
 			return nil, err
 		}
 	}
-	if lc.releaseEndsBatch && lc.taken > 0 {
-		lc.nextLeaf()
+	if lc.turns != nil {
+		lc.turns.released()
 	}
 	r := lc.op.pop()
 	return &r, nil
 }
 
-// pull feeds one tuple, or one exhaustion mark, from the current leaf
+// pull feeds one tuple, or one exhaustion mark, from the scheduled leaf
 // into the operator. The caller guarantees some leaf is not drained.
 func (lc *listCursor) pull() error {
-	for lc.op.done[lc.leaf] {
-		lc.nextLeaf()
+	var i int
+	if lc.turns != nil {
+		i = lc.turns.current(lc.op.done)
+	} else {
+		i = lc.op.bounding()
 	}
-	t, err := lc.streams[lc.leaf].Next()
+	t, err := lc.streams[i].Next()
 	if err != nil {
 		return err
 	}
 	if t == nil {
-		lc.op.exhaust(lc.leaf)
-		lc.nextLeaf()
-		return nil
+		lc.op.exhaust(i)
+	} else {
+		lc.op.push(i, *t)
 	}
-	lc.op.push(lc.leaf, *t)
-	if lc.taken++; lc.taken >= lc.batch {
-		lc.nextLeaf()
+	if lc.turns != nil {
+		lc.turns.took(t == nil)
 	}
 	return nil
 }
 
+// current returns the leaf whose turn it is, passing over drained ones;
+// the caller guarantees some leaf is not.
+func (tt *turnTaking) current(done []bool) int {
+	for done[tt.leaf] {
+		tt.nextLeaf()
+	}
+	return tt.leaf
+}
+
+// took records one pull from the current leaf: the turn ends when the
+// batch is full or the list drained.
+func (tt *turnTaking) took(drained bool) {
+	if tt.taken++; drained || tt.taken >= tt.batch {
+		tt.nextLeaf()
+	}
+}
+
+// released ends a turn that has consumed anything.
+func (tt *turnTaking) released() {
+	if tt.taken > 0 {
+		tt.nextLeaf()
+	}
+}
+
 // nextLeaf ends the current leaf's batch.
-func (lc *listCursor) nextLeaf() {
-	lc.leaf = (lc.leaf + 1) % len(lc.streams)
-	lc.taken = 0
+func (tt *turnTaking) nextLeaf() {
+	tt.leaf = (tt.leaf + 1) % tt.n
+	tt.taken = 0
 }
 
 // Close implements Cursor. An early close abandons the scanners, so no

@@ -57,6 +57,32 @@ func randomTreeEnv(t *testing.T, c *kvstore.Cluster, rng *rand.Rand, k int) (*Jo
 	return tr, tuples
 }
 
+// skewedEquiTreeEnv is randomTreeEnv restricted to what the isl executor
+// accepts — 2-4 leaves, equi edges only — with leaf sizes that differ by
+// up to 8x, so reading every list to the same count and reading every
+// list to the same score depth are different schedules.
+func skewedEquiTreeEnv(t *testing.T, c *kvstore.Cluster, rng *rand.Rand, k int) (*JoinTree, [][]Tuple) {
+	t.Helper()
+	n := 2 + rng.Intn(3)
+	base := []int{0, 0, 24, 10, 5}[n] // keeps the brute force's n-fold product small
+	rels := make([]Relation, n)
+	tuples := make([][]Tuple, n)
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("se%d", i)
+		tuples[i] = numTuples(name, base*(1+rng.Intn(8)), 4, rng)
+		rels[i] = loadRelation(t, c, name, tuples[i])
+	}
+	edges := make([]TreeEdge, 0, n-1)
+	for i := 1; i < n; i++ {
+		edges = append(edges, TreeEdge{A: rng.Intn(i), B: i, Kind: PredEqui})
+	}
+	tr := &JoinTree{Relations: rels, Edges: edges, Score: Sum, K: k}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return tr, tuples
+}
+
 // bruteForceTreeTopK recomputes a tree query's exact answer from raw
 // tuples with full cartesian enumeration and a plain sort — sharing no
 // code with NaiveTreeTopK or the any-k operator (no walk orders, no
@@ -177,6 +203,67 @@ func TestAnyKMatchesOracleRandomTrees(t *testing.T) {
 			t.Fatalf("seed %d: anyk: %v", seed, err)
 		}
 		assertTreeResultsByteMatch(t, fmt.Sprintf("seed %d anyk (n=%d)", seed, len(tr.Relations)), res.Results, want)
+	}
+}
+
+// TestISLMatchesOracleSkewedEquiTrees: the same oracle over all-equi
+// trees of unequal leaves, for the isl executor and its threshold-driven
+// pull schedule. Results must byte-match the brute force, and the cursor
+// must have pulled from each inverse score list exactly the tuples the
+// in-memory bounding schedule pulls from the same leaves — over the set,
+// strictly fewer than alternation needs for the same results.
+func TestISLMatchesOracleSkewedEquiTrees(t *testing.T) {
+	var pulled, alternating int
+	for seed := int64(0); seed < 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := newTestCluster()
+		k := []int{1, 7, 25}[rng.Intn(3)]
+		tr, tuples := skewedEquiTreeEnv(t, c, rng, k)
+		label := fmt.Sprintf("seed %d isl (n=%d)", seed, len(tr.Relations))
+		want := bruteForceTreeTopK(tr, tuples, k)
+		store := NewIndexStore()
+		if err := EnsureISL(c, tr, store); err != nil {
+			t.Fatalf("%s: EnsureISL: %v", label, err)
+		}
+		cur, err := islExec{}.Open(c, tr, store, ExecOptions{ISLBatch: 5}.WithDefaults())
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		var got []JoinResult
+		for len(got) < k {
+			r, err := cur.Next()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if r == nil {
+				break
+			}
+			got = append(got, *r)
+		}
+		assertTreeResultsByteMatch(t, label, got, want)
+
+		sorted := make([][]Tuple, len(tuples))
+		for i := range tuples {
+			sorted[i] = descending(tuples[i])
+		}
+		model := newBoundingRun(tr, sorted...)
+		model.take(k)
+		for i, li := range cur.(*listCursor).op.join.leaves {
+			if int(li.n) != model.pos[i] {
+				t.Errorf("%s: pulled %d tuples from leaf %d (%d rows), the bounding schedule pulls %d",
+					label, li.n, i, len(tuples[i]), model.pos[i])
+			}
+			pulled += int(li.n)
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rr := newSliceRun(tr, sorted...)
+		rr.take(k)
+		alternating += rr.pulled
+	}
+	if pulled >= alternating {
+		t.Errorf("isl pulled %d tuples over the set, alternation needs %d: want strictly fewer", pulled, alternating)
 	}
 }
 

@@ -259,18 +259,27 @@ func queryISL(c *kvstore.Cluster, q *JoinTree, idx *ISLIndex, opts ExecOptions) 
 }
 
 // sliceRun drives one rank-join operator over in-memory leaves, each
-// already in descending score order, with single-tuple round-robin
-// pulls (classic HRJN's alternation).
+// already in descending score order, one tuple per pull: round-robin
+// (classic HRJN's alternation) or, with bounding set, from the leaf that
+// bounds the threshold (HRJN*'s rule, the isl executor's schedule).
 type sliceRun struct {
-	op     *anyKOp
-	leaves [][]Tuple
-	pos    []int
-	leaf   int
-	pulled int
+	op       *anyKOp
+	leaves   [][]Tuple
+	pos      []int
+	leaf     int
+	pulled   int
+	bounding bool
 }
 
 func newSliceRun(tr *JoinTree, leaves ...[]Tuple) *sliceRun {
 	return &sliceRun{op: newAnyKOp(tr), leaves: leaves, pos: make([]int, len(leaves))}
+}
+
+// newBoundingRun is newSliceRun on the threshold-driven schedule.
+func newBoundingRun(tr *JoinTree, leaves ...[]Tuple) *sliceRun {
+	s := newSliceRun(tr, leaves...)
+	s.bounding = true
+	return s
 }
 
 // take releases up to k more results, pulling only the input they need.
@@ -281,19 +290,30 @@ func (s *sliceRun) take(k int) []JoinResult {
 			if s.op.allDone() {
 				return out
 			}
-			i := s.leaf
-			s.leaf = (s.leaf + 1) % len(s.leaves)
-			switch {
-			case s.op.done[i]:
-			case s.pos[i] == len(s.leaves[i]):
-				s.op.exhaust(i)
-			default:
-				s.op.push(i, s.leaves[i][s.pos[i]])
-				s.pos[i]++
-				s.pulled++
-			}
+			s.pull()
 		}
 		out = append(out, s.op.pop())
 	}
 	return out
+}
+
+// pull makes one scheduling step — a tuple, an exhaustion mark, or (in
+// round-robin) a skipped drained leaf — and returns the leaf it visited.
+func (s *sliceRun) pull() int {
+	i := s.leaf
+	if s.bounding {
+		i = s.op.bounding()
+	} else {
+		s.leaf = (s.leaf + 1) % len(s.leaves)
+	}
+	switch {
+	case s.op.done[i]:
+	case s.pos[i] == len(s.leaves[i]):
+		s.op.exhaust(i)
+	default:
+		s.op.push(i, s.leaves[i][s.pos[i]])
+		s.pos[i]++
+		s.pulled++
+	}
+	return i
 }

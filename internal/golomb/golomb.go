@@ -12,6 +12,7 @@
 package golomb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -108,42 +109,48 @@ func (w *BitWriter) Bits() int {
 // Bytes returns the encoded bytes. The final byte is zero-padded.
 func (w *BitWriter) Bytes() []byte { return w.buf }
 
-// BitReader consumes bits most-significant-first from a byte slice.
+// BitReader consumes bits most-significant-first from a byte slice, a
+// byte or a 64-bit word per step. A read that runs off the end consumes
+// what was left and returns ErrCorrupt, as reading bit by bit would.
 type BitReader struct {
 	buf []byte
-	pos int   // byte position
-	bit uint8 // next bit within buf[pos], 7..0 counting down
+	off int // bits consumed
 }
 
 // NewBitReader returns a reader over b.
 func NewBitReader(b []byte) *BitReader {
-	return &BitReader{buf: b, bit: 7}
+	return &BitReader{buf: b}
 }
 
 // ReadBit returns the next bit.
 func (r *BitReader) ReadBit() (uint, error) {
-	if r.pos >= len(r.buf) {
+	if r.off >= 8*len(r.buf) {
 		return 0, ErrCorrupt
 	}
-	v := uint(r.buf[r.pos]>>r.bit) & 1
-	if r.bit == 0 {
-		r.bit = 7
-		r.pos++
-	} else {
-		r.bit--
-	}
+	v := uint(r.buf[r.off>>3]>>(7-r.off&7)) & 1
+	r.off++
 	return v, nil
 }
 
-// ReadBits reads n bits MSB-first.
+// ReadBits reads n bits MSB-first (the low 64 of them when n > 64).
 func (r *BitReader) ReadBits(n uint) (uint64, error) {
+	if n > uint(8*len(r.buf)-r.off) {
+		r.off = 8 * len(r.buf)
+		return 0, ErrCorrupt
+	}
+	pos, used := r.off>>3, uint(r.off&7)
+	if n-1 < 57 && pos+8 <= len(r.buf) {
+		// One load covers the field: used + n <= 64.
+		r.off += int(n)
+		return binary.BigEndian.Uint64(r.buf[pos:]) << used >> (64 - n), nil
+	}
 	var v uint64
-	for i := uint(0); i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(b)
+	for n > 0 {
+		avail := 8 - uint(r.off&7) // unread bits of the current byte
+		take := min(avail, n)
+		v = v<<take | uint64(r.buf[r.off>>3])>>(avail-take)&(1<<take-1)
+		r.off += int(take)
+		n -= take
 	}
 	return v, nil
 }
@@ -152,17 +159,30 @@ func (r *BitReader) ReadBits(n uint) (uint64, error) {
 func (r *BitReader) ReadUnary() (uint64, error) {
 	var q uint64
 	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
+		pos, used := r.off>>3, uint(r.off&7)
+		// ones counts the run of 1 bits at the reader's position within
+		// the next valid unread bits. Shifting the consumed bits out
+		// leaves zeros at the low end, so the run never exceeds valid.
+		var ones, valid uint
+		switch {
+		case pos+8 <= len(r.buf):
+			valid = 64 - used
+			ones = uint(bits.LeadingZeros64(^(binary.BigEndian.Uint64(r.buf[pos:]) << used)))
+		case pos < len(r.buf):
+			valid = 8 - used
+			ones = uint(bits.LeadingZeros8(^(r.buf[pos] << used)))
+		default:
+			return 0, ErrCorrupt
 		}
-		if b == 0 {
-			return q, nil
-		}
-		q++
+		q += uint64(ones)
 		if q > 1<<40 {
 			return 0, fmt.Errorf("golomb: unary run too long: %w", ErrCorrupt)
 		}
+		if ones < valid {
+			r.off += int(ones) + 1 // the run and its terminating 0
+			return q, nil
+		}
+		r.off += int(valid)
 	}
 }
 

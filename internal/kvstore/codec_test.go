@@ -1,7 +1,10 @@
 package kvstore
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -51,6 +54,63 @@ func TestDecodeFloatErrors(t *testing.T) {
 	}
 	if _, err := DecodeFloat("00ff"); err == nil {
 		t.Error("short key must fail")
+	}
+}
+
+// TestDecodeFloatHandRolledHex pins the digit parser that replaced
+// hex.DecodeString: bit-exact round trips (random patterns, signed
+// zeros, infinities, subnormals, NaN payloads), both digit cases, the
+// same rejections, and no allocation on the accepting path.
+func TestDecodeFloatHandRolledHex(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	vals := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), -math.Float64frombits(0x000fffffffffffff), // largest subnormals
+		math.Float64frombits(0x0010000000000000), math.MaxFloat64, -math.MaxFloat64,
+	}
+	for i := 0; i < 5000; i++ {
+		vals = append(vals, math.Float64frombits(rng.Uint64()), rng.NormFloat64(), rng.Float64())
+	}
+	for _, v := range vals {
+		key := EncodeFloat(v)
+		for _, k := range []string{key, strings.ToUpper(key)} {
+			got, err := DecodeFloat(k)
+			if err != nil || math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("DecodeFloat(%q) = %x, %v; want %x", k, math.Float64bits(got), err, math.Float64bits(v))
+			}
+		}
+		if math.IsNaN(v) {
+			continue // negation need not keep a NaN's payload
+		}
+		if got, err := DecodeScoreDesc(EncodeScoreDesc(v)); err != nil || math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("DecodeScoreDesc round trip of %x = %x, %v", math.Float64bits(v), math.Float64bits(got), err)
+		}
+	}
+
+	good := EncodeFloat(0.73)
+	for _, bad := range []string{
+		"", "0", good[:15], good + "0", good + good,
+		"g" + good[1:], good[:15] + "G", good[:7] + " " + good[8:], good[:7] + "/" + good[8:],
+		good[:7] + ":" + good[8:], good[:7] + "@" + good[8:], good[:7] + "`" + good[8:],
+		"0x" + good[2:], "+" + good[1:], good[:15] + "\x00", good[:14] + "é",
+	} {
+		got, err := DecodeFloat(bad)
+		if err == nil {
+			t.Errorf("DecodeFloat(%q) = %g, want an error", bad, got)
+			continue
+		}
+		if want := fmt.Sprintf("kvstore: bad float key %q", bad); err.Error() != want {
+			t.Errorf("DecodeFloat(%q) error = %q, want %q", bad, err, want)
+		}
+	}
+
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		f, _ := DecodeScoreDesc(good)
+		sink += f
+	}); n != 0 {
+		t.Errorf("DecodeScoreDesc allocates %v times per call, want 0", n)
 	}
 }
 

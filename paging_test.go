@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strconv"
 	"testing"
 )
@@ -435,5 +436,129 @@ func TestTreePagingWithTiesMatchesBatch(t *testing.T) {
 		if !reflect.DeepEqual(paged[i], batch.Results[i]) {
 			t.Fatalf("paged result %d = %+v, batch has %+v", i, paged[i], batch.Results[i])
 		}
+	}
+}
+
+// TestISLReadsFollowScoreDepth: on a 1:4 fan-out pair (every order
+// joins four items, scores uniform on both sides) ISL reads each
+// inverse score list only down to the score depth the k-th result's
+// threshold needs — for a sum, list i down to the first score below
+// S_k - max_other — not both lists to the same count. So it is billed
+// what that depth holds (rounded up to the scanner's caching size) and
+// strictly less than any-k, which reads the same index in turns; the
+// rows are identical, pages resumed by token concatenate to the batch
+// at the batch's price, and a closed stream bills nothing further.
+func TestISLReadsFollowScoreDepth(t *testing.T) {
+	const orders, fanout, k, batch = 300, 4, 50, 10
+	db := mustOpen(t, Config{})
+	rng := rand.New(rand.NewSource(23))
+	var left, right []Tuple
+	for i := 0; i < orders; i++ {
+		left = append(left, Tuple{RowKey: fmt.Sprintf("o%04d", i), JoinValue: strconv.Itoa(i), Score: float64(rng.Intn(1000)) / 1000})
+		for j := 0; j < fanout; j++ {
+			right = append(right, Tuple{RowKey: fmt.Sprintf("i%04d-%d", i, j), JoinValue: strconv.Itoa(i), Score: float64(rng.Intn(1000)) / 1000})
+		}
+	}
+	for name, tuples := range map[string][]Tuple{"fo_orders": left, "fo_items": right} {
+		h, err := db.DefineRelation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.BulkLoad(tuples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := db.NewQuery("fo_orders", "fo_items", Sum, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnsureIndexes(q, AlgoISL, AlgoAnyK); err != nil {
+		t.Fatal(err)
+	}
+	opts := &QueryOptions{ISLBatch: batch}
+	isl, err := db.TopK(q, AlgoISL, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anyk, err := db.TopK(q, AlgoAnyK, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := db.TopK(q, AlgoNaive, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(isl.Results) != k || !reflect.DeepEqual(isl.Results, naive.Results) || !reflect.DeepEqual(isl.Results, anyk.Results) {
+		t.Fatalf("rows differ:\n isl   %+v\n anyk  %+v\n naive %+v", isl.Results, anyk.Results, naive.Results)
+	}
+	if isl.Cost.KVReads >= anyk.Cost.KVReads {
+		t.Errorf("isl billed %d read units, any-k %d on the same index: want strictly fewer", isl.Cost.KVReads, anyk.Cost.KVReads)
+	}
+
+	// What the score depth holds: a result scoring S_k or more takes
+	// from list i a tuple scoring at least S_k - max_other, and the
+	// threshold falls below S_k once each list has shown one tuple under
+	// that. One read unit is one index cell (one tuple); a scan RPC
+	// returns whole index rows (one per distinct score), batch at a time.
+	sk := isl.Results[k-1].Score
+	depthCells := func(list []Tuple, maxOther float64) uint64 {
+		perScore := map[float64]int{}
+		var scores []float64
+		for _, tp := range list {
+			if perScore[tp.Score]++; perScore[tp.Score] == 1 {
+				scores = append(scores, tp.Score)
+			}
+		}
+		sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
+		rows := 0
+		for rows < len(scores) && scores[rows] >= sk-maxOther {
+			rows++
+		}
+		rows++ // the first row under the depth
+		rows = min((rows+batch-1)/batch*batch, len(scores))
+		cells := 0
+		for _, s := range scores[:rows] {
+			cells += perScore[s]
+		}
+		return uint64(cells)
+	}
+	maxOf := func(list []Tuple) float64 {
+		m := list[0].Score
+		for _, tp := range list {
+			m = max(m, tp.Score)
+		}
+		return m
+	}
+	if want := depthCells(left, maxOf(right)) + depthCells(right, maxOf(left)); isl.Cost.KVReads != want {
+		t.Errorf("isl billed %d read units, the score depth of the %d-th result holds %d", isl.Cost.KVReads, k, want)
+	}
+
+	paged, pagedReads := pageAll(t, db, q, AlgoISL, k/5, k)
+	if !reflect.DeepEqual(paged, isl.Results) {
+		t.Errorf("pages do not concatenate to the batch result:\n paged %+v\n batch %+v", paged, isl.Results)
+	}
+	if pagedReads != isl.Cost.KVReads {
+		t.Errorf("five pages billed %d read units, the batch %d", pagedReads, isl.Cost.KVReads)
+	}
+
+	rows, err := db.Stream(q, AlgoISL, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Next() {
+		t.Fatalf("stream yielded nothing: %v", rows.Err())
+	}
+	if first := rows.Cost().KVReads; first == 0 || first >= isl.Cost.KVReads {
+		t.Errorf("one streamed row billed %d read units, %d rows billed %d", first, k, isl.Cost.KVReads)
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Metrics().Snapshot()
+	if rows.Next() {
+		t.Error("Next returned true after Close")
+	}
+	if delta := db.Metrics().Snapshot().Sub(before); delta.KVReads != 0 {
+		t.Errorf("closed stream consumed %d read units", delta.KVReads)
 	}
 }
