@@ -41,6 +41,12 @@ import (
 // NOT prefix-compressed with the coordinate: it is split out into the
 // two varint integer columns, which compress far better and reconstruct
 // the exact internal key on decode.
+//
+// In memory a decoded data block has the shape every resident cell has
+// (arena.go): decodeDataBlock rebuilds each internal key — shared prefix
+// of the previous key, unshared bytes, the two integer columns — straight
+// into the block's key slab, copies each value into its value slab, and
+// keeps one pointer-free reference per entry.
 const (
 	blockCodecRaw   = 0
 	blockCodecFlate = 1
@@ -218,18 +224,59 @@ func (b *blockWriter) finish() ([]byte, error) {
 }
 
 // decodedBlock is a data block parsed back into the segment's in-memory
-// shape: parallel sorted internal-key / cell slices. Cached blocks are
-// shared across iterators and must never be mutated.
+// shape: a sortedRun (arena.go) — one key slab, one value slab and a
+// reference array, however many entries the block holds. Cached blocks
+// are shared across iterators and must never be mutated.
 type decodedBlock struct {
-	keys  []string
-	cells []*Cell
+	sortedRun
 	bytes uint64 // decoded memory estimate, for cache accounting
+}
+
+// dataBlockSizes walks a data block's entry region and totals the
+// internal-key and value bytes its count entries decode to, so that
+// decodeDataBlock can cut its two slabs to fit. It validates nothing: on
+// malformed input it returns what it has, the totals are only allocation
+// hints, and decodeDataBlock's own pass reports the damage.
+func dataBlockSizes(buf []byte, count int) (keyBytes, valBytes int) {
+	off := 0
+	for i := 0; i < count; i++ {
+		shared, n1 := binary.Uvarint(buf[off:])
+		if n1 <= 0 {
+			break
+		}
+		unshared, n2 := binary.Uvarint(buf[off+n1:])
+		off += n1 + n2
+		if n2 <= 0 || shared > uint64(len(buf)) || unshared >= uint64(len(buf)-off) {
+			break
+		}
+		off += int(unshared) + 1 // coordinate tail, flags
+		_, n1 = binary.Uvarint(buf[off:])
+		if n1 <= 0 {
+			break
+		}
+		_, n2 = binary.Uvarint(buf[off+n1:])
+		if n2 <= 0 {
+			break
+		}
+		off += n1 + n2 // timestamp, sequence
+		vlen, n := binary.Uvarint(buf[off:])
+		if n <= 0 || vlen > uint64(len(buf)-off-n) {
+			break
+		}
+		off += n + int(vlen)
+		keyBytes += int(shared) + int(unshared) + cellKeySuffix
+		valBytes += int(vlen)
+	}
+	return keyBytes, valBytes
 }
 
 // decodeDataBlock parses one data block payload. It validates framing
 // invariants — bounds, restart array round-trip, entry count, key order —
 // and returns errCorruptBlock-wrapped errors instead of panicking or
-// yielding misordered cells.
+// yielding misordered cells. Keys are rebuilt and values copied straight
+// into the block's arena: the allocations are the block, its reference
+// array and its slabs, not a key, a coordinate, a Cell and a value per
+// entry.
 func decodeDataBlock(payload []byte) (*decodedBlock, error) {
 	if len(payload) < blockTailLen {
 		return nil, corruptf("data block of %d bytes is shorter than its %d-byte tail", len(payload), blockTailLen)
@@ -254,11 +301,11 @@ func decodeDataBlock(payload []byte) (*decodedBlock, error) {
 		return nil, corruptf("restart offsets [%d, %d] outside entry region of %d bytes", restarts[0], restarts[restartCount-1], entriesEnd)
 	}
 
-	db := &decodedBlock{
-		keys:  make([]string, 0, count),
-		cells: make([]*Cell, 0, count),
-	}
 	buf := payload[:entriesEnd]
+	keyBytes, valBytes := dataBlockSizes(buf, count)
+	b := newRunBuilder(count, keyBytes, valBytes)
+	arena := &b.run.arena
+	var mem uint64
 	off := 0
 	prevCoord := ""
 	prevKey := ""
@@ -284,7 +331,7 @@ func decodeDataBlock(payload []byte) (*decodedBlock, error) {
 		if shared > uint64(len(prevCoord)) || unshared > uint64(len(buf)-off) {
 			return nil, corruptf("entry %d: coordinate lengths %d+%d exceed bounds", i, shared, unshared)
 		}
-		coord := prevCoord[:shared] + string(buf[off:off+int(unshared)])
+		coordTail := buf[off : off+int(unshared)]
 		off += int(unshared)
 		if off >= len(buf) {
 			return nil, corruptf("entry %d: truncated before flags", i)
@@ -309,13 +356,12 @@ func decodeDataBlock(payload []byte) (*decodedBlock, error) {
 			return nil, corruptf("entry %d: bad value length at %d", i, off)
 		}
 		off += n
-		var value []byte
-		if vlen > 0 {
-			value = make([]byte, vlen)
-			copy(value, buf[off:off+int(vlen)])
-			off += int(vlen)
-		}
+		value := buf[off : off+int(vlen)]
+		off += int(vlen)
 
+		var ref cellRef
+		key := arena.appendCellKey(prevCoord[:shared], coordTail, int64(ts), seq, &ref)
+		coord := key[:len(key)-cellKeySuffix]
 		sep1 := strings.IndexByte(coord, 0)
 		if sep1 < 0 {
 			return nil, corruptf("entry %d: coordinate lacks family separator", i)
@@ -324,29 +370,20 @@ func decodeDataBlock(payload []byte) (*decodedBlock, error) {
 		if sep2 < 0 {
 			return nil, corruptf("entry %d: coordinate lacks qualifier separator", i)
 		}
-		sep2 += sep1 + 1
-		c := &Cell{
-			Row:       coord[:sep1],
-			Family:    coord[sep1+1 : sep2],
-			Qualifier: coord[sep2+1:],
-			Value:     value,
-			Timestamp: int64(ts),
-			Tombstone: flags&1 == 1,
-		}
-		key := cellKey(c.Row, c.Family, c.Qualifier, c.Timestamp, seq)
 		if i > 0 && key < prevKey {
 			return nil, corruptf("entry %d: key order violation", i)
 		}
-		db.keys = append(db.keys, key)
-		db.cells = append(db.cells, c)
-		db.bytes += uint64(len(key)) + c.StoredSize() + 48
+		ref.rowLen, ref.famLen = uint32(sep1), uint32(sep2)
+		arena.setValue(value, flags&1 == 1, &ref)
+		b.run.refs = append(b.run.refs, ref)
+		mem += uint64(len(key)) + ref.storedSize() + 48
 		prevCoord = coord
 		prevKey = key
 	}
 	if off != len(buf) {
 		return nil, corruptf("%d trailing bytes after last entry", len(buf)-off)
 	}
-	return db, nil
+	return &decodedBlock{sortedRun: b.finish(), bytes: mem}, nil
 }
 
 // indexEntry locates one framed block: the internal key of its first

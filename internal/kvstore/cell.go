@@ -9,10 +9,20 @@ import (
 // Cell is one key-value pair: the paper's quadruplet {key, column name,
 // column value, timestamp}. Column names are split into family and
 // qualifier as in BigTable/HBase.
+//
+// A Cell handed to a write is copied: the caller may reuse its Value
+// buffer as soon as the write returns. A Cell returned by a read points
+// into the store's memory — its strings and its Value stay valid for as
+// long as they are held, but Value is read-only: append to it freely
+// (it is clipped to its length, so append reallocates), never write
+// through it.
 type Cell struct {
 	Row       string
 	Family    string
 	Qualifier string
+	// Value is the column value. A zero-length value is stored as no
+	// bytes at all and reads back as nil on every path — memtable,
+	// segment, SSTable, WAL replay — never as an empty non-nil slice.
 	Value     []byte
 	Timestamp int64
 	// Tombstone marks a deletion of the column as of Timestamp.

@@ -25,6 +25,42 @@
 // sorts first, which lets every reader take the first version it
 // encounters.
 //
+// Cells at rest are bytes, not objects (arena.go). A memtable, a
+// segment and a decoded SSTable block all keep their cells the same way:
+// internal keys appended to string slabs, values appended to byte slabs,
+// and one pointer-free 32-byte reference per cell version (slab, offset
+// and length of key and value, the lengths of row and family inside the
+// key, the tombstone bit). The memtable threads its references into a
+// skip list kept in pages of 32-bit words — a node is its reference
+// followed by its tower, a link is the successor's position — so growth
+// copies nothing; a segment and a decoded block are the same type, a
+// sortedRun — the references in key order, binary-searched — filled by
+// the same builder from a memtable flush, a merge, or a block decode. So the heap holds a
+// few slabs and arrays per store rather than five objects per cell, and
+// the garbage collector's mark work no longer grows with the data.
+//
+// Three rules follow from that layout:
+//
+//   - Writes copy. Put, MutateRow, BatchPut and GroupWrite copy key and
+//     value into the arena (and the WAL); the caller may reuse its
+//     buffers at once. A zero-length value is stored as no bytes and
+//     reads back as nil everywhere.
+//   - Iterators yield views. cellIter.cell() returns a Cell whose
+//     strings are substrings of the stored key and whose Value is a
+//     capacity-clipped slice of the value slab, valid until the next
+//     next() on that iterator. The read loops copy the Cell by value
+//     into the Row they return; those copies still point into the
+//     arena, which is safe — slab bytes are written once and never
+//     moved — and means returned Values are READ-ONLY: append
+//     reallocates, writing through one would corrupt the store.
+//   - Whoever keeps a cell past the operation detaches it. A copy of a
+//     view keeps its whole slab alive. Rows handed to callers are
+//     theirs to hold or drop; inside the store, the row cache copies
+//     each row into a buffer of its own before caching it (a cached row
+//     must not pin a retired memtable or a compacted-away segment), an
+//     SSTable writer clones the few keys its open segment keeps, and a
+//     split clones the split key.
+//
 // Reads merge the stores of the requested families only (Scan.Families,
 // Get's family list; none = all): a family-restricted read never walks —
 // or, in disk mode, faults in — another family's cells. This is the

@@ -109,10 +109,11 @@ func FuzzBlockCodec(f *testing.F) {
 		// frame that happens to verify must still yield ordered cells.
 		if p, err := decodeFrame(data); err == nil {
 			if blk, derr := decodeDataBlock(p); derr == nil {
-				if len(blk.keys) != len(blk.cells) {
-					t.Fatalf("decoded block has %d keys but %d cells", len(blk.keys), len(blk.cells))
+				keys, cells := dumpRun(&blk.sortedRun)
+				if len(keys) != len(cells) || len(keys) != blk.len() {
+					t.Fatalf("decoded block of %d entries has %d keys and %d cells", blk.len(), len(keys), len(cells))
 				}
-				if !sort.StringsAreSorted(blk.keys) {
+				if !sort.StringsAreSorted(keys) {
 					t.Fatal("decoded block keys out of order")
 				}
 			}
@@ -156,13 +157,14 @@ func FuzzBlockCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of own encoding: %v", err)
 		}
-		if len(blk.cells) != len(cells) {
-			t.Fatalf("round trip returned %d cells, want %d", len(blk.cells), len(cells))
+		gotKeys, gotCells := dumpRun(&blk.sortedRun)
+		if len(gotCells) != len(cells) {
+			t.Fatalf("round trip returned %d cells, want %d", len(gotCells), len(cells))
 		}
 		for i, want := range cells {
-			got := blk.cells[i]
-			if wk := cellKey(want.Row, want.Family, want.Qualifier, want.Timestamp, uint64(i)); blk.keys[i] != wk {
-				t.Fatalf("cell %d: key %q, want %q", i, blk.keys[i], wk)
+			got := gotCells[i]
+			if wk := cellKey(want.Row, want.Family, want.Qualifier, want.Timestamp, uint64(i)); gotKeys[i] != wk {
+				t.Fatalf("cell %d: key %q, want %q", i, gotKeys[i], wk)
 			}
 			if got.Row != want.Row || got.Family != want.Family || got.Qualifier != want.Qualifier ||
 				got.Timestamp != want.Timestamp || got.Tombstone != want.Tombstone ||
@@ -248,5 +250,112 @@ func FuzzWALReplay(f *testing.F) {
 		if valid, _, err := walValidPrefix(w.buf); err != nil || valid != len(w.buf) {
 			t.Fatalf("accepted buf is not a fully valid prefix: valid=%d len=%d err=%v", valid, len(w.buf), err)
 		}
+	})
+}
+
+// FuzzMemtableModel drives the arena skip list with a random sequence of
+// puts, overwrites of an existing key, tombstones and seeks, against a
+// sorted-map model: after every operation count and size agree, a seek
+// lands on the model's lower bound, and at the end a full walk returns
+// the model's entries in key order. The skip list's level sequence comes
+// from the first input byte, so the fuzzer also varies the tower shapes.
+func FuzzMemtableModel(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7, 0, 1, 2, 3, 0, 1, 2, 9, 1, 1, 2, 3, 2, 0, 0, 0, 3, 1, 2, 3})
+	f.Add(bytes.Repeat([]byte{1, 0, 200, 13, 77, 2, 200, 13, 0}, 40))
+	// Enough distinct puts to spill onto a second page of nodes, with
+	// seeks across the page boundary.
+	long := []byte{3}
+	for i := 0; i < 1600; i++ {
+		long = append(long, byte(i%7&3), byte(i), byte(i/256*37), byte(i))
+	}
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		seed := int64(0)
+		if len(data) > 0 {
+			seed, data = int64(data[0]), data[1:]
+		}
+		m := newMemtable(seed)
+		model := map[string]Cell{}
+		var keys []string // sorted keys of model
+		var size uint64
+
+		lowerBound := func(k string) string {
+			if i := sort.SearchStrings(keys, k); i < len(keys) {
+				return keys[i]
+			}
+			return ""
+		}
+		check := func(op string, it *memtableIter, wantKey string) {
+			t.Helper()
+			if wantKey == "" {
+				if it.valid() {
+					t.Fatalf("%s: iterator at %q, model has nothing there", op, it.key())
+				}
+				return
+			}
+			want := model[wantKey]
+			if !it.valid() || it.key() != wantKey {
+				t.Fatalf("%s: iterator valid=%v, want key %q", op, it.valid(), wantKey)
+			}
+			if got := it.cell(); got.Row != want.Row || got.Family != want.Family || got.Qualifier != want.Qualifier ||
+				got.Timestamp != want.Timestamp || got.Tombstone != want.Tombstone || !bytes.Equal(got.Value, want.Value) ||
+				(len(got.Value) == 0 && got.Value != nil) {
+				t.Fatalf("%s: at %q got %v, want %v", op, wantKey, got, &want)
+			}
+		}
+
+		for i := 0; i+4 <= len(data); i += 4 {
+			op, a, b, v := data[i]%4, data[i+1], data[i+2], data[i+3]
+			c := Cell{Row: fmt.Sprintf("r%02x", a%32), Family: "f", Qualifier: fmt.Sprintf("q%d", b%3), Timestamp: int64(b % 4)}
+			key := cellKey(c.Row, c.Family, c.Qualifier, c.Timestamp, uint64(a)<<8|uint64(b))
+			switch op {
+			case 0, 1: // put, or overwrite when the key exists
+				if op == 1 && len(keys) > 0 {
+					key = keys[int(a)%len(keys)]
+					prev := model[key]
+					c.Row, c.Qualifier, c.Timestamp = prev.Row, prev.Qualifier, prev.Timestamp
+				}
+				if n := int(v % 48); n > 0 {
+					c.Value = bytes.Repeat([]byte{v}, n)
+				}
+			case 2: // tombstone
+				c.Tombstone = true
+			case 3: // seek only
+				check("seek", m.iterator(key), lowerBound(key))
+				check("seek past", m.iterator(key+"\x00"), lowerBound(key+"\x00"))
+				continue
+			}
+			if old, ok := model[key]; ok {
+				size -= old.StoredSize()
+			} else {
+				j := sort.SearchStrings(keys, key)
+				keys = append(keys, "")
+				copy(keys[j+1:], keys[j:])
+				keys[j] = key
+			}
+			m.put(key, &c)
+			for j := range c.Value {
+				c.Value[j] ^= 0xff // the memtable must have copied it
+			}
+			stored := c
+			stored.Value = nil
+			if len(c.Value) > 0 {
+				stored.Value = bytes.Repeat([]byte{v}, len(c.Value))
+			}
+			model[key] = stored
+			size += stored.StoredSize()
+			if m.count != len(keys) || m.size != size {
+				t.Fatalf("after put %q: count %d size %d, model %d entries of %d bytes", key, m.count, m.size, len(keys), size)
+			}
+			check("seek to the key just put", m.iterator(key), key)
+		}
+
+		it := m.iterator("")
+		for _, k := range keys {
+			check("walk", it, k)
+			it.next()
+		}
+		check("walk end", it, "")
 	})
 }

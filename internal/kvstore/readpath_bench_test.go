@@ -2,7 +2,9 @@ package kvstore
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // buildMultiSegmentRegion loads a single-region table whose rows are
@@ -126,7 +128,7 @@ func BenchmarkMergedIterDrain(b *testing.B) {
 			keys = append(keys, cellKey(c.Row, c.Family, c.Qualifier, c.Timestamp, uint64(i*nSegs+s)))
 			cells = append(cells, c)
 		}
-		segs[s] = newSegment(keys, cells)
+		segs[s] = segmentFromCells(keys, cells)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -238,4 +240,96 @@ func BenchmarkGetOneFamily(b *testing.B) {
 			b.Fatalf("get: %v %v", row, err)
 		}
 	}
+}
+
+// BenchmarkMemtablePut measures one insert into a memtable that already
+// holds 50,000 cells (rows arrive in scattered order, as index
+// maintenance writes do).
+func BenchmarkMemtablePut(b *testing.B) {
+	const resident = 50000
+	value := []byte("0123456789abcdef")
+	c := Cell{Family: "cf", Qualifier: "v", Value: value, Timestamp: 1}
+	var m *memtable
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%resident == 0 { // start over rather than grow without bound
+			b.StopTimer()
+			m = newMemtable(1)
+			for j := 0; j < resident; j++ {
+				c.Row = benchRowKey(j * 2)
+				m.put(cellKey(c.Row, c.Family, c.Qualifier, c.Timestamp, uint64(j)), &c)
+			}
+			b.StartTimer()
+		}
+		c.Row = benchRowKey((i*7919%resident)*2 + 1)
+		m.put(cellKey(c.Row, c.Family, c.Qualifier, c.Timestamp, uint64(resident+i)), &c)
+	}
+}
+
+// loadResidentRegion loads one-cell rows into a single-region table
+// with a flush threshold no load reaches: the first flushed cells are
+// flushed into one run, the next unflushed stay in the memtable.
+func loadResidentRegion(tb testing.TB, flushed, unflushed int) *Cluster {
+	tb.Helper()
+	c := testCluster(tb)
+	if _, err := c.CreateTable("t", []string{"cf"}, nil); err != nil {
+		tb.Fatal(err)
+	}
+	c.SetFlushThreshold(1 << 40)
+	batch := make([]Cell, 0, 1000)
+	for i := 0; i < flushed+unflushed; i++ {
+		batch = append(batch, Cell{Row: benchRowKey(i), Family: "cf", Qualifier: "v", Value: []byte("0123456789abcdef0123456789abcdef")})
+		if len(batch) == cap(batch) || i == flushed-1 || i == flushed+unflushed-1 {
+			if err := c.BatchPut("t", batch); err != nil {
+				tb.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+		if i == flushed-1 {
+			if err := c.FlushAll(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return c
+}
+
+// BenchmarkResidentScan is a full scan of a 100,000-cell region whose
+// cells are all in the memtable, or all in one flushed run: the read
+// path over resident data with no merge to speak of.
+func BenchmarkResidentScan(b *testing.B) {
+	const cells = 100000
+	for _, shape := range []struct {
+		name               string
+		flushed, unflushed int
+	}{{"memtable", 0, cells}, {"flushed", cells, 0}} {
+		b.Run(shape.name, func(b *testing.B) {
+			c := loadResidentRegion(b, shape.flushed, shape.unflushed)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows, err := c.ScanAll(Scan{Table: "t", Caching: 1000})
+				if err != nil || len(rows) != cells {
+					b.Fatalf("rows=%d err=%v", len(rows), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGCWithResidentStore reports what a store at rest costs the
+// collector: the wall time of one full runtime.GC() with 500,000 cells
+// resident (half in the memtable, half flushed) and nothing else going
+// on.
+func BenchmarkGCWithResidentStore(b *testing.B) {
+	const cells = 500000
+	c := loadResidentRegion(b, cells/2, cells/2)
+	runtime.GC()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+	}
+	b.ReportMetric(float64(time.Since(start).Microseconds())/1000/float64(b.N), "ms/gc")
+	runtime.KeepAlive(c)
 }

@@ -25,7 +25,7 @@ func TestSegmentBloomFPR(t *testing.T) {
 		keys = append(keys, cellKey(c.Row, c.Family, c.Qualifier, c.Timestamp, uint64(i)))
 		cells = append(cells, c)
 	}
-	seg := newSegment(keys, cells)
+	seg := segmentFromCells(keys, cells)
 	for i := 0; i < n; i++ {
 		if !seg.mayContainRow(fmt.Sprintf("present-%06d", i)) {
 			t.Fatalf("false negative for present row %d", i)
@@ -69,11 +69,13 @@ func TestMergedIterEquivalence(t *testing.T) {
 			}
 			sortStrings(keys)
 			var cells []*Cell
-			for _, k := range keys {
+			for i, k := range keys {
+				// Fixed-width rows: internal keys sort as the rows do.
 				cells = append(cells, &Cell{Row: k, Family: "cf", Qualifier: "v", Timestamp: 1})
+				keys[i] = cellKey(k, "cf", "v", 1, 0)
 			}
 			model = append(model, keys...)
-			iters = append(iters, newSegment(keys, cells).iterator(""))
+			iters = append(iters, segmentFromCells(keys, cells).iterator(""))
 		}
 		sortStrings(model)
 		m := newMergedIter(iters...)
@@ -695,7 +697,8 @@ func physicalCells(t *testing.T, r *Region) (keys []string, cells []*Cell) {
 	var all []kc
 	for _, it := range sources {
 		for ; it.valid(); it.next() {
-			all = append(all, kc{it.key(), it.cell()})
+			c := *it.cell() // a view: copy it to keep it past next()
+			all = append(all, kc{it.key(), &c})
 		}
 		if err := it.fail(); err != nil {
 			t.Fatal(err)
@@ -758,6 +761,19 @@ func referenceScan(r *Region, keys []string, cells []*Cell, startRow, endRow str
 	}
 	flush()
 	return rows, stats
+}
+
+// requireEmptyValuesNil fails when a read returned a zero-length value
+// that is not nil: the store has one answer for it on every path.
+func requireEmptyValuesNil(t *testing.T, what string, rows []Row) {
+	t.Helper()
+	for _, r := range rows {
+		for _, c := range r.Cells {
+			if c.Value != nil && len(c.Value) == 0 {
+				t.Fatalf("after %s: %s holds an empty non-nil value", what, c.String())
+			}
+		}
+	}
 }
 
 // TestMultiFamilyModelEquivalence is the randomised property test of
@@ -840,6 +856,7 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 						if want := model.rows(sub, ts); fmt.Sprint(got) != fmt.Sprint(want) {
 							t.Fatalf("step %d (%s) fams %v ts %d: scan diverges from the model\ngot  %v\nwant %v", step, what, sub, ts, got, want)
 						}
+						requireEmptyValuesNil(t, what, got)
 					}
 					latest := map[string]Row{}
 					for _, row := range model.rows(sub, 0) {
@@ -854,6 +871,9 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 						want, ok := latest[key]
 						if (got != nil) != ok || (ok && fmt.Sprint(*got) != fmt.Sprint(want)) {
 							t.Fatalf("step %d (%s) fams %v: get %q = %v, model %v (present %v)", step, what, sub, key, got, want, ok)
+						}
+						if got != nil {
+							requireEmptyValuesNil(t, what, []Row{*got})
 						}
 					}
 
@@ -920,6 +940,13 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 					}
 					cell := Cell{Row: rowKey(), Family: fams[rng.Intn(len(fams))], Qualifier: fmt.Sprintf("q%d", rng.Intn(2)),
 						Value: []byte(fmt.Sprintf("v%d-%024d", step, step)), Timestamp: now}
+					if rng.Intn(6) == 0 {
+						// A zero-length value: nil from the memtable, and
+						// still nil once a later step has flushed,
+						// compacted, split, recovered or reopened it.
+						what = "put empty"
+						cell.Value = []byte{}
+					}
 					if err := c.Put("t", cell); err != nil {
 						t.Fatal(err)
 					}

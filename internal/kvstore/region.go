@@ -284,14 +284,21 @@ func (r *Region) applyMutation(c Cell) error {
 	if !r.contains(c.Row) {
 		return fmt.Errorf("kvstore: row %q outside region [%q, %q)", c.Row, r.startKey, r.endKey)
 	}
+	if len(c.Value) > maxArenaItem {
+		return fmt.Errorf("kvstore: value of %d bytes exceeds the %d-byte cell limit", len(c.Value), maxArenaItem)
+	}
 	r.seq++
-	cp := c // private copy
-	key := cellKey(cp.Row, cp.Family, cp.Qualifier, cp.Timestamp, r.seq)
-	if err := r.log.append(key, &cp); err != nil {
+	key := cellKey(c.Row, c.Family, c.Qualifier, c.Timestamp, r.seq)
+	if len(key) > maxArenaItem {
+		return fmt.Errorf("kvstore: cell key of %d bytes exceeds the %d-byte cell limit", len(key), maxArenaItem)
+	}
+	if err := r.log.append(key, &c); err != nil {
 		return err
 	}
-	r.storeLocked(cp.Family).mem.put(key, &cp)
-	r.cache.invalidate(cp.Row)
+	// The memtable copies key and value into its arena, so the caller
+	// may reuse its buffers the moment the write returns.
+	r.storeLocked(c.Family).mem.put(key, &c)
+	r.cache.invalidate(c.Row)
 	if r.memSizeLocked() > r.flushThreshold {
 		return r.flushLocked()
 	}
@@ -378,7 +385,8 @@ func (r *Region) flushLocked() error {
 	flushed := make([]run, len(dirty))
 	for i, st := range dirty {
 		if r.store == nil {
-			flushed[i] = newSegment(st.mem.keys(), st.mem.entries())
+			keyBytes, valBytes := st.mem.arena.size()
+			flushed[i] = segmentOf(st.mem.count, keyBytes, valBytes, st.mem.iterator(""))
 			continue
 		}
 		name := r.store.allocFile()
@@ -482,23 +490,29 @@ func (g *gcIter) next() {
 // read resolves to against runs outside the merge, so subset merges only
 // reduce run count, never reclaim history.
 func mergeSegments(segs []*segment, gc bool) *segment {
-	total := 0
+	entries, keyBytes, valBytes := 0, 0, 0
 	iters := make([]cellIter, 0, len(segs))
 	for _, s := range segs {
-		total += s.len()
+		entries += s.len()
+		kb, vb := s.arena.size()
+		keyBytes, valBytes = keyBytes+kb, valBytes+vb
 		iters = append(iters, s.iterator(""))
 	}
 	var it cellIter = newMergedIter(iters...)
 	if gc {
 		it = newGCIter(it)
 	}
-	keys := make([]string, 0, total)
-	cells := make([]*Cell, 0, total)
+	return segmentOf(entries, keyBytes, valBytes, it)
+}
+
+// segmentOf copies the cells of it (sorted by internal key) into a new
+// in-memory segment. The counts are upper bounds used to size it.
+func segmentOf(entries, keyBytes, valBytes int, it cellIter) *segment {
+	b := newRunBuilder(entries, keyBytes, valBytes)
 	for ; it.valid(); it.next() {
-		keys = append(keys, it.key())
-		cells = append(cells, it.cell())
+		b.add(it.key(), it.cell())
 	}
-	return newSegment(keys, cells)
+	return newSegment(b.finish())
 }
 
 // sizeTier buckets a segment size into ~4x-wide classes; size-tiered
@@ -1091,8 +1105,8 @@ func (r *Region) replayWALLocked(w *wal) (int, error) {
 		if err != nil {
 			return err
 		}
-		c := &Cell{Row: row, Family: family, Qualifier: qualifier, Value: value, Timestamp: ts, Tombstone: tombstone}
-		r.storeLocked(family).mem.put(key, c)
+		c := Cell{Row: row, Family: family, Qualifier: qualifier, Value: value, Timestamp: ts, Tombstone: tombstone}
+		r.storeLocked(family).mem.put(key, &c)
 		if seq > r.seq {
 			r.seq = seq
 		}
@@ -1138,7 +1152,8 @@ func (r *Region) splitPoint() string {
 	if it.fail() != nil || len(rows) < 2 {
 		return ""
 	}
-	return rows[len(rows)/2]
+	// Cloned: the split key outlives the parent region's arenas.
+	return strings.Clone(rows[len(rows)/2])
 }
 
 // allCells snapshots every live (latest-version, non-tombstone) cell, for

@@ -1,6 +1,9 @@
 package kvstore
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // DefaultRowCacheBytes is the per-region row cache capacity. The cache
 // plays the role of HBase's block cache for the point-get path: a hit
@@ -69,8 +72,53 @@ func (c *rowCache) lookup(row string) (r *Row, examined uint64, ok bool) {
 	return e.r, e.examined, true
 }
 
-// insert caches a row (r may be nil to cache absence) with the examined
-// count its read reported. Existing entries are replaced.
+// detachRow returns a copy of r in storage of its own: one string
+// holding the row key and column names, one buffer holding the values.
+// The cells a read assembles are views into memtable, segment and block
+// arenas; cached as they are, a row would keep every arena it touches
+// alive — a retired memtable, a compacted-away segment — for as long as
+// it stays in the cache.
+func detachRow(r *Row) *Row {
+	names, vals := len(r.Key), 0
+	for i := range r.Cells {
+		names += len(r.Cells[i].Family) + len(r.Cells[i].Qualifier)
+		vals += len(r.Cells[i].Value)
+	}
+	var sb strings.Builder
+	sb.Grow(names)
+	sb.WriteString(r.Key)
+	for i := range r.Cells {
+		sb.WriteString(r.Cells[i].Family)
+		sb.WriteString(r.Cells[i].Qualifier)
+	}
+	text := sb.String()
+	cut := func(n int) string {
+		s := text[:n]
+		text = text[n:]
+		return s
+	}
+	var buf []byte
+	if vals > 0 {
+		buf = make([]byte, 0, vals)
+	}
+	out := &Row{Key: cut(len(r.Key)), Cells: make([]Cell, len(r.Cells))}
+	for i := range r.Cells {
+		c := r.Cells[i]
+		c.Row = out.Key
+		c.Family = cut(len(c.Family))
+		c.Qualifier = cut(len(c.Qualifier))
+		if n := len(c.Value); n > 0 {
+			buf = append(buf, c.Value...)
+			c.Value = buf[len(buf)-n : len(buf) : len(buf)]
+		}
+		out.Cells[i] = c
+	}
+	return out
+}
+
+// insert caches a detached copy of a row (r may be nil to cache absence)
+// with the examined count its read reported. Existing entries are
+// replaced.
 func (c *rowCache) insert(row string, r *Row, examined uint64) {
 	size := uint64(len(row)) + rcEntryOverhead
 	if r != nil {
@@ -80,6 +128,9 @@ func (c *rowCache) insert(row string, r *Row, examined uint64) {
 	defer c.mu.Unlock()
 	if c.capacity == 0 || size > c.capacity {
 		return // disabled, or the row is larger than the whole cache
+	}
+	if r != nil {
+		r = detachRow(r)
 	}
 	if e, ok := c.entries[row]; ok {
 		c.bytes -= e.size

@@ -1,10 +1,6 @@
 package kvstore
 
-import (
-	"sort"
-
-	"repro/internal/bloom"
-)
+import "repro/internal/bloom"
 
 // segmentBloomFPP is the false-positive target of the per-segment row
 // bloom filter. 1% keeps the filter at ~10 bits per row while pruning
@@ -14,40 +10,41 @@ const segmentBloomFPP = 0.01
 
 // segment is an immutable sorted run of cell versions, the in-memory
 // analogue of an HBase HFile: produced by flushing a memtable or by
-// compaction, searched by binary search, scanned sequentially. Each
-// segment carries its row-key range and a bloom filter over row keys so
-// point gets can skip segments that cannot contain the row.
+// compaction, searched by binary search, scanned sequentially. Its cells
+// are a sortedRun (arena.go) — the same bytes-plus-references layout a
+// decoded SSTable block has. Each segment carries its row-key range and a
+// bloom filter over row keys so point gets can skip segments that cannot
+// contain the row.
 type segment struct {
-	keys   []string
-	cells  []*Cell
+	sortedRun
 	size   uint64
 	minRow string
 	maxRow string
 	filter *bloom.Filter
 }
 
-// newSegment builds a segment from parallel sorted key/cell slices.
-func newSegment(keys []string, cells []*Cell) *segment {
-	var size uint64
-	for _, c := range cells {
-		size += c.StoredSize()
+// newSegment wraps a finished run with its size, row range and filter.
+func newSegment(cells sortedRun) *segment {
+	s := &segment{sortedRun: cells}
+	n := s.len()
+	if n == 0 {
+		return s
 	}
-	s := &segment{keys: keys, cells: cells, size: size}
-	if len(cells) > 0 {
-		s.minRow = cells[0].Row
-		s.maxRow = cells[len(cells)-1].Row
-		// len(cells) over-counts distinct rows (versions share a row),
-		// which only makes the filter larger and the FPP lower.
-		m, k := bloom.OptimalParams(uint64(len(cells)), segmentBloomFPP)
-		s.filter = bloom.NewFilter(m, k)
-		lastRow := ""
-		for _, c := range cells {
-			if c.Row != lastRow {
-				s.filter.AddString(c.Row)
-				lastRow = c.Row
-			}
+	// n over-counts distinct rows (versions share a row), which only
+	// makes the filter larger and the FPP lower.
+	m, k := bloom.OptimalParams(uint64(n), segmentBloomFPP)
+	s.filter = bloom.NewFilter(m, k)
+	lastRow := ""
+	for i := range s.refs {
+		ref := &s.refs[i]
+		s.size += ref.storedSize()
+		if row := s.arena.key(ref)[:ref.rowLen]; i == 0 || row != lastRow {
+			s.filter.AddString(row)
+			lastRow = row
 		}
 	}
+	s.minRow = s.key(0)[:s.refs[0].rowLen]
+	s.maxRow = lastRow
 	return s
 }
 
@@ -70,48 +67,37 @@ type run interface {
 // segment: the row must fall inside the segment's key range and pass the
 // bloom filter. No false negatives.
 func (s *segment) mayContainRow(row string) bool {
-	if len(s.keys) == 0 || row < s.minRow || row > s.maxRow {
+	if s.len() == 0 || row < s.minRow || row > s.maxRow {
 		return false
 	}
 	return s.filter.ContainsString(row)
 }
 
 func (s *segment) iterAt(start string, io *OpStats) cellIter { return s.iterator(start) }
-func (s *segment) numCells() int                             { return len(s.keys) }
+func (s *segment) numCells() int                             { return s.len() }
 func (s *segment) dataSize() uint64                          { return s.size }
 func (s *segment) close() error                              { return nil }
 
-// seek returns the index of the first entry with key >= k.
-func (s *segment) seek(k string) int {
-	return sort.SearchStrings(s.keys, k)
-}
-
-func (s *segment) len() int { return len(s.keys) }
-
 // iterator walks entries in ascending key order from >= start.
-func (s *segment) iterator(start string) *segmentIter {
+func (s *segment) iterator(start string) *runIter {
 	idx := 0
 	if start != "" {
 		idx = s.seek(start)
 	}
-	return &segmentIter{seg: s, idx: idx}
+	return &runIter{run: &s.sortedRun, idx: idx}
 }
-
-type segmentIter struct {
-	seg *segment
-	idx int
-}
-
-func (it *segmentIter) valid() bool { return it.idx < len(it.seg.keys) }
-func (it *segmentIter) key() string { return it.seg.keys[it.idx] }
-func (it *segmentIter) cell() *Cell { return it.seg.cells[it.idx] }
-func (it *segmentIter) next()       { it.idx++ }
-func (it *segmentIter) fail() error { return nil }
 
 // cellIter is the common interface of memtable, segment, and disk
 // segment iterators. In-memory iterators cannot fail; a disk iterator
 // that hits an I/O or corruption error becomes invalid and reports the
 // error through fail(), which callers must check once iteration stops.
+//
+// cell() returns a VIEW into the source's arena, owned by the iterator:
+// it is valid until the next call of next() on this iterator (calling
+// cell() again without next() returns the same cell). Callers copy the
+// Cell by value to keep it; the copy's strings and Value still point
+// into the arena, which is safe — arena bytes never change — and keeps
+// that arena alive for as long as the copy is held.
 type cellIter interface {
 	valid() bool
 	key() string

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/bloom"
 )
@@ -185,8 +186,7 @@ type diskSegIter struct {
 	si  int          // current summary position (index block)
 	idx []indexEntry // decoded current index block
 	ii  int          // current index position (data block)
-	blk *decodedBlock
-	bi  int // current entry within blk
+	blk runIter      // position within the current data block (run nil = none)
 	err error
 }
 
@@ -210,7 +210,7 @@ func (d *diskSegment) iterAt(start string, io *OpStats) cellIter {
 	if !it.loadData() {
 		return it
 	}
-	it.bi = sort.SearchStrings(it.blk.keys, start)
+	it.blk.idx = it.blk.run.seek(start)
 	it.skipExhausted()
 	return it
 }
@@ -237,20 +237,20 @@ func (it *diskSegIter) loadData() bool {
 		it.fell(err)
 		return false
 	}
-	it.blk = blk
-	it.bi = 0
+	it.blk = runIter{run: &blk.sortedRun}
 	return true
 }
 
-// skipExhausted advances past empty tails: when bi runs off the current
-// block it steps to the next data block, then the next index block.
+// skipExhausted advances past empty tails: when the position runs off
+// the current block it steps to the next data block, then the next index
+// block.
 func (it *diskSegIter) skipExhausted() {
-	for it.err == nil && it.blk != nil && it.bi >= len(it.blk.keys) {
+	for it.err == nil && it.blk.run != nil && !it.blk.valid() {
 		it.ii++
 		if it.ii >= len(it.idx) {
 			it.si++
 			if it.si >= len(it.seg.summary) {
-				it.blk = nil
+				it.blk.run = nil
 				return
 			}
 			if !it.loadIndex() {
@@ -266,18 +266,18 @@ func (it *diskSegIter) skipExhausted() {
 
 func (it *diskSegIter) fell(err error) {
 	it.err = err
-	it.blk = nil
+	it.blk.run = nil
 }
 
 func (it *diskSegIter) valid() bool {
-	return it.err == nil && it.blk != nil && it.bi < len(it.blk.keys)
+	return it.err == nil && it.blk.run != nil && it.blk.valid()
 }
-func (it *diskSegIter) key() string { return it.blk.keys[it.bi] }
-func (it *diskSegIter) cell() *Cell { return it.blk.cells[it.bi] }
+func (it *diskSegIter) key() string { return it.blk.key() }
+func (it *diskSegIter) cell() *Cell { return it.blk.cell() }
 func (it *diskSegIter) fail() error { return it.err }
 
 func (it *diskSegIter) next() {
-	it.bi++
+	it.blk.next()
 	it.skipExhausted()
 }
 
@@ -362,8 +362,13 @@ func writeSSTable(fsys VFS, dir, name string, cache *blockCache, it cellIter) (s
 			return nil, perr
 		}
 		if !w.haveFirst {
-			w.meta.family = c.Family
-			w.meta.minRow = c.Row
+			// Cloned, like everything else the open segment keeps
+			// (maxRow and the summary keys below): k and c are views
+			// into the source's arena — a memtable about to be retired,
+			// a block about to be evicted — and a kept substring would
+			// pin its whole slab.
+			w.meta.family = strings.Clone(c.Family)
+			w.meta.minRow = strings.Clone(c.Row)
 			w.haveFirst = true
 		} else if c.Family != w.meta.family {
 			return nil, fmt.Errorf("kvstore: SSTable %s would mix families %q and %q", name, w.meta.family, c.Family)
@@ -394,6 +399,7 @@ func writeSSTable(fsys VFS, dir, name string, cache *blockCache, it cellIter) (s
 	if err := w.flushBlock(); err != nil {
 		return nil, err
 	}
+	w.meta.maxRow = strings.Clone(w.meta.maxRow)
 
 	// Index blocks: runs of indexBlockFanout data-block entries; the
 	// summary samples the first key of each run.
@@ -407,7 +413,7 @@ func writeSSTable(fsys VFS, dir, name string, cache *blockCache, it cellIter) (s
 		if err != nil {
 			return nil, err
 		}
-		summary = append(summary, indexEntry{firstKey: w.index[i].firstKey, off: off, length: length})
+		summary = append(summary, indexEntry{firstKey: strings.Clone(w.index[i].firstKey), off: off, length: length})
 	}
 	summaryOff, summaryLen, err := w.writeFramed(encodeIndexBlock(summary))
 	if err != nil {
