@@ -179,6 +179,24 @@ func TestConcurrentWritesVsReads(t *testing.T) {
 		}(algo)
 	}
 
+	// BFHM readers that keep going for as long as the writers do: they
+	// share the buckets the indexes remember, and two of them write
+	// reconstructed blobs back, while bucket rows change under them.
+	for _, wb := range []rankjoin.WriteBackMode{rankjoin.WriteBackOff, rankjoin.WriteBackLazy, rankjoin.WriteBackEager} {
+		wg.Add(1)
+		go func(wb rankjoin.WriteBackMode) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				res, err := db.TopK(q, rankjoin.AlgoBFHM, &rankjoin.QueryOptions{BFHMWriteBack: wb})
+				if err != nil {
+					report(fmt.Errorf("topk bfhm write-back %d: %w", wb, err))
+					return
+				}
+				report(checkResult(rankjoin.AlgoBFHM, res.Results))
+			}
+		}(wb)
+	}
+
 	// A streaming reader with early close: partial drains racing writes
 	// must hold the same per-result invariants and must not leak.
 	wg.Add(1)

@@ -160,7 +160,11 @@
 // tables and are trivially fresh. IJLMR and ISL read their inverse
 // lists, which the pipeline mutates synchronously. BFHM replays bucket
 // mutation records at query time (write-back eager, lazy, or offline
-// via WriteBackBFHM). DRJN folds band delta records into its histogram
+// via WriteBackBFHM); an index remembers the buckets it has decoded and
+// their pair estimates between queries, but reads every bucket row on
+// every query and reuses a remembered bucket only when that row is
+// byte-equal to the one it was decoded from, so a write is seen by the
+// next query and a warm query bills what a cold one does. DRJN folds band delta records into its histogram
 // counts and observed score bounds, so the band walk sees fresh
 // cardinalities and valid pull floors with no offline rebuild. A query
 // issued after a write therefore reflects it on every executor.

@@ -18,8 +18,13 @@ func sevenExecutors() []Algorithm {
 
 func assertTopKFresh(t *testing.T, db *DB, q Query, left, right []Tuple, f ScoreFunc, label string) {
 	t.Helper()
+	assertTopKFreshOn(t, db, q, sevenExecutors(), left, right, f, label)
+}
+
+func assertTopKFreshOn(t *testing.T, db *DB, q Query, algos []Algorithm, left, right []Tuple, f ScoreFunc, label string) {
+	t.Helper()
 	want := refTopK(left, right, f, q.K())
-	for _, algo := range sevenExecutors() {
+	for _, algo := range algos {
 		res, err := db.TopK(q, algo, nil)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", label, algo, err)
@@ -245,6 +250,10 @@ func TestFreshnessOracle(t *testing.T) {
 			}
 			*s.tuples = append((*s.tuples)[:i], (*s.tuples)[i+1:]...)
 		}
+		// BFHM is checked after every write: its indexes answer from the
+		// buckets they decoded for the previous check, so each check reads
+		// warm filters beside one freshly written bucket row.
+		assertTopKFreshOn(t, db, q, []Algorithm{AlgoBFHM}, left, right, Sum, fmt.Sprintf("op%d", op))
 		// Interleave a spot check so divergence is caught near its op,
 		// not only at the end.
 		if op%27 == 26 {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/bloom"
 	"repro/internal/histogram"
@@ -28,6 +29,13 @@ import (
 // re-opens estimation when the exact phase comes up short, which makes
 // the algorithm's recall 100% regardless of Bloom false positives — a
 // property the test suite checks against the naive oracle.
+//
+// The estimation phase reads every bucket row it needs on every query,
+// but decodes a blob and intersects a bucket pair only when the row is
+// not the one it decoded last time: bfhmcache.go keeps decoded buckets
+// and pair estimates per index, valid while the fetched row is byte-equal
+// to the row they came from. Everything a query shares that way is
+// read-only; what a query changes (write-back progress) is in bfhmState.
 
 // BFHM index storage layout (per Fig. 5):
 //
@@ -54,6 +62,11 @@ type BFHMIndex struct {
 	// MBits is the shared single-hash Bloom filter width (every bucket
 	// uses the same width so filters can be intersected).
 	MBits uint64
+
+	// cache holds the buckets this index value has decoded and their pair
+	// estimates (bfhmcache.go). It is not part of the catalog: an index
+	// that is rebuilt, reopened or dropped starts with none.
+	cache atomic.Pointer[bfhmCache]
 }
 
 // BFHMOptions configures index construction.
@@ -266,7 +279,9 @@ func bucketFromKey(key string) (int, error) {
 	return b, nil
 }
 
-// bfhmBucket is a fetched, decoded bucket.
+// bfhmBucket is a fetched, decoded bucket. Once fetchBFHMBucket has
+// returned it, it is shared with every later query that reads the same
+// row and nothing writes to it, its Filter included.
 type bfhmBucket struct {
 	No       int
 	Min, Max float64
@@ -279,9 +294,9 @@ type bfhmBucket struct {
 	// mutQuals lists the replayed mutation record qualifiers (for
 	// write-back purging).
 	mutQuals []string
-	// idx is the index a query fetched the bucket from (lazy write-back
-	// goes back to it).
-	idx *BFHMIndex
+	// id names this decoding of the bucket in pair-estimate keys (zero
+	// for a bucket with no row).
+	id bfhmEntryID
 }
 
 // WriteBackMode selects when reconstructed BFHM blobs are persisted
@@ -310,8 +325,10 @@ type BFHMQueryOptions struct {
 	Parallelism int
 }
 
-// fetchBFHMBucket reads and decodes bucket b, replaying any pending
-// mutation records (insertion/tombstone cells) in timestamp order.
+// fetchBFHMBucket reads bucket b and returns it decoded, with any pending
+// mutation records (insertion/tombstone cells) replayed in timestamp
+// order. The row is read every time; it is decoded only when it differs
+// from the row the index's remembered bucket was decoded from.
 func fetchBFHMBucket(c *kvstore.Cluster, idx *BFHMIndex, b int) (*bfhmBucket, error) {
 	row, err := c.Get(idx.Table, kvstore.BucketKey(b))
 	if err != nil {
@@ -320,6 +337,23 @@ func fetchBFHMBucket(c *kvstore.Cluster, idx *BFHMIndex, b int) (*bfhmBucket, er
 	if row == nil {
 		return &bfhmBucket{No: b, Empty: true}, nil
 	}
+	cache := idx.bucketCache()
+	if bk := cache.bucket(b, row.Cells); bk != nil {
+		return bk, nil
+	}
+	// The decoded bucket outlives this read, so it is decoded from a copy
+	// of the cells that the cache can keep beside it.
+	cells := detachCells(row.Cells)
+	out, err := decodeBFHMBucket(idx, b, cells)
+	if err != nil {
+		return nil, err
+	}
+	return cache.publishBucket(out, cells), nil
+}
+
+// decodeBFHMBucket builds bucket b from the cells of its row: the blob
+// decoded, then the mutation records replayed over it.
+func decodeBFHMBucket(idx *BFHMIndex, b int, cells []kvstore.Cell) (*bfhmBucket, error) {
 	out := &bfhmBucket{No: b, Min: math.Inf(1), Max: math.Inf(-1)}
 	var blob []byte
 	type mut struct {
@@ -329,8 +363,8 @@ func fetchBFHMBucket(c *kvstore.Cluster, idx *BFHMIndex, b int) (*bfhmBucket, er
 		qual string
 	}
 	var muts []mut
-	for i := range row.Cells {
-		cell := &row.Cells[i]
+	for i := range cells {
+		cell := &cells[i]
 		switch {
 		case cell.Qualifier == bfhmBlobQual:
 			blob = cell.Value
@@ -426,7 +460,9 @@ func fetchBFHMBucket(c *kvstore.Cluster, idx *BFHMIndex, b int) (*bfhmBucket, er
 // FetchBucketFilter reads one BFHM bucket and returns its hybrid filter
 // with any pending online mutations replayed (nil when the bucket is
 // empty). The query planner's statistics walk uses it; the read is
-// metered like any other client access.
+// metered like any other client access. The filter is the one the index
+// remembers and hands to every query and walk that reads the same bucket
+// row, concurrent ones included: callers only read it.
 func FetchBucketFilter(c *kvstore.Cluster, idx *BFHMIndex, b int) (*bloom.Hybrid, error) {
 	bk, err := fetchBFHMBucket(c, idx, b)
 	if err != nil {
@@ -439,7 +475,9 @@ func FetchBucketFilter(c *kvstore.Cluster, idx *BFHMIndex, b int) (*bloom.Hybrid
 }
 
 // writeBackBucket persists a reconstructed blob and purges the replayed
-// mutation records in one atomic row mutation (Section 6).
+// mutation records in one atomic row mutation (Section 6). b stays as it
+// is — other queries may hold it; the rewritten row no longer matches it,
+// so the next read decodes the new blob.
 func writeBackBucket(c *kvstore.Cluster, idx *BFHMIndex, b *bfhmBucket) error {
 	if !b.Dirty || b.Filter == nil {
 		return nil
@@ -461,19 +499,14 @@ func writeBackBucket(c *kvstore.Cluster, idx *BFHMIndex, b *bfhmBucket) error {
 		})
 	}
 	//lint:allow maintcheck writes the BFHM index's own bucket table, not a maintained base relation
-	if err := c.MutateRow(idx.Table, cells); err != nil {
-		return err
-	}
-	b.Dirty = false
-	b.mutQuals = nil
-	return nil
+	return c.MutateRow(idx.Table, cells)
 }
 
 // estimatedResult is one row of the Fig. 6(c) estimation table: a joined
 // bucket pair.
 type estimatedResult struct {
 	bucketA, bucketB int
-	bits             []uint64
+	bits             []uint64 // a remembered estimate's Bits, shared: read-only
 	cardinality      float64
 	minScore         float64
 	maxScore         float64
@@ -498,8 +531,15 @@ type bfhmState struct {
 	estOrder []int
 
 	revCache map[revKey][]Tuple
-	dirty    []*bfhmBucket // buckets awaiting lazy write-back
+	dirty    []dirtyBucket // awaiting lazy write-back
 	top      *TopKList
+}
+
+// dirtyBucket is a fetched bucket with replayed mutation records, and the
+// index to write its reconstructed blob back to.
+type dirtyBucket struct {
+	idx *BFHMIndex
+	b   *bfhmBucket
 }
 
 // QueryBFHM runs the two-phase BFHM rank join with the 100%-recall
@@ -531,10 +571,6 @@ func QueryBFHM(c *kvstore.Cluster, t *JoinTree, idxA, idxB *BFHMIndex, opts BFHM
 		}
 		if err := st.reverseMappingPhase(target); err != nil {
 			return nil, err
-		}
-		if bfhmDebug {
-			fmt.Printf("DBG round=%d target=%d fetched=%d nextA=%d nextB=%d est=%d estCard=%.1f top=%d\n",
-				round, target, fetched, st.nextA, st.nextB, len(st.est), st.estCard, st.top.Len())
 		}
 		// Section 5.3 repair checks.
 		if st.top.Len() < t.K && !st.exhausted() {
@@ -578,8 +614,8 @@ func QueryBFHM(c *kvstore.Cluster, t *JoinTree, idxA, idxB *BFHMIndex, opts BFHM
 		break
 	}
 	if opts.WriteBack == WriteBackLazy {
-		for _, b := range st.dirty {
-			if err := writeBackBucket(c, b.idx, b); err != nil {
+		for _, d := range st.dirty {
+			if err := writeBackBucket(c, d.idx, d.b); err != nil {
 				return nil, err
 			}
 		}
@@ -798,7 +834,6 @@ func (st *bfhmState) fetchBucket(idx *BFHMIndex, no int) (*bfhmBucket, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.idx = idx
 	if b.Dirty {
 		switch st.opts.WriteBack {
 		case WriteBackEager:
@@ -806,7 +841,7 @@ func (st *bfhmState) fetchBucket(idx *BFHMIndex, no int) (*bfhmBucket, error) {
 				return nil, err
 			}
 		case WriteBackLazy:
-			st.dirty = append(st.dirty, b)
+			st.dirty = append(st.dirty, dirtyBucket{idx, b})
 		}
 	}
 	return b, nil
@@ -819,6 +854,7 @@ func (st *bfhmState) joinBucketAgainst(nb *bfhmBucket, newIsA bool) error {
 	if !newIsA {
 		others = st.bucketsA
 	}
+	pairs := st.idxA.bucketCache()
 	for _, ob := range others {
 		if ob.Empty {
 			continue
@@ -829,7 +865,7 @@ func (st *bfhmState) joinBucketAgainst(nb *bfhmBucket, newIsA bool) error {
 		} else {
 			a, b = ob, nb
 		}
-		est, err := bloom.EstimateJoin(a.Filter, b.Filter)
+		est, err := pairs.estimate(a, b)
 		if err != nil {
 			return err
 		}
@@ -976,6 +1012,3 @@ func (st *bfhmState) prefetchReverse(cands []*estimatedResult) error {
 	}
 	return fetch(st.idxB, needB)
 }
-
-// bfhmDebug enables repair-loop tracing in tests.
-var bfhmDebug = false
