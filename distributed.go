@@ -15,9 +15,11 @@ import (
 // This file is the distributed front-end: a Distributed handle fronts N
 // region servers (in-process loopback nodes, TCP rjnode processes, or a
 // mix) behind the transport seam, replicating every relation and
-// shipping whole queries to replicas. The single-process DB API stays
-// untouched — Distributed mirrors its shape (DefineRelation, NewQuery,
-// EnsureIndexes, TopK, Stream) so call sites move over mechanically.
+// shipping whole queries to replicas. It builds the same Query values
+// as a DB (the embedded queryBuilder), answers TopK with the same
+// Result and Stream with the same Rows, and its relation handles carry
+// the same maintained writes, so a caller written against that surface
+// — cmd/rjserve is one — holds either store without knowing which.
 
 // NodeSpec names one region server of a distributed topology.
 type NodeSpec struct {
@@ -72,6 +74,7 @@ var ErrUnavailable = transport.ErrUnavailable
 // Distributed fronts a replicated topology of region servers as one
 // logical rank-join store.
 type Distributed struct {
+	queryBuilder
 	router *topology.Router
 	gates  map[string]*transport.Gate // node name → kill switch (StopNode)
 	locals map[string]*DB             // node name → in-process DB (loopback nodes)
@@ -132,6 +135,7 @@ func OpenDistributed(cfg Config) (*Distributed, error) {
 		return fail(err)
 	}
 	d.router = r
+	d.defined = func(name string) bool { return r.ReplicasFor(name) != nil }
 	return d, nil
 }
 
@@ -204,14 +208,7 @@ func (d *Distributed) AggregateCost() sim.Snapshot {
 		if err != nil {
 			continue
 		}
-		c := CostSnapshot(h.Cost)
-		total.SimTime += c.SimTime
-		total.NetworkBytes += c.NetworkBytes
-		total.KVReads += c.KVReads
-		total.KVWrites += c.KVWrites
-		total.RPCCalls += c.RPCCalls
-		total.DiskBytesRead += c.DiskBytesRead
-		total.TuplesShipped += c.TuplesShipped
+		total = total.Add(CostSnapshot(h.Cost))
 	}
 	return total
 }
@@ -233,7 +230,7 @@ func (d *Distributed) DefineRelation(name string) (*DistRelation, error) {
 
 // Relation returns a handle for a defined relation, or nil.
 func (d *Distributed) Relation(name string) *DistRelation {
-	if d.router.ReplicasFor(name) == nil {
+	if !d.defined(name) {
 		return nil
 	}
 	return &DistRelation{d: d, name: name}
@@ -250,6 +247,13 @@ func (r *DistRelation) Name() string { return r.name }
 // every replica, acknowledged at quorum.
 func (r *DistRelation) Insert(rowKey, joinValue string, score float64) error {
 	return r.d.router.Upsert(r.name, transport.TupleData{RowKey: rowKey, JoinValue: joinValue, Score: score})
+}
+
+// Update replaces an existing tuple's join value and score through the
+// same protocol; like RelationHandle.Update it fails if the leader
+// holds no such row.
+func (r *DistRelation) Update(rowKey, joinValue string, score float64) error {
+	return r.d.router.Update(r.name, transport.TupleData{RowKey: rowKey, JoinValue: joinValue, Score: score})
 }
 
 // DeleteKey removes a tuple by row key (no-op when absent).
@@ -279,30 +283,6 @@ func (r *DistRelation) Get(rowKey string) (Tuple, bool, error) {
 		return Tuple{}, false, nil
 	}
 	return tupleOf(t), true, nil
-}
-
-// defined reports whether a relation name is defined on the cluster.
-func (d *Distributed) defined(name string) bool { return d.router.ReplicasFor(name) != nil }
-
-// NewQuery builds a two-way query over two defined relations — the same
-// Query value the single-process API uses, so Explain output, IDs, and
-// page-size semantics carry over.
-func (d *Distributed) NewQuery(left, right string, f ScoreFunc, k int) (Query, error) {
-	return newQuery([]string{left, right}, binaryEdges, f, k, d.defined)
-}
-
-// NewTreeQuery builds a general acyclic tree query over defined
-// relations — the distributed counterpart of DB.NewTreeQuery. Tree
-// queries route, page, and fail over exactly like two-way queries: the
-// same node-pinned tokens, the same deterministic deep-re-run failover.
-func (d *Distributed) NewTreeQuery(relations []string, edges []TreeEdge, f ScoreFunc, k int) (Query, error) {
-	return newQuery(relations, edges, f, k, d.defined)
-}
-
-// NewTreeQueryFromSpec builds a tree query from a decoded spec against
-// the cluster's defined relations.
-func (d *Distributed) NewTreeQueryFromSpec(spec *TreeSpec) (Query, error) {
-	return spec.query(d.defined)
 }
 
 // wireShape renders a query's join shape for the seam: binary equi
@@ -386,11 +366,15 @@ func wireRequest(q Query, algo Algorithm, o QueryOptions) transport.QueryRequest
 	return req
 }
 
-// resultOf converts a wire result back to the public Result shape.
-func resultOf(res *transport.ResultData) *Result {
+// resultOf converts node's wire result back to the public Result shape,
+// pinning its page token (if any) to that node as page number pages.
+func resultOf(res *transport.ResultData, node string, pages int) *Result {
 	out := &Result{
 		Cost:      CostSnapshot(res.Cost),
 		Algorithm: res.Algorithm,
+	}
+	if res.NextPageToken != "" {
+		out.NextPageToken = distToken(node, pages, res.NextPageToken)
 	}
 	for _, r := range res.Results {
 		jr := JoinResult{Left: tupleOf(&r.Left), Right: tupleOf(&r.Right), Score: r.Score}
@@ -410,10 +394,7 @@ func resultOf(res *transport.ResultData) *Result {
 // results are deterministic across replicas, so the caller cannot tell
 // the difference (beyond the re-run's cost).
 func (d *Distributed) TopK(q Query, algo Algorithm, opts *QueryOptions) (*Result, error) {
-	o := QueryOptions{}
-	if opts != nil {
-		o = *opts
-	}
+	o := optionsOf(opts)
 	if o.PageToken != "" {
 		return d.nextDistPage(q, algo, o)
 	}
@@ -421,11 +402,7 @@ func (d *Distributed) TopK(q Query, algo Algorithm, opts *QueryOptions) (*Result
 	if err != nil {
 		return nil, localizeQueryErr(err, o)
 	}
-	out := resultOf(res)
-	if res.NextPageToken != "" {
-		out.NextPageToken = distToken(node, 1, res.NextPageToken)
-	}
-	return out, nil
+	return resultOf(res, node, 1), nil
 }
 
 // localizeQueryErr maps typed wire failures back into the public error
@@ -457,137 +434,102 @@ func (d *Distributed) nextDistPage(q Query, algo Algorithm, o QueryOptions) (*Re
 	req.PageToken = token
 	res, qerr := d.router.QueryOn(node, req)
 	if qerr == nil {
-		out := resultOf(res)
-		if res.NextPageToken != "" {
-			out.NextPageToken = distToken(node, pages+1, res.NextPageToken)
-		}
-		return out, nil
+		return resultOf(res, node, pages+1), nil
 	}
 	// The sticky node is gone (or restarted and lost the cursor): fail
 	// over by re-running deep on a survivor and slicing off the pages
-	// already delivered.
+	// already delivered. A node that still holds the cursor but refuses
+	// the token — it belongs to another query or algorithm — is the
+	// caller's error, exactly as on a DB.
 	var te *transport.Error
-	lostCursor := errors.As(qerr, &te) && te.Kind == transport.KindInternal &&
-		strings.Contains(te.Msg, "page token")
+	lostCursor := errors.As(qerr, &te) && te.Kind == transport.KindLostCursor
 	if !errors.Is(qerr, transport.ErrUnavailable) && !lostCursor {
 		return nil, localizeQueryErr(qerr, o)
 	}
 	k := q.K()
 	deep := q.WithK((pages + 1) * k)
-	dreq := wireRequest(deep, algo, o)
-	dres, survivor, derr := d.router.Query(dreq)
+	dres, survivor, derr := d.router.Query(wireRequest(deep, algo, o))
 	if derr != nil {
 		return nil, localizeQueryErr(derr, o)
 	}
-	out := resultOf(dres)
-	if len(out.Results) > pages*k {
-		out.Results = out.Results[pages*k:]
-	} else {
-		out.Results = nil
-	}
 	// The deep run's cursor continues where this page ends; keep paging
-	// on the survivor.
-	if dres.NextPageToken != "" && len(out.Results) == k {
-		out.NextPageToken = distToken(survivor, pages+1, dres.NextPageToken)
+	// on the survivor — unless the page came back short.
+	out := resultOf(dres, survivor, pages+1)
+	out.Results = out.Results[min(pages*k, len(out.Results)):]
+	if len(out.Results) != k {
+		out.NextPageToken = ""
 	}
 	return out, nil
 }
 
-// DistRows streams one query's results in score order across the
-// topology by pulling pages through the failover paging path: closing
-// mid-stream, node loss, and resumption all reduce to TopK paging.
-// Like Rows, it is not safe for concurrent use.
-type DistRows struct {
-	d      *Distributed
-	q      Query
-	algo   Algorithm
-	opts   QueryOptions
-	buf    []JoinResult
-	i      int
-	token  string
-	res    JoinResult
-	err    error
-	done   bool
-	closed bool
-	algoNm string
-	cost   sim.Snapshot
+// pagedSource draws a stream's results across the topology by pulling
+// pages through TopK's failover paging path: closing mid-stream, node
+// loss, and resumption all reduce to TopK paging. The continuation
+// token lives on the Rows it feeds.
+type pagedSource struct {
+	d     *Distributed
+	q     Query // its k is the pull page size
+	algo  Algorithm
+	opts  QueryOptions
+	rows  *Rows
+	buf   []JoinResult
+	i     int
+	spent sim.Snapshot
 }
 
 // Stream starts a streaming enumeration; the query's k is the pull page
 // size.
-func (d *Distributed) Stream(q Query, algo Algorithm, opts *QueryOptions) (*DistRows, error) {
-	o := QueryOptions{}
-	if opts != nil {
-		o = *opts
-	}
-	r := &DistRows{d: d, q: q, algo: algo, opts: o}
-	if err := r.pull(""); err != nil {
+func (d *Distributed) Stream(q Query, algo Algorithm, opts *QueryOptions) (*Rows, error) {
+	rows := &Rows{}
+	src := &pagedSource{d: d, q: q, algo: algo, opts: optionsOf(opts), rows: rows}
+	rows.src = src
+	if err := src.pull(); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return rows, nil
 }
 
-// pull fetches one page (token "" = first page).
-func (r *DistRows) pull(token string) error {
-	o := r.opts
-	o.PageToken = token
-	res, err := r.d.TopK(r.q, r.algo, &o)
+// pull fetches the page rows.token continues ("" = the first page).
+// MaxReadUnits caps the stream, not each page: a page is shipped with
+// what the pages before it left.
+func (s *pagedSource) pull() error {
+	o := s.opts
+	o.PageToken = s.rows.token
+	if o.MaxReadUnits > 0 {
+		if s.spent.KVReads >= o.MaxReadUnits {
+			return &BudgetExceededError{Limit: o.MaxReadUnits, Spent: s.spent.KVReads}
+		}
+		o.MaxReadUnits -= s.spent.KVReads
+	}
+	res, err := s.d.TopK(s.q, s.algo, &o)
 	if err != nil {
 		return err
 	}
-	r.buf = res.Results
-	r.i = 0
-	r.token = res.NextPageToken
-	r.algoNm = res.Algorithm
-	r.cost.SimTime += res.Cost.SimTime
-	r.cost.NetworkBytes += res.Cost.NetworkBytes
-	r.cost.KVReads += res.Cost.KVReads
-	r.cost.KVWrites += res.Cost.KVWrites
-	r.cost.RPCCalls += res.Cost.RPCCalls
-	r.cost.DiskBytesRead += res.Cost.DiskBytesRead
-	r.cost.TuplesShipped += res.Cost.TuplesShipped
+	s.buf, s.i = res.Results, 0
+	s.rows.token, s.rows.algo = res.NextPageToken, res.Algorithm
+	s.spent = s.spent.Add(res.Cost)
 	return nil
 }
 
-// Next advances to the next result, pulling pages as needed.
-func (r *DistRows) Next() bool {
-	if r.closed || r.done || r.err != nil {
-		return false
-	}
-	if r.i >= len(r.buf) {
-		if r.token == "" {
-			r.done = true
-			return false
+func (s *pagedSource) next() (*JoinResult, error) {
+	if s.i >= len(s.buf) {
+		if s.rows.token == "" {
+			return nil, nil
 		}
-		if err := r.pull(r.token); err != nil {
-			r.err = err
-			return false
+		if err := s.pull(); err != nil {
+			return nil, err
 		}
-		if len(r.buf) == 0 {
-			r.done = true
-			return false
+		if len(s.buf) == 0 {
+			return nil, nil
 		}
 	}
-	r.res = r.buf[r.i]
-	r.i++
-	return true
+	s.i++
+	return &s.buf[s.i-1], nil
 }
 
-// Result returns the row Next advanced to.
-func (r *DistRows) Result() JoinResult { return r.res }
+// cost reports the node-side resources consumed so far.
+func (s *pagedSource) cost() sim.Snapshot { return s.spent }
 
-// Algorithm names the executor serving the stream.
-func (r *DistRows) Algorithm() string { return r.algoNm }
-
-// Err returns the first error the stream hit.
-func (r *DistRows) Err() error { return r.err }
-
-// Cost reports the node-side resources consumed so far.
-func (r *DistRows) Cost() sim.Snapshot { return r.cost }
-
-// Close abandons the stream (any node-side cursor expires from its
+// close abandons the stream (any node-side cursor expires from its
 // cache on its own).
-func (r *DistRows) Close() error {
-	r.closed = true
-	return nil
-}
+func (s *pagedSource) close() error { return nil }

@@ -383,4 +383,37 @@ func TestDistributedPageTokenFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameResults(t, "page 3", page3.Results, deep.Results[2*k:3*k])
+
+	// A token replayed with another algorithm or another query is the
+	// caller's mistake, exactly as on a DB: the node still holds the
+	// cursor and refuses it, and that refusal must reach the caller —
+	// not be mistaken for a lost cursor and papered over by a deep
+	// re-run. (The substring "page token" used to match all three.)
+	fresh := func() string {
+		t.Helper()
+		p, err := d.TopK(dq.WithK(k), AlgoISL, nil)
+		if err != nil || p.NextPageToken == "" {
+			t.Fatalf("fresh first page: token %q, err %v", p.NextPageToken, err)
+		}
+		return p.NextPageToken
+	}
+	tok := fresh()
+	if res, err := d.TopK(dq.WithK(k), AlgoBFHM, &QueryOptions{PageToken: tok}); err == nil {
+		t.Fatalf("ISL token replayed with bfhm was answered (%d rows by %s)", len(res.Results), res.Algorithm)
+	}
+	other, err := d.NewQuery("left", "right", Product, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := d.TopK(other, AlgoISL, &QueryOptions{PageToken: fresh()}); err == nil {
+		t.Fatalf("token replayed with another query was answered (%d rows)", len(res.Results))
+	}
+	// The refused resume consumed the node's cursor (tokens are
+	// single-use), so the same token now names nothing there: that, and
+	// only that, is a lost cursor, and it fails over.
+	again, err := d.TopK(dq.WithK(k), AlgoISL, &QueryOptions{PageToken: tok})
+	if err != nil {
+		t.Fatalf("expired token did not fail over: %v", err)
+	}
+	assertSameResults(t, "page 2 (cursor expired)", again.Results, deep.Results[k:2*k])
 }

@@ -228,6 +228,15 @@
 //	rel.Insert("d1", "apple", 0.9)                // replicated upsert
 //	q, _ := d.NewQuery("docs", "imgs", rankjoin.Sum, 10)
 //	res, _ := d.TopK(q, rankjoin.AlgoAuto, nil)   // ships to one replica
+//	rows, _ := d.Stream(q, rankjoin.AlgoAuto, nil) // *Rows, as from a DB
+//
+// DB and Distributed present one surface: the query constructors exist
+// once (both embed them), TopK answers with the same Result and Stream
+// with the same Rows — a DB's draws from an executor's cursor, a
+// Distributed's draws pages through TopK's failover path, and
+// QueryOptions bound the whole stream either way — and RelationHandle
+// and DistRelation carry the same maintained writes. cmd/rjserve's
+// handlers are written against it and hold either store.
 //
 // Replication is deterministic: the router resolves each upsert at the
 // replica group's leader, stamps one timestamp, and ships the same

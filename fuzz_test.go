@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // fuzzCursor is an inert cursor for exercising the page-token
@@ -13,6 +14,11 @@ type fuzzCursor struct{}
 
 func (fuzzCursor) Next() (*core.JoinResult, error) { return nil, core.ErrCursorClosed }
 func (fuzzCursor) Close() error                    { return nil }
+
+// parkedRows is a stream over an inert cursor, as page() would park it.
+func parkedRows() *Rows {
+	return &Rows{src: &cursorSource{cur: fuzzCursor{}, lane: sim.NewLane(nil)}}
+}
 
 // FuzzPageTokens checks the page-token lifecycle: a put token takes
 // exactly once, unknown tokens fail without panicking, and token text
@@ -24,8 +30,8 @@ func FuzzPageTokens(f *testing.F) {
 	f.Add("NL:R1:R2:10", "pt-")
 	f.Fuzz(func(t *testing.T, queryID, junk string) {
 		cc := newCursorCache()
-		pc := &pagedCursor{cur: fuzzCursor{}, queryID: queryID}
-		token := cc.put(pc)
+		pc := parkedRows()
+		token := cc.put(pc, queryID)
 		if junk != token {
 			if _, err := cc.take(junk); err == nil {
 				t.Fatalf("take(%q) succeeded but only %q was issued", junk, token)
@@ -36,7 +42,7 @@ func FuzzPageTokens(f *testing.F) {
 			t.Fatalf("take of freshly issued token %q failed: %v", token, err)
 		}
 		if got != pc {
-			t.Fatalf("take(%q) returned a different cursor", token)
+			t.Fatalf("take(%q) returned a different stream", token)
 		}
 		if _, err := cc.take(token); err == nil {
 			t.Fatalf("second take of single-use token %q succeeded", token)
@@ -114,7 +120,7 @@ func FuzzCursorCacheEviction(f *testing.F) {
 		tokens := make([]string, 0, count)
 		seen := map[string]bool{}
 		for i := 0; i < count; i++ {
-			tok := cc.put(&pagedCursor{cur: fuzzCursor{}, queryID: queryID})
+			tok := cc.put(parkedRows(), queryID)
 			if seen[tok] {
 				t.Fatalf("token %q issued twice", tok)
 			}

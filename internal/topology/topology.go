@@ -379,30 +379,43 @@ func (r *Router) ReplicasFor(relation string) []string {
 	return append([]string(nil), r.relations[relation]...)
 }
 
-// coveringLocked intersects two replica groups in the left group's
-// order — the nodes able to serve a join of the pair.
-func (r *Router) coveringLocked(left, right string) ([]string, error) {
-	l, ok := r.relations[left]
-	if !ok {
-		return nil, fmt.Errorf("topology: relation %q not defined", left)
+// shapeRelations lists the relations a shipped query joins: the tree's
+// leaves when the request carries one, else the two-way Left/Right.
+func shapeRelations(left, right string, tree *transport.TreeData) []string {
+	if tree != nil {
+		return tree.Relations
 	}
-	rt, ok := r.relations[right]
-	if !ok {
-		return nil, fmt.Errorf("topology: relation %q not defined", right)
-	}
-	rset := make(map[string]bool, len(rt))
-	for _, n := range rt {
-		rset[n] = true
-	}
+	return []string{left, right}
+}
+
+// coveringLocked intersects the relations' replica groups in the first
+// group's order — the nodes able to serve a join of them all.
+func (r *Router) coveringLocked(relations []string) ([]string, error) {
 	var out []string
-	for _, n := range l {
-		if rset[n] {
-			out = append(out, n)
+	for i, rel := range relations {
+		group, ok := r.relations[rel]
+		if !ok {
+			return nil, fmt.Errorf("topology: relation %q not defined", rel)
 		}
+		if i == 0 {
+			out = append(out, group...)
+			continue
+		}
+		in := make(map[string]bool, len(group))
+		for _, n := range group {
+			in[n] = true
+		}
+		kept := out[:0]
+		for _, n := range out {
+			if in[n] {
+				kept = append(kept, n)
+			}
+		}
+		out = kept
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("topology: no node hosts both %q and %q (replication %d of %d nodes); raise Replication",
-			left, right, r.rf, len(r.nodes))
+		return nil, fmt.Errorf("topology: no node hosts all of %q (replication %d of %d nodes); raise Replication",
+			relations, r.rf, len(r.nodes))
 	}
 	return out, nil
 }
@@ -413,7 +426,7 @@ func (r *Router) coveringLocked(left, right string) ([]string, error) {
 func (r *Router) EnsureIndexes(req transport.EnsureRequest) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names, err := r.coveringLocked(req.Left, req.Right)
+	names, err := r.coveringLocked(shapeRelations(req.Left, req.Right, req.Tree))
 	if err != nil {
 		return err
 	}
@@ -500,6 +513,17 @@ func (r *Router) replicate(leader *node, reps []*node, op transport.WriteOp) err
 // Upsert writes one tuple through the replication protocol: resolve at
 // the leader (insert or update), stamp once, replicate, ack at quorum.
 func (r *Router) Upsert(relation string, t transport.TupleData) error {
+	return r.write(relation, t, false)
+}
+
+// Update is Upsert for a row that must already exist: when the leader
+// resolves no current tuple the write fails and nothing is stamped or
+// shipped.
+func (r *Router) Update(relation string, t transport.TupleData) error {
+	return r.write(relation, t, true)
+}
+
+func (r *Router) write(relation string, t transport.TupleData, mustExist bool) error {
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
 	reps, err := r.replicaSet(relation)
@@ -509,6 +533,9 @@ func (r *Router) Upsert(relation string, t transport.TupleData) error {
 	leader, old, err := r.resolveLeader(relation, t.RowKey, reps)
 	if err != nil {
 		return err
+	}
+	if old == nil && mustExist {
+		return fmt.Errorf("topology: relation %q has no row %q to update", relation, t.RowKey)
 	}
 	op := transport.WriteOp{Relation: relation, Kind: transport.OpInsert, New: &t, TS: r.nextTS()}
 	if old != nil {
@@ -594,8 +621,9 @@ func (r *Router) Get(relation, rowKey string) (*transport.TupleData, error) {
 // caller pins follow-up pages with QueryOn. Only when every covering
 // replica fails does the caller see a *NoReplicaError.
 func (r *Router) Query(req transport.QueryRequest) (*transport.ResultData, string, error) {
+	rels := shapeRelations(req.Left, req.Right, req.Tree)
 	r.mu.Lock()
-	names, err := r.coveringLocked(req.Left, req.Right)
+	names, err := r.coveringLocked(rels)
 	start := int(r.rr)
 	r.rr++
 	r.mu.Unlock()
@@ -626,7 +654,7 @@ func (r *Router) Query(req transport.QueryRequest) (*transport.ResultData, strin
 			return res, nd.name, nil
 		}
 	}
-	return nil, "", &NoReplicaError{Op: "topk", Relation: req.Left + "+" + req.Right, Tried: tried, Errs: errs}
+	return nil, "", &NoReplicaError{Op: "topk", Relation: strings.Join(rels, "+"), Tried: tried, Errs: errs}
 }
 
 // QueryOn pins one execution to a named node — the sticky dispatch for

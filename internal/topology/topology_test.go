@@ -338,6 +338,53 @@ func TestReplicatedWritesAreIdentical(t *testing.T) {
 	}
 }
 
+// TestUpdateMustFindTheRow: Update is Upsert for a row the leader
+// holds; on an absent row it fails before anything is stamped, so no
+// replica sees a write.
+func TestUpdateMustFindTheRow(t *testing.T) {
+	r, fakes := cluster3(t)
+	if err := r.Update("part", transport.TupleData{RowKey: "ghost", JoinValue: "j", Score: 0.5}); err == nil {
+		t.Fatal("update of an absent row succeeded")
+	}
+	for _, f := range fakes {
+		if got := tableRows(f, "rel_part"); len(got) != 0 {
+			t.Fatalf("%s holds %v after a refused update", f.name, got)
+		}
+	}
+	if err := r.Upsert("part", transport.TupleData{RowKey: "a", JoinValue: "j", Score: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Update("part", transport.TupleData{RowKey: "a", JoinValue: "j2", Score: 0.9}); err != nil {
+		t.Fatalf("update of a live row: %v", err)
+	}
+	assertReplicasEqual(t, fakes, "rel_part")
+	got, err := r.Get("part", "a")
+	if err != nil || got == nil || got.JoinValue != "j2" {
+		t.Fatalf("after update Get = %+v, %v", got, err)
+	}
+}
+
+// TestTreeQueryRoutesByItsLeaves: a request carrying a tree shape names
+// its relations there, not in Left/Right; dispatch and index builds
+// must cover exactly those.
+func TestTreeQueryRoutesByItsLeaves(t *testing.T) {
+	r, _ := cluster3(t)
+	if err := r.DefineRelation("orders"); err != nil {
+		t.Fatal(err)
+	}
+	tree := &transport.TreeData{Relations: []string{"part", "orders"}}
+	if err := r.EnsureIndexes(transport.EnsureRequest{Tree: tree, Algos: []string{"anyk"}}); err != nil {
+		t.Fatalf("EnsureIndexes on a tree shape: %v", err)
+	}
+	if _, _, err := r.Query(transport.QueryRequest{Tree: tree, K: 1}); err != nil {
+		t.Fatalf("Query on a tree shape: %v", err)
+	}
+	tree.Relations = append(tree.Relations, "nowhere")
+	if _, _, err := r.Query(transport.QueryRequest{Tree: tree, K: 1}); err == nil {
+		t.Fatal("tree naming an undefined relation was dispatched")
+	}
+}
+
 func TestQuorumWriteSurvivesOneNodeDown(t *testing.T) {
 	r, fakes := cluster3(t)
 	fakes[2].setDown(true)

@@ -44,6 +44,11 @@ const (
 	// KindBudget marks a query that exhausted its MaxReadUnits spend
 	// cap node-side; retrying elsewhere would just spend it again.
 	KindBudget = "budget_exhausted"
+	// KindLostCursor marks a follow-up page whose token names no cursor
+	// on the node (expired, already taken, or lost with a restart). The
+	// router re-runs the query on a survivor; a token the node still
+	// holds but refuses stays KindInternal and reaches the caller.
+	KindLostCursor = "lost_cursor"
 	// KindInternal marks all other node-side failures.
 	KindInternal = "internal"
 )

@@ -132,6 +132,11 @@ func wrapNodeErr(err error) error {
 	if errors.As(err, &be) {
 		return &transport.Error{Kind: transport.KindBudget, Msg: err.Error()}
 	}
+	// A page token naming no cursor here is the one page failure the
+	// router may answer by re-running the query elsewhere.
+	if errors.Is(err, errUnknownPageToken) {
+		return &transport.Error{Kind: transport.KindLostCursor, Msg: err.Error()}
+	}
 	return &transport.Error{Kind: transport.KindInternal, Msg: err.Error()}
 }
 

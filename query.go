@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/kvstore"
 	"repro/internal/plan"
 	"repro/internal/sim"
 )
@@ -53,13 +52,34 @@ func newQuery(relations []string, edges []TreeEdge, f ScoreFunc, k int, defined 
 // between leaves 0 and 1.
 var binaryEdges = []TreeEdge{{A: 0, B: 1, Kind: PredEqui}}
 
-// defined reports whether a relation name is defined on this DB.
-func (db *DB) defined(name string) bool { return db.Relation(name) != nil }
+// queryBuilder builds Query values over the relations its store has
+// defined. DB and Distributed embed one, so NewQuery, NewTreeQuery and
+// NewTreeQueryFromSpec exist once and give both stores the same Query
+// values — Explain output, IDs and page-size semantics carry over.
+type queryBuilder struct {
+	// defined reports whether the store has a relation by that name.
+	defined func(name string) bool
+}
 
 // NewQuery builds a query joining two defined relations on their join
 // attributes, ranking by the monotonic aggregate f, keeping k results.
-func (db *DB) NewQuery(left, right string, f ScoreFunc, k int) (Query, error) {
-	return newQuery([]string{left, right}, binaryEdges, f, k, db.defined)
+func (b *queryBuilder) NewQuery(left, right string, f ScoreFunc, k int) (Query, error) {
+	return newQuery([]string{left, right}, binaryEdges, f, k, b.defined)
+}
+
+// NewTreeQuery builds a query over an acyclic join tree: relations are
+// the leaves, edges the join predicates (indices into relations), f the
+// monotonic aggregate over all leaf scores, k the result target. The
+// tree must be connected and acyclic — exactly len(relations)-1 edges —
+// or a *ShapeError is returned.
+func (b *queryBuilder) NewTreeQuery(relations []string, edges []TreeEdge, f ScoreFunc, k int) (Query, error) {
+	return newQuery(relations, edges, f, k, b.defined)
+}
+
+// NewTreeQueryFromSpec builds a tree query from a decoded spec against
+// the store's defined relations.
+func (b *queryBuilder) NewTreeQueryFromSpec(spec *TreeSpec) (Query, error) {
+	return spec.query(b.defined)
 }
 
 // WithK derives a query with a different k (indexes are shared; the
@@ -197,117 +217,149 @@ func (db *DB) Explain(q Query, opts *ExplainOptions) (*Plan, error) {
 // Pagination: when exactly k results come back, Result.NextPageToken
 // resumes the query where it stopped — pass it through
 // QueryOptions.PageToken (with the same query) and the next k results
-// are drained from the retained cursor, paying marginal cost for
+// are drained from the retained stream, paying marginal cost for
 // incremental executors (ISL, DRJN) instead of a from-scratch rerun.
 // Tokens are single-use; each page hands out a fresh one.
 //
 // TopK is safe for concurrent callers sharing one DB: each execution
 // meters a private per-query collector (so Result.Cost never includes a
-// concurrent query's work) and folds its totals back into the DB-wide
-// Metrics when it completes.
+// concurrent query's work) and folds its clock into the DB-wide Metrics
+// as it goes.
 func (db *DB) TopK(q Query, algo Algorithm, opts *QueryOptions) (*Result, error) {
-	o := QueryOptions{}
-	if opts != nil {
-		o = *opts
-	}
-	o = o.withDefaults()
+	o := optionsOf(opts).withDefaults()
 	if o.PageToken != "" {
-		return db.nextPage(q, algo, o)
-	}
-	// Per-query metrics lane: resource counters forward to the DB-wide
-	// collector as they accrue; the query's clock stays isolated and is
-	// folded in once, below, keeping the global clock a cumulative
-	// busy-time total even when queries overlap.
-	qm := sim.NewLane(db.cluster.Metrics())
-	qc := db.cluster.WithMetrics(qm)
-	res, cur, budget, err := db.topKOn(qc, q, algo, o)
-	if err != nil {
-		db.cluster.Metrics().Advance(qm.SimTime())
-		return nil, err
-	}
-	db.cluster.Metrics().Advance(res.Cost.SimTime)
-	db.stashOrClose(res, cur, qm, q, budget)
-	return res, nil
-}
-
-// stashOrClose retains the drained cursor behind a fresh page token
-// when more results may exist (the page came back full), else closes
-// it.
-func (db *DB) stashOrClose(res *Result, cur core.Cursor, lane *sim.Metrics, q Query, budget *core.Budget) {
-	if len(res.Results) == q.K() && q.K() > 0 {
-		res.NextPageToken = db.cursors.put(&pagedCursor{
-			cur:     cur,
-			lane:    lane,
-			algo:    res.Algorithm,
-			queryID: q.ID(),
-			folded:  lane.SimTime(),
-			budget:  budget,
-		})
-		return
-	}
-	_ = cur.Close()
-}
-
-// nextPage resumes a paged query from its retained cursor.
-func (db *DB) nextPage(q Query, algo Algorithm, o QueryOptions) (*Result, error) {
-	pc, err := db.cursors.take(o.PageToken)
-	if err != nil {
-		return nil, err
-	}
-	if pc.queryID != q.ID() {
-		_ = pc.cur.Close()
-		return nil, fmt.Errorf("rankjoin: page token belongs to query %s, not %s", pc.queryID, q.ID())
-	}
-	if algo != AlgoAuto && string(algo) != pc.algo {
-		_ = pc.cur.Close()
-		return nil, fmt.Errorf("rankjoin: page token was produced by %s, not %s", pc.algo, algo)
-	}
-	// This page runs under the resuming request's bounds, not the
-	// (possibly long-dead) context of the request that opened the
-	// cursor — an HTTP caller's first request context is canceled the
-	// moment its response is written.
-	pc.budget.Rebind(o.Context, o.Deadline, o.MaxReadUnits)
-	before := pc.lane.Snapshot()
-	results, err := drainCursor(pc.cur, q.K())
-	if err != nil {
-		// Fold the failed page's accrued clock time like every other
-		// error path, so DB-wide SimTime stays consistent with the
-		// resource counters that already forwarded.
-		if d := pc.lane.SimTime() - pc.folded; d > 0 {
-			db.cluster.Metrics().Advance(d)
+		rows, err := db.resume(q, algo, o)
+		if err != nil {
+			return nil, err
 		}
-		_ = pc.cur.Close()
+		return db.page(rows, q, rows.Cost())
+	}
+	rows, p, err := db.open(q, algo, o, false)
+	if err != nil {
+		return nil, err
+	}
+	// A first page bills everything on the stream's lane, the planner's
+	// statistics reads included; Result.PlannerCost reports their share.
+	res, err := db.page(rows, q, sim.Snapshot{})
+	if err == nil && p != nil {
+		est := p.ChosenEstimate()
+		res.Estimate = &est
+		res.PlannerCost = p.PlannerCost
+	}
+	return res, err
+}
+
+// optionsOf copies the caller's options (nil means none).
+func optionsOf(opts *QueryOptions) QueryOptions {
+	if opts == nil {
+		return QueryOptions{}
+	}
+	return *opts
+}
+
+// open starts one execution of q as a stream, for TopK's first page and
+// for Stream. It chooses the executor (AlgoAuto asks the planner, which
+// ranks for deep enumeration when stream is set; a hand-picked one is
+// checked against the tree's shape before any work is spent) and opens
+// its cursor on a private metrics lane: resource counters forward to
+// the DB-wide collector as they accrue, while the query's clock stays
+// isolated and is folded in by the stream, so the global clock remains
+// a busy-time total when queries overlap. One Budget serves the
+// planner, the executor's per-result checks and, through the guarded
+// view, every metered RPC underneath.
+func (db *DB) open(q Query, algo Algorithm, o QueryOptions, stream bool) (*Rows, *plan.Plan, error) {
+	lane := sim.NewLane(db.cluster.Metrics())
+	eo := o.execOptions()
+	c := eo.Budget.GuardedView(db.cluster.WithMetrics(lane))
+	var ex core.Executor
+	var p *plan.Plan
+	var err error
+	if algo == AlgoAuto {
+		ex, p, err = plan.Choose(c, q.t, db.store, plan.Options{
+			Objective: o.Objective,
+			Exec:      eo,
+			Cache:     db.planCache,
+			Stream:    stream,
+		})
+	} else if ex, err = executorFor(algo); err == nil {
+		err = checkShape(ex, q.t)
+	}
+	var cur core.Cursor
+	if err == nil {
+		cur, err = ex.Open(c, q.t, db.store, eo)
+	}
+	if err != nil {
+		// No stream exists to fold what planning or the failed open
+		// spent; the resource counters already forwarded.
+		db.cluster.Metrics().Advance(lane.SimTime())
+		return nil, nil, err
+	}
+	rows := &Rows{
+		cursor: cursorSource{cur: cur, lane: lane},
+		total:  db.cluster.Metrics(),
+		budget: eo.Budget,
+		algo:   ex.Name(),
+	}
+	rows.src = &rows.cursor
+	rows.fold()
+	return rows, p, nil
+}
+
+// resume takes the stream parked behind o.PageToken and puts it under
+// the resuming request's bounds, not the (possibly long-dead) context
+// of the request that opened it — an HTTP caller's first request
+// context is canceled the moment its response is written.
+func (db *DB) resume(q Query, algo Algorithm, o QueryOptions) (*Rows, error) {
+	rows, err := db.cursors.take(o.PageToken)
+	if err != nil {
+		return nil, err
+	}
+	if rows.queryID != q.ID() {
+		_ = rows.Close()
+		return nil, fmt.Errorf("rankjoin: page token belongs to query %s, not %s", rows.queryID, q.ID())
+	}
+	if algo != AlgoAuto && string(algo) != rows.algo {
+		_ = rows.Close()
+		return nil, fmt.Errorf("rankjoin: page token was produced by %s, not %s", rows.algo, algo)
+	}
+	rows.budget.Rebind(o.Context, o.Deadline, o.MaxReadUnits)
+	return rows, nil
+}
+
+// page drains one page of q's k results from an open stream, billing
+// what the stream spent since before, then parks the stream behind a
+// fresh page token when more results may exist (the page came back
+// full) and closes it otherwise.
+func (db *DB) page(rows *Rows, q Query, before sim.Snapshot) (*Result, error) {
+	k := q.K()
+	results, err := rows.drain(k)
+	if err != nil {
+		_ = rows.Close()
 		return nil, attachPartials(err, results)
 	}
 	res := &Result{
 		Results:   results,
-		Cost:      pc.lane.Snapshot().Sub(before),
-		Algorithm: pc.algo,
+		Cost:      rows.Cost().Sub(before),
+		Algorithm: rows.algo,
 	}
-	// Fold only this page's clock progress into the DB-wide metrics.
-	if d := pc.lane.SimTime() - pc.folded; d > 0 {
-		db.cluster.Metrics().Advance(d)
-		pc.folded += d
+	if len(results) == k && k > 0 {
+		res.NextPageToken = db.cursors.put(rows, q.ID())
+	} else {
+		_ = rows.Close()
 	}
-	db.stashOrClose(res, pc.cur, pc.lane, q, pc.budget)
 	return res, nil
 }
 
-// drainCursor pulls up to k results. On error the results collected so
-// far come back with it, so cancellation can surface them as partials.
-func drainCursor(cur core.Cursor, k int) ([]JoinResult, error) {
-	out := make([]JoinResult, 0, k)
-	for len(out) < k {
-		r, err := cur.Next()
-		if err != nil {
-			return out, err
-		}
-		if r == nil {
-			break
-		}
-		out = append(out, *r)
-	}
-	return out, nil
+// Stream starts a streaming execution of q. The query's k acts only as
+// a page-size hint for batch-shaped executors (and the planner); the
+// stream itself yields results until the join is exhausted or the
+// caller closes it. AlgoAuto plans with deep enumeration in mind: the
+// planner ranks executors by the predicted cost of a multi-page
+// enumeration (charging materializing executors their re-runs), so it
+// can pick differently here than for a bounded TopK.
+func (db *DB) Stream(q Query, algo Algorithm, opts *QueryOptions) (*Rows, error) {
+	rows, _, err := db.open(q, algo, optionsOf(opts).withDefaults(), true)
+	return rows, err
 }
 
 // attachPartials records the results collected before a budget or
@@ -323,63 +375,4 @@ func attachPartials(err error, partial []JoinResult) error {
 		be.Partial = partial
 	}
 	return err
-}
-
-// topKOn dispatches the query on the given cluster view, returning the
-// result plus the still-open cursor that produced it (for pagination)
-// and the budget the cursor runs under (for per-page rebinding; nil
-// when the query is unbounded).
-func (db *DB) topKOn(c *kvstore.Cluster, q Query, algo Algorithm, o QueryOptions) (*Result, core.Cursor, *core.Budget, error) {
-	// One ExecOptions (and so one Budget) for the whole query: the same
-	// instance drives the executor's per-result checks and, via the
-	// guarded view, every metered RPC underneath — scans, index builds,
-	// MapReduce tasks.
-	eo := o.execOptions()
-	c = eo.Budget.GuardedView(c)
-	var ex core.Executor
-	var p *plan.Plan
-	var err error
-	if algo == AlgoAuto {
-		// The planner's statistics reads are charged to the same
-		// per-query lane as the execution, so Result.Cost covers the
-		// whole planned query; the planning share is reported
-		// separately in Result.PlannerCost.
-		ex, p, err = plan.Choose(c, q.t, db.store, plan.Options{
-			Objective: o.Objective,
-			Exec:      eo,
-			Cache:     db.planCache,
-		})
-	} else {
-		ex, err = executorFor(algo)
-		if err == nil {
-			err = checkShape(ex, q.t)
-		}
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	before := c.Metrics().Snapshot()
-	cur, err := ex.Open(c, q.t, db.store, eo)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	results, err := drainCursor(cur, q.K())
-	if err != nil {
-		_ = cur.Close()
-		return nil, nil, nil, attachPartials(err, results)
-	}
-	res := &Result{
-		Results:   results,
-		Cost:      c.Metrics().Snapshot().Sub(before),
-		Algorithm: ex.Name(),
-	}
-	if p != nil {
-		est := p.ChosenEstimate()
-		res.Estimate = &est
-		res.PlannerCost = p.PlannerCost
-		// The planner's reads accrued on the same lane before the
-		// cursor's cost delta started; fold them into the total.
-		res.Cost = res.Cost.Add(p.PlannerCost)
-	}
-	return res, cur, eo.Budget, nil
 }

@@ -247,6 +247,7 @@ type ExplainOptions struct {
 
 // DB is a handle to an embedded NoSQL cluster with rank-join support.
 type DB struct {
+	queryBuilder
 	mu        sync.Mutex
 	cluster   *kvstore.Cluster
 	relations map[string]*RelationHandle // guarded by: mu
@@ -258,7 +259,7 @@ type DB struct {
 	// planCache memoizes the planner's statistics walks per (query, k)
 	// until the input tables change.
 	planCache *plan.Cache
-	// cursors retains paused query cursors between pages, keyed by
+	// cursors retains parked query streams between pages, keyed by
 	// page token (see QueryOptions.PageToken).
 	cursors *cursorCache
 	idxCfg  IndexConfig // guarded by: mu
@@ -282,18 +283,24 @@ func Open(cfg Config) (*DB, error) {
 
 // newDB assembles a DB around an existing cluster (fresh or recovered).
 func newDB(cluster *kvstore.Cluster) *DB {
-	return &DB{
+	db := &DB{
 		cluster:   cluster,
 		relations: map[string]*RelationHandle{},
 		store:     core.NewIndexStore(),
 		planCache: plan.NewCache(),
 		cursors:   newCursorCache(),
 	}
+	db.defined = func(name string) bool { return db.Relation(name) != nil }
+	return db
 }
 
 // Metrics returns the DB's metric collector (cumulative across all
 // operations; use Snapshot/Sub or the per-query Result.Cost for deltas).
 func (db *DB) Metrics() *Metrics { return db.cluster.Metrics() }
+
+// AggregateCost reports the resources the DB has consumed so far, under
+// the name Distributed reports its nodes' sum by.
+func (db *DB) AggregateCost() sim.Snapshot { return db.cluster.Metrics().Snapshot() }
 
 // Cluster exposes the underlying store for advanced use (examples and
 // the bench harness inspect region layouts and table sizes through it).

@@ -1,19 +1,21 @@
 package rankjoin
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/plan"
 	"repro/internal/sim"
 )
 
-// This file is the public streaming surface: DB.Stream returns a Rows
-// iterator that enumerates join results in score order without fixing k
-// up front, and the cursor cache behind page tokens lets TopK's "next
-// k" resume bounded state instead of re-running the query.
+// This file is the one result stream: Rows enumerates a query's results
+// in score order without fixing k up front, whichever store opened it,
+// and the cursor cache behind page tokens parks a Rows between TopK
+// pages so "next k" resumes bounded state instead of re-running the
+// query.
 
 // Rows streams the results of one query in descending score order.
 // Iterate with Next/Result, check Err afterwards, and Close when done
@@ -27,77 +29,65 @@ import (
 //	}
 //	if rows.Err() != nil { ... }
 //
-// Rows is not safe for concurrent use. Like TopK, each stream meters a
-// private per-query collector; Cost reports what the stream has
-// consumed so far, and the simulated clock folds into the DB-wide
-// metrics as results are pulled.
+// DB.Stream and Distributed.Stream both return one. Rows is not safe
+// for concurrent use. Cost reports what the stream has consumed so far;
+// a DB's stream meters a private per-query collector and folds its
+// simulated clock into the DB-wide metrics as results are pulled.
 type Rows struct {
-	db     *DB
-	cur    core.Cursor
-	lane   *Metrics
+	src rowSource
+	// cursor is what src points at in a DB's stream, held inline so
+	// that opening one costs a single allocation.
+	cursor cursorSource
+	// total is the collector the stream's clock folds into; nil for a
+	// Distributed's stream, whose nodes each fold the pages they serve.
+	total  *Metrics
+	folded time.Duration
+	// budget is the bound instance a DB's cursor runs under (nil when
+	// it was opened unbounded); each resumed TopK page rebinds it to
+	// its own request's context, deadline and read-unit cap.
+	budget *core.Budget
 	algo   string
+	// queryID names the query a parked stream resumes (set on parking).
+	queryID string
+	// token continues a Distributed's stream: the page token its source
+	// pulls the next page with ("" once the last page is in hand).
+	token  string
 	res    JoinResult
 	err    error
 	done   bool
 	closed bool
-	folded time.Duration
 }
 
-// Stream starts a streaming execution of q. The query's k acts only as
-// a page-size hint for batch-shaped executors (and the planner); the
-// stream itself yields results until the join is exhausted or the
-// caller closes it. AlgoAuto plans with deep enumeration in mind: the
-// planner ranks executors by the predicted cost of a multi-page
-// enumeration (charging materializing executors their re-runs), so it
-// can pick differently here than for a bounded TopK.
-func (db *DB) Stream(q Query, algo Algorithm, opts *QueryOptions) (*Rows, error) {
-	o := QueryOptions{}
-	if opts != nil {
-		o = *opts
-	}
-	o = o.withDefaults()
-	qm := sim.NewLane(db.cluster.Metrics())
-	qc := db.cluster.WithMetrics(qm)
-	// One budget for the stream's lifetime: enforced per pulled result
-	// and, via the guarded view, inside every metered RPC.
-	eo := o.execOptions()
-	qc = eo.Budget.GuardedView(qc)
-
-	var ex core.Executor
-	var err error
-	if algo == AlgoAuto {
-		ex, _, err = plan.Choose(qc, q.t, db.store, plan.Options{
-			Objective: o.Objective,
-			Exec:      eo,
-			Cache:     db.planCache,
-			Stream:    true,
-		})
-	} else {
-		ex, err = executorFor(algo)
-		if err == nil {
-			err = checkShape(ex, q.t)
-		}
-	}
-	if err != nil {
-		db.cluster.Metrics().Advance(qm.SimTime())
-		return nil, err
-	}
-	cur, err := ex.Open(qc, q.t, db.store, eo)
-	if err != nil {
-		db.cluster.Metrics().Advance(qm.SimTime())
-		return nil, err
-	}
-	rows := &Rows{db: db, cur: cur, lane: qm, algo: ex.Name()}
-	rows.fold()
-	return rows, nil
+// rowSource is where a Rows draws its results: a cursor on a metered
+// lane (DB) or pages pulled through the failover paging path
+// (Distributed).
+type rowSource interface {
+	// next returns the next result in score order, nil at exhaustion.
+	next() (*JoinResult, error)
+	// cost reports the resources consumed so far.
+	cost() sim.Snapshot
+	close() error
 }
 
-// fold advances the DB-wide clock by the lane time not yet folded, so
-// cumulative metrics stay live while a stream is open. Resource
+// cursorSource is an executor's cursor and the per-query lane it bills.
+type cursorSource struct {
+	cur  core.Cursor
+	lane *Metrics
+}
+
+func (s *cursorSource) next() (*JoinResult, error) { return s.cur.Next() }
+func (s *cursorSource) cost() sim.Snapshot         { return s.lane.Snapshot() }
+func (s *cursorSource) close() error               { return s.cur.Close() }
+
+// fold advances the DB-wide clock by the stream's time not yet folded,
+// so cumulative metrics stay live while a stream is open. Resource
 // counters forward to the parent collector on their own.
 func (r *Rows) fold() {
-	if d := r.lane.SimTime() - r.folded; d > 0 {
-		r.db.cluster.Metrics().Advance(d)
+	if r.total == nil {
+		return
+	}
+	if d := r.src.cost().SimTime - r.folded; d > 0 {
+		r.total.Advance(d)
 		r.folded += d
 	}
 }
@@ -108,7 +98,7 @@ func (r *Rows) Next() bool {
 	if r.closed || r.done || r.err != nil {
 		return false
 	}
-	jr, err := r.cur.Next()
+	jr, err := r.src.next()
 	r.fold()
 	if err != nil {
 		r.err = err
@@ -122,6 +112,16 @@ func (r *Rows) Next() bool {
 	return true
 }
 
+// drain pulls up to k results. On error the results collected so far
+// come back with it, so cancellation can surface them as partials.
+func (r *Rows) drain(k int) ([]JoinResult, error) {
+	out := make([]JoinResult, 0, k)
+	for len(out) < k && r.Next() {
+		out = append(out, r.res)
+	}
+	return out, r.err
+}
+
 // Result returns the row Next advanced to.
 func (r *Rows) Result() JoinResult { return r.res }
 
@@ -132,59 +132,55 @@ func (r *Rows) Algorithm() string { return r.algo }
 func (r *Rows) Err() error { return r.err }
 
 // Cost reports the resources this stream has consumed so far.
-func (r *Rows) Cost() sim.Snapshot { return r.lane.Snapshot() }
+func (r *Rows) Cost() sim.Snapshot { return r.src.cost() }
 
 // Close releases the stream. Further Next calls return false and no
-// further read units accrue.
+// further read units accrue. A Distributed's stream leaves any
+// node-side cursor to expire from that node's cache.
 func (r *Rows) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
 	r.fold()
-	return r.cur.Close()
+	return r.src.close()
 }
 
 // ---- Page-token cursor cache ----
 
-// maxCachedCursors bounds how many paused page cursors a DB retains;
-// past it the least recently issued token expires (its cursor closes).
+// maxCachedCursors bounds how many parked streams a DB retains; past it
+// the least recently issued token expires (its stream closes).
 const maxCachedCursors = 64
 
-// pagedCursor is one paused bounded execution awaiting its next page.
-type pagedCursor struct {
-	cur     core.Cursor
-	lane    *Metrics
-	algo    string
-	queryID string
-	folded  time.Duration
-	// budget is the query's shared bound instance (nil when the cursor
-	// was opened unbounded); each resuming page rebinds it to its own
-	// request's context, deadline, and read-unit cap.
-	budget *core.Budget
-}
+// errUnknownPageToken marks the one page-token failure a Distributed
+// may answer by re-running the query on another node: the cursor is
+// gone (evicted, already taken, or lost with a restart). A token that
+// names a live cursor of another query or algorithm is the caller's
+// mistake and stays an error.
+var errUnknownPageToken = errors.New("unknown or expired page token")
 
-// cursorCache maps single-use page tokens to paused cursors.
+// cursorCache maps single-use page tokens to parked streams.
 type cursorCache struct {
 	mu      sync.Mutex
-	entries map[string]*pagedCursor // guarded by: mu
-	order   []string                // issue order, oldest first; guarded by: mu
-	nextID  uint64                  // guarded by: mu
+	entries map[string]*Rows // guarded by: mu
+	order   []string         // issue order, oldest first; guarded by: mu
+	nextID  uint64           // guarded by: mu
 }
 
 func newCursorCache() *cursorCache {
-	return &cursorCache{entries: map[string]*pagedCursor{}}
+	return &cursorCache{entries: map[string]*Rows{}}
 }
 
-// put stashes a paused cursor and returns its (fresh) token, evicting
-// the oldest entry past capacity.
-func (cc *cursorCache) put(pc *pagedCursor) string {
+// put parks a stream of the named query and returns its (fresh) token,
+// evicting the oldest entry past capacity.
+func (cc *cursorCache) put(rows *Rows, queryID string) string {
+	rows.queryID = queryID
 	cc.mu.Lock()
 	cc.nextID++
-	token := fmt.Sprintf("pt-%x-%s", cc.nextID, pc.queryID)
-	cc.entries[token] = pc
+	token := "pt-" + strconv.FormatUint(cc.nextID, 16) + "-" + queryID
+	cc.entries[token] = rows
 	cc.order = append(cc.order, token)
-	var evicted []*pagedCursor
+	var evicted []*Rows
 	for len(cc.entries) > maxCachedCursors && len(cc.order) > 0 {
 		oldest := cc.order[0]
 		cc.order = cc.order[1:]
@@ -195,19 +191,19 @@ func (cc *cursorCache) put(pc *pagedCursor) string {
 	}
 	cc.mu.Unlock()
 	for _, e := range evicted {
-		_ = e.cur.Close()
+		_ = e.Close()
 	}
 	return token
 }
 
-// take removes and returns the cursor behind a token. Tokens are
+// take removes and returns the stream behind a token. Tokens are
 // single-use: a second take of the same token fails.
-func (cc *cursorCache) take(token string) (*pagedCursor, error) {
+func (cc *cursorCache) take(token string) (*Rows, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	pc, ok := cc.entries[token]
+	rows, ok := cc.entries[token]
 	if !ok {
-		return nil, fmt.Errorf("rankjoin: unknown or expired page token %q", token)
+		return nil, fmt.Errorf("rankjoin: %w %q", errUnknownPageToken, token)
 	}
 	delete(cc.entries, token)
 	// Drop the token from the issue-order list too: the steady-state
@@ -219,5 +215,5 @@ func (cc *cursorCache) take(token string) (*pagedCursor, error) {
 			break
 		}
 	}
-	return pc, nil
+	return rows, nil
 }

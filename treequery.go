@@ -38,15 +38,6 @@ const (
 	PredBand = core.PredBand
 )
 
-// NewTreeQuery builds a query over an acyclic join tree: relations are
-// the leaves, edges the join predicates (indices into relations), f the
-// monotonic aggregate over all leaf scores, k the result target. The
-// tree must be connected and acyclic — exactly len(relations)-1 edges —
-// or a *ShapeError is returned.
-func (db *DB) NewTreeQuery(relations []string, edges []TreeEdge, f ScoreFunc, k int) (Query, error) {
-	return newQuery(relations, edges, f, k, db.defined)
-}
-
 // ---- JSON tree-query shape (the HTTP server's wire form) ----
 
 // TreeEdgeSpec is the JSON form of one tree edge.
@@ -141,10 +132,4 @@ func ParseTreeSpec(data []byte) (*TreeSpec, error) {
 	}
 	spec.K = q.K()
 	return &spec, nil
-}
-
-// NewTreeQueryFromSpec builds a tree query from a decoded spec against
-// this DB's defined relations.
-func (db *DB) NewTreeQueryFromSpec(spec *TreeSpec) (Query, error) {
-	return spec.query(db.defined)
 }
