@@ -3,6 +3,7 @@ package rankjoin_test
 import (
 	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 
 	rankjoin "repro"
@@ -15,7 +16,9 @@ import (
 // the hash-map hybrid filter of PR 15. The filter's in-memory form, the
 // intersection and the k'th-estimate bookkeeping are not allowed to
 // change what BFHM fetches or returns; any drift here is a diff to
-// explain, not to re-pin.
+// explain, not to re-pin. The pins were cut in memory mode: time= and
+// disk= depend on the storage mode (a disk-backed cluster bills measured
+// block reads), so a disk-backed run compares every other field.
 var bfhmPins = map[string]string{
 	"q1/topk/k=1":     "b4879ecf3d956c5e time=30.019285ms net=7442B kvReads=71 kvWrites=0 rpc=40 disk=4722B shipped=0",
 	"q1/stream/k=1":   "b4879ecf3d956c5e time=6.015127ms net=7442B kvReads=71 kvWrites=0 rpc=40 disk=0B shipped=0",
@@ -31,6 +34,17 @@ var bfhmPins = map[string]string{
 	"q2/stream/k=100": "26798a154bdae8d0 time=23.377182ms net=70137B kvReads=560 kvWrites=0 rpc=155 disk=0B shipped=0",
 }
 
+// modeInvariant drops the pin fields that depend on the storage mode.
+func modeInvariant(pin string) string {
+	var keep []string
+	for _, f := range strings.Fields(pin) {
+		if !strings.HasPrefix(f, "time=") && !strings.HasPrefix(f, "disk=") {
+			keep = append(keep, f)
+		}
+	}
+	return strings.Join(keep, " ")
+}
+
 // TestBFHMPinnedResults runs BFHM on TPC-H Q1 and Q2 (SF 0.005, seed 1,
 // LC profile) through TopK and Stream at k = 1, 10, 100 and compares rows
 // and Cost with the pinned values.
@@ -40,13 +54,18 @@ func TestBFHMPinnedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.DB.Close()
+	onDisk := env.DB.Cluster().DiskBacked()
 	digest := func(rows []rankjoin.JoinResult, cost sim.Snapshot) string {
 		sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", rows)))
 		return fmt.Sprintf("%x %+v", sum[:8], cost)
 	}
 	check := func(name string, rows []rankjoin.JoinResult, cost sim.Snapshot) {
 		got := digest(rows, cost)
-		if want, ok := bfhmPins[name]; !ok {
+		want, ok := bfhmPins[name]
+		if onDisk {
+			got, want = modeInvariant(got), modeInvariant(want)
+		}
+		if !ok {
 			t.Errorf("unpinned: %q: %q,", name, got)
 		} else if got != want {
 			t.Errorf("%s:\n got %s\nwant %s", name, got, want)

@@ -681,11 +681,11 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p, err := planner.Explain(q.WithK(k), &rankjoin.ExplainOptions{
-		Objective: rankjoin.Objective(strings.ToLower(req.Objective)),
-		Stream:    req.Stream,
+		Stream: req.Stream,
 		Query: rankjoin.QueryOptions{
 			ISLBatch:    s.islBatch,
 			Parallelism: parallelism,
+			Objective:   rankjoin.Objective(strings.ToLower(req.Objective)),
 		},
 	})
 	if err != nil {

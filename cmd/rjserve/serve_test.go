@@ -284,6 +284,8 @@ func serveTable() []serveCase {
 		{name: "explain", method: post, target: "/explain", body: `{"query":"q2","k":10,"objective":"dollars"}`,
 			want: 200, wantDist: 501},
 		{name: "explain bad k", method: post, target: "/explain", body: `{"k":-4}`, want: 400, wantDist: 501},
+		{name: "explain unknown objective", method: post, target: "/explain",
+			body: `{"query":"q2","k":10,"objective":"dollar"}`, want: 400, wantDist: 501},
 		{name: "repair", method: post, target: "/repair", want: 501, wantDist: 200},
 		{name: "relations", method: get, target: "/relations", want: 200, keys: []string{"relations"}},
 		{name: "algorithms", method: get, target: "/algorithms", want: 200, keys: []string{"algorithms"}},

@@ -39,10 +39,9 @@ import (
 type anykExec struct{}
 
 func (anykExec) Name() string                        { return "anyk" }
-func (anykExec) NeedsIndex() bool                    { return true }
 func (anykExec) Incremental() bool                   { return true }
 func (anykExec) Supports(t *JoinTree) bool           { return true }
-func (anykExec) Estimate(st *PlanStats) CostEstimate { return estimateAnyK(st) }
+func (anykExec) Estimate(st *PlanStats) CostEstimate { return estimateLists(st) }
 
 func (anykExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, _ IndexBuildConfig) error {
 	if err := t.Validate(); err != nil {

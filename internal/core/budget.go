@@ -143,15 +143,6 @@ func (b *Budget) Check() error {
 	return nil
 }
 
-// Guard adapts Check to the kvstore.Cluster guard seam. Nil-safe: a nil
-// budget returns a nil func so the cluster skips the indirection.
-func (b *Budget) Guard() func() error {
-	if b == nil {
-		return nil
-	}
-	return b.Check
-}
-
 // GuardedView returns c with the budget's guard installed (and its
 // spend baselined on c's metrics lane). A nil budget returns c
 // unchanged.

@@ -20,7 +20,7 @@ func newCursorEnv(t *testing.T, n, joinCard, k int, seed int64) (*kvstore.Cluste
 	store := NewIndexStore()
 	cfg := IndexBuildConfig{BFHMBuckets: 8, DRJNBuckets: 8, DRJNJoinParts: 16}.WithDefaults()
 	for _, ex := range Executors() {
-		if ex.NeedsIndex() {
+		if !ex.HasIndex(q, store) {
 			if err := ex.EnsureIndex(c, q, store, cfg); err != nil {
 				t.Fatalf("%s: EnsureIndex: %v", ex.Name(), err)
 			}

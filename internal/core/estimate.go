@@ -119,12 +119,8 @@ func (a *estAccum) jobStart() { a.t += a.p.MRJobStartup }
 
 func estimateNaive(st *PlanStats) CostEstimate {
 	a := estAccum{p: st.Profile}
-	leaves := st.Leaves
-	if len(leaves) == 0 {
-		leaves = []RelStats{st.Left, st.Right}
-	}
 	var tuples uint64
-	for _, l := range leaves {
+	for _, l := range st.Leaves {
 		a.clientScan(l.Rows, l.Bytes, 2*l.Rows)
 		tuples += l.Rows
 	}
@@ -135,7 +131,8 @@ func estimateNaive(st *PlanStats) CostEstimate {
 
 func estimateHive(st *PlanStats) CostEstimate {
 	a := estAccum{p: st.Profile}
-	tuples := st.Left.Rows + st.Right.Rows
+	l, r := st.Leaves[0], st.Leaves[1]
+	tuples := l.Rows + r.Rows
 	j := uint64(st.JoinPairs)
 	// Hive drags unprojected SELECT * rows (~1 KB padding) through both
 	// shuffles and the materialized join (hivePadding in hive.go).
@@ -143,8 +140,8 @@ func estimateHive(st *PlanStats) CostEstimate {
 
 	// Job 1: repartition join of both base tables.
 	a.jobStart()
-	a.mapPhase(st.Left.Bytes, 2*st.Left.Rows, st.Left.Rows, st.Left.Regions)
-	a.mapPhase(st.Right.Bytes, 2*st.Right.Rows, st.Right.Rows, st.Right.Regions)
+	a.mapPhase(l.Bytes, 2*l.Rows, l.Rows, l.Regions)
+	a.mapPhase(r.Bytes, 2*r.Rows, r.Rows, r.Regions)
 	a.shuffle(tuples * (estTupleWire + 10))
 	a.reducePhase(tuples+j, j*pairBytes, a.p.Nodes)
 
@@ -161,14 +158,15 @@ func estimateHive(st *PlanStats) CostEstimate {
 
 func estimatePig(st *PlanStats) CostEstimate {
 	a := estAccum{p: st.Profile}
-	tuples := st.Left.Rows + st.Right.Rows
+	l, r := st.Leaves[0], st.Leaves[1]
+	tuples := l.Rows + r.Rows
 	j := uint64(st.JoinPairs)
 	pairBytes := uint64(estPairWire + estCellMeta) // early projection: no padding
 
 	// Job 1: repartition join (projected).
 	a.jobStart()
-	a.mapPhase(st.Left.Bytes, 2*st.Left.Rows, st.Left.Rows, st.Left.Regions)
-	a.mapPhase(st.Right.Bytes, 2*st.Right.Rows, st.Right.Rows, st.Right.Regions)
+	a.mapPhase(l.Bytes, 2*l.Rows, l.Rows, l.Regions)
+	a.mapPhase(r.Bytes, 2*r.Rows, r.Rows, r.Regions)
 	a.shuffle(tuples * (estTupleWire + 10))
 	a.reducePhase(tuples+j, j*pairBytes, a.p.Nodes)
 
@@ -190,7 +188,7 @@ func estimatePig(st *PlanStats) CostEstimate {
 
 func estimateIJLMR(st *PlanStats) CostEstimate {
 	a := estAccum{p: st.Profile}
-	tuples := st.Left.Rows + st.Right.Rows
+	tuples := st.Leaves[0].Rows + st.Leaves[1].Rows
 	idxBytes := st.IndexBytes
 	if idxBytes == 0 {
 		idxBytes = tuples * estCellMeta // index not built yet: extrapolate
@@ -207,56 +205,16 @@ func estimateIJLMR(st *PlanStats) CostEstimate {
 	return a.est()
 }
 
-func estimateISL(st *PlanStats) CostEstimate {
-	if len(st.LeafDepths) > 2 {
-		// The n-way coordinator has the any-k cost shape: one batched
-		// inverse-score-list scan per leaf down to its termination depth.
-		return estimateAnyK(st)
-	}
-	a := estAccum{p: st.Profile}
-	batch := uint64(st.Exec.WithDefaults().ISLBatch)
-	dL, dR := uint64(st.LeftDepth), uint64(st.RightDepth)
-	// The coordinator consumes depth tuples per side in batched scans of
-	// the inverse score lists (~one index cell per tuple).
-	cellBytes := uint64(estCellMeta + 10)
-	batchesL := dL/batch + 1
-	batchesR := dR/batch + 1
-	batches := batchesL + batchesR
-	seq := time.Duration(batches) * (a.p.RPCLatency +
-		a.p.ScanTime(batch*cellBytes) +
-		a.p.TransferTime(batch*cellBytes+estRPCOver))
-	if st.Exec.Parallelism >= 2 {
-		// Prefetching overlaps the two sides' round trips.
-		half := batchesL
-		if batchesR > half {
-			half = batchesR
-		}
-		seq = time.Duration(half) * (a.p.RPCLatency +
-			a.p.ScanTime(batch*cellBytes) +
-			a.p.TransferTime(batch*cellBytes+estRPCOver))
-	}
-	a.t += seq
-	a.reads += dL + dR
-	a.net += (dL+dR)*cellBytes + batches*estRPCOver
-	// HRJN hash-join work: every consumed tuple probes, ~k pairs form.
-	a.t += a.p.CPUTime(dL + dR + uint64(st.K))
-	return a.est()
-}
-
-// estimateAnyK prices the any-k tree executor: one batched
-// inverse-score-list scan per leaf down to its estimated termination
-// depth (the per-node queue depths of PlanStats.LeafDepths), plus the
-// per-tuple probe and candidate-queue CPU.
-func estimateAnyK(st *PlanStats) CostEstimate {
+// estimateLists prices the rank-join operator over inverse score lists,
+// which the isl and anyk executors share: one batched list scan per leaf
+// down to its estimated termination depth (PlanStats.LeafDepths, ~one
+// index cell per tuple), plus the per-tuple probe and release CPU.
+func estimateLists(st *PlanStats) CostEstimate {
 	a := estAccum{p: st.Profile}
 	batch := uint64(st.Exec.WithDefaults().ISLBatch)
 	cellBytes := uint64(estCellMeta + 10)
-	depths := st.LeafDepths
-	if len(depths) == 0 {
-		depths = []float64{st.LeftDepth, st.RightDepth}
-	}
 	var total, batches, maxBatches uint64
-	for _, d := range depths {
+	for _, d := range st.LeafDepths {
 		du := uint64(d)
 		b := du/batch + 1
 		total += du
@@ -278,8 +236,8 @@ func estimateAnyK(st *PlanStats) CostEstimate {
 	a.reads += total
 	a.net += total*cellBytes + batches*estRPCOver
 	// Each consumed tuple probes its neighbor leaves' seen sets; each
-	// released result pays heap assembly over n leaves.
-	a.t += a.p.CPUTime(total + uint64(st.K)*uint64(len(depths)))
+	// released result builds all n of its tuples.
+	a.t += a.p.CPUTime(total + uint64(st.K)*uint64(len(st.LeafDepths)))
 	return a.est()
 }
 
@@ -293,7 +251,7 @@ func estimateBFHM(st *PlanStats) CostEstimate {
 	// the estimated cardinality covers k (the StatBands walk), each a
 	// keyed read of one Golomb-compressed blob row.
 	fetches := uint64(2 * max(2, st.StatBands))
-	rowsPerBucket := (st.Left.Rows + st.Right.Rows) / 2 / uint64(buckets)
+	rowsPerBucket := (st.Leaves[0].Rows + st.Leaves[1].Rows) / 2 / uint64(buckets)
 	if rowsPerBucket < 1 {
 		rowsPerBucket = 1
 	}
@@ -336,13 +294,14 @@ func estimateDRJN(st *PlanStats) CostEstimate {
 	if rounds > 16 {
 		rounds = 16
 	}
-	pulledL, pulledR := uint64(st.LeftDepth), uint64(st.RightDepth)
+	l, r := st.Leaves[0], st.Leaves[1]
+	pulledL, pulledR := uint64(st.LeafDepths[0]), uint64(st.LeafDepths[1])
 	pulledBytes := (pulledL + pulledR) * (estTupleWire + estCellMeta)
-	for r := 0; r < rounds; r++ {
+	for range rounds {
 		a.jobStart()
-		a.mapPhase(st.Left.Bytes, 2*st.Left.Rows, 0, st.Left.Regions)
+		a.mapPhase(l.Bytes, 2*l.Rows, 0, l.Regions)
 		a.jobStart()
-		a.mapPhase(st.Right.Bytes, 2*st.Right.Rows, 0, st.Right.Regions)
+		a.mapPhase(r.Bytes, 2*r.Rows, 0, r.Regions)
 		a.net += pulledBytes // temp-table writes cross the network
 		a.t += a.p.TransferTime(pulledBytes)
 		// Coordinator reads the pulled tuples back and joins exactly.

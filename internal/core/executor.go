@@ -84,38 +84,24 @@ type RelStats struct {
 	Regions int
 }
 
-// AvgRowBytes returns the mean stored bytes per tuple.
-func (r RelStats) AvgRowBytes() float64 {
-	if r.Rows == 0 {
-		return 0
-	}
-	return float64(r.Bytes) / float64(r.Rows)
-}
-
 // PlanStats is everything the planner knows when costing one query
-// instance: live cluster table statistics plus join-cardinality and
-// termination-depth estimates derived from whatever statistics
-// structures exist (DRJN 2-D histograms first, BFHM hybrid filters
-// second, uniform assumptions as a last resort).
+// instance, per tree leaf in leaf order: live cluster table statistics
+// plus join-cardinality and termination-depth estimates derived from
+// whatever statistics structures exist (DRJN 2-D histograms first, BFHM
+// hybrid filters second, uniform assumptions as a last resort). The
+// two-way-only estimators read leaves 0 and 1.
 type PlanStats struct {
 	Profile sim.Profile
 	K       int
-	Left    RelStats
-	Right   RelStats
-	// Leaves holds the statistics of every tree leaf in leaf order;
-	// for two-way queries it mirrors {Left, Right}.
+	// Leaves holds the statistics of every tree leaf.
 	Leaves []RelStats
 
 	// JoinPairs estimates the full join-result cardinality.
 	JoinPairs float64
-	// LeftDepth / RightDepth estimate how many tuples each side must
-	// surface in descending-score order before a top-k is provably
-	// complete (the HRJN early-termination depth).
-	LeftDepth  float64
-	RightDepth float64
-	// LeafDepths generalizes the termination depths over every tree
-	// leaf (any-k per-node queue depths); for two-way queries it
-	// mirrors {LeftDepth, RightDepth}.
+	// LeafDepths estimates how many tuples each leaf must surface in
+	// descending-score order before a top-k is provably complete (the
+	// HRJN early-termination depth). Shared with the planner's stats
+	// cache: read it, never write it.
 	LeafDepths []float64
 	// StatBands is how many leading histogram bands per side the stats
 	// walk consumed to cover k; it drives DRJN/BFHM fetch-count
@@ -128,13 +114,8 @@ type PlanStats struct {
 	BFHMBuckets   int
 	DRJNJoinParts int
 
-	// Per-candidate context, set by the planner before calling
-	// Estimate on each executor:
-
-	// IndexReady reports whether this executor's index is already
-	// built for the query.
-	IndexReady bool
-	// IndexBytes is the stored size of that index (0 if absent).
+	// IndexBytes is the stored size of the candidate executor's index
+	// (0 if absent), set by the planner before calling its Estimate.
 	IndexBytes uint64
 	// Exec carries the query options that shape runtime costs.
 	Exec ExecOptions
@@ -178,11 +159,10 @@ type Executor interface {
 	// Name is the stable identifier ("isl", "bfhm", ...), matching the
 	// public Algorithm constants.
 	Name() string
-	// NeedsIndex reports whether Open requires a prior EnsureIndex.
-	NeedsIndex() bool
 	// Supports reports whether this executor can run the tree's shape
 	// (leaf count and edge predicates). The planner skips unsupported
-	// candidates; direct dispatch surfaces a shape error instead.
+	// candidates; EnsureIndex and Open reject an unsupported shape
+	// (unsupportedShape) before spending any work.
 	Supports(t *JoinTree) bool
 	// EnsureIndex idempotently builds the executor's index structures
 	// for the tree. Concurrent calls for overlapping scopes serialize

@@ -80,7 +80,6 @@ func materialize(t *JoinTree, b *Budget, run func(k int) (*Result, error)) (Curs
 type naiveExec struct{}
 
 func (naiveExec) Name() string            { return "naive" }
-func (naiveExec) NeedsIndex() bool        { return false }
 func (naiveExec) Supports(*JoinTree) bool { return true }
 func (naiveExec) EnsureIndex(*kvstore.Cluster, *JoinTree, *IndexStore, IndexBuildConfig) error {
 	return nil
@@ -103,7 +102,6 @@ func (naiveExec) Open(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, opts ExecO
 type hiveExec struct{}
 
 func (hiveExec) Name() string              { return "hive" }
-func (hiveExec) NeedsIndex() bool          { return false }
 func (hiveExec) Supports(t *JoinTree) bool { return isBinary(t) }
 func (hiveExec) EnsureIndex(_ *kvstore.Cluster, t *JoinTree, _ *IndexStore, _ IndexBuildConfig) error {
 	if !isBinary(t) {
@@ -129,7 +127,6 @@ func (hiveExec) Open(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, opts ExecOp
 type pigExec struct{}
 
 func (pigExec) Name() string              { return "pig" }
-func (pigExec) NeedsIndex() bool          { return false }
 func (pigExec) Supports(t *JoinTree) bool { return isBinary(t) }
 func (pigExec) EnsureIndex(_ *kvstore.Cluster, t *JoinTree, _ *IndexStore, _ IndexBuildConfig) error {
 	if !isBinary(t) {
@@ -155,7 +152,6 @@ func (pigExec) Open(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, opts ExecOpt
 type ijlmrExec struct{}
 
 func (ijlmrExec) Name() string              { return "ijlmr" }
-func (ijlmrExec) NeedsIndex() bool          { return true }
 func (ijlmrExec) Supports(t *JoinTree) bool { return isBinary(t) }
 
 func (ijlmrExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, _ IndexBuildConfig) error {
@@ -220,7 +216,6 @@ func (ijlmrExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts E
 type islExec struct{}
 
 func (islExec) Name() string              { return "isl" }
-func (islExec) NeedsIndex() bool          { return true }
 func (islExec) Supports(t *JoinTree) bool { return t.AllEqui() }
 
 func (islExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, _ IndexBuildConfig) error {
@@ -242,7 +237,7 @@ func (islExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uin
 	return islIndexSize(c, t, store)
 }
 
-func (islExec) Estimate(st *PlanStats) CostEstimate { return estimateISL(st) }
+func (islExec) Estimate(st *PlanStats) CostEstimate { return estimateLists(st) }
 func (islExec) Incremental() bool                   { return true }
 
 func (islExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
@@ -258,7 +253,6 @@ func (islExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts Exe
 type bfhmExec struct{}
 
 func (bfhmExec) Name() string              { return "bfhm" }
-func (bfhmExec) NeedsIndex() bool          { return true }
 func (bfhmExec) Supports(t *JoinTree) bool { return isBinary(t) }
 
 // EnsureIndex builds both relations' BFHM indexes with a shared filter
@@ -349,7 +343,6 @@ func (bfhmExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts Ex
 type drjnExec struct{}
 
 func (drjnExec) Name() string              { return "drjn" }
-func (drjnExec) NeedsIndex() bool          { return true }
 func (drjnExec) Supports(t *JoinTree) bool { return isBinary(t) }
 
 func (drjnExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, cfg IndexBuildConfig) error {

@@ -578,20 +578,6 @@ func TestDiskSizeAccounting(t *testing.T) {
 	}
 }
 
-func TestGetRows(t *testing.T) {
-	c := testCluster(t)
-	mustCreate(t, c, "t", []string{"cf"}, nil)
-	c.Put("t", Cell{Row: "a", Family: "cf", Qualifier: "v", Value: []byte("1")})
-	c.Put("t", Cell{Row: "c", Family: "cf", Qualifier: "v", Value: []byte("3")})
-	rows, err := c.GetRows("t", []string{"a", "b", "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0] == nil || rows[1] != nil || rows[2] == nil {
-		t.Fatalf("GetRows = %+v", rows)
-	}
-}
-
 func TestClockMonotonic(t *testing.T) {
 	c := testCluster(t)
 	prev := c.Now()

@@ -231,20 +231,6 @@ func (c *Cluster) ScanAll(s Scan) ([]Row, error) {
 	}
 }
 
-// GetRows is a batched multi-get, charging one RPC per row (as HBase
-// multi-gets are billed per row read).
-func (c *Cluster) GetRows(table string, rows []string, families ...string) ([]*Row, error) {
-	out := make([]*Row, 0, len(rows))
-	for _, row := range rows {
-		r, err := c.Get(table, row, families...)
-		if err != nil {
-			return nil, fmt.Errorf("kvstore: multi-get %q: %w", row, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // multiGetCost returns the simulated duration of one batched-get RPC of
 // nrows keyed reads with the given server-side work. Rows served from
 // the row cache (stats.CacheHits) skip their disk seek. On a

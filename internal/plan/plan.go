@@ -147,9 +147,8 @@ func Explain(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, opts 
 		}
 		ready := ex.HasIndex(t, store)
 		idxBytes := ex.IndexSize(c, t, store)
-		// Estimate sees the candidate's own index context.
+		// Estimate sees the candidate's own index size.
 		est := *st
-		est.IndexReady = ready
 		est.IndexBytes = idxBytes
 		bounded := ex.Estimate(&est)
 		cands = append(cands, Candidate{
@@ -190,25 +189,18 @@ func Explain(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, opts 
 	return p, nil
 }
 
-// stretchStats re-targets a statistics snapshot to a different k under
-// the sqrt-depth model of scaleDepths: covering k2 instead of k scales
-// the per-leaf termination depths (and the band walk) by sqrt(k2/k),
-// capped at the relation sizes.
+// stretchStats re-targets a statistics snapshot to a different k:
+// covering k2 instead of k scales the per-leaf termination depths (and
+// the band walk) by sqrt(k2/k) — scaleDepths' two-leaf exponent, applied
+// to every tree — capped at the relation sizes. The depths are copied,
+// never written in place: the stats cache shares st's slice.
 func stretchStats(st *core.PlanStats, k2 int) *core.PlanStats {
 	out := *st
 	if st.K > 0 && k2 != st.K {
 		ratio := math.Sqrt(float64(k2) / float64(st.K))
-		out.LeftDepth = math.Min(st.LeftDepth*ratio, float64(st.Left.Rows))
-		out.RightDepth = math.Min(st.RightDepth*ratio, float64(st.Right.Rows))
-		if len(st.LeafDepths) > 0 {
-			out.LeafDepths = make([]float64, len(st.LeafDepths))
-			for i, d := range st.LeafDepths {
-				limit := float64(st.Left.Rows)
-				if i < len(st.Leaves) {
-					limit = float64(st.Leaves[i].Rows)
-				}
-				out.LeafDepths[i] = math.Min(d*ratio, limit)
-			}
+		out.LeafDepths = make([]float64, len(st.LeafDepths))
+		for i, d := range st.LeafDepths {
+			out.LeafDepths[i] = math.Min(d*ratio, float64(st.Leaves[i].Rows))
 		}
 		if st.StatBands > 0 {
 			out.StatBands = int(math.Ceil(float64(st.StatBands) * ratio))

@@ -56,14 +56,14 @@ func TestExplainUniformFallback(t *testing.T) {
 	if p.Stats.Source != "uniform" {
 		t.Errorf("stats source = %q, want uniform (no statistics built)", p.Stats.Source)
 	}
-	if p.Stats.Left.Rows != 400 || p.Stats.Right.Rows != 400 {
-		t.Errorf("table stats rows = %d/%d, want 400/400", p.Stats.Left.Rows, p.Stats.Right.Rows)
+	if p.Stats.Leaves[0].Rows != 400 || p.Stats.Leaves[1].Rows != 400 {
+		t.Errorf("table stats rows = %d/%d, want 400/400", p.Stats.Leaves[0].Rows, p.Stats.Leaves[1].Rows)
 	}
 	if p.Stats.JoinPairs <= 0 {
 		t.Errorf("uniform fallback produced JoinPairs = %g", p.Stats.JoinPairs)
 	}
-	if p.Stats.LeftDepth <= 0 || p.Stats.RightDepth <= 0 {
-		t.Errorf("uniform fallback produced depths %g/%g", p.Stats.LeftDepth, p.Stats.RightDepth)
+	if p.Stats.LeafDepths[0] <= 0 || p.Stats.LeafDepths[1] <= 0 {
+		t.Errorf("uniform fallback produced depths %g/%g", p.Stats.LeafDepths[0], p.Stats.LeafDepths[1])
 	}
 	// Only index-free executors are runnable; the chosen one must be
 	// among them and every candidate must carry a non-zero estimate.
@@ -145,7 +145,7 @@ func TestChooseRunnable(t *testing.T) {
 	if ex.Name() != p.Chosen {
 		t.Fatalf("Choose returned %q but plan chose %q", ex.Name(), p.Chosen)
 	}
-	if ex.NeedsIndex() && !ex.HasIndex(q, store) {
+	if !ex.HasIndex(q, store) {
 		t.Fatalf("Choose picked %q whose index is missing", ex.Name())
 	}
 	res, err := core.RunCursor(c, q.K, func() (core.Cursor, error) {
@@ -199,12 +199,12 @@ func TestStatsUseLiveRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Stats.Left.Rows != 300 {
+	if p.Stats.Leaves[0].Rows != 300 {
 		t.Errorf("planner left rows = %d, want 300 (live), not %d (version-derived)",
-			p.Stats.Left.Rows, st.Cells/2)
+			p.Stats.Leaves[0].Rows, st.Cells/2)
 	}
-	if p.Stats.Right.Rows != 300 {
-		t.Errorf("planner right rows = %d, want 300", p.Stats.Right.Rows)
+	if p.Stats.Leaves[1].Rows != 300 {
+		t.Errorf("planner right rows = %d, want 300", p.Stats.Leaves[1].Rows)
 	}
 }
 
@@ -281,8 +281,8 @@ func TestStatsCacheInvalidatedByWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st1.Left.Rows != st2.Left.Rows {
-		t.Fatalf("cache hit changed stats: %v vs %v", st1.Left.Rows, st2.Left.Rows)
+	if st1.Leaves[0].Rows != st2.Leaves[0].Rows {
+		t.Fatalf("cache hit changed stats: %v vs %v", st1.Leaves[0].Rows, st2.Leaves[0].Rows)
 	}
 
 	// ANY write to an input — here an update that keeps the live-column

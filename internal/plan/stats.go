@@ -52,16 +52,18 @@ func gatherStats(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, e
 		return &hit, nil
 	}
 	st := &core.PlanStats{
-		Profile: c.Profile(),
-		K:       t.K,
-		Exec:    exec,
+		Profile:    c.Profile(),
+		K:          t.K,
+		Exec:       exec,
+		Leaves:     leaves,
+		LeafDepths: make([]float64, len(leaves)),
 	}
-	st.Leaves = leaves
-	st.Left, st.Right = leaves[0], leaves[1]
 
 	if len(t.Relations) == 2 && t.AllEqui() {
-		// Two-way queries keep the full statistics ladder: DRJN 2-D
-		// histograms, then BFHM filter walks, then uniform assumptions.
+		// Two-way queries climb the statistics ladder: DRJN 2-D
+		// histograms, then BFHM filter walks. The pairwise walks don't
+		// compose across a larger tree, so other shapes go straight to
+		// the uniform model.
 		if idxA, ok := store.DRJN(t.Relations[0].Name); ok {
 			if idxB, ok := store.DRJN(t.Relations[1].Name); ok && idxA.JoinParts == idxB.JoinParts {
 				if drjnWalk(c, st, idxA, idxB) {
@@ -80,22 +82,12 @@ func gatherStats(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, e
 				}
 			}
 		}
-		if st.Source == "" {
-			uniformFallback(st)
-			st.Source = "uniform"
-		}
-		if st.BFHMBuckets == 0 {
-			if idx, ok := store.BFHM(t.Relations[0].Name); ok {
-				st.BFHMBuckets = idx.Layout.Buckets
-			}
-		}
-		st.LeafDepths = []float64{st.LeftDepth, st.RightDepth}
-	} else {
-		// Trees beyond two leaves: the pairwise histogram walks don't
-		// compose across a tree yet, so derive per-leaf depths from the
-		// uniform model.
-		uniformTree(st)
+	}
+	if st.Source == "" {
+		uniform(st)
 		st.Source = "uniform"
+	}
+	if st.BFHMBuckets == 0 {
 		if idx, ok := store.BFHM(t.Relations[0].Name); ok {
 			st.BFHMBuckets = idx.Layout.Buckets
 		}
@@ -104,56 +96,41 @@ func gatherStats(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, e
 	return st, nil
 }
 
-// uniformTree is the no-statistics model for trees over n > 2 leaves:
-// join cardinality from the foreign-key shape (distinct join values ~
-// the smallest leaf), per-leaf termination depths from the symmetric
-// depth model — consuming fraction f of every leaf yields ~J·fⁿ
-// results, so covering k needs f = (k/J)^(1/n).
-func uniformTree(st *core.PlanStats) {
-	n := len(st.Leaves)
-	dMin := math.Inf(1)
-	prod := 1.0
+// uniform is the no-statistics model over n leaves: join cardinality
+// from the foreign-key shape (every leaf's join column draws from ~the
+// smallest leaf's row count of distinct values, as the dimension table's
+// keys do in the paper's Q1/Q2), so J ≈ Π|Rᵢ| / min|Rᵢ|^(n-1), and the
+// termination depths from scaleDepths. It also serves a walk that saw
+// no joinable mass, keeping the walked depths as lower bounds. An empty
+// leaf empties the join: with no walk behind it the depths stay zero,
+// and after a walk each depth becomes its leaf's size. Only a model
+// with no walk behind it sizes StatBands.
+func uniform(st *core.PlanStats) {
+	walked := st.StatBands > 0
+	dMin, prod := math.Inf(1), 1.0
 	for _, l := range st.Leaves {
 		rows := float64(l.Rows)
-		if rows == 0 {
-			st.JoinPairs = 0
-			st.LeafDepths = make([]float64, n)
-			st.LeftDepth, st.RightDepth = 0, 0
-			if st.StatBands == 0 {
-				st.StatBands = 1
-			}
-			return
-		}
 		prod *= rows
-		if rows < dMin {
-			dMin = rows
+		dMin = min(dMin, rows)
+	}
+	if dMin == 0 {
+		st.JoinPairs = 0
+		if walked {
+			for i, l := range st.Leaves {
+				st.LeafDepths[i] = float64(l.Rows)
+			}
 		}
+		return
 	}
-	// Every leaf's join column draws from ~dMin distinct values, so the
-	// expected join size is Π|Rᵢ| / dMin^(n-1), at least 1.
-	j := prod / math.Pow(dMin, float64(n-1))
-	if j < 1 {
-		j = 1
-	}
-	st.JoinPairs = j
-	f := math.Pow(float64(st.K)/j, 1/float64(n))
-	if f > 1 {
-		f = 1
-	}
-	st.LeafDepths = make([]float64, n)
-	maxFrac := 0.0
-	for i, l := range st.Leaves {
-		d := f * float64(l.Rows)
-		if d < 1 {
-			d = 1
+	st.JoinPairs = max(1, prod/math.Pow(dMin, float64(len(st.Leaves)-1)))
+	scaleDepths(st)
+	if !walked {
+		// Without histogram evidence, size histogram-driven executors'
+		// fetches for the default 100-band geometry.
+		maxFrac := 0.0
+		for i, l := range st.Leaves {
+			maxFrac = max(maxFrac, st.LeafDepths[i]/float64(l.Rows))
 		}
-		st.LeafDepths[i] = d
-		if frac := d / float64(l.Rows); frac > maxFrac {
-			maxFrac = frac
-		}
-	}
-	st.LeftDepth, st.RightDepth = st.LeafDepths[0], st.LeafDepths[1]
-	if st.StatBands == 0 {
 		st.StatBands = int(math.Ceil(maxFrac*100)) + 1
 	}
 }
@@ -227,8 +204,8 @@ func drjnWalk(c *kvstore.Cluster, st *core.PlanStats, idxA, idxB *core.DRJNIndex
 		return false
 	}
 
-	st.LeftDepth = float64(a.tuples)
-	st.RightDepth = float64(b.tuples)
+	st.LeafDepths[0] = float64(a.tuples)
+	st.LeafDepths[1] = float64(b.tuples)
 	st.StatBands = max(a.next, b.next)
 
 	// Both full matrices are in memory, so the total join cardinality
@@ -240,7 +217,7 @@ func drjnWalk(c *kvstore.Cluster, st *core.PlanStats, idxA, idxB *core.DRJNIndex
 	// the distinct-value count. Subtract the surplus, clamped by the
 	// walked prefix's evidence.
 	d := totalDotProduct(allA, allB)
-	nl, nr := float64(st.Left.Rows), float64(st.Right.Rows)
+	nl, nr := float64(st.Leaves[0].Rows), float64(st.Leaves[1].Rows)
 	j := d - nl*nr/float64(idxA.JoinParts)
 	j = math.Max(j, estPairs)
 	st.JoinPairs = math.Min(math.Max(j, 1), nl*nr)
@@ -335,8 +312,8 @@ func bfhmWalk(c *kvstore.Cluster, st *core.PlanStats, idxA, idxB *core.BFHMIndex
 	if steps == 0 {
 		return false
 	}
-	st.LeftDepth = float64(tuplesA)
-	st.RightDepth = float64(tuplesB)
+	st.LeafDepths[0] = float64(tuplesA)
+	st.LeafDepths[1] = float64(tuplesB)
 	st.StatBands = steps
 	extrapolate(st, estPairs, float64(tuplesA), float64(tuplesB))
 	return true
@@ -348,16 +325,13 @@ func bfhmWalk(c *kvstore.Cluster, st *core.PlanStats, idxA, idxB *core.BFHMIndex
 func extrapolate(st *core.PlanStats, estPairs, walkedL, walkedR float64) {
 	if estPairs <= 0 {
 		// The walk saw no joinable mass before hitting its band cap
-		// (skewed score distributions leave the top bands empty): fall
-		// back to the uniform cardinality model, keeping the walked
-		// depths as lower bounds.
-		st.JoinPairs = uniformJoinPairs(st)
-		scaleDepths(st)
+		// (skewed score distributions leave the top bands empty).
+		uniform(st)
 		return
 	}
 	if walkedL > 0 && walkedR > 0 {
 		density := estPairs / (walkedL * walkedR)
-		st.JoinPairs = density * float64(st.Left.Rows) * float64(st.Right.Rows)
+		st.JoinPairs = density * float64(st.Leaves[0].Rows) * float64(st.Leaves[1].Rows)
 	}
 	if st.JoinPairs < estPairs {
 		st.JoinPairs = estPairs
@@ -367,68 +341,14 @@ func extrapolate(st *core.PlanStats, estPairs, walkedL, walkedR float64) {
 	}
 }
 
-// uniformJoinPairs is the no-statistics cardinality model: distinct
-// join values ~ the smaller side (the foreign-key shape of the paper's
-// Q1/Q2, where the dimension table's keys drive the join), so
-// |R ⋈ S| ≈ max(|R|, |S|).
-func uniformJoinPairs(st *core.PlanStats) float64 {
-	nl, nr := float64(st.Left.Rows), float64(st.Right.Rows)
-	if nl == 0 || nr == 0 {
-		return 0
-	}
-	return nl * nr / math.Min(nl, nr)
-}
-
-// uniformFallback derives JoinPairs and depths from table cardinalities
-// alone: the uniformJoinPairs model plus uniform scores and independent
-// score/join-value distributions.
-func uniformFallback(st *core.PlanStats) {
-	nl, nr := float64(st.Left.Rows), float64(st.Right.Rows)
-	if nl == 0 || nr == 0 {
-		st.JoinPairs = 0
-		st.LeftDepth, st.RightDepth = 0, 0
-		return
-	}
-	st.JoinPairs = uniformJoinPairs(st)
-	scaleDepths(st)
-	// Without histogram evidence, size histogram-driven executors'
-	// fetches for the default 100-band geometry.
-	if st.StatBands == 0 {
-		frac := st.LeftDepth / nl
-		if r := st.RightDepth / nr; r > frac {
-			frac = r
-		}
-		st.StatBands = int(math.Ceil(frac*100)) + 1
-	}
-}
-
-// scaleDepths sets the per-side termination depths from JoinPairs under
-// the uniform/independence assumption: consuming fraction f of both
-// sides yields ~JoinPairs*f² results, so covering k needs
-// f = sqrt(k/JoinPairs).
+// scaleDepths raises every leaf's termination depth to what covering k
+// takes under the uniform/independence assumption: consuming fraction f
+// of each of the n leaves yields ~JoinPairs·fⁿ results, so
+// f = (k/JoinPairs)^(1/n). Depths never shrink below what a walk already
+// established, nor below one tuple. JoinPairs must be positive.
 func scaleDepths(st *core.PlanStats) {
-	if st.JoinPairs <= 0 {
-		st.LeftDepth = float64(st.Left.Rows)
-		st.RightDepth = float64(st.Right.Rows)
-		return
-	}
-	f := math.Sqrt(float64(st.K) / st.JoinPairs)
-	if f > 1 {
-		f = 1
-	}
-	dl := f * float64(st.Left.Rows)
-	dr := f * float64(st.Right.Rows)
-	// Depths never shrink below what a walk already established.
-	if dl > st.LeftDepth {
-		st.LeftDepth = dl
-	}
-	if dr > st.RightDepth {
-		st.RightDepth = dr
-	}
-	if st.LeftDepth < 1 {
-		st.LeftDepth = 1
-	}
-	if st.RightDepth < 1 {
-		st.RightDepth = 1
+	f := math.Min(1, math.Pow(float64(st.K)/st.JoinPairs, 1/float64(len(st.Leaves))))
+	for i, l := range st.Leaves {
+		st.LeafDepths[i] = max(f*float64(l.Rows), st.LeafDepths[i], 1)
 	}
 }

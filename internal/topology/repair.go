@@ -59,19 +59,6 @@ func (r *Router) RepairAll() (*RepairReport, error) {
 	return r.repairTables(r.ownedTables())
 }
 
-// RepairTable runs the pass for one table only.
-func (r *Router) RepairTable(table string) (*RepairReport, error) {
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	r.mu.Lock()
-	_, ok := r.owners[table]
-	r.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("topology: table %q has no recorded placement", table)
-	}
-	return r.repairTables([]string{table})
-}
-
 // ownedTables snapshots placed table names, sorted.
 func (r *Router) ownedTables() []string {
 	r.mu.Lock()

@@ -24,9 +24,6 @@ func (g *Gate) Stop() { g.stopped.Store(true) }
 // Start re-opens the gate.
 func (g *Gate) Start() { g.stopped.Store(false) }
 
-// Stopped reports the gate state.
-func (g *Gate) Stopped() bool { return g.stopped.Load() }
-
 func (g *Gate) check() error {
 	if g.stopped.Load() {
 		return Unavailable("node stopped")

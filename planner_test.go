@@ -152,7 +152,7 @@ func TestExplainAllCandidates(t *testing.T) {
 	if err := db.EnsureIndexes(q, rankjoin.AlgoISL, rankjoin.AlgoBFHM, rankjoin.AlgoDRJN, rankjoin.AlgoIJLMR, rankjoin.AlgoAnyK); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := db.Explain(q, &rankjoin.ExplainOptions{Objective: rankjoin.ObjectiveDollars})
+	p2, err := db.Explain(q, &rankjoin.ExplainOptions{Query: rankjoin.QueryOptions{Objective: rankjoin.ObjectiveDollars}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +167,10 @@ func TestExplainAllCandidates(t *testing.T) {
 }
 
 // TestExplainTieKeepsRegistrationOrder: isl and anyk read the same
-// inverse score lists and price a two-leaf tree identically on read
-// units and bytes. The tie goes to registration order — isl, whose
-// pull rule reads less than any-k's — and the ranking is the same on
-// every run.
+// inverse score lists through one operator and share one estimator, so
+// they price a two-leaf tree identically under every objective. The tie
+// goes to registration order — isl, whose pull rule reads less than
+// any-k's — and the ranking is the same on every run.
 func TestExplainTieKeepsRegistrationOrder(t *testing.T) {
 	db := mustOpenDB(t)
 	for _, name := range []string{"l", "r"} {
@@ -193,10 +193,10 @@ func TestExplainTieKeepsRegistrationOrder(t *testing.T) {
 	if err := db.EnsureIndexes(q, rankjoin.AlgoISL, rankjoin.AlgoAnyK); err != nil {
 		t.Fatal(err)
 	}
-	for _, obj := range []rankjoin.Objective{rankjoin.ObjectiveDollars, rankjoin.ObjectiveNetwork} {
+	for _, obj := range []rankjoin.Objective{rankjoin.ObjectiveDollars, rankjoin.ObjectiveNetwork, rankjoin.ObjectiveTime} {
 		var first []string
 		for run := 0; run < 5; run++ {
-			p, err := db.Explain(q, &rankjoin.ExplainOptions{Objective: obj})
+			p, err := db.Explain(q, &rankjoin.ExplainOptions{Query: rankjoin.QueryOptions{Objective: obj}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,8 +204,13 @@ func TestExplainTieKeepsRegistrationOrder(t *testing.T) {
 				t.Fatalf("%s run %d: chose %s, want isl\n%s", obj, run, p.Chosen, p)
 			}
 			var order []string
+			est := map[string]rankjoin.CostEstimate{}
 			for _, c := range p.Candidates {
 				order = append(order, c.Executor)
+				est[c.Executor] = c.Estimate
+			}
+			if est["isl"] != est["anyk"] {
+				t.Fatalf("%s run %d: isl estimate %+v, anyk %+v; want a tie", obj, run, est["isl"], est["anyk"])
 			}
 			if first == nil {
 				first = order

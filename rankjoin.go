@@ -233,15 +233,14 @@ func (o QueryOptions) execOptions() core.ExecOptions {
 
 // ExplainOptions tunes DB.Explain.
 type ExplainOptions struct {
-	// Objective ranks the candidates (default ObjectiveTime).
-	Objective Objective
 	// Stream ranks candidates by the predicted cost of deep ranked
 	// enumeration (what DB.Stream's auto mode uses) instead of the
 	// bounded top-k: incremental cursors are priced at their marginal
 	// per-page cost, materializing ones at their doubling re-runs.
 	Stream bool
-	// Query carries the execution options cost estimates depend on
-	// (ISL batch size, parallelism).
+	// Query carries the objective the candidates are ranked by
+	// (Query.Objective, default ObjectiveTime) and the execution options
+	// cost estimates depend on (ISL batch size, parallelism).
 	Query QueryOptions
 }
 
