@@ -219,9 +219,9 @@ func BenchmarkIndexSizes(b *testing.B) {
 	}
 }
 
-// ---- Section 7.2 online updates: eager write-back overhead < 10% ----
+// ---- Section 7.2 online updates: query-time replay overhead < 10% ----
 
-func BenchmarkUpdates_BFHMEagerOverhead(b *testing.B) {
+func BenchmarkUpdates_BFHMReplayOverhead(b *testing.B) {
 	e := env(b, sim.EC2(), benchSFEC2)
 	for i := 0; i < b.N; i++ {
 		overhead, applied, err := e.UpdateExperiment(i + 1)

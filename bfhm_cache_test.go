@@ -55,7 +55,7 @@ func assertBFHMWarmIsCold(t *testing.T, db *DB, q Query, label string) {
 	mustTopK(t, db, q, AlgoBFHM, nil)
 	var cold *Result
 	withColdBFHM(t, db, func() { cold = mustTopK(t, db, q, AlgoBFHM, nil) })
-	warm := mustTopK(t, db, q, AlgoBFHM, nil)
+	warm := topKLeavesStore(t, db, q, AlgoBFHM, nil, label)
 	if !reflect.DeepEqual(warm.Results, cold.Results) {
 		t.Fatalf("%s: warm rows differ from cold\nwarm %v\ncold %v", label, warm.Results, cold.Results)
 	}
@@ -75,8 +75,8 @@ func assertBFHMWarmIsCold(t *testing.T, db *DB, q Query, label string) {
 
 // TestBFHMCacheNeverStale drives the public write surface — Insert,
 // Update, Delete, a Delete repeated, DeleteKey, BatchInsert, the offline
-// write-back pass, queries with eager and lazy write-back — in seeded
-// random order against BFHM top-k at three depths.
+// write-back pass — and reads that must leave the store as they found it,
+// in seeded random order against BFHM top-k at three depths.
 func TestBFHMCacheNeverStale(t *testing.T) {
 	db := mustOpen(t, Config{})
 	db.SetIndexConfig(IndexConfig{BFHMBuckets: 10, DRJNBuckets: 10, DRJNJoinParts: 16})
@@ -145,9 +145,9 @@ func TestBFHMCacheNeverStale(t *testing.T) {
 		case 6:
 			_, err = s.h.WriteBackBFHM()
 		case 7:
-			_, err = db.TopK(queries[1], AlgoBFHM, &QueryOptions{BFHMWriteBack: WriteBackEager})
+			topKLeavesStore(t, db, queries[1], AlgoBFHM, nil, fmt.Sprintf("step %d", step))
 		case 8:
-			_, err = db.TopK(queries[1], AlgoBFHM, &QueryOptions{BFHMWriteBack: WriteBackLazy, Parallelism: 2})
+			topKLeavesStore(t, db, queries[1], AlgoBFHM, &QueryOptions{Parallelism: 2}, fmt.Sprintf("step %d", step))
 		}
 		if err != nil {
 			t.Fatalf("step %d op %d: %v", step, op, err)

@@ -150,7 +150,7 @@ func main() {
 		fmt.Println(ec2Env.IndexingReport())
 	}
 	if want("updates") && ec2Env != nil {
-		fmt.Println("Online updates (Section 7.2): BFHM eager write-back overhead")
+		fmt.Println("Online updates (Section 7.2): BFHM query-time replay overhead")
 		for set := 1; set <= 3; set++ {
 			overhead, applied, err := ec2Env.UpdateExperiment(set)
 			if err != nil {

@@ -180,22 +180,37 @@ func TestConcurrentWritesVsReads(t *testing.T) {
 	}
 
 	// BFHM readers that keep going for as long as the writers do: they
-	// share the buckets the indexes remember, and two of them write
-	// reconstructed blobs back, while bucket rows change under them.
-	for _, wb := range []rankjoin.WriteBackMode{rankjoin.WriteBackOff, rankjoin.WriteBackLazy, rankjoin.WriteBackEager} {
+	// share the buckets the indexes remember while the writers and the
+	// offline write-back pass below change bucket rows under them.
+	for _, parallelism := range []int{0, 0, 2} {
 		wg.Add(1)
-		go func(wb rankjoin.WriteBackMode) {
+		go func(parallelism int) {
 			defer wg.Done()
 			for i := 0; i < 12; i++ {
-				res, err := db.TopK(q, rankjoin.AlgoBFHM, &rankjoin.QueryOptions{BFHMWriteBack: wb})
+				res, err := db.TopK(q, rankjoin.AlgoBFHM, &rankjoin.QueryOptions{Parallelism: parallelism})
 				if err != nil {
-					report(fmt.Errorf("topk bfhm write-back %d: %w", wb, err))
+					report(fmt.Errorf("topk bfhm parallelism %d: %w", parallelism, err))
 					return
 				}
 				report(checkResult(rankjoin.AlgoBFHM, res.Results))
 			}
-		}(wb)
+		}(parallelism)
 	}
+
+	// The offline write-back pass over both relations, as many rounds as
+	// each BFHM reader runs, beside the writers and readers.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 12; i++ {
+			for _, h := range []*rankjoin.RelationHandle{lh, rh} {
+				if _, err := h.WriteBackBFHM(); err != nil {
+					report(fmt.Errorf("offline write-back %s: %w", h.Name(), err))
+					return
+				}
+			}
+		}
+	}()
 
 	// A streaming reader with early close: partial drains racing writes
 	// must hold the same per-result invariants and must not leak.

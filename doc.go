@@ -159,8 +159,12 @@
 // Freshness guarantees, per executor: Naive, Hive, and Pig scan base
 // tables and are trivially fresh. IJLMR and ISL read their inverse
 // lists, which the pipeline mutates synchronously. BFHM replays bucket
-// mutation records at query time (write-back eager, lazy, or offline
-// via WriteBackBFHM); an index remembers the buckets it has decoded and
+// mutation records at query time and writes nothing; folding them into
+// fresh blobs is the offline pass, WriteBackBFHM (the paper's eager and
+// lazy write-back, in which a query writes, are deliberately left out:
+// a rewritten row costs more to read until a major compaction, and a
+// query served by one replica must not change its tables). An index
+// remembers the buckets it has decoded and
 // their pair estimates between queries, but reads every bucket row on
 // every query and reuses a remembered bucket only when that row is
 // byte-equal to the one it was decoded from, so a write is seen by the

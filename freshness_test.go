@@ -7,6 +7,7 @@ package rankjoin
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -25,10 +26,7 @@ func assertTopKFreshOn(t *testing.T, db *DB, q Query, algos []Algorithm, left, r
 	t.Helper()
 	want := refTopK(left, right, f, q.K())
 	for _, algo := range algos {
-		res, err := db.TopK(q, algo, nil)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", label, algo, err)
-		}
+		res := topKLeavesStore(t, db, q, algo, nil, label)
 		if len(res.Results) != len(want) {
 			t.Fatalf("%s/%s: %d results, want %d", label, algo, len(res.Results), len(want))
 		}
@@ -38,6 +36,44 @@ func assertTopKFreshOn(t *testing.T, db *DB, q Query, algos []Algorithm, left, r
 			}
 		}
 	}
+}
+
+// scratchWriters are the executors whose reads bill KV writes: Hive and
+// Pig materialize MapReduce stages and DRJN the tuples it pulls above its
+// band floors, each in scratch tables the query creates and drops (the
+// paper's cost model).
+var scratchWriters = map[Algorithm]bool{AlgoHive: true, AlgoPig: true, AlgoDRJN: true}
+
+// topKLeavesStore runs one TopK and requires that it left the store as it
+// found it: the same tables, and every table's mutation sequence where it
+// was. Both are free introspection, billing nothing. An executor outside
+// scratchWriters must also bill no KV write at all.
+func topKLeavesStore(t *testing.T, db *DB, q Query, algo Algorithm, opts *QueryOptions, label string) *Result {
+	t.Helper()
+	c := db.Cluster()
+	seqs := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for _, name := range c.TableNames() {
+			st, err := c.TableStats(name)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", label, algo, err)
+			}
+			out[name] = st.MutSeq
+		}
+		return out
+	}
+	before := seqs()
+	res, err := db.TopK(q, algo, opts)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", label, algo, err)
+	}
+	if after := seqs(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("%s/%s: a read moved the store: tables and mutation sequences %v before, %v after", label, algo, before, after)
+	}
+	if w := res.Cost.KVWrites; w != 0 && !scratchWriters[algo] {
+		t.Fatalf("%s/%s: a read billed %d KV writes", label, algo, w)
+	}
+	return res
 }
 
 // TestMaintainAllIndexesAcrossQueries is the regression for the

@@ -331,8 +331,11 @@ func (e *Env) IndexingReport() string {
 
 // UpdateExperiment reproduces the Section 7.2 online-updates run:
 // apply one TPC-H update set through the Section 6 interception path,
-// then query with eager write-back; the overhead is reported against the
-// same state with blobs written back offline beforehand.
+// then run a BFHM query that replays the pending mutation records over
+// the blobs it decodes (queries never write back). The overhead is
+// reported against the same state after the offline write-back pass and
+// a major compaction of the BFHM tables, whose rows then hold one version
+// of each cell, as after a fresh build.
 func (e *Env) UpdateExperiment(setNo int) (overheadPct float64, applied int, err error) {
 	liOK := e.DB.Relation("lineitem_ok")
 	ordersH := e.DB.Relation("orders")
@@ -368,28 +371,46 @@ func (e *Env) UpdateExperiment(setNo int) (overheadPct float64, applied int, err
 		applied++
 	}
 
-	// Measured run: eager write-back pays for reconstruction now.
-	res, err := e.DB.TopK(e.Q2.WithK(10), rankjoin.AlgoBFHM, &rankjoin.QueryOptions{
-		ISLBatch:      e.ISLBatch,
-		BFHMWriteBack: rankjoin.WriteBackEager,
-	})
+	// Each side bills the second of two runs: the first settles the region
+	// row caches after the writes, whose fill (seek time) would otherwise
+	// swamp the replay cost on the first update set.
+	query := func() (time.Duration, error) {
+		if _, err := e.Run(e.Q2, rankjoin.AlgoBFHM, 10); err != nil {
+			return 0, err
+		}
+		res, err := e.Run(e.Q2, rankjoin.AlgoBFHM, 10)
+		if err != nil {
+			return 0, err
+		}
+		return res.Cost.SimTime, nil
+	}
+	pending, err := query()
 	if err != nil {
 		return 0, applied, err
 	}
-	dirty := res.Cost.SimTime
 
-	// Baseline: same state, blobs already clean.
-	res2, err := e.DB.TopK(e.Q2.WithK(10), rankjoin.AlgoBFHM, &rankjoin.QueryOptions{
-		ISLBatch: e.ISLBatch,
-	})
+	for _, h := range []*rankjoin.RelationHandle{ordersH, liOK} {
+		if _, err := h.WriteBackBFHM(); err != nil {
+			return 0, applied, err
+		}
+		regions, err := e.DB.Cluster().TableRegions("bfhm_" + h.Name())
+		if err != nil {
+			return 0, applied, err
+		}
+		for _, r := range regions {
+			if err := r.Compact(); err != nil {
+				return 0, applied, err
+			}
+		}
+	}
+	clean, err := query()
 	if err != nil {
 		return 0, applied, err
 	}
-	clean := res2.Cost.SimTime
 	if clean == 0 {
 		return 0, applied, nil
 	}
-	return float64(dirty-clean) / float64(clean) * 100, applied, nil
+	return float64(pending-clean) / float64(clean) * 100, applied, nil
 }
 
 // MixedWorkloadReport runs the mixed read/write experiment: scripted

@@ -72,7 +72,7 @@ func runAll(t *testing.T, c *kvstore.Cluster, q *JoinTree, left, right []Tuple, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		bfhm, err := QueryBFHM(c, q, bfhmA, bfhmB, BFHMQueryOptions{})
+		bfhm, err := QueryBFHM(c, q, bfhmA, bfhmB, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestBFHMRecallUnderCollisions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := QueryBFHM(c, q, bfhmA, bfhmB, BFHMQueryOptions{})
+		got, err := QueryBFHM(c, q, bfhmA, bfhmB, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestBFHMFewerResultsThanK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := QueryBFHM(c, q, bfhmA, bfhmB, BFHMQueryOptions{})
+	got, err := QueryBFHM(c, q, bfhmA, bfhmB, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestDeterministicResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := QueryBFHM(c, q, bfhmA, bfhmB, BFHMQueryOptions{})
+		res, err := QueryBFHM(c, q, bfhmA, bfhmB, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,17 @@ import (
 // not the one it decoded last time: bfhmcache.go keeps decoded buckets
 // and pair estimates per index, valid while the fetched row is byte-equal
 // to the row they came from. Everything a query shares that way is
-// read-only; what a query changes (write-back progress) is in bfhmState.
+// read-only; a query's own working state is in bfhmState.
+//
+// Where this departs from Section 6 is who persists a reconstructed blob.
+// The paper writes it back eagerly (as the query fetches the bucket),
+// lazily (after the query) or offline (a pass probing bucket rows for
+// mutation records). Only the offline pass is implemented
+// (Maintainer.WriteBackAll): a query never writes. A write-back adds a
+// blob/min/max version and a tombstone per purged record to the row, and
+// a read bills every cell it examines, so until a major compaction the
+// rewritten row costs more to read, not less; and a query served by one
+// replica must not leave its bucket table different from its peers'.
 
 // BFHM index storage layout (per Fig. 5):
 //
@@ -291,38 +301,12 @@ type bfhmBucket struct {
 	Dirty bool
 	// LatestMutTS is the newest replayed mutation timestamp.
 	LatestMutTS int64
-	// mutQuals lists the replayed mutation record qualifiers (for
-	// write-back purging).
+	// mutQuals lists the replayed mutation record qualifiers (for the
+	// offline write-back to purge).
 	mutQuals []string
 	// id names this decoding of the bucket in pair-estimate keys (zero
 	// for a bucket with no row).
 	id bfhmEntryID
-}
-
-// WriteBackMode selects when reconstructed BFHM blobs are persisted
-// (Section 6: eagerly, lazily, or offline).
-type WriteBackMode int
-
-// Write-back policies.
-const (
-	// WriteBackOff never persists replayed blobs (queries still see
-	// fresh data by replaying mutation records in memory).
-	WriteBackOff WriteBackMode = iota
-	// WriteBackEager persists a reconstructed blob as soon as a dirty
-	// bucket is fetched, before query processing continues.
-	WriteBackEager
-	// WriteBackLazy persists reconstructed blobs after the query's
-	// results are computed.
-	WriteBackLazy
-)
-
-// BFHMQueryOptions tunes query processing.
-type BFHMQueryOptions struct {
-	WriteBack WriteBackMode
-	// Parallelism >= 2 fans the reverse-mapping multi-get batches out
-	// over that many concurrent lanes (per-region RPCs, grouped by
-	// node), instead of issuing them strictly sequentially.
-	Parallelism int
 }
 
 // fetchBFHMBucket reads bucket b and returns it decoded, with any pending
@@ -475,9 +459,9 @@ func FetchBucketFilter(c *kvstore.Cluster, idx *BFHMIndex, b int) (*bloom.Hybrid
 }
 
 // writeBackBucket persists a reconstructed blob and purges the replayed
-// mutation records in one atomic row mutation (Section 6). b stays as it
-// is — other queries may hold it; the rewritten row no longer matches it,
-// so the next read decodes the new blob.
+// mutation records in one atomic row mutation (Section 6's offline
+// write-back). b stays as it is — queries may hold it; the rewritten row
+// no longer matches it, so the next read decodes the new blob.
 func writeBackBucket(c *kvstore.Cluster, idx *BFHMIndex, b *bfhmBucket) error {
 	if !b.Dirty || b.Filter == nil {
 		return nil
@@ -518,7 +502,10 @@ type bfhmState struct {
 	k          int
 	score      *pairScore // every score is computed on the query's goroutine
 	idxA, idxB *BFHMIndex
-	opts       BFHMQueryOptions
+	// parallelism >= 2 fans the reverse-mapping multi-get batches out
+	// over that many concurrent lanes (per-region RPCs, grouped by node),
+	// instead of issuing them strictly sequentially.
+	parallelism int
 
 	bucketsA []*bfhmBucket // fetched, in fetch order (desc score)
 	bucketsB []*bfhmBucket
@@ -531,20 +518,13 @@ type bfhmState struct {
 	estOrder []int
 
 	revCache map[revKey][]Tuple
-	dirty    []dirtyBucket // awaiting lazy write-back
 	top      *TopKList
 }
 
-// dirtyBucket is a fetched bucket with replayed mutation records, and the
-// index to write its reconstructed blob back to.
-type dirtyBucket struct {
-	idx *BFHMIndex
-	b   *bfhmBucket
-}
-
 // QueryBFHM runs the two-phase BFHM rank join with the 100%-recall
-// repair loop of Section 5.3.
-func QueryBFHM(c *kvstore.Cluster, t *JoinTree, idxA, idxB *BFHMIndex, opts BFHMQueryOptions) (*Result, error) {
+// repair loop of Section 5.3. It reads and never writes; parallelism is
+// the reverse-mapping fan-out (see bfhmState).
+func QueryBFHM(c *kvstore.Cluster, t *JoinTree, idxA, idxB *BFHMIndex, parallelism int) (*Result, error) {
 	if err := requireBinary("bfhm", t); err != nil {
 		return nil, err
 	}
@@ -554,7 +534,7 @@ func QueryBFHM(c *kvstore.Cluster, t *JoinTree, idxA, idxB *BFHMIndex, opts BFHM
 	}
 	before := c.Metrics().Snapshot()
 	st := &bfhmState{
-		c: c, k: t.K, score: t.Score.pair(), idxA: idxA, idxB: idxB, opts: opts,
+		c: c, k: t.K, score: t.Score.pair(), idxA: idxA, idxB: idxB, parallelism: parallelism,
 		revCache: map[revKey][]Tuple{},
 		top:      NewTopKList(t.K),
 	}
@@ -612,13 +592,6 @@ func QueryBFHM(c *kvstore.Cluster, t *JoinTree, idxA, idxB *BFHMIndex, opts BFHM
 			}
 		}
 		break
-	}
-	if opts.WriteBack == WriteBackLazy {
-		for _, d := range st.dirty {
-			if err := writeBackBucket(c, d.idx, d.b); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return &Result{Results: st.top.Results(), Cost: c.Metrics().Snapshot().Sub(before)}, nil
 }
@@ -709,7 +682,7 @@ func (st *bfhmState) orderEstimates() {
 // the other relation's fetched buckets.
 func (st *bfhmState) fetchNext(isA bool) error {
 	if isA {
-		b, err := st.fetchBucket(st.idxA, st.nextA)
+		b, err := fetchBFHMBucket(st.c, st.idxA, st.nextA)
 		if err != nil {
 			return err
 		}
@@ -720,7 +693,7 @@ func (st *bfhmState) fetchNext(isA bool) error {
 		}
 		return nil
 	}
-	b, err := st.fetchBucket(st.idxB, st.nextB)
+	b, err := fetchBFHMBucket(st.c, st.idxB, st.nextB)
 	if err != nil {
 		return err
 	}
@@ -825,26 +798,6 @@ func (st *bfhmState) estimationDone(k int) bool {
 		return false
 	}
 	return st.maxUnfetchedScore() <= kthMax
-}
-
-// fetchBucket fetches and (per the write-back policy) reconstructs one
-// bucket.
-func (st *bfhmState) fetchBucket(idx *BFHMIndex, no int) (*bfhmBucket, error) {
-	b, err := fetchBFHMBucket(st.c, idx, no)
-	if err != nil {
-		return nil, err
-	}
-	if b.Dirty {
-		switch st.opts.WriteBack {
-		case WriteBackEager:
-			if err := writeBackBucket(st.c, idx, b); err != nil {
-				return nil, err
-			}
-		case WriteBackLazy:
-			st.dirty = append(st.dirty, dirtyBucket{idx, b})
-		}
-	}
-	return b, nil
 }
 
 // joinBucketAgainst joins a newly fetched bucket with every fetched
@@ -987,7 +940,7 @@ func (st *bfhmState) prefetchReverse(cands []*estimatedResult) error {
 			for _, w := range need[start:end] {
 				keys = append(keys, w.rowKey)
 			}
-			rows, err := st.c.ParallelMultiGet(idx.Table, keys, st.opts.Parallelism)
+			rows, err := st.c.ParallelMultiGet(idx.Table, keys, st.parallelism)
 			if err != nil {
 				return err
 			}

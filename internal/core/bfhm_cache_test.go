@@ -92,9 +92,9 @@ func (c *bfhmCache) setBudget(n int64) {
 	c.evictLocked()
 }
 
-func mustQueryBFHM(t *testing.T, c *kvstore.Cluster, q *JoinTree, a, b *BFHMIndex, wb WriteBackMode) *Result {
+func mustQueryBFHM(t *testing.T, c *kvstore.Cluster, q *JoinTree, a, b *BFHMIndex) *Result {
 	t.Helper()
-	res, err := QueryBFHM(c, q, a, b, BFHMQueryOptions{WriteBack: wb})
+	res, err := QueryBFHM(c, q, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,9 @@ func assertWarmIsCold(t *testing.T, label string, c *kvstore.Cluster, q *JoinTre
 	t.Helper()
 	run := func(cold bool) *Result {
 		if cold {
-			return mustQueryBFHM(t, c, q, coldIndex(a), coldIndex(b), WriteBackOff)
+			return mustQueryBFHM(t, c, q, coldIndex(a), coldIndex(b))
 		}
-		return mustQueryBFHM(t, c, q, a, b, WriteBackOff)
+		return mustQueryBFHM(t, c, q, a, b)
 	}
 	// The first run also settles the region row caches after a write
 	// (their fill costs seek time), so the bill is compared between the
@@ -142,10 +142,9 @@ func assertWarmIsCold(t *testing.T, label string, c *kvstore.Cluster, q *JoinTre
 
 // TestBFHMCacheNeverStale: whatever happens to the bucket rows between
 // two queries — maintained inserts, updates, deletes, a delete recorded
-// twice, batches, offline, eager and lazy write-back, a rebuild of the
-// index table under the same index value — the remembering indexes
-// answer exactly like index values that remember nothing, and bill the
-// same.
+// twice, batches, the offline write-back, a rebuild of the index table
+// under the same index value — the remembering indexes answer exactly
+// like index values that remember nothing, and bill the same.
 func TestBFHMCacheNeverStale(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		s := newMaintSetup(t, 40+seed)
@@ -211,10 +210,12 @@ func TestBFHMCacheNeverStale(t *testing.T) {
 				if _, err := side.m.WriteBackAll(); err != nil {
 					t.Fatal(err)
 				}
-			case 6:
-				mustQueryBFHM(t, s.c, s.q, s.bfhmL, s.bfhmR, WriteBackEager)
-			case 7:
-				mustQueryBFHM(t, s.c, s.q, s.bfhmL, s.bfhmR, WriteBackLazy)
+			case 6: // a read between the writes
+				mustQueryBFHM(t, s.c, s.q, s.bfhmL, s.bfhmR)
+			case 7: // a read with parallel reverse-mapping fetches
+				if _, err := QueryBFHM(s.c, s.q, s.bfhmL, s.bfhmR, 2); err != nil {
+					t.Fatal(err)
+				}
 			case 8: // rebuild the table; the index value, and what it remembers, stay
 				rel := s.q.Relations[si]
 				if err := s.c.DropTable(side.idx.Table); err != nil {
@@ -261,7 +262,7 @@ func TestBFHMCacheDoesTheWorkOnce(t *testing.T) {
 	q := withK(s.q, 10)
 	cl, cr := s.bfhmL.bucketCache(), s.bfhmR.bucketCache()
 
-	mustQueryBFHM(t, s.c, q, s.bfhmL, s.bfhmR, WriteBackOff)
+	mustQueryBFHM(t, s.c, q, s.bfhmL, s.bfhmR)
 	l0, r0 := cl.counts(), cr.counts()
 	if l0.bucketMisses == 0 || r0.bucketMisses == 0 || l0.pairMisses == 0 {
 		t.Fatalf("first query decoded %d+%d buckets and intersected %d pairs", l0.bucketMisses, r0.bucketMisses, l0.pairMisses)
@@ -269,7 +270,7 @@ func TestBFHMCacheDoesTheWorkOnce(t *testing.T) {
 	if r0.pairs != 0 {
 		t.Fatalf("%d pairs in the right index's cache; pairs belong to the left one", r0.pairs)
 	}
-	mustQueryBFHM(t, s.c, q, s.bfhmL, s.bfhmR, WriteBackOff)
+	mustQueryBFHM(t, s.c, q, s.bfhmL, s.bfhmR)
 	l1, r1 := cl.counts(), cr.counts()
 	if l1.bucketMisses != l0.bucketMisses || r1.bucketMisses != r0.bucketMisses || l1.pairMisses != l0.pairMisses {
 		t.Fatalf("repeated query decoded %d+%d buckets and intersected %d pairs, want none",
@@ -294,7 +295,7 @@ func TestBFHMCacheDoesTheWorkOnce(t *testing.T) {
 		c0, s0 := tc.changed.counts(), tc.steady.counts()
 		p0 := cl.counts().pairMisses
 		tc.insert(t, tc.tuple)
-		mustQueryBFHM(t, s.c, q, s.bfhmL, s.bfhmR, WriteBackOff)
+		mustQueryBFHM(t, s.c, q, s.bfhmL, s.bfhmR)
 		c1, s1 := tc.changed.counts(), tc.steady.counts()
 		if c1.bucketMisses != c0.bucketMisses+1 || s1.bucketMisses != s0.bucketMisses {
 			t.Fatalf("%s insert: decoded %d buckets of its index and %d of the other, want 1 and 0",
@@ -322,7 +323,7 @@ func TestBFHMCacheDoesTheWorkOnce(t *testing.T) {
 			t.Fatalf("%s insert: %d intersections for %d new pairs", tc.name, got, added)
 		}
 	}
-	s.checkAll(t, WriteBackOff)
+	s.checkAll(t)
 }
 
 // TestBFHMCachePairsPerPartner: an index that is the left side of two
@@ -338,13 +339,13 @@ func TestBFHMCachePairsPerPartner(t *testing.T) {
 	}
 	qx := binaryTree(s.q.Relations[0], relX, Sum, s.q.K)
 	for i := 0; i < 2; i++ {
-		mustQueryBFHM(t, s.c, s.q, s.bfhmL, s.bfhmR, WriteBackOff)
-		mustQueryBFHM(t, s.c, qx, s.bfhmL, idxX, WriteBackOff)
+		mustQueryBFHM(t, s.c, s.q, s.bfhmL, s.bfhmR)
+		mustQueryBFHM(t, s.c, qx, s.bfhmL, idxX)
 	}
 	before := s.bfhmL.bucketCache().counts()
 	for i := 0; i < 3; i++ {
-		mustQueryBFHM(t, s.c, s.q, s.bfhmL, s.bfhmR, WriteBackOff)
-		got := mustQueryBFHM(t, s.c, qx, s.bfhmL, idxX, WriteBackOff)
+		mustQueryBFHM(t, s.c, s.q, s.bfhmL, s.bfhmR)
+		got := mustQueryBFHM(t, s.c, qx, s.bfhmL, idxX)
 		assertScoresEqual(t, "L join X", scoresOf(got.Results), scoresOf(oracleTopK(s.left, third, Sum, qx.K)))
 	}
 	after := s.bfhmL.bucketCache().counts()
@@ -358,7 +359,7 @@ func TestBFHMCachePairsPerPartner(t *testing.T) {
 // rows for the same bill, and the resident bytes stay within it.
 func TestBFHMCacheEviction(t *testing.T) {
 	s := newMaintSetup(t, 91)
-	mustQueryBFHM(t, s.c, withK(s.q, 100), s.bfhmL, s.bfhmR, WriteBackOff)
+	mustQueryBFHM(t, s.c, withK(s.q, 100), s.bfhmL, s.bfhmR)
 	full := s.bfhmL.bucketCache().counts().bytes
 	if full < 1024 {
 		t.Fatalf("only %d bytes resident after a k=100 query", full)
@@ -453,7 +454,7 @@ func TestBFHMCachedBucketSurvivesItsBlock(t *testing.T) {
 	}
 	// No row cache: every bucket read assembles its row from a block.
 	c.SetRowCacheBytes(0)
-	first := mustQueryBFHM(t, c, q, idxL, idxR, WriteBackOff)
+	first := mustQueryBFHM(t, c, q, idxL, idxR)
 	n0 := idxL.bucketCache().counts()
 
 	c.SetBlockCacheBytes(0)
@@ -471,7 +472,7 @@ func TestBFHMCachedBucketSurvivesItsBlock(t *testing.T) {
 	}
 	runtime.GC()
 
-	again := mustQueryBFHM(t, c, q, idxL, idxR, WriteBackOff)
+	again := mustQueryBFHM(t, c, q, idxL, idxR)
 	n1 := idxL.bucketCache().counts()
 	if n1.bucketMisses != n0.bucketMisses || n1.bucketHits == n0.bucketHits {
 		t.Fatalf("second query: %d buckets decoded, %d hit; want 0 decoded", n1.bucketMisses-n0.bucketMisses, n1.bucketHits-n0.bucketHits)
@@ -479,19 +480,20 @@ func TestBFHMCachedBucketSurvivesItsBlock(t *testing.T) {
 	if !reflect.DeepEqual(first.Results, again.Results) {
 		t.Fatalf("rows changed:\nfirst %v\nagain %v", first.Results, again.Results)
 	}
-	cold := mustQueryBFHM(t, c, q, coldIndex(idxL), coldIndex(idxR), WriteBackOff)
+	cold := mustQueryBFHM(t, c, q, coldIndex(idxL), coldIndex(idxR))
 	if !reflect.DeepEqual(cold.Results, again.Results) {
 		t.Fatalf("remembered buckets answer differently from decoded ones:\ncold %v\nwarm %v", cold.Results, again.Results)
 	}
 	assertScoresEqual(t, "vs oracle", scoresOf(again.Results), scoresOf(oracleTopK(left, right, Sum, 20)))
 }
 
-// TestBFHMSharedBucketsConcurrentWriteBack: queries that write back share
-// the buckets they fetched with every other query on the index. Two lazy
-// and one eager write-back reader, the offline pass and plain readers run
-// beside a writer; under -race this fails if anything writes to a bucket
-// after it was published.
-func TestBFHMSharedBucketsConcurrentWriteBack(t *testing.T) {
+// TestBFHMSharedBucketsConcurrentOfflinePass: the offline write-back pass
+// decodes buckets through the same index values the queries read, so it
+// rewrites rows whose decoded buckets the readers share. Four readers
+// (two with parallel reverse-mapping fetches) and the pass over both
+// relations run beside a writer; under -race this fails if anything
+// writes to a bucket after it was published.
+func TestBFHMSharedBucketsConcurrentOfflinePass(t *testing.T) {
 	s := newMaintSetup(t, 23)
 	const writes = 40
 	var wg sync.WaitGroup
@@ -525,17 +527,17 @@ func TestBFHMSharedBucketsConcurrentWriteBack(t *testing.T) {
 			}
 		}
 	}()
-	reader := func(wb WriteBackMode) {
+	reader := func(parallelism int) {
 		defer wg.Done()
 		for i := 0; ; i++ {
-			res, err := QueryBFHM(s.c, s.q, s.bfhmL, s.bfhmR, BFHMQueryOptions{WriteBack: wb})
+			res, err := QueryBFHM(s.c, s.q, s.bfhmL, s.bfhmR, parallelism)
 			if err != nil {
-				report(fmt.Errorf("write-back mode %d: %w", wb, err))
+				report(fmt.Errorf("parallelism %d: %w", parallelism, err))
 				return
 			}
 			for _, r := range res.Results {
 				if r.Left.JoinValue != r.Right.JoinValue {
-					report(fmt.Errorf("write-back mode %d: non-joining pair %+v", wb, r))
+					report(fmt.Errorf("parallelism %d: non-joining pair %+v", parallelism, r))
 				}
 			}
 			select {
@@ -547,17 +549,19 @@ func TestBFHMSharedBucketsConcurrentWriteBack(t *testing.T) {
 			}
 		}
 	}
-	for _, wb := range []WriteBackMode{WriteBackLazy, WriteBackLazy, WriteBackEager, WriteBackOff} {
+	for _, parallelism := range []int{0, 0, 2, 2} {
 		wg.Add(1)
-		go reader(wb)
+		go reader(parallelism)
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for {
-			if _, err := s.mL.WriteBackAll(); err != nil {
-				report(err)
-				return
+			for _, m := range []*Maintainer{s.mL, s.mR} {
+				if _, err := m.WriteBackAll(); err != nil {
+					report(err)
+					return
+				}
 			}
 			select {
 			case <-done:
@@ -573,8 +577,8 @@ func TestBFHMSharedBucketsConcurrentWriteBack(t *testing.T) {
 	}
 	s.left = append(s.left, extraL...)
 	s.right = append(s.right, extraR...)
-	for _, wb := range []WriteBackMode{WriteBackOff, WriteBackLazy, WriteBackOff} {
-		s.checkAll(t, wb)
-	}
+	s.checkAll(t)
+	s.writeBackAll(t)
+	s.checkAll(t)
 	assertWarmIsCold(t, "after the race", s.c, s.q, s.bfhmL, s.bfhmR, false)
 }

@@ -47,7 +47,7 @@ func TestBFHMSquaredScoreDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := QueryBFHM(c, q, bfhmL, bfhmR, BFHMQueryOptions{})
+	got, err := QueryBFHM(c, q, bfhmL, bfhmR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

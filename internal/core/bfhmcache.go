@@ -18,12 +18,12 @@ import (
 // has just fetched equals those cells byte for byte; the read itself is
 // still issued, so every metered charge, interrupt check and storage
 // error of a warm query is a cold query's. Whatever changes a bucket row
-// — a maintained write, any write-back, a repair, a rebuild — therefore
-// misses without being told to. A pair estimate hangs off the entry of
-// its left bucket and records which decoding of the right bucket it was
-// computed from; each decoding gets an id that is issued once, so an
-// estimate computed from a replaced bucket can never answer for its
-// successor.
+// — a maintained write, the offline write-back, a repair, a rebuild —
+// therefore misses without being told to. A pair estimate hangs off the
+// entry of its left bucket and records which decoding of the right
+// bucket it was computed from; each decoding gets an id that is issued
+// once, so an estimate computed from a replaced bucket can never answer
+// for its successor.
 //
 // Published means immutable: a bucket's filter and a pair's estimate
 // (Bits included) are shared by every query that hits them and written

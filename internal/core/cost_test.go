@@ -76,7 +76,7 @@ func measureCosts(t *testing.T, k int) costResults {
 		t.Fatal(err)
 	}
 	out.isl = res.Cost
-	res, err = QueryBFHM(c, q, bfhmL, bfhmR, BFHMQueryOptions{})
+	res, err = QueryBFHM(c, q, bfhmL, bfhmR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestIndexingCostShape(t *testing.T) {
 		t.Errorf("ISL build+query (%v) should be on par or below PIG query (%v)",
 			buildPlusQuery, pig.Cost.SimTime)
 	}
-	bfhm, err := QueryBFHM(c, q, bfhmL, bfhmR, BFHMQueryOptions{})
+	bfhm, err := QueryBFHM(c, q, bfhmL, bfhmR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,14 +244,15 @@ func TestIndexingCostShape(t *testing.T) {
 }
 
 // TestUpdateOverheadUnder10Percent reproduces the Section 7.2 online-
-// updates result. Both runs apply the SAME update set, so the final data
-// is identical; the baseline run write-backs the blobs offline before
-// querying, while the measured run leaves the mutation records pending
-// and pays for eager reconstruction during the query ("a worst-case
-// scenario with regard to the query processing time overhead"). The
-// paper reports < 10% overall time overhead.
+// updates result for what a query still pays: replaying pending mutation
+// records (queries never write back). Both runs apply the SAME update
+// set, so the final data is identical. The baseline run folds the records
+// into the blobs with the offline pass and major-compacts the index
+// table, so its bucket rows hold one version of each cell as after a
+// build; the measured run leaves the records pending and replays them
+// during the query. The paper reports < 10% overall time overhead.
 func TestUpdateOverheadUnder10Percent(t *testing.T) {
-	mk := func(eagerDuringQuery bool) (queryTime int64) {
+	mk := func(pending bool) (queryTime int64) {
 		c := mustCluster(t, sim.EC2())
 		left := synthTuples("l", 800, 100, "uniform", 41)
 		right := synthTuples("r", 800, 100, "uniform", 42)
@@ -276,10 +277,21 @@ func TestUpdateOverheadUnder10Percent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !eagerDuringQuery {
-			// Offline write-back: the query starts from clean blobs.
+		if !pending {
+			// Offline write-back: the query starts from clean blobs. The
+			// compaction drops the versions and tombstones the pass adds,
+			// which a read would otherwise examine and bill.
 			if _, err := mnt.WriteBackAll(); err != nil {
 				t.Fatal(err)
+			}
+			regions, err := c.TableRegions(bfhmL.Table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range regions {
+				if err := r.Compact(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		// Flush so both runs query storage-resident data, and disable the
@@ -293,9 +305,12 @@ func TestUpdateOverheadUnder10Percent(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.SetBlockCacheBytes(0)
-		res, err := QueryBFHM(c, q, bfhmL, bfhmR, BFHMQueryOptions{WriteBack: WriteBackEager})
+		res, err := QueryBFHM(c, q, bfhmL, bfhmR, 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Cost.KVWrites != 0 {
+			t.Fatalf("the query billed %d KV writes", res.Cost.KVWrites)
 		}
 		return int64(res.Cost.SimTime)
 	}
@@ -303,10 +318,10 @@ func TestUpdateOverheadUnder10Percent(t *testing.T) {
 	updated := mk(true)
 	overhead := float64(updated-baseline) / float64(baseline)
 	if overhead > 0.10 {
-		t.Errorf("eager write-back overhead = %.1f%%, paper reports < 10%%", overhead*100)
+		t.Errorf("replay overhead = %.1f%%, paper reports < 10%%", overhead*100)
 	}
 	if overhead < 0 {
-		t.Errorf("overhead = %.1f%%; eager reconstruction cannot be free", overhead*100)
+		t.Errorf("overhead = %.1f%%; reading pending records cannot be cheaper than not", overhead*100)
 	}
-	t.Logf("eager update overhead: %.2f%% (baseline %v)", overhead*100, baseline)
+	t.Logf("replay overhead: %.2f%% (baseline %v)", overhead*100, baseline)
 }

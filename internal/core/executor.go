@@ -26,8 +26,6 @@ type ExecOptions struct {
 	// ISLBatch is the scanner caching size for ISL (default
 	// DefaultISLBatch).
 	ISLBatch int
-	// BFHMWriteBack selects the blob write-back policy (default off).
-	BFHMWriteBack WriteBackMode
 	// Parallelism fans the client read path out (see QueryOptions).
 	Parallelism int
 	// Budget bounds the query's wall-clock and read-unit spend (nil =

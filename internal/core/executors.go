@@ -331,10 +331,7 @@ func (bfhmExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts Ex
 		return nil, fmt.Errorf("rankjoin: missing BFHM index for %s; call EnsureIndexes first", t.ID())
 	}
 	return materialize(t, opts.Budget, func(k int) (*Result, error) {
-		return QueryBFHM(c, withK(t, k), idxA, idxB, BFHMQueryOptions{
-			WriteBack:   opts.BFHMWriteBack,
-			Parallelism: opts.Parallelism,
-		})
+		return QueryBFHM(c, withK(t, k), idxA, idxB, opts.Parallelism)
 	})
 }
 

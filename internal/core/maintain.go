@@ -39,8 +39,9 @@ func mutRecordQual(pfx, rowKey string, ts int64) string {
 //   - BFHM blobs cannot be updated in place; mutations append insertion
 //     or tombstone records to the bucket row (same timestamp as the base
 //     mutation) and maintain the reverse mappings directly. Readers
-//     replay the records over the blob; the write-back of reconstructed
-//     blobs happens eagerly, lazily, or offline (see bfhm.go).
+//     replay the records over the blob and write nothing; WriteBackAll,
+//     the offline pass, persists reconstructed blobs (see bfhm.go for why
+//     a query never does).
 //   - DRJN band rows receive the same record treatment: inserts and
 //     deletes append per-tuple delta records that readers fold into the
 //     band's partition counts and observed score bounds, so the band

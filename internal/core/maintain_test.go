@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/histogram"
@@ -75,7 +76,7 @@ func newMaintSetup(t *testing.T, seed int64) *maintSetup {
 // checkAll verifies every index-based algorithm against the oracle for
 // the current logical contents — DRJN included, with no rebuild: its
 // delta records must keep the band walk converging on fresh data.
-func (s *maintSetup) checkAll(t *testing.T, wb WriteBackMode) {
+func (s *maintSetup) checkAll(t *testing.T) {
 	t.Helper()
 	want := scoresOf(oracleTopK(s.left, s.right, s.q.Score, s.q.K))
 
@@ -91,7 +92,7 @@ func (s *maintSetup) checkAll(t *testing.T, wb WriteBackMode) {
 	}
 	assertScoresEqual(t, "isl-after-updates", scoresOf(isl.Results), want)
 
-	bf, err := QueryBFHM(s.c, s.q, s.bfhmL, s.bfhmR, BFHMQueryOptions{WriteBack: wb})
+	bf, err := QueryBFHM(s.c, s.q, s.bfhmL, s.bfhmR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +130,37 @@ func (s *maintSetup) deleteLeft(t *testing.T, i int) {
 	s.left = append(s.left[:i], s.left[i+1:]...)
 }
 
+// writeBackAll runs the offline write-back pass over both relations.
+func (s *maintSetup) writeBackAll(t *testing.T) {
+	t.Helper()
+	for _, m := range []*Maintainer{s.mL, s.mR} {
+		if _, err := m.WriteBackAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// bfhmRecordCells counts the live mutation records in idx's bucket rows.
+func (s *maintSetup) bfhmRecordCells(t *testing.T, idx *BFHMIndex) int {
+	t.Helper()
+	n := 0
+	for b := 0; b < idx.Layout.Buckets; b++ {
+		row, err := s.c.Get(idx.Table, kvstore.BucketKey(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row == nil {
+			continue
+		}
+		for _, cell := range row.Cells {
+			if strings.HasPrefix(cell.Qualifier, bfhmInsPfx) || strings.HasPrefix(cell.Qualifier, bfhmDelPfx) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 func TestMaintenanceInsertions(t *testing.T) {
 	s := newMaintSetup(t, 1)
 	// Insert tuples that land at the very top of the ranking — the
@@ -136,7 +168,7 @@ func TestMaintenanceInsertions(t *testing.T) {
 	s.insertLeft(t, Tuple{RowKey: "lnew1", JoinValue: "j3", Score: 0.999})
 	s.insertRight(t, Tuple{RowKey: "rnew1", JoinValue: "j3", Score: 0.998})
 	s.insertLeft(t, Tuple{RowKey: "lnew2", JoinValue: "j7", Score: 0.42})
-	s.checkAll(t, WriteBackOff)
+	s.checkAll(t)
 }
 
 func TestMaintenanceDeletions(t *testing.T) {
@@ -152,7 +184,7 @@ func TestMaintenanceDeletions(t *testing.T) {
 			break
 		}
 	}
-	s.checkAll(t, WriteBackOff)
+	s.checkAll(t)
 }
 
 func TestMaintenanceMixedWorkload(t *testing.T) {
@@ -174,45 +206,34 @@ func TestMaintenanceMixedWorkload(t *testing.T) {
 			})
 		}
 	}
-	for _, wb := range []WriteBackMode{WriteBackOff, WriteBackEager, WriteBackLazy} {
-		s.checkAll(t, wb)
-	}
+	s.checkAll(t)
+	// The same contents read from reconstructed blobs.
+	s.writeBackAll(t)
+	s.checkAll(t)
 }
 
 func TestBFHMWriteBackPurgesMutationRecords(t *testing.T) {
 	s := newMaintSetup(t, 4)
-	tp := Tuple{RowKey: "lwb", JoinValue: "j1", Score: 0.95}
-	s.insertLeft(t, tp)
+	s.insertLeft(t, Tuple{RowKey: "lwb", JoinValue: "j1", Score: 0.95})
 
-	bucket := s.bfhmL.Layout.BucketOf(tp.Score)
-	countMutCells := func() int {
-		row, err := s.c.Get(s.bfhmL.Table, kvstore.BucketKey(bucket))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row == nil {
-			return 0
-		}
-		n := 0
-		for _, cell := range row.Cells {
-			if len(cell.Qualifier) > 2 && (cell.Qualifier[:2] == bfhmInsPfx || cell.Qualifier[:2] == bfhmDelPfx) {
-				n++
-			}
-		}
-		return n
-	}
-	if countMutCells() == 0 {
+	records := s.bfhmRecordCells(t, s.bfhmL)
+	if records == 0 {
 		t.Fatal("insertion record missing before write-back")
 	}
-	// Eager query must write back and purge the records.
-	if _, err := QueryBFHM(s.c, s.q, s.bfhmL, s.bfhmR, BFHMQueryOptions{WriteBack: WriteBackEager}); err != nil {
+	// A query replays the records and leaves them where they are.
+	s.checkAll(t)
+	if n := s.bfhmRecordCells(t, s.bfhmL); n != records {
+		t.Fatalf("%d mutation records after a query, %d before", n, records)
+	}
+	// The offline pass folds them into the blob and purges them.
+	if _, err := s.mL.WriteBackAll(); err != nil {
 		t.Fatal(err)
 	}
-	if n := countMutCells(); n != 0 {
-		t.Fatalf("%d mutation records survive eager write-back", n)
+	if n := s.bfhmRecordCells(t, s.bfhmL); n != 0 {
+		t.Fatalf("%d mutation records survive the offline write-back", n)
 	}
 	// Results must still be correct after the write-back.
-	s.checkAll(t, WriteBackOff)
+	s.checkAll(t)
 }
 
 func TestBFHMOfflineWriteBack(t *testing.T) {
@@ -231,6 +252,9 @@ func TestBFHMOfflineWriteBack(t *testing.T) {
 	if n == 0 {
 		t.Fatal("offline write-back found no dirty buckets")
 	}
+	if n := s.bfhmRecordCells(t, s.bfhmL); n != 0 {
+		t.Fatalf("%d mutation records survive the offline write-back", n)
+	}
 	// Second pass: everything clean.
 	n, err = s.mL.WriteBackAll()
 	if err != nil {
@@ -239,7 +263,7 @@ func TestBFHMOfflineWriteBack(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("second write-back still found %d dirty buckets", n)
 	}
-	s.checkAll(t, WriteBackOff)
+	s.checkAll(t)
 }
 
 func TestMaintenanceTimestampsShared(t *testing.T) {
@@ -308,10 +332,9 @@ func TestMaintenanceUpdates(t *testing.T) {
 	s.insertLeft(t, Tuple{RowKey: "lup9", JoinValue: "j1", Score: 0.55})
 	s.updateLeft(t, len(s.left)-1, "j2", 0.56)
 	s.updateLeft(t, len(s.left)-1, "j1", 0.57)
-	s.checkAll(t, WriteBackOff)
-	for _, wb := range []WriteBackMode{WriteBackEager, WriteBackLazy} {
-		s.checkAll(t, wb)
-	}
+	s.checkAll(t)
+	s.writeBackAll(t)
+	s.checkAll(t)
 }
 
 func TestUpdatePurgesOldISLEntry(t *testing.T) {
@@ -331,7 +354,7 @@ func TestUpdatePurgesOldISLEntry(t *testing.T) {
 			t.Fatalf("stale ISL entry for %s survives at old score %v", old.RowKey, old.Score)
 		}
 	}
-	s.checkAll(t, WriteBackOff)
+	s.checkAll(t)
 }
 
 func TestMaintenanceErrorNamesDivergentIndex(t *testing.T) {
@@ -375,7 +398,7 @@ func TestMaintenanceErrorNamesDivergentIndex(t *testing.T) {
 	s.left = append(s.left, tp)
 	// Everything converged — every executor (DRJN queries the recreated,
 	// record-only table and must still be exact) agrees with the oracle.
-	s.checkAll(t, WriteBackOff)
+	s.checkAll(t)
 
 	// The re-apply reused the timestamp: base and ISL agree on it.
 	row, err := s.c.Get(s.q.Relations[0].Table, tp.RowKey)
@@ -450,7 +473,7 @@ func TestMaintenanceSingleWriteRPC(t *testing.T) {
 	if d.KVWrites < 6 {
 		t.Errorf("maintained insert wrote %d cells, want >= 6 (base x2, ijlmr, isl, bfhm x2, drjn)", d.KVWrites)
 	}
-	s.checkAll(t, WriteBackOff)
+	s.checkAll(t)
 }
 
 func TestInsertBatchMaintainsAllIndexes(t *testing.T) {
@@ -473,7 +496,7 @@ func TestInsertBatchMaintainsAllIndexes(t *testing.T) {
 		t.Errorf("InsertBatch cost %d RPCs, want 1", d.RPCCalls)
 	}
 	s.left = append(s.left, batch...)
-	s.checkAll(t, WriteBackOff)
+	s.checkAll(t)
 }
 
 func TestDRJNWriteBackConsolidatesDeltaRecords(t *testing.T) {
@@ -538,7 +561,7 @@ func TestDRJNWriteBackConsolidatesDeltaRecords(t *testing.T) {
 	if n, err = s.mL.WriteBackAll(); err != nil || n != 0 {
 		t.Fatalf("second write-back folded %d structures (%v)", n, err)
 	}
-	s.checkAll(t, WriteBackOff)
+	s.checkAll(t)
 }
 
 func TestRepeatedDeleteReplaysOnce(t *testing.T) {
@@ -560,7 +583,7 @@ func TestRepeatedDeleteReplaysOnce(t *testing.T) {
 	// keep must still join on jdup everywhere (a double-applied Remove
 	// would clear its shared filter bit), and DRJN counts must match a
 	// rebuild (a double decrement would corrupt the shared band cell).
-	s.checkAll(t, WriteBackOff)
+	s.checkAll(t)
 	want, err := histogram.NewDRJNMatrix(s.drjnL.Layout, s.drjnL.JoinParts)
 	if err != nil {
 		t.Fatal(err)
@@ -585,5 +608,5 @@ func TestRepeatedDeleteReplaysOnce(t *testing.T) {
 	if _, err := s.mL.WriteBackAll(); err != nil {
 		t.Fatal(err)
 	}
-	s.checkAll(t, WriteBackOff)
+	s.checkAll(t)
 }

@@ -30,11 +30,11 @@ func TestBFHMParallelReverseFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seq, err := QueryBFHM(c, q, idxA, idxB, BFHMQueryOptions{})
+	seq, err := QueryBFHM(c, q, idxA, idxB, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := QueryBFHM(c, q, idxA, idxB, BFHMQueryOptions{Parallelism: 4})
+	par, err := QueryBFHM(c, q, idxA, idxB, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func TestEmptyRelations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := QueryBFHM(c, q, bfL, bfR, BFHMQueryOptions{}); err != nil || len(res.Results) != 0 {
+	if res, err := QueryBFHM(c, q, bfL, bfR, 0); err != nil || len(res.Results) != 0 {
 		t.Errorf("bfhm on empty: %v, %v", res, err)
 	}
 	drL, _, err := BuildDRJN(c, relL, DRJNOptions{NumBuckets: 5, JoinParts: 8})

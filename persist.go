@@ -81,10 +81,12 @@ func OpenAt(cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// Close releases the underlying cluster's file handles and persists its
-// counters. A memory-backed DB closes trivially. The DB must not be
-// used afterwards.
+// Close closes every stream parked behind a page token, then releases
+// the underlying cluster's file handles and persists its counters, so no
+// cursor (or its scanner's prefetch) outlives the store it reads. A
+// memory-backed DB closes trivially. The DB must not be used afterwards.
 func (db *DB) Close() error {
+	db.cursors.drain()
 	return db.cluster.Close()
 }
 

@@ -97,6 +97,59 @@ func TestColdStartFreshnessOracle(t *testing.T) {
 	assertTopKFresh(t, db2, q2, left, right, Sum, "post-recovery write")
 }
 
+// TestCloseClosesParkedCursors: streams parked behind page tokens — an
+// ISL page whose scanners prefetch, and an any-k page — are closed by
+// DB.Close before the store they read is, and their tokens forgotten.
+func TestCloseClosesParkedCursors(t *testing.T) {
+	db, err := OpenAt(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadTwoRelations(t, db, 300)
+	q, err := db.NewQuery("left", "right", Sum, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnsureIndexes(q, AlgoISL, AlgoAnyK); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct {
+		algo Algorithm
+		opts *QueryOptions
+	}{{AlgoISL, &QueryOptions{Parallelism: 2}}, {AlgoAnyK, nil}} {
+		res, err := db.TopK(q, p.algo, p.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NextPageToken == "" {
+			t.Fatalf("%s: no page parked", p.algo)
+		}
+	}
+	db.cursors.mu.Lock()
+	var parked []*Rows
+	for _, rows := range db.cursors.entries {
+		parked = append(parked, rows)
+	}
+	db.cursors.mu.Unlock()
+	if len(parked) != 2 {
+		t.Fatalf("%d streams parked, want 2", len(parked))
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db.cursors.mu.Lock()
+	left := len(db.cursors.entries) + len(db.cursors.order)
+	db.cursors.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d cursor-cache entries survive Close", left)
+	}
+	for _, rows := range parked {
+		if !rows.closed {
+			t.Errorf("%s: parked stream still open after Close", rows.algo)
+		}
+	}
+}
+
 // TestOpenAtValidation covers the config edge: OpenAt without a
 // directory is an error, not a silent fall-back to a memory DB.
 func TestOpenAtValidation(t *testing.T) {

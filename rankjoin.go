@@ -31,8 +31,6 @@ type (
 	Profile = sim.Profile
 	// Metrics accumulates the paper's three evaluation metrics.
 	Metrics = sim.Metrics
-	// WriteBackMode selects when reconstructed BFHM blobs persist.
-	WriteBackMode = core.WriteBackMode
 	// CostEstimate is a predicted query cost in the paper's three
 	// metrics (simulated time, network bytes, KV read units).
 	CostEstimate = core.CostEstimate
@@ -96,13 +94,6 @@ var (
 // estimation error when applied to a planned Result's Estimate and
 // Cost fields.
 var RelativeError = core.RelativeError
-
-// BFHM write-back policies (Section 6).
-const (
-	WriteBackOff   = core.WriteBackOff
-	WriteBackEager = core.WriteBackEager
-	WriteBackLazy  = core.WriteBackLazy
-)
 
 // Algorithm selects a rank-join strategy.
 type Algorithm string
@@ -170,12 +161,12 @@ type IndexConfig struct {
 	DRJNJoinParts int
 }
 
-// QueryOptions tunes query execution.
+// QueryOptions tunes query execution. No option makes a query write:
+// BFHM replays pending mutation records in memory, and persisting the
+// reconstructed blobs is the offline pass, RelationHandle.WriteBackBFHM.
 type QueryOptions struct {
 	// ISLBatch is the scanner caching size for ISL (default 100).
 	ISLBatch int
-	// BFHMWriteBack selects the blob write-back policy (default off).
-	BFHMWriteBack WriteBackMode
 	// Parallelism fans the client read path out: BFHM's reverse-mapping
 	// multi-gets issue per-region RPCs over that many concurrent lanes,
 	// and at any value >= 2 ISL's left/right streams prefetch so their
@@ -224,10 +215,9 @@ func (o QueryOptions) withDefaults() QueryOptions {
 // and the cluster guard the query layer installs (per-RPC checks).
 func (o QueryOptions) execOptions() core.ExecOptions {
 	return core.ExecOptions{
-		ISLBatch:      o.ISLBatch,
-		BFHMWriteBack: o.BFHMWriteBack,
-		Parallelism:   o.Parallelism,
-		Budget:        core.NewBudget(o.Context, o.Deadline, o.MaxReadUnits),
+		ISLBatch:    o.ISLBatch,
+		Parallelism: o.Parallelism,
+		Budget:      core.NewBudget(o.Context, o.Deadline, o.MaxReadUnits),
 	}
 }
 

@@ -196,6 +196,18 @@ func (cc *cursorCache) put(rows *Rows, queryID string) string {
 	return token
 }
 
+// drain closes every parked stream and forgets its token.
+func (cc *cursorCache) drain() {
+	cc.mu.Lock()
+	parked := cc.entries
+	cc.entries = map[string]*Rows{}
+	cc.order = nil
+	cc.mu.Unlock()
+	for _, e := range parked {
+		_ = e.Close()
+	}
+}
+
 // take removes and returns the stream behind a token. Tokens are
 // single-use: a second take of the same token fails.
 func (cc *cursorCache) take(token string) (*Rows, error) {
