@@ -283,13 +283,7 @@ var writeEntryPoints = []struct {
 // bothModes runs f against a fresh memory cluster and a fresh disk
 // cluster, whatever KVSTORE_DISK says.
 func bothModes(t *testing.T, f func(t *testing.T, c *Cluster)) {
-	t.Run("memory", func(t *testing.T) {
-		c, err := NewCluster(sim.LC(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f(t, c)
-	})
+	t.Run("memory", func(t *testing.T) { f(t, memCluster(t)) })
 	t.Run("disk", func(t *testing.T) {
 		c := openDiskCluster(t, t.TempDir())
 		defer c.Close()
@@ -297,58 +291,74 @@ func bothModes(t *testing.T, f func(t *testing.T, c *Cluster)) {
 	})
 }
 
-func recoverAll(t *testing.T, c *Cluster, table string) {
+// memCluster returns a memory-only cluster, whatever KVSTORE_DISK says.
+func memCluster(t *testing.T) *Cluster {
 	t.Helper()
-	regs, err := c.TableRegions(table)
+	t.Setenv("KVSTORE_DISK", "")
+	c, err := NewCluster(sim.LC(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range regs {
-		if _, err := r.recover(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return c
 }
 
 // TestWriteDoesNotAliasCallerValue: a write copies the value it is
 // given. The caller's buffer is rewritten the moment the write returns,
 // and the stored cell must still read "hello" — from the memtable, from
-// the run a flush makes of it, and from a memtable rebuilt out of the
-// WAL (which always held the original bytes, so a store that aliased
-// disagreed with its own log).
+// the run a flush makes of it, and, on disk, from the memtable cold
+// start rebuilds out of the WAL file after a close and reopen (the log
+// always held the original bytes, so a store that aliased disagreed
+// with its own log). A memory cluster keeps no log and has no recovery
+// stage.
 func TestWriteDoesNotAliasCallerValue(t *testing.T) {
 	stages := []struct {
-		name string
-		run  func(t *testing.T, c *Cluster)
+		name     string
+		diskOnly bool
+		// run moves the cluster to the stage and returns the cluster
+		// to read from.
+		run func(t *testing.T, c *Cluster, dir string) *Cluster
 	}{
-		{"before flush", func(*testing.T, *Cluster) {}},
-		{"after flush", func(t *testing.T, c *Cluster) {
+		{"before flush", false, func(_ *testing.T, c *Cluster, _ string) *Cluster { return c }},
+		{"after flush", false, func(t *testing.T, c *Cluster, _ string) *Cluster {
 			if err := c.FlushAll(); err != nil {
 				t.Fatal(err)
 			}
+			return c
 		}},
-		{"after recover", func(t *testing.T, c *Cluster) { recoverAll(t, c, "t") }},
+		{"after recover", true, func(t *testing.T, c *Cluster, dir string) *Cluster {
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return openDiskCluster(t, dir)
+		}},
 	}
 	for _, ep := range writeEntryPoints {
 		for _, stage := range stages {
-			ep, stage := ep, stage
+			check := func(t *testing.T, c *Cluster, dir string) {
+				c.SetRowCacheBytes(0)
+				mustCreate(t, c, "t", []string{"cf"}, nil)
+				buf := []byte("hello")
+				if err := ep.write(c, Cell{Row: "r", Family: "cf", Qualifier: "q", Value: buf}); err != nil {
+					t.Fatal(err)
+				}
+				copy(buf, "XXXXX")
+				c = stage.run(t, c, dir)
+				defer c.Close()
+				row, err := c.Get("t", "r")
+				if err != nil || row == nil {
+					t.Fatalf("get: %v, %v", row, err)
+				}
+				if got := string(row.Cells[0].Value); got != "hello" {
+					t.Fatalf("stored value reads %q after the caller reused its buffer, want %q", got, "hello")
+				}
+			}
 			t.Run(ep.name+"/"+stage.name, func(t *testing.T) {
-				bothModes(t, func(t *testing.T, c *Cluster) {
-					c.SetRowCacheBytes(0)
-					mustCreate(t, c, "t", []string{"cf"}, nil)
-					buf := []byte("hello")
-					if err := ep.write(c, Cell{Row: "r", Family: "cf", Qualifier: "q", Value: buf}); err != nil {
-						t.Fatal(err)
-					}
-					copy(buf, "XXXXX")
-					stage.run(t, c)
-					row, err := c.Get("t", "r")
-					if err != nil || row == nil {
-						t.Fatalf("get: %v, %v", row, err)
-					}
-					if got := string(row.Cells[0].Value); got != "hello" {
-						t.Fatalf("stored value reads %q after the caller reused its buffer, want %q", got, "hello")
-					}
+				if !stage.diskOnly {
+					t.Run("memory", func(t *testing.T) { check(t, memCluster(t), "") })
+				}
+				t.Run("disk", func(t *testing.T) {
+					dir := t.TempDir()
+					check(t, openDiskCluster(t, dir), dir)
 				})
 			})
 		}
@@ -416,9 +426,9 @@ func TestReturnedValueCannotGrowIntoArena(t *testing.T) {
 
 // TestCachedRowSurvivesItsArena: the row cache keeps its own copy of a
 // row. The read that fills it assembles views into a memtable; the
-// memtable is then flushed, the segment compacted away and the memtable
-// rebuilt from the WAL, and the next get — a cache hit — still returns
-// the row the first read did.
+// memtable is then flushed and the segment compacted away, retiring
+// both arenas, and the next get — a cache hit — still returns the row
+// the first read did.
 func TestCachedRowSurvivesItsArena(t *testing.T) {
 	bothModes(t, func(t *testing.T, c *Cluster) {
 		c.SetRowCacheBytes(DefaultRowCacheBytes)
@@ -445,7 +455,6 @@ func TestCachedRowSurvivesItsArena(t *testing.T) {
 		if err := r.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		recoverAll(t, c, "t")
 		runtime.GC()
 		hitsBefore, _ := r.RowCacheStats()
 		again, err := c.Get("t", "r100")

@@ -46,9 +46,6 @@ type clusterState struct {
 	// store is the durable backing (nil = memory-only). Set once at
 	// construction, read-only afterwards.
 	store *diskStore
-	// memMeta backs SetMeta/Meta for memory-only clusters so the
-	// catalog API is uniform across modes.
-	memMeta map[string]string // guarded by: mu
 }
 
 // Table is a named collection of regions with a declared column-family
@@ -91,7 +88,6 @@ func NewCluster(profile sim.Profile, metrics *sim.Metrics) (*Cluster, error) {
 			tables:        make(map[string]*Table),
 			seed:          1,
 			rowCacheBytes: DefaultRowCacheBytes,
-			memMeta:       make(map[string]string),
 		},
 		profile: profile,
 		metrics: metrics,
@@ -136,7 +132,6 @@ func OpenClusterFS(profile sim.Profile, metrics *sim.Metrics, dir string, fsys V
 		tables:        make(map[string]*Table),
 		seed:          1,
 		rowCacheBytes: DefaultRowCacheBytes,
-		memMeta:       make(map[string]string),
 		store:         store,
 	}
 	c := &Cluster{state: s, profile: profile, metrics: metrics}
@@ -173,9 +168,10 @@ func OpenClusterFS(profile sim.Profile, metrics *sim.Metrics, dir string, fsys V
 }
 
 // openRegion rebuilds one region from its manifest record: SSTables
-// opened newest-first and grouped into family stores, WAL replayed into
-// the family memtables, sequence and clock floors advanced past
-// everything recovered.
+// opened newest-first and grouped into family stores, quarantined files
+// restored to their stores' quarantine unopened, WAL replayed into the
+// family memtables, sequence and clock floors advanced past everything
+// recovered.
 func (c *Cluster) openRegion(rec *manifestRegion) (*Region, error) {
 	s := c.state
 	s.mu.RLock()
@@ -185,7 +181,8 @@ func (c *Cluster) openRegion(rec *manifestRegion) (*Region, error) {
 	if flushThreshold > 0 {
 		r.flushThreshold = flushThreshold
 	}
-	if err := r.attachStore(s.store); err != nil {
+	logged, err := r.attachStore(s.store)
+	if err != nil {
 		return nil, err
 	}
 	var maxTs int64
@@ -207,20 +204,17 @@ func (c *Cluster) openRegion(rec *manifestRegion) (*Region, error) {
 			maxTs = seg.meta.maxTs
 		}
 	}
-	if _, err := r.replayWALLocked(r.log); err != nil {
-		r.mu.Unlock()
-		r.shutdown()
-		return nil, err
+	for _, q := range rec.Quarantined {
+		st := r.storeLocked(q.Family)
+		st.quarantined = append(st.quarantined, quarantinedRun{name: q.Name, minRow: q.MinRow, maxRow: q.MaxRow})
 	}
-	walTs, err := r.maxWALTimestampLocked()
+	walTs, err := r.replayLocked(logged)
 	r.mu.Unlock()
 	if err != nil {
 		r.shutdown()
 		return nil, err
 	}
-	if walTs > maxTs {
-		maxTs = walTs
-	}
+	maxTs = max(maxTs, walTs)
 	s.mu.Lock()
 	if maxTs > s.clock {
 		s.clock = maxTs
@@ -269,29 +263,24 @@ func (c *Cluster) Dir() string {
 	return c.state.store.dir
 }
 
-// SetMeta durably stores an opaque key/value in the cluster manifest
-// (memory-only clusters keep it in memory). The rankjoin layer persists
-// its relation/index catalog here.
+// SetMeta durably stores an opaque key/value in the cluster manifest.
+// The rankjoin layer persists its relation/index catalog here. On a
+// memory-only cluster it is a no-op: there is no manifest, and nothing
+// outlives the process to read the value back.
 func (c *Cluster) SetMeta(key, value string) error {
-	s := c.state
-	if s.store != nil {
+	if s := c.state; s.store != nil {
 		return s.store.setMeta(key, value)
 	}
-	s.mu.Lock()
-	s.memMeta[key] = value
-	s.mu.Unlock()
 	return nil
 }
 
-// Meta returns the value stored under key ("" when absent).
+// Meta returns the value stored under key ("" when absent, and always
+// "" on a memory-only cluster, whose SetMeta stores nothing).
 func (c *Cluster) Meta(key string) string {
-	s := c.state
-	if s.store != nil {
+	if s := c.state; s.store != nil {
 		return s.store.meta(key)
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.memMeta[key]
+	return ""
 }
 
 // SetFlushThreshold overrides every region's memstore flush threshold
@@ -495,7 +484,7 @@ func (c *Cluster) CreateTable(name string, families []string, splitKeys []string
 		if s.flushThreshold > 0 {
 			r.flushThreshold = s.flushThreshold
 		}
-		if err := r.attachStore(s.store); err != nil {
+		if _, err := r.attachStore(s.store); err != nil {
 			return nil, err
 		}
 		t.regions = append(t.regions, r)
@@ -1035,11 +1024,11 @@ func (c *Cluster) SplitRegion(table, row string) error {
 		right.flushThreshold = s.flushThreshold
 	}
 	s.mu.RUnlock()
-	if err := left.attachStore(s.store); err != nil {
+	if _, err := left.attachStore(s.store); err != nil {
 		r.reopen()
 		return err
 	}
-	if err := right.attachStore(s.store); err != nil {
+	if _, err := right.attachStore(s.store); err != nil {
 		r.reopen()
 		return err
 	}

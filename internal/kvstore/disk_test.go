@@ -165,27 +165,72 @@ func TestColdStartRecovery(t *testing.T) {
 	}
 }
 
+// walFileLen returns the on-disk length of region r's WAL file, failing
+// the test unless r.WALSize() reports exactly that length: the file is
+// the log's only copy.
+func walFileLen(t *testing.T, c *Cluster, r *Region) int64 {
+	t.Helper()
+	fi, err := os.Stat(c.state.store.walPath(r.id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sz := r.WALSize(); sz != uint64(fi.Size()) {
+		t.Fatalf("WALSize() = %d, but the WAL file holds %d bytes", sz, fi.Size())
+	}
+	return fi.Size()
+}
+
 // TestColdStartReplaysWAL covers the unflushed path: rows that only ever
 // reached the WAL + memtable must survive an abrupt stop (no Close, file
-// handles simply abandoned) because every mutation hit the log first.
+// handles simply abandoned) because every mutation hit the log first —
+// even when the stop tore an append, leaving part of a record after the
+// acknowledged ones. Throughout, WALSize is the file's length: growing
+// with every append, back to the acknowledged length once the torn
+// tail is trimmed at open, and zero after a flush.
 func TestColdStartReplaysWAL(t *testing.T) {
 	dir := t.TempDir()
 	c := openDiskCluster(t, dir)
 	mustCreate(t, c, "t", []string{"cf"}, nil)
+	r := mustRegion(t, c, "t")
+	var size int64
 	for i := 0; i < 50; i++ {
 		cell := Cell{Row: fmt.Sprintf("r%03d", i), Family: "cf", Qualifier: "q",
 			Value: []byte(fmt.Sprintf("v%d", i))}
 		if err := c.Put("t", cell); err != nil {
 			t.Fatal(err)
 		}
+		n := walFileLen(t, c, r)
+		if n <= size {
+			t.Fatalf("put %d left the WAL at %d bytes, was %d", i, n, size)
+		}
+		size = n
 	}
 	want := snapshotRows(t, c, "t")
-	// No Close: simulate a crash with everything still in the memtable.
+	// No Close: simulate a crash with everything still in the memtable,
+	// in the middle of appending one more record.
+	path := c.state.store.walPath(r.id)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, raw[:walRecordOverhead+4]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	c2 := openDiskCluster(t, dir)
+	r2 := mustRegion(t, c2, "t")
+	if n := walFileLen(t, c2, r2); n != size {
+		t.Fatalf("WAL is %d bytes after the torn tail's trim, want the acknowledged %d", n, size)
+	}
 	got := snapshotRows(t, c2, "t")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("WAL replay lost data: %d rows vs %d written", len(got), len(want))
+	}
+	if err := c2.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n := walFileLen(t, c2, r2); n != 0 {
+		t.Fatalf("WAL is %d bytes after a flush, want 0", n)
 	}
 	if err := c2.Close(); err != nil {
 		t.Fatal(err)

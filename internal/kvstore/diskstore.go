@@ -64,6 +64,16 @@ type manifestRegion struct {
 	Node  int
 	Seq   uint64
 	Files []string // SSTables, newest first
+	// Quarantined lists the region's SSTables a Scrub pass failed. They
+	// are off the read path but their files stay, and cold start
+	// restores the quarantine without opening them.
+	Quarantined []manifestQuarantined `json:",omitempty"`
+}
+
+// manifestQuarantined is one quarantined SSTable: its file, the family
+// store it belonged to, and the row span reads must refuse.
+type manifestQuarantined struct {
+	Name, Family, MinRow, MaxRow string
 }
 
 // manifestTable records a table's schema and region membership in key
@@ -139,6 +149,9 @@ func (s *diskStore) cleanOrphansLocked() error {
 		liveFiles[walName(r.ID)] = true
 		for _, f := range r.Files {
 			liveFiles[f] = true
+		}
+		for _, q := range r.Quarantined {
+			liveFiles[q.Name] = true
 		}
 	}
 	entries, err := s.fs.ReadDir(s.dir)
@@ -238,17 +251,16 @@ func (s *diskStore) regionRecordLocked(tmpl manifestRegion) *manifestRegion {
 	return r
 }
 
-// registerSegments durably records a region's new SSTable file list
-// (newest first) and sequence number, then — only after the manifest is
-// safely on disk — unlinks the files the new set replaces. The region
-// record is upserted, so detached split children register themselves
-// before any table references them. maxTs advances the manifest clock
-// floor, keeping recovered timestamps monotonic.
-func (s *diskStore) registerSegments(tmpl manifestRegion, files []string, seq uint64, maxTs int64, obsolete []string) error {
+// registerSegments durably records a region's new record — SSTable file
+// list (newest first), quarantined files and sequence number — then,
+// only after the manifest is safely on disk, unlinks the files the new
+// set replaces. The region record is upserted, so detached split
+// children register themselves before any table references them. maxTs
+// advances the manifest clock floor, keeping recovered timestamps
+// monotonic. rec must not be retained or modified by the caller.
+func (s *diskStore) registerSegments(rec manifestRegion, maxTs int64, obsolete ...string) error {
 	s.mu.Lock()
-	rec := s.regionRecordLocked(tmpl)
-	rec.Files = append([]string(nil), files...)
-	rec.Seq = seq
+	*s.regionRecordLocked(rec) = rec
 	if maxTs > s.man.Clock {
 		s.man.Clock = maxTs
 	}
@@ -269,17 +281,22 @@ func (s *diskStore) registerSegments(tmpl manifestRegion, files []string, seq ui
 	return nil
 }
 
-// dropRegionFiles removes a region's record and unlinks its files and
-// WAL; callers must have saved a manifest that no longer references the
-// region (DropTable, split completion) before calling.
+// dropRegionFiles removes a region's record and unlinks its files —
+// quarantined ones included — and WAL; callers must have saved a
+// manifest that no longer references the region (DropTable, split
+// completion) before calling.
 func (s *diskStore) dropRegionFiles(rec *manifestRegion) error {
+	paths := []string{s.walPath(rec.ID)}
 	for _, f := range rec.Files {
-		if err := s.fs.Remove(filepath.Join(s.dir, f)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		paths = append(paths, filepath.Join(s.dir, f))
+	}
+	for _, q := range rec.Quarantined {
+		paths = append(paths, filepath.Join(s.dir, q.Name))
+	}
+	for _, p := range paths {
+		if err := s.fs.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
 		}
-	}
-	if err := s.fs.Remove(s.walPath(rec.ID)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
 	}
 	return nil
 }
@@ -313,6 +330,7 @@ func (s *diskStore) snapshotManifest() manifest {
 	for i, r := range s.man.Regions {
 		rc := *r
 		rc.Files = append([]string(nil), r.Files...)
+		rc.Quarantined = append([]manifestQuarantined(nil), r.Quarantined...)
 		cp.Regions[i] = &rc
 	}
 	return cp

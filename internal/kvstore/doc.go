@@ -14,16 +14,17 @@
 //
 // # Storage engine
 //
-// Each region is a miniature LSM tree with one WAL and one store per
-// column family — HBase's Store: a skip-list memtable plus immutable
-// sorted segments (the in-memory analogue of HFiles) holding that
-// family's cells only. A write appends to the region's WAL and to its
-// family's memtable; when the region's TOTAL memstore size exceeds the
-// flush threshold, every non-empty family memtable becomes a segment of
-// its store in one flush. Internal cell keys embed bit-inverted
-// timestamps and sequence numbers so the newest version of a column
-// sorts first, which lets every reader take the first version it
-// encounters.
+// Each region is a miniature LSM tree with one store per column family —
+// HBase's Store: a skip-list memtable plus immutable sorted segments (the
+// in-memory analogue of HFiles) holding that family's cells only. A
+// write goes to its family's memtable; in disk mode it is first
+// appended to the region's WAL file, while a memory-mode region keeps no
+// log at all — it has no crash to survive. When the region's TOTAL
+// memstore size exceeds the flush threshold, every non-empty family
+// memtable becomes a segment of its store in one flush. Internal cell
+// keys embed bit-inverted timestamps and sequence numbers so the newest
+// version of a column sorts first, which lets every reader take the
+// first version it encounters.
 //
 // Cells at rest are bytes, not objects (arena.go). A memtable, a
 // segment and a decoded SSTable block all keep their cells the same way:
@@ -42,9 +43,9 @@
 // Three rules follow from that layout:
 //
 //   - Writes copy. Put, MutateRow, BatchPut and GroupWrite copy key and
-//     value into the arena (and the WAL); the caller may reuse its
-//     buffers at once. A zero-length value is stored as no bytes and
-//     reads back as nil everywhere.
+//     value into the arena (and, on disk, the WAL file); the caller may
+//     reuse its buffers at once. A zero-length value is stored as no
+//     bytes and reads back as nil everywhere.
 //   - Iterators yield views. cellIter.cell() returns a Cell whose
 //     strings are substrings of the stored key and whose Value is a
 //     capacity-clipped slice of the value slab, valid until the next
@@ -99,12 +100,14 @@
 //
 // The store runs in one of two modes, fixed at construction and never
 // mixed within a region. NewCluster keeps flushed segments in memory
-// (the original simulator behavior); OpenCluster roots the cluster in
-// a directory and makes every layer real: per-region write-ahead logs
-// (rNNNNNN.wal, all families interleaved), binary SSTables (NNNNNN.sst,
-// one family's run each), and a MANIFEST naming them. Both modes share
-// the per-family layout. The test suites run in disk mode under
-// KVSTORE_DISK=1.
+// (the original simulator behavior) and keeps no write-ahead log;
+// OpenCluster roots the cluster in a directory and makes every layer
+// real: per-region write-ahead logs (rNNNNNN.wal, all families
+// interleaved), binary SSTables (NNNNNN.sst, one family's run each), and
+// a MANIFEST naming them. A log lives only in its file — Region.WALSize
+// is the file's length — and is read back only at cold start. Both
+// modes share the per-family layout. The test suites run in disk mode
+// under KVSTORE_DISK=1.
 //
 // A flush of a region with n dirty families writes n SSTables and
 // registers all of them in ONE manifest save before the WAL truncates;
@@ -151,10 +154,13 @@
 //     (the orphans of a mid-compaction crash), advances the file
 //     allocator past everything on disk, opens each region's segments
 //     (footer, then summary/bloom/meta) into the family stores their
-//     meta blocks name, and replays the region's WAL, each record into
-//     the memtable of the family in its key. The cluster clock resumes past the
-//     largest recovered timestamp, so recovered writes never collide
-//     with new ones.
+//     meta blocks name, restores its quarantined files (below) to their
+//     stores without opening them, and reads the region's WAL file once:
+//     the valid prefix is checked, replayed record by record into the
+//     memtable of the family in its key, and dropped. The same pass
+//     yields the largest logged timestamp; the cluster clock resumes
+//     past it and every SSTable's, so recovered writes never collide
+//     with new ones. This cold start is the only recovery there is.
 //
 // Region splits reuse the same machinery: child regions are prepared
 // detached, registered in one manifest mutation, and only then exposed
@@ -187,8 +193,13 @@
 // key range return a typed CorruptionError instead of silently missing
 // rows; reads restricted to other families are unaffected; all-family
 // reads — TableCells for Merkle digests, splits — fail, so replica
-// repair escalates to a full resync) and its file is never deleted. Cluster.Quarantined lists them; the scrub's reads are
-// measured I/O, charged like any client-visible work.
+// repair escalates to a full resync) and its file is never deleted while
+// the table lives. The quarantine is durable: the region's MANIFEST
+// record lists each quarantined file with its family and row span from
+// the scrub on, every later flush and compaction carries it forward,
+// and the orphan sweep keeps its file. Cluster.Quarantined lists them;
+// the scrub's reads are measured I/O, charged like any client-visible
+// work.
 //
 // Long operations degrade cooperatively: a view wrapped by WithGuard
 // checks its interrupt (deadline, context, budget — see core's Budget)

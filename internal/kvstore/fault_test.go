@@ -204,12 +204,30 @@ func TestFaultScheduleTornWALAppend(t *testing.T) {
 	if _, err := c.CreateTable("t", []string{"cf"}, nil); err != nil {
 		t.Fatal(err)
 	}
+	regs, err := c.TableRegions("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := regs[0]
+	walPath := filepath.Join(dir, fmt.Sprintf("r%06d.wal", region.ID()))
 	acked := map[string]bool{}
 	var tornRow string
 	failures := 0
+	var size uint64
 	for i := 0; i < 12; i++ {
 		row := fmt.Sprintf("row%03d", i)
 		err := c.Put("t", kvstore.Cell{Row: row, Family: "cf", Qualifier: "v", Value: []byte("x")})
+		// The file is the log's only copy: WALSize is its length, which
+		// grows with every acknowledged append and is back at the last
+		// acknowledged length after the torn one rolls back.
+		fi, serr := os.Stat(walPath)
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		if got := region.WALSize(); got != uint64(fi.Size()) || (err == nil) != (got > size) {
+			t.Fatalf("put %d (err %v): WALSize %d, file %d bytes, acknowledged before %d", i, err, got, fi.Size(), size)
+		}
+		size = region.WALSize()
 		if err != nil {
 			failures++
 			tornRow = row
@@ -528,5 +546,85 @@ func TestScrubQuarantineIsPerFamily(t *testing.T) {
 	// The refused split left the region in service.
 	if got, err = c.ScanAll(kvstore.Scan{Table: "isl", Families: []string{"part"}}); err != nil || len(got) != rows {
 		t.Fatalf("part-only scan after the refused split: %d rows, %v", len(got), err)
+	}
+}
+
+// TestScrubQuarantineSurvivesFlushAndReopen: a quarantine is durable.
+// After the scrub, the region's next flush and compaction each write a
+// new manifest record, and a reopen rebuilds the region from it. Through
+// all of them the rotted file must stay quarantined, stay on disk, and
+// keep failing the reads that could touch it. Dropping it from the
+// record instead lets the next open sweep it as an orphan, and the
+// table then serves only the rows written after the scrub, with no
+// error.
+func TestScrubQuarantineSurvivesFlushAndReopen(t *testing.T) {
+	dir := t.TempDir()
+	c, err := openFaultCluster(t, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPutRows(t, c, 0, 50)
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Scrub()
+	if err != nil || rep.Corrupt != 0 || len(rep.Files) != 1 {
+		t.Fatalf("clean scrub: %+v, %v; want one clean file", rep, err)
+	}
+	badFile := rep.Files[0].Name
+	path := filepath.Join(dir, badFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[20] ^= 0x08
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = c.Scrub(); err != nil || rep.Corrupt != 1 {
+		t.Fatalf("scrub after rot: %+v, %v", rep, err)
+	}
+	mustPutRows(t, c, 50, 51)
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	requireQuarantined := func(stage string, c *kvstore.Cluster) {
+		t.Helper()
+		if q := c.Quarantined(); len(q) != 1 || q[0] != badFile {
+			t.Fatalf("%s: Quarantined() = %v, want [%s]", stage, q, badFile)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("%s: quarantined file is gone: %v", stage, err)
+		}
+		if rows, err := c.ScanAll(kvstore.Scan{Table: "t"}); !errors.Is(err, kvstore.ErrCorruption) {
+			t.Fatalf("%s: scan over the quarantined file returned %d rows, %v; want ErrCorruption", stage, len(rows), err)
+		}
+		if _, err := c.Get("t", "row010"); !errors.Is(err, kvstore.ErrCorruption) {
+			t.Fatalf("%s: get of a quarantined row: %v, want ErrCorruption", stage, err)
+		}
+	}
+	requireQuarantined("after flush", c)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := openFaultCluster(t, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	requireQuarantined("after reopen", c2)
+	regs, err := c2.TableRegions("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := regs[0].Compact(); err != nil {
+		t.Fatal(err)
+	}
+	requireQuarantined("after compaction", c2)
+	// A row outside the rotted file's span is still served.
+	if row, err := c2.Get("t", "row050"); err != nil || row == nil {
+		t.Fatalf("get of the row written after the scrub: %v, %v", row, err)
 	}
 }

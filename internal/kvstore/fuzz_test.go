@@ -205,15 +205,26 @@ func FuzzCellKeyRoundTrip(f *testing.F) {
 func FuzzWALReplay(f *testing.F) {
 	// Seed with real logs: empty, a few records, a torn tail, a mid-log
 	// bit flip, and garbage.
+	dir, logs := f.TempDir(), 0
 	mkLog := func(n int) []byte {
-		w := &wal{}
+		logs++
+		path := filepath.Join(dir, fmt.Sprintf("seed%d.wal", logs))
+		w, _, err := openWAL(DefaultVFS(), path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		defer w.close()
 		for i := 0; i < n; i++ {
 			c := &Cell{Value: []byte{byte(i), 0xab}, Tombstone: i%3 == 0}
 			if err := w.append(cellKey("row", "cf", "q", int64(i+1), uint64(i+1)), c); err != nil {
 				f.Fatal(err)
 			}
 		}
-		return w.buf
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return buf
 	}
 	f.Add([]byte{})
 	f.Add(mkLog(3))
@@ -227,7 +238,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, err := openWAL(DefaultVFS(), path)
+		w, logged, err := openWAL(DefaultVFS(), path)
 		if err != nil {
 			var ce *CorruptionError
 			var ioe *IOError
@@ -241,14 +252,18 @@ func FuzzWALReplay(f *testing.F) {
 		// must agree, and every record must pass its checksum — openWAL
 		// accepting a rotted record would be silent corruption.
 		n := 0
-		if err := w.replay(func(string, []byte, bool) error { n++; return nil }); err != nil {
+		if err := replayWAL(logged, func(string, []byte, bool) error { n++; return nil }); err != nil {
 			t.Fatalf("replay of accepted prefix failed: %v", err)
 		}
-		if n != w.records {
-			t.Fatalf("replayed %d records, openWAL counted %d", n, w.records)
+		valid, records, err := walValidPrefix(logged)
+		if err != nil || valid != len(logged) {
+			t.Fatalf("accepted prefix is not fully valid: valid=%d len=%d err=%v", valid, len(logged), err)
 		}
-		if valid, _, err := walValidPrefix(w.buf); err != nil || valid != len(w.buf) {
-			t.Fatalf("accepted buf is not a fully valid prefix: valid=%d len=%d err=%v", valid, len(w.buf), err)
+		if n != records {
+			t.Fatalf("replayed %d records, walValidPrefix counted %d", n, records)
+		}
+		if w.size() != uint64(len(logged)) {
+			t.Fatalf("log size %d after open, valid prefix %d bytes", w.size(), len(logged))
 		}
 	})
 }

@@ -28,19 +28,20 @@ type familyStore struct {
 	// verification in a Scrub pass. They are off the read path — any
 	// read of this family whose key range may touch one fails with a
 	// typed CorruptionError rather than silently missing rows — and
-	// their files are never unlinked, so the damaged bytes remain
-	// available for repair.
-	quarantined []*diskSegment
+	// their files are never unlinked while the table lives, so the
+	// damaged bytes remain available for repair. The manifest records
+	// them, so a quarantine outlives flushes, compactions and reopens.
+	quarantined []quarantinedRun
 }
 
 // Region is one horizontal shard of a table: the half-open row-key range
-// [StartKey, EndKey), hosted by a single node. Each region owns one WAL,
-// one LSM store per column family (memtable + immutable runs), and a
-// mutex providing the row-level atomicity HBase guarantees (Section 6
-// relies on it). With a diskStore attached the runs are on-disk SSTables
-// and the WAL is file-backed; without one everything lives in memory
-// (the original simulated mode). The two modes never mix within a
-// region.
+// [StartKey, EndKey), hosted by a single node. Each region owns one LSM
+// store per column family (memtable + immutable runs) and a mutex
+// providing the row-level atomicity HBase guarantees (Section 6 relies
+// on it). With a diskStore attached the runs are on-disk SSTables and
+// the region keeps a write-ahead log file; without one everything lives
+// in memory (the original simulated mode) and there is no log. The two
+// modes never mix within a region.
 type Region struct {
 	mu       sync.RWMutex
 	id       int
@@ -54,7 +55,7 @@ type Region struct {
 	// cell, sorted by family name; created on first write (or at cold
 	// start from the region's files and WAL), never removed.
 	stores []*familyStore // guarded by: mu
-	log    *wal           // guarded by: mu
+	log    *wal           // nil in memory mode; guarded by: mu
 	seq    uint64         // guarded by: mu
 	cache  *rowCache
 	store  *diskStore // nil = memory-only
@@ -94,29 +95,30 @@ func newRegion(id int, table, startKey, endKey string, node int, seed int64, cac
 		endKey:           endKey,
 		node:             node,
 		seed:             seed,
-		log:              &wal{},
 		cache:            newRowCache(cacheBytes),
 		flushThreshold:   defaultFlushThreshold,
 		compactThreshold: defaultCompactThreshold,
 	}
 }
 
-// attachStore switches a fresh region to disk-backed mode: its WAL
-// becomes a file in the store directory and every flush writes an
-// SSTable. Must be called before the region receives any mutation.
-func (r *Region) attachStore(store *diskStore) error {
+// attachStore switches a fresh region to disk-backed mode: it gains a
+// WAL file in the store directory and every flush writes an SSTable.
+// It returns the log's valid prefix — empty for a new region — for cold
+// start to replay. Must be called before the region receives any
+// mutation.
+func (r *Region) attachStore(store *diskStore) ([]byte, error) {
 	if store == nil {
-		return nil
+		return nil, nil
 	}
-	w, err := openWAL(store.fs, store.walPath(r.id))
+	w, logged, err := openWAL(store.fs, store.walPath(r.id))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	r.mu.Lock()
 	r.store = store
 	r.log = w
 	r.mu.Unlock()
-	return nil
+	return logged, nil
 }
 
 // manifestTemplateLocked renders the region's identity for manifest
@@ -125,6 +127,29 @@ func (r *Region) attachStore(store *diskStore) error {
 // children).
 func (r *Region) manifestTemplateLocked() manifestRegion {
 	return manifestRegion{ID: r.id, Table: r.table, Start: r.startKey, End: r.endKey, Node: r.node}
+}
+
+// manifestRecordLocked renders the region's full manifest record — its
+// identity, sequence, SSTable names (family by family, newest first
+// within each) and quarantined files — plus the largest cell timestamp
+// the SSTables hold. Caller holds r.mu; all runs are disk segments in
+// disk mode.
+func (r *Region) manifestRecordLocked() (rec manifestRegion, maxTs int64) {
+	rec = r.manifestTemplateLocked()
+	rec.Seq = r.seq
+	for _, st := range r.stores {
+		for _, s := range st.runs {
+			d := s.(*diskSegment)
+			rec.Files = append(rec.Files, d.name)
+			if d.meta.maxTs > maxTs {
+				maxTs = d.meta.maxTs
+			}
+		}
+		for _, q := range st.quarantined {
+			rec.Quarantined = append(rec.Quarantined, manifestQuarantined{Name: q.name, Family: st.family, MinRow: q.minRow, MaxRow: q.maxRow})
+		}
+	}
+	return rec, maxTs
 }
 
 // storeLocked returns the family's store, creating it on first use.
@@ -161,23 +186,6 @@ func (r *Region) memSizeLocked() uint64 {
 	return n
 }
 
-// diskFilesLocked lists the region's SSTable file names for the
-// manifest, family by family and newest first within each, plus the
-// largest cell timestamp they hold. Caller holds r.mu; all runs are disk
-// segments in disk mode.
-func (r *Region) diskFilesLocked() (files []string, maxTs int64) {
-	for _, st := range r.stores {
-		for _, s := range st.runs {
-			d := s.(*diskSegment)
-			files = append(files, d.name)
-			if d.meta.maxTs > maxTs {
-				maxTs = d.meta.maxTs
-			}
-		}
-	}
-	return files, maxTs
-}
-
 // shutdown releases the region's file handles (disk mode). The region
 // must not be used afterwards.
 func (r *Region) shutdown() error {
@@ -186,11 +194,6 @@ func (r *Region) shutdown() error {
 	var first error
 	for _, st := range r.stores {
 		for _, s := range st.runs {
-			if err := s.close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		for _, s := range st.quarantined {
 			if err := s.close(); err != nil && first == nil {
 				first = err
 			}
@@ -407,8 +410,7 @@ func (r *Region) flushLocked() error {
 		st.runs = append([]run{flushed[i]}, st.runs...)
 	}
 	if r.store != nil {
-		files, maxTs := r.diskFilesLocked()
-		if err := r.store.registerSegments(r.manifestTemplateLocked(), files, r.seq, maxTs, nil); err != nil {
+		if err := r.store.registerSegments(r.manifestRecordLocked()); err != nil {
 			for i, st := range dirty {
 				st.runs = st.runs[1:]
 				flushed[i].close()
@@ -651,8 +653,8 @@ func (r *Region) mergeSegmentsLocked(st *familyStore, picked []int) error {
 	before := st.runs
 	st.runs = out
 	if r.store != nil {
-		files, maxTs := r.diskFilesLocked()
-		if err := r.store.registerSegments(r.manifestTemplateLocked(), files, r.seq, maxTs, obsolete); err != nil {
+		rec, maxTs := r.manifestRecordLocked()
+		if err := r.store.registerSegments(rec, maxTs, obsolete...); err != nil {
 			st.runs = before
 			if merged != nil {
 				merged.close()
@@ -903,7 +905,7 @@ func (r *Region) get(row string, families []string) (*Row, OpStats, error) {
 			continue
 		}
 		for _, q := range st.quarantined {
-			if q.mayContainRow(row) {
+			if q.minRow <= row && row <= q.maxRow {
 				return nil, OpStats{}, errQuarantined(q.name)
 			}
 		}
@@ -1055,9 +1057,10 @@ func (r *Region) LiveCellCount() uint64 {
 	return n
 }
 
-// WALSize returns the write-ahead log's current byte length (zero right
-// after a flush; split children start at zero because their seed load
-// flushes, it does not linger in the log).
+// WALSize returns the byte length of the region's write-ahead log file:
+// zero in memory mode, which keeps no log, and zero right after a flush
+// (split children start at zero because their seed load flushes, it
+// does not linger in the log).
 func (r *Region) WALSize() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -1075,59 +1078,20 @@ func (r *Region) setRowCacheBytes(n uint64) {
 	r.cache.setCapacity(n)
 }
 
-// recover rebuilds every family's memtable from the WAL, simulating a region server
-// crash after segments were persisted but before the memstore was
-// flushed. It returns the number of replayed records.
-func (r *Region) recover() (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	replayLog := r.log
-	for _, st := range r.stores {
-		st.mem = r.newMemtableLocked()
-	}
-	r.log = &wal{}
-	n, err := r.replayWALLocked(replayLog)
-	if err != nil {
-		return n, err
-	}
-	// Re-log the recovered state so a second crash still recovers.
-	r.log = replayLog
-	return n, nil
-}
-
-// replayWALLocked replays w's records, each into the memtable of the
-// family its key names, advancing the region sequence past every
-// replayed record's. Caller holds r.mu.
-func (r *Region) replayWALLocked(w *wal) (int, error) {
-	n := 0
-	err := w.replay(func(key string, value []byte, tombstone bool) error {
+// replayLocked replays a WAL's valid prefix at cold start, each record
+// into the memtable of the family its key names, advancing the region
+// sequence past every record's. It returns the largest cell timestamp
+// replayed, for the cluster clock. Caller holds r.mu.
+func (r *Region) replayLocked(logged []byte) (maxTs int64, err error) {
+	err = replayWAL(logged, func(key string, value []byte, tombstone bool) error {
 		row, family, qualifier, ts, seq, err := parseCellKey(key)
 		if err != nil {
 			return err
 		}
 		c := Cell{Row: row, Family: family, Qualifier: qualifier, Value: value, Timestamp: ts, Tombstone: tombstone}
 		r.storeLocked(family).mem.put(key, &c)
-		if seq > r.seq {
-			r.seq = seq
-		}
-		n++
-		return nil
-	})
-	return n, err
-}
-
-// maxWALTimestampLocked returns the largest cell timestamp in the WAL
-// (cold start uses it to restore the logical clock). Caller holds r.mu.
-func (r *Region) maxWALTimestampLocked() (int64, error) {
-	var maxTs int64
-	err := r.log.replay(func(key string, _ []byte, _ bool) error {
-		_, _, _, ts, _, err := parseCellKey(key)
-		if err != nil {
-			return err
-		}
-		if ts > maxTs {
-			maxTs = ts
-		}
+		r.seq = max(r.seq, seq)
+		maxTs = max(maxTs, ts)
 		return nil
 	})
 	return maxTs, err

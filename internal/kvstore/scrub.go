@@ -59,14 +59,17 @@ func (c *Cluster) Scrub() (*ScrubReport, error) {
 			if err := c.CheckInterrupt(); err != nil {
 				return rep, err
 			}
-			reports, stats := r.scrubRuns()
+			reports, stats, err := r.scrubRuns()
 			c.chargeRPC(stats)
+			for _, f := range reports {
+				if f.Err != nil {
+					rep.Corrupt++
+				}
+			}
 			rep.Files = append(rep.Files, reports...)
-		}
-	}
-	for _, f := range rep.Files {
-		if f.Err != nil {
-			rep.Corrupt++
+			if err != nil {
+				return rep, err
+			}
 		}
 	}
 	//lint:allow chargecheck every region's verification I/O is charged via chargeRPC as its scrubRuns OpStats come back; a cluster with no tables had nothing to bill
@@ -96,14 +99,17 @@ func (c *Cluster) Quarantined() []string {
 // scrubRuns verifies every on-disk run of every family store, moving the
 // ones that fail to their store's quarantine, and returns per-file reports plus the measured
 // verification I/O (the OpStats convention: this function is a metering
-// primitive, the caller charges). It holds the region write lock for
+// primitive, the caller charges). A new quarantine is registered in the
+// manifest before it returns, so no reopen puts the file back on the
+// read path; the error is that save's. It holds the region write lock for
 // the duration so no compaction can unlink a file mid-verification and
 // masquerade as bit-rot.
-func (r *Region) scrubRuns() ([]FileScrubReport, OpStats) {
+func (r *Region) scrubRuns() ([]FileScrubReport, OpStats, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var stats OpStats
 	var reports []FileScrubReport
+	quarantined := false
 	for _, st := range r.stores {
 		keep := make([]run, 0, len(st.runs))
 		for _, s := range st.runs {
@@ -124,14 +130,19 @@ func (r *Region) scrubRuns() ([]FileScrubReport, OpStats) {
 				Err:    err,
 			})
 			if err != nil {
-				st.quarantined = append(st.quarantined, d)
+				st.quarantined = append(st.quarantined, quarantinedRun{name: d.name, minRow: d.meta.minRow, maxRow: d.meta.maxRow})
+				d.close()
+				quarantined = true
 			} else {
 				keep = append(keep, s)
 			}
 		}
 		st.runs = keep
 	}
-	return reports, stats
+	if !quarantined {
+		return reports, stats, nil
+	}
+	return reports, stats, r.store.registerSegments(r.manifestRecordLocked())
 }
 
 // scrubSegment reads every frame of one SSTable sequentially from the
@@ -200,17 +211,16 @@ func errQuarantined(name string) error {
 	return &CorruptionError{Path: name, Offset: -1, Err: corruptf("table is quarantined: checksum verification failed in a prior scrub")}
 }
 
-// overlapsRows reports whether the segment's [minRow, maxRow] span
+// quarantinedRun is what a region keeps of a quarantined SSTable: its
+// name and row span. The file itself is closed, left on disk and never
+// reopened, so a read is refused on the span alone: there is no bloom
+// filter to consult.
+type quarantinedRun struct {
+	name, minRow, maxRow string
+}
+
+// overlapsRows reports whether the run's [minRow, maxRow] span
 // intersects the scan range [start, end) ("" = unbounded).
-func (d *diskSegment) overlapsRows(start, end string) bool {
-	if d.meta.count == 0 {
-		return false
-	}
-	if end != "" && d.meta.minRow >= end {
-		return false
-	}
-	if start != "" && d.meta.maxRow < start {
-		return false
-	}
-	return true
+func (q quarantinedRun) overlapsRows(start, end string) bool {
+	return (end == "" || q.minRow < end) && (start == "" || q.maxRow >= start)
 }

@@ -7,12 +7,13 @@ import (
 	"io"
 )
 
-// wal is a region's write-ahead log: every mutation is appended before it
-// reaches the memtable, so a region can be recovered by replaying the log
-// over its flushed segments. A memory-only region keeps the log purely in
-// buf; a disk-backed region also appends every record to a per-region
-// file, which openWAL reads back at cold start. The in-memory buf always
-// mirrors the file's valid prefix, so replay and size never touch disk.
+// wal is a disk-backed region's write-ahead log: every mutation is
+// appended to the region's log file before it reaches the memtable, so
+// cold start can rebuild the memtables by replaying the file over the
+// flushed SSTables. The file is the only copy of the log — nothing of it
+// stays in memory once openWAL has handed its valid prefix to the one
+// replay — and a memory-only region has no log at all (a nil *wal, which
+// every method accepts): there is no crash for it to survive.
 //
 // Record layout: a 10-byte header [1B flags][4B BE klen][4B BE vlen]
 // [1B pad], the key, the value, then a 4-byte CRC32 (IEEE) over
@@ -31,10 +32,14 @@ import (
 // commit tradeoff every production WAL makes; the crash tests exercise
 // the torn-tail trim in openWAL rather than pretending fsync-per-record.
 type wal struct {
-	buf     []byte
-	records int
-	f       File // nil when memory-only
-	path    string
+	f    File
+	path string
+	// length is the file's acknowledged length: every byte before it
+	// belongs to an append that returned success. A failed append
+	// truncates the file back to it.
+	length uint64
+	// scratch is the record encoding buffer, reused across appends.
+	scratch []byte
 	// broken is set when a failed append could not roll the FILE back
 	// to its last acknowledged length: the file offset is no longer
 	// trusted, so every later append must fail rather than write a
@@ -48,39 +53,37 @@ type wal struct {
 // trailing 4-byte CRC.
 const walRecordOverhead = 14
 
-// openWAL opens (or creates) a file-backed WAL through the store's VFS,
-// loading the existing contents into buf. A torn final record (crash
-// mid-append) is trimmed from both buf and the file; corruption earlier
-// in the log fails the open with a typed CorruptionError.
-func openWAL(fsys VFS, path string) (*wal, error) {
+// openWAL opens (or creates) a region's log file through the store's
+// VFS and returns it with the file's valid prefix, which the caller
+// replays once and drops. A torn final record (crash mid-append) is
+// trimmed from the file; corruption earlier in the log fails the open
+// with a typed CorruptionError.
+func openWAL(fsys VFS, path string) (*wal, []byte, error) {
 	f, err := fsys.OpenFile(path, osReadWrite, 0o644)
 	if err != nil {
-		return nil, &IOError{Path: path, Op: "open", Err: err}
+		return nil, nil, &IOError{Path: path, Op: "open", Err: err}
 	}
 	buf, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
-		return nil, &IOError{Path: path, Op: "read", Err: err}
+		return nil, nil, &IOError{Path: path, Op: "read", Err: err}
 	}
-	w := &wal{f: f, path: path}
-	valid, records, err := walValidPrefix(buf)
+	valid, _, err := walValidPrefix(buf)
 	if err != nil {
 		f.Close()
-		return nil, corruptionAt(path, int64(valid), err)
+		return nil, nil, corruptionAt(path, int64(valid), err)
 	}
-	w.buf = buf[:valid]
-	w.records = records
 	if valid != len(buf) {
 		if err := f.Truncate(int64(valid)); err != nil {
 			f.Close()
-			return nil, &IOError{Path: path, Op: "truncate", Err: err}
+			return nil, nil, &IOError{Path: path, Op: "truncate", Err: err}
 		}
 	}
 	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
 		f.Close()
-		return nil, &IOError{Path: path, Op: "seek", Err: err}
+		return nil, nil, &IOError{Path: path, Op: "seek", Err: err}
 	}
-	return w, nil
+	return &wal{f: f, path: path, length: uint64(valid)}, buf[:valid], nil
 }
 
 // walValidPrefix scans records and returns the byte length of the valid
@@ -112,69 +115,69 @@ func walValidPrefix(buf []byte) (int, int, error) {
 	return off, n, nil
 }
 
-// append serializes one cell mutation.
+// append serializes one cell mutation to the log file (nothing without
+// a log).
 func (w *wal) append(key string, c *Cell) error {
-	var hdr [10]byte
+	if w == nil {
+		return nil
+	}
+	if w.broken != nil {
+		return w.broken
+	}
 	flags := byte(0)
 	if c.Tombstone {
 		flags = 1
 	}
-	hdr[0] = flags
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(key)))
-	binary.BigEndian.PutUint32(hdr[5:9], uint32(len(c.Value)))
-	hdr[9] = 0
-	if w.broken != nil {
-		return w.broken
-	}
-	start := len(w.buf)
-	w.buf = append(w.buf, hdr[:]...)
-	w.buf = append(w.buf, key...)
-	w.buf = append(w.buf, c.Value...)
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(w.buf[start:]))
-	w.buf = append(w.buf, crc[:]...)
-	w.records++
-	if w.f != nil {
-		if _, err := w.f.Write(w.buf[start:]); err != nil {
-			// The bytes may be partially down (a torn record). Roll the
-			// mirror back so buf keeps describing only acknowledged
-			// appends, and roll the FILE back too: a later append landing
-			// after the fragment would read as mid-log corruption at the
-			// next open, poisoning the acknowledged records behind it.
-			w.buf = w.buf[:start]
-			w.records--
-			if terr := w.f.Truncate(int64(start)); terr != nil {
-				w.broken = &IOError{Path: w.path, Op: "truncate", Err: terr}
-			} else if _, serr := w.f.Seek(int64(start), io.SeekStart); serr != nil {
-				w.broken = &IOError{Path: w.path, Op: "seek", Err: serr}
-			}
-			return &IOError{Path: w.path, Op: "write", Err: err}
+	rec := append(w.scratch[:0], flags)
+	rec = binary.BigEndian.AppendUint32(rec, uint32(len(key)))
+	rec = binary.BigEndian.AppendUint32(rec, uint32(len(c.Value)))
+	rec = append(rec, 0)
+	rec = append(rec, key...)
+	rec = append(rec, c.Value...)
+	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
+	w.scratch = rec
+	if _, err := w.f.Write(rec); err != nil {
+		// The bytes may be partially down (a torn record). Roll the file
+		// back to its acknowledged length: a later append landing after
+		// the fragment would read as mid-log corruption at the next open,
+		// poisoning the acknowledged records behind it.
+		if terr := w.f.Truncate(int64(w.length)); terr != nil {
+			w.broken = &IOError{Path: w.path, Op: "truncate", Err: terr}
+		} else if _, serr := w.f.Seek(int64(w.length), io.SeekStart); serr != nil {
+			w.broken = &IOError{Path: w.path, Op: "seek", Err: serr}
 		}
+		return &IOError{Path: w.path, Op: "write", Err: err}
 	}
+	w.length += uint64(len(rec))
 	return nil
 }
 
-// size returns the log's byte length.
-func (w *wal) size() uint64 { return uint64(len(w.buf)) }
+// size returns the log file's acknowledged byte length (0 without a log).
+func (w *wal) size() uint64 {
+	if w == nil {
+		return 0
+	}
+	return w.length
+}
 
-// truncate discards the log after a successful flush.
+// truncate empties the log file after a successful flush.
 func (w *wal) truncate() error {
-	w.buf = nil
-	w.records = 0
-	if w.f != nil {
-		if err := w.f.Truncate(0); err != nil {
-			return &IOError{Path: w.path, Op: "truncate", Err: err}
-		}
-		if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-			return &IOError{Path: w.path, Op: "seek", Err: err}
-		}
+	if w == nil {
+		return nil
+	}
+	if err := w.f.Truncate(0); err != nil {
+		return &IOError{Path: w.path, Op: "truncate", Err: err}
+	}
+	w.length = 0
+	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
+		return &IOError{Path: w.path, Op: "seek", Err: err}
 	}
 	return nil
 }
 
-// close releases the backing file, if any.
+// close releases the log file, if any.
 func (w *wal) close() error {
-	if w.f == nil {
+	if w == nil || w.f == nil {
 		return nil
 	}
 	err := w.f.Close()
@@ -182,25 +185,25 @@ func (w *wal) close() error {
 	return err
 }
 
-// replay decodes all records and hands them to apply in append order.
-func (w *wal) replay(apply func(key string, value []byte, tombstone bool) error) error {
-	buf := w.buf
-	for off := 0; off < len(buf); {
-		if off+walRecordOverhead > len(buf) {
+// replayWAL decodes the records of a log's valid prefix (openWAL's) and
+// hands them to apply in append order. value is a view of logged, valid
+// only during the call, and nil for a zero-length value.
+func replayWAL(logged []byte, apply func(key string, value []byte, tombstone bool) error) error {
+	for off := 0; off < len(logged); {
+		if off+walRecordOverhead > len(logged) {
 			return fmt.Errorf("kvstore: truncated WAL header at %d", off)
 		}
-		flags := buf[off]
-		klen := int(binary.BigEndian.Uint32(buf[off+1 : off+5]))
-		vlen := int(binary.BigEndian.Uint32(buf[off+5 : off+9]))
+		flags := logged[off]
+		klen := int(binary.BigEndian.Uint32(logged[off+1 : off+5]))
+		vlen := int(binary.BigEndian.Uint32(logged[off+5 : off+9]))
 		off += 10
-		if off+klen+vlen+4 > len(buf) {
+		if off+klen+vlen+4 > len(logged) {
 			return fmt.Errorf("kvstore: truncated WAL record at %d", off)
 		}
-		key := string(buf[off : off+klen])
+		key := string(logged[off : off+klen])
 		var value []byte
 		if vlen > 0 {
-			value = make([]byte, vlen)
-			copy(value, buf[off+klen:off+klen+vlen])
+			value = logged[off+klen : off+klen+vlen : off+klen+vlen]
 		}
 		off += klen + vlen + 4
 		if err := apply(key, value, flags&1 == 1); err != nil {

@@ -10,10 +10,10 @@ import (
 )
 
 // walFixture builds a WAL file at path containing n acknowledged
-// records, returning the raw bytes written.
+// records, returning the file's bytes.
 func walFixture(t *testing.T, path string, n int) []byte {
 	t.Helper()
-	w, err := openWAL(DefaultVFS(), path)
+	w, _, err := openWAL(DefaultVFS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,27 +23,41 @@ func walFixture(t *testing.T, path string, n int) []byte {
 			t.Fatal(err)
 		}
 	}
-	buf := append([]byte(nil), w.buf...)
 	if err := w.close(); err != nil {
 		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(buf)) != w.size() {
+		t.Fatalf("file holds %d bytes, the log acknowledged %d", len(buf), w.size())
 	}
 	return buf
 }
 
-// replayCount reopens the WAL and counts replayed records.
+// replayCount reopens the WAL and counts replayed records, checking the
+// count against walValidPrefix's and the log's size against the file's.
 func replayCount(t *testing.T, path string) int {
 	t.Helper()
-	w, err := openWAL(DefaultVFS(), path)
+	w, logged, err := openWAL(DefaultVFS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.close()
 	n := 0
-	if err := w.replay(func(string, []byte, bool) error { n++; return nil }); err != nil {
+	if err := replayWAL(logged, func(string, []byte, bool) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if n != w.records {
-		t.Fatalf("replayed %d records, header count says %d", n, w.records)
+	if _, records, _ := walValidPrefix(logged); n != records {
+		t.Fatalf("replayed %d records, walValidPrefix counts %d", n, records)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.size() != uint64(len(logged)) || fi.Size() != int64(len(logged)) {
+		t.Fatalf("log size %d, file %d bytes, valid prefix %d bytes: want all equal", w.size(), fi.Size(), len(logged))
 	}
 	return n
 }
@@ -100,7 +114,7 @@ func TestWALMidLogCorruptionTyped(t *testing.T) {
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := openWAL(DefaultVFS(), path)
+	_, _, err := openWAL(DefaultVFS(), path)
 	if err == nil {
 		t.Fatal("mid-log corruption opened cleanly")
 	}

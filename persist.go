@@ -147,7 +147,7 @@ func (db *DB) loadCatalog() error {
 }
 
 // saveCatalog persists the current catalog. A no-op for memory-backed
-// DBs (SetMeta stores in memory there; skipping keeps the write path
+// DBs (SetMeta stores nothing there; skipping keeps the write path
 // free of JSON rendering). Callers invoke it after every catalog
 // mutation: DefineRelation, EnsureIndexes, SetIndexConfig.
 func (db *DB) saveCatalog() error {
