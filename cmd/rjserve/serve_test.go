@@ -203,9 +203,7 @@ func serveTable() []serveCase {
 	return []serveCase{
 		// ---- /topk ----
 		{name: "topk defaults", method: get, target: "/topk", want: 200, wantRows: 10,
-			keys: []string{"query", "algorithm", "k", "parallelism", "results", "cost", "wall_time", "next_page_token"},
-			// The planner's estimate does not cross the node seam.
-			onlyOne: []string{"estimate"}},
+			keys: []string{"query", "algorithm", "k", "parallelism", "results", "cost", "estimate", "wall_time", "next_page_token"}},
 		{name: "topk isl", method: get, target: "/topk?query=q2&algo=isl&k=5", want: 200, wantRows: 5},
 		{name: "topk next page", method: get, target: "/topk?query=q2&algo=isl&k=5&page_token={token}", want: 200, wantRows: 5},
 		{name: "topk fresh page for replay", method: get, target: "/topk?query=q2&algo=isl&k=5", want: 200, wantRows: 5},

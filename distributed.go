@@ -376,6 +376,9 @@ func resultOf(res *transport.ResultData, node string, pages int) *Result {
 	if res.NextPageToken != "" {
 		out.NextPageToken = distToken(node, pages, res.NextPageToken)
 	}
+	if e := res.Estimate; e != nil {
+		out.Estimate = &CostEstimate{SimTime: time.Duration(e.SimTimeNanos), NetworkBytes: e.NetworkBytes, KVReads: e.KVReads}
+	}
 	for _, r := range res.Results {
 		jr := JoinResult{Left: tupleOf(&r.Left), Right: tupleOf(&r.Right), Score: r.Score}
 		for i := range r.Rest {

@@ -10,8 +10,8 @@ import (
 //
 // Field guards (struct fields and package-level vars):
 //
-//	mu      sync.RWMutex
-//	regions []*Region // guarded by: mu
+//	mu     sync.RWMutex
+//	stores []*familyStore // guarded by: mu
 //
 // The mutex is named relative to the annotated declaration: a sibling
 // field of the same struct, or a package-level mutex var for
@@ -20,8 +20,8 @@ import (
 //
 // Lock preconditions (functions):
 //
-//	// regionForLocked is regionFor with t.mu already held.
-//	func (t *Table) regionForLocked(row string) *Region
+//	// storeLocked returns the family's store. Caller holds r.mu.
+//	func (r *Region) storeLocked(family string) *familyStore
 //
 // Either the function name carries the `Locked` suffix — asserting the
 // receiver's field named `mu` is held — or a doc-comment line

@@ -6,10 +6,10 @@
 // A function "touches storage" when it calls a storage primitive: any
 // function whose results include kvstore's OpStats type (directly or as
 // a struct field, e.g. fetchResult), or one of the named primitives
-// (writes: mutateRetry, mutateRow, applyMutation, seedCells,
-// closeAndSnapshot; disk: writeSSTable, readDataBlock, readIndexBlock,
-// registerSegments — the block readers take OpStats as a parameter
-// rather than returning it, so the result heuristic cannot see them).
+// (writes: applyRow, mutateRow, applyMutation; disk: writeSSTable,
+// readDataBlock, readIndexBlock, registerSegments — the block readers
+// take OpStats as a parameter rather than returning it, so the result
+// heuristic cannot see them).
 // A function "charges" when it calls a method on
 // sim.Metrics, or a package-local helper that itself always charges
 // (computed as a fixpoint, so chargeRPC/chargeWrite wrappers count).
@@ -46,11 +46,9 @@ var Analyzer = &analysis.Analyzer{
 // readIndexBlock accumulate into an OpStats *parameter*, which the
 // result-type heuristic cannot see.
 var writePrimitives = map[string]bool{
-	"mutateRetry":      true,
+	"applyRow":         true,
 	"mutateRow":        true,
 	"applyMutation":    true,
-	"seedCells":        true,
-	"closeAndSnapshot": true,
 	"writeSSTable":     true,
 	"readDataBlock":    true,
 	"readIndexBlock":   true,

@@ -30,7 +30,7 @@ func (c *Cluster) TableCells(name string) ([]Cell, error) {
 		return nil, err
 	}
 	var out []Cell
-	for _, r := range t.Regions() {
+	for _, r := range t.regions {
 		cells, err := r.allCells()
 		if err != nil {
 			return nil, err
@@ -115,7 +115,7 @@ func (c *Cluster) RepairApply(table string, families []string, cells []Cell, del
 	var bytes uint64
 	var cellCount int
 	for _, row := range deleteRows {
-		got, stats, gerr := t.getRetry(row, nil)
+		got, stats, gerr := t.regionFor(row).get(row, nil)
 		c.chargeRPC(stats)
 		if gerr != nil {
 			return deleted, applied, gerr
@@ -129,7 +129,7 @@ func (c *Cluster) RepairApply(table string, families []string, cells []Cell, del
 			dc := got.Cells[i]
 			dead = append(dead, Cell{Row: dc.Row, Family: dc.Family, Qualifier: dc.Qualifier, Timestamp: ts, Tombstone: true})
 		}
-		if err := t.mutateRetry(dead); err != nil {
+		if err := t.applyRow(dead); err != nil {
 			return deleted, applied, err
 		}
 		for i := range dead {
@@ -154,7 +154,7 @@ func (c *Cluster) RepairApply(table string, families []string, cells []Cell, del
 	}
 	sort.Strings(order)
 	for _, row := range order {
-		if err := t.mutateRetry(byRow[row]); err != nil {
+		if err := t.applyRow(byRow[row]); err != nil {
 			return deleted, applied, err
 		}
 		applied += len(byRow[row])

@@ -49,9 +49,9 @@ type clusterState struct {
 }
 
 // Table is a named collection of regions with a declared column-family
-// set. The region list is guarded by its own lock: splits swap the list
-// while concurrent clients route reads and writes through it, so every
-// access — point lookup or snapshot — synchronizes on mu.
+// set. Its regions are fixed when the table is created (or rebuilt from
+// the MANIFEST at cold start) and never change afterwards, so routing
+// reads the list without a lock.
 type Table struct {
 	Name     string
 	families map[string]bool
@@ -63,8 +63,7 @@ type Table struct {
 	// cache entry still describes the live table.
 	mutSeq atomic.Uint64
 
-	mu      sync.RWMutex
-	regions []*Region // sorted by StartKey; guarded by: mu
+	regions []*Region // sorted by StartKey; filled before the table is published
 }
 
 // MutationSeq returns the table's mutation sequence number: it starts at
@@ -228,7 +227,7 @@ func (c *Cluster) openRegion(rec *manifestRegion) (*Region, error) {
 func (c *Cluster) Close() error {
 	var first error
 	for _, t := range c.allTables() {
-		for _, r := range t.Regions() {
+		for _, r := range t.regions {
 			if err := r.shutdown(); err != nil && first == nil {
 				first = err
 			}
@@ -291,7 +290,7 @@ func (c *Cluster) SetFlushThreshold(n uint64) {
 	s.flushThreshold = n
 	s.mu.Unlock()
 	for _, t := range c.allTables() {
-		for _, r := range t.Regions() {
+		for _, r := range t.regions {
 			r.setFlushThreshold(n)
 		}
 	}
@@ -314,10 +313,7 @@ func (c *Cluster) BlockCacheStats() (hits, misses uint64) {
 	return 0, 0
 }
 
-// allTables snapshots the table list. Region lists are then read via
-// Table.Regions (its own lock), never while holding the state lock —
-// SplitRegion acquires t.mu before s.mu, so nesting them the other way
-// here would invert the lock order.
+// allTables snapshots the table list.
 func (c *Cluster) allTables() []*Table {
 	s := c.state
 	s.mu.RLock()
@@ -336,7 +332,7 @@ func (c *Cluster) allTables() []*Table {
 // flush threshold.
 func (c *Cluster) FlushAll() error {
 	for _, t := range c.allTables() {
-		for _, r := range t.Regions() {
+		for _, r := range t.regions {
 			if err := r.Flush(); err != nil {
 				return err
 			}
@@ -353,7 +349,7 @@ func (c *Cluster) SetRowCacheBytes(n uint64) {
 	s.rowCacheBytes = n
 	s.mu.Unlock()
 	for _, t := range c.allTables() {
-		for _, r := range t.Regions() {
+		for _, r := range t.regions {
 			r.setRowCacheBytes(n)
 		}
 	}
@@ -362,7 +358,7 @@ func (c *Cluster) SetRowCacheBytes(n uint64) {
 // RowCacheStats aggregates row-cache hit/miss counts across all regions.
 func (c *Cluster) RowCacheStats() (hits, misses uint64) {
 	for _, t := range c.allTables() {
-		for _, r := range t.Regions() {
+		for _, r := range t.regions {
 			h, m := r.RowCacheStats()
 			hits += h
 			misses += m
@@ -376,7 +372,7 @@ func (c *Cluster) RowCacheStats() (hits, misses uint64) {
 func (c *Cluster) CompactionBytes() uint64 {
 	var n uint64
 	for _, t := range c.allTables() {
-		for _, r := range t.Regions() {
+		for _, r := range t.regions {
 			n += r.CompactionBytes()
 		}
 	}
@@ -546,7 +542,7 @@ func (c *Cluster) DropTable(name string) error {
 	}); err != nil {
 		return err
 	}
-	for _, r := range t.Regions() {
+	for _, r := range t.regions {
 		r.shutdown()
 	}
 	for _, rec := range dropped {
@@ -597,13 +593,6 @@ func (t *Table) Families() []string {
 
 // regionFor locates the region containing row.
 func (t *Table) regionFor(row string) *Region {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.regionForLocked(row)
-}
-
-// regionForLocked is regionFor with t.mu already held.
-func (t *Table) regionForLocked(row string) *Region {
 	// Regions are sorted by StartKey; find the last region whose start
 	// is <= row.
 	idx := sort.Search(len(t.regions), func(i int) bool {
@@ -615,43 +604,25 @@ func (t *Table) regionForLocked(row string) *Region {
 	return t.regions[idx]
 }
 
-// mutateRetry routes one row's atomic mutation batch, retrying when the
-// target region was concurrently split out from under it.
-func (t *Table) mutateRetry(cells []Cell) error {
-	for {
-		r := t.regionFor(cells[0].Row)
-		err := r.mutateRow(cells)
-		if err != errRegionSplit {
-			if err == nil {
-				t.mutSeq.Add(1)
-			}
-			return err
-		}
+// applyRow routes one row's atomic mutation batch to its region and
+// advances the table's mutation sequence when it lands.
+func (t *Table) applyRow(cells []Cell) error {
+	if err := t.regionFor(cells[0].Row).mutateRow(cells); err != nil {
+		return err
 	}
+	t.mutSeq.Add(1)
+	return nil
 }
 
-// getRetry routes one keyed read, retrying across concurrent splits.
-func (t *Table) getRetry(row string, families []string) (*Row, OpStats, error) {
-	for {
-		r := t.regionFor(row)
-		got, stats, err := r.get(row, families)
-		if err != errRegionSplit {
-			return got, stats, err
-		}
-	}
-}
-
-// Regions returns the table's regions in key order (read-only use).
+// Regions returns a copy of the table's regions in key order.
 func (t *Table) Regions() []*Region {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return append([]*Region(nil), t.regions...)
 }
 
 // DiskSize totals the table's stored bytes.
 func (t *Table) DiskSize() uint64 {
 	var s uint64
-	for _, r := range t.Regions() {
+	for _, r := range t.regions {
 		s += r.DiskSize()
 	}
 	return s
@@ -690,9 +661,8 @@ func (c *Cluster) TableStats(name string) (TableStats, error) {
 	if err != nil {
 		return TableStats{}, err
 	}
-	regions := t.Regions()
-	st := TableStats{Regions: len(regions), MutSeq: t.MutationSeq()}
-	for _, r := range regions {
+	st := TableStats{Regions: len(t.regions), MutSeq: t.MutationSeq()}
+	for _, r := range t.regions {
 		st.Cells += uint64(r.CellCount())
 		st.LiveCells += r.LiveCellCount()
 		st.Bytes += r.DiskSize()
@@ -756,7 +726,7 @@ func (c *Cluster) Put(table string, cell Cell) error {
 		cell.Timestamp = c.Now()
 	}
 	cell.Tombstone = false
-	if err := t.mutateRetry([]Cell{cell}); err != nil {
+	if err := t.applyRow([]Cell{cell}); err != nil {
 		return err
 	}
 	c.chargeWrite(cell.StoredSize(), 1)
@@ -773,7 +743,7 @@ func (c *Cluster) Delete(table, row, family, qualifier string, ts int64) error {
 		ts = c.Now()
 	}
 	cell := Cell{Row: row, Family: family, Qualifier: qualifier, Timestamp: ts, Tombstone: true}
-	if err := t.mutateRetry([]Cell{cell}); err != nil {
+	if err := t.applyRow([]Cell{cell}); err != nil {
 		return err
 	}
 	c.chargeWrite(cell.StoredSize(), 1)
@@ -801,7 +771,7 @@ func (c *Cluster) MutateRow(table string, cells []Cell) error {
 		}
 		bytes += cells[i].StoredSize()
 	}
-	if err := t.mutateRetry(cells); err != nil {
+	if err := t.applyRow(cells); err != nil {
 		return err
 	}
 	c.chargeWrite(bytes, len(cells))
@@ -817,7 +787,7 @@ func (c *Cluster) Get(table, row string, families ...string) (*Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	got, stats, err := t.getRetry(row, families)
+	got, stats, err := t.regionFor(row).get(row, families)
 	if err != nil {
 		return nil, err
 	}
@@ -850,9 +820,7 @@ func (c *Cluster) BatchPut(table string, cells []Cell) error {
 		return err
 	}
 	var bytes uint64
-	// Group into per-row atomic mutations; routing happens per row at
-	// apply time (with split retry), so a concurrent region split cannot
-	// strand a batch on a retired region.
+	// Group into per-row atomic mutations, each routed to its region.
 	byRow := map[string][]Cell{}
 	var order []string
 	for i := range cells {
@@ -870,7 +838,7 @@ func (c *Cluster) BatchPut(table string, cells []Cell) error {
 	}
 	sort.Strings(order)
 	for _, row := range order {
-		if err := t.mutateRetry(byRow[row]); err != nil {
+		if err := t.applyRow(byRow[row]); err != nil {
 			return err
 		}
 	}
@@ -939,8 +907,7 @@ func (c *Cluster) GroupWrite(muts []TableMutation) error {
 		if err != nil {
 			return &GroupWriteError{Table: m.Table, Applied: applied, Err: err}
 		}
-		// Group this table's cells into per-row atomic mutations, routed
-		// at apply time (mutateRetry) so concurrent splits re-route.
+		// Group this table's cells into per-row atomic mutations.
 		byRow := map[string][]Cell{}
 		var order []string
 		for i := range m.Cells {
@@ -964,7 +931,7 @@ func (c *Cluster) GroupWrite(muts []TableMutation) error {
 		}
 		sort.Strings(order)
 		for _, row := range order {
-			if err := t.mutateRetry(byRow[row]); err != nil {
+			if err := t.applyRow(byRow[row]); err != nil {
 				return &GroupWriteError{Table: m.Table, Applied: applied, Err: err}
 			}
 		}
@@ -977,178 +944,4 @@ func (c *Cluster) GroupWrite(muts []TableMutation) error {
 	}
 	c.chargeWrite(bytes, cellCount)
 	return nil
-}
-
-// SplitRegion splits the region containing row at its middle key. The
-// table's region lock is held exclusively for the duration: no client
-// can route to the retiring parent mid-split, and the parent itself is
-// closed atomically with the cell snapshot, so a write that raced the
-// split either landed before the snapshot (and is carried into a child)
-// or retries against the children — never lost.
-//
-//lint:allow chargecheck region splits are server-side admin work, free in the client cost model
-func (c *Cluster) SplitRegion(table, row string) error {
-	t, err := c.table(table)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := t.regionForLocked(row)
-	mid := r.splitPoint()
-	if mid == "" || mid == r.StartKey() {
-		return fmt.Errorf("kvstore: region %d too small to split", r.ID())
-	}
-
-	s := c.state
-	s.mu.Lock()
-	s.nextID++
-	s.seed++
-	leftID, leftSeed := s.nextID, s.seed
-	s.nextID++
-	s.seed++
-	rightID, rightSeed := s.nextID, s.seed
-	cacheBytes := s.rowCacheBytes
-	s.mu.Unlock()
-
-	cells, err := r.closeAndSnapshot()
-	if err != nil {
-		r.reopen()
-		return err
-	}
-	left := newRegion(leftID, table, r.StartKey(), mid, r.Node(), leftSeed, cacheBytes)
-	right := newRegion(rightID, table, mid, r.EndKey(), rightID%c.profile.Nodes, rightSeed, cacheBytes)
-	s.mu.RLock()
-	if s.flushThreshold > 0 {
-		left.flushThreshold = s.flushThreshold
-		right.flushThreshold = s.flushThreshold
-	}
-	s.mu.RUnlock()
-	if _, err := left.attachStore(s.store); err != nil {
-		r.reopen()
-		return err
-	}
-	if _, err := right.attachStore(s.store); err != nil {
-		r.reopen()
-		return err
-	}
-	// Carry the split region's cumulative counters onto the left child
-	// so cluster-wide CompactionBytes/RowCacheStats aggregates stay
-	// monotonic across splits.
-	left.compactionBytes = r.CompactionBytes()
-	h, m := r.cache.stats()
-	left.cache.seedStats(h, m)
-
-	// Seed each child with one batched load (single lock cycle) whose
-	// trailing flush materializes a segment and truncates the seed WAL.
-	// On disk the flushes upsert the children's manifest records while
-	// they are still DETACHED — no table references them yet, so a
-	// crash here leaves orphan records/files that cleanOrphans removes,
-	// with the parent (and all data) intact.
-	split := sort.Search(len(cells), func(i int) bool { return cells[i].Row >= mid })
-	if err := left.seedCells(cells[:split]); err != nil {
-		r.reopen()
-		return err
-	}
-	if err := right.seedCells(cells[split:]); err != nil {
-		r.reopen()
-		return err
-	}
-
-	// Replace r in the table's sorted region list.
-	replaced := false
-	for i, reg := range t.regions {
-		if reg == r {
-			t.regions = append(t.regions[:i], append([]*Region{left, right}, t.regions[i+1:]...)...)
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		r.reopen()
-		return fmt.Errorf("kvstore: region %d not found in table %q", r.ID(), table)
-	}
-	if s.store == nil {
-		return nil
-	}
-
-	// One atomic manifest save performs the routing swap: the children
-	// enter the table's membership, the parent's record leaves. Only
-	// after that save are the parent's files unlinked (open descriptors
-	// of locality-pinned scans keep the unlinked data readable).
-	var parentRec *manifestRegion
-	s.mu.RLock()
-	nextID, seed := s.nextID, s.seed
-	s.mu.RUnlock()
-	if err := s.store.mutate(func(m *manifest) {
-		m.NextID = nextID
-		m.Seed = seed
-		s.store.regionRecordLocked(left.manifestTemplateLocked())
-		s.store.regionRecordLocked(right.manifestTemplateLocked())
-		for ti := range m.Tables {
-			if m.Tables[ti].Name != table {
-				continue
-			}
-			ids := make([]int, 0, len(m.Tables[ti].RegionIDs)+1)
-			for _, id := range m.Tables[ti].RegionIDs {
-				if id == r.ID() {
-					ids = append(ids, leftID, rightID)
-				} else {
-					ids = append(ids, id)
-				}
-			}
-			m.Tables[ti].RegionIDs = ids
-		}
-		kept := m.Regions[:0]
-		for _, rec := range m.Regions {
-			if rec.ID == r.ID() {
-				parentRec = rec
-			} else {
-				kept = append(kept, rec)
-			}
-		}
-		m.Regions = kept
-	}); err != nil {
-		return err
-	}
-	if parentRec != nil {
-		if err := s.store.dropRegionFiles(parentRec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MoveRegion reassigns the region containing row to another node
-// (failure-injection and balance tests).
-func (c *Cluster) MoveRegion(table, row string, node int) error {
-	t, err := c.table(table)
-	if err != nil {
-		return err
-	}
-	if node < 0 || node >= c.profile.Nodes {
-		return fmt.Errorf("kvstore: node %d out of range", node)
-	}
-	for {
-		r := t.regionFor(row)
-		r.mu.Lock()
-		if r.closed {
-			// Lost a race with a split: the move must land on the
-			// child now serving the row, not the retired parent.
-			r.mu.Unlock()
-			continue
-		}
-		r.node = node
-		r.mu.Unlock()
-		if s := c.state; s.store != nil {
-			return s.store.mutate(func(m *manifest) {
-				for _, rec := range m.Regions {
-					if rec.ID == r.ID() {
-						rec.Node = node
-					}
-				}
-			})
-		}
-		return nil
-	}
 }

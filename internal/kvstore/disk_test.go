@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -71,9 +72,9 @@ func orphanSSTs(t *testing.T, dir string, store *diskStore) []string {
 }
 
 // TestColdStartRecovery runs a randomized workload — multi-version puts,
-// deletes, forced flushes, compactions, a split — closes the cluster,
-// reopens the directory, and requires the recovered table to match the
-// pre-close snapshot exactly. New writes after reopen must keep working
+// deletes, forced flushes and compactions on a two-region table — closes
+// the cluster, reopens the directory, and requires the recovered table
+// to match the pre-close snapshot exactly. New writes after reopen must keep working
 // (sequence and clock floors advanced past everything recovered).
 func TestColdStartRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -105,10 +106,6 @@ func TestColdStartRecovery(t *testing.T) {
 		switch i {
 		case 200:
 			if err := c.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
-		case 350:
-			if err := c.SplitRegion("t", "row60"); err != nil {
 				t.Fatal(err)
 			}
 		case 450:
@@ -162,6 +159,118 @@ func TestColdStartRecovery(t *testing.T) {
 	}
 	if err := c2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenSplitEraManifest opens a store in the shape an online region
+// split used to leave, built by hand: table t lists its regions as
+// [5, 2, 3] — key order, not numeric order, because region 5 took over
+// the low range — and the MANIFEST keeps a record (region 4) that no
+// table lists, with an SSTable and a non-empty WAL on disk. Cold start
+// must serve every row of t unchanged and in key order, through scans
+// and keyed reads, and must drop the unlisted record from the MANIFEST
+// and unlink its files.
+func TestOpenSplitEraManifest(t *testing.T) {
+	dir := t.TempDir()
+	c := openDiskCluster(t, dir)
+	mustCreate(t, c, "t", []string{"cf"}, []string{"c", "m"}) // regions 1, 2, 3
+	mustCreate(t, c, "gone", []string{"cf"}, nil)             // region 4
+	put := func(table string, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			row := fmt.Sprintf("%c%02d", 'a'+i%26, i)
+			if err := c.Put(table, Cell{Row: row, Family: "cf", Qualifier: "q", Value: []byte(table + row)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put("t", 0, 52)
+	put("gone", 0, 10)
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	put("t", 52, 78) // left in the WALs, region 1's included
+	put("gone", 10, 15)
+	want := snapshotRows(t, c, "t")
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the MANIFEST: region 1 becomes region 5 (its WAL renamed
+	// with it), and table "gone" leaves the table list while its region
+	// record stays.
+	path := filepath.Join(dir, manifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	var orphanFiles []string
+	for _, rec := range m.Regions {
+		switch rec.ID {
+		case 1:
+			rec.ID = 5
+		case 4:
+			orphanFiles = append(append(orphanFiles, rec.Files...), walName(4))
+		}
+	}
+	if err := os.Rename(filepath.Join(dir, walName(1)), filepath.Join(dir, walName(5))); err != nil {
+		t.Fatal(err)
+	}
+	m.NextID = 5
+	m.Tables = []manifestTable{{Name: "t", Families: []string{"cf"}, RegionIDs: []int{5, 2, 3}}}
+	if raw, err = json.Marshal(&m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if len(orphanFiles) < 2 {
+		t.Fatalf("unlisted region owns files %v, want an SSTable and a WAL", orphanFiles)
+	}
+	for _, f := range orphanFiles {
+		if fi, err := os.Stat(filepath.Join(dir, f)); err != nil || fi.Size() == 0 {
+			t.Fatalf("unlisted region's file %s before open: %v", f, err)
+		}
+	}
+
+	c2 := openDiskCluster(t, dir)
+	defer c2.Close()
+	if got := snapshotRows(t, c2, "t"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened table serves %d rows, want the %d written, unchanged and in key order", len(got), len(want))
+	}
+	for _, w := range want {
+		got, err := c2.Get("t", w.Key)
+		if err != nil || got == nil || !reflect.DeepEqual(*got, w) {
+			t.Fatalf("get %s after reopen = %v, %v; want %v", w.Key, got, err, w)
+		}
+	}
+	regs, err := c2.TableRegions("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	for _, r := range regs {
+		ids = append(ids, r.ID())
+	}
+	if fmt.Sprint(ids) != "[5 2 3]" {
+		t.Errorf("regions open as %v, want [5 2 3] (key order)", ids)
+	}
+	if c2.HasTable("gone") {
+		t.Error("the unlisted region's table came back")
+	}
+	for _, rec := range c2.state.store.snapshotManifest().Regions {
+		if rec.ID == 4 {
+			t.Errorf("MANIFEST still holds the unlisted region record %+v", rec)
+		}
+	}
+	for _, f := range orphanFiles {
+		if _, err := os.Stat(filepath.Join(dir, f)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("unlisted region's file %s survived the open: %v", f, err)
+		}
 	}
 }
 

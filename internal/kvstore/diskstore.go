@@ -24,10 +24,10 @@ import (
 //   - A new SSTable file is fsynced BEFORE it is referenced by a saved
 //     manifest; a crash in between leaves an unreferenced file that
 //     cleanOrphansLocked unlinks at the next open.
-//   - Obsolete files (compaction inputs, dropped tables, split parents)
-//     are unlinked only AFTER the manifest that stops referencing them
-//     is durably saved; a crash in between leaves orphans, never a
-//     manifest pointing at missing data.
+//   - Obsolete files (compaction inputs, dropped tables) are unlinked
+//     only AFTER the manifest that stops referencing them is durably
+//     saved; a crash in between leaves orphans, never a manifest
+//     pointing at missing data.
 type diskStore struct {
 	dir   string
 	cache *blockCache
@@ -53,9 +53,9 @@ const manifestName = "MANIFEST"
 
 // manifestRegion is one region's durable record. Records live in a flat
 // list; a table's manifestTable.RegionIDs names which of them serve the
-// table. The indirection is what makes splits crash-safe: children are
-// upserted here while still detached, and one atomic manifest save swaps
-// the membership from parent to children.
+// table. Stores written by earlier builds, which split regions online,
+// may hold records no table lists and region IDs out of numeric order;
+// cold start handles both (cleanOrphansLocked, sortRegionIDs).
 type manifestRegion struct {
 	ID    int
 	Table string
@@ -122,9 +122,10 @@ func openDiskStore(dir string, cacheBytes uint64, fsys VFS) (*diskStore, error) 
 	return s, nil
 }
 
-// cleanOrphansLocked removes region records no table references (aborted
-// splits) and files no surviving record references (crashes between
-// file creation and registration, or between deregistration and unlink).
+// cleanOrphansLocked removes region records no table references (left
+// by an earlier build's interrupted region split) and files no surviving
+// record references (crashes between file creation and registration, or
+// between deregistration and unlink).
 // It also advances NextFile past every file on disk so numbers are never
 // reused while an orphan still exists. Called from openDiskStore before
 // the store is shared, which is stronger than holding s.mu.
@@ -254,10 +255,9 @@ func (s *diskStore) regionRecordLocked(tmpl manifestRegion) *manifestRegion {
 // registerSegments durably records a region's new record — SSTable file
 // list (newest first), quarantined files and sequence number — then,
 // only after the manifest is safely on disk, unlinks the files the new
-// set replaces. The region record is upserted, so detached split
-// children register themselves before any table references them. maxTs
-// advances the manifest clock floor, keeping recovered timestamps
-// monotonic. rec must not be retained or modified by the caller.
+// set replaces. maxTs advances the manifest clock floor, keeping
+// recovered timestamps monotonic. rec must not be retained or modified
+// by the caller.
 func (s *diskStore) registerSegments(rec manifestRegion, maxTs int64, obsolete ...string) error {
 	s.mu.Lock()
 	*s.regionRecordLocked(rec) = rec
@@ -283,8 +283,8 @@ func (s *diskStore) registerSegments(rec manifestRegion, maxTs int64, obsolete .
 
 // dropRegionFiles removes a region's record and unlinks its files —
 // quarantined ones included — and WAL; callers must have saved a
-// manifest that no longer references the region (DropTable, split
-// completion) before calling.
+// manifest that no longer references the region (DropTable) before
+// calling.
 func (s *diskStore) dropRegionFiles(rec *manifestRegion) error {
 	paths := []string{s.walPath(rec.ID)}
 	for _, f := range rec.Files {

@@ -58,9 +58,8 @@
 //     view keeps its whole slab alive. Rows handed to callers are
 //     theirs to hold or drop; inside the store, the row cache copies
 //     each row into a buffer of its own before caching it (a cached row
-//     must not pin a retired memtable or a compacted-away segment), an
-//     SSTable writer clones the few keys its open segment keeps, and a
-//     split clones the split key.
+//     must not pin a retired memtable or a compacted-away segment), and
+//     an SSTable writer clones the few keys its open segment keeps.
 //
 // Reads merge the stores of the requested families only (Scan.Families,
 // Get's family list; none = all): a family-restricted read never walks —
@@ -162,10 +161,13 @@
 //     past it and every SSTable's, so recovered writes never collide
 //     with new ones. This cold start is the only recovery there is.
 //
-// Region splits reuse the same machinery: child regions are prepared
-// detached, registered in one manifest mutation, and only then exposed
-// — a crash either sees the parent or both children, never a half
-// split.
+// A table's regions are fixed when it is created — CreateTable's split
+// keys pre-split it, HBase style — and cold start rebuilds exactly the
+// regions the MANIFEST lists; nothing splits or moves a region online.
+// Stores written by earlier builds, which did, may list a table's
+// region IDs out of numeric order and keep records of regions no table
+// lists; open orders the former by start key and sweeps the latter
+// with their files.
 //
 // # Failure taxonomy
 //
@@ -192,7 +194,7 @@
 // path of its family store (reads of that family that could touch its
 // key range return a typed CorruptionError instead of silently missing
 // rows; reads restricted to other families are unaffected; all-family
-// reads — TableCells for Merkle digests, splits — fail, so replica
+// reads — TableCells for Merkle digests — fail, so replica
 // repair escalates to a full resync) and its file is never deleted while
 // the table lives. The quarantine is durable: the region's MANIFEST
 // record lists each quarantined file with its family and row span from

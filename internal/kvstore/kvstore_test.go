@@ -422,56 +422,155 @@ func TestWALRecovery(t *testing.T) {
 	})
 }
 
-func TestSplitRegionPreservesScan(t *testing.T) {
+// TestConcurrentAccessAndStats drives keyed reads, full scans, writes
+// and the cluster-wide stats aggregators against one table pre-split
+// into four regions, all at once. Run with -race: every reader of the
+// region list and of per-region counters races the writer here.
+func TestConcurrentAccessAndStats(t *testing.T) {
 	c := testCluster(t)
-	tab := mustCreate(t, c, "t", []string{"cf"}, nil)
-	for i := 0; i < 100; i++ {
-		c.Put("t", Cell{Row: fmt.Sprintf("r%03d", i), Family: "cf", Qualifier: "v", Value: []byte("x")})
+	const rows = 400
+	mustCreate(t, c, "t", []string{"d"}, []string{"r0100", "r0200", "r0300"})
+	var cells []Cell
+	for i := 0; i < rows; i++ {
+		cells = append(cells, Cell{Row: fmt.Sprintf("r%04d", i), Family: "d", Qualifier: "v", Value: []byte{byte(i)}})
 	}
-	if err := c.SplitRegion("t", "r050"); err != nil {
+	if err := c.BatchPut("t", cells); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tab.Regions()); got != 2 {
-		t.Fatalf("regions after split = %d", got)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	running := func() bool {
+		select {
+		case <-stop:
+			return false
+		default:
+			return true
+		}
 	}
-	rows, err := c.ScanAll(Scan{Table: "t", Caching: 7})
+
+	// Writer: its fixed run of updates bounds the test.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for i := 0; i < 600; i++ {
+			row := fmt.Sprintf("r%04d", (i*13)%rows)
+			if err := c.Put("t", Cell{Row: row, Family: "d", Qualifier: "w", Value: []byte("x")}); err != nil {
+				t.Errorf("put %s: %v", row, err)
+				return
+			}
+		}
+	}()
+
+	// Readers: keyed gets must always see their row.
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; running(); i += 7 {
+				row := fmt.Sprintf("r%04d", i%rows)
+				got, err := c.Get("t", row)
+				if err != nil {
+					t.Errorf("get %s: %v", row, err)
+					return
+				}
+				if got == nil {
+					t.Errorf("get %s: row missing", row)
+					return
+				}
+			}
+		}(g)
+	}
+
+	// Scanner: full scans must keep seeing every row exactly once.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for running() {
+			all, err := c.ScanAll(Scan{Table: "t", Caching: 64})
+			if err != nil {
+				t.Errorf("scan: %v", err)
+				return
+			}
+			if len(all) != rows {
+				t.Errorf("scan saw %d rows, want %d", len(all), rows)
+				return
+			}
+		}
+	}()
+
+	// Stats aggregators: cluster-wide iteration over every region's
+	// counters while the writer moves them.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; running(); i++ {
+			c.RowCacheStats()
+			c.CompactionBytes()
+			if _, err := c.TableStats("t"); err != nil {
+				t.Errorf("TableStats: %v", err)
+				return
+			}
+			if i%16 == 0 {
+				c.SetRowCacheBytes(DefaultRowCacheBytes)
+			}
+		}
+	}()
+
+	wg.Wait()
+
+	// Every row still present, with its original cell.
+	all, err := c.ScanAll(Scan{Table: "t", Caching: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 100 {
-		t.Fatalf("rows after split = %d", len(rows))
+	if len(all) != rows {
+		t.Fatalf("after the run: %d rows, want %d", len(all), rows)
 	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Key <= rows[i-1].Key {
-			t.Fatal("scan order broken after split")
+	for i, r := range all {
+		if v := r.Cell("d", "v"); r.Key != fmt.Sprintf("r%04d", i) || v == nil || v.Value[0] != byte(i) {
+			t.Fatalf("row %d = %v, want r%04d with d:v = %d", i, r, i, byte(i))
 		}
-	}
-	// Split an already-split region again.
-	if err := c.SplitRegion("t", "r010"); err != nil {
-		t.Fatal(err)
-	}
-	rows, _ = c.ScanAll(Scan{Table: "t", Caching: 1000})
-	if len(rows) != 100 {
-		t.Fatalf("rows after second split = %d", len(rows))
 	}
 }
 
-func TestMoveRegion(t *testing.T) {
+// TestLiveCellCountIgnoresVersionChurn: LiveCellCount must report the
+// live column count regardless of how many stored versions updates have
+// piled up, and TableStats must surface it.
+func TestLiveCellCountIgnoresVersionChurn(t *testing.T) {
 	c := testCluster(t)
-	tab := mustCreate(t, c, "t", []string{"cf"}, nil)
-	c.Put("t", Cell{Row: "r", Family: "cf", Qualifier: "v", Value: []byte("x")})
-	if err := c.MoveRegion("t", "r", 3); err != nil {
+	if _, err := c.CreateTable("t", []string{"d"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if tab.Regions()[0].Node() != 3 {
-		t.Error("region did not move")
+	const rows = 50
+	for round := 0; round < 5; round++ {
+		for i := 0; i < rows; i++ {
+			if err := c.Put("t", Cell{Row: fmt.Sprintf("r%02d", i), Family: "d", Qualifier: "v", Value: []byte{byte(round)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if err := c.MoveRegion("t", "r", 99); err == nil {
-		t.Error("bogus node accepted")
+	st, err := c.TableStats("t")
+	if err != nil {
+		t.Fatal(err)
 	}
-	row, _ := c.Get("t", "r")
-	if row == nil {
-		t.Error("data lost after move")
+	if st.Cells != rows*5 {
+		t.Errorf("stored versions = %d, want %d", st.Cells, rows*5)
+	}
+	if st.LiveCells != rows {
+		t.Errorf("LiveCells = %d, want %d", st.LiveCells, rows)
+	}
+	// Deleting a column removes it from the live set.
+	if err := c.Delete("t", "r00", "d", "v", 0); err != nil {
+		t.Fatal(err)
+	}
+	st, err = c.TableStats("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LiveCells != rows-1 {
+		t.Errorf("LiveCells after delete = %d, want %d", st.LiveCells, rows-1)
 	}
 }
 

@@ -10,13 +10,9 @@ import "fmt"
 // caller can do exactly that.
 
 // LocalScan reads rows straight from this region (no RPC, no metering).
-// limit 0 means no limit. Unlike client scans it tolerates a region
-// retired by a concurrent split: MapReduce tasks pin the region list at
-// job start, and the retired parent still holds its range's complete
-// pre-split data, so the task's scan stays correct (and never overlaps
-// the children, which the job does not know about).
+// limit 0 means no limit.
 func (r *Region) LocalScan(startRow, stopRow string, limit int, families []string, readTs int64, f Filter) ([]Row, OpStats, error) {
-	return r.scanAt(startRow, stopRow, limit, families, readTs, f, true)
+	return r.scan(startRow, stopRow, limit, families, readTs, f)
 }
 
 // LocalWrite applies cells grouped into per-row atomic mutations without
@@ -33,9 +29,7 @@ func (c *Cluster) LocalWrite(table string, cells []Cell) (uint64, error) {
 		if len(pending) == 0 {
 			return nil
 		}
-		// Route at apply time with split retry, so a concurrent region
-		// split never strands a task's writes on a retired region.
-		if err := t.mutateRetry(pending); err != nil {
+		if err := t.applyRow(pending); err != nil {
 			return err
 		}
 		pending = pending[:0]

@@ -778,10 +778,10 @@ func requireEmptyValuesNil(t *testing.T, what string, rows []Row) {
 
 // TestMultiFamilyModelEquivalence is the randomised property test of
 // the family-store layout: seeded interleavings of puts, deletes,
-// flushes (which trigger tiered compaction), major compactions, region
-// splits and recoveries (in disk mode a close and reopen, which replays
-// the WAL files) on a 3-family table, and after every step, for EVERY
-// family subset:
+// flushes (which trigger tiered compaction), major compactions and
+// recoveries (in disk mode a close and reopen, which replays the WAL
+// files) on a 3-family table pre-split into two regions, and after every
+// step, for EVERY family subset:
 //
 //   - cluster-level scans and gets equal the brute-force model, at the
 //     latest view and at a ReadTs snapshot (taken no older than the last
@@ -824,7 +824,7 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 			}
 			defer func() { c.Close() }()
 			c.SetRowCacheBytes(0) // gets must bill the LSM walk every time
-			mustCreate(t, c, "t", fams, nil)
+			mustCreate(t, c, "t", fams, []string{"k15"})
 			model := &familyModel{}
 			var now, horizon int64 = 1, 0
 			rowKey := func() string { return fmt.Sprintf("k%02d", rng.Intn(30)) }
@@ -944,7 +944,7 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 					if rng.Intn(6) == 0 {
 						// A zero-length value: nil from the memtable, and
 						// still nil once a later step has flushed,
-						// compacted, split, recovered or reopened it.
+						// compacted, recovered or reopened it.
 						what = "put empty"
 						cell.Value = []byte{}
 					}
@@ -968,20 +968,13 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 						}
 					}
 					horizon = now
-				case op < 90:
+				case op < 93:
 					what = "major compaction"
 					regs := regions()
 					if err := regs[rng.Intn(len(regs))].Compact(); err != nil {
 						t.Fatal(err)
 					}
 					horizon = now
-				case op < 93:
-					what = "split"
-					if len(regions()) < 4 {
-						// A region too small to split says so; nothing changed.
-						_ = c.SplitRegion("t", rowKey())
-						horizon = now
-					}
 				default:
 					// Recovery is a cold start: close and reopen, which
 					// replays each region's WAL file. A memory cluster

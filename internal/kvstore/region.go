@@ -1,18 +1,10 @@
 package kvstore
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
 )
-
-// errRegionSplit is returned by region reads and writes that raced a
-// split: the region was closed and its data now lives in two children.
-// The client paths in cluster.go catch it and re-route through the
-// table's (synchronized) region list, mirroring how HBase clients retry
-// a NotServingRegionException after a split.
-var errRegionSplit = errors.New("kvstore: region closed by split")
 
 // familyStore is one column family's LSM pipeline inside a region, the
 // analogue of an HBase Store: its own memtable and its own immutable
@@ -48,7 +40,7 @@ type Region struct {
 	table    string
 	startKey string // inclusive; "" = unbounded low
 	endKey   string // exclusive; "" = unbounded high
-	node     int    // guarded by: mu
+	node     int    // hosting node, fixed at creation
 	seed     int64  // memtable skip-list seed base
 
 	// stores holds one store per column family that has ever received a
@@ -59,10 +51,6 @@ type Region struct {
 	seq    uint64         // guarded by: mu
 	cache  *rowCache
 	store  *diskStore // nil = memory-only
-	// closed marks a region retired by a split: every read or write
-	// returns errRegionSplit so the caller re-routes to the children.
-	// guarded by: mu
-	closed bool
 
 	// liveCells caches LiveCellCount's merge walk, keyed by the seq that
 	// produced it. Flushes and compactions never change the live set, so
@@ -123,8 +111,7 @@ func (r *Region) attachStore(store *diskStore) ([]byte, error) {
 
 // manifestTemplateLocked renders the region's identity for manifest
 // upserts. Callers either hold r.mu (flush, compaction) or own a region
-// no other goroutine can reach yet (table creation, detached split
-// children).
+// no other goroutine can reach yet (table creation).
 func (r *Region) manifestTemplateLocked() manifestRegion {
 	return manifestRegion{ID: r.id, Table: r.table, Start: r.startKey, End: r.endKey, Node: r.node}
 }
@@ -217,11 +204,7 @@ func (r *Region) setFlushThreshold(n uint64) {
 func (r *Region) ID() int { return r.id }
 
 // Node returns the hosting node index.
-func (r *Region) Node() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.node
-}
+func (r *Region) Node() int { return r.node }
 
 // StartKey returns the inclusive low bound ("" = unbounded).
 func (r *Region) StartKey() string { return r.startKey }
@@ -321,49 +304,12 @@ func (r *Region) mutateRow(cells []Cell) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return errRegionSplit
-	}
 	for i := range cells {
 		if err := r.applyMutation(cells[i]); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// seedCells loads a split child with its share of the parent's cells:
-// one lock cycle for the whole batch instead of one per cell, and a
-// final flush that materializes the seed into a segment and truncates
-// the WAL — the child never holds the region's full contents as log
-// records (HBase daughters open on reference files, not WAL replays).
-func (r *Region) seedCells(cells []Cell) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range cells {
-		if err := r.applyMutation(cells[i]); err != nil {
-			return err
-		}
-	}
-	return r.flushLocked()
-}
-
-// closeAndSnapshot retires the region for a split: it atomically marks
-// the region closed (subsequent reads/writes get errRegionSplit and
-// re-route) and snapshots every live cell, so no mutation can slip in
-// between the snapshot and the routing swap.
-func (r *Region) closeAndSnapshot() ([]Cell, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.closed = true
-	return r.allCellsLocked()
-}
-
-// reopen undoes closeAndSnapshot when a split aborts.
-func (r *Region) reopen() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.closed = false
 }
 
 // flushLocked materializes every non-empty family memtable into a new
@@ -735,18 +681,7 @@ func famMatch(families []string, f string) bool {
 
 // scan reads rows in [startRow, endRow) (endRow "" = region end), at most
 // limit rows (0 = unlimited), visible at readTs (0 = latest), restricted
-// to the given families (nil = all), filtered by f (nil = none). A
-// region retired by a concurrent split returns errRegionSplit so the
-// client re-routes to the children.
-func (r *Region) scan(startRow, endRow string, limit int, families []string, readTs int64, f Filter) ([]Row, OpStats, error) {
-	return r.scanAt(startRow, endRow, limit, families, readTs, f, false)
-}
-
-// scanAt is scan with an explicit closed-region policy. allowClosed
-// lets locality-pinned readers (MapReduce tasks that snapshotted their
-// region list at job start) keep scanning a split-retired parent: its
-// segments still hold the complete pre-split data for the range, and
-// the job never sees the children, so no row is lost or read twice.
+// to the given families (nil = all), filtered by f (nil = none).
 //
 // Column families are physically separate stores (HBase Stores/HFiles):
 // the scan merges only the requested families' memtables and runs, so a
@@ -757,12 +692,9 @@ func (r *Region) scan(startRow, endRow string, limit int, families []string, rea
 // cell from the stored-size formula; in disk mode it accumulates the
 // MEASURED framed bytes of every block the scan faults in (block-cache
 // hits read nothing), via the OpStats threaded through the iterators.
-func (r *Region) scanAt(startRow, endRow string, limit int, families []string, readTs int64, f Filter, allowClosed bool) ([]Row, OpStats, error) {
+func (r *Region) scan(startRow, endRow string, limit int, families []string, readTs int64, f Filter) ([]Row, OpStats, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if r.closed && !allowClosed {
-		return nil, OpStats{}, errRegionSplit
-	}
 	for _, st := range r.stores {
 		if !famMatch(families, st.family) {
 			continue
@@ -897,9 +829,6 @@ func (r *Region) rowIterLocked(row, prefix string, families []string, io *OpStat
 func (r *Region) get(row string, families []string) (*Row, OpStats, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if r.closed {
-		return nil, OpStats{}, errRegionSplit
-	}
 	for _, st := range r.stores {
 		if !famMatch(families, st.family) {
 			continue
@@ -1058,9 +987,7 @@ func (r *Region) LiveCellCount() uint64 {
 }
 
 // WALSize returns the byte length of the region's write-ahead log file:
-// zero in memory mode, which keeps no log, and zero right after a flush
-// (split children start at zero because their seed load flushes, it
-// does not linger in the log).
+// zero in memory mode, which keeps no log, and zero right after a flush.
 func (r *Region) WALSize() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -1097,41 +1024,13 @@ func (r *Region) replayLocked(logged []byte) (maxTs int64, err error) {
 	return maxTs, err
 }
 
-// splitPoint picks the middle row key, or "" if the region is too small
-// to split.
-func (r *Region) splitPoint() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var rows []string
-	last := ""
-	it := r.iteratorsLocked("", nil, nil)
-	for it.valid() {
-		c := it.cell()
-		if c.Row != last {
-			rows = append(rows, c.Row)
-			last = c.Row
-		}
-		it.next()
-	}
-	if it.fail() != nil || len(rows) < 2 {
-		return ""
-	}
-	// Cloned: the split key outlives the parent region's arenas.
-	return strings.Clone(rows[len(rows)/2])
-}
-
 // allCells snapshots every live (latest-version, non-tombstone) cell, for
-// region splits.
+// Merkle digests and repair payloads. It reads every family, so any
+// quarantined run fails it: a digest built around the hole would make
+// the missing rows' absence permanent.
 func (r *Region) allCells() ([]Cell, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.allCellsLocked()
-}
-
-// allCellsLocked is allCells with r.mu already held. It reads every
-// family, so any quarantined run fails it: a split or a Merkle digest
-// built around the hole would make the missing rows' absence permanent.
-func (r *Region) allCellsLocked() ([]Cell, error) {
 	for _, st := range r.stores {
 		if len(st.quarantined) > 0 {
 			return nil, errQuarantined(st.quarantined[0].name)

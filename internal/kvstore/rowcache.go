@@ -183,15 +183,6 @@ func (c *rowCache) stats() (hits, misses uint64) {
 	return c.hits, c.misses
 }
 
-// seedStats pre-loads hit/miss counts, used to carry a split region's
-// history onto its successor.
-func (c *rowCache) seedStats(hits, misses uint64) {
-	c.mu.Lock()
-	c.hits += hits
-	c.misses += misses
-	c.mu.Unlock()
-}
-
 func (c *rowCache) removeLocked(e *rcEntry) {
 	delete(c.entries, e.row)
 	c.bytes -= e.size

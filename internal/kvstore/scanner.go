@@ -164,20 +164,15 @@ func (sc *Scanner) prefetch() {
 // fetchOnce performs one batch read of up to Caching rows starting at
 // start, possibly spanning multiple regions server-side. It touches no
 // scanner state and charges no metrics, so it is safe to run from the
-// prefetch goroutine. A region split observed mid-batch restarts the
-// fetch against the fresh region list (split children hold identical
-// data, so a restart re-reads the same rows).
+// prefetch goroutine.
 func (sc *Scanner) fetchOnce(start string) fetchResult {
 	t, err := sc.c.table(sc.scan.Table)
 	if err != nil {
 		return fetchResult{err: err}
 	}
 	want := sc.scan.Caching
-
-retry:
 	var out fetchResult
-	var stats OpStats
-	for _, r := range t.Regions() {
+	for _, r := range t.regions {
 		if r.EndKey() != "" && start != "" && start >= r.EndKey() {
 			continue // region entirely before the cursor
 		}
@@ -185,20 +180,15 @@ retry:
 			break // region entirely after the stop row
 		}
 		rows, st, err := r.scan(start, sc.scan.StopRow, want-len(out.rows), sc.scan.Families, sc.scan.ReadTs, sc.scan.Filter)
-		if err == errRegionSplit {
-			goto retry
-		}
 		if err != nil {
 			return fetchResult{err: err}
 		}
-		stats.add(st)
+		out.stats.add(st)
 		out.rows = append(out.rows, rows...)
 		if len(out.rows) >= want {
 			break
 		}
 	}
-
-	out.stats = stats
 	out.nextRow = start
 	if len(out.rows) < want {
 		out.done = true
@@ -273,7 +263,7 @@ func (c *Cluster) MultiGet(table string, rows []string, families ...string) ([]*
 	out := make([]*Row, len(rows))
 	var stats OpStats
 	for i, row := range rows {
-		got, st, err := t.getRetry(row, families)
+		got, st, err := t.regionFor(row).get(row, families)
 		if err != nil {
 			return nil, fmt.Errorf("kvstore: multi-get %q: %w", row, err)
 		}
@@ -369,11 +359,6 @@ func (c *Cluster) ParallelMultiGet(table string, rows []string, parallelism int,
 			for _, b := range laneBatches[l] {
 				for _, i := range b.idxs {
 					got, st, err := b.region.get(rows[i], families)
-					if err == errRegionSplit {
-						// The batch's region split mid-flight: re-route
-						// this row through the fresh region list.
-						got, st, err = t.getRetry(rows[i], families)
-					}
 					if err != nil {
 						b.err = fmt.Errorf("kvstore: multi-get %q: %w", rows[i], err)
 						return

@@ -55,7 +55,7 @@ func (c *Cluster) Scrub() (*ScrubReport, error) {
 		if err != nil {
 			continue // table dropped since the snapshot
 		}
-		for _, r := range t.Regions() {
+		for _, r := range t.regions {
 			if err := c.CheckInterrupt(); err != nil {
 				return rep, err
 			}
@@ -80,15 +80,8 @@ func (c *Cluster) Scrub() (*ScrubReport, error) {
 // cluster, sorted.
 func (c *Cluster) Quarantined() []string {
 	var out []string
-	s := c.state
-	s.mu.RLock()
-	tables := make([]*Table, 0, len(s.tables))
-	for _, t := range s.tables {
-		tables = append(tables, t)
-	}
-	s.mu.RUnlock()
-	for _, t := range tables {
-		for _, r := range t.Regions() {
+	for _, t := range c.allTables() {
+		for _, r := range t.regions {
 			out = append(out, r.quarantinedNames()...)
 		}
 	}

@@ -171,6 +171,10 @@ type ResultData struct {
 	Cost          CostData         `json:"cost"`
 	Algorithm     string           `json:"algorithm"`
 	NextPageToken string           `json:"next_page_token,omitempty"`
+	// Estimate is the planner's predicted cost when the node planned the
+	// query (algo=auto); only its time, network and read-unit fields are
+	// set.
+	Estimate *CostData `json:"estimate,omitempty"`
 }
 
 // EnsureRequest asks a replica to build the named index families for a

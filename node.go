@@ -281,6 +281,9 @@ func (n *NodeService) TopK(req transport.QueryRequest) (*transport.ResultData, e
 		Algorithm:     res.Algorithm,
 		NextPageToken: res.NextPageToken,
 	}
+	if e := res.Estimate; e != nil {
+		out.Estimate = &transport.CostData{SimTimeNanos: e.SimTime.Nanoseconds(), NetworkBytes: e.NetworkBytes, KVReads: e.KVReads}
+	}
 	for _, r := range res.Results {
 		jr := transport.JoinResultData{
 			Left:  *TupleData(r.Left),
