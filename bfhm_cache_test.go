@@ -24,16 +24,16 @@ func withColdBFHM(t *testing.T, db *DB, f func()) {
 	t.Helper()
 	var warm []*core.BFHMIndex
 	for _, rel := range []string{"left", "right"} {
-		idx, ok := db.store.BFHM(rel)
+		idx, ok := db.store.BFHM.Get(rel)
 		if !ok {
 			t.Fatalf("no BFHM index on %s", rel)
 		}
 		warm = append(warm, idx)
-		db.store.PutBFHM(rel, &core.BFHMIndex{Table: idx.Table, Layout: idx.Layout, MBits: idx.MBits})
+		db.store.BFHM.Put(rel, &core.BFHMIndex{Table: idx.Table, Layout: idx.Layout, MBits: idx.MBits})
 	}
 	defer func() {
-		db.store.PutBFHM("left", warm[0])
-		db.store.PutBFHM("right", warm[1])
+		db.store.BFHM.Put("left", warm[0])
+		db.store.BFHM.Put("right", warm[1])
 	}()
 	f()
 }

@@ -129,7 +129,7 @@ func (s *server) routes() http.Handler {
 
 // resolveQuery resolves a request's query: an inline tree spec when one
 // was supplied (general acyclic join-tree queries, including the
-// multiway star shape NewMultiQuery builds in-process), a named preset
+// multiway star shape), a named preset
 // otherwise. Tree specs are validated structurally; a cyclic or
 // disconnected shape surfaces as a *rankjoin.ShapeError that
 // writeResolveError maps to a 400 carrying the diagnostic.

@@ -43,8 +43,8 @@
 //	    spec describing a general acyclic join-tree query —
 //	    {"relations":["a","b","c"],
 //	     "edges":[{"a":0,"b":1},{"a":1,"b":2,"kind":"band","band":2}],
-//	     "score":"sum","k":10} — covering two-way, star (the
-//	    NewMultiQuery shape), chain, and mixed shapes; results carry the third
+//	     "score":"sum","k":10} — covering two-way, star, chain, and
+//	    mixed shapes; results carry the third
 //	    and later leaves' rows in rest_rows. A cyclic or disconnected
 //	    tree is rejected with a 400 whose body carries the shape
 //	    diagnostic. algo=anyk (or auto) streams tree results in score

@@ -91,7 +91,7 @@ func TestConcurrentEnsureIndexesBFHMWidths(t *testing.T) {
 
 	var width uint64
 	for _, n := range names {
-		idx, ok := db.store.BFHM(n)
+		idx, ok := db.store.BFHM.Get(n)
 		if !ok {
 			t.Fatalf("relation %s has no BFHM index after concurrent builds", n)
 		}

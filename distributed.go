@@ -285,21 +285,16 @@ func (r *DistRelation) Get(rowKey string) (Tuple, bool, error) {
 	return tupleOf(t), true, nil
 }
 
-// wireShape renders a query's join shape for the seam: binary equi
-// trees keep the legacy Left/Right fields (wire compatibility with
-// older nodes), everything else ships the explicit tree.
-func wireShape(q Query) (left, right, score string, tree *transport.TreeData) {
-	if len(q.t.Relations) == 2 && q.t.AllEqui() {
-		return q.t.Relations[0].Name, q.t.Relations[1].Name, q.t.Score.Name, nil
-	}
-	td := &transport.TreeData{}
+// wireShape renders a query's join tree for the seam.
+func wireShape(q Query) transport.TreeData {
+	td := transport.TreeData{}
 	for i := range q.t.Relations {
 		td.Relations = append(td.Relations, q.t.Relations[i].Name)
 	}
 	for _, e := range q.t.Edges {
 		td.Edges = append(td.Edges, transport.TreeEdgeData{A: e.A, B: e.B, Kind: string(e.Kind), Band: e.Band})
 	}
-	return "", "", q.t.Score.Name, td
+	return td
 }
 
 // EnsureIndexes builds the listed algorithms' indexes on every node
@@ -313,9 +308,8 @@ func (d *Distributed) EnsureIndexes(q Query, algos ...Algorithm) error {
 		}
 		names[i] = string(a)
 	}
-	left, right, score, tree := wireShape(q)
 	return d.router.EnsureIndexes(transport.EnsureRequest{
-		Left: left, Right: right, Score: score, Tree: tree, Algos: names,
+		Tree: wireShape(q), Score: q.t.Score.Name, Algos: names,
 	})
 }
 
@@ -341,12 +335,9 @@ func parseDistToken(t string) (node string, pages int, token string, err error) 
 
 // wireRequest renders a query + options for the seam.
 func wireRequest(q Query, algo Algorithm, o QueryOptions) transport.QueryRequest {
-	left, right, score, tree := wireShape(q)
 	req := transport.QueryRequest{
-		Left:         left,
-		Right:        right,
-		Score:        score,
-		Tree:         tree,
+		Tree:         wireShape(q),
+		Score:        q.t.Score.Name,
 		K:            q.t.K,
 		Algo:         string(algo),
 		Objective:    string(o.Objective),

@@ -43,11 +43,13 @@
 //
 // # Executors and the planner
 //
-// Every algorithm implements the core.Executor interface and lives in a
-// registry; the old switch-based dispatch (one switch each in TopK,
-// EnsureIndexes, and IndexDiskSize) is gone, so adding a strategy means
-// registering one executor, not editing three switches. On top of the
-// registry sits a cost-based planner: AlgoAuto plans each query against
+// Every algorithm is one row of a fixed executor table (core.Executor):
+// its name, the join shapes it supports, whether it enumerates
+// incrementally, its estimator, its index family and how it runs. TopK,
+// EnsureIndexes and IndexDiskSize dispatch through the table, which
+// checks the shape, validates the tree, checks for the index and wraps
+// the budget once for every row. On top of the table sits a cost-based
+// planner: AlgoAuto plans each query against
 // live table statistics, DRJN 2-D histograms, and BFHM Bloom-filter
 // join estimates, then runs the cheapest strategy whose indexes exist.
 // DB.Explain exposes the ranked candidate plans without running the
@@ -100,13 +102,12 @@
 // values — and a monotonic aggregate (Sum, Product) scores complete
 // matches. It is the only query form, and ScoreFunc — a function of the
 // joined tuples' scores in relation order, however many — the only
-// aggregate type. NewQuery (binary) and NewMultiQuery (star, the
-// paper's n-way equi-join) build the two trivial tree shapes;
-// NewTreeQuery builds chains and general acyclic mixes. All three call
-// one constructor, which requires every relation to be defined and
-// listed once, and return a Query for the same TopK, Stream, Explain
-// and EnsureIndexes; results carry the third and later leaves' tuples
-// in JoinResult.Rest:
+// aggregate type. NewQuery builds the trivial two-leaf tree;
+// NewTreeQuery builds stars (the paper's n-way equi-join, edges {0,i}),
+// chains and general acyclic mixes. Both call one constructor, which
+// requires every relation to be defined and listed once, and return a
+// Query for the same TopK, Stream, Explain and EnsureIndexes; results
+// carry the third and later leaves' tuples in JoinResult.Rest:
 //
 //	q, _ := db.NewTreeQuery(
 //	    []string{"sensors", "readings", "alerts"},

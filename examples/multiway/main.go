@@ -49,7 +49,8 @@ func main() {
 		}
 	}
 
-	q, err := db.NewMultiQuery([]string{"log_mon", "log_tue", "log_wed"}, rankjoin.SumN, 10)
+	q, err := db.NewTreeQuery([]string{"log_mon", "log_tue", "log_wed"},
+		[]rankjoin.TreeEdge{{A: 0, B: 1, Kind: rankjoin.PredEqui}, {A: 0, B: 2, Kind: rankjoin.PredEqui}}, rankjoin.Sum, 10)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -410,7 +410,7 @@ func TestMultiwayISLNMaintained(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mq, err := db.NewMultiQuery([]string{"ma", "mb", "mc"}, SumN, 3)
+	mq, err := db.NewTreeQuery([]string{"ma", "mb", "mc"}, starEdges(3), Sum, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -684,6 +684,11 @@ func (w *walker) checkSelector(sel *ast.SelectorExpr, st *state, write bool) {
 	if obj == nil {
 		return
 	}
+	if v, ok := obj.(*types.Var); ok {
+		// A field of an instantiated generic type is a copy of the
+		// declared field the annotation names.
+		obj = v.Origin()
+	}
 	g, ok := w.guarded[obj]
 	if !ok {
 		return

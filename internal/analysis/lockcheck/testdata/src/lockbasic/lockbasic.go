@@ -179,3 +179,24 @@ func register(name string) {
 func registerBare(name string) {
 	registry[name] = 1 // want `write to "registry" without registryMu held`
 }
+
+// ---- generic types ----
+
+type keyed[T any] struct {
+	mu sync.Mutex
+	m  map[string]T // guarded by: mu
+}
+
+func (k *keyed[T]) get(key string) T {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.m[key]
+}
+
+func (k *keyed[T]) getBare(key string) T {
+	return k.m[key] // want `read of "m" without k\.mu held`
+}
+
+func instanceBare(k *keyed[int]) int {
+	return len(k.m) // want `read of "m" without k\.mu held`
+}

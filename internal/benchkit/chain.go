@@ -96,7 +96,7 @@ func SetupChain(profile sim.Profile, rows int, seed int64) (*ChainEnv, error) {
 		for i := range edges {
 			edges[i] = rankjoin.TreeEdge{A: i, B: i + 1, Kind: rankjoin.PredBand, Band: chainBand}
 		}
-		q, err := db.NewTreeQuery(names[:n], edges, rankjoin.SumN, 10)
+		q, err := db.NewTreeQuery(names[:n], edges, rankjoin.Sum, 10)
 		if err != nil {
 			return nil, err
 		}

@@ -320,9 +320,6 @@ func TestHybridPTMonotone(t *testing.T) {
 		}
 		prev = pt
 	}
-	if th := h.TheoreticalPT(); th <= 0 || th >= 1 {
-		t.Errorf("theoretical PT = %f out of (0,1)", th)
-	}
 }
 
 func TestHybridCloneIndependent(t *testing.T) {

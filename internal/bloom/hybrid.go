@@ -159,15 +159,6 @@ func (h *Hybrid) PT() float64 {
 	return float64(len(h.pos)) / float64(h.m)
 }
 
-// TheoreticalPT returns 1 - (1-1/m)^n, the a-priori fill probability the
-// paper's analysis uses.
-func (h *Hybrid) TheoreticalPT() float64 {
-	if h.m == 0 {
-		return 0
-	}
-	return 1 - math.Pow(1-1/float64(h.m), float64(h.n))
-}
-
 // JoinEstimate holds the outcome of intersecting two hybrid filters.
 type JoinEstimate struct {
 	// Bits lists the bit positions set in both filters, sorted.

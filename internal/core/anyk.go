@@ -1,13 +1,9 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/kvstore"
-)
+import "math"
 
 // This file implements the rank-join operator — the only HRJN-family
-// operator in the package — and the anyk executor. The operator is
+// operator in the package, which isl and anyk run. The operator is
 // ranked enumeration over an acyclic join tree with no k fixed up front
 // (the ANYK/QUICK family of Tziavelis et al., adapted to the paper's
 // inverse-score-list storage); HRJN (Section 4.2.1) is its two-leaf
@@ -33,36 +29,6 @@ import (
 // which list to read, but evaluating the threshold tells it which list
 // bounds it (bounding): the isl executor's cursor reads that one (HRJN*),
 // the anyk executor's takes turns (Algorithm 4).
-
-// anykExec is the registry executor behind AlgoAnyK. It supports every
-// valid tree shape, including band predicates.
-type anykExec struct{}
-
-func (anykExec) Name() string                        { return "anyk" }
-func (anykExec) Incremental() bool                   { return true }
-func (anykExec) Supports(t *JoinTree) bool           { return true }
-func (anykExec) Estimate(st *PlanStats) CostEstimate { return estimateLists(st) }
-
-func (anykExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, _ IndexBuildConfig) error {
-	if err := t.Validate(); err != nil {
-		return err
-	}
-	return EnsureISL(c, t, store)
-}
-
-func (anykExec) HasIndex(t *JoinTree, store *IndexStore) bool {
-	_, ok := store.ISL(t.LeafID())
-	return ok
-}
-
-func (anykExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64 {
-	return islIndexSize(c, t, store)
-}
-
-func (anykExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-	// any-k keeps Algorithm 4's turn-taking (turnTaking in isl.go).
-	return openLists(c, t, store, "any-k", opts, true)
-}
 
 // anyKOp is the tree-generalized ranked-enumeration operator. It holds
 // each pulled tuple once (treeJoin's per-leaf arenas and ordinal

@@ -27,10 +27,11 @@ func loadTree(t *testing.T, c *kvstore.Cluster, tuples [][]Tuple, edges []TreeEd
 // the first time.
 func openAnyK(t *testing.T, c *kvstore.Cluster, tr *JoinTree, store *IndexStore, batch int) Cursor {
 	t.Helper()
-	if err := (anykExec{}).EnsureIndex(c, tr, store, IndexBuildConfig{}.WithDefaults()); err != nil {
+	ex, _ := Lookup("anyk")
+	if err := ex.EnsureIndex(c, tr, store, IndexBuildConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	cur, err := anykExec{}.Open(c, tr, store, ExecOptions{ISLBatch: batch}.WithDefaults())
+	cur, err := ex.Open(c, tr, store, ExecOptions{ISLBatch: batch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,14 @@
 package core
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/kvstore"
 	"repro/internal/sim"
 )
 
-// This file defines the executor layer: every rank-join strategy sits
-// behind one Executor interface and is held in a process-wide registry.
-// The public API dispatches through registry lookups instead of the
-// per-call switch statements the library grew up with, and the planner
-// (internal/plan) walks the same registry to cost candidate plans.
+// This file defines what the executor table (executors.go) is driven
+// with: the execution and index-build options, and the planner's
+// statistics and cost estimates.
 
 // DefaultISLBatch is the ISL scanner caching default — the single
 // source for the public QueryOptions, the executor layer, and the
@@ -29,9 +24,9 @@ type ExecOptions struct {
 	// Parallelism fans the client read path out (see QueryOptions).
 	Parallelism int
 	// Budget bounds the query's wall-clock and read-unit spend (nil =
-	// unbounded). Executors wrap their cursors with it in Open and run
-	// against a budget-guarded cluster view, so cancellation fires both
-	// between results and inside long scans.
+	// unbounded). Executor.Open wraps every cursor with it, and
+	// executors run against a budget-guarded cluster view, so
+	// cancellation fires both between results and inside long scans.
 	Budget *Budget
 }
 
@@ -147,87 +142,4 @@ func RelativeError(est, actual float64) float64 {
 		d = -d
 	}
 	return d / actual
-}
-
-// Executor is one rank-join strategy behind the registry. Every
-// executor consumes the JoinTree query form; two-way-only strategies
-// accept its two-leaf all-equi shape and reject the others (see
-// Supports).
-type Executor interface {
-	// Name is the stable identifier ("isl", "bfhm", ...), matching the
-	// public Algorithm constants.
-	Name() string
-	// Supports reports whether this executor can run the tree's shape
-	// (leaf count and edge predicates). The planner skips unsupported
-	// candidates; EnsureIndex and Open reject an unsupported shape
-	// (unsupportedShape) before spending any work.
-	Supports(t *JoinTree) bool
-	// EnsureIndex idempotently builds the executor's index structures
-	// for the tree. Concurrent calls for overlapping scopes serialize
-	// (single-flight): exactly one caller builds, the rest observe the
-	// finished index.
-	EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, cfg IndexBuildConfig) error
-	// HasIndex reports whether Open's index requirements are met.
-	HasIndex(t *JoinTree, store *IndexStore) bool
-	// IndexSize returns the stored bytes of the executor's index(es)
-	// for the tree (0 for index-free executors or unbuilt indexes).
-	IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64
-	// Estimate predicts the query's execution cost from planner
-	// statistics. It must return non-zero costs for any non-empty
-	// input, whether or not the index exists yet.
-	Estimate(st *PlanStats) CostEstimate
-	// Open starts an execution: the cursor yields join results one at a
-	// time in descending score order, with no fixed k; a bounded top-k
-	// is a drain of it to t.K results (RunCursor). For
-	// incremental executors t.K is irrelevant beyond validation; for
-	// materializing ones it is the initial batch depth (the page-size
-	// hint), with deeper pulls re-running at doubled depths.
-	Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error)
-	// Incremental reports whether Open enumerates natively — each Next
-	// pays only marginal work — as opposed to materializing bounded
-	// re-runs. The planner charges materializing executors the re-run
-	// penalty when costing deep pagination.
-	Incremental() bool
-}
-
-// ---- Registry ----
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Executor{} // guarded by: registryMu
-	// registryOrder preserves registration order (the paper's
-	// evaluation order) for deterministic iteration.
-	// guarded by: registryMu
-	registryOrder []string
-)
-
-// Register adds an executor to the registry. Registering a duplicate
-// name panics: names are the dispatch keys of the public API.
-func Register(e Executor) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[e.Name()]; dup {
-		panic(fmt.Sprintf("core: executor %q registered twice", e.Name()))
-	}
-	registry[e.Name()] = e
-	registryOrder = append(registryOrder, e.Name())
-}
-
-// Lookup returns the executor registered under name.
-func Lookup(name string) (Executor, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	e, ok := registry[name]
-	return e, ok
-}
-
-// Executors returns every registered executor in registration order.
-func Executors() []Executor {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Executor, 0, len(registryOrder))
-	for _, n := range registryOrder {
-		out = append(out, registry[n])
-	}
-	return out
 }

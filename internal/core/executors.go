@@ -2,34 +2,186 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/kvstore"
 )
 
-// The paper's seven algorithms plus the any-k tree executor as registry
-// executors. This file is the single dispatch surface: one Executor
-// implementation per strategy. Every executor consumes the JoinTree
-// form; the two-way-only strategies accept its two-leaf all-equi shape
-// (requireBinary) and read the two relations as leaves 0 and 1. isl and
-// anyk share one rank-join operator, one list cursor and one index
-// (anyk.go, isl.go); the batch-shaped strategies stream through the
-// materializing adapter (materialize).
+// This file is the executor layer's one dispatch point: the paper's
+// seven algorithms plus the any-k tree executor, each one row of a
+// fixed table in the paper's evaluation order. A row states its
+// strategy's facts — the join shapes it takes, whether it enumerates
+// incrementally, its estimator, its index family and how it runs — and
+// Executor's methods apply them alike for every row, so the shape check,
+// t.Validate, the missing-index check and the budget wrap each happen
+// once, here. The public API resolves algorithms with Lookup, and the
+// planner (internal/plan) costs Executors in table order.
+//
+// The shapes follow "Ranked Enumeration for Database Queries": any-k
+// takes every acyclic tree, isl every all-equi tree (semantically a
+// star), and the paper's other strategies the two-leaf equi join, which
+// they read as leaves 0 and 1; naive, the reference, takes every tree.
+// isl and anyk share one index family, one rank-join operator and one
+// list cursor (anyk.go, isl.go).
 
-func init() {
-	Register(naiveExec{})
-	Register(hiveExec{})
-	Register(pigExec{})
-	Register(ijlmrExec{})
-	Register(islExec{})
-	Register(bfhmExec{})
-	Register(drjnExec{})
-	Register(anykExec{})
+// Executor is one rank-join strategy: a row of the executor table.
+type Executor struct {
+	name     string
+	supports func(t *JoinTree) bool
+	estimate func(st *PlanStats) CostEstimate
+	// index is the family of indexes the strategy reads; nil for the
+	// index-free ones.
+	index indexFamily
+	// Exactly one of run and open is set. run computes a bounded top-k
+	// at t.K, and Open streams it by re-running at doubled depths; open
+	// starts an incremental cursor, whose every Next pays only marginal
+	// work.
+	run  func(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (*Result, error)
+	open func(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error)
 }
 
-// tableSize returns a table's stored bytes, 0 when it does not exist.
-func tableSize(c *kvstore.Cluster, table string) uint64 {
-	sz, _ := c.TableDiskSize(table)
-	return sz
+// executors is the executor table.
+var executors = []*Executor{
+	{name: "naive", supports: anyTree, estimate: estimateNaive,
+		run: func(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, _ ExecOptions) (*Result, error) {
+			if isBinary(t) {
+				return NaiveTopK(c, t)
+			}
+			return NaiveTreeTopK(c, t)
+		}},
+	{name: "hive", supports: isBinary, estimate: estimateHive,
+		run: func(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, _ ExecOptions) (*Result, error) {
+			return QueryHive(c, t)
+		}},
+	{name: "pig", supports: isBinary, estimate: estimatePig,
+		run: func(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, _ ExecOptions) (*Result, error) {
+			return QueryPig(c, t)
+		}},
+	{name: "ijlmr", supports: isBinary, estimate: estimateIJLMR, index: ijlmrIndexes,
+		run: func(c *kvstore.Cluster, t *JoinTree, store *IndexStore, _ ExecOptions) (*Result, error) {
+			idx, _ := store.IJLMR.Get(t.ID())
+			return QueryIJLMR(c, t, idx)
+		}},
+	// isl reads the list that bounds the threshold (HRJN*), not in turns.
+	{name: "isl", supports: (*JoinTree).AllEqui, estimate: estimateLists, index: islIndexes,
+		open: func(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
+			return openLists(c, t, store, opts, false)
+		}},
+	// bfhm materializes: its estimation and reverse-mapping pipeline is
+	// k-driven end to end (the histogram walk targets the k'th estimate).
+	{name: "bfhm", supports: isBinary, estimate: estimateBFHM, index: bfhmIndexes,
+		run: func(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (*Result, error) {
+			idxA, _ := store.BFHM.Get(t.Relations[0].Name)
+			idxB, _ := store.BFHM.Get(t.Relations[1].Name)
+			return QueryBFHM(c, t, idxA, idxB, opts.Parallelism)
+		}},
+	{name: "drjn", supports: isBinary, estimate: estimateDRJN, index: drjnIndexes,
+		open: func(c *kvstore.Cluster, t *JoinTree, store *IndexStore, _ ExecOptions) (Cursor, error) {
+			idxA, _ := store.DRJN.Get(t.Relations[0].Name)
+			idxB, _ := store.DRJN.Get(t.Relations[1].Name)
+			return OpenDRJN(c, t, idxA, idxB)
+		}},
+	// anyk keeps Algorithm 4's turn-taking (turnTaking in isl.go).
+	{name: "anyk", supports: anyTree, estimate: estimateLists, index: islIndexes,
+		open: func(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
+			return openLists(c, t, store, opts, true)
+		}},
+}
+
+// Lookup returns the executor named name.
+func Lookup(name string) (*Executor, bool) {
+	for _, e := range executors {
+		if e.name == name {
+			return e, true
+		}
+	}
+	return nil, false
+}
+
+// Executors returns every executor in table order.
+func Executors() []*Executor { return slices.Clone(executors) }
+
+// Name is the stable identifier ("isl", "bfhm", ...), matching the
+// public Algorithm constants.
+func (e *Executor) Name() string { return e.name }
+
+// Supports reports whether the executor can run the tree's shape (leaf
+// count and edge predicates). The planner skips unsupported candidates;
+// EnsureIndex and Open reject them before spending any work.
+func (e *Executor) Supports(t *JoinTree) bool { return e.supports(t) }
+
+// Incremental reports whether Open enumerates natively — each Next pays
+// only marginal work — as opposed to materializing bounded re-runs. The
+// planner charges materializing executors the re-run penalty when
+// costing deep pagination.
+func (e *Executor) Incremental() bool { return e.open != nil }
+
+// Estimate predicts the query's execution cost from planner statistics.
+// It returns non-zero costs for any non-empty input, whether or not the
+// index exists yet.
+func (e *Executor) Estimate(st *PlanStats) CostEstimate { return e.estimate(st) }
+
+// check admits t to EnsureIndex and Open: a supported shape, well formed.
+func (e *Executor) check(t *JoinTree) error {
+	if !e.supports(t) {
+		return unsupportedShape(e.name, t)
+	}
+	return t.Validate()
+}
+
+// EnsureIndex idempotently builds the executor's index structures for
+// the tree. Concurrent calls for overlapping scopes serialize
+// (single-flight): exactly one caller builds, the rest observe the
+// finished index.
+func (e *Executor) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, cfg IndexBuildConfig) error {
+	if err := e.check(t); err != nil || e.index == nil {
+		return err
+	}
+	return e.index.ensure(c, t, store, cfg.WithDefaults())
+}
+
+// HasIndex reports whether Open's index requirements are met.
+func (e *Executor) HasIndex(t *JoinTree, store *IndexStore) bool {
+	return e.supports(t) && (e.index == nil || e.index.has(t, store))
+}
+
+// IndexSize returns the stored bytes of the executor's index(es) for the
+// tree (0 for index-free executors, unsupported shapes or unbuilt
+// indexes).
+func (e *Executor) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64 {
+	if !e.supports(t) || e.index == nil {
+		return 0
+	}
+	return e.index.size(c, t, store)
+}
+
+// Open starts an execution: the cursor yields join results one at a time
+// in descending score order, with no fixed k; a bounded top-k is a drain
+// of it to t.K results (RunCursor). For incremental executors t.K is
+// irrelevant beyond validation; for materializing ones it is the initial
+// batch depth (the page-size hint). The budget wrap makes Next enforce
+// the query's deadline and read cap between results; the budget also
+// fires inside a run or a pull through the cluster guard.
+func (e *Executor) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
+	if err := e.check(t); err != nil {
+		return nil, err
+	}
+	if e.index != nil && !e.index.has(t, store) {
+		return nil, fmt.Errorf("rankjoin: no %s index for %s; call EnsureIndexes first", e.index.name(), t.ID())
+	}
+	opts = opts.WithDefaults()
+	var cur Cursor
+	if e.open != nil {
+		var err error
+		if cur, err = e.open(c, t, store, opts); err != nil {
+			return nil, err
+		}
+	} else {
+		cur = NewMaterializedCursor(t.K, func(k int) (*Result, error) {
+			return e.run(c, withK(t, k), store, opts)
+		})
+	}
+	return WrapBudget(cur, opts.Budget), nil
 }
 
 // unsupportedShape is the dispatch error for a hand-picked executor
@@ -39,14 +191,17 @@ func unsupportedShape(name string, t *JoinTree) error {
 		name, t.ID(), "naive", "anyk")
 }
 
+// anyTree admits every tree shape.
+func anyTree(*JoinTree) bool { return true }
+
 // isBinary reports the two-leaf all-equi shape, the paper's two-way
 // rank join.
 func isBinary(t *JoinTree) bool {
 	return len(t.Relations) == 2 && t.AllEqui()
 }
 
-// requireBinary validates t for a two-way-only strategy: any shape but
-// the two-leaf all-equi one fails with a shape diagnostic.
+// requireBinary validates t for a two-way-only strategy's entry point:
+// any shape but the two-leaf all-equi one fails with a shape diagnostic.
 func requireBinary(name string, t *JoinTree) error {
 	if !isBinary(t) {
 		return unsupportedShape(name, t)
@@ -60,351 +215,4 @@ func withK(t *JoinTree, k int) *JoinTree {
 	tt := *t
 	tt.K = k
 	return &tt
-}
-
-// materialize adapts a batch-shaped top-k function to Open's streaming
-// contract: the cursor materializes the top t.K, then re-runs at
-// doubled depths when drained deeper. The budget wrap makes Next
-// enforce the query's deadline/read cap between results; the budget
-// also fires inside run itself via the cluster guard, since a
-// materializing executor does nearly all its work there.
-func materialize(t *JoinTree, b *Budget, run func(k int) (*Result, error)) (Cursor, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return WrapBudget(NewMaterializedCursor(t.K, run), b), nil
-}
-
-// ---- Naive ----
-
-type naiveExec struct{}
-
-func (naiveExec) Name() string            { return "naive" }
-func (naiveExec) Supports(*JoinTree) bool { return true }
-func (naiveExec) EnsureIndex(*kvstore.Cluster, *JoinTree, *IndexStore, IndexBuildConfig) error {
-	return nil
-}
-func (naiveExec) HasIndex(*JoinTree, *IndexStore) bool                      { return true }
-func (naiveExec) IndexSize(*kvstore.Cluster, *JoinTree, *IndexStore) uint64 { return 0 }
-func (naiveExec) Estimate(st *PlanStats) CostEstimate                       { return estimateNaive(st) }
-func (naiveExec) Incremental() bool                                         { return false }
-func (naiveExec) Open(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, opts ExecOptions) (Cursor, error) {
-	return materialize(t, opts.Budget, func(k int) (*Result, error) {
-		if isBinary(t) {
-			return NaiveTopK(c, withK(t, k))
-		}
-		return NaiveTreeTopK(c, withK(t, k))
-	})
-}
-
-// ---- Hive ----
-
-type hiveExec struct{}
-
-func (hiveExec) Name() string              { return "hive" }
-func (hiveExec) Supports(t *JoinTree) bool { return isBinary(t) }
-func (hiveExec) EnsureIndex(_ *kvstore.Cluster, t *JoinTree, _ *IndexStore, _ IndexBuildConfig) error {
-	if !isBinary(t) {
-		return unsupportedShape("hive", t)
-	}
-	return nil
-}
-func (hiveExec) HasIndex(t *JoinTree, _ *IndexStore) bool                  { return isBinary(t) }
-func (hiveExec) IndexSize(*kvstore.Cluster, *JoinTree, *IndexStore) uint64 { return 0 }
-func (hiveExec) Estimate(st *PlanStats) CostEstimate                       { return estimateHive(st) }
-func (hiveExec) Incremental() bool                                         { return false }
-func (hiveExec) Open(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, opts ExecOptions) (Cursor, error) {
-	if err := requireBinary("hive", t); err != nil {
-		return nil, err
-	}
-	return materialize(t, opts.Budget, func(k int) (*Result, error) {
-		return QueryHive(c, withK(t, k))
-	})
-}
-
-// ---- Pig ----
-
-type pigExec struct{}
-
-func (pigExec) Name() string              { return "pig" }
-func (pigExec) Supports(t *JoinTree) bool { return isBinary(t) }
-func (pigExec) EnsureIndex(_ *kvstore.Cluster, t *JoinTree, _ *IndexStore, _ IndexBuildConfig) error {
-	if !isBinary(t) {
-		return unsupportedShape("pig", t)
-	}
-	return nil
-}
-func (pigExec) HasIndex(t *JoinTree, _ *IndexStore) bool                  { return isBinary(t) }
-func (pigExec) IndexSize(*kvstore.Cluster, *JoinTree, *IndexStore) uint64 { return 0 }
-func (pigExec) Estimate(st *PlanStats) CostEstimate                       { return estimatePig(st) }
-func (pigExec) Incremental() bool                                         { return false }
-func (pigExec) Open(c *kvstore.Cluster, t *JoinTree, _ *IndexStore, opts ExecOptions) (Cursor, error) {
-	if err := requireBinary("pig", t); err != nil {
-		return nil, err
-	}
-	return materialize(t, opts.Budget, func(k int) (*Result, error) {
-		return QueryPig(c, withK(t, k))
-	})
-}
-
-// ---- IJLMR ----
-
-type ijlmrExec struct{}
-
-func (ijlmrExec) Name() string              { return "ijlmr" }
-func (ijlmrExec) Supports(t *JoinTree) bool { return isBinary(t) }
-
-func (ijlmrExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, _ IndexBuildConfig) error {
-	if err := requireBinary("ijlmr", t); err != nil {
-		return err
-	}
-	lock := store.BuildScope("ijlmr/" + t.ID())
-	lock.Lock()
-	defer lock.Unlock()
-	if _, ok := store.IJLMR(t.ID()); ok {
-		return nil
-	}
-	idx, _, err := BuildIJLMR(c, t)
-	if err != nil {
-		return err
-	}
-	store.PutIJLMR(t.ID(), idx)
-	return nil
-}
-
-func (ijlmrExec) HasIndex(t *JoinTree, store *IndexStore) bool {
-	if !isBinary(t) {
-		return false
-	}
-	_, ok := store.IJLMR(t.ID())
-	return ok
-}
-
-func (ijlmrExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64 {
-	if !isBinary(t) {
-		return 0
-	}
-	idx, ok := store.IJLMR(t.ID())
-	if !ok {
-		return 0
-	}
-	return tableSize(c, idx.Table)
-}
-
-func (ijlmrExec) Estimate(st *PlanStats) CostEstimate { return estimateIJLMR(st) }
-func (ijlmrExec) Incremental() bool                   { return false }
-
-func (ijlmrExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-	if err := requireBinary("ijlmr", t); err != nil {
-		return nil, err
-	}
-	idx, ok := store.IJLMR(t.ID())
-	if !ok {
-		return nil, fmt.Errorf("rankjoin: no IJLMR index for %s; call EnsureIndexes first", t.ID())
-	}
-	return materialize(t, opts.Budget, func(k int) (*Result, error) {
-		return QueryIJLMR(c, withK(t, k), idx)
-	})
-}
-
-// ---- ISL ----
-
-// islExec is the paper's ISL coordinator (Section 4.2.3) on all-equi
-// trees of any leaf count (any connected all-equi tree is semantically
-// a star), over the same inverse-score-list index the anyk executor
-// reads. Band-predicate trees are out of scope — use any-k.
-type islExec struct{}
-
-func (islExec) Name() string              { return "isl" }
-func (islExec) Supports(t *JoinTree) bool { return t.AllEqui() }
-
-func (islExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, _ IndexBuildConfig) error {
-	if !t.AllEqui() {
-		return unsupportedShape("isl", t)
-	}
-	return EnsureISL(c, t, store)
-}
-
-func (islExec) HasIndex(t *JoinTree, store *IndexStore) bool {
-	_, ok := store.ISL(t.LeafID())
-	return ok && t.AllEqui()
-}
-
-func (islExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64 {
-	if !t.AllEqui() {
-		return 0
-	}
-	return islIndexSize(c, t, store)
-}
-
-func (islExec) Estimate(st *PlanStats) CostEstimate { return estimateLists(st) }
-func (islExec) Incremental() bool                   { return true }
-
-func (islExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-	if !t.AllEqui() {
-		return nil, unsupportedShape("isl", t)
-	}
-	// ISL reads the list that bounds the threshold (HRJN*), not in turns.
-	return openLists(c, t, store, "ISL", opts, false)
-}
-
-// ---- BFHM ----
-
-type bfhmExec struct{}
-
-func (bfhmExec) Name() string              { return "bfhm" }
-func (bfhmExec) Supports(t *JoinTree) bool { return isBinary(t) }
-
-// EnsureIndex builds both relations' BFHM indexes with a shared filter
-// width (intersection requires equal widths; the first build auto-sizes
-// from its heaviest bucket, the second inherits). All BFHM builds
-// serialize on one family-wide scope: concurrent EnsureIndex calls for
-// overlapping relation pairs would otherwise race the width handshake
-// and persist filters that can never be intersected.
-func (bfhmExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, cfg IndexBuildConfig) error {
-	if err := requireBinary("bfhm", t); err != nil {
-		return err
-	}
-	cfg = cfg.WithDefaults()
-	lock := store.BuildScope("bfhm")
-	lock.Lock()
-	defer lock.Unlock()
-	var shared uint64
-	if idx, ok := store.BFHM(t.Relations[0].Name); ok {
-		shared = idx.MBits
-	} else if idx, ok := store.BFHM(t.Relations[1].Name); ok {
-		shared = idx.MBits
-	}
-	for _, rel := range t.Relations {
-		if _, ok := store.BFHM(rel.Name); ok {
-			continue
-		}
-		idx, _, err := BuildBFHM(c, rel, BFHMOptions{
-			NumBuckets: cfg.BFHMBuckets,
-			FPP:        cfg.BFHMFPP,
-			MBits:      shared,
-		})
-		if err != nil {
-			return err
-		}
-		shared = idx.MBits
-		store.PutBFHM(rel.Name, idx)
-	}
-	return nil
-}
-
-func (bfhmExec) HasIndex(t *JoinTree, store *IndexStore) bool {
-	if !isBinary(t) {
-		return false
-	}
-	_, okA := store.BFHM(t.Relations[0].Name)
-	_, okB := store.BFHM(t.Relations[1].Name)
-	return okA && okB
-}
-
-func (bfhmExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64 {
-	if !isBinary(t) {
-		return 0
-	}
-	var total uint64
-	for i := range t.Relations {
-		if idx, ok := store.BFHM(t.Relations[i].Name); ok {
-			total += tableSize(c, idx.Table)
-		}
-	}
-	return total
-}
-
-func (bfhmExec) Estimate(st *PlanStats) CostEstimate { return estimateBFHM(st) }
-func (bfhmExec) Incremental() bool                   { return false }
-
-// Open materializes: BFHM's estimation/reverse-mapping pipeline is
-// k-driven end to end (the histogram walk targets the k'th estimate),
-// so deeper pulls re-run the bounded query at doubled k.
-func (bfhmExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-	if err := requireBinary("bfhm", t); err != nil {
-		return nil, err
-	}
-	idxA, okA := store.BFHM(t.Relations[0].Name)
-	idxB, okB := store.BFHM(t.Relations[1].Name)
-	if !okA || !okB {
-		return nil, fmt.Errorf("rankjoin: missing BFHM index for %s; call EnsureIndexes first", t.ID())
-	}
-	return materialize(t, opts.Budget, func(k int) (*Result, error) {
-		return QueryBFHM(c, withK(t, k), idxA, idxB, opts.Parallelism)
-	})
-}
-
-// ---- DRJN ----
-
-type drjnExec struct{}
-
-func (drjnExec) Name() string              { return "drjn" }
-func (drjnExec) Supports(t *JoinTree) bool { return isBinary(t) }
-
-func (drjnExec) EnsureIndex(c *kvstore.Cluster, t *JoinTree, store *IndexStore, cfg IndexBuildConfig) error {
-	if err := requireBinary("drjn", t); err != nil {
-		return err
-	}
-	cfg = cfg.WithDefaults()
-	// One family-wide scope: both relations' matrices must agree on the
-	// join-partition count for the band dot products.
-	lock := store.BuildScope("drjn")
-	lock.Lock()
-	defer lock.Unlock()
-	for _, rel := range t.Relations {
-		if _, ok := store.DRJN(rel.Name); ok {
-			continue
-		}
-		idx, _, err := BuildDRJN(c, rel, DRJNOptions{
-			NumBuckets: cfg.DRJNBuckets,
-			JoinParts:  cfg.DRJNJoinParts,
-		})
-		if err != nil {
-			return err
-		}
-		store.PutDRJN(rel.Name, idx)
-	}
-	return nil
-}
-
-func (drjnExec) HasIndex(t *JoinTree, store *IndexStore) bool {
-	if !isBinary(t) {
-		return false
-	}
-	_, okA := store.DRJN(t.Relations[0].Name)
-	_, okB := store.DRJN(t.Relations[1].Name)
-	return okA && okB
-}
-
-func (drjnExec) IndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64 {
-	if !isBinary(t) {
-		return 0
-	}
-	var total uint64
-	for i := range t.Relations {
-		if idx, ok := store.DRJN(t.Relations[i].Name); ok {
-			total += tableSize(c, idx.Table)
-		}
-	}
-	return total
-}
-
-func (drjnExec) Estimate(st *PlanStats) CostEstimate { return estimateDRJN(st) }
-func (drjnExec) Incremental() bool                   { return true }
-
-func (drjnExec) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-	if err := requireBinary("drjn", t); err != nil {
-		return nil, err
-	}
-	idxA, okA := store.DRJN(t.Relations[0].Name)
-	idxB, okB := store.DRJN(t.Relations[1].Name)
-	if !okA || !okB {
-		return nil, fmt.Errorf("rankjoin: missing DRJN index for %s; call EnsureIndexes first", t.ID())
-	}
-	cur, err := OpenDRJN(c, t, idxA, idxB)
-	if err != nil {
-		return nil, err
-	}
-	return WrapBudget(cur, opts.Budget), nil
 }

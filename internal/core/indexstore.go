@@ -1,14 +1,20 @@
 package core
 
-import "sync"
+import (
+	"maps"
+	"strings"
+	"sync"
 
-// IndexStore holds every index built over one cluster, keyed the way
-// each index family needs: per-query for IJLMR (its table binds two
-// relations and a score function), per leaf set for the inverse score
-// lists (one table shared by every tree over the same leaves and
-// aggregate, whichever executor reads it), per-relation for BFHM and
-// DRJN (their tables describe one relation and are shared by every
-// query touching it).
+	"repro/internal/kvstore"
+)
+
+// IndexStore holds every index built over one cluster, one IndexMap per
+// index family, keyed the way the family needs: per query for IJLMR
+// (its table binds two relations and a score function), per leaf set
+// for the inverse score lists (one table shared by every tree over the
+// same leaves and aggregate, whichever executor reads it), per relation
+// for BFHM and DRJN (their tables describe one relation and are shared
+// by every query touching it).
 //
 // The store also owns the build serialization that makes EnsureIndex
 // single-flight: each index family locks a build scope before its
@@ -16,11 +22,10 @@ import "sync"
 // never both observe "no index" and build twice — the race that used
 // to let a pair of BFHM builds auto-size mismatched filter widths.
 type IndexStore struct {
-	mu    sync.Mutex
-	ijlmr map[string]*IJLMRIndex // query ID -> index; guarded by: mu
-	isl   map[string]*ISLIndex   // tree leaf ID -> index; guarded by: mu
-	bfhm  map[string]*BFHMIndex  // relation name -> index; guarded by: mu
-	drjn  map[string]*DRJNIndex  // relation name -> index; guarded by: mu
+	IJLMR IndexMap[*IJLMRIndex] // by query ID
+	ISL   IndexMap[*ISLIndex]   // by tree leaf ID
+	BFHM  IndexMap[*BFHMIndex]  // by relation name
+	DRJN  IndexMap[*DRJNIndex]  // by relation name
 
 	buildMu sync.Mutex
 	builds  map[string]*sync.Mutex // build scope -> serialization lock; guarded by: buildMu
@@ -28,20 +33,48 @@ type IndexStore struct {
 
 // NewIndexStore returns an empty store.
 func NewIndexStore() *IndexStore {
-	return &IndexStore{
-		ijlmr:  map[string]*IJLMRIndex{},
-		isl:    map[string]*ISLIndex{},
-		bfhm:   map[string]*BFHMIndex{},
-		drjn:   map[string]*DRJNIndex{},
-		builds: map[string]*sync.Mutex{},
+	return &IndexStore{builds: map[string]*sync.Mutex{}}
+}
+
+// IndexMap is one index family's entries in a store, by key. The zero
+// value is empty and ready to use.
+type IndexMap[T any] struct {
+	mu sync.Mutex
+	m  map[string]T // guarded by: mu
+}
+
+// Get returns the index filed under key.
+func (x *IndexMap[T]) Get(key string) (T, bool) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	idx, ok := x.m[key]
+	return idx, ok
+}
+
+// Put files an index under key.
+func (x *IndexMap[T]) Put(key string, idx T) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.m == nil {
+		x.m = map[string]T{}
+	}
+	x.m[key] = idx
+}
+
+// Each calls f for every entry of a snapshot; f runs without the lock
+// held.
+func (x *IndexMap[T]) Each(f func(key string, idx T)) {
+	x.mu.Lock()
+	cp := maps.Clone(x.m)
+	x.mu.Unlock()
+	for k, v := range cp {
+		f(k, v)
 	}
 }
 
-// BuildScope returns the mutex serializing index builds for one scope
-// (e.g. "isl/<leafID>", or the family-wide "bfhm" scope whose builds
-// share a filter width). Callers hold it across their check-then-build
-// sequence.
-func (s *IndexStore) BuildScope(scope string) *sync.Mutex {
+// buildScope returns the mutex serializing index builds for one scope.
+// Callers hold it across their check-then-build sequence.
+func (s *IndexStore) buildScope(scope string) *sync.Mutex {
 	s.buildMu.Lock()
 	defer s.buildMu.Unlock()
 	mu, ok := s.builds[scope]
@@ -52,116 +85,162 @@ func (s *IndexStore) BuildScope(scope string) *sync.Mutex {
 	return mu
 }
 
-// IJLMR returns the IJLMR index for a query ID.
-func (s *IndexStore) IJLMR(queryID string) (*IJLMRIndex, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx, ok := s.ijlmr[queryID]
-	return idx, ok
+// indexFamily is one kind of index, defined once however many executors
+// read it (isl and anyk share lists). The executor table calls it only
+// for trees of a shape the reading executor supports.
+type indexFamily interface {
+	// name labels the family in the missing-index error.
+	name() string
+	// ensure idempotently builds t's indexes, single-flight.
+	ensure(c *kvstore.Cluster, t *JoinTree, s *IndexStore, cfg IndexBuildConfig) error
+	// has reports whether every index t needs is built.
+	has(t *JoinTree, s *IndexStore) bool
+	// size returns the stored bytes of t's built indexes.
+	size(c *kvstore.Cluster, t *JoinTree, s *IndexStore) uint64
 }
 
-// PutIJLMR stores an IJLMR index.
-func (s *IndexStore) PutIJLMR(queryID string, idx *IJLMRIndex) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ijlmr[queryID] = idx
+// family implements indexFamily over one of the store's maps.
+type family[T any] struct {
+	label string
+	// of selects the family's map in a store.
+	of func(s *IndexStore) *IndexMap[T]
+	// keys lists the store keys t's indexes are filed under.
+	keys func(t *JoinTree) []string
+	// wide serializes every build of the family on one scope, for
+	// indexes that must agree on their geometry; otherwise builds
+	// serialize per key set.
+	wide bool
+	// build builds the index filed under t's i'th key; it runs under
+	// the build scope's lock.
+	build func(c *kvstore.Cluster, t *JoinTree, i int, s *IndexStore, cfg IndexBuildConfig) (T, error)
+	// table names an index's table.
+	table func(idx T) string
 }
 
-// ISL returns the inverse-score-list index for a tree leaf ID
-// (JoinTree.LeafID — trees over the same leaves share one index).
-func (s *IndexStore) ISL(leafID string) (*ISLIndex, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx, ok := s.isl[leafID]
-	return idx, ok
-}
+func (f *family[T]) name() string { return f.label }
 
-// PutISL stores an inverse-score-list index.
-func (s *IndexStore) PutISL(leafID string, idx *ISLIndex) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.isl[leafID] = idx
-}
-
-// BFHM returns the BFHM index for a relation.
-func (s *IndexStore) BFHM(relation string) (*BFHMIndex, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx, ok := s.bfhm[relation]
-	return idx, ok
-}
-
-// PutBFHM stores a BFHM index.
-func (s *IndexStore) PutBFHM(relation string, idx *BFHMIndex) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bfhm[relation] = idx
-}
-
-// DRJN returns the DRJN index for a relation.
-func (s *IndexStore) DRJN(relation string) (*DRJNIndex, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx, ok := s.drjn[relation]
-	return idx, ok
-}
-
-// PutDRJN stores a DRJN index.
-func (s *IndexStore) PutDRJN(relation string, idx *DRJNIndex) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drjn[relation] = idx
-}
-
-// EachIJLMR calls f for every stored IJLMR index (snapshot; f runs
-// without the store lock held).
-func (s *IndexStore) EachIJLMR(f func(queryID string, idx *IJLMRIndex)) {
-	s.mu.Lock()
-	cp := make(map[string]*IJLMRIndex, len(s.ijlmr))
-	for k, v := range s.ijlmr {
-		cp[k] = v
+func (f *family[T]) ensure(c *kvstore.Cluster, t *JoinTree, s *IndexStore, cfg IndexBuildConfig) error {
+	keys := f.keys(t)
+	scope := f.label
+	if !f.wide {
+		scope += "/" + strings.Join(keys, ",")
 	}
-	s.mu.Unlock()
-	for k, v := range cp {
-		f(k, v)
+	lock := s.buildScope(scope)
+	lock.Lock()
+	defer lock.Unlock()
+	m := f.of(s)
+	for i, key := range keys {
+		if _, ok := m.Get(key); ok {
+			continue
+		}
+		idx, err := f.build(c, t, i, s, cfg)
+		if err != nil {
+			return err
+		}
+		m.Put(key, idx)
 	}
+	return nil
 }
 
-// EachISL calls f for every stored inverse-score-list index (snapshot).
-func (s *IndexStore) EachISL(f func(leafID string, idx *ISLIndex)) {
-	s.mu.Lock()
-	cp := make(map[string]*ISLIndex, len(s.isl))
-	for k, v := range s.isl {
-		cp[k] = v
+func (f *family[T]) has(t *JoinTree, s *IndexStore) bool {
+	m := f.of(s)
+	for _, key := range f.keys(t) {
+		if _, ok := m.Get(key); !ok {
+			return false
+		}
 	}
-	s.mu.Unlock()
-	for k, v := range cp {
-		f(k, v)
-	}
+	return true
 }
 
-// EachBFHM calls f for every stored BFHM index (snapshot).
-func (s *IndexStore) EachBFHM(f func(relation string, idx *BFHMIndex)) {
-	s.mu.Lock()
-	cp := make(map[string]*BFHMIndex, len(s.bfhm))
-	for k, v := range s.bfhm {
-		cp[k] = v
+func (f *family[T]) size(c *kvstore.Cluster, t *JoinTree, s *IndexStore) uint64 {
+	m := f.of(s)
+	var total uint64
+	for _, key := range f.keys(t) {
+		if idx, ok := m.Get(key); ok {
+			sz, _ := c.TableDiskSize(f.table(idx))
+			total += sz
+		}
 	}
-	s.mu.Unlock()
-	for k, v := range cp {
-		f(k, v)
-	}
+	return total
 }
 
-// EachDRJN calls f for every stored DRJN index (snapshot).
-func (s *IndexStore) EachDRJN(f func(relation string, idx *DRJNIndex)) {
-	s.mu.Lock()
-	cp := make(map[string]*DRJNIndex, len(s.drjn))
-	for k, v := range s.drjn {
-		cp[k] = v
+// relationNames keys an index family per relation.
+func relationNames(t *JoinTree) []string {
+	names := make([]string, len(t.Relations))
+	for i := range t.Relations {
+		names[i] = t.Relations[i].Name
 	}
-	s.mu.Unlock()
-	for k, v := range cp {
-		f(k, v)
-	}
+	return names
 }
+
+// The four index families.
+var (
+	ijlmrIndexes indexFamily = &family[*IJLMRIndex]{
+		label: "IJLMR",
+		of:    func(s *IndexStore) *IndexMap[*IJLMRIndex] { return &s.IJLMR },
+		keys:  func(t *JoinTree) []string { return []string{t.ID()} },
+		build: func(c *kvstore.Cluster, t *JoinTree, _ int, _ *IndexStore, _ IndexBuildConfig) (*IJLMRIndex, error) {
+			idx, _, err := BuildIJLMR(c, t)
+			return idx, err
+		},
+		table: func(idx *IJLMRIndex) string { return idx.Table },
+	}
+
+	// islIndexes is the inverse score lists isl and anyk both read.
+	islIndexes indexFamily = &family[*ISLIndex]{
+		label: "ISL",
+		of:    func(s *IndexStore) *IndexMap[*ISLIndex] { return &s.ISL },
+		keys:  func(t *JoinTree) []string { return []string{t.LeafID()} },
+		build: func(c *kvstore.Cluster, t *JoinTree, _ int, _ *IndexStore, _ IndexBuildConfig) (*ISLIndex, error) {
+			idx, _, err := BuildISL(c, t)
+			return idx, err
+		},
+		table: func(idx *ISLIndex) string { return idx.Table },
+	}
+
+	// bfhmIndexes builds family-wide: intersecting two relations' filters
+	// needs equal widths, so the first build auto-sizes from its heaviest
+	// bucket and every later one inherits the width of a relation of the
+	// tree already built. Concurrent builds for overlapping relation
+	// pairs would otherwise race that handshake and persist filters that
+	// can never be intersected.
+	bfhmIndexes indexFamily = &family[*BFHMIndex]{
+		label: "BFHM",
+		of:    func(s *IndexStore) *IndexMap[*BFHMIndex] { return &s.BFHM },
+		keys:  relationNames,
+		wide:  true,
+		build: func(c *kvstore.Cluster, t *JoinTree, i int, s *IndexStore, cfg IndexBuildConfig) (*BFHMIndex, error) {
+			var shared uint64
+			for _, rel := range t.Relations {
+				if idx, ok := s.BFHM.Get(rel.Name); ok {
+					shared = idx.MBits
+					break
+				}
+			}
+			idx, _, err := BuildBFHM(c, t.Relations[i], BFHMOptions{
+				NumBuckets: cfg.BFHMBuckets,
+				FPP:        cfg.BFHMFPP,
+				MBits:      shared,
+			})
+			return idx, err
+		},
+		table: func(idx *BFHMIndex) string { return idx.Table },
+	}
+
+	// drjnIndexes builds family-wide: both relations' matrices must agree
+	// on the join-partition count for the band dot products.
+	drjnIndexes indexFamily = &family[*DRJNIndex]{
+		label: "DRJN",
+		of:    func(s *IndexStore) *IndexMap[*DRJNIndex] { return &s.DRJN },
+		keys:  relationNames,
+		wide:  true,
+		build: func(c *kvstore.Cluster, t *JoinTree, i int, _ *IndexStore, cfg IndexBuildConfig) (*DRJNIndex, error) {
+			idx, _, err := BuildDRJN(c, t.Relations[i], DRJNOptions{
+				NumBuckets: cfg.DRJNBuckets,
+				JoinParts:  cfg.DRJNJoinParts,
+			})
+			return idx, err
+		},
+		table: func(idx *DRJNIndex) string { return idx.Table },
+	}
+)

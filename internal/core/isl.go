@@ -96,24 +96,6 @@ func BuildISL(c *kvstore.Cluster, t *JoinTree) (*ISLIndex, []*mapreduce.Result, 
 	return idx, results, nil
 }
 
-// EnsureISL idempotently builds the inverse-score-list index for a
-// tree's leaf set and records it in the store under LeafID.
-func EnsureISL(c *kvstore.Cluster, t *JoinTree, store *IndexStore) error {
-	leafID := t.LeafID()
-	lock := store.BuildScope("isl/" + leafID)
-	lock.Lock()
-	defer lock.Unlock()
-	if _, ok := store.ISL(leafID); ok {
-		return nil
-	}
-	idx, _, err := BuildISL(c, t)
-	if err != nil {
-		return err
-	}
-	store.PutISL(leafID, idx)
-	return nil
-}
-
 // scoreKeySplits pre-splits the negated-score hex key space. Scores in
 // [0,1] negate into a narrow band of the float key space; splitting on
 // the first hex digits of that band spreads regions across nodes.
@@ -215,22 +197,14 @@ type turnTaking struct {
 	taken    int // tuples consumed from its current batch
 }
 
-// openLists opens the list cursor for t over its inverse-score-list
-// index; name is the executor asking, for the error when the index is
-// not built, and takeTurns its pull schedule (see listCursor).
-func openLists(c *kvstore.Cluster, t *JoinTree, store *IndexStore, name string, opts ExecOptions, takeTurns bool) (Cursor, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	idx, ok := store.ISL(t.LeafID())
-	if !ok {
-		return nil, fmt.Errorf("rankjoin: no %s index for %s; call EnsureIndexes first", name, t.LeafID())
-	}
+// openLists opens the list cursor for t over its built inverse-score-list
+// index; takeTurns is its pull schedule (see listCursor).
+func openLists(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions, takeTurns bool) (Cursor, error) {
+	idx, _ := store.ISL.Get(t.LeafID())
 	if len(idx.Families) != len(t.Relations) {
 		return nil, fmt.Errorf("core: inverse score list index %s has %d families, tree %s has %d leaves",
 			idx.Table, len(idx.Families), t.LeafID(), len(t.Relations))
 	}
-	opts = opts.WithDefaults()
 	streams := make([]*islStream, len(idx.Families))
 	for i, fam := range idx.Families {
 		// With Parallelism >= 2 every stream reads ahead asynchronously;
@@ -246,17 +220,7 @@ func openLists(c *kvstore.Cluster, t *JoinTree, store *IndexStore, name string, 
 	if takeTurns {
 		cur.turns = &turnTaking{n: len(streams), batch: opts.ISLBatch}
 	}
-	return WrapBudget(cur, opts.Budget), nil
-}
-
-// islIndexSize returns the stored bytes of t's inverse-score-list
-// index, 0 when it is not built.
-func islIndexSize(c *kvstore.Cluster, t *JoinTree, store *IndexStore) uint64 {
-	idx, ok := store.ISL(t.LeafID())
-	if !ok {
-		return 0
-	}
-	return tableSize(c, idx.Table)
+	return cur, nil
 }
 
 // Next implements Cursor.

@@ -222,10 +222,11 @@ func TestISLMatchesOracleSkewedEquiTrees(t *testing.T) {
 		label := fmt.Sprintf("seed %d isl (n=%d)", seed, len(tr.Relations))
 		want := bruteForceTreeTopK(tr, tuples, k)
 		store := NewIndexStore()
-		if err := EnsureISL(c, tr, store); err != nil {
-			t.Fatalf("%s: EnsureISL: %v", label, err)
+		isl, _ := Lookup("isl")
+		if err := isl.EnsureIndex(c, tr, store, IndexBuildConfig{}); err != nil {
+			t.Fatalf("%s: EnsureIndex: %v", label, err)
 		}
-		cur, err := islExec{}.Open(c, tr, store, ExecOptions{ISLBatch: 5}.WithDefaults())
+		cur, err := isl.Open(c, tr, store, ExecOptions{ISLBatch: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

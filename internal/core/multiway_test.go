@@ -109,7 +109,7 @@ func TestISLNThreeWayEndToEnd(t *testing.T) {
 		loadRelation(t, c, "A", r1), loadRelation(t, c, "B", r2), loadRelation(t, c, "C", r3),
 	}, Sum, 12)
 	store := NewIndexStore()
-	if err := EnsureISL(c, tr, store); err != nil {
+	if err := islIndexes.ensure(c, tr, store, IndexBuildConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	want := oracleTopKN([][]Tuple{r1, r2, r3}, Sum, tr.K)
@@ -151,7 +151,7 @@ func TestISLNFourWay(t *testing.T) {
 	}
 	tr := starTree(rels, Product, 7)
 	store := NewIndexStore()
-	if err := EnsureISL(c, tr, store); err != nil {
+	if err := islIndexes.ensure(c, tr, store, IndexBuildConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := runExec(c, "isl", tr, store, ExecOptions{ISLBatch: 20})

@@ -254,7 +254,7 @@ func runExec(c *kvstore.Cluster, name string, t *JoinTree, store *IndexStore, op
 // queryISL runs the isl executor over an already-built index.
 func queryISL(c *kvstore.Cluster, q *JoinTree, idx *ISLIndex, opts ExecOptions) (*Result, error) {
 	store := NewIndexStore()
-	store.PutISL(q.LeafID(), idx)
+	store.ISL.Put(q.LeafID(), idx)
 	return runExec(c, "isl", q, store, opts)
 }
 

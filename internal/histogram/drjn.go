@@ -90,23 +90,6 @@ func (m *DRJNMatrix) BandBounds(band int) (lo, hi float64, ok bool) {
 	return m.mins[band], m.maxs[band], true
 }
 
-// JoinBands estimates the number of join results between band a of this
-// matrix and band b of other: the dot product of the two bands' partition
-// vectors (tuples join only if they hash to the same partition; within a
-// partition the estimate assumes full cross-product, which can only
-// overestimate for equi-joins under the uniform assumption).
-func (m *DRJNMatrix) JoinBands(a int, other *DRJNMatrix, b int) (uint64, error) {
-	if m.JoinParts != other.JoinParts {
-		return 0, errors.New("histogram: DRJN matrices have different partition counts")
-	}
-	var est uint64
-	va, vb := m.cells[a], other.cells[b]
-	for i := range va {
-		est += va[i] * vb[i]
-	}
-	return est, nil
-}
-
 // MarshalBand encodes one band's cells plus bounds for storage as an
 // index row value.
 func (m *DRJNMatrix) MarshalBand(band int) []byte {

@@ -150,14 +150,3 @@ func (h *Histogram) Total() uint64 {
 	}
 	return t
 }
-
-// HeaviestBucket returns the index and count of the most populated bucket;
-// the paper sizes every bucket's Bloom filter for this count.
-func (h *Histogram) HeaviestBucket() (idx int, count uint64) {
-	for i := range h.buckets {
-		if h.buckets[i].Count > count {
-			idx, count = i, h.buckets[i].Count
-		}
-	}
-	return idx, count
-}

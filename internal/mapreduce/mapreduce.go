@@ -480,19 +480,3 @@ func HashPartitioner(key string, n int) int {
 	}
 	return int(bloom.Hash64String(key) % uint64(n))
 }
-
-// RangePartitioner builds a partitioner from sorted split points
-// (quantiles): keys below splits[0] go to partition 0, etc. Pig's
-// ORDER BY uses one built from a sampling job (Section 3.1).
-func RangePartitioner(splits []string) func(string, int) int {
-	sorted := append([]string(nil), splits...)
-	sort.Strings(sorted)
-	return func(key string, n int) int {
-		// Partition = number of split points <= key (upper bound).
-		p := sort.Search(len(sorted), func(i int) bool { return sorted[i] > key })
-		if p >= n {
-			p = n - 1
-		}
-		return p
-	}
-}

@@ -247,20 +247,6 @@ func TestHashPartitionerStableAndInRange(t *testing.T) {
 	}
 }
 
-func TestRangePartitioner(t *testing.T) {
-	part := RangePartitioner([]string{"h", "p"})
-	cases := map[string]int{"a": 0, "h": 1, "m": 1, "p": 2, "z": 2}
-	for k, want := range cases {
-		if got := part(k, 3); got != want {
-			t.Errorf("part(%q) = %d, want %d", k, got, want)
-		}
-	}
-	// More partitions than splits: clamp.
-	if got := part("zzz", 2); got != 1 {
-		t.Errorf("clamped partition = %d, want 1", got)
-	}
-}
-
 func TestShuffleAndLocalityAccounting(t *testing.T) {
 	c := testCluster(t)
 	var words []string

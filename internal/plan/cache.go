@@ -53,10 +53,10 @@ func cacheKey(t *core.JoinTree) string {
 func sourceFingerprint(t *core.JoinTree, store *core.IndexStore) string {
 	allDRJN, allBFHM := true, true
 	for i := range t.Relations {
-		if _, ok := store.DRJN(t.Relations[i].Name); !ok {
+		if _, ok := store.DRJN.Get(t.Relations[i].Name); !ok {
 			allDRJN = false
 		}
-		if _, ok := store.BFHM(t.Relations[i].Name); !ok {
+		if _, ok := store.BFHM.Get(t.Relations[i].Name); !ok {
 			allBFHM = false
 		}
 	}

@@ -50,7 +50,7 @@ const streamHorizon = 5
 
 // Candidate is one costed executor.
 type Candidate struct {
-	// Executor is the registry name.
+	// Executor is the executor's name.
 	Executor string
 	// Estimate is the predicted execution cost (excluding index
 	// builds; planning assumes indexes as they exist right now).
@@ -86,9 +86,8 @@ type Plan struct {
 	// availability — when it differs from Chosen, building its index
 	// would speed this query up.
 	Best string
-	// Candidates lists every registered executor, ranked by the
-	// objective (ready executors carry no penalty; ranking is purely
-	// by predicted cost).
+	// Candidates lists every executor, ranked by the objective (ready
+	// executors carry no penalty; ranking is purely by predicted cost).
 	Candidates []Candidate
 	// Objective is the metric the ranking used.
 	Objective Objective
@@ -113,10 +112,10 @@ func (o Objective) metric(e core.CostEstimate) float64 {
 	}
 }
 
-// Explain gathers statistics for the join tree and costs every
-// registered executor that supports its shape, returning the ranked
-// candidate plans. The statistics reads charge c's metric collector and
-// are reported in Plan.PlannerCost.
+// Explain gathers statistics for the join tree and costs every executor
+// that supports its shape, returning the ranked candidate plans. The
+// statistics reads charge c's metric collector and are reported in
+// Plan.PlannerCost.
 func Explain(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, opts Options) (*Plan, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -168,7 +167,7 @@ func Explain(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, opts 
 		return cand.Estimate
 	}
 	// Stable over core.Executors(): candidates that tie on the objective
-	// keep registration order (the paper's evaluation order), so isl
+	// keep table order (the paper's evaluation order), so isl
 	// precedes anyk where the two price the same lists identically.
 	sort.SliceStable(cands, func(i, j int) bool {
 		return obj.metric(rankBy(cands[i])) < obj.metric(rankBy(cands[j]))
@@ -238,7 +237,7 @@ func addEst(a, b core.CostEstimate) core.CostEstimate {
 // An incremental cursor resumes bounded state, so the next page costs
 // the k→2k delta; a materializing cursor re-runs the whole bounded
 // query at depth 2k.
-func marginalEstimate(ex core.Executor, st *core.PlanStats, bounded core.CostEstimate) core.CostEstimate {
+func marginalEstimate(ex *core.Executor, st *core.PlanStats, bounded core.CostEstimate) core.CostEstimate {
 	deeper := ex.Estimate(stretchStats(st, 2*st.K))
 	if ex.Incremental() {
 		return subClamp(deeper, bounded)
@@ -249,7 +248,7 @@ func marginalEstimate(ex core.Executor, st *core.PlanStats, bounded core.CostEst
 // streamEstimate predicts the cost of enumerating streamHorizon×k
 // results through the executor's cursor: one deep pass for incremental
 // executors, the doubling re-run schedule for materializing ones.
-func streamEstimate(ex core.Executor, st *core.PlanStats, bounded core.CostEstimate) core.CostEstimate {
+func streamEstimate(ex *core.Executor, st *core.PlanStats, bounded core.CostEstimate) core.CostEstimate {
 	k := st.K
 	if k < 1 {
 		k = 1
@@ -269,14 +268,14 @@ func streamEstimate(ex core.Executor, st *core.PlanStats, bounded core.CostEstim
 
 // Choose plans the tree and returns the executor AlgoAuto should run
 // plus the plan that picked it.
-func Choose(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, opts Options) (core.Executor, *Plan, error) {
+func Choose(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, opts Options) (*core.Executor, *Plan, error) {
 	p, err := Explain(c, t, store, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	ex, ok := core.Lookup(p.Chosen)
 	if !ok {
-		return nil, nil, fmt.Errorf("plan: chosen executor %q not registered", p.Chosen)
+		return nil, nil, fmt.Errorf("plan: chosen executor %q unknown", p.Chosen)
 	}
 	return ex, p, nil
 }

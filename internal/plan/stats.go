@@ -3,8 +3,7 @@
 // stats, DRJN 2-D histograms (the paper's Section 7.1 comparator doubles
 // as a cheap statistics structure), and BFHM hybrid-filter join
 // estimates (Algorithm 7 reused as a statistics probe) — then asks
-// every registered executor for a predicted cost and ranks the
-// candidate plans.
+// every executor for a predicted cost and ranks the candidate plans.
 package plan
 
 import (
@@ -64,8 +63,8 @@ func gatherStats(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, e
 		// histograms, then BFHM filter walks. The pairwise walks don't
 		// compose across a larger tree, so other shapes go straight to
 		// the uniform model.
-		if idxA, ok := store.DRJN(t.Relations[0].Name); ok {
-			if idxB, ok := store.DRJN(t.Relations[1].Name); ok && idxA.JoinParts == idxB.JoinParts {
+		if idxA, ok := store.DRJN.Get(t.Relations[0].Name); ok {
+			if idxB, ok := store.DRJN.Get(t.Relations[1].Name); ok && idxA.JoinParts == idxB.JoinParts {
 				if drjnWalk(c, st, idxA, idxB) {
 					st.Source = "drjn"
 					st.DRJNJoinParts = idxA.JoinParts
@@ -73,8 +72,8 @@ func gatherStats(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, e
 			}
 		}
 		if st.Source == "" {
-			if idxA, ok := store.BFHM(t.Relations[0].Name); ok {
-				if idxB, ok := store.BFHM(t.Relations[1].Name); ok {
+			if idxA, ok := store.BFHM.Get(t.Relations[0].Name); ok {
+				if idxB, ok := store.BFHM.Get(t.Relations[1].Name); ok {
 					if bfhmWalk(c, st, idxA, idxB) {
 						st.Source = "bfhm"
 						st.BFHMBuckets = idxA.Layout.Buckets
@@ -88,7 +87,7 @@ func gatherStats(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, e
 		st.Source = "uniform"
 	}
 	if st.BFHMBuckets == 0 {
-		if idx, ok := store.BFHM(t.Relations[0].Name); ok {
+		if idx, ok := store.BFHM.Get(t.Relations[0].Name); ok {
 			st.BFHMBuckets = idx.Layout.Buckets
 		}
 	}

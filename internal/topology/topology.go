@@ -379,15 +379,6 @@ func (r *Router) ReplicasFor(relation string) []string {
 	return append([]string(nil), r.relations[relation]...)
 }
 
-// shapeRelations lists the relations a shipped query joins: the tree's
-// leaves when the request carries one, else the two-way Left/Right.
-func shapeRelations(left, right string, tree *transport.TreeData) []string {
-	if tree != nil {
-		return tree.Relations
-	}
-	return []string{left, right}
-}
-
 // coveringLocked intersects the relations' replica groups in the first
 // group's order — the nodes able to serve a join of them all.
 func (r *Router) coveringLocked(relations []string) ([]string, error) {
@@ -426,7 +417,7 @@ func (r *Router) coveringLocked(relations []string) ([]string, error) {
 func (r *Router) EnsureIndexes(req transport.EnsureRequest) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names, err := r.coveringLocked(shapeRelations(req.Left, req.Right, req.Tree))
+	names, err := r.coveringLocked(req.Tree.Relations)
 	if err != nil {
 		return err
 	}
@@ -621,7 +612,7 @@ func (r *Router) Get(relation, rowKey string) (*transport.TupleData, error) {
 // caller pins follow-up pages with QueryOn. Only when every covering
 // replica fails does the caller see a *NoReplicaError.
 func (r *Router) Query(req transport.QueryRequest) (*transport.ResultData, string, error) {
-	rels := shapeRelations(req.Left, req.Right, req.Tree)
+	rels := req.Shape().Relations
 	r.mu.Lock()
 	names, err := r.coveringLocked(rels)
 	start := int(r.rr)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -93,7 +94,7 @@ func (f *fakeNode) EnsureIndexes(req transport.EnsureRequest) error {
 	// Model an index build: one derived table plus local clock stamps.
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	t := "isl_" + req.Left + "_" + req.Right
+	t := "isl_" + strings.Join(req.Tree.Relations, "_")
 	if f.tables[t] == nil {
 		f.tables[t] = map[string][]transport.CellData{}
 	}
@@ -160,7 +161,7 @@ func (f *fakeNode) TopK(req transport.QueryRequest) (*transport.ResultData, erro
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.corrupt[relTable(req.Left)] {
+	if f.corrupt[relTable(req.Tree.Relations[0])] {
 		return nil, &transport.Error{Kind: transport.KindCorruption, Msg: "checksum"}
 	}
 	// Echo which node served; router tests only need dispatch evidence.
@@ -364,15 +365,14 @@ func TestUpdateMustFindTheRow(t *testing.T) {
 	}
 }
 
-// TestTreeQueryRoutesByItsLeaves: a request carrying a tree shape names
-// its relations there, not in Left/Right; dispatch and index builds
-// must cover exactly those.
+// TestTreeQueryRoutesByItsLeaves: a request names its relations as the
+// leaves of its tree; dispatch and index builds must cover exactly those.
 func TestTreeQueryRoutesByItsLeaves(t *testing.T) {
 	r, _ := cluster3(t)
 	if err := r.DefineRelation("orders"); err != nil {
 		t.Fatal(err)
 	}
-	tree := &transport.TreeData{Relations: []string{"part", "orders"}}
+	tree := transport.TreeData{Relations: []string{"part", "orders"}}
 	if err := r.EnsureIndexes(transport.EnsureRequest{Tree: tree, Algos: []string{"anyk"}}); err != nil {
 		t.Fatalf("EnsureIndexes on a tree shape: %v", err)
 	}
@@ -431,9 +431,12 @@ func TestLeaderFailoverOnWrite(t *testing.T) {
 	}
 }
 
+// partSelfJoin is a two-leaf tree over the one relation cluster3 defines.
+var partSelfJoin = transport.TreeData{Relations: []string{"part", "part"}, Edges: []transport.TreeEdgeData{{A: 0, B: 1}}}
+
 func TestQueryFailoverAndNoReplicaError(t *testing.T) {
 	r, fakes := cluster3(t)
-	req := transport.QueryRequest{Left: "part", Right: "part", Score: "sum", K: 1}
+	req := transport.QueryRequest{Tree: partSelfJoin, Score: "sum", K: 1}
 	res, node, err := r.Query(req)
 	if err != nil || node == "" {
 		t.Fatalf("query: %v (node %q)", err, node)
@@ -460,7 +463,7 @@ func TestQueryFailsOverOnCorruption(t *testing.T) {
 	fakes[0].setCorrupt("rel_part", true)
 	fakes[1].setCorrupt("rel_part", true)
 	for i := 0; i < 4; i++ { // whatever the rotation start, it must land on n2
-		res, node, err := r.Query(transport.QueryRequest{Left: "part", Right: "part", Score: "sum", K: 1})
+		res, node, err := r.Query(transport.QueryRequest{Tree: partSelfJoin, Score: "sum", K: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -546,7 +549,7 @@ func TestRouterStampsDominateNodeClocks(t *testing.T) {
 	r, fakes := cluster3(t)
 	// EnsureIndexes advances node clocks by local stamping; the router
 	// must re-sync so its next write stamp sorts above them.
-	if err := r.EnsureIndexes(transport.EnsureRequest{Left: "part", Right: "part", Score: "sum", Algos: []string{"isl"}}); err != nil {
+	if err := r.EnsureIndexes(transport.EnsureRequest{Tree: partSelfJoin, Score: "sum", Algos: []string{"isl"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Upsert("part", transport.TupleData{RowKey: "a", JoinValue: "j"}); err != nil {
@@ -580,7 +583,7 @@ func TestStatusReportsHealthAndDirtiness(t *testing.T) {
 
 func TestEnsureIndexTablesAreRepaired(t *testing.T) {
 	r, fakes := cluster3(t)
-	if err := r.EnsureIndexes(transport.EnsureRequest{Left: "part", Right: "part", Score: "sum", Algos: []string{"isl"}}); err != nil {
+	if err := r.EnsureIndexes(transport.EnsureRequest{Tree: partSelfJoin, Score: "sum", Algos: []string{"isl"}}); err != nil {
 		t.Fatal(err)
 	}
 	// Diverge the index table on n2 behind the router's back (models a

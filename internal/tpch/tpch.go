@@ -203,9 +203,3 @@ func (d *Data) UpdateSet(setNo int, seed int64) []Mutation {
 	}
 	return out
 }
-
-// MaxScores reports the analytic normalization bounds (exported for the
-// bench harness to invert scores back to prices when printing).
-func MaxScores() (retail, extended, total float64) {
-	return maxRetailPrice, maxExtendedPrice, maxTotalPrice
-}

@@ -78,12 +78,11 @@ func TestRetailPriceFormula(t *testing.T) {
 	if got := retailPriceCents(1000); got != 90000+100+0 {
 		t.Errorf("retailPriceCents(1000) = %d", got)
 	}
-	retail, ext, total := MaxScores()
-	if retail != 2099.0 {
-		t.Errorf("maxRetail = %g, want 2099", retail)
+	if maxRetailPrice != 2099.0 {
+		t.Errorf("maxRetail = %g, want 2099", maxRetailPrice)
 	}
-	if ext != 50*2099.0 || total != 7*50*2099.0 {
-		t.Errorf("bounds = %g, %g", ext, total)
+	if maxExtendedPrice != 50*2099.0 || maxTotalPrice != 7*50*2099.0 {
+		t.Errorf("bounds = %g, %g", maxExtendedPrice, maxTotalPrice)
 	}
 }
 

@@ -125,9 +125,7 @@ type TreeEdgeData struct {
 
 // TreeData is the wire form of a join-tree query shape: relations by
 // name (each node rebuilds the canonical Relation mapping locally) plus
-// the edge predicates. Binary equi-joins keep shipping through the
-// legacy Left/Right fields for wire compatibility; TreeData covers
-// every other acyclic shape.
+// the edge predicates. Every query the library ships carries one.
 type TreeData struct {
 	Relations []string       `json:"relations"`
 	Edges     []TreeEdgeData `json:"edges"`
@@ -135,15 +133,15 @@ type TreeData struct {
 
 // QueryRequest ships one top-k (or next-page) execution to a replica.
 type QueryRequest struct {
+	Tree TreeData `json:"tree"`
+	// Left and Right name a two-way equi-join in place of Tree: the form
+	// the benchmark's transport probe sends. Shape folds them into Tree.
 	Left      string `json:"left"`
 	Right     string `json:"right"`
 	Score     string `json:"score"` // aggregate name: "sum" or "product"
 	K         int    `json:"k"`
 	Algo      string `json:"algo"`
 	Objective string `json:"objective,omitempty"`
-	// Tree, when set, describes a general acyclic join-tree query and
-	// takes precedence over Left/Right.
-	Tree *TreeData `json:"tree,omitempty"`
 	// ISLBatch / Parallelism mirror QueryOptions.
 	ISLBatch    int    `json:"isl_batch,omitempty"`
 	Parallelism int    `json:"parallelism,omitempty"`
@@ -153,6 +151,15 @@ type QueryRequest struct {
 	// of rounding away.
 	TimeoutNanos int64  `json:"timeout_nanos,omitempty"`
 	MaxReadUnits uint64 `json:"max_read_units,omitempty"`
+}
+
+// Shape returns the join tree the request names: Tree, or the two-leaf
+// equi tree over Left and Right when Tree has no leaves.
+func (r *QueryRequest) Shape() TreeData {
+	if len(r.Tree.Relations) > 0 {
+		return r.Tree
+	}
+	return TreeData{Relations: []string{r.Left, r.Right}, Edges: []TreeEdgeData{{A: 0, B: 1, Kind: "equi"}}}
 }
 
 // JoinResultData is the wire form of one ranked join result. Tree
@@ -181,13 +188,9 @@ type ResultData struct {
 // query (each replica builds its own indexes from its replicated base
 // data; determinism keeps them byte-identical across replicas).
 type EnsureRequest struct {
-	Left  string `json:"left"`
-	Right string `json:"right"`
-	Score string `json:"score"`
-	// Tree, when set, names a tree-query shape (takes precedence over
-	// Left/Right, like QueryRequest.Tree).
-	Tree  *TreeData `json:"tree,omitempty"`
-	Algos []string  `json:"algos"`
+	Tree  TreeData `json:"tree"`
+	Score string   `json:"score"`
+	Algos []string `json:"algos"`
 }
 
 // GetResponse carries a point read's resolution (Tuple nil = absent).

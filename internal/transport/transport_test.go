@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -14,8 +15,9 @@ import (
 // fakeService records calls and echoes canned responses.
 type fakeService struct {
 	mu      sync.Mutex
-	applied []WriteOp // guarded by: mu
-	failure error     // guarded by: mu
+	applied []WriteOp      // guarded by: mu
+	queries []QueryRequest // guarded by: mu
+	failure error          // guarded by: mu
 }
 
 func (f *fakeService) fail(err error) {
@@ -65,6 +67,9 @@ func (f *fakeService) TopK(req QueryRequest) (*ResultData, error) {
 	if err := f.err(); err != nil {
 		return nil, err
 	}
+	f.mu.Lock()
+	f.queries = append(f.queries, req)
+	f.mu.Unlock()
 	out := &ResultData{Algorithm: req.Algo}
 	for i := 0; i < req.K; i++ {
 		out.Results = append(out.Results, JoinResultData{
@@ -141,12 +146,19 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatalf("applied op = %+v", got)
 	}
 
-	res, err := cl.TopK(QueryRequest{Left: "a", Right: "b", Score: "sum", K: 3, Algo: "isl"})
+	shape := TreeData{Relations: []string{"a", "b", "c"}, Edges: []TreeEdgeData{{A: 0, B: 1}, {A: 1, B: 2, Kind: "band", Band: 2.5}}}
+	res, err := cl.TopK(QueryRequest{Tree: shape, Score: "sum", K: 3, Algo: "anyk"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Results) != 3 || res.Algorithm != "isl" {
+	if len(res.Results) != 3 || res.Algorithm != "anyk" {
 		t.Fatalf("topk = %+v", res)
+	}
+	fake.mu.Lock()
+	shipped := fake.queries[0].Tree
+	fake.mu.Unlock()
+	if !reflect.DeepEqual(shipped, shape) {
+		t.Fatalf("tree changed across the wire: %+v, want %+v", shipped, shape)
 	}
 
 	tree, err := cl.MerkleTree(TreeRequest{Table: "rel_r1", Leaves: 16})
@@ -174,6 +186,21 @@ func TestTCPRoundTrip(t *testing.T) {
 	g, err := cl.GetTuple("r1", "missing")
 	if err != nil || g.Tuple != nil {
 		t.Fatalf("GetTuple(missing) = %+v, %v", g, err)
+	}
+}
+
+// TestQueryRequestShape: a request names its tree, or the two-leaf equi
+// tree over Left and Right when it carries none.
+func TestQueryRequestShape(t *testing.T) {
+	pair := QueryRequest{Left: "a", Right: "b"}
+	want := TreeData{Relations: []string{"a", "b"}, Edges: []TreeEdgeData{{A: 0, B: 1, Kind: "equi"}}}
+	if got := pair.Shape(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Left/Right shape = %+v, want %+v", got, want)
+	}
+	tree := TreeData{Relations: []string{"a", "b", "c"}, Edges: []TreeEdgeData{{A: 0, B: 1}, {A: 0, B: 2}}}
+	withTree := QueryRequest{Tree: tree, Left: "x", Right: "y"}
+	if got := withTree.Shape(); !reflect.DeepEqual(got, tree) {
+		t.Fatalf("tree shape = %+v, want %+v", got, tree)
 	}
 }
 

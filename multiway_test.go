@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// starEdges joins n leaves by equi edges that all meet at leaf 0: the
+// paper's n-way equi-join (Section 3) as a tree.
+func starEdges(n int) []TreeEdge {
+	var edges []TreeEdge
+	for i := 1; i < n; i++ {
+		edges = append(edges, TreeEdge{A: 0, B: i, Kind: PredEqui})
+	}
+	return edges
+}
+
 func TestPublicMultiWayJoin(t *testing.T) {
 	db := mustOpen(t, Config{})
 	rng := rand.New(rand.NewSource(5))
@@ -29,7 +39,7 @@ func TestPublicMultiWayJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q, err := db.NewMultiQuery([]string{"day0", "day1", "day2"}, SumN, 8)
+	q, err := db.NewTreeQuery([]string{"day0", "day1", "day2"}, starEdges(3), Sum, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +89,7 @@ func TestPublicMultiWayJoin(t *testing.T) {
 		t.Error("BFHM multi-way accepted (unsupported)")
 	}
 	// Missing relation errors cleanly.
-	if _, err := db.NewMultiQuery([]string{"day0", "nope"}, SumN, 3); err == nil {
+	if _, err := db.NewTreeQuery([]string{"day0", "nope"}, starEdges(2), Sum, 3); err == nil {
 		t.Error("undefined relation accepted")
 	}
 	// WithK.

@@ -77,22 +77,14 @@ func treeEdgesOf(wire []transport.TreeEdgeData) []TreeEdge {
 	return edges
 }
 
-// queryFromWire rebuilds the query a request describes: the Tree shape
-// when present, the legacy two-way Left/Right fields otherwise. The
-// aggregate crosses the seam by name because ScoreFunc carries a Go
-// function value.
-func (n *NodeService) queryFromWire(tree *transport.TreeData, left, right, score string, k int) (Query, error) {
+// queryFromWire rebuilds the query a request describes. The aggregate
+// crosses the seam by name because ScoreFunc carries a Go function value.
+func (n *NodeService) queryFromWire(tree transport.TreeData, score string, k int) (Query, error) {
 	f, ok := core.ScoreByName(score)
 	if !ok {
 		return Query{}, badRequest("unknown score aggregate %q", score)
 	}
-	var q Query
-	var err error
-	if tree != nil {
-		q, err = n.db.NewTreeQuery(tree.Relations, treeEdgesOf(tree.Edges), f, k)
-	} else {
-		q, err = n.db.NewQuery(left, right, f, k)
-	}
+	q, err := n.db.NewTreeQuery(tree.Relations, treeEdgesOf(tree.Edges), f, k)
 	if err != nil {
 		return Query{}, badRequest("%v", err)
 	}
@@ -174,7 +166,7 @@ func (n *NodeService) DefineRelation(name string) error {
 // deterministic given identical base tables, so replicas converge on
 // byte-identical index tables too.
 func (n *NodeService) EnsureIndexes(req transport.EnsureRequest) error {
-	q, err := n.queryFromWire(req.Tree, req.Left, req.Right, req.Score, 1)
+	q, err := n.queryFromWire(req.Tree, req.Score, 1)
 	if err != nil {
 		return err
 	}
@@ -254,7 +246,7 @@ func (n *NodeService) GetTuple(relation, rowKey string) (*transport.GetResponse,
 // this node's local engine and only the ranked results (plus the cost
 // actually consumed) cross the wire back.
 func (n *NodeService) TopK(req transport.QueryRequest) (*transport.ResultData, error) {
-	q, err := n.queryFromWire(req.Tree, req.Left, req.Right, req.Score, req.K)
+	q, err := n.queryFromWire(req.Shape(), req.Score, req.K)
 	if err != nil {
 		return nil, err
 	}

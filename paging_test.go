@@ -259,12 +259,12 @@ func TestPageTokenSemantics(t *testing.T) {
 	}
 }
 
-// TestStreamN: a stream over a NewMultiQuery query must match its TopK
+// TestStreamN: a stream over a star query must match its TopK
 // prefixes.
 func TestStreamN(t *testing.T) {
 	db := mustOpen(t, Config{})
 	loadTwoRelations(t, db, 80)
-	mq, err := db.NewMultiQuery([]string{"left", "right"}, SumN, 4)
+	mq, err := db.NewTreeQuery([]string{"left", "right"}, starEdges(2), Sum, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestStarISLPaging(t *testing.T) {
 		}
 	}
 	const k = 10
-	q, err := db.NewMultiQuery(names, SumN, k)
+	q, err := db.NewTreeQuery(names, starEdges(len(names)), Sum, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestTreePagingWithTiesMatchesBatch(t *testing.T) {
 		}
 	}
 	edges := []TreeEdge{{A: 0, B: 1, Kind: PredBand, Band: 1}, {A: 1, B: 2, Kind: PredBand, Band: 0}}
-	q, err := db.NewTreeQuery(names, edges, SumN, 7)
+	q, err := db.NewTreeQuery(names, edges, Sum, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

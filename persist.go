@@ -108,7 +108,7 @@ func (db *DB) loadCatalog() error {
 	db.idxCfg = cat.IdxCfg
 	db.mu.Unlock()
 	for id, idx := range cat.IJLMR {
-		db.store.PutIJLMR(id, idx)
+		db.store.IJLMR.Put(id, idx)
 	}
 	legacy := len(cat.ISLN) > 0
 	for id, e := range cat.ISL {
@@ -116,14 +116,14 @@ func (db *DB) loadCatalog() error {
 			e.Families = []string{e.LeftFamily, e.RightFamily}
 			legacy = true
 		}
-		db.store.PutISL(id, &e.ISLIndex)
+		db.store.ISL.Put(id, &e.ISLIndex)
 	}
 	// A two-way query's ID is its tree's LeafID, so where an older
 	// catalog holds the same leaves under both maps the two tables have
 	// the same cells: the isl_ one stays, the isln_ one goes.
 	for id, idx := range cat.ISLN {
 		if _, dup := cat.ISL[id]; !dup {
-			db.store.PutISL(id, idx)
+			db.store.ISL.Put(id, idx)
 			continue
 		}
 		// A crash after the drop and before the re-save below finds the
@@ -135,10 +135,10 @@ func (db *DB) loadCatalog() error {
 		}
 	}
 	for rel, idx := range cat.BFHM {
-		db.store.PutBFHM(rel, idx)
+		db.store.BFHM.Put(rel, idx)
 	}
 	for rel, idx := range cat.DRJN {
-		db.store.PutDRJN(rel, idx)
+		db.store.DRJN.Put(rel, idx)
 	}
 	if legacy {
 		return db.saveCatalog()
@@ -167,10 +167,10 @@ func (db *DB) saveCatalog() error {
 	cat.IdxCfg = db.idxCfg
 	db.mu.Unlock()
 	sort.Strings(cat.Relations)
-	db.store.EachIJLMR(func(id string, idx *core.IJLMRIndex) { cat.IJLMR[id] = idx })
-	db.store.EachISL(func(id string, idx *core.ISLIndex) { cat.ISL[id] = &catalogISL{ISLIndex: *idx} })
-	db.store.EachBFHM(func(rel string, idx *core.BFHMIndex) { cat.BFHM[rel] = idx })
-	db.store.EachDRJN(func(rel string, idx *core.DRJNIndex) { cat.DRJN[rel] = idx })
+	db.store.IJLMR.Each(func(id string, idx *core.IJLMRIndex) { cat.IJLMR[id] = idx })
+	db.store.ISL.Each(func(id string, idx *core.ISLIndex) { cat.ISL[id] = &catalogISL{ISLIndex: *idx} })
+	db.store.BFHM.Each(func(rel string, idx *core.BFHMIndex) { cat.BFHM[rel] = idx })
+	db.store.DRJN.Each(func(rel string, idx *core.DRJNIndex) { cat.DRJN[rel] = idx })
 	raw, err := json.Marshal(&cat)
 	if err != nil {
 		return err

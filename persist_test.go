@@ -185,7 +185,7 @@ func TestCatalogPersistsMultiwayIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mq, err := db.NewMultiQuery([]string{"x", "y", "z"}, SumN, 5)
+	mq, err := db.NewTreeQuery([]string{"x", "y", "z"}, starEdges(3), Sum, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCatalogPersistsMultiwayIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	mq2, err := db2.NewMultiQuery([]string{"x", "y", "z"}, SumN, 5)
+	mq2, err := db2.NewTreeQuery([]string{"x", "y", "z"}, starEdges(3), Sum, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,8 @@ import (
 
 // Query is a top-k rank-join over defined relations: an acyclic join
 // tree (core.JoinTree), whichever constructor built it. NewQuery builds
-// the two-leaf tree, NewMultiQuery the star, NewTreeQuery any acyclic
-// shape; executors that only handle a subset of shapes reject the rest
-// with a shape error.
+// the two-leaf tree, NewTreeQuery any acyclic shape; executors that only
+// handle a subset of shapes reject the rest with a shape error.
 type Query struct {
 	t *core.JoinTree
 }
@@ -100,7 +99,7 @@ func (q Query) K() int { return q.t.K }
 func (q Query) ID() string { return q.t.ID() }
 
 // executorFor resolves a concrete (non-auto) algorithm to its executor.
-func executorFor(algo Algorithm) (core.Executor, error) {
+func executorFor(algo Algorithm) (*core.Executor, error) {
 	ex, ok := core.Lookup(string(algo))
 	if !ok {
 		return nil, fmt.Errorf("rankjoin: unknown algorithm %q", algo)
@@ -167,8 +166,8 @@ func (db *DB) IndexDiskSize(q Query, algo Algorithm) uint64 {
 
 // Explain plans the query without running it: it gathers statistics
 // (DRJN histograms, BFHM filter intersections, live table stats) and
-// returns every registered executor ranked by predicted cost under the
-// chosen objective. Plan.Chosen is what AlgoAuto would execute right
+// returns every executor ranked by predicted cost under the chosen
+// objective. Plan.Chosen is what AlgoAuto would execute right
 // now; Plan.Best additionally considers indexes not yet built.
 func (db *DB) Explain(q Query, opts *ExplainOptions) (*Plan, error) {
 	o := ExplainOptions{}
@@ -191,9 +190,9 @@ func (db *DB) Explain(q Query, opts *ExplainOptions) (*Plan, error) {
 
 // TopK executes the query with the chosen algorithm. Index-based
 // algorithms require a prior EnsureIndexes call, while AlgoAuto plans
-// the execution first: the cost-based planner ranks every registered
-// executor and runs the cheapest one whose indexes are already built
-// (or which needs none). The Result carries the ranked pairs, the
+// the execution first: the cost-based planner ranks every executor and
+// runs the cheapest one whose indexes are already built (or which needs
+// none). The Result carries the ranked pairs, the
 // resources consumed (the paper's three metrics: Cost.SimTime,
 // Cost.NetworkBytes, Cost.KVReads / Dollars()), the executor that ran,
 // and — for planned executions — the planner's cost estimate, making
@@ -256,7 +255,7 @@ func (db *DB) open(q Query, algo Algorithm, o QueryOptions, stream bool) (*Rows,
 	lane := sim.NewLane(db.cluster.Metrics())
 	eo := o.execOptions()
 	c := eo.Budget.GuardedView(db.cluster.WithMetrics(lane))
-	var ex core.Executor
+	var ex *core.Executor
 	var p *plan.Plan
 	var err error
 	if algo == AlgoAuto {

@@ -88,6 +88,9 @@ var (
 	Sum = core.Sum
 	// Product multiplies them (the paper's Q1).
 	Product = core.Product
+	// SumN is Sum under its name from when the n-way form had an
+	// aggregate type of its own.
+	SumN = Sum
 )
 
 // RelativeError returns |est-actual|/actual — the per-query planner
@@ -240,7 +243,7 @@ type DB struct {
 	mu        sync.Mutex
 	cluster   *kvstore.Cluster
 	relations map[string]*RelationHandle // guarded by: mu
-	// store holds every built index behind the executor registry —
+	// store holds every built index the executor table reads —
 	// per-query IJLMR lists, per-leaf-set inverse score lists and
 	// per-relation statistics structures — including the single-flight
 	// build serialization.
@@ -366,12 +369,12 @@ func (h *RelationHandle) Name() string { return h.rel.Name }
 // gets the mutation.
 func (h *RelationHandle) maintainer() *core.Maintainer {
 	m := &core.Maintainer{C: h.db.cluster, Rel: h.rel}
-	h.db.store.EachIJLMR(func(id string, idx *core.IJLMRIndex) {
+	h.db.store.IJLMR.Each(func(id string, idx *core.IJLMRIndex) {
 		if fam, ok := familyFor(id, h.rel.Name, idx.LeftFamily, idx.RightFamily); ok {
 			m.IJLMR = append(m.IJLMR, core.BoundIJLMR{Idx: idx, Family: fam})
 		}
 	})
-	h.db.store.EachISL(func(_ string, idx *core.ISLIndex) {
+	h.db.store.ISL.Each(func(_ string, idx *core.ISLIndex) {
 		for _, fam := range idx.Families {
 			if fam == h.rel.Name {
 				m.ISL = append(m.ISL, core.BoundISL{Idx: idx, Family: fam})
@@ -379,10 +382,10 @@ func (h *RelationHandle) maintainer() *core.Maintainer {
 			}
 		}
 	})
-	if idx, ok := h.db.store.BFHM(h.rel.Name); ok {
+	if idx, ok := h.db.store.BFHM.Get(h.rel.Name); ok {
 		m.BFHM = idx
 	}
-	if idx, ok := h.db.store.DRJN(h.rel.Name); ok {
+	if idx, ok := h.db.store.DRJN.Get(h.rel.Name); ok {
 		m.DRJN = idx
 	}
 	return m

@@ -241,7 +241,7 @@ func TestNewQueryRejectsSelfJoin(t *testing.T) {
 			t.Errorf("%s.NewQuery(a, a): err = %v, want the listed-twice error", name, err)
 		}
 	}
-	_, treeErr := db.NewTreeQuery([]string{"a", "a"}, []TreeEdge{{A: 0, B: 1}}, SumN, 3)
+	_, treeErr := db.NewTreeQuery([]string{"a", "a"}, []TreeEdge{{A: 0, B: 1}}, Sum, 3)
 	_, pairErr := db.NewQuery("a", "a", Sum, 3)
 	if treeErr == nil || pairErr == nil || treeErr.Error() != pairErr.Error() {
 		t.Errorf("NewTreeQuery: %v; NewQuery: %v; want the same error", treeErr, pairErr)
@@ -249,10 +249,10 @@ func TestNewQueryRejectsSelfJoin(t *testing.T) {
 }
 
 // TestScoreNamesAgreeAcrossEntryPoints: one function maps a score name
-// to an aggregate, so a JSON tree spec and both wire shapes of a node
-// request accept exactly the same non-empty names. An unknown name is a
-// plain error from ParseTreeSpec (no shape diagnostic) and a typed bad
-// request on a node.
+// to an aggregate, so a JSON tree spec and a node request naming a
+// two-way join (Left/Right) or a band tree accept exactly the same
+// non-empty names. An unknown name is a plain error from ParseTreeSpec
+// (no shape diagnostic) and a typed bad request on a node.
 func TestScoreNamesAgreeAcrossEntryPoints(t *testing.T) {
 	db := mustOpen(t, Config{})
 	for _, name := range []string{"a", "b"} {
@@ -261,11 +261,13 @@ func TestScoreNamesAgreeAcrossEntryPoints(t *testing.T) {
 		}
 	}
 	node := NewNodeService("n", db)
-	tree := &transport.TreeData{Relations: []string{"a", "b"}, Edges: []transport.TreeEdgeData{{A: 0, B: 1, Kind: "band", Band: 1}}}
+	pairReq := transport.QueryRequest{Left: "a", Right: "b"}
+	pair := pairReq.Shape()
+	tree := transport.TreeData{Relations: []string{"a", "b"}, Edges: []transport.TreeEdgeData{{A: 0, B: 1, Kind: "band", Band: 1}}}
 	for _, name := range []string{"sum", "product", "Sum", "PRODUCT", "max", "theta", " sum"} {
 		_, specErr := ParseTreeSpec([]byte(fmt.Sprintf(`{"relations":["a","b"],"score":%q}`, name)))
-		_, pairErr := node.queryFromWire(nil, "a", "b", name, 5)
-		_, treeErr := node.queryFromWire(tree, "", "", name, 5)
+		_, pairErr := node.queryFromWire(pair, name, 5)
+		_, treeErr := node.queryFromWire(tree, name, 5)
 		if (specErr == nil) != (pairErr == nil) || (specErr == nil) != (treeErr == nil) {
 			t.Errorf("score %q: ParseTreeSpec err %v, two-way wire err %v, tree wire err %v; want all or none",
 				name, specErr, pairErr, treeErr)
@@ -291,7 +293,7 @@ func TestScoreNamesAgreeAcrossEntryPoints(t *testing.T) {
 	} else if q, err := db.NewTreeQueryFromSpec(spec); err != nil || q.ID() != "a_b_sum" {
 		t.Errorf("empty score name built %q, %v; want a_b_sum", q.ID(), err)
 	}
-	if _, err := node.queryFromWire(nil, "a", "b", "", 5); err == nil {
+	if _, err := node.queryFromWire(pair, "", 5); err == nil {
 		t.Error("node accepted an empty score name")
 	}
 }

@@ -12,10 +12,10 @@ import (
 // join trees. A tree query names n relations (the leaves) and n-1 join
 // predicates (the edges), each either an equi-predicate on the join
 // attributes or a band predicate |a-b| <= width over numeric join
-// values, ranked by a monotonic aggregate over all leaf scores. Two-way
-// queries (NewQuery) and star queries (NewMultiQuery) are the trivial
-// tree shapes built by the same constructor; NewTreeQuery admits
-// chains and general acyclic shapes, and the AlgoAnyK executor
+// values, ranked by a monotonic aggregate over all leaf scores. The
+// two-way query (NewQuery) is the trivial tree shape, built by the same
+// constructor; NewTreeQuery admits stars (the paper's n-way equi-join:
+// edges {0,i}), chains and general acyclic shapes, and the AlgoAnyK executor
 // enumerates any of them in score order without fixing k up front.
 
 // Tree-edge re-exports.
