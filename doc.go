@@ -147,8 +147,8 @@
 // built over the relation — one inverse-list entry per IJLMR index and
 // per inverse-score-list index the relation is a leaf of (a relation
 // joined in several queries has several, and all are maintained), BFHM
-// mutation records plus reverse mappings,
-// and DRJN per-band delta records — and the whole augmented batch ships as one
+// reverse mappings, and a mutation record in the score bucket's row of
+// each BFHM and DRJN index — and the whole augmented batch ships as one
 // group write: a single write RPC with one shared timestamp, instead of
 // one round trip per index cell.
 //
@@ -159,20 +159,23 @@
 //
 // Freshness guarantees, per executor: Naive, Hive, and Pig scan base
 // tables and are trivially fresh. IJLMR and ISL read their inverse
-// lists, which the pipeline mutates synchronously. BFHM replays bucket
-// mutation records at query time and writes nothing; folding them into
-// fresh blobs is the offline pass, WriteBackBFHM (the paper's eager and
+// lists, which the pipeline mutates synchronously. BFHM and DRJN keep one
+// mutation-record log with two blob kinds: a bucket row holds its blob (a
+// hybrid filter with min/max, or a band's partition counts with lo/hi)
+// and the records written since, which a query replays in timestamp
+// order and never writes back; folding them into fresh blobs is the
+// offline pass, WriteBackBFHM, for both indexes (the paper's eager and
 // lazy write-back, in which a query writes, are deliberately left out:
 // a rewritten row costs more to read until a major compaction, and a
-// query served by one replica must not change its tables). An index
-// remembers the buckets it has decoded and
-// their pair estimates between queries, but reads every bucket row on
-// every query and reuses a remembered bucket only when that row is
-// byte-equal to the one it was decoded from, so a write is seen by the
-// next query and a warm query bills what a cold one does. DRJN folds band delta records into its histogram
-// counts and observed score bounds, so the band walk sees fresh
-// cardinalities and valid pull floors with no offline rebuild. A query
-// issued after a write therefore reflects it on every executor.
+// query served by one replica must not change its tables). A BFHM index
+// remembers the buckets it has decoded and their pair estimates between
+// queries, but reads every bucket row on every query and reuses a
+// remembered bucket only when that row is byte-equal to the one it was
+// decoded from, so a write is seen by the next query and a warm query
+// bills what a cold one does. DRJN's replayed band counts and score
+// bounds give the band walk fresh cardinalities and valid pull floors
+// with no rebuild. A query issued after a write therefore reflects it
+// on every executor.
 // Planner statistics and cached plans are keyed on each table's
 // mutation sequence, so cost estimates track live data too.
 //

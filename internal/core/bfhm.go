@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/bloom"
@@ -41,11 +40,12 @@ import (
 // The paper writes it back eagerly (as the query fetches the bucket),
 // lazily (after the query) or offline (a pass probing bucket rows for
 // mutation records). Only the offline pass is implemented
-// (Maintainer.WriteBackAll): a query never writes. A write-back adds a
-// blob/min/max version and a tombstone per purged record to the row, and
-// a read bills every cell it examines, so until a major compaction the
-// rewritten row costs more to read, not less; and a query served by one
-// replica must not leave its bucket table different from its peers'.
+// (Maintainer.WriteBackAll, shared with DRJN): a query never writes. A
+// write-back adds a blob/min/max version and a tombstone per purged
+// record to the row, and a read bills every cell it examines, so until a
+// major compaction the rewritten row costs more to read, not less; and a
+// query served by one replica must not leave its bucket table different
+// from its peers'.
 
 // BFHM index storage layout (per Fig. 5):
 //
@@ -53,7 +53,8 @@ import (
 //	  row BucketKey(b):
 //	    "blob" -> hybrid filter encoding
 //	    "min", "max" -> observed score bounds
-//	    "i:<rowKey>" / "d:<rowKey>" -> pending mutation records (Sec. 6)
+//	    "i:<rowKey>@<ts>" / "d:<rowKey>@<ts>" -> the mutation-record log
+//	      (Sec. 6) that DRJN band rows keep too (maintain.go)
 //	  row ReverseMapKey(b, bit):
 //	    "<tuple rowKey>" -> EncodeTuple
 const (
@@ -61,8 +62,6 @@ const (
 	bfhmBlobQual = "blob"
 	bfhmMinQual  = "min"
 	bfhmMaxQual  = "max"
-	bfhmInsPfx   = "i:"
-	bfhmDelPfx   = "d:"
 )
 
 // BFHMIndex locates one relation's BFHM.
@@ -297,22 +296,15 @@ type bfhmBucket struct {
 	Min, Max float64
 	Filter   *bloom.Hybrid
 	Empty    bool
-	// Dirty reports pending mutation records were replayed into Filter.
-	Dirty bool
-	// LatestMutTS is the newest replayed mutation timestamp.
-	LatestMutTS int64
-	// mutQuals lists the replayed mutation record qualifiers (for the
-	// offline write-back to purge).
-	mutQuals []string
 	// id names this decoding of the bucket in pair-estimate keys (zero
 	// for a bucket with no row).
 	id bfhmEntryID
 }
 
-// fetchBFHMBucket reads bucket b and returns it decoded, with any pending
-// mutation records (insertion/tombstone cells) replayed in timestamp
-// order. The row is read every time; it is decoded only when it differs
-// from the row the index's remembered bucket was decoded from.
+// fetchBFHMBucket reads bucket b and returns it decoded, with its
+// mutation-record log replayed. The row is read every time; it is
+// decoded only when it differs from the row the index's remembered
+// bucket was decoded from.
 func fetchBFHMBucket(c *kvstore.Cluster, idx *BFHMIndex, b int) (*bfhmBucket, error) {
 	row, err := c.Get(idx.Table, kvstore.BucketKey(b))
 	if err != nil {
@@ -328,7 +320,7 @@ func fetchBFHMBucket(c *kvstore.Cluster, idx *BFHMIndex, b int) (*bfhmBucket, er
 	// The decoded bucket outlives this read, so it is decoded from a copy
 	// of the cells that the cache can keep beside it.
 	cells := detachCells(row.Cells)
-	out, err := decodeBFHMBucket(idx, b, cells)
+	out, _, err := decodeBFHMBucket(idx, b, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -336,109 +328,58 @@ func fetchBFHMBucket(c *kvstore.Cluster, idx *BFHMIndex, b int) (*bfhmBucket, er
 }
 
 // decodeBFHMBucket builds bucket b from the cells of its row: the blob
-// decoded, then the mutation records replayed over it.
-func decodeBFHMBucket(idx *BFHMIndex, b int, cells []kvstore.Cell) (*bfhmBucket, error) {
+// decoded, then the row's mutation-record log replayed over it, which it
+// also returns.
+func decodeBFHMBucket(idx *BFHMIndex, b int, cells []kvstore.Cell) (*bfhmBucket, recordLog, error) {
 	out := &bfhmBucket{No: b, Min: math.Inf(1), Max: math.Inf(-1)}
 	var blob []byte
-	type mut struct {
-		ins  bool
-		t    Tuple
-		ts   int64
-		qual string
-	}
-	var muts []mut
 	for i := range cells {
-		cell := &cells[i]
-		switch {
-		case cell.Qualifier == bfhmBlobQual:
+		switch cell := &cells[i]; cell.Qualifier {
+		case bfhmBlobQual:
 			blob = cell.Value
-		case cell.Qualifier == bfhmMinQual:
+		case bfhmMinQual:
 			if v, ok := kvstore.ParseFloatValue(cell.Value); ok {
 				out.Min = v
 			}
-		case cell.Qualifier == bfhmMaxQual:
+		case bfhmMaxQual:
 			if v, ok := kvstore.ParseFloatValue(cell.Value); ok {
 				out.Max = v
 			}
-		case strings.HasPrefix(cell.Qualifier, bfhmInsPfx), strings.HasPrefix(cell.Qualifier, bfhmDelPfx):
-			t, err := DecodeTuple(cell.Value)
-			if err != nil {
-				return nil, fmt.Errorf("bfhm: bad mutation record %q: %w", cell.Qualifier, err)
-			}
-			muts = append(muts, mut{
-				ins:  strings.HasPrefix(cell.Qualifier, bfhmInsPfx),
-				t:    t,
-				ts:   cell.Timestamp,
-				qual: cell.Qualifier,
-			})
 		}
 	}
-	if blob == nil {
-		if len(muts) == 0 {
-			return &bfhmBucket{No: b, Empty: true}, nil
-		}
-		// Bucket created purely by online inserts: start empty.
-		out.Filter = bloom.NewHybrid(idx.MBits)
-	} else {
+	if blob != nil {
 		f, err := bloom.DecodeHybrid(blob)
 		if err != nil {
-			return nil, fmt.Errorf("bfhm: bucket %d blob: %w", b, err)
+			return nil, recordLog{}, fmt.Errorf("bfhm: bucket %d blob: %w", b, err)
 		}
 		out.Filter = f
 	}
-	if len(muts) == 0 {
-		return out, nil // a blob and nothing to replay: the common case
-	}
-	// Replay mutations in timestamp order (Section 6: "replay all row
-	// mutations in timestamp order and reconstruct the up-to-date blob").
-	// At equal timestamps, deletions apply first: an update ships its
-	// old-tuple tombstone and new-tuple insertion under one shared
-	// timestamp, and must net to "replaced", not "removed".
-	sort.SliceStable(muts, func(i, j int) bool {
-		if muts[i].ts != muts[j].ts {
-			return muts[i].ts < muts[j].ts
+	log, err := replayRecords(bfhmFamily, cells, func(ins bool, t Tuple) bool {
+		if out.Filter == nil {
+			out.Filter = bloom.NewHybrid(idx.MBits) // a bucket created purely by online inserts
 		}
-		return !muts[i].ins && muts[j].ins
+		if !ins {
+			// Min/Max stay conservative: they cannot shrink without a rebuild.
+			out.Filter.Remove(t.JoinValue)
+			return true
+		}
+		out.Filter.Insert(t.JoinValue)
+		if t.Score < out.Min {
+			out.Min = t.Score
+		}
+		if t.Score > out.Max {
+			out.Max = t.Score
+		}
+		return true
 	})
-	// Per-row-key presence tracking makes replay idempotent under
-	// repeated records: record qualifiers are timestamp-suffixed, so a
-	// retried Delete (or a blind double Insert) appends a SECOND record
-	// for the same key — applying both would double-decrement counting-
-	// filter bits shared with live tuples.
-	const (
-		keyPresent = 1
-		keyAbsent  = 2
-	)
-	keyState := make(map[string]int, len(muts))
-	for _, m := range muts {
-		st := keyState[m.t.RowKey]
-		if m.ins {
-			if st != keyPresent {
-				keyState[m.t.RowKey] = keyPresent
-				out.Filter.Insert(m.t.JoinValue)
-				if m.t.Score < out.Min {
-					out.Min = m.t.Score
-				}
-				if m.t.Score > out.Max {
-					out.Max = m.t.Score
-				}
-			}
-		} else if st != keyAbsent {
-			keyState[m.t.RowKey] = keyAbsent
-			out.Filter.Remove(m.t.JoinValue)
-			// Deletions keep Min/Max conservative (cannot shrink
-			// without a rebuild).
-		}
-		out.Dirty = true
-		if m.ts > out.LatestMutTS {
-			out.LatestMutTS = m.ts
-		}
-		out.mutQuals = append(out.mutQuals, m.qual)
+	if err != nil {
+		return nil, recordLog{}, fmt.Errorf("bfhm: bucket %d: %w", b, err)
 	}
-	if out.Filter.N() == 0 && out.Filter.PopCount() == 0 && blob == nil {
-		out.Empty = true
+	if out.Filter == nil {
+		return &bfhmBucket{No: b, Empty: true}, log, nil
 	}
-	return out, nil
+	out.Empty = blob == nil && out.Filter.N() == 0 && out.Filter.PopCount() == 0
+	return out, log, nil
 }
 
 // FetchBucketFilter reads one BFHM bucket and returns its hybrid filter
@@ -456,34 +397,6 @@ func FetchBucketFilter(c *kvstore.Cluster, idx *BFHMIndex, b int) (*bloom.Hybrid
 		return nil, nil
 	}
 	return bk.Filter, nil
-}
-
-// writeBackBucket persists a reconstructed blob and purges the replayed
-// mutation records in one atomic row mutation (Section 6's offline
-// write-back). b stays as it is — queries may hold it; the rewritten row
-// no longer matches it, so the next read decodes the new blob.
-func writeBackBucket(c *kvstore.Cluster, idx *BFHMIndex, b *bfhmBucket) error {
-	if !b.Dirty || b.Filter == nil {
-		return nil
-	}
-	blob, err := b.Filter.Encode()
-	if err != nil {
-		return err
-	}
-	ts := b.LatestMutTS
-	cells := []kvstore.Cell{
-		{Row: kvstore.BucketKey(b.No), Family: bfhmFamily, Qualifier: bfhmBlobQual, Value: blob, Timestamp: ts},
-		{Row: kvstore.BucketKey(b.No), Family: bfhmFamily, Qualifier: bfhmMinQual, Value: kvstore.FloatValue(b.Min), Timestamp: ts},
-		{Row: kvstore.BucketKey(b.No), Family: bfhmFamily, Qualifier: bfhmMaxQual, Value: kvstore.FloatValue(b.Max), Timestamp: ts},
-	}
-	for _, q := range b.mutQuals {
-		cells = append(cells, kvstore.Cell{
-			Row: kvstore.BucketKey(b.No), Family: bfhmFamily, Qualifier: q,
-			Timestamp: ts, Tombstone: true,
-		})
-	}
-	//lint:allow maintcheck writes the BFHM index's own bucket table, not a maintained base relation
-	return c.MutateRow(idx.Table, cells)
 }
 
 // estimatedResult is one row of the Fig. 6(c) estimation table: a joined

@@ -203,9 +203,6 @@ func (c *bfhmCache) publishBucket(b *bfhmBucket, cells []kvstore.Cell) *bfhmBuck
 	if b.Filter != nil {
 		size += 12 * int64(b.Filter.PopCount()) // uint64 position + uint32 counter
 	}
-	for _, q := range b.mutQuals {
-		size += int64(len(q)) + 16
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.bucketMisses++

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/histogram"
 	"repro/internal/kvstore"
@@ -55,168 +54,17 @@ func (o *DRJNOptions) defaults() {
 	}
 }
 
+// DRJN index storage layout:
+//
+//	table "drjn_<relation>", family drjnFamily
+//	  row BucketKey(band):
+//	    "band" -> histogram.MarshalBandData: partition counts, lo/hi scores
+//	    "i:<rowKey>@<ts>" / "d:<rowKey>@<ts>" -> the mutation-record log
+//	      (Sec. 6) that BFHM bucket rows keep too (maintain.go)
 const (
 	drjnFamily   = "m"
 	drjnBandQual = "band"
-	// Online maintenance appends per-tuple delta records to band rows
-	// (Section 6 applied to the DRJN matrix): readers fold them into the
-	// band's partition counts and observed score bounds, so the band
-	// walk sees fresh cardinalities without an offline rebuild.
-	drjnInsPfx = "i:"
-	drjnDelPfx = "d:"
 )
-
-// drjnInsertRecord builds the insertion delta record for one tuple. The
-// qualifier is timestamp-suffixed (see mutRecordQual) so repeated
-// mutations of one row key never shadow each other's records.
-func drjnInsertRecord(idx *DRJNIndex, t Tuple, ts int64) kvstore.Cell {
-	return kvstore.Cell{
-		Row:       kvstore.BucketKey(idx.Layout.BucketOf(t.Score)),
-		Family:    drjnFamily,
-		Qualifier: mutRecordQual(drjnInsPfx, t.RowKey, ts),
-		Value:     EncodeTuple(t),
-		Timestamp: ts,
-	}
-}
-
-// drjnDeleteRecord builds the deletion delta record for one tuple.
-func drjnDeleteRecord(idx *DRJNIndex, t Tuple, ts int64) kvstore.Cell {
-	return kvstore.Cell{
-		Row:       kvstore.BucketKey(idx.Layout.BucketOf(t.Score)),
-		Family:    drjnFamily,
-		Qualifier: mutRecordQual(drjnDelPfx, t.RowKey, ts),
-		Value:     EncodeTuple(t),
-		Timestamp: ts,
-	}
-}
-
-// writeBackDRJNBand consolidates one band row: its delta records are
-// replayed into a fresh band blob and purged in one atomic row mutation
-// (the DRJN analogue of BFHM's offline blob write-back). Without this,
-// band rows grow with every online write and each fetch replays the
-// full history. It reports whether the band had anything to fold.
-func writeBackDRJNBand(c *kvstore.Cluster, idx *DRJNIndex, b int) (bool, error) {
-	row, err := c.Get(idx.Table, kvstore.BucketKey(b))
-	if err != nil || row == nil {
-		return false, err
-	}
-	var recQuals []string
-	var latest int64
-	for i := range row.Cells {
-		q := row.Cells[i].Qualifier
-		if strings.HasPrefix(q, drjnInsPfx) || strings.HasPrefix(q, drjnDelPfx) {
-			recQuals = append(recQuals, q)
-			if row.Cells[i].Timestamp > latest {
-				latest = row.Cells[i].Timestamp
-			}
-		}
-	}
-	if len(recQuals) == 0 {
-		return false, nil
-	}
-	bd, err := decodeBandRow(idx, b, row)
-	if err != nil {
-		return false, err
-	}
-	cells := []kvstore.Cell{{
-		Row: kvstore.BucketKey(b), Family: drjnFamily, Qualifier: drjnBandQual,
-		Value:     histogram.MarshalBandData(bd.Cells, bd.Lo, bd.Hi, bd.NonEmpty),
-		Timestamp: latest,
-	}}
-	for _, q := range recQuals {
-		cells = append(cells, kvstore.Cell{
-			Row: kvstore.BucketKey(b), Family: drjnFamily, Qualifier: q,
-			Timestamp: latest, Tombstone: true,
-		})
-	}
-	//lint:allow maintcheck writes the DRJN index's own band table, not a maintained base relation
-	return true, c.MutateRow(idx.Table, cells)
-}
-
-// replayBandRecords folds a band row's online delta records into its
-// decoded band data (bd may be nil for a band with no built blob) in
-// timestamp order, deletions first at equal timestamps — an update ships
-// old-tuple deletion and new-tuple insertion under one timestamp and
-// must net to "replaced". Insertions widen the band's observed score
-// bounds so pull floors track fresh data; deletions leave the bounds
-// conservative, exactly like an in-memory DRJNMatrix.Remove.
-func replayBandRecords(idx *DRJNIndex, row *kvstore.Row, bd *histogram.BandData) (*histogram.BandData, error) {
-	type mut struct {
-		ins bool
-		t   Tuple
-		ts  int64
-	}
-	var muts []mut
-	for i := range row.Cells {
-		cell := &row.Cells[i]
-		if cell.Family != drjnFamily {
-			continue
-		}
-		ins := strings.HasPrefix(cell.Qualifier, drjnInsPfx)
-		if !ins && !strings.HasPrefix(cell.Qualifier, drjnDelPfx) {
-			continue
-		}
-		t, err := DecodeTuple(cell.Value)
-		if err != nil {
-			return nil, fmt.Errorf("drjn: bad delta record %q: %w", cell.Qualifier, err)
-		}
-		muts = append(muts, mut{ins: ins, t: t, ts: cell.Timestamp})
-	}
-	if len(muts) == 0 {
-		return bd, nil
-	}
-	if bd == nil {
-		bd = &histogram.BandData{Cells: make([]uint64, idx.JoinParts)}
-	}
-	sort.SliceStable(muts, func(i, j int) bool {
-		if muts[i].ts != muts[j].ts {
-			return muts[i].ts < muts[j].ts
-		}
-		return !muts[i].ins && muts[j].ins
-	})
-	// Mirror the BFHM replay's per-row-key presence tracking: records
-	// are timestamp-suffixed, so a retried delete (or blind double
-	// insert) leaves a second record that must not double-apply.
-	const (
-		keyPresent = 1
-		keyAbsent  = 2
-	)
-	keyState := map[string]int{}
-	for _, m := range muts {
-		p := histogram.PartitionOf(m.t.JoinValue, idx.JoinParts)
-		if p >= len(bd.Cells) {
-			continue
-		}
-		st := keyState[m.t.RowKey]
-		if m.ins {
-			if st == keyPresent {
-				continue
-			}
-			keyState[m.t.RowKey] = keyPresent
-			bd.Cells[p]++
-			if !bd.NonEmpty {
-				bd.Lo, bd.Hi = m.t.Score, m.t.Score
-				bd.NonEmpty = true
-			} else {
-				if m.t.Score < bd.Lo {
-					bd.Lo = m.t.Score
-				}
-				if m.t.Score > bd.Hi {
-					bd.Hi = m.t.Score
-				}
-			}
-		} else {
-			if st == keyAbsent {
-				continue
-			}
-			keyState[m.t.RowKey] = keyAbsent
-			if bd.Cells[p] > 0 {
-				bd.Cells[p]--
-			}
-		}
-	}
-	return bd, nil
-}
 
 // DRJNTableName derives a relation's index table name.
 func DRJNTableName(rel *Relation) string { return "drjn_" + rel.Name }
@@ -287,25 +135,52 @@ type drjnBand struct {
 	floor float64
 }
 
-// decodeBandRow decodes a band row's stored blob (if any) and folds in
-// its online delta records — the one shared read path for single-band
-// fetches, the full-matrix scan, and write-back consolidation.
-func decodeBandRow(idx *DRJNIndex, no int, row *kvstore.Row) (*histogram.BandData, error) {
+// decodeBandRow decodes a band row's stored blob (if any) and replays its
+// mutation-record log, which it also returns — the one read path for
+// single-band fetches, the full-matrix scan, and the offline pass.
+// Insertions widen the band's observed score bounds so pull floors track
+// fresh data; deletions leave them conservative. A record whose partition
+// is outside the blob's cells is skipped.
+func decodeBandRow(idx *DRJNIndex, no int, row *kvstore.Row) (*histogram.BandData, recordLog, error) {
 	var bd *histogram.BandData
-	var err error
 	if cell := row.Cell(drjnFamily, drjnBandQual); cell != nil {
+		var err error
 		if bd, err = histogram.UnmarshalBand(cell.Value); err != nil {
-			return nil, fmt.Errorf("drjn: band %d: %w", no, err)
+			return nil, recordLog{}, fmt.Errorf("drjn: band %d: %w", no, err)
 		}
 	}
-	if bd, err = replayBandRecords(idx, row, bd); err != nil {
-		return nil, fmt.Errorf("drjn: band %d: %w", no, err)
+	log, err := replayRecords(drjnFamily, row.Cells, func(ins bool, t Tuple) bool {
+		if bd == nil {
+			bd = &histogram.BandData{Cells: make([]uint64, idx.JoinParts)}
+		}
+		p := histogram.PartitionOf(t.JoinValue, idx.JoinParts)
+		if p >= len(bd.Cells) {
+			return false
+		}
+		if !ins {
+			if bd.Cells[p] > 0 {
+				bd.Cells[p]--
+			}
+			return true
+		}
+		bd.Cells[p]++
+		if !bd.NonEmpty || t.Score < bd.Lo {
+			bd.Lo = t.Score
+		}
+		if !bd.NonEmpty || t.Score > bd.Hi {
+			bd.Hi = t.Score
+		}
+		bd.NonEmpty = true
+		return true
+	})
+	if err != nil {
+		return nil, recordLog{}, fmt.Errorf("drjn: band %d: %w", no, err)
 	}
-	return bd, nil
+	return bd, log, nil
 }
 
 // fetchDRJNBand fetches band b (nil data if the band row is missing),
-// folding in any online delta records so the returned counts and floor
+// replaying its mutation-record log so the returned counts and floor
 // describe the live relation.
 func fetchDRJNBand(c *kvstore.Cluster, idx *DRJNIndex, b int) (*drjnBand, error) {
 	row, err := c.Get(idx.Table, kvstore.BucketKey(b))
@@ -316,7 +191,7 @@ func fetchDRJNBand(c *kvstore.Cluster, idx *DRJNIndex, b int) (*drjnBand, error)
 	if row == nil {
 		return out, nil
 	}
-	bd, err := decodeBandRow(idx, b, row)
+	bd, _, err := decodeBandRow(idx, b, row)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +222,7 @@ func FetchAllBands(c *kvstore.Cluster, idx *DRJNIndex) ([]*histogram.BandData, e
 		if err != nil || no < 0 || no >= len(out) {
 			continue
 		}
-		bd, err := decodeBandRow(idx, no, &rows[i])
+		bd, _, err := decodeBandRow(idx, no, &rows[i])
 		if err != nil {
 			return nil, err
 		}

@@ -2,28 +2,14 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/bloom"
+	"repro/internal/histogram"
 	"repro/internal/kvstore"
 )
-
-// bloomBitPos mirrors bloom.Hybrid.BitPos for callers that maintain a
-// filter they cannot decode (the mutation path never reads the blob).
-func bloomBitPos(mbits uint64, joinValue string) uint64 {
-	return bloom.Hash64String(joinValue) % mbits
-}
-
-// mutRecordQual builds a mutation-record qualifier (BFHM bucket rows,
-// DRJN band rows). The timestamp suffix makes every mutation's record a
-// distinct column: row-key-only qualifiers let a later mutation of the
-// same key shadow an earlier, not-yet-replayed record (reads return one
-// version per column), silently corrupting replayed counts. Re-applying
-// the same mutation with the same timestamp still lands on the same
-// qualifier, keeping recovery idempotent.
-func mutRecordQual(pfx, rowKey string, ts int64) string {
-	return pfx + rowKey + "@" + strconv.FormatInt(ts, 36)
-}
 
 // This file implements Section 6 — online updates and index maintenance.
 // Base-data insertions and deletions are intercepted at the caller level
@@ -36,21 +22,154 @@ func mutRecordQual(pfx, rowKey string, ts int64) string {
 //     to one index-cell mutation each — per index: a relation joined in
 //     several queries has several IJLMR tables and is a leaf of several
 //     inverse-score-list tables, and every one of them is maintained.
-//   - BFHM blobs cannot be updated in place; mutations append insertion
-//     or tombstone records to the bucket row (same timestamp as the base
-//     mutation) and maintain the reverse mappings directly. Readers
-//     replay the records over the blob and write nothing; WriteBackAll,
-//     the offline pass, persists reconstructed blobs (see bfhm.go for why
-//     a query never does).
-//   - DRJN band rows receive the same record treatment: inserts and
-//     deletes append per-tuple delta records that readers fold into the
-//     band's partition counts and observed score bounds, so the band
-//     walk prices (and bounds) fresh cardinalities with no offline
-//     rebuild.
+//   - BFHM and DRJN keep one blob per score bucket that cannot be updated
+//     in place: a hybrid filter with min/max scores, or a band's partition
+//     counts with lo/hi scores. Both keep the same mutation-record log in
+//     the bucket row: a write appends an insertion or deletion record
+//     (recordCell, stamped like the base mutation). A reader replays the
+//     log over the blob and writes nothing (replayRecords; see bfhm.go for
+//     why a query never writes); WriteBackAll, the offline pass, folds the
+//     log into a fresh blob and purges it (consolidate). BFHM also
+//     maintains its reverse mappings directly.
 //
 // The augmented mutation ships as ONE kvstore.GroupWrite: base table
 // plus every index table in a single batched write RPC (one latency
 // charge, bytes summed) instead of one round trip per index cell.
+
+// bloomBitPos mirrors bloom.Hybrid.BitPos for callers that maintain a
+// filter they cannot decode (the mutation path never reads the blob).
+func bloomBitPos(mbits uint64, joinValue string) uint64 {
+	return bloom.Hash64String(joinValue) % mbits
+}
+
+// A mutation record's qualifier is "i:<rowKey>@<ts>" for an insertion or
+// "d:<rowKey>@<ts>" for a deletion; its value is the tuple's EncodeTuple.
+const (
+	recordInsPfx = "i:"
+	recordDelPfx = "d:"
+)
+
+// recordCell builds the mutation record of t in the row of its score
+// bucket in an index with layout l. The timestamp suffix makes every
+// mutation's record a distinct column: row-key-only qualifiers let a later
+// mutation of the same key shadow an earlier, not-yet-replayed record
+// (reads return one version per column), silently corrupting replayed
+// counts. Re-applying the same mutation with the same timestamp still
+// lands on the same qualifier, keeping recovery idempotent.
+func recordCell(l histogram.Layout, family string, ins bool, t Tuple, ts int64) kvstore.Cell {
+	pfx := recordDelPfx
+	if ins {
+		pfx = recordInsPfx
+	}
+	return kvstore.Cell{
+		Row:       kvstore.BucketKey(l.BucketOf(t.Score)),
+		Family:    family,
+		Qualifier: pfx + t.RowKey + "@" + strconv.FormatInt(ts, 36),
+		Value:     EncodeTuple(t),
+		Timestamp: ts,
+	}
+}
+
+// recordLog is what replaying a row leaves for consolidate: the record
+// qualifiers in replay order and the newest record's timestamp.
+type recordLog struct {
+	quals  []string
+	newest int64
+}
+
+// replayRecords makes one pass over a bucket row's cells, parses the
+// mutation records of family, and replays them in timestamp order
+// (Section 6: "replay all row mutations in timestamp order and
+// reconstruct the up-to-date blob"), calling apply with each record that
+// changes its row key's state.
+//
+// At equal timestamps deletions replay first: an update ships its
+// old-tuple deletion and new-tuple insertion under one timestamp, and must
+// net to "replaced", not "removed". A record that repeats its key's
+// current state is dropped: a retried delete or a blind double insert
+// leaves a second record, and applying both would count a filter bit or a
+// band cell shared with live tuples twice. apply reports whether it took
+// the record; a record it refuses does not become its key's state.
+func replayRecords(family string, cells []kvstore.Cell, apply func(ins bool, t Tuple) bool) (recordLog, error) {
+	type record struct {
+		ins  bool
+		t    Tuple
+		ts   int64
+		qual string
+	}
+	var recs []record
+	for i := range cells {
+		c := &cells[i]
+		ins := strings.HasPrefix(c.Qualifier, recordInsPfx)
+		if c.Family != family || !ins && !strings.HasPrefix(c.Qualifier, recordDelPfx) {
+			continue
+		}
+		t, err := DecodeTuple(c.Value)
+		if err != nil {
+			return recordLog{}, fmt.Errorf("bad mutation record %q in family %q: %w", c.Qualifier, family, err)
+		}
+		recs = append(recs, record{ins: ins, t: t, ts: c.Timestamp, qual: c.Qualifier})
+	}
+	if len(recs) == 0 {
+		return recordLog{}, nil
+	}
+	sort.SliceStable(recs, func(i, j int) bool {
+		if recs[i].ts != recs[j].ts {
+			return recs[i].ts < recs[j].ts
+		}
+		return !recs[i].ins && recs[j].ins
+	})
+	log := recordLog{quals: make([]string, len(recs)), newest: recs[len(recs)-1].ts}
+	present := make(map[string]bool, len(recs))
+	for i, r := range recs {
+		if was, seen := present[r.t.RowKey]; !(seen && was == r.ins) && apply(r.ins, r.t) {
+			present[r.t.RowKey] = r.ins
+		}
+		log.quals[i] = r.qual
+	}
+	return log, nil
+}
+
+// consolidate is the offline pass of Section 6 ("off-line (by a thread
+// periodically probing bucket rows for mutation records)") over bucket
+// rows 0..rows-1 of one index table, one Get each. fold decodes a row and
+// replays its log; when the log is not empty it also returns the row's
+// fresh blob cells (qualifier and value). consolidate writes those at the
+// newest record's timestamp and tombstones every record, in one atomic row
+// mutation, and returns how many rows it rewrote.
+func consolidate(c *kvstore.Cluster, table, family string, rows int,
+	fold func(no int, row *kvstore.Row) ([]kvstore.Cell, recordLog, error)) (int, error) {
+	n := 0
+	for no := 0; no < rows; no++ {
+		key := kvstore.BucketKey(no)
+		row, err := c.Get(table, key)
+		if err != nil {
+			return n, err
+		}
+		if row == nil {
+			continue
+		}
+		cells, log, err := fold(no, row)
+		if err != nil {
+			return n, err
+		}
+		if len(log.quals) == 0 {
+			continue
+		}
+		for i := range cells {
+			cells[i].Row, cells[i].Family, cells[i].Timestamp = key, family, log.newest
+		}
+		for _, q := range log.quals {
+			cells = append(cells, kvstore.Cell{Row: key, Family: family, Qualifier: q, Timestamp: log.newest, Tombstone: true})
+		}
+		//lint:allow maintcheck writes an index's own bucket or band table, not a maintained base relation
+		if err := c.MutateRow(table, cells); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
+}
 
 // BoundIJLMR attaches one built IJLMR index to the column family this
 // relation writes in it.
@@ -178,17 +297,7 @@ func (m *Maintainer) insertMutations(t Tuple, ts int64, extraCells []kvstore.Cel
 		return []kvstore.Cell{{Row: kvstore.EncodeScoreDesc(t.Score), Family: fam, Qualifier: t.RowKey,
 			Value: []byte(t.JoinValue), Timestamp: ts}}
 	})
-	if m.BFHM != nil {
-		muts = append(muts, indexMutation{index: "bfhm", TableMutation: kvstore.TableMutation{
-			Table: m.BFHM.Table, Cells: m.bfhmInsertCells(t, ts),
-		}})
-	}
-	if m.DRJN != nil {
-		muts = append(muts, indexMutation{index: "drjn", TableMutation: kvstore.TableMutation{
-			Table: m.DRJN.Table, Cells: []kvstore.Cell{drjnInsertRecord(m.DRJN, t, ts)},
-		}})
-	}
-	return muts
+	return m.appendBucketIndexes(muts, nil, &t, ts)
 }
 
 // deleteMutations assembles the augmented mutation batch for one tuple
@@ -210,17 +319,7 @@ func (m *Maintainer) deleteMutations(t Tuple, ts int64) []indexMutation {
 		return []kvstore.Cell{{Row: kvstore.EncodeScoreDesc(t.Score), Family: fam, Qualifier: t.RowKey,
 			Timestamp: ts, Tombstone: true}}
 	})
-	if m.BFHM != nil {
-		muts = append(muts, indexMutation{index: "bfhm", TableMutation: kvstore.TableMutation{
-			Table: m.BFHM.Table, Cells: m.bfhmDeleteCells(t, ts),
-		}})
-	}
-	if m.DRJN != nil {
-		muts = append(muts, indexMutation{index: "drjn", TableMutation: kvstore.TableMutation{
-			Table: m.DRJN.Table, Cells: []kvstore.Cell{drjnDeleteRecord(m.DRJN, t, ts)},
-		}})
-	}
-	return muts
+	return m.appendBucketIndexes(muts, &t, nil, ts)
 }
 
 // updateMutations assembles the batch replacing old with new (same row
@@ -254,32 +353,45 @@ func (m *Maintainer) updateMutations(old, new Tuple, ts int64) []indexMutation {
 		}
 		return cells
 	})
-	if m.BFHM != nil {
-		oldKey := kvstore.ReverseMapKey(m.BFHM.Layout.BucketOf(old.Score), bloomBitPos(m.BFHM.MBits, old.JoinValue))
-		newKey := kvstore.ReverseMapKey(m.BFHM.Layout.BucketOf(new.Score), bloomBitPos(m.BFHM.MBits, new.JoinValue))
-		cells := []kvstore.Cell{{Row: newKey, Family: bfhmFamily, Qualifier: new.RowKey,
-			Value: EncodeTuple(new), Timestamp: ts}}
-		if oldKey != newKey {
-			cells = append(cells, kvstore.Cell{Row: oldKey, Family: bfhmFamily, Qualifier: old.RowKey,
+	return m.appendBucketIndexes(muts, &old, &new, ts)
+}
+
+// appendBucketIndexes appends the BFHM and DRJN shares of a batch that
+// retires old and adds new (either may be nil). BFHM's reverse mapping
+// moves directly (Section 6: "an entry being added in the corresponding
+// reverse mapping row"); an entry whose coordinates do not change is
+// simply overwritten. Both indexes' bucket rows get a deletion record for
+// old and an insertion record for new; same-timestamp replay applies
+// deletions first, so an update nets to "replaced".
+func (m *Maintainer) appendBucketIndexes(muts []indexMutation, old, new *Tuple, ts int64) []indexMutation {
+	records := func(l histogram.Layout, family string, cells []kvstore.Cell) []kvstore.Cell {
+		if old != nil {
+			cells = append(cells, recordCell(l, family, false, *old, ts))
+		}
+		if new != nil {
+			cells = append(cells, recordCell(l, family, true, *new, ts))
+		}
+		return cells
+	}
+	if idx := m.BFHM; idx != nil {
+		revKey := func(t *Tuple) string {
+			return kvstore.ReverseMapKey(idx.Layout.BucketOf(t.Score), bloomBitPos(idx.MBits, t.JoinValue))
+		}
+		var cells []kvstore.Cell
+		if new != nil {
+			cells = append(cells, kvstore.Cell{Row: revKey(new), Family: bfhmFamily, Qualifier: new.RowKey,
+				Value: EncodeTuple(*new), Timestamp: ts})
+		}
+		if old != nil && (new == nil || revKey(old) != revKey(new)) {
+			cells = append(cells, kvstore.Cell{Row: revKey(old), Family: bfhmFamily, Qualifier: old.RowKey,
 				Timestamp: ts, Tombstone: true})
 		}
-		// The bucket rows always get a delete record for the old tuple
-		// and an insertion record for the new one; same-timestamp replay
-		// applies deletions first, so a same-bucket update nets to
-		// "replaced".
-		cells = append(cells,
-			kvstore.Cell{Row: kvstore.BucketKey(m.BFHM.Layout.BucketOf(old.Score)), Family: bfhmFamily,
-				Qualifier: mutRecordQual(bfhmDelPfx, old.RowKey, ts), Value: EncodeTuple(old), Timestamp: ts},
-			kvstore.Cell{Row: kvstore.BucketKey(m.BFHM.Layout.BucketOf(new.Score)), Family: bfhmFamily,
-				Qualifier: mutRecordQual(bfhmInsPfx, new.RowKey, ts), Value: EncodeTuple(new), Timestamp: ts},
-		)
-		muts = append(muts, indexMutation{index: "bfhm", TableMutation: kvstore.TableMutation{Table: m.BFHM.Table, Cells: cells}})
+		muts = append(muts, indexMutation{index: "bfhm", TableMutation: kvstore.TableMutation{
+			Table: idx.Table, Cells: records(idx.Layout, bfhmFamily, cells)}})
 	}
-	if m.DRJN != nil {
+	if idx := m.DRJN; idx != nil {
 		muts = append(muts, indexMutation{index: "drjn", TableMutation: kvstore.TableMutation{
-			Table: m.DRJN.Table,
-			Cells: []kvstore.Cell{drjnDeleteRecord(m.DRJN, old, ts), drjnInsertRecord(m.DRJN, new, ts)},
-		}})
+			Table: idx.Table, Cells: records(idx.Layout, drjnFamily, nil)}})
 	}
 	return muts
 }
@@ -416,65 +528,43 @@ func (m *Maintainer) insertBatch(tuples []Tuple, stamp func() int64, chunk int) 
 	return nil
 }
 
-// bfhmInsertCells appends an insertion record to the bucket row and adds
-// the reverse mapping (Section 6: "each tuple insertion ... will result
-// in an insertion record being added to the bucket row, in addition to an
-// entry being added in the corresponding reverse mapping row").
-func (m *Maintainer) bfhmInsertCells(t Tuple, ts int64) []kvstore.Cell {
-	bucket := m.BFHM.Layout.BucketOf(t.Score)
-	bitPos := bloomBitPos(m.BFHM.MBits, t.JoinValue)
-	return []kvstore.Cell{
-		{Row: kvstore.ReverseMapKey(bucket, bitPos), Family: bfhmFamily, Qualifier: t.RowKey,
-			Value: EncodeTuple(t), Timestamp: ts},
-		{Row: kvstore.BucketKey(bucket), Family: bfhmFamily, Qualifier: mutRecordQual(bfhmInsPfx, t.RowKey, ts),
-			Value: EncodeTuple(t), Timestamp: ts},
-	}
-}
-
-// bfhmDeleteCells adds a tombstone record to the bucket row and deletes
-// the reverse mapping directly (Section 6).
-func (m *Maintainer) bfhmDeleteCells(t Tuple, ts int64) []kvstore.Cell {
-	bucket := m.BFHM.Layout.BucketOf(t.Score)
-	bitPos := bloomBitPos(m.BFHM.MBits, t.JoinValue)
-	return []kvstore.Cell{
-		{Row: kvstore.ReverseMapKey(bucket, bitPos), Family: bfhmFamily, Qualifier: t.RowKey,
-			Timestamp: ts, Tombstone: true},
-		{Row: kvstore.BucketKey(bucket), Family: bfhmFamily, Qualifier: mutRecordQual(bfhmDelPfx, t.RowKey, ts),
-			Value: EncodeTuple(t), Timestamp: ts},
-	}
-}
-
 // WriteBackAll runs the offline write-back pass — the "off-line (by a
 // thread periodically probing bucket rows for mutation records)" mode of
-// Section 6: every dirty BFHM bucket is reconstructed and persisted, and
-// every DRJN band carrying delta records is consolidated into a fresh
-// blob with its records purged (bounding band-row growth under sustained
-// write traffic). It returns how many structures were rewritten.
+// Section 6 — over the relation's BFHM bucket rows and DRJN band rows:
+// each row's record log is folded into a fresh blob and purged, bounding
+// row growth under sustained write traffic (see consolidate). It returns
+// how many rows were rewritten.
 func (m *Maintainer) WriteBackAll() (int, error) {
 	n := 0
-	if m.BFHM != nil {
-		for b := 0; b < m.BFHM.Layout.Buckets; b++ {
-			bucket, err := fetchBFHMBucket(m.C, m.BFHM, b)
-			if err != nil {
-				return n, err
+	if idx := m.BFHM; idx != nil {
+		k, err := consolidate(m.C, idx.Table, bfhmFamily, idx.Layout.Buckets, func(no int, row *kvstore.Row) ([]kvstore.Cell, recordLog, error) {
+			b, log, err := decodeBFHMBucket(idx, no, row.Cells)
+			if err != nil || len(log.quals) == 0 {
+				return nil, log, err
 			}
-			if bucket.Dirty {
-				if err := writeBackBucket(m.C, m.BFHM, bucket); err != nil {
-					return n, err
-				}
-				n++
-			}
+			blob, err := b.Filter.Encode()
+			return []kvstore.Cell{
+				{Qualifier: bfhmBlobQual, Value: blob},
+				{Qualifier: bfhmMinQual, Value: kvstore.FloatValue(b.Min)},
+				{Qualifier: bfhmMaxQual, Value: kvstore.FloatValue(b.Max)},
+			}, log, err
+		})
+		n += k
+		if err != nil {
+			return n, err
 		}
 	}
-	if m.DRJN != nil {
-		for b := 0; b < m.DRJN.Layout.Buckets; b++ {
-			folded, err := writeBackDRJNBand(m.C, m.DRJN, b)
-			if err != nil {
-				return n, err
+	if idx := m.DRJN; idx != nil {
+		k, err := consolidate(m.C, idx.Table, drjnFamily, idx.Layout.Buckets, func(no int, row *kvstore.Row) ([]kvstore.Cell, recordLog, error) {
+			bd, log, err := decodeBandRow(idx, no, row)
+			if err != nil || len(log.quals) == 0 {
+				return nil, log, err
 			}
-			if folded {
-				n++
-			}
+			return []kvstore.Cell{{Qualifier: drjnBandQual, Value: histogram.MarshalBandData(bd.Cells, bd.Lo, bd.Hi, bd.NonEmpty)}}, log, nil
+		})
+		n += k
+		if err != nil {
+			return n, err
 		}
 	}
 	return n, nil

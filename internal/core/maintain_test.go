@@ -153,13 +153,31 @@ func (s *maintSetup) bfhmRecordCells(t *testing.T, idx *BFHMIndex) int {
 			continue
 		}
 		for _, cell := range row.Cells {
-			if strings.HasPrefix(cell.Qualifier, bfhmInsPfx) || strings.HasPrefix(cell.Qualifier, bfhmDelPfx) {
+			if strings.HasPrefix(cell.Qualifier, recordInsPfx) || strings.HasPrefix(cell.Qualifier, recordDelPfx) {
 				n++
 			}
 		}
 	}
 	return n
 }
+
+// drjnRebuild is the band matrix a from-scratch DRJN build over a set of
+// tuples would produce: per score band, each join partition's count.
+type drjnRebuild [][]uint64
+
+func newDRJNRebuild(idx *DRJNIndex, tuples []Tuple) drjnRebuild {
+	m := make(drjnRebuild, idx.Layout.Buckets)
+	for b := range m {
+		m[b] = make([]uint64, idx.JoinParts)
+	}
+	for _, tp := range tuples {
+		m[idx.Layout.BucketOf(tp.Score)][histogram.PartitionOf(tp.JoinValue, idx.JoinParts)]++
+	}
+	return m
+}
+
+// Band returns one score band's partition counts.
+func (m drjnRebuild) Band(b int) []uint64 { return m[b] }
 
 func TestMaintenanceInsertions(t *testing.T) {
 	s := newMaintSetup(t, 1)
@@ -432,13 +450,7 @@ func TestDRJNDeltaCountsMatchRebuild(t *testing.T) {
 
 	// Oracle: the matrix a from-scratch build over the live tuples
 	// would produce.
-	want, err := histogram.NewDRJNMatrix(s.drjnL.Layout, s.drjnL.JoinParts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range s.left {
-		want.Add(tp.JoinValue, tp.Score)
-	}
+	want := newDRJNRebuild(s.drjnL, s.left)
 
 	got, err := FetchAllBands(s.c, s.drjnL)
 	if err != nil {
@@ -514,7 +526,7 @@ func TestDRJNWriteBackConsolidatesDeltaRecords(t *testing.T) {
 		n := 0
 		for i := range rows {
 			for _, cell := range rows[i].Cells {
-				if len(cell.Qualifier) > 2 && (cell.Qualifier[:2] == drjnInsPfx || cell.Qualifier[:2] == drjnDelPfx) {
+				if len(cell.Qualifier) > 2 && (cell.Qualifier[:2] == recordInsPfx || cell.Qualifier[:2] == recordDelPfx) {
 					n++
 				}
 			}
@@ -535,13 +547,7 @@ func TestDRJNWriteBackConsolidatesDeltaRecords(t *testing.T) {
 		t.Fatalf("%d delta records survive consolidation", got)
 	}
 	// The consolidated blobs must equal a from-scratch rebuild.
-	want, err := histogram.NewDRJNMatrix(s.drjnL.Layout, s.drjnL.JoinParts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range s.left {
-		want.Add(tp.JoinValue, tp.Score)
-	}
+	want := newDRJNRebuild(s.drjnL, s.left)
 	got, err := FetchAllBands(s.c, s.drjnL)
 	if err != nil {
 		t.Fatal(err)
@@ -584,13 +590,7 @@ func TestRepeatedDeleteReplaysOnce(t *testing.T) {
 	// would clear its shared filter bit), and DRJN counts must match a
 	// rebuild (a double decrement would corrupt the shared band cell).
 	s.checkAll(t)
-	want, err := histogram.NewDRJNMatrix(s.drjnL.Layout, s.drjnL.JoinParts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range s.left {
-		want.Add(tp.JoinValue, tp.Score)
-	}
+	want := newDRJNRebuild(s.drjnL, s.left)
 	got, err := FetchAllBands(s.c, s.drjnL)
 	if err != nil {
 		t.Fatal(err)
@@ -609,4 +609,117 @@ func TestRepeatedDeleteReplaysOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.checkAll(t)
+}
+
+// TestRecordLog drives the mutation-record log directly: the order its
+// records replay in, the ones it drops, what it leaves for the offline
+// pass, and DRJN's use of it.
+func TestRecordLog(t *testing.T) {
+	layout, err := histogram.NewLayout(0, 1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The DRJN rows below store a two-partition band under a
+	// four-partition index: jIn's partition is inside the band's cells,
+	// jOut's is not.
+	idx := &DRJNIndex{Layout: layout, JoinParts: 4}
+	var jIn, jOut string
+	for i := 0; jIn == "" || jOut == ""; i++ {
+		jv := fmt.Sprintf("j%d", i)
+		if histogram.PartitionOf(jv, idx.JoinParts) < 2 {
+			jIn = jv
+		} else {
+			jOut = jv
+		}
+	}
+	rec := func(ins bool, key, jv string, ts int64) kvstore.Cell {
+		return recordCell(layout, drjnFamily, ins, Tuple{RowKey: key, JoinValue: jv, Score: 0.5}, ts)
+	}
+	band := kvstore.Cell{Family: drjnFamily, Qualifier: drjnBandQual,
+		Value: histogram.MarshalBandData([]uint64{3, 3}, 0.5, 0.5, true)}
+	bandPlusIn := []uint64{3, 3}
+	bandPlusIn[histogram.PartitionOf(jIn, idx.JoinParts)]++
+	otherFamily := rec(true, "b", jIn, 4)
+	otherFamily.Family = "x"
+	malformed := rec(false, "a", jIn, 2)
+	malformed.Value = []byte("not a tuple")
+
+	cases := []struct {
+		name    string
+		cells   []kvstore.Cell
+		want    string   // the records apply took, in replay order
+		records int      // records left for the offline pass to purge
+		newest  int64    // the newest record's timestamp
+		band    []uint64 // when set, decodeBandRow's partition counts
+		wantErr string
+	}{
+		{name: "timestamp order",
+			cells: []kvstore.Cell{rec(true, "c", jIn, 3), rec(true, "b", jIn, 2), rec(true, "a", jIn, 1)},
+			want:  "+a +b +c", records: 3, newest: 3},
+		{name: "update nets to replaced",
+			cells: []kvstore.Cell{rec(true, "a", jIn, 1), rec(true, "a", jOut, 5), rec(false, "a", jIn, 5)},
+			want:  "+a -a +a", records: 3, newest: 5},
+		{name: "retried delete applied once",
+			cells: []kvstore.Cell{rec(true, "a", jIn, 1), rec(false, "a", jIn, 2), rec(false, "a", jIn, 3)},
+			want:  "+a -a", records: 3, newest: 3},
+		{name: "blind double insert applied once",
+			cells: []kvstore.Cell{rec(true, "a", jIn, 1), rec(true, "a", jIn, 2)},
+			want:  "+a", records: 2, newest: 2},
+		{name: "insert delete insert",
+			cells: []kvstore.Cell{rec(true, "a", jIn, 1), rec(false, "a", jIn, 2), rec(true, "a", jIn, 3)},
+			want:  "+a -a +a", records: 3, newest: 3},
+		{name: "drjn skips an out-of-range partition",
+			cells: []kvstore.Cell{band, rec(true, "a", jOut, 1), rec(true, "a", jIn, 2)},
+			want:  "+a", records: 2, newest: 2, band: bandPlusIn},
+		{name: "drjn ignores another family",
+			cells: []kvstore.Cell{band, otherFamily, rec(true, "a", jIn, 1)},
+			want:  "+a", records: 1, newest: 1, band: bandPlusIn},
+		{name: "no records",
+			cells: []kvstore.Cell{band},
+			band:  []uint64{3, 3}},
+		{name: "malformed record",
+			cells:   []kvstore.Cell{rec(true, "a", jIn, 1), malformed},
+			wantErr: fmt.Sprintf("%q in family %q", malformed.Qualifier, drjnFamily)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var took []string
+			log, err := replayRecords(drjnFamily, tc.cells, func(ins bool, tp Tuple) bool {
+				if tp.JoinValue == jOut && tc.band != nil {
+					return false // as DRJN refuses a partition outside the band
+				}
+				took = append(took, map[bool]string{true: "+", false: "-"}[ins]+tp.RowKey)
+				return true
+			})
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %v, want one naming %s", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(took, " "); got != tc.want {
+				t.Errorf("replayed %q, want %q", got, tc.want)
+			}
+			if len(log.quals) != tc.records || log.newest != tc.newest {
+				t.Errorf("log holds %d records, newest at %d; want %d, newest at %d",
+					len(log.quals), log.newest, tc.records, tc.newest)
+			}
+			if tc.band == nil {
+				return
+			}
+			bd, blog, err := decodeBandRow(idx, 0, &kvstore.Row{Cells: tc.cells})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(bd.Cells) != fmt.Sprint(tc.band) {
+				t.Errorf("band counts %v, want %v", bd.Cells, tc.band)
+			}
+			if fmt.Sprint(blog) != fmt.Sprint(log) {
+				t.Errorf("decodeBandRow left %+v for the offline pass, the log %+v", blog, log)
+			}
+		})
+	}
 }

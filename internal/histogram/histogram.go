@@ -1,6 +1,6 @@
 // Package histogram provides the equi-width score histograms underlying
-// the BFHM index (Section 5.1) and the 2-D join-value x score matrix of
-// the DRJN comparator (Section 7.1, after Doulkeridis et al.).
+// the BFHM index (Section 5.1) and the band rows of the DRJN comparator's
+// 2-D join-value x score matrix (Section 7.1, after Doulkeridis et al.).
 //
 // Bucket numbering follows the paper: scores lie in [lo, hi] and bucket 0
 // covers the TOP of the range. For scores in [0,1] with 10 buckets, bucket

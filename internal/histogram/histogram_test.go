@@ -134,44 +134,11 @@ func TestHistogramAddAndBounds(t *testing.T) {
 	}
 }
 
-func TestDRJNMatrixAddRemove(t *testing.T) {
-	l := mustLayout(t, 0, 1, 10)
-	m, err := NewDRJNMatrix(l, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Add("alpha", 0.95)
-	m.Add("alpha", 0.93)
-	m.Add("beta", 0.91)
-	band := m.Band(0)
-	var total uint64
-	for _, c := range band {
-		total += c
-	}
-	if total != 3 {
-		t.Fatalf("band 0 total = %d, want 3", total)
-	}
-	lo, hi, ok := m.BandBounds(0)
-	if !ok || lo != 0.91 || hi != 0.95 {
-		t.Fatalf("band bounds = (%g, %g, %v), want (0.91, 0.95, true)", lo, hi, ok)
-	}
-	m.Remove("alpha", 0.95)
-	total = 0
-	for _, c := range m.Band(0) {
-		total += c
-	}
-	if total != 2 {
-		t.Fatalf("band 0 total after remove = %d, want 2", total)
-	}
-}
-
 func TestDRJNBandMarshalRoundTrip(t *testing.T) {
-	l := mustLayout(t, 0, 1, 5)
-	m, _ := NewDRJNMatrix(l, 4)
-	m.Add("x", 0.85)
-	m.Add("y", 0.88)
-	m.Add("x", 0.83)
-	buf := m.MarshalBand(0)
+	cells := make([]uint64, 4)
+	cells[PartitionOf("x", 4)] += 2
+	cells[PartitionOf("y", 4)]++
+	buf := MarshalBandData(cells, 0.83, 0.88, true)
 	bd, err := UnmarshalBand(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +157,7 @@ func TestDRJNBandMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("bounds = (%g, %g, %v), want (0.83, 0.88, true)", bd.Lo, bd.Hi, bd.NonEmpty)
 	}
 	// Empty band round trip.
-	bd2, err := UnmarshalBand(m.MarshalBand(3))
+	bd2, err := UnmarshalBand(MarshalBandData(make([]uint64, 4), 0, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +182,5 @@ func TestDotProduct(t *testing.T) {
 	c := &BandData{Cells: []uint64{1}}
 	if _, err := DotProduct(a, c); err == nil {
 		t.Error("mismatched lengths must error")
-	}
-}
-
-func TestDRJNMatrixValidation(t *testing.T) {
-	l := mustLayout(t, 0, 1, 2)
-	if _, err := NewDRJNMatrix(l, 0); err == nil {
-		t.Error("zero partitions must be rejected")
 	}
 }

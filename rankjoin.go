@@ -172,11 +172,11 @@ type QueryOptions struct {
 	ISLBatch int
 	// Parallelism fans the client read path out: BFHM's reverse-mapping
 	// multi-gets issue per-region RPCs over that many concurrent lanes,
-	// and at any value >= 2 ISL's left/right streams prefetch so their
-	// round trips overlap (ISL's fan-out is the two streams, so higher
-	// values change nothing there). The simulated clock advances by the
-	// slowest lane; resource counters sum over every consumed batch.
-	// 0 or 1 means sequential.
+	// and at any value >= 2 ISL and any-k prefetch every leaf's inverse
+	// score list so their round trips overlap (their fan-out is one list
+	// per leaf, so values above 2 change nothing there). The simulated
+	// clock advances by the slowest lane; resource counters sum over every
+	// consumed batch. 0 or 1 means sequential.
 	Parallelism int
 	// Objective is the metric AlgoAuto's planner minimizes (default
 	// ObjectiveTime). Ignored for hand-picked algorithms.
@@ -517,9 +517,9 @@ func (h *RelationHandle) DiskSize() uint64 {
 }
 
 // WriteBackBFHM runs the offline write-back pass for this relation —
-// dirty BFHM blobs are reconstructed and DRJN bands carrying delta
-// records are consolidated (records purged) — returning how many
-// structures were rewritten.
+// every BFHM bucket row and DRJN band row holding mutation records has
+// them folded into a fresh blob and purged — returning how many rows
+// were rewritten.
 func (h *RelationHandle) WriteBackBFHM() (int, error) {
 	h.writeMu.Lock()
 	defer h.writeMu.Unlock()
