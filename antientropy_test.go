@@ -143,7 +143,7 @@ func TestFaultScheduleReplicaTornWAL(t *testing.T) {
 // of a durable 3-node cluster suffers seeded bit-rot in an SSTable; the
 // anti-entropy pass detects it as typed corruption (the replica cannot
 // even summarize its table), fully resyncs the damaged table from the
-// clean leader, and afterwards all seven executors answer identically
+// clean leader, and afterwards all eight executors answer identically
 // to an undamaged single-process run over the same data.
 func TestAntiEntropyRepairsBitRot(t *testing.T) {
 	gateNodeFault(t, "bit-rot")

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"log"
 	"os"
@@ -31,11 +32,26 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":7070", "TCP listen address for the region transport")
-	name := flag.String("name", "", "node name reported in health and repair output (default: the listen address)")
-	dataDir := flag.String("data", "", "durable data directory (empty = in-memory)")
-	profileName := flag.String("profile", "lc", "hardware profile: ec2 or lc")
-	flag.Parse()
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(os.Args[1:], stop); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, opens the node's DB and serves it until stop
+// delivers (or is closed). It returns the error that kept the node from
+// serving — a bad flag, a store it cannot open, an address it cannot
+// listen on — before it listens.
+func run(args []string, stop <-chan os.Signal) error {
+	fs := flag.NewFlagSet("rjnode", flag.ContinueOnError)
+	addr := fs.String("addr", ":7070", "TCP listen address for the region transport")
+	name := fs.String("name", "", "node name reported in health and repair output (default: the listen address)")
+	dataDir := fs.String("data", "", "durable data directory (empty = in-memory)")
+	profileName := fs.String("profile", "lc", "hardware profile: ec2 or lc")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	profile := sim.LC()
 	if strings.EqualFold(*profileName, "ec2") {
@@ -51,7 +67,7 @@ func main() {
 		db, err = rankjoin.Open(cfg)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer db.Close()
 
@@ -61,7 +77,7 @@ func main() {
 	}
 	srv, err := transport.ListenAndServe(*addr, rankjoin.NewNodeService(nodeName, db))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if rels := db.RelationNames(); len(rels) > 0 {
 		log.Printf("node %s recovered relations %v from %s", nodeName, rels, *dataDir)
@@ -69,9 +85,8 @@ func main() {
 	log.Printf("region server %s serving on %s (%s profile, durable=%v)",
 		nodeName, srv.Addr(), profile.Name, *dataDir != "")
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	<-stop
 	log.Printf("shutting down %s", nodeName)
 	_ = srv.Close()
+	return nil
 }

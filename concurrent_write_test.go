@@ -1,5 +1,5 @@
 // Concurrent mixed read/write exercise (run with -race): online
-// Insert/Update/Delete traffic races TopK and Stream across all seven
+// Insert/Update/Delete traffic races TopK and Stream across all eight
 // executors on one shared DB. Under concurrent writes exact result sets
 // are timing-dependent, so each returned result is checked for
 // prefix-consistency instead: every tuple it contains must be a version

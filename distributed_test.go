@@ -207,7 +207,7 @@ func assertReplicasByteIdentical(t testing.TB, d *Distributed, table string) {
 }
 
 // TestDistributedMatchesSingleNode is the core acceptance check: a
-// 3-node fully replicated loopback cluster serves all seven executors
+// 3-node fully replicated loopback cluster serves all eight executors
 // byte-identically to a single-process DB over the same data, and the
 // replicas themselves hold cell-identical base AND index tables.
 func TestDistributedMatchesSingleNode(t *testing.T) {

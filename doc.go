@@ -213,7 +213,10 @@
 // plugs a custom filesystem under durable stores (internal/faultfs
 // injects deterministic faults in the tests), and the underlying
 // store's Scrub and Quarantined (via DB.Cluster) verify every on-disk
-// checksum proactively, quarantining tables that fail.
+// checksum proactively, quarantining tables that fail. OpenAt over a
+// store whose MANIFEST, catalog or an SSTable is of another format
+// version fails with a *FormatVersionError naming it and the version
+// found; it does not match ErrCorruption, and nothing is converted.
 //
 // # Distribution
 //

@@ -12,14 +12,14 @@ import (
 	"testing"
 )
 
-// sevenExecutors is every registered strategy, the planner mode excluded.
-func sevenExecutors() []Algorithm {
+// everyExecutor is every registered strategy, the planner mode excluded.
+func everyExecutor() []Algorithm {
 	return append(Algorithms(), AlgoNaive)
 }
 
 func assertTopKFresh(t *testing.T, db *DB, q Query, left, right []Tuple, f ScoreFunc, label string) {
 	t.Helper()
-	assertTopKFreshOn(t, db, q, sevenExecutors(), left, right, f, label)
+	assertTopKFreshOn(t, db, q, everyExecutor(), left, right, f, label)
 }
 
 func assertTopKFreshOn(t *testing.T, db *DB, q Query, algos []Algorithm, left, right []Tuple, f ScoreFunc, label string) {
@@ -300,7 +300,7 @@ func TestFreshnessOracle(t *testing.T) {
 }
 
 // TestWriteVisibleImmediately is the CI freshness smoke: a write
-// followed by an immediate query must be seen by all seven executors.
+// followed by an immediate query must be seen by all eight executors.
 func TestWriteVisibleImmediately(t *testing.T) {
 	db := mustOpen(t, Config{})
 	db.SetIndexConfig(IndexConfig{DRJNBuckets: 10, DRJNJoinParts: 16})
@@ -318,7 +318,7 @@ func TestWriteVisibleImmediately(t *testing.T) {
 	if err := db.Relation("right").Insert("rFRESH", "freshjoin", 1.0); err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range sevenExecutors() {
+	for _, algo := range everyExecutor() {
 		res, err := db.TopK(q, algo, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
@@ -385,10 +385,10 @@ func TestBatchedMaintenanceFewerWriteRPCs(t *testing.T) {
 	}
 }
 
-// TestMultiwayISLNMaintained: the inverse lists of a three-leaf tree are
+// TestMultiwayISLMaintained: the inverse lists of a three-leaf tree are
 // part of "every index built over the relation" — a write must reach
 // them too, or an n-way TopK silently serves stale results.
-func TestMultiwayISLNMaintained(t *testing.T) {
+func TestMultiwayISLMaintained(t *testing.T) {
 	db := mustOpen(t, Config{})
 	rng := rand.New(rand.NewSource(53))
 	handles := map[string]*RelationHandle{}

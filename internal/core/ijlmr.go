@@ -18,10 +18,8 @@ import (
 // IJLMRIndex locates a built IJLMR index.
 type IJLMRIndex struct {
 	// Table is the shared index table ("one big table", Section 4.1.1).
-	Table string
-	// LeftFamily / RightFamily are the per-relation column families.
-	LeftFamily  string
-	RightFamily string
+	Table    string
+	Families []string // one per relation, left then right
 }
 
 // BuildIJLMRRelation indexes one relation into family fam of the index
@@ -58,18 +56,17 @@ func BuildIJLMR(c *kvstore.Cluster, t *JoinTree) (*IJLMRIndex, []*mapreduce.Resu
 		return nil, nil, err
 	}
 	idx := &IJLMRIndex{
-		Table:       "ijlmr_" + t.ID(),
-		LeftFamily:  t.Relations[0].Name,
-		RightFamily: t.Relations[1].Name,
+		Table:    "ijlmr_" + t.ID(),
+		Families: []string{t.Relations[0].Name, t.Relations[1].Name},
 	}
-	if _, err := c.CreateTable(idx.Table, []string{idx.LeftFamily, idx.RightFamily}, hashSplits(c.Nodes())); err != nil {
+	if _, err := c.CreateTable(idx.Table, idx.Families, hashSplits(c.Nodes())); err != nil {
 		return nil, nil, err
 	}
-	left, err := BuildIJLMRRelation(c, t.Relations[0], idx.Table, idx.LeftFamily)
+	left, err := BuildIJLMRRelation(c, t.Relations[0], idx.Table, idx.Families[0])
 	if err != nil {
 		return nil, nil, err
 	}
-	right, err := BuildIJLMRRelation(c, t.Relations[1], idx.Table, idx.RightFamily)
+	right, err := BuildIJLMRRelation(c, t.Relations[1], idx.Table, idx.Families[1])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -112,9 +109,9 @@ func (m *ijlmrMapper) Map(row *kvstore.Row, ctx mapreduce.Context) error {
 		}
 		t := Tuple{RowKey: c.Qualifier, JoinValue: joinValue, Score: score}
 		switch c.Family {
-		case m.idx.LeftFamily:
+		case m.idx.Families[0]:
 			left = append(left, t)
-		case m.idx.RightFamily:
+		case m.idx.Families[1]:
 			right = append(right, t)
 		}
 	}

@@ -62,11 +62,11 @@ func newMaintSetup(t *testing.T, seed int64) *maintSetup {
 		c: c, q: q, ijlmr: ijlmr, isl: isl, bfhmL: bfhmL, bfhmR: bfhmR,
 		drjnL: drjnL, drjnR: drjnR,
 		mL: &Maintainer{C: c, Rel: relL,
-			IJLMR: []BoundIJLMR{{Idx: ijlmr, Family: ijlmr.LeftFamily}},
+			IJLMR: []BoundIJLMR{{Idx: ijlmr, Family: ijlmr.Families[0]}},
 			ISL:   []BoundISL{{Idx: isl, Family: isl.Families[0]}},
 			BFHM:  bfhmL, DRJN: drjnL},
 		mR: &Maintainer{C: c, Rel: relR,
-			IJLMR: []BoundIJLMR{{Idx: ijlmr, Family: ijlmr.RightFamily}},
+			IJLMR: []BoundIJLMR{{Idx: ijlmr, Family: ijlmr.Families[1]}},
 			ISL:   []BoundISL{{Idx: isl, Family: isl.Families[1]}},
 			BFHM:  bfhmR, DRJN: drjnR},
 		left: left, right: right,
@@ -301,7 +301,7 @@ func TestMaintenanceTimestampsShared(t *testing.T) {
 	if err != nil || idxRow == nil {
 		t.Fatalf("ijlmr row: %v %v", idxRow, err)
 	}
-	cell := idxRow.Cell(s.ijlmr.LeftFamily, tp.RowKey)
+	cell := idxRow.Cell(s.ijlmr.Families[0], tp.RowKey)
 	if cell == nil {
 		t.Fatal("ijlmr entry missing")
 	}

@@ -100,7 +100,7 @@ func TestMultiQueryValidate(t *testing.T) {
 	}
 }
 
-func TestISLNThreeWayEndToEnd(t *testing.T) {
+func TestISLThreeWayEndToEnd(t *testing.T) {
 	c := newTestCluster()
 	r1 := synthTuples("a", 120, 15, "uniform", 11)
 	r2 := synthTuples("b", 120, 15, "uniform", 12)
@@ -140,7 +140,7 @@ func TestISLNThreeWayEndToEnd(t *testing.T) {
 	}
 }
 
-func TestISLNFourWay(t *testing.T) {
+func TestISLFourWay(t *testing.T) {
 	c := newTestCluster()
 	var rels []Relation
 	var data [][]Tuple

@@ -139,26 +139,22 @@ func OpenClusterFS(profile sim.Profile, metrics *sim.Metrics, dir string, fsys V
 	s.clock = man.Clock
 	s.seed = man.Seed
 
-	byID := make(map[int]*manifestRegion, len(man.Regions))
-	for _, rec := range man.Regions {
-		byID[rec.ID] = rec
-	}
+	var opened []*Region
 	for _, mt := range man.Tables {
 		t := &Table{Name: mt.Name, families: make(map[string]bool)}
 		for _, f := range mt.Families {
 			t.families[f] = true
 		}
-		ids := append([]int(nil), mt.RegionIDs...)
-		sortRegionIDs(ids, byID)
-		for _, id := range ids {
-			rec, ok := byID[id]
-			if !ok {
-				return nil, fmt.Errorf("kvstore: manifest table %q references unknown region %d", mt.Name, id)
-			}
-			r, err := c.openRegion(rec)
+		for i := range mt.Regions {
+			r, err := c.openRegion(mt.Name, &mt.Regions[i])
 			if err != nil {
+				// A failed open keeps no file handle.
+				for _, r := range opened {
+					r.shutdown()
+				}
 				return nil, err
 			}
+			opened = append(opened, r)
 			t.regions = append(t.regions, r)
 		}
 		s.tables[mt.Name] = t
@@ -171,12 +167,12 @@ func OpenClusterFS(profile sim.Profile, metrics *sim.Metrics, dir string, fsys V
 // restored to their stores' quarantine unopened, WAL replayed into the
 // family memtables, sequence and clock floors advanced past everything
 // recovered.
-func (c *Cluster) openRegion(rec *manifestRegion) (*Region, error) {
+func (c *Cluster) openRegion(table string, rec *manifestRegion) (*Region, error) {
 	s := c.state
 	s.mu.RLock()
 	cacheBytes, flushThreshold := s.rowCacheBytes, s.flushThreshold
 	s.mu.RUnlock()
-	r := newRegion(rec.ID, rec.Table, rec.Start, rec.End, rec.Node, int64(rec.ID)<<32|int64(rec.Seq), cacheBytes)
+	r := newRegion(rec.ID, table, rec.Start, rec.End, rec.Node, int64(rec.ID)<<32|int64(rec.Seq), cacheBytes)
 	if flushThreshold > 0 {
 		r.flushThreshold = flushThreshold
 	}
@@ -486,18 +482,15 @@ func (c *Cluster) CreateTable(name string, families []string, splitKeys []string
 		t.regions = append(t.regions, r)
 	}
 	if s.store != nil {
-		ids := make([]int, len(t.regions))
-		for i, r := range t.regions {
-			ids[i] = r.id
+		mt := manifestTable{Name: name, Families: t.Families()}
+		for _, r := range t.regions {
+			mt.Regions = append(mt.Regions, r.manifestTemplateLocked())
 		}
 		nextID, seed := s.nextID, s.seed
 		if err := s.store.mutate(func(m *manifest) {
 			m.NextID = nextID
 			m.Seed = seed
-			m.Tables = append(m.Tables, manifestTable{Name: name, Families: t.Families(), RegionIDs: ids})
-			for _, r := range t.regions {
-				s.store.regionRecordLocked(r.manifestTemplateLocked())
-			}
+			m.Tables = append(m.Tables, mt)
 		}); err != nil {
 			return nil, err
 		}
@@ -522,31 +515,23 @@ func (c *Cluster) DropTable(name string) error {
 	if s.store == nil {
 		return nil
 	}
-	var dropped []*manifestRegion
+	var dropped []manifestRegion
 	if err := s.store.mutate(func(m *manifest) {
 		for i, mt := range m.Tables {
 			if mt.Name == name {
+				dropped = mt.Regions
 				m.Tables = append(m.Tables[:i], m.Tables[i+1:]...)
 				break
 			}
 		}
-		kept := m.Regions[:0]
-		for _, rec := range m.Regions {
-			if rec.Table == name {
-				dropped = append(dropped, rec)
-			} else {
-				kept = append(kept, rec)
-			}
-		}
-		m.Regions = kept
 	}); err != nil {
 		return err
 	}
 	for _, r := range t.regions {
 		r.shutdown()
 	}
-	for _, rec := range dropped {
-		if err := s.store.dropRegionFiles(rec); err != nil {
+	for i := range dropped {
+		if err := s.store.dropRegionFiles(&dropped[i]); err != nil {
 			return err
 		}
 	}

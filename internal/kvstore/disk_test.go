@@ -57,9 +57,11 @@ func sstFilesOnDisk(t *testing.T, dir string) []string {
 func orphanSSTs(t *testing.T, dir string, store *diskStore) []string {
 	t.Helper()
 	referenced := map[string]bool{}
-	for _, rec := range store.snapshotManifest().Regions {
-		for _, f := range rec.Files {
-			referenced[f] = true
+	for _, mt := range store.snapshotManifest().Tables {
+		for _, rec := range mt.Regions {
+			for _, f := range rec.Files {
+				referenced[f] = true
+			}
 		}
 	}
 	var out []string
@@ -162,115 +164,118 @@ func TestColdStartRecovery(t *testing.T) {
 	}
 }
 
-// TestOpenSplitEraManifest opens a store in the shape an online region
-// split used to leave, built by hand: table t lists its regions as
-// [5, 2, 3] — key order, not numeric order, because region 5 took over
-// the low range — and the MANIFEST keeps a record (region 4) that no
-// table lists, with an SSTable and a non-empty WAL on disk. Cold start
-// must serve every row of t unchanged and in key order, through scans
-// and keyed reads, and must drop the unlisted record from the MANIFEST
-// and unlink its files.
-func TestOpenSplitEraManifest(t *testing.T) {
-	dir := t.TempDir()
-	c := openDiskCluster(t, dir)
-	mustCreate(t, c, "t", []string{"cf"}, []string{"c", "m"}) // regions 1, 2, 3
-	mustCreate(t, c, "gone", []string{"cf"}, nil)             // region 4
-	put := func(table string, from, to int) {
-		t.Helper()
-		for i := from; i < to; i++ {
-			row := fmt.Sprintf("%c%02d", 'a'+i%26, i)
-			if err := c.Put(table, Cell{Row: row, Family: "cf", Qualifier: "q", Value: []byte(table + row)}); err != nil {
+// dirBytes maps every file in dir to its contents.
+func dirBytes(t testing.TB, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(raw)
+	}
+	return out
+}
+
+// TestOpenRefusesOtherManifestVersions: a MANIFEST of any format version
+// but 1 fails the open with a FormatVersionError naming the file and the
+// version — an unversioned one (the shape earlier builds wrote: region
+// records in one flat list, tables naming theirs by ID) and a version-2
+// one alike — and leaves the directory exactly as it was. The store
+// holds unflushed WAL records and a stray SSTable, both of which an open
+// that reached the orphan sweep would unlink.
+func TestOpenRefusesOtherManifestVersions(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		version uint32
+		rewrite func(m map[string]any)
+	}{
+		{"unversioned", 0, func(m map[string]any) {
+			delete(m, "Version")
+			var regions []any
+			for _, mt := range m["Tables"].([]any) {
+				mt := mt.(map[string]any)
+				var ids []any
+				for _, rec := range mt["Regions"].([]any) {
+					rec := rec.(map[string]any)
+					rec["Table"] = mt["Name"]
+					ids = append(ids, rec["ID"])
+					regions = append(regions, rec)
+				}
+				delete(mt, "Regions")
+				mt["RegionIDs"] = ids
+			}
+			m["Regions"] = regions
+		}},
+		{"version 2", 2, func(m map[string]any) { m["Version"] = 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := openDiskCluster(t, dir)
+			mustCreate(t, c, "t", []string{"cf"}, []string{"m"})
+			for i := 0; i < 52; i++ {
+				row := fmt.Sprintf("%c%02d", 'a'+i%26, i)
+				if err := c.Put("t", Cell{Row: row, Family: "cf", Qualifier: "q", Value: []byte(row)}); err != nil {
+					t.Fatal(err)
+				}
+				if i == 30 {
+					if err := c.FlushAll(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	put("t", 0, 52)
-	put("gone", 0, 10)
-	if err := c.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	put("t", 52, 78) // left in the WALs, region 1's included
-	put("gone", 10, 15)
-	want := snapshotRows(t, c, "t")
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// Rewrite the MANIFEST: region 1 becomes region 5 (its WAL renamed
-	// with it), and table "gone" leaves the table list while its region
-	// record stays.
-	path := filepath.Join(dir, manifestName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	var orphanFiles []string
-	for _, rec := range m.Regions {
-		switch rec.ID {
-		case 1:
-			rec.ID = 5
-		case 4:
-			orphanFiles = append(append(orphanFiles, rec.Files...), walName(4))
-		}
-	}
-	if err := os.Rename(filepath.Join(dir, walName(1)), filepath.Join(dir, walName(5))); err != nil {
-		t.Fatal(err)
-	}
-	m.NextID = 5
-	m.Tables = []manifestTable{{Name: "t", Families: []string{"cf"}, RegionIDs: []int{5, 2, 3}}}
-	if raw, err = json.Marshal(&m); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if len(orphanFiles) < 2 {
-		t.Fatalf("unlisted region owns files %v, want an SSTable and a WAL", orphanFiles)
-	}
-	for _, f := range orphanFiles {
-		if fi, err := os.Stat(filepath.Join(dir, f)); err != nil || fi.Size() == 0 {
-			t.Fatalf("unlisted region's file %s before open: %v", f, err)
-		}
-	}
+			path := filepath.Join(dir, manifestName)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m map[string]any
+			if err := json.Unmarshal(raw, &m); err != nil {
+				t.Fatal(err)
+			}
+			tc.rewrite(m)
+			if raw, err = json.Marshal(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "000999"+sstFileSuffix), []byte("stray"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirBytes(t, dir)
+			if len(before[walName(1)]) == 0 || len(sstFilesOnDisk(t, dir)) < 2 {
+				t.Fatalf("store holds %v, want a non-empty WAL and SSTables", sstFilesOnDisk(t, dir))
+			}
 
-	c2 := openDiskCluster(t, dir)
-	defer c2.Close()
-	if got := snapshotRows(t, c2, "t"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("reopened table serves %d rows, want the %d written, unchanged and in key order", len(got), len(want))
-	}
-	for _, w := range want {
-		got, err := c2.Get("t", w.Key)
-		if err != nil || got == nil || !reflect.DeepEqual(*got, w) {
-			t.Fatalf("get %s after reopen = %v, %v; want %v", w.Key, got, err, w)
-		}
-	}
-	regs, err := c2.TableRegions("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []int
-	for _, r := range regs {
-		ids = append(ids, r.ID())
-	}
-	if fmt.Sprint(ids) != "[5 2 3]" {
-		t.Errorf("regions open as %v, want [5 2 3] (key order)", ids)
-	}
-	if c2.HasTable("gone") {
-		t.Error("the unlisted region's table came back")
-	}
-	for _, rec := range c2.state.store.snapshotManifest().Regions {
-		if rec.ID == 4 {
-			t.Errorf("MANIFEST still holds the unlisted region record %+v", rec)
-		}
-	}
-	for _, f := range orphanFiles {
-		if _, err := os.Stat(filepath.Join(dir, f)); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("unlisted region's file %s survived the open: %v", f, err)
-		}
+			_, err = OpenCluster(sim.LC(), nil, dir)
+			var fve *FormatVersionError
+			if !errors.As(err, &fve) {
+				t.Fatalf("open: %v, want a FormatVersionError", err)
+			}
+			if want := (FormatVersionError{Path: manifestName, Version: tc.version, Supported: 1}); *fve != want {
+				t.Errorf("error %+v, want %+v", *fve, want)
+			}
+			if errors.Is(err, ErrCorruption) {
+				t.Error("a format-version mismatch is reported as corruption")
+			}
+			if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+				var names []string
+				for name := range after {
+					names = append(names, name)
+				}
+				t.Errorf("refused open changed the directory: now holds %v", names)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -51,14 +50,16 @@ var errSimulatedCrash = errors.New("kvstore: simulated crash after manifest regi
 
 const manifestName = "MANIFEST"
 
-// manifestRegion is one region's durable record. Records live in a flat
-// list; a table's manifestTable.RegionIDs names which of them serve the
-// table. Stores written by earlier builds, which split regions online,
-// may hold records no table lists and region IDs out of numeric order;
-// cold start handles both (cleanOrphansLocked, sortRegionIDs).
+// manifestVersion is the one MANIFEST format this build reads and
+// writes. Open refuses any other — a missing Version reads as 0, the
+// shape every earlier build wrote — with a FormatVersionError before it
+// removes or writes anything. Open reads a WAL only when the MANIFEST
+// lists its region, so this version also covers the WAL record format.
+const manifestVersion = 1
+
+// manifestRegion is one region's durable record, held by its table.
 type manifestRegion struct {
 	ID    int
-	Table string
 	Start string
 	End   string
 	Node  int
@@ -76,27 +77,27 @@ type manifestQuarantined struct {
 	Name, Family, MinRow, MaxRow string
 }
 
-// manifestTable records a table's schema and region membership in key
-// order.
+// manifestTable records a table's schema and its regions in key order.
 type manifestTable struct {
-	Name      string
-	Families  []string
-	RegionIDs []int
+	Name     string
+	Families []string
+	Regions  []manifestRegion
 }
 
 // manifest is the serialized cluster state.
 type manifest struct {
+	Version  uint32
 	NextID   int
 	Clock    int64
 	Seed     int64
 	NextFile uint64
 	Tables   []manifestTable
-	Regions  []*manifestRegion
 	Meta     map[string]string `json:",omitempty"`
 }
 
 // openDiskStore opens (or initializes) a store directory, loads the
-// manifest, and removes orphaned files left by crashes.
+// manifest, and removes orphaned files left by crashes. A MANIFEST of
+// another format version is refused before anything is removed.
 func openDiskStore(dir string, cacheBytes uint64, fsys VFS) (*diskStore, error) {
 	if fsys == nil {
 		fsys = DefaultVFS()
@@ -108,11 +109,20 @@ func openDiskStore(dir string, cacheBytes uint64, fsys VFS) (*diskStore, error) 
 	raw, err := readFileVFS(fsys, filepath.Join(dir, manifestName))
 	switch {
 	case err == nil:
+		// The version is read on its own first: another version's shape
+		// may not decode as this one's.
+		var head struct{ Version uint32 }
+		if err := json.Unmarshal(raw, &head); err != nil {
+			return nil, corruptionAt(manifestName, -1, fmt.Errorf("corrupt manifest: %v", err))
+		}
+		if head.Version != manifestVersion {
+			return nil, &FormatVersionError{Path: manifestName, Version: head.Version, Supported: manifestVersion}
+		}
 		if err := json.Unmarshal(raw, &s.man); err != nil {
 			return nil, corruptionAt(manifestName, -1, fmt.Errorf("corrupt manifest: %v", err))
 		}
 	case errors.Is(err, fs.ErrNotExist):
-		// Fresh store.
+		s.man.Version = manifestVersion
 	default:
 		return nil, err
 	}
@@ -122,37 +132,23 @@ func openDiskStore(dir string, cacheBytes uint64, fsys VFS) (*diskStore, error) 
 	return s, nil
 }
 
-// cleanOrphansLocked removes region records no table references (left
-// by an earlier build's interrupted region split) and files no surviving
-// record references (crashes between file creation and registration, or
-// between deregistration and unlink).
+// cleanOrphansLocked removes files no region record references (crashes
+// between file creation and registration, or between deregistration and
+// unlink).
 // It also advances NextFile past every file on disk so numbers are never
 // reused while an orphan still exists. Called from openDiskStore before
 // the store is shared, which is stronger than holding s.mu.
 func (s *diskStore) cleanOrphansLocked() error {
-	referenced := map[int]bool{}
-	for _, t := range s.man.Tables {
-		for _, id := range t.RegionIDs {
-			referenced[id] = true
-		}
-	}
-	kept := s.man.Regions[:0]
-	for _, r := range s.man.Regions {
-		if referenced[r.ID] {
-			kept = append(kept, r)
-		}
-	}
-	changed := len(kept) != len(s.man.Regions)
-	s.man.Regions = kept
-
 	liveFiles := map[string]bool{}
-	for _, r := range s.man.Regions {
-		liveFiles[walName(r.ID)] = true
-		for _, f := range r.Files {
-			liveFiles[f] = true
-		}
-		for _, q := range r.Quarantined {
-			liveFiles[q.Name] = true
+	for _, t := range s.man.Tables {
+		for _, r := range t.Regions {
+			liveFiles[walName(r.ID)] = true
+			for _, f := range r.Files {
+				liveFiles[f] = true
+			}
+			for _, q := range r.Quarantined {
+				liveFiles[q.Name] = true
+			}
 		}
 	}
 	entries, err := s.fs.ReadDir(s.dir)
@@ -177,9 +173,6 @@ func (s *diskStore) cleanOrphansLocked() error {
 				return err
 			}
 		}
-	}
-	if changed {
-		return s.saveLocked()
 	}
 	return nil
 }
@@ -240,16 +233,17 @@ func (s *diskStore) mutate(fn func(*manifest)) error {
 	return s.saveLocked()
 }
 
-// regionRecordLocked finds (or appends) the record for region id.
-func (s *diskStore) regionRecordLocked(tmpl manifestRegion) *manifestRegion {
-	for _, r := range s.man.Regions {
-		if r.ID == tmpl.ID {
-			return r
+// regionLocked returns the record of region id, or nil once its table
+// is dropped. Caller holds s.mu.
+func (s *diskStore) regionLocked(id int) *manifestRegion {
+	for _, t := range s.man.Tables {
+		for i := range t.Regions {
+			if t.Regions[i].ID == id {
+				return &t.Regions[i]
+			}
 		}
 	}
-	r := &tmpl
-	s.man.Regions = append(s.man.Regions, r)
-	return r
+	return nil
 }
 
 // registerSegments durably records a region's new record — SSTable file
@@ -260,7 +254,9 @@ func (s *diskStore) regionRecordLocked(tmpl manifestRegion) *manifestRegion {
 // by the caller.
 func (s *diskStore) registerSegments(rec manifestRegion, maxTs int64, obsolete ...string) error {
 	s.mu.Lock()
-	*s.regionRecordLocked(rec) = rec
+	if r := s.regionLocked(rec.ID); r != nil {
+		*r = rec
+	}
 	if maxTs > s.man.Clock {
 		s.man.Clock = maxTs
 	}
@@ -281,8 +277,8 @@ func (s *diskStore) registerSegments(rec manifestRegion, maxTs int64, obsolete .
 	return nil
 }
 
-// dropRegionFiles removes a region's record and unlinks its files —
-// quarantined ones included — and WAL; callers must have saved a
+// dropRegionFiles unlinks a region's files — quarantined ones
+// included — and WAL; callers must have saved a
 // manifest that no longer references the region (DropTable) before
 // calling.
 func (s *diskStore) dropRegionFiles(rec *manifestRegion) error {
@@ -325,21 +321,15 @@ func (s *diskStore) snapshotManifest() manifest {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cp := s.man
-	cp.Tables = append([]manifestTable(nil), s.man.Tables...)
-	cp.Regions = make([]*manifestRegion, len(s.man.Regions))
-	for i, r := range s.man.Regions {
-		rc := *r
-		rc.Files = append([]string(nil), r.Files...)
-		rc.Quarantined = append([]manifestQuarantined(nil), r.Quarantined...)
-		cp.Regions[i] = &rc
+	cp.Tables = make([]manifestTable, len(s.man.Tables))
+	for i, t := range s.man.Tables {
+		t.Regions = append([]manifestRegion(nil), t.Regions...)
+		for j := range t.Regions {
+			r := &t.Regions[j]
+			r.Files = append([]string(nil), r.Files...)
+			r.Quarantined = append([]manifestQuarantined(nil), r.Quarantined...)
+		}
+		cp.Tables[i] = t
 	}
 	return cp
-}
-
-// sortRegionIDs orders a table's region IDs by their records' start keys
-// (the manifest's canonical region order).
-func sortRegionIDs(ids []int, byID map[int]*manifestRegion) {
-	sort.Slice(ids, func(i, j int) bool {
-		return byID[ids[i]].Start < byID[ids[j]].Start
-	})
 }

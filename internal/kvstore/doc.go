@@ -112,10 +112,19 @@
 // registers all of them in ONE manifest save before the WAL truncates;
 // the manifest lists a region's files flat, newest first per family,
 // and each file's meta block names its family — that is how cold start
-// regroups them into stores. This is format version 2. A version-1 file
-// (one mixed-family run per flush) fails the open with a
-// FormatVersionError naming the version; it is never opened and
-// mis-grouped.
+// regroups them into stores.
+//
+// What is on disk has one compatibility rule: each format carries a
+// version, open reads exactly the version this build writes, and
+// anything else fails the open with a FormatVersionError naming the
+// file and the version it found — never corruption, never an upgrade in
+// place. The MANIFEST's version is 1; a missing one reads as 0, the
+// shape every earlier build wrote, and is refused before the orphan
+// sweep, so a refused directory is left byte for byte as it was. WALs
+// are read only through the MANIFEST that lists them, so its version
+// covers the WAL record format too. An SSTable carries its own version
+// (2) in the footer; a version-1 file (one mixed-family run per flush)
+// is never opened and mis-grouped.
 //
 // An SSTable is a sequence of framed blocks — data blocks, then index
 // blocks, then a summary, bloom, and meta block, then a fixed 60-byte
@@ -164,10 +173,8 @@
 // A table's regions are fixed when it is created — CreateTable's split
 // keys pre-split it, HBase style — and cold start rebuilds exactly the
 // regions the MANIFEST lists; nothing splits or moves a region online.
-// Stores written by earlier builds, which did, may list a table's
-// region IDs out of numeric order and keep records of regions no table
-// lists; open orders the former by start key and sweeps the latter
-// with their files.
+// The MANIFEST holds each region's record inside its table, in key
+// order, so no record can outlive the table that lists it.
 //
 // # Failure taxonomy
 //

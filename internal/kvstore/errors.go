@@ -66,12 +66,13 @@ func corruptionAt(path string, offset int64, err error) error {
 	return &CorruptionError{Path: path, Offset: offset, Err: err}
 }
 
-// FormatVersionError reports a durable file written in a format version
-// this build does not read. It is not corruption — the bytes are intact
-// — so it does not match ErrCorruption: the store must be rebuilt or
-// migrated by the build that wrote it, and Scrub/repair cannot help.
+// FormatVersionError reports a durable artifact written in a format
+// version this build does not read: the MANIFEST, an SSTable, or the
+// catalog a layer above keeps in the MANIFEST. It is not corruption —
+// the bytes are intact — so it does not match ErrCorruption: the store
+// must be rebuilt, and Scrub/repair cannot help.
 type FormatVersionError struct {
-	Path      string // offending file (name within the store directory)
+	Path      string // offending file (name within the store directory), or "catalog"
 	Version   uint32 // version found in the file
 	Supported uint32 // the one version this build reads and writes
 }

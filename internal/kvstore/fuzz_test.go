@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // FuzzParseCellKey checks the parse→encode identity: any key
@@ -264,6 +267,68 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if w.size() != uint64(len(logged)) {
 			t.Fatalf("log size %d after open, valid prefix %d bytes", w.size(), len(logged))
+		}
+	})
+}
+
+// FuzzManifestOpen opens a store directory under arbitrary MANIFEST
+// bytes, beside the SSTable and WALs of a real store. Open must not
+// panic: it returns a cluster or an error. A MANIFEST it refuses — of
+// another format version, or bytes that do not decode — must leave every
+// file of the directory as it was.
+func FuzzManifestOpen(f *testing.F) {
+	seed := f.TempDir()
+	c, err := OpenCluster(sim.LC(), nil, seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := c.CreateTable("t", []string{"cf"}, []string{"m"}); err != nil {
+		f.Fatal(err)
+	}
+	for i, row := range []string{"a", "k", "p", "z"} {
+		if err := c.Put("t", Cell{Row: row, Family: "cf", Qualifier: "q", Value: []byte(row)}); err != nil {
+			f.Fatal(err)
+		}
+		if i == 1 {
+			if err := c.FlushAll(); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	if err := c.Close(); err != nil {
+		f.Fatal(err)
+	}
+	files := dirBytes(f, seed)
+	v1 := files[manifestName]
+	f.Add([]byte(v1))
+	f.Add([]byte(strings.Replace(v1, `"Version": 1,`, "", 1)))
+	f.Add([]byte(strings.Replace(v1, `"Version": 1,`, `"Version": 2,`, 1)))
+	f.Add([]byte(v1[:len(v1)/2]))
+	f.Fuzz(func(t *testing.T, man []byte) {
+		dir := t.TempDir()
+		for name, raw := range files {
+			if name == manifestName {
+				raw = string(man)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := dirBytes(t, dir)
+		c, err := OpenCluster(sim.LC(), nil, dir)
+		if err == nil {
+			if c == nil {
+				t.Fatal("open returned neither a cluster nor an error")
+			}
+			c.Close()
+			return
+		}
+		var fve *FormatVersionError
+		var ce *CorruptionError
+		if errors.As(err, &fve) || errors.As(err, &ce) && ce.Path == manifestName {
+			if after := dirBytes(t, dir); !maps.Equal(after, before) {
+				t.Fatalf("open refused the MANIFEST (%v) but changed the directory", err)
+			}
 		}
 	})
 }

@@ -113,7 +113,7 @@ func (r *Region) attachStore(store *diskStore) ([]byte, error) {
 // upserts. Callers either hold r.mu (flush, compaction) or own a region
 // no other goroutine can reach yet (table creation).
 func (r *Region) manifestTemplateLocked() manifestRegion {
-	return manifestRegion{ID: r.id, Table: r.table, Start: r.startKey, End: r.endKey, Node: r.node}
+	return manifestRegion{ID: r.id, Start: r.startKey, End: r.endKey, Node: r.node}
 }
 
 // manifestRecordLocked renders the region's full manifest record — its

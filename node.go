@@ -15,7 +15,7 @@ import (
 
 // NodeService adapts one node-local DB to the transport.RegionService
 // seam. A region server hosts the FULL engine — base tables, index
-// tables, and all seven executors — and the seam ships work to it at
+// tables, and all eight executors — and the seam ships work to it at
 // node granularity: resolved pre-stamped writes to apply, whole top-k
 // queries to execute next to the data (the paper's design point), and
 // anti-entropy tree/range/repair traffic. cmd/rjnode serves one of

@@ -14,6 +14,12 @@ import (
 // rankjoin catalog.
 const catalogMetaKey = "catalog"
 
+// catalogVersion is the one catalog format this build reads and writes.
+// OpenAt refuses any other — a missing Version reads as 0, the shape
+// every earlier build wrote — with a FormatVersionError, and converts
+// nothing.
+const catalogVersion = 1
+
 // catalog is the durable description of everything the rankjoin layer
 // knows beyond the raw tables: defined relations, built indexes, and
 // the index-construction config. The index structures themselves are
@@ -21,26 +27,13 @@ const catalogMetaKey = "catalog"
 // index *data* lives in ordinary cluster tables and persists with them,
 // so reopening a directory restores every index without rebuilding.
 type catalog struct {
+	Version   uint32
 	Relations []string
 	IJLMR     map[string]*core.IJLMRIndex `json:",omitempty"`
-	ISL       map[string]*catalogISL      `json:",omitempty"`
+	ISL       map[string]*core.ISLIndex   `json:",omitempty"`
 	BFHM      map[string]*core.BFHMIndex  `json:",omitempty"`
 	DRJN      map[string]*core.DRJNIndex  `json:",omitempty"`
 	IdxCfg    IndexConfig
-
-	// ISLN is only ever read: catalogs written before the two inverse-
-	// score-list index types merged kept the n-way ones (isln_<LeafID>
-	// tables) in a map of their own.
-	ISLN map[string]*core.ISLIndex `json:",omitempty"`
-}
-
-// catalogISL is an inverse-score-list entry as written ({Table,
-// Families}) that also reads the older two-way form ({Table,
-// LeftFamily, RightFamily}).
-type catalogISL struct {
-	core.ISLIndex
-	LeftFamily  string `json:",omitempty"`
-	RightFamily string `json:",omitempty"`
 }
 
 // relationFor renders the canonical storage mapping for a relation name
@@ -97,6 +90,15 @@ func (db *DB) loadCatalog() error {
 	if raw == "" {
 		return nil
 	}
+	// The version is read on its own first: another version's shape may
+	// not decode as this one's.
+	var head struct{ Version uint32 }
+	if err := json.Unmarshal([]byte(raw), &head); err != nil {
+		return fmt.Errorf("rankjoin: corrupt catalog: %w", err)
+	}
+	if head.Version != catalogVersion {
+		return &FormatVersionError{Path: catalogMetaKey, Version: head.Version, Supported: catalogVersion}
+	}
 	var cat catalog
 	if err := json.Unmarshal([]byte(raw), &cat); err != nil {
 		return fmt.Errorf("rankjoin: corrupt catalog: %w", err)
@@ -110,38 +112,14 @@ func (db *DB) loadCatalog() error {
 	for id, idx := range cat.IJLMR {
 		db.store.IJLMR.Put(id, idx)
 	}
-	legacy := len(cat.ISLN) > 0
-	for id, e := range cat.ISL {
-		if len(e.Families) == 0 {
-			e.Families = []string{e.LeftFamily, e.RightFamily}
-			legacy = true
-		}
-		db.store.ISL.Put(id, &e.ISLIndex)
-	}
-	// A two-way query's ID is its tree's LeafID, so where an older
-	// catalog holds the same leaves under both maps the two tables have
-	// the same cells: the isl_ one stays, the isln_ one goes.
-	for id, idx := range cat.ISLN {
-		if _, dup := cat.ISL[id]; !dup {
-			db.store.ISL.Put(id, idx)
-			continue
-		}
-		// A crash after the drop and before the re-save below finds the
-		// table already gone.
-		if db.cluster.HasTable(idx.Table) {
-			if err := db.cluster.DropTable(idx.Table); err != nil {
-				return fmt.Errorf("rankjoin: dropping superseded index table %s: %w", idx.Table, err)
-			}
-		}
+	for id, idx := range cat.ISL {
+		db.store.ISL.Put(id, idx)
 	}
 	for rel, idx := range cat.BFHM {
 		db.store.BFHM.Put(rel, idx)
 	}
 	for rel, idx := range cat.DRJN {
 		db.store.DRJN.Put(rel, idx)
-	}
-	if legacy {
-		return db.saveCatalog()
 	}
 	return nil
 }
@@ -155,10 +133,11 @@ func (db *DB) saveCatalog() error {
 		return nil
 	}
 	cat := catalog{
-		IJLMR: map[string]*core.IJLMRIndex{},
-		ISL:   map[string]*catalogISL{},
-		BFHM:  map[string]*core.BFHMIndex{},
-		DRJN:  map[string]*core.DRJNIndex{},
+		Version: catalogVersion,
+		IJLMR:   map[string]*core.IJLMRIndex{},
+		ISL:     map[string]*core.ISLIndex{},
+		BFHM:    map[string]*core.BFHMIndex{},
+		DRJN:    map[string]*core.DRJNIndex{},
 	}
 	db.mu.Lock()
 	for name := range db.relations {
@@ -168,7 +147,7 @@ func (db *DB) saveCatalog() error {
 	db.mu.Unlock()
 	sort.Strings(cat.Relations)
 	db.store.IJLMR.Each(func(id string, idx *core.IJLMRIndex) { cat.IJLMR[id] = idx })
-	db.store.ISL.Each(func(id string, idx *core.ISLIndex) { cat.ISL[id] = &catalogISL{ISLIndex: *idx} })
+	db.store.ISL.Each(func(id string, idx *core.ISLIndex) { cat.ISL[id] = idx })
 	db.store.BFHM.Each(func(rel string, idx *core.BFHMIndex) { cat.BFHM[rel] = idx })
 	db.store.DRJN.Each(func(rel string, idx *core.DRJNIndex) { cat.DRJN[rel] = idx })
 	raw, err := json.Marshal(&cat)

@@ -6,16 +6,19 @@ package rankjoin
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kvstore"
+	"repro/internal/sim"
 )
 
 // TestColdStartFreshnessOracle runs a randomized workload on a durable
-// DB, closes it, reopens the directory, and requires all seven
+// DB, closes it, reopens the directory, and requires all eight
 // executors to match the in-memory oracle — with NO EnsureIndexes call
 // after reopen, so a recovered catalog (not a rebuild) is what answers.
 func TestColdStartFreshnessOracle(t *testing.T) {
@@ -85,7 +88,7 @@ func TestColdStartFreshnessOracle(t *testing.T) {
 
 	// The recovered maintainer must keep every index fresh: a
 	// score-1.0 insert on both sides creates a new top pair that all
-	// seven executors must see immediately.
+	// eight executors must see immediately.
 	if err := db2.Relation("left").Insert("lHOT", "hotjoin", 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +161,9 @@ func TestOpenAtValidation(t *testing.T) {
 	}
 }
 
-// TestCatalogPersistsMultiwayIndexes checks the n-way path: an ISLN
-// index built before close serves n-way queries after reopen without
-// another EnsureIndexes.
+// TestCatalogPersistsMultiwayIndexes checks the n-way path: the inverse
+// score lists of a three-leaf tree, built before close, serve the same
+// rows after reopen without another EnsureIndexes.
 func TestCatalogPersistsMultiwayIndexes(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenAt(Config{Dir: dir})
@@ -213,37 +216,64 @@ func TestCatalogPersistsMultiwayIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Results) != len(want.Results) {
-		t.Fatalf("recovered n-way top-k has %d results, want %d", len(got.Results), len(want.Results))
-	}
-	for i := range want.Results {
-		if got.Results[i].Score != want.Results[i].Score {
-			t.Fatalf("result %d: score %v, want %v", i, got.Results[i].Score, want.Results[i].Score)
-		}
-	}
+	assertSameResults(t, "recovered n-way top-k", got.Results, want.Results)
 }
 
-// TestOpenAtMigratesLegacyISLCatalog opens stores whose catalog and
-// index tables are in the layout written before the two inverse-score-
-// list index types merged: two-way indexes as {Table, LeftFamily,
-// RightFamily} under "ISL" in isl_<id>, n-way ones under "ISLN" in
-// isln_<LeafID>. Either kind — or both for the same leaves — must serve
-// isl and anyk with naive's rows, stay maintained, and be re-saved in
-// the single form.
-func TestOpenAtMigratesLegacyISLCatalog(t *testing.T) {
+// TestOpenAtRefusesOtherCatalogVersions: a catalog of any format version
+// but 1 fails OpenAt with a FormatVersionError naming the catalog and
+// that version, and no DB. The cases are the catalogs written before
+// the two inverse-score-list index types merged — two-way indexes as
+// {Table, LeftFamily, RightFamily} under "ISL" in isl_<id>, n-way ones
+// under "ISLN" in isln_<LeafID>, or both for the same leaves — a
+// current-shape catalog without its Version, and a version-2 one. The
+// refused store is left as it was: the same tables, the legacy ones
+// included, and the same catalog.
+func TestOpenAtRefusesOtherCatalogVersions(t *testing.T) {
 	const (
 		islEntry  = `"ISL":{"left_right_sum":{"Table":"isl_left_right_sum","LeftFamily":"left","RightFamily":"right"}}`
 		islnEntry = `"ISLN":{"left_right_sum":{"Table":"isln_left_right_sum","Families":["left","right"]}}`
 	)
+	// current renders the catalog this build saves for an isl index over
+	// left and right, with its Version replaced (nil: removed).
+	current := func(t *testing.T, db *DB, version any) string {
+		q, err := db.NewQuery("left", "right", Sum, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.EnsureIndexes(q, AlgoISL); err != nil {
+			t.Fatal(err)
+		}
+		var cat map[string]any
+		if err := json.Unmarshal([]byte(db.cluster.Meta(catalogMetaKey)), &cat); err != nil {
+			t.Fatal(err)
+		}
+		if cat["Version"] != float64(catalogVersion) {
+			t.Fatalf("saved catalog has Version %v, want %d", cat["Version"], catalogVersion)
+		}
+		delete(cat, "Version")
+		if version != nil {
+			cat["Version"] = version
+		}
+		raw, err := json.Marshal(cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	legacy := func(entries string) func(*testing.T, *DB) string {
+		return func(*testing.T, *DB) string { return `{"Relations":["left","right"],` + entries + `}` }
+	}
 	for _, tc := range []struct {
 		name    string
 		tables  []string // legacy index tables the old store holds
-		catalog string
-		keeps   string // the one index table left after migration
+		catalog func(*testing.T, *DB) string
+		version uint32
 	}{
-		{"ISL only", []string{"isl_left_right_sum"}, islEntry, "isl_left_right_sum"},
-		{"ISLN only", []string{"isln_left_right_sum"}, islnEntry, "isln_left_right_sum"},
-		{"both", []string{"isl_left_right_sum", "isln_left_right_sum"}, islEntry + "," + islnEntry, "isl_left_right_sum"},
+		{"ISL only", []string{"isl_left_right_sum"}, legacy(islEntry), 0},
+		{"ISLN only", []string{"isln_left_right_sum"}, legacy(islnEntry), 0},
+		{"both", []string{"isl_left_right_sum", "isln_left_right_sum"}, legacy(islEntry + "," + islnEntry), 0},
+		{"unversioned", nil, func(t *testing.T, db *DB) string { return current(t, db, nil) }, 0},
+		{"version 2", nil, func(t *testing.T, db *DB) string { return current(t, db, 2) }, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -262,62 +292,34 @@ func TestOpenAtMigratesLegacyISLCatalog(t *testing.T) {
 					}
 				}
 			}
-			if err := old.cluster.SetMeta(catalogMetaKey, `{"Relations":["left","right"],`+tc.catalog+`}`); err != nil {
+			catalog := tc.catalog(t, old)
+			if err := old.cluster.SetMeta(catalogMetaKey, catalog); err != nil {
 				t.Fatal(err)
 			}
+			tables := old.cluster.TableNames()
 			if err := old.Close(); err != nil {
 				t.Fatal(err)
 			}
 
 			db, err := OpenAt(Config{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
+			var fve *FormatVersionError
+			if !errors.As(err, &fve) || db != nil {
+				t.Fatalf("OpenAt = %v, %v; want no DB and a FormatVersionError", db, err)
 			}
-			defer db.Close()
-			q, err := db.NewQuery("left", "right", Sum, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Relation("left").Insert("lHOT", "hotjoin", 1.0); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Relation("right").Insert("rHOT", "hotjoin", 1.0); err != nil {
-				t.Fatal(err)
-			}
-			want, err := db.TopK(q, AlgoNaive, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.Results[0].Left.RowKey != "lHOT" {
-				t.Fatalf("setup broken: naive top %+v", want.Results[0])
-			}
-			for _, algo := range []Algorithm{AlgoISL, AlgoAnyK} {
-				got, err := db.TopK(q, algo, nil) // no EnsureIndexes
-				if err != nil {
-					t.Fatalf("%s over the migrated catalog: %v", algo, err)
-				}
-				assertSameResults(t, string(algo), got.Results, want.Results)
+			if want := (FormatVersionError{Path: "catalog", Version: tc.version, Supported: 1}); *fve != want {
+				t.Errorf("error %+v, want %+v", *fve, want)
 			}
 
-			var indexTables []string
-			for _, name := range db.cluster.TableNames() {
-				if !strings.HasPrefix(name, "rel_") {
-					indexTables = append(indexTables, name)
-				}
-			}
-			if len(indexTables) != 1 || indexTables[0] != tc.keeps {
-				t.Errorf("index tables after migration %v, want [%s]", indexTables, tc.keeps)
-			}
-			var saved map[string]json.RawMessage
-			if err := json.Unmarshal([]byte(db.cluster.Meta(catalogMetaKey)), &saved); err != nil {
+			c, err := kvstore.OpenCluster(sim.LC(), nil, dir)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := saved["ISLN"]; ok {
-				t.Errorf("re-saved catalog still has an ISLN map: %s", saved["ISLN"])
+			defer c.Close()
+			if got := c.TableNames(); !slices.Equal(got, tables) {
+				t.Errorf("tables after the refused open %v, want %v", got, tables)
 			}
-			wantISL := `{"left_right_sum":{"Table":"` + tc.keeps + `","Families":["left","right"]}}`
-			if string(saved["ISL"]) != wantISL {
-				t.Errorf("re-saved ISL map %s, want %s", saved["ISL"], wantISL)
+			if got := c.Meta(catalogMetaKey); got != catalog {
+				t.Errorf("catalog after the refused open %s, want %s", got, catalog)
 			}
 		})
 	}

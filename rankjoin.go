@@ -3,6 +3,7 @@ package rankjoin
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -57,8 +58,9 @@ type (
 	// IOError reports a storage operation that failed at the
 	// filesystem layer after retries, naming the file and operation.
 	IOError = kvstore.IOError
-	// FormatVersionError reports a store file written in a format
-	// version this build does not read (OpenAt over an older store).
+	// FormatVersionError reports a durable artifact of a format version
+	// this build does not read: OpenAt over a store whose MANIFEST, its
+	// rankjoin catalog or an SSTable was written in another version.
 	FormatVersionError = kvstore.FormatVersionError
 )
 
@@ -369,17 +371,14 @@ func (h *RelationHandle) Name() string { return h.rel.Name }
 // gets the mutation.
 func (h *RelationHandle) maintainer() *core.Maintainer {
 	m := &core.Maintainer{C: h.db.cluster, Rel: h.rel}
-	h.db.store.IJLMR.Each(func(id string, idx *core.IJLMRIndex) {
-		if fam, ok := familyFor(id, h.rel.Name, idx.LeftFamily, idx.RightFamily); ok {
-			m.IJLMR = append(m.IJLMR, core.BoundIJLMR{Idx: idx, Family: fam})
+	h.db.store.IJLMR.Each(func(_ string, idx *core.IJLMRIndex) {
+		if slices.Contains(idx.Families, h.rel.Name) {
+			m.IJLMR = append(m.IJLMR, core.BoundIJLMR{Idx: idx, Family: h.rel.Name})
 		}
 	})
 	h.db.store.ISL.Each(func(_ string, idx *core.ISLIndex) {
-		for _, fam := range idx.Families {
-			if fam == h.rel.Name {
-				m.ISL = append(m.ISL, core.BoundISL{Idx: idx, Family: fam})
-				break
-			}
+		if slices.Contains(idx.Families, h.rel.Name) {
+			m.ISL = append(m.ISL, core.BoundISL{Idx: idx, Family: h.rel.Name})
 		}
 	})
 	if idx, ok := h.db.store.BFHM.Get(h.rel.Name); ok {
@@ -389,17 +388,6 @@ func (h *RelationHandle) maintainer() *core.Maintainer {
 		m.DRJN = idx
 	}
 	return m
-}
-
-// familyFor matches a relation name against an index's two families.
-func familyFor(_, relName, leftFam, rightFam string) (string, bool) {
-	if relName == leftFam {
-		return leftFam, true
-	}
-	if relName == rightFam {
-		return rightFam, true
-	}
-	return "", false
 }
 
 // Get reads the relation's current tuple for a row key (ok=false when
