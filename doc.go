@@ -130,13 +130,14 @@
 // stream, paginate, and respect budgets exactly like binary ones.
 // AlgoISL is the same operator and cursor on all-equi trees, over the
 // same index: one inverse-score-list table per leaf set, built by
-// EnsureIndexes for either executor and read by both. They differ in
-// the pull schedule only: any-k takes turns between the lists as the
-// paper's Algorithm 4 does, ISL departs from it and reads the list that
-// currently bounds the threshold (HRJN*'s rule), so it reads each list
-// to the score depth the threshold needs rather than all lists to the
-// same count — same rows, fewer read units on skewed joins. The naive
-// executor answers trees through the materializing adapter.
+// EnsureIndexes for either executor and read by both, with one pull
+// rule: they differ only in the shapes they accept. Where the paper's
+// Algorithm 4 takes turns between the lists, the cursor reads the list
+// that currently bounds the threshold (HRJN*'s rule), so it reads each
+// list to the score depth the threshold needs rather than all lists to
+// the same count — the same rows, fewer read units on skewed joins and
+// band chains. The naive executor answers trees through the
+// materializing adapter.
 // ParseTreeSpec and NewTreeQueryFromSpec decode the JSON wire form
 // the HTTP server accepts on /topk, /stream, and /explain.
 //

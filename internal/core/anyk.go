@@ -27,8 +27,7 @@ import "math"
 // The operator is driven by listCursor (isl.go), which both the isl and
 // the anyk executor open over inverse score lists. It does not choose
 // which list to read, but evaluating the threshold tells it which list
-// bounds it (bounding): the isl executor's cursor reads that one (HRJN*),
-// the anyk executor's takes turns (Algorithm 4).
+// bounds it (bounding), and the cursor reads that one (HRJN*).
 
 // anyKOp is the tree-generalized ranked-enumeration operator. It holds
 // each pulled tuple once (treeJoin's per-leaf arenas and ordinal

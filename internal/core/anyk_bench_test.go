@@ -72,47 +72,33 @@ func BenchmarkLeafIndexAdd(b *testing.B) {
 }
 
 // BenchmarkAnyKPush measures one pushed tuple, driven as the list
-// cursor drives the operator: round-robin batches of DefaultISLBatch
-// per leaf, a releasable check after every push, and the first 30
-// results popped. chain4 is the deepest read of the chain workload,
-// which pulls about 12,000 tuples and parks about 24,000 combinations
-// to release them; equi2 is the binary rank join (HRJN's case, what ISL
-// runs on the TPC-H workloads): two leaves, about one equi partner per
-// tuple. A stream restarts on a fresh operator after 3,000 tuples per
-// leaf.
+// cursor drives the operator: each pull reads the leaf that bounds the
+// threshold (anyKOp.bounding), a releasable check follows every push,
+// and a query restarts on a fresh operator once it has released 30
+// results. chain4 is the deepest read of the chain workload: it pulls
+// about 4,800 tuples and parks about 1,000 combinations to release its
+// 30; equi2 is the binary rank join (HRJN's case, what ISL runs on the
+// TPC-H workloads): two leaves, about one equi partner per tuple, about
+// 1,000 tuples pulled.
 func BenchmarkAnyKPush(b *testing.B) {
 	b.Run("chain4", func(b *testing.B) { benchPush(b, bandChain(4)) })
 	b.Run("equi2", func(b *testing.B) { benchPush(b, stubBinary(Sum)) })
 }
 
 func benchPush(b *testing.B, tree *JoinTree) {
-	const perLeaf, k = 3000, 30
-	n := len(tree.Relations)
-	leaves := chainLeaves(n, benchChainRows)
-	type pull struct {
-		leaf int
-		t    Tuple
-	}
-	var order []pull
-	for base := 0; base < perLeaf; base += DefaultISLBatch {
-		for i := 0; i < n; i++ {
-			for _, t := range leaves[i][base : base+DefaultISLBatch] {
-				order = append(order, pull{i, t})
-			}
-		}
-	}
+	const k = 30
+	leaves := chainLeaves(len(tree.Relations), benchChainRows)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var op *anyKOp
-	released := 0
+	var run *sliceRun
+	released := k
 	for i := 0; i < b.N; i++ {
-		p := order[i%len(order)]
-		if i%len(order) == 0 {
-			op, released = newAnyKOp(tree), 0
+		if released == k {
+			run, released = newBoundingRun(tree, leaves...), 0
 		}
-		op.push(p.leaf, p.t)
-		if released < k && op.releasable() {
-			op.pop()
+		run.pull()
+		for released < k && run.op.releasable() {
+			run.op.pop()
 			released++
 		}
 	}
@@ -142,7 +128,7 @@ func BenchmarkNaiveTreeTopK(b *testing.B) {
 }
 
 // BenchmarkISLPullSkewed measures the two-way rank join to k = 100 over
-// a 1:4 pair of lists under the isl executor's schedule (bounding: read
+// a 1:4 pair of lists under the list cursor's schedule (bounding: read
 // the list that bounds the threshold) and under alternation, and reports
 // what the schedule decides: tuples pulled per released result.
 func BenchmarkISLPullSkewed(b *testing.B) {

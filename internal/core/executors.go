@@ -62,11 +62,10 @@ var executors = []*Executor{
 			idx, _ := store.IJLMR.Get(t.ID())
 			return QueryIJLMR(c, t, idx)
 		}},
-	// isl reads the list that bounds the threshold (HRJN*), not in turns.
+	// isl and anyk open one list cursor, which reads the list that bounds
+	// the threshold (HRJN*); they differ only in the shapes they take.
 	{name: "isl", supports: (*JoinTree).AllEqui, estimate: estimateLists, index: islIndexes,
-		open: func(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-			return openLists(c, t, store, opts, false)
-		}},
+		open: openLists},
 	// bfhm materializes: its estimation and reverse-mapping pipeline is
 	// k-driven end to end (the histogram walk targets the k'th estimate).
 	{name: "bfhm", supports: isBinary, estimate: estimateBFHM, index: bfhmIndexes,
@@ -81,11 +80,8 @@ var executors = []*Executor{
 			idxB, _ := store.DRJN.Get(t.Relations[1].Name)
 			return OpenDRJN(c, t, idxA, idxB)
 		}},
-	// anyk keeps Algorithm 4's turn-taking (turnTaking in isl.go).
 	{name: "anyk", supports: anyTree, estimate: estimateLists, index: islIndexes,
-		open: func(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-			return openLists(c, t, store, opts, true)
-		}},
+		open: openLists},
 }
 
 // Lookup returns the executor named name.

@@ -21,17 +21,17 @@ import (
 // of anyk.go one tuple at a time, and pauses the moment the next-ranked
 // result is provably complete.
 //
-// Where the isl executor departs from Algorithm 4 is which list the next
+// Where the cursor departs from Algorithm 4 is which list the next
 // tuple comes from. Algorithm 4 alternates, so every list is read to the
 // same count; but the HRJN threshold max_i f(min_i, max_-i) only falls
-// when the list attaining the max is read, and on a skewed join every
-// tuple read from the short list past its share is a read unit that can
-// release nothing. ISL therefore follows HRJN* (Ilyas, Aref and
-// Elmagarmid, "Supporting top-k join queries in relational databases"):
-// read the list that bounds the threshold, which for a two-way sum reads
-// each list exactly to the score depth the k-th result needs. Results,
-// release rule and tie order are those of the alternating schedule, which
-// the anyk executor keeps (turnTaking).
+// when the list attaining the max is read, and on a skewed join or a
+// band chain every tuple read from a list past its share is a read unit
+// that can release nothing. The cursor therefore follows HRJN* (Ilyas,
+// Aref and Elmagarmid, "Supporting top-k join queries in relational
+// databases"): read the list that bounds the threshold, which for a
+// two-way sum reads each list exactly to the score depth the k-th result
+// needs. The schedule decides only how deep each list is read: results,
+// release rule and tie order do not depend on it.
 
 // ISLIndex locates a built inverse-score-list index: one shared table
 // with one column family per relation.
@@ -173,33 +173,21 @@ func (s *islStream) Next() (*Tuple, error) {
 }
 
 // listCursor drives the rank-join operator from per-leaf inverse score
-// lists. It feeds one tuple at a time and pauses as soon as a result is
-// releasable, so pulling k results consumes exactly the input prefix
-// they need and pulling k more resumes where the cursor stopped instead
-// of rescanning from the top of the lists. Which list the next tuple
-// comes from is the one difference between the two executors that open
-// it: isl reads the leaf that bounds the threshold (HRJN*'s rule,
-// anyKOp.bounding), anyk takes turns.
+// lists. It feeds one tuple at a time, always from the leaf that bounds
+// the threshold (HRJN*'s rule, anyKOp.bounding), and pauses as soon as
+// a result is releasable, so pulling k results consumes exactly the
+// input prefix they need and pulling k more resumes where the cursor
+// stopped instead of rescanning from the top of the lists. Both the isl
+// and the anyk executor open it.
 type listCursor struct {
 	op      *anyKOp
 	streams []*islStream
-	turns   *turnTaking // nil for isl
 	closed  bool
 }
 
-// turnTaking is Algorithm 4's schedule generalized to n leaves, which
-// the anyk executor keeps: consume batch tuples from the current leaf,
-// then move to the next, skipping drained leaves; a released result
-// also ends the current leaf's batch.
-type turnTaking struct {
-	n, batch int // leaves, tuples per turn
-	leaf     int // the leaf being consumed (Algorithm 4's CurrentRelation)
-	taken    int // tuples consumed from its current batch
-}
-
 // openLists opens the list cursor for t over its built inverse-score-list
-// index; takeTurns is its pull schedule (see listCursor).
-func openLists(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions, takeTurns bool) (Cursor, error) {
+// index.
+func openLists(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
 	idx, _ := store.ISL.Get(t.LeafID())
 	if len(idx.Families) != len(t.Relations) {
 		return nil, fmt.Errorf("core: inverse score list index %s has %d families, tree %s has %d leaves",
@@ -216,11 +204,7 @@ func openLists(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOpti
 		}
 		streams[i] = s
 	}
-	cur := &listCursor{op: newAnyKOp(t), streams: streams}
-	if takeTurns {
-		cur.turns = &turnTaking{n: len(streams), batch: opts.ISLBatch}
-	}
-	return cur, nil
+	return &listCursor{op: newAnyKOp(t), streams: streams}, nil
 }
 
 // Next implements Cursor.
@@ -236,22 +220,15 @@ func (lc *listCursor) Next() (*JoinResult, error) {
 			return nil, err
 		}
 	}
-	if lc.turns != nil {
-		lc.turns.released()
-	}
 	r := lc.op.pop()
 	return &r, nil
 }
 
-// pull feeds one tuple, or one exhaustion mark, from the scheduled leaf
-// into the operator. The caller guarantees some leaf is not drained.
+// pull feeds one tuple, or one exhaustion mark, from the leaf that
+// bounds the threshold into the operator. The caller guarantees some
+// leaf is not drained.
 func (lc *listCursor) pull() error {
-	var i int
-	if lc.turns != nil {
-		i = lc.turns.current(lc.op.done)
-	} else {
-		i = lc.op.bounding()
-	}
+	i := lc.op.bounding()
 	t, err := lc.streams[i].Next()
 	if err != nil {
 		return err
@@ -261,40 +238,7 @@ func (lc *listCursor) pull() error {
 	} else {
 		lc.op.push(i, *t)
 	}
-	if lc.turns != nil {
-		lc.turns.took(t == nil)
-	}
 	return nil
-}
-
-// current returns the leaf whose turn it is, passing over drained ones;
-// the caller guarantees some leaf is not.
-func (tt *turnTaking) current(done []bool) int {
-	for done[tt.leaf] {
-		tt.nextLeaf()
-	}
-	return tt.leaf
-}
-
-// took records one pull from the current leaf: the turn ends when the
-// batch is full or the list drained.
-func (tt *turnTaking) took(drained bool) {
-	if tt.taken++; drained || tt.taken >= tt.batch {
-		tt.nextLeaf()
-	}
-}
-
-// released ends a turn that has consumed anything.
-func (tt *turnTaking) released() {
-	if tt.taken > 0 {
-		tt.nextLeaf()
-	}
-}
-
-// nextLeaf ends the current leaf's batch.
-func (tt *turnTaking) nextLeaf() {
-	tt.leaf = (tt.leaf + 1) % tt.n
-	tt.taken = 0
 }
 
 // Close implements Cursor. An early close abandons the scanners, so no

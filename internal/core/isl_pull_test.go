@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
-// The isl executor's pull schedule (HRJN*'s rule, anyKOp.bounding),
-// driven over in-memory leaves apart from any store.
+// The list cursor's pull schedule (HRJN*'s rule, anyKOp.bounding), which
+// both the isl and the anyk executor run, driven over in-memory leaves
+// apart from any store.
 
 // wantBoundingLeaf restates the pull rule from the operator's per-leaf
 // score extremes, independently of threshold(): the first non-exhausted
@@ -194,6 +196,33 @@ func TestISLPullsBoundingLeaf(t *testing.T) {
 					for _, k := range []int{1, 5, 40} {
 						label := fmt.Sprintf("%d-star seed=%d %s k=%d", len(sizes), seed, f.Name, k)
 						run := newBoundingRun(stubStar(len(sizes), f), sorted...)
+						got := takeChecked(t, label, run, k)
+						assertTreeResultsByteMatch(t, label, got, want[:min(k, len(want))])
+					}
+				}
+			}
+		}
+	})
+
+	// Band chains, the any-k workload's shape: join values uniform over
+	// as many integers as a leaf has rows, band edges of width 1.
+	t.Run("bandChain", func(t *testing.T) {
+		for _, shape := range []struct{ n, rows int }{{3, 60}, {4, 24}} {
+			for seed := int64(0); seed < 4; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				rels := make([][]Tuple, shape.n)
+				sorted := make([][]Tuple, shape.n)
+				for i := range rels {
+					rels[i] = numTuples(fmt.Sprintf("c%d-", i), shape.rows, shape.rows, rng)
+					sorted[i] = descending(rels[i])
+				}
+				for _, f := range []ScoreFunc{Sum, Product} {
+					tr := bandChain(shape.n)
+					tr.Score = f
+					want := bruteForceTreeTopK(tr, rels, 40)
+					for _, k := range []int{1, 10, 40} {
+						label := fmt.Sprintf("%d-chain seed=%d %s k=%d", shape.n, seed, f.Name, k)
+						run := newBoundingRun(tr, sorted...)
 						got := takeChecked(t, label, run, k)
 						assertTreeResultsByteMatch(t, label, got, want[:min(k, len(want))])
 					}

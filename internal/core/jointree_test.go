@@ -178,9 +178,10 @@ func assertTreeResultsByteMatch(t *testing.T, label string, got, want []JoinResu
 // TestAnyKMatchesOracleRandomTrees: the randomized join-tree oracle.
 // Any-k over random acyclic trees — chains, stars, and mixed shapes
 // with equi and band edges — must byte-match an independent
-// materialize-and-sort recompute, as must the naive tree reference.
+// materialize-and-sort recompute, as must the naive tree reference, and
+// its list cursor must pull from each leaf exactly what the in-memory
+// bounding schedule pulls.
 func TestAnyKMatchesOracleRandomTrees(t *testing.T) {
-	ex, _ := Lookup("anyk")
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := newTestCluster()
@@ -193,25 +194,15 @@ func TestAnyKMatchesOracleRandomTrees(t *testing.T) {
 			t.Fatalf("seed %d: NaiveTreeTopK: %v", seed, err)
 		}
 		assertTreeResultsByteMatch(t, fmt.Sprintf("seed %d naive", seed), naive.Results, want)
-
-		store := NewIndexStore()
-		if err := ex.EnsureIndex(c, tr, store, IndexBuildConfig{}.WithDefaults()); err != nil {
-			t.Fatalf("seed %d: EnsureIndex: %v", seed, err)
-		}
-		res, err := runExec(c, "anyk", tr, store, ExecOptions{ISLBatch: 5})
-		if err != nil {
-			t.Fatalf("seed %d: anyk: %v", seed, err)
-		}
-		assertTreeResultsByteMatch(t, fmt.Sprintf("seed %d anyk (n=%d)", seed, len(tr.Relations)), res.Results, want)
+		checkListCursor(t, fmt.Sprintf("seed %d anyk (n=%d)", seed, len(tr.Relations)), c, "anyk", tr, tuples, want)
 	}
 }
 
 // TestISLMatchesOracleSkewedEquiTrees: the same oracle over all-equi
-// trees of unequal leaves, for the isl executor and its threshold-driven
-// pull schedule. Results must byte-match the brute force, and the cursor
-// must have pulled from each inverse score list exactly the tuples the
-// in-memory bounding schedule pulls from the same leaves — over the set,
-// strictly fewer than alternation needs for the same results.
+// trees of unequal leaves, for the isl executor. Results must
+// byte-match the brute force and follow the bounding schedule — over
+// the set, strictly fewer pulls than alternation needs for the same
+// results.
 func TestISLMatchesOracleSkewedEquiTrees(t *testing.T) {
 	var pulled, alternating int
 	for seed := int64(0); seed < 16; seed++ {
@@ -220,44 +211,11 @@ func TestISLMatchesOracleSkewedEquiTrees(t *testing.T) {
 		k := []int{1, 7, 25}[rng.Intn(3)]
 		tr, tuples := skewedEquiTreeEnv(t, c, rng, k)
 		label := fmt.Sprintf("seed %d isl (n=%d)", seed, len(tr.Relations))
-		want := bruteForceTreeTopK(tr, tuples, k)
-		store := NewIndexStore()
-		isl, _ := Lookup("isl")
-		if err := isl.EnsureIndex(c, tr, store, IndexBuildConfig{}); err != nil {
-			t.Fatalf("%s: EnsureIndex: %v", label, err)
-		}
-		cur, err := isl.Open(c, tr, store, ExecOptions{ISLBatch: 5})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		var got []JoinResult
-		for len(got) < k {
-			r, err := cur.Next()
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if r == nil {
-				break
-			}
-			got = append(got, *r)
-		}
-		assertTreeResultsByteMatch(t, label, got, want)
+		pulled += checkListCursor(t, label, c, "isl", tr, tuples, bruteForceTreeTopK(tr, tuples, k))
 
 		sorted := make([][]Tuple, len(tuples))
 		for i := range tuples {
 			sorted[i] = descending(tuples[i])
-		}
-		model := newBoundingRun(tr, sorted...)
-		model.take(k)
-		for i, li := range cur.(*listCursor).op.join.leaves {
-			if int(li.n) != model.pos[i] {
-				t.Errorf("%s: pulled %d tuples from leaf %d (%d rows), the bounding schedule pulls %d",
-					label, li.n, i, len(tuples[i]), model.pos[i])
-			}
-			pulled += int(li.n)
-		}
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
 		}
 		rr := newSliceRun(tr, sorted...)
 		rr.take(k)
@@ -266,6 +224,53 @@ func TestISLMatchesOracleSkewedEquiTrees(t *testing.T) {
 	if pulled >= alternating {
 		t.Errorf("isl pulled %d tuples over the set, alternation needs %d: want strictly fewer", pulled, alternating)
 	}
+}
+
+// checkListCursor builds the named list executor's index for tr, drains
+// its cursor to tr.K results and requires them to byte-match want, and
+// every leaf's pulled count to equal what the in-memory bounding
+// schedule pulls from the same tuples. It returns the tuples pulled over
+// all leaves.
+func checkListCursor(t *testing.T, label string, c *kvstore.Cluster, name string, tr *JoinTree, tuples [][]Tuple, want []JoinResult) int {
+	t.Helper()
+	ex, _ := Lookup(name)
+	store := NewIndexStore()
+	if err := ex.EnsureIndex(c, tr, store, IndexBuildConfig{}.WithDefaults()); err != nil {
+		t.Fatalf("%s: EnsureIndex: %v", label, err)
+	}
+	cur, err := ex.Open(c, tr, store, ExecOptions{ISLBatch: 5})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	defer cur.Close()
+	var got []JoinResult
+	for len(got) < tr.K {
+		r, err := cur.Next()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if r == nil {
+			break
+		}
+		got = append(got, *r)
+	}
+	assertTreeResultsByteMatch(t, label, got, want)
+
+	sorted := make([][]Tuple, len(tuples))
+	for i := range tuples {
+		sorted[i] = descending(tuples[i])
+	}
+	model := newBoundingRun(tr, sorted...)
+	model.take(tr.K)
+	pulled := 0
+	for i, li := range cur.(*listCursor).op.join.leaves {
+		if int(li.n) != model.pos[i] {
+			t.Errorf("%s: pulled %d tuples from leaf %d (%d rows), the bounding schedule pulls %d",
+				label, li.n, i, len(tuples[i]), model.pos[i])
+		}
+		pulled += int(li.n)
+	}
+	return pulled
 }
 
 // TestAnyKTreePagesMatchBatch: draining one any-k cursor in small pages

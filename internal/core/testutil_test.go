@@ -261,7 +261,7 @@ func queryISL(c *kvstore.Cluster, q *JoinTree, idx *ISLIndex, opts ExecOptions) 
 // sliceRun drives one rank-join operator over in-memory leaves, each
 // already in descending score order, one tuple per pull: round-robin
 // (classic HRJN's alternation) or, with bounding set, from the leaf that
-// bounds the threshold (HRJN*'s rule, the isl executor's schedule).
+// bounds the threshold (HRJN*'s rule, the list cursor's schedule).
 type sliceRun struct {
 	op       *anyKOp
 	leaves   [][]Tuple

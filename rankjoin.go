@@ -170,7 +170,8 @@ type IndexConfig struct {
 // BFHM replays pending mutation records in memory, and persisting the
 // reconstructed blobs is the offline pass, RelationHandle.WriteBackBFHM.
 type QueryOptions struct {
-	// ISLBatch is the scanner caching size for ISL (default 100).
+	// ISLBatch is the scanner caching size for the list executors
+	// (isl, anyk): rows per scanner RPC (default 100).
 	ISLBatch int
 	// Parallelism fans the client read path out: BFHM's reverse-mapping
 	// multi-gets issue per-region RPCs over that many concurrent lanes,
