@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/kvstore"
 	"repro/internal/mapreduce"
@@ -115,11 +116,22 @@ func scoreKeySplits(nodes int) []string {
 
 // islStream is a batched scan over one index family, expanding index
 // rows (one per distinct score) into tuples in descending score order.
+// It holds the scanner's current row, which is valid until the next
+// scanner.Next, and builds each tuple from views: RowKey is the cell's
+// qualifier, a string into the store. JoinValue is the one copy, cut
+// from a string built per scanner batch, so the stream allocates per
+// batch, not per tuple. The Tuple Next returns is valid until the next
+// Next; its strings for as long as they are held.
 type islStream struct {
 	scanner *kvstore.Scanner
-	buf     []Tuple
-	pos     int
+	row     *kvstore.Row
+	score   float64
+	pos     int // next cell of row
 	done    bool
+	tuple   Tuple
+	// vals holds the join values of the current batch; a new batch
+	// starts a new string, sized by the batch before.
+	vals strings.Builder
 }
 
 func newISLStream(c *kvstore.Cluster, table, family string, batch int, prefetch bool) (*islStream, error) {
@@ -140,36 +152,36 @@ func newISLStream(c *kvstore.Cluster, table, family string, batch int, prefetch 
 
 // Next returns the next tuple, or nil when the list is drained.
 func (s *islStream) Next() (*Tuple, error) {
-	for s.pos >= len(s.buf) {
+	for s.row == nil || s.pos >= len(s.row.Cells) {
 		if s.done {
 			return nil, nil
 		}
+		newBatch := s.scanner.Buffered() == 0
 		row, err := s.scanner.Next()
 		if err != nil {
 			return nil, err
 		}
 		if row == nil {
-			s.done = true
+			s.row, s.done = nil, true
 			return nil, nil
 		}
 		score, err := kvstore.DecodeScoreDesc(row.Key)
 		if err != nil {
 			return nil, fmt.Errorf("isl: bad score key %q: %w", row.Key, err)
 		}
-		s.buf = s.buf[:0]
-		s.pos = 0
-		for i := range row.Cells {
-			c := &row.Cells[i]
-			s.buf = append(s.buf, Tuple{
-				RowKey:    c.Qualifier,
-				JoinValue: string(c.Value),
-				Score:     score,
-			})
+		if newBatch {
+			n := s.vals.Len()
+			s.vals.Reset()
+			s.vals.Grow(n)
 		}
+		s.row, s.score, s.pos = row, score, 0
 	}
-	t := &s.buf[s.pos]
+	c := &s.row.Cells[s.pos]
 	s.pos++
-	return t, nil
+	from := s.vals.Len()
+	s.vals.Write(c.Value)
+	s.tuple = Tuple{RowKey: c.Qualifier, JoinValue: s.vals.String()[from:], Score: s.score}
+	return &s.tuple, nil
 }
 
 // listCursor drives the rank-join operator from per-leaf inverse score

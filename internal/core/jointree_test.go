@@ -229,8 +229,10 @@ func TestISLMatchesOracleSkewedEquiTrees(t *testing.T) {
 // checkListCursor builds the named list executor's index for tr, drains
 // its cursor to tr.K results and requires them to byte-match want, and
 // every leaf's pulled count to equal what the in-memory bounding
-// schedule pulls from the same tuples. It returns the tuples pulled over
-// all leaves.
+// schedule pulls from the same tuples. It does so at ISL batch sizes 1,
+// 2 and 5: the small batches recycle the scanners' row blocks every
+// tuple or two, under tuples the operator has kept. It returns the
+// tuples pulled over all leaves, which no batch size changes.
 func checkListCursor(t *testing.T, label string, c *kvstore.Cluster, name string, tr *JoinTree, tuples [][]Tuple, want []JoinResult) int {
 	t.Helper()
 	ex, _ := Lookup(name)
@@ -238,24 +240,6 @@ func checkListCursor(t *testing.T, label string, c *kvstore.Cluster, name string
 	if err := ex.EnsureIndex(c, tr, store, IndexBuildConfig{}.WithDefaults()); err != nil {
 		t.Fatalf("%s: EnsureIndex: %v", label, err)
 	}
-	cur, err := ex.Open(c, tr, store, ExecOptions{ISLBatch: 5})
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	defer cur.Close()
-	var got []JoinResult
-	for len(got) < tr.K {
-		r, err := cur.Next()
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if r == nil {
-			break
-		}
-		got = append(got, *r)
-	}
-	assertTreeResultsByteMatch(t, label, got, want)
-
 	sorted := make([][]Tuple, len(tuples))
 	for i := range tuples {
 		sorted[i] = descending(tuples[i])
@@ -263,12 +247,34 @@ func checkListCursor(t *testing.T, label string, c *kvstore.Cluster, name string
 	model := newBoundingRun(tr, sorted...)
 	model.take(tr.K)
 	pulled := 0
-	for i, li := range cur.(*listCursor).op.join.leaves {
-		if int(li.n) != model.pos[i] {
-			t.Errorf("%s: pulled %d tuples from leaf %d (%d rows), the bounding schedule pulls %d",
-				label, li.n, i, len(tuples[i]), model.pos[i])
+	for _, batch := range []int{1, 2, 5} {
+		label := fmt.Sprintf("%s batch %d", label, batch)
+		cur, err := ex.Open(c, tr, store, ExecOptions{ISLBatch: batch})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-		pulled += int(li.n)
+		var got []JoinResult
+		for len(got) < tr.K {
+			r, err := cur.Next()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if r == nil {
+				break
+			}
+			got = append(got, *r)
+		}
+		assertTreeResultsByteMatch(t, label, got, want)
+
+		pulled = 0
+		for i, li := range cur.(*listCursor).op.join.leaves {
+			if int(li.n) != model.pos[i] {
+				t.Errorf("%s: pulled %d tuples from leaf %d (%d rows), the bounding schedule pulls %d",
+					label, li.n, i, len(tuples[i]), model.pos[i])
+			}
+			pulled += int(li.n)
+		}
+		cur.Close()
 	}
 	return pulled
 }

@@ -45,9 +45,10 @@ func NaiveTopK(c *kvstore.Cluster, t *JoinTree) (*Result, error) {
 	}, nil
 }
 
-// scanRelation drains a relation through the metered scanner.
+// scanRelation drains a relation through the metered scanner, decoding
+// each row into a tuple before the next.
 func scanRelation(c *kvstore.Cluster, rel *Relation) ([]Tuple, error) {
-	rows, err := c.ScanAll(kvstore.Scan{
+	sc, err := c.OpenScanner(kvstore.Scan{
 		Table:    rel.Table,
 		Families: []string{rel.Family},
 		Caching:  1024,
@@ -55,11 +56,17 @@ func scanRelation(c *kvstore.Cluster, rel *Relation) ([]Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Tuple, 0, len(rows))
-	for i := range rows {
-		if t, ok := TupleFromRow(rel, &rows[i]); ok {
+	var out []Tuple
+	for {
+		row, err := sc.Next()
+		if err != nil {
+			return nil, err
+		}
+		if row == nil {
+			return out, nil
+		}
+		if t, ok := TupleFromRow(rel, row); ok {
 			out = append(out, t)
 		}
 	}
-	return out, nil
 }

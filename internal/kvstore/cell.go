@@ -86,6 +86,46 @@ func (r *Row) FamilyCells(family string) []Cell {
 	return out
 }
 
+// rowBlock is one batch of scanned rows in two arrays reused from batch
+// to batch: the rows, and one cell slab their Cells sub-slice. Once the
+// arrays have grown to a batch's size, filling the block again
+// allocates nothing. The block owns only the arrays; the cells'
+// strings and Values are views into the store (see Cell).
+type rowBlock struct {
+	rows  []Row
+	cells []Cell
+}
+
+// reset empties b for the next batch, keeping its arrays.
+func (b *rowBlock) reset() { b.rows, b.cells = b.rows[:0], b.cells[:0] }
+
+// closeRow ends the row being assembled at the end of b, whose cells
+// start at first in the slab: a row left without cells or rejected by f
+// is dropped, a kept one is billed as returned.
+func (b *rowBlock) closeRow(first int, f Filter, stats *OpStats) {
+	row := &b.rows[len(b.rows)-1]
+	row.Cells = b.cells[first:len(b.cells):len(b.cells)]
+	if len(row.Cells) == 0 || (f != nil && !f.FilterRow(row)) {
+		b.rows, b.cells = b.rows[:len(b.rows)-1], b.cells[:first]
+		return
+	}
+	stats.CellsReturned += uint64(len(row.Cells))
+	stats.BytesReturned += row.Size()
+}
+
+// seal points every row's Cells at its run of the slab. Until then a
+// row's Cells has the right length but may point into an array the
+// slab has since outgrown. Each run is capacity-clipped, so appending
+// to one row's Cells never overwrites the next row's.
+func (b *rowBlock) seal() {
+	off := 0
+	for i := range b.rows {
+		n := len(b.rows[i].Cells)
+		b.rows[i].Cells = b.cells[off : off+n : off+n]
+		off += n
+	}
+}
+
 // cellKey builds the internal sort key for a cell version. Layout:
 //
 //	row \x00 family \x00 qualifier \x00 ^timestamp ^seq

@@ -40,7 +40,7 @@
 // few slabs and arrays per store rather than five objects per cell, and
 // the garbage collector's mark work no longer grows with the data.
 //
-// Three rules follow from that layout:
+// Four rules follow from that layout:
 //
 //   - Writes copy. Put, MutateRow, BatchPut and GroupWrite copy key and
 //     value into the arena (and, on disk, the WAL file); the caller may
@@ -50,16 +50,24 @@
 //     strings are substrings of the stored key and whose Value is a
 //     capacity-clipped slice of the value slab, valid until the next
 //     next() on that iterator. The read loops copy the Cell by value
-//     into the Row they return; those copies still point into the
+//     into the rows they return; those copies still point into the
 //     arena, which is safe — slab bytes are written once and never
 //     moved — and means returned Values are READ-ONLY: append
 //     reallocates, writing through one would corrupt the store.
+//   - A scanner's rows are the scanner's. A batch is one block it owns
+//     and refills (rowBlock: the rows, and one cell slab their Cells
+//     sub-slice), so a *Row from Scanner.Next, and its Cells slice, is
+//     valid until the next Next or Fill. ScanAll copies each batch out
+//     into rows and a cell array of its own, so its rows are detached,
+//     as are Get's and MultiGet's; a MapReduce task's row is valid for
+//     its Map call. In every case the cells' strings and Values are the
+//     same views, unchanged: valid for as long as they are held.
 //   - Whoever keeps a cell past the operation detaches it. A copy of a
-//     view keeps its whole slab alive. Rows handed to callers are
-//     theirs to hold or drop; inside the store, the row cache copies
-//     each row into a buffer of its own before caching it (a cached row
-//     must not pin a retired memtable or a compacted-away segment), and
-//     an SSTable writer clones the few keys its open segment keeps.
+//     view keeps its whole slab alive. Inside the store, the row cache
+//     copies each row into a buffer of its own before caching it (a
+//     cached row must not pin a retired memtable or a compacted-away
+//     segment), and an SSTable writer clones the few keys its open
+//     segment keeps.
 //
 // Reads merge the stores of the requested families only (Scan.Families,
 // Get's family list; none = all): a family-restricted read never walks —

@@ -9,11 +9,39 @@ import "fmt"
 // and read units for that work. Everything here returns OpStats so the
 // caller can do exactly that.
 
-// LocalScan reads rows straight from this region (no RPC, no metering).
-// limit 0 means no limit.
-func (r *Region) LocalScan(startRow, stopRow string, limit int, families []string, readTs int64, f Filter) ([]Row, OpStats, error) {
-	return r.scan(startRow, stopRow, limit, families, readTs, f)
+// LocalScan walks this region's rows in [startRow, stopRow) in key
+// order (no RPC, no metering), handing each to fn. It reads the range in
+// blocks of at most localScanBlock rows into one reused rowBlock, so a
+// row and its Cells are valid only until fn returns (the cells' strings
+// and Values are views, see Cell). The region is read-locked while a
+// block fills, never while fn runs. Each block resumes on the row the
+// one before stopped at and pays for that row's first cell itself, so
+// the blocks bill what one pass over the range bills.
+func (r *Region) LocalScan(startRow, stopRow string, families []string, readTs int64, f Filter, fn func(*Row) error) (OpStats, error) {
+	var stats OpStats
+	var b rowBlock
+	for start := startRow; ; {
+		b.reset()
+		st, next, err := r.scan(&b, start, stopRow, localScanBlock, families, readTs, f, false)
+		stats.add(st)
+		if err != nil {
+			return stats, err
+		}
+		for i := range b.rows {
+			if err := fn(&b.rows[i]); err != nil {
+				return stats, err
+			}
+		}
+		if next == "" {
+			return stats, nil
+		}
+		start = next
+	}
 }
+
+// localScanBlock bounds the rows a LocalScan holds at once, whatever
+// the region's size.
+const localScanBlock = 1024
 
 // LocalWrite applies cells grouped into per-row atomic mutations without
 // client-side metering, returning the payload bytes written. Timestamps

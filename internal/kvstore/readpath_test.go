@@ -140,7 +140,7 @@ func TestGetMatchesScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, _, err := r.scan(row, row+"\x01", 1, fams, 0, nil)
+			rows, _, err := scanRegion(r, row, row+"\x01", 1, fams, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -436,7 +436,7 @@ func TestSubsetMergeKeepsShadowedTombstones(t *testing.T) {
 	put(100, false)
 	snapshot := func() []Row {
 		t.Helper()
-		rows, _, err := r.scan("", "", 0, nil, 60, nil)
+		rows, _, err := scanRegion(r, "", "", 0, nil, 60, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +481,7 @@ func TestSubsetMergeKeepsShadowedVersions(t *testing.T) {
 	r.mu.Lock()
 	r.mergeSegmentsLocked(r.storeLocked("cf"), []int{0, 1}) // merge ts=100 and ts=50 runs; ts=30 stays outside
 	r.mu.Unlock()
-	rows, _, err := r.scan("", "", 0, nil, 60, nil)
+	rows, _, err := scanRegion(r, "", "", 0, nil, 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,6 +712,14 @@ func physicalCells(t *testing.T, r *Region) (keys []string, cells []*Cell) {
 	return keys, cells
 }
 
+// scanRegion runs one region scan into a block of its own and returns
+// the block's rows.
+func scanRegion(r *Region, startRow, endRow string, limit int, families []string, readTs int64, f Filter) ([]Row, OpStats, error) {
+	var b rowBlock
+	stats, _, err := r.scan(&b, startRow, endRow, limit, families, readTs, f, true)
+	return b.rows, stats, err
+}
+
 // referenceScan is the scan loop of the single-store layout, run over
 // the mixed-family dump of physicalCells with a per-cell family filter:
 // the formula OpStats must keep matching.
@@ -889,7 +897,7 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 						if rng.Intn(2) == 0 {
 							ts = 1 + rng.Int63n(now)
 						}
-						got, gotStats, err := r.scan(start, end, limit, sub, ts, nil)
+						got, gotStats, err := scanRegion(r, start, end, limit, sub, ts, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -679,9 +679,11 @@ func famMatch(families []string, f string) bool {
 	return false
 }
 
-// scan reads rows in [startRow, endRow) (endRow "" = region end), at most
-// limit rows (0 = unlimited), visible at readTs (0 = latest), restricted
-// to the given families (nil = all), filtered by f (nil = none).
+// scan appends to b the rows in [startRow, endRow) (endRow "" = region
+// end) until b holds limit rows (0 = unlimited), visible at readTs (0 =
+// latest), restricted to the given families (nil = all), filtered by f
+// (nil = none), and seals b. It returns the row it stopped on when it
+// stopped for the limit, "" when it read to the end of its range.
 //
 // Column families are physically separate stores (HBase Stores/HFiles):
 // the scan merges only the requested families' memtables and runs, so a
@@ -691,22 +693,49 @@ func famMatch(families []string, f string) bool {
 // Cost accounting: in memory mode BytesRead is charged per examined
 // cell from the stored-size formula; in disk mode it accumulates the
 // MEASURED framed bytes of every block the scan faults in (block-cache
-// hits read nothing), via the OpStats threaded through the iterators.
-func (r *Region) scan(startRow, endRow string, limit int, families []string, readTs int64, f Filter) ([]Row, OpStats, error) {
+// hits read nothing), via the OpStats threaded through the iterators. A
+// scan that stops at limit has read the next row's first cell to see
+// that the row before ended. billNext says who pays for that cell: this
+// scan (a client RPC, whose successor reads it again), or the scan that
+// resumes at the returned row.
+func (r *Region) scan(b *rowBlock, startRow, endRow string, limit int, families []string, readTs int64, f Filter, billNext bool) (OpStats, string, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	var stats OpStats
+	it, err := r.scanIterLocked(startRow, endRow, families, &stats)
+	if err != nil {
+		return stats, "", err
+	}
+	next := ""
+	if r.fillLocked(b, it, endRow, limit, readTs, f, &stats) {
+		c := it.cell()
+		next = c.Row
+		if billNext && r.store == nil {
+			stats.BytesRead += c.StoredSize()
+		}
+	}
+	if err := it.fail(); err != nil {
+		return stats, "", err
+	}
+	b.seal()
+	return stats, next, nil
+}
+
+// scanIterLocked opens the merge a scan of [startRow, endRow) in the
+// given families reads, positioned at startRow's first cell (clamped to
+// the region's start) and charging block I/O to io. It fails a scan
+// that could touch a quarantined run. Caller holds a read lock.
+func (r *Region) scanIterLocked(startRow, endRow string, families []string, io *OpStats) (*mergedIter, error) {
 	for _, st := range r.stores {
 		if !famMatch(families, st.family) {
 			continue
 		}
 		for _, q := range st.quarantined {
 			if q.overlapsRows(startRow, endRow) {
-				return nil, OpStats{}, errQuarantined(q.name)
+				return nil, errQuarantined(q.name)
 			}
 		}
 	}
-	diskBacked := r.store != nil
-
 	start := startRow
 	if start == "" || (r.startKey != "" && start < r.startKey) {
 		start = r.startKey
@@ -715,26 +744,22 @@ func (r *Region) scan(startRow, endRow string, limit int, families []string, rea
 	if start != "" {
 		seekKey = rowPrefix(start)
 	}
-	var stats OpStats
-	var rows []Row
-	it := r.iteratorsLocked(seekKey, families, &stats)
+	return r.iteratorsLocked(seekKey, families, io), nil
+}
 
-	var cur *Row
+// fillLocked appends the rows it yields to b until b holds limit rows
+// (0 = unlimited) or it passes the region's end or endRow, resolving
+// each column to its newest version visible at readTs and dropping rows
+// left without cells or rejected by f. It reports whether it stopped for
+// the limit: it then stands on the next row's first cell, not yet
+// billed. Caller holds a read lock and seals b.
+func (r *Region) fillLocked(b *rowBlock, it *mergedIter, endRow string, limit int, readTs int64, f Filter, stats *OpStats) bool {
+	diskBacked := r.store != nil
+	open := false // the last row of b is still being assembled
+	first := 0    // that row's first cell in b.cells
 	lastFam, lastQual := "", ""
 	sawCol := false
-	flushRow := func() {
-		if cur == nil {
-			return
-		}
-		if len(cur.Cells) > 0 && (f == nil || f.FilterRow(cur)) {
-			stats.CellsReturned += uint64(len(cur.Cells))
-			stats.BytesReturned += cur.Size()
-			rows = append(rows, *cur)
-		}
-		cur = nil
-	}
-
-	for it.valid() {
+	for ; it.valid(); it.next() {
 		c := it.cell()
 		// Region bound / request bound checks.
 		if r.endKey != "" && c.Row >= r.endKey {
@@ -743,16 +768,18 @@ func (r *Region) scan(startRow, endRow string, limit int, families []string, rea
 		if endRow != "" && c.Row >= endRow {
 			break
 		}
+		if !open || b.rows[len(b.rows)-1].Key != c.Row {
+			if open {
+				b.closeRow(first, f, stats)
+			}
+			if limit > 0 && len(b.rows) >= limit {
+				return true
+			}
+			b.rows = append(b.rows, Row{Key: c.Row})
+			open, first, sawCol = true, len(b.cells), false
+		}
 		if !diskBacked {
 			stats.BytesRead += c.StoredSize()
-		}
-		if cur == nil || cur.Key != c.Row {
-			flushRow()
-			if limit > 0 && len(rows) >= limit {
-				return rows, stats, nil
-			}
-			cur = &Row{Key: c.Row}
-			sawCol = false
 		}
 		visible := readTs == 0 || c.Timestamp <= readTs
 		if visible && (!sawCol || c.Family != lastFam || c.Qualifier != lastQual) {
@@ -760,16 +787,14 @@ func (r *Region) scan(startRow, endRow string, limit int, families []string, rea
 			lastFam, lastQual = c.Family, c.Qualifier
 			stats.CellsExamined++
 			if !c.Tombstone {
-				cur.Cells = append(cur.Cells, *c)
+				b.cells = append(b.cells, *c)
 			}
 		}
-		it.next()
 	}
-	if err := it.fail(); err != nil {
-		return nil, stats, err
+	if open {
+		b.closeRow(first, f, stats)
 	}
-	flushRow()
-	return rows, stats, nil
+	return false
 }
 
 // rowIterLocked positions one iterator on row's cells: only the sources

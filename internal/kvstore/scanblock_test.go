@@ -1,0 +1,179 @@
+package kvstore
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// keptCell is what a consumer keeps of a scanned cell once the row it
+// came in has been recycled: the strings and the Value, all views.
+type keptCell struct {
+	row, qual string
+	value     []byte
+}
+
+// loadReuseTable writes ~1,000 rows of one to three cells each to a
+// table split into three regions, flushing half way (in disk mode,
+// into SSTables), and returns every cell in scan order.
+func loadReuseTable(t *testing.T, c *Cluster) []keptCell {
+	t.Helper()
+	mustCreate(t, c, "t", []string{"cf"}, []string{"r0333", "r0666"})
+	rng := rand.New(rand.NewSource(7))
+	var want []keptCell
+	var batch []Cell
+	for i := 0; i < 1000; i++ {
+		row := fmt.Sprintf("r%04d", i)
+		for q := 0; q < 1+rng.Intn(3); q++ {
+			qual := fmt.Sprintf("q%d", q)
+			value := []byte(fmt.Sprintf("%s/%s=%d", row, qual, rng.Int63()))
+			batch = append(batch, Cell{Row: row, Family: "cf", Qualifier: qual, Value: value})
+			want = append(want, keptCell{row, qual, value})
+		}
+		if i == 500 {
+			if err := c.BatchPut("t", batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+			if err := c.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.BatchPut("t", batch); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+func requireKept(t *testing.T, what string, got, want []keptCell) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: kept %d cells, wrote %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].row != want[i].row || got[i].qual != want[i].qual || string(got[i].value) != string(want[i].value) {
+			t.Fatalf("%s: cell %d is %s/%s=%q after the scan, wrote %s/%s=%q", what, i,
+				got[i].row, got[i].qual, got[i].value, want[i].row, want[i].qual, want[i].value)
+		}
+	}
+}
+
+// TestScannerBatchReuse: a scanner recycles its row blocks batch by
+// batch, and that must never change what a consumer kept. The cells'
+// strings and Values are views into the store, so every one kept while
+// draining with Next still reads as written after the scan has reused
+// the blocks many times over — at every batch size, with and without
+// the background prefetch filling the spare block. Rows from ScanAll
+// are detached: a second scanner draining the same table leaves them
+// as they were.
+func TestScannerBatchReuse(t *testing.T) {
+	for _, disk := range []bool{false, true} {
+		t.Run(fmt.Sprintf("disk=%v", disk), func(t *testing.T) {
+			c := testCluster(t)
+			if disk {
+				c = openDiskCluster(t, t.TempDir())
+			}
+			defer c.Close()
+			want := loadReuseTable(t, c)
+
+			for _, caching := range []int{1, 3, 100, 1000} {
+				for _, prefetch := range []bool{false, true} {
+					what := fmt.Sprintf("caching %d prefetch %v", caching, prefetch)
+					sc, err := c.OpenScanner(Scan{Table: "t", Caching: caching, Prefetch: prefetch})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var kept []keptCell
+					for {
+						row, err := sc.Next()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if row == nil {
+							break
+						}
+						for i := range row.Cells {
+							cell := &row.Cells[i]
+							kept = append(kept, keptCell{cell.Row, cell.Qualifier, cell.Value})
+						}
+					}
+					requireKept(t, what, kept, want)
+				}
+			}
+
+			all, err := c.ScanAll(Scan{Table: "t", Caching: 7, Prefetch: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := c.OpenScanner(Scan{Table: "t", Caching: 7, Prefetch: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				row, err := sc.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if row == nil {
+					break
+				}
+			}
+			var kept []keptCell
+			for _, row := range all {
+				for _, cell := range row.Cells {
+					if cell.Row != row.Key {
+						t.Fatalf("ScanAll row %q holds a cell of row %q", row.Key, cell.Row)
+					}
+					kept = append(kept, keptCell{cell.Row, cell.Qualifier, cell.Value})
+				}
+			}
+			requireKept(t, "ScanAll after a second scan", kept, want)
+		})
+	}
+}
+
+// TestScanAllocsPerBatch: draining resident one-cell rows costs a
+// constant number of allocations per batch — the RPC's fixed work of
+// seeking the merge and naming the next row — whatever the batch size
+// and however many rows the table holds. Each measured run consumes
+// exactly one batch, after both of the scanner's blocks have grown to
+// it. The rows are resident in a memory-mode store whatever
+// KVSTORE_DISK says: a disk scan also decodes a data block every ~4 KiB,
+// which the block cache then holds.
+func TestScanAllocsPerBatch(t *testing.T) {
+	t.Setenv("KVSTORE_DISK", "")
+	first := map[string]float64{} // per shape, at 20000 rows and caching 10
+	for _, rows := range []int{20000, 60000} {
+		for _, shape := range []string{"memtable", "flushed"} {
+			flushed, unflushed := 0, rows
+			if shape == "flushed" {
+				flushed, unflushed = rows, 0
+			}
+			c := loadResidentRegion(t, flushed, unflushed)
+			for _, caching := range []int{10, 100, 1000} {
+				sc, err := c.OpenScanner(Scan{Table: "t", Caching: caching})
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch := func() {
+					for i := 0; i < caching; i++ {
+						if row, err := sc.Next(); err != nil || row == nil {
+							t.Fatalf("row %d of a batch: %v, %v", i, row, err)
+						}
+					}
+				}
+				batch() // the first block grows to the batch
+				avg := testing.AllocsPerRun(10, batch)
+				t.Logf("%s, %d rows, caching %d: %.0f allocations per batch", shape, rows, caching, avg)
+				if want, ok := first[shape]; !ok {
+					first[shape] = avg
+				} else if avg != want {
+					t.Errorf("%s, %d rows, caching %d: %.0f allocations per batch, %.0f at 20000 rows and caching 10: the batch allocates per row",
+						shape, rows, caching, avg, want)
+				}
+			}
+			c.Close()
+		}
+	}
+}

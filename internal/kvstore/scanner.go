@@ -36,9 +36,9 @@ type Scan struct {
 	Prefetch bool
 }
 
-// fetchResult is one batch pulled by fetchOnce.
+// fetchResult is the outcome of one batch pulled by fetchOnce into a
+// block.
 type fetchResult struct {
-	rows    []Row
 	stats   OpStats
 	nextRow string
 	done    bool
@@ -48,16 +48,24 @@ type fetchResult struct {
 // Scanner streams rows of a table in ascending key order across region
 // boundaries, fetching Caching rows per RPC and charging the client
 // metrics accordingly.
+//
+// A batch is one rowBlock the scanner owns. It keeps two: the batch the
+// caller is reading, and a spare that the next fetch — synchronous, or
+// the background prefetch — refills. Taking the next batch turns the
+// block just read into the spare, so the rows Next hands out are
+// recycled batch by batch rather than allocated row by row.
 type Scanner struct {
 	c       *Cluster
 	scan    Scan
-	buf     []Row
-	bufPos  int
+	blocks  [2]rowBlock
+	cur     int // blocks[cur] is the batch being read, blocks[1-cur] the spare
+	pos     int // next row of the batch
 	nextRow string
 	done    bool
 	err     error
 
-	// Prefetch state: at most one background fetch is in flight.
+	// Prefetch state: at most one background fetch is in flight, and
+	// it fills the spare block.
 	pfCh       chan fetchResult
 	pfInflight bool
 	pfIssuedAt time.Duration // collector clock when the RPC was issued
@@ -83,12 +91,17 @@ func (c *Cluster) OpenScanner(s Scan) (*Scanner, error) {
 	return sc, nil
 }
 
-// Next returns the next row, or nil when the scan is exhausted.
+// Next returns the next row, or nil when the scan is exhausted. The row
+// and its Cells slice belong to the scanner and are valid until the
+// next call to Next or Fill, which may reuse them for another batch;
+// the cells' strings and Values are views into the store and stay
+// valid for as long as they are held (see Cell). A caller that keeps
+// rows uses ScanAll, or copies what it keeps.
 func (sc *Scanner) Next() (*Row, error) {
 	if sc.err != nil {
 		return nil, sc.err
 	}
-	for sc.bufPos >= len(sc.buf) {
+	for sc.Buffered() == 0 {
 		if sc.done {
 			return nil, nil
 		}
@@ -96,20 +109,21 @@ func (sc *Scanner) Next() (*Row, error) {
 			return nil, err
 		}
 	}
-	r := &sc.buf[sc.bufPos]
-	sc.bufPos++
+	r := &sc.blocks[sc.cur].rows[sc.pos]
+	sc.pos++
 	return r, nil
 }
 
 // Buffered reports how many fetched rows await consumption.
-func (sc *Scanner) Buffered() int { return len(sc.buf) - sc.bufPos }
+func (sc *Scanner) Buffered() int { return len(sc.blocks[sc.cur].rows) - sc.pos }
 
 // Done reports whether the scan is exhausted (no buffered rows and no
 // further batches).
 func (sc *Scanner) Done() bool { return sc.err != nil || (sc.done && sc.Buffered() == 0) }
 
 // Fill fetches the next batch if the buffer is drained, charging the
-// scanner's metrics. It is a no-op while buffered rows remain.
+// scanner's metrics. It is a no-op while buffered rows remain; when it
+// fetches, the rows of the batch before are no longer valid.
 func (sc *Scanner) Fill() error {
 	if sc.err != nil {
 		return sc.err
@@ -130,14 +144,13 @@ func (sc *Scanner) Fill() error {
 		// overlapped with; only the remainder extends the turnaround.
 		hidden = sc.c.metrics.SimTime() - sc.pfIssuedAt
 	} else {
-		res = sc.fetchOnce(sc.nextRow)
+		res = sc.fetchOnce(sc.nextRow, &sc.blocks[1-sc.cur])
 	}
 	if res.err != nil {
 		sc.err = res.err
 		return res.err
 	}
-	sc.buf = res.rows
-	sc.bufPos = 0
+	sc.cur, sc.pos = 1-sc.cur, 0
 	sc.nextRow = res.nextRow
 	sc.done = res.done
 	sc.c.chargeRPCCounters(res.stats)
@@ -151,27 +164,29 @@ func (sc *Scanner) Fill() error {
 	return nil
 }
 
-// prefetch issues the next batch's RPC in the background.
+// prefetch issues the next batch's RPC in the background, into the
+// spare block.
 func (sc *Scanner) prefetch() {
 	sc.pfInflight = true
 	sc.pfIssuedAt = sc.c.metrics.SimTime()
-	start := sc.nextRow
+	start, b := sc.nextRow, &sc.blocks[1-sc.cur]
 	go func() {
-		sc.pfCh <- sc.fetchOnce(start)
+		sc.pfCh <- sc.fetchOnce(start, b)
 	}()
 }
 
 // fetchOnce performs one batch read of up to Caching rows starting at
-// start, possibly spanning multiple regions server-side. It touches no
-// scanner state and charges no metrics, so it is safe to run from the
-// prefetch goroutine.
-func (sc *Scanner) fetchOnce(start string) fetchResult {
+// start into b, possibly spanning multiple regions server-side. It
+// touches no scanner state but b and charges no metrics, so it is safe
+// to run from the prefetch goroutine.
+func (sc *Scanner) fetchOnce(start string, b *rowBlock) fetchResult {
 	t, err := sc.c.table(sc.scan.Table)
 	if err != nil {
 		return fetchResult{err: err}
 	}
 	want := sc.scan.Caching
-	var out fetchResult
+	out := fetchResult{nextRow: start}
+	b.reset()
 	for _, r := range t.regions {
 		if r.EndKey() != "" && start != "" && start >= r.EndKey() {
 			continue // region entirely before the cursor
@@ -179,30 +194,30 @@ func (sc *Scanner) fetchOnce(start string) fetchResult {
 		if sc.scan.StopRow != "" && r.StartKey() != "" && r.StartKey() >= sc.scan.StopRow {
 			break // region entirely after the stop row
 		}
-		rows, st, err := r.scan(start, sc.scan.StopRow, want-len(out.rows), sc.scan.Families, sc.scan.ReadTs, sc.scan.Filter)
+		st, _, err := r.scan(b, start, sc.scan.StopRow, want, sc.scan.Families, sc.scan.ReadTs, sc.scan.Filter, true)
 		if err != nil {
 			return fetchResult{err: err}
 		}
 		out.stats.add(st)
-		out.rows = append(out.rows, rows...)
-		if len(out.rows) >= want {
+		if len(b.rows) >= want {
 			break
 		}
 	}
-	out.nextRow = start
-	if len(out.rows) < want {
+	if len(b.rows) < want {
 		out.done = true
 	}
-	if len(out.rows) > 0 {
-		last := out.rows[len(out.rows)-1].Key
-		out.nextRow = last + "\x01" // resume strictly after the last row
+	if len(b.rows) > 0 {
+		out.nextRow = b.rows[len(b.rows)-1].Key + "\x01" // resume strictly after the last row
 	} else {
 		out.done = true
 	}
 	return out
 }
 
-// ScanAll is a convenience that drains a scan into memory.
+// ScanAll drains a scan into rows the caller owns: each batch's rows
+// and cells are copied out of the scanner's reused block into arrays of
+// their own, one cell array per batch. The cells' strings and Values
+// are the same views Next hands out (see Cell).
 func (c *Cluster) ScanAll(s Scan) ([]Row, error) {
 	sc, err := c.OpenScanner(s)
 	if err != nil {
@@ -210,14 +225,21 @@ func (c *Cluster) ScanAll(s Scan) ([]Row, error) {
 	}
 	var out []Row
 	for {
-		r, err := sc.Next()
-		if err != nil {
+		if err := sc.Fill(); err != nil {
 			return nil, err
 		}
-		if r == nil {
+		if sc.Buffered() == 0 {
 			return out, nil
 		}
-		out = append(out, *r)
+		b := &sc.blocks[sc.cur]
+		cells := append([]Cell(nil), b.cells...)
+		off := 0
+		for i := range b.rows {
+			n := len(b.rows[i].Cells)
+			out = append(out, Row{Key: b.rows[i].Key, Cells: cells[off : off+n : off+n]})
+			off += n
+		}
+		sc.pos = len(b.rows)
 	}
 }
 

@@ -45,7 +45,10 @@ type Context interface {
 	Counter(name string, delta int64)
 }
 
-// Mapper transforms one input row into intermediate KVs.
+// Mapper transforms one input row into intermediate KVs. The task
+// streams its region through LocalScan in reused blocks, so row and its
+// Cells are valid only for the Map call; the cells' strings and Values
+// are views that may be kept (see kvstore.Cell).
 type Mapper interface {
 	Map(row *kvstore.Row, ctx Context) error
 }
@@ -240,23 +243,20 @@ func Run(job *Job) (*Result, error) {
 				outs[i] = mapOut{err: err}
 				return
 			}
-			rows, stats, err := sp.region.LocalScan(sp.scan.StartRow, sp.scan.StopRow, 0,
-				sp.scan.Families, sp.scan.ReadTs, sp.scan.Filter)
+			var rows uint64
+			stats, err := sp.region.LocalScan(sp.scan.StartRow, sp.scan.StopRow,
+				sp.scan.Families, sp.scan.ReadTs, sp.scan.Filter, func(row *kvstore.Row) error {
+					if rows%1024 == 0 {
+						if err := job.Cluster.CheckInterrupt(); err != nil {
+							return err
+						}
+					}
+					rows++
+					return sp.mapper.Map(row, ctx)
+				})
 			if err != nil {
 				outs[i] = mapOut{err: err}
 				return
-			}
-			for r := 0; r < len(rows); r++ {
-				if r%1024 == 0 {
-					if err := job.Cluster.CheckInterrupt(); err != nil {
-						outs[i] = mapOut{err: err}
-						return
-					}
-				}
-				if err := sp.mapper.Map(&rows[r], ctx); err != nil {
-					outs[i] = mapOut{err: err}
-					return
-				}
 			}
 			if fin, ok := sp.mapper.(Finisher); ok {
 				if err := fin.Finish(ctx); err != nil {
@@ -264,7 +264,7 @@ func Run(job *Job) (*Result, error) {
 					return
 				}
 			}
-			outs[i] = mapOut{ctx: ctx, stats: stats, rows: uint64(len(rows)), node: sp.region.Node()}
+			outs[i] = mapOut{ctx: ctx, stats: stats, rows: rows, node: sp.region.Node()}
 		}(i, sp)
 	}
 	wg.Wait()
