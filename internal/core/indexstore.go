@@ -137,6 +137,11 @@ func (f *family[T]) ensure(c *kvstore.Cluster, t *JoinTree, s *IndexStore, cfg I
 		if err != nil {
 			return err
 		}
+		// A build ends in a sorted run; only the maintenance writes
+		// after it go to the memtable.
+		if err := c.Seal(f.table(idx)); err != nil {
+			return err
+		}
 		m.Put(key, idx)
 	}
 	return nil

@@ -337,6 +337,31 @@ func (c *Cluster) FlushAll() error {
 	return nil
 }
 
+// Seal ends a bulk build of table: in memory mode every region moves
+// its memtables into sorted runs, so the reads that follow walk a
+// binary-searched array instead of a skip list filled in load order.
+// Like any flush it is free in the cost model, and memory-mode billing
+// does not depend on where a cell sits, so no simulated count moves.
+//
+// In disk mode Seal does nothing. There a flush writes an SSTable, and
+// every read after it pays measured block reads that the memtable never
+// bills; flushing stays with the threshold.
+func (c *Cluster) Seal(table string) error {
+	if c.DiskBacked() {
+		return nil
+	}
+	t, err := c.table(table)
+	if err != nil {
+		return err
+	}
+	for _, r := range t.regions {
+		if err := r.Flush(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // SetRowCacheBytes resizes every region's row cache (0 disables caching)
 // and sets the capacity future regions start with.
 func (c *Cluster) SetRowCacheBytes(n uint64) {

@@ -26,6 +26,18 @@
 // version of a column sorts first, which lets every reader take the
 // first version it encounters.
 //
+// A bulk build ends in a sorted run. In memory mode Cluster.Seal
+// flushes every region of a table whatever the threshold, and the bulk
+// paths above the store (a relation's BulkLoad, each index build) end
+// with it, so the reads that follow binary-search a run instead of
+// chasing a skip list filled in load order (an inverse score list is
+// written in score order, which is random key order). A flush is free
+// in the cost model and memory-mode billing does not depend on where a
+// cell sits, so sealing moves no simulated count. Disk mode leaves
+// flushing to the threshold: there a flush writes an SSTable, and every
+// read after it pays measured block reads that a memtable read never
+// bills.
+//
 // Cells at rest are bytes, not objects (arena.go). A memtable, a
 // segment and a decoded SSTable block all keep their cells the same way:
 // internal keys appended to string slabs, values appended to byte slabs,

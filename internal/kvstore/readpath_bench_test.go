@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -268,18 +269,28 @@ func BenchmarkMemtablePut(b *testing.B) {
 
 // loadResidentRegion loads one-cell rows into a single-region table
 // with a flush threshold no load reaches: the first flushed cells are
-// flushed into one run, the next unflushed stay in the memtable.
-func loadResidentRegion(tb testing.TB, flushed, unflushed int) *Cluster {
+// flushed into one run, the next unflushed stay in the memtable. Keys
+// go in ascending order, or with shuffled in a seeded random order, the
+// order an index build writes a score list in.
+func loadResidentRegion(tb testing.TB, flushed, unflushed int, shuffled bool) *Cluster {
 	tb.Helper()
 	c := testCluster(tb)
 	if _, err := c.CreateTable("t", []string{"cf"}, nil); err != nil {
 		tb.Fatal(err)
 	}
 	c.SetFlushThreshold(1 << 40)
+	n := flushed + unflushed
+	keys := make([]int, n)
+	for i := range keys {
+		keys[i] = i
+	}
+	if shuffled {
+		keys = rand.New(rand.NewSource(1)).Perm(n)
+	}
 	batch := make([]Cell, 0, 1000)
-	for i := 0; i < flushed+unflushed; i++ {
-		batch = append(batch, Cell{Row: benchRowKey(i), Family: "cf", Qualifier: "v", Value: []byte("0123456789abcdef0123456789abcdef")})
-		if len(batch) == cap(batch) || i == flushed-1 || i == flushed+unflushed-1 {
+	for i, k := range keys {
+		batch = append(batch, Cell{Row: benchRowKey(k), Family: "cf", Qualifier: "v", Value: []byte("0123456789abcdef0123456789abcdef")})
+		if len(batch) == cap(batch) || i == flushed-1 || i == n-1 {
 			if err := c.BatchPut("t", batch); err != nil {
 				tb.Fatal(err)
 			}
@@ -296,15 +307,24 @@ func loadResidentRegion(tb testing.TB, flushed, unflushed int) *Cluster {
 
 // BenchmarkResidentScan is a full scan of a 100,000-cell region whose
 // cells are all in the memtable, or all in one flushed run: the read
-// path over resident data with no merge to speak of.
+// path over resident data with no merge to speak of. The plain cases
+// insert in key order, which lays the memtable's nodes out in scan
+// order; the shuffled cases insert in random order, as an index build
+// does, so a memtable scan chases its links across the whole arena.
 func BenchmarkResidentScan(b *testing.B) {
 	const cells = 100000
 	for _, shape := range []struct {
 		name               string
 		flushed, unflushed int
-	}{{"memtable", 0, cells}, {"flushed", cells, 0}} {
+		shuffled           bool
+	}{
+		{"memtable", 0, cells, false},
+		{"flushed", cells, 0, false},
+		{"memtable-shuffled", 0, cells, true},
+		{"flushed-shuffled", cells, 0, true},
+	} {
 		b.Run(shape.name, func(b *testing.B) {
-			c := loadResidentRegion(b, shape.flushed, shape.unflushed)
+			c := loadResidentRegion(b, shape.flushed, shape.unflushed, shape.shuffled)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -323,7 +343,7 @@ func BenchmarkResidentScan(b *testing.B) {
 // on.
 func BenchmarkGCWithResidentStore(b *testing.B) {
 	const cells = 500000
-	c := loadResidentRegion(b, cells/2, cells/2)
+	c := loadResidentRegion(b, cells/2, cells/2, false)
 	runtime.GC()
 	b.ResetTimer()
 	start := time.Now()

@@ -380,7 +380,9 @@ func (r *Region) flushLocked() error {
 	return nil
 }
 
-// Flush forces a memtable flush (tests and admin use).
+// Flush moves every non-empty family memtable into a new run now,
+// whatever the threshold: Cluster.Seal and FlushAll call it on each
+// region.
 func (r *Region) Flush() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -949,6 +951,18 @@ func (r *Region) DiskSize() uint64 {
 		}
 	}
 	return size
+}
+
+// MemtableCells returns the number of cell versions in the region's
+// memtables, not yet in a run.
+func (r *Region) MemtableCells() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	n := 0
+	for _, st := range r.stores {
+		n += st.mem.count
+	}
+	return n
 }
 
 // CellCount returns the number of stored cell versions.

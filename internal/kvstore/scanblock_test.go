@@ -150,7 +150,7 @@ func TestScanAllocsPerBatch(t *testing.T) {
 			if shape == "flushed" {
 				flushed, unflushed = rows, 0
 			}
-			c := loadResidentRegion(t, flushed, unflushed)
+			c := loadResidentRegion(t, flushed, unflushed, false)
 			for _, caching := range []int{10, 100, 1000} {
 				sc, err := c.OpenScanner(Scan{Table: "t", Caching: caching})
 				if err != nil {

@@ -476,7 +476,8 @@ func (h *RelationHandle) BatchInsert(tuples []Tuple) error {
 }
 
 // BulkLoad inserts tuples efficiently WITHOUT index maintenance — load
-// data first, then build indexes with EnsureIndexes.
+// data first, then build indexes with EnsureIndexes. It ends by sealing
+// the relation's table (see kvstore.Cluster.Seal).
 func (h *RelationHandle) BulkLoad(tuples []Tuple) error {
 	var cells []kvstore.Cell
 	for _, t := range tuples {
@@ -494,9 +495,11 @@ func (h *RelationHandle) BulkLoad(tuples []Tuple) error {
 	}
 	if len(cells) > 0 {
 		//lint:allow maintcheck BulkLoad is the documented unmaintained path; EnsureIndexes rebuilds afterwards
-		return h.db.cluster.BatchPut(h.rel.Table, cells)
+		if err := h.db.cluster.BatchPut(h.rel.Table, cells); err != nil {
+			return err
+		}
 	}
-	return nil
+	return h.db.cluster.Seal(h.rel.Table)
 }
 
 // DiskSize returns the relation's stored bytes.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -346,5 +347,74 @@ func TestEnsureIndexesIdempotent(t *testing.T) {
 	delta := db.Metrics().Snapshot().Sub(before)
 	if delta.KVWrites != 0 {
 		t.Errorf("second EnsureIndexes rebuilt indexes (%d writes)", delta.KVWrites)
+	}
+}
+
+// TestBulkBuildsEndSealed checks where bulk builds leave their cells.
+// In memory mode BulkLoad and every index EnsureIndexes builds end in
+// sorted runs, while an online write stays in the memtable through a
+// repeated EnsureIndexes that builds nothing. In disk mode nothing is
+// sealed: the cells wait for the flush threshold.
+func TestBulkBuildsEndSealed(t *testing.T) {
+	db := mustOpen(t, Config{})
+	defer db.Close()
+	loadTwoRelations(t, db, 200)
+	c := db.Cluster()
+	memCells := func(table string) int {
+		regions, err := c.TableRegions(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, r := range regions {
+			n += r.MemtableCells()
+		}
+		return n
+	}
+	base := c.TableNames()
+	q, err := db.NewQuery("left", "right", Sum, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnsureIndexes(q, Algorithms()...); err != nil {
+		t.Fatal(err)
+	}
+	var indexes []string
+	for _, name := range c.TableNames() {
+		if !slices.Contains(base, name) {
+			indexes = append(indexes, name)
+		}
+	}
+	if len(indexes) != 6 {
+		t.Fatalf("index tables %v, want IJLMR and ISL for the pair, BFHM and DRJN for each relation", indexes)
+	}
+	sealed := !c.DiskBacked()
+	for _, name := range append(slices.Clone(base), indexes...) {
+		if n := memCells(name); (n == 0) != sealed {
+			t.Errorf("table %q holds %d memtable cells after its bulk build (memory mode: %v)", name, n, sealed)
+		}
+	}
+
+	if err := db.Relation("left").Insert("lNEW", "j1", 0.999); err != nil {
+		t.Fatal(err)
+	}
+	written := map[string]int{}
+	for _, name := range c.TableNames() {
+		written[name] = memCells(name)
+	}
+	for _, name := range indexes {
+		if strings.HasSuffix(name, "_left") || strings.HasSuffix(name, "_left_right_sum") {
+			if written[name] == 0 {
+				t.Errorf("table %q: the insert's maintenance write is not in the memtable", name)
+			}
+		}
+	}
+	if err := db.EnsureIndexes(q, Algorithms()...); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range written {
+		if got := memCells(name); got != n {
+			t.Errorf("table %q: a no-op EnsureIndexes moved its memtable cells %d -> %d", name, n, got)
+		}
 	}
 }
