@@ -1,9 +1,14 @@
 // Command rjnode runs one region server: a full single-process engine
-// (LSM storage, executors, index maintenance) exposed over the
-// length-prefixed TCP transport for a router (rjserve -nodes, or any
-// OpenDistributed topology) to replicate relations onto and ship whole
-// rank-join queries to — the paper's compute-to-data design at node
-// granularity.
+// (LSM storage, executors, index maintenance) exposed over the TCP
+// transport for a router (rjserve -nodes, or any OpenDistributed
+// topology) to replicate relations onto and ship whole rank-join
+// queries to — the paper's compute-to-data design at node granularity.
+//
+// The transport frames each message with a binary header and a JSON
+// body (internal/transport). rjnode and the rjserve routing to it must
+// come from the same build: a router of another frame version is
+// refused on its first frame, and it reports a typed error naming both
+// versions.
 //
 // Usage:
 //

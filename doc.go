@@ -224,8 +224,11 @@
 // OpenDistributed fronts N region servers as one logical store behind
 // the transport seam (internal/transport): each node is either an
 // in-process DB reached over a zero-copy loopback, or an rjnode
-// process reached over length-prefixed TCP — the router cannot tell
-// the difference. The seam sits at node granularity, matching the
+// process reached over TCP — the router cannot tell the difference. On
+// TCP each message is a 14-byte binary header (frame version, sequence
+// number, method or status, body length) and its JSON body, decoded
+// once. The router and rjnode must come from the same build: a peer of
+// another frame version is refused, typed, on its first frame. The seam sits at node granularity, matching the
 // paper's compute-to-data design: whole queries ship to a replica and
 // execute next to its data; only results come back.
 //

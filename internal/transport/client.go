@@ -2,6 +2,8 @@ package transport
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -18,14 +20,15 @@ type Client struct {
 	dialTimeout time.Duration
 
 	mu   sync.Mutex
-	conn net.Conn // guarded by: mu
-	seq  uint64   // guarded by: mu
+	conn net.Conn  // guarded by: mu
+	seq  uint64    // guarded by: mu
+	buf  *frameBuf // guarded by: mu
 }
 
 // Dial returns a client for the region server at addr. The connection
 // is established lazily on first use.
 func Dial(addr string) *Client {
-	return &Client{addr: addr, dialTimeout: 5 * time.Second}
+	return &Client{addr: addr, dialTimeout: 5 * time.Second, buf: newFrameBuf()}
 }
 
 // Close drops the connection.
@@ -54,53 +57,68 @@ func (c *Client) ensureConnLocked() error {
 }
 
 // call performs one request/response exchange, retrying a broken
-// connection with one fresh dial.
-func (c *Client) call(method string, reqBody any, out any) error {
-	var body json.RawMessage
-	if reqBody != nil {
-		blob, err := json.Marshal(reqBody)
-		if err != nil {
-			return &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		body = blob
-	}
+// connection with one fresh dial. A peer that breaks the frame format
+// (another build's, say) is not redialed: it would break it again.
+func (c *Client) call(method byte, reqBody any, out any) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.buf.release()
 	for attempt := 0; ; attempt++ {
 		if err := c.ensureConnLocked(); err != nil {
 			return err
 		}
 		c.seq++
-		req := request{Seq: c.seq, Method: method, Body: body}
-		err := writeFrame(c.conn, &req)
-		var resp response
+		if err := c.buf.encode(c.seq, method, reqBody); err != nil {
+			return &Error{Kind: KindBadRequest, Msg: err.Error()}
+		}
+		_, err := c.conn.Write(c.buf.b)
+		var (
+			seq  uint64
+			code byte
+			body []byte
+		)
 		if err == nil {
-			err = readFrame(c.conn, &resp)
+			seq, code, body, err = c.buf.read(c.conn)
+		}
+		if err == nil && seq != c.seq {
+			err = &Error{Kind: KindInternal, Msg: fmt.Sprintf("response seq %d, want %d", seq, c.seq)}
 		}
 		if err != nil {
 			_ = c.conn.Close()
 			c.conn = nil
+			var te *Error
+			if errors.As(err, &te) {
+				return te
+			}
 			if attempt == 0 {
 				continue // one redial: the server may have restarted
 			}
 			return ioOrUnavailable(err)
 		}
-		if resp.Err != nil {
-			return resp.Err
-		}
-		if out != nil && resp.Body != nil {
-			if err := json.Unmarshal(resp.Body, out); err != nil {
-				return &Error{Kind: KindInternal, Msg: "decode response: " + err.Error()}
+		switch code {
+		case statusOK:
+			if out != nil && len(body) > 0 {
+				if err := json.Unmarshal(body, out); err != nil {
+					return &Error{Kind: KindInternal, Msg: "decode response: " + err.Error()}
+				}
 			}
+			return nil
+		case statusError:
+			var te Error
+			if err := json.Unmarshal(body, &te); err != nil {
+				return &Error{Kind: KindInternal, Msg: "decode error response: " + err.Error()}
+			}
+			return &te
+		default:
+			return &Error{Kind: KindInternal, Msg: fmt.Sprintf("unknown response status 0x%02x", code)}
 		}
-		return nil
 	}
 }
 
 // Health implements RegionService.
 func (c *Client) Health() (*HealthInfo, error) {
 	var out HealthInfo
-	if err := c.call("Health", nil, &out); err != nil {
+	if err := c.call(methodHealth, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -108,23 +126,23 @@ func (c *Client) Health() (*HealthInfo, error) {
 
 // DefineRelation implements RegionService.
 func (c *Client) DefineRelation(name string) error {
-	return c.call("DefineRelation", map[string]string{"name": name}, nil)
+	return c.call(methodDefineRelation, defineRequest{Name: name}, nil)
 }
 
 // EnsureIndexes implements RegionService.
 func (c *Client) EnsureIndexes(req EnsureRequest) error {
-	return c.call("EnsureIndexes", req, nil)
+	return c.call(methodEnsureIndexes, req, nil)
 }
 
 // Apply implements RegionService.
 func (c *Client) Apply(op WriteOp) error {
-	return c.call("Apply", op, nil)
+	return c.call(methodApply, op, nil)
 }
 
 // GetTuple implements RegionService.
 func (c *Client) GetTuple(relation, rowKey string) (*GetResponse, error) {
 	var out GetResponse
-	if err := c.call("GetTuple", map[string]string{"relation": relation, "row_key": rowKey}, &out); err != nil {
+	if err := c.call(methodGetTuple, getRequest{Relation: relation, RowKey: rowKey}, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -133,7 +151,7 @@ func (c *Client) GetTuple(relation, rowKey string) (*GetResponse, error) {
 // TopK implements RegionService.
 func (c *Client) TopK(req QueryRequest) (*ResultData, error) {
 	var out ResultData
-	if err := c.call("TopK", req, &out); err != nil {
+	if err := c.call(methodTopK, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -142,7 +160,7 @@ func (c *Client) TopK(req QueryRequest) (*ResultData, error) {
 // MerkleTree implements RegionService.
 func (c *Client) MerkleTree(req TreeRequest) (*merkle.Tree, error) {
 	var out merkle.Tree
-	if err := c.call("MerkleTree", req, &out); err != nil {
+	if err := c.call(methodMerkleTree, req, &out); err != nil {
 		return nil, err
 	}
 	out.Seal()
@@ -152,7 +170,7 @@ func (c *Client) MerkleTree(req TreeRequest) (*merkle.Tree, error) {
 // FetchRange implements RegionService.
 func (c *Client) FetchRange(req RangeRequest) (*RangeData, error) {
 	var out RangeData
-	if err := c.call("FetchRange", req, &out); err != nil {
+	if err := c.call(methodFetchRange, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -161,7 +179,7 @@ func (c *Client) FetchRange(req RangeRequest) (*RangeData, error) {
 // Repair implements RegionService.
 func (c *Client) Repair(req RepairRequest) (*RepairStats, error) {
 	var out RepairStats
-	if err := c.call("Repair", req, &out); err != nil {
+	if err := c.call(methodRepair, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

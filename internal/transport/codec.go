@@ -5,61 +5,174 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
-// Wire framing: every message is [4-byte big-endian length][JSON
-// payload]. Requests and responses share one frame shape; the Seq field
-// pairs them on a connection.
+// Wire framing: every message is a fixed 14-byte binary header followed
+// by the message's JSON body, untouched:
+//
+//	[0]      frameMagic, the frame format's version byte
+//	[1:9]    sequence number, big-endian; a response carries its request's
+//	[9]      on a request the method code, on a response the status
+//	[10:14]  body length, big-endian
+//
+// The receiver decodes the body once, straight into the typed request
+// or response; an error response's body is the JSON *Error.
+//
+// Both peers must come from the same build. The format before this one
+// (frame format v0) began every frame with a 4-byte big-endian length,
+// whose first byte is at most 0x04 under maxFrame, so no v0 frame can
+// begin with frameMagic, and a v0 reader rejects frameMagic as a length
+// over its limit. A peer of the other build therefore fails typed on
+// its first frame, in both directions. No reader for v0 is kept.
+const (
+	frameMagic   byte = 0xF1 // frame format v1
+	frameVersion      = 1
+	headerLen         = 14
+)
 
-// maxFrame bounds one message (64 MiB): a hostile or corrupt length
-// prefix fails fast instead of allocating unbounded memory.
+// maxFrame bounds one message body (64 MiB): a hostile or corrupt
+// length fails fast instead of allocating unbounded memory.
 const maxFrame = 64 << 20
 
-// request is one wire call.
-type request struct {
-	Seq    uint64          `json:"seq"`
-	Method string          `json:"method"`
-	Body   json.RawMessage `json:"body,omitempty"`
+// keepFrame caps the buffer a connection keeps between frames: a larger
+// frame's buffer (a repair payload, say) is dropped once it is handled,
+// so one big message does not pin its size for the connection's life.
+const keepFrame = 1 << 20
+
+// firstChunk is the most a frame reader allocates before any body byte
+// has arrived; past it the buffer grows only with the bytes received.
+const firstChunk = 64 << 10
+
+// Method codes, carried in a request header's code byte.
+const (
+	methodHealth byte = iota + 1
+	methodDefineRelation
+	methodEnsureIndexes
+	methodApply
+	methodGetTuple
+	methodTopK
+	methodMerkleTree
+	methodFetchRange
+	methodRepair
+)
+
+// Response status codes, carried in a response header's code byte.
+const (
+	statusOK    byte = 0
+	statusError byte = 1
+)
+
+// frameBuf is one connection's reusable frame buffer. A connection
+// handles one exchange at a time, so one buffer serves both directions:
+// the sender encodes a frame into it and writes b with one Write, and
+// the receiver reads the next frame into it. A body read into it is
+// valid only until the next encode or read; decoding copies every
+// string and byte slice out of it.
+type frameBuf struct {
+	b   []byte
+	enc *json.Encoder // writes to this frameBuf
 }
 
-// response is one wire reply.
-type response struct {
-	Seq  uint64          `json:"seq"`
-	Err  *Error          `json:"err,omitempty"`
-	Body json.RawMessage `json:"body,omitempty"`
+func newFrameBuf() *frameBuf {
+	f := &frameBuf{}
+	f.enc = json.NewEncoder(f)
+	return f
 }
 
-// writeFrame sends one length-prefixed JSON message.
-func writeFrame(w io.Writer, v any) error {
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if len(blob) > maxFrame {
-		return fmt.Errorf("transport: frame too large (%d bytes)", len(blob))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(blob)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(blob)
-	return err
+// Write appends p; it is the io.Writer the JSON encoder writes to.
+func (f *frameBuf) Write(p []byte) (int, error) {
+	f.b = append(f.b, p...)
+	return len(p), nil
 }
 
-// readFrame receives one length-prefixed JSON message into v.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+// encode fills the buffer with one frame: the header, then v's JSON
+// (an empty body when v is nil). After an error there is no frame to
+// send.
+func (f *frameBuf) encode(seq uint64, code byte, v any) error {
+	f.b = append(f.b[:0], make([]byte, headerLen)...)
+	if v != nil {
+		if err := f.enc.Encode(v); err != nil {
+			return err
+		}
+		f.b = f.b[:len(f.b)-1] // Encode ends the value with a newline
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := len(f.b) - headerLen
 	if n > maxFrame {
-		return fmt.Errorf("transport: frame length %d exceeds limit", n)
+		return fmt.Errorf("transport: frame too large (%d bytes)", n)
 	}
-	blob := make([]byte, n)
-	if _, err := io.ReadFull(r, blob); err != nil {
-		return err
+	f.b[0] = frameMagic
+	binary.BigEndian.PutUint64(f.b[1:9], seq)
+	f.b[9] = code
+	binary.BigEndian.PutUint32(f.b[10:14], uint32(n))
+	return nil
+}
+
+// read receives one frame. The returned body aliases the buffer. A
+// frame that breaks the format returns a typed *Error; a failed read
+// returns the reader's error.
+func (f *frameBuf) read(r io.Reader) (seq uint64, code byte, body []byte, err error) {
+	f.b = slices.Grow(f.b[:0], headerLen)[:headerLen]
+	// Judge the first byte before waiting for the rest of the header:
+	// a v0 message can be shorter than a header, and its sender would
+	// then wait for a reply while this side waits for more bytes.
+	got, err := io.ReadAtLeast(r, f.b, 1)
+	if err == nil && f.b[0] != frameMagic {
+		return 0, 0, nil, versionError(f.b[0])
 	}
-	return json.Unmarshal(blob, v)
+	if err == nil {
+		_, err = io.ReadFull(r, f.b[got:])
+	}
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	seq = binary.BigEndian.Uint64(f.b[1:9])
+	code = f.b[9]
+	n := binary.BigEndian.Uint32(f.b[10:14])
+	if n > maxFrame {
+		return 0, 0, nil, &Error{Kind: KindInternal, Msg: fmt.Sprintf("frame length %d exceeds limit %d", n, maxFrame)}
+	}
+	if body, err = f.readBody(r, int(n)); err != nil {
+		return 0, 0, nil, err
+	}
+	return seq, code, body, nil
+}
+
+// readBody reads n body bytes into the buffer. Beyond the capacity
+// already held it grows with the bytes that arrive, never straight to
+// the length a header claims: a header that lies costs its sender what
+// it actually sent.
+func (f *frameBuf) readBody(r io.Reader, n int) ([]byte, error) {
+	f.b = f.b[:0]
+	for len(f.b) < n {
+		if len(f.b) == cap(f.b) {
+			f.b = slices.Grow(f.b, min(n-len(f.b), max(len(f.b), firstChunk)))
+		}
+		end := min(n, cap(f.b))
+		if _, err := io.ReadFull(r, f.b[len(f.b):end]); err != nil {
+			return nil, err
+		}
+		f.b = f.b[:end]
+	}
+	return f.b, nil
+}
+
+// release ends an exchange: a buffer grown past keepFrame is dropped.
+func (f *frameBuf) release() {
+	if cap(f.b) > keepFrame {
+		f.b = nil
+	}
+}
+
+// versionError refuses a frame that does not begin with frameMagic: a
+// peer from another build. It is not KindUnavailable, so a router does
+// not fail over and redial on a build mismatch.
+func versionError(first byte) *Error {
+	peer := fmt.Sprintf("an unknown frame format (first byte 0x%02x)", first)
+	if first <= maxFrame>>24 { // the top byte of a v0 length
+		peer = "frame format v0 (length-prefixed JSON envelope)"
+	}
+	return &Error{Kind: KindInternal, Msg: fmt.Sprintf(
+		"peer speaks %s, this build speaks frame format v%d: rjserve and rjnode must come from the same build",
+		peer, frameVersion)}
 }

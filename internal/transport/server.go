@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -84,26 +85,25 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
+	buf := newFrameBuf()
 	for {
-		var req request
-		if err := readFrame(conn, &req); err != nil {
-			return // disconnect or garbage: drop the connection
+		seq, method, body, err := buf.read(conn)
+		if err != nil {
+			return // disconnect, garbage or another build's frame: drop the connection
 		}
-		body, derr := dispatch(s.svc, req.Method, req.Body)
-		resp := response{Seq: req.Seq}
+		resp, derr := dispatch(s.svc, method, body)
+		if derr == nil {
+			derr = buf.encode(seq, statusOK, resp)
+		}
 		if derr != nil {
-			resp.Err = asWireError(derr)
-		} else if body != nil {
-			blob, err := json.Marshal(body)
-			if err != nil {
-				resp.Err = &Error{Kind: KindInternal, Msg: err.Error()}
-			} else {
-				resp.Body = blob
+			if err := buf.encode(seq, statusError, asWireError(derr)); err != nil {
+				return
 			}
 		}
-		if err := writeFrame(conn, &resp); err != nil {
+		if _, err := conn.Write(buf.b); err != nil {
 			return
 		}
+		buf.release()
 	}
 }
 
@@ -117,67 +117,74 @@ func asWireError(err error) *Error {
 	return &Error{Kind: KindInternal, Msg: err.Error()}
 }
 
-// dispatch routes one decoded request to the service method. It is
-// shared with tests that exercise the method table without a socket.
-func dispatch(svc RegionService, method string, body json.RawMessage) (any, error) {
+// defineRequest is DefineRelation's request body.
+type defineRequest struct {
+	Name string `json:"name"`
+}
+
+// getRequest is GetTuple's request body.
+type getRequest struct {
+	Relation string `json:"relation"`
+	RowKey   string `json:"row_key"`
+}
+
+// dispatch decodes one request body straight into the method's typed
+// request and calls the service. The body aliases the connection's
+// frame buffer; decoding copies out of it what the call keeps.
+func dispatch(svc RegionService, method byte, body []byte) (any, error) {
 	switch method {
-	case "Health":
+	case methodHealth:
 		return svc.Health()
-	case "DefineRelation":
-		var req struct {
-			Name string `json:"name"`
-		}
+	case methodDefineRelation:
+		var req defineRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
 		}
 		return nil, svc.DefineRelation(req.Name)
-	case "EnsureIndexes":
+	case methodEnsureIndexes:
 		var req EnsureRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
 		}
 		return nil, svc.EnsureIndexes(req)
-	case "Apply":
+	case methodApply:
 		var op WriteOp
 		if err := json.Unmarshal(body, &op); err != nil {
 			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
 		}
 		return nil, svc.Apply(op)
-	case "GetTuple":
-		var req struct {
-			Relation string `json:"relation"`
-			RowKey   string `json:"row_key"`
-		}
+	case methodGetTuple:
+		var req getRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
 		}
 		return svc.GetTuple(req.Relation, req.RowKey)
-	case "TopK":
+	case methodTopK:
 		var req QueryRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
 		}
 		return svc.TopK(req)
-	case "MerkleTree":
+	case methodMerkleTree:
 		var req TreeRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
 		}
 		return svc.MerkleTree(req)
-	case "FetchRange":
+	case methodFetchRange:
 		var req RangeRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
 		}
 		return svc.FetchRange(req)
-	case "Repair":
+	case methodRepair:
 		var req RepairRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
 		}
 		return svc.Repair(req)
 	default:
-		return nil, &Error{Kind: KindBadRequest, Msg: "unknown method " + method}
+		return nil, &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("unknown method code 0x%02x", method)}
 	}
 }
 

@@ -13,9 +13,18 @@
 // Two implementations exist: Loopback (in the root package, wrapping a
 // node-local DB with zero serialization — the single-process path every
 // existing benchmark and test keeps) and the TCP Client/Server pair in
-// this package, which speak length-prefixed JSON frames so a topology
-// can span real processes (cmd/rjnode). Gate wraps any implementation
-// with a kill switch for node-failure tests.
+// this package, so a topology can span real processes (cmd/rjnode).
+// Gate wraps any implementation with a kill switch for node-failure
+// tests.
+//
+// On TCP every message is one frame: a 14-byte binary header (a
+// version byte, the sequence number, the method code or response
+// status, the body length) followed by the message's JSON body, which
+// the receiver decodes once, straight into the typed request or
+// response (codec.go). The router and its nodes must come from the
+// same build: a peer speaking another frame version is refused on its
+// first frame with a typed *Error that names both versions and is not
+// KindUnavailable, so the router reports it instead of failing over.
 package transport
 
 import (

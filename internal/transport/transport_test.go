@@ -12,12 +12,15 @@ import (
 	"repro/internal/merkle"
 )
 
-// fakeService records calls and echoes canned responses.
+// fakeService records calls and echoes canned responses. TopK returns
+// req.K rows whose keys carry req.Algo, so two queries' results differ.
 type fakeService struct {
 	mu      sync.Mutex
-	applied []WriteOp      // guarded by: mu
-	queries []QueryRequest // guarded by: mu
-	failure error          // guarded by: mu
+	defined []string        // guarded by: mu
+	ensured []EnsureRequest // guarded by: mu
+	applied []WriteOp       // guarded by: mu
+	queries []QueryRequest  // guarded by: mu
+	failure error           // guarded by: mu
 }
 
 func (f *fakeService) fail(err error) {
@@ -39,9 +42,25 @@ func (f *fakeService) Health() (*HealthInfo, error) {
 	return &HealthInfo{Node: "fake", Relations: []string{"r1"}, Tables: []string{"rel_r1"}}, nil
 }
 
-func (f *fakeService) DefineRelation(name string) error { return f.err() }
+func (f *fakeService) DefineRelation(name string) error {
+	if err := f.err(); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.defined = append(f.defined, name)
+	return nil
+}
 
-func (f *fakeService) EnsureIndexes(req EnsureRequest) error { return f.err() }
+func (f *fakeService) EnsureIndexes(req EnsureRequest) error {
+	if err := f.err(); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.ensured = append(f.ensured, req)
+	return nil
+}
 
 func (f *fakeService) Apply(op WriteOp) error {
 	if err := f.err(); err != nil {
@@ -73,9 +92,9 @@ func (f *fakeService) TopK(req QueryRequest) (*ResultData, error) {
 	out := &ResultData{Algorithm: req.Algo}
 	for i := 0; i < req.K; i++ {
 		out.Results = append(out.Results, JoinResultData{
-			Left:  TupleData{RowKey: fmt.Sprintf("l%d", i)},
-			Right: TupleData{RowKey: fmt.Sprintf("r%d", i)},
-			Score: 1 - float64(i)/10,
+			Left:  TupleData{RowKey: fmt.Sprintf("%s-l%d", req.Algo, i)},
+			Right: TupleData{RowKey: fmt.Sprintf("%s-r%d", req.Algo, i)},
+			Score: float64(req.K - i),
 		})
 	}
 	return out, nil
@@ -110,7 +129,7 @@ func (f *fakeService) Repair(req RepairRequest) (*RepairStats, error) {
 
 func (f *fakeService) Close() error { return nil }
 
-func startServer(t *testing.T, svc RegionService) (*Server, *Client) {
+func startServer(t testing.TB, svc RegionService) (*Server, *Client) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -133,6 +152,20 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	if h.Node != "fake" || len(h.Relations) != 1 {
 		t.Fatalf("health = %+v", h)
+	}
+
+	if err := cl.DefineRelation("r1"); err != nil {
+		t.Fatal(err)
+	}
+	ensure := EnsureRequest{Tree: TreeData{Relations: []string{"r1", "r2"}, Edges: []TreeEdgeData{{A: 0, B: 1}}}, Score: "sum", Algos: []string{"isl", "bfhm"}}
+	if err := cl.EnsureIndexes(ensure); err != nil {
+		t.Fatal(err)
+	}
+	fake.mu.Lock()
+	defined, ensured := fake.defined, fake.ensured
+	fake.mu.Unlock()
+	if !reflect.DeepEqual(defined, []string{"r1"}) || len(ensured) != 1 || !reflect.DeepEqual(ensured[0], ensure) {
+		t.Fatalf("DefineRelation/EnsureIndexes crossed as %v, %+v", defined, ensured)
 	}
 
 	op := WriteOp{Relation: "r1", Kind: OpInsert, New: &TupleData{RowKey: "k", JoinValue: "j", Score: 0.25}, TS: 42}
@@ -186,6 +219,29 @@ func TestTCPRoundTrip(t *testing.T) {
 	g, err := cl.GetTuple("r1", "missing")
 	if err != nil || g.Tuple != nil {
 		t.Fatalf("GetTuple(missing) = %+v, %v", g, err)
+	}
+	g, err = cl.GetTuple("r1", "k")
+	if err != nil || g.Tuple == nil || g.Tuple.RowKey != "k" || g.Tuple.Score != 0.5 {
+		t.Fatalf("GetTuple(k) = %+v, %v", g, err)
+	}
+
+	// An unknown method code gets a bad-request reply on the same,
+	// still usable, connection.
+	cl.mu.Lock()
+	conn := cl.conn
+	cl.mu.Unlock()
+	var te *Error
+	if err := cl.call(0xEE, nil, nil); !errors.As(err, &te) || te.Kind != KindBadRequest {
+		t.Fatalf("unknown method err = %v, want bad_request *Error", err)
+	}
+	if _, err := cl.Health(); err != nil {
+		t.Fatalf("call after unknown method = %v", err)
+	}
+	cl.mu.Lock()
+	same := cl.conn == conn
+	cl.mu.Unlock()
+	if !same {
+		t.Fatal("an unknown method code cost the connection")
 	}
 }
 
@@ -271,15 +327,5 @@ func TestGateStopsAndResumes(t *testing.T) {
 	g.Start()
 	if _, err := g.Health(); err != nil {
 		t.Fatalf("restarted gate err = %v", err)
-	}
-}
-
-func TestFrameLimit(t *testing.T) {
-	var buf bytes.Buffer
-	// A hostile 4 GiB length prefix must fail fast, not allocate.
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	var v request
-	if err := readFrame(&buf, &v); err == nil {
-		t.Fatal("oversized frame accepted")
 	}
 }
