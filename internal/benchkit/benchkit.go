@@ -419,7 +419,7 @@ func (e *Env) UpdateExperiment(setNo int) (overheadPct float64, applied int, err
 // per write, one batched group mutation each) while top-k queries
 // interleave. It reports:
 //
-//   - write throughput (wall mutations/sec and simulated write time),
+//   - simulated write cost (time and KV cells written),
 //   - write-RPC economy: the batched pipeline's round trips against the
 //     per-cell baseline it replaced (one RPC per written cell — exactly
 //     the KV-writes count),
@@ -435,10 +435,7 @@ func (e *Env) MixedWorkloadReport(writes, interleaveEvery int) (string, error) {
 
 	m := e.DB.Metrics()
 	before := m.Snapshot()
-	start := time.Now()
-	var readTime time.Duration
 	var readCost sim.Snapshot
-	reads := 0
 	applied := 0
 	for i := 0; i < writes; i++ {
 		var err error
@@ -462,21 +459,15 @@ func (e *Env) MixedWorkloadReport(writes, interleaveEvery int) (string, error) {
 		applied++
 		if interleaveEvery > 0 && i%interleaveEvery == interleaveEvery-1 {
 			rb := m.Snapshot()
-			rs := time.Now()
 			if _, err := e.Run(e.Q2, rankjoin.AlgoISL, 10); err != nil {
 				return "", fmt.Errorf("benchkit: interleaved read: %w", err)
 			}
-			readTime += time.Since(rs)
 			readCost = readCost.Add(m.Snapshot().Sub(rb))
-			reads++
 		}
 	}
-	wall := time.Since(start) - readTime
 	d := m.Snapshot().Sub(before).Sub(readCost)
 
 	out := fmt.Sprintf("Mixed read/write workload (profile %s, SF %g)\n", e.Profile.Name, e.SF)
-	out += fmt.Sprintf("  %d maintained writes in %v wall (%.0f writes/sec), %d interleaved top-10 reads\n",
-		applied, wall.Round(time.Millisecond), float64(applied)/wall.Seconds(), reads)
 	out += fmt.Sprintf("  simulated write cost: %v, %d KV cells written\n",
 		d.SimTime.Round(time.Microsecond), d.KVWrites)
 	writeRPCs := d.RPCCalls - uint64(applied) // upserts pay one existence-read RPC each

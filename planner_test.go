@@ -8,6 +8,7 @@ package rankjoin_test
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -222,5 +223,5 @@ func TestExplainTieKeepsRegistrationOrder(t *testing.T) {
 }
 
 func key(prefix string, i int) string {
-	return prefix + string(rune('a'+i/26%26)) + string(rune('a'+i%26)) + itoa(i)
+	return prefix + string(rune('a'+i/26%26)) + string(rune('a'+i%26)) + strconv.Itoa(i)
 }
