@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 
@@ -31,19 +33,32 @@ var analyzers = []*analysis.Analyzer{
 }
 
 func main() {
-	verbose := flag.Bool("v", false, "list suppressed findings")
-	noVet := flag.Bool("novet", false, "skip the `go vet` pre-pass")
-	help := flag.Bool("help", false, "describe the analyzers and exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is rjlint with its arguments and output streams passed in; it
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rjlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	verbose := fs.Bool("v", false, "list suppressed findings")
+	noVet := fs.Bool("novet", false, "skip the `go vet` pre-pass")
+	help := fs.Bool("help", false, "describe the analyzers and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return analysis.ExitClean
+		}
+		return analysis.ExitError
+	}
 
 	if *help {
 		for _, a := range analyzers {
-			fmt.Printf("%s: %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%s: %s\n", a.Name, a.Doc)
 		}
-		os.Exit(0)
+		return analysis.ExitClean
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -51,22 +66,22 @@ func main() {
 	exit := analysis.ExitClean
 	if !*noVet {
 		cmd := exec.Command("go", append([]string{"vet"}, patterns...)...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
+		cmd.Stdout = stdout
+		cmd.Stderr = stderr
 		if err := cmd.Run(); err != nil {
 			if ee, ok := err.(*exec.ExitError); ok {
 				if code := ee.ExitCode(); code > exit {
 					exit = code
 				}
 			} else {
-				fmt.Fprintf(os.Stderr, "rjlint: go vet: %v\n", err)
+				fmt.Fprintf(stderr, "rjlint: go vet: %v\n", err)
 				exit = analysis.ExitError
 			}
 		}
 	}
 
-	if code := analysis.Run(analyzers, patterns, os.Stdout, *verbose); code > exit {
+	if code := analysis.Run(analyzers, patterns, stdout, *verbose); code > exit {
 		exit = code
 	}
-	os.Exit(exit)
+	return exit
 }

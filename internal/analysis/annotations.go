@@ -26,7 +26,7 @@ import (
 // Either the function name carries the `Locked` suffix — asserting the
 // receiver's field named `mu` is held — or a doc-comment line
 //
-//	// locked: r.liveMu
+//	// locked: r.mu
 //
 // names the held mutexes explicitly (comma-separated, written with the
 // function's own receiver name).

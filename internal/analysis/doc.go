@@ -33,7 +33,7 @@
 // comma-separated), or equivalently the `Locked` name suffix for the
 // receiver's field named mu:
 //
-//	// locked: r.mu, r.liveMu
+//	// locked: r.mu, s.mu
 //
 // Suppressions — the reason is mandatory and reason-less suppressions
 // are themselves reported, so the tree carries zero unexplained ones:

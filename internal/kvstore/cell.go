@@ -126,6 +126,10 @@ func (b *rowBlock) seal() {
 	}
 }
 
+// cellKeySuffixLen is the length of a cell key's version suffix; what
+// precedes it is the column's key prefix.
+const cellKeySuffixLen = 16
+
 // cellKey builds the internal sort key for a cell version. Layout:
 //
 //	row \x00 family \x00 qualifier \x00 ^timestamp ^seq
@@ -135,14 +139,14 @@ func (b *rowBlock) seal() {
 // cell encountered during an ascending scan.
 func cellKey(row, family, qualifier string, ts int64, seq uint64) string {
 	var sb strings.Builder
-	sb.Grow(len(row) + len(family) + len(qualifier) + 3 + 16)
+	sb.Grow(len(row) + len(family) + len(qualifier) + 3 + cellKeySuffixLen)
 	sb.WriteString(row)
 	sb.WriteByte(0)
 	sb.WriteString(family)
 	sb.WriteByte(0)
 	sb.WriteString(qualifier)
 	sb.WriteByte(0)
-	var n [16]byte
+	var n [cellKeySuffixLen]byte
 	binary.BigEndian.PutUint64(n[0:8], ^uint64(ts))
 	binary.BigEndian.PutUint64(n[8:16], ^seq)
 	sb.Write(n[:])
@@ -171,7 +175,7 @@ func parseCellKey(k string) (row, family, qualifier string, ts int64, seq uint64
 		return "", "", "", 0, 0, fmt.Errorf("kvstore: malformed cell key")
 	}
 	i3 += i2 + 1
-	if len(k)-i3-1 != 16 {
+	if len(k)-i3-1 != cellKeySuffixLen {
 		return "", "", "", 0, 0, fmt.Errorf("kvstore: malformed cell key")
 	}
 	row, family, qualifier = k[:i1], k[i1+1:i2], k[i2+1:i3]

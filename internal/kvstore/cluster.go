@@ -56,10 +56,11 @@ type Table struct {
 	Name     string
 	families map[string]bool
 
-	// mutSeq counts applied client mutations (Put/Delete/MutateRow/
-	// BatchPut/GroupWrite batches). Consumers key cached derivations of
-	// the table's contents — planner statistics, plan choices — on it:
-	// any write moves the sequence, so a matching sequence proves the
+	// mutSeq moves whenever the table's visible contents change: every
+	// applied client write batch (Put/Delete/MutateRow/BatchPut/
+	// GroupWrite) and every Scrub that quarantines one of its runs.
+	// Consumers key cached derivations of the table's contents — planner
+	// statistics, plan choices — on it, so a matching sequence proves the
 	// cache entry still describes the live table.
 	mutSeq atomic.Uint64
 
@@ -67,7 +68,8 @@ type Table struct {
 }
 
 // MutationSeq returns the table's mutation sequence number: it starts at
-// zero and advances on every applied client write batch.
+// zero and advances on every applied client write batch and on every
+// scrub quarantine of one of the table's runs.
 func (t *Table) MutationSeq() uint64 { return t.mutSeq.Load() }
 
 // NewCluster creates a cluster with the given hardware profile. Metrics
@@ -651,7 +653,11 @@ func (c *Cluster) TableRegions(name string) ([]*Region, error) {
 // TableStats summarizes a table for the query planner: region count,
 // stored cell versions, live cells, and stored bytes. Like
 // TableDiskSize it is free introspection — cluster metadata a client
-// caches — and charges no metrics.
+// caches — and charges no metrics. It is also cheap: each region keeps
+// its live count current as it applies mutations (Region.LiveCellCount
+// walks a region only on its first ask or after a scrub quarantine), so
+// a call costs O(regions + runs), not O(cells), even right after a
+// write.
 type TableStats struct {
 	Regions int
 	// Cells counts stored cell VERSIONS (every update adds one until a

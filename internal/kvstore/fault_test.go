@@ -454,6 +454,66 @@ func TestScrubDetectsQuarantinesAndCharges(t *testing.T) {
 	}
 }
 
+// TestScrubQuarantineRefreshesTableStats: a quarantine takes a run off
+// the read path, so it changes the table's visible contents exactly as
+// a write would. The planner's statistics must say so: TableStats'
+// LiveCells drops to what a fresh walk sees, and MutSeq — the key every
+// cached derivation of the table validates against — moves.
+func TestScrubQuarantineRefreshesTableStats(t *testing.T) {
+	gateSchedule(t, "bit-rot")
+	dir := t.TempDir()
+	c, err := openFaultCluster(t, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.CreateTable("bad", []string{"cf"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		cell := kvstore.Cell{Row: fmt.Sprintf("row%03d", i), Family: "cf", Qualifier: "v", Value: []byte{byte(i)}}
+		if err := c.Put("bad", cell); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := c.TableStats("bad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.LiveCells != 50 {
+		t.Fatalf("LiveCells = %d before the rot, want 50", before.LiveCells)
+	}
+	rep, err := c.Scrub()
+	if err != nil || len(rep.Files) != 1 {
+		t.Fatalf("clean scrub: %+v, %v", rep, err)
+	}
+	path := filepath.Join(dir, rep.Files[0].Name)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[20] ^= 0x08
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := c.Scrub(); err != nil || rep.Corrupt != 1 {
+		t.Fatalf("scrub of the rotted file: %+v, %v", rep, err)
+	}
+	after, err := c.TableStats("bad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.LiveCells != 0 {
+		t.Errorf("LiveCells = %d after the quarantine, want 0 (the run is off the read path)", after.LiveCells)
+	}
+	if after.MutSeq == before.MutSeq {
+		t.Errorf("MutSeq stayed %d across the quarantine", after.MutSeq)
+	}
+}
+
 // TestScrubQuarantineIsPerFamily: each column family has its own store and
 // files, so at-rest rot in one family's SSTable must fail only reads
 // that ask for that family. On an ISL-shaped table (both relations'

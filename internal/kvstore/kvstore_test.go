@@ -726,6 +726,55 @@ func BenchmarkPut(b *testing.B) {
 	}
 }
 
+// BenchmarkPutCounted is BenchmarkPut into a region whose live count is
+// maintained: each write first looks up its column's newest version.
+func BenchmarkPutCounted(b *testing.B) {
+	c := testCluster(b)
+	c.CreateTable("t", []string{"cf"}, nil)
+	if _, err := c.TableStats("t"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Put("t", Cell{Row: fmt.Sprintf("r%09d", i), Family: "cf", Qualifier: "v", Value: []byte("x")})
+	}
+}
+
+// BenchmarkTableStatsAfterWrite times the planner's statistics call
+// right after a write, on one-region tables of two sizes. The region
+// keeps its live count current as it applies the write, so the two
+// sizes cost about the same; a per-write walk would scale with the
+// table. Both sizes overwrite the same 1,000 rows, so their version
+// chains, and the write itself, grow alike with b.N.
+func BenchmarkTableStatsAfterWrite(b *testing.B) {
+	for _, n := range []int{1000, 60000} {
+		b.Run(fmt.Sprintf("cells=%dk", n/1000), func(b *testing.B) {
+			c := testCluster(b)
+			c.CreateTable("t", []string{"cf"}, nil)
+			cells := make([]Cell, n)
+			for i := range cells {
+				cells[i] = Cell{Row: fmt.Sprintf("r%09d", i), Family: "cf", Qualifier: "v", Value: []byte("x")}
+			}
+			if err := c.BatchPut("t", cells); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.TableStats("t"); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.Put("t", Cell{Row: fmt.Sprintf("r%09d", i%1000), Family: "cf", Qualifier: "v", Value: []byte("y")}); err != nil {
+					b.Fatal(err)
+				}
+				if st, err := c.TableStats("t"); err != nil || st.LiveCells != uint64(n) {
+					b.Fatalf("LiveCells = %d, %v; want %d", st.LiveCells, err, n)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkGet(b *testing.B) {
 	c := testCluster(b)
 	c.CreateTable("t", []string{"cf"}, nil)

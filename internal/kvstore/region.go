@@ -52,15 +52,19 @@ type Region struct {
 	cache  *rowCache
 	store  *diskStore // nil = memory-only
 
-	// liveCells caches LiveCellCount's merge walk, keyed by the seq that
-	// produced it. Flushes and compactions never change the live set, so
-	// the cache only invalidates on mutation (seq advance). The cache
-	// has its own lock, liveMu: the walk itself runs under the region
-	// READ lock so planner statistics never stall concurrent reads.
-	liveMu         sync.Mutex
-	liveCells      uint64 // guarded by: liveMu
-	liveCellsSeq   uint64 // guarded by: liveMu
-	liveCellsValid bool   // guarded by: liveMu
+	// liveCells is the region's live-cell count (see LiveCellCount),
+	// current while liveCounted is set. The first ask walks the region
+	// to establish it; from then on applyMutation keeps it current, so a
+	// region nobody asks about pays only the liveCounted check per
+	// write. Flushes and compactions preserve the live set and leave the
+	// count alone. Anything else that changes the live set (a scrub
+	// quarantine) calls invalidateLiveLocked: the next ask walks again.
+	// The walk runs under the READ lock and installs its result only if
+	// neither seq nor liveEpoch moved meanwhile — the validity stamp
+	// that keeps a walk from outliving a write or an invalidation.
+	liveCells   uint64 // guarded by: mu
+	liveCounted bool   // guarded by: mu
+	liveEpoch   uint64 // guarded by: mu
 
 	flushThreshold   uint64 // guarded by: mu
 	compactThreshold int
@@ -281,14 +285,82 @@ func (r *Region) applyMutation(c Cell) error {
 	if err := r.log.append(key, &c); err != nil {
 		return err
 	}
+	st := r.storeLocked(c.Family)
+	if r.liveCounted {
+		r.countMutationLocked(st, key, &c)
+	}
 	// The memtable copies key and value into its arena, so the caller
 	// may reuse its buffers the moment the write returns.
-	r.storeLocked(c.Family).mem.put(key, &c)
+	st.mem.put(key, &c)
 	r.cache.invalidate(c.Row)
 	if r.memSizeLocked() > r.flushThreshold {
 		return r.flushLocked()
 	}
 	return nil
+}
+
+// countMutationLocked moves the maintained live count by cell c, about
+// to be inserted under key into family store st. A column's keys sort
+// newest first — timestamp descending, then sequence descending — and
+// key carries the region's highest sequence, so c becomes the column's
+// newest version exactly when key sorts before the newest stored one,
+// i.e. when c's timestamp is >= that version's. Only then does the
+// column's liveness change, from the old newest version's to c's. A
+// lookup that fails drops the count, so the next ask walks again.
+// locked: r.mu
+func (r *Region) countMutationLocked(st *familyStore, key string, c *Cell) {
+	old, oldLive, err := st.newestVersion(c.Row, key[:len(key)-cellKeySuffixLen])
+	if err != nil {
+		r.invalidateLiveLocked()
+		return
+	}
+	if old != "" && old < key {
+		return // a newer version stays the column's newest
+	}
+	if oldLive {
+		r.liveCells--
+	}
+	if !c.Tombstone {
+		r.liveCells++
+	}
+}
+
+// newestVersion returns the key of the newest stored version of the
+// column whose key prefix is col ("" = none) and whether that version is
+// live: the smallest key with that prefix across the memtable and the
+// runs whose row range and bloom filter admit row, each positioned the
+// way a point get positions it (rowIterLocked), without the merge and
+// unbilled. Caller holds the region lock.
+func (st *familyStore) newestVersion(row, col string) (key string, live bool, err error) {
+	mit := memtableIter{m: st.mem}
+	mit.moveTo(st.mem.seek(col))
+	if mit.valid() && strings.HasPrefix(mit.key(), col) {
+		key, live = mit.key(), !mit.cell().Tombstone
+	}
+	for _, s := range st.runs {
+		if !s.mayContainRow(row) {
+			continue
+		}
+		it := s.iterAt(col, nil)
+		if !it.valid() {
+			if err := it.fail(); err != nil {
+				return "", false, err
+			}
+			continue
+		}
+		if k := it.key(); strings.HasPrefix(k, col) && (key == "" || k < key) {
+			key, live = k, !it.cell().Tombstone
+		}
+	}
+	return key, live, nil
+}
+
+// invalidateLiveLocked drops the maintained live count after a change
+// to the live set that applyMutation did not see. Caller holds r.mu
+// exclusively.
+func (r *Region) invalidateLiveLocked() {
+	r.liveCounted = false
+	r.liveEpoch++
 }
 
 // mutateRow applies several cells of ONE row atomically.
@@ -982,29 +1054,42 @@ func (r *Region) CellCount() int {
 // LiveCellCount returns the number of LIVE cells: distinct columns whose
 // newest stored version is not a tombstone. Unlike CellCount it is
 // insensitive to version churn, so planner cardinalities derived from it
-// do not inflate on update-heavy tables between compactions. The merge
-// walk is cached per mutation seq — flushes and compactions preserve the
-// live set, so only writes invalidate — and runs under the region READ
-// lock, so planning a write-active table never blocks concurrent reads.
+// do not inflate on update-heavy tables between compactions. The first
+// call walks the region under the READ lock, so planning never blocks
+// concurrent reads; from then on the region keeps the count current as
+// it applies mutations, and a call costs one read-lock cycle whatever
+// the region holds. Only an invalidation (a scrub quarantine) makes the
+// next call walk again.
 func (r *Region) LiveCellCount() uint64 {
 	r.mu.RLock()
-	seq := r.seq
-	r.mu.RUnlock()
-	r.liveMu.Lock()
-	if r.liveCellsValid && r.liveCellsSeq == seq {
+	if r.liveCounted {
 		n := r.liveCells
-		r.liveMu.Unlock()
+		r.mu.RUnlock()
 		return n
 	}
-	r.liveMu.Unlock()
+	seq, epoch := r.seq, r.liveEpoch
+	n, err := r.walkLiveLocked()
+	r.mu.RUnlock()
+	if err != nil {
+		return n // a partial count is never installed
+	}
 
-	r.mu.RLock()
-	seq = r.seq // walk counts exactly this mutation state
+	r.mu.Lock()
+	if !r.liveCounted && r.seq == seq && r.liveEpoch == epoch {
+		r.liveCells, r.liveCounted = n, true
+	}
+	r.mu.Unlock()
+	return n
+}
+
+// walkLiveLocked counts the live cells by a merge walk of every family
+// store. Caller holds a read lock.
+func (r *Region) walkLiveLocked() (uint64, error) {
 	var n uint64
 	lastRow, lastFam, lastQual := "", "", ""
 	first := true
 	it := r.iteratorsLocked("", nil, nil)
-	for it.valid() {
+	for ; it.valid(); it.next() {
 		c := it.cell()
 		if first || c.Row != lastRow || c.Family != lastFam || c.Qualifier != lastQual {
 			first = false
@@ -1013,16 +1098,8 @@ func (r *Region) LiveCellCount() uint64 {
 				n++
 			}
 		}
-		it.next()
 	}
-	r.mu.RUnlock()
-
-	r.liveMu.Lock()
-	r.liveCells = n
-	r.liveCellsSeq = seq
-	r.liveCellsValid = true
-	r.liveMu.Unlock()
-	return n
+	return n, it.fail()
 }
 
 // WALSize returns the byte length of the region's write-ahead log file:

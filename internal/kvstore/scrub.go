@@ -61,10 +61,17 @@ func (c *Cluster) Scrub() (*ScrubReport, error) {
 			}
 			reports, stats, err := r.scrubRuns()
 			c.chargeRPC(stats)
+			quarantined := false
 			for _, f := range reports {
 				if f.Err != nil {
 					rep.Corrupt++
+					quarantined = true
 				}
+			}
+			if quarantined {
+				// The table's visible contents shrank: caches keyed on
+				// its mutation sequence must not survive that.
+				t.mutSeq.Add(1)
 			}
 			rep.Files = append(rep.Files, reports...)
 			if err != nil {
@@ -90,7 +97,8 @@ func (c *Cluster) Quarantined() []string {
 }
 
 // scrubRuns verifies every on-disk run of every family store, moving the
-// ones that fail to their store's quarantine, and returns per-file reports plus the measured
+// ones that fail to their store's quarantine (which drops the region's
+// maintained live count), and returns per-file reports plus the measured
 // verification I/O (the OpStats convention: this function is a metering
 // primitive, the caller charges). A new quarantine is registered in the
 // manifest before it returns, so no reopen puts the file back on the
@@ -135,6 +143,7 @@ func (r *Region) scrubRuns() ([]FileScrubReport, OpStats, error) {
 	if !quarantined {
 		return reports, stats, nil
 	}
+	r.invalidateLiveLocked()
 	return reports, stats, r.store.registerSegments(r.manifestRecordLocked())
 }
 

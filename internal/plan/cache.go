@@ -15,12 +15,14 @@ const maxCacheEntries = 1024
 // Cache memoizes gathered PlanStats per (tree, k) so a hot query path
 // (e.g. the HTTP server defaulting to AlgoAuto) does not re-read
 // histogram statistics on every request. Entries are keyed on each
-// input table's mutation sequence — TableStats is free cluster metadata
-// — so ANY write (insert, delete, or update; the latter used to be able
-// to slip past a count-based check) invalidates the entry and the next
-// plan sees fresh statistics. The tree's ID encodes its edge predicates
-// (JoinTree.ID), so same-leaf queries of different shapes never share
-// an entry.
+// input table's mutation sequence, which every plan reads from
+// TableStats: unbilled, and no walk of the table even right after a
+// write, since each region keeps its live-cell count current as it
+// applies mutations. So ANY write (insert, delete, or update; the
+// latter used to be able to slip past a count-based check) invalidates
+// the entry and the next plan sees fresh statistics. The tree's ID
+// encodes its edge predicates (JoinTree.ID), so same-leaf queries of
+// different shapes never share an entry.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]cacheEntry // guarded by: mu

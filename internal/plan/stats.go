@@ -28,7 +28,10 @@ const maxStatBands = 16
 // planning is real work and is metered like any other client access. A
 // non-nil cache short-circuits the statistics walks while the input
 // tables' mutation sequences are unchanged; any online write moves
-// them, so estimates always track live data.
+// them, so estimates always track live data. The TableStats call that
+// reads those sequences runs on every plan, cache hit or not: it is
+// cluster metadata, unbilled, and walks no table, because each region
+// keeps its live-cell count current on its write path.
 func gatherStats(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, exec core.ExecOptions, cache *Cache) (*core.PlanStats, error) {
 	// Relation rows carry two cells each (join value + score). LiveCells
 	// counts distinct live columns — not stored versions — so row
