@@ -4,8 +4,9 @@
 // topology) to replicate relations onto and ship whole rank-join
 // queries to — the paper's compute-to-data design at node granularity.
 //
-// The transport frames each message with a binary header and a JSON
-// body (internal/transport). rjnode and the rjserve routing to it must
+// The transport frames each message with a binary header; a TopK
+// reply's body is binary too, every other body JSON (internal/transport).
+// rjnode and the rjserve routing to it must
 // come from the same build: a router of another frame version is
 // refused on its first frame, and it reports a typed error naming both
 // versions.

@@ -3,6 +3,7 @@ package rankjoin
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -246,14 +247,22 @@ func (r *DistRelation) Name() string { return r.name }
 // at the leader, stamped once, applied with full index maintenance on
 // every replica, acknowledged at quorum.
 func (r *DistRelation) Insert(rowKey, joinValue string, score float64) error {
-	return r.d.router.Upsert(r.name, transport.TupleData{RowKey: rowKey, JoinValue: joinValue, Score: score})
+	t := Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score}
+	if err := checkScores(r.name, t); err != nil {
+		return err
+	}
+	return r.d.router.Upsert(r.name, *TupleData(t))
 }
 
 // Update replaces an existing tuple's join value and score through the
 // same protocol; like RelationHandle.Update it fails if the leader
 // holds no such row.
 func (r *DistRelation) Update(rowKey, joinValue string, score float64) error {
-	return r.d.router.Update(r.name, transport.TupleData{RowKey: rowKey, JoinValue: joinValue, Score: score})
+	t := Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score}
+	if err := checkScores(r.name, t); err != nil {
+		return err
+	}
+	return r.d.router.Update(r.name, *TupleData(t))
 }
 
 // DeleteKey removes a tuple by row key (no-op when absent).
@@ -265,6 +274,9 @@ func (r *DistRelation) DeleteKey(rowKey string) error {
 // full index maintenance. Like RelationHandle.BatchInsert it does not
 // resolve existing rows — load fresh keys only.
 func (r *DistRelation) BatchInsert(tuples []Tuple) error {
+	if err := checkScores(r.name, tuples...); err != nil {
+		return err
+	}
 	wire := make([]transport.TupleData, len(tuples))
 	for i, t := range tuples {
 		wire[i] = *TupleData(t)
@@ -370,8 +382,10 @@ func resultOf(res *transport.ResultData, node string, pages int) *Result {
 	if e := res.Estimate; e != nil {
 		out.Estimate = &CostEstimate{SimTime: time.Duration(e.SimTimeNanos), NetworkBytes: e.NetworkBytes, KVReads: e.KVReads}
 	}
+	out.Results = slices.Grow(out.Results, len(res.Results))
 	for _, r := range res.Results {
 		jr := JoinResult{Left: tupleOf(&r.Left), Right: tupleOf(&r.Right), Score: r.Score}
+		jr.Rest = slices.Grow(jr.Rest, len(r.Rest)) // stays nil for two leaves
 		for i := range r.Rest {
 			jr.Rest = append(jr.Rest, tupleOf(&r.Rest[i]))
 		}

@@ -7,7 +7,9 @@ package rankjoin
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -273,16 +275,12 @@ func TestDistributedWritesVisibleEverywhere(t *testing.T) {
 	}
 }
 
-// TestDistributedOverTCP runs the same workload against region servers
-// reached over the real length-prefixed TCP transport — the rjnode
-// deployment shape — and requires the same answers as the oracle.
-func TestDistributedOverTCP(t *testing.T) {
-	left, right := distTuples(200)
-	db, q := oracleDB(t, left, right)
-
-	// Three rjnode-equivalent region servers on loopback TCP.
+// openTCPCluster opens an N-node cluster of rjnode-equivalent region
+// servers reached over loopback TCP, with full replication.
+func openTCPCluster(t testing.TB, n int) *Distributed {
+	t.Helper()
 	var specs []NodeSpec
-	for i := 0; i < 3; i++ {
+	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("tcp%d", i)
 		ndb, err := Open(Config{})
 		if err != nil {
@@ -301,6 +299,17 @@ func TestDistributedOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// TestDistributedOverTCP runs the same workload against region servers
+// reached over the real TCP transport (binary-framed, see
+// internal/transport) — the rjnode deployment shape — and requires the
+// same answers as the oracle.
+func TestDistributedOverTCP(t *testing.T) {
+	left, right := distTuples(200)
+	db, q := oracleDB(t, left, right)
+	d := openTCPCluster(t, 3)
 	dq := loadCluster(t, d, left, right)
 
 	assertExecutorsMatchOracle(t, d, dq, db, q)
@@ -320,6 +329,65 @@ func TestDistributedOverTCP(t *testing.T) {
 	if _, ok, _ := lh.Get("dlwire"); ok {
 		t.Fatal("deleted tuple still visible over TCP")
 	}
+}
+
+// TestNonFiniteScoreRefused: a NaN or ±Inf score is refused with a
+// *ScoreError by every write on a DB, a loopback cluster and a TCP
+// cluster, before anything is written, so every executor keeps ranking
+// the same finite data. (A DB and a loopback cluster once stored such a
+// score, after which the executors disagreed on the top result, and TCP
+// failed the write with an untyped JSON error.)
+func TestNonFiniteScoreRefused(t *testing.T) {
+	left, right := distTuples(50)
+	db, q := oracleDB(t, left, right)
+	loop := openLoopbackCluster(t, 3)
+	loopQ := loadCluster(t, loop, left, right)
+	tcp := openTCPCluster(t, 3)
+	tcpQ := loadCluster(t, tcp, left, right)
+
+	type relation interface {
+		Insert(rowKey, joinValue string, score float64) error
+		Update(rowKey, joinValue string, score float64) error
+		BatchInsert(tuples []Tuple) error
+		Get(rowKey string) (Tuple, bool, error)
+	}
+	deployments := []struct {
+		name string
+		rel  relation
+	}{
+		{"db", db.Relation("left")},
+		{"loopback", loop.Relation("left")},
+		{"tcp", tcp.Relation("left")},
+	}
+	victim := left[0]
+	for _, dep := range deployments {
+		for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+			writes := map[string]error{
+				"Insert":      dep.rel.Insert("dlbad", "j1", bad),
+				"Update":      dep.rel.Update(victim.RowKey, victim.JoinValue, bad),
+				"BatchInsert": dep.rel.BatchInsert([]Tuple{{RowKey: "dlfresh", JoinValue: "j1", Score: 0.5}, {RowKey: "dlbad", JoinValue: "j1", Score: bad}}),
+			}
+			if dep.name == "db" {
+				writes["BulkLoad"] = db.Relation("left").BulkLoad([]Tuple{{RowKey: "dlbad", JoinValue: "j1", Score: bad}})
+			}
+			for op, err := range writes {
+				var se *ScoreError
+				if !errors.As(err, &se) || se.Relation != "left" || se.RowKey == "" || !(math.IsNaN(se.Score) || math.IsInf(se.Score, 0)) {
+					t.Errorf("%s %s(score %v) = %v, want a *ScoreError", dep.name, op, bad, err)
+				}
+			}
+			for _, key := range []string{"dlbad", "dlfresh"} {
+				if got, ok, err := dep.rel.Get(key); err != nil || ok {
+					t.Errorf("%s: refused write left %q = %+v (ok %v, err %v)", dep.name, key, got, ok, err)
+				}
+			}
+			if got, ok, err := dep.rel.Get(victim.RowKey); err != nil || !ok || got != victim {
+				t.Errorf("%s: refused update changed %q to %+v (ok %v, err %v)", dep.name, victim.RowKey, got, ok, err)
+			}
+		}
+	}
+	assertExecutorsMatchOracle(t, loop, loopQ, db, q)
+	assertExecutorsMatchOracle(t, tcp, tcpQ, db, q)
 }
 
 // TestDistributedPageTokenFailover: follow-up pages are sticky to the

@@ -180,6 +180,12 @@
 // Planner statistics and cached plans are keyed on each table's
 // mutation sequence, so cost estimates track live data too.
 //
+// Scores must be finite. Every write on a RelationHandle or a
+// DistRelation (Insert, Update, BatchInsert, and BulkLoad) refuses a NaN
+// or ±Inf score with a *ScoreError before anything is written, on a DB
+// and on every cluster deployment alike: executors would otherwise rank
+// such a score differently, and the TCP wire cannot carry it.
+//
 // A write that fails part-way (base written, an index write refused)
 // surfaces as a core.MaintenanceError naming the divergent index and
 // carrying the batch's timestamp; re-applying the same mutation with
@@ -225,12 +231,15 @@
 // the transport seam (internal/transport): each node is either an
 // in-process DB reached over a zero-copy loopback, or an rjnode
 // process reached over TCP — the router cannot tell the difference. On
-// TCP each message is a 14-byte binary header (frame version, sequence
-// number, method or status, body length) and its JSON body, decoded
-// once. The router and rjnode must come from the same build: a peer of
-// another frame version is refused, typed, on its first frame. The seam sits at node granularity, matching the
-// paper's compute-to-data design: whole queries ship to a replica and
-// execute next to its data; only results come back.
+// TCP each message is a 14-byte binary header (frame version 0xF2,
+// sequence number, method or status, body length) and its body, decoded
+// once: a TopK reply's ranked results in a hand-written binary layout,
+// every other message and every error in JSON. The router and rjnode
+// must come from the same build: a peer of another frame version is
+// refused, typed, on its first frame. The seam sits at node
+// granularity, matching the paper's compute-to-data design: whole
+// queries ship to a replica and execute next to its data; only results
+// come back.
 //
 //	d, _ := rankjoin.OpenDistributed(rankjoin.Config{Topology: &rankjoin.Topology{
 //	    Nodes: []rankjoin.NodeSpec{

@@ -97,10 +97,14 @@ func (c *Client) call(method byte, reqBody any, out any) error {
 		}
 		switch code {
 		case statusOK:
-			if out != nil && len(body) > 0 {
-				if err := json.Unmarshal(body, out); err != nil {
-					return &Error{Kind: KindInternal, Msg: "decode response: " + err.Error()}
-				}
+			if out == nil || len(body) == 0 {
+				return nil
+			}
+			if res, ok := out.(*ResultData); ok {
+				return decodeResult(body, res) // TopK's binary reply (result.go)
+			}
+			if err := json.Unmarshal(body, out); err != nil {
+				return &Error{Kind: KindInternal, Msg: "decode response: " + err.Error()}
 			}
 			return nil
 		case statusError:
@@ -148,7 +152,8 @@ func (c *Client) GetTuple(relation, rowKey string) (*GetResponse, error) {
 	return &out, nil
 }
 
-// TopK implements RegionService.
+// TopK implements RegionService. Its reply body is binary, the only
+// one that is not JSON.
 func (c *Client) TopK(req QueryRequest) (*ResultData, error) {
 	var out ResultData
 	if err := c.call(methodTopK, req, &out); err != nil {

@@ -9,27 +9,33 @@ import (
 )
 
 // Wire framing: every message is a fixed 14-byte binary header followed
-// by the message's JSON body, untouched:
+// by the message's body:
 //
 //	[0]      frameMagic, the frame format's version byte
 //	[1:9]    sequence number, big-endian; a response carries its request's
 //	[9]      on a request the method code, on a response the status
 //	[10:14]  body length, big-endian
 //
-// The receiver decodes the body once, straight into the typed request
-// or response; an error response's body is the JSON *Error.
+// A methodTopK reply's body is its ResultData in binary (result.go);
+// every other body, requests and error responses included, is JSON. The
+// receiver decodes the body once, straight into the typed request or
+// response; an error response's body is the JSON *Error.
 //
-// Both peers must come from the same build. The format before this one
-// (frame format v0) began every frame with a 4-byte big-endian length,
-// whose first byte is at most 0x04 under maxFrame, so no v0 frame can
-// begin with frameMagic, and a v0 reader rejects frameMagic as a length
-// over its limit. A peer of the other build therefore fails typed on
-// its first frame, in both directions. No reader for v0 is kept.
+// Both peers must come from the same build. Frame format v1 had this
+// header, version byte 0xF1, and JSON bodies throughout. Format v0
+// began every frame with a 4-byte big-endian length, whose first byte
+// is at most 0x04 under maxFrame, so no v0 frame can begin with a
+// version byte, and a v0 reader rejects one as a length over its limit.
+// A peer of another build therefore fails typed on its first frame, in
+// both directions. No reader for v0 or v1 is kept.
 const (
-	frameMagic   byte = 0xF1 // frame format v1
-	frameVersion      = 1
+	frameMagic   byte = 0xF2 // frame format v2
+	frameVersion      = 2
 	headerLen         = 14
 )
+
+// frameMagicV1 is frame format v1's version byte, named in versionError.
+const frameMagicV1 byte = 0xF1
 
 // maxFrame bounds one message body (64 MiB): a hostile or corrupt
 // length fails fast instead of allocating unbounded memory.
@@ -91,7 +97,13 @@ func (f *frameBuf) Write(p []byte) (int, error) {
 // send.
 func (f *frameBuf) encode(seq uint64, code byte, v any) error {
 	f.b = append(f.b[:0], make([]byte, headerLen)...)
-	if v != nil {
+	switch v := v.(type) {
+	case nil:
+	case *ResultData:
+		if v != nil {
+			f.b = appendResult(f.b, v)
+		}
+	default:
 		if err := f.enc.Encode(v); err != nil {
 			return err
 		}
@@ -169,8 +181,11 @@ func (f *frameBuf) release() {
 // not fail over and redial on a build mismatch.
 func versionError(first byte) *Error {
 	peer := fmt.Sprintf("an unknown frame format (first byte 0x%02x)", first)
-	if first <= maxFrame>>24 { // the top byte of a v0 length
+	switch {
+	case first <= maxFrame>>24: // the top byte of a v0 length
 		peer = "frame format v0 (length-prefixed JSON envelope)"
+	case first == frameMagicV1:
+		peer = "frame format v1 (JSON result bodies)"
 	}
 	return &Error{Kind: KindInternal, Msg: fmt.Sprintf(
 		"peer speaks %s, this build speaks frame format v%d: rjserve and rjnode must come from the same build",

@@ -36,6 +36,14 @@ func v0Frame(envelope string) []byte {
 	return append(out, envelope...)
 }
 
+// v1Frame is a frame in format v1: the same header layout under
+// version byte 0xF1, then a JSON body.
+func v1Frame(seq uint64, code byte, body string) []byte {
+	out := header(seq, code, uint32(len(body)))
+	out[0] = frameMagicV1
+	return append(out, body...)
+}
+
 func TestFrameLimit(t *testing.T) {
 	// A hostile 4 GiB length must fail before anything is allocated
 	// for the body.
@@ -61,96 +69,132 @@ func TestFrameLimit(t *testing.T) {
 	}
 }
 
-// TestFrameVersionRefused: a peer of the build before the binary header
-// is refused typed on its first frame, in both directions.
+// TestFrameVersionRefused: a peer of an earlier build — frame format
+// v0 (no binary header) or v1 (JSON result bodies) — is refused typed on
+// its first frame, in both directions.
 func TestFrameVersionRefused(t *testing.T) {
+	peers := []struct {
+		version  string
+		reply    []byte   // the peer server's answer to our first request
+		requests [][]byte // first frames a peer client sends
+	}{
+		{
+			version: "v0",
+			reply:   v0Frame(`{"seq":1}`),
+			requests: [][]byte{
+				v0Frame(`{"seq":1,"method":"Apply","body":{"relation":"r1","kind":"insert","ts":1}}`),
+				v0Frame(`{"seq":1,"method":"Health"}`),
+			},
+		},
+		{
+			version: "v1",
+			reply:   v1Frame(1, statusOK, `{"results":null,"cost":{},"algorithm":"isl"}`),
+			requests: [][]byte{
+				v1Frame(1, methodApply, `{"relation":"r1","kind":"insert","ts":1}`),
+				v1Frame(1, methodHealth, ""),
+				v1Frame(1, methodTopK, `{"left":"a","right":"b","k":3,"algo":"isl"}`),
+			},
+		},
+	}
 	t.Run("client", func(t *testing.T) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		for _, peer := range peers {
+			t.Run(peer.version, func(t *testing.T) { clientRefuses(t, peer.version, peer.reply) })
+		}
+	})
+	t.Run("server", func(t *testing.T) {
+		for _, peer := range peers {
+			t.Run(peer.version, func(t *testing.T) { serverRefuses(t, peer.version, peer.requests) })
+		}
+	})
+}
+
+// clientRefuses: a client whose first request is answered by reply
+// fails with a typed *Error naming both versions, without a redial.
+func clientRefuses(t *testing.T, version string, reply []byte) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepts atomic.Int32
+	var wg sync.WaitGroup
+	hold := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			wg.Add(1)
+			go func(conn net.Conn) {
+				defer wg.Done()
+				defer conn.Close()
+				if _, err := conn.Read(make([]byte, 4096)); err != nil {
+					return
+				}
+				// Answer as the old server would, then wait for the
+				// next request as it would: a reader that waited for
+				// a whole header here would hang on a v0 reply.
+				if _, err := conn.Write(reply); err != nil {
+					return
+				}
+				<-hold
+			}(conn)
+		}
+	}()
+	t.Cleanup(func() {
+		close(hold)
+		_ = ln.Close()
+		wg.Wait()
+	})
+
+	cl := Dial(ln.Addr().String())
+	defer cl.Close()
+	_, err = cl.TopK(QueryRequest{Left: "a", Right: "b", K: 3, Algo: "isl"})
+	var te *Error
+	if !errors.As(err, &te) {
+		t.Fatalf("err = %v, want *Error", err)
+	}
+	if te.Kind == KindUnavailable || errors.Is(err, ErrUnavailable) {
+		t.Fatalf("err = %v: a build mismatch must not read as unavailable", err)
+	}
+	if !strings.Contains(te.Msg, version) || !strings.Contains(te.Msg, fmt.Sprintf("v%d", frameVersion)) {
+		t.Fatalf("err = %v, want both frame versions named", err)
+	}
+	if n := accepts.Load(); n != 1 {
+		t.Fatalf("client dialed %d times, want 1 (no redial on a mismatch)", n)
+	}
+}
+
+// serverRefuses: a server drops each connection whose first frame is
+// one of requests, without answering or dispatching it.
+func serverRefuses(t *testing.T, version string, requests [][]byte) {
+	fake := &fakeService{}
+	srv, _ := startServer(t, fake)
+	for _, frame := range requests {
+		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var accepts atomic.Int32
-		var wg sync.WaitGroup
-		hold := make(chan struct{})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				accepts.Add(1)
-				wg.Add(1)
-				go func(conn net.Conn) {
-					defer wg.Done()
-					defer conn.Close()
-					if _, err := conn.Read(make([]byte, 4096)); err != nil {
-						return
-					}
-					// Answer as a v0 server would, then wait for the next
-					// request as it would: a reader that waited for a whole
-					// header here would hang.
-					if _, err := conn.Write(v0Frame(`{"seq":1}`)); err != nil {
-						return
-					}
-					<-hold
-				}(conn)
-			}
-		}()
-		t.Cleanup(func() {
-			close(hold)
-			_ = ln.Close()
-			wg.Wait()
-		})
-
-		cl := Dial(ln.Addr().String())
-		defer cl.Close()
-		err = cl.Apply(WriteOp{Relation: "r1", Kind: OpInsert, TS: 1})
-		var te *Error
-		if !errors.As(err, &te) {
-			t.Fatalf("err = %v, want *Error", err)
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
 		}
-		if te.Kind == KindUnavailable || errors.Is(err, ErrUnavailable) {
-			t.Fatalf("err = %v: a build mismatch must not read as unavailable", err)
+		if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(te.Msg, "v0") || !strings.Contains(te.Msg, fmt.Sprintf("v%d", frameVersion)) {
-			t.Fatalf("err = %v, want both frame versions named", err)
+		n, err := conn.Read(make([]byte, 64))
+		_ = conn.Close()
+		if n != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("server answered a %s frame with %d bytes (err %v), want the connection dropped", version, n, err)
 		}
-		if n := accepts.Load(); n != 1 {
-			t.Fatalf("client dialed %d times, want 1 (no redial on a mismatch)", n)
-		}
-	})
-
-	t.Run("server", func(t *testing.T) {
-		fake := &fakeService{}
-		srv, _ := startServer(t, fake)
-		for _, envelope := range []string{
-			`{"seq":1,"method":"Apply","body":{"relation":"r1","kind":"insert","ts":1}}`,
-			`{"seq":1,"method":"Health"}`,
-		} {
-			conn, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := conn.Write(v0Frame(envelope)); err != nil {
-				t.Fatal(err)
-			}
-			if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
-				t.Fatal(err)
-			}
-			n, err := conn.Read(make([]byte, 64))
-			_ = conn.Close()
-			if n != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
-				t.Fatalf("server answered a v0 frame with %d bytes (err %v), want the connection dropped", n, err)
-			}
-		}
-		fake.mu.Lock()
-		defer fake.mu.Unlock()
-		if len(fake.applied) != 0 || len(fake.queries) != 0 {
-			t.Fatalf("a v0 frame was dispatched: applied %v", fake.applied)
-		}
-	})
+	}
+	fake.mu.Lock()
+	defer fake.mu.Unlock()
+	if len(fake.applied) != 0 || len(fake.queries) != 0 {
+		t.Fatalf("a %s frame was dispatched: applied %v, queries %v", version, fake.applied, fake.queries)
+	}
 }
 
 // TestFrameBuffersDoNotAlias: a decoded message owns its strings and
@@ -261,6 +305,7 @@ func FuzzFrame(f *testing.F) {
 		{methodFetchRange, RangeRequest{Table: "t", Leaves: 4}},
 		{methodRepair, RepairRequest{Table: "t", Leaves: 4}},
 		{0xEE, nil},
+		{methodTopK, page(3)}, // a binary TopK reply where a request belongs
 	}
 	fb := newFrameBuf()
 	var two []byte // the first two frames back to back

@@ -17,14 +17,17 @@
 // Gate wraps any implementation with a kill switch for node-failure
 // tests.
 //
-// On TCP every message is one frame: a 14-byte binary header (a
-// version byte, the sequence number, the method code or response
-// status, the body length) followed by the message's JSON body, which
-// the receiver decodes once, straight into the typed request or
-// response (codec.go). The router and its nodes must come from the
-// same build: a peer speaking another frame version is refused on its
-// first frame with a typed *Error that names both versions and is not
-// KindUnavailable, so the router reports it instead of failing over.
+// On TCP every message is one frame: a 14-byte binary header (the
+// version byte 0xF2, the sequence number, the method code or response
+// status, the body length) followed by the message's body, which the
+// receiver decodes once, straight into the typed request or response
+// (codec.go). A TopK reply's body is its ResultData in a hand-written
+// binary layout (result.go), since ranked results are what crosses the
+// network on every query; every other body, and every error body, is
+// JSON. The router and its nodes must come from the same build: a peer
+// speaking another frame version is refused on its first frame with a
+// typed *Error that names both versions and is not KindUnavailable, so
+// the router reports it instead of failing over.
 package transport
 
 import (

@@ -21,6 +21,7 @@ type fakeService struct {
 	applied []WriteOp       // guarded by: mu
 	queries []QueryRequest  // guarded by: mu
 	failure error           // guarded by: mu
+	result  *ResultData     // guarded by: mu; TopK's reply when set
 }
 
 func (f *fakeService) fail(err error) {
@@ -88,7 +89,11 @@ func (f *fakeService) TopK(req QueryRequest) (*ResultData, error) {
 	}
 	f.mu.Lock()
 	f.queries = append(f.queries, req)
+	canned := f.result
 	f.mu.Unlock()
+	if canned != nil {
+		return canned, nil
+	}
 	out := &ResultData{Algorithm: req.Algo}
 	for i := 0; i < req.K; i++ {
 		out.Results = append(out.Results, JoinResultData{
@@ -192,6 +197,38 @@ func TestTCPRoundTrip(t *testing.T) {
 	fake.mu.Unlock()
 	if !reflect.DeepEqual(shipped, shape) {
 		t.Fatalf("tree changed across the wire: %+v, want %+v", shipped, shape)
+	}
+
+	// A three-leaf page with an estimate and a token crosses whole.
+	page := &ResultData{
+		Results: []JoinResultData{
+			{
+				Left:  TupleData{RowKey: "a1", JoinValue: "j1", Score: 0.5},
+				Right: TupleData{RowKey: "b1", JoinValue: "j1", Score: 0.25},
+				Rest:  []TupleData{{RowKey: "c1", JoinValue: "j1", Score: 0.125}},
+				Score: 0.875,
+			},
+			{
+				Left:  TupleData{RowKey: "a2", JoinValue: "ключ", Score: 0.375},
+				Right: TupleData{RowKey: "", JoinValue: "ключ", Score: -1.5e-300},
+				Rest:  []TupleData{{RowKey: "c2", JoinValue: "ключ", Score: 1e300}},
+				Score: 1e300,
+			},
+		},
+		Cost:          CostData{SimTimeNanos: 12345678, NetworkBytes: 4096, KVReads: 17, KVWrites: 1, RPCCalls: 3, DiskBytesRead: 1 << 40, TuplesShipped: 6},
+		Algorithm:     "anyk",
+		NextPageToken: "tok-2",
+		Estimate:      &CostData{SimTimeNanos: -1, NetworkBytes: 2048, KVReads: 9},
+	}
+	fake.mu.Lock()
+	fake.result = page
+	fake.mu.Unlock()
+	res, err = cl.TopK(QueryRequest{Tree: shape, Score: "sum", K: 2, Algo: "auto", PageToken: "tok-1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, page) {
+		t.Fatalf("three-leaf page changed across the wire:\n got %+v\nwant %+v", res, page)
 	}
 
 	tree, err := cl.MerkleTree(TreeRequest{Table: "rel_r1", Leaves: 16})

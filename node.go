@@ -3,6 +3,7 @@ package rankjoin
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -276,12 +277,14 @@ func (n *NodeService) TopK(req transport.QueryRequest) (*transport.ResultData, e
 	if e := res.Estimate; e != nil {
 		out.Estimate = &transport.CostData{SimTimeNanos: e.SimTime.Nanoseconds(), NetworkBytes: e.NetworkBytes, KVReads: e.KVReads}
 	}
+	out.Results = slices.Grow(out.Results, len(res.Results))
 	for _, r := range res.Results {
 		jr := transport.JoinResultData{
 			Left:  *TupleData(r.Left),
 			Right: *TupleData(r.Right),
 			Score: r.Score,
 		}
+		jr.Rest = slices.Grow(jr.Rest, len(r.Rest)) // stays nil for two leaves
 		for _, t := range r.Rest {
 			jr.Rest = append(jr.Rest, *TupleData(t))
 		}

@@ -3,6 +3,7 @@ package rankjoin
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -391,6 +392,32 @@ func (h *RelationHandle) maintainer() *core.Maintainer {
 	return m
 }
 
+// ScoreError refuses a write whose score is NaN or ±Inf. Insert,
+// Update, BatchInsert and BulkLoad on a RelationHandle, and their
+// DistRelation counterparts, return one before anything is written:
+// executors disagree on how to rank a non-finite score, and the TCP
+// wire cannot carry one.
+type ScoreError struct {
+	Relation string
+	RowKey   string
+	Score    float64
+}
+
+func (e *ScoreError) Error() string {
+	return fmt.Sprintf("rankjoin: relation %q row %q: score %v is not a finite number", e.Relation, e.RowKey, e.Score)
+}
+
+// checkScores returns a *ScoreError for the first tuple whose score is
+// not finite.
+func checkScores(relation string, tuples ...Tuple) error {
+	for _, t := range tuples {
+		if math.IsNaN(t.Score) || math.IsInf(t.Score, 0) {
+			return &ScoreError{Relation: relation, RowKey: t.RowKey, Score: t.Score}
+		}
+	}
+	return nil
+}
+
 // Get reads the relation's current tuple for a row key (ok=false when
 // the row is absent or lacks the join/score columns).
 func (h *RelationHandle) Get(rowKey string) (Tuple, bool, error) {
@@ -413,9 +440,12 @@ func (h *RelationHandle) Get(rowKey string) (Tuple, bool, error) {
 // same timestamp: a blind re-insert used to leave the old score's
 // inverse-list entries live, producing phantom results.
 func (h *RelationHandle) Insert(rowKey, joinValue string, score float64) error {
+	new := Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score}
+	if err := checkScores(h.rel.Name, new); err != nil {
+		return err
+	}
 	h.writeMu.Lock()
 	defer h.writeMu.Unlock()
-	new := Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score}
 	old, ok, err := h.Get(rowKey)
 	if err != nil {
 		return err
@@ -431,6 +461,10 @@ func (h *RelationHandle) Insert(rowKey, joinValue string, score float64) error {
 // It reads the current tuple itself (the embedded store IS the paper's
 // interception point) and fails if the row is absent.
 func (h *RelationHandle) Update(rowKey, joinValue string, score float64) error {
+	new := Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score}
+	if err := checkScores(h.rel.Name, new); err != nil {
+		return err
+	}
 	h.writeMu.Lock()
 	defer h.writeMu.Unlock()
 	old, ok, err := h.Get(rowKey)
@@ -440,7 +474,7 @@ func (h *RelationHandle) Update(rowKey, joinValue string, score float64) error {
 	if !ok {
 		return fmt.Errorf("rankjoin: relation %q has no row %q to update", h.rel.Name, rowKey)
 	}
-	return h.maintainer().UpdateTuple(old, Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score})
+	return h.maintainer().UpdateTuple(old, new)
 }
 
 // Delete removes a tuple (the caller supplies its current join value and
@@ -470,6 +504,9 @@ func (h *RelationHandle) DeleteKey(rowKey string) error {
 // index entries, so load fresh keys only (use Insert or Update for
 // overwrites, or BulkLoad + EnsureIndexes for initial loads).
 func (h *RelationHandle) BatchInsert(tuples []Tuple) error {
+	if err := checkScores(h.rel.Name, tuples...); err != nil {
+		return err
+	}
 	h.writeMu.Lock()
 	defer h.writeMu.Unlock()
 	return h.maintainer().InsertBatch(tuples)
@@ -479,6 +516,9 @@ func (h *RelationHandle) BatchInsert(tuples []Tuple) error {
 // data first, then build indexes with EnsureIndexes. It ends by sealing
 // the relation's table (see kvstore.Cluster.Seal).
 func (h *RelationHandle) BulkLoad(tuples []Tuple) error {
+	if err := checkScores(h.rel.Name, tuples...); err != nil {
+		return err
+	}
 	var cells []kvstore.Cell
 	for _, t := range tuples {
 		cells = append(cells,
