@@ -5,7 +5,7 @@
 //
 // A function "touches storage" when it calls a storage primitive: any
 // function whose results include kvstore's OpStats type (directly or as
-// a struct field, e.g. fetchResult), or one of the named primitives
+// a struct field), or one of the named primitives
 // (writes: applyRow, mutateRow, applyMutation; disk: writeSSTable,
 // readDataBlock, readIndexBlock, registerSegments — the block readers
 // take OpStats as a parameter rather than returning it, so the result
@@ -502,7 +502,7 @@ func (c *checker) calleeFunc(call *ast.CallExpr) *types.Func {
 }
 
 // typeCarriesOpStats reports whether t is kvstore's OpStats or a struct
-// with an OpStats field (like fetchResult), through one pointer.
+// with an OpStats field, through one pointer.
 func typeCarriesOpStats(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()

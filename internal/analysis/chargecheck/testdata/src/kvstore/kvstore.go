@@ -9,7 +9,8 @@ import "sim"
 // function as a storage primitive.
 type OpStats struct{ Reads, Bytes int }
 
-// fetchResult carries OpStats as a field, like the real prefetch path.
+// fetchResult carries OpStats as a field: a function returning a struct
+// with an OpStats field is a primitive too.
 type fetchResult struct {
 	stats OpStats
 	err   error

@@ -415,9 +415,9 @@ type bfhmState struct {
 	k          int
 	score      *pairScore // every score is computed on the query's goroutine
 	idxA, idxB *BFHMIndex
-	// parallelism >= 2 fans the reverse-mapping multi-get batches out
-	// over that many concurrent lanes (per-region RPCs, grouped by node),
-	// instead of issuing them strictly sequentially.
+	// parallelism >= 2 bills the reverse-mapping multi-get batches as a
+	// fan-out over that many concurrent lanes (per-region RPCs, grouped
+	// by node), instead of as strictly sequential RPCs.
 	parallelism int
 
 	bucketsA []*bfhmBucket // fetched, in fetch order (desc score)

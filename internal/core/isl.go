@@ -207,9 +207,11 @@ func openLists(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOpti
 	}
 	streams := make([]*islStream, len(idx.Families))
 	for i, fam := range idx.Families {
-		// With Parallelism >= 2 every stream reads ahead asynchronously;
-		// the shared collector's clock-progress accounting overlaps the
-		// leaves' RPCs (Section 4.2.3's batched scans, pipelined).
+		// With Parallelism >= 2 every stream bills its batches as
+		// read-ahead: the shared collector's clock progress since a
+		// batch's RPC counts as issued hides that much of its round trip,
+		// so the leaves' RPCs overlap (Section 4.2.3's batched scans,
+		// pipelined). Each batch is still read only when consumed.
 		s, err := newISLStream(c, idx.Table, fam, opts.ISLBatch, opts.Parallelism >= 2)
 		if err != nil {
 			return nil, err

@@ -11,8 +11,8 @@ import (
 // scanner batch, never per tuple. Tuples are views of the scanner's
 // row, and their join values are cut from one string per batch, so one
 // batch of 2×batch tuples costs the same allocations at batch 10 as at
-// batch 100 — with and without the background prefetch. The kept
-// tuples must still read as written once the blocks have been reused.
+// batch 100 — with and without read-ahead billing. The kept tuples must
+// still read as written once the block has been reused.
 func TestISLStreamAllocsPerBatch(t *testing.T) {
 	const rows = 3000
 	c := newTestCluster()
@@ -52,7 +52,7 @@ func TestISLStreamAllocsPerBatch(t *testing.T) {
 					kept = append(kept, *tp)
 				}
 			}
-			drain() // the first block and the first batch's string
+			drain() // the block grows, and the first batch's string
 			kept = make([]Tuple, 0, 2*rows)
 			avg := testing.AllocsPerRun(10, drain)
 			t.Logf("%s: %.0f allocations per batch of %d tuples", what, avg, 2*batch)

@@ -147,6 +147,70 @@ func TestFaultScheduleEIOReadExhaustedTyped(t *testing.T) {
 	}
 }
 
+// TestFaultScheduleEIOReadMultiGetBillsNothing: a persistent EIO under
+// a batched get fails ParallelMultiGet the way it fails MultiGet — the
+// first failing read returns its typed *IOError — and neither call
+// bills anything, although ParallelMultiGet's lanes read whole batches
+// from unflushed regions before they reach the failing one.
+func TestFaultScheduleEIOReadMultiGetBillsNothing(t *testing.T) {
+	gateSchedule(t, "eio-read")
+	ffs := faultfs.New(nil)
+	c, err := openFaultCluster(t, t.TempDir(), ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.CreateTable("t", []string{"cf"}, []string{"m"}); err != nil {
+		t.Fatal(err)
+	}
+	put := func(prefix string) []string {
+		var keys []string
+		for i := 0; i < 20; i++ {
+			key := fmt.Sprintf("%s%03d", prefix, i)
+			keys = append(keys, key)
+			if err := c.Put("t", kvstore.Cell{Row: key, Family: "cf", Qualifier: "v", Value: []byte(key)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return keys
+	}
+	// Region [, m) is flushed to an SSTable; region [m, ) stays in its
+	// memtable and reads no file. The request asks for the memtable rows
+	// first, so the failing reads come in the last batches.
+	flushed := put("a")
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	keys := append(put("x"), flushed...)
+	c.SetRowCacheBytes(0)
+	c.SetBlockCacheBytes(0)
+	ffs.AddRule(faultfs.Rule{PathContains: ".sst", Op: faultfs.OpRead, Mode: faultfs.ModeErr})
+
+	for _, call := range []struct {
+		name string
+		get  func() ([]*kvstore.Row, error)
+	}{
+		{"MultiGet", func() ([]*kvstore.Row, error) { return c.MultiGet("t", keys) }},
+		{"ParallelMultiGet", func() ([]*kvstore.Row, error) { return c.ParallelMultiGet("t", keys, 4) }},
+	} {
+		before := c.Metrics().Snapshot()
+		rows, err := call.get()
+		var ioe *kvstore.IOError
+		if !errors.As(err, &ioe) {
+			t.Fatalf("%s under persistent EIO: rows %d, error %T (%v), want *kvstore.IOError", call.name, len(rows), err, err)
+		}
+		if !strings.HasSuffix(ioe.Path, ".sst") || ioe.Op != "read" {
+			t.Errorf("%s: IOError names %q op %q, want an .sst read", call.name, ioe.Path, ioe.Op)
+		}
+		if rows != nil {
+			t.Errorf("%s returned %d rows alongside its error", call.name, len(rows))
+		}
+		if got := c.Metrics().Snapshot().Sub(before); got != (sim.Snapshot{}) {
+			t.Errorf("%s billed a failed call: %+v", call.name, got)
+		}
+	}
+}
+
 // TestFaultScheduleTornWriteOnFlush: the first SSTable write during a
 // flush tears. The flush must fail typed, the memtable must keep every
 // acknowledged row readable, and a crash-reopen of the directory must

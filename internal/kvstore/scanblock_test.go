@@ -59,12 +59,12 @@ func requireKept(t *testing.T, what string, got, want []keptCell) {
 	}
 }
 
-// TestScannerBatchReuse: a scanner recycles its row blocks batch by
+// TestScannerBatchReuse: a scanner recycles its row block batch by
 // batch, and that must never change what a consumer kept. The cells'
 // strings and Values are views into the store, so every one kept while
 // draining with Next still reads as written after the scan has reused
-// the blocks many times over — at every batch size, with and without
-// the background prefetch filling the spare block. Rows from ScanAll
+// the block many times over — at every batch size, with and without
+// read-ahead billing. Rows from ScanAll
 // are detached: a second scanner draining the same table leaves them
 // as they were.
 func TestScannerBatchReuse(t *testing.T) {
@@ -137,10 +137,10 @@ func TestScannerBatchReuse(t *testing.T) {
 // constant number of allocations per batch — the RPC's fixed work of
 // seeking the merge and naming the next row — whatever the batch size
 // and however many rows the table holds. Each measured run consumes
-// exactly one batch, after both of the scanner's blocks have grown to
-// it. The rows are resident in a memory-mode store whatever
-// KVSTORE_DISK says: a disk scan also decodes a data block every ~4 KiB,
-// which the block cache then holds.
+// exactly one batch, after the scanner's block has grown to it. The
+// rows are resident in a memory-mode store whatever KVSTORE_DISK says:
+// a disk scan also decodes a data block every ~4 KiB, which the block
+// cache then holds.
 func TestScanAllocsPerBatch(t *testing.T) {
 	t.Setenv("KVSTORE_DISK", "")
 	first := map[string]float64{} // per shape, at 20000 rows and caching 10

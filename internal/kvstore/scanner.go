@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -23,55 +22,44 @@ type Scan struct {
 	// ReadTs, when non-zero, hides cells newer than this timestamp
 	// (snapshot reads used by index maintenance tests).
 	ReadTs int64
-	// Prefetch enables asynchronous read-ahead: after a batch is
-	// delivered the scanner immediately issues the next batch's RPC in
-	// the background, overlapping it with the caller's consumption. The
-	// cost model charges the full resource counters for every CONSUMED
-	// batch but advances the clock only by the portion of the fetch NOT
-	// hidden behind other work charged to the same collector since the
-	// RPC was issued (so two prefetching streams feeding one coordinator
-	// overlap each other's round trips). A speculative batch still in
-	// flight when the caller abandons the scanner is never billed — the
-	// client cancels the scanner lease, as with HBase scanner close.
+	// Prefetch bills the scan as if it read ahead: the next batch's RPC
+	// counts as issued when the batch before it is delivered (the first
+	// one when the scanner opens), and the clock work charged to the same
+	// collector since then hides that much of its round trip. Fill
+	// advances the clock by the batch's cost minus the clock's progress
+	// since the issue, never below zero, and bills the resource counters
+	// in full. So two prefetching streams feeding one coordinator overlap
+	// each other's round trips. Nothing is read before it is consumed:
+	// Fill fetches the batch on the caller's goroutine when it is needed,
+	// so a scanner abandoned part-way has read and billed only the
+	// batches it delivered.
 	Prefetch bool
-}
-
-// fetchResult is the outcome of one batch pulled by fetchOnce into a
-// block.
-type fetchResult struct {
-	stats   OpStats
-	nextRow string
-	done    bool
-	err     error
 }
 
 // Scanner streams rows of a table in ascending key order across region
 // boundaries, fetching Caching rows per RPC and charging the client
 // metrics accordingly.
 //
-// A batch is one rowBlock the scanner owns. It keeps two: the batch the
-// caller is reading, and a spare that the next fetch — synchronous, or
-// the background prefetch — refills. Taking the next batch turns the
-// block just read into the spare, so the rows Next hands out are
-// recycled batch by batch rather than allocated row by row.
+// A batch is the one rowBlock the scanner owns: each fetch refills it,
+// so the rows Next hands out are recycled batch by batch rather than
+// allocated row by row.
 type Scanner struct {
 	c       *Cluster
 	scan    Scan
-	blocks  [2]rowBlock
-	cur     int // blocks[cur] is the batch being read, blocks[1-cur] the spare
+	block   rowBlock
 	pos     int // next row of the batch
 	nextRow string
 	done    bool
 	err     error
-
-	// Prefetch state: at most one background fetch is in flight, and
-	// it fills the spare block.
-	pfCh       chan fetchResult
-	pfInflight bool
-	pfIssuedAt time.Duration // collector clock when the RPC was issued
+	// issuedAt is the collector clock when the next batch's RPC counts
+	// as issued, for Scan.Prefetch's billing.
+	issuedAt time.Duration
 }
 
-// OpenScanner starts a scan.
+// OpenScanner starts a scan. A prefetching scan's first RPC counts as
+// issued here, so whatever the caller bills before consuming it (e.g.
+// the other stream of a rank-join coordinator fetching ITS first batch)
+// overlaps its round trip.
 func (c *Cluster) OpenScanner(s Scan) (*Scanner, error) {
 	if _, err := c.table(s.Table); err != nil {
 		return nil, err
@@ -79,16 +67,7 @@ func (c *Cluster) OpenScanner(s Scan) (*Scanner, error) {
 	if s.Caching < 1 {
 		s.Caching = 1
 	}
-	sc := &Scanner{c: c, scan: s, nextRow: s.StartRow}
-	if s.Prefetch {
-		sc.pfCh = make(chan fetchResult, 1)
-		// Read ahead eagerly: the first batch's round trip overlaps
-		// whatever the caller does between opening and consuming (e.g.
-		// the other stream of a rank-join coordinator fetching ITS first
-		// batch). Nothing is billed unless the batch is consumed.
-		sc.prefetch()
-	}
-	return sc, nil
+	return &Scanner{c: c, scan: s, nextRow: s.StartRow, issuedAt: c.metrics.SimTime()}, nil
 }
 
 // Next returns the next row, or nil when the scan is exhausted. The row
@@ -109,13 +88,13 @@ func (sc *Scanner) Next() (*Row, error) {
 			return nil, err
 		}
 	}
-	r := &sc.blocks[sc.cur].rows[sc.pos]
+	r := &sc.block.rows[sc.pos]
 	sc.pos++
 	return r, nil
 }
 
 // Buffered reports how many fetched rows await consumption.
-func (sc *Scanner) Buffered() int { return len(sc.blocks[sc.cur].rows) - sc.pos }
+func (sc *Scanner) Buffered() int { return len(sc.block.rows) - sc.pos }
 
 // Done reports whether the scan is exhausted (no buffered rows and no
 // further batches).
@@ -135,83 +114,61 @@ func (sc *Scanner) Fill() error {
 		sc.err = err
 		return err
 	}
-	var res fetchResult
-	hidden := time.Duration(0)
-	if sc.pfInflight {
-		res = <-sc.pfCh
-		sc.pfInflight = false
-		// Clock progress since the RPC was issued is work the fetch
-		// overlapped with; only the remainder extends the turnaround.
-		hidden = sc.c.metrics.SimTime() - sc.pfIssuedAt
-	} else {
-		res = sc.fetchOnce(sc.nextRow, &sc.blocks[1-sc.cur])
+	stats, err := sc.fetchOnce()
+	if err != nil {
+		sc.block.reset()
+		sc.err = err
+		return err
 	}
-	if res.err != nil {
-		sc.err = res.err
-		return res.err
+	sc.c.chargeRPCCounters(stats)
+	cost := sc.c.rpcCost(stats)
+	if sc.scan.Prefetch {
+		// Clock progress since the RPC counts as issued is work the
+		// fetch overlapped with; only the remainder extends the
+		// turnaround.
+		cost -= sc.c.metrics.SimTime() - sc.issuedAt
 	}
-	sc.cur, sc.pos = 1-sc.cur, 0
-	sc.nextRow = res.nextRow
-	sc.done = res.done
-	sc.c.chargeRPCCounters(res.stats)
-	cost := sc.c.rpcCost(res.stats)
-	if cost > hidden {
-		sc.c.metrics.Advance(cost - hidden)
+	if cost > 0 {
+		sc.c.metrics.Advance(cost)
 	}
-	if sc.scan.Prefetch && !sc.done {
-		sc.prefetch()
-	}
+	sc.issuedAt = sc.c.metrics.SimTime()
 	return nil
 }
 
-// prefetch issues the next batch's RPC in the background, into the
-// spare block.
-func (sc *Scanner) prefetch() {
-	sc.pfInflight = true
-	sc.pfIssuedAt = sc.c.metrics.SimTime()
-	start, b := sc.nextRow, &sc.blocks[1-sc.cur]
-	go func() {
-		sc.pfCh <- sc.fetchOnce(start, b)
-	}()
-}
-
-// fetchOnce performs one batch read of up to Caching rows starting at
-// start into b, possibly spanning multiple regions server-side. It
-// touches no scanner state but b and charges no metrics, so it is safe
-// to run from the prefetch goroutine.
-func (sc *Scanner) fetchOnce(start string, b *rowBlock) fetchResult {
+// fetchOnce reads one batch of up to Caching rows from the scanner's
+// cursor into its block, possibly spanning multiple regions
+// server-side, and moves the cursor past it. It charges no metrics:
+// Fill bills the batch.
+func (sc *Scanner) fetchOnce() (OpStats, error) {
+	var stats OpStats
 	t, err := sc.c.table(sc.scan.Table)
 	if err != nil {
-		return fetchResult{err: err}
+		return stats, err
 	}
-	want := sc.scan.Caching
-	out := fetchResult{nextRow: start}
+	want, b := sc.scan.Caching, &sc.block
 	b.reset()
+	sc.pos = 0
 	for _, r := range t.regions {
-		if r.EndKey() != "" && start != "" && start >= r.EndKey() {
+		if r.EndKey() != "" && sc.nextRow != "" && sc.nextRow >= r.EndKey() {
 			continue // region entirely before the cursor
 		}
 		if sc.scan.StopRow != "" && r.StartKey() != "" && r.StartKey() >= sc.scan.StopRow {
 			break // region entirely after the stop row
 		}
-		st, _, err := r.scan(b, start, sc.scan.StopRow, want, sc.scan.Families, sc.scan.ReadTs, sc.scan.Filter, true)
+		st, _, err := r.scan(b, sc.nextRow, sc.scan.StopRow, want, sc.scan.Families, sc.scan.ReadTs, sc.scan.Filter, true)
 		if err != nil {
-			return fetchResult{err: err}
+			return stats, err
 		}
-		out.stats.add(st)
+		stats.add(st)
 		if len(b.rows) >= want {
 			break
 		}
 	}
-	if len(b.rows) < want {
-		out.done = true
-	}
+	sc.done = len(b.rows) < want
 	if len(b.rows) > 0 {
-		out.nextRow = b.rows[len(b.rows)-1].Key + "\x01" // resume strictly after the last row
-	} else {
-		out.done = true
+		sc.nextRow = b.rows[len(b.rows)-1].Key + "\x01" // resume strictly after the last row
 	}
-	return out
+	return stats, nil
 }
 
 // ScanAll drains a scan into rows the caller owns: each batch's rows
@@ -231,7 +188,7 @@ func (c *Cluster) ScanAll(s Scan) ([]Row, error) {
 		if sc.Buffered() == 0 {
 			return out, nil
 		}
-		b := &sc.blocks[sc.cur]
+		b := &sc.block
 		cells := append([]Cell(nil), b.cells...)
 		off := 0
 		for i := range b.rows {
@@ -302,20 +259,21 @@ type multiGetBatch struct {
 	region *Region
 	idxs   []int
 	stats  OpStats
-	cost   time.Duration
-	err    error
 }
 
-// ParallelMultiGet fans a batched get out over up to parallelism
-// concurrent lanes. Rows are grouped by the region that holds them (each
-// group is one RPC, as HBase clients batch per region server); groups
-// larger than an even 1/parallelism share are further chunked into
-// multiple RPCs, modelling the server-side handler pool and multi-disk
-// parallelism that lets one region serve concurrent point reads. The
-// clock advances by the slowest lane's total time while read units,
-// bytes, and RPC counts sum over every RPC — the parallel-lane convention
-// of sim.Metrics.AdvanceParallel. With parallelism <= 1 it degrades to
-// the single-RPC sequential MultiGet.
+// ParallelMultiGet bills a batched get as a fan-out over up to
+// parallelism concurrent lanes. Rows are grouped by the region that
+// holds them (each group is one RPC, as HBase clients batch per region
+// server); groups larger than an even 1/parallelism share are further
+// chunked into multiple RPCs, modelling the server-side handler pool and
+// multi-disk parallelism that lets one region serve concurrent point
+// reads. The batches are dealt round-robin onto lanes and read on the
+// caller's goroutine, lane after lane. The clock advances by the slowest
+// lane's total time while read units, bytes, and RPC counts sum over
+// every RPC — the parallel-lane convention of sim.Metrics.AdvanceParallel.
+// As with MultiGet, the first failing read returns its error and nothing
+// is billed. With parallelism <= 1 it degrades to the single-RPC
+// sequential MultiGet.
 func (c *Cluster) ParallelMultiGet(table string, rows []string, parallelism int, families ...string) ([]*Row, error) {
 	if parallelism <= 1 || len(rows) <= 1 {
 		return c.MultiGet(table, rows, families...)
@@ -373,32 +331,20 @@ func (c *Cluster) ParallelMultiGet(table string, rows []string, parallelism int,
 
 	out := make([]*Row, len(rows))
 	laneDur := make([]time.Duration, lanes)
-	var wg sync.WaitGroup
-	for l := range laneBatches {
-		wg.Add(1)
-		go func(l int) {
-			defer wg.Done()
-			for _, b := range laneBatches[l] {
-				for _, i := range b.idxs {
-					got, st, err := b.region.get(rows[i], families)
-					if err != nil {
-						b.err = fmt.Errorf("kvstore: multi-get %q: %w", rows[i], err)
-						return
-					}
-					b.stats.add(st)
-					out[i] = got
+	for l, lane := range laneBatches {
+		for _, b := range lane {
+			for _, i := range b.idxs {
+				got, st, err := b.region.get(rows[i], families)
+				if err != nil {
+					return nil, fmt.Errorf("kvstore: multi-get %q: %w", rows[i], err)
 				}
-				b.cost = c.multiGetCost(len(b.idxs), b.stats)
-				laneDur[l] += b.cost
+				b.stats.add(st)
+				out[i] = got
 			}
-		}(l)
-	}
-	wg.Wait()
-
-	for _, b := range batches {
-		if b.err != nil {
-			return nil, b.err
+			laneDur[l] += c.multiGetCost(len(b.idxs), b.stats)
 		}
+	}
+	for _, b := range batches {
 		c.chargeMultiGetCounters(len(b.idxs), b.stats)
 	}
 	c.metrics.AdvanceParallel(laneDur...)

@@ -76,8 +76,8 @@ func OpenAt(cfg Config) (*DB, error) {
 
 // Close closes every stream parked behind a page token, then releases
 // the underlying cluster's file handles and persists its counters, so no
-// cursor (or its scanner's prefetch) outlives the store it reads. A
-// memory-backed DB closes trivially. The DB must not be used afterwards.
+// cursor outlives the store it reads. A memory-backed DB closes
+// trivially. The DB must not be used afterwards.
 func (db *DB) Close() error {
 	db.cursors.drain()
 	return db.cluster.Close()

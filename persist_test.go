@@ -101,8 +101,9 @@ func TestColdStartFreshnessOracle(t *testing.T) {
 }
 
 // TestCloseClosesParkedCursors: streams parked behind page tokens — an
-// ISL page whose scanners prefetch, and an any-k page — are closed by
-// DB.Close before the store they read is, and their tokens forgotten.
+// ISL page whose scanners bill as read-ahead, and an any-k page — are
+// closed by DB.Close before the store they read is, and their tokens
+// forgotten.
 func TestCloseClosesParkedCursors(t *testing.T) {
 	db, err := OpenAt(Config{Dir: t.TempDir()})
 	if err != nil {

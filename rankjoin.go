@@ -174,13 +174,15 @@ type QueryOptions struct {
 	// ISLBatch is the scanner caching size for the list executors
 	// (isl, anyk): rows per scanner RPC (default 100).
 	ISLBatch int
-	// Parallelism fans the client read path out: BFHM's reverse-mapping
-	// multi-gets issue per-region RPCs over that many concurrent lanes,
-	// and at any value >= 2 ISL and any-k prefetch every leaf's inverse
-	// score list so their round trips overlap (their fan-out is one list
-	// per leaf, so values above 2 change nothing there). The simulated
-	// clock advances by the slowest lane; resource counters sum over every
-	// consumed batch. 0 or 1 means sequential.
+	// Parallelism bills the client read path as a fan-out: BFHM's
+	// reverse-mapping multi-gets count as per-region RPCs over that many
+	// concurrent lanes, and at any value >= 2 ISL and any-k bill every
+	// leaf's inverse-score-list batches as read-ahead, so their round
+	// trips overlap (their fan-out is one list per leaf, so values above
+	// 2 change nothing there). The simulated clock advances by the
+	// slowest lane; resource counters sum over every consumed batch. The
+	// reads themselves run on the query's goroutine, and nothing is read
+	// before it is consumed. 0 or 1 means sequential.
 	Parallelism int
 	// Objective is the metric AlgoAuto's planner minimizes (default
 	// ObjectiveTime). Ignored for hand-picked algorithms.
@@ -188,8 +190,9 @@ type QueryOptions struct {
 	// PageToken resumes a previous TopK where it stopped: pass the
 	// Result.NextPageToken of the prior page and the same query, and
 	// the next k results come from the retained cursor — marginal cost
-	// for incremental executors instead of a from-scratch re-run.
-	// Tokens are single-use (each page returns a fresh one) and expire
+	// for incremental executors instead of a from-scratch re-run. A
+	// resumed page reads its next batch when it resumes: the parked
+	// cursor holds no read in flight. Tokens are single-use (each page returns a fresh one) and expire
 	// when the DB's cursor cache evicts them.
 	PageToken string
 	// Context cancels the query cooperatively: cancellation is checked
