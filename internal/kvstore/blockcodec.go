@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"strings"
+	"sync"
 
 	"repro/internal/golomb"
 )
@@ -21,6 +22,16 @@ import (
 // codec 0 stores the payload raw; codec 1 DEFLATE-compresses it. The
 // CRC covers the codec byte too, so a flipped compression flag is caught
 // before an expensive (and possibly wrong) inflate.
+//
+// No DEFLATE state or buffer is made per frame. appendFrame compresses
+// with a pooled BestSpeed writer, Reset per frame, into a buffer the
+// SSTable writer reuses; Reset makes the writer equivalent to a new
+// one, so the bytes are those a fresh writer produces. A read takes a
+// pooled blockScratch, reads the frame into it and inflates the payload
+// into it with a pooled reader; the payload is scratch, and every block
+// decoder below copies what it keeps (doc.go). A block read allocates
+// the decoded block (and the standard inflater's Huffman link tables),
+// not a compressor, a reader or a frame.
 //
 // A DATA block payload is a restart-point prefix-compressed entry region
 // followed by a Golomb-coded restart offset array and a fixed tail:
@@ -74,35 +85,69 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errCorruptBlock, fmt.Sprintf(format, args...))
 }
 
-// encodeFrame wraps payload in the block frame, DEFLATE-compressing it
-// when that saves at least 1/8th of the bytes.
-func encodeFrame(payload []byte) []byte {
-	stored := payload
-	codec := byte(blockCodecRaw)
-	if len(payload) >= 128 {
-		var buf bytes.Buffer
-		fw, err := flate.NewWriter(&buf, flate.BestSpeed)
-		if err == nil {
-			if _, err := fw.Write(payload); err == nil && fw.Close() == nil {
-				if buf.Len() < len(payload)-len(payload)/8 {
-					stored = buf.Bytes()
-					codec = blockCodecFlate
-				}
-			}
-		}
-	}
-	out := make([]byte, 0, blockFrameOverhead+len(stored))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(stored)))
-	out = append(out, codec)
-	out = append(out, stored...)
-	crc := crc32.NewIEEE()
-	crc.Write(out[4:]) // codec byte + stored bytes
-	out = binary.BigEndian.AppendUint32(out, crc.Sum32())
-	return out
+// appendFrame appends payload's frame to dst and returns the extended
+// slice, DEFLATE-compressing the payload when that saves at least 1/8th
+// of the bytes. The compressor is pooled and Reset per frame, which
+// makes it equivalent to a new one: the bytes are those a fresh
+// flate.NewWriter(BestSpeed) produces. In steady state, with dst grown
+// to the largest frame, framing allocates nothing.
+func appendFrame(dst, payload []byte) []byte {
+	c := compressorPool.Get().(*compressor)
+	dst = c.appendFrame(dst, payload)
+	compressorPool.Put(c)
+	return dst
 }
 
-// decodeFrame verifies and unwraps one frame, returning the payload.
-func decodeFrame(frame []byte) ([]byte, error) {
+func (c *compressor) appendFrame(dst, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, blockCodecRaw)
+	stored := len(payload)
+	if len(payload) >= 128 {
+		c.out.b = dst
+		c.fw.Reset(&c.out)
+		if _, err := c.fw.Write(payload); err == nil && c.fw.Close() == nil {
+			if n := len(c.out.b) - len(dst); n < len(payload)-len(payload)/8 {
+				dst, stored = c.out.b, n
+				dst[start+4] = blockCodecFlate
+			}
+		}
+		c.out.b = nil
+	}
+	if dst[start+4] == blockCodecRaw {
+		dst = append(dst, payload...)
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(stored))
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start+4:])) // codec byte + stored bytes
+}
+
+// compressor is the pooled DEFLATE state of appendFrame: one BestSpeed
+// writer (about 1.2 MB of tables and window, the cost a fresh writer
+// pays per frame) and the appending sink it writes the stored bytes to.
+type compressor struct {
+	fw  *flate.Writer
+	out appendWriter
+}
+
+var compressorPool = sync.Pool{New: func() any {
+	c := new(compressor)
+	c.fw, _ = flate.NewWriter(&c.out, flate.BestSpeed) // a valid level: never fails
+	return c
+}}
+
+// appendWriter is an io.Writer appending to b.
+type appendWriter struct{ b []byte }
+
+func (w *appendWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
+// decodeFrame verifies one frame and appends its payload to dst[:0],
+// returning the payload. The result shares dst's array when it fits,
+// so a caller reusing dst must be done with the previous payload; it
+// never aliases frame. The inflate state is pooled and held for the
+// call only.
+func decodeFrame(dst, frame []byte) ([]byte, error) {
 	if len(frame) < blockFrameOverhead {
 		return nil, corruptf("frame of %d bytes is shorter than the %d-byte framing", len(frame), blockFrameOverhead)
 	}
@@ -110,20 +155,18 @@ func decodeFrame(frame []byte) ([]byte, error) {
 	if n != len(frame)-blockFrameOverhead {
 		return nil, corruptf("frame length %d does not match %d stored bytes", n, len(frame)-blockFrameOverhead)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(frame[4 : 5+n])
-	if got, want := crc.Sum32(), binary.BigEndian.Uint32(frame[5+n:]); got != want {
+	if got, want := crc32.ChecksumIEEE(frame[4:5+n]), binary.BigEndian.Uint32(frame[5+n:]); got != want {
 		return nil, corruptf("CRC mismatch: computed %08x, stored %08x", got, want)
 	}
 	stored := frame[5 : 5+n]
 	switch frame[4] {
 	case blockCodecRaw:
-		out := make([]byte, n)
-		copy(out, stored)
-		return out, nil
+		return append(dst[:0], stored...), nil
 	case blockCodecFlate:
-		fr := flate.NewReader(bytes.NewReader(stored))
-		out, err := io.ReadAll(io.LimitReader(fr, maxBlockPayload+1))
+		in := inflaterPool.Get().(*inflater)
+		out, err := in.inflate(dst[:0], stored)
+		in.src.Reset(nil) // the pool must not pin the caller's frame
+		inflaterPool.Put(in)
 		if err != nil {
 			return nil, corruptf("inflate: %v", err)
 		}
@@ -136,9 +179,78 @@ func decodeFrame(frame []byte) ([]byte, error) {
 	}
 }
 
+// inflater is the pooled DEFLATE state of decodeFrame: a flate reader
+// (a flate.Resetter, its window and Huffman tables reused) over a
+// reader of the stored bytes.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+}
+
+var inflaterPool = sync.Pool{New: func() any {
+	in := new(inflater)
+	in.fr = flate.NewReader(&in.src)
+	return in
+}}
+
+// inflate appends the decompressed stored bytes to out, reading at most
+// maxBlockPayload+1 of them so that the caller can tell an oversized
+// payload from a fitting one.
+func (in *inflater) inflate(out, stored []byte) ([]byte, error) {
+	in.src.Reset(stored)
+	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return nil, err
+	}
+	limit := io.LimitedReader{R: in.fr, N: maxBlockPayload + 1}
+	if cap(out) == 0 {
+		out = make([]byte, 0, 512)
+	}
+	for {
+		if len(out) == cap(out) {
+			out = append(out, 0)[:len(out)]
+		}
+		n, err := limit.Read(out[len(out):cap(out)])
+		out = out[:len(out)+n]
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// blockScratch is one block read's working memory: the frame as read
+// from the file and the payload decoded out of it. Both are reused by
+// the next read that takes the scratch, so whatever a block decoder
+// keeps, it copies (doc.go).
+type blockScratch struct {
+	frame   []byte
+	payload []byte
+}
+
+// keepBlockScratch caps the buffers a pooled scratch keeps: a read of a
+// larger block (a big table's bloom filter, say) drops its scratch
+// rather than pin that size in the pool.
+const keepBlockScratch = 1 << 20
+
+var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
+
+func getBlockScratch() *blockScratch { return blockScratchPool.Get().(*blockScratch) }
+
+// release returns s to the pool unless a buffer outgrew keepBlockScratch.
+// The caller must hold no slice of it afterwards.
+func (s *blockScratch) release() {
+	if cap(s.frame) > keepBlockScratch || cap(s.payload) > keepBlockScratch {
+		return
+	}
+	blockScratchPool.Put(s)
+}
+
 // blockWriter accumulates one data block's entries.
 type blockWriter struct {
 	buf          []byte
+	out          []byte // the last finished payload, reused by the next
 	restarts     []uint64
 	count        int
 	sinceRestart int
@@ -196,7 +308,8 @@ func (b *blockWriter) empty() bool { return b.count == 0 }
 func (b *blockWriter) size() int   { return len(b.buf) }
 
 // finish renders the block payload (entries + restart array + tail) and
-// resets the writer for the next block.
+// resets the writer for the next block. The payload is the writer's: it
+// is valid until the next finish.
 func (b *blockWriter) finish() ([]byte, error) {
 	// Golomb parameter: restart offsets are roughly evenly spaced, so
 	// the mean gap is a near-optimal divisor.
@@ -208,13 +321,13 @@ func (b *blockWriter) finish() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload := make([]byte, 0, len(b.buf)+len(enc)+blockTailLen)
-	payload = append(payload, b.buf...)
+	payload := append(b.out[:0], b.buf...)
 	payload = append(payload, enc...)
 	payload = binary.BigEndian.AppendUint32(payload, uint32(len(enc)))
 	payload = binary.BigEndian.AppendUint32(payload, uint32(len(b.restarts)))
 	payload = binary.BigEndian.AppendUint32(payload, uint32(m))
 	payload = binary.BigEndian.AppendUint32(payload, uint32(b.count))
+	b.out = payload
 	b.buf = b.buf[:0]
 	b.restarts = b.restarts[:0]
 	b.count = 0

@@ -52,7 +52,7 @@
 // few slabs and arrays per store rather than five objects per cell, and
 // the garbage collector's mark work no longer grows with the data.
 //
-// Four rules follow from that layout:
+// Five rules follow from that layout:
 //
 //   - Writes copy. Put, MutateRow, BatchPut and GroupWrite copy key and
 //     value into the arena (and, on disk, the WAL file); the caller may
@@ -80,6 +80,13 @@
 //     cached row must not pin a retired memtable or a compacted-away
 //     segment), and an SSTable writer clones the few keys its open
 //     segment keeps.
+//   - A block read's bytes are scratch. The frame read from an SSTable
+//     and the payload inflated out of it live in a pooled buffer that
+//     the next block read reuses, so every block decoder copies what it
+//     keeps: a data block into its own slabs, index and meta entries
+//     into strings, a bloom filter into its own words. The pooled
+//     DEFLATE state — the writer framing a block, the reader inflating
+//     one — is held by one caller at a time, for one frame.
 //
 // Reads merge the stores of the requested families only (Scan.Families,
 // Get's family list; none = all): a family-restricted read never walks —

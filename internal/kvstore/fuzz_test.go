@@ -72,8 +72,10 @@ func fuzzBlockCells(data []byte) []*Cell {
 // FuzzBlockCodec exercises the SSTable block codec from both ends. The
 // input doubles as a hostile frame — decoding arbitrary, corrupted, or
 // truncated bytes must return an error (or a well-formed block), never
-// panic — and as a recipe for a valid block, whose cells must survive
-// blockWriter → encodeFrame → decodeFrame → decodeDataBlock unchanged.
+// panic, and the same payload or error whether it decodes into a dirty
+// reused buffer or into nil — and as a recipe for a valid block, whose
+// cells must survive blockWriter → appendFrame → decodeFrame →
+// decodeDataBlock unchanged.
 func FuzzBlockCodec(f *testing.F) {
 	// Seed the corpus with a genuine frame plus truncated and bit-flipped
 	// variants so the fuzzer starts near the format.
@@ -91,7 +93,7 @@ func FuzzBlockCodec(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	frame := encodeFrame(payload)
+	frame := appendFrame(nil, payload)
 	f.Add(frame)
 	f.Add(frame[:len(frame)/2])
 	mangled := append([]byte(nil), frame...)
@@ -103,14 +105,42 @@ func FuzzBlockCodec(f *testing.F) {
 	// whole, truncated, and with the family emptied — the shape a
 	// version-1 meta block has when read as version 2.
 	meta := encodeMetaBlock(sstMeta{family: "f", minRow: "row000", maxRow: "row015", count: 64, logical: 4096, maxTs: 63})
-	f.Add(encodeFrame(meta))
-	f.Add(encodeFrame(meta[:len(meta)-3]))
-	f.Add(encodeFrame(encodeMetaBlock(sstMeta{minRow: "row000", maxRow: "row015", count: 64, logical: 4096, maxTs: 63})))
+	f.Add(appendFrame(nil, meta))
+	f.Add(appendFrame(nil, meta[:len(meta)-3]))
+	f.Add(appendFrame(nil, encodeMetaBlock(sstMeta{minRow: "row000", maxRow: "row015", count: 64, logical: 4096, maxTs: 63})))
+
+	// dirty is a decode buffer reused across inputs and scribbled over
+	// before each: decoding into it must match decoding into nil.
+	dirty := make([]byte, 0, 4<<10)
+	decodeBoth := func(t *testing.T, frame []byte) ([]byte, error) {
+		junk := dirty[:cap(dirty)]
+		for i := range junk {
+			junk[i] = 0xa5
+		}
+		reused, rerr := decodeFrame(dirty, frame)
+		fresh, ferr := decodeFrame(nil, frame)
+		if (rerr == nil) != (ferr == nil) || (rerr != nil && rerr.Error() != ferr.Error()) {
+			t.Fatalf("decode into a reused buffer: %v; into nil: %v", rerr, ferr)
+		}
+		if ferr != nil {
+			if !errors.Is(ferr, errCorruptBlock) {
+				t.Fatalf("decode error %v does not wrap errCorruptBlock", ferr)
+			}
+			return nil, ferr
+		}
+		if !bytes.Equal(reused, fresh) {
+			t.Fatalf("decode into a reused buffer gave %d bytes, into nil %d: payloads differ", len(reused), len(fresh))
+		}
+		if cap(reused) > cap(dirty) {
+			dirty = reused[:0]
+		}
+		return fresh, nil
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Hostile path: every decoder must reject garbage gracefully. A
 		// frame that happens to verify must still yield ordered cells.
-		if p, err := decodeFrame(data); err == nil {
+		if p, err := decodeBoth(t, data); err == nil {
 			if blk, derr := decodeDataBlock(p); derr == nil {
 				keys, cells := dumpRun(&blk.sortedRun)
 				if len(keys) != len(cells) || len(keys) != blk.len() {
@@ -133,7 +163,7 @@ func FuzzBlockCodec(f *testing.F) {
 			}
 		}
 		if len(data) > 0 {
-			if p, err := decodeFrame(data[:len(data)-1]); err == nil {
+			if p, err := decodeBoth(t, data[:len(data)-1]); err == nil {
 				_, _ = decodeDataBlock(p)
 			}
 		}
@@ -152,7 +182,7 @@ func FuzzBlockCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("finish: %v", err)
 		}
-		decoded, err := decodeFrame(encodeFrame(pay))
+		decoded, err := decodeBoth(t, appendFrame(nil, pay))
 		if err != nil {
 			t.Fatalf("frame round trip: %v", err)
 		}

@@ -158,6 +158,8 @@ func scrubSegment(d *diskSegment) (int, OpStats, error) {
 		return 0, stats, corruptionAt(d.name, 0, corruptf("file of %d bytes is shorter than the footer", d.fileLen))
 	}
 	end := d.fileLen - sstFooterLen
+	s := getBlockScratch()
+	defer s.release()
 	blocks := 0
 	for off := uint64(0); off < end; {
 		var hdr [4]byte
@@ -169,12 +171,8 @@ func scrubSegment(d *diskSegment) (int, OpStats, error) {
 		if n > maxBlockPayload || off+flen > end {
 			return blocks, stats, corruptionAt(d.name, int64(off), corruptf("frame of %d payload bytes at offset %d overruns the block region ending at %d", n, off, end))
 		}
-		frame := make([]byte, flen)
-		if err := d.br.readAt(frame, int64(off)); err != nil {
+		if _, err := d.readBlockFrame(s, off, flen); err != nil {
 			return blocks, stats, err
-		}
-		if _, err := decodeFrame(frame); err != nil {
-			return blocks, stats, corruptionAt(d.name, int64(off), err)
 		}
 		stats.BytesRead += flen
 		stats.BlockReads++

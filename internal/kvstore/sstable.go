@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -94,21 +95,23 @@ func (d *diskSegment) numCells() int    { return int(d.meta.count) }
 func (d *diskSegment) dataSize() uint64 { return d.meta.logical }
 func (d *diskSegment) close() error     { return d.br.close() }
 
-// readBlockFrame fetches and verifies one framed block from the file.
-// Verification failures surface as CorruptionError naming the file and
-// frame offset.
-func (d *diskSegment) readBlockFrame(off, length uint64) ([]byte, error) {
+// readBlockFrame fetches and verifies one framed block from the file
+// into s, returning its payload: scratch, valid until s is reused or
+// released. Verification failures surface as CorruptionError naming the
+// file and frame offset.
+func (d *diskSegment) readBlockFrame(s *blockScratch, off, length uint64) ([]byte, error) {
 	if length < blockFrameOverhead || off+length > d.fileLen {
 		return nil, corruptionAt(d.name, int64(off), corruptf("block frame [%d,+%d) outside file of %d bytes", off, length, d.fileLen))
 	}
-	frame := make([]byte, length)
-	if err := d.br.readAt(frame, int64(off)); err != nil {
+	s.frame = slices.Grow(s.frame[:0], int(length))[:length]
+	if err := d.br.readAt(s.frame, int64(off)); err != nil {
 		return nil, err
 	}
-	payload, err := decodeFrame(frame)
+	payload, err := decodeFrame(s.payload, s.frame)
 	if err != nil {
 		return nil, corruptionAt(d.name, int64(off), err)
 	}
+	s.payload = payload
 	return payload, nil
 }
 
@@ -122,7 +125,9 @@ func (d *diskSegment) readDataBlock(io *OpStats, off, length uint64) (*decodedBl
 		}
 		return b.(*decodedBlock), nil
 	}
-	payload, err := d.readBlockFrame(off, length)
+	s := getBlockScratch()
+	defer s.release()
+	payload, err := d.readBlockFrame(s, off, length)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +152,9 @@ func (d *diskSegment) readIndexBlock(io *OpStats, off, length uint64) ([]indexEn
 		}
 		return b.([]indexEntry), nil
 	}
-	payload, err := d.readBlockFrame(off, length)
+	s := getBlockScratch()
+	defer s.release()
+	payload, err := d.readBlockFrame(s, off, length)
 	if err != nil {
 		return nil, err
 	}
@@ -293,6 +300,7 @@ type sstWriter struct {
 	rows      []string // distinct row keys, for the bloom filter
 	meta      sstMeta
 	haveFirst bool
+	frame     []byte // the last framed block, reused by the next
 }
 
 // flushBlock cuts the current data block and records its index entry.
@@ -304,24 +312,23 @@ func (w *sstWriter) flushBlock() error {
 	if err != nil {
 		return err
 	}
-	frame := encodeFrame(payload)
-	if _, err := w.w.Write(frame); err != nil {
+	off, length, err := w.writeFramed(payload)
+	if err != nil {
 		return err
 	}
-	w.index = append(w.index, indexEntry{firstKey: w.blkFirst, off: w.off, length: uint64(len(frame))})
-	w.off += uint64(len(frame))
+	w.index = append(w.index, indexEntry{firstKey: w.blkFirst, off: off, length: length})
 	return nil
 }
 
-// writeFramed writes one framed auxiliary block and returns its span.
+// writeFramed writes one framed block and returns its span.
 func (w *sstWriter) writeFramed(payload []byte) (off, length uint64, err error) {
-	frame := encodeFrame(payload)
-	if _, err := w.w.Write(frame); err != nil {
+	w.frame = appendFrame(w.frame[:0], payload)
+	if _, err := w.w.Write(w.frame); err != nil {
 		return 0, 0, err
 	}
 	off = w.off
-	w.off += uint64(len(frame))
-	return off, uint64(len(frame)), nil
+	w.off += uint64(len(w.frame))
+	return off, uint64(len(w.frame)), nil
 }
 
 // writeSSTable drains it (cells of one family, sorted by internal key,
@@ -523,14 +530,16 @@ func (d *diskSegment) loadTail() error {
 	metaOff := binary.BigEndian.Uint64(footer[32:40])
 	metaLen := binary.BigEndian.Uint64(footer[40:48])
 
-	payload, err := d.readBlockFrame(summaryOff, summaryLen)
+	s := getBlockScratch()
+	defer s.release()
+	payload, err := d.readBlockFrame(s, summaryOff, summaryLen)
 	if err != nil {
 		return fmt.Errorf("summary: %w", err)
 	}
 	if d.summary, err = decodeIndexBlock(payload); err != nil {
 		return corruptionAt(d.name, int64(summaryOff), err)
 	}
-	if payload, err = d.readBlockFrame(bloomOff, bloomLen); err != nil {
+	if payload, err = d.readBlockFrame(s, bloomOff, bloomLen); err != nil {
 		return fmt.Errorf("bloom: %w", err)
 	}
 	if len(payload) > 0 {
@@ -539,7 +548,7 @@ func (d *diskSegment) loadTail() error {
 			return corruptionAt(d.name, int64(bloomOff), corruptf("bloom filter: %v", err))
 		}
 	}
-	if payload, err = d.readBlockFrame(metaOff, metaLen); err != nil {
+	if payload, err = d.readBlockFrame(s, metaOff, metaLen); err != nil {
 		return fmt.Errorf("meta: %w", err)
 	}
 	if d.meta, err = decodeMetaBlock(payload); err != nil {
