@@ -2,6 +2,9 @@ package rankjoin
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -107,5 +110,81 @@ func TestConcurrentEnsureIndexesBFHMWidths(t *testing.T) {
 		if _, err := db.TopK(q, AlgoBFHM, nil); err != nil {
 			t.Fatalf("BFHM query after concurrent builds: %v", err)
 		}
+	}
+}
+
+// TestConcurrentSharedListBuilds races EnsureIndexes for two band
+// chains that share c1 and c2. Inverse score lists are per relation, so
+// the chains' builds meet on those two lists: each must be built once,
+// by whichever build gets there first, and the other must find it
+// rather than fail creating a table that already exists. Both chains
+// then match naive. Run with -race (CI does).
+func TestConcurrentSharedListBuilds(t *testing.T) {
+	db := mustOpen(t, Config{})
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 5; i++ {
+		name := fmt.Sprintf("c%d", i)
+		h, err := db.DefineRelation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tuples []Tuple
+		for j := 0; j < 80; j++ {
+			tuples = append(tuples, Tuple{
+				RowKey:    fmt.Sprintf("%s_%03d", name, j),
+				JoinValue: fmt.Sprint(rng.Intn(40)),
+				Score:     float64(rng.Intn(1000)) / 1000,
+			})
+		}
+		if err := h.BulkLoad(tuples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chain := func(names ...string) Query {
+		var edges []TreeEdge
+		for i := 1; i < len(names); i++ {
+			edges = append(edges, TreeEdge{A: i - 1, B: i, Kind: PredBand, Band: 1})
+		}
+		q, err := db.NewTreeQuery(names, edges, Sum, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	chains := []Query{chain("c0", "c1", "c2"), chain("c1", "c2", "c3", "c4")}
+
+	var wg sync.WaitGroup
+	for round := 0; round < 3; round++ {
+		for _, q := range chains {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := db.EnsureIndexes(q, AlgoAnyK); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+
+	var lists []string
+	for _, name := range db.Cluster().TableNames() {
+		if strings.HasPrefix(name, "isl_") {
+			lists = append(lists, name)
+		}
+	}
+	if want := []string{"isl_c0", "isl_c1", "isl_c2", "isl_c3", "isl_c4"}; !slices.Equal(lists, want) {
+		t.Fatalf("list tables %v, want %v", lists, want)
+	}
+	for i, q := range chains {
+		want, err := db.TopK(q, AlgoNaive, nil)
+		if err != nil || len(want.Results) == 0 {
+			t.Fatalf("chain %d: naive returned %v, %v", i, want, err)
+		}
+		got, err := db.TopK(q, AlgoAnyK, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, fmt.Sprintf("chain %d", i), got.Results, want.Results)
 	}
 }

@@ -209,7 +209,7 @@ func (d *Distributed) AggregateCost() sim.Snapshot {
 		if err != nil {
 			continue
 		}
-		total = total.Add(CostSnapshot(h.Cost))
+		total = total.Add(costSnapshot(h.Cost))
 	}
 	return total
 }
@@ -251,7 +251,7 @@ func (r *DistRelation) Insert(rowKey, joinValue string, score float64) error {
 	if err := checkScores(r.name, t); err != nil {
 		return err
 	}
-	return r.d.router.Upsert(r.name, *TupleData(t))
+	return r.d.router.Upsert(r.name, *tupleData(t))
 }
 
 // Update replaces an existing tuple's join value and score through the
@@ -262,7 +262,7 @@ func (r *DistRelation) Update(rowKey, joinValue string, score float64) error {
 	if err := checkScores(r.name, t); err != nil {
 		return err
 	}
-	return r.d.router.Update(r.name, *TupleData(t))
+	return r.d.router.Update(r.name, *tupleData(t))
 }
 
 // DeleteKey removes a tuple by row key (no-op when absent).
@@ -279,7 +279,7 @@ func (r *DistRelation) BatchInsert(tuples []Tuple) error {
 	}
 	wire := make([]transport.TupleData, len(tuples))
 	for i, t := range tuples {
-		wire[i] = *TupleData(t)
+		wire[i] = *tupleData(t)
 	}
 	return r.d.router.BatchInsert(r.name, wire)
 }
@@ -373,7 +373,7 @@ func wireRequest(q Query, algo Algorithm, o QueryOptions) transport.QueryRequest
 // pinning its page token (if any) to that node as page number pages.
 func resultOf(res *transport.ResultData, node string, pages int) *Result {
 	out := &Result{
-		Cost:      CostSnapshot(res.Cost),
+		Cost:      costSnapshot(res.Cost),
 		Algorithm: res.Algorithm,
 	}
 	if res.NextPageToken != "" {

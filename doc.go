@@ -129,9 +129,10 @@
 // costs per tuple) — so tree queries
 // stream, paginate, and respect budgets exactly like binary ones.
 // AlgoISL is the same operator and cursor on all-equi trees, over the
-// same index: one inverse-score-list table per leaf set, built by
-// EnsureIndexes for either executor and read by both, with one pull
-// rule: they differ only in the shapes they accept. Where the paper's
+// same lists: one inverse-score-list table per relation, shared by
+// every tree that names it, built by EnsureIndexes for either executor
+// and read by both, with one pull rule: they differ only in the shapes
+// they accept. Where the paper's
 // Algorithm 4 takes turns between the lists, the cursor reads the list
 // that currently bounds the threshold (HRJN*'s rule), so it reads each
 // list to the score depth the threshold needs rather than all lists to
@@ -145,11 +146,12 @@
 //
 // Writes flow through a write-through maintenance pipeline (Section 6):
 // every mutation is augmented with the index entries of EVERY structure
-// built over the relation — one inverse-list entry per IJLMR index and
-// per inverse-score-list index the relation is a leaf of (a relation
-// joined in several queries has several, and all are maintained), BFHM
-// reverse mappings, and a mutation record in the score bucket's row of
-// each BFHM and DRJN index — and the whole augmented batch ships as one
+// built over the relation — one inverse-list entry per IJLMR index (a
+// relation joined in several IJLMR queries has several, and all are
+// maintained), one entry in the relation's inverse score list however
+// many trees read it, BFHM reverse mappings, and a mutation record in
+// the score bucket's row of each BFHM and DRJN index — and the whole
+// augmented batch ships as one
 // group write: a single write RPC with one shared timestamp, instead of
 // one round trip per index cell.
 //

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -467,20 +468,40 @@ func TestMultiwayISLMaintained(t *testing.T) {
 	}
 }
 
-// TestOneInverseScoreListIndex: the isl and anyk executors read the
-// same inverse score lists, so ensuring both for a two-way query builds
-// one index table, both report its size, a write maintains it with one
-// cell (two base cells + one list cell = 3 KV writes), and both see
-// that write.
+// TestOneInverseScoreListIndex: every tree over a relation reads the
+// same inverse score list. A Sum pair under isl and anyk, a Product pair
+// under isl and a band pair under anyk, all over left and right, build
+// one list table per relation, all report the same size, a write to left
+// maintains its one list with one cell (two base cells + one list cell
+// = 3 KV writes), and every tree sees that write.
 func TestOneInverseScoreListIndex(t *testing.T) {
 	db := mustOpen(t, Config{})
 	loadTwoRelations(t, db, 120)
-	q, err := db.NewQuery("left", "right", Sum, 5)
+	sum, err := db.NewQuery("left", "right", Sum, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.EnsureIndexes(q, AlgoISL, AlgoAnyK); err != nil {
+	product, err := db.NewQuery("left", "right", Product, 5)
+	if err != nil {
 		t.Fatal(err)
+	}
+	band, err := db.NewTreeQuery([]string{"left", "right"}, []TreeEdge{{A: 0, B: 1, Kind: PredBand, Band: 0.5}}, Sum, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		name string
+		q    Query
+		algo Algorithm
+	}
+	runs := []run{
+		{"sum/isl", sum, AlgoISL}, {"sum/anyk", sum, AlgoAnyK},
+		{"product/isl", product, AlgoISL}, {"band/anyk", band, AlgoAnyK},
+	}
+	for _, r := range runs {
+		if err := db.EnsureIndexes(r.q, r.algo); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
 	}
 	var indexTables []string
 	for _, name := range db.Cluster().TableNames() {
@@ -488,31 +509,35 @@ func TestOneInverseScoreListIndex(t *testing.T) {
 			indexTables = append(indexTables, name)
 		}
 	}
-	if len(indexTables) != 1 || indexTables[0] != "isl_left_right_sum" {
-		t.Fatalf("index tables %v, want exactly [isl_left_right_sum]", indexTables)
+	if want := []string{"isl_left", "isl_right"}; !slices.Equal(indexTables, want) {
+		t.Fatalf("index tables %v, want exactly %v", indexTables, want)
 	}
-	isl, anyk := db.IndexDiskSize(q, AlgoISL), db.IndexDiskSize(q, AlgoAnyK)
-	if isl == 0 || isl != anyk {
-		t.Errorf("IndexDiskSize: isl %d, anyk %d; want equal and non-zero", isl, anyk)
+	size := db.IndexDiskSize(sum, AlgoISL)
+	for _, r := range runs {
+		if got := db.IndexDiskSize(r.q, r.algo); size == 0 || got != size {
+			t.Errorf("%s: IndexDiskSize %d, want %d and non-zero", r.name, got, size)
+		}
 	}
 
+	// The planted pair joins on a numeric value, so the band tree
+	// matches it too; the other tuples' values ("j<n>") match no band.
 	before := db.Metrics().Snapshot()
-	if err := db.Relation("left").Insert("lHOT", "hotjoin", 1.0); err != nil {
+	if err := db.Relation("left").Insert("lHOT", "7", 1.0); err != nil {
 		t.Fatal(err)
 	}
 	if w := db.Metrics().Snapshot().Sub(before).KVWrites; w != 3 {
 		t.Errorf("one Insert billed %d KV writes, want 3", w)
 	}
-	if err := db.Relation("right").Insert("rHOT", "hotjoin", 1.0); err != nil {
+	if err := db.Relation("right").Insert("rHOT", "7", 1.0); err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []Algorithm{AlgoISL, AlgoAnyK, AlgoNaive} {
-		res, err := db.TopK(q, algo, nil)
+	for _, r := range append(runs, run{"sum/naive", sum, AlgoNaive}, run{"band/naive", band, AlgoNaive}) {
+		res, err := db.TopK(r.q, r.algo, nil)
 		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
-		if len(res.Results) == 0 || res.Results[0].Left.RowKey != "lHOT" || res.Results[0].Score != 2.0 {
-			t.Errorf("%s: planted pair not first: %+v", algo, res.Results)
+		if len(res.Results) == 0 || res.Results[0].Left.RowKey != "lHOT" || res.Results[0].Right.RowKey != "rHOT" {
+			t.Errorf("%s: planted pair not first: %+v", r.name, res.Results)
 		}
 	}
 }

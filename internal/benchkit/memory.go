@@ -51,7 +51,7 @@ func MemoryReport(profile sim.Profile, sf float64, seed int64) (string, error) {
 	}
 	out += fmt.Sprintf("%-22s %-20d (map-only: negligible)\n", "ijlmr/lineitem", ijRes.PeakReduceGroup)
 
-	islRes, err := core.BuildISLRelation(c, rel, mustTable(c, "mem_isl", "lineitem"), "lineitem")
+	_, islRes, err := core.BuildISLRelation(c, rel)
 	if err != nil {
 		return "", err
 	}

@@ -50,12 +50,12 @@ func runAll(t *testing.T, c *kvstore.Cluster, q *JoinTree, left, right []Tuple, 
 	assertScoresEqual(t, label("ijlmr"), scoresOf(ijlmr.Results), want)
 	verifyResultsAreRealJoins(t, label("ijlmr"), ijlmr.Results, q.Score)
 
-	islIdx, _, err := BuildISL(c, q)
+	lists, err := buildLists(c, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{1, 7, 100} {
-		isl, err := queryISL(c, q, islIdx, ExecOptions{ISLBatch: batch})
+		isl, err := queryISL(c, q, lists, ExecOptions{ISLBatch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,8 +102,10 @@ func runAll(t *testing.T, c *kvstore.Cluster, q *JoinTree, left, right []Tuple, 
 	assertScoresEqual(t, label("drjn"), scoresOf(drjn.Results), want)
 	verifyResultsAreRealJoins(t, label("drjn"), drjn.Results, q.Score)
 
-	// Clean up the per-query index tables so runAll can be re-invoked.
-	for _, tbl := range []string{ijlmrIdx.Table, islIdx.Table, drjnA.Table, drjnB.Table} {
+	// Clean up the index tables so runAll can be re-invoked.
+	tables := []string{ijlmrIdx.Table, drjnA.Table, drjnB.Table}
+	lists.ISL.Each(func(_ string, idx *ISLIndex) { tables = append(tables, idx.Table) })
+	for _, tbl := range tables {
 		if err := c.DropTable(tbl); err != nil {
 			t.Fatal(err)
 		}
@@ -220,9 +222,7 @@ func TestBFHMFewerResultsThanK(t *testing.T) {
 func TestISLIndexLayout(t *testing.T) {
 	c := newTestCluster()
 	relL := loadRelation(t, c, "R1", paperR1)
-	relR := loadRelation(t, c, "R2", paperR2)
-	q := paperQuery(relL, relR, 3)
-	idx, _, err := BuildISL(c, q)
+	idx, _, err := BuildISLRelation(c, relL)
 	if err != nil {
 		t.Fatal(err)
 	}

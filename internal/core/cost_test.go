@@ -29,7 +29,7 @@ func measureCosts(t *testing.T, k int) costResults {
 	if err != nil {
 		t.Fatal(err)
 	}
-	islIdx, _, err := BuildISL(c, q)
+	islIdx, err := buildLists(c, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestISLBatchingTradeoff(t *testing.T) {
 	relL := loadRelation(t, c, "L", left)
 	relR := loadRelation(t, c, "R", right)
 	q := binaryTree(relL, relR, Sum, 5)
-	idx, _, err := BuildISL(c, q)
+	idx, err := buildLists(c, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestIndexingCostShape(t *testing.T) {
 
 	m := c.Metrics()
 	before := m.Snapshot()
-	islIdx, _, err := BuildISL(c, q)
+	islIdx, err := buildLists(c, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"maps"
-	"strings"
 	"sync"
 
 	"repro/internal/kvstore"
@@ -10,11 +9,10 @@ import (
 
 // IndexStore holds every index built over one cluster, one IndexMap per
 // index family, keyed the way the family needs: per query for IJLMR
-// (its table binds two relations and a score function), per leaf set
-// for the inverse score lists (one table shared by every tree over the
-// same leaves and aggregate, whichever executor reads it), per relation
-// for BFHM and DRJN (their tables describe one relation and are shared
-// by every query touching it).
+// (its table co-locates two relations under one score function), per
+// relation for the inverse score lists, BFHM and DRJN (their tables
+// describe one relation and are shared by every tree that names it,
+// whichever executor reads them).
 //
 // The store also owns the build serialization that makes EnsureIndex
 // single-flight: each index family locks a build scope before its
@@ -23,7 +21,7 @@ import (
 // to let a pair of BFHM builds auto-size mismatched filter widths.
 type IndexStore struct {
 	IJLMR IndexMap[*IJLMRIndex] // by query ID
-	ISL   IndexMap[*ISLIndex]   // by tree leaf ID
+	ISL   IndexMap[*ISLIndex]   // by relation name
 	BFHM  IndexMap[*BFHMIndex]  // by relation name
 	DRJN  IndexMap[*DRJNIndex]  // by relation name
 
@@ -108,7 +106,7 @@ type family[T any] struct {
 	keys func(t *JoinTree) []string
 	// wide serializes every build of the family on one scope, for
 	// indexes that must agree on their geometry; otherwise builds
-	// serialize per key set.
+	// serialize per key.
 	wide bool
 	// build builds the index filed under t's i'th key; it runs under
 	// the build scope's lock.
@@ -120,30 +118,42 @@ type family[T any] struct {
 func (f *family[T]) name() string { return f.label }
 
 func (f *family[T]) ensure(c *kvstore.Cluster, t *JoinTree, s *IndexStore, cfg IndexBuildConfig) error {
-	keys := f.keys(t)
-	scope := f.label
+	if f.wide {
+		lock := s.buildScope(f.label)
+		lock.Lock()
+		defer lock.Unlock()
+	}
+	for i, key := range f.keys(t) {
+		if err := f.ensureKey(c, t, i, key, s, cfg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ensureKey builds the index filed under t's i'th key unless it exists.
+// Outside a wide family it holds the key's own scope, so two trees that
+// share a relation build its index once, whichever asks first.
+func (f *family[T]) ensureKey(c *kvstore.Cluster, t *JoinTree, i int, key string, s *IndexStore, cfg IndexBuildConfig) error {
 	if !f.wide {
-		scope += "/" + strings.Join(keys, ",")
+		lock := s.buildScope(f.label + "/" + key)
+		lock.Lock()
+		defer lock.Unlock()
 	}
-	lock := s.buildScope(scope)
-	lock.Lock()
-	defer lock.Unlock()
 	m := f.of(s)
-	for i, key := range keys {
-		if _, ok := m.Get(key); ok {
-			continue
-		}
-		idx, err := f.build(c, t, i, s, cfg)
-		if err != nil {
-			return err
-		}
-		// A build ends in a sorted run; only the maintenance writes
-		// after it go to the memtable.
-		if err := c.Seal(f.table(idx)); err != nil {
-			return err
-		}
-		m.Put(key, idx)
+	if _, ok := m.Get(key); ok {
+		return nil
 	}
+	idx, err := f.build(c, t, i, s, cfg)
+	if err != nil {
+		return err
+	}
+	// A build ends in a sorted run; only the maintenance writes after
+	// it go to the memtable.
+	if err := c.Seal(f.table(idx)); err != nil {
+		return err
+	}
+	m.Put(key, idx)
 	return nil
 }
 
@@ -195,9 +205,9 @@ var (
 	islIndexes indexFamily = &family[*ISLIndex]{
 		label: "ISL",
 		of:    func(s *IndexStore) *IndexMap[*ISLIndex] { return &s.ISL },
-		keys:  func(t *JoinTree) []string { return []string{t.LeafID()} },
-		build: func(c *kvstore.Cluster, t *JoinTree, _ int, _ *IndexStore, _ IndexBuildConfig) (*ISLIndex, error) {
-			idx, _, err := BuildISL(c, t)
+		keys:  relationNames,
+		build: func(c *kvstore.Cluster, t *JoinTree, i int, _ *IndexStore, _ IndexBuildConfig) (*ISLIndex, error) {
+			idx, _, err := BuildISLRelation(c, t.Relations[i])
 			return idx, err
 		},
 		table: func(idx *ISLIndex) string { return idx.Table },

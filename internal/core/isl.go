@@ -11,12 +11,12 @@ import (
 // This file implements the inverse score lists of ISL (Section 4.2)
 // and the one cursor that reads them. The index inverts each relation
 // on its (negated) score: one index row per distinct score value,
-// holding {tuple row key -> join value} entries (Fig. 3), one column
-// family per relation. There is one index type (ISLIndex), keyed by
-// the tree's leaf set: edge predicates never change the indexed
-// content, so every tree over the same leaves and aggregate — the
-// paper's two-way query included — shares one table, and the isl and
-// anyk executors read the same one. listCursor is Algorithm 4's
+// holding {tuple row key -> join value} entries (Fig. 3). There is one
+// index type (ISLIndex), keyed by relation: a relation's list depends
+// on neither the edge predicates nor the aggregate nor the other
+// leaves, so every tree that names the relation — the paper's two-way
+// query included — reads the same table isl_<relation>, and the isl
+// and anyk executors read the same lists. listCursor is Algorithm 4's
 // coordinator stated for n lists: it scans them in batches (HBase
 // scanner caching, ISLBatch rows per RPC), feeds the rank-join operator
 // of anyk.go one tuple at a time, and pauses the moment the next-ranked
@@ -34,17 +34,22 @@ import (
 // needs. The schedule decides only how deep each list is read: results,
 // release rule and tie order do not depend on it.
 
-// ISLIndex locates a built inverse-score-list index: one shared table
-// with one column family per relation.
+// ISLIndex locates one relation's built inverse score list: the table
+// isl_<relation>, whose one column family is named after the relation.
 type ISLIndex struct {
-	Table    string
-	Families []string // one per relation, in leaf order
+	Table string
 }
 
-// BuildISLRelation indexes one relation (Algorithm 3): a map-only job
-// writing {negated-score: rowKey, joinValue} cells.
-func BuildISLRelation(c *kvstore.Cluster, rel Relation, indexTable, fam string) (*mapreduce.Result, error) {
-	return mapreduce.Run(&mapreduce.Job{
+// BuildISLRelation creates the table isl_<relation> and indexes the
+// relation into it (Algorithm 3): a map-only job writing
+// {negated-score: rowKey, joinValue} cells.
+func BuildISLRelation(c *kvstore.Cluster, rel Relation) (*ISLIndex, *mapreduce.Result, error) {
+	idx := &ISLIndex{Table: "isl_" + rel.Name}
+	// Score keys are uniform hex; split the key space evenly per node.
+	if _, err := c.CreateTable(idx.Table, []string{rel.Name}, scoreKeySplits(c.Nodes())); err != nil {
+		return nil, nil, err
+	}
+	res, err := mapreduce.Run(&mapreduce.Job{
 		Name:    "isl-index-" + rel.Name,
 		Cluster: c,
 		Input:   kvstore.Scan{Table: rel.Table, Families: []string{rel.Family}},
@@ -56,9 +61,9 @@ func BuildISLRelation(c *kvstore.Cluster, rel Relation, indexTable, fam string) 
 			}
 			// emit(score: rowKey, joinValue) — Algorithm 3 line 5,
 			// with the negated-score key encoding of Section 4.2.2.
-			ctx.WriteCell(indexTable, kvstore.Cell{
+			ctx.WriteCell(idx.Table, kvstore.Cell{
 				Row:       kvstore.EncodeScoreDesc(t.Score),
-				Family:    fam,
+				Family:    rel.Name,
 				Qualifier: t.RowKey,
 				Value:     []byte(t.JoinValue),
 			})
@@ -66,35 +71,10 @@ func BuildISLRelation(c *kvstore.Cluster, rel Relation, indexTable, fam string) 
 			return nil
 		}),
 	})
-}
-
-// BuildISL creates the index table isl_<LeafID> and indexes every
-// relation of the tree (Algorithm 3 per relation).
-func BuildISL(c *kvstore.Cluster, t *JoinTree) (*ISLIndex, []*mapreduce.Result, error) {
-	v := *t
-	if v.K < 1 {
-		v.K = 1 // the indexed content does not depend on k
-	}
-	if err := v.Validate(); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
-	idx := &ISLIndex{Table: "isl_" + t.LeafID()}
-	for i := range t.Relations {
-		idx.Families = append(idx.Families, t.Relations[i].Name)
-	}
-	// Score keys are uniform hex; split the key space evenly per node.
-	if _, err := c.CreateTable(idx.Table, idx.Families, scoreKeySplits(c.Nodes())); err != nil {
-		return nil, nil, err
-	}
-	var results []*mapreduce.Result
-	for i := range t.Relations {
-		res, err := BuildISLRelation(c, t.Relations[i], idx.Table, idx.Families[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		results = append(results, res)
-	}
-	return idx, results, nil
+	return idx, res, nil
 }
 
 // scoreKeySplits pre-splits the negated-score hex key space. Scores in
@@ -197,22 +177,19 @@ type listCursor struct {
 	closed  bool
 }
 
-// openLists opens the list cursor for t over its built inverse-score-list
-// index.
+// openLists opens the list cursor for t over its leaves' built inverse
+// score lists.
 func openLists(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts ExecOptions) (Cursor, error) {
-	idx, _ := store.ISL.Get(t.LeafID())
-	if len(idx.Families) != len(t.Relations) {
-		return nil, fmt.Errorf("core: inverse score list index %s has %d families, tree %s has %d leaves",
-			idx.Table, len(idx.Families), t.LeafID(), len(t.Relations))
-	}
-	streams := make([]*islStream, len(idx.Families))
-	for i, fam := range idx.Families {
+	streams := make([]*islStream, len(t.Relations))
+	for i := range t.Relations {
+		leaf := &t.Relations[i]
+		idx, _ := store.ISL.Get(leaf.Name)
 		// With Parallelism >= 2 every stream bills its batches as
 		// read-ahead: the shared collector's clock progress since a
 		// batch's RPC counts as issued hides that much of its round trip,
 		// so the leaves' RPCs overlap (Section 4.2.3's batched scans,
 		// pipelined). Each batch is still read only when consumed.
-		s, err := newISLStream(c, idx.Table, fam, opts.ISLBatch, opts.Parallelism >= 2)
+		s, err := newISLStream(c, idx.Table, leaf.Name, opts.ISLBatch, opts.Parallelism >= 2)
 		if err != nil {
 			return nil, err
 		}

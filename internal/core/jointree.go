@@ -166,27 +166,21 @@ func (t *JoinTree) AllEqui() bool {
 	return true
 }
 
-// LeafID identifies the tree's leaf set and aggregate, ignoring edge
-// predicates. Index content (inverse score lists per leaf) depends only
-// on the leaves, so trees sharing a LeafID share physical indexes.
-func (t *JoinTree) LeafID() string {
+// ID returns the tree's deterministic identifier: its leaves and
+// aggregate, as <leaf>_..._<aggregate>. All-equi trees take that alone
+// (every connected all-equi edge set over the same leaves is
+// semantically identical); trees with band edges append a canonical
+// sorted edge list, so shapes that can return different results can
+// never share a planner-cache or page-token entry.
+func (t *JoinTree) ID() string {
 	var b strings.Builder
 	for i := range t.Relations {
 		b.WriteString(t.Relations[i].Name)
 		b.WriteByte('_')
 	}
 	b.WriteString(t.Score.Name)
-	return b.String()
-}
-
-// ID returns the tree's deterministic identifier. All-equi trees take
-// the bare LeafID (every connected all-equi edge set over the same
-// leaves is semantically identical); trees with band edges append a
-// canonical sorted edge list, so shapes that can return different
-// results can never share a planner-cache or page-token entry.
-func (t *JoinTree) ID() string {
 	if t.AllEqui() {
-		return t.LeafID()
+		return b.String()
 	}
 	descs := make([]string, 0, len(t.Edges))
 	for i := range t.Edges {
@@ -202,7 +196,7 @@ func (t *JoinTree) ID() string {
 		}
 	}
 	sort.Strings(descs)
-	return t.LeafID() + "@" + strings.Join(descs, ".")
+	return b.String() + "@" + strings.Join(descs, ".")
 }
 
 // ---- Tree walking ----

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/kvstore"
@@ -402,9 +403,10 @@ func TestTreeIDDistinctness(t *testing.T) {
 	if reordered.ID() != bandChain.ID() {
 		t.Errorf("reordered edges change ID: %q vs %q", reordered.ID(), bandChain.ID())
 	}
-	// The leaf set alone (the physical-index key) ignores predicates.
-	if bandChain.LeafID() != star.LeafID() {
-		t.Errorf("band chain leaf ID %q != star leaf ID %q (shared physical index)", bandChain.LeafID(), star.LeafID())
+	// A band tree's ID is the all-equi ID of its leaves and aggregate
+	// plus its edge list.
+	if !strings.HasPrefix(bandChain.ID(), star.ID()+"@") {
+		t.Errorf("band chain ID %q does not extend star ID %q", bandChain.ID(), star.ID())
 	}
 }
 

@@ -178,23 +178,17 @@ type BoundIJLMR struct {
 	Family string
 }
 
-// BoundISL attaches one built inverse-score-list index to the column
-// family this relation writes in it.
-type BoundISL struct {
-	Idx    *ISLIndex
-	Family string
-}
-
 // Maintainer intercepts tuple-level mutations for one relation and keeps
-// ALL of its registered indexes synchronized. IJLMR binds per query and
-// ISL per leaf set, so they are slices: a relation participating in two
-// queries has two inverse-list tables, and a mutation maintains both.
+// ALL of its registered indexes synchronized. IJLMR binds per query, so
+// it is a slice: a relation joined in two IJLMR queries has two tables,
+// and a mutation maintains both. The inverse score list, BFHM and DRJN
+// are per relation: one of each, however many trees read it.
 type Maintainer struct {
 	C   *kvstore.Cluster
 	Rel Relation
 	// Any subset of the following may be populated.
 	IJLMR []BoundIJLMR
-	ISL   []BoundISL
+	ISL   *ISLIndex
 	BFHM  *BFHMIndex
 	DRJN  *DRJNIndex
 }
@@ -263,14 +257,14 @@ func (m *Maintainer) apply(muts []indexMutation, ts int64) error {
 	return me
 }
 
-// appendInverseLists appends one mutation per bound inverse-score-list
-// index, with cells built for that index's family.
-func (m *Maintainer) appendInverseLists(muts []indexMutation, cells func(family string) []kvstore.Cell) []indexMutation {
-	for _, b := range m.ISL {
-		muts = append(muts, indexMutation{index: "isl", TableMutation: kvstore.TableMutation{
-			Table: b.Idx.Table, Cells: cells(b.Family)}})
+// appendInverseList appends the inverse score list's share of a batch,
+// if the relation has a list; cells builds it in the list's family.
+func (m *Maintainer) appendInverseList(muts []indexMutation, cells func(family string) []kvstore.Cell) []indexMutation {
+	if m.ISL == nil {
+		return muts
 	}
-	return muts
+	return append(muts, indexMutation{index: "isl", TableMutation: kvstore.TableMutation{
+		Table: m.ISL.Table, Cells: cells(m.Rel.Name)}})
 }
 
 // insertMutations assembles the augmented mutation batch for one tuple
@@ -293,7 +287,7 @@ func (m *Maintainer) insertMutations(t Tuple, ts int64, extraCells []kvstore.Cel
 				Value: kvstore.FloatValue(t.Score), Timestamp: ts}},
 		}})
 	}
-	muts = m.appendInverseLists(muts, func(fam string) []kvstore.Cell {
+	muts = m.appendInverseList(muts, func(fam string) []kvstore.Cell {
 		return []kvstore.Cell{{Row: kvstore.EncodeScoreDesc(t.Score), Family: fam, Qualifier: t.RowKey,
 			Value: []byte(t.JoinValue), Timestamp: ts}}
 	})
@@ -315,7 +309,7 @@ func (m *Maintainer) deleteMutations(t Tuple, ts int64) []indexMutation {
 				Timestamp: ts, Tombstone: true}},
 		}})
 	}
-	muts = m.appendInverseLists(muts, func(fam string) []kvstore.Cell {
+	muts = m.appendInverseList(muts, func(fam string) []kvstore.Cell {
 		return []kvstore.Cell{{Row: kvstore.EncodeScoreDesc(t.Score), Family: fam, Qualifier: t.RowKey,
 			Timestamp: ts, Tombstone: true}}
 	})
@@ -344,7 +338,7 @@ func (m *Maintainer) updateMutations(old, new Tuple, ts int64) []indexMutation {
 		muts = append(muts, indexMutation{index: "ijlmr", TableMutation: kvstore.TableMutation{Table: b.Idx.Table, Cells: cells}})
 	}
 	oldScoreKey, newScoreKey := kvstore.EncodeScoreDesc(old.Score), kvstore.EncodeScoreDesc(new.Score)
-	muts = m.appendInverseLists(muts, func(fam string) []kvstore.Cell {
+	muts = m.appendInverseList(muts, func(fam string) []kvstore.Cell {
 		cells := []kvstore.Cell{{Row: newScoreKey, Family: fam, Qualifier: new.RowKey,
 			Value: []byte(new.JoinValue), Timestamp: ts}}
 		if oldScoreKey != newScoreKey {

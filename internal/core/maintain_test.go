@@ -15,7 +15,8 @@ type maintSetup struct {
 	c      *kvstore.Cluster
 	q      *JoinTree
 	ijlmr  *IJLMRIndex
-	isl    *ISLIndex
+	lists  *IndexStore // the inverse score lists, by relation
+	islL   *ISLIndex
 	bfhmL  *BFHMIndex
 	bfhmR  *BFHMIndex
 	drjnL  *DRJNIndex
@@ -38,10 +39,12 @@ func newMaintSetup(t *testing.T, seed int64) *maintSetup {
 	if err != nil {
 		t.Fatal(err)
 	}
-	isl, _, err := BuildISL(c, q)
+	lists, err := buildLists(c, q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	islL, _ := lists.ISL.Get(relL.Name)
+	islR, _ := lists.ISL.Get(relR.Name)
 	bfhmL, _, err := BuildBFHM(c, relL, BFHMOptions{NumBuckets: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -59,15 +62,15 @@ func newMaintSetup(t *testing.T, seed int64) *maintSetup {
 		t.Fatal(err)
 	}
 	return &maintSetup{
-		c: c, q: q, ijlmr: ijlmr, isl: isl, bfhmL: bfhmL, bfhmR: bfhmR,
+		c: c, q: q, ijlmr: ijlmr, lists: lists, islL: islL, bfhmL: bfhmL, bfhmR: bfhmR,
 		drjnL: drjnL, drjnR: drjnR,
 		mL: &Maintainer{C: c, Rel: relL,
 			IJLMR: []BoundIJLMR{{Idx: ijlmr, Family: ijlmr.Families[0]}},
-			ISL:   []BoundISL{{Idx: isl, Family: isl.Families[0]}},
+			ISL:   islL,
 			BFHM:  bfhmL, DRJN: drjnL},
 		mR: &Maintainer{C: c, Rel: relR,
 			IJLMR: []BoundIJLMR{{Idx: ijlmr, Family: ijlmr.Families[1]}},
-			ISL:   []BoundISL{{Idx: isl, Family: isl.Families[1]}},
+			ISL:   islR,
 			BFHM:  bfhmR, DRJN: drjnR},
 		left: left, right: right,
 	}
@@ -86,7 +89,7 @@ func (s *maintSetup) checkAll(t *testing.T) {
 	}
 	assertScoresEqual(t, "ijlmr-after-updates", scoresOf(ij.Results), want)
 
-	isl, err := queryISL(s.c, s.q, s.isl, ExecOptions{ISLBatch: 10})
+	isl, err := queryISL(s.c, s.q, s.lists, ExecOptions{ISLBatch: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +312,11 @@ func TestMaintenanceTimestampsShared(t *testing.T) {
 		t.Fatalf("ijlmr ts %d != base ts %d", cell.Timestamp, baseTS)
 	}
 
-	islRow, err := s.c.Get(s.isl.Table, kvstore.EncodeScoreDesc(tp.Score))
+	islRow, err := s.c.Get(s.islL.Table, kvstore.EncodeScoreDesc(tp.Score))
 	if err != nil || islRow == nil {
 		t.Fatalf("isl row: %v %v", islRow, err)
 	}
-	icell := islRow.Cell(s.isl.Families[0], tp.RowKey)
+	icell := islRow.Cell(s.q.Relations[0].Name, tp.RowKey)
 	if icell == nil || icell.Timestamp != baseTS {
 		t.Fatalf("isl ts mismatch: %+v vs %d", icell, baseTS)
 	}
@@ -363,12 +366,12 @@ func TestUpdatePurgesOldISLEntry(t *testing.T) {
 	old := s.left[0]
 	s.updateLeft(t, 0, old.JoinValue, old.Score/2+0.001)
 
-	row, err := s.c.Get(s.isl.Table, kvstore.EncodeScoreDesc(old.Score))
+	row, err := s.c.Get(s.islL.Table, kvstore.EncodeScoreDesc(old.Score))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if row != nil {
-		if cell := row.Cell(s.isl.Families[0], old.RowKey); cell != nil && !cell.Tombstone {
+		if cell := row.Cell(s.q.Relations[0].Name, old.RowKey); cell != nil && !cell.Tombstone {
 			t.Fatalf("stale ISL entry for %s survives at old score %v", old.RowKey, old.Score)
 		}
 	}

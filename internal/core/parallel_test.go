@@ -56,7 +56,7 @@ func TestBFHMParallelReverseFetch(t *testing.T) {
 
 func TestISLParallelRefill(t *testing.T) {
 	c, q, lt, rt := parallelEnv(t)
-	idx, _, err := BuildISL(c, q)
+	idx, err := buildLists(c, q)
 	if err != nil {
 		t.Fatal(err)
 	}

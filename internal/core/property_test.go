@@ -138,7 +138,7 @@ func TestEmptyRelations(t *testing.T) {
 	if res, err := QueryIJLMR(c, q, ij); err != nil || len(res.Results) != 0 {
 		t.Errorf("ijlmr on empty: %v, %v", res, err)
 	}
-	isl, _, err := BuildISL(c, q)
+	isl, err := buildLists(c, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -251,11 +251,26 @@ func runExec(c *kvstore.Cluster, name string, t *JoinTree, store *IndexStore, op
 	return RunCursor(c, t.K, func() (Cursor, error) { return ex.Open(c, t, store, opts) })
 }
 
-// queryISL runs the isl executor over an already-built index.
-func queryISL(c *kvstore.Cluster, q *JoinTree, idx *ISLIndex, opts ExecOptions) (*Result, error) {
+// buildLists builds the inverse score list of every leaf of q
+// (BuildISLRelation, once per relation) into a fresh store.
+func buildLists(c *kvstore.Cluster, q *JoinTree) (*IndexStore, error) {
 	store := NewIndexStore()
-	store.ISL.Put(q.LeafID(), idx)
-	return runExec(c, "isl", q, store, opts)
+	for _, rel := range q.Relations {
+		if _, ok := store.ISL.Get(rel.Name); ok {
+			continue
+		}
+		idx, _, err := BuildISLRelation(c, rel)
+		if err != nil {
+			return nil, err
+		}
+		store.ISL.Put(rel.Name, idx)
+	}
+	return store, nil
+}
+
+// queryISL runs the isl executor over already-built lists.
+func queryISL(c *kvstore.Cluster, q *JoinTree, lists *IndexStore, opts ExecOptions) (*Result, error) {
+	return runExec(c, "isl", q, lists, opts)
 }
 
 // sliceRun drives one rank-join operator over in-memory leaves, each

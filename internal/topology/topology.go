@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -313,9 +314,12 @@ func (r *Router) bumpTS(v int64) {
 func (r *Router) nextTS() int64 { return r.ts.Add(1) }
 
 // ddlLocked runs a schema-changing call on every listed node (all must
-// succeed — setup operations are not quorum-based), then records any
-// tables the call created as owned by exactly those nodes, and re-syncs
-// the timestamp source above the nodes' clocks. Callers hold r.mu.
+// succeed — setup operations are not quorum-based), then adds each node
+// to the owners of every table the call created on it, and re-syncs the
+// timestamp source above the nodes' clocks. A per-relation index table
+// is built by the DDL of every tree over the relation, each on its own
+// covering nodes, so its owners grow with each such call. Callers hold
+// r.mu.
 func (r *Router) ddlLocked(names []string, call func(transport.RegionService) error) error {
 	nodes := r.nodesFor(names)
 	for _, n := range nodes {
@@ -333,8 +337,8 @@ func (r *Router) ddlLocked(names []string, call func(transport.RegionService) er
 		after := make(map[string]bool, len(h.Tables))
 		for _, t := range h.Tables {
 			after[t] = true
-			if !before[t] && r.owners[t] == nil {
-				r.owners[t] = names
+			if !before[t] && !slices.Contains(r.owners[t], n.name) {
+				r.owners[t] = append(r.owners[t], n.name)
 			}
 		}
 		r.healthsnp[n.name] = after

@@ -3,8 +3,8 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -91,12 +91,16 @@ func (f *fakeNode) EnsureIndexes(req transport.EnsureRequest) error {
 	if err := f.gate(); err != nil {
 		return err
 	}
-	// Model an index build: one derived table plus local clock stamps.
+	// Model an index build: one derived table per requested family and
+	// relation, <algo>_<relation>, plus local clock stamps.
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	t := "isl_" + strings.Join(req.Tree.Relations, "_")
-	if f.tables[t] == nil {
-		f.tables[t] = map[string][]transport.CellData{}
+	for _, algo := range req.Algos {
+		for _, rel := range req.Tree.Relations {
+			if t := algo + "_" + rel; f.tables[t] == nil {
+				f.tables[t] = map[string][]transport.CellData{}
+			}
+		}
 	}
 	f.clock += 100
 	return nil
@@ -589,7 +593,7 @@ func TestEnsureIndexTablesAreRepaired(t *testing.T) {
 	// Diverge the index table on n2 behind the router's back (models a
 	// torn build) and let anti-entropy restore it from the source.
 	fakes[2].mu.Lock()
-	fakes[2].tables["isl_part_part"]["stray"] = []transport.CellData{{Row: "stray", Qualifier: "q", Value: []byte("x"), Timestamp: 1}}
+	fakes[2].tables["isl_part"]["stray"] = []transport.CellData{{Row: "stray", Qualifier: "q", Value: []byte("x"), Timestamp: 1}}
 	fakes[2].mu.Unlock()
 	rep, err := r.RepairAll()
 	if err != nil {
@@ -598,7 +602,66 @@ func TestEnsureIndexTablesAreRepaired(t *testing.T) {
 	if !rep.Converged {
 		t.Fatalf("report = %+v", rep)
 	}
-	if rows := tableRows(fakes[2], "isl_part_part"); len(rows) != 0 {
+	if rows := tableRows(fakes[2], "isl_part"); len(rows) != 0 {
 		t.Fatalf("stray index row survived repair: %v", rows)
+	}
+}
+
+// TestSharedIndexTableOwnersGrow: a per-relation index table is built by
+// the DDL of every tree over its relation, each on that tree's covering
+// nodes. Over 5 nodes with 3 replicas, a's BFHM table is built on
+// cover(a,f) and again on cover(a,e); every node that holds it must be
+// an owner, so repair reaches a stray row on a node only the second
+// build added.
+func TestSharedIndexTableOwnersGrow(t *testing.T) {
+	fakes := make([]*fakeNode, 5)
+	handles := make([]Handle, len(fakes))
+	for i := range fakes {
+		fakes[i] = newFakeNode(fmt.Sprintf("n%d", i))
+		handles[i] = Handle{Name: fakes[i].name, Svc: fakes[i]}
+	}
+	r, err := New(handles, Config{Replication: 3, MerkleLeaves: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range []string{"a", "e", "f"} {
+		if err := r.DefineRelation(rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tree := func(rels ...string) transport.TreeData {
+		return transport.TreeData{Relations: rels, Edges: []transport.TreeEdgeData{{A: 0, B: 1}}}
+	}
+	r.mu.Lock()
+	af, errAF := r.coveringLocked([]string{"a", "f"})
+	ae, errAE := r.coveringLocked([]string{"a", "e"})
+	r.mu.Unlock()
+	if errAF != nil || errAE != nil || !slices.Equal(af, []string{"n1", "n2"}) || !slices.Equal(ae, []string{"n0", "n1"}) {
+		t.Fatalf("cover(a,f) = %v %v, cover(a,e) = %v %v; want [n1 n2] and [n0 n1]", af, errAF, ae, errAE)
+	}
+	for _, rels := range [][]string{{"a", "f"}, {"a", "e"}} {
+		if err := r.EnsureIndexes(transport.EnsureRequest{Tree: tree(rels...), Score: "sum", Algos: []string{"bfhm"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.mu.Lock()
+	owners := slices.Sorted(slices.Values(r.owners["bfhm_a"]))
+	r.mu.Unlock()
+	if want := []string{"n0", "n1", "n2"}; !slices.Equal(owners, want) {
+		t.Fatalf("owners[bfhm_a] = %v, want %v", owners, want)
+	}
+
+	fakes[0].mu.Lock()
+	fakes[0].tables["bfhm_a"]["stray"] = []transport.CellData{{Row: "stray", Qualifier: "q", Value: []byte("x"), Timestamp: 1}}
+	fakes[0].mu.Unlock()
+	rep, err := r.RepairAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Converged {
+		t.Fatalf("report = %+v", rep)
+	}
+	if rows := tableRows(fakes[0], "bfhm_a"); len(rows) != 0 {
+		t.Fatalf("stray index row on n0 survived repair: %v", rows)
 	}
 }

@@ -54,9 +54,9 @@ func wireCost(s sim.Snapshot) transport.CostData {
 	}
 }
 
-// CostSnapshot converts a wire cost back to a metrics snapshot (the
+// costSnapshot converts a wire cost back to a metrics snapshot (the
 // router folds node-side work into its own collector with it).
-func CostSnapshot(c transport.CostData) sim.Snapshot {
+func costSnapshot(c transport.CostData) sim.Snapshot {
 	return sim.Snapshot{
 		SimTime:       time.Duration(c.SimTimeNanos),
 		NetworkBytes:  c.NetworkBytes,
@@ -185,8 +185,8 @@ func tupleOf(t *transport.TupleData) Tuple {
 	return Tuple{RowKey: t.RowKey, JoinValue: t.JoinValue, Score: t.Score}
 }
 
-// TupleData converts a tuple to its wire form.
-func TupleData(t Tuple) *transport.TupleData {
+// tupleData converts a tuple to its wire form.
+func tupleData(t Tuple) *transport.TupleData {
 	return &transport.TupleData{RowKey: t.RowKey, JoinValue: t.JoinValue, Score: t.Score}
 }
 
@@ -240,7 +240,7 @@ func (n *NodeService) GetTuple(relation, rowKey string) (*transport.GetResponse,
 	if !ok {
 		return &transport.GetResponse{}, nil
 	}
-	return &transport.GetResponse{Tuple: TupleData(t)}, nil
+	return &transport.GetResponse{Tuple: tupleData(t)}, nil
 }
 
 // TopK implements transport.RegionService: the whole query runs against
@@ -280,13 +280,13 @@ func (n *NodeService) TopK(req transport.QueryRequest) (*transport.ResultData, e
 	out.Results = slices.Grow(out.Results, len(res.Results))
 	for _, r := range res.Results {
 		jr := transport.JoinResultData{
-			Left:  *TupleData(r.Left),
-			Right: *TupleData(r.Right),
+			Left:  *tupleData(r.Left),
+			Right: *tupleData(r.Right),
 			Score: r.Score,
 		}
 		jr.Rest = slices.Grow(jr.Rest, len(r.Rest)) // stays nil for two leaves
 		for _, t := range r.Rest {
-			jr.Rest = append(jr.Rest, *TupleData(t))
+			jr.Rest = append(jr.Rest, *tupleData(t))
 		}
 		out.Results = append(out.Results, jr)
 	}

@@ -16,9 +16,10 @@ const catalogMetaKey = "catalog"
 
 // catalogVersion is the one catalog format this build reads and writes.
 // OpenAt refuses any other — a missing Version reads as 0, the shape
-// every earlier build wrote — with a FormatVersionError, and converts
-// nothing.
-const catalogVersion = 1
+// every earlier build wrote; version 1 keyed the inverse score lists by
+// a tree's leaves and aggregate, version 2 keys them by relation — with
+// a FormatVersionError, and converts nothing.
+const catalogVersion = 2
 
 // catalog is the durable description of everything the rankjoin layer
 // knows beyond the raw tables: defined relations, built indexes, and
@@ -29,10 +30,10 @@ const catalogVersion = 1
 type catalog struct {
 	Version   uint32
 	Relations []string
-	IJLMR     map[string]*core.IJLMRIndex `json:",omitempty"`
-	ISL       map[string]*core.ISLIndex   `json:",omitempty"`
-	BFHM      map[string]*core.BFHMIndex  `json:",omitempty"`
-	DRJN      map[string]*core.DRJNIndex  `json:",omitempty"`
+	IJLMR     map[string]*core.IJLMRIndex `json:",omitempty"` // by query ID
+	ISL       map[string]*core.ISLIndex   `json:",omitempty"` // by relation
+	BFHM      map[string]*core.BFHMIndex  `json:",omitempty"` // by relation
+	DRJN      map[string]*core.DRJNIndex  `json:",omitempty"` // by relation
 	IdxCfg    IndexConfig
 }
 
@@ -112,8 +113,8 @@ func (db *DB) loadCatalog() error {
 	for id, idx := range cat.IJLMR {
 		db.store.IJLMR.Put(id, idx)
 	}
-	for id, idx := range cat.ISL {
-		db.store.ISL.Put(id, idx)
+	for rel, idx := range cat.ISL {
+		db.store.ISL.Put(rel, idx)
 	}
 	for rel, idx := range cat.BFHM {
 		db.store.BFHM.Put(rel, idx)
@@ -147,7 +148,7 @@ func (db *DB) saveCatalog() error {
 	db.mu.Unlock()
 	sort.Strings(cat.Relations)
 	db.store.IJLMR.Each(func(id string, idx *core.IJLMRIndex) { cat.IJLMR[id] = idx })
-	db.store.ISL.Each(func(id string, idx *core.ISLIndex) { cat.ISL[id] = idx })
+	db.store.ISL.Each(func(rel string, idx *core.ISLIndex) { cat.ISL[rel] = idx })
 	db.store.BFHM.Each(func(rel string, idx *core.BFHMIndex) { cat.BFHM[rel] = idx })
 	db.store.DRJN.Each(func(rel string, idx *core.DRJNIndex) { cat.DRJN[rel] = idx })
 	raw, err := json.Marshal(&cat)

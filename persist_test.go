@@ -12,7 +12,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/kvstore"
 	"repro/internal/sim"
 )
@@ -163,8 +162,9 @@ func TestOpenAtValidation(t *testing.T) {
 }
 
 // TestCatalogPersistsMultiwayIndexes checks the n-way path: the inverse
-// score lists of a three-leaf tree, built before close, serve the same
-// rows after reopen without another EnsureIndexes.
+// score lists of a three-leaf tree, and of a pair that shares two of
+// them, built before close, serve the same rows after reopen without
+// another EnsureIndexes.
 func TestCatalogPersistsMultiwayIndexes(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenAt(Config{Dir: dir})
@@ -189,14 +189,31 @@ func TestCatalogPersistsMultiwayIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mq, err := db.NewTreeQuery([]string{"x", "y", "z"}, starEdges(3), Sum, 5)
+	// Two trees share y and z's lists: a Sum star under isl and a
+	// Product pair under anyk.
+	trees := func(db *DB) (star, pair Query) {
+		star, err := db.NewTreeQuery([]string{"x", "y", "z"}, starEdges(3), Sum, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair, err = db.NewQuery("z", "y", Product, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return star, pair
+	}
+	star, pair := trees(db)
+	if err := db.EnsureIndexes(star, AlgoISL); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnsureIndexes(pair, AlgoAnyK); err != nil {
+		t.Fatal(err)
+	}
+	wantStar, err := db.TopK(star, AlgoISL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.EnsureIndexes(mq, AlgoISL); err != nil {
-		t.Fatal(err)
-	}
-	want, err := db.TopK(mq, AlgoISL, nil)
+	wantPair, err := db.TopK(pair, AlgoAnyK, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,30 +226,36 @@ func TestCatalogPersistsMultiwayIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	mq2, err := db2.NewTreeQuery([]string{"x", "y", "z"}, starEdges(3), Sum, 5)
+	star2, pair2 := trees(db2)
+	// No EnsureIndexes: the recovered catalog answers.
+	gotStar, err := db2.TopK(star2, AlgoISL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db2.TopK(mq2, AlgoISL, nil) // no EnsureIndexes
+	assertSameResults(t, "recovered n-way top-k", gotStar.Results, wantStar.Results)
+	gotPair, err := db2.TopK(pair2, AlgoAnyK, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, "recovered n-way top-k", got.Results, want.Results)
+	assertSameResults(t, "recovered pair sharing the star's lists", gotPair.Results, wantPair.Results)
 }
 
 // TestOpenAtRefusesOtherCatalogVersions: a catalog of any format version
-// but 1 fails OpenAt with a FormatVersionError naming the catalog and
+// but 2 fails OpenAt with a FormatVersionError naming the catalog and
 // that version, and no DB. The cases are the catalogs written before
 // the two inverse-score-list index types merged — two-way indexes as
 // {Table, LeftFamily, RightFamily} under "ISL" in isl_<id>, n-way ones
-// under "ISLN" in isln_<LeafID>, or both for the same leaves — a
-// current-shape catalog without its Version, and a version-2 one. The
-// refused store is left as it was: the same tables, the legacy ones
-// included, and the same catalog.
+// under "ISLN" in isln_<leaves>_<aggregate>, or both for the same
+// leaves — version 1, whose lists are keyed by a tree's leaves and
+// aggregate, one table isl_<leaves>_<aggregate> with a family per
+// leaf, a current-shape catalog without its Version, and a version-3
+// one. The refused store is left as it was: the same tables, the
+// legacy ones included, and the same catalog.
 func TestOpenAtRefusesOtherCatalogVersions(t *testing.T) {
 	const (
 		islEntry  = `"ISL":{"left_right_sum":{"Table":"isl_left_right_sum","LeftFamily":"left","RightFamily":"right"}}`
 		islnEntry = `"ISLN":{"left_right_sum":{"Table":"isln_left_right_sum","Families":["left","right"]}}`
+		v1Entry   = `"Version":1,"ISL":{"left_right_sum":{"Table":"isl_left_right_sum","Families":["left","right"]}}`
 	)
 	// current renders the catalog this build saves for an isl index over
 	// left and right, with its Version replaced (nil: removed).
@@ -273,8 +296,9 @@ func TestOpenAtRefusesOtherCatalogVersions(t *testing.T) {
 		{"ISL only", []string{"isl_left_right_sum"}, legacy(islEntry), 0},
 		{"ISLN only", []string{"isln_left_right_sum"}, legacy(islnEntry), 0},
 		{"both", []string{"isl_left_right_sum", "isln_left_right_sum"}, legacy(islEntry + "," + islnEntry), 0},
+		{"version 1", []string{"isl_left_right_sum"}, legacy(v1Entry), 1},
 		{"unversioned", nil, func(t *testing.T, db *DB) string { return current(t, db, nil) }, 0},
-		{"version 2", nil, func(t *testing.T, db *DB) string { return current(t, db, 2) }, 2},
+		{"version 3", nil, func(t *testing.T, db *DB) string { return current(t, db, 3) }, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -288,7 +312,8 @@ func TestOpenAtRefusesOtherCatalogVersions(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, rel := range []string{"left", "right"} {
-					if _, err := core.BuildISLRelation(old.cluster, relationFor(rel), table, rel); err != nil {
+					cell := kvstore.Cell{Row: kvstore.EncodeScoreDesc(0.5), Family: rel, Qualifier: rel + "0", Value: []byte("j0")}
+					if err := old.cluster.Put(table, cell); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -307,7 +332,7 @@ func TestOpenAtRefusesOtherCatalogVersions(t *testing.T) {
 			if !errors.As(err, &fve) || db != nil {
 				t.Fatalf("OpenAt = %v, %v; want no DB and a FormatVersionError", db, err)
 			}
-			if want := (FormatVersionError{Path: "catalog", Version: tc.version, Supported: 1}); *fve != want {
+			if want := (FormatVersionError{Path: "catalog", Version: tc.version, Supported: 2}); *fve != want {
 				t.Errorf("error %+v, want %+v", *fve, want)
 			}
 

@@ -251,7 +251,7 @@ type DB struct {
 	cluster   *kvstore.Cluster
 	relations map[string]*RelationHandle // guarded by: mu
 	// store holds every built index the executor table reads —
-	// per-query IJLMR lists, per-leaf-set inverse score lists and
+	// per-query IJLMR lists, per-relation inverse score lists and
 	// per-relation statistics structures — including the single-flight
 	// build serialization.
 	store *core.IndexStore
@@ -371,9 +371,9 @@ func (h *RelationHandle) Name() string { return h.rel.Name }
 
 // maintainer assembles the Section 6 update interceptor for the indexes
 // currently built over this relation — ALL of them: a relation joined in
-// several queries has one IJLMR table per query and a column family in
-// the inverse-score-list table of every leaf set it belongs to, and each
-// gets the mutation.
+// several IJLMR queries has one IJLMR table per query, and each gets the
+// mutation; its inverse score list, BFHM and DRJN index are one table
+// each, however many trees read them.
 func (h *RelationHandle) maintainer() *core.Maintainer {
 	m := &core.Maintainer{C: h.db.cluster, Rel: h.rel}
 	h.db.store.IJLMR.Each(func(_ string, idx *core.IJLMRIndex) {
@@ -381,11 +381,9 @@ func (h *RelationHandle) maintainer() *core.Maintainer {
 			m.IJLMR = append(m.IJLMR, core.BoundIJLMR{Idx: idx, Family: h.rel.Name})
 		}
 	})
-	h.db.store.ISL.Each(func(_ string, idx *core.ISLIndex) {
-		if slices.Contains(idx.Families, h.rel.Name) {
-			m.ISL = append(m.ISL, core.BoundISL{Idx: idx, Family: h.rel.Name})
-		}
-	})
+	if idx, ok := h.db.store.ISL.Get(h.rel.Name); ok {
+		m.ISL = idx
+	}
 	if idx, ok := h.db.store.BFHM.Get(h.rel.Name); ok {
 		m.BFHM = idx
 	}

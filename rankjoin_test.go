@@ -385,8 +385,8 @@ func TestBulkBuildsEndSealed(t *testing.T) {
 			indexes = append(indexes, name)
 		}
 	}
-	if len(indexes) != 6 {
-		t.Fatalf("index tables %v, want IJLMR and ISL for the pair, BFHM and DRJN for each relation", indexes)
+	if len(indexes) != 7 {
+		t.Fatalf("index tables %v, want IJLMR for the pair, ISL, BFHM and DRJN for each relation", indexes)
 	}
 	sealed := !c.DiskBacked()
 	for _, name := range append(slices.Clone(base), indexes...) {
