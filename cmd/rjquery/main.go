@@ -39,7 +39,7 @@ func run(args []string, stdout io.Writer) error {
 	for _, a := range algorithms() {
 		names = append(names, string(a))
 	}
-	accepted := strings.Join(names, ", ")
+	accepted := strings.Join(names, ", ") + " (anyk is an alias of isl)"
 	fs := flag.NewFlagSet("rjquery", flag.ContinueOnError)
 	queryName := fs.String("q", "q1", "query: q1 (Part x Lineitem, product) or q2 (Orders x Lineitem, sum)")
 	algoName := fs.String("algo", "auto", "algorithm: "+accepted)
@@ -50,7 +50,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	algo := rankjoin.Algorithm(strings.ToLower(*algoName))
-	if !slices.Contains(algorithms(), algo) {
+	if algo != rankjoin.AlgoAnyK && !slices.Contains(algorithms(), algo) {
 		return fmt.Errorf("unknown algorithm %q (want one of %s)", *algoName, accepted)
 	}
 

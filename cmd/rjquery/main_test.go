@@ -43,6 +43,18 @@ func TestRunEveryAlgorithm(t *testing.T) {
 	}
 }
 
+// TestRunAnyKAlias: -algo anyk, a name algorithms() does not list, runs
+// the isl executor and says so.
+func TestRunAnyKAlias(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-q", "q2", "-algo", "anyk", "-sf", "0.001", "-k", "3"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "Q2 via isl, k=3") {
+		t.Fatalf("output does not report the isl executor:\n%s", out.String())
+	}
+}
+
 // TestRunUnknownAlgorithm: an algorithm -algo does not list fails
 // before any data is generated.
 func TestRunUnknownAlgorithm(t *testing.T) {

@@ -846,10 +846,7 @@ func (s *server) handleRelations(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
-	algos := []string{string(rankjoin.AlgoAuto), string(rankjoin.AlgoNaive)}
-	for _, a := range rankjoin.Algorithms() {
-		algos = append(algos, string(a))
-	}
+	algos := append([]rankjoin.Algorithm{rankjoin.AlgoAuto, rankjoin.AlgoNaive}, rankjoin.Algorithms()...)
 	writeJSON(w, http.StatusOK, map[string]any{"algorithms": algos})
 }
 

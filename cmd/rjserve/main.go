@@ -47,8 +47,8 @@
 //	    mixed shapes; results carry the third
 //	    and later leaves' rows in rest_rows. A cyclic or disconnected
 //	    tree is rejected with a 400 whose body carries the shape
-//	    diagnostic. algo=anyk (or auto) streams tree results in score
-//	    order.
+//	    diagnostic. algo=isl (or its alias anyk, or auto) streams tree
+//	    results in score order.
 //	    algo defaults to "auto": the cost-based planner picks the
 //	    executor, and the response carries the chosen algorithm plus
 //	    the planner's estimate next to the measured cost. A full page

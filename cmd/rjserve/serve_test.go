@@ -187,6 +187,9 @@ type serveCase struct {
 	// keys, when set, must all be present in the (last line of the)
 	// response on both backends.
 	keys []string
+	// fields, when set, are values the (last line of the) response must
+	// carry on both backends, compared as decoded JSON.
+	fields map[string]any
 	// onlyOne lists keys one backend may carry and the other omit.
 	onlyOne []string
 	// wantRows, when positive, is the row count both must return.
@@ -213,7 +216,8 @@ func serveTable() []serveCase {
 		{name: "topk every executor bfhm", method: get, target: "/topk?query=q1&algo=bfhm&k=7&parallelism=0", want: 200, wantRows: 7},
 		{name: "topk every executor drjn", method: get, target: "/topk?query=q2&algo=drjn&k=7", want: 200, wantRows: 7},
 		{name: "topk post", method: post, target: "/topk", body: `{"query":"q2","algo":"naive","k":3}`, want: 200, wantRows: 3},
-		{name: "topk post tree", method: post, target: "/topk", body: `{"tree":` + threeLeafTree + `,"algo":"anyk"}`, want: 200, wantRows: 4},
+		{name: "topk post tree", method: post, target: "/topk", body: `{"tree":` + threeLeafTree + `,"algo":"anyk"}`, want: 200, wantRows: 4,
+			fields: map[string]any{"algorithm": "isl"}},
 		{name: "topk get tree", method: get, target: "/topk?algo=naive&tree=" + treeParam, want: 200, wantRows: 4},
 		{name: "topk cyclic tree", method: post, target: "/topk",
 			body: `{"tree":{"relations":["left","right","third"],"edges":[{"a":0,"b":1},{"a":1,"b":2},{"a":2,"b":0}]}}`,
@@ -238,7 +242,8 @@ func serveTable() []serveCase {
 		{name: "stream isl", method: get, target: "/stream?query=q2&algo=isl&limit=12&k=5", want: 200, wantRows: 12,
 			keys: []string{"done", "query", "algorithm", "count", "exhausted", "cost", "wall_time"}},
 		{name: "stream defaults", method: get, target: "/stream?k=0", want: 200, wantRows: 100},
-		{name: "stream post tree", method: post, target: "/stream", body: `{"tree":` + threeLeafTree + `,"algo":"anyk","limit":9}`, want: 200, wantRows: 9},
+		{name: "stream post tree", method: post, target: "/stream", body: `{"tree":` + threeLeafTree + `,"algo":"anyk","limit":9}`, want: 200, wantRows: 9,
+			fields: map[string]any{"algorithm": "isl"}},
 		{name: "stream negative limit", method: get, target: "/stream?limit=-1", want: 400},
 		{name: "stream negative k in body", method: post, target: "/stream", body: `{"k":-2}`, want: 400},
 		{name: "stream unknown preset", method: get, target: "/stream?query=nope", want: 400},
@@ -286,7 +291,8 @@ func serveTable() []serveCase {
 			body: `{"query":"q2","k":10,"objective":"dollar"}`, want: 400, wantDist: 501},
 		{name: "repair", method: post, target: "/repair", want: 501, wantDist: 200},
 		{name: "relations", method: get, target: "/relations", want: 200, keys: []string{"relations"}},
-		{name: "algorithms", method: get, target: "/algorithms", want: 200, keys: []string{"algorithms"}},
+		{name: "algorithms", method: get, target: "/algorithms", want: 200,
+			fields: map[string]any{"algorithms": []any{"auto", "naive", "hive", "pig", "ijlmr", "isl", "bfhm", "drjn"}}},
 		{name: "metrics", method: get, target: "/metrics", want: 200, keys: []string{"cumulative"}, onlyOne: []string{"nodes"}},
 		{name: "healthz", method: get, target: "/healthz", want: 200, keys: []string{"status"}, onlyOne: []string{"nodes"}},
 		{name: "no such route", method: get, target: "/nope", want: 404},
@@ -328,6 +334,13 @@ func TestHandlersSameOnBothBackends(t *testing.T) {
 			for i := range got {
 				if _, ok := last(got[i])[k]; !ok {
 					t.Errorf("%s on %s: response lacks %q: %s", c.name, backends[i].name, k, got[i].raw)
+				}
+			}
+		}
+		for k, v := range c.fields {
+			for i := range got {
+				if g := last(got[i])[k]; !reflect.DeepEqual(g, v) {
+					t.Errorf("%s on %s: %s = %v, want %v", c.name, backends[i].name, k, g, v)
 				}
 			}
 		}

@@ -10,16 +10,14 @@
 //
 //   - Naive, Hive-style, and Pig-style baselines (Section 3)
 //   - IJLMR — Inverse Join List MapReduce rank join (Section 4.1)
-//   - ISL — Inverse Score List rank join over HRJN (Section 4.2), for
-//     two-way and n-way equi-joins
+//   - ISL — Inverse Score List rank join over HRJN (Section 4.2), run
+//     as any-k ranked enumeration: score-ordered streams per leaf
+//     joined on arrival and one heap of complete matches behind a
+//     generalized HRJN threshold, enumerating any acyclic join tree in
+//     score order with no k fixed up front (AlgoAnyK is its alias)
 //   - BFHM — Bloom Filter Histogram Matrix rank join with a guaranteed
 //     100% recall (Section 5)
 //   - DRJN — the 2-D histogram comparator (Section 7.1)
-//   - Any-k — score-ordered streams per leaf joined on arrival and
-//     one heap of complete matches behind a generalized HRJN
-//     threshold, enumerating any acyclic join tree in score order
-//     with no k fixed up front (the one rank-join operator; ISL runs
-//     it on all-equi trees)
 //
 // plus online index maintenance (Section 6) and a cost model reporting
 // the paper's three evaluation metrics for every query: simulated
@@ -80,15 +78,15 @@
 //	defer rows.Close()
 //	for rows.Next() { fmt.Println(rows.Result().Score) }
 //
-// Which executors stream natively: ISL (two-way and n-way), any-k and
-// DRJN are incremental — their sorted-access loops (one rank-join
-// operator behind one cursor over batched inverse-score-list scans for
-// ISL and any-k, DRJN's histogram band walk) pause at the exact input
-// prefix each emitted result needs, so the next page pays only marginal
-// work, and tied results always leave in row-key order. Naive, Hive,
-// Pig, IJLMR, and BFHM are batch-shaped (their pipelines target a fixed
-// k end to end) and stream through a materializing adapter that re-runs
-// at doubled depths when drained past the page hint. AlgoAuto knows the
+// Which executors stream natively: ISL (on every tree) and DRJN are
+// incremental — their sorted-access loops (one rank-join operator
+// behind one cursor over batched inverse-score-list scans for ISL,
+// DRJN's histogram band walk) pause at the exact input prefix each
+// emitted result needs, so the next page pays only marginal work, and
+// tied results always leave in row-key order. Naive, Hive, Pig, IJLMR,
+// and BFHM are batch-shaped (their pipelines target a fixed k end to
+// end) and stream through a materializing adapter that re-runs at
+// doubled depths when drained past the page hint. AlgoAuto knows the
 // difference: Stream-mode planning prices deep enumeration — marginal
 // per-page cost for incremental cursors, the doubling re-run schedule
 // for materializing ones — and can pick a different executor for deep
@@ -116,29 +114,25 @@
 //	        {A: 1, B: 2, Kind: rankjoin.PredBand, Band: 0.5},
 //	    },
 //	    rankjoin.Sum, 10)
-//	res, _ := db.TopK(q, rankjoin.AlgoAnyK, nil)
-//	rows, _ := db.Stream(q, rankjoin.AlgoAnyK, nil)
+//	res, _ := db.TopK(q, rankjoin.AlgoISL, nil)
+//	rows, _ := db.Stream(q, rankjoin.AlgoISL, nil)
 //
 // Structurally invalid trees (cyclic, disconnected, self-loops,
 // out-of-range endpoints, duplicate edges, non-finite band widths)
-// fail with a typed *ShapeError. AlgoAnyK executes every tree shape
+// fail with a typed *ShapeError. AlgoISL executes every tree shape
 // incrementally — per-leaf score-ordered streams are joined as their
 // tuples arrive, complete matches wait in one heap, and a generalized
 // HRJN threshold releases a match only when nothing unseen can beat it
 // (README, "Join trees & any-k", says what that holds in memory and
-// costs per tuple) — so tree queries
-// stream, paginate, and respect budgets exactly like binary ones.
-// AlgoISL is the same operator and cursor on all-equi trees, over the
-// same lists: one inverse-score-list table per relation, shared by
-// every tree that names it, built by EnsureIndexes for either executor
-// and read by both, with one pull rule: they differ only in the shapes
-// they accept. Where the paper's
-// Algorithm 4 takes turns between the lists, the cursor reads the list
-// that currently bounds the threshold (HRJN*'s rule), so it reads each
-// list to the score depth the threshold needs rather than all lists to
-// the same count — the same rows, fewer read units on skewed joins and
-// band chains. The naive executor answers trees through the
-// materializing adapter.
+// costs per tuple) — so tree queries stream, paginate, and respect
+// budgets exactly like binary ones. It reads one inverse-score-list
+// table per relation, shared by every tree that names it. Where the
+// paper's Algorithm 4 takes turns between the lists, the cursor reads
+// the list that currently bounds the threshold (HRJN*'s rule), so it
+// reads each list to the score depth the threshold needs rather than
+// all lists to the same count — the same rows, fewer read units on
+// skewed joins and band chains. The naive executor answers trees
+// through the materializing adapter.
 // ParseTreeSpec and NewTreeQueryFromSpec decode the JSON wire form
 // the HTTP server accepts on /topk, /stream, and /explain.
 //

@@ -46,20 +46,24 @@ func main() {
 	rng := rand.New(rand.NewSource(7))
 
 	const corpus = 20000 // documents in the collection
-	lists := map[string]int{
-		"database":    4000, // common term: long posting list
-		"bloomfilter": 900,  // rarer term
+	// A slice, not a map: the lists draw from one rng in this order.
+	lists := []struct {
+		kw   string
+		hits int
+	}{
+		{"database", 4000},   // common term: long posting list
+		{"bloomfilter", 900}, // rarer term
 	}
-	for kw, hits := range lists {
-		h, err := db.DefineRelation("postings_" + kw)
+	for _, l := range lists {
+		h, err := db.DefineRelation("postings_" + l.kw)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := h.BulkLoad(postingList(kw, corpus, hits, rng)); err != nil {
+		if err := h.BulkLoad(postingList(l.kw, corpus, l.hits, rng)); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("loaded posting list %-12s: %5d entries (%d B on disk)\n",
-			kw, hits, h.DiskSize())
+			l.kw, l.hits, h.DiskSize())
 	}
 
 	// Query: documents most relevant to "database bloomfilter".

@@ -9,14 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
-// Chain evaluation: the any-k executor against the doubling-depth
+// Chain evaluation: any-k enumeration against the doubling-depth
 // adapter on multi-relation chain queries. A chain of n relations joins
 // leaf i to leaf i+1 with a band predicate over numeric join values —
 // the shape the generalized tree model admits that neither the binary
-// nor the star query could express. AlgoAnyK streams results from ISL
-// prefixes per leaf; AlgoNaive reaches the same answers through the
-// materializing cursor adapter, which re-runs the full-scan tree join
-// at doubled depths. The gap between the two read-unit columns is the
+// nor the star query could express. AlgoAnyK (the isl executor under
+// its any-k name, which labels the figure's rows) streams results from
+// inverse-score-list prefixes per leaf; AlgoNaive reaches the same
+// answers through the materializing cursor adapter, which re-runs the
+// full-scan tree join at doubled depths. The gap between the two read-unit columns is the
 // point of the figure: any-k's cost tracks k, the adapter's tracks
 // total table size.
 
@@ -188,8 +189,9 @@ func ChainReport(profile sim.Profile, rows int, seed int64) (string, error) {
 }
 
 // formatChainTable is FormatTable over the chain's two executors
-// (AlgoAnyK is not in the figure-7/8 Algorithms list FormatTable
-// orders by, so the chain figure keeps its own row order).
+// (AlgoAnyK, the label of the isl rows, is not in the figure-7/8
+// Algorithms list FormatTable orders by, so the chain figure keeps its
+// own row order).
 func formatChainTable(title string, cells []Cell, metric Metric) string {
 	out := fmt.Sprintf("%s — %s [%s]\n", title, metric.Name, metric.Unit)
 	out += fmt.Sprintf("%-8s", "algo\\k")

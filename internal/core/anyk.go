@@ -3,8 +3,8 @@ package core
 import "math"
 
 // This file implements the rank-join operator — the only HRJN-family
-// operator in the package, which isl and anyk run. The operator is
-// ranked enumeration over an acyclic join tree with no k fixed up front
+// operator in the package, which isl runs. The operator is ranked
+// enumeration over an acyclic join tree with no k fixed up front
 // (the ANYK/QUICK family of Tziavelis et al., adapted to the paper's
 // inverse-score-list storage); HRJN (Section 4.2.1) is its two-leaf
 // equi case and the n-way form the paper states there its all-equi
@@ -24,10 +24,10 @@ import "math"
 // the amortised growth of the arenas. A paused cursor retains all of
 // that until it is closed.
 //
-// The operator is driven by listCursor (isl.go), which both the isl and
-// the anyk executor open over inverse score lists. It does not choose
-// which list to read, but evaluating the threshold tells it which list
-// bounds it (bounding), and the cursor reads that one (HRJN*).
+// The operator is driven by listCursor (isl.go), which the isl executor
+// opens over inverse score lists. It does not choose which list to
+// read, but evaluating the threshold tells it which list bounds it
+// (bounding), and the cursor reads that one (HRJN*).
 
 // anyKOp is the tree-generalized ranked-enumeration operator. It holds
 // each pulled tuple once (treeJoin's per-leaf arenas and ordinal

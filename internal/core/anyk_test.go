@@ -23,11 +23,11 @@ func loadTree(t *testing.T, c *kvstore.Cluster, tuples [][]Tuple, edges []TreeEd
 	return tr
 }
 
-// openAnyK opens an any-k cursor on tr, building its index in store
+// openAnyK opens an isl cursor on tr, building its index in store
 // the first time.
 func openAnyK(t *testing.T, c *kvstore.Cluster, tr *JoinTree, store *IndexStore, batch int) Cursor {
 	t.Helper()
-	ex, _ := Lookup("anyk")
+	ex, _ := Lookup("isl")
 	if err := ex.EnsureIndex(c, tr, store, IndexBuildConfig{}); err != nil {
 		t.Fatal(err)
 	}

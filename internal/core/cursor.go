@@ -10,9 +10,9 @@ import (
 // opens a pull-based Cursor that yields join results one at a time in
 // descending score order, without fixing k up front. The executors
 // with a sorted-access loop enumerate natively — each Next() does only
-// the marginal work the next result needs: isl and anyk through the
-// one list cursor over inverse score lists (isl.go) feeding the one
-// rank-join operator (anyk.go), DRJN through its band walk — while
+// the marginal work the next result needs: isl through the one list
+// cursor over inverse score lists (isl.go) feeding the one rank-join
+// operator (anyk.go), DRJN through its band walk — while
 // batch-shaped algorithms (naive, Hive, Pig, IJLMR, BFHM) are adapted
 // through a materializing cursor that re-runs the bounded query at
 // doubling depths. The batch TopK path is a thin drain of the same

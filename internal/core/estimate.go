@@ -205,10 +205,10 @@ func estimateIJLMR(st *PlanStats) CostEstimate {
 	return a.est()
 }
 
-// estimateLists prices the rank-join operator over inverse score lists,
-// which the isl and anyk executors share: one batched list scan per leaf
-// down to its estimated termination depth (PlanStats.LeafDepths, ~one
-// index cell per tuple), plus the per-tuple probe and release CPU.
+// estimateLists prices the isl executor's rank-join operator over
+// inverse score lists: one batched list scan per leaf down to its
+// estimated termination depth (PlanStats.LeafDepths, ~one index cell
+// per tuple), plus the per-tuple probe and release CPU.
 func estimateLists(st *PlanStats) CostEstimate {
 	a := estAccum{p: st.Profile}
 	batch := uint64(st.Exec.WithDefaults().ISLBatch)

@@ -18,8 +18,8 @@ const DefaultISLBatch = 100
 // ExecOptions tunes one query execution (the executor-layer mirror of
 // the public QueryOptions).
 type ExecOptions struct {
-	// ISLBatch is the scanner caching size for the list executors
-	// (isl, anyk): rows per scanner RPC (default DefaultISLBatch).
+	// ISLBatch is the scanner caching size for the isl executor's list
+	// scans: rows per scanner RPC (default DefaultISLBatch).
 	ISLBatch int
 	// Parallelism fans the client read path out (see QueryOptions).
 	Parallelism int

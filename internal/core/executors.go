@@ -8,21 +8,20 @@ import (
 )
 
 // This file is the executor layer's one dispatch point: the paper's
-// seven algorithms plus the any-k tree executor, each one row of a
-// fixed table in the paper's evaluation order. A row states its
-// strategy's facts — the join shapes it takes, whether it enumerates
-// incrementally, its estimator, its index family and how it runs — and
-// Executor's methods apply them alike for every row, so the shape check,
+// seven algorithms, each one row of a fixed table in the paper's
+// evaluation order. A row states its strategy's facts — the join shapes
+// it takes, whether it enumerates incrementally, its estimator, its
+// index family and how it runs — and Executor's methods apply them
+// alike for every row, so the shape check,
 // t.Validate, the missing-index check and the budget wrap each happen
 // once, here. The public API resolves algorithms with Lookup, and the
 // planner (internal/plan) costs Executors in table order.
 //
-// The shapes follow "Ranked Enumeration for Database Queries": any-k
-// takes every acyclic tree, isl every all-equi tree (semantically a
-// star), and the paper's other strategies the two-leaf equi join, which
-// they read as leaves 0 and 1; naive, the reference, takes every tree.
-// isl and anyk share one index family, one rank-join operator and one
-// list cursor (anyk.go, isl.go).
+// The shapes follow "Ranked Enumeration for Database Queries": isl runs
+// one any-k enumeration over every acyclic tree, the equi star being a
+// special case; the paper's other strategies take the two-leaf equi
+// join, which they read as leaves 0 and 1; naive, the reference, takes
+// every tree.
 
 // Executor is one rank-join strategy: a row of the executor table.
 type Executor struct {
@@ -62,9 +61,9 @@ var executors = []*Executor{
 			idx, _ := store.IJLMR.Get(t.ID())
 			return QueryIJLMR(c, t, idx)
 		}},
-	// isl and anyk open one list cursor, which reads the list that bounds
-	// the threshold (HRJN*); they differ only in the shapes they take.
-	{name: "isl", supports: (*JoinTree).AllEqui, estimate: estimateLists, index: islIndexes,
+	// isl opens one list cursor, which reads the list that bounds the
+	// threshold (HRJN*).
+	{name: "isl", supports: anyTree, estimate: estimateLists, index: islIndexes,
 		open: openLists},
 	// bfhm materializes: its estimation and reverse-mapping pipeline is
 	// k-driven end to end (the histogram walk targets the k'th estimate).
@@ -80,8 +79,6 @@ var executors = []*Executor{
 			idxB, _ := store.DRJN.Get(t.Relations[1].Name)
 			return OpenDRJN(c, t, idxA, idxB)
 		}},
-	{name: "anyk", supports: anyTree, estimate: estimateLists, index: islIndexes,
-		open: openLists},
 }
 
 // Lookup returns the executor named name.
@@ -183,8 +180,7 @@ func (e *Executor) Open(c *kvstore.Cluster, t *JoinTree, store *IndexStore, opts
 // unsupportedShape is the dispatch error for a hand-picked executor
 // that cannot run the tree's shape.
 func unsupportedShape(name string, t *JoinTree) error {
-	return fmt.Errorf("rankjoin: algorithm %q does not support join shape %s (try %s or %s)",
-		name, t.ID(), "naive", "anyk")
+	return fmt.Errorf("rankjoin: algorithm %q does not support join shape %s (try naive or isl)", name, t.ID())
 }
 
 // anyTree admits every tree shape.

@@ -117,9 +117,4 @@ func TestExecutorTableDispatch(t *testing.T) {
 			assertTreeResultsByteMatch(t, label, []JoinResult{*r}, naive.Results[:1])
 		}
 	}
-	isl, _ := Lookup("isl")
-	anyk, _ := Lookup("anyk")
-	if isl.index != anyk.index {
-		t.Error("isl and anyk read different index families")
-	}
 }

@@ -83,8 +83,7 @@ func (s *IndexStore) buildScope(scope string) *sync.Mutex {
 	return mu
 }
 
-// indexFamily is one kind of index, defined once however many executors
-// read it (isl and anyk share lists). The executor table calls it only
+// indexFamily is one kind of index. The executor table calls it only
 // for trees of a shape the reading executor supports.
 type indexFamily interface {
 	// name labels the family in the missing-index error.
@@ -201,7 +200,7 @@ var (
 		table: func(idx *IJLMRIndex) string { return idx.Table },
 	}
 
-	// islIndexes is the inverse score lists isl and anyk both read.
+	// islIndexes is the inverse score lists isl reads.
 	islIndexes indexFamily = &family[*ISLIndex]{
 		label: "ISL",
 		of:    func(s *IndexStore) *IndexMap[*ISLIndex] { return &s.ISL },

@@ -15,12 +15,11 @@ import (
 // index type (ISLIndex), keyed by relation: a relation's list depends
 // on neither the edge predicates nor the aggregate nor the other
 // leaves, so every tree that names the relation — the paper's two-way
-// query included — reads the same table isl_<relation>, and the isl
-// and anyk executors read the same lists. listCursor is Algorithm 4's
-// coordinator stated for n lists: it scans them in batches (HBase
-// scanner caching, ISLBatch rows per RPC), feeds the rank-join operator
-// of anyk.go one tuple at a time, and pauses the moment the next-ranked
-// result is provably complete.
+// query included — reads the same table isl_<relation>. listCursor is
+// Algorithm 4's coordinator stated for n lists: it scans them in batches
+// (HBase scanner caching, ISLBatch rows per RPC), feeds the rank-join
+// operator of anyk.go one tuple at a time, and pauses the moment the
+// next-ranked result is provably complete.
 //
 // Where the cursor departs from Algorithm 4 is which list the next
 // tuple comes from. Algorithm 4 alternates, so every list is read to the
@@ -169,8 +168,8 @@ func (s *islStream) Next() (*Tuple, error) {
 // the threshold (HRJN*'s rule, anyKOp.bounding), and pauses as soon as
 // a result is releasable, so pulling k results consumes exactly the
 // input prefix they need and pulling k more resumes where the cursor
-// stopped instead of rescanning from the top of the lists. Both the isl
-// and the anyk executor open it.
+// stopped instead of rescanning from the top of the lists. The isl
+// executor opens it on every tree shape.
 type listCursor struct {
 	op      *anyKOp
 	streams []*islStream

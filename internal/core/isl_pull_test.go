@@ -8,8 +8,8 @@ import (
 )
 
 // The list cursor's pull schedule (HRJN*'s rule, anyKOp.bounding), which
-// both the isl and the anyk executor run, driven over in-memory leaves
-// apart from any store.
+// the isl executor runs, driven over in-memory leaves apart from any
+// store.
 
 // wantBoundingLeaf restates the pull rule from the operator's per-leaf
 // score extremes, independently of threshold(): the first non-exhausted

@@ -554,7 +554,7 @@ func (j *treeJoin) result(combo []int32, score float64) JoinResult {
 // NaiveTreeTopK is the reference executor for arbitrary join trees: it
 // scans every leaf in full, indexes each for its incident predicates,
 // enumerates every assignment over the tree edges, and ranks exactly.
-// It is the oracle the any-k executor is checked against and the base
+// It is the oracle the isl executor is checked against and the base
 // of the doubling-depth streaming adapter.
 func NaiveTreeTopK(c *kvstore.Cluster, t *JoinTree) (*Result, error) {
 	if err := t.Validate(); err != nil {

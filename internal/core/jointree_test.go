@@ -195,15 +195,14 @@ func TestAnyKMatchesOracleRandomTrees(t *testing.T) {
 			t.Fatalf("seed %d: NaiveTreeTopK: %v", seed, err)
 		}
 		assertTreeResultsByteMatch(t, fmt.Sprintf("seed %d naive", seed), naive.Results, want)
-		checkListCursor(t, fmt.Sprintf("seed %d anyk (n=%d)", seed, len(tr.Relations)), c, "anyk", tr, tuples, want)
+		checkListCursor(t, fmt.Sprintf("seed %d isl (n=%d)", seed, len(tr.Relations)), c, tr, tuples, want)
 	}
 }
 
 // TestISLMatchesOracleSkewedEquiTrees: the same oracle over all-equi
-// trees of unequal leaves, for the isl executor. Results must
-// byte-match the brute force and follow the bounding schedule — over
-// the set, strictly fewer pulls than alternation needs for the same
-// results.
+// trees of unequal leaves. Results must byte-match the brute force and
+// follow the bounding schedule — over the set, strictly fewer pulls
+// than alternation needs for the same results.
 func TestISLMatchesOracleSkewedEquiTrees(t *testing.T) {
 	var pulled, alternating int
 	for seed := int64(0); seed < 16; seed++ {
@@ -212,7 +211,7 @@ func TestISLMatchesOracleSkewedEquiTrees(t *testing.T) {
 		k := []int{1, 7, 25}[rng.Intn(3)]
 		tr, tuples := skewedEquiTreeEnv(t, c, rng, k)
 		label := fmt.Sprintf("seed %d isl (n=%d)", seed, len(tr.Relations))
-		pulled += checkListCursor(t, label, c, "isl", tr, tuples, bruteForceTreeTopK(tr, tuples, k))
+		pulled += checkListCursor(t, label, c, tr, tuples, bruteForceTreeTopK(tr, tuples, k))
 
 		sorted := make([][]Tuple, len(tuples))
 		for i := range tuples {
@@ -227,16 +226,16 @@ func TestISLMatchesOracleSkewedEquiTrees(t *testing.T) {
 	}
 }
 
-// checkListCursor builds the named list executor's index for tr, drains
+// checkListCursor builds the isl executor's index for tr, drains
 // its cursor to tr.K results and requires them to byte-match want, and
 // every leaf's pulled count to equal what the in-memory bounding
 // schedule pulls from the same tuples. It does so at ISL batch sizes 1,
 // 2 and 5: the small batches recycle the scanners' row blocks every
 // tuple or two, under tuples the operator has kept. It returns the
 // tuples pulled over all leaves, which no batch size changes.
-func checkListCursor(t *testing.T, label string, c *kvstore.Cluster, name string, tr *JoinTree, tuples [][]Tuple, want []JoinResult) int {
+func checkListCursor(t *testing.T, label string, c *kvstore.Cluster, tr *JoinTree, tuples [][]Tuple, want []JoinResult) int {
 	t.Helper()
-	ex, _ := Lookup(name)
+	ex, _ := Lookup("isl")
 	store := NewIndexStore()
 	if err := ex.EnsureIndex(c, tr, store, IndexBuildConfig{}.WithDefaults()); err != nil {
 		t.Fatalf("%s: EnsureIndex: %v", label, err)
@@ -288,7 +287,7 @@ func TestAnyKTreePagesMatchBatch(t *testing.T) {
 	c := newTestCluster()
 	tr, tuples := randomTreeEnv(t, c, rng, page)
 	store := NewIndexStore()
-	ex, _ := Lookup("anyk")
+	ex, _ := Lookup("isl")
 	if err := ex.EnsureIndex(c, tr, store, IndexBuildConfig{}.WithDefaults()); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +295,7 @@ func TestAnyKTreePagesMatchBatch(t *testing.T) {
 
 	batchT := *tr
 	batchT.K = total
-	batch, err := runExec(c, "anyk", &batchT, store, opts)
+	batch, err := runExec(c, "isl", &batchT, store, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +323,7 @@ func TestAnyKTreeEarlyCloseChargesNothing(t *testing.T) {
 	c := newTestCluster()
 	tr, _ := randomTreeEnv(t, c, rng, 3)
 	store := NewIndexStore()
-	ex, _ := Lookup("anyk")
+	ex, _ := Lookup("isl")
 	if err := ex.EnsureIndex(c, tr, store, IndexBuildConfig{}.WithDefaults()); err != nil {
 		t.Fatal(err)
 	}

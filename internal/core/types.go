@@ -3,11 +3,10 @@
 //
 //   - Naive / Hive / Pig baselines (Section 3)
 //   - IJLMR: Inverse Join List MapReduce rank join (Section 4.1)
-//   - ISL: Inverse Score List rank join, an HRJN adaptation (Section 4.2),
-//     on all-equi trees of any leaf count
+//   - ISL: Inverse Score List rank join, an HRJN adaptation (Section 4.2)
+//     generalized to any-k ranked enumeration over every acyclic join tree
 //   - BFHM: the Bloom Filter Histogram Matrix rank join (Section 5)
 //   - DRJN: the 2-D histogram comparator of Doulkeridis et al. (Section 7.1)
-//   - AnyK: any-k ranked enumeration over acyclic join trees
 //
 // plus online index maintenance for all of them (Section 6).
 //

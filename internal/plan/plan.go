@@ -167,8 +167,7 @@ func Explain(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, opts 
 		return cand.Estimate
 	}
 	// Stable over core.Executors(): candidates that tie on the objective
-	// keep table order (the paper's evaluation order), so isl
-	// precedes anyk where the two price the same lists identically.
+	// keep table order (the paper's evaluation order).
 	sort.SliceStable(cands, func(i, j int) bool {
 		return obj.metric(rankBy(cands[i])) < obj.metric(rankBy(cands[j]))
 	})

@@ -98,8 +98,12 @@ func (q Query) K() int { return q.t.K }
 // are encoded), so cache entries never collide across shapes.
 func (q Query) ID() string { return q.t.ID() }
 
-// executorFor resolves a concrete (non-auto) algorithm to its executor.
+// executorFor resolves a concrete (non-auto) algorithm to its executor;
+// it is the one place the AlgoAnyK alias is mapped.
 func executorFor(algo Algorithm) (*core.Executor, error) {
+	if algo == AlgoAnyK {
+		algo = AlgoISL
+	}
 	ex, ok := core.Lookup(string(algo))
 	if !ok {
 		return nil, fmt.Errorf("rankjoin: unknown algorithm %q", algo)
@@ -302,7 +306,8 @@ func (db *DB) resume(q Query, algo Algorithm, o QueryOptions) (*Rows, error) {
 		_ = rows.Close()
 		return nil, fmt.Errorf("rankjoin: page token belongs to query %s, not %s", rows.queryID, q.ID())
 	}
-	if algo != AlgoAuto && string(algo) != rows.algo {
+	// Compare executors, not names: AlgoAnyK resumes an isl token.
+	if ex, err := executorFor(algo); algo != AlgoAuto && (err != nil || ex.Name() != rows.algo) {
 		_ = rows.Close()
 		return nil, fmt.Errorf("rankjoin: page token was produced by %s, not %s", rows.algo, algo)
 	}

@@ -110,16 +110,18 @@ const (
 	AlgoHive  Algorithm = "hive"
 	AlgoPig   Algorithm = "pig"
 	AlgoIJLMR Algorithm = "ijlmr"
-	AlgoISL   Algorithm = "isl"
-	AlgoBFHM  Algorithm = "bfhm"
-	AlgoDRJN  Algorithm = "drjn"
-	// AlgoAnyK is the any-k streaming tree executor: it enumerates the
-	// results of an acyclic join tree (chains, stars, general shapes —
-	// see NewTreeQuery) in descending score order with no k fixed up
-	// front, maintaining HRJN-style bounds per tree node. It reads the
-	// same inverse score lists as AlgoISL (EnsureIndexes for either
-	// builds them) and is the only index-backed executor for trees with
-	// band-predicate edges.
+	// AlgoISL is the inverse-score-list rank join, run as any-k ranked
+	// enumeration: it enumerates the results of every acyclic join tree
+	// (chains, stars, general shapes — see NewTreeQuery) in descending
+	// score order with no k fixed up front, and is the only
+	// index-backed executor for trees with band-predicate edges.
+	AlgoISL  Algorithm = "isl"
+	AlgoBFHM Algorithm = "bfhm"
+	AlgoDRJN Algorithm = "drjn"
+	// AlgoAnyK is an alias of AlgoISL, the any-k enumeration's name in
+	// "Ranked Enumeration for Database Queries": it runs the isl
+	// executor, results and page tokens report "isl", and a token
+	// either name produced resumes under the other.
 	AlgoAnyK Algorithm = "anyk"
 	// AlgoAuto is not an algorithm but a planner mode: TopK runs the
 	// cost-based planner and executes the cheapest strategy whose
@@ -129,9 +131,10 @@ const (
 	AlgoAuto Algorithm = "auto"
 )
 
-// Algorithms lists every implemented strategy in evaluation order.
+// Algorithms lists every implemented strategy in evaluation order
+// (without the naive reference and the AlgoAnyK alias).
 func Algorithms() []Algorithm {
-	return []Algorithm{AlgoHive, AlgoPig, AlgoIJLMR, AlgoISL, AlgoBFHM, AlgoDRJN, AlgoAnyK}
+	return []Algorithm{AlgoHive, AlgoPig, AlgoIJLMR, AlgoISL, AlgoBFHM, AlgoDRJN}
 }
 
 // Config configures a DB.
@@ -171,15 +174,15 @@ type IndexConfig struct {
 // BFHM replays pending mutation records in memory, and persisting the
 // reconstructed blobs is the offline pass, RelationHandle.WriteBackBFHM.
 type QueryOptions struct {
-	// ISLBatch is the scanner caching size for the list executors
-	// (isl, anyk): rows per scanner RPC (default 100).
+	// ISLBatch is the scanner caching size for the isl executor's list
+	// scans: rows per scanner RPC (default 100).
 	ISLBatch int
 	// Parallelism bills the client read path as a fan-out: BFHM's
 	// reverse-mapping multi-gets count as per-region RPCs over that many
-	// concurrent lanes, and at any value >= 2 ISL and any-k bill every
-	// leaf's inverse-score-list batches as read-ahead, so their round
-	// trips overlap (their fan-out is one list per leaf, so values above
-	// 2 change nothing there). The simulated clock advances by the
+	// concurrent lanes, and at any value >= 2 ISL bills every leaf's
+	// inverse-score-list batches as read-ahead, so their round trips
+	// overlap (its fan-out is one list per leaf, so values above 2
+	// change nothing there). The simulated clock advances by the
 	// slowest lane; resource counters sum over every consumed batch. The
 	// reads themselves run on the query's goroutine, and nothing is read
 	// before it is consumed. 0 or 1 means sequential.

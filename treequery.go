@@ -15,8 +15,9 @@ import (
 // values, ranked by a monotonic aggregate over all leaf scores. The
 // two-way query (NewQuery) is the trivial tree shape, built by the same
 // constructor; NewTreeQuery admits stars (the paper's n-way equi-join:
-// edges {0,i}), chains and general acyclic shapes, and the AlgoAnyK executor
-// enumerates any of them in score order without fixing k up front.
+// edges {0,i}), chains and general acyclic shapes, and the AlgoISL
+// executor enumerates any of them in score order without fixing k up
+// front.
 
 // Tree-edge re-exports.
 type (
