@@ -21,8 +21,12 @@ import "math"
 // partial solutions. A pulled tuple costs an O(log n) index insert plus
 // an O(log n) probe per partial combination it extends, a completed
 // combination an O(log r) heap push, and none of it allocates beyond
-// the amortised growth of the arenas. A paused cursor retains all of
-// that until it is closed.
+// the arenas' pages and the heap's amortised growth. The threshold costs
+// one aggregate evaluation per pull, not one per leaf: each leaf's
+// corner term is cached and evaluated again only once a score it reads
+// has changed. A paused cursor retains all of that until it is closed;
+// closing hands the arena pages, band chunks and head maps to the next
+// cursor (leafIndex.release).
 //
 // The operator is driven by listCursor (isl.go), which the isl executor
 // opens over inverse score lists. It does not choose which list to
@@ -46,6 +50,11 @@ type anyKOp struct {
 	got    []bool       // leaf has yielded at least one tuple
 	done   []bool       // leaf's list is exhausted
 	scores []float64    // scratch score vector
+	// terms caches each leaf's corner term (see threshold), valid where
+	// fresh: term i reads minS[i] and every other leaf's maxS, so a new
+	// minS[i] stales term i only and a new maxS[i] stales them all.
+	terms []float64
+	fresh []bool
 	// bound is the non-exhausted leaf threshold last found bounding — the
 	// one whose corner term is the threshold — or -1: every list is
 	// exhausted, or a tuple or exhaustion mark arrived since.
@@ -70,6 +79,8 @@ func newAnyKOp(t *JoinTree) *anyKOp {
 		got:    make([]bool, n),
 		done:   make([]bool, n),
 		scores: make([]float64, n),
+		terms:  make([]float64, n),
+		fresh:  make([]bool, n),
 		bound:  -1,
 	}
 	op.join = newTreeJoin(t, op.park)
@@ -89,9 +100,11 @@ func (o *anyKOp) push(i int, t Tuple) {
 	o.got[i], o.bound = true, -1
 	if t.Score > o.maxS[i] {
 		o.maxS[i] = t.Score
+		clear(o.fresh)
 	}
 	if t.Score < o.minS[i] {
 		o.minS[i] = t.Score
+		o.fresh[i] = false
 	}
 	o.join.combo[i] = o.join.leaves[i].add(t)
 	o.join.expand(o.orders[i], 0)
@@ -210,18 +223,27 @@ func (o *anyKOp) threshold() float64 {
 		if o.done[i] {
 			continue
 		}
-		for j := 0; j < o.n; j++ {
-			if j == i {
-				o.scores[j] = o.minS[j]
-			} else {
-				o.scores[j] = o.maxS[j]
-			}
+		if !o.fresh[i] {
+			o.terms[i], o.fresh[i] = o.corner(i), true
 		}
-		if s := o.tree.Score.Fn(o.scores); s > best {
+		if s := o.terms[i]; s > best {
 			best, o.bound = s, i
 		}
 	}
 	return best
+}
+
+// corner evaluates leaf i's corner term: the aggregate of minS[i] and
+// every other leaf's maxS.
+func (o *anyKOp) corner(i int) float64 {
+	for j := 0; j < o.n; j++ {
+		if j == i {
+			o.scores[j] = o.minS[j]
+		} else {
+			o.scores[j] = o.maxS[j]
+		}
+	}
+	return o.tree.Score.Fn(o.scores)
 }
 
 // bounding is HRJN*'s pull rule: the non-exhausted leaf to read next is

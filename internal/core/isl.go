@@ -234,9 +234,16 @@ func (lc *listCursor) pull() error {
 // Close implements Cursor. An early close abandons the scanners, so no
 // further read units accrue, and drops the operator: a closed cursor
 // someone still references (a Rows kept for its Cost, an evicted page
-// cursor) must not pin the leaf arenas and the ready heap.
+// cursor) must not pin the leaf arenas and the ready heap. The leaves'
+// buffers go back to their pools for the next cursor, emptied of tuples
+// first; every result Next returned holds copies, not views into them.
 func (lc *listCursor) Close() error {
 	lc.closed = true
+	if lc.op != nil {
+		for _, li := range lc.op.join.leaves {
+			li.release()
+		}
+	}
 	lc.op, lc.streams = nil, nil
 	return nil
 }

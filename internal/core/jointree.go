@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/kvstore"
 )
@@ -249,34 +250,48 @@ func (t *JoinTree) walkOrder(root int) []walkStep {
 // every other structure (here and in the consumers) refers to tuples by
 // ordinal only, so nothing but the arena holds pointers. Adding a tuple
 // costs O(1) for the equi chains and O(log n) plus a bounded shift for
-// the band list; a probe costs O(log n) plus its matches and allocates
-// nothing.
+// the band list, and parses its join value once (digit strings without
+// strconv); a probe costs O(log n) plus its matches and allocates
+// nothing. The arena pages, band chunks and head map come from pools
+// and go back to them when the list cursor closes (release), so a
+// steady stream of queries reuses them instead of allocating its own.
 type leafIndex struct {
 	hasEqui bool
 	hasBand bool
 
-	// The arena, in pages of tuplePage: regrowing one flat slice would
-	// clear and recopy pointerful memory over and over as a leaf fills.
-	pages [][]Tuple
+	// The arena, in pages of tuplePage ordinals: regrowing flat slices
+	// would clear and recopy memory over and over as a leaf fills.
+	pages []*leafPage
 	n     int32
 
 	// Equi probes: the ordinals sharing a join value form a chain from
-	// the latest arrival (head) back through prev; -1 ends a chain.
+	// the latest arrival (head) back through leafPage.prev.
 	head map[string]int32
-	prev []int32
 
-	// Band probes: every tuple's join value parsed once at add (NaN for
-	// one that can never band-match), and the matchable ones sorted.
-	vals []float64
+	// Band probes: the matchable join values (leafPage.vals) sorted.
 	band bandList
 }
 
-// tuplePage is the arena page size in tuples (20 KB of Tuple headers).
+// tuplePage is the arena page size in ordinals (20 KB of Tuple headers
+// and 6 KB of probe fields).
 const tuplePage = 512
+
+// leafPage holds what a leaf keeps per ordinal for tuplePage
+// consecutive ordinals. The tuples come first, so the collector scans
+// only them.
+type leafPage struct {
+	tuples [tuplePage]Tuple
+	// vals is each tuple's join value parsed once at add, for band
+	// probes: NaN for one that can never band-match.
+	vals [tuplePage]float64
+	// prev links an equi chain: the ordinal before this one with the
+	// same join value, or -1.
+	prev [tuplePage]int32
+}
 
 // tuple returns the tuple at ordinal ord.
 func (li *leafIndex) tuple(ord int32) *Tuple {
-	return &li.pages[ord/tuplePage][ord%tuplePage]
+	return &li.pages[ord/tuplePage].tuples[ord%tuplePage]
 }
 
 // newLeafIndex prepares the index structures leaf needs given the
@@ -295,7 +310,7 @@ func newLeafIndex(t *JoinTree, leaf int) *leafIndex {
 		}
 	}
 	if li.hasEqui {
-		li.head = map[string]int32{}
+		li.head = headMaps.Get().(map[string]int32)
 	}
 	return li
 }
@@ -304,8 +319,12 @@ func newLeafIndex(t *JoinTree, leaf int) *leafIndex {
 // every value no band predicate can match — unparseable, NaN, or
 // infinite: |a-b| <= Band is false for each of them, as in
 // TreeEdge.Match — so such tuples stay out of the sorted structure and
-// such probes return nothing.
+// such probes return nothing. Plain digit strings, the usual integer
+// join value, skip strconv.ParseFloat (digitsValue).
 func bandValue(s string) float64 {
+	if v, ok := digitsValue(s); ok {
+		return v
+	}
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil || math.IsInf(v, 0) {
 		return math.NaN()
@@ -313,26 +332,83 @@ func bandValue(s string) float64 {
 	return v
 }
 
+// digitsValue converts a string of 1 to 15 ASCII digits, and reports
+// whether s was one. Such a value is below 10^15 < 2^53, so the float64
+// conversion is exact and equals strconv.ParseFloat's result; any other
+// string (a sign, '.', an exponent, 16 or more digits) reports false.
+func digitsValue(s string) (float64, bool) {
+	if len(s) == 0 || len(s) > 15 {
+		return 0, false
+	}
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		v = v*10 + uint64(d)
+	}
+	return float64(v), true
+}
+
+// The buffers a closed list cursor hands to the next query's leaves
+// (leafIndex.release): arena pages, band chunks and equi head maps,
+// each emptied before it is pooled, so a pooled buffer pins no tuple
+// strings.
+var (
+	leafPages  = sync.Pool{New: func() any { return new(leafPage) }}
+	bandChunks = sync.Pool{New: func() any { return new([bandChunkCap]bandEntry) }}
+	headMaps   = sync.Pool{New: func() any { return map[string]int32{} }}
+)
+
+// maxPooledHead bounds the join values of a head map worth pooling:
+// clearing a map keeps its buckets, so a larger one goes to the
+// collector instead of pinning its peak size.
+const maxPooledHead = 4096
+
+// newBandEntries returns an empty band chunk of capacity bandChunkCap.
+func newBandEntries() []bandEntry {
+	return bandChunks.Get().(*[bandChunkCap]bandEntry)[:0]
+}
+
+// release hands li's arena pages (cleared of their tuples), band
+// chunks and head map to the pools and empties li. Nothing may read li's
+// tuples afterwards; results already materialised hold copies.
+func (li *leafIndex) release() {
+	for pi, p := range li.pages {
+		clear(p.tuples[:min(int(li.n)-pi*tuplePage, tuplePage)])
+		leafPages.Put(p)
+	}
+	for _, c := range li.band.chunks {
+		bandChunks.Put((*[bandChunkCap]bandEntry)(c.es[:bandChunkCap]))
+	}
+	if li.head != nil && len(li.head) <= maxPooledHead {
+		clear(li.head)
+		headMaps.Put(li.head)
+	}
+	*li = leafIndex{}
+}
+
 // add indexes one tuple and returns its ordinal.
 func (li *leafIndex) add(t Tuple) int32 {
 	ord := li.n
 	li.n++
 	if ord%tuplePage == 0 {
-		li.pages = append(li.pages, make([]Tuple, 0, tuplePage))
+		li.pages = append(li.pages, leafPages.Get().(*leafPage))
 	}
-	last := &li.pages[len(li.pages)-1]
-	*last = append(*last, t)
+	pg, at := li.pages[ord/tuplePage], ord%tuplePage
+	pg.tuples[at] = t
 	if li.hasEqui {
 		p, ok := li.head[t.JoinValue]
 		if !ok {
 			p = -1
 		}
-		li.prev = append(li.prev, p)
+		pg.prev[at] = p
 		li.head[t.JoinValue] = ord
 	}
 	if li.hasBand {
 		v := bandValue(t.JoinValue)
-		li.vals = append(li.vals, v)
+		pg.vals[at] = v
 		if !math.IsNaN(v) {
 			li.band.insert(v, ord)
 		}
@@ -348,7 +424,7 @@ func (li *leafIndex) candidates(e *TreeEdge, from *leafIndex, ord int32, buf []i
 	if e.Kind != PredBand {
 		return li.equiMatches(from.tuple(ord).JoinValue, buf)
 	}
-	return li.band.appendMatches(from.vals[ord], e.Band, buf)
+	return li.band.appendMatches(from.pages[ord/tuplePage].vals[ord%tuplePage], e.Band, buf)
 }
 
 func (li *leafIndex) equiMatches(v string, buf []int32) []int32 {
@@ -356,7 +432,7 @@ func (li *leafIndex) equiMatches(v string, buf []int32) []int32 {
 	if !ok {
 		return buf
 	}
-	for ; p >= 0; p = li.prev[p] {
+	for ; p >= 0; p = li.pages[p/tuplePage].prev[p%tuplePage] {
 		buf = append(buf, p)
 	}
 	return buf
@@ -385,14 +461,18 @@ type bandChunk struct {
 	es  []bandEntry // sorted, cap bandChunkCap
 }
 
-// firstFrom returns the first position i in [0, n) whose at(i) is >= v,
-// or > v when strict; at must be non-decreasing. It serves both levels
-// of the list: the directory by chunk min and a chunk by entry value.
-func firstFrom(n int, at func(int) float64, v float64, strict bool) int {
-	lo, hi := 0, n
+// The band list's binary searches, one per level and bound: the
+// directory by chunk min, a chunk by entry value, each for the first
+// position >= v (AtLeast) or > v (Above). Every sequence they search is
+// non-decreasing.
+
+// chunkAtLeast returns the directory position of the first chunk whose
+// min is >= v.
+func (b *bandList) chunkAtLeast(v float64) int {
+	lo, hi := 0, len(b.chunks)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if x := at(m); x < v || (strict && x == v) {
+		if b.chunks[m].min < v {
 			lo = m + 1
 		} else {
 			hi = m
@@ -401,26 +481,59 @@ func firstFrom(n int, at func(int) float64, v float64, strict bool) int {
 	return lo
 }
 
-// chunkFrom returns the directory position of the first chunk whose min
-// is >= v, or > v when strict.
-func (b *bandList) chunkFrom(v float64, strict bool) int {
-	return firstFrom(len(b.chunks), func(i int) float64 { return b.chunks[i].min }, v, strict)
+// chunkAbove returns the directory position of the first chunk whose
+// min is > v.
+func (b *bandList) chunkAbove(v float64) int {
+	lo, hi := 0, len(b.chunks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if b.chunks[m].min <= v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
-// firstEntry returns the position in the sorted es of the first entry
-// whose value is >= v, or > v when strict.
-func firstEntry(es []bandEntry, v float64, strict bool) int {
-	return firstFrom(len(es), func(i int) float64 { return es[i].v }, v, strict)
+// entryAtLeast returns the position in the sorted es of the first entry
+// whose value is >= v.
+func entryAtLeast(es []bandEntry, v float64) int {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if es[m].v < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// entryAbove returns the position in the sorted es of the first entry
+// whose value is > v.
+func entryAbove(es []bandEntry, v float64) int {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if es[m].v <= v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // insert adds one entry; v must not be NaN.
 func (b *bandList) insert(v float64, ord int32) {
 	if len(b.chunks) == 0 {
-		b.chunks = []bandChunk{{min: v, es: make([]bandEntry, 0, bandChunkCap)}}
+		b.chunks = []bandChunk{{min: v, es: newBandEntries()}}
 	}
 	// The last chunk whose min is <= v, or the first when v precedes
 	// every entry.
-	ci := b.chunkFrom(v, true) - 1
+	ci := b.chunkAbove(v) - 1
 	if ci < 0 {
 		ci = 0
 	}
@@ -428,7 +541,7 @@ func (b *bandList) insert(v float64, ord int32) {
 		ci = b.split(ci, v)
 	}
 	c := &b.chunks[ci]
-	pos := firstEntry(c.es, v, true)
+	pos := entryAbove(c.es, v)
 	c.es = c.es[:len(c.es)+1]
 	copy(c.es[pos+1:], c.es[pos:])
 	c.es[pos] = bandEntry{v: v, ord: ord}
@@ -443,7 +556,7 @@ func (b *bandList) split(ci int, v float64) int {
 	b.chunks = append(b.chunks, bandChunk{})
 	copy(b.chunks[ci+2:], b.chunks[ci+1:])
 	c := &b.chunks[ci]
-	up := append(make([]bandEntry, 0, bandChunkCap), c.es[bandChunkCap/2:]...)
+	up := append(newBandEntries(), c.es[bandChunkCap/2:]...)
 	c.es = c.es[:bandChunkCap/2]
 	b.chunks[ci+1] = bandChunk{min: up[0].v, es: up}
 	if v >= up[0].v {
@@ -465,7 +578,7 @@ func (b *bandList) appendMatches(fv, band float64, buf []int32) []int32 {
 	lo, hi := fv-band-slack, fv+band+slack
 	// Entries >= lo start in the chunk before the first whose min is
 	// >= lo, at the earliest.
-	ci := b.chunkFrom(lo, false)
+	ci := b.chunkAtLeast(lo)
 	if ci > 0 {
 		ci--
 	}
@@ -474,7 +587,7 @@ func (b *bandList) appendMatches(fv, band float64, buf []int32) []int32 {
 		if c.min > hi {
 			break
 		}
-		for _, e := range c.es[firstEntry(c.es, lo, false):] {
+		for _, e := range c.es[entryAtLeast(c.es, lo):] {
 			if e.v > hi {
 				break
 			}

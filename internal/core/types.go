@@ -22,6 +22,14 @@
 // two-way query form and one aggregate type (ScoreFunc) serves both.
 // Results are returned highest-score first with deterministic tie-breaking on
 // row keys in leaf order.
+//
+// Buffers a query recycles: the list cursor's leaf arena pages, band
+// chunks and equi head maps come from package-level sync.Pools and go
+// back when the cursor closes, cleared of tuple strings (a head map
+// above maxPooledHead join values is dropped instead, since clearing
+// keeps its buckets). So nothing outside a leaf index may point into
+// them: a JoinResult copies its tuples out of the arena, and a closed
+// cursor keeps no leaf. A pooled buffer is held by one cursor at a time.
 package core
 
 import (
@@ -104,7 +112,9 @@ func (a *JoinResult) less(b *JoinResult) bool {
 
 // ScoreFunc is a named monotonic aggregate over n tuple scores, one per
 // leaf in leaf order. It is the only aggregate type: a two-way query's
-// aggregate is the same function applied to two scores.
+// aggregate is the same function applied to two scores. Fn must depend
+// on its arguments alone: the rank-join operator keeps the values it
+// computed until an argument changes.
 type ScoreFunc struct {
 	Name string
 	Fn   func(scores []float64) float64

@@ -1,6 +1,8 @@
 package kvstore
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -112,6 +114,87 @@ func TestDecodeFloatHandRolledHex(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("DecodeScoreDesc allocates %v times per call, want 0", n)
 	}
+}
+
+// switchDecodeFloat is DecodeFloat as it was before the nibble table:
+// one switch per digit. FuzzDecodeFloat holds the table to it.
+func switchDecodeFloat(s string) (float64, error) {
+	if len(s) != 16 {
+		return 0, fmt.Errorf("kvstore: bad float key %q", s)
+	}
+	var bits uint64
+	for i := 0; i < len(s); i++ {
+		var d byte
+		switch c := s[i]; {
+		case '0' <= c && c <= '9':
+			d = c - '0'
+		case 'a' <= c && c <= 'f':
+			d = c - 'a' + 10
+		case 'A' <= c && c <= 'F':
+			d = c - 'A' + 10
+		default:
+			return 0, fmt.Errorf("kvstore: bad float key %q", s)
+		}
+		bits = bits<<4 | uint64(d)
+	}
+	if bits&(1<<63) != 0 {
+		bits &^= 1 << 63
+	} else {
+		bits = ^bits
+	}
+	return math.Float64frombits(bits), nil
+}
+
+// FuzzDecodeFloat holds the table-driven DecodeFloat to the switch
+// decoder on every input — the same bits, or the same error text — and
+// round-trips EncodeFloat, whose digits must be hex.EncodeToString's.
+func FuzzDecodeFloat(f *testing.F) {
+	f.Add("", 0.0)
+	f.Add(EncodeFloat(0.73), 0.73)
+	f.Add(strings.ToUpper(EncodeFloat(-1e300)), math.Inf(-1))
+	f.Add("0123456789abcdeg", math.Copysign(0, -1))
+	f.Add("00000000000000\xff0", math.NaN())
+	f.Fuzz(func(t *testing.T, s string, v float64) {
+		got, err := DecodeFloat(s)
+		want, wantErr := switchDecodeFloat(s)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("DecodeFloat(%q) error = %v, switch decoder's = %v", s, err, wantErr)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("DecodeFloat(%q) = %x, switch decoder's %x", s, math.Float64bits(got), math.Float64bits(want))
+		}
+
+		key := EncodeFloat(v)
+		bits := math.Float64bits(v)
+		if bits&(1<<63) != 0 {
+			bits = ^bits
+		} else {
+			bits |= 1 << 63
+		}
+		var b [8]byte
+		binary.BigEndian.PutUint64(b[:], bits)
+		if want := hex.EncodeToString(b[:]); key != want {
+			t.Fatalf("EncodeFloat(%x) = %q, want %q", math.Float64bits(v), key, want)
+		}
+		if back, err := DecodeFloat(key); err != nil || math.Float64bits(back) != math.Float64bits(v) {
+			t.Fatalf("DecodeFloat(EncodeFloat(%x)) = %x, %v", math.Float64bits(v), math.Float64bits(back), err)
+		}
+	})
+}
+
+// TestEncodeScoreDescAllocatesOnce: a score key is one string, built
+// from a stack buffer — one allocation per key, on every maintenance
+// write of an inverse score list.
+func TestEncodeScoreDescAllocatesOnce(t *testing.T) {
+	var sink string
+	score := 0.5
+	if n := testing.AllocsPerRun(100, func() {
+		sink = EncodeScoreDesc(score)
+		score += 0.001
+	}); n != 1 {
+		t.Errorf("EncodeScoreDesc allocates %v times per call, want 1", n)
+	}
+	_ = sink
 }
 
 func TestEncodeScoreDescOrdering(t *testing.T) {

@@ -68,8 +68,9 @@
 //     reallocates, writing through one would corrupt the store.
 //   - A scanner's rows are the scanner's. A batch is one block it owns
 //     and refills (rowBlock: the rows, and one cell slab their Cells
-//     sub-slice), so a *Row from Scanner.Next, and its Cells slice, is
-//     valid until the next Next or Fill. ScanAll copies each batch out
+//     sub-slice; its first batch sizes both, to Caching rows up to
+//     maxPresizedRows), so a *Row from Scanner.Next, and its Cells
+//     slice, is valid until the next Next or Fill. ScanAll copies each batch out
 //     into rows and a cell array of its own, so its rows are detached,
 //     as are Get's and MultiGet's; a MapReduce task's row is valid for
 //     its Map call. In every case the cells' strings and Values are the

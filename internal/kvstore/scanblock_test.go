@@ -3,6 +3,7 @@ package kvstore
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -137,10 +138,10 @@ func TestScannerBatchReuse(t *testing.T) {
 // constant number of allocations per batch — the RPC's fixed work of
 // seeking the merge and naming the next row — whatever the batch size
 // and however many rows the table holds. Each measured run consumes
-// exactly one batch, after the scanner's block has grown to it. The
-// rows are resident in a memory-mode store whatever KVSTORE_DISK says:
-// a disk scan also decodes a data block every ~4 KiB, which the block
-// cache then holds.
+// exactly one batch; the first batch, which sizes the block, is pinned
+// on its own. The rows are resident in a memory-mode store whatever
+// KVSTORE_DISK says: a disk scan also decodes a data block every ~4 KiB,
+// which the block cache then holds.
 func TestScanAllocsPerBatch(t *testing.T) {
 	t.Setenv("KVSTORE_DISK", "")
 	first := map[string]float64{} // per shape, at 20000 rows and caching 10
@@ -163,9 +164,17 @@ func TestScanAllocsPerBatch(t *testing.T) {
 						}
 					}
 				}
-				batch() // the first block grows to the batch
+				firstBatch := mallocs(batch)
 				avg := testing.AllocsPerRun(10, batch)
-				t.Logf("%s, %d rows, caching %d: %.0f allocations per batch", shape, rows, caching, avg)
+				t.Logf("%s, %d rows, caching %d: %d allocations in the first batch, %.0f per batch after", shape, rows, caching, firstBatch, avg)
+				// The first batch sizes the block's two arrays once, to the
+				// batch's one-cell rows, and starts at the table's start,
+				// where every later batch builds the seek key of the row it
+				// resumes at: two allocations more, one fewer.
+				if want := uint64(avg) + 2 - 1; firstBatch != want {
+					t.Errorf("%s, %d rows, caching %d: %d allocations in the first batch, want %d (the later batches' %.0f, plus the block's two arrays, less the seek key)",
+						shape, rows, caching, firstBatch, want, avg)
+				}
 				if want, ok := first[shape]; !ok {
 					first[shape] = avg
 				} else if avg != want {
@@ -176,4 +185,16 @@ func TestScanAllocsPerBatch(t *testing.T) {
 			c.Close()
 		}
 	}
+}
+
+// mallocs reports the heap allocations one call of f makes, counted
+// the way testing.AllocsPerRun counts them (GOMAXPROCS 1) but without
+// its warm-up call, so a first call's one-time work shows.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

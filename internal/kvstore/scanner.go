@@ -146,6 +146,15 @@ func (sc *Scanner) fetchOnce() (OpStats, error) {
 		return stats, err
 	}
 	want, b := sc.scan.Caching, &sc.block
+	if b.rows == nil {
+		// The first batch sizes the block once: grown by appends, it
+		// would reallocate and recopy its arrays several times in every
+		// scanner's first batch. The slab holds a quarter more cells than
+		// rows, so a batch in which a few rows carry a second cell (an
+		// inverse score list's tuples that share a score) still fits.
+		n := min(want, maxPresizedRows)
+		b.rows, b.cells = make([]Row, 0, n), make([]Cell, 0, n+n/4)
+	}
 	b.reset()
 	sc.pos = 0
 	for _, r := range t.regions {
@@ -170,6 +179,11 @@ func (sc *Scanner) fetchOnce() (OpStats, error) {
 	}
 	return stats, nil
 }
+
+// maxPresizedRows bounds the rows a scanner's block is sized for up
+// front, however large its Caching: a huge batch grows past it only as
+// the rows arrive.
+const maxPresizedRows = 1024
 
 // ScanAll drains a scan into rows the caller owns: each batch's rows
 // and cells are copied out of the scanner's reused block into arrays of
