@@ -40,7 +40,10 @@ type NodeSpec struct {
 	VFS VFS
 }
 
-// Topology configures OpenDistributed.
+// Topology configures OpenDistributed: the nodes and how many of them
+// replicate each relation. A write needs acks from a majority of its
+// relation's replicas, and anti-entropy diffs Merkle trees of 64
+// leaves.
 type Topology struct {
 	// Nodes lists the region servers in topology order (order matters:
 	// replica groups are contiguous runs, leaders come first).
@@ -49,10 +52,6 @@ type Topology struct {
 	// replication (every node hosts everything, any node serves any
 	// query).
 	Replication int
-	// WriteQuorum is the acks a write needs; 0 = majority.
-	WriteQuorum int
-	// MerkleLeaves is the anti-entropy tree resolution; 0 = 64.
-	MerkleLeaves int
 }
 
 // Typed distribution failures, re-exported from the topology layer.
@@ -127,11 +126,7 @@ func OpenDistributed(cfg Config) (*Distributed, error) {
 		d.order = append(d.order, name)
 		handles = append(handles, topology.Handle{Name: name, Svc: g})
 	}
-	r, err := topology.New(handles, topology.Config{
-		Replication:  t.Replication,
-		WriteQuorum:  t.WriteQuorum,
-		MerkleLeaves: t.MerkleLeaves,
-	})
+	r, err := topology.New(handles, topology.Config{Replication: t.Replication})
 	if err != nil {
 		return fail(err)
 	}
@@ -153,10 +148,6 @@ func (d *Distributed) Close() error {
 	}
 	return first
 }
-
-// Router exposes the topology router for advanced use (rjserve reports
-// its Status; tests drive targeted repairs).
-func (d *Distributed) Router() *topology.Router { return d.router }
 
 // Nodes lists node names in topology order.
 func (d *Distributed) Nodes() []string { return append([]string(nil), d.order...) }

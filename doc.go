@@ -265,8 +265,8 @@
 // store's logical clocks are deterministic under identical operation
 // sequences, replicas converge byte-identically — base tables and
 // every index — and any replica serves any executor with the exact
-// answer a single-process store would give. Writes ack at a quorum
-// (majority by default); a write that cannot reach it fails with a
+// answer a single-process store would give. Writes ack at a quorum,
+// a majority of the replicas; a write that cannot reach it fails with a
 // typed *ReplicationError naming acks received versus required, and a
 // read with no live replica fails with a *NoReplicaError matching
 // ErrUnavailable. A node that missed acked writes is marked dirty and

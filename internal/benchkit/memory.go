@@ -15,7 +15,7 @@ import (
 // ISL build with map-only jobs ("negligible"); BFHM's reducers buffer a
 // bucket's tuples while building its filter; DRJN's buffer a band.
 func MemoryReport(profile sim.Profile, sf float64, seed int64) (string, error) {
-	c, err := kvstore.NewCluster(profile, nil)
+	c, err := kvstore.NewCluster(profile)
 	if err != nil {
 		return "", err
 	}

@@ -433,7 +433,7 @@ func TestDetachCellsCopies(t *testing.T) {
 func TestBFHMCachedBucketSurvivesItsBlock(t *testing.T) {
 	p := sim.LC()
 	p.Nodes = 2
-	c, err := kvstore.OpenCluster(p, nil, t.TempDir())
+	c, err := kvstore.OpenCluster(p, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

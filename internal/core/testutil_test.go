@@ -102,7 +102,7 @@ func verifyResultsAreRealJoins(t *testing.T, label string, rs []JoinResult, f Sc
 func newTestCluster() *kvstore.Cluster {
 	p := sim.LC()
 	p.Nodes = 4
-	c, err := kvstore.NewCluster(p, nil)
+	c, err := kvstore.NewCluster(p)
 	if err != nil {
 		panic(err)
 	}
@@ -113,7 +113,7 @@ func newTestCluster() *kvstore.Cluster {
 // on setup errors (disk-mode scratch dir creation).
 func mustCluster(t testing.TB, p sim.Profile) *kvstore.Cluster {
 	t.Helper()
-	c, err := kvstore.NewCluster(p, nil)
+	c, err := kvstore.NewCluster(p)
 	if err != nil {
 		t.Fatal(err)
 	}

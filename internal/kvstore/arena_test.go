@@ -295,7 +295,7 @@ func bothModes(t *testing.T, f func(t *testing.T, c *Cluster)) {
 func memCluster(t *testing.T) *Cluster {
 	t.Helper()
 	t.Setenv("KVSTORE_DISK", "")
-	c, err := NewCluster(sim.LC(), nil)
+	c, err := NewCluster(sim.LC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestDetachRowCopies(t *testing.T) {
 // cell (five objects per cell before the arenas).
 func TestResidentCellsAreNotHeapObjects(t *testing.T) {
 	const cells = 50000
-	c, err := NewCluster(sim.LC(), nil)
+	c, err := NewCluster(sim.LC())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -362,10 +362,16 @@ func TestBlockReadsDuringFlushAndCompaction(t *testing.T) {
 					return
 				}
 				if g == 0 {
-					rows, err := c.ScanAll(Scan{Table: "t", StartRow: benchRowKey(i), StopRow: benchRowKey(i + 20)})
-					if err != nil || len(rows) != 20 {
-						t.Errorf("scan from row %d: %d rows, %v", i, len(rows), err)
+					rows, err := c.ScanAll(Scan{Table: "t", Caching: 50})
+					if err != nil || len(rows) < base || len(rows) > base+writes {
+						t.Errorf("scan: %d rows, %v", len(rows), err)
 						return
+					}
+					for j, row := range rows[:base] {
+						if row.Key != benchRowKey(j) || len(row.Cells) != 1 || !bytes.Equal(row.Cells[0].Value, value(j)) {
+							t.Errorf("scan: row %d read back %s %v", j, row.Key, row.Cells)
+							return
+						}
 					}
 				}
 			}

@@ -72,18 +72,15 @@ type Table struct {
 // scrub quarantine of one of the table's runs.
 func (t *Table) MutationSeq() uint64 { return t.mutSeq.Load() }
 
-// NewCluster creates a cluster with the given hardware profile. Metrics
-// may be shared across clusters (e.g. to total a multi-stage workload).
+// NewCluster creates a cluster with the given hardware profile and a
+// metric collector of its own (see WithMetrics for per-query views).
 //
 // When the KVSTORE_DISK=1 environment variable is set the cluster is
 // transparently backed by a fresh on-disk store in a temp directory —
 // the CI tier-2 hook that runs the whole suite over real SSTables. A
 // store setup failure (now reachable through fault injection, not just
 // exotic tempdir states) is returned, never panicked.
-func NewCluster(profile sim.Profile, metrics *sim.Metrics) (*Cluster, error) {
-	if metrics == nil {
-		metrics = &sim.Metrics{}
-	}
+func NewCluster(profile sim.Profile) (*Cluster, error) {
 	c := &Cluster{
 		state: &clusterState{
 			tables:        make(map[string]*Table),
@@ -91,7 +88,7 @@ func NewCluster(profile sim.Profile, metrics *sim.Metrics) (*Cluster, error) {
 			rowCacheBytes: DefaultRowCacheBytes,
 		},
 		profile: profile,
-		metrics: metrics,
+		metrics: &sim.Metrics{},
 	}
 	if os.Getenv("KVSTORE_DISK") == "1" {
 		dir, err := os.MkdirTemp("", "kvstore-disk-")
@@ -113,18 +110,15 @@ func NewCluster(profile sim.Profile, metrics *sim.Metrics) (*Cluster, error) {
 // memtable, and restores the logical clock and ID/sequence counters to
 // values past everything durably stored — the cold-start recovery
 // protocol (see the package documentation).
-func OpenCluster(profile sim.Profile, metrics *sim.Metrics, dir string) (*Cluster, error) {
-	return OpenClusterFS(profile, metrics, dir, nil)
+func OpenCluster(profile sim.Profile, dir string) (*Cluster, error) {
+	return OpenClusterFS(profile, dir, nil)
 }
 
 // OpenClusterFS is OpenCluster over an explicit filesystem seam: every
 // byte of the WALs, SSTables, and MANIFEST flows through fsys (nil =
 // the real filesystem). Fault-injection tests mount internal/faultfs
 // here to prove out the failure paths.
-func OpenClusterFS(profile sim.Profile, metrics *sim.Metrics, dir string, fsys VFS) (*Cluster, error) {
-	if metrics == nil {
-		metrics = &sim.Metrics{}
-	}
+func OpenClusterFS(profile sim.Profile, dir string, fsys VFS) (*Cluster, error) {
 	store, err := openDiskStore(dir, DefaultBlockCacheBytes, fsys)
 	if err != nil {
 		return nil, err
@@ -135,7 +129,7 @@ func OpenClusterFS(profile sim.Profile, metrics *sim.Metrics, dir string, fsys V
 		rowCacheBytes: DefaultRowCacheBytes,
 		store:         store,
 	}
-	c := &Cluster{state: s, profile: profile, metrics: metrics}
+	c := &Cluster{state: s, profile: profile, metrics: &sim.Metrics{}}
 	man := store.snapshotManifest()
 	s.nextID = man.NextID
 	s.clock = man.Clock
@@ -251,14 +245,6 @@ func (c *Cluster) Close() error {
 
 // DiskBacked reports whether the cluster persists to disk.
 func (c *Cluster) DiskBacked() bool { return c.state.store != nil }
-
-// Dir returns the store directory ("" for memory-only clusters).
-func (c *Cluster) Dir() string {
-	if c.state.store == nil {
-		return ""
-	}
-	return c.state.store.dir
-}
 
 // SetMeta durably stores an opaque key/value in the cluster manifest.
 // The rankjoin layer persists its relation/index catalog here. On a

@@ -19,7 +19,7 @@ import (
 // test on error.
 func openDiskCluster(t *testing.T, dir string) *Cluster {
 	t.Helper()
-	c, err := OpenCluster(sim.LC(), nil, dir)
+	c, err := OpenCluster(sim.LC(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestOpenRefusesOtherManifestVersions(t *testing.T) {
 				t.Fatalf("store holds %v, want a non-empty WAL and SSTables", sstFilesOnDisk(t, dir))
 			}
 
-			_, err = OpenCluster(sim.LC(), nil, dir)
+			_, err = OpenCluster(sim.LC(), dir)
 			var fve *FormatVersionError
 			if !errors.As(err, &fve) {
 				t.Fatalf("open: %v, want a FormatVersionError", err)
@@ -450,7 +450,7 @@ func TestFlushCrashTwoFamilies(t *testing.T) {
 		t.Run(crash, func(t *testing.T) {
 			dir := t.TempDir()
 			fsys := &flushFaultFS{VFS: DefaultVFS()}
-			c, err := OpenClusterFS(sim.LC(), nil, dir, fsys)
+			c, err := OpenClusterFS(sim.LC(), dir, fsys)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -562,7 +562,7 @@ func TestSSTableV1Refused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = OpenCluster(sim.LC(), nil, dir)
+	_, err = OpenCluster(sim.LC(), dir)
 	var fve *FormatVersionError
 	if !errors.As(err, &fve) {
 		t.Fatalf("open over a v1 SSTable: %v, want a FormatVersionError", err)

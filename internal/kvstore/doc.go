@@ -118,10 +118,10 @@
 // rewriting the whole store on every trigger. A merge covering every
 // run of the family drops tombstones and dead versions like an HBase
 // major compaction (a column's versions live nowhere else); a subset
-// merge retains
-// every version — it only reduces run count — so snapshot (ReadTs)
-// reads against untouched runs stay correct. Region.Compact still
-// forces a full major compaction of every family store.
+// merge retains every version — it only reduces run count — because a
+// tombstone inside the merge must still hide its column's versions in
+// runs outside it. Region.Compact still forces a full major compaction
+// of every family store.
 //
 // # Durable storage
 //

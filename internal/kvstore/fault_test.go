@@ -39,7 +39,7 @@ func gateSchedule(t *testing.T, name string) {
 // filesystem.
 func openFaultCluster(t *testing.T, dir string, fsys kvstore.VFS) (*kvstore.Cluster, error) {
 	t.Helper()
-	return kvstore.OpenClusterFS(sim.LC(), nil, dir, fsys)
+	return kvstore.OpenClusterFS(sim.LC(), dir, fsys)
 }
 
 // seedDiskTable creates table "t" with n flushed rows and closes the

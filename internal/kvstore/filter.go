@@ -3,7 +3,6 @@ package kvstore
 import (
 	"encoding/binary"
 	"math"
-	"strings"
 )
 
 // Filter is a server-side row predicate, the store's analogue of HBase
@@ -16,18 +15,6 @@ type Filter interface {
 	// FilterRow reports whether the row should be returned.
 	FilterRow(r *Row) bool
 }
-
-// FilterFunc adapts a function to the Filter interface.
-type FilterFunc func(r *Row) bool
-
-// FilterRow implements Filter.
-func (f FilterFunc) FilterRow(r *Row) bool { return f(r) }
-
-// PrefixFilter keeps rows whose key starts with Prefix.
-type PrefixFilter struct{ Prefix string }
-
-// FilterRow implements Filter.
-func (f PrefixFilter) FilterRow(r *Row) bool { return strings.HasPrefix(r.Key, f.Prefix) }
 
 // FloatColumnMinFilter keeps rows whose Family:Qualifier column decodes
 // (as a big-endian float64) to a value >= Min. Rows missing the column

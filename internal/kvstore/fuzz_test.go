@@ -308,7 +308,7 @@ func FuzzWALReplay(f *testing.F) {
 // file of the directory as it was.
 func FuzzManifestOpen(f *testing.F) {
 	seed := f.TempDir()
-	c, err := OpenCluster(sim.LC(), nil, seed)
+	c, err := OpenCluster(sim.LC(), seed)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func FuzzManifestOpen(f *testing.F) {
 			}
 		}
 		before := dirBytes(t, dir)
-		c, err := OpenCluster(sim.LC(), nil, dir)
+		c, err := OpenCluster(sim.LC(), dir)
 		if err == nil {
 			if c == nil {
 				t.Fatal("open returned neither a cluster nor an error")

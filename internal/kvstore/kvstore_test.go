@@ -12,7 +12,7 @@ import (
 
 func testCluster(t testing.TB) *Cluster {
 	t.Helper()
-	c, err := NewCluster(sim.LC(), nil)
+	c, err := NewCluster(sim.LC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,25 +151,6 @@ func TestScanOrderingAcrossRegions(t *testing.T) {
 	}
 }
 
-func TestScanRangeAndLimitViaStop(t *testing.T) {
-	c := testCluster(t)
-	mustCreate(t, c, "t", []string{"cf"}, nil)
-	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("row-%03d", i)
-		c.Put("t", Cell{Row: k, Family: "cf", Qualifier: "v", Value: []byte{byte(i)}})
-	}
-	rows, err := c.ScanAll(Scan{Table: "t", StartRow: "row-010", StopRow: "row-020", Caching: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 {
-		t.Fatalf("got %d rows, want 10", len(rows))
-	}
-	if rows[0].Key != "row-010" || rows[9].Key != "row-019" {
-		t.Fatalf("range wrong: %s..%s", rows[0].Key, rows[9].Key)
-	}
-}
-
 func TestScannerBatchingChargesPerRPC(t *testing.T) {
 	c := testCluster(t)
 	mustCreate(t, c, "t", []string{"cf"}, nil)
@@ -234,30 +215,6 @@ func TestScanWithFilterCostsReadsButNotBandwidth(t *testing.T) {
 	if filtered.NetworkBytes >= unfiltered.NetworkBytes {
 		t.Errorf("filter did not reduce network: %d vs %d",
 			filtered.NetworkBytes, unfiltered.NetworkBytes)
-	}
-}
-
-func TestFilterFuncAndPrefixFilter(t *testing.T) {
-	c := testCluster(t)
-	mustCreate(t, c, "t", []string{"cf"}, nil)
-	c.Put("t", Cell{Row: "abc", Family: "cf", Qualifier: "v", Value: []byte("1")})
-	c.Put("t", Cell{Row: "abd", Family: "cf", Qualifier: "v", Value: []byte("2")})
-	c.Put("t", Cell{Row: "xyz", Family: "cf", Qualifier: "v", Value: []byte("3")})
-	rows, err := c.ScanAll(Scan{Table: "t", Caching: 10, Filter: PrefixFilter{Prefix: "ab"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("prefix filter rows = %d", len(rows))
-	}
-	rows, err = c.ScanAll(Scan{Table: "t", Caching: 10, Filter: FilterFunc(func(r *Row) bool {
-		return r.Key == "xyz"
-	})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0].Key != "xyz" {
-		t.Fatalf("FilterFunc rows = %+v", rows)
 	}
 }
 
@@ -348,20 +305,6 @@ func TestDeleteShadowsAcrossFlush(t *testing.T) {
 	row, _ := c.Get("t", "r")
 	if row != nil {
 		t.Fatalf("tombstone in memtable must hide flushed cell: %+v", row)
-	}
-}
-
-func TestSnapshotReadTs(t *testing.T) {
-	c := testCluster(t)
-	mustCreate(t, c, "t", []string{"cf"}, nil)
-	c.Put("t", Cell{Row: "r", Family: "cf", Qualifier: "v", Value: []byte("v1"), Timestamp: 10})
-	c.Put("t", Cell{Row: "r", Family: "cf", Qualifier: "v", Value: []byte("v2"), Timestamp: 20})
-	rows, err := c.ScanAll(Scan{Table: "t", Caching: 10, ReadTs: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || string(rows[0].Cells[0].Value) != "v1" {
-		t.Fatalf("snapshot read = %+v, want v1", rows)
 	}
 }
 

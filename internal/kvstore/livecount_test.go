@@ -59,7 +59,7 @@ func checkLiveCountSequence(t *testing.T, seed int64, steps int, disk bool) {
 		if !disk {
 			return testCluster(t)
 		}
-		c, err := OpenCluster(sim.LC(), nil, dir)
+		c, err := OpenCluster(sim.LC(), dir)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,20 +9,20 @@ import "fmt"
 // and read units for that work. Everything here returns OpStats so the
 // caller can do exactly that.
 
-// LocalScan walks this region's rows in [startRow, stopRow) in key
-// order (no RPC, no metering), handing each to fn. It reads the range in
-// blocks of at most localScanBlock rows into one reused rowBlock, so a
-// row and its Cells are valid only until fn returns (the cells' strings
-// and Values are views, see Cell). The region is read-locked while a
-// block fills, never while fn runs. Each block resumes on the row the
-// one before stopped at and pays for that row's first cell itself, so
-// the blocks bill what one pass over the range bills.
-func (r *Region) LocalScan(startRow, stopRow string, families []string, readTs int64, f Filter, fn func(*Row) error) (OpStats, error) {
+// LocalScan walks this region's rows in key order (no RPC, no
+// metering), handing each to fn. It reads the region in blocks of at
+// most localScanBlock rows into one reused rowBlock, so a row and its
+// Cells are valid only until fn returns (the cells' strings and Values
+// are views, see Cell). The region is read-locked while a block fills,
+// never while fn runs. Each block resumes on the row the one before
+// stopped at and pays for that row's first cell itself, so the blocks
+// bill what one pass over the region bills.
+func (r *Region) LocalScan(families []string, f Filter, fn func(*Row) error) (OpStats, error) {
 	var stats OpStats
 	var b rowBlock
-	for start := startRow; ; {
+	for start := ""; ; {
 		b.reset()
-		st, next, err := r.scan(&b, start, stopRow, localScanBlock, families, readTs, f, false)
+		st, next, err := r.scan(&b, start, localScanBlock, families, f, false)
 		stats.add(st)
 		if err != nil {
 			return stats, err

@@ -140,7 +140,7 @@ func TestGetMatchesScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, _, err := scanRegion(r, row, row+"\x01", 1, fams, 0, nil)
+			rows, _, err := scanRegion(r, row, 1, fams, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -409,84 +409,109 @@ func TestTieredCompactionEquivalence(t *testing.T) {
 	check("after major compaction")
 }
 
-// TestSubsetMergeKeepsShadowedTombstones pins the snapshot-read safety
-// of subset merges: a tombstone that is NOT the newest version of its
-// column inside the merged runs must survive the merge, because it may
-// still shadow an older live version in a run outside the merge. Layout
-// before the merge: seg C (outside) holds ts=30 live, seg B ts=50
-// tombstone, seg A ts=100 live; merging A+B must not let a ReadTs=60
-// snapshot resurrect the deleted ts=30 value.
+// TestSubsetMergeKeepsShadowedTombstones pins why a subset merge
+// keeps tombstones: a tombstone that is the newest version of its
+// column inside the merged runs must survive the merge, because it
+// still hides an older live version in a run outside the merge.
+// Layout before the merge, newest run first: A holds another row, B
+// the tombstone at ts=50, C (outside the merge) the value at ts=30.
+// Merging A+B must not resurrect the deleted value in the latest view.
 func TestSubsetMergeKeepsShadowedTombstones(t *testing.T) {
 	c := testCluster(t)
 	mustCreate(t, c, "t", []string{"cf"}, nil)
 	r := mustRegion(t, c, "t")
-	put := func(ts int64, tomb bool) {
-		t.Helper()
-		cell := Cell{Row: "r", Family: "cf", Qualifier: "v", Timestamp: ts, Tombstone: tomb}
-		if !tomb {
-			cell.Value = []byte(fmt.Sprintf("v@%d", ts))
-		}
+	c.SetRowCacheBytes(0) // every get walks the runs
+	for _, cell := range []Cell{
+		{Row: "r", Family: "cf", Qualifier: "v", Timestamp: 30, Value: []byte("v@30")},   // C, stays outside the merge
+		{Row: "r", Family: "cf", Qualifier: "v", Timestamp: 50, Tombstone: true},         // B
+		{Row: "s", Family: "cf", Qualifier: "v", Timestamp: 100, Value: []byte("s@100")}, // A
+	} {
 		if err := r.mutateRow([]Cell{cell}); err != nil {
 			t.Fatal(err)
 		}
-		r.Flush()
+		if err := r.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	put(30, false) // oldest segment, stays outside the merge
-	put(50, true)
-	put(100, false)
-	snapshot := func() []Row {
+	latest := func(when string) {
 		t.Helper()
-		rows, _, err := scanRegion(r, "", "", 0, nil, 60, nil)
+		rows, err := c.ScanAll(Scan{Table: "t", Caching: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows
+		if len(rows) != 1 || rows[0].Key != "s" {
+			t.Fatalf("%s: scan = %+v, want only row s", when, rows)
+		}
+		if row, err := c.Get("t", "r"); err != nil || row != nil {
+			t.Fatalf("%s: get of the deleted row = %+v, %v", when, row, err)
+		}
 	}
-	if rows := snapshot(); len(rows) != 0 {
-		t.Fatalf("pre-merge snapshot at ts=60 sees %+v, want deleted", rows)
-	}
+	latest("before the merge")
 	r.mu.Lock()
 	st := r.storeLocked("cf")
-	r.mergeSegmentsLocked(st, []int{0, 1}) // runs are newest first: A, B
+	err := r.mergeSegmentsLocked(st, []int{0, 1}) // runs are newest first: A, B
 	nseg := len(st.runs)
 	r.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if nseg != 2 {
 		t.Fatalf("expected 2 segments after subset merge, got %d", nseg)
 	}
-	if rows := snapshot(); len(rows) != 0 {
-		t.Fatalf("subset merge resurrected deleted value for snapshot read: %+v", rows)
-	}
-	// The latest view still sees ts=100.
-	row, err := c.Get("t", "r")
-	if err != nil || row == nil || string(row.Cells[0].Value) != "v@100" {
-		t.Fatalf("latest read after subset merge = %+v, %v", row, err)
-	}
+	latest("after the subset merge")
 }
 
 // TestSubsetMergeKeepsShadowedVersions is the overwrite twin of the
-// tombstone test: a live version shadowed by a newer one inside the
-// merged runs must survive a subset merge, or a ReadTs snapshot read
-// would resolve to an even older value from a run outside the merge.
+// tombstone test: a subset merge keeps every version of the runs it
+// merges, shadowed ones included, and the latest view loses no live
+// column — neither one overwritten inside the merge nor one that lives
+// only in a run outside it.
 func TestSubsetMergeKeepsShadowedVersions(t *testing.T) {
 	c := testCluster(t)
 	mustCreate(t, c, "t", []string{"cf"}, nil)
 	r := mustRegion(t, c, "t")
+	c.SetRowCacheBytes(0)
 	for _, ts := range []int64{30, 50, 100} {
-		cell := Cell{Row: "r", Family: "cf", Qualifier: "v", Timestamp: ts, Value: []byte(fmt.Sprintf("v@%d", ts))}
-		if err := r.mutateRow([]Cell{cell}); err != nil {
+		cells := []Cell{{Row: "r", Family: "cf", Qualifier: "v", Timestamp: ts, Value: []byte(fmt.Sprintf("v@%d", ts))}}
+		if ts == 30 {
+			cells = append(cells, Cell{Row: "r", Family: "cf", Qualifier: "w", Timestamp: ts, Value: []byte("w@30")})
+		}
+		if err := r.mutateRow(cells); err != nil {
 			t.Fatal(err)
 		}
-		r.Flush()
+		if err := r.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r.mu.Lock()
-	r.mergeSegmentsLocked(r.storeLocked("cf"), []int{0, 1}) // merge ts=100 and ts=50 runs; ts=30 stays outside
+	st := r.storeLocked("cf")
+	inputs := st.runs[0].numCells() + st.runs[1].numCells()
+	err := r.mergeSegmentsLocked(st, []int{0, 1}) // merge the ts=100 and ts=50 runs; ts=30 stays outside
+	merged := st.runs[0].numCells()
 	r.mu.Unlock()
-	rows, _, err := scanRegion(r, "", "", 0, nil, 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || string(rows[0].Cells[0].Value) != "v@50" {
-		t.Fatalf("snapshot at ts=60 after subset merge = %+v, want v@50", rows)
+	if merged != inputs {
+		t.Errorf("subset merge kept %d of its %d input versions", merged, inputs)
+	}
+	const want = "r: cf/v@100=\"v@100\" cf/w@30=\"w@30\";"
+	rows, err := c.ScanAll(Scan{Table: "t", Caching: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("scan after subset merge = %+v, want one row", rows)
+	}
+	if got := renderRows([]*Row{&rows[0]}); got != want {
+		t.Fatalf("scan after subset merge = %s, want %s", got, want)
+	}
+	row, err := c.Get("t", "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderRows([]*Row{row}); got != want {
+		t.Fatalf("get after subset merge = %s, want %s", got, want)
 	}
 }
 
@@ -639,14 +664,14 @@ func (m *familyModel) write(c Cell) {
 }
 
 // rows resolves the model to what a read of the given families (nil =
-// all) at readTs (0 = latest) must return: per column the newest
-// version not after readTs, tombstones dropping the column, rows in key
-// order with cells in (family, qualifier) order.
-func (m *familyModel) rows(families []string, readTs int64) []Row {
+// all) must return: per column the newest version, tombstones dropping
+// the column, rows in key order with cells in (family, qualifier)
+// order.
+func (m *familyModel) rows(families []string) []Row {
 	type col struct{ row, fam, qual string }
 	newest := map[col]storedVersion{}
 	for _, v := range m.versions {
-		if !famMatch(families, v.cell.Family) || (readTs != 0 && v.cell.Timestamp > readTs) {
+		if !famMatch(families, v.cell.Family) {
 			continue
 		}
 		k := col{v.cell.Row, v.cell.Family, v.cell.Qualifier}
@@ -714,16 +739,17 @@ func physicalCells(t *testing.T, r *Region) (keys []string, cells []*Cell) {
 
 // scanRegion runs one region scan into a block of its own and returns
 // the block's rows.
-func scanRegion(r *Region, startRow, endRow string, limit int, families []string, readTs int64, f Filter) ([]Row, OpStats, error) {
+func scanRegion(r *Region, startRow string, limit int, families []string, f Filter) ([]Row, OpStats, error) {
 	var b rowBlock
-	stats, _, err := r.scan(&b, startRow, endRow, limit, families, readTs, f, true)
+	stats, _, err := r.scan(&b, startRow, limit, families, f, true)
 	return b.rows, stats, err
 }
 
 // referenceScan is the scan loop of the single-store layout, run over
 // the mixed-family dump of physicalCells with a per-cell family filter:
-// the formula OpStats must keep matching.
-func referenceScan(r *Region, keys []string, cells []*Cell, startRow, endRow string, limit int, families []string, readTs int64) ([]Row, OpStats) {
+// the formula OpStats must keep matching. endRow ("" = none) bounds the
+// rows a keyed read may return.
+func referenceScan(keys []string, cells []*Cell, startRow, endRow string, limit int, families []string) ([]Row, OpStats) {
 	var stats OpStats
 	var rows []Row
 	var cur *Row
@@ -758,7 +784,7 @@ func referenceScan(r *Region, keys []string, cells []*Cell, startRow, endRow str
 			cur = &Row{Key: c.Row}
 			sawCol = false
 		}
-		if (readTs == 0 || c.Timestamp <= readTs) && (!sawCol || c.Family != lastFam || c.Qualifier != lastQual) {
+		if !sawCol || c.Family != lastFam || c.Qualifier != lastQual {
 			sawCol = true
 			lastFam, lastQual = c.Family, c.Qualifier
 			stats.CellsExamined++
@@ -791,10 +817,8 @@ func requireEmptyValuesNil(t *testing.T, what string, rows []Row) {
 // files) on a 3-family table pre-split into two regions, and after every
 // step, for EVERY family subset:
 //
-//   - cluster-level scans and gets equal the brute-force model, at the
-//     latest view and at a ReadTs snapshot (taken no older than the last
-//     step that may have garbage-collected history);
-//   - region-level scans and gets — random ranges, limits and ReadTs —
+//   - cluster-level scans and gets equal the brute-force model;
+//   - region-level scans and gets — random start rows and limits —
 //     return the rows AND bill the OpStats the single-store read loop
 //     produced over the same stored versions (BytesRead compared in
 //     memory mode only; disk mode bills measured block reads).
@@ -834,7 +858,7 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 			c.SetRowCacheBytes(0) // gets must bill the LSM walk every time
 			mustCreate(t, c, "t", fams, []string{"k15"})
 			model := &familyModel{}
-			var now, horizon int64 = 1, 0
+			var now int64 = 1
 			rowKey := func() string { return fmt.Sprintf("k%02d", rng.Intn(30)) }
 			regions := func() []*Region {
 				regs, err := c.TableRegions("t")
@@ -855,20 +879,18 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 				for i, r := range regs {
 					dumps[i].keys, dumps[i].cells = physicalCells(t, r)
 				}
-				snapTs := horizon + rng.Int63n(now-horizon+1)
 				for _, sub := range subsets {
-					for _, ts := range []int64{0, snapTs} {
-						got, err := c.ScanAll(Scan{Table: "t", Families: sub, ReadTs: ts, Caching: 7})
-						if err != nil {
-							t.Fatalf("step %d (%s) fams %v ts %d: %v", step, what, sub, ts, err)
-						}
-						if want := model.rows(sub, ts); fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("step %d (%s) fams %v ts %d: scan diverges from the model\ngot  %v\nwant %v", step, what, sub, ts, got, want)
-						}
-						requireEmptyValuesNil(t, what, got)
+					want := model.rows(sub)
+					got, err := c.ScanAll(Scan{Table: "t", Families: sub, Caching: 7})
+					if err != nil {
+						t.Fatalf("step %d (%s) fams %v: %v", step, what, sub, err)
 					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("step %d (%s) fams %v: scan diverges from the model\ngot  %v\nwant %v", step, what, sub, got, want)
+					}
+					requireEmptyValuesNil(t, what, got)
 					latest := map[string]Row{}
-					for _, row := range model.rows(sub, 0) {
+					for _, row := range want {
 						latest[row.Key] = row
 					}
 					for n := 0; n < 3; n++ {
@@ -887,17 +909,11 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 					}
 
 					for i, r := range regs {
-						start, end, limit, ts := "", "", rng.Intn(4), int64(0)
+						start, limit := "", rng.Intn(4)
 						if rng.Intn(2) == 0 {
 							start = rowKey()
 						}
-						if rng.Intn(2) == 0 {
-							end = rowKey()
-						}
-						if rng.Intn(2) == 0 {
-							ts = 1 + rng.Int63n(now)
-						}
-						got, gotStats, err := scanRegion(r, start, end, limit, sub, ts, nil)
+						got, gotStats, err := scanRegion(r, start, limit, sub, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -905,14 +921,14 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 						if refStart == "" || refStart < r.startKey {
 							refStart = r.startKey
 						}
-						want, wantStats := referenceScan(r, dumps[i].keys, dumps[i].cells, refStart, end, limit, sub, ts)
+						want, wantStats := referenceScan(dumps[i].keys, dumps[i].cells, refStart, "", limit, sub)
 						if onDisk {
 							gotStats.BytesRead, wantStats.BytesRead = 0, 0
 							gotStats.BlockReads, gotStats.BlockCacheHits = 0, 0
 						}
 						if fmt.Sprint(got) != fmt.Sprint(want) || gotStats != wantStats {
-							t.Fatalf("step %d (%s) region %d fams %v scan[%q,%q) limit %d ts %d:\ngot  %v %+v\nwant %v %+v",
-								step, what, r.id, sub, start, end, limit, ts, got, gotStats, want, wantStats)
+							t.Fatalf("step %d (%s) region %d fams %v scan from %q limit %d:\ngot  %v %+v\nwant %v %+v",
+								step, what, r.id, sub, start, limit, got, gotStats, want, wantStats)
 						}
 
 						key := rowKey()
@@ -923,7 +939,7 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						wantRows, ws := referenceScan(r, dumps[i].keys, dumps[i].cells, key, key+"\x00", 0, sub, 0)
+						wantRows, ws := referenceScan(dumps[i].keys, dumps[i].cells, key, key+"\x00", 0, sub)
 						// A keyed read bills its returned payload, not the
 						// versions it walked, and nothing when it returns
 						// no row.
@@ -975,14 +991,12 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					horizon = now
 				case op < 93:
 					what = "major compaction"
 					regs := regions()
 					if err := regs[rng.Intn(len(regs))].Compact(); err != nil {
 						t.Fatal(err)
 					}
-					horizon = now
 				default:
 					// Recovery is a cold start: close and reopen, which
 					// replays each region's WAL file. A memory cluster

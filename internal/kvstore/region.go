@@ -507,10 +507,10 @@ func (g *gcIter) next() {
 // merge of every run, i.e. a major compaction), only the newest version
 // of each column survives and columns whose newest version is a
 // tombstone are dropped entirely. Without gc (a subset merge), EVERY
-// version is retained: a version shadowed inside the merge — a tombstone
-// or an overwritten value — may still be the version a ReadTs snapshot
-// read resolves to against runs outside the merge, so subset merges only
-// reduce run count, never reclaim history.
+// version is retained: a tombstone inside the merge must still hide the
+// versions of its column in runs outside it, so a subset merge only
+// reduces run count. Reclaiming the versions it shadows would change
+// what later merges write, and with it the simulated counts.
 func mergeSegments(segs []*segment, gc bool) *segment {
 	entries, keyBytes, valBytes := 0, 0, 0
 	iters := make([]cellIter, 0, len(segs))
@@ -753,11 +753,11 @@ func famMatch(families []string, f string) bool {
 	return false
 }
 
-// scan appends to b the rows in [startRow, endRow) (endRow "" = region
-// end) until b holds limit rows (0 = unlimited), visible at readTs (0 =
-// latest), restricted to the given families (nil = all), filtered by f
-// (nil = none), and seals b. It returns the row it stopped on when it
-// stopped for the limit, "" when it read to the end of its range.
+// scan appends to b the rows from startRow ("" = region start) to the
+// region's end until b holds limit rows (0 = unlimited), restricted to
+// the given families (nil = all), filtered by f (nil = none), and seals
+// b. It returns the row it stopped on when it stopped for the limit, ""
+// when it read to the end of the region.
 //
 // Column families are physically separate stores (HBase Stores/HFiles):
 // the scan merges only the requested families' memtables and runs, so a
@@ -772,16 +772,16 @@ func famMatch(families []string, f string) bool {
 // that the row before ended. billNext says who pays for that cell: this
 // scan (a client RPC, whose successor reads it again), or the scan that
 // resumes at the returned row.
-func (r *Region) scan(b *rowBlock, startRow, endRow string, limit int, families []string, readTs int64, f Filter, billNext bool) (OpStats, string, error) {
+func (r *Region) scan(b *rowBlock, startRow string, limit int, families []string, f Filter, billNext bool) (OpStats, string, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var stats OpStats
-	it, err := r.scanIterLocked(startRow, endRow, families, &stats)
+	it, err := r.scanIterLocked(startRow, families, &stats)
 	if err != nil {
 		return stats, "", err
 	}
 	next := ""
-	if r.fillLocked(b, it, endRow, limit, readTs, f, &stats) {
+	if r.fillLocked(b, it, limit, f, &stats) {
 		c := it.cell()
 		next = c.Row
 		if billNext && r.store == nil {
@@ -795,17 +795,17 @@ func (r *Region) scan(b *rowBlock, startRow, endRow string, limit int, families 
 	return stats, next, nil
 }
 
-// scanIterLocked opens the merge a scan of [startRow, endRow) in the
-// given families reads, positioned at startRow's first cell (clamped to
-// the region's start) and charging block I/O to io. It fails a scan
-// that could touch a quarantined run. Caller holds a read lock.
-func (r *Region) scanIterLocked(startRow, endRow string, families []string, io *OpStats) (*mergedIter, error) {
+// scanIterLocked opens the merge a scan from startRow in the given
+// families reads, positioned at startRow's first cell (clamped to the
+// region's start) and charging block I/O to io. It fails a scan that
+// could touch a quarantined run. Caller holds a read lock.
+func (r *Region) scanIterLocked(startRow string, families []string, io *OpStats) (*mergedIter, error) {
 	for _, st := range r.stores {
 		if !famMatch(families, st.family) {
 			continue
 		}
 		for _, q := range st.quarantined {
-			if q.overlapsRows(startRow, endRow) {
+			if q.maxRow >= startRow {
 				return nil, errQuarantined(q.name)
 			}
 		}
@@ -822,12 +822,12 @@ func (r *Region) scanIterLocked(startRow, endRow string, families []string, io *
 }
 
 // fillLocked appends the rows it yields to b until b holds limit rows
-// (0 = unlimited) or it passes the region's end or endRow, resolving
-// each column to its newest version visible at readTs and dropping rows
-// left without cells or rejected by f. It reports whether it stopped for
-// the limit: it then stands on the next row's first cell, not yet
-// billed. Caller holds a read lock and seals b.
-func (r *Region) fillLocked(b *rowBlock, it *mergedIter, endRow string, limit int, readTs int64, f Filter, stats *OpStats) bool {
+// (0 = unlimited) or it passes the region's end, resolving each column
+// to its newest version and dropping rows left without cells or
+// rejected by f. It reports whether it stopped for the limit: it then
+// stands on the next row's first cell, not yet billed. Caller holds a
+// read lock and seals b.
+func (r *Region) fillLocked(b *rowBlock, it *mergedIter, limit int, f Filter, stats *OpStats) bool {
 	diskBacked := r.store != nil
 	open := false // the last row of b is still being assembled
 	first := 0    // that row's first cell in b.cells
@@ -835,11 +835,7 @@ func (r *Region) fillLocked(b *rowBlock, it *mergedIter, endRow string, limit in
 	sawCol := false
 	for ; it.valid(); it.next() {
 		c := it.cell()
-		// Region bound / request bound checks.
 		if r.endKey != "" && c.Row >= r.endKey {
-			break
-		}
-		if endRow != "" && c.Row >= endRow {
 			break
 		}
 		if !open || b.rows[len(b.rows)-1].Key != c.Row {
@@ -855,8 +851,7 @@ func (r *Region) fillLocked(b *rowBlock, it *mergedIter, endRow string, limit in
 		if !diskBacked {
 			stats.BytesRead += c.StoredSize()
 		}
-		visible := readTs == 0 || c.Timestamp <= readTs
-		if visible && (!sawCol || c.Family != lastFam || c.Qualifier != lastQual) {
+		if !sawCol || c.Family != lastFam || c.Qualifier != lastQual {
 			sawCol = true
 			lastFam, lastQual = c.Family, c.Qualifier
 			stats.CellsExamined++

@@ -134,24 +134,29 @@ func TestScannerBatchReuse(t *testing.T) {
 	}
 }
 
-// TestScanAllocsPerBatch: draining resident one-cell rows costs a
-// constant number of allocations per batch — the RPC's fixed work of
-// seeking the merge and naming the next row — whatever the batch size
-// and however many rows the table holds. Each measured run consumes
-// exactly one batch; the first batch, which sizes the block, is pinned
-// on its own. The rows are resident in a memory-mode store whatever
+// TestScanAllocsPerBatch: draining resident rows costs a constant
+// number of allocations per batch — the RPC's fixed work of seeking the
+// merge and naming the next row — whatever the batch size and however
+// many rows the table holds. The rows hold one cell (in the memtable or
+// flushed), or two, as a relation row's join value and score do. Each
+// measured run consumes exactly one batch; the first batch, which sizes
+// the block, is pinned on its own. The rows are resident in a memory-mode store whatever
 // KVSTORE_DISK says: a disk scan also decodes a data block every ~4 KiB,
 // which the block cache then holds.
 func TestScanAllocsPerBatch(t *testing.T) {
 	t.Setenv("KVSTORE_DISK", "")
 	first := map[string]float64{} // per shape, at 20000 rows and caching 10
 	for _, rows := range []int{20000, 60000} {
-		for _, shape := range []string{"memtable", "flushed"} {
-			flushed, unflushed := 0, rows
-			if shape == "flushed" {
-				flushed, unflushed = rows, 0
+		for _, shape := range []string{"memtable", "flushed", "two-cell rows"} {
+			var c *Cluster
+			switch shape {
+			case "memtable":
+				c = loadResidentRegion(t, 0, rows, false)
+			case "flushed":
+				c = loadResidentRegion(t, rows, 0, false)
+			default:
+				c = loadTwoCellRows(t, rows)
 			}
-			c := loadResidentRegion(t, flushed, unflushed, false)
 			for _, caching := range []int{10, 100, 1000} {
 				sc, err := c.OpenScanner(Scan{Table: "t", Caching: caching})
 				if err != nil {
@@ -167,8 +172,8 @@ func TestScanAllocsPerBatch(t *testing.T) {
 				firstBatch := mallocs(batch)
 				avg := testing.AllocsPerRun(10, batch)
 				t.Logf("%s, %d rows, caching %d: %d allocations in the first batch, %.0f per batch after", shape, rows, caching, firstBatch, avg)
-				// The first batch sizes the block's two arrays once, to the
-				// batch's one-cell rows, and starts at the table's start,
+				// The first batch sizes the block's two arrays once, for
+				// two cells a row, and starts at the table's start,
 				// where every later batch builds the seek key of the row it
 				// resumes at: two allocations more, one fewer.
 				if want := uint64(avg) + 2 - 1; firstBatch != want {
@@ -185,6 +190,32 @@ func TestScanAllocsPerBatch(t *testing.T) {
 			c.Close()
 		}
 	}
+}
+
+// loadTwoCellRows returns a cluster whose one-region table holds n
+// flushed rows of two cells each, a join value and a score.
+func loadTwoCellRows(t *testing.T, n int) *Cluster {
+	t.Helper()
+	c := testCluster(t)
+	mustCreate(t, c, "t", []string{"cf"}, nil)
+	c.SetFlushThreshold(1 << 40)
+	batch := make([]Cell, 0, 1000)
+	for i := 0; i < n; i++ {
+		row := benchRowKey(i)
+		batch = append(batch,
+			Cell{Row: row, Family: "cf", Qualifier: "j", Value: []byte(fmt.Sprint(i % 97))},
+			Cell{Row: row, Family: "cf", Qualifier: "s", Value: FloatValue(float64(i) / float64(n))})
+		if len(batch) == cap(batch) || i == n-1 {
+			if err := c.BatchPut("t", batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // mallocs reports the heap allocations one call of f makes, counted

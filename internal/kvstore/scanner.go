@@ -5,11 +5,9 @@ import (
 	"time"
 )
 
-// Scan describes a client scan request.
+// Scan describes a client scan request: the whole table, in key order.
 type Scan struct {
-	Table    string
-	StartRow string // inclusive; "" = table start
-	StopRow  string // exclusive; "" = table end
+	Table string
 	// Families restricts the scan to these column families (nil = all).
 	// Every region keeps one store per family, so a restricted scan
 	// merges — and is billed for — only the named families' cells.
@@ -19,9 +17,6 @@ type Scan struct {
 	// scanner-caching knob. The paper's ISL batching (Section 4.2.3:
 	// "batched scans ... with a non-zero rowcache size") maps here.
 	Caching int
-	// ReadTs, when non-zero, hides cells newer than this timestamp
-	// (snapshot reads used by index maintenance tests).
-	ReadTs int64
 	// Prefetch bills the scan as if it read ahead: the next batch's RPC
 	// counts as issued when the batch before it is delivered (the first
 	// one when the scanner opens), and the clock work charged to the same
@@ -67,7 +62,7 @@ func (c *Cluster) OpenScanner(s Scan) (*Scanner, error) {
 	if s.Caching < 1 {
 		s.Caching = 1
 	}
-	return &Scanner{c: c, scan: s, nextRow: s.StartRow, issuedAt: c.metrics.SimTime()}, nil
+	return &Scanner{c: c, scan: s, issuedAt: c.metrics.SimTime()}, nil
 }
 
 // Next returns the next row, or nil when the scan is exhausted. The row
@@ -149,11 +144,11 @@ func (sc *Scanner) fetchOnce() (OpStats, error) {
 	if b.rows == nil {
 		// The first batch sizes the block once: grown by appends, it
 		// would reallocate and recopy its arrays several times in every
-		// scanner's first batch. The slab holds a quarter more cells than
-		// rows, so a batch in which a few rows carry a second cell (an
-		// inverse score list's tuples that share a score) still fits.
+		// scanner's first batch. The slab holds two cells per row: a
+		// relation row carries a join value and a score, and an inverse
+		// score list row one cell, or two when tuples share a score.
 		n := min(want, maxPresizedRows)
-		b.rows, b.cells = make([]Row, 0, n), make([]Cell, 0, n+n/4)
+		b.rows, b.cells = make([]Row, 0, n), make([]Cell, 0, 2*n)
 	}
 	b.reset()
 	sc.pos = 0
@@ -161,10 +156,7 @@ func (sc *Scanner) fetchOnce() (OpStats, error) {
 		if r.EndKey() != "" && sc.nextRow != "" && sc.nextRow >= r.EndKey() {
 			continue // region entirely before the cursor
 		}
-		if sc.scan.StopRow != "" && r.StartKey() != "" && r.StartKey() >= sc.scan.StopRow {
-			break // region entirely after the stop row
-		}
-		st, _, err := r.scan(b, sc.nextRow, sc.scan.StopRow, want, sc.scan.Families, sc.scan.ReadTs, sc.scan.Filter, true)
+		st, _, err := r.scan(b, sc.nextRow, want, sc.scan.Families, sc.scan.Filter, true)
 		if err != nil {
 			return stats, err
 		}

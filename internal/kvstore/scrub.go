@@ -218,9 +218,3 @@ func errQuarantined(name string) error {
 type quarantinedRun struct {
 	name, minRow, maxRow string
 }
-
-// overlapsRows reports whether the run's [minRow, maxRow] span
-// intersects the scan range [start, end) ("" = unbounded).
-func (q quarantinedRun) overlapsRows(start, end string) bool {
-	return (end == "" || q.minRow < end) && (start == "" || q.maxRow >= start)
-}

@@ -74,10 +74,11 @@ func renderRows(rows []*Row) string {
 }
 
 // billingTranscript runs one fixed sequence of reads — scans (whole,
-// family-restricted, snapshot), gets, MultiGet, ParallelMultiGet and a
-// LocalScan of every region — and records each read's rows beside the
-// simulated-cost snapshot after it (and LocalScan's OpStats).
-func billingTranscript(t *testing.T, c *Cluster, readTs int64) []string {
+// one row per batch, family-restricted), gets, MultiGet,
+// ParallelMultiGet and a LocalScan of every region — and records each
+// read's rows beside the simulated-cost snapshot after it (and
+// LocalScan's OpStats).
+func billingTranscript(t *testing.T, c *Cluster) []string {
 	t.Helper()
 	c.Metrics().Reset()
 	var out []string
@@ -86,9 +87,9 @@ func billingTranscript(t *testing.T, c *Cluster, readTs int64) []string {
 	}
 	for _, s := range []Scan{
 		{Table: "t", Caching: 7},
-		{Table: "t", Caching: 1, StartRow: "r030", StopRow: "r090"},
+		{Table: "t", Caching: 1},
 		{Table: "t", Caching: 13, Families: []string{"b"}},
-		{Table: "t", Caching: 5, ReadTs: readTs},
+		{Table: "t", Caching: 5, Families: []string{"a"}},
 	} {
 		rows, err := c.ScanAll(s)
 		if err != nil {
@@ -134,7 +135,7 @@ func billingTranscript(t *testing.T, c *Cluster, readTs int64) []string {
 	}
 	for _, r := range regions {
 		var b strings.Builder
-		st, err := r.LocalScan("", "", nil, 0, nil, func(row *Row) error {
+		st, err := r.LocalScan(nil, nil, func(row *Row) error {
 			b.WriteString(renderRows([]*Row{row}))
 			return nil
 		})
@@ -175,9 +176,9 @@ func TestMemoryBillingIgnoresLayout(t *testing.T) {
 			t.Fatalf("region %d keeps %d memtable cells after Seal", r.ID(), got)
 		}
 	}
-	want := billingTranscript(t, memtable, n/3)
+	want := billingTranscript(t, memtable)
 	for name, c := range map[string]*Cluster{"sealed": sealed, "sealed then written": sealedThenWritten} {
-		got := billingTranscript(t, c, n/3)
+		got := billingTranscript(t, c)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d reads, want %d", name, len(got), len(want))
 		}
@@ -294,7 +295,7 @@ func TestSealDuringScan(t *testing.T) {
 	regions, _ := c.TableRegions("t")
 	consumers = append(consumers, consumer{"LocalScan", func(paused func()) ([]string, error) {
 		var seen []string
-		_, err := regions[0].LocalScan("", "", nil, 0, nil, func(row *Row) error {
+		_, err := regions[0].LocalScan(nil, nil, func(row *Row) error {
 			if len(seen) == 100 {
 				paused()
 			}

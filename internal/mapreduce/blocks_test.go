@@ -47,7 +47,7 @@ func TestMapPhaseStreamsBlocks(t *testing.T) {
 	if err := c.BatchPut("big", cells); err != nil {
 		t.Fatal(err)
 	}
-	dropThirds := kvstore.FilterFunc(func(r *kvstore.Row) bool {
+	dropThirds := rowFilter(func(r *kvstore.Row) bool {
 		var i int
 		fmt.Sscanf(r.Key, "r%05d", &i)
 		return i%3 != 0
@@ -110,3 +110,8 @@ func TestMapPhaseStreamsBlocks(t *testing.T) {
 }
 
 var errStop = errors.New("stop")
+
+// rowFilter adapts a function to kvstore.Filter.
+type rowFilter func(r *kvstore.Row) bool
+
+func (f rowFilter) FilterRow(r *kvstore.Row) bool { return f(r) }

@@ -104,11 +104,9 @@ type Job struct {
 	Combiner Reducer
 	// Reducer, if nil, makes this a map-only job.
 	Reducer Reducer
-	// NumReducers defaults to 1.
+	// NumReducers defaults to 1. Intermediate keys reach reducer
+	// hash(key) mod NumReducers.
 	NumReducers int
-	// Partitioner routes intermediate keys to reducers; default is
-	// hash(key) mod n. Pig's ORDER BY installs a range partitioner.
-	Partitioner func(key string, n int) int
 }
 
 // Result is a completed job's output.
@@ -194,9 +192,6 @@ func Run(job *Job) (*Result, error) {
 	if job.NumReducers < 1 {
 		job.NumReducers = 1
 	}
-	if job.Partitioner == nil {
-		job.Partitioner = HashPartitioner
-	}
 	var splits []split
 	for _, in := range inputs {
 		regions, err := job.Cluster.TableRegions(in.Scan.Table)
@@ -244,16 +239,15 @@ func Run(job *Job) (*Result, error) {
 				return
 			}
 			var rows uint64
-			stats, err := sp.region.LocalScan(sp.scan.StartRow, sp.scan.StopRow,
-				sp.scan.Families, sp.scan.ReadTs, sp.scan.Filter, func(row *kvstore.Row) error {
-					if rows%1024 == 0 {
-						if err := job.Cluster.CheckInterrupt(); err != nil {
-							return err
-						}
+			stats, err := sp.region.LocalScan(sp.scan.Families, sp.scan.Filter, func(row *kvstore.Row) error {
+				if rows%1024 == 0 {
+					if err := job.Cluster.CheckInterrupt(); err != nil {
+						return err
 					}
-					rows++
-					return sp.mapper.Map(row, ctx)
-				})
+				}
+				rows++
+				return sp.mapper.Map(row, ctx)
+			})
 			if err != nil {
 				outs[i] = mapOut{err: err}
 				return
@@ -328,10 +322,7 @@ func Run(job *Job) (*Result, error) {
 		}
 		for _, emissions := range mapEmissions {
 			for _, kv := range emissions {
-				p := job.Partitioner(kv.Key, job.NumReducers)
-				if p < 0 || p >= job.NumReducers {
-					p = 0
-				}
+				p := hashPartition(kv.Key, job.NumReducers)
 				if _, seen := partitions[p][kv.Key]; !seen {
 					order[p] = append(order[p], kv.Key)
 				}
@@ -473,8 +464,8 @@ func combine(c Reducer, emissions []KV, counters map[string]int64) ([]KV, error)
 	return ctx.emitted, nil
 }
 
-// HashPartitioner is the default intermediate-key router.
-func HashPartitioner(key string, n int) int {
+// hashPartition routes an intermediate key to one of n reducers.
+func hashPartition(key string, n int) int {
 	if n <= 1 {
 		return 0
 	}

@@ -234,15 +234,15 @@ func TestJobValidation(t *testing.T) {
 func TestHashPartitionerStableAndInRange(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		p := HashPartitioner(k, 7)
+		p := hashPartition(k, 7)
 		if p < 0 || p >= 7 {
 			t.Fatalf("partition %d out of range", p)
 		}
-		if p != HashPartitioner(k, 7) {
+		if p != hashPartition(k, 7) {
 			t.Fatal("partitioner not deterministic")
 		}
 	}
-	if HashPartitioner("x", 1) != 0 {
+	if hashPartition("x", 1) != 0 {
 		t.Error("single partition must be 0")
 	}
 }
@@ -335,7 +335,7 @@ func BenchmarkWordCount1k(b *testing.B) {
 // errors (disk-mode scratch dir creation).
 func testCluster(t testing.TB) *kvstore.Cluster {
 	t.Helper()
-	c, err := kvstore.NewCluster(sim.LC(), nil)
+	c, err := kvstore.NewCluster(sim.LC())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func goldenCases(t *testing.T) []goldenCase {
 		{"drjn", []string{"drjn", "bfhm", "isl", "ijlmr"}},
 		{"bfhm", []string{"bfhm", "isl"}},
 	} {
-		c, err := kvstore.NewCluster(sim.LC(), nil)
+		c, err := kvstore.NewCluster(sim.LC())
 		if err != nil {
 			t.Fatal(err)
 		}

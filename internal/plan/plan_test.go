@@ -13,7 +13,7 @@ import (
 // planning pass needs.
 func setupCluster(t *testing.T, n int) (*kvstore.Cluster, *core.JoinTree, *core.IndexStore) {
 	t.Helper()
-	c, err := kvstore.NewCluster(sim.LC(), nil)
+	c, err := kvstore.NewCluster(sim.LC())
 	if err != nil {
 		t.Fatal(err)
 	}

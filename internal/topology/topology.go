@@ -14,13 +14,13 @@
 // node's logical clock (nodes report a high-water mark in Health), so
 // node-local stamps never shadow replicated cells.
 //
-// Writes ack at a quorum (majority of the replication factor by
-// default); a write that cannot reach its leader fails outright, and a
-// follower that misses an acked write is marked dirty — excluded from
-// leader duty, quorum counting, and repair-source duty until
-// anti-entropy has caught it back up. The first clean replica in
-// assignment order is therefore guaranteed to hold every acknowledged
-// write, which is exactly what makes it a safe repair source.
+// Writes ack at a quorum, a majority of the replication factor; a
+// write that cannot reach its leader fails outright, and a follower
+// that misses an acked write is marked dirty — excluded from leader
+// duty, quorum counting, and repair-source duty until anti-entropy has
+// caught it back up. The first clean replica in assignment order is
+// therefore guaranteed to hold every acknowledged write, which is
+// exactly what makes it a safe repair source.
 //
 // Reads and queries ship whole to one covering replica (the paper runs
 // rank-join inside the store, next to the data) and fail over across
@@ -47,10 +47,8 @@ type Config struct {
 	// 0 (or anything >= the node count) means full replication: every
 	// node hosts every relation and can serve any query. Smaller
 	// factors save space but queries need a node covering both sides.
+	// A write is acknowledged once a majority of its replicas ack it.
 	Replication int
-	// WriteQuorum is the number of replica acks a write needs before it
-	// is acknowledged. 0 means a majority of Replication.
-	WriteQuorum int
 	// MerkleLeaves is the anti-entropy tree resolution (rounded up to a
 	// power of two; default 64). More leaves localize repairs to fewer
 	// rows at the cost of larger trees on the wire.
@@ -126,13 +124,7 @@ func New(nodes []Handle, cfg Config) (*Router, error) {
 	if r.rf <= 0 || r.rf > len(r.nodes) {
 		r.rf = len(r.nodes)
 	}
-	r.quorum = cfg.WriteQuorum
-	if r.quorum <= 0 {
-		r.quorum = r.rf/2 + 1
-	}
-	if r.quorum > r.rf {
-		return nil, fmt.Errorf("topology: write quorum %d exceeds replication factor %d", r.quorum, r.rf)
-	}
+	r.quorum = r.rf/2 + 1
 	r.leaves = cfg.MerkleLeaves
 	if r.leaves <= 0 {
 		r.leaves = DefaultMerkleLeaves
@@ -159,12 +151,6 @@ func (r *Router) Nodes() []string {
 	}
 	return out
 }
-
-// Replication returns the effective replication factor.
-func (r *Router) Replication() int { return r.rf }
-
-// MerkleLeaves returns the anti-entropy tree resolution.
-func (r *Router) MerkleLeaves() int { return r.leaves }
 
 // NoReplicaError reports a read or query that no replica could serve.
 type NoReplicaError struct {

@@ -173,7 +173,7 @@ func TestLineitemCellsJoinSelection(t *testing.T) {
 }
 
 func TestLoadIntoCluster(t *testing.T) {
-	c, err := kvstore.NewCluster(sim.LC(), nil)
+	c, err := kvstore.NewCluster(sim.LC())
 	if err != nil {
 		t.Fatal(err)
 	}

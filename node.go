@@ -16,7 +16,7 @@ import (
 
 // NodeService adapts one node-local DB to the transport.RegionService
 // seam. A region server hosts the FULL engine — base tables, index
-// tables, and all eight executors — and the seam ships work to it at
+// tables, and all seven executors — and the seam ships work to it at
 // node granularity: resolved pre-stamped writes to apply, whole top-k
 // queries to execute next to the data (the paper's design point), and
 // anti-entropy tree/range/repair traffic. cmd/rjnode serves one of
@@ -36,10 +36,6 @@ type NodeService struct {
 func NewNodeService(name string, db *DB) *NodeService {
 	return &NodeService{name: name, db: db}
 }
-
-// DB exposes the node-local engine (tests inspect replica state
-// directly through it).
-func (n *NodeService) DB() *DB { return n.db }
 
 // wireCost converts a metrics snapshot to its wire form.
 func wireCost(s sim.Snapshot) transport.CostData {

@@ -63,7 +63,7 @@ func OpenAt(cfg Config) (*DB, error) {
 	if cfg.Profile != nil {
 		p = *cfg.Profile
 	}
-	cluster, err := kvstore.OpenClusterFS(p, cfg.Metrics, cfg.Dir, cfg.VFS)
+	cluster, err := kvstore.OpenClusterFS(p, cfg.Dir, cfg.VFS)
 	if err != nil {
 		return nil, err
 	}

@@ -336,7 +336,7 @@ func TestOpenAtRefusesOtherCatalogVersions(t *testing.T) {
 				t.Errorf("error %+v, want %+v", *fve, want)
 			}
 
-			c, err := kvstore.OpenCluster(sim.LC(), nil, dir)
+			c, err := kvstore.OpenCluster(sim.LC(), dir)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -137,12 +137,13 @@ func Algorithms() []Algorithm {
 	return []Algorithm{AlgoHive, AlgoPig, AlgoIJLMR, AlgoISL, AlgoBFHM, AlgoDRJN}
 }
 
-// Config configures a DB.
+// Config configures a DB: its simulated hardware and, for a durable
+// DB, its directory and filesystem (or, for OpenDistributed, its
+// nodes). Every DB counts its costs in a collector of its own
+// (DB.Metrics).
 type Config struct {
 	// Profile selects the simulated hardware; default sim.LC().
 	Profile *Profile
-	// Metrics optionally shares a collector across DBs.
-	Metrics *Metrics
 	// Dir roots a durable DB: OpenAt stores SSTables, WALs, the
 	// manifest, and the rankjoin catalog there, and reopening the same
 	// directory recovers everything. Ignored by Open.
@@ -276,7 +277,7 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.Profile != nil {
 		p = *cfg.Profile
 	}
-	cluster, err := kvstore.NewCluster(p, cfg.Metrics)
+	cluster, err := kvstore.NewCluster(p)
 	if err != nil {
 		return nil, err
 	}
