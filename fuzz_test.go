@@ -109,7 +109,8 @@ func FuzzTreeQueryDecode(f *testing.F) {
 
 // FuzzCursorCacheEviction drives many puts through the bounded cache:
 // the entry count must stay within maxCachedCursors, every retained
-// token must still take successfully, and issued tokens must be unique.
+// token must still take successfully, every evicted stream must be
+// closed, and issued tokens must be unique.
 func FuzzCursorCacheEviction(f *testing.F) {
 	f.Add(uint16(1), "q")
 	f.Add(uint16(200), "same-query")
@@ -118,9 +119,12 @@ func FuzzCursorCacheEviction(f *testing.F) {
 		cc := newCursorCache()
 		count := int(n%200) + 1
 		tokens := make([]string, 0, count)
+		parked := make([]*Rows, 0, count)
 		seen := map[string]bool{}
 		for i := 0; i < count; i++ {
-			tok := cc.put(parkedRows(), queryID)
+			rows := parkedRows()
+			parked = append(parked, rows)
+			tok := cc.put(rows, queryID)
 			if seen[tok] {
 				t.Fatalf("token %q issued twice", tok)
 			}
@@ -128,16 +132,22 @@ func FuzzCursorCacheEviction(f *testing.F) {
 			tokens = append(tokens, tok)
 		}
 		cc.mu.Lock()
-		live, orderLen := len(cc.entries), len(cc.order)
+		live := cc.entries.Len()
 		cc.mu.Unlock()
 		if live > maxCachedCursors {
 			t.Fatalf("cache holds %d cursors, cap is %d", live, maxCachedCursors)
 		}
-		if orderLen != live {
-			t.Fatalf("order list (%d) out of sync with entries (%d)", orderLen, live)
+		if want := min(count, maxCachedCursors); live != want {
+			t.Fatalf("cache holds %d cursors after %d puts, want %d", live, count, want)
 		}
-		// The newest min(count, cap) tokens must all still be takeable.
+		// The oldest tokens expired and their streams closed; the newest
+		// min(count, cap) tokens must all still be takeable.
 		start := count - live
+		for i, rows := range parked {
+			if rows.closed != (i < start) {
+				t.Fatalf("stream %d of %d: closed=%v with %d evicted", i, count, rows.closed, start)
+			}
+		}
 		for _, tok := range tokens[start:] {
 			if _, err := cc.take(tok); err != nil {
 				t.Fatalf("retained token %q not takeable: %v", tok, err)

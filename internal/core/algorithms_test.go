@@ -95,7 +95,7 @@ func runAll(t *testing.T, c *kvstore.Cluster, q *JoinTree, left, right []Tuple, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	drjn, err := QueryDRJN(c, q, drjnA, drjnB)
+	drjn, err := RunCursor(c, q.K, func() (Cursor, error) { return OpenDRJN(c, q, drjnA, drjnB) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ type bfhmCacheCounts struct {
 	bucketHits, bucketMisses uint64
 	pairHits, pairMisses     uint64
 	evictions                uint64
-	bytes, budget            int64
+	bytes, budget            uint64
 	buckets, pairs           int
 }
 
@@ -33,10 +33,10 @@ func (c *bfhmCache) counts() bfhmCacheCounts {
 	n := bfhmCacheCounts{
 		bucketHits: c.bucketHits, bucketMisses: c.bucketMisses,
 		pairHits: c.pairHits, pairMisses: c.pairMisses,
-		evictions: c.evictions, bytes: c.bytes, budget: c.budget,
-		buckets: len(c.buckets),
+		evictions: c.buckets.Evictions(), bytes: c.buckets.Size(), budget: c.buckets.Cap(),
+		buckets: c.buckets.Len(),
 	}
-	for _, e := range c.buckets {
+	for _, e := range c.buckets.All() {
 		n.pairs += len(e.pairs)
 	}
 	return n
@@ -50,7 +50,7 @@ func (c *bfhmCache) residentPairs() map[residentPair]bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := map[residentPair]bool{}
-	for _, e := range c.buckets {
+	for _, e := range c.buckets.All() {
 		for slot, p := range e.pairs {
 			out[residentPair{e.bucket.id, bfhmEntryID{slot.origin, p.serial}}] = true
 		}
@@ -58,38 +58,29 @@ func (c *bfhmCache) residentPairs() map[residentPair]bool {
 	return out
 }
 
-// checkResident walks the LRU list and checks it against the maps and
-// the byte count, and the byte count against the budget.
+// checkResident checks what only a BFHM cache promises: each entry is
+// filed under its bucket's number and carries an id this cache issued.
+// The list, map and byte-total invariants and the bound are the
+// container's (FuzzLRU).
 func (c *bfhmCache) checkResident(t *testing.T, label string) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var n int
-	var bytes int64
-	for e := c.head; e != nil; e = e.next {
-		n++
-		bytes += e.size
-		if e.next == nil && c.tail != e {
-			t.Fatalf("%s: list does not end at tail", label)
+	for no, e := range c.buckets.All() {
+		if e.bucket.No != no {
+			t.Fatalf("%s: bucket %d filed under %d", label, e.bucket.No, no)
 		}
-	}
-	if n != len(c.buckets) {
-		t.Fatalf("%s: %d listed entries, %d buckets mapped", label, n, len(c.buckets))
-	}
-	if bytes != c.bytes {
-		t.Fatalf("%s: entries sum to %d bytes, cache says %d", label, bytes, c.bytes)
-	}
-	if c.bytes > c.budget {
-		t.Fatalf("%s: %d bytes resident over a budget of %d", label, c.bytes, c.budget)
+		if e.bucket.id.origin != c.origin {
+			t.Fatalf("%s: bucket %d carries another cache's id", label, no)
+		}
 	}
 }
 
 // setBudget shrinks the cache to n bytes, evicting down to them.
-func (c *bfhmCache) setBudget(n int64) {
+func (c *bfhmCache) setBudget(n uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.budget = n
-	c.evictLocked()
+	c.buckets.SetCap(n)
 }
 
 func mustQueryBFHM(t *testing.T, c *kvstore.Cluster, q *JoinTree, a, b *BFHMIndex) *Result {
@@ -304,7 +295,7 @@ func TestBFHMCacheDoesTheWorkOnce(t *testing.T) {
 		// Every pair intersected since holds the re-decoded bucket.
 		bucketNo := tc.idx.Layout.BucketOf(tc.tuple.Score)
 		tc.changed.mu.Lock()
-		id := tc.changed.buckets[bucketNo].bucket.id
+		id := tc.changed.buckets.Peek(bucketNo).bucket.id
 		tc.changed.mu.Unlock()
 		added := 0
 		for p := range cl.residentPairs() {
@@ -364,7 +355,7 @@ func TestBFHMCacheEviction(t *testing.T) {
 	if full < 1024 {
 		t.Fatalf("only %d bytes resident after a k=100 query", full)
 	}
-	for _, budget := range []int64{full / 2, full / 8, 1} {
+	for _, budget := range []uint64{full / 2, full / 8, 1} {
 		s.bfhmL.bucketCache().setBudget(budget)
 		s.bfhmR.bucketCache().setBudget(budget)
 		before := s.bfhmL.bucketCache().counts().evictions
@@ -376,7 +367,11 @@ func TestBFHMCacheEviction(t *testing.T) {
 				s.bfhmR.bucketCache().checkResident(t, label)
 			}
 		}
-		if s.bfhmL.bucketCache().counts().evictions == before {
+		// A one-byte budget admits nothing, so nothing resident is left
+		// to evict; a larger one must have evicted mid-query.
+		if n := s.bfhmL.bucketCache().counts(); budget == 1 && n.buckets != 0 {
+			t.Errorf("budget 1: %d buckets resident", n.buckets)
+		} else if budget > 1 && n.evictions == before {
 			t.Errorf("budget %d: nothing was evicted", budget)
 		}
 	}

@@ -7,11 +7,13 @@ import (
 
 	"repro/internal/bloom"
 	"repro/internal/kvstore"
+	"repro/internal/lru"
 )
 
 // This file is what a BFHM index remembers between queries: decoded
 // buckets and the Algorithm 7 estimates of bucket pairs, in one
-// byte-bounded LRU per index.
+// byte-bounded LRU (lru.Cache) per index, keyed by bucket number. A
+// bucket larger than the whole budget is not remembered.
 //
 // Nothing is ever invalidated. A bucket entry keeps the cells it was
 // decoded from, and a later read uses the entry only when the row it
@@ -70,37 +72,31 @@ type bfhmPair struct {
 // it was decoded from, and the estimates of the pairs it is the left
 // bucket of. Replacing or evicting the bucket drops those estimates with
 // it; decoding a right-hand bucket again overwrites its slot the next
-// time the pair is estimated.
+// time the pair is estimated. The entry's size, which its estimates
+// grow, is kept by the container.
 type bfhmCacheEntry struct {
-	prev, next *bfhmCacheEntry
-	size       int64
-	bucket     *bfhmBucket
-	cells      []kvstore.Cell
-	pairs      map[bfhmSlot]bfhmPair
+	bucket *bfhmBucket
+	cells  []kvstore.Cell
+	pairs  map[bfhmSlot]bfhmPair
 }
 
 type bfhmCache struct {
 	origin *byte // never written after newBFHMCache
 
-	mu         sync.Mutex
-	budget     int64                   // guarded by: mu
-	bytes      int64                   // guarded by: mu
-	serial     uint64                  // last id issued; guarded by: mu
-	buckets    map[int]*bfhmCacheEntry // bucket number -> entry; guarded by: mu
-	head, tail *bfhmCacheEntry         // head = most recently used; guarded by: mu
+	mu      sync.Mutex
+	serial  uint64                          // last id issued; guarded by: mu
+	buckets *lru.Cache[int, bfhmCacheEntry] // bucket number -> entry; guarded by: mu
 
 	// What the cache did, for tests: a bucket miss is a blob decoded, a
 	// pair miss is an intersection computed.
 	bucketHits, bucketMisses uint64 // guarded by: mu
 	pairHits, pairMisses     uint64 // guarded by: mu
-	evictions                uint64 // guarded by: mu
 }
 
 func newBFHMCache() *bfhmCache {
 	return &bfhmCache{
 		origin:  new(byte),
-		budget:  bfhmCacheBudget,
-		buckets: map[int]*bfhmCacheEntry{},
+		buckets: lru.New[int, bfhmCacheEntry](bfhmCacheBudget, nil),
 	}
 }
 
@@ -181,12 +177,12 @@ func detachCells(cells []kvstore.Cell) []kvstore.Cell {
 func (c *bfhmCache) bucket(no int, cells []kvstore.Cell) *bfhmBucket {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.buckets[no]
+	e := c.buckets.Peek(no)
 	if e == nil || !sameCells(e.cells, cells) {
 		return nil
 	}
 	c.bucketHits++
-	c.moveToFrontLocked(e)
+	c.buckets.Get(no) // only a hit makes the entry the most recently used
 	return e.bucket
 }
 
@@ -196,28 +192,26 @@ func (c *bfhmCache) bucket(no int, cells []kvstore.Cell) *bfhmBucket {
 // share one id and one set of pair estimates). cells must be detached;
 // b must not be written again.
 func (c *bfhmCache) publishBucket(b *bfhmBucket, cells []kvstore.Cell) *bfhmBucket {
-	size := int64(bfhmEntryOverhead)
+	size := uint64(bfhmEntryOverhead)
 	for i := range cells {
-		size += int64(cells[i].StoredSize()) + 88 // the bytes, and the Cell that points at them
+		size += uint64(cells[i].StoredSize()) + 88 // the bytes, and the Cell that points at them
 	}
 	if b.Filter != nil {
-		size += 12 * int64(b.Filter.PopCount()) // uint64 position + uint32 counter
+		size += 12 * uint64(b.Filter.PopCount()) // uint64 position + uint32 counter
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.bucketMisses++
-	if old := c.buckets[b.No]; old != nil {
+	if old := c.buckets.Peek(b.No); old != nil {
 		if sameCells(old.cells, cells) {
-			c.moveToFrontLocked(old)
+			c.buckets.Get(b.No)
 			return old.bucket
 		}
-		c.removeLocked(old)
+		c.buckets.Remove(b.No)
 	}
 	c.serial++
 	b.id = bfhmEntryID{origin: c.origin, serial: c.serial}
-	e := &bfhmCacheEntry{size: size, bucket: b, cells: cells}
-	c.buckets[b.No] = e
-	c.addLocked(e)
+	c.buckets.Add(b.No, bfhmCacheEntry{bucket: b, cells: cells}, size)
 	return b
 }
 
@@ -227,7 +221,7 @@ func (c *bfhmCache) publishBucket(b *bfhmBucket, cells []kvstore.Cell) *bfhmBuck
 func (c *bfhmCache) estimate(a, b *bfhmBucket) (*bloom.JoinEstimate, error) {
 	slot := bfhmSlot{origin: b.id.origin, no: b.No}
 	c.mu.Lock()
-	if e := c.buckets[a.No]; e != nil && e.bucket == a {
+	if e := c.buckets.Peek(a.No); e != nil && e.bucket == a {
 		if p, ok := e.pairs[slot]; ok && p.serial == b.id.serial {
 			c.pairHits++
 			c.mu.Unlock()
@@ -243,7 +237,7 @@ func (c *bfhmCache) estimate(a, b *bfhmBucket) (*bloom.JoinEstimate, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pairMisses++
-	e := c.buckets[a.No]
+	e := c.buckets.Peek(a.No)
 	if e == nil || e.bucket != a {
 		return est, nil // a was replaced or evicted meanwhile: nothing to attach the estimate to
 	}
@@ -256,9 +250,7 @@ func (c *bfhmCache) estimate(a, b *bfhmBucket) (*bloom.JoinEstimate, error) {
 		}
 	}
 	e.pairs[slot] = bfhmPair{serial: b.id.serial, est: est}
-	e.size += grow
-	c.bytes += grow
-	c.evictLocked()
+	c.buckets.Grow(a.No, grow)
 	return est, nil
 }
 
@@ -268,59 +260,4 @@ func bitsBytes(est *bloom.JoinEstimate) int64 {
 		return 0
 	}
 	return 8 * int64(len(est.Bits))
-}
-
-// addLocked links a new entry at the front and evicts down to the
-// budget — the new entry itself when it alone exceeds it.
-func (c *bfhmCache) addLocked(e *bfhmCacheEntry) {
-	c.pushFrontLocked(e)
-	c.bytes += e.size
-	c.evictLocked()
-}
-
-// evictLocked drops least recently used entries until the cache is
-// within its budget.
-func (c *bfhmCache) evictLocked() {
-	for c.bytes > c.budget && c.tail != nil {
-		c.evictions++
-		c.removeLocked(c.tail)
-	}
-}
-
-// removeLocked unlinks an entry and forgets it.
-func (c *bfhmCache) removeLocked(e *bfhmCacheEntry) {
-	c.unlinkLocked(e)
-	c.bytes -= e.size
-	delete(c.buckets, e.bucket.No)
-}
-
-func (c *bfhmCache) unlinkLocked(e *bfhmCacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *bfhmCache) pushFrontLocked(e *bfhmCacheEntry) {
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	} else {
-		c.tail = e
-	}
-	c.head = e
-}
-
-func (c *bfhmCache) moveToFrontLocked(e *bfhmCacheEntry) {
-	if c.head != e {
-		c.unlinkLocked(e)
-		c.pushFrontLocked(e)
-	}
 }

@@ -81,7 +81,7 @@ func measureCosts(t *testing.T, k int) costResults {
 		t.Fatal(err)
 	}
 	out.bfhm = res.Cost
-	res, err = QueryDRJN(c, q, drjnL, drjnR)
+	res, err = RunCursor(c, q.K, func() (Cursor, error) { return OpenDRJN(c, q, drjnL, drjnR) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -525,9 +525,3 @@ func (cu *drjnCursor) Close() error {
 	cu.results = nil
 	return nil
 }
-
-// QueryDRJN runs the DRJN rank join as a bounded drain of the streaming
-// cursor.
-func QueryDRJN(c *kvstore.Cluster, t *JoinTree, idxA, idxB *DRJNIndex) (*Result, error) {
-	return RunCursor(c, t.K, func() (Cursor, error) { return OpenDRJN(c, t, idxA, idxB) })
-}

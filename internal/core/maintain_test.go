@@ -101,7 +101,7 @@ func (s *maintSetup) checkAll(t *testing.T) {
 	}
 	assertScoresEqual(t, "bfhm-after-updates", scoresOf(bf.Results), want)
 
-	dr, err := QueryDRJN(s.c, s.q, s.drjnL, s.drjnR)
+	dr, err := RunCursor(s.c, s.q.K, func() (Cursor, error) { return OpenDRJN(s.c, s.q, s.drjnL, s.drjnR) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func TestEmptyRelations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := QueryDRJN(c, q, drL, drR); err != nil || len(res.Results) != 0 {
+	if res, err := RunCursor(c, q.K, func() (Cursor, error) { return OpenDRJN(c, q, drL, drR) }); err != nil || len(res.Results) != 0 {
 		t.Errorf("drjn on empty: %v, %v", res, err)
 	}
 }

@@ -1,6 +1,10 @@
 package kvstore
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/lru"
+)
 
 // DefaultBlockCacheBytes is the store-wide block cache capacity, shared
 // by every region's disk segments — the same role HBase's BlockCache
@@ -15,91 +19,55 @@ type bcKey struct {
 	off   uint64
 }
 
-// bcEntry is one cached decoded block (*decodedBlock or []indexEntry).
-// Cached values are shared across readers and must never be mutated.
-type bcEntry struct {
-	key        bcKey
-	block      any
-	size       uint64
-	prev, next *bcEntry
-}
-
-// blockCache is a byte-bounded LRU over decoded SSTable blocks. It is
-// shared across regions, so it has its own mutex; it is a leaf lock —
-// no other lock is ever acquired while mu is held.
+// blockCache is a byte-bounded LRU (lru.Cache) over decoded SSTable
+// blocks (*decodedBlock or []indexEntry). Cached values are shared
+// across readers and must never be mutated. The cache is shared across
+// regions, so it has its own mutex; it is a leaf lock — no other lock
+// is ever acquired while mu is held.
 type blockCache struct {
-	mu         sync.Mutex
-	capacity   uint64             // guarded by: mu
-	bytes      uint64             // guarded by: mu
-	entries    map[bcKey]*bcEntry // guarded by: mu
-	head, tail *bcEntry           // head = most recently used; guarded by: mu
-	hits       uint64             // guarded by: mu
-	misses     uint64             // guarded by: mu
+	mu      sync.Mutex
+	entries *lru.Cache[bcKey, any] // guarded by: mu
+	hits    uint64                 // guarded by: mu
+	misses  uint64                 // guarded by: mu
 }
 
 // bcEntryOverhead approximates per-entry bookkeeping bytes.
 const bcEntryOverhead = 80
 
 func newBlockCache(capacity uint64) *blockCache {
-	return &blockCache{capacity: capacity, entries: map[bcKey]*bcEntry{}}
+	return &blockCache{entries: lru.New[bcKey, any](capacity, nil)}
 }
 
 // lookup returns the cached decoded block for (segID, off), if present.
 func (c *blockCache) lookup(segID, off uint64) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.capacity == 0 {
+	if c.entries.Cap() == 0 {
 		return nil, false
 	}
-	e, ok := c.entries[bcKey{segID, off}]
-	if !ok {
+	b := c.entries.Get(bcKey{segID, off})
+	if b == nil {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.moveToFrontLocked(e)
-	return e.block, true
+	return *b, true
 }
 
-// insert caches a decoded block with its estimated memory footprint.
+// insert caches a decoded block with its estimated memory footprint. A
+// block larger than the whole cache is not cached.
 func (c *blockCache) insert(segID, off uint64, block any, size uint64) {
-	size += bcEntryOverhead
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.capacity == 0 || size > c.capacity {
-		return // disabled, or the block is larger than the whole cache
-	}
-	k := bcKey{segID, off}
-	if e, ok := c.entries[k]; ok {
-		c.bytes -= e.size
-		e.block, e.size = block, size
-		c.bytes += size
-		c.moveToFrontLocked(e)
-	} else {
-		e := &bcEntry{key: k, block: block, size: size}
-		c.entries[k] = e
-		c.bytes += size
-		c.pushFrontLocked(e)
-	}
-	for c.bytes > c.capacity && c.tail != nil {
-		c.removeLocked(c.tail)
-	}
+	c.entries.Add(bcKey{segID, off}, block, size+bcEntryOverhead)
+	c.mu.Unlock()
 }
 
 // setCapacity resizes the cache, evicting down to the new bound.
 // Capacity 0 disables caching and drops everything.
 func (c *blockCache) setCapacity(capacity uint64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = capacity
-	if capacity == 0 {
-		c.entries = map[bcKey]*bcEntry{}
-		c.head, c.tail, c.bytes = nil, nil, 0
-		return
-	}
-	for c.bytes > c.capacity && c.tail != nil {
-		c.removeLocked(c.tail)
-	}
+	c.entries.SetCap(capacity)
+	c.mu.Unlock()
 }
 
 // stats returns cumulative hit/miss counts.
@@ -107,44 +75,4 @@ func (c *blockCache) stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-func (c *blockCache) removeLocked(e *bcEntry) {
-	delete(c.entries, e.key)
-	c.bytes -= e.size
-	c.unlinkLocked(e)
-}
-
-func (c *blockCache) unlinkLocked(e *bcEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *blockCache) pushFrontLocked(e *bcEntry) {
-	e.next = c.head
-	e.prev = nil
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *blockCache) moveToFrontLocked(e *bcEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlinkLocked(e)
-	c.pushFrontLocked(e)
 }

@@ -99,10 +99,12 @@
 //
 // The read path is tiered, cheapest first:
 //
-//   - Row cache. A byte-bounded LRU per region caches fully
+//   - Row cache. A byte-bounded LRU per region (an lru.Cache, the
+//     container every cache in the repo shares) caches fully
 //     materialized rows — including negative entries for absent rows —
-//     and is invalidated per row on every mutation. A hit performs zero
-//     segment work. Only full-row gets are cached and served;
+//     and is invalidated per row on every mutation. A row larger than
+//     the whole cache is not cached and evicts nothing. A hit performs
+//     zero segment work. Only full-row gets are cached and served;
 //     family-restricted gets always read the LSM.
 //   - Segment pruning. Each segment carries its row-key range and a
 //     bloom filter over its row keys (~1% false positives); a point get
@@ -165,11 +167,12 @@
 // covers up to 64 data blocks, and the summary samples the index the
 // same way, so a point get touches at most two blocks (one index, one
 // data) beyond the in-memory summary/bloom/meta. Block fetches go
-// through a store-wide byte-bounded LRU block cache
-// (Cluster.SetBlockCacheBytes, default 32 MiB); in disk mode the
-// simulator charges seeks from the *measured* block reads — cache hits
-// are counted but cost no seek — replacing the memory mode's
-// per-operation seek formula.
+// through a store-wide byte-bounded LRU block cache, the same lru.Cache
+// as the row cache under its own lock (Cluster.SetBlockCacheBytes,
+// default 32 MiB). In disk mode the simulator charges seeks from the
+// *measured* block reads — cache hits are counted but cost no seek —
+// replacing the memory mode's per-operation seek formula, so the
+// cache's eviction order decides what a disk-mode query costs.
 //
 // # Recovery protocol
 //

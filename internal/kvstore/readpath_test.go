@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -1021,5 +1022,76 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 				check(step, what)
 			}
 		})
+	}
+}
+
+// TestRowCacheEvictsLeastRecentlyUsed: with the row cache set below the
+// working set, every full-row get is a hit or a miss exactly as a
+// byte-bounded LRU of (row key + overhead + row size) entries says,
+// negative entries included.
+func TestRowCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	c := testCluster(t)
+	mustCreate(t, c, "t", []string{"f"}, nil)
+	const rows = 12
+	key := func(i int) string { return fmt.Sprintf("r%02d", i) }
+	for i := 0; i < rows; i++ {
+		// Rows differ in size so the bound is in bytes, not entries.
+		val := strings.Repeat("v", 10+9*i)
+		if err := c.Put("t", Cell{Row: key(i), Family: "f", Qualifier: "q", Value: []byte(val)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Sizes as the cache charges them, read with the cache disabled;
+	// rows 12 and 13 were never written and cache as absent.
+	c.SetRowCacheBytes(0)
+	sizes := make([]uint64, rows+2)
+	var total uint64
+	for i := range sizes {
+		r, err := c.Get("t", key(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = uint64(len(key(i))) + rcEntryOverhead
+		if r != nil {
+			sizes[i] += r.Size()
+		}
+		total += sizes[i]
+	}
+	if h, m := c.RowCacheStats(); h != 0 || m != 0 {
+		t.Fatalf("a disabled cache counted %d hits and %d misses", h, m)
+	}
+	capacity := total / 3
+	c.SetRowCacheBytes(capacity)
+
+	var model []int // most recently used first
+	var resident, wantHits, wantMisses uint64
+	rng := rand.New(rand.NewSource(7))
+	for step := 0; step < 400; step++ {
+		i := rng.Intn(len(sizes))
+		if step%3 == 0 {
+			i = rng.Intn(4) // a hot set that should mostly stay resident
+		}
+		if _, err := c.Get("t", key(i)); err != nil {
+			t.Fatal(err)
+		}
+		if j := slices.Index(model, i); j >= 0 {
+			wantHits++
+			model = append(model[:j], model[j+1:]...)
+		} else {
+			wantMisses++
+			resident += sizes[i]
+		}
+		model = append([]int{i}, model...)
+		for resident > capacity {
+			resident -= sizes[model[len(model)-1]]
+			model = model[:len(model)-1]
+		}
+		if h, m := c.RowCacheStats(); h != wantHits || m != wantMisses {
+			t.Fatalf("step %d (get %s): %d hits, %d misses; an LRU model says %d, %d",
+				step, key(i), h, m, wantHits, wantMisses)
+		}
+	}
+	if wantHits == 0 || wantMisses <= uint64(len(sizes)) {
+		t.Fatalf("%d hits, %d misses: the sequence did not make the cache evict", wantHits, wantMisses)
 	}
 }

@@ -989,8 +989,7 @@ func (r *Region) get(row string, families []string) (*Row, OpStats, error) {
 		if len(out.Cells) == 0 {
 			r.cache.insert(row, nil, stats.CellsExamined)
 		} else {
-			cached := Row{Key: row, Cells: append([]Cell(nil), out.Cells...)}
-			r.cache.insert(row, &cached, stats.CellsExamined)
+			r.cache.insert(row, &out, stats.CellsExamined) // stores a detached copy
 		}
 	}
 	if len(out.Cells) == 0 {

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"strings"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 // DefaultRowCacheBytes is the per-region row cache capacity. The cache
@@ -17,39 +19,34 @@ const DefaultRowCacheBytes = 4 << 20
 // tombstoned ones), so a warm hit bills exactly the read units a cold
 // read of the same row would.
 type rcEntry struct {
-	row        string
-	r          *Row // nil = negative entry
-	examined   uint64
-	size       uint64
-	prev, next *rcEntry
+	r        *Row // nil = negative entry
+	examined uint64
 }
 
-// rowCache is a byte-bounded LRU over fully materialized rows (all
-// families, latest live versions). It has its own mutex because lookups
-// mutate LRU order while the region holds only a read lock; the region
-// mutex is always acquired first, so lock order is region -> cache. All
-// fields, including capacity, are guarded by mu — SetRowCacheBytes may
-// run concurrently with reads.
+// rowCache is a byte-bounded LRU (lru.Cache) over fully materialized
+// rows (all families, latest live versions). It has its own mutex
+// because lookups mutate LRU order while the region holds only a read
+// lock; the region mutex is always acquired first, so lock order is
+// region -> cache. All fields, including the capacity the container
+// holds, are guarded by mu — SetRowCacheBytes may run concurrently with
+// reads.
 //
 // Coherence: entries are inserted only while the region read lock is
 // held (writers take the region write lock, excluding concurrent
 // insertion of stale rows) and invalidated per-row under the write lock
 // on every mutation.
 type rowCache struct {
-	mu         sync.Mutex
-	capacity   uint64              // guarded by: mu
-	bytes      uint64              // guarded by: mu
-	entries    map[string]*rcEntry // guarded by: mu
-	head, tail *rcEntry            // head = most recently used; guarded by: mu
-	hits       uint64              // guarded by: mu
-	misses     uint64              // guarded by: mu
+	mu      sync.Mutex
+	entries *lru.Cache[string, rcEntry] // guarded by: mu
+	hits    uint64                      // guarded by: mu
+	misses  uint64                      // guarded by: mu
 }
 
 // rcEntryOverhead approximates per-entry bookkeeping bytes.
 const rcEntryOverhead = 64
 
 func newRowCache(capacity uint64) *rowCache {
-	return &rowCache{capacity: capacity, entries: map[string]*rcEntry{}}
+	return &rowCache{entries: lru.New[string, rcEntry](capacity, nil)}
 }
 
 // lookup returns the cached row, its billed examined count, and whether
@@ -59,16 +56,15 @@ func newRowCache(capacity uint64) *rowCache {
 func (c *rowCache) lookup(row string) (r *Row, examined uint64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.capacity == 0 {
+	if c.entries.Cap() == 0 {
 		return nil, 0, false
 	}
-	e, ok := c.entries[row]
-	if !ok {
+	e := c.entries.Get(row)
+	if e == nil {
 		c.misses++
 		return nil, 0, false
 	}
 	c.hits++
-	c.moveToFrontLocked(e)
 	return e.r, e.examined, true
 }
 
@@ -126,26 +122,13 @@ func (c *rowCache) insert(row string, r *Row, examined uint64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.capacity == 0 || size > c.capacity {
+	if size > c.entries.Cap() {
 		return // disabled, or the row is larger than the whole cache
 	}
 	if r != nil {
 		r = detachRow(r)
 	}
-	if e, ok := c.entries[row]; ok {
-		c.bytes -= e.size
-		e.r, e.examined, e.size = r, examined, size
-		c.bytes += size
-		c.moveToFrontLocked(e)
-	} else {
-		e := &rcEntry{row: row, r: r, examined: examined, size: size}
-		c.entries[row] = e
-		c.bytes += size
-		c.pushFrontLocked(e)
-	}
-	for c.bytes > c.capacity && c.tail != nil {
-		c.removeLocked(c.tail)
-	}
+	c.entries.Add(row, rcEntry{r: r, examined: examined}, size)
 }
 
 // invalidate drops the entry for row, if any. Called under the region
@@ -154,9 +137,7 @@ func (c *rowCache) insert(row string, r *Row, examined uint64) {
 // entry behind.
 func (c *rowCache) invalidate(row string) {
 	c.mu.Lock()
-	if e, ok := c.entries[row]; ok {
-		c.removeLocked(e)
-	}
+	c.entries.Remove(row)
 	c.mu.Unlock()
 }
 
@@ -164,16 +145,8 @@ func (c *rowCache) invalidate(row string) {
 // Capacity 0 disables caching and drops everything.
 func (c *rowCache) setCapacity(capacity uint64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = capacity
-	if capacity == 0 {
-		c.entries = map[string]*rcEntry{}
-		c.head, c.tail, c.bytes = nil, nil, 0
-		return
-	}
-	for c.bytes > c.capacity && c.tail != nil {
-		c.removeLocked(c.tail)
-	}
+	c.entries.SetCap(capacity)
+	c.mu.Unlock()
 }
 
 // stats returns cumulative hit/miss counts.
@@ -181,44 +154,4 @@ func (c *rowCache) stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-func (c *rowCache) removeLocked(e *rcEntry) {
-	delete(c.entries, e.row)
-	c.bytes -= e.size
-	c.unlinkLocked(e)
-}
-
-func (c *rowCache) unlinkLocked(e *rcEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *rowCache) pushFrontLocked(e *rcEntry) {
-	e.next = c.head
-	e.prev = nil
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *rowCache) moveToFrontLocked(e *rcEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlinkLocked(e)
-	c.pushFrontLocked(e)
 }

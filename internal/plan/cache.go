@@ -5,11 +5,12 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 )
 
 // maxCacheEntries bounds the cache: (query, k) keys are client
-// controlled (the HTTP server accepts arbitrary k), so the map must
-// not grow without limit.
+// controlled (the HTTP server accepts arbitrary k), so the cache must
+// not grow without limit. Past it the least recently used entry goes.
 const maxCacheEntries = 1024
 
 // Cache memoizes gathered PlanStats per (tree, k) so a hot query path
@@ -25,7 +26,7 @@ const maxCacheEntries = 1024
 // different shapes never share an entry.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[string]cacheEntry // guarded by: mu
+	entries *lru.Cache[string, cacheEntry] // entries of size 1; guarded by: mu
 }
 
 type cacheEntry struct {
@@ -42,7 +43,7 @@ type cacheEntry struct {
 
 // NewCache returns an empty statistics cache.
 func NewCache() *Cache {
-	return &Cache{entries: map[string]cacheEntry{}}
+	return &Cache{entries: lru.New[string, cacheEntry](maxCacheEntries, nil)}
 }
 
 func cacheKey(t *core.JoinTree) string {
@@ -92,8 +93,8 @@ func (c *Cache) lookup(t *core.JoinTree, seqs []uint64, sources string) (core.Pl
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[cacheKey(t)]
-	if !ok || !seqsEqual(e.seqs, seqs) || e.sources != sources {
+	e := c.entries.Get(cacheKey(t))
+	if e == nil || !seqsEqual(e.seqs, seqs) || e.sources != sources {
 		return core.PlanStats{}, false
 	}
 	return e.stats, true
@@ -106,19 +107,9 @@ func (c *Cache) put(t *core.JoinTree, seqs []uint64, sources string, st core.Pla
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.entries) >= maxCacheEntries {
-		// Evict arbitrary entries; a stats walk is cheap enough that
-		// an occasional re-gather beats tracking recency.
-		for k := range c.entries {
-			delete(c.entries, k)
-			if len(c.entries) < maxCacheEntries {
-				break
-			}
-		}
-	}
-	c.entries[cacheKey(t)] = cacheEntry{
+	c.entries.Add(cacheKey(t), cacheEntry{
 		seqs:    append([]uint64(nil), seqs...),
 		sources: sources,
 		stats:   st,
-	}
+	}, 1)
 }

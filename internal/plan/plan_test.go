@@ -311,3 +311,32 @@ func TestStatsCacheInvalidatedByWrites(t *testing.T) {
 		t.Fatal("re-gathered stats not cached under the new mutation seq")
 	}
 }
+
+// TestStatsCacheEvictsLeastRecentlyUsed: past maxCacheEntries (tree, k)
+// keys the entry that goes is the one least recently looked up or
+// stored, so which statistics walk a busy server pays for again does
+// not depend on map iteration order.
+func TestStatsCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	tree := func(k int) *core.JoinTree {
+		return &core.JoinTree{
+			Relations: []core.Relation{{Name: "a"}, {Name: "b"}},
+			Edges:     []core.TreeEdge{{A: 0, B: 1, Kind: core.PredEqui}},
+			Score:     core.Sum,
+			K:         k,
+		}
+	}
+	seqs := []uint64{1, 1}
+	cache := NewCache()
+	for k := 1; k <= maxCacheEntries; k++ {
+		cache.put(tree(k), seqs, "", core.PlanStats{})
+	}
+	if _, ok := cache.lookup(tree(1), seqs, ""); !ok {
+		t.Fatal("first entry missing before the cache was full")
+	}
+	cache.put(tree(maxCacheEntries+1), seqs, "", core.PlanStats{})
+	for k := 1; k <= maxCacheEntries+1; k++ {
+		if _, ok := cache.lookup(tree(k), seqs, ""); ok != (k != 2) {
+			t.Fatalf("k=%d cached=%v; only the second key inserted should be evicted", k, ok)
+		}
+	}
+}

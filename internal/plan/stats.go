@@ -151,9 +151,9 @@ func bandTotal(b *histogram.BandData) uint64 {
 
 // drjnWalk reads both DRJN matrices (one batched scan each — the whole
 // index is Layout.Buckets tiny rows) and replays the alternating band
-// walk QueryDRJN uses, in memory, until the pairwise dot products cover
-// k. It fills JoinPairs, the per-side depths, and StatBands; false
-// means the walk produced nothing usable.
+// walk of the DRJN cursor (core.OpenDRJN), in memory, until the
+// pairwise dot products cover k. It fills JoinPairs, the per-side
+// depths, and StatBands; false means the walk produced nothing usable.
 func drjnWalk(c *kvstore.Cluster, st *core.PlanStats, idxA, idxB *core.DRJNIndex) bool {
 	allA, err := core.FetchAllBands(c, idxA)
 	if err != nil {

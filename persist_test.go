@@ -130,7 +130,7 @@ func TestCloseClosesParkedCursors(t *testing.T) {
 	}
 	db.cursors.mu.Lock()
 	var parked []*Rows
-	for _, rows := range db.cursors.entries {
+	for _, rows := range db.cursors.entries.All() {
 		parked = append(parked, rows)
 	}
 	db.cursors.mu.Unlock()
@@ -141,7 +141,7 @@ func TestCloseClosesParkedCursors(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.cursors.mu.Lock()
-	left := len(db.cursors.entries) + len(db.cursors.order)
+	left := db.cursors.entries.Len()
 	db.cursors.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("%d cursor-cache entries survive Close", left)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/sim"
 )
 
@@ -159,16 +160,26 @@ const maxCachedCursors = 64
 // mistake and stays an error.
 var errUnknownPageToken = errors.New("unknown or expired page token")
 
-// cursorCache maps single-use page tokens to parked streams.
+// cursorCache maps single-use page tokens to parked streams: an
+// lru.Cache bounded at maxCachedCursors entries of size 1. A token is
+// never looked up without being taken, so recency is issue order.
+// Streams the bound evicts are closed outside the lock.
 type cursorCache struct {
 	mu      sync.Mutex
-	entries map[string]*Rows // guarded by: mu
-	order   []string         // issue order, oldest first; guarded by: mu
-	nextID  uint64           // guarded by: mu
+	entries *lru.Cache[string, *Rows] // guarded by: mu
+	evicted []*Rows                   // evicted by the put in progress, to close; guarded by: mu
+	nextID  uint64                    // guarded by: mu
 }
 
 func newCursorCache() *cursorCache {
-	return &cursorCache{entries: map[string]*Rows{}}
+	cc := &cursorCache{}
+	cc.entries = lru.New(maxCachedCursors, cc.keepEvictedLocked)
+	return cc
+}
+
+// keepEvictedLocked keeps a stream the bound dropped for put to close.
+func (cc *cursorCache) keepEvictedLocked(_ string, rows *Rows) {
+	cc.evicted = append(cc.evicted, rows)
 }
 
 // put parks a stream of the named query and returns its (fresh) token,
@@ -178,17 +189,9 @@ func (cc *cursorCache) put(rows *Rows, queryID string) string {
 	cc.mu.Lock()
 	cc.nextID++
 	token := "pt-" + strconv.FormatUint(cc.nextID, 16) + "-" + queryID
-	cc.entries[token] = rows
-	cc.order = append(cc.order, token)
-	var evicted []*Rows
-	for len(cc.entries) > maxCachedCursors && len(cc.order) > 0 {
-		oldest := cc.order[0]
-		cc.order = cc.order[1:]
-		if e, ok := cc.entries[oldest]; ok {
-			evicted = append(evicted, e)
-			delete(cc.entries, oldest)
-		}
-	}
+	cc.entries.Add(token, rows, 1)
+	evicted := cc.evicted
+	cc.evicted = nil
 	cc.mu.Unlock()
 	for _, e := range evicted {
 		_ = e.Close()
@@ -200,10 +203,9 @@ func (cc *cursorCache) put(rows *Rows, queryID string) string {
 func (cc *cursorCache) drain() {
 	cc.mu.Lock()
 	parked := cc.entries
-	cc.entries = map[string]*Rows{}
-	cc.order = nil
+	cc.entries = lru.New(maxCachedCursors, cc.keepEvictedLocked)
 	cc.mu.Unlock()
-	for _, e := range parked {
+	for _, e := range parked.All() {
 		_ = e.Close()
 	}
 }
@@ -213,19 +215,9 @@ func (cc *cursorCache) drain() {
 func (cc *cursorCache) take(token string) (*Rows, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	rows, ok := cc.entries[token]
+	rows, ok := cc.entries.Remove(token)
 	if !ok {
 		return nil, fmt.Errorf("rankjoin: %w %q", errUnknownPageToken, token)
-	}
-	delete(cc.entries, token)
-	// Drop the token from the issue-order list too: the steady-state
-	// paging pattern is put/take/put/take, and leaving taken tokens in
-	// order would grow it by one entry per page forever.
-	for i, tok := range cc.order {
-		if tok == token {
-			cc.order = append(cc.order[:i], cc.order[i+1:]...)
-			break
-		}
 	}
 	return rows, nil
 }
