@@ -124,15 +124,23 @@ func TestAPIGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(apiGoldenPath)
+	checkGolden(t, apiGoldenPath, got)
+}
+
+// checkGolden compares got with the golden file at path, writing the
+// file and failing when it is absent (the regenerate-by-deleting
+// convention), and reports up to 20 differing lines otherwise.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		if err := os.MkdirAll(filepath.Dir(apiGoldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(apiGoldenPath, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Fatalf("wrote %s; review it and re-run", apiGoldenPath)
+		t.Fatalf("wrote %s; review it and re-run", path)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +159,7 @@ func TestAPIGolden(t *testing.T) {
 			w = wantLines[i]
 		}
 		if g != w {
-			t.Errorf("%s:%d\n got %s\nwant %s", apiGoldenPath, i+1, g, w)
+			t.Errorf("%s:%d\n got %s\nwant %s", path, i+1, g, w)
 			shown++
 		}
 	}

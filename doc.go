@@ -151,8 +151,12 @@
 //
 //	docs.Insert("d9", "pear", 0.7)   // upsert: retires old entries if d9 exists
 //	docs.Update("d9", "pear", 0.9)   // explicit re-score, one timestamp
-//	docs.Delete("d9", "pear", 0.9)   // or docs.DeleteKey("d9")
+//	docs.DeleteKey("d9")             // reads the row first; absent is a no-op
 //	docs.BatchInsert(tuples)         // maintained load, one RPC per chunk
+//
+// Prefer DeleteKey to the blind Delete(rowKey, joinValue, score): a
+// blind delete retried after the offline write-back pass applies twice
+// and corrupts BFHM and DRJN counts shared with live tuples.
 //
 // Freshness guarantees, per executor: Naive, Hive, and Pig scan base
 // tables and are trivially fresh. IJLMR and ISL read their inverse
@@ -184,8 +188,10 @@
 //
 // A write that fails part-way (base written, an index write refused)
 // surfaces as a core.MaintenanceError naming the divergent index and
-// carrying the batch's timestamp; re-applying the same mutation with
-// that timestamp is idempotent and converges the store.
+// carrying the batch's timestamp; re-applying the same transition with
+// that timestamp through core.Maintainer.Write, the one internal
+// re-apply entry point, is idempotent and converges the store. The
+// public relation handles offer no timestamped re-apply.
 //
 // # Failure handling and graceful degradation
 //

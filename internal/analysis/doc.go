@@ -18,7 +18,7 @@
 //     through an OpStats-returning primitive) must charge a sim.Metrics
 //     counter before every success return.
 //   - maintcheck — verifies that base-table mutations (Cluster.Put,
-//     Delete, MutateRow, BatchPut, GroupWrite) outside package kvstore
+//     BatchPut, GroupWrite) outside package kvstore
 //     happen only inside the core.Maintainer write-through pipeline,
 //     so derived indexes cannot silently go stale.
 //

@@ -11,8 +11,8 @@ func insertBad(c *kvstore.Cluster) error {
 	return c.Put("users", "u1", "v") // want `Cluster\.Put mutates a base table outside the core\.Maintainer pipeline`
 }
 
-func deleteBad(c *kvstore.Cluster) error {
-	return c.Delete("users", "u1") // want `Cluster\.Delete mutates a base table outside the core\.Maintainer pipeline`
+func batchBad(c *kvstore.Cluster) error {
+	return c.BatchPut("users", 2) // want `Cluster\.BatchPut mutates a base table outside the core\.Maintainer pipeline`
 }
 
 func groupBad(c *kvstore.Cluster) error {

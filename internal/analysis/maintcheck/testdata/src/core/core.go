@@ -16,7 +16,7 @@ func (m *Maintainer) Apply(muts []kvstore.Mutation) error {
 
 // repairIndex is also a Maintainer method, so direct mutation is fine.
 func (m *Maintainer) repairIndex(table, row string) error {
-	return m.C.MutateRow(table, row)
+	return m.C.Put(table, row, "v")
 }
 
 // RebuildAll is a plain function in core, not a Maintainer method: it

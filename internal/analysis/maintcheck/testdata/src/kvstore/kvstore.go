@@ -7,8 +7,6 @@ type Mutation struct{}
 type Cluster struct{}
 
 func (c *Cluster) Put(table, row, val string) error      { return nil }
-func (c *Cluster) Delete(table, row string) error        { return nil }
-func (c *Cluster) MutateRow(table, row string) error     { return nil }
 func (c *Cluster) BatchPut(table string, n int) error    { return nil }
 func (c *Cluster) GroupWrite(muts []Mutation) error      { return nil }
 func (c *Cluster) Get(table, row string) (string, error) { return "", nil }

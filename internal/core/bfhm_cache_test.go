@@ -162,7 +162,7 @@ func TestBFHMCacheNeverStale(t *testing.T) {
 			switch op {
 			case 0: // insert
 				tp := fresh(side.prefix, step)
-				if err := side.m.InsertTuple(tp); err != nil {
+				if err := side.m.Write(nil, &tp, 0); err != nil {
 					t.Fatal(err)
 				}
 				*side.tuples = append(*side.tuples, tp)
@@ -170,21 +170,21 @@ func TestBFHMCacheNeverStale(t *testing.T) {
 				i := rng.Intn(len(*side.tuples))
 				old := (*side.tuples)[i]
 				upd := Tuple{RowKey: old.RowKey, JoinValue: old.JoinValue, Score: float64(rng.Intn(1000)) / 1000}
-				if err := side.m.UpdateTuple(old, upd); err != nil {
+				if err := side.m.Write(&old, &upd, 0); err != nil {
 					t.Fatal(err)
 				}
 				(*side.tuples)[i] = upd
 			case 2: // delete
 				i := rng.Intn(len(*side.tuples))
 				tp := (*side.tuples)[i]
-				if err := side.m.DeleteTuple(tp); err != nil {
+				if err := side.m.Write(&tp, nil, 0); err != nil {
 					t.Fatal(err)
 				}
 				*side.tuples = append((*side.tuples)[:i], (*side.tuples)[i+1:]...)
 				lastDeleted[si] = &tp
 			case 3: // the same delete recorded again
 				if tp := lastDeleted[si]; tp != nil {
-					if err := side.m.DeleteTuple(*tp); err != nil {
+					if err := side.m.Write(tp, nil, 0); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -512,11 +512,11 @@ func TestBFHMSharedBucketsConcurrentOfflinePass(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for i := 0; i < writes; i++ {
-			if err := s.mL.InsertTuple(extraL[i]); err != nil {
+			if err := s.mL.Write(nil, &extraL[i], 0); err != nil {
 				report(err)
 				return
 			}
-			if err := s.mR.InsertTuple(extraR[i]); err != nil {
+			if err := s.mR.Write(nil, &extraR[i], 0); err != nil {
 				report(err)
 				return
 			}

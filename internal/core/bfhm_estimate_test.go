@@ -149,9 +149,11 @@ func BenchmarkBFHMEstimationQ1(b *testing.B) {
 		for i := 0; b.Loop(); i++ {
 			var err error
 			if i%2 == 0 {
-				err = m.InsertTuple(tuple(i))
+				ins := tuple(i)
+				err = m.Write(nil, &ins, 0)
 			} else {
-				err = m.DeleteTuple(tuple(i - 1))
+				del := tuple(i - 1)
+				err = m.Write(&del, nil, 0)
 			}
 			if err == nil && i%64 == 63 {
 				_, err = m.WriteBackAll()

@@ -269,11 +269,11 @@ func TestUpdateOverheadUnder10Percent(t *testing.T) {
 		}
 		mnt := &Maintainer{C: c, Rel: relL, BFHM: bfhmL}
 		for i := 0; i < 100; i++ {
-			if err := mnt.InsertTuple(Tuple{
+			if err := mnt.Write(nil, &Tuple{
 				RowKey:    tkey("u", i),
 				JoinValue: fmt.Sprintf("j%d", i%100),
 				Score:     float64(i%100) / 100,
-			}); err != nil {
+			}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -136,7 +136,7 @@ func replayRecords(family string, cells []kvstore.Cell, apply func(ins bool, t T
 // replays its log; when the log is not empty it also returns the row's
 // fresh blob cells (qualifier and value). consolidate writes those at the
 // newest record's timestamp and tombstones every record, in one atomic row
-// mutation, and returns how many rows it rewrote.
+// mutation (a one-row GroupWrite), and returns how many rows it rewrote.
 func consolidate(c *kvstore.Cluster, table, family string, rows int,
 	fold func(no int, row *kvstore.Row) ([]kvstore.Cell, recordLog, error)) (int, error) {
 	n := 0
@@ -163,7 +163,7 @@ func consolidate(c *kvstore.Cluster, table, family string, rows int,
 			cells = append(cells, kvstore.Cell{Row: key, Family: family, Qualifier: q, Timestamp: log.newest, Tombstone: true})
 		}
 		//lint:allow maintcheck writes an index's own bucket or band table, not a maintained base relation
-		if err := c.MutateRow(table, cells); err != nil {
+		if err := c.GroupWrite([]kvstore.TableMutation{{Table: table, Cells: cells}}); err != nil {
 			return n, err
 		}
 		n++
@@ -196,10 +196,11 @@ type Maintainer struct {
 // MaintenanceError reports a write-through maintenance batch that failed
 // part-way: the base table and the Applied index tables hold the
 // mutation, the structure named by Index does not — base and indexes
-// have diverged. Re-applying the same logical mutation with the carried
-// Timestamp (InsertTupleAt / DeleteTupleAt / UpdateTupleAt) is
-// idempotent — already-applied cells rewrite identically — and converges
-// the store once the failure cause is gone.
+// have diverged. Re-applying the same transition through Write with the
+// carried Timestamp is idempotent — already-applied cells rewrite
+// identically — and converges the store once the failure cause is gone.
+// Write is internal: the public relation handles offer no timestamped
+// re-apply.
 type MaintenanceError struct {
 	// Relation names the maintained relation.
 	Relation string
@@ -257,106 +258,69 @@ func (m *Maintainer) apply(muts []indexMutation, ts int64) error {
 	return me
 }
 
-// appendInverseList appends the inverse score list's share of a batch,
-// if the relation has a list; cells builds it in the list's family.
-func (m *Maintainer) appendInverseList(muts []indexMutation, cells func(family string) []kvstore.Cell) []indexMutation {
-	if m.ISL == nil {
-		return muts
+// mutations assembles the augmented batch of one old → new transition
+// (either may be nil: an insert has no old tuple, a delete no new one),
+// every cell stamped ts. The base row's two columns and each inverted
+// structure — every bound IJLMR table, then the inverse score list —
+// get new's entry and retire old's (appendMove): since an update keeps
+// the row key, the base row gets puts, or tombstones when new is nil.
+// The bucket indexes follow (appendBucketIndexes).
+func (m *Maintainer) mutations(old, new *Tuple, ts int64) []indexMutation {
+	rel := &m.Rel
+	base := appendMove(make([]kvstore.Cell, 0, 2), old, new, ts, func(t *Tuple) kvstore.Cell {
+		return kvstore.Cell{Row: t.RowKey, Family: rel.Family, Qualifier: rel.JoinQual, Value: []byte(t.JoinValue)}
+	})
+	base = appendMove(base, old, new, ts, func(t *Tuple) kvstore.Cell {
+		return kvstore.Cell{Row: t.RowKey, Family: rel.Family, Qualifier: rel.ScoreQual, Value: kvstore.FloatValue(t.Score)}
+	})
+	muts := []indexMutation{{index: "base", TableMutation: kvstore.TableMutation{Table: rel.Table, Cells: base}}}
+	for _, b := range m.IJLMR {
+		muts = append(muts, indexMutation{index: "ijlmr", TableMutation: kvstore.TableMutation{
+			Table: b.Idx.Table,
+			Cells: appendMove(nil, old, new, ts, func(t *Tuple) kvstore.Cell {
+				return kvstore.Cell{Row: t.JoinValue, Family: b.Family, Qualifier: t.RowKey, Value: kvstore.FloatValue(t.Score)}
+			}),
+		}})
 	}
-	return append(muts, indexMutation{index: "isl", TableMutation: kvstore.TableMutation{
-		Table: m.ISL.Table, Cells: cells(m.Rel.Name)}})
+	if m.ISL != nil {
+		muts = append(muts, indexMutation{index: "isl", TableMutation: kvstore.TableMutation{
+			Table: m.ISL.Table,
+			Cells: appendMove(nil, old, new, ts, func(t *Tuple) kvstore.Cell {
+				return kvstore.Cell{Row: kvstore.EncodeScoreDesc(t.Score), Family: rel.Name, Qualifier: t.RowKey, Value: []byte(t.JoinValue)}
+			}),
+		}})
+	}
+	return m.appendBucketIndexes(muts, old, new, ts)
 }
 
-// insertMutations assembles the augmented mutation batch for one tuple
-// insertion, every cell stamped ts.
-func (m *Maintainer) insertMutations(t Tuple, ts int64, extraCells []kvstore.Cell) []indexMutation {
-	base := []kvstore.Cell{
-		{Row: t.RowKey, Family: m.Rel.Family, Qualifier: m.Rel.JoinQual, Value: []byte(t.JoinValue), Timestamp: ts},
-		{Row: t.RowKey, Family: m.Rel.Family, Qualifier: m.Rel.ScoreQual, Value: kvstore.FloatValue(t.Score), Timestamp: ts},
-	}
-	for _, c := range extraCells {
-		c.Row = t.RowKey
+// appendMove appends one structure's cells for old → new, where entry
+// places a tuple's cell: new's entry, then a tombstone at old's
+// coordinate unless that is new's — there the entry is simply
+// overwritten, since a tombstone AND a value at one (row, family,
+// qualifier, timestamp) would be ambiguous.
+func appendMove(cells []kvstore.Cell, old, new *Tuple, ts int64, entry func(t *Tuple) kvstore.Cell) []kvstore.Cell {
+	n := len(cells)
+	if new != nil {
+		c := entry(new)
 		c.Timestamp = ts
-		base = append(base, c)
+		cells = append(cells, c)
 	}
-	muts := []indexMutation{{index: "base", TableMutation: kvstore.TableMutation{Table: m.Rel.Table, Cells: base}}}
-	for _, b := range m.IJLMR {
-		muts = append(muts, indexMutation{index: "ijlmr", TableMutation: kvstore.TableMutation{
-			Table: b.Idx.Table,
-			Cells: []kvstore.Cell{{Row: t.JoinValue, Family: b.Family, Qualifier: t.RowKey,
-				Value: kvstore.FloatValue(t.Score), Timestamp: ts}},
-		}})
-	}
-	muts = m.appendInverseList(muts, func(fam string) []kvstore.Cell {
-		return []kvstore.Cell{{Row: kvstore.EncodeScoreDesc(t.Score), Family: fam, Qualifier: t.RowKey,
-			Value: []byte(t.JoinValue), Timestamp: ts}}
-	})
-	return m.appendBucketIndexes(muts, nil, &t, ts)
-}
-
-// deleteMutations assembles the augmented mutation batch for one tuple
-// deletion.
-func (m *Maintainer) deleteMutations(t Tuple, ts int64) []indexMutation {
-	base := []kvstore.Cell{
-		{Row: t.RowKey, Family: m.Rel.Family, Qualifier: m.Rel.JoinQual, Timestamp: ts, Tombstone: true},
-		{Row: t.RowKey, Family: m.Rel.Family, Qualifier: m.Rel.ScoreQual, Timestamp: ts, Tombstone: true},
-	}
-	muts := []indexMutation{{index: "base", TableMutation: kvstore.TableMutation{Table: m.Rel.Table, Cells: base}}}
-	for _, b := range m.IJLMR {
-		muts = append(muts, indexMutation{index: "ijlmr", TableMutation: kvstore.TableMutation{
-			Table: b.Idx.Table,
-			Cells: []kvstore.Cell{{Row: t.JoinValue, Family: b.Family, Qualifier: t.RowKey,
-				Timestamp: ts, Tombstone: true}},
-		}})
-	}
-	muts = m.appendInverseList(muts, func(fam string) []kvstore.Cell {
-		return []kvstore.Cell{{Row: kvstore.EncodeScoreDesc(t.Score), Family: fam, Qualifier: t.RowKey,
-			Timestamp: ts, Tombstone: true}}
-	})
-	return m.appendBucketIndexes(muts, &t, nil, ts)
-}
-
-// updateMutations assembles the batch replacing old with new (same row
-// key) under one timestamp. Index entries whose coordinates change get a
-// tombstone at the old position and a fresh entry at the new one; those
-// whose coordinates are unchanged are simply overwritten — writing a
-// tombstone AND a value at one (row, family, qualifier, timestamp) would
-// be ambiguous.
-func (m *Maintainer) updateMutations(old, new Tuple, ts int64) []indexMutation {
-	base := []kvstore.Cell{
-		{Row: new.RowKey, Family: m.Rel.Family, Qualifier: m.Rel.JoinQual, Value: []byte(new.JoinValue), Timestamp: ts},
-		{Row: new.RowKey, Family: m.Rel.Family, Qualifier: m.Rel.ScoreQual, Value: kvstore.FloatValue(new.Score), Timestamp: ts},
-	}
-	muts := []indexMutation{{index: "base", TableMutation: kvstore.TableMutation{Table: m.Rel.Table, Cells: base}}}
-	for _, b := range m.IJLMR {
-		cells := []kvstore.Cell{{Row: new.JoinValue, Family: b.Family, Qualifier: new.RowKey,
-			Value: kvstore.FloatValue(new.Score), Timestamp: ts}}
-		if old.JoinValue != new.JoinValue {
-			cells = append(cells, kvstore.Cell{Row: old.JoinValue, Family: b.Family, Qualifier: old.RowKey,
-				Timestamp: ts, Tombstone: true})
+	if old != nil {
+		c := entry(old)
+		if new == nil || c.Row != cells[n].Row || c.Qualifier != cells[n].Qualifier {
+			cells = append(cells, kvstore.Cell{Row: c.Row, Family: c.Family, Qualifier: c.Qualifier, Timestamp: ts, Tombstone: true})
 		}
-		muts = append(muts, indexMutation{index: "ijlmr", TableMutation: kvstore.TableMutation{Table: b.Idx.Table, Cells: cells}})
 	}
-	oldScoreKey, newScoreKey := kvstore.EncodeScoreDesc(old.Score), kvstore.EncodeScoreDesc(new.Score)
-	muts = m.appendInverseList(muts, func(fam string) []kvstore.Cell {
-		cells := []kvstore.Cell{{Row: newScoreKey, Family: fam, Qualifier: new.RowKey,
-			Value: []byte(new.JoinValue), Timestamp: ts}}
-		if oldScoreKey != newScoreKey {
-			cells = append(cells, kvstore.Cell{Row: oldScoreKey, Family: fam, Qualifier: old.RowKey,
-				Timestamp: ts, Tombstone: true})
-		}
-		return cells
-	})
-	return m.appendBucketIndexes(muts, &old, &new, ts)
+	return cells
 }
 
 // appendBucketIndexes appends the BFHM and DRJN shares of a batch that
 // retires old and adds new (either may be nil). BFHM's reverse mapping
-// moves directly (Section 6: "an entry being added in the corresponding
-// reverse mapping row"); an entry whose coordinates do not change is
-// simply overwritten. Both indexes' bucket rows get a deletion record for
-// old and an insertion record for new; same-timestamp replay applies
-// deletions first, so an update nets to "replaced".
+// moves directly, through appendMove like the inverted lists (Section 6:
+// "an entry being added in the corresponding reverse mapping row").
+// Both indexes' bucket rows get a deletion record for old and an
+// insertion record for new; same-timestamp replay applies deletions
+// first, so an update nets to "replaced".
 func (m *Maintainer) appendBucketIndexes(muts []indexMutation, old, new *Tuple, ts int64) []indexMutation {
 	records := func(l histogram.Layout, family string, cells []kvstore.Cell) []kvstore.Cell {
 		if old != nil {
@@ -368,18 +332,10 @@ func (m *Maintainer) appendBucketIndexes(muts []indexMutation, old, new *Tuple, 
 		return cells
 	}
 	if idx := m.BFHM; idx != nil {
-		revKey := func(t *Tuple) string {
-			return kvstore.ReverseMapKey(idx.Layout.BucketOf(t.Score), bloomBitPos(idx.MBits, t.JoinValue))
-		}
-		var cells []kvstore.Cell
-		if new != nil {
-			cells = append(cells, kvstore.Cell{Row: revKey(new), Family: bfhmFamily, Qualifier: new.RowKey,
-				Value: EncodeTuple(*new), Timestamp: ts})
-		}
-		if old != nil && (new == nil || revKey(old) != revKey(new)) {
-			cells = append(cells, kvstore.Cell{Row: revKey(old), Family: bfhmFamily, Qualifier: old.RowKey,
-				Timestamp: ts, Tombstone: true})
-		}
+		cells := appendMove(nil, old, new, ts, func(t *Tuple) kvstore.Cell {
+			return kvstore.Cell{Row: kvstore.ReverseMapKey(idx.Layout.BucketOf(t.Score), bloomBitPos(idx.MBits, t.JoinValue)),
+				Family: bfhmFamily, Qualifier: t.RowKey, Value: EncodeTuple(*t)}
+		})
 		muts = append(muts, indexMutation{index: "bfhm", TableMutation: kvstore.TableMutation{
 			Table: idx.Table, Cells: records(idx.Layout, bfhmFamily, cells)}})
 	}
@@ -390,70 +346,37 @@ func (m *Maintainer) appendBucketIndexes(muts []indexMutation, old, new *Tuple, 
 	return muts
 }
 
-// InsertTuple writes a new base tuple and its index entries — all
-// registered indexes, all stamped with one fresh timestamp, shipped as
-// one group write. The row key must be new; inserting over an existing
-// key with a different score or join value strands the old index
-// entries (use UpdateTuple, which retires them).
-func (m *Maintainer) InsertTuple(t Tuple, extraCells ...kvstore.Cell) error {
-	if t.RowKey == "" || t.JoinValue == "" {
-		return fmt.Errorf("core: insert needs row key and join value")
-	}
-	return m.InsertTupleAt(t, m.C.Now(), extraCells...)
-}
-
-// InsertTupleAt is InsertTuple with a caller-supplied timestamp: re-apply
-// a MaintenanceError's batch with its carried Timestamp to converge a
-// diverged store idempotently.
-func (m *Maintainer) InsertTupleAt(t Tuple, ts int64, extraCells ...kvstore.Cell) error {
-	if t.RowKey == "" || t.JoinValue == "" {
-		return fmt.Errorf("core: insert needs row key and join value")
-	}
-	return m.apply(m.insertMutations(t, ts, extraCells), ts)
-}
-
-// DeleteTuple removes a base tuple and its index entries. The caller
-// supplies the tuple's current join value and score (the paper's
-// interception point has them at hand).
-func (m *Maintainer) DeleteTuple(t Tuple) error {
-	return m.DeleteTupleAt(t, m.C.Now())
-}
-
-// DeleteTupleAt is DeleteTuple with a caller-supplied timestamp (see
-// InsertTupleAt).
-func (m *Maintainer) DeleteTupleAt(t Tuple, ts int64) error {
-	return m.apply(m.deleteMutations(t, ts), ts)
-}
-
-// UpdateTuple replaces a tuple's join value and/or score in place: the
-// old index entries are retired and the new ones written under ONE
-// shared timestamp, in one group write. This is the safe form of
-// "insert over an existing row key" — a blind re-insert leaves the old
-// score's inverse-list entries live, producing phantom results.
-func (m *Maintainer) UpdateTuple(old, new Tuple) error {
-	if err := validateUpdate(old, new); err != nil {
-		return err
-	}
-	return m.UpdateTupleAt(old, new, m.C.Now())
-}
-
-// UpdateTupleAt is UpdateTuple with a caller-supplied timestamp (see
-// InsertTupleAt).
-func (m *Maintainer) UpdateTupleAt(old, new Tuple, ts int64) error {
-	if err := validateUpdate(old, new); err != nil {
-		return err
-	}
-	return m.apply(m.updateMutations(old, new, ts), ts)
-}
-
-func validateUpdate(old, new Tuple) error {
-	if new.RowKey == "" || new.JoinValue == "" {
+// Write applies one tuple transition with full index maintenance: old
+// is the relation's current tuple (nil when the row is absent), new the
+// tuple replacing it (nil for a delete). Insert and delete are the two
+// special cases of the one update rule: the base row and every
+// registered index retire old's entries and gain new's under ONE shared
+// timestamp, shipped as one group write. A new tuple needs a row key
+// and a join value, and an update keeps the row key. The caller
+// supplies old as read at its interception point; a wrong old tuple
+// strands index entries (an insert over a live key leaves the old
+// score's inverse-list entries live, producing phantom results).
+//
+// ts 0 stamps the batch with a fresh timestamp. A non-zero ts re-applies
+// a MaintenanceError's batch with its carried Timestamp, which is
+// idempotent and converges a diverged store; replicated topologies also
+// use it to apply a router-stamped write identically on every replica.
+func (m *Maintainer) Write(old, new *Tuple, ts int64) error {
+	switch {
+	case new != nil && (new.RowKey == "" || new.JoinValue == ""):
+		if old == nil {
+			return fmt.Errorf("core: insert needs row key and join value")
+		}
 		return fmt.Errorf("core: update needs row key and join value")
-	}
-	if old.RowKey != new.RowKey {
+	case old != nil && new != nil && old.RowKey != new.RowKey:
 		return fmt.Errorf("core: update must keep the row key (%q != %q)", old.RowKey, new.RowKey)
+	case old == nil && new == nil:
+		return fmt.Errorf("core: write needs an old or a new tuple")
 	}
-	return nil
+	if ts == 0 {
+		ts = m.C.Now()
+	}
+	return m.apply(m.mutations(old, new, ts), ts)
 }
 
 // insertBatchChunk bounds how many tuples one InsertBatch group write
@@ -462,9 +385,10 @@ const insertBatchChunk = 256
 
 // InsertBatch inserts many NEW tuples with full index maintenance,
 // batching up to insertBatchChunk tuples' augmented mutations into each
-// group write (one write RPC per chunk instead of one per tuple). Like
-// InsertTuple it does not retire previous index entries for reused row
-// keys. Tuples within a chunk share one timestamp.
+// group write (one write RPC per chunk instead of one per tuple). It
+// writes each tuple as an insert (Write with no old tuple), so it does
+// not retire previous index entries for reused row keys. Tuples within
+// a chunk share one timestamp.
 func (m *Maintainer) InsertBatch(tuples []Tuple) error {
 	return m.insertBatch(tuples, m.C.Now, insertBatchChunk)
 }
@@ -500,7 +424,7 @@ func (m *Maintainer) insertBatch(tuples []Tuple, stamp func() int64, chunk int) 
 		merged := map[string]*indexMutation{}
 		var order []string
 		for _, t := range tuples[start:end] {
-			for _, mu := range m.insertMutations(t, ts, nil) {
+			for _, mu := range m.mutations(nil, &t, ts) {
 				got, ok := merged[mu.Table]
 				if !ok {
 					cp := mu

@@ -110,7 +110,7 @@ func (s *maintSetup) checkAll(t *testing.T) {
 
 func (s *maintSetup) insertLeft(t *testing.T, tp Tuple) {
 	t.Helper()
-	if err := s.mL.InsertTuple(tp); err != nil {
+	if err := s.mL.Write(nil, &tp, 0); err != nil {
 		t.Fatal(err)
 	}
 	s.left = append(s.left, tp)
@@ -118,7 +118,7 @@ func (s *maintSetup) insertLeft(t *testing.T, tp Tuple) {
 
 func (s *maintSetup) insertRight(t *testing.T, tp Tuple) {
 	t.Helper()
-	if err := s.mR.InsertTuple(tp); err != nil {
+	if err := s.mR.Write(nil, &tp, 0); err != nil {
 		t.Fatal(err)
 	}
 	s.right = append(s.right, tp)
@@ -127,7 +127,7 @@ func (s *maintSetup) insertRight(t *testing.T, tp Tuple) {
 func (s *maintSetup) deleteLeft(t *testing.T, i int) {
 	t.Helper()
 	tp := s.left[i]
-	if err := s.mL.DeleteTuple(tp); err != nil {
+	if err := s.mL.Write(&tp, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	s.left = append(s.left[:i], s.left[i+1:]...)
@@ -324,8 +324,19 @@ func TestMaintenanceTimestampsShared(t *testing.T) {
 
 func TestMaintainerValidation(t *testing.T) {
 	s := newMaintSetup(t, 7)
-	if err := s.mL.InsertTuple(Tuple{}); err == nil {
-		t.Error("empty tuple accepted")
+	live := Tuple{RowKey: "l1", JoinValue: "j1", Score: 0.5}
+	for _, c := range []struct {
+		name     string
+		old, new *Tuple
+	}{
+		{"empty insert", nil, &Tuple{}},
+		{"update without join value", &live, &Tuple{RowKey: "l1"}},
+		{"update moving the row key", &live, &Tuple{RowKey: "l2", JoinValue: "j1", Score: 0.5}},
+		{"no tuple at all", nil, nil},
+	} {
+		if err := s.mL.Write(c.old, c.new, 0); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
@@ -333,7 +344,7 @@ func (s *maintSetup) updateLeft(t *testing.T, i int, joinValue string, score flo
 	t.Helper()
 	old := s.left[i]
 	new := Tuple{RowKey: old.RowKey, JoinValue: joinValue, Score: score}
-	if err := s.mL.UpdateTuple(old, new); err != nil {
+	if err := s.mL.Write(&old, &new, 0); err != nil {
 		t.Fatal(err)
 	}
 	s.left[i] = new
@@ -386,7 +397,7 @@ func TestMaintenanceErrorNamesDivergentIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := Tuple{RowKey: "ldiv", JoinValue: "j5", Score: 0.77}
-	err := s.mL.InsertTuple(tp)
+	err := s.mL.Write(nil, &tp, 0)
 	me, ok := err.(*MaintenanceError)
 	if !ok {
 		t.Fatalf("error %v (%T), want *MaintenanceError", err, err)
@@ -413,7 +424,7 @@ func TestMaintenanceErrorNamesDivergentIndex(t *testing.T) {
 	if _, err := s.c.CreateTable(s.drjnL.Table, []string{drjnFamily}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.mL.InsertTupleAt(tp, me.Timestamp); err != nil {
+	if err := s.mL.Write(nil, &tp, me.Timestamp); err != nil {
 		t.Fatalf("re-apply: %v", err)
 	}
 	s.left = append(s.left, tp)
@@ -586,7 +597,7 @@ func TestRepeatedDeleteReplaysOnce(t *testing.T) {
 	s.insertLeft(t, gone)
 	s.insertRight(t, Tuple{RowKey: "rdup", JoinValue: "jdup", Score: 0.99})
 	s.deleteLeft(t, len(s.left)-1)
-	if err := s.mL.DeleteTuple(gone); err != nil { // the retry
+	if err := s.mL.Write(&gone, nil, 0); err != nil { // the retry
 		t.Fatal(err)
 	}
 	// keep must still join on jdup everywhere (a double-applied Remove

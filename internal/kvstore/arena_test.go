@@ -267,13 +267,22 @@ func TestCellIterViews(t *testing.T) {
 	}
 }
 
-// writeEntryPoints are the four ways a cell reaches a region.
+// writeEntryPoints are the ways a cell reaches a region: the three
+// metered doors, and the region's one-row primitive that the doors and
+// anti-entropy repair write through.
 var writeEntryPoints = []struct {
 	name  string
 	write func(c *Cluster, cell Cell) error
 }{
 	{"Put", func(c *Cluster, cell Cell) error { return c.Put("t", cell) }},
-	{"MutateRow", func(c *Cluster, cell Cell) error { return c.MutateRow("t", []Cell{cell}) }},
+	{"MutateRow", func(c *Cluster, cell Cell) error {
+		regs, err := c.TableRegions("t")
+		if err != nil {
+			return err
+		}
+		cell.Timestamp = c.Now()
+		return regs[0].mutateRow([]Cell{cell})
+	}},
 	{"BatchPut", func(c *Cluster, cell Cell) error { return c.BatchPut("t", []Cell{cell}) }},
 	{"GroupWrite", func(c *Cluster, cell Cell) error {
 		return c.GroupWrite([]TableMutation{{Table: "t", Cells: []Cell{cell}}})
@@ -381,7 +390,7 @@ func TestReturnedValueCannotGrowIntoArena(t *testing.T) {
 						{Row: "r", Family: "cf", Qualifier: "a", Value: []byte("aaaa")},
 						{Row: "r", Family: "cf", Qualifier: "b", Value: []byte("bbbb")},
 					}
-					if err := c.MutateRow("t", cells); err != nil {
+					if err := c.GroupWrite([]TableMutation{{Table: "t", Cells: cells}}); err != nil {
 						t.Fatal(err)
 					}
 					if flushed {
@@ -439,7 +448,7 @@ func TestCachedRowSurvivesItsArena(t *testing.T) {
 				{Row: fmt.Sprintf("r%03d", i), Family: "fb", Qualifier: "", Value: nil},
 				{Row: fmt.Sprintf("r%03d", i), Family: "fb", Qualifier: "w", Value: bytes.Repeat([]byte{byte(i)}, 40)},
 			}
-			if err := c.MutateRow("t", cells); err != nil {
+			if err := c.GroupWrite([]TableMutation{{Table: "t", Cells: cells}}); err != nil {
 				t.Fatal(err)
 			}
 		}

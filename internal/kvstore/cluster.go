@@ -57,8 +57,8 @@ type Table struct {
 	families map[string]bool
 
 	// mutSeq moves whenever the table's visible contents change: every
-	// applied client write batch (Put/Delete/MutateRow/BatchPut/
-	// GroupWrite) and every Scrub that quarantines one of its runs.
+	// applied client write batch (Put/BatchPut/GroupWrite) and every
+	// Scrub that quarantines one of its runs.
 	// Consumers key cached derivations of the table's contents — planner
 	// statistics, plan choices — on it, so a matching sequence proves the
 	// cache entry still describes the live table.
@@ -717,67 +717,8 @@ func (c *Cluster) chargeWrite(bytes uint64, cells int) {
 
 // Put writes one cell (timestamp 0 means "stamp with Now()").
 func (c *Cluster) Put(table string, cell Cell) error {
-	t, err := c.table(table)
-	if err != nil {
-		return err
-	}
-	if !t.HasFamily(cell.Family) {
-		return fmt.Errorf("kvstore: table %q has no family %q", table, cell.Family)
-	}
-	if cell.Timestamp == 0 {
-		cell.Timestamp = c.Now()
-	}
 	cell.Tombstone = false
-	if err := t.applyRow([]Cell{cell}); err != nil {
-		return err
-	}
-	c.chargeWrite(cell.StoredSize(), 1)
-	return nil
-}
-
-// Delete writes a tombstone for one column.
-func (c *Cluster) Delete(table, row, family, qualifier string, ts int64) error {
-	t, err := c.table(table)
-	if err != nil {
-		return err
-	}
-	if ts == 0 {
-		ts = c.Now()
-	}
-	cell := Cell{Row: row, Family: family, Qualifier: qualifier, Timestamp: ts, Tombstone: true}
-	if err := t.applyRow([]Cell{cell}); err != nil {
-		return err
-	}
-	c.chargeWrite(cell.StoredSize(), 1)
-	return nil
-}
-
-// MutateRow applies several cells of one row atomically (one RPC, one
-// WAL append batch, one region lock), the primitive Section 6's index
-// maintenance builds on.
-func (c *Cluster) MutateRow(table string, cells []Cell) error {
-	if len(cells) == 0 {
-		return nil
-	}
-	t, err := c.table(table)
-	if err != nil {
-		return err
-	}
-	var bytes uint64
-	for i := range cells {
-		if !t.HasFamily(cells[i].Family) {
-			return fmt.Errorf("kvstore: table %q has no family %q", table, cells[i].Family)
-		}
-		if cells[i].Timestamp == 0 {
-			cells[i].Timestamp = c.Now()
-		}
-		bytes += cells[i].StoredSize()
-	}
-	if err := t.applyRow(cells); err != nil {
-		return err
-	}
-	c.chargeWrite(bytes, len(cells))
-	return nil
+	return c.writeTable(table, []Cell{cell})
 }
 
 // Get fetches one row (nil if absent). families==nil fetches all.
@@ -813,42 +754,12 @@ func (c *Cluster) Get(table, row string, families ...string) (*Row, error) {
 	return got, nil
 }
 
-// BatchPut loads many cells efficiently (one logical bulk RPC per region
-// batch), used by data generators and index builders. It bypasses
-// per-cell RPC latency but still meters bytes and write counts.
+// BatchPut loads many cells efficiently (one logical bulk RPC), used
+// by data generators and index builders. It bypasses per-cell RPC
+// latency but still meters bytes and write counts. Each zero timestamp
+// is stamped with its own Now().
 func (c *Cluster) BatchPut(table string, cells []Cell) error {
-	t, err := c.table(table)
-	if err != nil {
-		return err
-	}
-	var bytes uint64
-	// Group into per-row atomic mutations, each routed to its region.
-	byRow := map[string][]Cell{}
-	var order []string
-	for i := range cells {
-		if !t.HasFamily(cells[i].Family) {
-			return fmt.Errorf("kvstore: table %q has no family %q", table, cells[i].Family)
-		}
-		if cells[i].Timestamp == 0 {
-			cells[i].Timestamp = c.Now()
-		}
-		bytes += cells[i].StoredSize()
-		if _, ok := byRow[cells[i].Row]; !ok {
-			order = append(order, cells[i].Row)
-		}
-		byRow[cells[i].Row] = append(byRow[cells[i].Row], cells[i])
-	}
-	sort.Strings(order)
-	for _, row := range order {
-		if err := t.applyRow(byRow[row]); err != nil {
-			return err
-		}
-	}
-	c.metrics.AddRPC()
-	c.metrics.AddNetwork(requestOverhead + bytes)
-	c.metrics.AddKVWrites(uint64(len(cells)))
-	c.metrics.Advance(c.profile.RPCLatency + c.profile.TransferTime(requestOverhead+bytes))
-	return nil
+	return c.writeTable(table, cells)
 }
 
 // TableMutation is one table's share of a multi-table group write.
@@ -884,8 +795,9 @@ func (e *GroupWriteError) Unwrap() error { return e.Err }
 // lock cycle, one WAL append batch per row), and the whole group is
 // charged a single mutation RPC — latency once, bytes summed — instead
 // of one round trip per cell. This is the transport Section 6's
-// write-through index maintenance rides: a tuple insert augments into
-// base + IJLMR + ISL + BFHM + DRJN mutations and ships as one batch.
+// write-through index maintenance rides: a tuple's old → new transition
+// augments into base + IJLMR + ISL + BFHM + DRJN mutations and ships as
+// one batch.
 //
 // Zero timestamps are stamped with one shared fresh Now() for the whole
 // group (the paper's same-timestamp treatment); pre-stamped cells keep
@@ -897,9 +809,35 @@ func (e *GroupWriteError) Unwrap() error { return e.Err }
 // table and the tables already applied; nothing is charged.
 func (c *Cluster) GroupWrite(muts []TableMutation) error {
 	var ts int64
+	stamp := func() int64 {
+		if ts == 0 {
+			ts = c.Now()
+		}
+		return ts
+	}
+	if table, applied, err := c.write(muts, stamp); err != nil {
+		return &GroupWriteError{Table: table, Applied: applied, Err: err}
+	}
+	return nil
+}
+
+// writeTable is write for one table, stamping each zero timestamp with
+// its own Now().
+func (c *Cluster) writeTable(table string, cells []Cell) error {
+	_, _, err := c.write([]TableMutation{{Table: table, Cells: cells}}, c.Now)
+	return err
+}
+
+// write is the one metered write door behind Put, BatchPut and
+// GroupWrite. Per table, in order, it looks the table up, checks each
+// cell's family and stamps a zero timestamp with stamp(), then applies
+// the cells as per-row atomic mutations in row-key order; the whole
+// call is billed once, as one mutation RPC, after everything landed.
+// Tables without cells are skipped. A failure returns the failed table
+// and the tables fully applied before it, and bills nothing.
+func (c *Cluster) write(muts []TableMutation, stamp func() int64) (failed string, applied []string, err error) {
 	var bytes uint64
 	cellCount := 0
-	var applied []string
 	for mi := range muts {
 		m := &muts[mi]
 		if len(m.Cells) == 0 {
@@ -907,43 +845,37 @@ func (c *Cluster) GroupWrite(muts []TableMutation) error {
 		}
 		t, err := c.table(m.Table)
 		if err != nil {
-			return &GroupWriteError{Table: m.Table, Applied: applied, Err: err}
+			return m.Table, applied, err
 		}
-		// Group this table's cells into per-row atomic mutations.
 		byRow := map[string][]Cell{}
 		var order []string
 		for i := range m.Cells {
-			if !t.HasFamily(m.Cells[i].Family) {
-				return &GroupWriteError{
-					Table: m.Table, Applied: applied,
-					Err: fmt.Errorf("kvstore: table %q has no family %q", m.Table, m.Cells[i].Family),
-				}
+			cell := &m.Cells[i]
+			if !t.HasFamily(cell.Family) {
+				return m.Table, applied, fmt.Errorf("kvstore: table %q has no family %q", m.Table, cell.Family)
 			}
-			if m.Cells[i].Timestamp == 0 {
-				if ts == 0 {
-					ts = c.Now()
-				}
-				m.Cells[i].Timestamp = ts
+			if cell.Timestamp == 0 {
+				cell.Timestamp = stamp()
 			}
-			bytes += m.Cells[i].StoredSize()
-			if _, ok := byRow[m.Cells[i].Row]; !ok {
-				order = append(order, m.Cells[i].Row)
+			bytes += cell.StoredSize()
+			if _, ok := byRow[cell.Row]; !ok {
+				order = append(order, cell.Row)
 			}
-			byRow[m.Cells[i].Row] = append(byRow[m.Cells[i].Row], m.Cells[i])
+			byRow[cell.Row] = append(byRow[cell.Row], *cell)
 		}
 		sort.Strings(order)
 		for _, row := range order {
 			if err := t.applyRow(byRow[row]); err != nil {
-				return &GroupWriteError{Table: m.Table, Applied: applied, Err: err}
+				return m.Table, applied, err
 			}
 		}
 		cellCount += len(m.Cells)
 		applied = append(applied, m.Table)
 	}
 	if cellCount == 0 {
-		//lint:allow chargecheck an empty group applied no mutations, so there is nothing to bill
-		return nil
+		//lint:allow chargecheck an empty write applied no mutations, so there is nothing to bill
+		return "", nil, nil
 	}
 	c.chargeWrite(bytes, cellCount)
-	return nil
+	return "", nil, nil
 }

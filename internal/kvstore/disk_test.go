@@ -90,7 +90,7 @@ func TestColdStartRecovery(t *testing.T) {
 		row := fmt.Sprintf("row%02d", rng.Intn(80))
 		switch rng.Intn(10) {
 		case 0:
-			if err := c.Delete("t", row, "a", "q", 0); err != nil {
+			if err := deleteCell(c, "t", row, "a", "q", 0); err != nil {
 				t.Fatal(err)
 			}
 			live[row] = false

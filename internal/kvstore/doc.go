@@ -54,8 +54,9 @@
 //
 // Five rules follow from that layout:
 //
-//   - Writes copy. Put, MutateRow, BatchPut and GroupWrite copy key and
-//     value into the arena (and, on disk, the WAL file); the caller may
+//   - Writes copy. Put, BatchPut and GroupWrite — three doors onto one
+//     metered write body, which validates, stamps, groups by row, applies
+//     and bills once — copy key and value into the arena (and, on disk, the WAL file); the caller may
 //     reuse its buffers at once. A zero-length value is stored as no
 //     bytes and reads back as nil everywhere.
 //   - Iterators yield views. cellIter.cell() returns a Cell whose

@@ -74,7 +74,7 @@ func TestPutGetDelete(t *testing.T) {
 		t.Fatalf("latest version not returned: %+v", row)
 	}
 	// Delete hides the column.
-	if err := c.Delete("t", "r1", "cf", "a", 0); err != nil {
+	if err := deleteCell(c, "t", "r1", "cf", "a", 0); err != nil {
 		t.Fatal(err)
 	}
 	row, _ = c.Get("t", "r1")
@@ -235,18 +235,18 @@ func TestMutateRowAtomicAndSpanCheck(t *testing.T) {
 		{Row: "r", Family: "cf", Qualifier: "a", Value: []byte("1")},
 		{Row: "r", Family: "idx", Qualifier: "b", Value: []byte("2")},
 	}
-	if err := c.MutateRow("t", cells); err != nil {
+	if err := c.GroupWrite([]TableMutation{{Table: "t", Cells: cells}}); err != nil {
 		t.Fatal(err)
 	}
 	row, _ := c.Get("t", "r")
 	if len(row.Cells) != 2 {
-		t.Fatalf("MutateRow wrote %d cells", len(row.Cells))
+		t.Fatalf("a one-row group write stored %d cells", len(row.Cells))
 	}
 	bad := []Cell{
-		{Row: "r1", Family: "cf", Qualifier: "a"},
-		{Row: "r2", Family: "cf", Qualifier: "a"},
+		{Row: "r1", Family: "cf", Qualifier: "a", Timestamp: c.Now()},
+		{Row: "r2", Family: "cf", Qualifier: "a", Timestamp: c.Now()},
 	}
-	if err := c.MutateRow("t", bad); err == nil {
+	if err := mustRegion(t, c, "t").mutateRow(bad); err == nil {
 		t.Error("cross-row mutate accepted")
 	}
 }
@@ -259,7 +259,7 @@ func TestFlushCompactPreserveData(t *testing.T) {
 	}
 	// Delete half, then force flush+compaction.
 	for i := 0; i < 200; i += 2 {
-		c.Delete("t", fmt.Sprintf("r%04d", i), "cf", "v", 0)
+		deleteCell(c, "t", fmt.Sprintf("r%04d", i), "cf", "v", 0)
 	}
 	for _, r := range tab.Regions() {
 		r.Compact()
@@ -301,7 +301,7 @@ func TestDeleteShadowsAcrossFlush(t *testing.T) {
 	tab := mustCreate(t, c, "t", []string{"cf"}, nil)
 	c.Put("t", Cell{Row: "r", Family: "cf", Qualifier: "v", Value: []byte("x")})
 	tab.Regions()[0].Flush()
-	c.Delete("t", "r", "cf", "v", 0)
+	deleteCell(c, "t", "r", "cf", "v", 0)
 	row, _ := c.Get("t", "r")
 	if row != nil {
 		t.Fatalf("tombstone in memtable must hide flushed cell: %+v", row)
@@ -322,7 +322,7 @@ func TestWALRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := c.Delete("t", "r10", "cf", "v", 0); err != nil {
+		if err := deleteCell(c, "t", "r10", "cf", "v", 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -505,7 +505,7 @@ func TestLiveCellCountIgnoresVersionChurn(t *testing.T) {
 		t.Errorf("LiveCells = %d, want %d", st.LiveCells, rows)
 	}
 	// Deleting a column removes it from the live set.
-	if err := c.Delete("t", "r00", "d", "v", 0); err != nil {
+	if err := deleteCell(c, "t", "r00", "d", "v", 0); err != nil {
 		t.Fatal(err)
 	}
 	st, err = c.TableStats("t")
@@ -554,7 +554,7 @@ func TestScanModelEquivalence(t *testing.T) {
 		k := fmt.Sprintf("k%03d", rng.Intn(300))
 		switch rng.Intn(10) {
 		case 0, 1:
-			if err := c.Delete("t", k, "cf", "v", 0); err != nil {
+			if err := deleteCell(c, "t", k, "cf", "v", 0); err != nil {
 				t.Fatal(err)
 			}
 			delete(model, k)
@@ -885,10 +885,17 @@ func TestMutationSeqAdvancesOnWrites(t *testing.T) {
 	if st.MutSeq != s1 {
 		t.Errorf("TableStats.MutSeq %d != table seq %d", st.MutSeq, s1)
 	}
-	if err := c.Delete("t", "r", "cf", "a", 0); err != nil {
+	if err := deleteCell(c, "t", "r", "cf", "a", 0); err != nil {
 		t.Fatal(err)
 	}
 	if tab.MutationSeq() <= s1 {
 		t.Error("Delete did not advance mutation seq")
 	}
+}
+
+// deleteCell writes one tombstone through GroupWrite (ts 0 stamps a
+// fresh Now()).
+func deleteCell(c *Cluster, table, row, family, qualifier string, ts int64) error {
+	return c.GroupWrite([]TableMutation{{Table: table, Cells: []Cell{
+		{Row: row, Family: family, Qualifier: qualifier, Timestamp: ts, Tombstone: true}}}})
 }

@@ -93,7 +93,7 @@ func checkLiveCountSequence(t *testing.T, seed int64, steps int, disk bool) {
 			err = c.Put("t", Cell{Row: row, Family: fam, Qualifier: qual, Value: []byte{byte(step)}, Timestamp: ts})
 			newest[col] = max(newest[col], ts)
 		case op < 16:
-			err = c.Delete("t", row, fam, qual, ts)
+			err = deleteCell(c, "t", row, fam, qual, ts)
 			newest[col] = max(newest[col], ts)
 		case op < 18:
 			err = c.FlushAll()
@@ -159,7 +159,7 @@ func TestLiveCellCountConcurrent(t *testing.T) {
 				row := fmt.Sprintf("r%03d", (w*writes+i)%200)
 				var err error
 				if i%5 == 4 {
-					err = c.Delete("t", row, "cf", "v", 0)
+					err = deleteCell(c, "t", row, "cf", "v", 0)
 				} else {
 					err = c.Put("t", Cell{Row: row, Family: "cf", Qualifier: "v", Value: []byte{byte(i)}})
 				}

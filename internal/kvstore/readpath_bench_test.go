@@ -196,7 +196,7 @@ func buildTwoFamilyRegion(tb testing.TB, rows, siblingCols int) (*Cluster, []str
 			for q := 0; q < siblingCols; q++ {
 				cells = append(cells, Cell{Row: keys[i], Family: "sibling", Qualifier: fmt.Sprintf("q%02d", q), Value: []byte("0123456789abcdef")})
 			}
-			if err := c.MutateRow("t", cells); err != nil {
+			if err := c.GroupWrite([]TableMutation{{Table: "t", Cells: cells}}); err != nil {
 				tb.Fatal(err)
 			}
 		}

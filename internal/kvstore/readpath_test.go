@@ -120,7 +120,7 @@ func TestGetMatchesScan(t *testing.T) {
 		}
 		switch rng.Intn(10) {
 		case 0:
-			if err := c.Delete("t", row, fam, "v", 0); err != nil {
+			if err := deleteCell(c, "t", row, fam, "v", 0); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
@@ -199,8 +199,8 @@ func TestRowCacheServesAndInvalidates(t *testing.T) {
 		t.Fatalf("stale cache after put: %+v", row)
 	}
 	// Delete both columns; absence is observed and cached.
-	c.Delete("t", "r", "a", "v", 0)
-	c.Delete("t", "r", "b", "v", 0)
+	deleteCell(c, "t", "r", "a", "v", 0)
+	deleteCell(c, "t", "r", "b", "v", 0)
 	if row, _ = c.Get("t", "r"); row != nil {
 		t.Fatalf("row visible after delete: %+v", row)
 	}
@@ -224,7 +224,7 @@ func TestRowCacheBillsWarmLikeCold(t *testing.T) {
 	mustCreate(t, c, "t", []string{"a"}, nil)
 	c.Put("t", Cell{Row: "r", Family: "a", Qualifier: "x", Value: []byte("1")})
 	c.Put("t", Cell{Row: "r", Family: "a", Qualifier: "y", Value: []byte("2")})
-	c.Delete("t", "r", "a", "x", 0)
+	deleteCell(c, "t", "r", "a", "x", 0)
 	// Flush so the cold read pays real storage costs in disk mode too
 	// (a memtable-only read measures zero block fetches there; in
 	// memory mode the flush changes nothing).
@@ -257,7 +257,7 @@ func TestRowCacheBillsWarmLikeCold(t *testing.T) {
 		t.Errorf("warm read %d disk bytes", warm.DiskBytesRead)
 	}
 	// Same contract for a negative entry (row with only tombstones).
-	c.Delete("t", "r", "a", "y", 0)
+	deleteCell(c, "t", "r", "a", "y", 0)
 	cold = measure()
 	warm = measure()
 	if warm.KVReads != cold.KVReads {
@@ -376,10 +376,10 @@ func TestTieredCompactionEquivalence(t *testing.T) {
 			// exist in older runs, so retained tombstones must keep
 			// shadowing them.
 			ts := tiered.Now()
-			if err := tiered.Delete("t", k, "cf", "v", ts); err != nil {
+			if err := deleteCell(tiered, "t", k, "cf", "v", ts); err != nil {
 				t.Fatal(err)
 			}
-			if err := naive.Delete("t", k, "cf", "v", ts); err != nil {
+			if err := deleteCell(naive, "t", k, "cf", "v", ts); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -981,7 +981,7 @@ func TestMultiFamilyModelEquivalence(t *testing.T) {
 					what = "delete"
 					now++
 					cell := Cell{Row: rowKey(), Family: fams[rng.Intn(len(fams))], Qualifier: fmt.Sprintf("q%d", rng.Intn(2)), Timestamp: now, Tombstone: true}
-					if err := c.Delete("t", cell.Row, cell.Family, cell.Qualifier, cell.Timestamp); err != nil {
+					if err := deleteCell(c, "t", cell.Row, cell.Family, cell.Qualifier, cell.Timestamp); err != nil {
 						t.Fatal(err)
 					}
 					model.write(cell)

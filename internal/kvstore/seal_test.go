@@ -46,7 +46,7 @@ func applySealOps(t *testing.T, c *Cluster, ops []sealOp) {
 	for _, op := range ops {
 		var err error
 		if op.delete {
-			err = c.Delete("t", op.cell.Row, op.cell.Family, op.cell.Qualifier, op.cell.Timestamp)
+			err = deleteCell(c, "t", op.cell.Row, op.cell.Family, op.cell.Qualifier, op.cell.Timestamp)
 		} else {
 			err = c.Put("t", op.cell)
 		}

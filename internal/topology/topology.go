@@ -494,41 +494,27 @@ func (r *Router) replicate(leader *node, reps []*node, op transport.WriteOp) err
 // Upsert writes one tuple through the replication protocol: resolve at
 // the leader (insert or update), stamp once, replicate, ack at quorum.
 func (r *Router) Upsert(relation string, t transport.TupleData) error {
-	return r.write(relation, t, false)
+	return r.write(relation, t.RowKey, &t, false)
 }
 
 // Update is Upsert for a row that must already exist: when the leader
 // resolves no current tuple the write fails and nothing is stamped or
 // shipped.
 func (r *Router) Update(relation string, t transport.TupleData) error {
-	return r.write(relation, t, true)
-}
-
-func (r *Router) write(relation string, t transport.TupleData, mustExist bool) error {
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	reps, err := r.replicaSet(relation)
-	if err != nil {
-		return err
-	}
-	leader, old, err := r.resolveLeader(relation, t.RowKey, reps)
-	if err != nil {
-		return err
-	}
-	if old == nil && mustExist {
-		return fmt.Errorf("topology: relation %q has no row %q to update", relation, t.RowKey)
-	}
-	op := transport.WriteOp{Relation: relation, Kind: transport.OpInsert, New: &t, TS: r.nextTS()}
-	if old != nil {
-		op.Kind = transport.OpUpdate
-		op.Old = old
-	}
-	return r.replicate(leader, reps, op)
+	return r.write(relation, t.RowKey, &t, true)
 }
 
 // Delete removes a tuple by row key (a no-op if absent), resolving its
 // current state at the leader first.
 func (r *Router) Delete(relation, rowKey string) error {
+	return r.write(relation, rowKey, nil, false)
+}
+
+// write resolves rowKey's current tuple at the leader and replicates its
+// transition to t (nil deletes): an absent row makes it an insert, fails
+// it when mustExist, and makes a delete a no-op that stamps and ships
+// nothing.
+func (r *Router) write(relation, rowKey string, t *transport.TupleData, mustExist bool) error {
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
 	reps, err := r.replicaSet(relation)
@@ -539,10 +525,20 @@ func (r *Router) Delete(relation, rowKey string) error {
 	if err != nil {
 		return err
 	}
-	if old == nil {
+	op := transport.WriteOp{Relation: relation, Old: old, New: t}
+	switch {
+	case old != nil && t != nil:
+		op.Kind = transport.OpUpdate
+	case old != nil:
+		op.Kind = transport.OpDelete
+	case mustExist:
+		return fmt.Errorf("topology: relation %q has no row %q to update", relation, rowKey)
+	case t == nil:
 		return nil
+	default:
+		op.Kind = transport.OpInsert
 	}
-	op := transport.WriteOp{Relation: relation, Kind: transport.OpDelete, Old: old, TS: r.nextTS()}
+	op.TS = r.nextTS()
 	return r.replicate(leader, reps, op)
 }
 

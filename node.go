@@ -175,10 +175,16 @@ func (n *NodeService) EnsureIndexes(req transport.EnsureRequest) error {
 }
 
 func tupleOf(t *transport.TupleData) Tuple {
-	if t == nil {
-		return Tuple{}
-	}
 	return Tuple{RowKey: t.RowKey, JoinValue: t.JoinValue, Score: t.Score}
+}
+
+// tuplePtr converts an optional wire tuple; nil stays nil.
+func tuplePtr(t *transport.TupleData) *Tuple {
+	if t == nil {
+		return nil
+	}
+	tp := tupleOf(t)
+	return &tp
 }
 
 // tupleData converts a tuple to its wire form.
@@ -188,10 +194,12 @@ func tupleData(t Tuple) *transport.TupleData {
 
 // Apply implements transport.RegionService: one resolved, pre-stamped
 // write, applied with full index maintenance at the carried timestamp.
-// The router resolved the upsert (op.Kind already says insert vs
-// update, with Old filled in) and stamped TS once for the whole replica
-// group, so this application is deterministic and idempotent — the
-// replica's base AND index tables end up byte-identical to its peers'.
+// The router resolved the transition at the leader (Old is the tuple
+// the row held, nil for an insert; New replaces it, nil for a delete)
+// and stamped TS once for the whole replica group, so this application
+// is deterministic and idempotent — the replica's base AND index tables
+// end up byte-identical to its peers'. The kind arrives off the wire,
+// so an unknown one is refused.
 func (n *NodeService) Apply(op transport.WriteOp) error {
 	h := n.db.Relation(op.Relation)
 	if h == nil {
@@ -205,12 +213,8 @@ func (n *NodeService) Apply(op transport.WriteOp) error {
 	defer h.writeMu.Unlock()
 	m := h.maintainer()
 	switch op.Kind {
-	case transport.OpInsert:
-		return wrapNodeErr(m.InsertTupleAt(tupleOf(op.New), op.TS))
-	case transport.OpUpdate:
-		return wrapNodeErr(m.UpdateTupleAt(tupleOf(op.Old), tupleOf(op.New), op.TS))
-	case transport.OpDelete:
-		return wrapNodeErr(m.DeleteTupleAt(tupleOf(op.Old), op.TS))
+	case transport.OpInsert, transport.OpUpdate, transport.OpDelete:
+		return wrapNodeErr(m.Write(tuplePtr(op.Old), tuplePtr(op.New), op.TS))
 	case transport.OpBatch:
 		tuples := make([]Tuple, len(op.Batch))
 		for i := range op.Batch {

@@ -310,8 +310,10 @@ func (db *DB) AggregateCost() sim.Snapshot { return db.cluster.Metrics().Snapsho
 func (db *DB) Cluster() *kvstore.Cluster { return db.cluster }
 
 // MaintenanceError reports a maintained write that failed part-way,
-// naming the divergent index and carrying the batch timestamp for an
-// idempotent re-apply (see the core package's Maintainer).
+// naming the divergent index and carrying the batch timestamp. Passing
+// that timestamp to the core package's Maintainer.Write re-applies the
+// transition idempotently. That entry point is internal: the public
+// relation handles offer no timestamped re-apply.
 type MaintenanceError = core.MaintenanceError
 
 // RelationHandle wraps one rank-join input relation.
@@ -449,16 +451,7 @@ func (h *RelationHandle) Insert(rowKey, joinValue string, score float64) error {
 	if err := checkScores(h.rel.Name, new); err != nil {
 		return err
 	}
-	h.writeMu.Lock()
-	defer h.writeMu.Unlock()
-	old, ok, err := h.Get(rowKey)
-	if err != nil {
-		return err
-	}
-	if ok {
-		return h.maintainer().UpdateTuple(old, new)
-	}
-	return h.maintainer().InsertTuple(new)
+	return h.write(rowKey, &new, false)
 }
 
 // Update replaces an existing tuple's join value and score, deleting the
@@ -470,36 +463,48 @@ func (h *RelationHandle) Update(rowKey, joinValue string, score float64) error {
 	if err := checkScores(h.rel.Name, new); err != nil {
 		return err
 	}
-	h.writeMu.Lock()
-	defer h.writeMu.Unlock()
-	old, ok, err := h.Get(rowKey)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("rankjoin: relation %q has no row %q to update", h.rel.Name, rowKey)
-	}
-	return h.maintainer().UpdateTuple(old, new)
+	return h.write(rowKey, &new, true)
 }
 
-// Delete removes a tuple (the caller supplies its current join value and
-// score, as at the paper's interception point).
+// Delete removes a tuple blind: the caller supplies its current join
+// value and score, as at the paper's interception point, and nothing is
+// read first. Prefer DeleteKey. A blind delete retried after the offline
+// write-back pass has folded its first mutation record applies a second
+// time and corrupts BFHM and DRJN counts that live tuples share;
+// DeleteKey reads the row under the write lock and does nothing once it
+// is gone.
 func (h *RelationHandle) Delete(rowKey, joinValue string, score float64) error {
 	h.writeMu.Lock()
 	defer h.writeMu.Unlock()
-	return h.maintainer().DeleteTuple(Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score})
+	return h.maintainer().Write(&Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score}, nil, 0)
 }
 
 // DeleteKey removes a tuple by row key alone, reading its current join
 // value and score first. It is a no-op for absent rows.
 func (h *RelationHandle) DeleteKey(rowKey string) error {
+	return h.write(rowKey, nil, false)
+}
+
+// write applies rowKey's transition to new (nil deletes) under the write
+// lock, against the tuple the row holds now: an absent row makes it an
+// insert, fails it when mustExist, and makes a delete a no-op.
+func (h *RelationHandle) write(rowKey string, new *Tuple, mustExist bool) error {
 	h.writeMu.Lock()
 	defer h.writeMu.Unlock()
-	old, ok, err := h.Get(rowKey)
-	if err != nil || !ok {
+	cur, ok, err := h.Get(rowKey)
+	if err != nil {
 		return err
 	}
-	return h.maintainer().DeleteTuple(old)
+	var old *Tuple
+	switch {
+	case ok:
+		old = &cur
+	case mustExist:
+		return fmt.Errorf("rankjoin: relation %q has no row %q to update", h.rel.Name, rowKey)
+	case new == nil:
+		return nil
+	}
+	return h.maintainer().Write(old, new, 0)
 }
 
 // BatchInsert inserts many NEW tuples with full index maintenance,
