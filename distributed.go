@@ -3,7 +3,6 @@ package rankjoin
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -200,7 +199,7 @@ func (d *Distributed) AggregateCost() sim.Snapshot {
 		if err != nil {
 			continue
 		}
-		total = total.Add(costSnapshot(h.Cost))
+		total = total.Add(h.Cost)
 	}
 	return total
 }
@@ -242,7 +241,7 @@ func (r *DistRelation) Insert(rowKey, joinValue string, score float64) error {
 	if err := checkScores(r.name, t); err != nil {
 		return err
 	}
-	return r.d.router.Upsert(r.name, *tupleData(t))
+	return r.d.router.Upsert(r.name, t)
 }
 
 // Update replaces an existing tuple's join value and score through the
@@ -253,7 +252,7 @@ func (r *DistRelation) Update(rowKey, joinValue string, score float64) error {
 	if err := checkScores(r.name, t); err != nil {
 		return err
 	}
-	return r.d.router.Update(r.name, *tupleData(t))
+	return r.d.router.Update(r.name, t)
 }
 
 // DeleteKey removes a tuple by row key (no-op when absent).
@@ -268,11 +267,7 @@ func (r *DistRelation) BatchInsert(tuples []Tuple) error {
 	if err := checkScores(r.name, tuples...); err != nil {
 		return err
 	}
-	wire := make([]transport.TupleData, len(tuples))
-	for i, t := range tuples {
-		wire[i] = *tupleData(t)
-	}
-	return r.d.router.BatchInsert(r.name, wire)
+	return r.d.router.BatchInsert(r.name, tuples)
 }
 
 // Get resolves the relation's current tuple for a row key, preferring
@@ -285,17 +280,14 @@ func (r *DistRelation) Get(rowKey string) (Tuple, bool, error) {
 	if t == nil {
 		return Tuple{}, false, nil
 	}
-	return tupleOf(t), true, nil
+	return *t, true, nil
 }
 
 // wireShape renders a query's join tree for the seam.
 func wireShape(q Query) transport.TreeData {
-	td := transport.TreeData{}
+	td := transport.TreeData{Edges: q.t.Edges}
 	for i := range q.t.Relations {
 		td.Relations = append(td.Relations, q.t.Relations[i].Name)
-	}
-	for _, e := range q.t.Edges {
-		td.Edges = append(td.Edges, transport.TreeEdgeData{A: e.A, B: e.B, Kind: string(e.Kind), Band: e.Band})
 	}
 	return td
 }
@@ -360,27 +352,17 @@ func wireRequest(q Query, algo Algorithm, o QueryOptions) transport.QueryRequest
 	return req
 }
 
-// resultOf converts node's wire result back to the public Result shape,
-// pinning its page token (if any) to that node as page number pages.
+// resultOf is node's result as the public Result, its page token (if
+// any) pinned to that node as page number pages.
 func resultOf(res *transport.ResultData, node string, pages int) *Result {
 	out := &Result{
-		Cost:      costSnapshot(res.Cost),
+		Results:   res.Results,
+		Cost:      res.Cost,
 		Algorithm: res.Algorithm,
+		Estimate:  res.Estimate,
 	}
 	if res.NextPageToken != "" {
 		out.NextPageToken = distToken(node, pages, res.NextPageToken)
-	}
-	if e := res.Estimate; e != nil {
-		out.Estimate = &CostEstimate{SimTime: time.Duration(e.SimTimeNanos), NetworkBytes: e.NetworkBytes, KVReads: e.KVReads}
-	}
-	out.Results = slices.Grow(out.Results, len(res.Results))
-	for _, r := range res.Results {
-		jr := JoinResult{Left: tupleOf(&r.Left), Right: tupleOf(&r.Right), Score: r.Score}
-		jr.Rest = slices.Grow(jr.Rest, len(r.Rest)) // stays nil for two leaves
-		for i := range r.Rest {
-			jr.Rest = append(jr.Rest, tupleOf(&r.Rest[i]))
-		}
-		out.Results = append(out.Results, jr)
 	}
 	return out
 }

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
@@ -279,7 +280,16 @@ func TestDistributedWritesVisibleEverywhere(t *testing.T) {
 // servers reached over loopback TCP, with full replication.
 func openTCPCluster(t testing.TB, n int) *Distributed {
 	t.Helper()
+	d, _ := openTCPClusterDBs(t, n)
+	return d
+}
+
+// openTCPClusterDBs is openTCPCluster that also returns each node's DB
+// by node name, for tests that read node-side state.
+func openTCPClusterDBs(t testing.TB, n int) (*Distributed, map[string]*DB) {
+	t.Helper()
 	var specs []NodeSpec
+	dbs := map[string]*DB{}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("tcp%d", i)
 		ndb, err := Open(Config{})
@@ -287,6 +297,7 @@ func openTCPCluster(t testing.TB, n int) *Distributed {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ndb.Close() })
+		dbs[name] = ndb
 		srv, err := transport.ListenAndServe("127.0.0.1:0", NewNodeService(name, ndb))
 		if err != nil {
 			t.Fatal(err)
@@ -299,7 +310,62 @@ func openTCPCluster(t testing.TB, n int) *Distributed {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
-	return d
+	return d, dbs
+}
+
+// TestDistributedSeamCarriesResultWhole: a query's whole Result crosses
+// the seam (rows, cost, algorithm and planner estimate), so a loopback
+// and a TCP cluster loaded the same way answer identically, and
+// AggregateCost adds up exactly what the nodes' own metrics recorded.
+func TestDistributedSeamCarriesResultWhole(t *testing.T) {
+	left, right := distTuples(100)
+	loop := openLoopbackCluster(t, 3)
+	loopQ := loadCluster(t, loop, left, right)
+	tcp, tcpDBs := openTCPClusterDBs(t, 3)
+	tcpQ := loadCluster(t, tcp, left, right)
+
+	for _, algo := range []Algorithm{AlgoAuto, AlgoBFHM} {
+		want, err := loop.TopK(loopQ, algo, nil)
+		if err != nil {
+			t.Fatalf("loopback %s: %v", algo, err)
+		}
+		got, err := tcp.TopK(tcpQ, algo, nil)
+		if err != nil {
+			t.Fatalf("tcp %s: %v", algo, err)
+		}
+		if len(want.Results) == 0 {
+			t.Fatalf("%s: no results", algo)
+		}
+		if (want.Estimate != nil) != (algo == AlgoAuto) {
+			t.Errorf("%s: estimate %+v; want one exactly when the planner chose", algo, want.Estimate)
+		}
+		if !reflect.DeepEqual(got.Results, want.Results) {
+			t.Errorf("%s: tcp results %+v, loopback %+v", algo, got.Results, want.Results)
+		}
+		if got.Cost != want.Cost || got.Algorithm != want.Algorithm {
+			t.Errorf("%s: tcp cost %+v algorithm %q, loopback %+v %q", algo, got.Cost, got.Algorithm, want.Cost, want.Algorithm)
+		}
+		if !reflect.DeepEqual(got.Estimate, want.Estimate) {
+			t.Errorf("%s: tcp estimate %+v, loopback %+v", algo, got.Estimate, want.Estimate)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		d    *Distributed
+		db   func(node string) *DB
+	}{
+		{"loopback", loop, loop.NodeDB},
+		{"tcp", tcp, func(node string) *DB { return tcpDBs[node] }},
+	} {
+		var sum sim.Snapshot
+		for _, node := range c.d.Nodes() {
+			sum = sum.Add(c.db(node).Metrics().Snapshot())
+		}
+		if got := c.d.AggregateCost(); got != sum || got.KVReads == 0 {
+			t.Errorf("%s: AggregateCost %+v, the nodes' metrics add up to %+v", c.name, got, sum)
+		}
+	}
 }
 
 // TestDistributedOverTCP runs the same workload against region servers
@@ -331,12 +397,13 @@ func TestDistributedOverTCP(t *testing.T) {
 	}
 }
 
-// TestNonFiniteScoreRefused: a NaN or ±Inf score is refused with a
-// *ScoreError by every write on a DB, a loopback cluster and a TCP
-// cluster, before anything is written, so every executor keeps ranking
-// the same finite data. (A DB and a loopback cluster once stored such a
-// score, after which the executors disagreed on the top result, and TCP
-// failed the write with an untyped JSON error.)
+// TestNonFiniteScoreRefused: a NaN, ±Inf or out-of-range score (1.2,
+// -0.1) is refused with a *ScoreError by every write on a DB, a loopback
+// cluster and a TCP cluster, before anything is written, so every
+// executor keeps ranking the same data in [0, 1]. (A DB and a loopback
+// cluster once stored a non-finite score, after which the executors
+// disagreed on the top result, and TCP failed the write with an untyped
+// JSON error; an insert at 1.2 made BFHM's top-1 differ from naive's.)
 func TestNonFiniteScoreRefused(t *testing.T) {
 	left, right := distTuples(50)
 	db, q := oracleDB(t, left, right)
@@ -361,7 +428,7 @@ func TestNonFiniteScoreRefused(t *testing.T) {
 	}
 	victim := left[0]
 	for _, dep := range deployments {
-		for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1.2, -0.1} {
 			writes := map[string]error{
 				"Insert":      dep.rel.Insert("dlbad", "j1", bad),
 				"Update":      dep.rel.Update(victim.RowKey, victim.JoinValue, bad),
@@ -372,7 +439,7 @@ func TestNonFiniteScoreRefused(t *testing.T) {
 			}
 			for op, err := range writes {
 				var se *ScoreError
-				if !errors.As(err, &se) || se.Relation != "left" || se.RowKey == "" || !(math.IsNaN(se.Score) || math.IsInf(se.Score, 0)) {
+				if !errors.As(err, &se) || se.Relation != "left" || se.RowKey == "" || !(se.Score == bad || math.IsNaN(se.Score) && math.IsNaN(bad)) {
 					t.Errorf("%s %s(score %v) = %v, want a *ScoreError", dep.name, op, bad, err)
 				}
 			}

@@ -134,7 +134,9 @@
 // skewed joins and band chains. The naive executor answers trees
 // through the materializing adapter.
 // ParseTreeSpec and NewTreeQueryFromSpec decode the JSON wire form
-// the HTTP server accepts on /topk, /stream, and /explain.
+// the HTTP server accepts on /topk, /stream, and /explain. A TreeSpec's
+// edges are TreeEdge values in their JSON form, {"a", "b", "kind",
+// "band"}, where an empty kind means equi.
 //
 // # Online updates
 //
@@ -180,11 +182,13 @@
 // Planner statistics and cached plans are keyed on each table's
 // mutation sequence, so cost estimates track live data too.
 //
-// Scores must be finite. Every write on a RelationHandle or a
-// DistRelation (Insert, Update, BatchInsert, and BulkLoad) refuses a NaN
-// or ±Inf score with a *ScoreError before anything is written, on a DB
-// and on every cluster deployment alike: executors would otherwise rank
-// such a score differently, and the TCP wire cannot carry it.
+// Scores are normalized: each must be a number in [0, 1]. Every write
+// on a RelationHandle or a DistRelation (Insert, Update, BatchInsert,
+// and BulkLoad) refuses a NaN, ±Inf or out-of-range score with a
+// *ScoreError before anything is written, on a DB and on every cluster
+// deployment alike: BFHM and DRJN lay their score histograms over
+// [0, 1], so executors would otherwise rank such a score differently,
+// and the TCP wire cannot carry a non-finite one.
 //
 // A write that fails part-way (base written, an index write refused)
 // surfaces as a core.MaintenanceError naming the divergent index and

@@ -39,11 +39,14 @@ const (
 )
 
 // TreeEdge is one join predicate between the leaves at indexes A and B.
+// The JSON tags are its form in an HTTP tree spec and on the transport
+// seam, where an empty Kind means PredEqui.
 type TreeEdge struct {
-	A, B int
-	Kind PredKind
+	A    int      `json:"a"`
+	B    int      `json:"b"`
+	Kind PredKind `json:"kind,omitempty"`
 	// Band is the half-width of a PredBand predicate; ignored for equi.
-	Band float64
+	Band float64 `json:"band,omitempty"`
 }
 
 // Match evaluates the edge predicate over two join values.

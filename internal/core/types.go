@@ -57,11 +57,12 @@ type Relation struct {
 	ScoreQual string
 }
 
-// Tuple is the algorithm-facing view of one base row.
+// Tuple is the algorithm-facing view of one base row. The JSON tags
+// are its form on the transport seam.
 type Tuple struct {
-	RowKey    string
-	JoinValue string
-	Score     float64
+	RowKey    string  `json:"row_key"`
+	JoinValue string  `json:"join_value"`
+	Score     float64 `json:"score"`
 }
 
 // TupleFromRow extracts a Tuple, reporting ok=false when the row lacks
@@ -84,10 +85,10 @@ func TupleFromRow(rel *Relation, r *kvstore.Row) (Tuple, bool) {
 // leaves carry the third and later leaves' tuples in Rest, in leaf
 // order.
 type JoinResult struct {
-	Left  Tuple
-	Right Tuple
-	Rest  []Tuple
-	Score float64
+	Left  Tuple   `json:"left"`
+	Right Tuple   `json:"right"`
+	Rest  []Tuple `json:"rest,omitempty"`
+	Score float64 `json:"score"`
 }
 
 // less orders results descending by score with deterministic tie-breaks

@@ -317,15 +317,17 @@ func (m *Metrics) Dollars() float64 {
 	return DollarsForReads(m.KVReads())
 }
 
-// Snapshot is a copyable view of a Metrics at a point in time.
+// Snapshot is a copyable view of a Metrics at a point in time. The
+// JSON tags are its form on the transport seam; SimTime encodes as
+// integer nanoseconds.
 type Snapshot struct {
-	SimTime       time.Duration
-	NetworkBytes  uint64
-	KVReads       uint64
-	KVWrites      uint64
-	RPCCalls      uint64
-	DiskBytesRead uint64
-	TuplesShipped uint64
+	SimTime       time.Duration `json:"sim_time_nanos"`
+	NetworkBytes  uint64        `json:"network_bytes"`
+	KVReads       uint64        `json:"kv_reads"`
+	KVWrites      uint64        `json:"kv_writes"`
+	RPCCalls      uint64        `json:"rpc_calls"`
+	DiskBytesRead uint64        `json:"disk_bytes_read"`
+	TuplesShipped uint64        `json:"tuples_shipped"`
 }
 
 // Snapshot captures the current counters.

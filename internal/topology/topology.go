@@ -38,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/transport"
 )
 
@@ -431,7 +432,7 @@ func (r *Router) replicaSet(relation string) ([]*node, error) {
 // read for rowKey, marking unreachable candidates dirty on the way (a
 // node down now will miss the write we are about to ship). rowKey ""
 // skips the read (batch loads resolve nothing).
-func (r *Router) resolveLeader(relation, rowKey string, reps []*node) (*node, *transport.TupleData, error) {
+func (r *Router) resolveLeader(relation, rowKey string, reps []*node) (*node, *core.Tuple, error) {
 	failed := map[string]error{}
 	for _, nd := range reps {
 		if r.isDirty(nd.name) {
@@ -493,14 +494,14 @@ func (r *Router) replicate(leader *node, reps []*node, op transport.WriteOp) err
 
 // Upsert writes one tuple through the replication protocol: resolve at
 // the leader (insert or update), stamp once, replicate, ack at quorum.
-func (r *Router) Upsert(relation string, t transport.TupleData) error {
+func (r *Router) Upsert(relation string, t core.Tuple) error {
 	return r.write(relation, t.RowKey, &t, false)
 }
 
 // Update is Upsert for a row that must already exist: when the leader
 // resolves no current tuple the write fails and nothing is stamped or
 // shipped.
-func (r *Router) Update(relation string, t transport.TupleData) error {
+func (r *Router) Update(relation string, t core.Tuple) error {
 	return r.write(relation, t.RowKey, &t, true)
 }
 
@@ -514,7 +515,7 @@ func (r *Router) Delete(relation, rowKey string) error {
 // transition to t (nil deletes): an absent row makes it an insert, fails
 // it when mustExist, and makes a delete a no-op that stamps and ships
 // nothing.
-func (r *Router) write(relation, rowKey string, t *transport.TupleData, mustExist bool) error {
+func (r *Router) write(relation, rowKey string, t *core.Tuple, mustExist bool) error {
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
 	reps, err := r.replicaSet(relation)
@@ -545,7 +546,7 @@ func (r *Router) write(relation, rowKey string, t *transport.TupleData, mustExis
 // BatchInsert loads many NEW tuples as one replicated group write with
 // a single shared timestamp (no per-row resolution — reused row keys
 // strand index entries, exactly as RelationHandle.BatchInsert warns).
-func (r *Router) BatchInsert(relation string, tuples []transport.TupleData) error {
+func (r *Router) BatchInsert(relation string, tuples []core.Tuple) error {
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
 	reps, err := r.replicaSet(relation)
@@ -564,7 +565,7 @@ func (r *Router) BatchInsert(relation string, tuples []transport.TupleData) erro
 // and failing over across clean replicas, then dirty ones (a dirty
 // replica may serve a stale tuple, but stale beats unavailable once no
 // clean replica is left).
-func (r *Router) Get(relation, rowKey string) (*transport.TupleData, error) {
+func (r *Router) Get(relation, rowKey string) (*core.Tuple, error) {
 	reps, err := r.replicaSet(relation)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/merkle"
 	"repro/internal/transport"
 )
@@ -106,7 +107,7 @@ func (f *fakeNode) EnsureIndexes(req transport.EnsureRequest) error {
 	return nil
 }
 
-func tupleCells(t *transport.TupleData, ts int64) []transport.CellData {
+func tupleCells(t *core.Tuple, ts int64) []transport.CellData {
 	return []transport.CellData{
 		{Row: t.RowKey, Family: "d", Qualifier: "join", Value: []byte(t.JoinValue), Timestamp: ts},
 		{Row: t.RowKey, Family: "d", Qualifier: "score", Value: []byte(fmt.Sprint(t.Score)), Timestamp: ts},
@@ -156,7 +157,7 @@ func (f *fakeNode) GetTuple(relation, rowKey string) (*transport.GetResponse, er
 	if !ok {
 		return &transport.GetResponse{}, nil
 	}
-	return &transport.GetResponse{Tuple: &transport.TupleData{RowKey: rowKey, JoinValue: string(cells[0].Value)}}, nil
+	return &transport.GetResponse{Tuple: &core.Tuple{RowKey: rowKey, JoinValue: string(cells[0].Value)}}, nil
 }
 
 func (f *fakeNode) TopK(req transport.QueryRequest) (*transport.ResultData, error) {
@@ -323,12 +324,12 @@ func assertReplicasEqual(t *testing.T, fakes []*fakeNode, table string) {
 func TestReplicatedWritesAreIdentical(t *testing.T) {
 	r, fakes := cluster3(t)
 	for i := 0; i < 10; i++ {
-		if err := r.Upsert("part", transport.TupleData{RowKey: fmt.Sprintf("p%d", i), JoinValue: "j", Score: 0.5}); err != nil {
+		if err := r.Upsert("part", core.Tuple{RowKey: fmt.Sprintf("p%d", i), JoinValue: "j", Score: 0.5}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Overwrite resolves to an update, delete resolves the old tuple.
-	if err := r.Upsert("part", transport.TupleData{RowKey: "p3", JoinValue: "j2", Score: 0.9}); err != nil {
+	if err := r.Upsert("part", core.Tuple{RowKey: "p3", JoinValue: "j2", Score: 0.9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Delete("part", "p7"); err != nil {
@@ -348,7 +349,7 @@ func TestReplicatedWritesAreIdentical(t *testing.T) {
 // replica sees a write.
 func TestUpdateMustFindTheRow(t *testing.T) {
 	r, fakes := cluster3(t)
-	if err := r.Update("part", transport.TupleData{RowKey: "ghost", JoinValue: "j", Score: 0.5}); err == nil {
+	if err := r.Update("part", core.Tuple{RowKey: "ghost", JoinValue: "j", Score: 0.5}); err == nil {
 		t.Fatal("update of an absent row succeeded")
 	}
 	for _, f := range fakes {
@@ -356,10 +357,10 @@ func TestUpdateMustFindTheRow(t *testing.T) {
 			t.Fatalf("%s holds %v after a refused update", f.name, got)
 		}
 	}
-	if err := r.Upsert("part", transport.TupleData{RowKey: "a", JoinValue: "j", Score: 0.5}); err != nil {
+	if err := r.Upsert("part", core.Tuple{RowKey: "a", JoinValue: "j", Score: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update("part", transport.TupleData{RowKey: "a", JoinValue: "j2", Score: 0.9}); err != nil {
+	if err := r.Update("part", core.Tuple{RowKey: "a", JoinValue: "j2", Score: 0.9}); err != nil {
 		t.Fatalf("update of a live row: %v", err)
 	}
 	assertReplicasEqual(t, fakes, "rel_part")
@@ -392,7 +393,7 @@ func TestTreeQueryRoutesByItsLeaves(t *testing.T) {
 func TestQuorumWriteSurvivesOneNodeDown(t *testing.T) {
 	r, fakes := cluster3(t)
 	fakes[2].setDown(true)
-	if err := r.Upsert("part", transport.TupleData{RowKey: "a", JoinValue: "j"}); err != nil {
+	if err := r.Upsert("part", core.Tuple{RowKey: "a", JoinValue: "j"}); err != nil {
 		t.Fatalf("2/3 write should ack: %v", err)
 	}
 	if d := r.Dirty(); len(d) != 1 || d[0] != "n2" {
@@ -400,7 +401,7 @@ func TestQuorumWriteSurvivesOneNodeDown(t *testing.T) {
 	}
 	// Second node down: 1/3 acks < quorum 2 → typed failure.
 	fakes[1].setDown(true)
-	err := r.Upsert("part", transport.TupleData{RowKey: "b", JoinValue: "j"})
+	err := r.Upsert("part", core.Tuple{RowKey: "b", JoinValue: "j"})
 	var re *ReplicationError
 	if !errors.As(err, &re) || re.Acked != 1 || re.Quorum != 2 {
 		t.Fatalf("err = %v, want ReplicationError acked 1 quorum 2", err)
@@ -410,13 +411,13 @@ func TestQuorumWriteSurvivesOneNodeDown(t *testing.T) {
 func TestLeaderFailoverOnWrite(t *testing.T) {
 	r, fakes := cluster3(t)
 	fakes[0].setDown(true) // topology-order leader dies
-	if err := r.Upsert("part", transport.TupleData{RowKey: "a", JoinValue: "j"}); err != nil {
+	if err := r.Upsert("part", core.Tuple{RowKey: "a", JoinValue: "j"}); err != nil {
 		t.Fatalf("write with fallback leader: %v", err)
 	}
 	// n0 revives but stays dirty: it must not serve as leader (it
 	// missed the write) until anti-entropy clears it.
 	fakes[0].setDown(false)
-	if err := r.Upsert("part", transport.TupleData{RowKey: "b", JoinValue: "j"}); err != nil {
+	if err := r.Upsert("part", core.Tuple{RowKey: "b", JoinValue: "j"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := tableRows(fakes[0], "rel_part"); len(got) != 0 {
@@ -436,7 +437,7 @@ func TestLeaderFailoverOnWrite(t *testing.T) {
 }
 
 // partSelfJoin is a two-leaf tree over the one relation cluster3 defines.
-var partSelfJoin = transport.TreeData{Relations: []string{"part", "part"}, Edges: []transport.TreeEdgeData{{A: 0, B: 1}}}
+var partSelfJoin = transport.TreeData{Relations: []string{"part", "part"}, Edges: []core.TreeEdge{{A: 0, B: 1}}}
 
 func TestQueryFailoverAndNoReplicaError(t *testing.T) {
 	r, fakes := cluster3(t)
@@ -480,13 +481,13 @@ func TestQueryFailsOverOnCorruption(t *testing.T) {
 func TestAntiEntropyRepairsDivergence(t *testing.T) {
 	r, fakes := cluster3(t)
 	for i := 0; i < 20; i++ {
-		if err := r.Upsert("part", transport.TupleData{RowKey: fmt.Sprintf("p%02d", i), JoinValue: "v1"}); err != nil {
+		if err := r.Upsert("part", core.Tuple{RowKey: fmt.Sprintf("p%02d", i), JoinValue: "v1"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// n1 sleeps through updates and a delete.
 	fakes[1].setDown(true)
-	if err := r.Upsert("part", transport.TupleData{RowKey: "p05", JoinValue: "v2"}); err != nil {
+	if err := r.Upsert("part", core.Tuple{RowKey: "p05", JoinValue: "v2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Delete("part", "p11"); err != nil {
@@ -525,7 +526,7 @@ func TestAntiEntropyRepairsDivergence(t *testing.T) {
 func TestAntiEntropyFullResyncOnCorruption(t *testing.T) {
 	r, fakes := cluster3(t)
 	for i := 0; i < 8; i++ {
-		if err := r.Upsert("part", transport.TupleData{RowKey: fmt.Sprintf("p%d", i), JoinValue: "v"}); err != nil {
+		if err := r.Upsert("part", core.Tuple{RowKey: fmt.Sprintf("p%d", i), JoinValue: "v"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -556,7 +557,7 @@ func TestRouterStampsDominateNodeClocks(t *testing.T) {
 	if err := r.EnsureIndexes(transport.EnsureRequest{Tree: partSelfJoin, Score: "sum", Algos: []string{"isl"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Upsert("part", transport.TupleData{RowKey: "a", JoinValue: "j"}); err != nil {
+	if err := r.Upsert("part", core.Tuple{RowKey: "a", JoinValue: "j"}); err != nil {
 		t.Fatal(err)
 	}
 	rows := tableRows(fakes[0], "rel_part")
@@ -572,7 +573,7 @@ func TestRouterStampsDominateNodeClocks(t *testing.T) {
 func TestStatusReportsHealthAndDirtiness(t *testing.T) {
 	r, fakes := cluster3(t)
 	fakes[1].setDown(true)
-	_ = r.Upsert("part", transport.TupleData{RowKey: "a", JoinValue: "j"})
+	_ = r.Upsert("part", core.Tuple{RowKey: "a", JoinValue: "j"})
 	st := r.Status()
 	if len(st) != 3 {
 		t.Fatalf("status rows = %d", len(st))
@@ -630,7 +631,7 @@ func TestSharedIndexTableOwnersGrow(t *testing.T) {
 		}
 	}
 	tree := func(rels ...string) transport.TreeData {
-		return transport.TreeData{Relations: rels, Edges: []transport.TreeEdgeData{{A: 0, B: 1}}}
+		return transport.TreeData{Relations: rels, Edges: []core.TreeEdge{{A: 0, B: 1}}}
 	}
 	r.mu.Lock()
 	af, errAF := r.coveringLocked([]string{"a", "f"})

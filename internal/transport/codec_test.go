@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/merkle"
 )
 
@@ -298,7 +299,7 @@ func FuzzFrame(f *testing.F) {
 		{methodHealth, nil},
 		{methodDefineRelation, defineRequest{Name: "r1"}},
 		{methodEnsureIndexes, EnsureRequest{Tree: TreeData{Relations: []string{"a", "b"}}, Algos: []string{"isl"}}},
-		{methodApply, WriteOp{Relation: "r1", Kind: OpInsert, New: &TupleData{RowKey: "k"}, TS: 1}},
+		{methodApply, WriteOp{Relation: "r1", Kind: OpInsert, New: &core.Tuple{RowKey: "k"}, TS: 1}},
 		{methodGetTuple, getRequest{Relation: "r1", RowKey: "k"}},
 		{methodTopK, QueryRequest{Left: "a", Right: "b", K: 3, Algo: "isl"}},
 		{methodMerkleTree, TreeRequest{Table: "t", Leaves: 4}},
@@ -402,7 +403,7 @@ func (c *scriptConn) Close() error                { return nil }
 func BenchmarkClientTopK(b *testing.B) {
 	_, cl := startServer(b, &fakeService{})
 	req := QueryRequest{
-		Tree:  TreeData{Relations: []string{"part", "lineitem_pk"}, Edges: []TreeEdgeData{{A: 0, B: 1, Kind: "equi"}}},
+		Tree:  TreeData{Relations: []string{"part", "lineitem_pk"}, Edges: []core.TreeEdge{{A: 0, B: 1, Kind: "equi"}}},
 		Score: "sum", K: 100, Algo: "isl", ISLBatch: 600, Parallelism: 4,
 	}
 	b.ReportAllocs()

@@ -4,22 +4,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // A methodTopK reply's body is ResultData in a hand-written binary
 // layout; every other body is JSON. Integers are uvarints, the one
-// signed field (SimTimeNanos) a zigzag varint, strings a uvarint length
-// and their bytes, floats their IEEE-754 bits in 8 big-endian bytes:
+// signed field (SimTime, in nanoseconds) a zigzag varint, strings a
+// uvarint length and their bytes, floats their IEEE-754 bits in 8
+// big-endian bytes:
 //
 //	results   count, then per result: leaf count, each leaf's tuple in
 //	          leaf order (Left, Right, then Rest) as RowKey, JoinValue,
 //	          Score, and the result's Score
-//	cost      the seven CostData fields in declaration order
+//	cost      the seven sim.Snapshot fields in declaration order
 //	strings   Algorithm, NextPageToken
-//	estimate  a presence byte (0 or 1), then CostData when present
+//	estimate  a presence byte (0 or 1), then, when present, the same
+//	          seven cost fields: the CostEstimate's SimTime,
+//	          NetworkBytes and KVReads, and four zeros in place of the
+//	          fields an estimate lacks (a decoder refuses non-zero ones)
 //
-// Zero results and a two-leaf result's Rest decode nil, the form a node
-// builds and the form JSON gives them.
+// Zero results decode as an empty slice and a two-leaf result's Rest as
+// nil: the forms the engine builds.
 
 // Smallest encodings, used to refuse a count the remaining bytes cannot
 // back before anything is allocated for it.
@@ -45,13 +53,14 @@ func appendResult(b []byte, res *ResultData) []byte {
 	b = appendCost(b, &res.Cost)
 	b = appendString(b, res.Algorithm)
 	b = appendString(b, res.NextPageToken)
-	if res.Estimate == nil {
+	e := res.Estimate
+	if e == nil {
 		return append(b, 0)
 	}
-	return appendCost(append(b, 1), res.Estimate)
+	return appendCost(append(b, 1), &sim.Snapshot{SimTime: e.SimTime, NetworkBytes: e.NetworkBytes, KVReads: e.KVReads})
 }
 
-func appendTuple(b []byte, t *TupleData) []byte {
+func appendTuple(b []byte, t *core.Tuple) []byte {
 	b = appendString(b, t.RowKey)
 	b = appendString(b, t.JoinValue)
 	return binary.BigEndian.AppendUint64(b, math.Float64bits(t.Score))
@@ -61,8 +70,8 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-func appendCost(b []byte, c *CostData) []byte {
-	b = binary.AppendVarint(b, c.SimTimeNanos)
+func appendCost(b []byte, c *sim.Snapshot) []byte {
+	b = binary.AppendVarint(b, int64(c.SimTime))
 	for _, v := range [...]uint64{c.NetworkBytes, c.KVReads, c.KVWrites, c.RPCCalls, c.DiskBytesRead, c.TuplesShipped} {
 		b = binary.AppendUvarint(b, v)
 	}
@@ -125,7 +134,7 @@ func (r *resultReader) string() string {
 	return s
 }
 
-func (r *resultReader) tuple(t *TupleData) {
+func (r *resultReader) tuple(t *core.Tuple) {
 	t.RowKey = r.string()
 	t.JoinValue = r.string()
 	t.Score = r.float()
@@ -141,8 +150,8 @@ func (r *resultReader) varint() int64 {
 	return v
 }
 
-func (r *resultReader) cost(c *CostData) {
-	c.SimTimeNanos = r.varint()
+func (r *resultReader) cost(c *sim.Snapshot) {
+	c.SimTime = time.Duration(r.varint())
 	for _, f := range [...]*uint64{&c.NetworkBytes, &c.KVReads, &c.KVWrites, &c.RPCCalls, &c.DiskBytesRead, &c.TuplesShipped} {
 		*f = r.uvarint()
 	}
@@ -154,27 +163,25 @@ func (r *resultReader) cost(c *CostData) {
 // bytes returns a KindInternal *Error.
 func decodeResult(body []byte, out *ResultData) error {
 	r := &resultReader{b: body, s: string(body)}
-	if n := r.count("result", minResultLen); n > 0 {
-		out.Results = make([]JoinResultData, n)
-		for i := range out.Results {
-			jr := &out.Results[i]
-			leaves := r.uvarint()
-			if leaves < minLeaves || leaves-minLeaves > uint64((len(r.b)-r.off)/minTupleLen) {
-				r.fail("result %d claims %d leaves", i, leaves)
-				break
+	out.Results = make([]core.JoinResult, r.count("result", minResultLen))
+	for i := range out.Results {
+		jr := &out.Results[i]
+		leaves := r.uvarint()
+		if leaves < minLeaves || leaves-minLeaves > uint64((len(r.b)-r.off)/minTupleLen) {
+			r.fail("result %d claims %d leaves", i, leaves)
+			break
+		}
+		r.tuple(&jr.Left)
+		r.tuple(&jr.Right)
+		if rest := int(leaves - minLeaves); rest > 0 {
+			jr.Rest = make([]core.Tuple, rest)
+			for j := range jr.Rest {
+				r.tuple(&jr.Rest[j])
 			}
-			r.tuple(&jr.Left)
-			r.tuple(&jr.Right)
-			if rest := int(leaves - minLeaves); rest > 0 {
-				jr.Rest = make([]TupleData, rest)
-				for j := range jr.Rest {
-					r.tuple(&jr.Rest[j])
-				}
-			}
-			jr.Score = r.float()
-			if r.err != nil {
-				break
-			}
+		}
+		jr.Score = r.float()
+		if r.err != nil {
+			break
 		}
 	}
 	r.cost(&out.Cost)
@@ -183,8 +190,12 @@ func decodeResult(body []byte, out *ResultData) error {
 	switch present := r.uvarint(); present {
 	case 0:
 	case 1:
-		out.Estimate = &CostData{}
-		r.cost(out.Estimate)
+		var c sim.Snapshot
+		r.cost(&c)
+		if c.KVWrites|c.RPCCalls|c.DiskBytesRead|c.TuplesShipped != 0 {
+			r.fail("estimate sets a cost field an estimate lacks")
+		}
+		out.Estimate = &core.CostEstimate{SimTime: c.SimTime, NetworkBytes: c.NetworkBytes, KVReads: c.KVReads}
 	default:
 		r.fail("estimate presence byte %d", present)
 	}

@@ -9,6 +9,10 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // fuzzBytes hands out a fuzz input piece by piece; past its end every
@@ -51,27 +55,28 @@ func (f *fuzzBytes) string() string {
 	return strings.ToValidUTF8(string(f.take(int(f.byte()%16))), "\uFFFD")
 }
 
-func (f *fuzzBytes) tuple() TupleData {
-	return TupleData{RowKey: f.string(), JoinValue: f.string(), Score: f.float()}
+func (f *fuzzBytes) tuple() core.Tuple {
+	return core.Tuple{RowKey: f.string(), JoinValue: f.string(), Score: f.float()}
 }
 
-func (f *fuzzBytes) cost() CostData {
-	return CostData{
-		SimTimeNanos: int64(f.uint64()), NetworkBytes: f.uint64(), KVReads: f.uint64(),
+func (f *fuzzBytes) cost() sim.Snapshot {
+	return sim.Snapshot{
+		SimTime: time.Duration(f.uint64()), NetworkBytes: f.uint64(), KVReads: f.uint64(),
 		KVWrites: f.uint64(), RPCCalls: f.uint64(), DiskBytesRead: f.uint64(), TuplesShipped: f.uint64(),
 	}
 }
 
 // result builds a ResultData of up to 7 results with 0–3 extra leaves
-// each. Results is nil when empty, as a node builds it; an empty Rest
-// is nil or empty, which JSON does not tell apart.
+// each. Results is empty, not nil, when there are none, as the engine
+// builds it; an empty Rest is nil or empty, which JSON does not tell
+// apart.
 func (f *fuzzBytes) result() *ResultData {
-	res := &ResultData{}
+	res := &ResultData{Results: []core.JoinResult{}}
 	for range f.byte() % 8 {
 		shape := f.byte()
-		jr := JoinResultData{Left: f.tuple(), Right: f.tuple()}
+		jr := core.JoinResult{Left: f.tuple(), Right: f.tuple()}
 		if extra := int(shape % 4); extra > 0 || shape&4 != 0 {
-			jr.Rest = make([]TupleData, extra)
+			jr.Rest = make([]core.Tuple, extra)
 		}
 		for i := range jr.Rest {
 			jr.Rest[i] = f.tuple()
@@ -83,19 +88,18 @@ func (f *fuzzBytes) result() *ResultData {
 	res.Algorithm = f.string()
 	res.NextPageToken = f.string()
 	if f.byte()&1 != 0 {
-		est := f.cost()
-		res.Estimate = &est
+		res.Estimate = &core.CostEstimate{SimTime: time.Duration(f.uint64()), NetworkBytes: f.uint64(), KVReads: f.uint64()}
 	}
 	return res
 }
 
 // page is a k-row two-leaf page of the kind a node sends.
 func page(k int) *ResultData {
-	res := &ResultData{Algorithm: "isl", NextPageToken: "n0:1:tok", Cost: CostData{SimTimeNanos: 4_200_000, NetworkBytes: 9000, KVReads: 120, RPCCalls: 4}}
+	res := &ResultData{Algorithm: "isl", NextPageToken: "n0:1:tok", Cost: sim.Snapshot{SimTime: 4_200_000, NetworkBytes: 9000, KVReads: 120, RPCCalls: 4}}
 	for i := range k {
-		res.Results = append(res.Results, JoinResultData{
-			Left:  TupleData{RowKey: fmt.Sprintf("part%06d", i), JoinValue: fmt.Sprintf("p%d", i%37), Score: 1 - float64(i)/1000},
-			Right: TupleData{RowKey: fmt.Sprintf("lineitem%08d", i), JoinValue: fmt.Sprintf("p%d", i%37), Score: 0.5},
+		res.Results = append(res.Results, core.JoinResult{
+			Left:  core.Tuple{RowKey: fmt.Sprintf("part%06d", i), JoinValue: fmt.Sprintf("p%d", i%37), Score: 1 - float64(i)/1000},
+			Right: core.Tuple{RowKey: fmt.Sprintf("lineitem%08d", i), JoinValue: fmt.Sprintf("p%d", i%37), Score: 0.5},
 			Score: 1.5 - float64(i)/1000,
 		})
 	}
@@ -161,8 +165,9 @@ func FuzzResultData(f *testing.F) {
 }
 
 // TestDecodeResultRefusesHostileBodies: a count or length the body
-// cannot back, and trailing bytes, fail typed before any allocation
-// sized by the claim.
+// cannot back, trailing bytes, and an estimate that sets a cost field
+// an estimate lacks fail typed before any allocation sized by the
+// claim.
 func TestDecodeResultRefusesHostileBodies(t *testing.T) {
 	body := appendResult(nil, page(3))
 	for name, bad := range map[string][]byte{
@@ -174,6 +179,7 @@ func TestDecodeResultRefusesHostileBodies(t *testing.T) {
 		"one leaf":        append([]byte{1, 1}, make([]byte, 40)...),
 		"long string":     append(binary.AppendUvarint([]byte{0, 0, 0, 0, 0, 0, 0, 0}, 1<<30), 'x'),
 		"bad presence":    []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2},
+		"estimate writes": []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0},
 	} {
 		var err error
 		if got, bound := allocated(func() { err = decodeResult(bad, &ResultData{}) }), decodeBound(bad); got > bound {

@@ -10,12 +10,18 @@
 // data), and the anti-entropy protocol moves Merkle trees and raw cell
 // ranges between replicas.
 //
-// Two implementations exist: Loopback (in the root package, wrapping a
-// node-local DB with zero serialization — the single-process path every
-// existing benchmark and test keeps) and the TCP Client/Server pair in
-// this package, so a topology can span real processes (cmd/rjnode).
-// Gate wraps any implementation with a kill switch for node-failure
-// tests.
+// Two implementations exist: NodeService (in the root package, wrapping
+// a node-local DB; a loopback topology calls it in-process with no
+// serialization) and the TCP Client/Server pair in this package, which
+// a topology uses to reach a node in another process (cmd/rjnode) that
+// serves a NodeService. Gate wraps any implementation with a kill
+// switch for node-failure tests.
+//
+// The messages carry the engine's own types: a tuple is a core.Tuple, a
+// ranked answer a core.JoinResult, a tree edge a core.TreeEdge, a cost a
+// sim.Snapshot and a planner estimate a core.CostEstimate, so neither
+// side converts anything at the seam. Their JSON tags fix the wire
+// names.
 //
 // On TCP every message is one frame: a 14-byte binary header (the
 // version byte 0xF2, the sequence number, the method code or response
@@ -34,7 +40,9 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/merkle"
+	"repro/internal/sim"
 )
 
 // Error kinds, carried across the wire so the router can react without
@@ -86,12 +94,9 @@ func Unavailable(format string, args ...any) *Error {
 	return &Error{Kind: KindUnavailable, Msg: fmt.Sprintf(format, args...)}
 }
 
-// TupleData is the wire form of one relation tuple.
-type TupleData struct {
-	RowKey    string  `json:"row_key"`
-	JoinValue string  `json:"join_value"`
-	Score     float64 `json:"score"`
-}
+// TupleData is core.Tuple under its old wire name, kept because the
+// benchmark's transport probe spells WriteOp tuples with it.
+type TupleData = core.Tuple
 
 // Write-op kinds.
 const (
@@ -107,40 +112,20 @@ const (
 // every replica derives the identical base + index cell batch, and
 // re-applying after a partial failure is idempotent (same timestamps).
 type WriteOp struct {
-	Relation string      `json:"relation"`
-	Kind     string      `json:"kind"`
-	Old      *TupleData  `json:"old,omitempty"`
-	New      *TupleData  `json:"new,omitempty"`
-	Batch    []TupleData `json:"batch,omitempty"`
-	TS       int64       `json:"ts"`
-}
-
-// CostData is the wire form of a sim.Snapshot: the node-side resources
-// one call consumed, folded into the router's collector on return.
-type CostData struct {
-	SimTimeNanos  int64  `json:"sim_time_nanos"`
-	NetworkBytes  uint64 `json:"network_bytes"`
-	KVReads       uint64 `json:"kv_reads"`
-	KVWrites      uint64 `json:"kv_writes"`
-	RPCCalls      uint64 `json:"rpc_calls"`
-	DiskBytesRead uint64 `json:"disk_bytes_read"`
-	TuplesShipped uint64 `json:"tuples_shipped"`
-}
-
-// TreeEdgeData is the wire form of one join-tree edge.
-type TreeEdgeData struct {
-	A    int     `json:"a"`
-	B    int     `json:"b"`
-	Kind string  `json:"kind,omitempty"` // "equi" (default) or "band"
-	Band float64 `json:"band,omitempty"`
+	Relation string       `json:"relation"`
+	Kind     string       `json:"kind"`
+	Old      *core.Tuple  `json:"old,omitempty"`
+	New      *core.Tuple  `json:"new,omitempty"`
+	Batch    []core.Tuple `json:"batch,omitempty"`
+	TS       int64        `json:"ts"`
 }
 
 // TreeData is the wire form of a join-tree query shape: relations by
 // name (each node rebuilds the canonical Relation mapping locally) plus
 // the edge predicates. Every query the library ships carries one.
 type TreeData struct {
-	Relations []string       `json:"relations"`
-	Edges     []TreeEdgeData `json:"edges"`
+	Relations []string        `json:"relations"`
+	Edges     []core.TreeEdge `json:"edges"`
 }
 
 // QueryRequest ships one top-k (or next-page) execution to a replica.
@@ -171,29 +156,19 @@ func (r *QueryRequest) Shape() TreeData {
 	if len(r.Tree.Relations) > 0 {
 		return r.Tree
 	}
-	return TreeData{Relations: []string{r.Left, r.Right}, Edges: []TreeEdgeData{{A: 0, B: 1, Kind: "equi"}}}
+	return TreeData{Relations: []string{r.Left, r.Right}, Edges: []core.TreeEdge{{A: 0, B: 1, Kind: core.PredEqui}}}
 }
 
-// JoinResultData is the wire form of one ranked join result. Tree
-// queries over more than two leaves carry the third and later leaves'
-// tuples in Rest, in leaf order.
-type JoinResultData struct {
-	Left  TupleData   `json:"left"`
-	Right TupleData   `json:"right"`
-	Rest  []TupleData `json:"rest,omitempty"`
-	Score float64     `json:"score"`
-}
-
-// ResultData is a completed node-side query.
+// ResultData is a completed node-side query: the fields of the node's
+// core.Result, as the node's engine produced them.
 type ResultData struct {
-	Results       []JoinResultData `json:"results"`
-	Cost          CostData         `json:"cost"`
-	Algorithm     string           `json:"algorithm"`
-	NextPageToken string           `json:"next_page_token,omitempty"`
+	Results       []core.JoinResult `json:"results"`
+	Cost          sim.Snapshot      `json:"cost"`
+	Algorithm     string            `json:"algorithm"`
+	NextPageToken string            `json:"next_page_token,omitempty"`
 	// Estimate is the planner's predicted cost when the node planned the
-	// query (algo=auto); only its time, network and read-unit fields are
-	// set.
-	Estimate *CostData `json:"estimate,omitempty"`
+	// query (algo=auto).
+	Estimate *core.CostEstimate `json:"estimate,omitempty"`
 }
 
 // EnsureRequest asks a replica to build the named index families for a
@@ -207,7 +182,7 @@ type EnsureRequest struct {
 
 // GetResponse carries a point read's resolution (Tuple nil = absent).
 type GetResponse struct {
-	Tuple *TupleData `json:"tuple,omitempty"`
+	Tuple *core.Tuple `json:"tuple,omitempty"`
 }
 
 // HealthInfo is a node's self-report.
@@ -220,8 +195,8 @@ type HealthInfo struct {
 	// keeps its group-write stamps above every replica's clock so
 	// node-local stamps (index builds, repair tombstones) never shadow
 	// replicated cells.
-	Clock int64    `json:"clock"`
-	Cost  CostData `json:"cost"`
+	Clock int64        `json:"clock"`
+	Cost  sim.Snapshot `json:"cost"`
 }
 
 // TreeRequest asks for a table's Merkle tree.

@@ -9,7 +9,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/merkle"
+	"repro/internal/sim"
 )
 
 // fakeService records calls and echoes canned responses. TopK returns
@@ -80,7 +82,7 @@ func (f *fakeService) GetTuple(relation, rowKey string) (*GetResponse, error) {
 	if rowKey == "missing" {
 		return &GetResponse{}, nil
 	}
-	return &GetResponse{Tuple: &TupleData{RowKey: rowKey, JoinValue: "j", Score: 0.5}}, nil
+	return &GetResponse{Tuple: &core.Tuple{RowKey: rowKey, JoinValue: "j", Score: 0.5}}, nil
 }
 
 func (f *fakeService) TopK(req QueryRequest) (*ResultData, error) {
@@ -96,9 +98,9 @@ func (f *fakeService) TopK(req QueryRequest) (*ResultData, error) {
 	}
 	out := &ResultData{Algorithm: req.Algo}
 	for i := 0; i < req.K; i++ {
-		out.Results = append(out.Results, JoinResultData{
-			Left:  TupleData{RowKey: fmt.Sprintf("%s-l%d", req.Algo, i)},
-			Right: TupleData{RowKey: fmt.Sprintf("%s-r%d", req.Algo, i)},
+		out.Results = append(out.Results, core.JoinResult{
+			Left:  core.Tuple{RowKey: fmt.Sprintf("%s-l%d", req.Algo, i)},
+			Right: core.Tuple{RowKey: fmt.Sprintf("%s-r%d", req.Algo, i)},
 			Score: float64(req.K - i),
 		})
 	}
@@ -162,7 +164,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	if err := cl.DefineRelation("r1"); err != nil {
 		t.Fatal(err)
 	}
-	ensure := EnsureRequest{Tree: TreeData{Relations: []string{"r1", "r2"}, Edges: []TreeEdgeData{{A: 0, B: 1}}}, Score: "sum", Algos: []string{"isl", "bfhm"}}
+	ensure := EnsureRequest{Tree: TreeData{Relations: []string{"r1", "r2"}, Edges: []core.TreeEdge{{A: 0, B: 1}}}, Score: "sum", Algos: []string{"isl", "bfhm"}}
 	if err := cl.EnsureIndexes(ensure); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +175,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatalf("DefineRelation/EnsureIndexes crossed as %v, %+v", defined, ensured)
 	}
 
-	op := WriteOp{Relation: "r1", Kind: OpInsert, New: &TupleData{RowKey: "k", JoinValue: "j", Score: 0.25}, TS: 42}
+	op := WriteOp{Relation: "r1", Kind: OpInsert, New: &core.Tuple{RowKey: "k", JoinValue: "j", Score: 0.25}, TS: 42}
 	if err := cl.Apply(op); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +186,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatalf("applied op = %+v", got)
 	}
 
-	shape := TreeData{Relations: []string{"a", "b", "c"}, Edges: []TreeEdgeData{{A: 0, B: 1}, {A: 1, B: 2, Kind: "band", Band: 2.5}}}
+	shape := TreeData{Relations: []string{"a", "b", "c"}, Edges: []core.TreeEdge{{A: 0, B: 1}, {A: 1, B: 2, Kind: "band", Band: 2.5}}}
 	res, err := cl.TopK(QueryRequest{Tree: shape, Score: "sum", K: 3, Algo: "anyk"})
 	if err != nil {
 		t.Fatal(err)
@@ -201,24 +203,24 @@ func TestTCPRoundTrip(t *testing.T) {
 
 	// A three-leaf page with an estimate and a token crosses whole.
 	page := &ResultData{
-		Results: []JoinResultData{
+		Results: []core.JoinResult{
 			{
-				Left:  TupleData{RowKey: "a1", JoinValue: "j1", Score: 0.5},
-				Right: TupleData{RowKey: "b1", JoinValue: "j1", Score: 0.25},
-				Rest:  []TupleData{{RowKey: "c1", JoinValue: "j1", Score: 0.125}},
+				Left:  core.Tuple{RowKey: "a1", JoinValue: "j1", Score: 0.5},
+				Right: core.Tuple{RowKey: "b1", JoinValue: "j1", Score: 0.25},
+				Rest:  []core.Tuple{{RowKey: "c1", JoinValue: "j1", Score: 0.125}},
 				Score: 0.875,
 			},
 			{
-				Left:  TupleData{RowKey: "a2", JoinValue: "ключ", Score: 0.375},
-				Right: TupleData{RowKey: "", JoinValue: "ключ", Score: -1.5e-300},
-				Rest:  []TupleData{{RowKey: "c2", JoinValue: "ключ", Score: 1e300}},
+				Left:  core.Tuple{RowKey: "a2", JoinValue: "ключ", Score: 0.375},
+				Right: core.Tuple{RowKey: "", JoinValue: "ключ", Score: -1.5e-300},
+				Rest:  []core.Tuple{{RowKey: "c2", JoinValue: "ключ", Score: 1e300}},
 				Score: 1e300,
 			},
 		},
-		Cost:          CostData{SimTimeNanos: 12345678, NetworkBytes: 4096, KVReads: 17, KVWrites: 1, RPCCalls: 3, DiskBytesRead: 1 << 40, TuplesShipped: 6},
+		Cost:          sim.Snapshot{SimTime: 12345678, NetworkBytes: 4096, KVReads: 17, KVWrites: 1, RPCCalls: 3, DiskBytesRead: 1 << 40, TuplesShipped: 6},
 		Algorithm:     "anyk",
 		NextPageToken: "tok-2",
-		Estimate:      &CostData{SimTimeNanos: -1, NetworkBytes: 2048, KVReads: 9},
+		Estimate:      &core.CostEstimate{SimTime: -1, NetworkBytes: 2048, KVReads: 9},
 	}
 	fake.mu.Lock()
 	fake.result = page
@@ -286,11 +288,11 @@ func TestTCPRoundTrip(t *testing.T) {
 // tree over Left and Right when it carries none.
 func TestQueryRequestShape(t *testing.T) {
 	pair := QueryRequest{Left: "a", Right: "b"}
-	want := TreeData{Relations: []string{"a", "b"}, Edges: []TreeEdgeData{{A: 0, B: 1, Kind: "equi"}}}
+	want := TreeData{Relations: []string{"a", "b"}, Edges: []core.TreeEdge{{A: 0, B: 1, Kind: "equi"}}}
 	if got := pair.Shape(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Left/Right shape = %+v, want %+v", got, want)
 	}
-	tree := TreeData{Relations: []string{"a", "b", "c"}, Edges: []TreeEdgeData{{A: 0, B: 1}, {A: 0, B: 2}}}
+	tree := TreeData{Relations: []string{"a", "b", "c"}, Edges: []core.TreeEdge{{A: 0, B: 1}, {A: 0, B: 2}}}
 	withTree := QueryRequest{Tree: tree, Left: "x", Right: "y"}
 	if got := withTree.Shape(); !reflect.DeepEqual(got, tree) {
 		t.Fatalf("tree shape = %+v, want %+v", got, tree)

@@ -3,14 +3,12 @@ package rankjoin
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/kvstore"
 	"repro/internal/merkle"
-	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
@@ -37,43 +35,6 @@ func NewNodeService(name string, db *DB) *NodeService {
 	return &NodeService{name: name, db: db}
 }
 
-// wireCost converts a metrics snapshot to its wire form.
-func wireCost(s sim.Snapshot) transport.CostData {
-	return transport.CostData{
-		SimTimeNanos:  s.SimTime.Nanoseconds(),
-		NetworkBytes:  s.NetworkBytes,
-		KVReads:       s.KVReads,
-		KVWrites:      s.KVWrites,
-		RPCCalls:      s.RPCCalls,
-		DiskBytesRead: s.DiskBytesRead,
-		TuplesShipped: s.TuplesShipped,
-	}
-}
-
-// costSnapshot converts a wire cost back to a metrics snapshot (the
-// router folds node-side work into its own collector with it).
-func costSnapshot(c transport.CostData) sim.Snapshot {
-	return sim.Snapshot{
-		SimTime:       time.Duration(c.SimTimeNanos),
-		NetworkBytes:  c.NetworkBytes,
-		KVReads:       c.KVReads,
-		KVWrites:      c.KVWrites,
-		RPCCalls:      c.RPCCalls,
-		DiskBytesRead: c.DiskBytesRead,
-		TuplesShipped: c.TuplesShipped,
-	}
-}
-
-// treeEdgesOf converts wire edges to the public edge form. Unknown
-// kinds pass through and fail tree validation with a typed ShapeError.
-func treeEdgesOf(wire []transport.TreeEdgeData) []TreeEdge {
-	edges := make([]TreeEdge, len(wire))
-	for i, e := range wire {
-		edges[i] = TreeEdge{A: e.A, B: e.B, Kind: PredKind(e.Kind), Band: e.Band}
-	}
-	return edges
-}
-
 // queryFromWire rebuilds the query a request describes. The aggregate
 // crosses the seam by name because ScoreFunc carries a Go function value.
 func (n *NodeService) queryFromWire(tree transport.TreeData, score string, k int) (Query, error) {
@@ -81,7 +42,7 @@ func (n *NodeService) queryFromWire(tree transport.TreeData, score string, k int
 	if !ok {
 		return Query{}, badRequest("unknown score aggregate %q", score)
 	}
-	q, err := n.db.NewTreeQuery(tree.Relations, treeEdgesOf(tree.Edges), f, k)
+	q, err := n.db.NewTreeQuery(tree.Relations, tree.Edges, f, k)
 	if err != nil {
 		return Query{}, badRequest("%v", err)
 	}
@@ -141,7 +102,7 @@ func (n *NodeService) Health() (*transport.HealthInfo, error) {
 		Tables:      n.db.cluster.TableNames(),
 		Quarantined: n.db.cluster.Quarantined(),
 		Clock:       n.db.cluster.Clock(),
-		Cost:        wireCost(n.db.Metrics().Snapshot()),
+		Cost:        n.db.Metrics().Snapshot(),
 	}, nil
 }
 
@@ -174,24 +135,6 @@ func (n *NodeService) EnsureIndexes(req transport.EnsureRequest) error {
 	return wrapNodeErr(n.db.EnsureIndexes(q, algos...))
 }
 
-func tupleOf(t *transport.TupleData) Tuple {
-	return Tuple{RowKey: t.RowKey, JoinValue: t.JoinValue, Score: t.Score}
-}
-
-// tuplePtr converts an optional wire tuple; nil stays nil.
-func tuplePtr(t *transport.TupleData) *Tuple {
-	if t == nil {
-		return nil
-	}
-	tp := tupleOf(t)
-	return &tp
-}
-
-// tupleData converts a tuple to its wire form.
-func tupleData(t Tuple) *transport.TupleData {
-	return &transport.TupleData{RowKey: t.RowKey, JoinValue: t.JoinValue, Score: t.Score}
-}
-
 // Apply implements transport.RegionService: one resolved, pre-stamped
 // write, applied with full index maintenance at the carried timestamp.
 // The router resolved the transition at the leader (Old is the tuple
@@ -214,13 +157,9 @@ func (n *NodeService) Apply(op transport.WriteOp) error {
 	m := h.maintainer()
 	switch op.Kind {
 	case transport.OpInsert, transport.OpUpdate, transport.OpDelete:
-		return wrapNodeErr(m.Write(tuplePtr(op.Old), tuplePtr(op.New), op.TS))
+		return wrapNodeErr(m.Write(op.Old, op.New, op.TS))
 	case transport.OpBatch:
-		tuples := make([]Tuple, len(op.Batch))
-		for i := range op.Batch {
-			tuples[i] = tupleOf(&op.Batch[i])
-		}
-		return wrapNodeErr(m.InsertBatchAt(tuples, op.TS))
+		return wrapNodeErr(m.InsertBatchAt(op.Batch, op.TS))
 	default:
 		return badRequest("unknown write-op kind %q", op.Kind)
 	}
@@ -240,7 +179,7 @@ func (n *NodeService) GetTuple(relation, rowKey string) (*transport.GetResponse,
 	if !ok {
 		return &transport.GetResponse{}, nil
 	}
-	return &transport.GetResponse{Tuple: tupleData(t)}, nil
+	return &transport.GetResponse{Tuple: &t}, nil
 }
 
 // TopK implements transport.RegionService: the whole query runs against
@@ -269,28 +208,13 @@ func (n *NodeService) TopK(req transport.QueryRequest) (*transport.ResultData, e
 	if err != nil {
 		return nil, wrapNodeErr(err)
 	}
-	out := &transport.ResultData{
-		Cost:          wireCost(res.Cost),
+	return &transport.ResultData{
+		Results:       res.Results,
+		Cost:          res.Cost,
 		Algorithm:     res.Algorithm,
 		NextPageToken: res.NextPageToken,
-	}
-	if e := res.Estimate; e != nil {
-		out.Estimate = &transport.CostData{SimTimeNanos: e.SimTime.Nanoseconds(), NetworkBytes: e.NetworkBytes, KVReads: e.KVReads}
-	}
-	out.Results = slices.Grow(out.Results, len(res.Results))
-	for _, r := range res.Results {
-		jr := transport.JoinResultData{
-			Left:  *tupleData(r.Left),
-			Right: *tupleData(r.Right),
-			Score: r.Score,
-		}
-		jr.Rest = slices.Grow(jr.Rest, len(r.Rest)) // stays nil for two leaves
-		for _, t := range r.Rest {
-			jr.Rest = append(jr.Rest, *tupleData(t))
-		}
-		out.Results = append(out.Results, jr)
-	}
-	return out, nil
+		Estimate:      res.Estimate,
+	}, nil
 }
 
 // groupRows splits a table snapshot into per-row cell runs, preserving

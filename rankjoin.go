@@ -3,7 +3,6 @@ package rankjoin
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -399,11 +398,12 @@ func (h *RelationHandle) maintainer() *core.Maintainer {
 	return m
 }
 
-// ScoreError refuses a write whose score is NaN or ±Inf. Insert,
-// Update, BatchInsert and BulkLoad on a RelationHandle, and their
-// DistRelation counterparts, return one before anything is written:
-// executors disagree on how to rank a non-finite score, and the TCP
-// wire cannot carry one.
+// ScoreError refuses a write whose score is not a number in [0, 1]:
+// NaN, ±Inf or out of range. Insert, Update, BatchInsert and BulkLoad
+// on a RelationHandle, and their DistRelation counterparts, return one
+// before anything is written: BFHM and DRJN lay their score histograms
+// over [0, 1], so executors would disagree on how to rank any other
+// score, and the TCP wire cannot carry a non-finite one.
 type ScoreError struct {
 	Relation string
 	RowKey   string
@@ -411,14 +411,14 @@ type ScoreError struct {
 }
 
 func (e *ScoreError) Error() string {
-	return fmt.Sprintf("rankjoin: relation %q row %q: score %v is not a finite number", e.Relation, e.RowKey, e.Score)
+	return fmt.Sprintf("rankjoin: relation %q row %q: score %v is not a number in [0, 1]", e.Relation, e.RowKey, e.Score)
 }
 
 // checkScores returns a *ScoreError for the first tuple whose score is
-// not finite.
+// not a number in [0, 1].
 func checkScores(relation string, tuples ...Tuple) error {
 	for _, t := range tuples {
-		if math.IsNaN(t.Score) || math.IsInf(t.Score, 0) {
+		if !(t.Score >= 0 && t.Score <= 1) { // false for NaN too
 			return &ScoreError{Relation: relation, RowKey: t.RowKey, Score: t.Score}
 		}
 	}

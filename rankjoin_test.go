@@ -264,7 +264,7 @@ func TestScoreNamesAgreeAcrossEntryPoints(t *testing.T) {
 	node := NewNodeService("n", db)
 	pairReq := transport.QueryRequest{Left: "a", Right: "b"}
 	pair := pairReq.Shape()
-	tree := transport.TreeData{Relations: []string{"a", "b"}, Edges: []transport.TreeEdgeData{{A: 0, B: 1, Kind: "band", Band: 1}}}
+	tree := transport.TreeData{Relations: []string{"a", "b"}, Edges: []TreeEdge{{A: 0, B: 1, Kind: PredBand, Band: 1}}}
 	for _, name := range []string{"sum", "product", "Sum", "PRODUCT", "max", "theta", " sum"} {
 		_, specErr := ParseTreeSpec([]byte(fmt.Sprintf(`{"relations":["a","b"],"score":%q}`, name)))
 		_, pairErr := node.queryFromWire(pair, name, 5)

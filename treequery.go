@@ -3,6 +3,7 @@ package rankjoin
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/kvstore"
@@ -41,24 +42,15 @@ const (
 
 // ---- JSON tree-query shape (the HTTP server's wire form) ----
 
-// TreeEdgeSpec is the JSON form of one tree edge.
-type TreeEdgeSpec struct {
-	// A and B index the tree's relation list.
-	A int `json:"a"`
-	B int `json:"b"`
-	// Kind is "equi" (default when empty) or "band".
-	Kind string `json:"kind,omitempty"`
-	// Band is the band width for kind "band".
-	Band float64 `json:"band,omitempty"`
-}
-
 // TreeSpec is the JSON form of a tree query.
 type TreeSpec struct {
 	// Relations lists the tree's leaves by defined relation name.
 	Relations []string `json:"relations"`
-	// Edges lists the n-1 join predicates. Empty with exactly two
-	// relations means the single equi-edge {0,1} (the two-way shape).
-	Edges []TreeEdgeSpec `json:"edges,omitempty"`
+	// Edges lists the n-1 join predicates, each {"a", "b", "kind",
+	// "band"} with a and b indexing Relations; an empty kind is equi.
+	// Empty with exactly two relations means the single equi-edge {0,1}
+	// (the two-way shape).
+	Edges []TreeEdge `json:"edges,omitempty"`
 	// Score names the aggregate: "sum" or "product".
 	Score string `json:"score"`
 	// K is the result target.
@@ -71,19 +63,16 @@ type TreeSpec struct {
 func (s *TreeSpec) query(defined func(name string) bool) (Query, error) {
 	edges := binaryEdges
 	if len(s.Edges) > 0 || len(s.Relations) != 2 {
-		edges = make([]TreeEdge, 0, len(s.Edges))
-		for i, e := range s.Edges {
-			var kind PredKind
-			switch e.Kind {
-			case "", string(PredEqui):
-				kind = PredEqui
-			case string(PredBand):
-				kind = PredBand
+		edges = slices.Clone(s.Edges)
+		for i := range edges {
+			switch e := &edges[i]; e.Kind {
+			case "":
+				e.Kind = PredEqui
+			case PredEqui, PredBand:
 			default:
 				return Query{}, fmt.Errorf("rankjoin: tree edge %d has unknown kind %q (want %q or %q)",
 					i, e.Kind, PredEqui, PredBand)
 			}
-			edges = append(edges, TreeEdge{A: e.A, B: e.B, Kind: kind, Band: e.Band})
 		}
 	}
 	name := s.Score
