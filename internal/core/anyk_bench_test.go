@@ -71,6 +71,31 @@ func BenchmarkLeafIndexAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkLeafIndexProbe measures one band probe into a full
+// band-probed leaf of the named size, from the tuples of a neighbouring
+// chain leaf: join values are uniform over as many integers as the leaf
+// has tuples, so a probe finds about three partners at every size. The
+// per-probe cost must stay flat as the leaf grows.
+func BenchmarkLeafIndexProbe(b *testing.B) {
+	tree := bandChain(2)
+	for _, size := range []int{1 << 10, 4 << 10, 16 << 10} {
+		b.Run(fmt.Sprintf("%dk", size>>10), func(b *testing.B) {
+			leaves := chainLeaves(2, size)
+			from, li := newLeafIndex(tree, 0), newLeafIndex(tree, 1)
+			for i := range leaves[0] {
+				from.add(leaves[0][i])
+				li.add(leaves[1][i])
+			}
+			var buf []int32
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = li.candidates(&tree.Edges[0], from, int32(i%size), buf[:0])
+			}
+		})
+	}
+}
+
 // BenchmarkAnyKPush measures one pushed tuple, driven as the list
 // cursor drives the operator: each pull reads the leaf that bounds the
 // threshold (anyKOp.bounding), a releasable check follows every push,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -40,48 +41,109 @@ func openAnyK(t *testing.T, c *kvstore.Cluster, tr *JoinTree, store *IndexStore,
 
 // TestLeafIndexMatchesEdgePredicate: under random interleavings of add
 // and probe, a leaf index must return exactly the ordinals whose tuples
-// satisfy TreeEdge.Match — through either of two band edges of
-// different widths and an equi edge on the same leaf, with duplicate,
-// negative, fractional, non-finite and unparseable join values, and
-// across many chunk splits.
+// satisfy TreeEdge.Match — through up to three band edges of different
+// (or equal) widths and an equi edge on the same leaf, with duplicate,
+// negative, fractional, signed-zero, non-finite and unparseable join
+// values, values whose cells straddle zero, and values so far from zero
+// that their band cells are finer than the floats there — while each
+// band grid's table grows. A probe must visit a bounded number of cells
+// at every magnitude.
 func TestLeafIndexMatchesEdgePredicate(t *testing.T) {
 	ints := func(rng *rand.Rand) string { return strconv.Itoa(rng.Intn(41) - 20) }
+	tenths := func(n int) func(*rand.Rand) string {
+		return func(rng *rand.Rand) string {
+			return strconv.FormatFloat(float64(rng.Intn(2*n+1)-n)/10, 'f', 1, 64)
+		}
+	}
+	// Bounds a probe's cells: three, normally, and about twenty at
+	// |v|/width near 2^52 and up (bandGrid.window).
+	const maxProbeCells = 24
 	cases := []struct {
 		name   string
-		w0, w1 float64
+		widths []float64
 		gen    func(*rand.Rand) string
+		// grew is how many of the leaf's grids must have grown their
+		// table at least twice from its first size.
+		grew int
 	}{
-		{"integers", 0, 1, ints},
+		// Two band edges of width 1 share one grid.
+		{"integers", []float64{0, 1, 1}, ints, 2},
 		// One-decimal values put many pairs exactly on a band boundary,
 		// where a-b and b+band round differently (0.3-0.1 < 0.2 < 0.1+0.2).
-		{"boundaries", 0.2, 0.1, func(rng *rand.Rand) string {
-			return strconv.FormatFloat(float64(rng.Intn(61)-30)/10, 'f', 1, 64)
-		}},
-		{"tiny-and-wide", 1e-9, 1e9, func(rng *rand.Rand) string {
+		{"boundaries", []float64{0.2, 0.1}, tenths(30), 2},
+		{"tiny-and-wide", []float64{1e-9, 1e9}, func(rng *rand.Rand) string {
 			return strconv.FormatFloat(rng.NormFloat64()*50, 'g', 6, 64)
-		}},
-		// Three distinct values: runs of equal entries longer than a chunk.
-		{"few-values", 0, 1, func(rng *rand.Rand) string { return strconv.Itoa(rng.Intn(3)) }},
-		{"specials", 1, 2.5, func(rng *rand.Rand) string {
+		}, 1},
+		// Three distinct values: long cell chains.
+		{"few-values", []float64{0, 1}, func(rng *rand.Rand) string { return strconv.Itoa(rng.Intn(3)) }, 0},
+		{"specials", []float64{1, 2.5}, func(rng *rand.Rand) string {
 			if rng.Intn(6) == 0 {
 				odd := []string{"NaN", "Inf", "-Inf", "+Inf", "abc", "", "1e999", "-0", "0x10"}
 				return odd[rng.Intn(len(odd))]
 			}
 			return ints(rng)
-		}},
+		}, 2},
+		{"three-widths", []float64{0.5, 2, 7}, func(rng *rand.Rand) string {
+			return strconv.FormatFloat(float64(rng.Intn(81)-40)/2, 'g', -1, 64)
+		}, 2},
+		// Cells on both sides of zero: -0.5 lies in cell ⌊-0.5/1+1/2⌋ = 0
+		// and -0.6 in cell -1; at width 0.7, -0.3 in 0 and -0.4 in -1.
+		{"cross-zero", []float64{1, 0.7}, tenths(300), 2},
+		// At band 0, "-0", "0" and "0.0" are one value; so are the
+		// denormals' neighbours of zero at the tiniest width.
+		{"signed-zero", []float64{0, 5e-324}, func(rng *rand.Rand) string {
+			// The denormals in hex: strconv parses decimal ones slowly.
+			zs := []string{"-0", "0", "+0", "0.0", "-0.0", "1", "-1", "0x1p-1074", "-0x1p-1074", "0x1p-1073"}
+			return zs[rng.Intn(len(zs))]
+		}, 0},
+		// A partner a hair beyond fv±band by exact arithmetic that
+		// |a-fv| rounds into the band, in the next cell over: at band 2,
+		// 0.9999999999999998 matches 3 (|a-3| rounds to 2) but lies in
+		// cell 0 and 3-2 in cell 1. Only the window's widening finds it.
+		{"edge-rounding", []float64{2, 0.4, 3}, func(rng *rand.Rand) string {
+			vs := []string{"3", "0.9999999999999998", "1", "0.2", "-0.20000000000000004", "-0.2",
+				"1.5", "-1.5000000000000002", "-1.5", "5", "5.000000000000001"}
+			return vs[rng.Intn(len(vs))]
+		}, 0},
+		// |v|/band >= 2^52, up to, across and past the ±2^62 cell clamp
+		// at band 1e-3 (and the int64 range, were cells not clamped): a
+		// few ulps around each base.
+		{"huge-ratio", []float64{1e-3, 1, 0}, func(rng *rand.Rand) string {
+			bases := []float64{1e13, -3e14, 4.5e15, 0x1p62 * 1e-3, -0x1p63 * 1e-3, 0x1p53, -1e17, 5e18}
+			v := bases[rng.Intn(len(bases))]
+			for k := rng.Intn(9) - 4; k != 0; k -= sign(k) {
+				v = math.Nextafter(v, math.Inf(sign(k)))
+			}
+			return strconv.FormatFloat(v, 'g', -1, 64)
+		}, 2},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(ci)))
+			// Leaf 0 is probed: through an equi edge from leaf 1 and a
+			// band edge from each later leaf, in both orientations.
 			tr := &JoinTree{
-				Relations: make([]Relation, 4),
-				Edges: []TreeEdge{
-					{A: 0, B: 1, Kind: PredBand, Band: tc.w0},
-					{A: 1, B: 2, Kind: PredBand, Band: tc.w1},
-					{A: 3, B: 1, Kind: PredEqui},
-				},
+				Relations: make([]Relation, 2+len(tc.widths)),
+				Edges:     []TreeEdge{{A: 1, B: 0, Kind: PredEqui}},
 			}
-			li := newLeafIndex(tr, 1)
+			distinct := map[float64]bool{}
+			for i, w := range tc.widths {
+				e := TreeEdge{A: 0, B: 2 + i, Kind: PredBand, Band: w}
+				if i%2 == 1 {
+					e.A, e.B = e.B, e.A
+				}
+				tr.Edges = append(tr.Edges, e)
+				distinct[w] = true
+			}
+			li := newLeafIndex(tr, 0)
+			if len(li.grids) != len(distinct) {
+				t.Fatalf("%d band grids for widths %v", len(li.grids), tc.widths)
+			}
+			for i, g := range li.grids {
+				// A fresh table, not a pooled one, so growth starts
+				// from the first size.
+				li.grids[i] = &bandGrid{width: g.width, inv: g.inv}
+			}
 			var added []Tuple
 			var buf []int32
 			for len(added) < 1500 {
@@ -95,8 +157,7 @@ func TestLeafIndexMatchesEdgePredicate(t *testing.T) {
 				}
 				for ei := range tr.Edges {
 					e := &tr.Edges[ei]
-					other := e.A + e.B - 1
-					from := newLeafIndex(tr, other)
+					from := newLeafIndex(tr, e.A+e.B)
 					probe := tc.gen(rng)
 					buf = li.candidates(e, from, from.add(Tuple{JoinValue: probe}), buf[:0])
 					got := append([]int32(nil), buf...)
@@ -104,7 +165,7 @@ func TestLeafIndexMatchesEdgePredicate(t *testing.T) {
 					var want []int32
 					for ord, a := range added {
 						va, vb := probe, a.JoinValue
-						if e.A == 1 {
+						if e.A == 0 {
 							va, vb = vb, va
 						}
 						if e.Match(va, vb) {
@@ -114,13 +175,134 @@ func TestLeafIndexMatchesEdgePredicate(t *testing.T) {
 					if fmt.Sprint(got) != fmt.Sprint(want) {
 						t.Fatalf("after %d adds, edge %d probe %q:\n got %v\nwant %v", len(added), ei, probe, got, want)
 					}
+					if fv := bandValue(probe); e.Kind == PredBand && !math.IsNaN(fv) {
+						if n := len(li.grid(e.Band).window(fv)); n > maxProbeCells {
+							t.Fatalf("probe %q at width %v visits %d cells", probe, e.Band, n)
+						}
+					}
 				}
 			}
-			if tc.name != "specials" && len(li.band.chunks) < 4 {
-				t.Fatalf("only %d band chunks after %d adds: the splits went untested", len(li.band.chunks), len(added))
+			grew := 0
+			for _, g := range li.grids {
+				if g.used*4 > len(g.slots)*3 {
+					t.Fatalf("width %v: %d cells in %d slots", g.width, g.used, len(g.slots))
+				}
+				if len(g.slots) >= 4*minGridSlots {
+					grew++
+				}
+			}
+			if grew < tc.grew {
+				t.Fatalf("%d grids grew their table twice, want %d: the growth went untested", grew, tc.grew)
 			}
 		})
 	}
+}
+
+// FuzzLeafIndexBand decodes band widths, join values and probes from
+// the fuzz bytes and holds a leaf's band candidates to a brute-force
+// TreeEdge.Match scan of every tuple added so far. Values come as
+// quarters near zero, as a neighbour of the last value (one width away,
+// give or take a few ulps: the band's edge) or as raw float64 bits,
+// NaN and infinities included. Each input ends by releasing the leaves,
+// so later inputs probe grids that came back from the pool.
+func FuzzLeafIndexBand(f *testing.F) {
+	f.Add([]byte{0, 2, 10, 20, 11, 120, 121, 30, 31})
+	f.Add([]byte{2, 0, 4, 1, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 60, 150, 151, 152, 61, 153, 155})
+	f.Add([]byte{1, 7, 5, 210, 0x43, 0x30, 0, 0, 0, 0, 0, 0, 160, 161, 162, 163, 164, 165})
+	widths := []float64{0, 0.1, 0.5, 1, 2.5, 1e-9, 1e9, 5e-324, 1e-3}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		raw := func() float64 {
+			var u uint64
+			for i := 0; i < 8; i++ {
+				u = u<<8 | uint64(next())
+			}
+			return math.Float64frombits(u)
+		}
+		tr := &JoinTree{Relations: make([]Relation, 4)}
+		for i := 1 + int(next()%3); i > 0; i-- {
+			w := widths[int(next())%len(widths)]
+			if next()%2 == 1 {
+				if r := math.Abs(raw()); !math.IsNaN(r) && !math.IsInf(r, 0) {
+					w = r
+				}
+			}
+			tr.Edges = append(tr.Edges, TreeEdge{A: len(tr.Edges) + 1, B: 0, Kind: PredBand, Band: w})
+		}
+		li := newLeafIndex(tr, 0)
+		from := make([]*leafIndex, len(tr.Edges))
+		for i := range from {
+			from[i] = newLeafIndex(tr, i+1)
+		}
+		var added []string
+		last := 0.0
+		for len(data) > 0 {
+			op, tag := next(), next()
+			e := &tr.Edges[int(op>>1)%len(tr.Edges)]
+			var v float64
+			switch {
+			case tag < 100:
+				v = float64(int(tag)-50) / 4
+			case tag < 200:
+				v = last + e.Band*float64(int(tag%3)-1)
+				for k := int(tag/3%5) - 2; k != 0; k -= sign(k) {
+					v = math.Nextafter(v, math.Inf(sign(k)))
+				}
+			default:
+				v = raw()
+			}
+			// Extreme magnitudes in hex: strconv parses their decimal
+			// forms slowly, and the oracle parses every value per probe.
+			format := byte('g')
+			if a := math.Abs(v); a != 0 && (a < 1e-20 || a > 1e20) {
+				format = 'x'
+			}
+			s := strconv.FormatFloat(v, format, -1, 64)
+			if op&1 == 0 {
+				li.add(Tuple{JoinValue: s})
+				added = append(added, s)
+				if !math.IsNaN(v) && !math.IsInf(v, 0) {
+					last = v
+				}
+				continue
+			}
+			fl := from[e.A-1]
+			got := li.candidates(e, fl, fl.add(Tuple{JoinValue: s}), nil)
+			sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
+			var want []int32
+			for ord, a := range added {
+				if e.Match(s, a) {
+					want = append(want, int32(ord))
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("width %v, probe %s over %q:\n got %v\nwant %v", e.Band, s, added, got, want)
+			}
+			if fv := bandValue(s); !math.IsNaN(fv) {
+				if n := len(li.grid(e.Band).window(fv)); n > 24 {
+					t.Fatalf("width %v, probe %s visits %d cells", e.Band, s, n)
+				}
+			}
+		}
+		li.release()
+		for _, fl := range from {
+			fl.release()
+		}
+	})
+}
+
+func sign(k int) int {
+	if k < 0 {
+		return -1
+	}
+	return 1
 }
 
 // TestBandTreeUnmatchableJoinValues: "NaN" parses as a float, and a NaN

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -131,10 +132,10 @@ func TestThresholdMatchesUncachedCorners(t *testing.T) {
 }
 
 // TestReleasedLeafBuffersHoldNoTuples: Close hands every leaf's arena
-// pages, band chunks and head map to the pools, and a released page
+// pages, band grids and head map to the pools, and a released page
 // keeps no tuple — no string of a closed query stays reachable from a
-// pool. The leaves are deep enough to fill several pages and split
-// band chunks.
+// pool — while a released grid is emptied: no cell, no link. The leaves
+// are deep enough to fill several pages and grow a grid's table.
 func TestReleasedLeafBuffersHoldNoTuples(t *testing.T) {
 	tree := &JoinTree{Score: Sum, K: 10,
 		Relations: []Relation{stubRel("a"), stubRel("b"), stubRel("c")},
@@ -154,8 +155,12 @@ func TestReleasedLeafBuffersHoldNoTuples(t *testing.T) {
 		}
 		pages = append(pages, li.pages...)
 	}
-	if b := op.join.leaves[0].band; len(b.chunks) < 2 {
-		t.Fatalf("leaf 0's band list has %d chunks: no split to release", len(b.chunks))
+	var grids []*bandGrid
+	for _, li := range op.join.leaves[:2] {
+		if len(li.grids) != 1 || li.grids[0].used <= minGridSlots {
+			t.Fatalf("leaf has %d band grids: want one holding more than %d cells", len(li.grids), minGridSlots)
+		}
+		grids = append(grids, li.grids...)
 	}
 	if op.join.leaves[2].head == nil {
 		t.Fatal("leaf 2 has no equi head map")
@@ -172,10 +177,15 @@ func TestReleasedLeafBuffersHoldNoTuples(t *testing.T) {
 			}
 		}
 	}
+	for i, g := range grids {
+		if g.used != 0 || len(g.prev) != 0 || slices.ContainsFunc(g.slots, func(s gridSlot) bool { return s != gridSlot{} }) {
+			t.Fatalf("released grid %d keeps %d cells and %d links", i, g.used, len(g.prev))
+		}
+	}
 	for i, li := range leavesBefore {
-		if li.pages != nil || li.head != nil || li.band.chunks != nil || li.n != 0 {
-			t.Fatalf("leaf %d still references its buffers after Close: %d pages, head %v, %d chunks, n=%d",
-				i, len(li.pages), li.head != nil, len(li.band.chunks), li.n)
+		if li.pages != nil || li.head != nil || li.grids != nil || li.n != 0 {
+			t.Fatalf("leaf %d still references its buffers after Close: %d pages, head %v, %d grids, n=%d",
+				i, len(li.pages), li.head != nil, len(li.grids), li.n)
 		}
 	}
 }

@@ -22,9 +22,9 @@ import (
 // It also holds what the two consumers that enumerate a tree in memory
 // share — the rank-join operator (anyKOp in anyk.go) and the naive
 // reference at the end of this file: walk orders, the per-leaf index
-// (leafIndex: an arrival arena plus ordinal-only equi chains and a
-// chunked sorted band list) and the assignment enumerator over those
-// indexes (treeJoin).
+// (leafIndex: an arrival arena plus ordinal-only equi chains and band
+// cell chains) and the assignment enumerator over those indexes
+// (treeJoin).
 
 // PredKind names a join-edge predicate family.
 type PredKind string
@@ -252,27 +252,28 @@ func (t *JoinTree) walkOrder(root int) []walkStep {
 // order, in an arena; a tuple's position there is its ordinal, and
 // every other structure (here and in the consumers) refers to tuples by
 // ordinal only, so nothing but the arena holds pointers. Adding a tuple
-// costs O(1) for the equi chains and O(log n) plus a bounded shift for
-// the band list, and parses its join value once (digit strings without
-// strconv); a probe costs O(log n) plus its matches and allocates
-// nothing. The arena pages, band chunks and head map come from pools
-// and go back to them when the list cursor closes (release), so a
-// steady stream of queries reuses them instead of allocating its own.
+// parses its join value once (digit strings without strconv) and costs
+// O(1) amortised: one head-map update for the equi chains and one table
+// update per band grid. A probe costs a few hash lookups plus the
+// tuples of the cells it visits, and allocates nothing. The arena
+// pages, band grids and head map come from pools and go back to them
+// when the list cursor closes (release), so a steady stream of queries
+// reuses them instead of allocating its own.
 type leafIndex struct {
-	hasEqui bool
-	hasBand bool
-
 	// The arena, in pages of tuplePage ordinals: regrowing flat slices
 	// would clear and recopy memory over and over as a leaf fills.
 	pages []*leafPage
 	n     int32
 
-	// Equi probes: the ordinals sharing a join value form a chain from
-	// the latest arrival (head) back through leafPage.prev.
+	// Equi probes, if an equi edge is incident: the ordinals sharing a
+	// join value form a chain from the latest arrival (head) back
+	// through leafPage.prev.
 	head map[string]int32
 
-	// Band probes: the matchable join values (leafPage.vals) sorted.
-	band bandList
+	// Band probes: one cell grid per distinct width among the incident
+	// band edges. One grid at the smallest width would not do: a probe
+	// through a wide edge would walk width/smallest cells.
+	grids []*bandGrid
 }
 
 // tuplePage is the arena page size in ordinals (20 KB of Tuple headers
@@ -306,24 +307,35 @@ func newLeafIndex(t *JoinTree, leaf int) *leafIndex {
 		if e.A != leaf && e.B != leaf {
 			continue
 		}
-		if e.Kind == PredBand {
-			li.hasBand = true
-		} else {
-			li.hasEqui = true
+		if e.Kind != PredBand {
+			if li.head == nil {
+				li.head = headMaps.Get().(map[string]int32)
+			}
+		} else if li.grid(e.Band) == nil {
+			g := bandGrids.Get().(*bandGrid)
+			g.width, g.inv = e.Band, min(1/e.Band, math.MaxFloat64)
+			li.grids = append(li.grids, g)
 		}
 	}
-	if li.hasEqui {
-		li.head = headMaps.Get().(map[string]int32)
-	}
 	return li
+}
+
+// grid returns li's band grid of width w, or nil.
+func (li *leafIndex) grid(w float64) *bandGrid {
+	for _, g := range li.grids {
+		if g.width == w {
+			return g
+		}
+	}
+	return nil
 }
 
 // bandValue parses a join value for band predicates. NaN stands for
 // every value no band predicate can match — unparseable, NaN, or
 // infinite: |a-b| <= Band is false for each of them, as in
-// TreeEdge.Match — so such tuples stay out of the sorted structure and
-// such probes return nothing. Plain digit strings, the usual integer
-// join value, skip strconv.ParseFloat (digitsValue).
+// TreeEdge.Match — so such tuples get no band cell and such probes
+// return nothing. Plain digit strings, the usual integer join value,
+// skip strconv.ParseFloat (digitsValue).
 func bandValue(s string) float64 {
 	if v, ok := digitsValue(s); ok {
 		return v
@@ -355,35 +367,38 @@ func digitsValue(s string) (float64, bool) {
 }
 
 // The buffers a closed list cursor hands to the next query's leaves
-// (leafIndex.release): arena pages, band chunks and equi head maps,
+// (leafIndex.release): arena pages, band grids and equi head maps,
 // each emptied before it is pooled, so a pooled buffer pins no tuple
 // strings.
 var (
-	leafPages  = sync.Pool{New: func() any { return new(leafPage) }}
-	bandChunks = sync.Pool{New: func() any { return new([bandChunkCap]bandEntry) }}
-	headMaps   = sync.Pool{New: func() any { return map[string]int32{} }}
+	leafPages = sync.Pool{New: func() any { return new(leafPage) }}
+	bandGrids = sync.Pool{New: func() any { return new(bandGrid) }}
+	headMaps  = sync.Pool{New: func() any { return map[string]int32{} }}
 )
 
 // maxPooledHead bounds the join values of a head map worth pooling:
 // clearing a map keeps its buckets, so a larger one goes to the
-// collector instead of pinning its peak size.
-const maxPooledHead = 4096
-
-// newBandEntries returns an empty band chunk of capacity bandChunkCap.
-func newBandEntries() []bandEntry {
-	return bandChunks.Get().(*[bandChunkCap]bandEntry)[:0]
-}
+// collector instead of pinning its peak size. maxPooledGrid bounds a
+// pooled band grid's table slots and links the same way.
+const (
+	maxPooledHead = 4096
+	maxPooledGrid = 1 << 12
+)
 
 // release hands li's arena pages (cleared of their tuples), band
-// chunks and head map to the pools and empties li. Nothing may read li's
+// grids and head map to the pools and empties li. Nothing may read li's
 // tuples afterwards; results already materialised hold copies.
 func (li *leafIndex) release() {
 	for pi, p := range li.pages {
 		clear(p.tuples[:min(int(li.n)-pi*tuplePage, tuplePage)])
 		leafPages.Put(p)
 	}
-	for _, c := range li.band.chunks {
-		bandChunks.Put((*[bandChunkCap]bandEntry)(c.es[:bandChunkCap]))
+	for _, g := range li.grids {
+		if len(g.slots) <= maxPooledGrid && cap(g.prev) <= maxPooledGrid {
+			clear(g.slots)
+			g.used, g.prev = 0, g.prev[:0]
+			bandGrids.Put(g)
+		}
 	}
 	if li.head != nil && len(li.head) <= maxPooledHead {
 		clear(li.head)
@@ -401,7 +416,7 @@ func (li *leafIndex) add(t Tuple) int32 {
 	}
 	pg, at := li.pages[ord/tuplePage], ord%tuplePage
 	pg.tuples[at] = t
-	if li.hasEqui {
+	if li.head != nil {
 		p, ok := li.head[t.JoinValue]
 		if !ok {
 			p = -1
@@ -409,11 +424,11 @@ func (li *leafIndex) add(t Tuple) int32 {
 		pg.prev[at] = p
 		li.head[t.JoinValue] = ord
 	}
-	if li.hasBand {
+	if li.grids != nil {
 		v := bandValue(t.JoinValue)
 		pg.vals[at] = v
-		if !math.IsNaN(v) {
-			li.band.insert(v, ord)
+		for _, g := range li.grids {
+			g.add(v)
 		}
 	}
 	return ord
@@ -427,7 +442,7 @@ func (li *leafIndex) candidates(e *TreeEdge, from *leafIndex, ord int32, buf []i
 	if e.Kind != PredBand {
 		return li.equiMatches(from.tuple(ord).JoinValue, buf)
 	}
-	return li.band.appendMatches(from.pages[ord/tuplePage].vals[ord%tuplePage], e.Band, buf)
+	return li.bandMatches(li.grid(e.Band), from.pages[ord/tuplePage].vals[ord%tuplePage], buf)
 }
 
 func (li *leafIndex) equiMatches(v string, buf []int32) []int32 {
@@ -441,165 +456,157 @@ func (li *leafIndex) equiMatches(v string, buf []int32) []int32 {
 	return buf
 }
 
-// bandChunkCap bounds how many entries one insert can shift.
-const bandChunkCap = 256
-
-// bandList is a sorted multiset of (join value, ordinal) pairs kept as
-// a chunked list: a directory of fixed-capacity chunks in value order,
-// which concatenated are the sorted list. An insert binary-searches the
-// directory and the chunk and shifts at most bandChunkCap pointer-free
-// entries; a full chunk splits in two, so nothing is ever recopied as
-// the list grows.
-type bandList struct {
-	chunks []bandChunk
+// bandGrid indexes a leaf's band-matchable join values for the band
+// edges of one width w. A value v lies in cell ⌊v·(1/w)+1/2⌋, clamped
+// to ±2^62 (at w = 0, in the cell of its bits: one per value). The cell
+// is monotone in v, so a probe's partners lie in the cells spanning its
+// band window: three, normally. Only monotonicity makes probes exact,
+// so the cell multiplies by a rounded 1/w rather than divide by w, and
+// where 1/w overflows MaxFloat64 stands in (wider cells, still
+// monotone). Cells are centred on the multiples of w because integer
+// join values at an integer width would otherwise sit on cell edges,
+// where the window's widening (see window) reaches a fourth cell.
+//
+// The ordinals of a cell form a chain from its latest arrival back
+// through prev, as the equi chains do through leafPage.prev, and a
+// pointer-free open-addressing table maps each cell to that latest
+// arrival, so an add is one table update and one link.
+type bandGrid struct {
+	width float64
+	inv   float64    // 1/width, at most MaxFloat64
+	slots []gridSlot // linear probing; power-of-two length, at most 3/4 used
+	used  int
+	prev  []int32 // per ordinal: the ordinal before it in its cell, or -1
+	win   []int64 // probe scratch: the cells one probe visits
 }
 
-type bandEntry struct {
-	v   float64
-	ord int32
+// gridSlot maps a cell to its latest ordinal plus one, so a zeroed slot
+// is empty and clearing the table empties it.
+type gridSlot struct {
+	cell int64
+	last int32
 }
 
-type bandChunk struct {
-	min float64     // value of the first entry
-	es  []bandEntry // sorted, cap bandChunkCap
+// minGridSlots is the size of a grid's first table.
+const minGridSlots = 8
+
+// maxCellWalk bounds the cells a probe walks one by one; see window.
+const maxCellWalk = 16
+
+// cell returns the cell of v, which must not be NaN.
+func (g *bandGrid) cell(v float64) int64 {
+	if g.width == 0 {
+		return int64(math.Float64bits(v + 0)) // v+0 turns -0 into +0
+	}
+	x := v*g.inv + 0.5
+	if x >= 0x1p62 {
+		return 1 << 62
+	}
+	if x <= -0x1p62 {
+		return -1 << 62
+	}
+	c := int64(x) // rounds toward zero: one less below zero makes it ⌊x⌋
+	if float64(c) > x {
+		c--
+	}
+	return c
 }
 
-// The band list's binary searches, one per level and bound: the
-// directory by chunk min, a chunk by entry value, each for the first
-// position >= v (AtLeast) or > v (Above). Every sequence they search is
-// non-decreasing.
-
-// chunkAtLeast returns the directory position of the first chunk whose
-// min is >= v.
-func (b *bandList) chunkAtLeast(v float64) int {
-	lo, hi := 0, len(b.chunks)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if b.chunks[m].min < v {
-			lo = m + 1
-		} else {
-			hi = m
+// slot returns the table slot of cell c: the one holding it, or the
+// empty one it would take.
+func (g *bandGrid) slot(c int64) *gridSlot {
+	h := uint64(c)
+	h = (h ^ h>>32) * 0x9e3779b97f4a7c15
+	mask := uint64(len(g.slots) - 1)
+	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask {
+		if s := &g.slots[i]; s.last == 0 || s.cell == c {
+			return s
 		}
 	}
-	return lo
 }
 
-// chunkAbove returns the directory position of the first chunk whose
-// min is > v.
-func (b *bandList) chunkAbove(v float64) int {
-	lo, hi := 0, len(b.chunks)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if b.chunks[m].min <= v {
-			lo = m + 1
-		} else {
-			hi = m
+// add links the next ordinal, whose parsed join value is v, into its
+// cell; a NaN value gets no cell.
+func (g *bandGrid) add(v float64) {
+	if math.IsNaN(v) {
+		g.prev = append(g.prev, -1)
+		return
+	}
+	if (g.used+1)*4 > len(g.slots)*3 {
+		g.grow()
+	}
+	c := g.cell(v)
+	s := g.slot(c)
+	if s.last == 0 {
+		s.cell = c
+		g.used++
+	}
+	g.prev = append(g.prev, s.last-1)
+	s.last = int32(len(g.prev))
+}
+
+// grow doubles the table, or makes the first one, and re-slots its
+// cells.
+func (g *bandGrid) grow() {
+	old := g.slots
+	g.slots = make([]gridSlot, max(2*len(old), minGridSlots))
+	for _, s := range old {
+		if s.last != 0 {
+			*g.slot(s.cell) = s
 		}
 	}
-	return lo
 }
 
-// entryAtLeast returns the position in the sorted es of the first entry
-// whose value is >= v.
-func entryAtLeast(es []bandEntry, v float64) int {
-	lo, hi := 0, len(es)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if es[m].v < v {
-			lo = m + 1
-		} else {
-			hi = m
+// window returns the cells a probe at fv (not NaN) visits: every cell
+// that can hold a value a with |a-fv| <= width, evaluated exactly as
+// TreeEdge.Match does. fv-width and fv+width round differently from
+// a-fv, so the window is widened by more than that rounding. Where
+// |fv|/width exceeds about 2^52 the cells are finer than the spacing of
+// the floats there, and the widening alone spans up to 2^13 of them;
+// such a window is walked float by float instead, visiting the cell of
+// each of its floats: about twenty at most.
+func (g *bandGrid) window(fv float64) []int64 {
+	g.win = g.win[:0]
+	if g.width == 0 {
+		return append(g.win, g.cell(fv))
+	}
+	slack := (math.Abs(fv) + g.width) * 0x1p-50
+	lo, hi := fv-g.width-slack, fv+g.width+slack
+	if lo < -math.MaxFloat64 {
+		lo = -math.MaxFloat64
+	}
+	if hi > math.MaxFloat64 {
+		hi = math.MaxFloat64
+	}
+	c0, c1 := g.cell(lo), g.cell(hi)
+	if c1-c0 < maxCellWalk {
+		for c := c0; c <= c1; c++ {
+			g.win = append(g.win, c)
+		}
+		return g.win
+	}
+	for a := lo; a <= hi; a = math.Nextafter(a, math.Inf(1)) {
+		if c := g.cell(a); len(g.win) == 0 || c != g.win[len(g.win)-1] {
+			g.win = append(g.win, c)
 		}
 	}
-	return lo
+	return g.win
 }
 
-// entryAbove returns the position in the sorted es of the first entry
-// whose value is > v.
-func entryAbove(es []bandEntry, v float64) int {
-	lo, hi := 0, len(es)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if es[m].v <= v {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// insert adds one entry; v must not be NaN.
-func (b *bandList) insert(v float64, ord int32) {
-	if len(b.chunks) == 0 {
-		b.chunks = []bandChunk{{min: v, es: newBandEntries()}}
-	}
-	// The last chunk whose min is <= v, or the first when v precedes
-	// every entry.
-	ci := b.chunkAbove(v) - 1
-	if ci < 0 {
-		ci = 0
-	}
-	if len(b.chunks[ci].es) == bandChunkCap {
-		ci = b.split(ci, v)
-	}
-	c := &b.chunks[ci]
-	pos := entryAbove(c.es, v)
-	c.es = c.es[:len(c.es)+1]
-	copy(c.es[pos+1:], c.es[pos:])
-	c.es[pos] = bandEntry{v: v, ord: ord}
-	if pos == 0 {
-		c.min = v
-	}
-}
-
-// split moves the upper half of full chunk ci into a new chunk placed
-// right after it, and returns which of the two v belongs in.
-func (b *bandList) split(ci int, v float64) int {
-	b.chunks = append(b.chunks, bandChunk{})
-	copy(b.chunks[ci+2:], b.chunks[ci+1:])
-	c := &b.chunks[ci]
-	up := append(newBandEntries(), c.es[bandChunkCap/2:]...)
-	c.es = c.es[:bandChunkCap/2]
-	b.chunks[ci+1] = bandChunk{min: up[0].v, es: up}
-	if v >= up[0].v {
-		return ci + 1
-	}
-	return ci
-}
-
-// appendMatches appends the ordinals of the entries whose value a
-// satisfies |a-fv| <= band, evaluated exactly as TreeEdge.Match does.
-// fv-band and fv+band round differently from a-fv, so the sorted walk
-// covers a window widened by more than that rounding and each entry in
-// it takes the exact test.
-func (b *bandList) appendMatches(fv, band float64, buf []int32) []int32 {
-	if math.IsNaN(fv) {
+// bandMatches appends the ordinals in grid g whose value a satisfies
+// |a-fv| <= g.width, testing each ordinal in the window's cells exactly.
+func (li *leafIndex) bandMatches(g *bandGrid, fv float64, buf []int32) []int32 {
+	if math.IsNaN(fv) || g.used == 0 {
 		return buf
 	}
-	slack := (math.Abs(fv) + band) * 0x1p-50
-	lo, hi := fv-band-slack, fv+band+slack
-	// Entries >= lo start in the chunk before the first whose min is
-	// >= lo, at the earliest.
-	ci := b.chunkAtLeast(lo)
-	if ci > 0 {
-		ci--
-	}
-	for ; ci < len(b.chunks); ci++ {
-		c := &b.chunks[ci]
-		if c.min > hi {
-			break
-		}
-		for _, e := range c.es[entryAtLeast(c.es, lo):] {
-			if e.v > hi {
-				break
-			}
-			d := e.v - fv
+	for _, c := range g.window(fv) {
+		for p := g.slot(c).last - 1; p >= 0; p = g.prev[p] {
+			d := li.pages[p/tuplePage].vals[p%tuplePage] - fv
 			if d < 0 {
 				d = -d
 			}
-			if d <= band {
-				buf = append(buf, e.ord)
+			if d <= g.width {
+				buf = append(buf, p)
 			}
 		}
 	}

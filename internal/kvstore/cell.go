@@ -16,17 +16,20 @@ import (
 // long as they are held, but Value is read-only: append to it freely
 // (it is clipped to its length, so append reallocates), never write
 // through it.
+//
+// The JSON tags are a cell's form on the transport seam (repair
+// payloads).
 type Cell struct {
-	Row       string
-	Family    string
-	Qualifier string
+	Row       string `json:"row"`
+	Family    string `json:"family"`
+	Qualifier string `json:"qualifier"`
 	// Value is the column value. A zero-length value is stored as no
 	// bytes at all and reads back as nil on every path — memtable,
 	// segment, SSTable, WAL replay — never as an empty non-nil slice.
-	Value     []byte
-	Timestamp int64
+	Value     []byte `json:"value,omitempty"`
+	Timestamp int64  `json:"ts"`
 	// Tombstone marks a deletion of the column as of Timestamp.
-	Tombstone bool
+	Tombstone bool `json:"tombstone,omitempty"`
 }
 
 // cellOverhead approximates per-cell storage overhead (key lengths,

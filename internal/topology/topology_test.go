@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kvstore"
 	"repro/internal/merkle"
 	"repro/internal/transport"
 )
@@ -21,17 +22,17 @@ type fakeNode struct {
 	name string
 
 	mu      sync.Mutex
-	down    bool                                       // guarded by: mu
-	corrupt map[string]bool                            // guarded by: mu — table → summaries fail typed
-	rels    map[string]bool                            // guarded by: mu
-	tables  map[string]map[string][]transport.CellData // guarded by: mu — table → row → cells
-	clock   int64                                      // guarded by: mu
-	applied int                                        // guarded by: mu — Apply calls that landed
+	down    bool                                 // guarded by: mu
+	corrupt map[string]bool                      // guarded by: mu — table → summaries fail typed
+	rels    map[string]bool                      // guarded by: mu
+	tables  map[string]map[string][]kvstore.Cell // guarded by: mu — table → row → cells
+	clock   int64                                // guarded by: mu
+	applied int                                  // guarded by: mu — Apply calls that landed
 }
 
 func newFakeNode(name string) *fakeNode {
 	return &fakeNode{name: name, corrupt: map[string]bool{}, rels: map[string]bool{},
-		tables: map[string]map[string][]transport.CellData{}}
+		tables: map[string]map[string][]kvstore.Cell{}}
 }
 
 func (f *fakeNode) setDown(d bool) {
@@ -83,7 +84,7 @@ func (f *fakeNode) DefineRelation(name string) error {
 	defer f.mu.Unlock()
 	f.rels[name] = true
 	if f.tables[relTable(name)] == nil {
-		f.tables[relTable(name)] = map[string][]transport.CellData{}
+		f.tables[relTable(name)] = map[string][]kvstore.Cell{}
 	}
 	return nil
 }
@@ -99,7 +100,7 @@ func (f *fakeNode) EnsureIndexes(req transport.EnsureRequest) error {
 	for _, algo := range req.Algos {
 		for _, rel := range req.Tree.Relations {
 			if t := algo + "_" + rel; f.tables[t] == nil {
-				f.tables[t] = map[string][]transport.CellData{}
+				f.tables[t] = map[string][]kvstore.Cell{}
 			}
 		}
 	}
@@ -107,8 +108,8 @@ func (f *fakeNode) EnsureIndexes(req transport.EnsureRequest) error {
 	return nil
 }
 
-func tupleCells(t *core.Tuple, ts int64) []transport.CellData {
-	return []transport.CellData{
+func tupleCells(t *core.Tuple, ts int64) []kvstore.Cell {
+	return []kvstore.Cell{
 		{Row: t.RowKey, Family: "d", Qualifier: "join", Value: []byte(t.JoinValue), Timestamp: ts},
 		{Row: t.RowKey, Family: "d", Qualifier: "score", Value: []byte(fmt.Sprint(t.Score)), Timestamp: ts},
 	}
@@ -173,7 +174,7 @@ func (f *fakeNode) TopK(req transport.QueryRequest) (*transport.ResultData, erro
 	return &transport.ResultData{Algorithm: "fake@" + f.name}, nil
 }
 
-func (f *fakeNode) rowDigest(row string, cells []transport.CellData) merkle.Digest {
+func (f *fakeNode) rowDigest(row string, cells []kvstore.Cell) merkle.Digest {
 	parts := make([][]byte, 0, len(cells)*2)
 	for _, c := range cells {
 		parts = append(parts, []byte(c.Qualifier), c.Value, []byte(fmt.Sprint(c.Timestamp)))
@@ -236,7 +237,7 @@ func (f *fakeNode) Repair(req transport.RepairRequest) (*transport.RepairStats, 
 	st := &transport.RepairStats{}
 	tbl := f.tables[req.Table]
 	if req.Full || tbl == nil {
-		tbl = map[string][]transport.CellData{}
+		tbl = map[string][]kvstore.Cell{}
 		f.tables[req.Table] = tbl
 		f.corrupt[req.Table] = false // replaced wholesale
 	} else {
@@ -259,7 +260,7 @@ func (f *fakeNode) Repair(req transport.RepairRequest) (*transport.RepairStats, 
 			}
 		}
 	}
-	byRow := map[string][]transport.CellData{}
+	byRow := map[string][]kvstore.Cell{}
 	for _, c := range req.Range.Cells {
 		byRow[c.Row] = append(byRow[c.Row], c)
 		if c.Timestamp > f.clock {
@@ -594,7 +595,7 @@ func TestEnsureIndexTablesAreRepaired(t *testing.T) {
 	// Diverge the index table on n2 behind the router's back (models a
 	// torn build) and let anti-entropy restore it from the source.
 	fakes[2].mu.Lock()
-	fakes[2].tables["isl_part"]["stray"] = []transport.CellData{{Row: "stray", Qualifier: "q", Value: []byte("x"), Timestamp: 1}}
+	fakes[2].tables["isl_part"]["stray"] = []kvstore.Cell{{Row: "stray", Qualifier: "q", Value: []byte("x"), Timestamp: 1}}
 	fakes[2].mu.Unlock()
 	rep, err := r.RepairAll()
 	if err != nil {
@@ -653,7 +654,7 @@ func TestSharedIndexTableOwnersGrow(t *testing.T) {
 	}
 
 	fakes[0].mu.Lock()
-	fakes[0].tables["bfhm_a"]["stray"] = []transport.CellData{{Row: "stray", Qualifier: "q", Value: []byte("x"), Timestamp: 1}}
+	fakes[0].tables["bfhm_a"]["stray"] = []kvstore.Cell{{Row: "stray", Qualifier: "q", Value: []byte("x"), Timestamp: 1}}
 	fakes[0].mu.Unlock()
 	rep, err := r.RepairAll()
 	if err != nil {

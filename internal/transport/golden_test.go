@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kvstore"
 	"repro/internal/merkle"
 	"repro/internal/sim"
 )
@@ -59,7 +60,7 @@ func goldenFrames() []goldenFrame {
 		{"fetch request", methodFetchRange, RangeRequest{Table: "part", Leaves: 4, Indexes: []int{0, 3}}},
 		{"repair request", methodRepair, RepairRequest{Table: "part", Leaves: 4, Indexes: []int{1}, Range: RangeData{
 			Families: []string{"d"}, Rows: []string{"p1"},
-			Cells: []CellData{{Row: "p1", Family: "d", Qualifier: "s", Value: []byte{0, 1, 0xff}, Timestamp: 7}},
+			Cells: []kvstore.Cell{{Row: "p1", Family: "d", Qualifier: "s", Value: []byte{0, 1, 0xff}, Timestamp: 7}},
 		}}},
 		{"repair request full", methodRepair, RepairRequest{Table: "part", Leaves: 4, Full: true}},
 
@@ -92,7 +93,7 @@ func goldenFrames() []goldenFrame {
 		{"merkle reply", statusOK, mb.Build()},
 		{"fetch reply", statusOK, &RangeData{
 			Families: []string{"d"}, Rows: []string{"p1", "p2"},
-			Cells: []CellData{{Row: "p1", Family: "d", Qualifier: "j", Value: []byte("17"), Timestamp: 9}, {Row: "p2", Family: "d", Qualifier: "s", Timestamp: 10}},
+			Cells: []kvstore.Cell{{Row: "p1", Family: "d", Qualifier: "j", Value: []byte("17"), Timestamp: 9}, {Row: "p2", Family: "d", Qualifier: "s", Timestamp: 10}},
 		}},
 		{"repair reply", statusOK, &RepairStats{RowsDeleted: 2, CellsApplied: 5}},
 		{"error reply", statusError, &Error{Kind: KindBudget, Msg: "read budget of 10 units exhausted"}},

@@ -19,9 +19,9 @@
 //
 // The messages carry the engine's own types: a tuple is a core.Tuple, a
 // ranked answer a core.JoinResult, a tree edge a core.TreeEdge, a cost a
-// sim.Snapshot and a planner estimate a core.CostEstimate, so neither
-// side converts anything at the seam. Their JSON tags fix the wire
-// names.
+// sim.Snapshot, a planner estimate a core.CostEstimate and a repair
+// payload's cell a kvstore.Cell, so neither side converts anything at
+// the seam. Their JSON tags fix the wire names.
 //
 // On TCP every message is one frame: a 14-byte binary header (the
 // version byte 0xF2, the sequence number, the method code or response
@@ -41,6 +41,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/kvstore"
 	"repro/internal/merkle"
 	"repro/internal/sim"
 )
@@ -215,22 +216,13 @@ type RangeRequest struct {
 	Indexes []int `json:"indexes,omitempty"`
 }
 
-// CellData is the wire form of one raw storage cell.
-type CellData struct {
-	Row       string `json:"row"`
-	Family    string `json:"family"`
-	Qualifier string `json:"qualifier"`
-	Value     []byte `json:"value,omitempty"`
-	Timestamp int64  `json:"ts"`
-}
-
 // RangeData is a repair payload: the source replica's live cells in the
 // requested leaves plus the distinct row keys present (the target
 // deletes its own rows in those leaves that the source lacks).
 type RangeData struct {
-	Families []string   `json:"families"`
-	Rows     []string   `json:"rows"`
-	Cells    []CellData `json:"cells"`
+	Families []string       `json:"families"`
+	Rows     []string       `json:"rows"`
+	Cells    []kvstore.Cell `json:"cells"`
 }
 
 // RepairRequest applies a repair payload on the target replica.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kvstore"
 	"repro/internal/merkle"
 	"repro/internal/sim"
 )
@@ -123,7 +124,7 @@ func (f *fakeService) FetchRange(req RangeRequest) (*RangeData, error) {
 	return &RangeData{
 		Families: []string{"d"},
 		Rows:     []string{"row1"},
-		Cells:    []CellData{{Row: "row1", Family: "d", Qualifier: "q", Value: []byte("v"), Timestamp: 7}},
+		Cells:    []kvstore.Cell{{Row: "row1", Family: "d", Qualifier: "q", Value: []byte("v"), Timestamp: 7}},
 	}, nil
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // TestRecycledListBuffersConcurrentStreams: list cursors hand their
-// leaf buffers (arena pages, band chunks, equi head maps) to the next
+// leaf buffers (arena pages, band grids, equi head maps) to the next
 // cursor when they close. Goroutines open, page, close and abandon isl
 // cursors over four trees that share relations at once, and park more
 // page tokens than the cursor cache holds, so the cache closes cursors
@@ -27,9 +27,9 @@ func TestRecycledListBuffersConcurrentStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Enough tuples per leaf to fill two arena pages and split band
-		// chunks; integer join values take bandValue's digit path, the
-		// rest its strconv path. Quantised scores make ties.
+		// Enough tuples per leaf to fill two arena pages and grow a
+		// band grid's table; integer join values take bandValue's digit
+		// path, the rest its strconv path. Quantised scores make ties.
 		tuples := make([]Tuple, 700)
 		for i := range tuples {
 			jv := strconv.Itoa(rng.Intn(300))

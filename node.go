@@ -287,12 +287,7 @@ func (n *NodeService) FetchRange(req transport.RangeRequest) (*transport.RangeDa
 			continue
 		}
 		out.Rows = append(out.Rows, row)
-		for _, c := range byRow[row] {
-			out.Cells = append(out.Cells, transport.CellData{
-				Row: c.Row, Family: c.Family, Qualifier: c.Qualifier,
-				Value: c.Value, Timestamp: c.Timestamp,
-			})
-		}
+		out.Cells = append(out.Cells, byRow[row]...)
 	}
 	return out, nil
 }
@@ -304,11 +299,7 @@ func (n *NodeService) FetchRange(req transport.RangeRequest) (*transport.RangeDa
 // source lacks (tombstoned at a fresh local timestamp — invisible to
 // the digest, so trees still converge).
 func (n *NodeService) Repair(req transport.RepairRequest) (*transport.RepairStats, error) {
-	cells := make([]kvstore.Cell, len(req.Range.Cells))
-	for i, c := range req.Range.Cells {
-		cells[i] = kvstore.Cell{Row: c.Row, Family: c.Family, Qualifier: c.Qualifier,
-			Value: c.Value, Timestamp: c.Timestamp}
-	}
+	cells := req.Range.Cells
 	if req.Full {
 		applied, err := n.db.cluster.RepairReplace(req.Table, req.Range.Families, cells)
 		if err != nil {
