@@ -6,12 +6,21 @@
 package rankjoin
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // gateNodeFault mirrors the kvstore fault-matrix gating: with
@@ -293,5 +302,200 @@ func TestAntiEntropyScopedRepair(t *testing.T) {
 	assertExecutorsMatchOracle(t, d, dq, db, q)
 	for _, table := range d.NodeDB("node0").Cluster().TableNames() {
 		assertReplicasByteIdentical(t, d, table)
+	}
+}
+
+// TestRepairBilling pins what anti-entropy bills on each node of a
+// 3-node loopback cluster: every node's sim.Snapshot delta for a round
+// of Merkle builds, for one scoped repair pass (the source's build and
+// fetch, the peers' builds, the target's apply and verify build), and
+// for one full resync (the source's whole-table fetch, then the
+// target's drop-and-reingest apply). node2 diverges both times by
+// missing writes and by holding a base row no other replica has, so the
+// scoped apply deletes a stale row. A refactor of the repair path must
+// leave the transcript byte-identical. Disk mode (KVSTORE_DISK=1) keeps
+// its own golden. To regenerate, delete the file and run the test
+// twice (the first run writes it and fails), then review the diff.
+func TestRepairBilling(t *testing.T) {
+	golden := "testdata/repair_billing.golden"
+	if os.Getenv("KVSTORE_DISK") == "1" {
+		golden = "testdata/repair_billing_disk.golden"
+	}
+	left, right := distTuples(120)
+	d := openLoopbackCluster(t, 3)
+	loadCluster(t, d, left, right)
+	nodes := d.Nodes()
+	svc := map[string]*NodeService{}
+	for _, n := range nodes {
+		svc[n] = NewNodeService(n, d.NodeDB(n))
+	}
+	tables := d.NodeDB("node0").Cluster().TableNames()
+
+	var b strings.Builder
+	delta := func(label string, f func()) {
+		before := map[string]sim.Snapshot{}
+		for _, n := range nodes {
+			before[n] = d.NodeDB(n).Metrics().Snapshot()
+		}
+		f()
+		for _, n := range nodes {
+			fmt.Fprintf(&b, "%s %s: %v\n", label, n, d.NodeDB(n).Metrics().Snapshot().Sub(before[n]))
+		}
+	}
+	diverge := func(prefix string) {
+		if err := d.StopNode("node2"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if err := d.Relation("left").Insert(fmt.Sprintf("%s%02d", prefix, i), fmt.Sprintf("j%d", i), float64(i)/10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.StartNode("node2"); err != nil {
+			t.Fatal(err)
+		}
+		target, base := d.NodeDB("node2").Cluster(), relationFor("left").Table
+		cells, err := target.TableCells(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale := cells[0]
+		stale.Row = prefix + "-stale"
+		if err := target.Put(base, stale); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	diverge("dls")
+	delta("merkle", func() {
+		for _, n := range nodes {
+			for _, table := range tables {
+				if _, err := svc[n].MerkleTree(transport.TreeRequest{Table: table}); err != nil {
+					t.Fatalf("%s %s: %v", n, table, err)
+				}
+			}
+		}
+	})
+	delta("scoped", func() {
+		rep, err := d.Repair()
+		if err != nil || !rep.Converged {
+			t.Fatalf("scoped pass: %+v, %v", rep, err)
+		}
+		for _, r := range rep.Repairs {
+			if r.Full {
+				t.Fatalf("scoped pass escalated: %+v", r)
+			}
+			fmt.Fprintf(&b, "scoped repair %s %s->%s: %d leaves, %d rows deleted, %d cells applied\n",
+				r.Table, r.Source, r.Target, len(r.Leaves), r.RowsDeleted, r.CellsApplied)
+		}
+	})
+
+	diverge("dlf")
+	payloads := map[string]*transport.RangeData{}
+	delta("full fetch", func() {
+		for _, table := range tables {
+			p, err := svc["node0"].FetchRange(transport.RangeRequest{Table: table})
+			if err != nil {
+				t.Fatalf("fetch %s: %v", table, err)
+			}
+			payloads[table] = p
+		}
+	})
+	delta("full apply", func() {
+		for _, table := range tables {
+			st, err := svc["node2"].Repair(transport.RepairRequest{Table: table, Full: true, Range: *payloads[table]})
+			if err != nil {
+				t.Fatalf("repair %s: %v", table, err)
+			}
+			fmt.Fprintf(&b, "full repair %s: %d rows deleted, %d cells applied\n", table, st.RowsDeleted, st.CellsApplied)
+		}
+	})
+	for _, table := range tables {
+		assertReplicasByteIdentical(t, d, table)
+	}
+	checkGolden(t, golden, b.String())
+}
+
+// TestHostileLeafCounts: a node served over TCP answers Merkle and fetch
+// requests whose JSON bodies still carry a leaf count, however large,
+// with the same replies as requests without one. The leaf count is not
+// part of the wire format, so a hostile one can neither size an
+// allocation nor drive a loop on the node.
+func TestHostileLeafCounts(t *testing.T) {
+	db := mustOpen(t, Config{})
+	t.Cleanup(func() { db.Close() })
+	h, err := db.DefineRelation("left")
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, _ := distTuples(40)
+	if err := h.BulkLoad(left); err != nil {
+		t.Fatal(err)
+	}
+	node := NewNodeService("n0", db)
+	srv, err := transport.ListenAndServe("127.0.0.1:0", node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+
+	table := relationFor("left").Table
+	tree, err := node.MerkleTree(transport.TreeRequest{Table: table})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := node.FetchRange(transport.RangeRequest{Table: table, Indexes: []int{0, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(payload.Cells) == 0 {
+		t.Fatal("leaves 0 and 3 hold no rows: the fetch checks nothing")
+	}
+	wantTree, _ := json.Marshal(tree)
+	wantRange, _ := json.Marshal(payload)
+
+	// Frame format v3: version byte, sequence number, method code, body
+	// length, body. Method codes 7 and 8 are MerkleTree and FetchRange.
+	const merkleTree, fetchRange = 7, 8
+	seq := uint64(0)
+	for _, leaves := range []string{"1099511627776", "9223372036854775807"} {
+		for _, req := range []struct {
+			code byte
+			body string
+			want []byte
+		}{
+			{merkleTree, fmt.Sprintf(`{"table":%q,"leaves":%s}`, table, leaves), wantTree},
+			{fetchRange, fmt.Sprintf(`{"table":%q,"leaves":%s,"indexes":[0,3]}`, table, leaves), wantRange},
+		} {
+			seq++
+			frame := append([]byte{0xF3}, binary.BigEndian.AppendUint64(nil, seq)...)
+			frame = append(frame, req.code)
+			frame = binary.BigEndian.AppendUint32(frame, uint32(len(req.body)))
+			if _, err := conn.Write(append(frame, req.body...)); err != nil {
+				t.Fatal(err)
+			}
+			head := make([]byte, 14)
+			if _, err := io.ReadFull(conn, head); err != nil {
+				t.Fatalf("%s: no reply header: %v", req.body, err)
+			}
+			body := make([]byte, binary.BigEndian.Uint32(head[10:]))
+			if _, err := io.ReadFull(conn, body); err != nil {
+				t.Fatalf("%s: no reply body: %v", req.body, err)
+			}
+			if head[0] != 0xF3 || binary.BigEndian.Uint64(head[1:9]) != seq || head[9] != 0 {
+				t.Fatalf("%s: reply header %x, body %s", req.body, head, body)
+			}
+			if !bytes.Equal(body, req.want) {
+				t.Fatalf("%s: reply %s, want %s", req.body, body, req.want)
+			}
+		}
 	}
 }

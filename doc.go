@@ -237,15 +237,16 @@
 // the transport seam (internal/transport): each node is either an
 // in-process DB reached over a zero-copy loopback, or an rjnode
 // process reached over TCP — the router cannot tell the difference. On
-// TCP each message is a 14-byte binary header (frame version 0xF2,
+// TCP each message is a 14-byte binary header (frame version 0xF3,
 // sequence number, method or status, body length) and its body, decoded
 // once: a TopK reply's ranked results in a hand-written binary layout,
 // every other message and every error in JSON. The router and rjnode
 // must come from the same build: a peer of another frame version is
-// refused, typed, on its first frame. The seam sits at node
-// granularity, matching the paper's compute-to-data design: whole
-// queries ship to a replica and execute next to its data; only results
-// come back.
+// refused, typed, on its first frame, and a server answers such a frame
+// with one error frame in its own format before it hangs up. The seam
+// sits at node granularity, matching the paper's compute-to-data
+// design: whole queries ship to a replica and execute next to its data;
+// only results come back.
 //
 //	d, _ := rankjoin.OpenDistributed(rankjoin.Config{Topology: &rankjoin.Topology{
 //	    Nodes: []rankjoin.NodeSpec{

@@ -100,11 +100,12 @@ func BenchmarkLeafIndexProbe(b *testing.B) {
 // cursor drives the operator: each pull reads the leaf that bounds the
 // threshold (anyKOp.bounding), a releasable check follows every push,
 // and a query restarts on a fresh operator once it has released 30
-// results. chain4 is the deepest read of the chain workload: it pulls
-// about 4,800 tuples and parks about 1,000 combinations to release its
-// 30; equi2 is the binary rank join (HRJN's case, what ISL runs on the
-// TPC-H workloads): two leaves, about one equi partner per tuple, about
-// 1,000 tuples pulled.
+// results, after releasing the finished operator's leaves. chain4 is
+// the deepest read of the chain workload: it pulls about 4,800 tuples
+// and parks about 1,000 combinations to release its 30; equi2 is the
+// binary rank join (HRJN's case, what ISL runs on the TPC-H workloads):
+// two leaves, about one equi partner per tuple, about 1,000 tuples
+// pulled.
 func BenchmarkAnyKPush(b *testing.B) {
 	b.Run("chain4", func(b *testing.B) { benchPush(b, bandChain(4)) })
 	b.Run("equi2", func(b *testing.B) { benchPush(b, stubBinary(Sum)) })
@@ -119,6 +120,13 @@ func benchPush(b *testing.B, tree *JoinTree) {
 	released := k
 	for i := 0; i < b.N; i++ {
 		if released == k {
+			// The served path's listCursor.Close hands the finished
+			// query's leaves back to the pools the next query draws on.
+			if run != nil {
+				for _, li := range run.op.join.leaves {
+					li.release()
+				}
+			}
 			run, released = newBoundingRun(tree, leaves...), 0
 		}
 		run.pull()

@@ -3,20 +3,30 @@ package kvstore
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"iter"
+
+	"repro/internal/merkle"
 )
 
-// Replica anti-entropy primitives. A replicated topology keeps N
+// Replica anti-entropy, the node side. A replicated topology keeps N
 // clusters convergent by replaying identical pre-stamped mutations on
 // each; when a replica misses writes (downtime) or damages them at rest
-// (bit rot), the router diffs per-table Merkle trees and re-ships the
-// divergent rows through the two functions below. The primitives live
-// inside kvstore because they mutate tables directly — repair moves
-// already-maintained replicated state, so routing it through the query
-// layer's Maintainer would double-apply index maintenance.
+// (bit rot), the router diffs per-table Merkle trees (MerkleTree) and
+// re-ships the divergent rows: the source reads them (RepairRange), the
+// target lands them (Repair). The protocol lives inside kvstore because
+// it mutates tables directly — repair moves already-maintained
+// replicated state, so routing it through the query layer's Maintainer
+// would double-apply index maintenance.
 
-// TableCells snapshots every live cell of a table: the newest version
-// of each column, tombstones and shadowed versions excluded — exactly
+// merkleLeaves is the number of hash-token ranges a table's tree splits
+// its rows into: a power of two, so the tree above the leaves is
+// complete. More leaves would localize repairs to fewer rows at the
+// cost of larger trees on the wire.
+const merkleLeaves = 64
+
+// TableCells snapshots every live cell of a table in row order (regions
+// in key order, each one's cells sorted): the newest version of each
+// column, tombstones and shadowed versions excluded — exactly
 // the state a Merkle digest or repair payload should cover, because two
 // replicas that answer every read identically may still differ in dead
 // versions (local flush/compaction timing). The snapshot is charged as
@@ -48,21 +58,6 @@ func (c *Cluster) TableCells(name string) ([]Cell, error) {
 	return out, nil
 }
 
-// TableFamilies returns a table's declared column families.
-func (c *Cluster) TableFamilies(name string) ([]string, error) {
-	t, err := c.table(name)
-	if err != nil {
-		return nil, err
-	}
-	return t.Families(), nil
-}
-
-// HasTable reports whether the table exists.
-func (c *Cluster) HasTable(name string) bool {
-	_, err := c.table(name)
-	return err == nil
-}
-
 // ObserveClock advances the logical clock to at least ts. Replicas call
 // it when applying router-stamped mutations so a later locally-stamped
 // write (repair tombstones, index builds) cannot sort below replicated
@@ -86,35 +81,153 @@ func (c *Cluster) Clock() int64 {
 	return s.clock
 }
 
-// maxCellTS returns the largest timestamp in a repair payload.
-func maxCellTS(cells []Cell) int64 {
-	var ts int64
-	for i := range cells {
-		if cells[i].Timestamp > ts {
-			ts = cells[i].Timestamp
+// rowRuns yields each row's run of cells. TableCells returns a table's
+// cells in row order, so a row's cells are adjacent.
+func rowRuns(cells []Cell) iter.Seq2[string, []Cell] {
+	return func(yield func(string, []Cell) bool) {
+		for i := 0; i < len(cells); {
+			j := i + 1
+			for j < len(cells) && cells[j].Row == cells[i].Row {
+				j++
+			}
+			if !yield(cells[i].Row, cells[i:j]) {
+				return
+			}
+			i = j
 		}
 	}
-	return ts
 }
 
-// RepairApply applies a replica-repair payload to a table: the shipped
-// cells land with their ORIGINAL timestamps (so the repaired replica
-// becomes byte-identical to the source for those rows), and each listed
-// row the source does not have is deleted — every live cell tombstoned
-// under a fresh local timestamp, which the prior ObserveClock guarantees
-// sorts above anything replicated. The table is created on the fly when
-// the replica never saw it. Returns rows deleted and cells applied.
-func (c *Cluster) RepairApply(table string, families []string, cells []Cell, deleteRows []string) (deleted, applied int, err error) {
+// inLeaves returns the test of whether a row falls in one of leaves, the
+// Merkle leaf indexes a repair covers. Every row passes when leaves is
+// empty (a whole-table fetch); an index outside the tree matches no row.
+func inLeaves(leaves []int) func(row string) bool {
+	if len(leaves) == 0 {
+		return func(string) bool { return true }
+	}
+	var set [merkleLeaves]bool
+	for _, i := range leaves {
+		if i >= 0 && i < merkleLeaves {
+			set[i] = true
+		}
+	}
+	return func(row string) bool { return set[merkle.LeafIndex(merkleLeaves, row)] }
+}
+
+// rowDigest digests one row for its Merkle leaf: the family, qualifier,
+// timestamp and value of every live cell, in storage order.
+func rowDigest(row string, cells []Cell) merkle.Digest {
+	parts := make([][]byte, 0, 4*len(cells))
+	for i := range cells {
+		ts := binary.BigEndian.AppendUint64(nil, uint64(cells[i].Timestamp))
+		parts = append(parts, []byte(cells[i].Family), []byte(cells[i].Qualifier), ts, cells[i].Value)
+	}
+	return merkle.HashRow(row, parts...)
+}
+
+// MerkleTree summarizes a table's live contents for anti-entropy. A
+// table this cluster never saw summarizes as an all-empty tree, so every
+// populated leaf of a peer's tree diverges and the repair recreates the
+// table. The digest pass bills TableCells' reads plus CPU time per
+// digested cell.
+func (c *Cluster) MerkleTree(table string) (*merkle.Tree, error) {
+	b := merkle.NewBuilder(merkleLeaves)
+	if _, err := c.table(table); err != nil {
+		return b.Build(), nil
+	}
+	cells, err := c.TableCells(table)
+	if err != nil {
+		return nil, err
+	}
+	for row, run := range rowRuns(cells) {
+		b.Add(row, rowDigest(row, run))
+	}
+	c.metrics.Advance(c.profile.CPUTime(uint64(len(cells))))
+	return b.Build(), nil
+}
+
+// RepairRange reads a repair payload on the source replica: the table's
+// families and the live cells of the rows in the given Merkle leaves, or
+// of every row when leaves is empty (a full resync's source). A table
+// this cluster does not hold fails with ErrNoTable.
+func (c *Cluster) RepairRange(table string, leaves []int) (families []string, cells []Cell, err error) {
 	t, err := c.table(table)
 	if err != nil {
+		return nil, nil, err
+	}
+	all, err := c.TableCells(table)
+	if err != nil {
+		return nil, nil, err
+	}
+	in := inLeaves(leaves)
+	for row, run := range rowRuns(all) {
+		if in(row) {
+			cells = append(cells, run...)
+		}
+	}
+	return t.Families(), cells, nil
+}
+
+// Repair lands a source replica's payload (RepairRange's families and
+// cells) on this replica. The cells keep their ORIGINAL timestamps, so
+// the repaired rows become byte-identical to the source's.
+//
+// A full repair replaces the table wholesale: drop it (quarantined or
+// corrupt SSTables go with it), recreate it with the source's families
+// and re-ingest. That is the corruption path: a replica whose own Merkle
+// build fails its checksums has no trustworthy state to diff against.
+//
+// A scoped repair overwrites the shipped rows and deletes this
+// replica's own rows in leaves (every row when leaves is empty) that the
+// payload lacks: rows the source deleted or never had. Each such row's
+// live cells are tombstoned under a fresh local timestamp, which the
+// ObserveClock below makes sort above every replicated cell; tombstones
+// are invisible to the digest, so the trees still converge. A table the
+// replica never saw is created. Returns rows deleted and cells applied.
+func (c *Cluster) Repair(table string, families []string, cells []Cell, leaves []int, full bool) (deleted, applied int, err error) {
+	t, err := c.table(table)
+	var stale []string
+	switch {
+	case err == nil && full:
+		if err := c.DropTable(table); err != nil {
+			return 0, 0, err
+		}
+		t = nil
+	case err == nil:
+		// This replica's rows in leaves that no payload cell names are
+		// stale: the source deleted them or never had them.
+		local, err := c.TableCells(table)
+		if err != nil {
+			return 0, 0, err
+		}
+		src := make(map[string]bool)
+		for row := range rowRuns(cells) {
+			src[row] = true
+		}
+		in := inLeaves(leaves)
+		for row := range rowRuns(local) {
+			if in(row) && !src[row] {
+				stale = append(stale, row)
+			}
+		}
+	}
+	if t == nil {
 		if t, err = c.CreateTable(table, families, nil); err != nil {
 			return 0, 0, err
 		}
 	}
-	c.ObserveClock(maxCellTS(cells))
 	var bytes uint64
-	var cellCount int
-	for _, row := range deleteRows {
+	var maxTS int64
+	for i := range cells {
+		if !t.HasFamily(cells[i].Family) {
+			return 0, 0, fmt.Errorf("kvstore: repair cell for %q names unknown family %q", table, cells[i].Family)
+		}
+		bytes += cells[i].StoredSize()
+		maxTS = max(maxTS, cells[i].Timestamp)
+	}
+	c.ObserveClock(maxTS)
+	tombstones := 0
+	for _, row := range stale {
 		got, stats, gerr := t.regionFor(row).get(row, nil)
 		c.chargeRPC(stats)
 		if gerr != nil {
@@ -124,90 +237,26 @@ func (c *Cluster) RepairApply(table string, families []string, cells []Cell, del
 			continue
 		}
 		ts := c.Now()
-		dead := make([]Cell, 0, len(got.Cells))
-		for i := range got.Cells {
-			dc := got.Cells[i]
-			dead = append(dead, Cell{Row: dc.Row, Family: dc.Family, Qualifier: dc.Qualifier, Timestamp: ts, Tombstone: true})
+		dead := make([]Cell, len(got.Cells))
+		for i, live := range got.Cells {
+			dead[i] = Cell{Row: live.Row, Family: live.Family, Qualifier: live.Qualifier, Timestamp: ts, Tombstone: true}
+			bytes += dead[i].StoredSize()
 		}
 		if err := t.applyRow(dead); err != nil {
 			return deleted, applied, err
 		}
-		for i := range dead {
-			bytes += dead[i].StoredSize()
-		}
-		cellCount += len(dead)
+		tombstones += len(dead)
 		deleted++
 	}
-	// Group shipped cells into per-row atomic mutations, sorted for
-	// deterministic apply order.
-	byRow := map[string][]Cell{}
-	var order []string
-	for i := range cells {
-		if !t.HasFamily(cells[i].Family) {
-			return deleted, applied, fmt.Errorf("kvstore: repair cell for %q names unknown family %q", table, cells[i].Family)
-		}
-		if _, ok := byRow[cells[i].Row]; !ok {
-			order = append(order, cells[i].Row)
-		}
-		byRow[cells[i].Row] = append(byRow[cells[i].Row], cells[i])
-		bytes += cells[i].StoredSize()
-	}
-	sort.Strings(order)
-	for _, row := range order {
-		if err := t.applyRow(byRow[row]); err != nil {
+	// Each row's run is one atomic mutation.
+	for _, run := range rowRuns(cells) {
+		if err := t.applyRow(run); err != nil {
 			return deleted, applied, err
 		}
-		applied += len(byRow[row])
+		applied += len(run)
 	}
-	cellCount += applied
 	// One group-write RPC for the whole payload — charged even when it
 	// shipped nothing, since the repair call itself still crossed the wire.
-	c.chargeWrite(bytes, cellCount)
+	c.chargeWrite(bytes, tombstones+applied)
 	return deleted, applied, nil
-}
-
-// RepairReplace rebuilds a table wholesale from a source replica's
-// snapshot: drop (quarantined or corrupt SSTables go with it), recreate
-// with the source's families, and re-ingest the shipped cells at their
-// original timestamps. This is the corruption path — when a replica's
-// own Merkle build fails its checksums there is no trustworthy local
-// state to diff against, so the whole table is replaced.
-func (c *Cluster) RepairReplace(table string, families []string, cells []Cell) (int, error) {
-	if c.HasTable(table) {
-		if err := c.DropTable(table); err != nil {
-			return 0, err
-		}
-	}
-	if _, err := c.CreateTable(table, families, nil); err != nil {
-		return 0, err
-	}
-	_, applied, err := c.RepairApply(table, families, cells, nil)
-	return applied, err
-}
-
-// MerkleScanStats reports the work of one table digest pass.
-type MerkleScanStats struct {
-	Rows  int
-	Cells int
-}
-
-// ChargeMerkleScan meters the digest pass that backed a Merkle tree
-// build: the rows were already charged as reads by TableCells; the
-// hashing itself costs CPU time proportional to the cells digested.
-func (c *Cluster) ChargeMerkleScan(st MerkleScanStats) {
-	c.metrics.Advance(c.profile.CPUTime(uint64(st.Cells)))
-}
-
-// RowDigestParts flattens a row's cells into the byte parts a Merkle
-// row digest covers: family, qualifier, timestamp, and value of every
-// live cell, in storage order. Kept next to the repair primitives so
-// the digest definition and the repair payload can never drift apart.
-func RowDigestParts(cells []Cell) [][]byte {
-	parts := make([][]byte, 0, 4*len(cells))
-	for i := range cells {
-		tsBuf := make([]byte, 8)
-		binary.BigEndian.PutUint64(tsBuf, uint64(cells[i].Timestamp))
-		parts = append(parts, []byte(cells[i].Family), []byte(cells[i].Qualifier), tsBuf, cells[i].Value)
-	}
-	return parts
 }

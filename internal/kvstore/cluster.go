@@ -521,7 +521,7 @@ func (c *Cluster) DropTable(name string) error {
 	t, ok := s.tables[name]
 	if !ok {
 		s.mu.Unlock()
-		return fmt.Errorf("kvstore: no table %q", name)
+		return fmt.Errorf("%w %q", ErrNoTable, name)
 	}
 	delete(s.tables, name)
 	s.mu.Unlock()
@@ -571,7 +571,7 @@ func (c *Cluster) table(name string) (*Table, error) {
 	defer s.mu.RUnlock()
 	t, ok := s.tables[name]
 	if !ok {
-		return nil, fmt.Errorf("kvstore: no table %q", name)
+		return nil, fmt.Errorf("%w %q", ErrNoTable, name)
 	}
 	return t, nil
 }

@@ -269,21 +269,23 @@
 // or the network. The multi-node layers sit above — internal/transport
 // defines the RegionService RPC surface (loopback and TCP), and
 // internal/topology routes, replicates, and repairs across Clusters it
-// can only reach through that seam. Three primitives here exist for
-// those layers and keep replication deterministic:
+// can only reach through that seam. These methods exist for those
+// layers and keep replication deterministic:
 //
 //   - ObserveClock folds a peer's timestamp into the local logical
 //     clock, so a router-stamped write applied everywhere lands with
 //     the SAME timestamp on every replica and later local stamps sort
 //     above it.
-//   - TableCells flattens a table's live cells in storage order — the
-//     payload of a Merkle row digest (RowDigestParts fixes the exact
-//     byte layout) and of a repair shipment.
-//   - RepairApply and RepairReplace land a repair payload at its
-//     ORIGINAL timestamps (scoped leaf overwrite + source-absent row
-//     deletion, or whole-table drop/recreate/re-ingest for corruption),
-//     charging the group write like any client mutation;
-//     ChargeMerkleScan meters the digest pass.
+//   - TableCells flattens a table's live cells in row and storage
+//     order — what a Merkle row digest covers and a repair ships.
+//   - MerkleTree, RepairRange and Repair are the node half of
+//     anti-entropy (antientropy.go): a table's tree over a fixed 64
+//     hash-token leaves, the source's payload for the divergent leaves,
+//     and the target's landing of it at its ORIGINAL timestamps (scoped
+//     leaf overwrite + source-absent row deletion, or whole-table
+//     drop/recreate/re-ingest for corruption). The digest pass bills
+//     CPU per cell on top of TableCells' reads; a repair bills the
+//     stale-row reads and one group write like any client mutation.
 //
 // Because every replica applies the identical resolved operation
 // sequence through the same deterministic clock, replicas of a table

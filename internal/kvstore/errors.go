@@ -29,6 +29,10 @@ import (
 // errCorruptBlock wrapping participates in the same taxonomy.
 var ErrCorruption = errCorruptBlock
 
+// ErrNoTable matches, via errors.Is, the error of a call that names a
+// table the cluster does not hold.
+var ErrNoTable = errors.New("kvstore: no table")
+
 // CorruptionError reports durably-stored bytes that failed
 // verification, naming the file and byte offset of the damage.
 type CorruptionError struct {

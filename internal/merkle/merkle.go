@@ -97,11 +97,9 @@ type Builder struct {
 	leaves []Leaf
 }
 
-// NormalizeLeaves returns the leaf count NewBuilder(n) actually uses:
-// n rounded up to a power of two, minimum 2. Callers that bucket rows
-// with LeafIndex outside a builder must normalize first, or their
-// indexes will disagree with the built tree's.
-func NormalizeLeaves(n int) int {
+// normalizeLeaves returns the leaf count NewBuilder(n) actually uses:
+// n rounded up to a power of two, minimum 2.
+func normalizeLeaves(n int) int {
 	m := 2
 	for m < n {
 		m *= 2
@@ -112,7 +110,7 @@ func NormalizeLeaves(n int) int {
 // NewBuilder returns a builder with leafCount token ranges (rounded up
 // to a power of two, minimum 2, so the binary tree above is complete).
 func NewBuilder(leafCount int) *Builder {
-	return &Builder{leaves: make([]Leaf, NormalizeLeaves(leafCount))}
+	return &Builder{leaves: make([]Leaf, normalizeLeaves(leafCount))}
 }
 
 // Add folds one row digest into its token range's leaf.

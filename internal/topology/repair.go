@@ -131,7 +131,7 @@ func (r *Router) repairTables(tables []string) (*RepairReport, error) {
 // clean replica can summarize, the first dirty one that can stands in —
 // best effort beats nothing, and the report says so.
 func (r *Router) pickSource(table string, group []*node, rep *RepairReport, failedNodes map[string]bool) (*node, *merkle.Tree) {
-	req := transport.TreeRequest{Table: table, Leaves: r.leaves}
+	req := transport.TreeRequest{Table: table}
 	for pass := 0; pass < 2; pass++ {
 		for _, nd := range group {
 			if (pass == 0) == r.isDirty(nd.name) {
@@ -162,7 +162,7 @@ func (r *Router) pickSource(table string, group []*node, rep *RepairReport, fail
 // converge) to a full resync, and verifying the Merkle roots match
 // afterwards.
 func (r *Router) repairTarget(table string, src *node, srcTree *merkle.Tree, target *node, rep *RepairReport) error {
-	treq := transport.TreeRequest{Table: table, Leaves: r.leaves}
+	treq := transport.TreeRequest{Table: table}
 	ttree, err := target.svc.MerkleTree(treq)
 	full := false
 	var diverged []int
@@ -219,12 +219,12 @@ func (r *Router) ship(table string, src, target *node, leaves []int, full bool) 
 	if !full {
 		idx = leaves
 	}
-	payload, err := src.svc.FetchRange(transport.RangeRequest{Table: table, Leaves: r.leaves, Indexes: idx})
+	payload, err := src.svc.FetchRange(transport.RangeRequest{Table: table, Indexes: idx})
 	if err != nil {
 		return nil, fmt.Errorf("fetch from source %s: %w", src.name, err)
 	}
 	stats, err := target.svc.Repair(transport.RepairRequest{
-		Table: table, Leaves: r.leaves, Indexes: idx, Full: full, Range: *payload})
+		Table: table, Indexes: idx, Full: full, Range: *payload})
 	if err != nil {
 		return nil, err
 	}

@@ -50,10 +50,6 @@ type Config struct {
 	// factors save space but queries need a node covering both sides.
 	// A write is acknowledged once a majority of its replicas ack it.
 	Replication int
-	// MerkleLeaves is the anti-entropy tree resolution (rounded up to a
-	// power of two; default 64). More leaves localize repairs to fewer
-	// rows at the cost of larger trees on the wire.
-	MerkleLeaves int
 }
 
 // Handle names one region server for router construction.
@@ -68,16 +64,11 @@ type node struct {
 	svc  transport.RegionService
 }
 
-// DefaultMerkleLeaves is the anti-entropy tree resolution when Config
-// leaves it unset.
-const DefaultMerkleLeaves = 64
-
 // Router fronts a set of region servers as one logical store.
 type Router struct {
 	nodes  []*node
 	rf     int
 	quorum int
-	leaves int
 
 	// ts is the group-write timestamp source: strictly increasing, and
 	// re-synced above every node clock after DDL and repair (the two
@@ -126,10 +117,6 @@ func New(nodes []Handle, cfg Config) (*Router, error) {
 		r.rf = len(r.nodes)
 	}
 	r.quorum = r.rf/2 + 1
-	r.leaves = cfg.MerkleLeaves
-	if r.leaves <= 0 {
-		r.leaves = DefaultMerkleLeaves
-	}
 	return r, nil
 }
 

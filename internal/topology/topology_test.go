@@ -182,6 +182,10 @@ func (f *fakeNode) rowDigest(row string, cells []kvstore.Cell) merkle.Digest {
 	return merkle.HashRow(row, parts...)
 }
 
+// fakeLeaves is the fake's Merkle tree resolution. The router only
+// diffs trees, so it never needs to know it.
+const fakeLeaves = 16
+
 func (f *fakeNode) MerkleTree(req transport.TreeRequest) (*merkle.Tree, error) {
 	if err := f.gate(); err != nil {
 		return nil, err
@@ -191,7 +195,7 @@ func (f *fakeNode) MerkleTree(req transport.TreeRequest) (*merkle.Tree, error) {
 	if f.corrupt[req.Table] {
 		return nil, &transport.Error{Kind: transport.KindCorruption, Msg: "checksum failed in " + req.Table}
 	}
-	b := merkle.NewBuilder(req.Leaves)
+	b := merkle.NewBuilder(fakeLeaves)
 	for row, cells := range f.tables[req.Table] {
 		b.Add(row, f.rowDigest(row, cells))
 	}
@@ -207,7 +211,6 @@ func (f *fakeNode) FetchRange(req transport.RangeRequest) (*transport.RangeData,
 	if f.corrupt[req.Table] {
 		return nil, &transport.Error{Kind: transport.KindCorruption, Msg: "checksum failed in " + req.Table}
 	}
-	leaves := merkle.NormalizeLeaves(req.Leaves)
 	want := map[int]bool{}
 	for _, i := range req.Indexes {
 		want[i] = true
@@ -215,14 +218,13 @@ func (f *fakeNode) FetchRange(req transport.RangeRequest) (*transport.RangeData,
 	out := &transport.RangeData{Families: []string{"d"}}
 	var rows []string
 	for row := range f.tables[req.Table] {
-		if len(req.Indexes) > 0 && !want[merkle.LeafIndex(leaves, row)] {
+		if len(req.Indexes) > 0 && !want[merkle.LeafIndex(fakeLeaves, row)] {
 			continue
 		}
 		rows = append(rows, row)
 	}
 	sort.Strings(rows)
 	for _, row := range rows {
-		out.Rows = append(out.Rows, row)
 		out.Cells = append(out.Cells, f.tables[req.Table][row]...)
 	}
 	return out, nil
@@ -241,17 +243,16 @@ func (f *fakeNode) Repair(req transport.RepairRequest) (*transport.RepairStats, 
 		f.tables[req.Table] = tbl
 		f.corrupt[req.Table] = false // replaced wholesale
 	} else {
-		leaves := merkle.NormalizeLeaves(req.Leaves)
 		want := map[int]bool{}
 		for _, i := range req.Indexes {
 			want[i] = true
 		}
 		src := map[string]bool{}
-		for _, r := range req.Range.Rows {
-			src[r] = true
+		for _, c := range req.Range.Cells {
+			src[c.Row] = true
 		}
 		for row := range tbl {
-			if len(req.Indexes) > 0 && !want[merkle.LeafIndex(leaves, row)] {
+			if len(req.Indexes) > 0 && !want[merkle.LeafIndex(fakeLeaves, row)] {
 				continue
 			}
 			if !src[row] {
@@ -286,7 +287,7 @@ func cluster3(t *testing.T) (*Router, []*fakeNode) {
 	for i, f := range fakes {
 		handles[i] = Handle{Name: f.name, Svc: f}
 	}
-	r, err := New(handles, Config{MerkleLeaves: 16})
+	r, err := New(handles, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +623,7 @@ func TestSharedIndexTableOwnersGrow(t *testing.T) {
 		fakes[i] = newFakeNode(fmt.Sprintf("n%d", i))
 		handles[i] = Handle{Name: fakes[i].name, Svc: fakes[i]}
 	}
-	r, err := New(handles, Config{Replication: 3, MerkleLeaves: 16})
+	r, err := New(handles, Config{Replication: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

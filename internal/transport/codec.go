@@ -21,21 +21,28 @@ import (
 // receiver decodes the body once, straight into the typed request or
 // response; an error response's body is the JSON *Error.
 //
-// Both peers must come from the same build. Frame format v1 had this
-// header, version byte 0xF1, and JSON bodies throughout. Format v0
-// began every frame with a 4-byte big-endian length, whose first byte
-// is at most 0x04 under maxFrame, so no v0 frame can begin with a
-// version byte, and a v0 reader rejects one as a length over its limit.
-// A peer of another build therefore fails typed on its first frame, in
-// both directions. No reader for v0 or v1 is kept.
+// Both peers must come from the same build. Frame format v2 had this
+// header under version byte 0xF2, and its repair bodies carried a
+// Merkle leaf count. Format v1 had this header, version byte 0xF1, and
+// JSON bodies throughout. Format v0 began every frame with a 4-byte
+// big-endian length, whose first byte is at most 0x04 under maxFrame,
+// so no v0 frame can begin with a version byte, and a v0 reader rejects
+// one as a length over its limit. A peer of another build therefore
+// fails typed on its first frame, in both directions: a server answers
+// a foreign frame with one error frame in this format, which the old
+// reader refuses, and drops the connection. No reader for v0, v1 or v2
+// is kept.
 const (
-	frameMagic   byte = 0xF2 // frame format v2
-	frameVersion      = 2
+	frameMagic   byte = 0xF3 // frame format v3
+	frameVersion      = 3
 	headerLen         = 14
 )
 
-// frameMagicV1 is frame format v1's version byte, named in versionError.
-const frameMagicV1 byte = 0xF1
+// Earlier formats' version bytes, named in versionError.
+const (
+	frameMagicV1 byte = 0xF1
+	frameMagicV2 byte = 0xF2
+)
 
 // maxFrame bounds one message body (64 MiB): a hostile or corrupt
 // length fails fast instead of allocating unbounded memory.
@@ -186,6 +193,8 @@ func versionError(first byte) *Error {
 		peer = "frame format v0 (length-prefixed JSON envelope)"
 	case first == frameMagicV1:
 		peer = "frame format v1 (JSON result bodies)"
+	case first == frameMagicV2:
+		peer = "frame format v2 (Merkle leaf counts in repair bodies)"
 	}
 	return &Error{Kind: KindInternal, Msg: fmt.Sprintf(
 		"peer speaks %s, this build speaks frame format v%d: rjserve and rjnode must come from the same build",

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/merkle"
 )
 
 // header builds a frame header by hand, so tests can lie in it.
@@ -37,11 +35,11 @@ func v0Frame(envelope string) []byte {
 	return append(out, envelope...)
 }
 
-// v1Frame is a frame in format v1: the same header layout under
-// version byte 0xF1, then a JSON body.
-func v1Frame(seq uint64, code byte, body string) []byte {
+// oldFrame is a frame in format v1 or v2: the same header layout
+// under the old version byte, then a JSON body.
+func oldFrame(magic byte, seq uint64, code byte, body string) []byte {
 	out := header(seq, code, uint32(len(body)))
-	out[0] = frameMagicV1
+	out[0] = magic
 	return append(out, body...)
 }
 
@@ -71,8 +69,9 @@ func TestFrameLimit(t *testing.T) {
 }
 
 // TestFrameVersionRefused: a peer of an earlier build — frame format
-// v0 (no binary header) or v1 (JSON result bodies) — is refused typed on
-// its first frame, in both directions.
+// v0 (no binary header), v1 (JSON result bodies) or v2 (leaf counts in
+// repair bodies) — is refused typed on its first frame, in both
+// directions.
 func TestFrameVersionRefused(t *testing.T) {
 	peers := []struct {
 		version  string
@@ -89,11 +88,20 @@ func TestFrameVersionRefused(t *testing.T) {
 		},
 		{
 			version: "v1",
-			reply:   v1Frame(1, statusOK, `{"results":null,"cost":{},"algorithm":"isl"}`),
+			reply:   oldFrame(frameMagicV1, 1, statusOK, `{"results":null,"cost":{},"algorithm":"isl"}`),
 			requests: [][]byte{
-				v1Frame(1, methodApply, `{"relation":"r1","kind":"insert","ts":1}`),
-				v1Frame(1, methodHealth, ""),
-				v1Frame(1, methodTopK, `{"left":"a","right":"b","k":3,"algo":"isl"}`),
+				oldFrame(frameMagicV1, 1, methodApply, `{"relation":"r1","kind":"insert","ts":1}`),
+				oldFrame(frameMagicV1, 1, methodHealth, ""),
+				oldFrame(frameMagicV1, 1, methodTopK, `{"left":"a","right":"b","k":3,"algo":"isl"}`),
+			},
+		},
+		{
+			version: "v2",
+			reply:   oldFrame(frameMagicV2, 1, statusOK, `{"families":["d"],"rows":["p1"],"cells":[]}`),
+			requests: [][]byte{
+				oldFrame(frameMagicV2, 1, methodApply, `{"relation":"r1","kind":"insert","ts":1}`),
+				oldFrame(frameMagicV2, 1, methodMerkleTree, `{"table":"t","leaves":64}`),
+				oldFrame(frameMagicV2, 1, methodTopK, `{"left":"a","right":"b","k":3,"algo":"isl"}`),
 			},
 		},
 	}
@@ -107,6 +115,22 @@ func TestFrameVersionRefused(t *testing.T) {
 			t.Run(peer.version, func(t *testing.T) { serverRefuses(t, peer.version, peer.requests) })
 		}
 	})
+}
+
+// refusedTyped fails unless err is a typed *Error that is not
+// unavailable and names both frame versions.
+func refusedTyped(t *testing.T, version string, err error) {
+	t.Helper()
+	var te *Error
+	if !errors.As(err, &te) {
+		t.Fatalf("err = %v, want *Error", err)
+	}
+	if te.Kind == KindUnavailable || errors.Is(err, ErrUnavailable) {
+		t.Fatalf("err = %v: a build mismatch must not read as unavailable", err)
+	}
+	if !strings.Contains(te.Msg, version) || !strings.Contains(te.Msg, fmt.Sprintf("v%d", frameVersion)) {
+		t.Fatalf("err = %v, want both frame versions named", err)
+	}
 }
 
 // clientRefuses: a client whose first request is answered by reply
@@ -154,23 +178,15 @@ func clientRefuses(t *testing.T, version string, reply []byte) {
 	cl := Dial(ln.Addr().String())
 	defer cl.Close()
 	_, err = cl.TopK(QueryRequest{Left: "a", Right: "b", K: 3, Algo: "isl"})
-	var te *Error
-	if !errors.As(err, &te) {
-		t.Fatalf("err = %v, want *Error", err)
-	}
-	if te.Kind == KindUnavailable || errors.Is(err, ErrUnavailable) {
-		t.Fatalf("err = %v: a build mismatch must not read as unavailable", err)
-	}
-	if !strings.Contains(te.Msg, version) || !strings.Contains(te.Msg, fmt.Sprintf("v%d", frameVersion)) {
-		t.Fatalf("err = %v, want both frame versions named", err)
-	}
+	refusedTyped(t, version, err)
 	if n := accepts.Load(); n != 1 {
 		t.Fatalf("client dialed %d times, want 1 (no redial on a mismatch)", n)
 	}
 }
 
-// serverRefuses: a server drops each connection whose first frame is
-// one of requests, without answering or dispatching it.
+// serverRefuses: a server answers each connection whose first frame is
+// one of requests with exactly one error frame in its own format, naming
+// both versions, then ends the connection without dispatching anything.
 func serverRefuses(t *testing.T, version string, requests [][]byte) {
 	fake := &fakeService{}
 	srv, _ := startServer(t, fake)
@@ -185,11 +201,22 @@ func serverRefuses(t *testing.T, version string, requests [][]byte) {
 		if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
 			t.Fatal(err)
 		}
-		n, err := conn.Read(make([]byte, 64))
+		answer, err := io.ReadAll(conn)
 		_ = conn.Close()
-		if n != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Fatalf("server answered a %s frame with %d bytes (err %v), want the connection dropped", version, n, err)
+		if err != nil {
+			t.Fatalf("reading the answer to a %s frame: %v", version, err)
 		}
+		r := bytes.NewReader(answer)
+		_, status, body, err := newFrameBuf().read(r)
+		if err != nil || status != statusError || r.Len() != 0 {
+			t.Fatalf("a %s frame was answered with %q (status %d, err %v, %d bytes after it), want one error frame",
+				version, answer, status, err, r.Len())
+		}
+		var te Error
+		if err := json.Unmarshal(body, &te); err != nil {
+			t.Fatalf("error frame body %q: %v", body, err)
+		}
+		refusedTyped(t, version, &te)
 	}
 	fake.mu.Lock()
 	defer fake.mu.Unlock()
@@ -273,18 +300,14 @@ func TestFrameBuffersDoNotAlias(t *testing.T) {
 	}
 }
 
-// fuzzService answers like fakeService but caps the work a request can
-// ask for, so arbitrary bodies stay cheap to serve.
+// fuzzService answers like fakeService but caps the rows a TopK
+// request can ask the fake to make up, so arbitrary bodies stay cheap to
+// serve.
 type fuzzService struct{ fakeService }
 
 func (f *fuzzService) TopK(req QueryRequest) (*ResultData, error) {
 	req.K = min(max(req.K, 0), 10)
 	return f.fakeService.TopK(req)
-}
-
-func (f *fuzzService) MerkleTree(req TreeRequest) (*merkle.Tree, error) {
-	req.Leaves = min(req.Leaves, 64)
-	return f.fakeService.MerkleTree(req)
 }
 
 // FuzzFrame: arbitrary bytes fed to the frame reader and to a server
@@ -302,9 +325,9 @@ func FuzzFrame(f *testing.F) {
 		{methodApply, WriteOp{Relation: "r1", Kind: OpInsert, New: &core.Tuple{RowKey: "k"}, TS: 1}},
 		{methodGetTuple, getRequest{Relation: "r1", RowKey: "k"}},
 		{methodTopK, QueryRequest{Left: "a", Right: "b", K: 3, Algo: "isl"}},
-		{methodMerkleTree, TreeRequest{Table: "t", Leaves: 4}},
-		{methodFetchRange, RangeRequest{Table: "t", Leaves: 4}},
-		{methodRepair, RepairRequest{Table: "t", Leaves: 4}},
+		{methodMerkleTree, TreeRequest{Table: "t"}},
+		{methodFetchRange, RangeRequest{Table: "t", Indexes: []int{1}}},
+		{methodRepair, RepairRequest{Table: "t"}},
 		{0xEE, nil},
 		{methodTopK, page(3)}, // a binary TopK reply where a request belongs
 	}

@@ -56,13 +56,13 @@ func goldenFrames() []goldenFrame {
 			ISLBatch: 600, Parallelism: 4, PageToken: "n0:1:tok", TimeoutNanos: 1500, MaxReadUnits: 99,
 		}},
 		{"topk request pair", methodTopK, QueryRequest{Left: "part", Right: "lineitem_pk", Score: "sum", K: 3, Algo: "isl"}},
-		{"merkle request", methodMerkleTree, TreeRequest{Table: "part", Leaves: 4}},
-		{"fetch request", methodFetchRange, RangeRequest{Table: "part", Leaves: 4, Indexes: []int{0, 3}}},
-		{"repair request", methodRepair, RepairRequest{Table: "part", Leaves: 4, Indexes: []int{1}, Range: RangeData{
-			Families: []string{"d"}, Rows: []string{"p1"},
-			Cells: []kvstore.Cell{{Row: "p1", Family: "d", Qualifier: "s", Value: []byte{0, 1, 0xff}, Timestamp: 7}},
+		{"merkle request", methodMerkleTree, TreeRequest{Table: "part"}},
+		{"fetch request", methodFetchRange, RangeRequest{Table: "part", Indexes: []int{0, 3}}},
+		{"repair request", methodRepair, RepairRequest{Table: "part", Indexes: []int{1}, Range: RangeData{
+			Families: []string{"d"},
+			Cells:    []kvstore.Cell{{Row: "p1", Family: "d", Qualifier: "s", Value: []byte{0, 1, 0xff}, Timestamp: 7}},
 		}}},
-		{"repair request full", methodRepair, RepairRequest{Table: "part", Leaves: 4, Full: true}},
+		{"repair request full", methodRepair, RepairRequest{Table: "part", Full: true}},
 
 		{"health reply", statusOK, &HealthInfo{
 			Node: "n1", Relations: []string{"part"}, Tables: []string{"part", "isl_part"},
@@ -92,8 +92,8 @@ func goldenFrames() []goldenFrame {
 		{"topk reply empty", statusOK, &ResultData{Algorithm: "naive"}},
 		{"merkle reply", statusOK, mb.Build()},
 		{"fetch reply", statusOK, &RangeData{
-			Families: []string{"d"}, Rows: []string{"p1", "p2"},
-			Cells: []kvstore.Cell{{Row: "p1", Family: "d", Qualifier: "j", Value: []byte("17"), Timestamp: 9}, {Row: "p2", Family: "d", Qualifier: "s", Timestamp: 10}},
+			Families: []string{"d"},
+			Cells:    []kvstore.Cell{{Row: "p1", Family: "d", Qualifier: "j", Value: []byte("17"), Timestamp: 9}, {Row: "p2", Family: "d", Qualifier: "s", Timestamp: 10}},
 		}},
 		{"repair reply", statusOK, &RepairStats{RowsDeleted: 2, CellsApplied: 5}},
 		{"error reply", statusError, &Error{Kind: KindBudget, Msg: "read budget of 10 units exhausted"}},

@@ -88,8 +88,13 @@ func (s *Server) serveConn(conn net.Conn) {
 	buf := newFrameBuf()
 	for {
 		seq, method, body, err := buf.read(conn)
+		var te *Error
+		if errors.As(err, &te) {
+			refuse(conn, buf, te) // another build's frame, or a length over the limit
+			return
+		}
 		if err != nil {
-			return // disconnect, garbage or another build's frame: drop the connection
+			return // disconnect or a frame cut short: drop the connection
 		}
 		resp, derr := dispatch(s.svc, method, body)
 		if derr == nil {
@@ -105,6 +110,24 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		buf.release()
 	}
+}
+
+// refuse answers a frame this build cannot read with one error frame in
+// this build's format, so a peer of another build fails typed instead of
+// seeing EOF and failing over. The connection then ends: the write side
+// shuts, and what the peer sent is drained until it hangs up, so the
+// close does not reset the reply away.
+func refuse(conn net.Conn, buf *frameBuf, why *Error) {
+	if buf.encode(0, statusError, why) != nil {
+		return
+	}
+	if _, err := conn.Write(buf.b); err != nil {
+		return
+	}
+	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+		_ = cw.CloseWrite()
+	}
+	_, _ = io.Copy(io.Discard, conn)
 }
 
 // asWireError converts a service error into the typed wire form,
@@ -136,56 +159,34 @@ func dispatch(svc RegionService, method byte, body []byte) (any, error) {
 	case methodHealth:
 		return svc.Health()
 	case methodDefineRelation:
-		var req defineRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		return nil, svc.DefineRelation(req.Name)
+		return handle(body, func(req defineRequest) (any, error) { return nil, svc.DefineRelation(req.Name) })
 	case methodEnsureIndexes:
-		var req EnsureRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		return nil, svc.EnsureIndexes(req)
+		return handle(body, func(req EnsureRequest) (any, error) { return nil, svc.EnsureIndexes(req) })
 	case methodApply:
-		var op WriteOp
-		if err := json.Unmarshal(body, &op); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		return nil, svc.Apply(op)
+		return handle(body, func(op WriteOp) (any, error) { return nil, svc.Apply(op) })
 	case methodGetTuple:
-		var req getRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		return svc.GetTuple(req.Relation, req.RowKey)
+		return handle(body, func(req getRequest) (*GetResponse, error) { return svc.GetTuple(req.Relation, req.RowKey) })
 	case methodTopK:
-		var req QueryRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		return svc.TopK(req)
+		return handle(body, svc.TopK)
 	case methodMerkleTree:
-		var req TreeRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		return svc.MerkleTree(req)
+		return handle(body, svc.MerkleTree)
 	case methodFetchRange:
-		var req RangeRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		return svc.FetchRange(req)
+		return handle(body, svc.FetchRange)
 	case methodRepair:
-		var req RepairRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		return svc.Repair(req)
+		return handle(body, svc.Repair)
 	default:
 		return nil, &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("unknown method code 0x%02x", method)}
 	}
+}
+
+// handle decodes a JSON request body into Req and hands it to f. A body
+// that does not decode is the caller's fault: KindBadRequest.
+func handle[Req, Resp any](body []byte, f func(Req) (Resp, error)) (any, error) {
+	var req Req
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
+	}
+	return f(req)
 }
 
 // ListenAndServe binds addr and serves svc until Close.

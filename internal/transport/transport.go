@@ -24,16 +24,19 @@
 // the seam. Their JSON tags fix the wire names.
 //
 // On TCP every message is one frame: a 14-byte binary header (the
-// version byte 0xF2, the sequence number, the method code or response
+// version byte 0xF3, the sequence number, the method code or response
 // status, the body length) followed by the message's body, which the
 // receiver decodes once, straight into the typed request or response
 // (codec.go). A TopK reply's body is its ResultData in a hand-written
 // binary layout (result.go), since ranked results are what crosses the
 // network on every query; every other body, and every error body, is
-// JSON. The router and its nodes must come from the same build: a peer
-// speaking another frame version is refused on its first frame with a
-// typed *Error that names both versions and is not KindUnavailable, so
-// the router reports it instead of failing over.
+// JSON; one generic helper decodes every JSON request (server.go). The
+// router and its nodes must come from the same build: a peer speaking
+// another frame version is refused on its first frame with a typed
+// *Error that names both versions and is not KindUnavailable, so the
+// router reports it instead of failing over. A server sends that error
+// as one frame in its own format before it hangs up, so an older client
+// refuses it typed as well.
 package transport
 
 import (
@@ -202,33 +205,29 @@ type HealthInfo struct {
 
 // TreeRequest asks for a table's Merkle tree.
 type TreeRequest struct {
-	Table  string `json:"table"`
-	Leaves int    `json:"leaves"`
+	Table string `json:"table"`
 }
 
 // RangeRequest fetches the raw live cells of the rows whose hash tokens
 // fall in the given Merkle leaves — the repair payload source.
 type RangeRequest struct {
-	Table  string `json:"table"`
-	Leaves int    `json:"leaves"`
+	Table string `json:"table"`
 	// Indexes lists divergent leaf indexes; empty means every row (a
 	// full-table fetch for corruption resyncs).
 	Indexes []int `json:"indexes,omitempty"`
 }
 
-// RangeData is a repair payload: the source replica's live cells in the
-// requested leaves plus the distinct row keys present (the target
-// deletes its own rows in those leaves that the source lacks).
+// RangeData is a repair payload: the source replica's families and its
+// live cells in the requested leaves, in row order. The target deletes
+// its own rows in those leaves that no cell names.
 type RangeData struct {
 	Families []string       `json:"families"`
-	Rows     []string       `json:"rows"`
 	Cells    []kvstore.Cell `json:"cells"`
 }
 
 // RepairRequest applies a repair payload on the target replica.
 type RepairRequest struct {
-	Table  string `json:"table"`
-	Leaves int    `json:"leaves"`
+	Table string `json:"table"`
 	// Indexes scopes the repair; with Full set the whole table is
 	// replaced (corruption resync: drop, recreate, re-ingest).
 	Indexes []int     `json:"indexes,omitempty"`

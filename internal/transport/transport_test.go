@@ -112,7 +112,7 @@ func (f *fakeService) MerkleTree(req TreeRequest) (*merkle.Tree, error) {
 	if err := f.err(); err != nil {
 		return nil, err
 	}
-	b := merkle.NewBuilder(req.Leaves)
+	b := merkle.NewBuilder(16)
 	b.Add("row1", merkle.HashRow("row1", []byte("v")))
 	return b.Build(), nil
 }
@@ -123,7 +123,6 @@ func (f *fakeService) FetchRange(req RangeRequest) (*RangeData, error) {
 	}
 	return &RangeData{
 		Families: []string{"d"},
-		Rows:     []string{"row1"},
 		Cells:    []kvstore.Cell{{Row: "row1", Family: "d", Qualifier: "q", Value: []byte("v"), Timestamp: 7}},
 	}, nil
 }
@@ -234,16 +233,16 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatalf("three-leaf page changed across the wire:\n got %+v\nwant %+v", res, page)
 	}
 
-	tree, err := cl.MerkleTree(TreeRequest{Table: "rel_r1", Leaves: 16})
+	tree, err := cl.MerkleTree(TreeRequest{Table: "rel_r1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := fake.MerkleTree(TreeRequest{Leaves: 16})
+	want, _ := fake.MerkleTree(TreeRequest{})
 	if tree.Root() != want.Root() {
 		t.Fatal("merkle tree changed across the wire")
 	}
 
-	rng, err := cl.FetchRange(RangeRequest{Table: "rel_r1", Leaves: 16})
+	rng, err := cl.FetchRange(RangeRequest{Table: "rel_r1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +250,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatalf("range = %+v", rng)
 	}
 
-	st, err := cl.Repair(RepairRequest{Table: "rel_r1", Leaves: 16, Range: *rng})
+	st, err := cl.Repair(RepairRequest{Table: "rel_r1", Range: *rng})
 	if err != nil || st.CellsApplied != 1 {
 		t.Fatalf("repair = %+v, %v", st, err)
 	}

@@ -3,7 +3,6 @@ package rankjoin
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -217,143 +216,38 @@ func (n *NodeService) TopK(req transport.QueryRequest) (*transport.ResultData, e
 	}, nil
 }
 
-// groupRows splits a table snapshot into per-row cell runs, preserving
-// each row's storage order (the digest part order) and returning the
-// row keys sorted.
-func groupRows(cells []kvstore.Cell) ([]string, map[string][]kvstore.Cell) {
-	byRow := map[string][]kvstore.Cell{}
-	var rows []string
-	for i := range cells {
-		if _, ok := byRow[cells[i].Row]; !ok {
-			rows = append(rows, cells[i].Row)
-		}
-		byRow[cells[i].Row] = append(byRow[cells[i].Row], cells[i])
-	}
-	sort.Strings(rows)
-	return rows, byRow
-}
-
 // MerkleTree implements transport.RegionService. A table this replica
-// never saw summarizes as an all-empty tree — every populated source
-// leaf then diverges, and the repair recreates the table — so "missing"
-// needs no special protocol case. A corrupt table fails typed instead
-// (this replica cannot honestly summarize state it cannot read), which
-// the router answers with a full resync.
+// never saw summarizes as an all-empty tree, so "missing" needs no
+// protocol case. A corrupt table fails typed instead (this replica
+// cannot honestly summarize state it cannot read), which the router
+// answers with a full resync.
 func (n *NodeService) MerkleTree(req transport.TreeRequest) (*merkle.Tree, error) {
-	b := merkle.NewBuilder(req.Leaves)
-	if !n.db.cluster.HasTable(req.Table) {
-		return b.Build(), nil
-	}
-	cells, err := n.db.cluster.TableCells(req.Table)
-	if err != nil {
-		return nil, wrapNodeErr(err)
-	}
-	rows, byRow := groupRows(cells)
-	for _, row := range rows {
-		b.Add(row, merkle.HashRow(row, kvstore.RowDigestParts(byRow[row])...))
-	}
-	n.db.cluster.ChargeMerkleScan(kvstore.MerkleScanStats{Rows: len(rows), Cells: len(cells)})
-	return b.Build(), nil
+	tree, err := n.db.cluster.MerkleTree(req.Table)
+	return tree, wrapNodeErr(err)
 }
 
 // FetchRange implements transport.RegionService: the repair-payload
-// read on the source replica. With leaf indexes it ships only the rows
-// whose hash tokens fall in those leaves; without, the whole table
-// (full-resync source).
+// read on the source replica, the rows in the requested leaves or, with
+// none, the whole table (a full resync's source).
 func (n *NodeService) FetchRange(req transport.RangeRequest) (*transport.RangeData, error) {
-	if !n.db.cluster.HasTable(req.Table) {
+	families, cells, err := n.db.cluster.RepairRange(req.Table, req.Indexes)
+	if errors.Is(err, kvstore.ErrNoTable) {
 		return nil, badRequest("node %s has no table %q to fetch from", n.name, req.Table)
 	}
-	families, err := n.db.cluster.TableFamilies(req.Table)
 	if err != nil {
 		return nil, wrapNodeErr(err)
 	}
-	cells, err := n.db.cluster.TableCells(req.Table)
-	if err != nil {
-		return nil, wrapNodeErr(err)
-	}
-	leaves := merkle.NormalizeLeaves(req.Leaves)
-	var want map[int]bool
-	if len(req.Indexes) > 0 {
-		want = make(map[int]bool, len(req.Indexes))
-		for _, i := range req.Indexes {
-			want[i] = true
-		}
-	}
-	out := &transport.RangeData{Families: families}
-	rows, byRow := groupRows(cells)
-	for _, row := range rows {
-		if want != nil && !want[merkle.LeafIndex(leaves, row)] {
-			continue
-		}
-		out.Rows = append(out.Rows, row)
-		out.Cells = append(out.Cells, byRow[row]...)
-	}
-	return out, nil
+	return &transport.RangeData{Families: families, Cells: cells}, nil
 }
 
 // Repair implements transport.RegionService: apply a source replica's
-// payload locally. Full repairs replace the table wholesale; scoped
-// repairs overwrite the shipped rows at their original timestamps and
-// delete this replica's own rows in the divergent leaves that the
-// source lacks (tombstoned at a fresh local timestamp — invisible to
-// the digest, so trees still converge).
+// payload locally (kvstore.Cluster.Repair).
 func (n *NodeService) Repair(req transport.RepairRequest) (*transport.RepairStats, error) {
-	cells := req.Range.Cells
-	if req.Full {
-		applied, err := n.db.cluster.RepairReplace(req.Table, req.Range.Families, cells)
-		if err != nil {
-			return nil, wrapNodeErr(err)
-		}
-		return &transport.RepairStats{CellsApplied: applied}, nil
-	}
-	deleteRows, err := n.staleRows(req)
-	if err != nil {
-		return nil, err
-	}
-	deleted, applied, err := n.db.cluster.RepairApply(req.Table, req.Range.Families, cells, deleteRows)
+	deleted, applied, err := n.db.cluster.Repair(req.Table, req.Range.Families, req.Range.Cells, req.Indexes, req.Full)
 	if err != nil {
 		return nil, wrapNodeErr(err)
 	}
 	return &transport.RepairStats{RowsDeleted: deleted, CellsApplied: applied}, nil
-}
-
-// staleRows lists this replica's own rows inside the repair's divergent
-// leaves that the source payload does not carry — rows the source
-// deleted (or never had) that must go.
-func (n *NodeService) staleRows(req transport.RepairRequest) ([]string, error) {
-	if !n.db.cluster.HasTable(req.Table) {
-		return nil, nil
-	}
-	local, err := n.db.cluster.TableCells(req.Table)
-	if err != nil {
-		// Cannot enumerate local rows (likely corruption): fail typed so
-		// the router escalates to a full resync.
-		return nil, wrapNodeErr(err)
-	}
-	srcRows := make(map[string]bool, len(req.Range.Rows))
-	for _, r := range req.Range.Rows {
-		srcRows[r] = true
-	}
-	leaves := merkle.NormalizeLeaves(req.Leaves)
-	var want map[int]bool
-	if len(req.Indexes) > 0 {
-		want = make(map[int]bool, len(req.Indexes))
-		for _, i := range req.Indexes {
-			want[i] = true
-		}
-	}
-	rows, _ := groupRows(local)
-	var stale []string
-	for _, row := range rows {
-		if want != nil && !want[merkle.LeafIndex(leaves, row)] {
-			continue
-		}
-		if !srcRows[row] {
-			stale = append(stale, row)
-		}
-	}
-	return stale, nil
 }
 
 // Close implements transport.RegionService. The DB's owner closes it.
