@@ -305,6 +305,72 @@ func TestAntiEntropyScopedRepair(t *testing.T) {
 	}
 }
 
+// TestAntiEntropyScopedRepairRetiresCells: a follower that was down
+// while rows were deleted and updated holds live cells the source's
+// rows no longer have — whole base rows, and entries inside wide index
+// rows (an inverse join list row, a score-list row) whose other entries
+// survive. One repair pass must converge every table of every index
+// family scoped, by replacing each shipped row wholesale, with no full
+// resync, leaving the replicas byte-identical and oracle-exact.
+func TestAntiEntropyScopedRepairRetiresCells(t *testing.T) {
+	left, right := distTuples(120)
+	db, q := oracleDB(t, left, right)
+	d := openLoopbackCluster(t, 3)
+	dq := loadCluster(t, d, left, right)
+
+	if err := d.StopNode("node2"); err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range []string{"left", "right"} {
+		dh, oh := d.Relation(rel), db.Relation(rel)
+		prefix := "d" + rel[:1]
+		for i := 0; i < 5; i++ {
+			key := fmt.Sprintf("%s%04d", prefix, 7*i)
+			if err := dh.DeleteKey(key); err != nil {
+				t.Fatalf("delete %s with follower down: %v", key, err)
+			}
+			if err := oh.DeleteKey(key); err != nil {
+				t.Fatal(err)
+			}
+			key = fmt.Sprintf("%s%04d", prefix, 7*i+3)
+			join, score := fmt.Sprintf("j%d", (i+11)%25), float64(i+1)/7
+			if err := dh.Update(key, join, score); err != nil {
+				t.Fatalf("update %s with follower down: %v", key, err)
+			}
+			if err := oh.Update(key, join, score); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := d.StartNode("node2"); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := d.Repair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Converged {
+		t.Fatalf("repair did not converge: %+v", rep.Failures)
+	}
+	families := map[string]bool{}
+	for _, r := range rep.Repairs {
+		if r.Full {
+			t.Errorf("missed deletes and updates escalated %s to a full resync: %+v", r.Table, r)
+		}
+		families[r.Table[:strings.IndexByte(r.Table, '_')]] = true
+	}
+	for _, f := range []string{"rel", "isl", "ijlmr", "bfhm", "drjn"} {
+		if !families[f] {
+			t.Errorf("no scoped repair of a %s_* table: %+v", f, rep.Repairs)
+		}
+	}
+	for _, table := range d.NodeDB("node0").Cluster().TableNames() {
+		assertReplicasByteIdentical(t, d, table)
+	}
+	assertExecutorsMatchOracle(t, d, dq, db, q)
+}
+
 // TestRepairBilling pins what anti-entropy bills on each node of a
 // 3-node loopback cluster: every node's sim.Snapshot delta for a round
 // of Merkle builds, for one scoped repair pass (the source's build and

@@ -11,8 +11,11 @@
 // take OpStats as a parameter rather than returning it, so the result
 // heuristic cannot see them).
 // A function "charges" when it calls a method on
-// sim.Metrics, or a package-local helper that itself always charges
-// (computed as a fixpoint, so chargeRPC/chargeWrite wrappers count).
+// sim.Metrics (Charge, Count, Advance), or a package-local helper that
+// itself always charges (computed as a fixpoint, so a charging wrapper
+// counts). Pricing is not charging: sim.Profile.Price only
+// computes a duration, so a function that prices its work and never
+// hands the price or the counts to a sim.Metrics is flagged.
 //
 // Functions that are themselves primitives — their own results include
 // OpStats, or they are on the write-primitive list — are exempt: their

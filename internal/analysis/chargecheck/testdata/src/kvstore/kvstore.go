@@ -18,6 +18,7 @@ type fetchResult struct {
 
 type Region struct {
 	metrics *sim.Metrics
+	profile sim.Profile
 }
 
 // scanSegments is a read primitive: callers bill from the stats.
@@ -63,6 +64,16 @@ func (r *Region) getUnbilled(key string) error {
 		return err
 	}
 	return nil // want `returns success here without charging sim\.Metrics`
+}
+
+// getPricedUnbilled prices its read with the shared price function but
+// never charges: a computed price is not a bill.
+func (r *Region) getPricedUnbilled(key string) (int64, error) {
+	st, err := r.scanSegments()
+	if err != nil {
+		return 0, err
+	}
+	return r.profile.Price(&sim.Op{RPCs: 1, Cells: st.Reads}), nil // want `returns success here without charging sim\.Metrics`
 }
 
 // putUnbilled touches via the named write primitive.

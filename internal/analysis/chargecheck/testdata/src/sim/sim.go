@@ -7,3 +7,11 @@ type Metrics struct{}
 func (m *Metrics) AddReadRPC(n int)      {}
 func (m *Metrics) AddWriteRPC(n int)     {}
 func (m *Metrics) AddDiskRead(bytes int) {}
+
+// Op and Profile stub the shared price function: pricing computes a
+// duration and charges nothing.
+type Op struct{ RPCs, Cells int }
+
+type Profile struct{}
+
+func (p *Profile) Price(op *Op) int64 { return 0 }

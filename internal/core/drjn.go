@@ -266,7 +266,7 @@ func drjnPull(c *kvstore.Cluster, rel Relation, tmpTable string, bound float64) 
 
 // readPulled drains a pull temp table at the coordinator.
 func readPulled(c *kvstore.Cluster, tmpTable string) ([]Tuple, error) {
-	rows, err := c.ScanAll(kvstore.Scan{Table: tmpTable, Caching: 1024})
+	rows, err := c.ScanAll(kvstore.Scan{Table: tmpTable, Caching: scanBatch})
 	if err != nil {
 		return nil, err
 	}

@@ -8,18 +8,17 @@ import (
 
 // This file holds the per-executor cost estimators behind
 // Executor.Estimate: closed-form predictions of the paper's three
-// metrics (simulated time, network bytes, KV read units) built from the
-// same hardware profile the simulator charges, the planner's table
-// statistics, and the DRJN/BFHM-derived join-cardinality and
-// termination-depth estimates in PlanStats.
+// metrics (simulated time, network bytes, KV read units) from the
+// planner's table statistics and the DRJN/BFHM-derived join-cardinality
+// and termination-depth estimates in PlanStats.
 //
-// The formulas mirror the charging paths in internal/kvstore and
-// internal/mapreduce: client scans pay per-batch RPC latency plus disk
-// and transfer time, keyed reads pay a seek, MapReduce jobs pay job and
-// task startup plus region-parallel scan makespans, and every examined
-// cell is one KV read unit. Estimates do not need to be exact — the
-// planner only needs the relative ordering (and the stamped estimate
-// makes the residual error measurable per query).
+// An estimator predicts counts, not prices: each phase states the work
+// it expects — RPCs, seeks, MapReduce tasks and jobs, disk and wire
+// bytes, cells — as a sim.Op, and the profile's Price turns it into
+// time, the same function the store and the MapReduce runner charge
+// through. Estimates do not need to be exact — the planner only needs
+// the relative ordering (and the stamped estimate makes the residual
+// error measurable per query).
 
 // Wire-size approximations (bytes). Tuples carry short row keys and
 // join values; these mirror EncodeTuple/EncodeJoinResult overheads.
@@ -27,8 +26,6 @@ const (
 	estTupleWire = 40 // one encoded tuple incl. length prefixes
 	estPairWire  = 88 // one encoded join pair
 	estCellMeta  = 30 // stored-cell key/family/qualifier overhead
-	estRPCOver   = 64 // fixed RPC request overhead (kvstore)
-	estScanBatch = 1024
 )
 
 // estAccum accumulates one candidate plan's predicted cost.
@@ -43,19 +40,33 @@ func (a *estAccum) est() CostEstimate {
 	return CostEstimate{SimTime: a.t, NetworkBytes: a.net, KVReads: a.reads}
 }
 
+// count adds op's network bytes and read units, the counters an
+// estimate predicts, as sim.Metrics.Count counts them.
+func (a *estAccum) count(op *sim.Op) {
+	a.net += op.NetworkBytes()
+	a.reads += op.Cells
+}
+
+// charge adds op's counters and its price.
+func (a *estAccum) charge(op *sim.Op) {
+	a.count(op)
+	a.t += a.p.Price(op)
+}
+
+// advance adds n back-to-back repetitions of op's price to the clock.
+func (a *estAccum) advance(n uint64, op *sim.Op) { a.t += time.Duration(n) * a.p.Price(op) }
+
 // clientScan models a batched client-side table scan returning all
-// cells: per-batch RPC latency, sequential disk read, and transfer.
+// cells: one RPC per batch of scanBatch rows, the whole table read from
+// disk and shipped.
 func (a *estAccum) clientScan(rows, bytes, cells uint64) {
-	batches := rows/estScanBatch + 1
-	net := bytes + batches*estRPCOver
-	a.reads += cells
-	a.net += net
-	a.t += time.Duration(batches)*a.p.RPCLatency +
-		a.p.ScanTime(bytes) + a.p.TransferTime(net) + a.p.CPUTime(cells)
+	a.charge(&sim.Op{RPCs: rows/scanBatch + 1, DiskBytes: bytes, WireBytes: bytes, Cells: cells})
 }
 
 // gets models n keyed point reads of ~rowBytes each, fanned out over
-// `lanes` concurrent lanes (1 = sequential).
+// `lanes` concurrent lanes (1 = sequential). Each read is one cell (a
+// ballpark), billed as a read unit; its price is the RPC, one seek and
+// the transfer.
 func (a *estAccum) gets(n, rowBytes uint64, lanes int) {
 	if n == 0 {
 		return
@@ -63,14 +74,14 @@ func (a *estAccum) gets(n, rowBytes uint64, lanes int) {
 	if lanes < 1 {
 		lanes = 1
 	}
-	per := a.p.SeekLatency + a.p.RPCLatency + a.p.TransferTime(rowBytes+estRPCOver)
-	a.reads += n // ballpark: one cell per fetched row
-	a.net += n * (rowBytes + estRPCOver)
-	a.t += time.Duration((n + uint64(lanes) - 1) / uint64(lanes) * uint64(per))
+	a.count(&sim.Op{RPCs: n, WireBytes: n * rowBytes, Cells: n})
+	a.advance((n+uint64(lanes)-1)/uint64(lanes), &sim.Op{RPCs: 1, Seeks: 1, WireBytes: rowBytes})
 }
 
 // mapPhase models the map wave of one MR job: one task per region,
-// scheduled round-robin over the cluster's nodes.
+// scheduled round-robin over the cluster's nodes, each scanning its
+// share of the table and touching its share of the cells read and the
+// records emitted.
 func (a *estAccum) mapPhase(bytes, cells, emitted uint64, regions int) {
 	if regions < 1 {
 		regions = 1
@@ -80,17 +91,8 @@ func (a *estAccum) mapPhase(bytes, cells, emitted uint64, regions int) {
 		workers = 1
 	}
 	waves := (regions + workers - 1) / workers
-	perTask := a.p.MRTaskStartup +
-		a.p.ScanTime(bytes/uint64(regions)) +
-		a.p.CPUTime((cells+emitted)/uint64(regions))
-	a.reads += cells
-	a.t += time.Duration(waves) * perTask
-}
-
-// shuffle models moving bytes from mappers to reducers.
-func (a *estAccum) shuffle(bytes uint64) {
-	a.net += bytes
-	a.t += a.p.TransferTime(bytes)
+	a.count(&sim.Op{Cells: cells})
+	a.advance(uint64(waves), &sim.Op{Tasks: 1, DiskBytes: bytes / uint64(regions), Cells: (cells + emitted) / uint64(regions)})
 }
 
 // reducePhase models numReducers reduce tasks over inputCells inputs
@@ -107,13 +109,9 @@ func (a *estAccum) reducePhase(inputCells, writeBytes uint64, numReducers int) {
 		workers = numReducers
 	}
 	waves := (numReducers + workers - 1) / workers
-	a.t += time.Duration(waves) * (a.p.MRTaskStartup + a.p.CPUTime(inputCells/uint64(numReducers)))
-	a.net += writeBytes
-	a.t += a.p.TransferTime(writeBytes)
+	a.advance(uint64(waves), &sim.Op{Tasks: 1, Cells: inputCells / uint64(numReducers)})
+	a.charge(&sim.Op{WireBytes: writeBytes})
 }
-
-// jobStart charges one MR job scheduling overhead.
-func (a *estAccum) jobStart() { a.t += a.p.MRJobStartup }
 
 // ---- Per-executor estimators ----
 
@@ -125,7 +123,7 @@ func estimateNaive(st *PlanStats) CostEstimate {
 		tuples += l.Rows
 	}
 	// Coordinator hash join over everything.
-	a.t += a.p.CPUTime(tuples + uint64(st.JoinPairs))
+	a.advance(1, &sim.Op{Cells: tuples + uint64(st.JoinPairs)})
 	return a.est()
 }
 
@@ -136,19 +134,19 @@ func estimateHive(st *PlanStats) CostEstimate {
 	j := uint64(st.JoinPairs)
 	// Hive drags unprojected SELECT * rows (~1 KB padding) through both
 	// shuffles and the materialized join (hivePadding in hive.go).
-	pairBytes := uint64(estPairWire + estCellMeta + 1024)
+	pairBytes := uint64(estPairWire + estCellMeta + hivePadding)
 
 	// Job 1: repartition join of both base tables.
-	a.jobStart()
+	a.charge(&sim.Op{Jobs: 1})
 	a.mapPhase(l.Bytes, 2*l.Rows, l.Rows, l.Regions)
 	a.mapPhase(r.Bytes, 2*r.Rows, r.Rows, r.Regions)
-	a.shuffle(tuples * (estTupleWire + 10))
+	a.charge(&sim.Op{WireBytes: tuples * (estTupleWire + 10)})
 	a.reducePhase(tuples+j, j*pairBytes, a.p.Nodes)
 
 	// Job 2: score + total order (single reducer).
-	a.jobStart()
+	a.charge(&sim.Op{Jobs: 1})
 	a.mapPhase(j*pairBytes, j, j, a.p.Nodes)
-	a.shuffle(j * pairBytes)
+	a.charge(&sim.Op{WireBytes: j * pairBytes})
 	a.reducePhase(j, j*pairBytes, 1)
 
 	// Stage 3: fetch the k best rows.
@@ -164,25 +162,25 @@ func estimatePig(st *PlanStats) CostEstimate {
 	pairBytes := uint64(estPairWire + estCellMeta) // early projection: no padding
 
 	// Job 1: repartition join (projected).
-	a.jobStart()
+	a.charge(&sim.Op{Jobs: 1})
 	a.mapPhase(l.Bytes, 2*l.Rows, l.Rows, l.Regions)
 	a.mapPhase(r.Bytes, 2*r.Rows, r.Rows, r.Regions)
-	a.shuffle(tuples * (estTupleWire + 10))
+	a.charge(&sim.Op{WireBytes: tuples * (estTupleWire + 10)})
 	a.reducePhase(tuples+j, j*pairBytes, a.p.Nodes)
 
 	// Job 2: ORDER BY sampling pass over the join result.
-	a.jobStart()
+	a.charge(&sim.Op{Jobs: 1})
 	a.mapPhase(j*pairBytes, j, j/100, a.p.Nodes)
-	a.shuffle(j / 100 * 16)
+	a.charge(&sim.Op{WireBytes: j / 100 * 16})
 	a.reducePhase(j/100, 0, 1)
 
 	// Job 3: top-k push-down — mappers emit local top-k lists only.
-	a.jobStart()
+	a.charge(&sim.Op{Jobs: 1})
 	localK := uint64(a.p.Nodes * st.K)
 	a.mapPhase(j*pairBytes, j, localK, a.p.Nodes)
-	a.shuffle(localK * estPairWire)
+	a.charge(&sim.Op{WireBytes: localK * estPairWire})
 	a.reducePhase(localK, 0, 1)
-	a.net += uint64(st.K) * estPairWire // final output to the client
+	a.count(&sim.Op{WireBytes: uint64(st.K) * estPairWire}) // final output to the client
 	return a.est()
 }
 
@@ -196,12 +194,12 @@ func estimateIJLMR(st *PlanStats) CostEstimate {
 	// One map-only-style job over the inverse join list: each row holds
 	// one join value's tuples from both sides; mappers pay the per-row
 	// cartesian product, then a single reducer merges local top-k lists.
-	a.jobStart()
+	a.charge(&sim.Op{Jobs: 1})
 	localK := uint64(a.p.Nodes * st.K)
 	a.mapPhase(idxBytes, tuples+uint64(st.JoinPairs), localK, a.p.Nodes)
-	a.shuffle(localK * estPairWire)
+	a.charge(&sim.Op{WireBytes: localK * estPairWire})
 	a.reducePhase(localK, 0, 1)
-	a.net += uint64(st.K) * estPairWire
+	a.count(&sim.Op{WireBytes: uint64(st.K) * estPairWire})
 	return a.est()
 }
 
@@ -223,21 +221,17 @@ func estimateLists(st *PlanStats) CostEstimate {
 			maxBatches = b
 		}
 	}
-	perBatch := a.p.RPCLatency +
-		a.p.ScanTime(batch*cellBytes) +
-		a.p.TransferTime(batch*cellBytes+estRPCOver)
 	seqBatches := batches
 	if st.Exec.Parallelism >= 2 {
 		// Prefetching overlaps the leaves' round trips; the slowest
 		// stream dominates.
 		seqBatches = maxBatches
 	}
-	a.t += time.Duration(seqBatches) * perBatch
-	a.reads += total
-	a.net += total*cellBytes + batches*estRPCOver
+	a.advance(seqBatches, &sim.Op{RPCs: 1, DiskBytes: batch * cellBytes, WireBytes: batch * cellBytes})
+	a.count(&sim.Op{RPCs: batches, WireBytes: total * cellBytes, Cells: total})
 	// Each consumed tuple probes its neighbor leaves' seen sets; each
 	// released result builds all n of its tuples.
-	a.t += a.p.CPUTime(total + uint64(st.K)*uint64(len(st.LeafDepths)))
+	a.advance(1, &sim.Op{Cells: total + uint64(st.K)*uint64(len(st.LeafDepths))})
 	return a.est()
 }
 
@@ -257,9 +251,9 @@ func estimateBFHM(st *PlanStats) CostEstimate {
 	}
 	blobBytes := rowsPerBucket*2 + 64 // ~1.5 bytes/element after GCS
 	a.gets(fetches, blobBytes, 1)
-	a.reads += 2 * fetches // blob rows carry blob+min+max cells
+	a.count(&sim.Op{Cells: 2 * fetches}) // blob rows carry blob+min+max cells
 	// Filter intersections: proportional to the set bits touched.
-	a.t += a.p.CPUTime(fetches * rowsPerBucket)
+	a.advance(1, &sim.Op{Cells: fetches * rowsPerBucket})
 
 	// Reverse-mapping phase: ~2 keyed reads per surviving estimated
 	// result (one per side), fanned out over the parallelism lanes.
@@ -269,7 +263,7 @@ func estimateBFHM(st *PlanStats) CostEstimate {
 		lanes = 1
 	}
 	a.gets(cands, estTupleWire+estCellMeta, lanes)
-	a.t += a.p.CPUTime(cands + uint64(st.K))
+	a.advance(1, &sim.Op{Cells: cands + uint64(st.K)})
 	return a.est()
 }
 
@@ -298,15 +292,14 @@ func estimateDRJN(st *PlanStats) CostEstimate {
 	pulledL, pulledR := uint64(st.LeafDepths[0]), uint64(st.LeafDepths[1])
 	pulledBytes := (pulledL + pulledR) * (estTupleWire + estCellMeta)
 	for range rounds {
-		a.jobStart()
+		a.charge(&sim.Op{Jobs: 1})
 		a.mapPhase(l.Bytes, 2*l.Rows, 0, l.Regions)
-		a.jobStart()
+		a.charge(&sim.Op{Jobs: 1})
 		a.mapPhase(r.Bytes, 2*r.Rows, 0, r.Regions)
-		a.net += pulledBytes // temp-table writes cross the network
-		a.t += a.p.TransferTime(pulledBytes)
+		a.charge(&sim.Op{WireBytes: pulledBytes}) // temp-table writes cross the network
 		// Coordinator reads the pulled tuples back and joins exactly.
 		a.clientScan(pulledL+pulledR, pulledBytes, pulledL+pulledR)
 	}
-	a.t += a.p.CPUTime(pulledL + pulledR + uint64(st.K))
+	a.advance(1, &sim.Op{Cells: pulledL + pulledR + uint64(st.K)})
 	return a.est()
 }

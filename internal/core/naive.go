@@ -45,13 +45,18 @@ func NaiveTopK(c *kvstore.Cluster, t *JoinTree) (*Result, error) {
 	}, nil
 }
 
+// scanBatch is the rows one RPC of a coordinator's full-table scan
+// returns (kvstore.Scan.Caching): scanRelation's and readPulled's
+// batch, and the batch the estimators price client scans in.
+const scanBatch = 1024
+
 // scanRelation drains a relation through the metered scanner, decoding
 // each row into a tuple before the next.
 func scanRelation(c *kvstore.Cluster, rel *Relation) ([]Tuple, error) {
 	sc, err := c.OpenScanner(kvstore.Scan{
 		Table:    rel.Table,
 		Families: []string{rel.Family},
-		Caching:  1024,
+		Caching:  scanBatch,
 	})
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"iter"
 
 	"repro/internal/merkle"
+	"repro/internal/sim"
 )
 
 // Replica anti-entropy, the node side. A replicated topology keeps N
@@ -52,7 +53,8 @@ func (c *Cluster) TableCells(name string) ([]Cell, error) {
 			stats.BytesRead += sz
 			stats.BytesReturned += sz
 		}
-		c.chargeRPC(stats)
+		op := stats.rpc()
+		c.metrics.Charge(&c.profile, &op)
 		out = append(out, cells...)
 	}
 	return out, nil
@@ -125,6 +127,22 @@ func rowDigest(row string, cells []Cell) merkle.Digest {
 	return merkle.HashRow(row, parts...)
 }
 
+// appendMissing appends to dst the cells of local, one row's live cells,
+// whose column the shipped row lacks. Both runs are in storage order:
+// by family, then qualifier.
+func appendMissing(dst, local, shipped []Cell) []Cell {
+	j := 0
+	for _, c := range local {
+		for j < len(shipped) && (shipped[j].Family < c.Family || shipped[j].Family == c.Family && shipped[j].Qualifier < c.Qualifier) {
+			j++
+		}
+		if j == len(shipped) || shipped[j].Family != c.Family || shipped[j].Qualifier != c.Qualifier {
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
 // MerkleTree summarizes a table's live contents for anti-entropy. A
 // table this cluster never saw summarizes as an all-empty tree, so every
 // populated leaf of a peer's tree diverges and the repair recreates the
@@ -142,7 +160,7 @@ func (c *Cluster) MerkleTree(table string) (*merkle.Tree, error) {
 	for row, run := range rowRuns(cells) {
 		b.Add(row, rowDigest(row, run))
 	}
-	c.metrics.Advance(c.profile.CPUTime(uint64(len(cells))))
+	c.metrics.Advance(c.profile.Price(&sim.Op{Cells: uint64(len(cells))}))
 	return b.Build(), nil
 }
 
@@ -177,16 +195,20 @@ func (c *Cluster) RepairRange(table string, leaves []int) (families []string, ce
 // and re-ingest. That is the corruption path: a replica whose own Merkle
 // build fails its checksums has no trustworthy state to diff against.
 //
-// A scoped repair overwrites the shipped rows and deletes this
+// A scoped repair replaces each shipped row wholesale and deletes this
 // replica's own rows in leaves (every row when leaves is empty) that the
-// payload lacks: rows the source deleted or never had. Each such row's
-// live cells are tombstoned under a fresh local timestamp, which the
-// ObserveClock below makes sort above every replicated cell; tombstones
-// are invisible to the digest, so the trees still converge. A table the
-// replica never saw is created. Returns rows deleted and cells applied.
+// payload lacks: rows the source deleted or never had. Retired cells —
+// every live cell of such a row, and the live cells of a shipped row
+// whose columns the payload row lacks (entries a missed delete or update
+// removed from a wide index row) — are tombstoned under a fresh local
+// timestamp, which the ObserveClock below makes sort above every
+// replicated cell; tombstones are invisible to the digest, so the trees
+// still converge. A table the replica never saw is created. Returns rows
+// deleted and cells applied.
 func (c *Cluster) Repair(table string, families []string, cells []Cell, leaves []int, full bool) (deleted, applied int, err error) {
 	t, err := c.table(table)
 	var stale []string
+	var retired []Cell // live cells of shipped rows that the payload rows lack
 	switch {
 	case err == nil && full:
 		if err := c.DropTable(table); err != nil {
@@ -200,13 +222,15 @@ func (c *Cluster) Repair(table string, families []string, cells []Cell, leaves [
 		if err != nil {
 			return 0, 0, err
 		}
-		src := make(map[string]bool)
-		for row := range rowRuns(cells) {
-			src[row] = true
+		src := make(map[string][]Cell)
+		for row, run := range rowRuns(cells) {
+			src[row] = run
 		}
 		in := inLeaves(leaves)
-		for row := range rowRuns(local) {
-			if in(row) && !src[row] {
+		for row, run := range rowRuns(local) {
+			if shipped, ok := src[row]; ok {
+				retired = appendMissing(retired, run, shipped)
+			} else if in(row) {
 				stale = append(stale, row)
 			}
 		}
@@ -227,26 +251,36 @@ func (c *Cluster) Repair(table string, families []string, cells []Cell, leaves [
 	}
 	c.ObserveClock(maxTS)
 	tombstones := 0
+	// retire tombstones one row's live cells under a fresh timestamp.
+	retire := func(live []Cell) error {
+		ts := c.Now()
+		dead := make([]Cell, len(live))
+		for i := range live {
+			dead[i] = Cell{Row: live[i].Row, Family: live[i].Family, Qualifier: live[i].Qualifier, Timestamp: ts, Tombstone: true}
+			bytes += dead[i].StoredSize()
+		}
+		tombstones += len(dead)
+		return t.applyRow(dead)
+	}
 	for _, row := range stale {
 		got, stats, gerr := t.regionFor(row).get(row, nil)
-		c.chargeRPC(stats)
+		op := stats.rpc()
+		c.metrics.Charge(&c.profile, &op)
 		if gerr != nil {
 			return deleted, applied, gerr
 		}
 		if got == nil {
 			continue
 		}
-		ts := c.Now()
-		dead := make([]Cell, len(got.Cells))
-		for i, live := range got.Cells {
-			dead[i] = Cell{Row: live.Row, Family: live.Family, Qualifier: live.Qualifier, Timestamp: ts, Tombstone: true}
-			bytes += dead[i].StoredSize()
-		}
-		if err := t.applyRow(dead); err != nil {
+		if err := retire(got.Cells); err != nil {
 			return deleted, applied, err
 		}
-		tombstones += len(dead)
 		deleted++
+	}
+	for _, run := range rowRuns(retired) {
+		if err := retire(run); err != nil {
+			return deleted, applied, err
+		}
 	}
 	// Each row's run is one atomic mutation.
 	for _, run := range rowRuns(cells) {
@@ -257,6 +291,6 @@ func (c *Cluster) Repair(table string, families []string, cells []Cell, leaves [
 	}
 	// One group-write RPC for the whole payload — charged even when it
 	// shipped nothing, since the repair call itself still crossed the wire.
-	c.chargeWrite(bytes, tombstones+applied)
+	c.metrics.Charge(&c.profile, &sim.Op{RPCs: 1, WireBytes: bytes, Writes: uint64(tombstones + applied)})
 	return deleted, applied, nil
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -681,38 +680,27 @@ func (c *Cluster) TableDiskSize(name string) (uint64, error) {
 	return t.DiskSize(), nil
 }
 
-// requestOverhead approximates the fixed wire size of one RPC request.
-const requestOverhead = 64
-
-// rpcCost returns the simulated duration of one client round trip with
-// the given server-side work, without charging anything.
-func (c *Cluster) rpcCost(stats OpStats) time.Duration {
-	return c.profile.RPCLatency +
-		c.profile.ScanTime(stats.BytesRead) +
-		c.profile.TransferTime(requestOverhead+stats.BytesReturned) +
-		c.profile.CPUTime(stats.CellsExamined)
+// rpc is the counted work of one client round trip that performed
+// stats server-side: the disk bytes it read, the payload it returned and
+// the cells it examined. sim.Profile.Price prices it, and a keyed read
+// adds its seeks (see keyed).
+func (stats OpStats) rpc() sim.Op {
+	return sim.Op{RPCs: 1, DiskBytes: stats.BytesRead, WireBytes: stats.BytesReturned, Cells: stats.CellsExamined}
 }
 
-// chargeRPCCounters meters the resource counters of one round trip
-// (bytes, read units, RPC count) without advancing the clock — callers
-// doing parallel-lane accounting advance it themselves.
-func (c *Cluster) chargeRPCCounters(stats OpStats) {
-	c.metrics.AddReadRPC(requestOverhead+stats.BytesReturned, stats.CellsExamined, stats.BytesRead)
-}
-
-// chargeRPC meters one client round trip: latency, request+response
-// bytes, and the server-side disk work.
-func (c *Cluster) chargeRPC(stats OpStats) {
-	c.chargeRPCCounters(stats)
-	c.metrics.Advance(c.rpcCost(stats))
-}
-
-// chargeWrite meters a mutation RPC.
-func (c *Cluster) chargeWrite(bytes uint64, cells int) {
-	c.metrics.AddRPC()
-	c.metrics.AddNetwork(requestOverhead + bytes)
-	c.metrics.AddKVWrites(uint64(cells))
-	c.metrics.Advance(c.profile.RPCLatency + c.profile.TransferTime(requestOverhead+bytes))
+// keyed is the counted work of one keyed-read RPC for nrows rows. A
+// row served from the row cache costs no seek. On a disk-backed cluster
+// the seek count is MEASURED — one per SSTable block actually fetched
+// (block-cache hits and memtable-only reads fetch none, and so does a
+// row-cache hit) — rather than assumed one per uncached row.
+func (c *Cluster) keyed(nrows int, stats OpStats) sim.Op {
+	op := stats.rpc()
+	if c.state.store != nil {
+		op.Seeks = stats.BlockReads
+	} else {
+		op.Seeks = uint64(nrows) - stats.CacheHits
+	}
+	return op
 }
 
 // Put writes one cell (timestamp 0 means "stamp with Now()").
@@ -738,19 +726,9 @@ func (c *Cluster) Get(table, row string, families ...string) (*Row, error) {
 	// and a row-cache hit not even that: no disk bytes (get reports
 	// BytesRead accordingly), no seek. The RPC, transfer, and per-KV
 	// CPU costs always apply, and the read units are always billed
-	// (DynamoDB charges per request, not per disk access). On a
-	// disk-backed cluster the seek charge is MEASURED: one seek per
-	// SSTable block actually fetched (block-cache hits and
-	// memtable-only reads fetch none), replacing the memory mode's
-	// flat one-seek formula.
-	c.chargeRPC(stats)
-	if stats.CacheHits == 0 {
-		if c.state.store != nil {
-			c.metrics.Advance(time.Duration(stats.BlockReads) * c.profile.SeekLatency)
-		} else {
-			c.metrics.Advance(c.profile.SeekLatency)
-		}
-	}
+	// (DynamoDB charges per request, not per disk access).
+	op := c.keyed(1, stats)
+	c.metrics.Charge(&c.profile, &op)
 	return got, nil
 }
 
@@ -876,6 +854,6 @@ func (c *Cluster) write(muts []TableMutation, stamp func() int64) (failed string
 		//lint:allow chargecheck an empty write applied no mutations, so there is nothing to bill
 		return "", nil, nil
 	}
-	c.chargeWrite(bytes, cellCount)
+	c.metrics.Charge(&c.profile, &sim.Op{RPCs: 1, WireBytes: bytes, Writes: uint64(cellCount)})
 	return "", nil, nil
 }

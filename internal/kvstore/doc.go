@@ -249,7 +249,11 @@
 // # Cost accounting
 //
 // Every operation returns OpStats so the metered client (or the
-// MapReduce runner) charges the simulator faithfully. A keyed read that
+// MapReduce runner) charges the simulator faithfully. A charge site
+// states the operation's counts as a sim.Op — one RPC, its seeks, the
+// disk bytes read, the bytes returned and the cells examined — and
+// prices it with sim.Profile.Price, the simulator's one price list; this
+// package keeps no price of its own. A keyed read that
 // misses the row cache costs one RPC round trip, one disk seek, the
 // returned bytes, and one read unit per cell examined. A row-cache hit
 // skips the seek and the disk bytes — the row is served from region
@@ -281,9 +285,9 @@
 //   - MerkleTree, RepairRange and Repair are the node half of
 //     anti-entropy (antientropy.go): a table's tree over a fixed 64
 //     hash-token leaves, the source's payload for the divergent leaves,
-//     and the target's landing of it at its ORIGINAL timestamps (scoped
-//     leaf overwrite + source-absent row deletion, or whole-table
-//     drop/recreate/re-ingest for corruption). The digest pass bills
+//     and the target's landing of it at its ORIGINAL timestamps (scoped:
+//     each shipped row replaced wholesale and source-absent rows
+//     deleted; or whole-table drop/recreate/re-ingest for corruption). The digest pass bills
 //     CPU per cell on top of TableCells' reads; a repair bills the
 //     stale-row reads and one group write like any client mutation.
 //

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // Scan describes a client scan request: the whole table, in key order.
@@ -115,8 +117,9 @@ func (sc *Scanner) Fill() error {
 		sc.err = err
 		return err
 	}
-	sc.c.chargeRPCCounters(stats)
-	cost := sc.c.rpcCost(stats)
+	op := stats.rpc()
+	sc.c.metrics.Count(&op)
+	cost := sc.c.profile.Price(&op)
 	if sc.scan.Prefetch {
 		// Clock progress since the RPC counts as issued is work the
 		// fetch overlapped with; only the remainder extends the
@@ -206,31 +209,17 @@ func (c *Cluster) ScanAll(s Scan) ([]Row, error) {
 	}
 }
 
-// multiGetCost returns the simulated duration of one batched-get RPC of
-// nrows keyed reads with the given server-side work. Rows served from
-// the row cache (stats.CacheHits) skip their disk seek. On a
-// disk-backed cluster the seek count is MEASURED — one per SSTable
-// block actually fetched — rather than assumed one per uncached row.
-func (c *Cluster) multiGetCost(nrows int, stats OpStats) time.Duration {
-	var seeks int
-	if c.state.store != nil {
-		seeks = int(stats.BlockReads)
-	} else {
-		seeks = nrows - int(stats.CacheHits)
-	}
-	if seeks < 0 {
-		seeks = 0
-	}
-	return c.profile.RPCLatency +
-		time.Duration(seeks)*c.profile.SeekLatency +
-		c.profile.TransferTime(requestOverhead+stats.BytesReturned) +
-		c.profile.CPUTime(stats.CellsExamined)
-}
-
-// chargeMultiGetCounters meters the resource counters of one batched-get
-// RPC (the 16 bytes per requested key model the row keys on the wire).
-func (c *Cluster) chargeMultiGetCounters(nrows int, stats OpStats) {
-	c.metrics.AddReadRPC(requestOverhead+uint64(nrows)*16+stats.BytesReturned, stats.CellsExamined, stats.BytesRead)
+// multiGet is the counted and the timed work of one batched-get RPC of
+// nrows keyed reads. The two differ by two terms: the 16 bytes per
+// requested key that model the row keys on the wire are counted as
+// network traffic but not timed, and the disk bytes are counted while
+// the time prices the seeks alone.
+func (c *Cluster) multiGet(nrows int, stats OpStats) (counted, timed sim.Op) {
+	timed = c.keyed(nrows, stats)
+	counted = timed
+	counted.WireBytes += uint64(nrows) * 16
+	timed.DiskBytes = 0
+	return counted, timed
 }
 
 // MultiGet fetches several rows in ONE client RPC (HBase's batched Get).
@@ -255,8 +244,9 @@ func (c *Cluster) MultiGet(table string, rows []string, families ...string) ([]*
 		stats.add(st)
 		out[i] = got
 	}
-	c.chargeMultiGetCounters(len(rows), stats)
-	c.metrics.Advance(c.multiGetCost(len(rows), stats))
+	counted, timed := c.multiGet(len(rows), stats)
+	c.metrics.Count(&counted)
+	c.metrics.Advance(c.profile.Price(&timed))
 	return out, nil
 }
 
@@ -347,11 +337,13 @@ func (c *Cluster) ParallelMultiGet(table string, rows []string, parallelism int,
 				b.stats.add(st)
 				out[i] = got
 			}
-			laneDur[l] += c.multiGetCost(len(b.idxs), b.stats)
+			_, timed := c.multiGet(len(b.idxs), b.stats)
+			laneDur[l] += c.profile.Price(&timed)
 		}
 	}
 	for _, b := range batches {
-		c.chargeMultiGetCounters(len(b.idxs), b.stats)
+		counted, _ := c.multiGet(len(b.idxs), b.stats)
+		c.metrics.Count(&counted)
 	}
 	c.metrics.AdvanceParallel(laneDur...)
 	return out, nil

@@ -60,7 +60,8 @@ func (c *Cluster) Scrub() (*ScrubReport, error) {
 				return rep, err
 			}
 			reports, stats, err := r.scrubRuns()
-			c.chargeRPC(stats)
+			op := stats.rpc()
+			c.metrics.Charge(&c.profile, &op)
 			quarantined := false
 			for _, f := range reports {
 				if f.Err != nil {
@@ -79,7 +80,7 @@ func (c *Cluster) Scrub() (*ScrubReport, error) {
 			}
 		}
 	}
-	//lint:allow chargecheck every region's verification I/O is charged via chargeRPC as its scrubRuns OpStats come back; a cluster with no tables had nothing to bill
+	//lint:allow chargecheck every region's verification I/O is charged as one RPC as its scrubRuns OpStats come back; a cluster with no tables had nothing to bill
 	return rep, nil
 }
 

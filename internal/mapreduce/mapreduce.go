@@ -270,13 +270,11 @@ func Run(job *Job) (*Result, error) {
 		if o.err != nil {
 			return nil, fmt.Errorf("mapreduce: job %q map task %d: %w", job.Name, i, o.err)
 		}
-		// Charge the map task to its node: startup + local scan + CPU.
-		taskTime := profile.MRTaskStartup +
-			profile.ScanTime(o.stats.BytesRead) +
-			profile.CPUTime(o.stats.CellsExamined+uint64(len(o.ctx.emitted)))
-		mapTimer.AssignTo(o.node, taskTime)
-		metrics.AddDiskRead(o.stats.BytesRead)
-		metrics.AddKVReads(o.stats.CellsExamined)
+		// Charge the map task to its node: startup + local scan + CPU
+		// over the cells it read and the records it emitted.
+		mapTimer.AssignTo(o.node, profile.Price(&sim.Op{Tasks: 1, DiskBytes: o.stats.BytesRead,
+			Cells: o.stats.CellsExamined + uint64(len(o.ctx.emitted))}))
+		metrics.Count(&sim.Op{DiskBytes: o.stats.BytesRead, Cells: o.stats.CellsExamined})
 		res.MapInputRows += o.rows
 		res.MapInputCells += o.stats.CellsExamined
 		for name, v := range o.ctx.counters {
@@ -305,13 +303,13 @@ func Run(job *Job) (*Result, error) {
 			return nil, fmt.Errorf("mapreduce: job %q store write: %w", job.Name, err)
 		}
 		res.StoreWriteBytes += bytes
-		metrics.AddKVWrites(uint64(len(w.cells)))
+		metrics.Count(&sim.Op{Writes: uint64(len(w.cells))})
 	}
-	// Store writes cross the network (rows hash anywhere in the table).
-	metrics.AddNetwork(res.StoreWriteBytes)
-
-	jobTime := profile.MRJobStartup + mapTimer.Makespan() +
-		profile.TransferTime(res.StoreWriteBytes)
+	// The job's startup, then its store writes crossing the network
+	// (rows hash anywhere in the table).
+	launch := sim.Op{Jobs: 1, WireBytes: res.StoreWriteBytes}
+	metrics.Count(&launch)
+	jobTime := profile.Price(&launch) + mapTimer.Makespan()
 
 	// ---- Shuffle + reduce (skipped for map-only jobs). ----
 	if job.Reducer != nil {
@@ -330,7 +328,8 @@ func Run(job *Job) (*Result, error) {
 				res.ShuffleBytes += kv.size()
 			}
 		}
-		metrics.AddNetwork(res.ShuffleBytes)
+		shuffle := sim.Op{WireBytes: res.ShuffleBytes}
+		metrics.Count(&shuffle)
 
 		reduceTimer := sim.NewParallelTimer(profile.Nodes)
 		type redOut struct {
@@ -390,8 +389,8 @@ func Run(job *Job) (*Result, error) {
 			if redOuts[p].peakGroup > res.PeakReduceGroup {
 				res.PeakReduceGroup = redOuts[p].peakGroup
 			}
-			reduceTimer.AssignTo(p, profile.MRTaskStartup+
-				profile.CPUTime(redOuts[p].kvCount+uint64(len(ctx.emitted))))
+			reduceTimer.AssignTo(p, profile.Price(&sim.Op{Tasks: 1,
+				Cells: redOuts[p].kvCount + uint64(len(ctx.emitted))}))
 			res.Output = append(res.Output, ctx.emitted...)
 			for name, v := range ctx.counters {
 				res.Counters[name] += v
@@ -408,14 +407,12 @@ func Run(job *Job) (*Result, error) {
 				return nil, fmt.Errorf("mapreduce: job %q reduce store write: %w", job.Name, err)
 			}
 			redWriteBytes += bytes
-			metrics.AddKVWrites(uint64(len(w.cells)))
+			metrics.Count(&sim.Op{Writes: uint64(len(w.cells))})
 		}
 		res.StoreWriteBytes += redWriteBytes
-		metrics.AddNetwork(redWriteBytes)
-
-		jobTime += profile.TransferTime(res.ShuffleBytes) +
-			reduceTimer.Makespan() +
-			profile.TransferTime(redWriteBytes)
+		redWrite := sim.Op{WireBytes: redWriteBytes}
+		metrics.Count(&redWrite)
+		jobTime += profile.Price(&shuffle) + reduceTimer.Makespan() + profile.Price(&redWrite)
 	} else {
 		// Map-only: emissions become the job output directly, shipped
 		// to the client.
@@ -426,8 +423,9 @@ func Run(job *Job) (*Result, error) {
 		for _, kv := range res.Output {
 			outBytes += kv.size()
 		}
-		metrics.AddNetwork(outBytes)
-		jobTime += profile.TransferTime(outBytes)
+		out := sim.Op{WireBytes: outBytes}
+		metrics.Count(&out)
+		jobTime += profile.Price(&out)
 	}
 
 	metrics.Advance(jobTime)

@@ -9,11 +9,7 @@ func TestLaneForwardsCountersNotTime(t *testing.T) {
 	root := &Metrics{}
 	lane := NewLane(root)
 
-	lane.AddNetwork(100)
-	lane.AddKVReads(7)
-	lane.AddKVWrites(3)
-	lane.AddRPC()
-	lane.AddDiskRead(50)
+	lane.Count(&Op{RPCs: 1, WireBytes: 36, Cells: 7, Writes: 3, DiskBytes: 50})
 	lane.AddTuplesShipped(2)
 	lane.Advance(5 * time.Second)
 
@@ -35,7 +31,7 @@ func TestLaneNesting(t *testing.T) {
 	root := &Metrics{}
 	mid := NewLane(root)
 	leaf := NewLane(mid)
-	leaf.AddKVReads(4)
+	leaf.Count(&Op{Cells: 4})
 	if mid.KVReads() != 4 || root.KVReads() != 4 {
 		t.Errorf("nested forwarding broken: mid=%d root=%d", mid.KVReads(), root.KVReads())
 	}
@@ -67,7 +63,7 @@ func TestLaneFanOutConvention(t *testing.T) {
 	durs := make([]time.Duration, 4)
 	for i := range lanes {
 		lanes[i] = NewLane(root)
-		lanes[i].AddKVReads(10)
+		lanes[i].Count(&Op{Cells: 10})
 		d := time.Duration(i+1) * time.Second
 		lanes[i].Advance(d)
 		durs[i] = lanes[i].SimTime()

@@ -12,6 +12,15 @@
 //     every KV pair below 1 KB is one read unit, $0.01 per hour per 50
 //     units of provisioned throughput).
 //
+// One function prices work: Profile.Price takes the counts of one
+// operation — an Op of RPCs, seeks, MapReduce tasks and jobs, disk and
+// wire bytes, and cells touched — and returns its simulated time, with
+// each RPC's request overhead added on the wire. The store's charge
+// sites, the MapReduce runner and the planner's estimators all price
+// through it, as every dollar figure prices through DollarsForReads;
+// Metrics.Charge records an operation's counters and its price in one
+// step, and Metrics.Count the counters alone.
+//
 // Two profiles mirror the paper's clusters: EC2 (1+8 m1.large instances)
 // and LC (the 5-node lab cluster with 32 cores and 10 disks per node).
 // Absolute times are not calibrated to the authors' testbed — only the
@@ -80,24 +89,47 @@ func LC() Profile {
 	}
 }
 
-// ScanTime returns the time one node needs to sequentially read n bytes.
-func (p Profile) ScanTime(bytes uint64) time.Duration {
-	return time.Duration(float64(bytes) / p.DiskBandwidth * float64(time.Second))
+// requestOverhead approximates the fixed wire size of one RPC request:
+// every round trip ships it beside its payload, so it is both timed and
+// counted as network bytes.
+const requestOverhead = 64
+
+// Op is the counted work of one simulated operation: a client round
+// trip, a MapReduce task or job, or a planner's prediction of either.
+// Price turns it into time and Metrics.Count into counters.
+type Op struct {
+	RPCs      uint64 // client round trips: latency and request overhead each
+	Seeks     uint64 // random (keyed) disk reads
+	Tasks     uint64 // MapReduce task launches
+	Jobs      uint64 // MapReduce job launches
+	DiskBytes uint64 // bytes read sequentially from disk
+	WireBytes uint64 // payload bytes moved over the network
+	Cells     uint64 // key-value pairs touched: CPU time, and read units
+	Writes    uint64 // key-value pairs written: counted, never priced
 }
 
-// TransferTime returns the network time to move n bytes point-to-point.
-func (p Profile) TransferTime(bytes uint64) time.Duration {
-	return time.Duration(float64(bytes) / p.NetBandwidth * float64(time.Second))
-}
+// NetworkBytes returns the bytes op moves over the network: its payload
+// plus each round trip's request overhead. Price times these bytes and
+// Metrics.Count counts them.
+func (op *Op) NetworkBytes() uint64 { return op.RPCs*requestOverhead + op.WireBytes }
 
-// RPCTime returns the full cost of a round trip carrying n payload bytes.
-func (p Profile) RPCTime(bytes uint64) time.Duration {
-	return p.RPCLatency + p.TransferTime(bytes)
-}
-
-// CPUTime returns the processing cost of touching n key-value pairs.
-func (p Profile) CPUTime(kvs uint64) time.Duration {
-	return time.Duration(kvs) * p.CPUPerKV
+// Price returns the simulated time of op on this profile. It is the one
+// price list of the simulator: the store's charge sites, the MapReduce
+// runner and the planner's estimators all price work here, the way
+// DollarsForReads prices it in dollars. Each term converts to a
+// Duration on its own, so a term's digits do not depend on what else
+// the operation did. Price, Count and Charge take the profile and the
+// Op by pointer: the planner prices hundreds of Ops per plan, and
+// copying their eight words and the profile into every call costs more
+// than the arithmetic.
+func (p *Profile) Price(op *Op) time.Duration {
+	return time.Duration(op.RPCs)*p.RPCLatency +
+		time.Duration(op.Seeks)*p.SeekLatency +
+		time.Duration(op.Tasks)*p.MRTaskStartup +
+		time.Duration(op.Jobs)*p.MRJobStartup +
+		time.Duration(float64(op.DiskBytes)/p.DiskBandwidth*float64(time.Second)) +
+		time.Duration(float64(op.NetworkBytes())/p.NetBandwidth*float64(time.Second)) +
+		time.Duration(op.Cells)*p.CPUPerKV
 }
 
 // ReadUnitDollarsPerHour is DynamoDB's price for 50 units of provisioned
@@ -186,71 +218,31 @@ func (m *Metrics) AdvanceParallel(lanes ...time.Duration) {
 	m.Advance(max)
 }
 
-// AddNetwork records n bytes moved across the network.
-func (m *Metrics) AddNetwork(n uint64) {
-	m.mu.Lock()
-	m.networkBytes += n
-	m.mu.Unlock()
-	if m.parent != nil {
-		m.parent.AddNetwork(n)
+// Count records op's counters — RPC count, network bytes (payload plus
+// each round trip's request overhead), read units, writes and disk
+// bytes — in one lock acquisition, without advancing the clock. Callers
+// that fold time themselves (parallel lanes, overlapped prefetches)
+// count here and advance by Price apart.
+func (m *Metrics) Count(op *Op) {
+	for ; m != nil; m = m.parent {
+		m.mu.Lock()
+		m.rpcCalls += op.RPCs
+		m.networkBytes += op.NetworkBytes()
+		m.kvReads += op.Cells
+		m.kvWrites += op.Writes
+		m.diskBytesRead += op.DiskBytes
+		m.mu.Unlock()
 	}
 }
 
-// AddKVReads records n key-value pairs read from the store (each is one
-// DynamoDB read unit in the paper's cost model).
-func (m *Metrics) AddKVReads(n uint64) {
+// Charge records op's counters and advances the clock by its price on p
+// (sequential work): Count and Advance(p.Price(op)) in one step.
+func (m *Metrics) Charge(p *Profile, op *Op) {
+	d := p.Price(op)
 	m.mu.Lock()
-	m.kvReads += n
+	m.simTime += d
 	m.mu.Unlock()
-	if m.parent != nil {
-		m.parent.AddKVReads(n)
-	}
-}
-
-// AddKVWrites records n key-value pairs written.
-func (m *Metrics) AddKVWrites(n uint64) {
-	m.mu.Lock()
-	m.kvWrites += n
-	m.mu.Unlock()
-	if m.parent != nil {
-		m.parent.AddKVWrites(n)
-	}
-}
-
-// AddRPC records one RPC round trip.
-func (m *Metrics) AddRPC() {
-	m.mu.Lock()
-	m.rpcCalls++
-	m.mu.Unlock()
-	if m.parent != nil {
-		m.parent.AddRPC()
-	}
-}
-
-// AddReadRPC records the counters of one read round trip — RPC count,
-// network bytes, read units, disk bytes — in a single lock acquisition.
-// The point-get hot path charges here; the four separate Add calls cost
-// four mutex round trips per get.
-func (m *Metrics) AddReadRPC(network, kvReads, disk uint64) {
-	m.mu.Lock()
-	m.rpcCalls++
-	m.networkBytes += network
-	m.kvReads += kvReads
-	m.diskBytesRead += disk
-	m.mu.Unlock()
-	if m.parent != nil {
-		m.parent.AddReadRPC(network, kvReads, disk)
-	}
-}
-
-// AddDiskRead records n bytes read from disk.
-func (m *Metrics) AddDiskRead(n uint64) {
-	m.mu.Lock()
-	m.diskBytesRead += n
-	m.mu.Unlock()
-	if m.parent != nil {
-		m.parent.AddDiskRead(n)
-	}
+	m.Count(op)
 }
 
 // AddTuplesShipped records n data tuples sent to the query coordinator.

@@ -34,17 +34,15 @@ func TestProfilesSane(t *testing.T) {
 
 func TestScanTransferRPC(t *testing.T) {
 	p := Profile{DiskBandwidth: 1e6, NetBandwidth: 2e6, RPCLatency: time.Millisecond}
-	if got := p.ScanTime(1e6); got != time.Second {
-		t.Errorf("ScanTime(1MB) = %v, want 1s", got)
+	if got := p.Price(&Op{DiskBytes: 1e6}); got != time.Second {
+		t.Errorf("scan of 1MB = %v, want 1s", got)
 	}
-	if got := p.TransferTime(2e6); got != time.Second {
-		t.Errorf("TransferTime(2MB) = %v, want 1s", got)
+	if got := p.Price(&Op{WireBytes: 2e6}); got != time.Second {
+		t.Errorf("transfer of 2MB = %v, want 1s", got)
 	}
-	if got := p.RPCTime(0); got != time.Millisecond {
-		t.Errorf("RPCTime(0) = %v, want 1ms", got)
-	}
-	if got := p.RPCTime(2e6); got != time.Second+time.Millisecond {
-		t.Errorf("RPCTime(2MB) = %v, want 1.001s", got)
+	// A round trip ships its request overhead: 64 bytes at 2 MB/s.
+	if got := p.Price(&Op{RPCs: 1}); got != time.Millisecond+32*time.Microsecond {
+		t.Errorf("empty RPC = %v, want 1.032ms", got)
 	}
 }
 
@@ -52,11 +50,7 @@ func TestMetricsAccumulate(t *testing.T) {
 	var m Metrics
 	m.Advance(time.Second)
 	m.Advance(time.Second)
-	m.AddNetwork(100)
-	m.AddKVReads(7)
-	m.AddKVWrites(3)
-	m.AddRPC()
-	m.AddDiskRead(50)
+	m.Count(&Op{RPCs: 1, WireBytes: 36, Cells: 7, Writes: 3, DiskBytes: 50})
 	m.AddTuplesShipped(2)
 	if m.SimTime() != 2*time.Second {
 		t.Errorf("SimTime = %v", m.SimTime())
@@ -83,8 +77,7 @@ func TestMetricsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				m.AddKVReads(1)
-				m.AddNetwork(2)
+				m.Count(&Op{Cells: 1, WireBytes: 2})
 				m.Advance(time.Microsecond)
 			}
 		}()
@@ -103,15 +96,15 @@ func TestMetricsConcurrent(t *testing.T) {
 
 func TestDollars(t *testing.T) {
 	var m Metrics
-	m.AddKVReads(1)
+	m.Count(&Op{Cells: 1})
 	if d := m.Dollars(); d != 0.01 {
 		t.Errorf("1 read = $%g, want $0.01 (1 capacity unit-hour)", d)
 	}
-	m.AddKVReads(49)
+	m.Count(&Op{Cells: 49})
 	if d := m.Dollars(); d != 0.01 {
 		t.Errorf("50 reads = $%g, want $0.01", d)
 	}
-	m.AddKVReads(1)
+	m.Count(&Op{Cells: 1})
 	if d := m.Dollars(); d != 0.02 {
 		t.Errorf("51 reads = $%g, want $0.02", d)
 	}
@@ -119,9 +112,9 @@ func TestDollars(t *testing.T) {
 
 func TestSnapshotSub(t *testing.T) {
 	var m Metrics
-	m.AddKVReads(10)
+	m.Count(&Op{Cells: 10})
 	before := m.Snapshot()
-	m.AddKVReads(5)
+	m.Count(&Op{Cells: 5})
 	m.Advance(time.Second)
 	delta := m.Snapshot().Sub(before)
 	if delta.KVReads != 5 {
