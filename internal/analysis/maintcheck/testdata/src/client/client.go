@@ -19,6 +19,12 @@ func groupBad(c *kvstore.Cluster) error {
 	return c.GroupWrite(nil) // want `Cluster\.GroupWrite mutates a base table outside the core\.Maintainer pipeline`
 }
 
+// bulkBad: the unmetered bulk door skips maintenance like the metered
+// doors do.
+func bulkBad(c *kvstore.Cluster) error {
+	return c.BulkWrite("users", 2) // want `Cluster\.BulkWrite mutates a base table outside the core\.Maintainer pipeline`
+}
+
 // readsAreFine: non-mutating calls are out of scope.
 func readsAreFine(c *kvstore.Cluster) error {
 	if _, err := c.Get("users", "u1"); err != nil {
@@ -37,7 +43,11 @@ func viaMaintainer(m *core.Maintainer) error {
 // loading, and the suppression documents that.
 func bulkLoad(c *kvstore.Cluster) error {
 	//lint:allow maintcheck bulk load rebuilds all indexes afterwards
-	return c.BatchPut("users", 1000)
+	if err := c.BatchPut("users", 1000); err != nil {
+		return err
+	}
+	//lint:allow maintcheck bulk load rebuilds all indexes afterwards
+	return c.BulkWrite("users", 1000)
 }
 
 // otherPut: same method name on an unrelated type is out of scope.

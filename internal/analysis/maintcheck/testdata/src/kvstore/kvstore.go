@@ -9,5 +9,6 @@ type Cluster struct{}
 func (c *Cluster) Put(table, row, val string) error      { return nil }
 func (c *Cluster) BatchPut(table string, n int) error    { return nil }
 func (c *Cluster) GroupWrite(muts []Mutation) error      { return nil }
+func (c *Cluster) BulkWrite(table string, n int) error   { return nil }
 func (c *Cluster) Get(table, row string) (string, error) { return "", nil }
 func (c *Cluster) Scan(table string) ([]string, error)   { return nil, nil }

@@ -147,11 +147,6 @@ func (f *family[T]) ensureKey(c *kvstore.Cluster, t *JoinTree, i int, key string
 	if err != nil {
 		return err
 	}
-	// A build ends in a sorted run; only the maintenance writes after
-	// it go to the memtable.
-	if err := c.Seal(f.table(idx)); err != nil {
-		return err
-	}
 	m.Put(key, idx)
 	return nil
 }

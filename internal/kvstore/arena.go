@@ -149,11 +149,34 @@ func (a *cellArena) appendCellKey(coordHead string, coordTail []byte, ts int64, 
 	start := a.reserveKey(len(coordHead) + len(coordTail) + cellKeySuffix)
 	a.kb.WriteString(coordHead)
 	a.kb.Write(coordTail)
+	a.writeKeySuffix(ts, seq)
+	return a.sealKey(start, ref)
+}
+
+// writeKeySuffix appends an internal key's fixed tail: the NUL after
+// the qualifier, ^ts and ^seq.
+func (a *cellArena) writeKeySuffix(ts int64, seq uint64) {
 	var n [cellKeySuffix]byte
 	binary.BigEndian.PutUint64(n[1:9], ^uint64(ts))
 	binary.BigEndian.PutUint64(n[9:17], ^seq)
 	a.kb.Write(n[:])
-	return a.sealKey(start, ref)
+}
+
+// addCell stores one cell version under the internal key of its
+// coordinates, timestamp and seq, writing cellKey's bytes straight into
+// the key slab, and returns its reference.
+func (a *cellArena) addCell(c *Cell, seq uint64) cellRef {
+	ref := cellRef{rowLen: uint32(len(c.Row)), famLen: uint32(len(c.Family))}
+	start := a.reserveKey(internalKeyLen(c))
+	a.kb.WriteString(c.Row)
+	a.kb.WriteByte(0)
+	a.kb.WriteString(c.Family)
+	a.kb.WriteByte(0)
+	a.kb.WriteString(c.Qualifier)
+	a.writeKeySuffix(c.Timestamp, seq)
+	a.sealKey(start, &ref)
+	a.setValue(c.Value, c.Tombstone, &ref)
+	return ref
 }
 
 // setValue copies a value (and the tombstone flag) into the arena and
@@ -239,8 +262,9 @@ func (r *sortedRun) seek(k string) int {
 }
 
 // runBuilder fills a sortedRun. Entries must arrive in ascending key
-// order; the three fillers (memtable flush, segment merge, block decode)
-// all read from sorted sources, and block decode verifies it.
+// order; the four fillers (memtable flush, bulk write, segment merge,
+// block decode) all read from sorted sources, and block decode verifies
+// it.
 type runBuilder struct {
 	run sortedRun
 }
@@ -258,6 +282,11 @@ func newRunBuilder(entries, keyBytes, valBytes int) *runBuilder {
 // add appends a copy of one cell version.
 func (b *runBuilder) add(key string, c *Cell) {
 	b.run.refs = append(b.run.refs, b.run.arena.add(key, c))
+}
+
+// addCell appends a copy of one cell version under sequence seq.
+func (b *runBuilder) addCell(c *Cell, seq uint64) {
+	b.run.refs = append(b.run.refs, b.run.arena.addCell(c, seq))
 }
 
 // finish returns the run; the builder must not be used afterwards.

@@ -156,6 +156,11 @@ func cellKey(row, family, qualifier string, ts int64, seq uint64) string {
 	return sb.String()
 }
 
+// internalKeyLen is the length of c's internal key (see cellKey).
+func internalKeyLen(c *Cell) int {
+	return len(c.Row) + len(c.Family) + len(c.Qualifier) + 3 + cellKeySuffixLen
+}
+
 // rowPrefix returns the cellKey prefix shared by all cells of a row.
 func rowPrefix(row string) string { return row + "\x00" }
 

@@ -56,8 +56,9 @@ type Table struct {
 	families map[string]bool
 
 	// mutSeq moves whenever the table's visible contents change: every
-	// applied client write batch (Put/BatchPut/GroupWrite) and every
-	// Scrub that quarantines one of its runs.
+	// applied client write batch (Put/BatchPut/GroupWrite), every row
+	// mutation of a bulk write (BulkWrite) and every Scrub that
+	// quarantines one of its runs.
 	// Consumers key cached derivations of the table's contents — planner
 	// statistics, plan choices — on it, so a matching sequence proves the
 	// cache entry still describes the live table.
@@ -67,8 +68,9 @@ type Table struct {
 }
 
 // MutationSeq returns the table's mutation sequence number: it starts at
-// zero and advances on every applied client write batch and on every
-// scrub quarantine of one of the table's runs.
+// zero and advances on every applied client write batch, on every row
+// mutation of a bulk write and on every scrub quarantine of one of the
+// table's runs.
 func (t *Table) MutationSeq() uint64 { return t.mutSeq.Load() }
 
 // NewCluster creates a cluster with the given hardware profile and a
@@ -324,31 +326,6 @@ func (c *Cluster) FlushAll() error {
 	return nil
 }
 
-// Seal ends a bulk build of table: in memory mode every region moves
-// its memtables into sorted runs, so the reads that follow walk a
-// binary-searched array instead of a skip list filled in load order.
-// Like any flush it is free in the cost model, and memory-mode billing
-// does not depend on where a cell sits, so no simulated count moves.
-//
-// In disk mode Seal does nothing. There a flush writes an SSTable, and
-// every read after it pays measured block reads that the memtable never
-// bills; flushing stays with the threshold.
-func (c *Cluster) Seal(table string) error {
-	if c.DiskBacked() {
-		return nil
-	}
-	t, err := c.table(table)
-	if err != nil {
-		return err
-	}
-	for _, r := range t.regions {
-		if err := r.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SetRowCacheBytes resizes every region's row cache (0 disables caching)
 // and sets the capacity future regions start with.
 func (c *Cluster) SetRowCacheBytes(n uint64) {
@@ -428,12 +405,17 @@ func (c *Cluster) Nodes() int { return c.profile.Nodes }
 // Now returns a fresh, strictly increasing logical timestamp. The paper's
 // update protocol (Section 6) stamps base-data and index mutations with
 // the same timestamp; callers obtain one here and reuse it.
-func (c *Cluster) Now() int64 {
+func (c *Cluster) Now() int64 { return c.reserveClock(1) }
+
+// reserveClock advances the clock by n and returns the first of the n
+// fresh timestamps it passed: what n calls of Now() would return.
+func (c *Cluster) reserveClock(n int) int64 {
 	s := c.state
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.clock++
-	return s.clock
+	first := s.clock + 1
+	s.clock += int64(n)
+	return first
 }
 
 // CreateTable declares a table with column families and optional split
@@ -589,16 +571,16 @@ func (t *Table) Families() []string {
 }
 
 // regionFor locates the region containing row.
-func (t *Table) regionFor(row string) *Region {
+func (t *Table) regionFor(row string) *Region { return t.regions[t.regionIndex(row)] }
+
+// regionIndex is the index in t.regions of the region containing row.
+func (t *Table) regionIndex(row string) int {
 	// Regions are sorted by StartKey; find the last region whose start
 	// is <= row.
 	idx := sort.Search(len(t.regions), func(i int) bool {
 		return t.regions[i].StartKey() > row
 	}) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return t.regions[idx]
+	return max(idx, 0)
 }
 
 // applyRow routes one row's atomic mutation batch to its region and
@@ -854,6 +836,23 @@ func (c *Cluster) write(muts []TableMutation, stamp func() int64) (failed string
 		//lint:allow chargecheck an empty write applied no mutations, so there is nothing to bill
 		return "", nil, nil
 	}
-	c.metrics.Charge(&c.profile, &sim.Op{RPCs: 1, WireBytes: bytes, Writes: uint64(cellCount)})
+	c.metrics.Charge(&c.profile, batchWriteOp(bytes, cellCount))
 	return "", nil, nil
+}
+
+// batchWriteOp is the counted work of one batched client write of cells
+// cells carrying bytes payload bytes: one mutation RPC.
+func batchWriteOp(bytes uint64, cells int) *sim.Op {
+	return &sim.Op{RPCs: 1, WireBytes: bytes, Writes: uint64(cells)}
+}
+
+// ChargeBatchWrite bills cells as one batched client write: what
+// BatchPut charges for the same cells. A bulk loader that lands its
+// cells through BulkWrite calls it once per batch it bills.
+func (c *Cluster) ChargeBatchWrite(cells []Cell) {
+	var bytes uint64
+	for i := range cells {
+		bytes += cells[i].StoredSize()
+	}
+	c.metrics.Charge(&c.profile, batchWriteOp(bytes, len(cells)))
 }

@@ -26,17 +26,30 @@
 // version of a column sorts first, which lets every reader take the
 // first version it encounters.
 //
-// A bulk build ends in a sorted run. In memory mode Cluster.Seal
-// flushes every region of a table whatever the threshold, and the bulk
-// paths above the store (a relation's BulkLoad, each index build) end
-// with it, so the reads that follow binary-search a run instead of
-// chasing a skip list filled in load order (an inverse score list is
-// written in score order, which is random key order). A flush is free
-// in the cost model and memory-mode billing does not depend on where a
-// cell sits, so sealing moves no simulated count. Disk mode leaves
-// flushing to the threshold: there a flush writes an SSTable, and every
-// read after it pays measured block reads that a memtable read never
-// bills.
+// Bulk writes land as sorted runs. Cluster.BulkWrite is the store's
+// unmetered bulk door — a MapReduce job's output (every index build,
+// the query scratch tables) and a bulk load (a relation's BulkLoad, the
+// TPC-H loader) come through it, and their callers bill the work, as
+// HBase bulk loads write sorted files and bypass the memstore. In
+// memory mode the cells never touch a memtable: each cell is checked as
+// any write checks it, each region numbers its cells in input order,
+// sorts them once and copies them, with what its family memtables
+// already held, into one new run per dirty family store, sized to the
+// bytes it holds and in key order. The install is a flush's — row
+// cache, live count, compaction — plus the table's mutation sequence. So
+// the reads after a build binary-search a run instead of chasing a skip
+// list filled in load order (an inverse score list is written in score
+// order, which is random key order), and the build never pays for the
+// skip list's inserts or the copy out of it. Memory-mode billing does
+// not depend on where a cell sits, so no simulated count moves.
+//
+// Disk mode keeps the write-ahead path: each row goes through the WAL
+// and its memtable like any write, and flushing stays with the
+// threshold. There a flush writes an SSTable, and every read after it
+// pays measured block reads that a memtable read never bills; landing
+// a build as a file would move every disk-mode read count, and the
+// SSTables, MANIFEST and WAL a bulk write leaves are exactly those of
+// the same cells written row by row.
 //
 // Cells at rest are bytes, not objects (arena.go). A memtable, a
 // segment and a decoded SSTable block all keep their cells the same way:
@@ -48,7 +61,8 @@
 // followed by its tower, a link is the successor's position — so growth
 // copies nothing; a segment and a decoded block are the same type, a
 // sortedRun — the references in key order, binary-searched — filled by
-// the same builder from a memtable flush, a merge, or a block decode. So the heap holds a
+// the same builder from a memtable flush, a bulk write, a merge, or a
+// block decode. So the heap holds a
 // few slabs and arrays per store rather than five objects per cell, and
 // the garbage collector's mark work no longer grows with the data.
 //
@@ -56,8 +70,9 @@
 //
 //   - Writes copy. Put, BatchPut and GroupWrite — three doors onto one
 //     metered write body, which validates, stamps, groups by row, applies
-//     and bills once — copy key and value into the arena (and, on disk, the WAL file); the caller may
-//     reuse its buffers at once. A zero-length value is stored as no
+//     and bills once — and the unmetered BulkWrite copy key and value
+//     into the arena (and, on disk, the WAL file); the caller may reuse
+//     its buffers at once. A zero-length value is stored as no
 //     bytes and reads back as nil everywhere.
 //   - Iterators yield views. cellIter.cell() returns a Cell whose
 //     strings are substrings of the stored key and whose Value is a

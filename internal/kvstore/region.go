@@ -257,9 +257,11 @@ func (s *OpStats) add(o OpStats) {
 	s.BlockCacheHits += o.BlockCacheHits
 }
 
-// applyMutation validates, logs, and inserts one cell version.
-// locked: r.mu
-func (r *Region) applyMutation(c Cell) error {
+// checkCell refuses a cell this region cannot store: an invalid row,
+// family or qualifier, a row outside the region, or a value or internal
+// key too large for the arena. Every write door checks each cell with
+// it before the cell lands.
+func (r *Region) checkCell(c *Cell) error {
 	if err := ValidateKeyComponent(c.Row); err != nil {
 		return err
 	}
@@ -277,11 +279,20 @@ func (r *Region) applyMutation(c Cell) error {
 	if len(c.Value) > maxArenaItem {
 		return fmt.Errorf("kvstore: value of %d bytes exceeds the %d-byte cell limit", len(c.Value), maxArenaItem)
 	}
+	if n := internalKeyLen(c); n > maxArenaItem {
+		return fmt.Errorf("kvstore: cell key of %d bytes exceeds the %d-byte cell limit", n, maxArenaItem)
+	}
+	return nil
+}
+
+// applyMutation validates, logs, and inserts one cell version.
+// locked: r.mu
+func (r *Region) applyMutation(c Cell) error {
+	if err := r.checkCell(&c); err != nil {
+		return err
+	}
 	r.seq++
 	key := cellKey(c.Row, c.Family, c.Qualifier, c.Timestamp, r.seq)
-	if len(key) > maxArenaItem {
-		return fmt.Errorf("kvstore: cell key of %d bytes exceeds the %d-byte cell limit", len(key), maxArenaItem)
-	}
 	if err := r.log.append(key, &c); err != nil {
 		return err
 	}
@@ -294,7 +305,7 @@ func (r *Region) applyMutation(c Cell) error {
 	st.mem.put(key, &c)
 	r.cache.invalidate(c.Row)
 	if r.memSizeLocked() > r.flushThreshold {
-		return r.flushLocked()
+		return r.flushLocked(nil, 0)
 	}
 	return nil
 }
@@ -390,15 +401,30 @@ func (r *Region) mutateRow(cells []Cell) error {
 // truncates the WAL: a crash before the save leaves orphan files and an
 // intact WAL, a crash after it replays records the files already hold
 // (harmless), and no flush is ever visible for some families only.
-// Caller holds r.mu.
 //
-//lint:allow chargecheck flushes are server-side background work, free in the client cost model (writes were already billed when applied)
-func (r *Region) flushLocked() error {
+// In memory mode staged holds a bulk write's cells (see sealBulk),
+// sorted by family and then by internal key, cell e carrying sequence
+// base+e.ord: each family's share goes into its store's new run beside
+// the memtable's cells, so a family with staged cells is dirty even
+// when its memtable is empty. Disk mode never stages. Caller holds r.mu.
+//
+//lint:allow chargecheck flushes are server-side background work, free in the client cost model (writes were already billed when applied, bulk writes by their callers)
+func (r *Region) flushLocked(staged []bulkEntry, base uint64) error {
 	var dirty []*familyStore
+	var spans [][]bulkEntry
 	for _, st := range r.stores {
-		if st.mem.count > 0 {
-			dirty = append(dirty, st)
+		n := 0
+		for n < len(staged) && staged[n].c.Family == st.family {
+			n++
 		}
+		if st.mem.count > 0 || n > 0 {
+			dirty = append(dirty, st)
+			spans = append(spans, staged[:n])
+		}
+		staged = staged[n:]
+	}
+	if len(staged) > 0 {
+		panic("kvstore: staged cells of a family with no store")
 	}
 	if len(dirty) == 0 {
 		return nil
@@ -406,8 +432,7 @@ func (r *Region) flushLocked() error {
 	flushed := make([]run, len(dirty))
 	for i, st := range dirty {
 		if r.store == nil {
-			keyBytes, valBytes := st.mem.arena.size()
-			flushed[i] = segmentOf(st.mem.count, keyBytes, valBytes, st.mem.iterator(""))
+			flushed[i] = st.sealedRun(spans[i], base)
 			continue
 		}
 		name := r.store.allocFile()
@@ -453,12 +478,11 @@ func (r *Region) flushLocked() error {
 }
 
 // Flush moves every non-empty family memtable into a new run now,
-// whatever the threshold: Cluster.Seal and FlushAll call it on each
-// region.
+// whatever the threshold: FlushAll calls it on each region.
 func (r *Region) Flush() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.flushLocked()
+	return r.flushLocked(nil, 0)
 }
 
 // gcIter filters a merged stream down to the survivors of a major
@@ -524,12 +548,7 @@ func mergeSegments(segs []*segment, gc bool) *segment {
 	if gc {
 		it = newGCIter(it)
 	}
-	return segmentOf(entries, keyBytes, valBytes, it)
-}
-
-// segmentOf copies the cells of it (sorted by internal key) into a new
-// in-memory segment. The counts are upper bounds used to size it.
-func segmentOf(entries, keyBytes, valBytes int, it cellIter) *segment {
+	// The counts are upper bounds when gc drops versions.
 	b := newRunBuilder(entries, keyBytes, valBytes)
 	for ; it.valid(); it.next() {
 		b.add(it.key(), it.cell())
@@ -587,9 +606,9 @@ func (r *Region) compactTieredLocked(st *familyStore) error {
 			// every version, so without periodic full merges an
 			// update-heavy workload would accumulate dead versions and
 			// tombstones forever. The family's memtable is always empty
-			// here (the only caller is flushLocked, right after a
-			// flush), so dropping tombstones cannot resurrect memtable
-			// versions.
+			// here (the only caller is flushLocked, right after it
+			// emptied it), so dropping tombstones cannot resurrect
+			// memtable versions.
 			picked = allRuns(st)
 		}
 		if err := r.mergeSegmentsLocked(st, picked); err != nil {
@@ -698,7 +717,7 @@ func (r *Region) mergeSegmentsLocked(st *familyStore, picked []int) error {
 func (r *Region) Compact() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.flushLocked(); err != nil {
+	if err := r.flushLocked(nil, 0); err != nil {
 		return err
 	}
 	for _, st := range r.stores {

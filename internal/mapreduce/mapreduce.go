@@ -263,7 +263,7 @@ func Run(job *Job) (*Result, error) {
 	}
 	wg.Wait()
 
-	var allWrites []storeWrite
+	var mapWrites []*taskContext
 	var mapEmissions [][]KV
 	for i := range outs {
 		o := &outs[i]
@@ -290,21 +290,15 @@ func Run(job *Job) (*Result, error) {
 			emissions = combined
 		}
 		mapEmissions = append(mapEmissions, emissions)
-		for table, cells := range o.ctx.writes {
-			allWrites = append(allWrites, storeWrite{table: table, cells: cells})
-		}
+		mapWrites = append(mapWrites, o.ctx)
 	}
 
 	// ---- Direct store writes (map-only jobs). ----
-	sort.Slice(allWrites, func(i, j int) bool { return allWrites[i].table < allWrites[j].table })
-	for _, w := range allWrites {
-		bytes, err := job.Cluster.LocalWrite(w.table, w.cells)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: job %q store write: %w", job.Name, err)
-		}
-		res.StoreWriteBytes += bytes
-		metrics.Count(&sim.Op{Writes: uint64(len(w.cells))})
+	bytes, err := writeOutput(job.Cluster, mapWrites)
+	if err != nil {
+		return nil, fmt.Errorf("mapreduce: job %q store write: %w", job.Name, err)
 	}
+	res.StoreWriteBytes += bytes
 	// The job's startup, then its store writes crossing the network
 	// (rows hash anywhere in the table).
 	launch := sim.Op{Jobs: 1, WireBytes: res.StoreWriteBytes}
@@ -377,7 +371,7 @@ func Run(job *Job) (*Result, error) {
 		}
 		rwg.Wait()
 
-		var redWrites []storeWrite
+		redWrites := make([]*taskContext, 0, len(redOuts))
 		for p := range redOuts {
 			if redOuts[p].err != nil {
 				return nil, fmt.Errorf("mapreduce: job %q reduce task %d: %w", job.Name, p, redOuts[p].err)
@@ -395,19 +389,11 @@ func Run(job *Job) (*Result, error) {
 			for name, v := range ctx.counters {
 				res.Counters[name] += v
 			}
-			for table, cells := range ctx.writes {
-				redWrites = append(redWrites, storeWrite{table: table, cells: cells})
-			}
+			redWrites = append(redWrites, ctx)
 		}
-		sort.Slice(redWrites, func(i, j int) bool { return redWrites[i].table < redWrites[j].table })
-		var redWriteBytes uint64
-		for _, w := range redWrites {
-			bytes, err := job.Cluster.LocalWrite(w.table, w.cells)
-			if err != nil {
-				return nil, fmt.Errorf("mapreduce: job %q reduce store write: %w", job.Name, err)
-			}
-			redWriteBytes += bytes
-			metrics.Count(&sim.Op{Writes: uint64(len(w.cells))})
+		redWriteBytes, err := writeOutput(job.Cluster, redWrites)
+		if err != nil {
+			return nil, fmt.Errorf("mapreduce: job %q reduce store write: %w", job.Name, err)
 		}
 		res.StoreWriteBytes += redWriteBytes
 		redWrite := sim.Op{WireBytes: redWriteBytes}
@@ -433,9 +419,41 @@ func Run(job *Job) (*Result, error) {
 	return res, nil
 }
 
-type storeWrite struct {
-	table string
-	cells []kvstore.Cell
+// writeOutput lands the store writes of a phase's tasks: one BulkWrite
+// per table, tables in name order, each carrying every task's cells for
+// it in task order, so a job's output ends as one sorted run per region
+// family and its timestamps and sequence numbers repeat run to run. It
+// counts the writes and returns the payload bytes; the caller prices
+// them as network traffic.
+//
+//lint:allow maintcheck a job writes what its tasks emit: index tables and query scratch tables, never a maintained base relation
+func writeOutput(c *kvstore.Cluster, tasks []*taskContext) (uint64, error) {
+	byTable := map[string][][]kvstore.Cell{}
+	var tables []string
+	for _, t := range tasks {
+		for table, cells := range t.writes {
+			if _, ok := byTable[table]; !ok {
+				tables = append(tables, table)
+			}
+			byTable[table] = append(byTable[table], cells)
+		}
+	}
+	sort.Strings(tables)
+	var total uint64
+	for _, table := range tables {
+		parts := byTable[table]
+		bytes, err := c.BulkWrite(table, parts...)
+		if err != nil {
+			return total, err
+		}
+		total += bytes
+		n := 0
+		for _, p := range parts {
+			n += len(p)
+		}
+		c.Metrics().Count(&sim.Op{Writes: uint64(n)})
+	}
+	return total, nil
 }
 
 // combine groups one mapper's emissions by key and runs the combiner,

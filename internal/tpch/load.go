@@ -76,7 +76,10 @@ func LineitemCells(l *Lineitem, joinOn string) ([]kvstore.Cell, error) {
 
 // Load creates and fills the part, orders, and lineitem tables on the
 // cluster, pre-split so each table spans all nodes. The lineitem table's
-// join column is set per lineitemJoin ("partkey" or "orderkey").
+// join column is set per lineitemJoin ("partkey" or "orderkey"). Each
+// table's cells land in one call of the store's bulk door
+// (kvstore.Cluster.BulkWrite) and are billed as batched writes of about
+// loadBatchLen cells.
 func Load(c *kvstore.Cluster, d *Data, lineitemJoin string) error {
 	families := []string{DataFamily}
 	mkSplits := func(prefix string, n, max int) []string {
@@ -98,49 +101,39 @@ func Load(c *kvstore.Cluster, d *Data, lineitemJoin string) error {
 		return err
 	}
 
-	var batch []kvstore.Cell
-	flush := func(table string) error {
-		if len(batch) == 0 {
-			return nil
+	// load lands one table's cells through the bulk door in one call
+	// and bills them as the batches the loader sends: a batch closes at
+	// the first record that brings it to loadBatchLen cells.
+	load := func(table string, records int, cellsOf func(i int) ([]kvstore.Cell, error)) error {
+		var cells []kvstore.Cell
+		cuts := []int{0}
+		for i := 0; i < records; i++ {
+			rec, err := cellsOf(i)
+			if err != nil {
+				return err
+			}
+			cells = append(cells, rec...)
+			if len(cells)-cuts[len(cuts)-1] >= loadBatchLen {
+				cuts = append(cuts, len(cells))
+			}
+		}
+		if cuts[len(cuts)-1] < len(cells) {
+			cuts = append(cuts, len(cells))
 		}
 		//lint:allow maintcheck TPC-H loader bulk-loads fresh tables; indexes are built after loading
-		err := c.BatchPut(table, batch)
-		batch = batch[:0]
-		return err
-	}
-	for i := range d.Parts {
-		batch = append(batch, PartCells(&d.Parts[i])...)
-		if len(batch) >= loadBatchLen {
-			if err := flush(PartTable); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flush(PartTable); err != nil {
-		return err
-	}
-	for i := range d.Orders {
-		batch = append(batch, OrderCells(&d.Orders[i])...)
-		if len(batch) >= loadBatchLen {
-			if err := flush(OrdersTable); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flush(OrdersTable); err != nil {
-		return err
-	}
-	for i := range d.Lineitems {
-		cells, err := LineitemCells(&d.Lineitems[i], lineitemJoin)
-		if err != nil {
+		if _, err := c.BulkWrite(table, cells); err != nil {
 			return err
 		}
-		batch = append(batch, cells...)
-		if len(batch) >= loadBatchLen {
-			if err := flush(LineitemT); err != nil {
-				return err
-			}
+		for k := 1; k < len(cuts); k++ {
+			c.ChargeBatchWrite(cells[cuts[k-1]:cuts[k]])
 		}
+		return nil
 	}
-	return flush(LineitemT)
+	if err := load(PartTable, len(d.Parts), func(i int) ([]kvstore.Cell, error) { return PartCells(&d.Parts[i]), nil }); err != nil {
+		return err
+	}
+	if err := load(OrdersTable, len(d.Orders), func(i int) ([]kvstore.Cell, error) { return OrderCells(&d.Orders[i]), nil }); err != nil {
+		return err
+	}
+	return load(LineitemT, len(d.Lineitems), func(i int) ([]kvstore.Cell, error) { return LineitemCells(&d.Lineitems[i], lineitemJoin) })
 }

@@ -523,34 +523,34 @@ func (h *RelationHandle) BatchInsert(tuples []Tuple) error {
 }
 
 // BulkLoad inserts tuples efficiently WITHOUT index maintenance — load
-// data first, then build indexes with EnsureIndexes. It ends by sealing
-// the relation's table (see kvstore.Cluster.Seal).
+// data first, then build indexes with EnsureIndexes. The cells land in
+// one call of the store's bulk door (kvstore.Cluster.BulkWrite), which
+// in memory mode leaves the relation's table in sorted runs, and the
+// load is billed as one batched write per bulkLoadBatch cells.
 func (h *RelationHandle) BulkLoad(tuples []Tuple) error {
 	if err := checkScores(h.rel.Name, tuples...); err != nil {
 		return err
 	}
-	var cells []kvstore.Cell
+	cells := make([]kvstore.Cell, 0, 2*len(tuples))
 	for _, t := range tuples {
 		cells = append(cells,
 			kvstore.Cell{Row: t.RowKey, Family: h.rel.Family, Qualifier: h.rel.JoinQual, Value: []byte(t.JoinValue)},
 			kvstore.Cell{Row: t.RowKey, Family: h.rel.Family, Qualifier: h.rel.ScoreQual, Value: kvstore.FloatValue(t.Score)},
 		)
-		if len(cells) >= 4096 {
-			//lint:allow maintcheck BulkLoad is the documented unmaintained path; EnsureIndexes rebuilds afterwards
-			if err := h.db.cluster.BatchPut(h.rel.Table, cells); err != nil {
-				return err
-			}
-			cells = cells[:0]
-		}
 	}
-	if len(cells) > 0 {
-		//lint:allow maintcheck BulkLoad is the documented unmaintained path; EnsureIndexes rebuilds afterwards
-		if err := h.db.cluster.BatchPut(h.rel.Table, cells); err != nil {
-			return err
-		}
+	c := h.db.cluster
+	//lint:allow maintcheck BulkLoad is the documented unmaintained path; EnsureIndexes rebuilds afterwards
+	if _, err := c.BulkWrite(h.rel.Table, cells); err != nil {
+		return err
 	}
-	return h.db.cluster.Seal(h.rel.Table)
+	for lo := 0; lo < len(cells); lo += bulkLoadBatch {
+		c.ChargeBatchWrite(cells[lo:min(lo+bulkLoadBatch, len(cells))])
+	}
+	return nil
 }
+
+// bulkLoadBatch is the cells BulkLoad bills as one batched write.
+const bulkLoadBatch = 4096
 
 // DiskSize returns the relation's stored bytes.
 func (h *RelationHandle) DiskSize() uint64 {
