@@ -19,16 +19,16 @@ import "math"
 // arenas indexed by ordinal, see leafIndex in jointree.go) and one heap
 // of complete combinations stored as ordinals; there are no queues of
 // partial solutions. A pulled tuple costs an amortised O(1) index add
-// (a head-map update, one band-grid table update per band width) plus,
+// (one chain-table update for its equi edges, one per band width) plus,
 // per partial combination it extends, a probe of a few hash lookups
-// and the tuples in the cells it visits; a completed combination costs
+// and the tuples in the chains it walks; a completed combination costs
 // an O(log r) heap push, and none of it allocates beyond the arenas'
-// pages, the grids' tables and the heap's amortised growth. The
+// pages, the chain tables and the heap's amortised growth. The
 // threshold costs one aggregate evaluation per pull, not one per leaf:
 // each leaf's corner term is cached and evaluated again only once a
 // score it reads has changed. A paused cursor retains all of that until
-// it is closed; closing hands the arena pages, band grids and head maps
-// to the next cursor (leafIndex.release).
+// it is closed; closing hands the arena pages, equi tables and band
+// grids to the next cursor (leafIndex.release).
 //
 // The operator is driven by listCursor (isl.go), which the isl executor
 // opens over inverse score lists. It does not choose which list to

@@ -50,49 +50,65 @@ func bandChain(n int) *JoinTree {
 	return t
 }
 
-// BenchmarkLeafIndexAdd measures one add into a band-probed leaf,
-// averaged over building the leaf from empty to the named size. The
-// per-add cost must stay flat as the leaf grows.
+// leafBenchTree returns the two-leaf tree of the given kind that the
+// leaf-index benchmarks index and probe through: "band", an edge of
+// width 1, or "equi", an equality edge over the same digit-string join
+// values (TPC-H's key shape).
+func leafBenchTree(kind string) *JoinTree {
+	if kind == "equi" {
+		return stubBinary(Sum)
+	}
+	return bandChain(2)
+}
+
+// BenchmarkLeafIndexAdd measures one add into a band- or equi-probed
+// leaf, averaged over building the leaf from empty to the named size.
+// The per-add cost must stay flat as the leaf grows.
 func BenchmarkLeafIndexAdd(b *testing.B) {
-	tree := bandChain(2)
-	for _, size := range []int{1 << 10, 4 << 10, 16 << 10} {
-		b.Run(fmt.Sprintf("%dk", size>>10), func(b *testing.B) {
-			tuples := chainLeaves(1, size)[0]
-			b.ReportAllocs()
-			b.ResetTimer()
-			var li *leafIndex
-			for i := 0; i < b.N; i++ {
-				if i%size == 0 {
-					li = newLeafIndex(tree, 1)
+	for _, kind := range []string{"band", "equi"} {
+		tree := leafBenchTree(kind)
+		for _, size := range []int{1 << 10, 4 << 10, 16 << 10} {
+			b.Run(fmt.Sprintf("%s/%dk", kind, size>>10), func(b *testing.B) {
+				tuples := chainLeaves(1, size)[0]
+				b.ReportAllocs()
+				b.ResetTimer()
+				var li *leafIndex
+				for i := 0; i < b.N; i++ {
+					if i%size == 0 {
+						li = newLeafIndex(tree, 1)
+					}
+					li.add(tuples[i%size])
 				}
-				li.add(tuples[i%size])
-			}
-		})
+			})
+		}
 	}
 }
 
-// BenchmarkLeafIndexProbe measures one band probe into a full
-// band-probed leaf of the named size, from the tuples of a neighbouring
-// chain leaf: join values are uniform over as many integers as the leaf
-// has tuples, so a probe finds about three partners at every size. The
-// per-probe cost must stay flat as the leaf grows.
+// BenchmarkLeafIndexProbe measures one probe into a full band- or
+// equi-probed leaf of the named size, from the tuples of a
+// neighbouring chain leaf: join values are uniform over as many
+// integers as the leaf has tuples, so a band probe finds about three
+// partners and an equi probe about one at every size. The per-probe
+// cost must stay flat as the leaf grows.
 func BenchmarkLeafIndexProbe(b *testing.B) {
-	tree := bandChain(2)
-	for _, size := range []int{1 << 10, 4 << 10, 16 << 10} {
-		b.Run(fmt.Sprintf("%dk", size>>10), func(b *testing.B) {
-			leaves := chainLeaves(2, size)
-			from, li := newLeafIndex(tree, 0), newLeafIndex(tree, 1)
-			for i := range leaves[0] {
-				from.add(leaves[0][i])
-				li.add(leaves[1][i])
-			}
-			var buf []int32
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf = li.candidates(&tree.Edges[0], from, int32(i%size), buf[:0])
-			}
-		})
+	for _, kind := range []string{"band", "equi"} {
+		tree := leafBenchTree(kind)
+		for _, size := range []int{1 << 10, 4 << 10, 16 << 10} {
+			b.Run(fmt.Sprintf("%s/%dk", kind, size>>10), func(b *testing.B) {
+				leaves := chainLeaves(2, size)
+				from, li := newLeafIndex(tree, 0), newLeafIndex(tree, 1)
+				for i := range leaves[0] {
+					from.add(leaves[0][i])
+					li.add(leaves[1][i])
+				}
+				var buf []int32
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf = li.candidates(&tree.Edges[0], from, int32(i%size), buf[:0])
+				}
+			})
+		}
 	}
 }
 

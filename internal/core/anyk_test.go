@@ -44,10 +44,11 @@ func openAnyK(t *testing.T, c *kvstore.Cluster, tr *JoinTree, store *IndexStore,
 // satisfy TreeEdge.Match — through up to three band edges of different
 // (or equal) widths and an equi edge on the same leaf, with duplicate,
 // negative, fractional, signed-zero, non-finite and unparseable join
-// values, values whose cells straddle zero, and values so far from zero
-// that their band cells are finer than the floats there — while each
-// band grid's table grows. A probe must visit a bounded number of cells
-// at every magnitude.
+// values, strings equal as floats but not as strings, values whose
+// cells straddle zero, and values so far from zero that their band
+// cells are finer than the floats there — while each band grid's table
+// and the equi table grow. A band probe must visit a bounded number of
+// cells at every magnitude.
 func TestLeafIndexMatchesEdgePredicate(t *testing.T) {
 	ints := func(rng *rand.Rand) string { return strconv.Itoa(rng.Intn(41) - 20) }
 	tenths := func(n int) func(*rand.Rand) string {
@@ -63,39 +64,41 @@ func TestLeafIndexMatchesEdgePredicate(t *testing.T) {
 		widths []float64
 		gen    func(*rand.Rand) string
 		// grew is how many of the leaf's grids must have grown their
-		// table at least twice from its first size.
-		grew int
+		// table at least twice from its first size; equiGrew is whether
+		// its equi table must have.
+		grew     int
+		equiGrew bool
 	}{
 		// Two band edges of width 1 share one grid.
-		{"integers", []float64{0, 1, 1}, ints, 2},
+		{"integers", []float64{0, 1, 1}, ints, 2, true},
 		// One-decimal values put many pairs exactly on a band boundary,
 		// where a-b and b+band round differently (0.3-0.1 < 0.2 < 0.1+0.2).
-		{"boundaries", []float64{0.2, 0.1}, tenths(30), 2},
+		{"boundaries", []float64{0.2, 0.1}, tenths(30), 2, true},
 		{"tiny-and-wide", []float64{1e-9, 1e9}, func(rng *rand.Rand) string {
 			return strconv.FormatFloat(rng.NormFloat64()*50, 'g', 6, 64)
-		}, 1},
+		}, 1, true},
 		// Three distinct values: long cell chains.
-		{"few-values", []float64{0, 1}, func(rng *rand.Rand) string { return strconv.Itoa(rng.Intn(3)) }, 0},
+		{"few-values", []float64{0, 1}, func(rng *rand.Rand) string { return strconv.Itoa(rng.Intn(3)) }, 0, false},
 		{"specials", []float64{1, 2.5}, func(rng *rand.Rand) string {
 			if rng.Intn(6) == 0 {
 				odd := []string{"NaN", "Inf", "-Inf", "+Inf", "abc", "", "1e999", "-0", "0x10"}
 				return odd[rng.Intn(len(odd))]
 			}
 			return ints(rng)
-		}, 2},
+		}, 2, true},
 		{"three-widths", []float64{0.5, 2, 7}, func(rng *rand.Rand) string {
 			return strconv.FormatFloat(float64(rng.Intn(81)-40)/2, 'g', -1, 64)
-		}, 2},
+		}, 2, true},
 		// Cells on both sides of zero: -0.5 lies in cell ⌊-0.5/1+1/2⌋ = 0
 		// and -0.6 in cell -1; at width 0.7, -0.3 in 0 and -0.4 in -1.
-		{"cross-zero", []float64{1, 0.7}, tenths(300), 2},
+		{"cross-zero", []float64{1, 0.7}, tenths(300), 2, true},
 		// At band 0, "-0", "0" and "0.0" are one value; so are the
 		// denormals' neighbours of zero at the tiniest width.
 		{"signed-zero", []float64{0, 5e-324}, func(rng *rand.Rand) string {
 			// The denormals in hex: strconv parses decimal ones slowly.
 			zs := []string{"-0", "0", "+0", "0.0", "-0.0", "1", "-1", "0x1p-1074", "-0x1p-1074", "0x1p-1073"}
 			return zs[rng.Intn(len(zs))]
-		}, 0},
+		}, 0, false},
 		// A partner a hair beyond fv±band by exact arithmetic that
 		// |a-fv| rounds into the band, in the next cell over: at band 2,
 		// 0.9999999999999998 matches 3 (|a-3| rounds to 2) but lies in
@@ -104,7 +107,7 @@ func TestLeafIndexMatchesEdgePredicate(t *testing.T) {
 			vs := []string{"3", "0.9999999999999998", "1", "0.2", "-0.20000000000000004", "-0.2",
 				"1.5", "-1.5000000000000002", "-1.5", "5", "5.000000000000001"}
 			return vs[rng.Intn(len(vs))]
-		}, 0},
+		}, 0, false},
 		// |v|/band >= 2^52, up to, across and past the ±2^62 cell clamp
 		// at band 1e-3 (and the int64 range, were cells not clamped): a
 		// few ulps around each base.
@@ -115,7 +118,18 @@ func TestLeafIndexMatchesEdgePredicate(t *testing.T) {
 				v = math.Nextafter(v, math.Inf(sign(k)))
 			}
 			return strconv.FormatFloat(v, 'g', -1, 64)
-		}, 2},
+		}, 2, true},
+		// Equi-heavy: strings equal as floats but not as strings (the
+		// width-0 band edge matches them, the equi edge must not),
+		// non-numeric and empty strings, and enough distinct values to
+		// grow the equi table several times.
+		{"equi-strings", []float64{0, 1}, func(rng *rand.Rand) string {
+			if rng.Intn(3) == 0 {
+				odd := []string{"1", "01", "1.0", "+1", "1e0", "0x1p0", "-0", "0", "+0", "", "abc", "ABC", "abc ", "NaN"}
+				return odd[rng.Intn(len(odd))]
+			}
+			return strconv.Itoa(rng.Intn(400))
+		}, 2, true},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -139,11 +153,12 @@ func TestLeafIndexMatchesEdgePredicate(t *testing.T) {
 			if len(li.grids) != len(distinct) {
 				t.Fatalf("%d band grids for widths %v", len(li.grids), tc.widths)
 			}
+			// Fresh tables, not pooled ones, so growth starts from
+			// the first size.
 			for i, g := range li.grids {
-				// A fresh table, not a pooled one, so growth starts
-				// from the first size.
 				li.grids[i] = &bandGrid{width: g.width, inv: g.inv}
 			}
+			li.equi = &chainTable{}
 			var added []Tuple
 			var buf []int32
 			for len(added) < 1500 {
@@ -194,22 +209,31 @@ func TestLeafIndexMatchesEdgePredicate(t *testing.T) {
 			if grew < tc.grew {
 				t.Fatalf("%d grids grew their table twice, want %d: the growth went untested", grew, tc.grew)
 			}
+			if eq := li.equi; eq.used*4 > len(eq.slots)*3 {
+				t.Fatalf("equi table: %d cells in %d slots", eq.used, len(eq.slots))
+			} else if tc.equiGrew && len(eq.slots) < 4*minGridSlots {
+				t.Fatalf("equi table has %d slots: it did not grow twice, and the growth went untested", len(eq.slots))
+			}
 		})
 	}
 }
 
-// FuzzLeafIndexBand decodes band widths, join values and probes from
-// the fuzz bytes and holds a leaf's band candidates to a brute-force
-// TreeEdge.Match scan of every tuple added so far. Values come as
-// quarters near zero, as a neighbour of the last value (one width away,
-// give or take a few ulps: the band's edge) or as raw float64 bits,
-// NaN and infinities included. Each input ends by releasing the leaves,
-// so later inputs probe grids that came back from the pool.
-func FuzzLeafIndexBand(f *testing.F) {
+// FuzzLeafIndex decodes equi edges, band widths, join values and
+// probes from the fuzz bytes and holds a leaf's candidates to a
+// brute-force TreeEdge.Match scan of every tuple added so far. Values
+// come as quarters near zero, as a neighbour of the last value (one
+// width away, give or take a few ulps: the band's edge), as one of a
+// few strings that are equal as floats but not as strings or are no
+// number at all, or as raw float64 bits, NaN and infinities included.
+// Each input ends by releasing the leaves, so later inputs probe equi
+// tables and grids that came back from the pool.
+func FuzzLeafIndex(f *testing.F) {
 	f.Add([]byte{0, 2, 10, 20, 11, 120, 121, 30, 31})
-	f.Add([]byte{2, 0, 4, 1, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 60, 150, 151, 152, 61, 153, 155})
+	f.Add([]byte{2, 1, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 3, 60, 150, 151, 152, 61, 153, 155, 2, 30, 3, 30})
 	f.Add([]byte{1, 7, 5, 210, 0x43, 0x30, 0, 0, 0, 0, 0, 0, 160, 161, 162, 163, 164, 165})
+	f.Add([]byte{1, 3, 8, 0, 190, 0, 191, 0, 199, 1, 190, 1, 192, 0, 185, 1, 185, 1, 50})
 	widths := []float64{0, 0.1, 0.5, 1, 2.5, 1e-9, 1e9, 5e-324, 1e-3}
+	words := []string{"1", "01", "1.0", "+1", "1e0", "0x1p0", "-0", "0", "", "abc", "NaN", "Inf"}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -228,13 +252,16 @@ func FuzzLeafIndexBand(f *testing.F) {
 		}
 		tr := &JoinTree{Relations: make([]Relation, 4)}
 		for i := 1 + int(next()%3); i > 0; i-- {
-			w := widths[int(next())%len(widths)]
-			if next()%2 == 1 {
-				if r := math.Abs(raw()); !math.IsNaN(r) && !math.IsInf(r, 0) {
-					w = r
+			e := TreeEdge{A: len(tr.Edges) + 1, B: 0, Kind: PredEqui}
+			if sel := next(); sel%4 != 3 {
+				e.Kind, e.Band = PredBand, widths[int(sel/4)%len(widths)]
+				if next()%2 == 1 {
+					if r := math.Abs(raw()); !math.IsNaN(r) && !math.IsInf(r, 0) {
+						e.Band = r
+					}
 				}
 			}
-			tr.Edges = append(tr.Edges, TreeEdge{A: len(tr.Edges) + 1, B: 0, Kind: PredBand, Band: w})
+			tr.Edges = append(tr.Edges, e)
 		}
 		li := newLeafIndex(tr, 0)
 		from := make([]*leafIndex, len(tr.Edges))
@@ -246,25 +273,31 @@ func FuzzLeafIndexBand(f *testing.F) {
 		for len(data) > 0 {
 			op, tag := next(), next()
 			e := &tr.Edges[int(op>>1)%len(tr.Edges)]
-			var v float64
-			switch {
-			case tag < 100:
-				v = float64(int(tag)-50) / 4
-			case tag < 200:
-				v = last + e.Band*float64(int(tag%3)-1)
-				for k := int(tag/3%5) - 2; k != 0; k -= sign(k) {
-					v = math.Nextafter(v, math.Inf(sign(k)))
+			var s string
+			v := math.NaN()
+			if tag >= 180 && tag < 220 {
+				s = words[int(tag)%len(words)]
+			} else {
+				switch {
+				case tag < 90:
+					v = float64(int(tag)-45) / 4
+				case tag < 180:
+					v = last + e.Band*float64(int(tag%3)-1)
+					for k := int(tag/3%5) - 2; k != 0; k -= sign(k) {
+						v = math.Nextafter(v, math.Inf(sign(k)))
+					}
+				default:
+					v = raw()
 				}
-			default:
-				v = raw()
+				// Extreme magnitudes in hex: strconv parses their
+				// decimal forms slowly, and the oracle parses every
+				// value per probe.
+				format := byte('g')
+				if a := math.Abs(v); a != 0 && (a < 1e-20 || a > 1e20) {
+					format = 'x'
+				}
+				s = strconv.FormatFloat(v, format, -1, 64)
 			}
-			// Extreme magnitudes in hex: strconv parses their decimal
-			// forms slowly, and the oracle parses every value per probe.
-			format := byte('g')
-			if a := math.Abs(v); a != 0 && (a < 1e-20 || a > 1e20) {
-				format = 'x'
-			}
-			s := strconv.FormatFloat(v, format, -1, 64)
 			if op&1 == 0 {
 				li.add(Tuple{JoinValue: s})
 				added = append(added, s)
@@ -283,9 +316,9 @@ func FuzzLeafIndexBand(f *testing.F) {
 				}
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("width %v, probe %s over %q:\n got %v\nwant %v", e.Band, s, added, got, want)
+				t.Fatalf("%s edge, width %v, probe %q over %q:\n got %v\nwant %v", e.Kind, e.Band, s, added, got, want)
 			}
-			if fv := bandValue(s); !math.IsNaN(fv) {
+			if fv := bandValue(s); e.Kind == PredBand && !math.IsNaN(fv) {
 				if n := len(li.grid(e.Band).window(fv)); n > 24 {
 					t.Fatalf("width %v, probe %s visits %d cells", e.Band, s, n)
 				}
@@ -296,6 +329,44 @@ func FuzzLeafIndexBand(f *testing.F) {
 			fl.release()
 		}
 	})
+}
+
+// TestEquiChainKeepsCollidingValuesApart: join values whose hashes
+// collide share one chain of the equi table, and a probe for any of
+// them must still return exactly its own ordinals, latest first. The
+// collision is made by hand: every ordinal is linked into one cell's
+// chain, and each value's cell leads to that chain's latest arrival.
+func TestEquiChainKeepsCollidingValuesApart(t *testing.T) {
+	tr := stubBinary(Sum)
+	li, from := newLeafIndex(tr, 1), newLeafIndex(tr, 0)
+	vals := []string{"7", "x", "07", "x", "7", "", "7", "07", "x"}
+	shared := &chainTable{}
+	li.equi = nil // add fills the arena only; the chains come below
+	want := map[string][]int32{}
+	for _, v := range vals {
+		ord := li.add(Tuple{RowKey: v, JoinValue: v})
+		shared.link(0)
+		want[v] = append([]int32{ord}, want[v]...)
+	}
+	latest := shared.slot(0).last
+	for v := range want {
+		c := equiCell(v)
+		s := shared.slot(c)
+		if s.last == 0 {
+			shared.used++
+		}
+		*s = gridSlot{cell: c, last: latest}
+	}
+	li.equi = shared
+	for v, w := range want {
+		got := li.candidates(&tr.Edges[0], from, from.add(Tuple{JoinValue: v}), nil)
+		if fmt.Sprint(got) != fmt.Sprint(w) {
+			t.Errorf("probe %q: got ordinals %v, want %v", v, got, w)
+		}
+	}
+	if got := li.candidates(&tr.Edges[0], from, from.add(Tuple{JoinValue: "y"}), nil); len(got) != 0 {
+		t.Errorf("probe %q, a value never added: got ordinals %v", "y", got)
+	}
 }
 
 func sign(k int) int {

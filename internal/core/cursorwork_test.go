@@ -132,10 +132,11 @@ func TestThresholdMatchesUncachedCorners(t *testing.T) {
 }
 
 // TestReleasedLeafBuffersHoldNoTuples: Close hands every leaf's arena
-// pages, band grids and head map to the pools, and a released page
+// pages, equi table and band grids to the pools, and a released page
 // keeps no tuple — no string of a closed query stays reachable from a
-// pool — while a released grid is emptied: no cell, no link. The leaves
-// are deep enough to fill several pages and grow a grid's table.
+// pool — while a released chain table is emptied: no cell, no link.
+// The leaves are deep enough to fill several pages and grow each
+// table.
 func TestReleasedLeafBuffersHoldNoTuples(t *testing.T) {
 	tree := &JoinTree{Score: Sum, K: 10,
 		Relations: []Relation{stubRel("a"), stubRel("b"), stubRel("c")},
@@ -155,15 +156,18 @@ func TestReleasedLeafBuffersHoldNoTuples(t *testing.T) {
 		}
 		pages = append(pages, li.pages...)
 	}
-	var grids []*bandGrid
+	var tables []*chainTable
 	for _, li := range op.join.leaves[:2] {
 		if len(li.grids) != 1 || li.grids[0].used <= minGridSlots {
 			t.Fatalf("leaf has %d band grids: want one holding more than %d cells", len(li.grids), minGridSlots)
 		}
-		grids = append(grids, li.grids...)
+		tables = append(tables, &li.grids[0].chainTable)
 	}
-	if op.join.leaves[2].head == nil {
-		t.Fatal("leaf 2 has no equi head map")
+	for _, li := range op.join.leaves[1:] {
+		if li.equi == nil || li.equi.used <= minGridSlots {
+			t.Fatalf("equi leaf holds no equi table with more than %d cells", minGridSlots)
+		}
+		tables = append(tables, li.equi)
 	}
 	leavesBefore := op.join.leaves
 	lc := &listCursor{op: op}
@@ -177,15 +181,15 @@ func TestReleasedLeafBuffersHoldNoTuples(t *testing.T) {
 			}
 		}
 	}
-	for i, g := range grids {
-		if g.used != 0 || len(g.prev) != 0 || slices.ContainsFunc(g.slots, func(s gridSlot) bool { return s != gridSlot{} }) {
-			t.Fatalf("released grid %d keeps %d cells and %d links", i, g.used, len(g.prev))
+	for i, tb := range tables {
+		if tb.used != 0 || len(tb.prev) != 0 || slices.ContainsFunc(tb.slots, func(s gridSlot) bool { return s != gridSlot{} }) {
+			t.Fatalf("released table %d keeps %d cells and %d links", i, tb.used, len(tb.prev))
 		}
 	}
 	for i, li := range leavesBefore {
-		if li.pages != nil || li.head != nil || li.grids != nil || li.n != 0 {
-			t.Fatalf("leaf %d still references its buffers after Close: %d pages, head %v, %d grids, n=%d",
-				i, len(li.pages), li.head != nil, len(li.grids), li.n)
+		if li.pages != nil || li.equi != nil || li.grids != nil || li.n != 0 {
+			t.Fatalf("leaf %d still references its buffers after Close: %d pages, equi %v, %d grids, n=%d",
+				i, len(li.pages), li.equi != nil, len(li.grids), li.n)
 		}
 	}
 }

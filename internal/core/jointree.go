@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"sort"
 	"strconv"
@@ -22,9 +23,9 @@ import (
 // It also holds what the two consumers that enumerate a tree in memory
 // share — the rank-join operator (anyKOp in anyk.go) and the naive
 // reference at the end of this file: walk orders, the per-leaf index
-// (leafIndex: an arrival arena plus ordinal-only equi chains and band
-// cell chains) and the assignment enumerator over those indexes
-// (treeJoin).
+// (leafIndex: an arrival arena plus tables of ordinal chains, keyed by
+// join-value hash for equi edges and by band cell for band edges) and
+// the assignment enumerator over those indexes (treeJoin).
 
 // PredKind names a join-edge predicate family.
 type PredKind string
@@ -251,24 +252,26 @@ func (t *JoinTree) walkOrder(root int) []walkStep {
 // the predicates of its incident edges. Tuples live once, in arrival
 // order, in an arena; a tuple's position there is its ordinal, and
 // every other structure (here and in the consumers) refers to tuples by
-// ordinal only, so nothing but the arena holds pointers. Adding a tuple
-// parses its join value once (digit strings without strconv) and costs
-// O(1) amortised: one head-map update for the equi chains and one table
-// update per band grid. A probe costs a few hash lookups plus the
-// tuples of the cells it visits, and allocates nothing. The arena
-// pages, band grids and head map come from pools and go back to them
-// when the list cursor closes (release), so a steady stream of queries
-// reuses them instead of allocating its own.
+// ordinal only, so nothing but the arena holds pointers. Both edge
+// kinds index through the same structure, a chainTable of 64-bit cells:
+// the equi table keys a tuple by the hash of its join value, a band
+// grid by the band cell of its parsed value. Adding a tuple hashes its
+// join value once if an equi edge is incident, parses it once (digit
+// strings without strconv) if a band edge is, and costs O(1) amortised:
+// one table update per table. A probe costs a few table lookups plus
+// the tuples of the chains it walks, and allocates nothing. The arena
+// pages and tables come from pools and go back to them when the list
+// cursor closes (release), so a steady stream of queries reuses them
+// instead of allocating its own.
 type leafIndex struct {
 	// The arena, in pages of tuplePage ordinals: regrowing flat slices
 	// would clear and recopy memory over and over as a leaf fills.
 	pages []*leafPage
 	n     int32
 
-	// Equi probes, if an equi edge is incident: the ordinals sharing a
-	// join value form a chain from the latest arrival (head) back
-	// through leafPage.prev.
-	head map[string]int32
+	// Equi probes, if an equi edge is incident: every ordinal in the
+	// cell of its join value's hash (equiCell).
+	equi *chainTable
 
 	// Band probes: one cell grid per distinct width among the incident
 	// band edges. One grid at the smallest width would not do: a probe
@@ -277,7 +280,7 @@ type leafIndex struct {
 }
 
 // tuplePage is the arena page size in ordinals (20 KB of Tuple headers
-// and 6 KB of probe fields).
+// and 4 KB of parsed values).
 const tuplePage = 512
 
 // leafPage holds what a leaf keeps per ordinal for tuplePage
@@ -288,9 +291,6 @@ type leafPage struct {
 	// vals is each tuple's join value parsed once at add, for band
 	// probes: NaN for one that can never band-match.
 	vals [tuplePage]float64
-	// prev links an equi chain: the ordinal before this one with the
-	// same join value, or -1.
-	prev [tuplePage]int32
 }
 
 // tuple returns the tuple at ordinal ord.
@@ -308,8 +308,8 @@ func newLeafIndex(t *JoinTree, leaf int) *leafIndex {
 			continue
 		}
 		if e.Kind != PredBand {
-			if li.head == nil {
-				li.head = headMaps.Get().(map[string]int32)
+			if li.equi == nil {
+				li.equi = equiTables.Get().(*chainTable)
 			}
 		} else if li.grid(e.Band) == nil {
 			g := bandGrids.Get().(*bandGrid)
@@ -366,43 +366,47 @@ func digitsValue(s string) (float64, bool) {
 	return float64(v), true
 }
 
+// equiSeed keys equiCell. It is drawn at random once per process, so
+// join values a client chooses cannot be made to share a cell.
+var equiSeed = maphash.MakeSeed()
+
+// equiCell returns the equi-table cell of join value v: its 64-bit
+// hash. Values that share a cell share a chain, and a probe keeps only
+// the ordinals whose value equals its own (equiMatches).
+func equiCell(v string) int64 {
+	return int64(maphash.String(equiSeed, v))
+}
+
 // The buffers a closed list cursor hands to the next query's leaves
-// (leafIndex.release): arena pages, band grids and equi head maps,
-// each emptied before it is pooled, so a pooled buffer pins no tuple
+// (leafIndex.release): arena pages, equi tables and band grids, each
+// emptied before it is pooled, so a pooled buffer pins no tuple
 // strings.
 var (
-	leafPages = sync.Pool{New: func() any { return new(leafPage) }}
-	bandGrids = sync.Pool{New: func() any { return new(bandGrid) }}
-	headMaps  = sync.Pool{New: func() any { return map[string]int32{} }}
+	leafPages  = sync.Pool{New: func() any { return new(leafPage) }}
+	equiTables = sync.Pool{New: func() any { return new(chainTable) }}
+	bandGrids  = sync.Pool{New: func() any { return new(bandGrid) }}
 )
 
-// maxPooledHead bounds the join values of a head map worth pooling:
-// clearing a map keeps its buckets, so a larger one goes to the
-// collector instead of pinning its peak size. maxPooledGrid bounds a
-// pooled band grid's table slots and links the same way.
-const (
-	maxPooledHead = 4096
-	maxPooledGrid = 1 << 12
-)
+// maxPooledGrid bounds the table slots and links of a chain table worth
+// pooling: clearing keeps a table's size, so a larger one goes to the
+// collector instead of pinning its peak size.
+const maxPooledGrid = 1 << 12
 
-// release hands li's arena pages (cleared of their tuples), band
-// grids and head map to the pools and empties li. Nothing may read li's
-// tuples afterwards; results already materialised hold copies.
+// release hands li's arena pages (cleared of their tuples) and tables
+// to the pools and empties li. Nothing may read li's tuples afterwards;
+// results already materialised hold copies.
 func (li *leafIndex) release() {
 	for pi, p := range li.pages {
 		clear(p.tuples[:min(int(li.n)-pi*tuplePage, tuplePage)])
 		leafPages.Put(p)
 	}
+	if li.equi != nil && li.equi.reset() {
+		equiTables.Put(li.equi)
+	}
 	for _, g := range li.grids {
-		if len(g.slots) <= maxPooledGrid && cap(g.prev) <= maxPooledGrid {
-			clear(g.slots)
-			g.used, g.prev = 0, g.prev[:0]
+		if g.reset() {
 			bandGrids.Put(g)
 		}
-	}
-	if li.head != nil && len(li.head) <= maxPooledHead {
-		clear(li.head)
-		headMaps.Put(li.head)
 	}
 	*li = leafIndex{}
 }
@@ -416,13 +420,8 @@ func (li *leafIndex) add(t Tuple) int32 {
 	}
 	pg, at := li.pages[ord/tuplePage], ord%tuplePage
 	pg.tuples[at] = t
-	if li.head != nil {
-		p, ok := li.head[t.JoinValue]
-		if !ok {
-			p = -1
-		}
-		pg.prev[at] = p
-		li.head[t.JoinValue] = ord
+	if li.equi != nil {
+		li.equi.link(equiCell(t.JoinValue))
 	}
 	if li.grids != nil {
 		v := bandValue(t.JoinValue)
@@ -445,39 +444,29 @@ func (li *leafIndex) candidates(e *TreeEdge, from *leafIndex, ord int32, buf []i
 	return li.bandMatches(li.grid(e.Band), from.pages[ord/tuplePage].vals[ord%tuplePage], buf)
 }
 
+// equiMatches appends the ordinals whose join value equals v, latest
+// first: the members of v's cell chain that hold v itself.
 func (li *leafIndex) equiMatches(v string, buf []int32) []int32 {
-	p, ok := li.head[v]
-	if !ok {
+	t := li.equi
+	if t.used == 0 {
 		return buf
 	}
-	for ; p >= 0; p = li.pages[p/tuplePage].prev[p%tuplePage] {
-		buf = append(buf, p)
+	for p := t.slot(equiCell(v)).last - 1; p >= 0; p = t.prev[p] {
+		if li.tuple(p).JoinValue == v {
+			buf = append(buf, p)
+		}
 	}
 	return buf
 }
 
-// bandGrid indexes a leaf's band-matchable join values for the band
-// edges of one width w. A value v lies in cell ⌊v·(1/w)+1/2⌋, clamped
-// to ±2^62 (at w = 0, in the cell of its bits: one per value). The cell
-// is monotone in v, so a probe's partners lie in the cells spanning its
-// band window: three, normally. Only monotonicity makes probes exact,
-// so the cell multiplies by a rounded 1/w rather than divide by w, and
-// where 1/w overflows MaxFloat64 stands in (wider cells, still
-// monotone). Cells are centred on the multiples of w because integer
-// join values at an integer width would otherwise sit on cell edges,
-// where the window's widening (see window) reaches a fourth cell.
-//
-// The ordinals of a cell form a chain from its latest arrival back
-// through prev, as the equi chains do through leafPage.prev, and a
+// chainTable groups a leaf's ordinals by a 64-bit cell. The ordinals of
+// a cell form a chain from its latest arrival back through prev, and a
 // pointer-free open-addressing table maps each cell to that latest
-// arrival, so an add is one table update and one link.
-type bandGrid struct {
-	width float64
-	inv   float64    // 1/width, at most MaxFloat64
+// arrival, so linking an ordinal is one table update and one append.
+type chainTable struct {
 	slots []gridSlot // linear probing; power-of-two length, at most 3/4 used
 	used  int
 	prev  []int32 // per ordinal: the ordinal before it in its cell, or -1
-	win   []int64 // probe scratch: the cells one probe visits
 }
 
 // gridSlot maps a cell to its latest ordinal plus one, so a zeroed slot
@@ -487,8 +476,76 @@ type gridSlot struct {
 	last int32
 }
 
-// minGridSlots is the size of a grid's first table.
+// minGridSlots is the size of a chain table's first slot table.
 const minGridSlots = 8
+
+// slot returns the table slot of cell c: the one holding it, or the
+// empty one it would take. The table must not be empty.
+func (t *chainTable) slot(c int64) *gridSlot {
+	h := uint64(c)
+	h = (h ^ h>>32) * 0x9e3779b97f4a7c15
+	mask := uint64(len(t.slots) - 1)
+	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.last == 0 || s.cell == c {
+			return s
+		}
+	}
+}
+
+// link appends the next ordinal to the chain of cell c.
+func (t *chainTable) link(c int64) {
+	if (t.used+1)*4 > len(t.slots)*3 {
+		t.grow()
+	}
+	s := t.slot(c)
+	if s.last == 0 {
+		s.cell = c
+		t.used++
+	}
+	t.prev = append(t.prev, s.last-1)
+	s.last = int32(len(t.prev))
+}
+
+// grow doubles the table, or makes the first one, and re-slots its
+// cells.
+func (t *chainTable) grow() {
+	old := t.slots
+	t.slots = make([]gridSlot, max(2*len(old), minGridSlots))
+	for _, s := range old {
+		if s.last != 0 {
+			*t.slot(s.cell) = s
+		}
+	}
+}
+
+// reset empties t for its pool, keeping its buffers, and reports
+// whether they are small enough to pool (maxPooledGrid).
+func (t *chainTable) reset() bool {
+	if len(t.slots) > maxPooledGrid || cap(t.prev) > maxPooledGrid {
+		return false
+	}
+	clear(t.slots)
+	t.used, t.prev = 0, t.prev[:0]
+	return true
+}
+
+// bandGrid indexes a leaf's band-matchable join values for the band
+// edges of one width w, as a chainTable of band cells. A value v lies
+// in cell ⌊v·(1/w)+1/2⌋, clamped to ±2^62 (at w = 0, in the cell of
+// its bits: one per value). The cell is monotone in v, so a probe's
+// partners lie in the cells spanning its band window: three, normally.
+// Only monotonicity makes probes exact, so the cell multiplies by a
+// rounded 1/w rather than divide by w, and where 1/w overflows
+// MaxFloat64 stands in (wider cells, still monotone). Cells are centred
+// on the multiples of w because integer join values at an integer width
+// would otherwise sit on cell edges, where the window's widening (see
+// window) reaches a fourth cell.
+type bandGrid struct {
+	width float64
+	inv   float64 // 1/width, at most MaxFloat64
+	chainTable
+	win []int64 // probe scratch: the cells one probe visits
+}
 
 // maxCellWalk bounds the cells a probe walks one by one; see window.
 const maxCellWalk = 16
@@ -512,19 +569,6 @@ func (g *bandGrid) cell(v float64) int64 {
 	return c
 }
 
-// slot returns the table slot of cell c: the one holding it, or the
-// empty one it would take.
-func (g *bandGrid) slot(c int64) *gridSlot {
-	h := uint64(c)
-	h = (h ^ h>>32) * 0x9e3779b97f4a7c15
-	mask := uint64(len(g.slots) - 1)
-	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask {
-		if s := &g.slots[i]; s.last == 0 || s.cell == c {
-			return s
-		}
-	}
-}
-
 // add links the next ordinal, whose parsed join value is v, into its
 // cell; a NaN value gets no cell.
 func (g *bandGrid) add(v float64) {
@@ -532,29 +576,7 @@ func (g *bandGrid) add(v float64) {
 		g.prev = append(g.prev, -1)
 		return
 	}
-	if (g.used+1)*4 > len(g.slots)*3 {
-		g.grow()
-	}
-	c := g.cell(v)
-	s := g.slot(c)
-	if s.last == 0 {
-		s.cell = c
-		g.used++
-	}
-	g.prev = append(g.prev, s.last-1)
-	s.last = int32(len(g.prev))
-}
-
-// grow doubles the table, or makes the first one, and re-slots its
-// cells.
-func (g *bandGrid) grow() {
-	old := g.slots
-	g.slots = make([]gridSlot, max(2*len(old), minGridSlots))
-	for _, s := range old {
-		if s.last != 0 {
-			*g.slot(s.cell) = s
-		}
-	}
+	g.link(g.cell(v))
 }
 
 // window returns the cells a probe at fv (not NaN) visits: every cell

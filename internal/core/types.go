@@ -23,13 +23,13 @@
 // Results are returned highest-score first with deterministic tie-breaking on
 // row keys in leaf order.
 //
-// Buffers a query recycles: the list cursor's leaf arena pages, band
-// grids and equi head maps come from package-level sync.Pools and go
-// back when the cursor closes, cleared of tuple strings (a head map
-// above maxPooledHead join values, or a grid above maxPooledGrid slots
-// or links, is dropped instead, since clearing keeps its size). So nothing outside a leaf index may point into
-// them: a JoinResult copies its tuples out of the arena, and a closed
-// cursor keeps no leaf. A pooled buffer is held by one cursor at a time.
+// Buffers a query recycles: the list cursor's leaf arena pages, equi
+// tables and band grids come from package-level sync.Pools and go back
+// when the cursor closes, cleared of tuple strings (a table above
+// maxPooledGrid slots or links is dropped instead, since clearing keeps
+// its size). So nothing outside a leaf index may point into them: a
+// JoinResult copies its tuples out of the arena, and a closed cursor
+// keeps no leaf. A pooled buffer is held by one cursor at a time.
 package core
 
 import (

@@ -11,7 +11,7 @@ import (
 )
 
 // TestRecycledListBuffersConcurrentStreams: list cursors hand their
-// leaf buffers (arena pages, band grids, equi head maps) to the next
+// leaf buffers (arena pages, equi tables, band grids) to the next
 // cursor when they close. Goroutines open, page, close and abandon isl
 // cursors over four trees that share relations at once, and park more
 // page tokens than the cursor cache holds, so the cache closes cursors
