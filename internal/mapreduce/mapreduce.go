@@ -138,13 +138,20 @@ type Result struct {
 
 // taskContext implements Context for one task.
 type taskContext struct {
-	emitted  []KV
-	writes   map[string][]kvstore.Cell
+	emitted []KV
+	// writes holds each table's cells in write order, in chunks of about
+	// writeChunk cells cut at row boundaries, so a large task output is
+	// never copied to grow and each chunk is one BulkWrite part.
+	writes   map[string][][]kvstore.Cell
 	counters map[string]int64
 }
 
+// writeChunk is the cell count at which a task's write chunk for a
+// table is closed, at the next row boundary.
+const writeChunk = 1024
+
 func newTaskContext() *taskContext {
-	return &taskContext{writes: map[string][]kvstore.Cell{}, counters: map[string]int64{}}
+	return &taskContext{writes: map[string][][]kvstore.Cell{}, counters: map[string]int64{}}
 }
 
 // Emit implements Context.
@@ -153,9 +160,19 @@ func (t *taskContext) Emit(key string, value []byte) {
 	t.emitted = append(t.emitted, KV{Key: key, Value: v})
 }
 
-// WriteCell implements Context.
+// WriteCell implements Context. A full chunk takes the cells of the row
+// it ends with; the next row starts a new chunk. BulkWrite counts the
+// first cell of each part as a new row mutation, so chunks cut inside a
+// row would count it twice.
 func (t *taskContext) WriteCell(table string, cell kvstore.Cell) {
-	t.writes[table] = append(t.writes[table], cell)
+	chunks := t.writes[table]
+	n := len(chunks)
+	if n == 0 || len(chunks[n-1]) >= writeChunk && chunks[n-1][len(chunks[n-1])-1].Row != cell.Row {
+		chunks = append(chunks, make([]kvstore.Cell, 0, writeChunk))
+		n++
+	}
+	chunks[n-1] = append(chunks[n-1], cell)
+	t.writes[table] = chunks
 }
 
 // Counter implements Context.
@@ -431,11 +448,11 @@ func writeOutput(c *kvstore.Cluster, tasks []*taskContext) (uint64, error) {
 	byTable := map[string][][]kvstore.Cell{}
 	var tables []string
 	for _, t := range tasks {
-		for table, cells := range t.writes {
+		for table, chunks := range t.writes {
 			if _, ok := byTable[table]; !ok {
 				tables = append(tables, table)
 			}
-			byTable[table] = append(byTable[table], cells)
+			byTable[table] = append(byTable[table], chunks...)
 		}
 	}
 	sort.Strings(tables)

@@ -14,13 +14,18 @@
 // node's logical clock (nodes report a high-water mark in Health), so
 // node-local stamps never shadow replicated cells.
 //
-// Writes ack at a quorum, a majority of the replication factor; a
-// write that cannot reach its leader fails outright, and a follower
-// that misses an acked write is marked dirty — excluded from leader
-// duty, quorum counting, and repair-source duty until anti-entropy has
-// caught it back up. The first clean replica in assignment order is
-// therefore guaranteed to hold every acknowledged write, which is
-// exactly what makes it a safe repair source.
+// A write goes to the leader first, then to every follower at once, and
+// its ack is counted once all of them have answered. Writes are
+// serialized, so every replica applies the same ops in the same order.
+// Writes ack at a quorum, a majority of the replication factor; a write
+// that cannot reach its leader fails outright and reaches no follower,
+// and a follower that misses an acked write is marked dirty — excluded
+// from leader duty, quorum counting, and repair-source duty until
+// anti-entropy has caught it back up. The first clean replica in
+// assignment order is therefore guaranteed to hold every acknowledged
+// write, which is exactly what makes it a safe repair source. Schema
+// changes (relation definitions, index builds) and health probes also
+// run on all their nodes at once.
 //
 // Reads and queries ship whole to one covering replica (the paper runs
 // rank-join inside the store, next to the data) and fail over across
@@ -238,6 +243,39 @@ func (r *Router) nodesFor(names []string) []*node {
 	return out
 }
 
+// fanOut runs call once per node, all nodes at once, and returns the
+// errors in node order; call(i, nodes[i]) may store a result at index
+// i. The calling goroutine takes the first node, so a one-node fan-out
+// starts no goroutine. The width is the node count: the router only
+// fans out over one replica group or the whole topology.
+func fanOut(nodes []*node, call func(i int, n *node) error) []error {
+	errs := make([]error, len(nodes))
+	var wg sync.WaitGroup
+	for i := 1; i < len(nodes); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = call(i, nodes[i])
+		}()
+	}
+	if len(nodes) > 0 {
+		errs[0] = call(0, nodes[0])
+	}
+	wg.Wait()
+	return errs
+}
+
+// probeHealth asks every node for its Health at once; the answers and
+// errors are in node order.
+func probeHealth(nodes []*node) ([]*transport.HealthInfo, []error) {
+	health := make([]*transport.HealthInfo, len(nodes))
+	errs := fanOut(nodes, func(i int, n *node) (err error) {
+		health[i], err = n.svc.Health()
+		return err
+	})
+	return health, errs
+}
+
 // isDirty reports whether a node is excluded from leader/source duty.
 func (r *Router) isDirty(name string) bool {
 	r.mu.Lock()
@@ -287,25 +325,28 @@ func (r *Router) bumpTS(v int64) {
 // nextTS stamps one group write.
 func (r *Router) nextTS() int64 { return r.ts.Add(1) }
 
-// ddlLocked runs a schema-changing call on every listed node (all must
-// succeed — setup operations are not quorum-based), then adds each node
-// to the owners of every table the call created on it, and re-syncs the
-// timestamp source above the nodes' clocks. A per-relation index table
-// is built by the DDL of every tree over the relation, each on its own
-// covering nodes, so its owners grow with each such call. Callers hold
-// r.mu.
+// ddlLocked runs a schema-changing call on every listed node at once
+// (all must succeed — setup operations are not quorum-based), then
+// probes their health at once, adds each node to the owners of every
+// table the call created on it, and re-syncs the timestamp source above
+// the nodes' clocks. Both rounds fold in node order, so the error names
+// the first failing node and owners grow as a node-by-node walk grows
+// them. A per-relation index table is built by the DDL of every tree
+// over the relation, each on its own covering nodes, so its owners grow
+// with each such call. Callers hold r.mu.
 func (r *Router) ddlLocked(names []string, call func(transport.RegionService) error) error {
 	nodes := r.nodesFor(names)
-	for _, n := range nodes {
-		if err := call(n.svc); err != nil {
-			return fmt.Errorf("topology: ddl on node %s: %w", n.name, err)
+	for i, err := range fanOut(nodes, func(_ int, n *node) error { return call(n.svc) }) {
+		if err != nil {
+			return fmt.Errorf("topology: ddl on node %s: %w", nodes[i].name, err)
 		}
 	}
-	for _, n := range nodes {
-		h, err := n.svc.Health()
-		if err != nil {
-			return fmt.Errorf("topology: health on node %s after ddl: %w", n.name, err)
+	health, errs := probeHealth(nodes)
+	for i, n := range nodes {
+		if errs[i] != nil {
+			return fmt.Errorf("topology: health on node %s after ddl: %w", n.name, errs[i])
 		}
+		h := health[i]
 		r.bumpTS(h.Clock)
 		before := r.healthsnp[n.name]
 		after := make(map[string]bool, len(h.Tables))
@@ -445,9 +486,12 @@ func (r *Router) resolveLeader(relation, rowKey string, reps []*node) (*node, *c
 
 // replicate ships one resolved, stamped op: leader first (its failure
 // fails the write outright — the leader is the repair source of record,
-// so nothing may be acked that it does not hold), then the remaining
-// replicas, acking at quorum. Dirty replicas are skipped — they are
-// already behind; anti-entropy carries this op to them later.
+// so nothing may be acked that it does not hold, and no follower sees
+// the op), then every clean follower at once, acking at quorum once all
+// of them have answered. Dirty replicas are skipped — they are already
+// behind; anti-entropy carries this op to them later. Callers hold
+// r.wmu across the whole call, so every replica applies the same ops in
+// the same order.
 func (r *Router) replicate(leader *node, reps []*node, op transport.WriteOp) error {
 	if err := leader.svc.Apply(op); err != nil {
 		// The leader may hold a partial application; treat it as dirty
@@ -458,6 +502,7 @@ func (r *Router) replicate(leader *node, reps []*node, op transport.WriteOp) err
 	}
 	acked := 1
 	failed := map[string]error{}
+	followers := make([]*node, 0, len(reps))
 	for _, nd := range reps {
 		if nd == leader {
 			continue
@@ -466,9 +511,12 @@ func (r *Router) replicate(leader *node, reps []*node, op transport.WriteOp) err
 			failed[nd.name] = errors.New("dirty: awaiting repair")
 			continue
 		}
-		if err := nd.svc.Apply(op); err != nil {
-			r.markDirty(nd.name, err)
-			failed[nd.name] = err
+		followers = append(followers, nd)
+	}
+	for i, err := range fanOut(followers, func(_ int, nd *node) error { return nd.svc.Apply(op) }) {
+		if err != nil {
+			r.markDirty(followers[i].name, err)
+			failed[followers[i].name] = err
 			continue
 		}
 		acked++
@@ -645,8 +693,8 @@ type NodeStatus struct {
 	Error       string   `json:"error,omitempty"`
 }
 
-// Status probes every node and reports liveness, dirtiness, and served
-// state — the rjserve /metrics replica-status payload.
+// Status probes every node at once and reports liveness, dirtiness,
+// and served state — the rjserve /metrics replica-status payload.
 func (r *Router) Status() []NodeStatus {
 	r.mu.Lock()
 	dirty := make(map[string]string, len(r.dirty))
@@ -654,16 +702,17 @@ func (r *Router) Status() []NodeStatus {
 		dirty[k] = v
 	}
 	r.mu.Unlock()
+	health, errs := probeHealth(r.nodes)
 	out := make([]NodeStatus, len(r.nodes))
 	for i, nd := range r.nodes {
 		st := NodeStatus{Name: nd.name}
 		if cause, d := dirty[nd.name]; d {
 			st.Dirty, st.DirtyCause = true, cause
 		}
-		h, err := nd.svc.Health()
-		if err != nil {
-			st.Error = err.Error()
+		if errs[i] != nil {
+			st.Error = errs[i].Error()
 		} else {
+			h := health[i]
 			st.Alive = true
 			st.Relations = h.Relations
 			st.Tables = len(h.Tables)

@@ -3,10 +3,13 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/kvstore"
@@ -28,6 +31,70 @@ type fakeNode struct {
 	tables  map[string]map[string][]kvstore.Cell // guarded by: mu — table → row → cells
 	clock   int64                                // guarded by: mu
 	applied int                                  // guarded by: mu — Apply calls that landed
+
+	// meet, when set, makes Apply, EnsureIndexes and Health wait there
+	// until the other replicas are inside the same call. leads exempts
+	// Apply: the write leader applies alone, before its followers.
+	meet  *rendezvous
+	leads bool
+}
+
+// rendezvous proves calls run at once: await returns when n callers
+// are waiting in it together, and fails after rendezvousWait, which is
+// what a router that visits nodes one at a time runs into.
+type rendezvous struct {
+	replicas int
+
+	mu      sync.Mutex
+	arrived int           // guarded by: mu
+	open    chan struct{} // guarded by: mu — closed when the current round is full
+}
+
+const rendezvousWait = 2 * time.Second
+
+func newRendezvous(replicas int) *rendezvous {
+	return &rendezvous{replicas: replicas, open: make(chan struct{})}
+}
+
+func (rv *rendezvous) await(n int, call string) error {
+	rv.mu.Lock()
+	open := rv.open
+	if rv.arrived++; rv.arrived == n {
+		close(open)
+		rv.arrived, rv.open = 0, make(chan struct{})
+	}
+	rv.mu.Unlock()
+	timer := time.NewTimer(rendezvousWait)
+	defer timer.Stop()
+	select {
+	case <-open:
+		return nil
+	case <-timer.C:
+	}
+	rv.mu.Lock()
+	defer rv.mu.Unlock()
+	select {
+	case <-open: // filled as the timer fired
+		return nil
+	default:
+		rv.arrived--
+		return fmt.Errorf("%s: %d calls never met within %v", call, n, rendezvousWait)
+	}
+}
+
+// meetAll waits for every replica; meetFollowers for all but the leader.
+func (f *fakeNode) meetAll(call string) error {
+	if f.meet == nil {
+		return nil
+	}
+	return f.meet.await(f.meet.replicas, call)
+}
+
+func (f *fakeNode) meetFollowers(call string) error {
+	if f.meet == nil || f.leads {
+		return nil
+	}
+	return f.meet.await(f.meet.replicas-1, call)
 }
 
 func newFakeNode(name string) *fakeNode {
@@ -59,6 +126,9 @@ func (f *fakeNode) gate() error {
 func relTable(relation string) string { return "rel_" + relation }
 
 func (f *fakeNode) Health() (*transport.HealthInfo, error) {
+	if err := f.meetAll("health"); err != nil {
+		return nil, err
+	}
 	if err := f.gate(); err != nil {
 		return nil, err
 	}
@@ -90,6 +160,9 @@ func (f *fakeNode) DefineRelation(name string) error {
 }
 
 func (f *fakeNode) EnsureIndexes(req transport.EnsureRequest) error {
+	if err := f.meetAll("ensure"); err != nil {
+		return err
+	}
 	if err := f.gate(); err != nil {
 		return err
 	}
@@ -116,6 +189,9 @@ func tupleCells(t *core.Tuple, ts int64) []kvstore.Cell {
 }
 
 func (f *fakeNode) Apply(op transport.WriteOp) error {
+	if err := f.meetFollowers("apply"); err != nil {
+		return err
+	}
 	if err := f.gate(); err != nil {
 		return err
 	}
@@ -666,5 +742,102 @@ func TestSharedIndexTableOwnersGrow(t *testing.T) {
 	}
 	if rows := tableRows(fakes[0], "bfhm_a"); len(rows) != 0 {
 		t.Fatalf("stray index row on n0 survived repair: %v", rows)
+	}
+}
+
+// TestFanOutIsConcurrent: every replica must be inside the same call
+// at once (each fake waits at a rendezvous for the others) for a
+// write's followers, an index build with its health probes, and a
+// status probe to succeed. A router that visits nodes one at a time
+// leaves each fake waiting alone until the rendezvous times out.
+func TestFanOutIsConcurrent(t *testing.T) {
+	r, fakes := cluster3(t)
+	rv := newRendezvous(len(fakes))
+	for _, f := range fakes {
+		f.meet = rv
+	}
+	fakes[0].leads = true
+	if err := r.Upsert("part", core.Tuple{RowKey: "a", JoinValue: "j", Score: 0.5}); err != nil {
+		t.Fatalf("upsert: %v", err)
+	}
+	if err := r.BatchInsert("part", []core.Tuple{{RowKey: "b", JoinValue: "j"}, {RowKey: "c", JoinValue: "k"}}); err != nil {
+		t.Fatalf("batch insert: %v", err)
+	}
+	if err := r.EnsureIndexes(transport.EnsureRequest{Tree: partSelfJoin, Score: "sum", Algos: []string{"isl"}}); err != nil {
+		t.Fatalf("ensure indexes: %v", err)
+	}
+	for _, st := range r.Status() {
+		if !st.Alive || st.Dirty || st.Error != "" {
+			t.Fatalf("status row %+v, want alive and clean", st)
+		}
+	}
+	if d := r.Dirty(); len(d) != 0 {
+		t.Fatalf("dirty = %v after concurrent writes", d)
+	}
+	assertReplicasEqual(t, fakes, "rel_part")
+	assertReplicasEqual(t, fakes, "isl_part")
+}
+
+// TestFanOutFailureSemantics: the fan-out folds its answers in node
+// order, so a write reports what a node-by-node walk reported — the
+// acks, each failed follower, and the dirty set — a write whose leader
+// fails reaches no follower, and a failed DDL names the first failing
+// node.
+func TestFanOutFailureSemantics(t *testing.T) {
+	r, fakes := cluster3(t)
+	fakes[1].setDown(true)
+	fakes[2].setDown(true)
+	err := r.Upsert("part", core.Tuple{RowKey: "a", JoinValue: "j"})
+	var re *ReplicationError
+	if !errors.As(err, &re) || re.Acked != 1 || re.Quorum != 2 {
+		t.Fatalf("err = %v, want ReplicationError acked 1 quorum 2", err)
+	}
+	if got := slices.Sorted(maps.Keys(re.Failed)); !slices.Equal(got, []string{"n1", "n2"}) {
+		t.Fatalf("failed = %v, want [n1 n2]", got)
+	}
+	for name, ferr := range re.Failed {
+		if !errors.Is(ferr, transport.ErrUnavailable) {
+			t.Fatalf("%s failed with %v, want unavailable", name, ferr)
+		}
+	}
+	if d := r.Dirty(); !slices.Equal(d, []string{"n1", "n2"}) {
+		t.Fatalf("dirty = %v, want [n1 n2]", d)
+	}
+	fakes[0].setDown(true)
+	err = r.BatchInsert("part", []core.Tuple{{RowKey: "b", JoinValue: "j"}})
+	if !errors.As(err, &re) || re.Acked != 0 || len(re.Failed) != 1 || re.Failed["n0"] == nil {
+		t.Fatalf("err = %v, want ReplicationError acked 0 naming only n0", err)
+	}
+	if d := r.Dirty(); !slices.Equal(d, []string{"n0", "n1", "n2"}) {
+		t.Fatalf("dirty = %v, want [n0 n1 n2]", d)
+	}
+
+	// A dead leader fails the write before any follower sees it. A
+	// batch resolves nothing, so the leader is reached first at Apply.
+	r, fakes = cluster3(t)
+	fakes[0].setDown(true)
+	err = r.BatchInsert("part", []core.Tuple{{RowKey: "a", JoinValue: "j"}})
+	if !errors.As(err, &re) || re.Acked != 0 || re.Failed["n0"] == nil {
+		t.Fatalf("err = %v, want ReplicationError acked 0 naming n0", err)
+	}
+	for _, f := range fakes[1:] {
+		f.mu.Lock()
+		applied := f.applied
+		f.mu.Unlock()
+		if applied != 0 {
+			t.Fatalf("%s applied %d writes its dead leader never acked", f.name, applied)
+		}
+	}
+	if d := r.Dirty(); !slices.Equal(d, []string{"n0"}) {
+		t.Fatalf("dirty = %v, want [n0]", d)
+	}
+
+	// Both later nodes refuse the DDL; the error names the first.
+	r, fakes = cluster3(t)
+	fakes[1].setDown(true)
+	fakes[2].setDown(true)
+	err = r.EnsureIndexes(transport.EnsureRequest{Tree: partSelfJoin, Score: "sum", Algos: []string{"isl"}})
+	if err == nil || !strings.Contains(err.Error(), "ddl on node n1:") {
+		t.Fatalf("ddl err = %v, want it to name n1", err)
 	}
 }
