@@ -528,7 +528,7 @@ func TestHostileLeafCounts(t *testing.T) {
 	wantTree, _ := json.Marshal(tree)
 	wantRange, _ := json.Marshal(payload)
 
-	// Frame format v3: version byte, sequence number, method code, body
+	// Frame format v4: version byte, sequence number, method code, body
 	// length, body. Method codes 7 and 8 are MerkleTree and FetchRange.
 	const merkleTree, fetchRange = 7, 8
 	seq := uint64(0)
@@ -542,7 +542,7 @@ func TestHostileLeafCounts(t *testing.T) {
 			{fetchRange, fmt.Sprintf(`{"table":%q,"leaves":%s,"indexes":[0,3]}`, table, leaves), wantRange},
 		} {
 			seq++
-			frame := append([]byte{0xF3}, binary.BigEndian.AppendUint64(nil, seq)...)
+			frame := append([]byte{0xF4}, binary.BigEndian.AppendUint64(nil, seq)...)
 			frame = append(frame, req.code)
 			frame = binary.BigEndian.AppendUint32(frame, uint32(len(req.body)))
 			if _, err := conn.Write(append(frame, req.body...)); err != nil {
@@ -556,7 +556,7 @@ func TestHostileLeafCounts(t *testing.T) {
 			if _, err := io.ReadFull(conn, body); err != nil {
 				t.Fatalf("%s: no reply body: %v", req.body, err)
 			}
-			if head[0] != 0xF3 || binary.BigEndian.Uint64(head[1:9]) != seq || head[9] != 0 {
+			if head[0] != 0xF4 || binary.BigEndian.Uint64(head[1:9]) != seq || head[9] != 0 {
 				t.Fatalf("%s: reply header %x, body %s", req.body, head, body)
 			}
 			if !bytes.Equal(body, req.want) {

@@ -162,7 +162,8 @@ func writeResolveError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "%v", err)
 }
 
-// costJSON is the wire form of a sim.Snapshot.
+// costJSON is the wire form of a sim.Snapshot: a measured cost or a
+// planner's estimate.
 type costJSON struct {
 	SimTime      string  `json:"sim_time"`
 	SimTimeSecs  float64 `json:"sim_time_seconds"`
@@ -213,32 +214,14 @@ type topkResponse struct {
 	Parallelism int          `json:"parallelism"`
 	Results     []resultJSON `json:"results"`
 	Cost        costJSON     `json:"cost"`
-	// Estimate is the planner's predicted cost (algo=auto only);
-	// comparing it with cost gives the per-query estimation error.
-	Estimate *estimateJSON `json:"estimate,omitempty"`
+	// Estimate is the planner's predicted cost (algo=auto only), in
+	// cost's form; comparing the two gives the per-query estimation
+	// error.
+	Estimate *costJSON `json:"estimate,omitempty"`
 	// NextPageToken resumes this query where it stopped: pass it back
 	// as page_token to fetch the next k results at marginal cost.
 	NextPageToken string `json:"next_page_token,omitempty"`
 	WallTime      string `json:"wall_time"`
-}
-
-// estimateJSON is the wire form of a planner cost estimate.
-type estimateJSON struct {
-	SimTime      string  `json:"sim_time"`
-	SimTimeSecs  float64 `json:"sim_time_seconds"`
-	NetworkBytes uint64  `json:"network_bytes"`
-	KVReads      uint64  `json:"kv_read_units"`
-	Dollars      float64 `json:"dollars"`
-}
-
-func toEstimateJSON(e rankjoin.CostEstimate) *estimateJSON {
-	return &estimateJSON{
-		SimTime:      e.SimTime.String(),
-		SimTimeSecs:  e.SimTime.Seconds(),
-		NetworkBytes: e.NetworkBytes,
-		KVReads:      e.KVReads,
-		Dollars:      e.Dollars(),
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -524,7 +507,8 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		WallTime:      time.Since(start).String(),
 	}
 	if res.Estimate != nil {
-		resp.Estimate = toEstimateJSON(*res.Estimate)
+		est := toCostJSON(*res.Estimate)
+		resp.Estimate = &est
 	}
 	for _, jr := range res.Results {
 		resp.Results = append(resp.Results, toResultJSON(jr))
@@ -628,16 +612,16 @@ type explainRequest struct {
 
 // candidateJSON is one ranked plan candidate.
 type candidateJSON struct {
-	Executor    string       `json:"executor"`
-	IndexReady  bool         `json:"index_ready"`
-	IndexBytes  uint64       `json:"index_bytes"`
-	Incremental bool         `json:"incremental"`
-	Estimate    estimateJSON `json:"estimate"`
+	Executor    string   `json:"executor"`
+	IndexReady  bool     `json:"index_ready"`
+	IndexBytes  uint64   `json:"index_bytes"`
+	Incremental bool     `json:"incremental"`
+	Estimate    costJSON `json:"estimate"`
 	// Marginal is the predicted cost of the NEXT page of k results
 	// (full re-run for materializing executors).
-	Marginal estimateJSON `json:"marginal"`
+	Marginal costJSON `json:"marginal"`
 	// StreamEstimate prices a deep enumeration (stream-mode ranking).
-	StreamEstimate estimateJSON `json:"stream_estimate"`
+	StreamEstimate costJSON `json:"stream_estimate"`
 }
 
 type explainResponse struct {
@@ -708,9 +692,9 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			IndexReady:     cand.IndexReady,
 			IndexBytes:     cand.IndexBytes,
 			Incremental:    cand.Incremental,
-			Estimate:       *toEstimateJSON(cand.Estimate),
-			Marginal:       *toEstimateJSON(cand.Marginal),
-			StreamEstimate: *toEstimateJSON(cand.StreamEstimate),
+			Estimate:       toCostJSON(cand.Estimate),
+			Marginal:       toCostJSON(cand.Marginal),
+			StreamEstimate: toCostJSON(cand.StreamEstimate),
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -38,7 +38,8 @@
 //	GET /topk?tree=<url-encoded JSON tree spec>&...
 //	POST /topk      body (JSON): the same fields plus "tree"
 //	    Run one query; returns ranked results plus the per-query cost
-//	    metrics (simulated time, network bytes, KV read units, dollars).
+//	    metrics (simulated time, network bytes, KV read units, RPC
+//	    calls, dollars).
 //	    Instead of a named preset, a request may carry an inline tree
 //	    spec describing a general acyclic join-tree query —
 //	    {"relations":["a","b","c"],
@@ -51,7 +52,8 @@
 //	    results in score order.
 //	    algo defaults to "auto": the cost-based planner picks the
 //	    executor, and the response carries the chosen algorithm plus
-//	    the planner's estimate next to the measured cost. A full page
+//	    the planner's estimate next to the measured cost, in the same
+//	    JSON form. A full page
 //	    carries next_page_token; passing it back as page_token resumes
 //	    the query server-side (bounded cursor state, marginal cost)
 //	    instead of re-running it. In router mode page tokens are sticky
@@ -77,7 +79,8 @@
 //	POST /explain     Plan a query without running it (single-process
 //	    mode only); body (JSON): {"query":"q1","k":10,
 //	    "objective":"time","stream":true} — returns every registered
-//	    executor ranked by predicted cost.
+//	    executor ranked by predicted cost, each with its bounded,
+//	    next-page and stream estimates in /topk's cost form.
 //	POST /insert      Upsert one tuple with synchronous maintenance of
 //	    every index built over the relation (one batched group write);
 //	    body: {"relation":"orders","row_key":"o1","join_value":"42",

@@ -190,6 +190,10 @@ type serveCase struct {
 	// fields, when set, are values the (last line of the) response must
 	// carry on both backends, compared as decoded JSON.
 	fields map[string]any
+	// positive, when set, are dotted paths ("cost.rpc_calls") to
+	// numbers the (last line of the) response must carry above zero on
+	// both backends.
+	positive []string
 	// onlyOne lists keys one backend may carry and the other omit.
 	onlyOne []string
 	// wantRows, when positive, is the row count both must return.
@@ -206,7 +210,8 @@ func serveTable() []serveCase {
 	return []serveCase{
 		// ---- /topk ----
 		{name: "topk defaults", method: get, target: "/topk", want: 200, wantRows: 10,
-			keys: []string{"query", "algorithm", "k", "parallelism", "results", "cost", "estimate", "wall_time", "next_page_token"}},
+			keys:     []string{"query", "algorithm", "k", "parallelism", "results", "cost", "estimate", "wall_time", "next_page_token"},
+			positive: []string{"cost.rpc_calls", "estimate.rpc_calls", "estimate.kv_read_units"}},
 		{name: "topk isl", method: get, target: "/topk?query=q2&algo=isl&k=5", want: 200, wantRows: 5},
 		{name: "topk next page", method: get, target: "/topk?query=q2&algo=isl&k=5&page_token={token}", want: 200, wantRows: 5},
 		{name: "topk fresh page for replay", method: get, target: "/topk?query=q2&algo=isl&k=5", want: 200, wantRows: 5},
@@ -341,6 +346,18 @@ func TestHandlersSameOnBothBackends(t *testing.T) {
 			for i := range got {
 				if g := last(got[i])[k]; !reflect.DeepEqual(g, v) {
 					t.Errorf("%s on %s: %s = %v, want %v", c.name, backends[i].name, k, g, v)
+				}
+			}
+		}
+		for _, path := range c.positive {
+			for i := range got {
+				var v any = last(got[i])
+				for _, k := range strings.Split(path, ".") {
+					m, _ := v.(map[string]any)
+					v = m[k]
+				}
+				if n, ok := v.(float64); !ok || n <= 0 {
+					t.Errorf("%s on %s: %s = %v, want a positive number", c.name, backends[i].name, path, v)
 				}
 			}
 		}

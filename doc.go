@@ -237,7 +237,7 @@
 // the transport seam (internal/transport): each node is either an
 // in-process DB reached over a zero-copy loopback, or an rjnode
 // process reached over TCP — the router cannot tell the difference. On
-// TCP each message is a 14-byte binary header (frame version 0xF3,
+// TCP each message is a 14-byte binary header (frame version 0xF4,
 // sequence number, method or status, body length) and its body, decoded
 // once: a TopK reply's ranked results in a hand-written binary layout,
 // every other message and every error in JSON. The router and rjnode

@@ -89,7 +89,7 @@ func (b *Budget) Attach(lane *sim.Metrics) {
 		return
 	}
 	b.lane = lane
-	b.baseReads = lane.KVReads()
+	b.baseReads = lane.Snapshot().KVReads
 }
 
 // Rebind points the budget at a resuming page's bounds: the context
@@ -107,7 +107,7 @@ func (b *Budget) Rebind(ctx context.Context, deadline time.Time, maxReadUnits ui
 	b.Deadline = deadline
 	b.MaxReadUnits = maxReadUnits
 	if b.lane != nil {
-		b.baseReads = b.lane.KVReads()
+		b.baseReads = b.lane.Snapshot().KVReads
 	}
 }
 
@@ -116,7 +116,7 @@ func (b *Budget) Spent() uint64 {
 	if b == nil || b.lane == nil {
 		return 0
 	}
-	return b.lane.KVReads() - b.baseReads
+	return b.lane.Snapshot().KVReads - b.baseReads
 }
 
 // Check returns nil while the query may continue, or the typed error

@@ -7,18 +7,18 @@ import (
 )
 
 // This file holds the per-executor cost estimators behind
-// Executor.Estimate: closed-form predictions of the paper's three
-// metrics (simulated time, network bytes, KV read units) from the
+// Executor.Estimate: closed-form predictions of a query's cost from the
 // planner's table statistics and the DRJN/BFHM-derived join-cardinality
-// and termination-depth estimates in PlanStats.
+// and termination-depth estimates in PlanStats. An estimate is a
+// sim.Snapshot, the type of a measured cost.
 //
 // An estimator predicts counts, not prices: each phase states the work
 // it expects — RPCs, seeks, MapReduce tasks and jobs, disk and wire
-// bytes, cells — as a sim.Op, and the profile's Price turns it into
-// time, the same function the store and the MapReduce runner charge
-// through. Estimates do not need to be exact — the planner only needs
-// the relative ordering (and the stamped estimate makes the residual
-// error measurable per query).
+// bytes, cells — as a sim.Op; the profile's Price turns it into time
+// and sim.Snapshot.Count into counters, the functions the store and
+// the MapReduce runner charge through. Estimates do not need to be
+// exact — the planner only needs the relative ordering (and the stamped
+// estimate makes the residual error measurable per query).
 
 // Wire-size approximations (bytes). Tuples carry short row keys and
 // join values; these mirror EncodeTuple/EncodeJoinResult overheads.
@@ -28,33 +28,25 @@ const (
 	estCellMeta  = 30 // stored-cell key/family/qualifier overhead
 )
 
-// estAccum accumulates one candidate plan's predicted cost.
+// estAccum accumulates one candidate plan's predicted cost. It counts
+// by the collector's own rule, sim.Snapshot.Count, but holds no lock: a
+// plan prices hundreds of Ops on one goroutine.
 type estAccum struct {
-	p     sim.Profile
-	t     time.Duration
-	net   uint64
-	reads uint64
+	p sim.Profile
+	s sim.Snapshot
 }
 
-func (a *estAccum) est() CostEstimate {
-	return CostEstimate{SimTime: a.t, NetworkBytes: a.net, KVReads: a.reads}
-}
+// count adds op's counters, as sim.Metrics.Count counts them.
+func (a *estAccum) count(op *sim.Op) { a.s.Count(op) }
 
-// count adds op's network bytes and read units, the counters an
-// estimate predicts, as sim.Metrics.Count counts them.
-func (a *estAccum) count(op *sim.Op) {
-	a.net += op.NetworkBytes()
-	a.reads += op.Cells
-}
-
-// charge adds op's counters and its price.
+// charge adds op's counters and its price, as sim.Metrics.Charge does.
 func (a *estAccum) charge(op *sim.Op) {
-	a.count(op)
-	a.t += a.p.Price(op)
+	a.s.Count(op)
+	a.s.SimTime += a.p.Price(op)
 }
 
 // advance adds n back-to-back repetitions of op's price to the clock.
-func (a *estAccum) advance(n uint64, op *sim.Op) { a.t += time.Duration(n) * a.p.Price(op) }
+func (a *estAccum) advance(n uint64, op *sim.Op) { a.s.SimTime += time.Duration(n) * a.p.Price(op) }
 
 // clientScan models a batched client-side table scan returning all
 // cells: one RPC per batch of scanBatch rows, the whole table read from
@@ -115,7 +107,7 @@ func (a *estAccum) reducePhase(inputCells, writeBytes uint64, numReducers int) {
 
 // ---- Per-executor estimators ----
 
-func estimateNaive(st *PlanStats) CostEstimate {
+func estimateNaive(st *PlanStats) sim.Snapshot {
 	a := estAccum{p: st.Profile}
 	var tuples uint64
 	for _, l := range st.Leaves {
@@ -124,10 +116,10 @@ func estimateNaive(st *PlanStats) CostEstimate {
 	}
 	// Coordinator hash join over everything.
 	a.advance(1, &sim.Op{Cells: tuples + uint64(st.JoinPairs)})
-	return a.est()
+	return a.s
 }
 
-func estimateHive(st *PlanStats) CostEstimate {
+func estimateHive(st *PlanStats) sim.Snapshot {
 	a := estAccum{p: st.Profile}
 	l, r := st.Leaves[0], st.Leaves[1]
 	tuples := l.Rows + r.Rows
@@ -151,10 +143,10 @@ func estimateHive(st *PlanStats) CostEstimate {
 
 	// Stage 3: fetch the k best rows.
 	a.gets(uint64(st.K), pairBytes, 1)
-	return a.est()
+	return a.s
 }
 
-func estimatePig(st *PlanStats) CostEstimate {
+func estimatePig(st *PlanStats) sim.Snapshot {
 	a := estAccum{p: st.Profile}
 	l, r := st.Leaves[0], st.Leaves[1]
 	tuples := l.Rows + r.Rows
@@ -181,10 +173,10 @@ func estimatePig(st *PlanStats) CostEstimate {
 	a.charge(&sim.Op{WireBytes: localK * estPairWire})
 	a.reducePhase(localK, 0, 1)
 	a.count(&sim.Op{WireBytes: uint64(st.K) * estPairWire}) // final output to the client
-	return a.est()
+	return a.s
 }
 
-func estimateIJLMR(st *PlanStats) CostEstimate {
+func estimateIJLMR(st *PlanStats) sim.Snapshot {
 	a := estAccum{p: st.Profile}
 	tuples := st.Leaves[0].Rows + st.Leaves[1].Rows
 	idxBytes := st.IndexBytes
@@ -200,14 +192,14 @@ func estimateIJLMR(st *PlanStats) CostEstimate {
 	a.charge(&sim.Op{WireBytes: localK * estPairWire})
 	a.reducePhase(localK, 0, 1)
 	a.count(&sim.Op{WireBytes: uint64(st.K) * estPairWire})
-	return a.est()
+	return a.s
 }
 
 // estimateLists prices the isl executor's rank-join operator over
 // inverse score lists: one batched list scan per leaf down to its
 // estimated termination depth (PlanStats.LeafDepths, ~one index cell
 // per tuple), plus the per-tuple probe and release CPU.
-func estimateLists(st *PlanStats) CostEstimate {
+func estimateLists(st *PlanStats) sim.Snapshot {
 	a := estAccum{p: st.Profile}
 	batch := uint64(st.Exec.WithDefaults().ISLBatch)
 	cellBytes := uint64(estCellMeta + 10)
@@ -232,10 +224,10 @@ func estimateLists(st *PlanStats) CostEstimate {
 	// Each consumed tuple probes its neighbor leaves' seen sets; each
 	// released result builds all n of its tuples.
 	a.advance(1, &sim.Op{Cells: total + uint64(st.K)*uint64(len(st.LeafDepths))})
-	return a.est()
+	return a.s
 }
 
-func estimateBFHM(st *PlanStats) CostEstimate {
+func estimateBFHM(st *PlanStats) sim.Snapshot {
 	a := estAccum{p: st.Profile}
 	buckets := st.BFHMBuckets
 	if buckets < 1 {
@@ -264,10 +256,10 @@ func estimateBFHM(st *PlanStats) CostEstimate {
 	}
 	a.gets(cands, estTupleWire+estCellMeta, lanes)
 	a.advance(1, &sim.Op{Cells: cands + uint64(st.K)})
-	return a.est()
+	return a.s
 }
 
-func estimateDRJN(st *PlanStats) CostEstimate {
+func estimateDRJN(st *PlanStats) sim.Snapshot {
 	a := estAccum{p: st.Profile}
 	parts := st.DRJNJoinParts
 	if parts < 1 {
@@ -301,5 +293,5 @@ func estimateDRJN(st *PlanStats) CostEstimate {
 		a.clientScan(pulledL+pulledR, pulledBytes, pulledL+pulledR)
 	}
 	a.advance(1, &sim.Op{Cells: pulledL + pulledR + uint64(st.K)})
-	return a.est()
+	return a.s
 }

@@ -1,14 +1,10 @@
 package core
 
-import (
-	"time"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // This file defines what the executor table (executors.go) is driven
 // with: the execution and index-build options, and the planner's
-// statistics and cost estimates.
+// statistics and the relative error of its estimates.
 
 // DefaultISLBatch is the ISL scanner caching default — the single
 // source for the public QueryOptions, the executor layer, and the
@@ -112,19 +108,6 @@ type PlanStats struct {
 	IndexBytes uint64
 	// Exec carries the query options that shape runtime costs.
 	Exec ExecOptions
-}
-
-// CostEstimate is a predicted query cost in the paper's three metrics.
-type CostEstimate struct {
-	SimTime      time.Duration
-	NetworkBytes uint64
-	KVReads      uint64
-}
-
-// Dollars prices the estimated read units per the paper's DynamoDB
-// model (footnote 1), through the same formula measured costs use.
-func (e CostEstimate) Dollars() float64 {
-	return sim.DollarsForReads(e.KVReads)
 }
 
 // RelativeError returns |est-actual|/actual for one pair of values (the

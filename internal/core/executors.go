@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/kvstore"
+	"repro/internal/sim"
 )
 
 // This file is the executor layer's one dispatch point: the paper's
@@ -27,7 +28,7 @@ import (
 type Executor struct {
 	name     string
 	supports func(t *JoinTree) bool
-	estimate func(st *PlanStats) CostEstimate
+	estimate func(st *PlanStats) sim.Snapshot
 	// index is the family of indexes the strategy reads; nil for the
 	// index-free ones.
 	index indexFamily
@@ -112,7 +113,7 @@ func (e *Executor) Incremental() bool { return e.open != nil }
 // Estimate predicts the query's execution cost from planner statistics.
 // It returns non-zero costs for any non-empty input, whether or not the
 // index exists yet.
-func (e *Executor) Estimate(st *PlanStats) CostEstimate { return e.estimate(st) }
+func (e *Executor) Estimate(st *PlanStats) sim.Snapshot { return e.estimate(st) }
 
 // check admits t to EnsureIndex and Open: a supported shape, well formed.
 func (e *Executor) check(t *JoinTree) error {

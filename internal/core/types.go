@@ -180,9 +180,10 @@ type Result struct {
 	// Algorithm names the executor that produced the result.
 	Algorithm string
 	// Estimate is the planner's predicted cost when the execution was
-	// planned (AlgoAuto); nil for hand-picked algorithms. Comparing it
-	// against Cost gives the per-query estimated-vs-actual error.
-	Estimate *CostEstimate
+	// planned (AlgoAuto); nil for hand-picked algorithms. It has Cost's
+	// type, so comparing the two field by field gives the per-query
+	// estimated-vs-actual error.
+	Estimate *sim.Snapshot
 	// PlannerCost is the statistics-gathering overhead the planner
 	// spent choosing this execution (already included in Cost).
 	PlannerCost sim.Snapshot

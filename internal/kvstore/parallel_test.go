@@ -235,17 +235,17 @@ func TestWithMetricsSharesStateChargesSeparately(t *testing.T) {
 	if _, err := v.Get("t", "r1x0001"); err != nil {
 		t.Fatal(err)
 	}
-	if m2.RPCCalls() != 1 {
-		t.Errorf("view charged %d RPCs, want 1", m2.RPCCalls())
+	if m2.Snapshot().RPCCalls != 1 {
+		t.Errorf("view charged %d RPCs, want 1", m2.Snapshot().RPCCalls)
 	}
-	base := c.Metrics().RPCCalls()
+	base := c.Metrics().Snapshot().RPCCalls
 	if _, err := c.Get("t", "r1x0001"); err != nil {
 		t.Fatal(err)
 	}
-	if c.Metrics().RPCCalls() != base+1 {
+	if c.Metrics().Snapshot().RPCCalls != base+1 {
 		t.Error("base collector not charged by base view")
 	}
-	if m2.RPCCalls() != 1 {
+	if m2.Snapshot().RPCCalls != 1 {
 		t.Error("view collector charged by base view's operation")
 	}
 	// Writes through the view are visible through the base view.

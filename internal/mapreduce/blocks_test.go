@@ -77,7 +77,7 @@ func TestMapPhaseStreamsBlocks(t *testing.T) {
 	}
 
 	m := c.Metrics()
-	diskBefore, readsBefore := m.DiskBytesRead(), m.KVReads()
+	before := m.Snapshot()
 	res, err := Run(job())
 	if err != nil {
 		t.Fatal(err)
@@ -89,10 +89,10 @@ func TestMapPhaseStreamsBlocks(t *testing.T) {
 		t.Errorf("MapInputRows %d, MapInputCells %d, cells mapped %d; want %d, %d and %d",
 			res.MapInputRows, res.MapInputCells, res.Counters["cells"], len(wantKeys), len(cells), wantKeptCells)
 	}
-	if got := m.DiskBytesRead() - diskBefore; got != wantBytes {
+	if got := m.Snapshot().DiskBytesRead - before.DiskBytesRead; got != wantBytes {
 		t.Errorf("billed %d disk bytes, one pass reads %d", got, wantBytes)
 	}
-	if got := m.KVReads() - readsBefore; got != uint64(len(cells)) {
+	if got := m.Snapshot().KVReads - before.KVReads; got != uint64(len(cells)) {
 		t.Errorf("billed %d read units, one pass reads %d", got, len(cells))
 	}
 	if want := 1 + int64(len(wantKeys)+1023)/1024; checks.Load() != want {

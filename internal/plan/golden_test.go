@@ -123,7 +123,7 @@ func goldenCases(t *testing.T) []goldenCase {
 
 func fmtFloat(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
-func fmtEst(e core.CostEstimate) string {
+func fmtEst(e sim.Snapshot) string {
 	return fmt.Sprintf("%dns/%dB/%dr", int64(e.SimTime), e.NetworkBytes, e.KVReads)
 }
 
@@ -144,10 +144,35 @@ func renderPlan(label string, p *Plan) string {
 	return b.String()
 }
 
+// checkEstimates holds a plan's estimates to what the shared counting
+// rule promises: every executor that reads over RPCs predicts RPCs, and
+// no counter of a marginal or stream estimate comes near a uint64 wrap,
+// which subClamp guards against.
+func checkEstimates(t *testing.T, label string, p *Plan) {
+	t.Helper()
+	for _, cand := range p.Candidates {
+		switch cand.Executor {
+		case "isl", "naive", "bfhm", "drjn":
+			if cand.Estimate.RPCCalls == 0 {
+				t.Errorf("%s: %s estimate predicts no RPCs: %+v", label, cand.Executor, cand.Estimate)
+			}
+		}
+		for _, e := range []sim.Snapshot{cand.Marginal, cand.StreamEstimate} {
+			for _, v := range []uint64{uint64(e.SimTime), e.NetworkBytes, e.KVReads, e.KVWrites,
+				e.RPCCalls, e.DiskBytesRead, e.TuplesShipped} {
+				if v > 1<<62 {
+					t.Errorf("%s: %s marginal or stream estimate wrapped: %+v", label, cand.Executor, e)
+				}
+			}
+		}
+	}
+}
+
 // TestExplainGolden compares Explain's statistics and every candidate's
 // bounded, marginal and stream estimate with the committed golden, over
 // k ∈ {1, 10, 100}, the time and dollars objectives and Stream on and
-// off. The golden pins memory-mode table statistics.
+// off, and holds every plan to checkEstimates. The golden pins
+// memory-mode table statistics.
 func TestExplainGolden(t *testing.T) {
 	cases := goldenCases(t)
 	if cases[0].c.DiskBacked() {
@@ -164,7 +189,9 @@ func TestExplainGolden(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s k=%d: %v", gc.name, k, err)
 					}
-					b.WriteString(renderPlan(fmt.Sprintf("%s k=%d obj=%s stream=%v", gc.name, k, obj, stream), p))
+					label := fmt.Sprintf("%s k=%d obj=%s stream=%v", gc.name, k, obj, stream)
+					checkEstimates(t, label, p)
+					b.WriteString(renderPlan(label, p))
 				}
 			}
 		}

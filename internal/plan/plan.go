@@ -54,7 +54,7 @@ type Candidate struct {
 	Executor string
 	// Estimate is the predicted execution cost (excluding index
 	// builds; planning assumes indexes as they exist right now).
-	Estimate core.CostEstimate
+	Estimate sim.Snapshot
 	// Incremental reports whether the executor's cursor enumerates
 	// natively (per-result marginal work) rather than re-running
 	// bounded batches at doubled depths.
@@ -63,11 +63,11 @@ type Candidate struct {
 	// after the first: the k→2k cost delta for incremental executors,
 	// or the full 2k re-run for materializing ones. Dividing by k gives
 	// the per-result marginal cost.
-	Marginal core.CostEstimate
+	Marginal sim.Snapshot
 	// StreamEstimate is the predicted cost of enumerating
 	// streamHorizon×k results through the executor's cursor — the
 	// metric Stream-mode planning ranks by.
-	StreamEstimate core.CostEstimate
+	StreamEstimate sim.Snapshot
 	// IndexReady reports whether the executor could run immediately:
 	// it is index-free, or its index is already built.
 	IndexReady bool
@@ -101,7 +101,7 @@ type Plan struct {
 }
 
 // metric projects the objective's scalar from an estimate.
-func (o Objective) metric(e core.CostEstimate) float64 {
+func (o Objective) metric(e sim.Snapshot) float64 {
 	switch o {
 	case ObjectiveNetwork:
 		return float64(e.NetworkBytes)
@@ -160,7 +160,7 @@ func Explain(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, opts 
 			IndexBytes:     idxBytes,
 		})
 	}
-	rankBy := func(cand Candidate) core.CostEstimate {
+	rankBy := func(cand Candidate) sim.Snapshot {
 		if opts.Stream {
 			return cand.StreamEstimate
 		}
@@ -208,35 +208,33 @@ func stretchStats(st *core.PlanStats, k2 int) *core.PlanStats {
 	return &out
 }
 
-// subClamp returns a-b per metric, clamped at zero (estimators are
-// monotone in k in principle, but integer rounding can wobble).
-func subClamp(a, b core.CostEstimate) core.CostEstimate {
-	out := core.CostEstimate{}
-	if a.SimTime > b.SimTime {
-		out.SimTime = a.SimTime - b.SimTime
+// subClamp returns a-b per counter, clamped at zero: estimators are
+// monotone in k in principle, but integer rounding can wobble, and
+// Snapshot.Sub would wrap an unsigned counter around.
+func subClamp(a, b sim.Snapshot) sim.Snapshot {
+	return sim.Snapshot{
+		SimTime:       clampSub(a.SimTime, b.SimTime),
+		NetworkBytes:  clampSub(a.NetworkBytes, b.NetworkBytes),
+		KVReads:       clampSub(a.KVReads, b.KVReads),
+		KVWrites:      clampSub(a.KVWrites, b.KVWrites),
+		RPCCalls:      clampSub(a.RPCCalls, b.RPCCalls),
+		DiskBytesRead: clampSub(a.DiskBytesRead, b.DiskBytesRead),
+		TuplesShipped: clampSub(a.TuplesShipped, b.TuplesShipped),
 	}
-	if a.NetworkBytes > b.NetworkBytes {
-		out.NetworkBytes = a.NetworkBytes - b.NetworkBytes
-	}
-	if a.KVReads > b.KVReads {
-		out.KVReads = a.KVReads - b.KVReads
-	}
-	return out
 }
 
-func addEst(a, b core.CostEstimate) core.CostEstimate {
-	return core.CostEstimate{
-		SimTime:      a.SimTime + b.SimTime,
-		NetworkBytes: a.NetworkBytes + b.NetworkBytes,
-		KVReads:      a.KVReads + b.KVReads,
+func clampSub[T ~int64 | ~uint64](x, y T) T {
+	if x > y {
+		return x - y
 	}
+	return 0
 }
 
 // marginalEstimate predicts the cost of the second page of k results.
 // An incremental cursor resumes bounded state, so the next page costs
 // the k→2k delta; a materializing cursor re-runs the whole bounded
 // query at depth 2k.
-func marginalEstimate(ex *core.Executor, st *core.PlanStats, bounded core.CostEstimate) core.CostEstimate {
+func marginalEstimate(ex *core.Executor, st *core.PlanStats, bounded sim.Snapshot) sim.Snapshot {
 	deeper := ex.Estimate(stretchStats(st, 2*st.K))
 	if ex.Incremental() {
 		return subClamp(deeper, bounded)
@@ -247,7 +245,7 @@ func marginalEstimate(ex *core.Executor, st *core.PlanStats, bounded core.CostEs
 // streamEstimate predicts the cost of enumerating streamHorizon×k
 // results through the executor's cursor: one deep pass for incremental
 // executors, the doubling re-run schedule for materializing ones.
-func streamEstimate(ex *core.Executor, st *core.PlanStats, bounded core.CostEstimate) core.CostEstimate {
+func streamEstimate(ex *core.Executor, st *core.PlanStats, bounded sim.Snapshot) sim.Snapshot {
 	k := st.K
 	if k < 1 {
 		k = 1
@@ -260,7 +258,7 @@ func streamEstimate(ex *core.Executor, st *core.PlanStats, bounded core.CostEsti
 	// covers the horizon; every run pays in full.
 	total := bounded
 	for depth := 2 * k; depth/2 < target; depth *= 2 {
-		total = addEst(total, ex.Estimate(stretchStats(st, depth)))
+		total = total.Add(ex.Estimate(stretchStats(st, depth)))
 	}
 	return total
 }
@@ -280,13 +278,13 @@ func Choose(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, opts O
 }
 
 // ChosenEstimate returns the chosen candidate's estimate.
-func (p *Plan) ChosenEstimate() core.CostEstimate {
+func (p *Plan) ChosenEstimate() sim.Snapshot {
 	for _, cand := range p.Candidates {
 		if cand.Executor == p.Chosen {
 			return cand.Estimate
 		}
 	}
-	return core.CostEstimate{}
+	return sim.Snapshot{}
 }
 
 // String renders the plan as a compact EXPLAIN table.

@@ -10,13 +10,12 @@ func TestLaneForwardsCountersNotTime(t *testing.T) {
 	lane := NewLane(root)
 
 	lane.Count(&Op{RPCs: 1, WireBytes: 36, Cells: 7, Writes: 3, DiskBytes: 50})
-	lane.AddTuplesShipped(2)
 	lane.Advance(5 * time.Second)
 
 	// Counters forward to the root as they accrue...
-	if root.NetworkBytes() != 100 || root.KVReads() != 7 || root.KVWrites() != 3 ||
-		root.RPCCalls() != 1 || root.DiskBytesRead() != 50 || root.TuplesShipped() != 2 {
-		t.Errorf("root counters not forwarded: %+v", root.Snapshot())
+	if s := root.Snapshot(); s.NetworkBytes != 100 || s.KVReads != 7 || s.KVWrites != 3 ||
+		s.RPCCalls != 1 || s.DiskBytesRead != 50 {
+		t.Errorf("root counters not forwarded: %+v", s)
 	}
 	// ...but clock advances stay on the lane.
 	if root.SimTime() != 0 {
@@ -32,8 +31,8 @@ func TestLaneNesting(t *testing.T) {
 	mid := NewLane(root)
 	leaf := NewLane(mid)
 	leaf.Count(&Op{Cells: 4})
-	if mid.KVReads() != 4 || root.KVReads() != 4 {
-		t.Errorf("nested forwarding broken: mid=%d root=%d", mid.KVReads(), root.KVReads())
+	if m, r := mid.Snapshot().KVReads, root.Snapshot().KVReads; m != 4 || r != 4 {
+		t.Errorf("nested forwarding broken: mid=%d root=%d", m, r)
 	}
 	leaf.Advance(time.Second)
 	if mid.SimTime() != 0 || root.SimTime() != 0 {
@@ -69,8 +68,8 @@ func TestLaneFanOutConvention(t *testing.T) {
 		durs[i] = lanes[i].SimTime()
 	}
 	root.AdvanceParallel(durs...)
-	if root.KVReads() != 40 {
-		t.Errorf("root reads = %d, want the 40 summed over lanes", root.KVReads())
+	if r := root.Snapshot().KVReads; r != 40 {
+		t.Errorf("root reads = %d, want the 40 summed over lanes", r)
 	}
 	if root.SimTime() != 4*time.Second {
 		t.Errorf("root clock = %v, want the 4s slowest lane", root.SimTime())

@@ -18,8 +18,9 @@
 // each RPC's request overhead added on the wire. The store's charge
 // sites, the MapReduce runner and the planner's estimators all price
 // through it, as every dollar figure prices through DollarsForReads;
-// Metrics.Charge records an operation's counters and its price in one
-// step, and Metrics.Count the counters alone.
+// Snapshot.Count is the one counting rule, which Metrics.Count applies
+// to a collector and the estimators to a prediction; Metrics.Charge
+// records an operation's counters and its price in one step.
 //
 // Two profiles mirror the paper's clusters: EC2 (1+8 m1.large instances)
 // and LC (the 5-node lab cluster with 32 cores and 10 disks per node).
@@ -96,7 +97,7 @@ const requestOverhead = 64
 
 // Op is the counted work of one simulated operation: a client round
 // trip, a MapReduce task or job, or a planner's prediction of either.
-// Price turns it into time and Metrics.Count into counters.
+// Price turns it into time and Snapshot.Count into counters.
 type Op struct {
 	RPCs      uint64 // client round trips: latency and request overhead each
 	Seeks     uint64 // random (keyed) disk reads
@@ -110,7 +111,7 @@ type Op struct {
 
 // NetworkBytes returns the bytes op moves over the network: its payload
 // plus each round trip's request overhead. Price times these bytes and
-// Metrics.Count counts them.
+// Snapshot.Count counts them.
 func (op *Op) NetworkBytes() uint64 { return op.RPCs*requestOverhead + op.WireBytes }
 
 // Price returns the simulated time of op on this profile. It is the one
@@ -161,13 +162,7 @@ type Metrics struct {
 	// update (but never clock advances).
 	parent *Metrics
 
-	simTime       time.Duration // guarded by: mu
-	networkBytes  uint64        // guarded by: mu
-	kvReads       uint64        // guarded by: mu
-	kvWrites      uint64        // guarded by: mu
-	rpcCalls      uint64        // guarded by: mu
-	diskBytesRead uint64        // guarded by: mu
-	tuplesShipped uint64        // guarded by: mu
+	s Snapshot // guarded by: mu
 }
 
 // NewLane returns a child collector for one lane of a concurrent fan-out.
@@ -182,14 +177,8 @@ func NewLane(parent *Metrics) *Metrics {
 // Reset zeroes all counters.
 func (m *Metrics) Reset() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.simTime = 0
-	m.networkBytes = 0
-	m.kvReads = 0
-	m.kvWrites = 0
-	m.rpcCalls = 0
-	m.diskBytesRead = 0
-	m.tuplesShipped = 0
+	m.s = Snapshot{}
+	m.mu.Unlock()
 }
 
 // Advance moves the virtual clock forward by d (sequential work). On a
@@ -200,7 +189,7 @@ func (m *Metrics) Advance(d time.Duration) {
 		return
 	}
 	m.mu.Lock()
-	m.simTime += d
+	m.s.SimTime += d
 	m.mu.Unlock()
 }
 
@@ -218,19 +207,14 @@ func (m *Metrics) AdvanceParallel(lanes ...time.Duration) {
 	m.Advance(max)
 }
 
-// Count records op's counters — RPC count, network bytes (payload plus
-// each round trip's request overhead), read units, writes and disk
-// bytes — in one lock acquisition, without advancing the clock. Callers
-// that fold time themselves (parallel lanes, overlapped prefetches)
-// count here and advance by Price apart.
+// Count records op's counters (see Snapshot.Count) on m and every
+// collector up its lane chain, one lock acquisition each, without
+// advancing the clock. Callers that fold time themselves (parallel
+// lanes, overlapped prefetches) count here and advance by Price apart.
 func (m *Metrics) Count(op *Op) {
 	for ; m != nil; m = m.parent {
 		m.mu.Lock()
-		m.rpcCalls += op.RPCs
-		m.networkBytes += op.NetworkBytes()
-		m.kvReads += op.Cells
-		m.kvWrites += op.Writes
-		m.diskBytesRead += op.DiskBytes
+		m.s.Count(op)
 		m.mu.Unlock()
 	}
 }
@@ -240,78 +224,30 @@ func (m *Metrics) Count(op *Op) {
 func (m *Metrics) Charge(p *Profile, op *Op) {
 	d := p.Price(op)
 	m.mu.Lock()
-	m.simTime += d
+	m.s.SimTime += d
 	m.mu.Unlock()
 	m.Count(op)
-}
-
-// AddTuplesShipped records n data tuples sent to the query coordinator.
-func (m *Metrics) AddTuplesShipped(n uint64) {
-	m.mu.Lock()
-	m.tuplesShipped += n
-	m.mu.Unlock()
-	if m.parent != nil {
-		m.parent.AddTuplesShipped(n)
-	}
 }
 
 // SimTime returns the accumulated virtual clock.
 func (m *Metrics) SimTime() time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.simTime
+	return m.s.SimTime
 }
 
-// NetworkBytes returns bytes moved across the network.
-func (m *Metrics) NetworkBytes() uint64 {
+// Snapshot returns a copy of the current counters.
+func (m *Metrics) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.networkBytes
+	return m.s
 }
 
-// KVReads returns key-value pairs read (read units).
-func (m *Metrics) KVReads() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.kvReads
-}
-
-// KVWrites returns key-value pairs written.
-func (m *Metrics) KVWrites() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.kvWrites
-}
-
-// RPCCalls returns the RPC round-trip count.
-func (m *Metrics) RPCCalls() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rpcCalls
-}
-
-// DiskBytesRead returns bytes read from disk.
-func (m *Metrics) DiskBytesRead() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.diskBytesRead
-}
-
-// TuplesShipped returns data tuples sent to the coordinator.
-func (m *Metrics) TuplesShipped() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tuplesShipped
-}
-
-// Dollars prices the accumulated read units (see DollarsForReads).
-func (m *Metrics) Dollars() float64 {
-	return DollarsForReads(m.KVReads())
-}
-
-// Snapshot is a copyable view of a Metrics at a point in time. The
-// JSON tags are its form on the transport seam; SimTime encodes as
-// integer nanoseconds.
+// Snapshot is a cost in the paper's metrics: a Metrics' counters at a
+// point in time, the delta between two such points, or a planner's
+// estimate of a query, counted by the same rule (Count). The JSON tags
+// are its form on the transport seam; SimTime encodes as integer
+// nanoseconds.
 type Snapshot struct {
 	SimTime       time.Duration `json:"sim_time_nanos"`
 	NetworkBytes  uint64        `json:"network_bytes"`
@@ -319,22 +255,22 @@ type Snapshot struct {
 	KVWrites      uint64        `json:"kv_writes"`
 	RPCCalls      uint64        `json:"rpc_calls"`
 	DiskBytesRead uint64        `json:"disk_bytes_read"`
-	TuplesShipped uint64        `json:"tuples_shipped"`
+	// TuplesShipped is never set: no operation counts it. It stays
+	// while reports and the binary cost body carry its slot.
+	TuplesShipped uint64 `json:"tuples_shipped"`
 }
 
-// Snapshot captures the current counters.
-func (m *Metrics) Snapshot() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return Snapshot{
-		SimTime:       m.simTime,
-		NetworkBytes:  m.networkBytes,
-		KVReads:       m.kvReads,
-		KVWrites:      m.kvWrites,
-		RPCCalls:      m.rpcCalls,
-		DiskBytesRead: m.diskBytesRead,
-		TuplesShipped: m.tuplesShipped,
-	}
+// Count adds op's counters to s — RPC count, network bytes (payload
+// plus each round trip's request overhead), read units, writes and disk
+// bytes — without touching the clock. It is the one counting rule:
+// Metrics.Count applies it under each collector's lock, and the
+// planner's estimators apply it to their predictions.
+func (s *Snapshot) Count(op *Op) {
+	s.RPCCalls += op.RPCs
+	s.NetworkBytes += op.NetworkBytes()
+	s.KVReads += op.Cells
+	s.KVWrites += op.Writes
+	s.DiskBytesRead += op.DiskBytes
 }
 
 // Sub returns the delta from an earlier snapshot to this one.

@@ -51,13 +51,12 @@ func TestMetricsAccumulate(t *testing.T) {
 	m.Advance(time.Second)
 	m.Advance(time.Second)
 	m.Count(&Op{RPCs: 1, WireBytes: 36, Cells: 7, Writes: 3, DiskBytes: 50})
-	m.AddTuplesShipped(2)
 	if m.SimTime() != 2*time.Second {
 		t.Errorf("SimTime = %v", m.SimTime())
 	}
-	if m.NetworkBytes() != 100 || m.KVReads() != 7 || m.KVWrites() != 3 ||
-		m.RPCCalls() != 1 || m.DiskBytesRead() != 50 || m.TuplesShipped() != 2 {
-		t.Errorf("counter mismatch: %+v", m.Snapshot())
+	if s := m.Snapshot(); s.NetworkBytes != 100 || s.KVReads != 7 || s.KVWrites != 3 ||
+		s.RPCCalls != 1 || s.DiskBytesRead != 50 {
+		t.Errorf("counter mismatch: %+v", s)
 	}
 	m.Advance(-time.Hour) // negative advances are ignored
 	if m.SimTime() != 2*time.Second {
@@ -69,6 +68,10 @@ func TestMetricsAccumulate(t *testing.T) {
 	}
 }
 
+// TestMetricsConcurrent updates collectors from goroutines: one
+// collector directly, then a root through nested lanes while the root
+// is read. Every counter must come out as the sum of the updates, and a
+// root's clock as the sum of its own advances only.
 func TestMetricsConcurrent(t *testing.T) {
 	var m Metrics
 	var wg sync.WaitGroup
@@ -83,29 +86,84 @@ func TestMetricsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if m.KVReads() != 5000 {
-		t.Errorf("KVReads = %d, want 5000", m.KVReads())
+	s := m.Snapshot()
+	if s.KVReads != 5000 {
+		t.Errorf("KVReads = %d, want 5000", s.KVReads)
 	}
-	if m.NetworkBytes() != 10000 {
-		t.Errorf("NetworkBytes = %d, want 10000", m.NetworkBytes())
+	if s.NetworkBytes != 10000 {
+		t.Errorf("NetworkBytes = %d, want 10000", s.NetworkBytes)
 	}
 	if m.SimTime() != 5000*time.Microsecond {
 		t.Errorf("SimTime = %v, want 5ms", m.SimTime())
+	}
+
+	// Lanes: eight goroutines each count and charge on their own lane
+	// of one shared mid lane. One Count adds a read and a write to a
+	// collector under one lock, so a root read mid-flight never sees
+	// more writes than reads.
+	var root Metrics
+	mid := NewLane(&root)
+	p := &Profile{RPCLatency: time.Millisecond, NetBandwidth: 1e9}
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			if s := root.Snapshot(); s.KVReads < s.KVWrites || s.SimTime != 0 {
+				t.Errorf("root read mid-flight: %+v", s)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lane := NewLane(mid)
+			for j := 0; j < 100; j++ {
+				lane.Count(&Op{Cells: 1, Writes: 1})
+				lane.Charge(p, &Op{RPCs: 1, DiskBytes: 3})
+			}
+			if got := lane.SimTime(); got != 100*p.Price(&Op{RPCs: 1, DiskBytes: 3}) {
+				t.Errorf("lane clock = %v", got)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	want := Snapshot{
+		NetworkBytes:  800 * requestOverhead,
+		KVReads:       800,
+		KVWrites:      800,
+		RPCCalls:      800,
+		DiskBytesRead: 2400,
+	}
+	if got := root.Snapshot(); got != want {
+		t.Errorf("root = %+v, want the lanes' sum %+v", got, want)
+	}
+	if got := mid.Snapshot(); got != want {
+		t.Errorf("mid lane = %+v, want %+v", got, want)
 	}
 }
 
 func TestDollars(t *testing.T) {
 	var m Metrics
 	m.Count(&Op{Cells: 1})
-	if d := m.Dollars(); d != 0.01 {
+	if d := m.Snapshot().Dollars(); d != 0.01 {
 		t.Errorf("1 read = $%g, want $0.01 (1 capacity unit-hour)", d)
 	}
 	m.Count(&Op{Cells: 49})
-	if d := m.Dollars(); d != 0.01 {
+	if d := m.Snapshot().Dollars(); d != 0.01 {
 		t.Errorf("50 reads = $%g, want $0.01", d)
 	}
 	m.Count(&Op{Cells: 1})
-	if d := m.Dollars(); d != 0.02 {
+	if d := m.Snapshot().Dollars(); d != 0.02 {
 		t.Errorf("51 reads = $%g, want $0.02", d)
 	}
 }

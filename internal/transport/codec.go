@@ -21,20 +21,22 @@ import (
 // receiver decodes the body once, straight into the typed request or
 // response; an error response's body is the JSON *Error.
 //
-// Both peers must come from the same build. Frame format v2 had this
-// header under version byte 0xF2, and its repair bodies carried a
-// Merkle leaf count. Format v1 had this header, version byte 0xF1, and
+// Both peers must come from the same build. Frame format v3 had this
+// header under version byte 0xF3, and its TopK replies carried a
+// three-field planner estimate, the other four cost slots zero. Format
+// v2 had this header, version byte 0xF2, and repair bodies that carried
+// a Merkle leaf count. Format v1 had this header, version byte 0xF1, and
 // JSON bodies throughout. Format v0 began every frame with a 4-byte
 // big-endian length, whose first byte is at most 0x04 under maxFrame,
 // so no v0 frame can begin with a version byte, and a v0 reader rejects
 // one as a length over its limit. A peer of another build therefore
 // fails typed on its first frame, in both directions: a server answers
 // a foreign frame with one error frame in this format, which the old
-// reader refuses, and drops the connection. No reader for v0, v1 or v2
-// is kept.
+// reader refuses, and drops the connection. No reader for v0 to v3 is
+// kept.
 const (
-	frameMagic   byte = 0xF3 // frame format v3
-	frameVersion      = 3
+	frameMagic   byte = 0xF4 // frame format v4
+	frameVersion      = 4
 	headerLen         = 14
 )
 
@@ -42,6 +44,7 @@ const (
 const (
 	frameMagicV1 byte = 0xF1
 	frameMagicV2 byte = 0xF2
+	frameMagicV3 byte = 0xF3
 )
 
 // maxFrame bounds one message body (64 MiB): a hostile or corrupt
@@ -195,6 +198,8 @@ func versionError(first byte) *Error {
 		peer = "frame format v1 (JSON result bodies)"
 	case first == frameMagicV2:
 		peer = "frame format v2 (Merkle leaf counts in repair bodies)"
+	case first == frameMagicV3:
+		peer = "frame format v3 (three-field planner estimates)"
 	}
 	return &Error{Kind: KindInternal, Msg: fmt.Sprintf(
 		"peer speaks %s, this build speaks frame format v%d: rjserve and rjnode must come from the same build",

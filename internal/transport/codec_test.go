@@ -69,9 +69,9 @@ func TestFrameLimit(t *testing.T) {
 }
 
 // TestFrameVersionRefused: a peer of an earlier build — frame format
-// v0 (no binary header), v1 (JSON result bodies) or v2 (leaf counts in
-// repair bodies) — is refused typed on its first frame, in both
-// directions.
+// v0 (no binary header), v1 (JSON result bodies), v2 (leaf counts in
+// repair bodies) or v3 (three-field planner estimates) — is refused
+// typed on its first frame, in both directions.
 func TestFrameVersionRefused(t *testing.T) {
 	peers := []struct {
 		version  string
@@ -102,6 +102,17 @@ func TestFrameVersionRefused(t *testing.T) {
 				oldFrame(frameMagicV2, 1, methodApply, `{"relation":"r1","kind":"insert","ts":1}`),
 				oldFrame(frameMagicV2, 1, methodMerkleTree, `{"table":"t","leaves":64}`),
 				oldFrame(frameMagicV2, 1, methodTopK, `{"left":"a","right":"b","k":3,"algo":"isl"}`),
+			},
+		},
+		{
+			version: "v3",
+			// An empty v3 TopK reply: no results, a zero cost, two empty
+			// strings and no estimate.
+			reply: oldFrame(frameMagicV3, 1, statusOK, "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"),
+			requests: [][]byte{
+				oldFrame(frameMagicV3, 1, methodApply, `{"relation":"r1","kind":"insert","ts":1}`),
+				oldFrame(frameMagicV3, 1, methodHealth, ""),
+				oldFrame(frameMagicV3, 1, methodTopK, `{"tree":{"relations":["a","b"]},"k":3,"algo":"isl"}`),
 			},
 		},
 	}

@@ -87,7 +87,7 @@ func goldenFrames() []goldenFrame {
 			}},
 			Cost:      sim.Snapshot{SimTime: 1 << 40, NetworkBytes: 1 << 33, KVReads: 300},
 			Algorithm: "isl",
-			Estimate:  &core.CostEstimate{SimTime: 2_000_000, NetworkBytes: 4096, KVReads: 250},
+			Estimate:  &sim.Snapshot{SimTime: 2_000_000, NetworkBytes: 4096, KVReads: 250},
 		}},
 		{"topk reply empty", statusOK, &ResultData{Algorithm: "naive"}},
 		{"merkle reply", statusOK, mb.Build()},

@@ -11,20 +11,19 @@ import (
 )
 
 // A methodTopK reply's body is ResultData in a hand-written binary
-// layout; every other body is JSON. Integers are uvarints, the one
-// signed field (SimTime, in nanoseconds) a zigzag varint, strings a
-// uvarint length and their bytes, floats their IEEE-754 bits in 8
-// big-endian bytes:
+// layout, as of frame format v4; every other body is JSON. Integers are
+// uvarints, the one signed field (SimTime, in nanoseconds) a zigzag
+// varint, strings a uvarint length and their bytes, floats their
+// IEEE-754 bits in 8 big-endian bytes:
 //
 //	results   count, then per result: leaf count, each leaf's tuple in
 //	          leaf order (Left, Right, then Rest) as RowKey, JoinValue,
 //	          Score, and the result's Score
 //	cost      the seven sim.Snapshot fields in declaration order
 //	strings   Algorithm, NextPageToken
-//	estimate  a presence byte (0 or 1), then, when present, the same
-//	          seven cost fields: the CostEstimate's SimTime,
-//	          NetworkBytes and KVReads, and four zeros in place of the
-//	          fields an estimate lacks (a decoder refuses non-zero ones)
+//	estimate  a presence byte (0 or 1), then, when present, the
+//	          estimate's seven sim.Snapshot fields, laid out as cost
+//	          (an estimate has a measured cost's type)
 //
 // Zero results decode as an empty slice and a two-leaf result's Rest as
 // nil: the forms the engine builds.
@@ -53,11 +52,10 @@ func appendResult(b []byte, res *ResultData) []byte {
 	b = appendCost(b, &res.Cost)
 	b = appendString(b, res.Algorithm)
 	b = appendString(b, res.NextPageToken)
-	e := res.Estimate
-	if e == nil {
+	if res.Estimate == nil {
 		return append(b, 0)
 	}
-	return appendCost(append(b, 1), &sim.Snapshot{SimTime: e.SimTime, NetworkBytes: e.NetworkBytes, KVReads: e.KVReads})
+	return appendCost(append(b, 1), res.Estimate)
 }
 
 func appendTuple(b []byte, t *core.Tuple) []byte {
@@ -190,12 +188,8 @@ func decodeResult(body []byte, out *ResultData) error {
 	switch present := r.uvarint(); present {
 	case 0:
 	case 1:
-		var c sim.Snapshot
-		r.cost(&c)
-		if c.KVWrites|c.RPCCalls|c.DiskBytesRead|c.TuplesShipped != 0 {
-			r.fail("estimate sets a cost field an estimate lacks")
-		}
-		out.Estimate = &core.CostEstimate{SimTime: c.SimTime, NetworkBytes: c.NetworkBytes, KVReads: c.KVReads}
+		out.Estimate = new(sim.Snapshot)
+		r.cost(out.Estimate)
 	default:
 		r.fail("estimate presence byte %d", present)
 	}

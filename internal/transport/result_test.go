@@ -88,7 +88,8 @@ func (f *fuzzBytes) result() *ResultData {
 	res.Algorithm = f.string()
 	res.NextPageToken = f.string()
 	if f.byte()&1 != 0 {
-		res.Estimate = &core.CostEstimate{SimTime: time.Duration(f.uint64()), NetworkBytes: f.uint64(), KVReads: f.uint64()}
+		e := f.cost()
+		res.Estimate = &e
 	}
 	return res
 }
@@ -165,9 +166,8 @@ func FuzzResultData(f *testing.F) {
 }
 
 // TestDecodeResultRefusesHostileBodies: a count or length the body
-// cannot back, trailing bytes, and an estimate that sets a cost field
-// an estimate lacks fail typed before any allocation sized by the
-// claim.
+// cannot back, a bad estimate presence byte, an estimate cut short and
+// trailing bytes fail typed before any allocation sized by the claim.
 func TestDecodeResultRefusesHostileBodies(t *testing.T) {
 	body := appendResult(nil, page(3))
 	for name, bad := range map[string][]byte{
@@ -179,7 +179,7 @@ func TestDecodeResultRefusesHostileBodies(t *testing.T) {
 		"one leaf":        append([]byte{1, 1}, make([]byte, 40)...),
 		"long string":     append(binary.AppendUvarint([]byte{0, 0, 0, 0, 0, 0, 0, 0}, 1<<30), 'x'),
 		"bad presence":    []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2},
-		"estimate writes": []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0},
+		"short estimate":  []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
 	} {
 		var err error
 		if got, bound := allocated(func() { err = decodeResult(bad, &ResultData{}) }), decodeBound(bad); got > bound {

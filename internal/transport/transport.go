@@ -19,12 +19,12 @@
 //
 // The messages carry the engine's own types: a tuple is a core.Tuple, a
 // ranked answer a core.JoinResult, a tree edge a core.TreeEdge, a cost a
-// sim.Snapshot, a planner estimate a core.CostEstimate and a repair
+// sim.Snapshot, a planner estimate a sim.Snapshot as well, and a repair
 // payload's cell a kvstore.Cell, so neither side converts anything at
 // the seam. Their JSON tags fix the wire names.
 //
 // On TCP every message is one frame: a 14-byte binary header (the
-// version byte 0xF3, the sequence number, the method code or response
+// version byte 0xF4, the sequence number, the method code or response
 // status, the body length) followed by the message's body, which the
 // receiver decodes once, straight into the typed request or response
 // (codec.go). A TopK reply's body is its ResultData in a hand-written
@@ -171,8 +171,8 @@ type ResultData struct {
 	Algorithm     string            `json:"algorithm"`
 	NextPageToken string            `json:"next_page_token,omitempty"`
 	// Estimate is the planner's predicted cost when the node planned the
-	// query (algo=auto).
-	Estimate *core.CostEstimate `json:"estimate,omitempty"`
+	// query (algo=auto), in Cost's type.
+	Estimate *sim.Snapshot `json:"estimate,omitempty"`
 }
 
 // EnsureRequest asks a replica to build the named index families for a

@@ -220,7 +220,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		Cost:          sim.Snapshot{SimTime: 12345678, NetworkBytes: 4096, KVReads: 17, KVWrites: 1, RPCCalls: 3, DiskBytesRead: 1 << 40, TuplesShipped: 6},
 		Algorithm:     "anyk",
 		NextPageToken: "tok-2",
-		Estimate:      &core.CostEstimate{SimTime: -1, NetworkBytes: 2048, KVReads: 9},
+		Estimate:      &sim.Snapshot{SimTime: -1, NetworkBytes: 2048, KVReads: 9, RPCCalls: 5, DiskBytesRead: 1 << 20},
 	}
 	fake.mu.Lock()
 	fake.result = page

@@ -32,9 +32,6 @@ type (
 	Profile = sim.Profile
 	// Metrics accumulates the paper's three evaluation metrics.
 	Metrics = sim.Metrics
-	// CostEstimate is a predicted query cost in the paper's three
-	// metrics (simulated time, network bytes, KV read units).
-	CostEstimate = core.CostEstimate
 	// PlanStats is the statistics snapshot a plan was built from.
 	PlanStats = core.PlanStats
 	// Plan is a ranked set of candidate executions for one query.
