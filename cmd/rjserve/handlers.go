@@ -16,38 +16,18 @@ import (
 // Every HTTP handler, written against the store surface below: nothing
 // here knows whether a DB or a router over region servers is answering.
 
-// relation is the maintained-write surface of one relation handle.
-type relation interface {
-	Get(rowKey string) (rankjoin.Tuple, bool, error)
-	Insert(rowKey, joinValue string, score float64) error
-	Update(rowKey, joinValue string, score float64) error
-	DeleteKey(rowKey string) error
-}
-
-// store is what the handlers need of a backend.
+// store is what the handlers need of a backend. *rankjoin.DB and
+// *rankjoin.Distributed both have it, relation handles included: each
+// hands out *rankjoin.RelationHandle, whose writes it maintains or
+// replicates itself.
 type store interface {
 	NewTreeQueryFromSpec(spec *rankjoin.TreeSpec) (rankjoin.Query, error)
 	EnsureIndexes(q rankjoin.Query, algos ...rankjoin.Algorithm) error
 	TopK(q rankjoin.Query, algo rankjoin.Algorithm, opts *rankjoin.QueryOptions) (*rankjoin.Result, error)
 	Stream(q rankjoin.Query, algo rankjoin.Algorithm, opts *rankjoin.QueryOptions) (*rankjoin.Rows, error)
+	Relation(name string) *rankjoin.RelationHandle
 	RelationNames() []string
 	AggregateCost() sim.Snapshot
-}
-
-// handle is a store's concrete relation handle type; comparable, so an
-// undefined relation's nil handle can be told from a live one.
-type handle interface {
-	comparable
-	relation
-}
-
-// backend is a store plus its relation lookup, whose result type
-// differs: *rankjoin.DB is a backend[*rankjoin.RelationHandle],
-// *rankjoin.Distributed a backend[*rankjoin.DistRelation]. newServer
-// narrows it to the relation interface once.
-type backend[H handle] interface {
-	store
-	Relation(name string) H
 }
 
 // Capabilities only some backends have; a handler asks for one and
@@ -76,8 +56,6 @@ const (
 // server holds the shared query environment.
 type server struct {
 	store store
-	// relation looks a relation handle up by name; nil when undefined.
-	relation func(name string) relation
 
 	q1, q2             rankjoin.Query
 	islBatch           int
@@ -85,24 +63,6 @@ type server struct {
 	// defaultTimeout bounds every query that doesn't carry its own
 	// timeout parameter; zero leaves unparameterized queries unbounded.
 	defaultTimeout time.Duration
-}
-
-// newServer builds the handler state over either backend.
-func newServer[H handle](b backend[H], q1, q2 rankjoin.Query, islBatch, parallelism int, timeout time.Duration) *server {
-	return &server{
-		store: b,
-		relation: func(name string) relation {
-			var undefined H
-			if h := b.Relation(name); h != undefined {
-				return h
-			}
-			return nil
-		},
-		q1: q1, q2: q2,
-		islBatch:           islBatch,
-		defaultParallelism: parallelism,
-		defaultTimeout:     timeout,
-	}
 }
 
 // routes is the server's whole HTTP surface, every body capped.
@@ -227,9 +187,7 @@ type topkResponse struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -735,8 +693,8 @@ func (s *server) handleWrite(op string) http.HandlerFunc {
 			return
 		}
 		// Both become components of composite index keys, which NUL
-		// separates; refused here, the store's own check would surface
-		// as a failed (500) write.
+		// separates, so no row holds such a key: refused here, a
+		// delete included, as the store refuses such a tuple.
 		if strings.ContainsRune(req.RowKey+req.JoinValue, 0) {
 			writeError(w, http.StatusBadRequest, "row_key and join_value must not contain NUL")
 			return
@@ -753,7 +711,7 @@ func (s *server) handleWrite(op string) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, "%s needs join_value and score", op)
 			return
 		}
-		rel := s.relation(req.Relation)
+		rel := s.store.Relation(req.Relation)
 		if rel == nil {
 			writeError(w, http.StatusBadRequest, "unknown relation %q (want one of %v)",
 				req.Relation, s.store.RelationNames())

@@ -5,9 +5,11 @@
 // region servers, writes resolved and quorum-acknowledged through the
 // replication protocol, queries shipped whole to a covering replica
 // with automatic failover, and Merkle anti-entropy available on demand.
-// Both modes run the same handlers (handlers.go) and answer a request
-// with the same status; only /explain, /repair and the per-node rows of
+// Both modes run the same handlers (handlers.go) over the library's one
+// store surface, relation handles included, and answer a request with
+// the same status; only /explain, /repair and the per-node rows of
 // /metrics and /healthz depend on what the store behind them can do.
+// main's only mode-specific work is choosing which store to open.
 // Data is generated TPC-H at a configurable scale factor with all index
 // families prebuilt. SIGINT or SIGTERM drains in-flight requests and
 // closes the store.
@@ -28,8 +30,10 @@
 // in-process loopback region server) or name=addr (an rjnode process
 // serving the region transport at addr). -replication sets the
 // replicas-per-relation factor (0 = full replication). The router
-// loads the TPC-H workload through the replication protocol at
-// startup, so every replica holds byte-identical base and index
+// loads the TPC-H workload with the same loader as a single-process
+// server: each relation ships as one router-stamped bulk op that every
+// replica lands through its own bulk door, then every replica builds
+// the indexes, so every replica holds byte-identical base and index
 // tables.
 //
 // Endpoints:
@@ -222,7 +226,8 @@ func main() {
 	}
 
 	// Setup: the one place that knows which backend this process fronts.
-	var s *server
+	var st store
+	var w *benchkit.Workload
 	var closeStore func() error
 	if *nodes != "" {
 		specs, err := parseNodes(*nodes)
@@ -241,9 +246,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		s = newServer(denv.D, denv.Q1, denv.Q2, denv.ISLBatch, *parallelism, *timeout)
-		closeStore = denv.D.Close
-		p, o, l := denv.Counts()
+		st, w, closeStore = denv.D, &denv.Workload, denv.D.Close
+		p, o, l := w.Counts()
 		log.Printf("cluster ready: %d parts, %d orders, %d lineitems replicated across %v",
 			p, o, l, denv.D.Nodes())
 	} else {
@@ -260,9 +264,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		s = newServer(env.DB, env.Q1, env.Q2, env.ISLBatch, *parallelism, *timeout)
-		closeStore = env.DB.Close
-		parts, orders, lineitems := env.Counts()
+		st, w, closeStore = env.DB, &env.Workload, env.DB.Close
+		parts, orders, lineitems := w.Counts()
 		if recovered {
 			log.Printf("recovered tables and index catalog from disk: %d parts, %d orders, %d lineitems",
 				parts, orders, lineitems)
@@ -270,6 +273,7 @@ func main() {
 			log.Printf("ready: %d parts, %d orders, %d lineitems", parts, orders, lineitems)
 		}
 	}
+	s := &server{store: st, q1: w.Q1, q2: w.Q2, islBatch: w.ISLBatch, defaultParallelism: *parallelism, defaultTimeout: *timeout}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

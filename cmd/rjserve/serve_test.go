@@ -88,7 +88,7 @@ func newDBServer(t testing.TB) (*server, *rankjoin.DB) {
 		}
 	}
 	q1, q2 := presets(t, db)
-	return newServer(db, q1, q2, 10, 2, 0), db
+	return &server{store: db, q1: q1, q2: q2, islBatch: 10, defaultParallelism: 2}, db
 }
 
 func newDistServer(t testing.TB) (*server, *rankjoin.Distributed) {
@@ -113,7 +113,7 @@ func newDistServer(t testing.TB) (*server, *rankjoin.Distributed) {
 		}
 	}
 	q1, q2 := presets(t, d)
-	return newServer(d, q1, q2, 10, 2, 0), d
+	return &server{store: d, q1: q1, q2: q2, islBatch: 10, defaultParallelism: 2}, d
 }
 
 // reply is one recorded response: status, the decoded JSON lines (one
@@ -417,32 +417,35 @@ func TestQueryStatusOneMapping(t *testing.T) {
 	}
 }
 
-// divergent is a relation whose writes land on the base table and fail
-// on an index — the condition a client must re-apply, not drop.
-type divergent struct{ relation }
-
-func (divergent) Insert(string, string, float64) error {
-	return &rankjoin.MaintenanceError{Relation: "left", Index: "isl", Table: "isl_x", Timestamp: 7, Err: errors.New("injected")}
-}
-
 // TestWriteFailuresByBackend covers the write statuses only a fault can
-// produce: a diverged maintained write is a 500 on either backend, and
-// a router that lost its quorum (or every replica) answers 503 with the
-// shortfall in the body.
+// produce: a maintained write whose index write diverged from its base
+// write is a 500 on a DB (the client must re-apply it, not drop it), the
+// same fault at a router's leader fails the write unacked, and a router
+// that lost its quorum (or every replica) answers 503 with the shortfall
+// in the body.
 func TestWriteFailuresByBackend(t *testing.T) {
-	dbSrv, _ := newDBServer(t)
-	distSrv, d := newDistServer(t)
+	dbSrv, db := newDBServer(t)
 	insert := `{"relation":"left","row_key":"lNEW","join_value":"3","score":0.5}`
 
-	for name, s := range map[string]*server{"db": dbSrv, "distributed": distSrv} {
-		real := s.relation
-		s.relation = func(n string) relation { return divergent{real(n)} }
-		if r := do(t, s.routes(), http.MethodPost, "/insert", insert); r.status != 500 {
-			t.Errorf("%s: diverged insert answered %d, want 500: %s", name, r.status, r.raw)
-		}
-		s.relation = real
+	// An index table dropped under its live index fails every later
+	// maintained write after the base table took it.
+	if err := db.Cluster().DropTable("drjn_left"); err != nil {
+		t.Fatal(err)
+	}
+	if r := do(t, dbSrv.routes(), http.MethodPost, "/insert", insert); r.status != 500 {
+		t.Errorf("db: diverged insert answered %d, want 500: %s", r.status, r.raw)
+	}
+	// The leader's failed Apply leaves it dirty, so this fault gets a
+	// cluster of its own: the quorum checks below need a clean leader.
+	divSrv, div := newDistServer(t)
+	if err := div.NodeDB("node0").Cluster().DropTable("drjn_left"); err != nil {
+		t.Fatal(err)
+	}
+	if r := do(t, divSrv.routes(), http.MethodPost, "/insert", insert); r.status != 503 || r.lines[0]["acked"] != float64(0) {
+		t.Errorf("distributed: insert diverged at the leader answered %d, want 503 acked by none: %s", r.status, r.raw)
 	}
 
+	distSrv, d := newDistServer(t)
 	h := distSrv.routes()
 	for _, n := range []string{"node1", "node2"} {
 		if err := d.StopNode(n); err != nil {
@@ -456,6 +459,14 @@ func TestWriteFailuresByBackend(t *testing.T) {
 	for _, k := range []string{"error", "acked", "quorum"} {
 		if _, ok := r.lines[0][k]; !ok {
 			t.Errorf("lost-quorum body lacks %q: %s", k, r.raw)
+		}
+	}
+	if r.lines[0]["acked"] != float64(1) {
+		t.Errorf("lost-quorum insert acked by %v, want 1 (the clean leader): %s", r.lines[0]["acked"], r.raw)
+	}
+	for _, st := range d.Status() {
+		if st.Name == "node0" && st.Dirty {
+			t.Errorf("node0 dirty after acking the lost-quorum insert: %s", st.DirtyCause)
 		}
 	}
 	if r := do(t, h, http.MethodGet, "/healthz", ""); r.status != 200 || r.lines[0]["status"] != "degraded" {

@@ -17,9 +17,10 @@ import (
 // mix) behind the transport seam, replicating every relation and
 // shipping whole queries to replicas. It builds the same Query values
 // as a DB (the embedded queryBuilder), answers TopK with the same
-// Result and Stream with the same Rows, and its relation handles carry
-// the same maintained writes, so a caller written against that surface
-// — cmd/rjserve is one — holds either store without knowing which.
+// Result and Stream with the same Rows, and hands out the same
+// *RelationHandle, whose writes it routes through the replication
+// protocol, so a caller written against that surface — cmd/rjserve is
+// one — holds either store without knowing which.
 
 // NodeSpec names one region server of a distributed topology.
 type NodeSpec struct {
@@ -204,84 +205,25 @@ func (d *Distributed) AggregateCost() sim.Snapshot {
 	return total
 }
 
-// DistRelation is the distributed counterpart of RelationHandle: every
-// write goes through the router's resolve→stamp→replicate protocol.
-type DistRelation struct {
-	d    *Distributed
-	name string
-}
-
-// DefineRelation creates a relation on its replica group (idempotent).
-func (d *Distributed) DefineRelation(name string) (*DistRelation, error) {
+// DefineRelation creates a relation on its replica group (idempotent)
+// and returns its handle, whose writes go through the router.
+func (d *Distributed) DefineRelation(name string) (*RelationHandle, error) {
 	if err := d.router.DefineRelation(name); err != nil {
 		return nil, err
 	}
-	return &DistRelation{d: d, name: name}, nil
+	return &RelationHandle{rel: relationFor(name), router: d.router}, nil
 }
 
 // Relation returns a handle for a defined relation, or nil.
-func (d *Distributed) Relation(name string) *DistRelation {
+func (d *Distributed) Relation(name string) *RelationHandle {
 	if !d.defined(name) {
 		return nil
 	}
-	return &DistRelation{d: d, name: name}
+	return &RelationHandle{rel: relationFor(name), router: d.router}
 }
 
 // RelationNames lists defined relations, sorted.
 func (d *Distributed) RelationNames() []string { return d.router.Relations() }
-
-// Name returns the relation's name.
-func (r *DistRelation) Name() string { return r.name }
-
-// Insert upserts one tuple through the replication protocol: resolved
-// at the leader, stamped once, applied with full index maintenance on
-// every replica, acknowledged at quorum.
-func (r *DistRelation) Insert(rowKey, joinValue string, score float64) error {
-	t := Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score}
-	if err := checkScores(r.name, t); err != nil {
-		return err
-	}
-	return r.d.router.Upsert(r.name, t)
-}
-
-// Update replaces an existing tuple's join value and score through the
-// same protocol; like RelationHandle.Update it fails if the leader
-// holds no such row.
-func (r *DistRelation) Update(rowKey, joinValue string, score float64) error {
-	t := Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score}
-	if err := checkScores(r.name, t); err != nil {
-		return err
-	}
-	return r.d.router.Update(r.name, t)
-}
-
-// DeleteKey removes a tuple by row key (no-op when absent).
-func (r *DistRelation) DeleteKey(rowKey string) error {
-	return r.d.router.Delete(r.name, rowKey)
-}
-
-// BatchInsert loads many NEW tuples as one replicated group write with
-// full index maintenance. Like RelationHandle.BatchInsert it does not
-// resolve existing rows — load fresh keys only.
-func (r *DistRelation) BatchInsert(tuples []Tuple) error {
-	if err := checkScores(r.name, tuples...); err != nil {
-		return err
-	}
-	return r.d.router.BatchInsert(r.name, tuples)
-}
-
-// Get resolves the relation's current tuple for a row key, preferring
-// the leader and failing over across replicas.
-func (r *DistRelation) Get(rowKey string) (Tuple, bool, error) {
-	t, err := r.d.router.Get(r.name, rowKey)
-	if err != nil {
-		return Tuple{}, false, err
-	}
-	if t == nil {
-		return Tuple{}, false, nil
-	}
-	return *t, true, nil
-}
 
 // wireShape renders a query's join tree for the seam.
 func wireShape(q Query) transport.TreeData {

@@ -412,15 +412,9 @@ func TestNonFiniteScoreRefused(t *testing.T) {
 	tcp := openTCPCluster(t, 3)
 	tcpQ := loadCluster(t, tcp, left, right)
 
-	type relation interface {
-		Insert(rowKey, joinValue string, score float64) error
-		Update(rowKey, joinValue string, score float64) error
-		BatchInsert(tuples []Tuple) error
-		Get(rowKey string) (Tuple, bool, error)
-	}
 	deployments := []struct {
 		name string
-		rel  relation
+		rel  *RelationHandle
 	}{
 		{"db", db.Relation("left")},
 		{"loopback", loop.Relation("left")},
@@ -433,9 +427,7 @@ func TestNonFiniteScoreRefused(t *testing.T) {
 				"Insert":      dep.rel.Insert("dlbad", "j1", bad),
 				"Update":      dep.rel.Update(victim.RowKey, victim.JoinValue, bad),
 				"BatchInsert": dep.rel.BatchInsert([]Tuple{{RowKey: "dlfresh", JoinValue: "j1", Score: 0.5}, {RowKey: "dlbad", JoinValue: "j1", Score: bad}}),
-			}
-			if dep.name == "db" {
-				writes["BulkLoad"] = db.Relation("left").BulkLoad([]Tuple{{RowKey: "dlbad", JoinValue: "j1", Score: bad}})
+				"BulkLoad":    dep.rel.BulkLoad([]Tuple{{RowKey: "dlfresh", JoinValue: "j1", Score: 0.5}, {RowKey: "dlbad", JoinValue: "j1", Score: bad}}),
 			}
 			for op, err := range writes {
 				var se *ScoreError
@@ -455,6 +447,132 @@ func TestNonFiniteScoreRefused(t *testing.T) {
 	}
 	assertExecutorsMatchOracle(t, loop, loopQ, db, q)
 	assertExecutorsMatchOracle(t, tcp, tcpQ, db, q)
+}
+
+// TestRouterRefusesBadTupleInPlace: a tuple the engine cannot store —
+// no join value, or a NUL in its row key or join value — is refused by
+// a Distributed's handle with the error a DB's handle returns, before
+// the router stamps or ships anything, so every node stays clean. (The
+// router once shipped such a write; the leader refused it, the write
+// failed as a ReplicationError acked by none, and the leader stayed
+// dirty until a repair.)
+func TestRouterRefusesBadTupleInPlace(t *testing.T) {
+	left, right := distTuples(20)
+	db, _ := oracleDB(t, left, right)
+	d := openLoopbackCluster(t, 3)
+	loadCluster(t, d, left, right)
+	live := left[0]
+	for _, bad := range []Tuple{
+		{RowKey: "l1", JoinValue: "", Score: 0.5},
+		{RowKey: "l\x001", JoinValue: "j1", Score: 0.5},
+		{RowKey: "l2", JoinValue: "j\x001", Score: 0.5},
+	} {
+		for _, rel := range []*RelationHandle{db.Relation("left"), d.Relation("left")} {
+			if err := rel.BatchInsert([]Tuple{bad}); err == nil {
+				t.Errorf("BatchInsert(%+v) accepted", bad)
+			}
+			if err := rel.BulkLoad([]Tuple{bad}); err == nil {
+				t.Errorf("BulkLoad(%+v) accepted", bad)
+			}
+		}
+		writes := map[string]func(*RelationHandle) error{
+			"Insert": func(h *RelationHandle) error { return h.Insert(bad.RowKey, bad.JoinValue, bad.Score) },
+		}
+		if bad.JoinValue != "j1" { // an update keeps the live row's key
+			writes["Update"] = func(h *RelationHandle) error { return h.Update(live.RowKey, bad.JoinValue, bad.Score) }
+		}
+		for op, write := range writes {
+			want, got := write(db.Relation("left")), write(d.Relation("left"))
+			if want == nil || got == nil || got.Error() != want.Error() {
+				t.Errorf("%s(%q, %q): distributed err %v, db err %v; want the DB's refusal", op, bad.RowKey, bad.JoinValue, got, want)
+			}
+		}
+		for _, st := range d.Status() {
+			if st.Dirty {
+				t.Fatalf("after refusing %+v node %s is dirty: %s", bad, st.Name, st.DirtyCause)
+			}
+		}
+		if got, ok, err := d.Relation("left").Get(bad.RowKey); err != nil || ok {
+			t.Errorf("refused %q reads back %+v (ok %v, err %v)", bad.RowKey, got, ok, err)
+		}
+	}
+}
+
+// TestRouterBulkLoad: BulkLoad on a Distributed's handle ships each
+// relation as a router-stamped op that every replica lands through its
+// own bulk door, so after EnsureIndexes for every family each table,
+// base and index, is byte-identical across the replicas, and every
+// executor answers what a single-process DB answers. A NaN score is
+// refused with a *ScoreError before anything ships.
+func TestRouterBulkLoad(t *testing.T) {
+	left, right := distTuples(300)
+	db, q := oracleDB(t, left, right)
+	d := openLoopbackCluster(t, 3)
+	handles := map[string]*RelationHandle{}
+	for _, name := range []string{"left", "right"} {
+		h, err := d.DefineRelation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[name] = h
+	}
+	nan := append(append([]Tuple(nil), left[:5]...), Tuple{RowKey: "dlnan", JoinValue: "j1", Score: math.NaN()})
+	var se *ScoreError
+	if err := handles["left"].BulkLoad(nan); !errors.As(err, &se) || se.RowKey != "dlnan" {
+		t.Fatalf("BulkLoad with a NaN score = %v, want a *ScoreError for dlnan", err)
+	}
+	for _, n := range d.Nodes() {
+		if cells, err := d.NodeDB(n).Cluster().TableCells("rel_left"); err != nil || len(cells) != 0 {
+			t.Fatalf("%s holds %d cells (err %v) after a refused BulkLoad", n, len(cells), err)
+		}
+	}
+	if err := handles["left"].BulkLoad(left); err != nil {
+		t.Fatal(err)
+	}
+	if err := handles["right"].BulkLoad(right); err != nil {
+		t.Fatal(err)
+	}
+	dq, err := d.NewQuery("left", "right", Sum, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range indexedAlgos {
+		if err := d.EnsureIndexes(dq, algo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, table := range d.NodeDB("node0").Cluster().TableNames() {
+		assertReplicasByteIdentical(t, d, table)
+	}
+	assertExecutorsMatchOracle(t, d, dq, db, q)
+}
+
+// TestNodeApplyRefusesBadBulkTuple: an OpBulk arrives off the wire from
+// any transport client, and the bulk door stores whatever it is given,
+// so a node refuses a bulk op holding a tuple the engine could not
+// store as a bad request, and lands none of it.
+func TestNodeApplyRefusesBadBulkTuple(t *testing.T) {
+	db := mustOpen(t, Config{})
+	if _, err := db.DefineRelation("left"); err != nil {
+		t.Fatal(err)
+	}
+	node := NewNodeService("n", db)
+	good := Tuple{RowKey: "l0", JoinValue: "j1", Score: 0.5}
+	for _, bad := range []Tuple{
+		{RowKey: "l1", JoinValue: "", Score: 0.5},
+		{RowKey: "l1", JoinValue: "j\x001", Score: 0.5},
+		{RowKey: "l\x001", JoinValue: "j1", Score: 0.5},
+		{RowKey: "l1", JoinValue: "j1", Score: math.NaN()},
+	} {
+		err := node.Apply(transport.WriteOp{Kind: transport.OpBulk, Relation: "left", TS: 7, Batch: []Tuple{good, bad}})
+		var te *transport.Error
+		if !errors.As(err, &te) || te.Kind != transport.KindBadRequest {
+			t.Errorf("Apply(OpBulk with %+v) = %v, want transport.KindBadRequest", bad, err)
+		}
+	}
+	if cells, err := db.Cluster().TableCells("rel_left"); err != nil || len(cells) != 0 {
+		t.Errorf("rel_left holds %d cells (err %v) after refused bulk ops", len(cells), err)
+	}
 }
 
 // TestDistributedPageTokenFailover: follow-up pages are sticky to the

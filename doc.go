@@ -183,10 +183,12 @@
 // mutation sequence, so cost estimates track live data too.
 //
 // Scores are normalized: each must be a number in [0, 1]. Every write
-// on a RelationHandle or a DistRelation (Insert, Update, BatchInsert,
-// and BulkLoad) refuses a NaN, ±Inf or out-of-range score with a
-// *ScoreError before anything is written, on a DB and on every cluster
-// deployment alike: BFHM and DRJN lay their score histograms over
+// on a RelationHandle (Insert, Update, BatchInsert, and BulkLoad)
+// refuses a NaN, ±Inf or out-of-range score with a *ScoreError before
+// anything is written, on a DB and on every cluster deployment alike;
+// a tuple the engine could not store (no row key or join value, or a
+// NUL in either) is refused the same way, before a router stamps or
+// ships it: BFHM and DRJN lay their score histograms over
 // [0, 1], so executors would otherwise rank such a score differently,
 // and the TCP wire cannot carry a non-finite one.
 //
@@ -265,14 +267,20 @@
 // once (both embed them), TopK answers with the same Result and Stream
 // with the same Rows — a DB's draws from an executor's cursor, a
 // Distributed's draws pages through TopK's failover path, and
-// QueryOptions bound the whole stream either way — and RelationHandle
-// and DistRelation carry the same maintained writes. cmd/rjserve's
-// handlers are written against it and hold either store.
+// QueryOptions bound the whole stream either way — and both hand out
+// the one *RelationHandle, whose maintained writes read the row, resolve
+// the transition by one rule, and then apply it through a DB's
+// maintainer or replicate it through the router. Its engine-local calls
+// (Delete, WriteBackBFHM) return ErrEngineLocal on a Distributed, and
+// DiskSize reports 0 there. cmd/rjserve's handlers are written against
+// this surface and hold either store.
 //
-// Replication is deterministic: the router resolves each upsert at the
-// replica group's leader, stamps one timestamp, and ships the same
-// resolved operation to every replica, where the write-through
-// maintenance pipeline applies it at that timestamp. Because the
+// Replication is deterministic: the handle resolves each write against
+// the tuple the replica group's leader holds, the router stamps one
+// timestamp and ships the same resolved operation to every replica,
+// where the write-through maintenance pipeline applies it at that
+// timestamp. A BulkLoad ships likewise, each replica landing it through
+// its own bulk door at the router's timestamp. Because the
 // store's logical clocks are deterministic under identical operation
 // sequences, replicas converge byte-identically — base tables and
 // every index — and any replica serves any executor with the exact

@@ -17,11 +17,12 @@ import (
 	"repro/internal/tpch"
 )
 
-// Env is one loaded evaluation environment (cluster + data + indexes).
-type Env struct {
+// Workload is the TPC-H evaluation workload a loaded store serves,
+// whichever store it is: the generated instance, its two queries, the
+// ISL batch size and what building each index family cost.
+type Workload struct {
 	Profile sim.Profile
 	SF      float64
-	DB      *rankjoin.DB
 	Q1      rankjoin.Query // Part x Lineitem ON PartKey, product
 	Q2      rankjoin.Query // Orders x Lineitem ON OrderKey, sum
 	// ISLBatch is 1% of the lineitem row count (the paper's batching).
@@ -31,8 +32,23 @@ type Env struct {
 	// Data is the generated TPC-H instance (update experiments draw
 	// mutations from it).
 	Data *tpch.Data
+}
 
-	counts struct{ parts, orders, lineitems int }
+// Env is one loaded evaluation environment (cluster + data + indexes)
+// in a single-process DB.
+type Env struct {
+	Workload
+	DB *rankjoin.DB
+}
+
+// store is what the loader needs of a DB or a Distributed.
+type store interface {
+	DefineRelation(name string) (*rankjoin.RelationHandle, error)
+	Relation(name string) *rankjoin.RelationHandle
+	RelationNames() []string
+	NewQuery(left, right string, f rankjoin.ScoreFunc, k int) (rankjoin.Query, error)
+	EnsureIndexes(q rankjoin.Query, algos ...rankjoin.Algorithm) error
+	AggregateCost() sim.Snapshot
 }
 
 // KValues are the paper's evaluated result sizes.
@@ -59,7 +75,12 @@ func Setup(profile sim.Profile, sf float64, seed int64) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return load(db, profile, sf, seed)
+	w, err := load(db, profile, sf, seed)
+	if err != nil {
+		_ = db.Close()
+		return nil, err
+	}
+	return &Env{Workload: *w, DB: db}, nil
 }
 
 // SetupAt is Setup against a durable directory. An empty directory is
@@ -76,148 +97,98 @@ func SetupAt(profile sim.Profile, sf float64, seed int64, dir string) (env *Env,
 	if err != nil {
 		return nil, false, err
 	}
-	if len(db.RelationNames()) == 0 {
-		env, err = load(db, profile, sf, seed)
-		if err != nil {
-			_ = db.Close()
-			return nil, false, err
-		}
-		return env, false, nil
+	var w *Workload
+	if recovered = len(db.RelationNames()) > 0; recovered {
+		w, err = workload(db, profile, sf, tpch.Generate(sf, seed))
+	} else {
+		w, err = load(db, profile, sf, seed)
 	}
-	env, err = recoverEnv(db, profile, sf, seed)
 	if err != nil {
 		_ = db.Close()
 		return nil, false, err
 	}
-	return env, true, nil
+	return &Env{Workload: *w, DB: db}, recovered, nil
 }
 
-// recoverEnv reassembles an Env from a recovered DB: the relations,
-// tables, and indexes already exist; only the queries, batch sizing,
-// and the deterministic TPC-H instance are reconstructed.
-func recoverEnv(db *rankjoin.DB, profile sim.Profile, sf float64, seed int64) (*Env, error) {
-	for _, name := range []string{"part", "orders", "lineitem_pk", "lineitem_ok"} {
-		if db.Relation(name) == nil {
-			return nil, fmt.Errorf("benchkit: recovered directory lacks relation %q (relations: %v)",
-				name, db.RelationNames())
+// relationNames are the four relation views of the TPC-H instance, in
+// load order: lineitem appears under both join attributes, as the paper
+// indexes each join column.
+var relationNames = []string{"part", "orders", "lineitem_pk", "lineitem_ok"}
+
+// workload assembles the Workload over a store whose relations hold
+// data: the queries, the batch sizing, and the instance itself.
+func workload(s store, profile sim.Profile, sf float64, data *tpch.Data) (*Workload, error) {
+	for _, name := range relationNames {
+		if s.Relation(name) == nil {
+			return nil, fmt.Errorf("benchkit: store lacks relation %q (relations: %v)", name, s.RelationNames())
 		}
 	}
-	data := tpch.Generate(sf, seed)
-	env := &Env{
+	w := &Workload{
 		Profile:   profile,
 		SF:        sf,
-		DB:        db,
 		Data:      data,
+		ISLBatch:  max(1, len(data.Lineitems)/100),
 		BuildCost: map[rankjoin.Algorithm]sim.Snapshot{},
-	}
-	env.counts.parts = len(data.Parts)
-	env.counts.orders = len(data.Orders)
-	env.counts.lineitems = len(data.Lineitems)
-	env.ISLBatch = len(data.Lineitems) / 100
-	if env.ISLBatch < 1 {
-		env.ISLBatch = 1
 	}
 	var err error
-	env.Q1, err = db.NewQuery("part", "lineitem_pk", rankjoin.Product, 10)
-	if err != nil {
+	if w.Q1, err = s.NewQuery("part", "lineitem_pk", rankjoin.Product, 10); err != nil {
 		return nil, err
 	}
-	env.Q2, err = db.NewQuery("orders", "lineitem_ok", rankjoin.Sum, 10)
-	if err != nil {
+	if w.Q2, err = s.NewQuery("orders", "lineitem_ok", rankjoin.Sum, 10); err != nil {
 		return nil, err
 	}
-	return env, nil
+	return w, nil
 }
 
-// load populates a fresh DB with the generated TPC-H instance and
-// builds every index family.
-func load(db *rankjoin.DB, profile sim.Profile, sf float64, seed int64) (*Env, error) {
+// load populates a fresh store, a DB or a Distributed, with the
+// generated TPC-H instance and builds every index family, each on its
+// own so Fig. 9 gets per-algorithm indexing costs.
+func load(s store, profile sim.Profile, sf float64, seed int64) (*Workload, error) {
 	data := tpch.Generate(sf, seed)
-	env := &Env{
-		Profile:   profile,
-		SF:        sf,
-		DB:        db,
-		Data:      data,
-		BuildCost: map[rankjoin.Algorithm]sim.Snapshot{},
-	}
-	env.counts.parts = len(data.Parts)
-	env.counts.orders = len(data.Orders)
-	env.counts.lineitems = len(data.Lineitems)
-	env.ISLBatch = len(data.Lineitems) / 100
-	if env.ISLBatch < 1 {
-		env.ISLBatch = 1
-	}
-
-	// Load the four relation views (lineitem appears under both join
-	// attributes, as the paper indexes each join column).
-	part, err := db.DefineRelation("part")
-	if err != nil {
-		return nil, err
-	}
-	orders, err := db.DefineRelation("orders")
-	if err != nil {
-		return nil, err
-	}
-	liPK, err := db.DefineRelation("lineitem_pk")
-	if err != nil {
-		return nil, err
-	}
-	liOK, err := db.DefineRelation("lineitem_ok")
-	if err != nil {
-		return nil, err
-	}
-	var pt, ot, lp, lo []rankjoin.Tuple
+	tuples := make(map[string][]rankjoin.Tuple, len(relationNames))
 	for i := range data.Parts {
 		r := &data.Parts[i]
-		pt = append(pt, rankjoin.Tuple{RowKey: tpch.RowKeyPart(r.PartKey), JoinValue: fmt.Sprint(r.PartKey), Score: r.Score})
+		tuples["part"] = append(tuples["part"], rankjoin.Tuple{RowKey: tpch.RowKeyPart(r.PartKey), JoinValue: fmt.Sprint(r.PartKey), Score: r.Score})
 	}
 	for i := range data.Orders {
 		r := &data.Orders[i]
-		ot = append(ot, rankjoin.Tuple{RowKey: tpch.RowKeyOrder(r.OrderKey), JoinValue: fmt.Sprint(r.OrderKey), Score: r.Score})
+		tuples["orders"] = append(tuples["orders"], rankjoin.Tuple{RowKey: tpch.RowKeyOrder(r.OrderKey), JoinValue: fmt.Sprint(r.OrderKey), Score: r.Score})
 	}
 	for i := range data.Lineitems {
 		r := &data.Lineitems[i]
 		key := tpch.RowKeyLineitem(r.OrderKey, r.LineNumber)
-		lp = append(lp, rankjoin.Tuple{RowKey: key, JoinValue: fmt.Sprint(r.PartKey), Score: r.Score})
-		lo = append(lo, rankjoin.Tuple{RowKey: key, JoinValue: fmt.Sprint(r.OrderKey), Score: r.Score})
+		tuples["lineitem_pk"] = append(tuples["lineitem_pk"], rankjoin.Tuple{RowKey: key, JoinValue: fmt.Sprint(r.PartKey), Score: r.Score})
+		tuples["lineitem_ok"] = append(tuples["lineitem_ok"], rankjoin.Tuple{RowKey: key, JoinValue: fmt.Sprint(r.OrderKey), Score: r.Score})
 	}
-	for _, ld := range []struct {
-		h *rankjoin.RelationHandle
-		t []rankjoin.Tuple
-	}{{part, pt}, {orders, ot}, {liPK, lp}, {liOK, lo}} {
-		if err := ld.h.BulkLoad(ld.t); err != nil {
+	for _, name := range relationNames {
+		h, err := s.DefineRelation(name)
+		if err != nil {
 			return nil, err
 		}
+		if err := h.BulkLoad(tuples[name]); err != nil {
+			return nil, fmt.Errorf("benchkit: load %s: %w", name, err)
+		}
 	}
-
-	env.Q1, err = db.NewQuery("part", "lineitem_pk", rankjoin.Product, 10)
+	w, err := workload(s, profile, sf, data)
 	if err != nil {
 		return nil, err
 	}
-	env.Q2, err = db.NewQuery("orders", "lineitem_ok", rankjoin.Sum, 10)
-	if err != nil {
-		return nil, err
-	}
-
-	// Build each index family separately so Fig. 9 gets per-algorithm
-	// indexing costs.
-	m := db.Metrics()
 	for _, algo := range []rankjoin.Algorithm{rankjoin.AlgoIJLMR, rankjoin.AlgoISL, rankjoin.AlgoBFHM, rankjoin.AlgoDRJN} {
-		before := m.Snapshot()
-		if err := db.EnsureIndexes(env.Q1, algo); err != nil {
+		before := s.AggregateCost()
+		if err := s.EnsureIndexes(w.Q1, algo); err != nil {
 			return nil, err
 		}
-		if err := db.EnsureIndexes(env.Q2, algo); err != nil {
+		if err := s.EnsureIndexes(w.Q2, algo); err != nil {
 			return nil, err
 		}
-		env.BuildCost[algo] = m.Snapshot().Sub(before)
+		w.BuildCost[algo] = s.AggregateCost().Sub(before)
 	}
-	return env, nil
+	return w, nil
 }
 
 // Counts reports the loaded table cardinalities.
-func (e *Env) Counts() (parts, orders, lineitems int) {
-	return e.counts.parts, e.counts.orders, e.counts.lineitems
+func (w *Workload) Counts() (parts, orders, lineitems int) {
+	return len(w.Data.Parts), len(w.Data.Orders), len(w.Data.Lineitems)
 }
 
 // Run executes one query configuration.

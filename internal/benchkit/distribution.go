@@ -5,7 +5,6 @@ import (
 
 	rankjoin "repro"
 	"repro/internal/sim"
-	"repro/internal/tpch"
 )
 
 // Distributed evaluation: the same TPC-H workload served by a
@@ -19,110 +18,25 @@ import (
 
 // DistEnv is one loaded distributed evaluation environment.
 type DistEnv struct {
-	Profile sim.Profile
-	SF      float64
-	D       *rankjoin.Distributed
-	Q1      rankjoin.Query // Part x Lineitem ON PartKey, product
-	Q2      rankjoin.Query // Orders x Lineitem ON OrderKey, sum
-	// ISLBatch mirrors Env: 1% of the lineitem row count.
-	ISLBatch int
-	// Data is the generated TPC-H instance.
-	Data *tpch.Data
-
-	counts struct{ parts, orders, lineitems int }
+	Workload
+	D *rankjoin.Distributed
 }
 
-// distBatch chunks replicated bulk loads: each chunk is one group
-// WriteOp on the wire, and TCP frames carry whole chunks, so the size
-// keeps frames well under the transport cap while still amortizing the
-// replication round trip.
-const distBatch = 4000
-
 // SetupDistributed generates TPC-H data at the scale factor, loads it
-// through the replication protocol (every replica applies identical
-// resolved writes), and builds every index family on every covering
-// node — the distributed mirror of Setup.
+// through the router (every replica lands each relation through its
+// own bulk door at one router timestamp), and builds every index family
+// on every covering node — Setup on a cluster.
 func SetupDistributed(profile sim.Profile, sf float64, seed int64, topo *rankjoin.Topology) (*DistEnv, error) {
 	d, err := rankjoin.OpenDistributed(rankjoin.Config{Profile: &profile, Topology: topo})
 	if err != nil {
 		return nil, err
 	}
-	env, err := loadDistributed(d, profile, sf, seed)
+	w, err := load(d, profile, sf, seed)
 	if err != nil {
 		_ = d.Close()
 		return nil, err
 	}
-	return env, nil
-}
-
-func loadDistributed(d *rankjoin.Distributed, profile sim.Profile, sf float64, seed int64) (*DistEnv, error) {
-	data := tpch.Generate(sf, seed)
-	env := &DistEnv{Profile: profile, SF: sf, D: d, Data: data}
-	env.counts.parts = len(data.Parts)
-	env.counts.orders = len(data.Orders)
-	env.counts.lineitems = len(data.Lineitems)
-	env.ISLBatch = len(data.Lineitems) / 100
-	if env.ISLBatch < 1 {
-		env.ISLBatch = 1
-	}
-
-	var pt, ot, lp, lo []rankjoin.Tuple
-	for i := range data.Parts {
-		r := &data.Parts[i]
-		pt = append(pt, rankjoin.Tuple{RowKey: tpch.RowKeyPart(r.PartKey), JoinValue: fmt.Sprint(r.PartKey), Score: r.Score})
-	}
-	for i := range data.Orders {
-		r := &data.Orders[i]
-		ot = append(ot, rankjoin.Tuple{RowKey: tpch.RowKeyOrder(r.OrderKey), JoinValue: fmt.Sprint(r.OrderKey), Score: r.Score})
-	}
-	for i := range data.Lineitems {
-		r := &data.Lineitems[i]
-		key := tpch.RowKeyLineitem(r.OrderKey, r.LineNumber)
-		lp = append(lp, rankjoin.Tuple{RowKey: key, JoinValue: fmt.Sprint(r.PartKey), Score: r.Score})
-		lo = append(lo, rankjoin.Tuple{RowKey: key, JoinValue: fmt.Sprint(r.OrderKey), Score: r.Score})
-	}
-	for _, ld := range []struct {
-		name string
-		t    []rankjoin.Tuple
-	}{{"part", pt}, {"orders", ot}, {"lineitem_pk", lp}, {"lineitem_ok", lo}} {
-		rel, err := d.DefineRelation(ld.name)
-		if err != nil {
-			return nil, err
-		}
-		for lo := 0; lo < len(ld.t); lo += distBatch {
-			hi := lo + distBatch
-			if hi > len(ld.t) {
-				hi = len(ld.t)
-			}
-			if err := rel.BatchInsert(ld.t[lo:hi]); err != nil {
-				return nil, fmt.Errorf("benchkit: load %s: %w", ld.name, err)
-			}
-		}
-	}
-
-	var err error
-	env.Q1, err = d.NewQuery("part", "lineitem_pk", rankjoin.Product, 10)
-	if err != nil {
-		return nil, err
-	}
-	env.Q2, err = d.NewQuery("orders", "lineitem_ok", rankjoin.Sum, 10)
-	if err != nil {
-		return nil, err
-	}
-	for _, algo := range []rankjoin.Algorithm{rankjoin.AlgoIJLMR, rankjoin.AlgoISL, rankjoin.AlgoBFHM, rankjoin.AlgoDRJN} {
-		if err := d.EnsureIndexes(env.Q1, algo); err != nil {
-			return nil, err
-		}
-		if err := d.EnsureIndexes(env.Q2, algo); err != nil {
-			return nil, err
-		}
-	}
-	return env, nil
-}
-
-// Counts reports the loaded table cardinalities.
-func (e *DistEnv) Counts() (parts, orders, lineitems int) {
-	return e.counts.parts, e.counts.orders, e.counts.lineitems
+	return &DistEnv{Workload: *w, D: d}, nil
 }
 
 // Run executes one query configuration on the cluster.

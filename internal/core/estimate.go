@@ -220,7 +220,7 @@ func estimateLists(st *PlanStats) sim.Snapshot {
 		seqBatches = maxBatches
 	}
 	a.advance(seqBatches, &sim.Op{RPCs: 1, DiskBytes: batch * cellBytes, WireBytes: batch * cellBytes})
-	a.count(&sim.Op{RPCs: batches, WireBytes: total * cellBytes, Cells: total})
+	a.count(&sim.Op{RPCs: batches, DiskBytes: total * cellBytes, WireBytes: total * cellBytes, Cells: total})
 	// Each consumed tuple probes its neighbor leaves' seen sets; each
 	// released result builds all n of its tuples.
 	a.advance(1, &sim.Op{Cells: total + uint64(st.K)*uint64(len(st.LeafDepths))})

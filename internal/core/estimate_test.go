@@ -45,3 +45,15 @@ func TestEstimateCountsLikeMetrics(t *testing.T) {
 		t.Fatalf("the sequence left a counter at zero: %+v", a.s)
 	}
 }
+
+// TestListEstimateCountsDiskBytes: the isl estimate's clock prices each
+// list batch's disk read, so its counters must carry those bytes too —
+// every list cell it ships it first reads. The counted op once left
+// DiskBytes out, and every isl estimate read 0 disk bytes.
+func TestListEstimateCountsDiskBytes(t *testing.T) {
+	st := &PlanStats{Profile: sim.EC2(), K: 10, LeafDepths: []float64{500, 300}}
+	est := estimateLists(st)
+	if want := uint64(800 * (estCellMeta + 10)); est.DiskBytesRead != want {
+		t.Fatalf("isl estimate reads %d disk bytes, want %d: the 800 list cells it ships", est.DiskBytesRead, want)
+	}
+}

@@ -362,21 +362,34 @@ func (m *Maintainer) appendBucketIndexes(muts []indexMutation, old, new *Tuple, 
 // idempotent and converges a diverged store; replicated topologies also
 // use it to apply a router-stamped write identically on every replica.
 func (m *Maintainer) Write(old, new *Tuple, ts int64) error {
+	if err := CheckWrite(old, new); err != nil {
+		return err
+	}
+	if ts == 0 {
+		ts = m.C.Now()
+	}
+	return m.apply(m.mutations(old, new, ts), ts)
+}
+
+// CheckWrite refuses a transition Write would refuse, before anything
+// is written: a new tuple needs a row key and a join value, and neither
+// may hold a NUL, which separates the components of composite index
+// keys; an update keeps the row key; and one side must be present.
+func CheckWrite(old, new *Tuple) error {
 	switch {
 	case new != nil && (new.RowKey == "" || new.JoinValue == ""):
 		if old == nil {
 			return fmt.Errorf("core: insert needs row key and join value")
 		}
 		return fmt.Errorf("core: update needs row key and join value")
+	case new != nil && (strings.IndexByte(new.RowKey, 0) >= 0 || strings.IndexByte(new.JoinValue, 0) >= 0):
+		return fmt.Errorf("core: row key %q and join value %q must not contain NUL", new.RowKey, new.JoinValue)
 	case old != nil && new != nil && old.RowKey != new.RowKey:
 		return fmt.Errorf("core: update must keep the row key (%q != %q)", old.RowKey, new.RowKey)
 	case old == nil && new == nil:
 		return fmt.Errorf("core: write needs an old or a new tuple")
 	}
-	if ts == 0 {
-		ts = m.C.Now()
-	}
-	return m.apply(m.mutations(old, new, ts), ts)
+	return nil
 }
 
 // insertBatchChunk bounds how many tuples one InsertBatch group write
@@ -406,8 +419,8 @@ func (m *Maintainer) insertBatch(tuples []Tuple, stamp func() int64, chunk int) 
 	// a later chunk must not leave the earlier chunks silently committed
 	// behind a plain error.
 	for i := range tuples {
-		if tuples[i].RowKey == "" || tuples[i].JoinValue == "" {
-			return fmt.Errorf("core: insert batch tuple %d needs row key and join value", i)
+		if err := CheckWrite(nil, &tuples[i]); err != nil {
+			return fmt.Errorf("core: insert batch tuple %d: %w", i, err)
 		}
 	}
 	if chunk < 1 {

@@ -6,11 +6,11 @@
 //
 // The protocol follows from one invariant: replicas of a relation are
 // BYTE-IDENTICAL, base and index tables alike. The router makes every
-// mutation deterministic before it ships — it resolves upserts against
-// the leader (reading the current tuple once), stamps the operation
-// with a single router-assigned timestamp, and sends the identical
-// resolved WriteOp to every replica, which applies it with full index
-// maintenance at that timestamp. Router stamps are kept above every
+// mutation deterministic before it ships — it reads the row's current
+// tuple at the leader once, has the caller resolve the transition from
+// it, stamps the operation with a single router-assigned timestamp, and
+// sends the identical resolved WriteOp to every replica, which applies
+// it at that timestamp. Router stamps are kept above every
 // node's logical clock (nodes report a high-water mark in Health), so
 // node-local stamps never shadow replicated cells.
 //
@@ -527,61 +527,45 @@ func (r *Router) replicate(leader *node, reps []*node, op transport.WriteOp) err
 	return nil
 }
 
-// Upsert writes one tuple through the replication protocol: resolve at
-// the leader (insert or update), stamp once, replicate, ack at quorum.
-func (r *Router) Upsert(relation string, t core.Tuple) error {
-	return r.write(relation, t.RowKey, &t, false)
-}
-
-// Update is Upsert for a row that must already exist: when the leader
-// resolves no current tuple the write fails and nothing is stamped or
-// shipped.
-func (r *Router) Update(relation string, t core.Tuple) error {
-	return r.write(relation, t.RowKey, &t, true)
-}
-
-// Delete removes a tuple by row key (a no-op if absent), resolving its
-// current state at the leader first.
-func (r *Router) Delete(relation, rowKey string) error {
-	return r.write(relation, rowKey, nil, false)
-}
-
-// write resolves rowKey's current tuple at the leader and replicates its
-// transition to t (nil deletes): an absent row makes it an insert, fails
-// it when mustExist, and makes a delete a no-op that stamps and ships
-// nothing.
-func (r *Router) write(relation, rowKey string, t *core.Tuple, mustExist bool) error {
+// Write runs one single-row write through the replication protocol.
+// Under the write lock it reads rowKey's current tuple at the leader
+// (nil when the row is absent) and hands it to resolve, which returns
+// the transition to ship: old → new, with nil old for an insert and nil
+// new for a delete. When resolve fails, or returns neither tuple, the
+// write stamps and ships nothing and no replica hears of it; otherwise
+// the transition is stamped once, replicated, and acked at quorum.
+func (r *Router) Write(relation, rowKey string, resolve func(cur *core.Tuple) (old, new *core.Tuple, err error)) error {
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
 	reps, err := r.replicaSet(relation)
 	if err != nil {
 		return err
 	}
-	leader, old, err := r.resolveLeader(relation, rowKey, reps)
+	leader, cur, err := r.resolveLeader(relation, rowKey, reps)
 	if err != nil {
 		return err
 	}
-	op := transport.WriteOp{Relation: relation, Old: old, New: t}
-	switch {
-	case old != nil && t != nil:
-		op.Kind = transport.OpUpdate
-	case old != nil:
-		op.Kind = transport.OpDelete
-	case mustExist:
-		return fmt.Errorf("topology: relation %q has no row %q to update", relation, rowKey)
-	case t == nil:
-		return nil
-	default:
-		op.Kind = transport.OpInsert
+	old, new, err := resolve(cur)
+	if err != nil || old == nil && new == nil {
+		return err
 	}
-	op.TS = r.nextTS()
+	op := transport.WriteOp{Relation: relation, Kind: transport.OpUpdate, Old: old, New: new, TS: r.nextTS()}
+	switch {
+	case old == nil:
+		op.Kind = transport.OpInsert
+	case new == nil:
+		op.Kind = transport.OpDelete
+	}
 	return r.replicate(leader, reps, op)
 }
 
-// BatchInsert loads many NEW tuples as one replicated group write with
-// a single shared timestamp (no per-row resolution — reused row keys
-// strand index entries, exactly as RelationHandle.BatchInsert warns).
-func (r *Router) BatchInsert(relation string, tuples []core.Tuple) error {
+// Load ships many NEW tuples with no per-row resolution, as ops of kind
+// OpBatch (maintained: reused row keys strand index entries, exactly as
+// RelationHandle.BatchInsert warns) or OpBulk (through each replica's
+// bulk door, unmaintained). Each run transport.SplitBatch cuts is one
+// op with a timestamp of its own; a failed op fails the load, and the
+// runs before it stay applied.
+func (r *Router) Load(relation, kind string, tuples []core.Tuple) error {
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
 	reps, err := r.replicaSet(relation)
@@ -592,8 +576,13 @@ func (r *Router) BatchInsert(relation string, tuples []core.Tuple) error {
 	if err != nil {
 		return err
 	}
-	op := transport.WriteOp{Relation: relation, Kind: transport.OpBatch, Batch: tuples, TS: r.nextTS()}
-	return r.replicate(leader, reps, op)
+	for _, run := range transport.SplitBatch(tuples) {
+		op := transport.WriteOp{Relation: relation, Kind: kind, Batch: run, TS: r.nextTS()}
+		if err := r.replicate(leader, reps, op); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Get resolves a relation row, preferring the leader (read-your-writes)

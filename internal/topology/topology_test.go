@@ -209,7 +209,7 @@ func (f *fakeNode) Apply(op transport.WriteOp) error {
 		tbl[op.New.RowKey] = tupleCells(op.New, op.TS)
 	case transport.OpDelete:
 		delete(tbl, op.Old.RowKey)
-	case transport.OpBatch:
+	case transport.OpBatch, transport.OpBulk:
 		for i := range op.Batch {
 			tbl[op.Batch[i].RowKey] = tupleCells(&op.Batch[i], op.TS)
 		}
@@ -399,21 +399,41 @@ func assertReplicasEqual(t *testing.T, fakes []*fakeNode, table string) {
 	}
 }
 
+// upsert, update and remove drive Router.Write with a relation
+// handle's three resolutions: overwrite what the row holds, replace it
+// only if present, and delete it if present.
+func upsert(r *Router, relation string, t core.Tuple) error {
+	return r.Write(relation, t.RowKey, func(cur *core.Tuple) (*core.Tuple, *core.Tuple, error) { return cur, &t, nil })
+}
+
+func update(r *Router, relation string, t core.Tuple) error {
+	return r.Write(relation, t.RowKey, func(cur *core.Tuple) (*core.Tuple, *core.Tuple, error) {
+		if cur == nil {
+			return nil, nil, fmt.Errorf("no row %q to update", t.RowKey)
+		}
+		return cur, &t, nil
+	})
+}
+
+func remove(r *Router, relation, rowKey string) error {
+	return r.Write(relation, rowKey, func(cur *core.Tuple) (*core.Tuple, *core.Tuple, error) { return cur, nil, nil })
+}
+
 func TestReplicatedWritesAreIdentical(t *testing.T) {
 	r, fakes := cluster3(t)
 	for i := 0; i < 10; i++ {
-		if err := r.Upsert("part", core.Tuple{RowKey: fmt.Sprintf("p%d", i), JoinValue: "j", Score: 0.5}); err != nil {
+		if err := upsert(r, "part", core.Tuple{RowKey: fmt.Sprintf("p%d", i), JoinValue: "j", Score: 0.5}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Overwrite resolves to an update, delete resolves the old tuple.
-	if err := r.Upsert("part", core.Tuple{RowKey: "p3", JoinValue: "j2", Score: 0.9}); err != nil {
+	if err := upsert(r, "part", core.Tuple{RowKey: "p3", JoinValue: "j2", Score: 0.9}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Delete("part", "p7"); err != nil {
+	if err := remove(r, "part", "p7"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Delete("part", "never-existed"); err != nil {
+	if err := remove(r, "part", "never-existed"); err != nil {
 		t.Fatal(err)
 	}
 	assertReplicasEqual(t, fakes, "rel_part")
@@ -422,12 +442,12 @@ func TestReplicatedWritesAreIdentical(t *testing.T) {
 	}
 }
 
-// TestUpdateMustFindTheRow: Update is Upsert for a row the leader
-// holds; on an absent row it fails before anything is stamped, so no
-// replica sees a write.
+// TestUpdateMustFindTheRow: a resolution that refuses the leader's
+// answer (an update of an absent row) fails the write before anything
+// is stamped, so no replica sees it.
 func TestUpdateMustFindTheRow(t *testing.T) {
 	r, fakes := cluster3(t)
-	if err := r.Update("part", core.Tuple{RowKey: "ghost", JoinValue: "j", Score: 0.5}); err == nil {
+	if err := update(r, "part", core.Tuple{RowKey: "ghost", JoinValue: "j", Score: 0.5}); err == nil {
 		t.Fatal("update of an absent row succeeded")
 	}
 	for _, f := range fakes {
@@ -435,10 +455,10 @@ func TestUpdateMustFindTheRow(t *testing.T) {
 			t.Fatalf("%s holds %v after a refused update", f.name, got)
 		}
 	}
-	if err := r.Upsert("part", core.Tuple{RowKey: "a", JoinValue: "j", Score: 0.5}); err != nil {
+	if err := upsert(r, "part", core.Tuple{RowKey: "a", JoinValue: "j", Score: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Update("part", core.Tuple{RowKey: "a", JoinValue: "j2", Score: 0.9}); err != nil {
+	if err := update(r, "part", core.Tuple{RowKey: "a", JoinValue: "j2", Score: 0.9}); err != nil {
 		t.Fatalf("update of a live row: %v", err)
 	}
 	assertReplicasEqual(t, fakes, "rel_part")
@@ -471,7 +491,7 @@ func TestTreeQueryRoutesByItsLeaves(t *testing.T) {
 func TestQuorumWriteSurvivesOneNodeDown(t *testing.T) {
 	r, fakes := cluster3(t)
 	fakes[2].setDown(true)
-	if err := r.Upsert("part", core.Tuple{RowKey: "a", JoinValue: "j"}); err != nil {
+	if err := upsert(r, "part", core.Tuple{RowKey: "a", JoinValue: "j"}); err != nil {
 		t.Fatalf("2/3 write should ack: %v", err)
 	}
 	if d := r.Dirty(); len(d) != 1 || d[0] != "n2" {
@@ -479,7 +499,7 @@ func TestQuorumWriteSurvivesOneNodeDown(t *testing.T) {
 	}
 	// Second node down: 1/3 acks < quorum 2 → typed failure.
 	fakes[1].setDown(true)
-	err := r.Upsert("part", core.Tuple{RowKey: "b", JoinValue: "j"})
+	err := upsert(r, "part", core.Tuple{RowKey: "b", JoinValue: "j"})
 	var re *ReplicationError
 	if !errors.As(err, &re) || re.Acked != 1 || re.Quorum != 2 {
 		t.Fatalf("err = %v, want ReplicationError acked 1 quorum 2", err)
@@ -489,13 +509,13 @@ func TestQuorumWriteSurvivesOneNodeDown(t *testing.T) {
 func TestLeaderFailoverOnWrite(t *testing.T) {
 	r, fakes := cluster3(t)
 	fakes[0].setDown(true) // topology-order leader dies
-	if err := r.Upsert("part", core.Tuple{RowKey: "a", JoinValue: "j"}); err != nil {
+	if err := upsert(r, "part", core.Tuple{RowKey: "a", JoinValue: "j"}); err != nil {
 		t.Fatalf("write with fallback leader: %v", err)
 	}
 	// n0 revives but stays dirty: it must not serve as leader (it
 	// missed the write) until anti-entropy clears it.
 	fakes[0].setDown(false)
-	if err := r.Upsert("part", core.Tuple{RowKey: "b", JoinValue: "j"}); err != nil {
+	if err := upsert(r, "part", core.Tuple{RowKey: "b", JoinValue: "j"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := tableRows(fakes[0], "rel_part"); len(got) != 0 {
@@ -559,16 +579,16 @@ func TestQueryFailsOverOnCorruption(t *testing.T) {
 func TestAntiEntropyRepairsDivergence(t *testing.T) {
 	r, fakes := cluster3(t)
 	for i := 0; i < 20; i++ {
-		if err := r.Upsert("part", core.Tuple{RowKey: fmt.Sprintf("p%02d", i), JoinValue: "v1"}); err != nil {
+		if err := upsert(r, "part", core.Tuple{RowKey: fmt.Sprintf("p%02d", i), JoinValue: "v1"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// n1 sleeps through updates and a delete.
 	fakes[1].setDown(true)
-	if err := r.Upsert("part", core.Tuple{RowKey: "p05", JoinValue: "v2"}); err != nil {
+	if err := upsert(r, "part", core.Tuple{RowKey: "p05", JoinValue: "v2"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Delete("part", "p11"); err != nil {
+	if err := remove(r, "part", "p11"); err != nil {
 		t.Fatal(err)
 	}
 	fakes[1].setDown(false)
@@ -604,7 +624,7 @@ func TestAntiEntropyRepairsDivergence(t *testing.T) {
 func TestAntiEntropyFullResyncOnCorruption(t *testing.T) {
 	r, fakes := cluster3(t)
 	for i := 0; i < 8; i++ {
-		if err := r.Upsert("part", core.Tuple{RowKey: fmt.Sprintf("p%d", i), JoinValue: "v"}); err != nil {
+		if err := upsert(r, "part", core.Tuple{RowKey: fmt.Sprintf("p%d", i), JoinValue: "v"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -635,7 +655,7 @@ func TestRouterStampsDominateNodeClocks(t *testing.T) {
 	if err := r.EnsureIndexes(transport.EnsureRequest{Tree: partSelfJoin, Score: "sum", Algos: []string{"isl"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Upsert("part", core.Tuple{RowKey: "a", JoinValue: "j"}); err != nil {
+	if err := upsert(r, "part", core.Tuple{RowKey: "a", JoinValue: "j"}); err != nil {
 		t.Fatal(err)
 	}
 	rows := tableRows(fakes[0], "rel_part")
@@ -651,7 +671,7 @@ func TestRouterStampsDominateNodeClocks(t *testing.T) {
 func TestStatusReportsHealthAndDirtiness(t *testing.T) {
 	r, fakes := cluster3(t)
 	fakes[1].setDown(true)
-	_ = r.Upsert("part", core.Tuple{RowKey: "a", JoinValue: "j"})
+	_ = upsert(r, "part", core.Tuple{RowKey: "a", JoinValue: "j"})
 	st := r.Status()
 	if len(st) != 3 {
 		t.Fatalf("status rows = %d", len(st))
@@ -757,10 +777,10 @@ func TestFanOutIsConcurrent(t *testing.T) {
 		f.meet = rv
 	}
 	fakes[0].leads = true
-	if err := r.Upsert("part", core.Tuple{RowKey: "a", JoinValue: "j", Score: 0.5}); err != nil {
+	if err := upsert(r, "part", core.Tuple{RowKey: "a", JoinValue: "j", Score: 0.5}); err != nil {
 		t.Fatalf("upsert: %v", err)
 	}
-	if err := r.BatchInsert("part", []core.Tuple{{RowKey: "b", JoinValue: "j"}, {RowKey: "c", JoinValue: "k"}}); err != nil {
+	if err := r.Load("part", transport.OpBatch, []core.Tuple{{RowKey: "b", JoinValue: "j"}, {RowKey: "c", JoinValue: "k"}}); err != nil {
 		t.Fatalf("batch insert: %v", err)
 	}
 	if err := r.EnsureIndexes(transport.EnsureRequest{Tree: partSelfJoin, Score: "sum", Algos: []string{"isl"}}); err != nil {
@@ -787,7 +807,7 @@ func TestFanOutFailureSemantics(t *testing.T) {
 	r, fakes := cluster3(t)
 	fakes[1].setDown(true)
 	fakes[2].setDown(true)
-	err := r.Upsert("part", core.Tuple{RowKey: "a", JoinValue: "j"})
+	err := upsert(r, "part", core.Tuple{RowKey: "a", JoinValue: "j"})
 	var re *ReplicationError
 	if !errors.As(err, &re) || re.Acked != 1 || re.Quorum != 2 {
 		t.Fatalf("err = %v, want ReplicationError acked 1 quorum 2", err)
@@ -804,7 +824,7 @@ func TestFanOutFailureSemantics(t *testing.T) {
 		t.Fatalf("dirty = %v, want [n1 n2]", d)
 	}
 	fakes[0].setDown(true)
-	err = r.BatchInsert("part", []core.Tuple{{RowKey: "b", JoinValue: "j"}})
+	err = r.Load("part", transport.OpBatch, []core.Tuple{{RowKey: "b", JoinValue: "j"}})
 	if !errors.As(err, &re) || re.Acked != 0 || len(re.Failed) != 1 || re.Failed["n0"] == nil {
 		t.Fatalf("err = %v, want ReplicationError acked 0 naming only n0", err)
 	}
@@ -816,7 +836,7 @@ func TestFanOutFailureSemantics(t *testing.T) {
 	// batch resolves nothing, so the leader is reached first at Apply.
 	r, fakes = cluster3(t)
 	fakes[0].setDown(true)
-	err = r.BatchInsert("part", []core.Tuple{{RowKey: "a", JoinValue: "j"}})
+	err = r.Load("part", transport.OpBatch, []core.Tuple{{RowKey: "a", JoinValue: "j"}})
 	if !errors.As(err, &re) || re.Acked != 0 || re.Failed["n0"] == nil {
 		t.Fatalf("err = %v, want ReplicationError acked 0 naming n0", err)
 	}

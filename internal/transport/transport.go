@@ -102,12 +102,14 @@ func Unavailable(format string, args ...any) *Error {
 // benchmark's transport probe spells WriteOp tuples with it.
 type TupleData = core.Tuple
 
-// Write-op kinds.
+// Write-op kinds. OpBatch inserts Batch with index maintenance; OpBulk
+// lands it unmaintained through the node's bulk door, every cell at TS.
 const (
 	OpInsert = "insert"
 	OpUpdate = "update"
 	OpDelete = "delete"
 	OpBatch  = "batch"
+	OpBulk   = "bulk"
 )
 
 // WriteOp is one replicated, resolved, pre-stamped mutation. The router
@@ -122,6 +124,28 @@ type WriteOp struct {
 	New      *core.Tuple  `json:"new,omitempty"`
 	Batch    []core.Tuple `json:"batch,omitempty"`
 	TS       int64        `json:"ts"`
+}
+
+// SplitBatch cuts a batch into runs whose WriteOp bodies stay under half
+// of maxFrame, pricing each tuple at its JSON's worst case: every string
+// byte escaped to six, plus the field names and a score. Loads at the
+// scale factors the bench and rjserve run ship as one run per relation.
+// An empty batch has no runs.
+func SplitBatch(tuples []core.Tuple) [][]core.Tuple {
+	const tupleJSON = 64 // {"row_key":"","join_value":"","score":…},
+	var runs [][]core.Tuple
+	lo, size := 0, 0
+	for i := range tuples {
+		n := 6*(len(tuples[i].RowKey)+len(tuples[i].JoinValue)) + tupleJSON
+		if size+n > maxFrame/2 && i > lo {
+			runs, lo, size = append(runs, tuples[lo:i]), i, 0
+		}
+		size += n
+	}
+	if lo < len(tuples) {
+		runs = append(runs, tuples[lo:])
+	}
+	return runs
 }
 
 // TreeData is the wire form of a join-tree query shape: relations by

@@ -2,10 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -281,6 +283,41 @@ func TestTCPRoundTrip(t *testing.T) {
 	cl.mu.Unlock()
 	if !same {
 		t.Fatal("an unknown method code cost the connection")
+	}
+}
+
+// TestSplitBatchBoundsBodies: SplitBatch keeps a batch whole until its
+// worst-case body would pass half the frame cap, and then cuts it in
+// order; no tuple's JSON, escapes included, outgrows its price.
+func TestSplitBatchBoundsBodies(t *testing.T) {
+	small := []core.Tuple{{RowKey: "p1", JoinValue: "7", Score: 0.5}, {RowKey: "<&>", JoinValue: "\x01\"", Score: 0.123456789}}
+	if runs := SplitBatch(small); len(runs) != 1 || len(runs[0]) != 2 {
+		t.Fatalf("a small batch split into %d runs", len(runs))
+	}
+	if runs := SplitBatch(nil); len(runs) != 0 {
+		t.Fatalf("an empty batch has %d runs", len(runs))
+	}
+	for _, tup := range small {
+		body, err := json.Marshal(tup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if price := 6*(len(tup.RowKey)+len(tup.JoinValue)) + 64; len(body) > price {
+			t.Fatalf("tuple %+v encodes to %d bytes, priced at %d", tup, len(body), price)
+		}
+	}
+	// Three tuples priced at over a third of the cap each: no two fit
+	// under half of it.
+	big := strings.Repeat("k", maxFrame/18)
+	batch := []core.Tuple{{RowKey: big + "1", JoinValue: "j"}, {RowKey: big + "2", JoinValue: "j"}, {RowKey: big + "3", JoinValue: "j"}}
+	runs := SplitBatch(batch)
+	if len(runs) != 3 {
+		t.Fatalf("three third-of-cap tuples split into %d runs, want 3", len(runs))
+	}
+	for i, run := range runs {
+		if len(run) != 1 || run[0].RowKey != batch[i].RowKey {
+			t.Fatalf("run %d = %d tuples, want tuple %d alone", i, len(run), i)
+		}
 	}
 }
 

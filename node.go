@@ -135,11 +135,13 @@ func (n *NodeService) EnsureIndexes(req transport.EnsureRequest) error {
 }
 
 // Apply implements transport.RegionService: one resolved, pre-stamped
-// write, applied with full index maintenance at the carried timestamp.
-// The router resolved the transition at the leader (Old is the tuple
-// the row held, nil for an insert; New replaces it, nil for a delete)
-// and stamped TS once for the whole replica group, so this application
-// is deterministic and idempotent — the replica's base AND index tables
+// write, applied with full index maintenance at the carried timestamp —
+// or, for OpBulk, landed unmaintained through the bulk door with every
+// cell at it, as BulkLoad lands a DB's. The transition was resolved
+// against the leader's tuple (Old is the tuple the row held, nil for an
+// insert; New replaces it, nil for a delete) and the router stamped TS
+// once for the whole replica group, so this application is
+// deterministic and idempotent — the replica's base AND index tables
 // end up byte-identical to its peers'. The kind arrives off the wire,
 // so an unknown one is refused.
 func (n *NodeService) Apply(op transport.WriteOp) error {
@@ -153,15 +155,23 @@ func (n *NodeService) Apply(op transport.WriteOp) error {
 	n.db.cluster.ObserveClock(op.TS)
 	h.writeMu.Lock()
 	defer h.writeMu.Unlock()
-	m := h.maintainer()
+	var err error
 	switch op.Kind {
 	case transport.OpInsert, transport.OpUpdate, transport.OpDelete:
-		return wrapNodeErr(m.Write(op.Old, op.New, op.TS))
+		err = h.maintainer().Write(op.Old, op.New, op.TS)
 	case transport.OpBatch:
-		return wrapNodeErr(m.InsertBatchAt(op.Batch, op.TS))
+		err = h.maintainer().InsertBatchAt(op.Batch, op.TS)
+	case transport.OpBulk:
+		// The bulk door stores what it is given, so the tuple check the
+		// maintained kinds get from the engine is made here.
+		if err := checkBatch(op.Relation, op.Batch); err != nil {
+			return badRequest("%s", err)
+		}
+		err = h.bulkLoad(op.Batch, op.TS)
 	default:
 		return badRequest("unknown write-op kind %q", op.Kind)
 	}
+	return wrapNodeErr(err)
 }
 
 // GetTuple implements transport.RegionService (the router's resolution

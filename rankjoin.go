@@ -2,6 +2,7 @@ package rankjoin
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -12,6 +13,8 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/plan"
 	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/transport"
 )
 
 // Re-exported data types. These alias the engine types so values flow
@@ -312,17 +315,33 @@ func (db *DB) Cluster() *kvstore.Cluster { return db.cluster }
 // relation handles offer no timestamped re-apply.
 type MaintenanceError = core.MaintenanceError
 
-// RelationHandle wraps one rank-join input relation.
+// RelationHandle wraps one rank-join input relation of a DB or of a
+// Distributed. Reads and maintained writes work alike on both: a DB's
+// handle applies a write through the relation's own Section 6
+// maintainer, a Distributed's hands it to the router, which replicates
+// it. The engine-local calls need a DB's engine: on a Distributed's
+// handle Delete and WriteBackBFHM fail with ErrEngineLocal, and
+// DiskSize reports 0.
 type RelationHandle struct {
-	db  *DB
 	rel core.Relation
-	// writeMu serializes maintained writes to this relation: Insert,
-	// Update, and DeleteKey are read-check-write sequences, and two
-	// racing writers of one row key could otherwise both observe the
+	// db is the store of a DB's handle, router that of a Distributed's;
+	// the other is nil.
+	db     *DB
+	router *topology.Router
+	// writeMu serializes a DB's maintained writes to this relation:
+	// Insert, Update, and DeleteKey are read-check-write sequences, and
+	// two racing writers of one row key could otherwise both observe the
 	// old state and strand index entries (the phantom-result bug the
-	// upsert exists to prevent). Reads never take it.
+	// upsert exists to prevent). Reads never take it. The router
+	// serializes a Distributed's writes itself.
 	writeMu sync.Mutex
 }
+
+// ErrEngineLocal refuses an engine-local call (Delete, WriteBackBFHM)
+// on a Distributed's relation handle: those reach one engine's tables
+// directly, and a router reaches its replicas only through resolved,
+// stamped writes.
+var ErrEngineLocal = errors.New("rankjoin: engine-local call on a Distributed's relation handle; it needs a DB")
 
 // DefineRelation creates the backing table for a new relation. Relation
 // names must be unique and become part of index table names.
@@ -397,10 +416,10 @@ func (h *RelationHandle) maintainer() *core.Maintainer {
 
 // ScoreError refuses a write whose score is not a number in [0, 1]:
 // NaN, ±Inf or out of range. Insert, Update, BatchInsert and BulkLoad
-// on a RelationHandle, and their DistRelation counterparts, return one
-// before anything is written: BFHM and DRJN lay their score histograms
-// over [0, 1], so executors would disagree on how to rank any other
-// score, and the TCP wire cannot carry a non-finite one.
+// return one before anything is written, on a DB and a Distributed
+// alike: BFHM and DRJN lay their score histograms over [0, 1], so
+// executors would disagree on how to rank any other score, and the TCP
+// wire cannot carry a non-finite one.
 type ScoreError struct {
 	Relation string
 	RowKey   string
@@ -422,9 +441,32 @@ func checkScores(relation string, tuples ...Tuple) error {
 	return nil
 }
 
+// checkBatch refuses a batch of new tuples before any of it is written
+// or shipped: checkScores, then the engine's own check of each tuple
+// (core.CheckWrite).
+func checkBatch(relation string, tuples []Tuple) error {
+	if err := checkScores(relation, tuples...); err != nil {
+		return err
+	}
+	for i := range tuples {
+		if err := core.CheckWrite(nil, &tuples[i]); err != nil {
+			return fmt.Errorf("rankjoin: relation %q tuple %d: %w", relation, i, err)
+		}
+	}
+	return nil
+}
+
 // Get reads the relation's current tuple for a row key (ok=false when
-// the row is absent or lacks the join/score columns).
+// the row is absent or lacks the join/score columns). A Distributed's
+// handle prefers the leader and fails over across replicas.
 func (h *RelationHandle) Get(rowKey string) (Tuple, bool, error) {
+	if h.router != nil {
+		t, err := h.router.Get(h.rel.Name, rowKey)
+		if err != nil || t == nil {
+			return Tuple{}, false, err
+		}
+		return *t, true, nil
+	}
 	row, err := h.db.cluster.Get(h.rel.Table, rowKey, h.rel.Family)
 	if err != nil {
 		return Tuple{}, false, err
@@ -442,25 +484,19 @@ func (h *RelationHandle) Get(rowKey string) (Tuple, bool, error) {
 // batched group mutation. If the row key already holds a live tuple the
 // insert becomes an update, retiring the old index entries under the
 // same timestamp: a blind re-insert used to leave the old score's
-// inverse-list entries live, producing phantom results.
+// inverse-list entries live, producing phantom results. On a
+// Distributed the transition is resolved at the leader, stamped once,
+// applied the same way on every replica, and acknowledged at quorum.
 func (h *RelationHandle) Insert(rowKey, joinValue string, score float64) error {
-	new := Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score}
-	if err := checkScores(h.rel.Name, new); err != nil {
-		return err
-	}
-	return h.write(rowKey, &new, false)
+	return h.write(rowKey, &Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score}, false)
 }
 
 // Update replaces an existing tuple's join value and score, deleting the
 // old index entries and inserting the new ones under a single timestamp.
-// It reads the current tuple itself (the embedded store IS the paper's
+// It reads the current tuple itself (the store IS the paper's
 // interception point) and fails if the row is absent.
 func (h *RelationHandle) Update(rowKey, joinValue string, score float64) error {
-	new := Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score}
-	if err := checkScores(h.rel.Name, new); err != nil {
-		return err
-	}
-	return h.write(rowKey, &new, true)
+	return h.write(rowKey, &Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score}, true)
 }
 
 // Delete removes a tuple blind: the caller supplies its current join
@@ -469,8 +505,12 @@ func (h *RelationHandle) Update(rowKey, joinValue string, score float64) error {
 // write-back pass has folded its first mutation record applies a second
 // time and corrupts BFHM and DRJN counts that live tuples share;
 // DeleteKey reads the row under the write lock and does nothing once it
-// is gone.
+// is gone. It is engine-local: a Distributed's handle returns
+// ErrEngineLocal.
 func (h *RelationHandle) Delete(rowKey, joinValue string, score float64) error {
+	if h.router != nil {
+		return ErrEngineLocal
+	}
 	h.writeMu.Lock()
 	defer h.writeMu.Unlock()
 	return h.maintainer().Write(&Tuple{RowKey: rowKey, JoinValue: joinValue, Score: score}, nil, 0)
@@ -482,10 +522,20 @@ func (h *RelationHandle) DeleteKey(rowKey string) error {
 	return h.write(rowKey, nil, false)
 }
 
-// write applies rowKey's transition to new (nil deletes) under the write
-// lock, against the tuple the row holds now: an absent row makes it an
-// insert, fails it when mustExist, and makes a delete a no-op.
+// write applies rowKey's transition to new (nil deletes) against the
+// tuple the row holds now, read under the store's write lock: a DB's
+// under writeMu, a Distributed's under the router's, at the leader.
 func (h *RelationHandle) write(rowKey string, new *Tuple, mustExist bool) error {
+	if new != nil {
+		if err := checkScores(h.rel.Name, *new); err != nil {
+			return err
+		}
+	}
+	if h.router != nil {
+		return h.router.Write(h.rel.Name, rowKey, func(cur *Tuple) (*Tuple, *Tuple, error) {
+			return h.resolve(rowKey, cur, new, mustExist)
+		})
+	}
 	h.writeMu.Lock()
 	defer h.writeMu.Unlock()
 	cur, ok, err := h.Get(rowKey)
@@ -493,26 +543,44 @@ func (h *RelationHandle) write(rowKey string, new *Tuple, mustExist bool) error 
 		return err
 	}
 	var old *Tuple
-	switch {
-	case ok:
+	if ok {
 		old = &cur
-	case mustExist:
-		return fmt.Errorf("rankjoin: relation %q has no row %q to update", h.rel.Name, rowKey)
-	case new == nil:
-		return nil
+	}
+	old, new, err = h.resolve(rowKey, old, new, mustExist)
+	if err != nil || old == nil && new == nil {
+		return err
 	}
 	return h.maintainer().Write(old, new, 0)
 }
 
+// resolve is the rule every single-row write follows once it has read
+// the row's current tuple cur (nil when absent): an absent row makes the
+// write an insert, fails it when mustExist, and makes a delete a no-op
+// (no transition). A transition the engine would refuse is refused here,
+// before anything is written or shipped.
+func (h *RelationHandle) resolve(rowKey string, cur, new *Tuple, mustExist bool) (*Tuple, *Tuple, error) {
+	switch {
+	case cur == nil && mustExist:
+		return nil, nil, fmt.Errorf("rankjoin: relation %q has no row %q to update", h.rel.Name, rowKey)
+	case cur == nil && new == nil:
+		return nil, nil, nil
+	}
+	return cur, new, core.CheckWrite(cur, new)
+}
+
 // BatchInsert inserts many NEW tuples with full index maintenance,
 // batching their augmented mutations into chunked group writes (one
-// write RPC per chunk instead of one per tuple). Unlike Insert it does
+// write RPC per chunk instead of one per tuple; on a Distributed, one
+// replicated op per transport.SplitBatch run). Unlike Insert it does
 // not check for existing rows — reusing a live row key strands its old
 // index entries, so load fresh keys only (use Insert or Update for
 // overwrites, or BulkLoad + EnsureIndexes for initial loads).
 func (h *RelationHandle) BatchInsert(tuples []Tuple) error {
-	if err := checkScores(h.rel.Name, tuples...); err != nil {
+	if err := checkBatch(h.rel.Name, tuples); err != nil {
 		return err
+	}
+	if h.router != nil {
+		return h.router.Load(h.rel.Name, transport.OpBatch, tuples)
 	}
 	h.writeMu.Lock()
 	defer h.writeMu.Unlock()
@@ -523,16 +591,28 @@ func (h *RelationHandle) BatchInsert(tuples []Tuple) error {
 // data first, then build indexes with EnsureIndexes. The cells land in
 // one call of the store's bulk door (kvstore.Cluster.BulkWrite), which
 // in memory mode leaves the relation's table in sorted runs, and the
-// load is billed as one batched write per bulkLoadBatch cells.
+// load is billed as one batched write per bulkLoadBatch cells. On a
+// Distributed the router stamps each transport.SplitBatch run once and
+// every replica lands it through its own bulk door at that timestamp,
+// so the replicas stay byte-identical.
 func (h *RelationHandle) BulkLoad(tuples []Tuple) error {
-	if err := checkScores(h.rel.Name, tuples...); err != nil {
+	if err := checkBatch(h.rel.Name, tuples); err != nil {
 		return err
 	}
+	if h.router != nil {
+		return h.router.Load(h.rel.Name, transport.OpBulk, tuples)
+	}
+	return h.bulkLoad(tuples, 0)
+}
+
+// bulkLoad lands tuples through the bulk door with every cell at ts (0
+// stamps each cell afresh) and bills the load.
+func (h *RelationHandle) bulkLoad(tuples []Tuple, ts int64) error {
 	cells := make([]kvstore.Cell, 0, 2*len(tuples))
 	for _, t := range tuples {
 		cells = append(cells,
-			kvstore.Cell{Row: t.RowKey, Family: h.rel.Family, Qualifier: h.rel.JoinQual, Value: []byte(t.JoinValue)},
-			kvstore.Cell{Row: t.RowKey, Family: h.rel.Family, Qualifier: h.rel.ScoreQual, Value: kvstore.FloatValue(t.Score)},
+			kvstore.Cell{Row: t.RowKey, Family: h.rel.Family, Qualifier: h.rel.JoinQual, Value: []byte(t.JoinValue), Timestamp: ts},
+			kvstore.Cell{Row: t.RowKey, Family: h.rel.Family, Qualifier: h.rel.ScoreQual, Value: kvstore.FloatValue(t.Score), Timestamp: ts},
 		)
 	}
 	c := h.db.cluster
@@ -549,8 +629,13 @@ func (h *RelationHandle) BulkLoad(tuples []Tuple) error {
 // bulkLoadBatch is the cells BulkLoad bills as one batched write.
 const bulkLoadBatch = 4096
 
-// DiskSize returns the relation's stored bytes.
+// DiskSize returns the relation's stored bytes. It is engine-local and
+// has no error to return, so a Distributed's handle reports 0: its
+// replicas each store their own copy, and a router holds none.
 func (h *RelationHandle) DiskSize() uint64 {
+	if h.router != nil {
+		return 0
+	}
 	sz, _ := h.db.cluster.TableDiskSize(h.rel.Table)
 	return sz
 }
@@ -558,8 +643,12 @@ func (h *RelationHandle) DiskSize() uint64 {
 // WriteBackBFHM runs the offline write-back pass for this relation —
 // every BFHM bucket row and DRJN band row holding mutation records has
 // them folded into a fresh blob and purged — returning how many rows
-// were rewritten.
+// were rewritten. It is engine-local: a Distributed's handle returns
+// ErrEngineLocal.
 func (h *RelationHandle) WriteBackBFHM() (int, error) {
+	if h.router != nil {
+		return 0, ErrEngineLocal
+	}
 	h.writeMu.Lock()
 	defer h.writeMu.Unlock()
 	return h.maintainer().WriteBackAll()

@@ -65,8 +65,8 @@ func TestRowsSameOnBothBackends(t *testing.T) {
 	}
 }
 
-// TestDistributedUpdateMustFindTheRow: DistRelation.Update is the write
-// RelationHandle.Update is — it replaces a live tuple and refuses an
+// TestDistributedUpdateMustFindTheRow: Update on a Distributed's handle
+// is the write it is on a DB's — it replaces a live tuple and refuses an
 // absent one, where Insert would create it.
 func TestDistributedUpdateMustFindTheRow(t *testing.T) {
 	left, right := distTuples(40)

@@ -12,28 +12,16 @@ import (
 	"repro/internal/sim"
 )
 
-// writeSurface is the maintained-write API that RelationHandle and
-// DistRelation share.
-type writeSurface interface {
-	Insert(rowKey, joinValue string, score float64) error
-	Update(rowKey, joinValue string, score float64) error
-	DeleteKey(rowKey string) error
-	BatchInsert(tuples []Tuple) error
-}
-
 // writeTarget is one deployment the transcript drives: a DB, or a
 // loopback Distributed whose in-process nodes are inspected directly.
 type writeTarget struct {
 	label  string
-	rel    func(name string) writeSurface
+	rel    func(name string) *RelationHandle
 	local  func(name string) []*RelationHandle // every handle holding the relation's data
 	stores func() []string                     // store names in dump order
 	store  func(name string) *kvstore.Cluster
 	cost   func() sim.Snapshot
 }
-
-// errNotOffered marks a step the deployment's surface has no call for.
-var errNotOffered = fmt.Errorf("not offered on this surface")
 
 // writeSteps is the transcript's fixed sequence. Every kind of
 // maintained write appears: an insert of a new key and of an existing
@@ -50,22 +38,8 @@ var writeSteps = []struct {
 	{"update new join value", func(w writeTarget) error { return w.rel("right").Update("r02", "j4", 0.88) }},
 	{"update unchanged coordinates", func(w writeTarget) error { return w.rel("right").Update("r02", "j4", 0.88) }},
 	{"update missing key", func(w writeTarget) error { return w.rel("right").Update("r99", "j1", 0.5) }},
-	{"insert without join value", func(w writeTarget) error {
-		// A router would stamp and replicate it, and the refusing
-		// leader would go dirty; only a DB refuses it in place.
-		h, ok := w.rel("left").(*RelationHandle)
-		if !ok {
-			return errNotOffered
-		}
-		return h.Insert("l91", "", 0.5)
-	}},
-	{"blind delete", func(w writeTarget) error {
-		h, ok := w.rel("left").(*RelationHandle)
-		if !ok {
-			return errNotOffered
-		}
-		return h.Delete("l05", "j0", 0.61)
-	}},
+	{"insert without join value", func(w writeTarget) error { return w.rel("left").Insert("l91", "", 0.5) }},
+	{"blind delete", func(w writeTarget) error { return w.rel("left").Delete("l05", "j0", 0.61) }},
 	{"delete key present", func(w writeTarget) error { return w.rel("left").DeleteKey("l90") }},
 	{"delete key absent", func(w writeTarget) error { return w.rel("left").DeleteKey("l99") }},
 	{"batch insert", func(w writeTarget) error {
@@ -142,10 +116,6 @@ func transcribeWrites(t *testing.T, b *strings.Builder, w writeTarget) {
 		fmt.Fprintf(b, "\n== %s: %s\n", w.label, step.name)
 		start := w.cost()
 		err := step.run(w)
-		if err == errNotOffered {
-			fmt.Fprintf(b, "skipped: %v\n", err)
-			continue
-		}
 		d := w.cost().Sub(start)
 		fmt.Fprintf(b, "err: %v\n", err)
 		fmt.Fprintf(b, "cost: rpcs=%d kv_writes=%d net_bytes=%d read_units=%d sim_ns=%d\n",
@@ -213,7 +183,7 @@ func TestWriteTranscriptGolden(t *testing.T) {
 	}
 	transcribeWrites(t, &b, writeTarget{
 		label:  "db",
-		rel:    func(name string) writeSurface { return db.Relation(name) },
+		rel:    db.Relation,
 		local:  func(name string) []*RelationHandle { return []*RelationHandle{db.Relation(name)} },
 		stores: func() []string { return []string{"db"} },
 		store:  func(string) *kvstore.Cluster { return db.Cluster() },
@@ -225,7 +195,7 @@ func TestWriteTranscriptGolden(t *testing.T) {
 	b.WriteString("\n")
 	transcribeWrites(t, &b, writeTarget{
 		label: "dist",
-		rel:   func(name string) writeSurface { return d.Relation(name) },
+		rel:   d.Relation,
 		local: func(name string) []*RelationHandle {
 			var hs []*RelationHandle
 			for _, n := range d.Nodes() {
