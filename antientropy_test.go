@@ -420,7 +420,7 @@ func TestRepairBilling(t *testing.T) {
 		if err := d.StartNode("node2"); err != nil {
 			t.Fatal(err)
 		}
-		target, base := d.NodeDB("node2").Cluster(), relationFor("left").Table
+		target, base := d.NodeDB("node2").Cluster(), "rel_left"
 		cells, err := target.TableCells(base)
 		if err != nil {
 			t.Fatal(err)
@@ -513,7 +513,7 @@ func TestHostileLeafCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	table := relationFor("left").Table
+	table := "rel_left"
 	tree, err := node.MerkleTree(transport.TreeRequest{Table: table})
 	if err != nil {
 		t.Fatal(err)

@@ -17,13 +17,15 @@ import (
 )
 
 // mustOpenDB builds a fresh in-memory DB, failing the test on setup
-// errors (disk-mode scratch dir creation).
+// errors (disk-mode scratch dir creation). The DB closes when the test
+// ends, so a KVSTORE_DISK=1 run leaves no store behind.
 func mustOpenDB(tb testing.TB) *rankjoin.DB {
 	tb.Helper()
 	db, err := rankjoin.Open(rankjoin.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	tb.Cleanup(func() { db.Close() })
 	return db
 }
 

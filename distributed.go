@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/transport"
@@ -211,7 +212,7 @@ func (d *Distributed) DefineRelation(name string) (*RelationHandle, error) {
 	if err := d.router.DefineRelation(name); err != nil {
 		return nil, err
 	}
-	return &RelationHandle{rel: relationFor(name), router: d.router}, nil
+	return &RelationHandle{rel: core.Relation{Name: name}, router: d.router}, nil
 }
 
 // Relation returns a handle for a defined relation, or nil.
@@ -219,7 +220,7 @@ func (d *Distributed) Relation(name string) *RelationHandle {
 	if !d.defined(name) {
 		return nil
 	}
-	return &RelationHandle{rel: relationFor(name), router: d.router}
+	return &RelationHandle{rel: core.Relation{Name: name}, router: d.router}
 }
 
 // RelationNames lists defined relations, sorted.

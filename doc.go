@@ -29,6 +29,7 @@
 //	if err != nil {
 //	    log.Fatal(err)
 //	}
+//	defer db.Close()
 //	docs, _ := db.DefineRelation("docs")
 //	imgs, _ := db.DefineRelation("imgs")
 //	docs.Insert("d1", "apple", 0.9)

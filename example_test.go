@@ -14,6 +14,7 @@ func ExampleOpen() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer db.Close()
 	docs, _ := db.DefineRelation("docs")
 	imgs, _ := db.DefineRelation("imgs")
 	docs.Insert("d1", "apple", 0.9)

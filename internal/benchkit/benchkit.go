@@ -9,7 +9,7 @@ package benchkit
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	rankjoin "repro"
@@ -145,21 +145,7 @@ func workload(s store, profile sim.Profile, sf float64, data *tpch.Data) (*Workl
 // own so Fig. 9 gets per-algorithm indexing costs.
 func load(s store, profile sim.Profile, sf float64, seed int64) (*Workload, error) {
 	data := tpch.Generate(sf, seed)
-	tuples := make(map[string][]rankjoin.Tuple, len(relationNames))
-	for i := range data.Parts {
-		r := &data.Parts[i]
-		tuples["part"] = append(tuples["part"], rankjoin.Tuple{RowKey: tpch.RowKeyPart(r.PartKey), JoinValue: fmt.Sprint(r.PartKey), Score: r.Score})
-	}
-	for i := range data.Orders {
-		r := &data.Orders[i]
-		tuples["orders"] = append(tuples["orders"], rankjoin.Tuple{RowKey: tpch.RowKeyOrder(r.OrderKey), JoinValue: fmt.Sprint(r.OrderKey), Score: r.Score})
-	}
-	for i := range data.Lineitems {
-		r := &data.Lineitems[i]
-		key := tpch.RowKeyLineitem(r.OrderKey, r.LineNumber)
-		tuples["lineitem_pk"] = append(tuples["lineitem_pk"], rankjoin.Tuple{RowKey: key, JoinValue: fmt.Sprint(r.PartKey), Score: r.Score})
-		tuples["lineitem_ok"] = append(tuples["lineitem_ok"], rankjoin.Tuple{RowKey: key, JoinValue: fmt.Sprint(r.OrderKey), Score: r.Score})
-	}
+	tuples := relationTuples(data)
 	for _, name := range relationNames {
 		h, err := s.DefineRelation(name)
 		if err != nil {
@@ -184,6 +170,27 @@ func load(s store, profile sim.Profile, sf float64, seed int64) (*Workload, erro
 		w.BuildCost[algo] = s.AggregateCost().Sub(before)
 	}
 	return w, nil
+}
+
+// relationTuples renders the TPC-H instance as the tuples of each of
+// the four relation views, by name.
+func relationTuples(data *tpch.Data) map[string][]rankjoin.Tuple {
+	tuples := make(map[string][]rankjoin.Tuple, len(relationNames))
+	for i := range data.Parts {
+		r := &data.Parts[i]
+		tuples["part"] = append(tuples["part"], rankjoin.Tuple{RowKey: tpch.RowKeyPart(r.PartKey), JoinValue: fmt.Sprint(r.PartKey), Score: r.Score})
+	}
+	for i := range data.Orders {
+		r := &data.Orders[i]
+		tuples["orders"] = append(tuples["orders"], rankjoin.Tuple{RowKey: tpch.RowKeyOrder(r.OrderKey), JoinValue: fmt.Sprint(r.OrderKey), Score: r.Score})
+	}
+	for i := range data.Lineitems {
+		r := &data.Lineitems[i]
+		key := tpch.RowKeyLineitem(r.OrderKey, r.LineNumber)
+		tuples["lineitem_pk"] = append(tuples["lineitem_pk"], rankjoin.Tuple{RowKey: key, JoinValue: fmt.Sprint(r.PartKey), Score: r.Score})
+		tuples["lineitem_ok"] = append(tuples["lineitem_ok"], rankjoin.Tuple{RowKey: key, JoinValue: fmt.Sprint(r.OrderKey), Score: r.Score})
+	}
+	return tuples
 }
 
 // Counts reports the loaded table cardinalities.
@@ -238,23 +245,18 @@ var (
 )
 
 // FormatTable renders a series as a paper-style table: one row per
-// algorithm, one column per k.
+// algorithm and one column per k, each in the order the cells first
+// name it (Series and ChainSeries run algorithm by algorithm, k
+// ascending).
 func FormatTable(title string, cells []Cell, metric Metric) string {
-	ks := map[int]bool{}
-	algos := map[rankjoin.Algorithm]bool{}
-	for _, c := range cells {
-		ks[c.K] = true
-		algos[c.Algo] = true
-	}
-	var kList []int
-	for k := range ks {
-		kList = append(kList, k)
-	}
-	sort.Ints(kList)
 	var algoList []rankjoin.Algorithm
-	for _, a := range Algorithms {
-		if algos[a] {
-			algoList = append(algoList, a)
+	var kList []int
+	for _, c := range cells {
+		if !slices.Contains(algoList, c.Algo) {
+			algoList = append(algoList, c.Algo)
+		}
+		if !slices.Contains(kList, c.K) {
+			kList = append(kList, c.K)
 		}
 	}
 	out := fmt.Sprintf("%s — %s [%s]\n", title, metric.Name, metric.Unit)

@@ -181,34 +181,9 @@ func ChainReport(profile sim.Profile, rows int, seed int64) (string, error) {
 			return "", err
 		}
 		title := fmt.Sprintf("%d-relation band chain", n)
-		report += formatChainTable(title, cells, MetricDollar)
-		report += formatChainTable(title, cells, MetricTime)
+		report += FormatTable(title, cells, MetricDollar)
+		report += FormatTable(title, cells, MetricTime)
 		report += "\n"
 	}
 	return report, nil
-}
-
-// formatChainTable is FormatTable over the chain's two executors
-// (AlgoAnyK, the label of the isl rows, is not in the figure-7/8
-// Algorithms list FormatTable orders by, so the chain figure keeps its
-// own row order).
-func formatChainTable(title string, cells []Cell, metric Metric) string {
-	out := fmt.Sprintf("%s — %s [%s]\n", title, metric.Name, metric.Unit)
-	out += fmt.Sprintf("%-8s", "algo\\k")
-	for _, k := range ChainKValues {
-		out += fmt.Sprintf(" %14d", k)
-	}
-	out += "\n"
-	for _, a := range []rankjoin.Algorithm{rankjoin.AlgoAnyK, rankjoin.AlgoNaive} {
-		out += fmt.Sprintf("%-8s", a)
-		for _, k := range ChainKValues {
-			for _, c := range cells {
-				if c.Algo == a && c.K == k {
-					out += fmt.Sprintf(" %14.4g", metric.Get(c.Cost))
-				}
-			}
-		}
-		out += "\n"
-	}
-	return out
 }

@@ -3,8 +3,8 @@ package benchkit
 import (
 	"fmt"
 
+	rankjoin "repro"
 	"repro/internal/core"
-	"repro/internal/kvstore"
 	"repro/internal/mapreduce"
 	"repro/internal/sim"
 	"repro/internal/tpch"
@@ -13,23 +13,25 @@ import (
 // MemoryReport reproduces the Section 7.2 reducer-memory list: the peak
 // memory any single reducer needs while building each index. IJLMR and
 // ISL build with map-only jobs ("negligible"); BFHM's reducers buffer a
-// bucket's tuples while building its filter; DRJN's buffer a band.
+// bucket's tuples while building its filter; DRJN's buffer a band. The
+// indexes are built over lineitem joined on orderkey, each bucket width
+// in turn: a width's index table is dropped before the next is built.
 func MemoryReport(profile sim.Profile, sf float64, seed int64) (string, error) {
-	c, err := kvstore.NewCluster(profile)
+	db, err := rankjoin.Open(rankjoin.Config{Profile: &profile})
 	if err != nil {
 		return "", err
 	}
+	defer db.Close()
 	data := tpch.Generate(sf, seed)
-	if err := tpch.Load(c, data, "orderkey"); err != nil {
+	rel := core.Relation{Name: "lineitem_ok"}
+	h, err := db.DefineRelation(rel.Name)
+	if err != nil {
 		return "", err
 	}
-	rel := core.Relation{
-		Name:      "lineitem",
-		Table:     tpch.LineitemT,
-		Family:    tpch.DataFamily,
-		JoinQual:  tpch.JoinQual,
-		ScoreQual: tpch.ScoreQual,
+	if err := h.BulkLoad(relationTuples(data)[rel.Name]); err != nil {
+		return "", err
 	}
+	c := db.Cluster()
 
 	out := fmt.Sprintf("Reducer memory during index build (profile %s, SF %g, lineitem: %d rows)\n",
 		profile.Name, sf, len(data.Lineitems))
@@ -45,7 +47,10 @@ func MemoryReport(profile sim.Profile, sf float64, seed int64) (string, error) {
 		return m
 	}
 
-	ijRes, err := core.BuildIJLMRRelation(c, rel, mustTable(c, "mem_ijlmr", "lineitem"), "lineitem")
+	if _, err := c.CreateTable("mem_ijlmr", []string{rel.Name}, nil); err != nil {
+		return "", err
+	}
+	ijRes, err := core.BuildIJLMRRelation(c, rel, "mem_ijlmr", rel.Name)
 	if err != nil {
 		return "", err
 	}
@@ -58,19 +63,21 @@ func MemoryReport(profile sim.Profile, sf float64, seed int64) (string, error) {
 	out += fmt.Sprintf("%-22s %-20d (map-only: negligible)\n", "isl/lineitem", islRes.PeakReduceGroup)
 
 	for _, buckets := range []int{100, 500} {
-		bRel := rel
-		bRel.Name = fmt.Sprintf("lineitem_m%d", buckets)
-		_, rs, err := core.BuildBFHM(c, bRel, core.BFHMOptions{NumBuckets: buckets})
+		idx, rs, err := core.BuildBFHM(c, rel, core.BFHMOptions{NumBuckets: buckets})
 		if err != nil {
+			return "", err
+		}
+		if err := c.DropTable(idx.Table); err != nil {
 			return "", err
 		}
 		out += fmt.Sprintf("%-22s %-20d\n", fmt.Sprintf("bfhm/%d buckets", buckets), peak(rs))
 	}
 	for _, buckets := range []int{100, 500} {
-		dRel := rel
-		dRel.Name = fmt.Sprintf("lineitem_d%d", buckets)
-		_, res, err := core.BuildDRJN(c, dRel, core.DRJNOptions{NumBuckets: buckets, JoinParts: 64})
+		idx, res, err := core.BuildDRJN(c, rel, core.DRJNOptions{NumBuckets: buckets, JoinParts: 64})
 		if err != nil {
+			return "", err
+		}
+		if err := c.DropTable(idx.Table); err != nil {
 			return "", err
 		}
 		out += fmt.Sprintf("%-22s %-20d\n", fmt.Sprintf("drjn/%d buckets", buckets), res.PeakReduceGroup)
@@ -80,11 +87,4 @@ func MemoryReport(profile sim.Profile, sf float64, seed int64) (string, error) {
 		"measured 4 GB worst-case at 100 buckets vs 2 GB at 500); DRJN reducers\n" +
 		"hold only histogram bands.\n"
 	return out, nil
-}
-
-func mustTable(c *kvstore.Cluster, name, family string) string {
-	if _, err := c.CreateTable(name, []string{family}, nil); err != nil {
-		panic(err)
-	}
-	return name
 }

@@ -113,7 +113,7 @@ func runAll(t *testing.T, c *kvstore.Cluster, q *JoinTree, left, right []Tuple, 
 }
 
 func TestAllAlgorithmsPaperExample(t *testing.T) {
-	c := newTestCluster()
+	c := newTestCluster(t)
 	relL := loadRelation(t, c, "R1", paperR1)
 	relR := loadRelation(t, c, "R2", paperR2)
 	for _, k := range []int{1, 3, 5, 100} {
@@ -137,7 +137,7 @@ func TestAllAlgorithmsRandomWorkloads(t *testing.T) {
 	for ci, cfg := range configs {
 		cfg := cfg
 		t.Run(fmt.Sprintf("cfg%d_%s_%s", ci, cfg.dist, cfg.f.Name), func(t *testing.T) {
-			c := newTestCluster()
+			c := newTestCluster(t)
 			left := synthTuples("l", cfg.n, cfg.joinCard, cfg.dist, int64(ci*17+1))
 			right := synthTuples("r", cfg.n, cfg.joinCard, cfg.dist, int64(ci*31+2))
 			relL := loadRelation(t, c, "L", left)
@@ -155,7 +155,7 @@ func TestAllAlgorithmsRandomWorkloads(t *testing.T) {
 // 100% regardless.
 func TestBFHMRecallUnderCollisions(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		c := newTestCluster()
+		c := newTestCluster(t)
 		left := synthTuples("l", 150, 30, "uniform", seed)
 		right := synthTuples("r", 150, 30, "uniform", seed+100)
 		relL := loadRelation(t, c, "L", left)
@@ -183,7 +183,7 @@ func TestBFHMRecallUnderCollisions(t *testing.T) {
 
 // TestBFHMFewerResultsThanK exercises the k' < k repair path.
 func TestBFHMFewerResultsThanK(t *testing.T) {
-	c := newTestCluster()
+	c := newTestCluster(t)
 	left := []Tuple{
 		{RowKey: "l1", JoinValue: "x", Score: 0.9},
 		{RowKey: "l2", JoinValue: "y", Score: 0.5},
@@ -220,7 +220,7 @@ func TestBFHMFewerResultsThanK(t *testing.T) {
 // scores, scanning ascending keys yields descending scores, and tuples
 // with equal scores share one index row.
 func TestISLIndexLayout(t *testing.T) {
-	c := newTestCluster()
+	c := newTestCluster(t)
 	relL := loadRelation(t, c, "R1", paperR1)
 	idx, _, err := BuildISLRelation(c, relL)
 	if err != nil {
@@ -273,7 +273,7 @@ func TestISLIndexLayout(t *testing.T) {
 // TestIJLMRIndexLayout pins the Fig. 2 structure: one row per join
 // value, entries split by relation family.
 func TestIJLMRIndexLayout(t *testing.T) {
-	c := newTestCluster()
+	c := newTestCluster(t)
 	relL := loadRelation(t, c, "R1", paperR1)
 	relR := loadRelation(t, c, "R2", paperR2)
 	q := paperQuery(relL, relR, 3)
@@ -308,7 +308,7 @@ func TestIJLMRIndexLayout(t *testing.T) {
 // result sets (ordering included).
 func TestDeterministicResults(t *testing.T) {
 	run := func() []JoinResult {
-		c := newTestCluster()
+		c := newTestCluster(t)
 		left := synthTuples("l", 200, 25, "uniform", 7)
 		right := synthTuples("r", 200, 25, "uniform", 8)
 		relL := loadRelation(t, c, "L", left)

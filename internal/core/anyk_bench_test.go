@@ -158,7 +158,7 @@ func benchPush(b *testing.B, tree *JoinTree) {
 // every assignment.
 func BenchmarkNaiveTreeTopK(b *testing.B) {
 	const n, rows = 3, 1000
-	c := newTestCluster()
+	c := newTestCluster(b)
 	tree := bandChain(n)
 	for i, tuples := range chainLeaves(n, rows) {
 		tree.Relations[i] = loadRelation(b, c, tree.Relations[i].Name, tuples)

@@ -394,7 +394,7 @@ func TestBandTreeUnmatchableJoinValues(t *testing.T) {
 		}
 	}
 	const k = 25
-	c := newTestCluster()
+	c := newTestCluster(t)
 	tr := loadTree(t, c, tuples, []TreeEdge{
 		{A: 0, B: 1, Kind: PredBand, Band: 1},
 		{A: 1, B: 2, Kind: PredBand, Band: 0},
@@ -429,7 +429,7 @@ func TestAnyKTieOrder(t *testing.T) {
 			tuples[i][j].Score = float64(rng.Intn(4)) / 10
 		}
 	}
-	c := newTestCluster()
+	c := newTestCluster(t)
 	tr := loadTree(t, c, tuples, []TreeEdge{
 		{A: 0, B: 1, Kind: PredBand, Band: 1},
 		{A: 1, B: 2, Kind: PredEqui},
@@ -476,7 +476,7 @@ func tieAtThreshold(t *testing.T) {
 		{{RowKey: "c1", JoinValue: "x", Score: 0.5}, {RowKey: "c2", JoinValue: "y", Score: 0.5}},
 	}
 	for n := 2; n <= 3; n++ {
-		c := newTestCluster()
+		c := newTestCluster(t)
 		tr := loadTree(t, c, leaves[:n], starEdges(n), 5)
 		naive, err := NaiveTreeTopK(c, tr)
 		if err != nil {
@@ -512,7 +512,7 @@ func tieAtThreshold(t *testing.T) {
 // scanners; it stays idempotent and Next keeps failing typed.
 func TestAnyKCursorCloseReleasesOperator(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := newTestCluster()
+	c := newTestCluster(t)
 	tr, _ := randomTreeEnv(t, c, rng, 3)
 	cur := openAnyK(t, c, tr, NewIndexStore(), 5)
 	if _, err := cur.Next(); err != nil {

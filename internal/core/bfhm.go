@@ -99,6 +99,13 @@ func (o *BFHMOptions) defaults() {
 	}
 }
 
+// reverseMapEntry is a tuple's reverse-mapping entry in bucket's row
+// for Bloom bit bitPos (Algorithm 5 line 17). The build job and the
+// maintainer both place it here.
+func reverseMapEntry(bucket int, bitPos uint64, t *Tuple) kvstore.Cell {
+	return kvstore.Cell{Row: kvstore.ReverseMapKey(bucket, bitPos), Family: bfhmFamily, Qualifier: t.RowKey, Value: EncodeTuple(*t)}
+}
+
 // BFHMTableName derives a relation's index table name.
 func BFHMTableName(rel *Relation) string { return "bfhm_" + rel.Name }
 
@@ -146,9 +153,9 @@ func BuildBFHM(c *kvstore.Cluster, rel Relation, opts BFHMOptions) (*BFHMIndex, 
 	res, err := mapreduce.Run(&mapreduce.Job{
 		Name:    "bfhm-index-" + rel.Name,
 		Cluster: c,
-		Input:   kvstore.Scan{Table: rel.Table, Families: []string{rel.Family}},
+		Input:   rel.scan(),
 		Mapper: mapreduce.MapperFunc(func(row *kvstore.Row, ctx mapreduce.Context) error {
-			t, ok := TupleFromRow(&rel, row)
+			t, ok := TupleFromRow(row)
 			if !ok {
 				ctx.Counter("skipped", 1)
 				return nil
@@ -177,13 +184,7 @@ func BuildBFHM(c *kvstore.Cluster, rel Relation, opts BFHMOptions) (*BFHMIndex, 
 				if t.Score > maxScore {
 					maxScore = t.Score
 				}
-				// Reverse mapping entry (Algorithm 5 line 17).
-				ctx.WriteCell(idx.Table, kvstore.Cell{
-					Row:       kvstore.ReverseMapKey(bucketNo, bitPos),
-					Family:    bfhmFamily,
-					Qualifier: t.RowKey,
-					Value:     EncodeTuple(t),
-				})
+				ctx.WriteCell(idx.Table, reverseMapEntry(bucketNo, bitPos, &t))
 			}
 			// One sort-and-coalesce per bucket, however populous.
 			filter, err := bloom.HybridFromBits(mbits, bits)
@@ -215,9 +216,9 @@ func bfhmCountBuckets(c *kvstore.Cluster, rel Relation, layout histogram.Layout)
 	res, err := mapreduce.Run(&mapreduce.Job{
 		Name:    "bfhm-count-" + rel.Name,
 		Cluster: c,
-		Input:   kvstore.Scan{Table: rel.Table, Families: []string{rel.Family}},
+		Input:   rel.scan(),
 		Mapper: mapreduce.MapperFunc(func(row *kvstore.Row, ctx mapreduce.Context) error {
-			t, ok := TupleFromRow(&rel, row)
+			t, ok := TupleFromRow(row)
 			if !ok {
 				return nil
 			}

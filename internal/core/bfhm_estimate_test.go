@@ -101,7 +101,7 @@ func BenchmarkBFHMEstimationQ1(b *testing.B) {
 		r := &data.Lineitems[i]
 		lineitem = append(lineitem, Tuple{RowKey: tpch.RowKeyLineitem(r.OrderKey, r.LineNumber), JoinValue: strconv.Itoa(r.PartKey), Score: r.Score})
 	}
-	c := newTestCluster()
+	c := newTestCluster(b)
 	q := binaryTree(loadRelation(b, c, "part", part), loadRelation(b, c, "lineitem_pk", lineitem), Product, 100)
 	idxA, _, err := BuildBFHM(c, q.Relations[0], BFHMOptions{})
 	if err != nil {

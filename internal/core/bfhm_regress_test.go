@@ -35,7 +35,7 @@ func TestBFHMSquaredScoreDistribution(t *testing.T) {
 	left := posting("a", 20000, 4000)
 	right := posting("b", 20000, 900)
 
-	c := newTestCluster()
+	c := newTestCluster(t)
 	relL := loadRelation(t, c, "L", left)
 	relR := loadRelation(t, c, "R", right)
 	q := binaryTree(relL, relR, Sum, 10)

@@ -11,7 +11,7 @@ import (
 // and returns what the executor-level cursor tests need.
 func newCursorEnv(t *testing.T, n, joinCard, k int, seed int64) (*kvstore.Cluster, *JoinTree, *IndexStore) {
 	t.Helper()
-	c := newTestCluster()
+	c := newTestCluster(t)
 	left := synthTuples("l", n, joinCard, "uniform", seed)
 	right := synthTuples("r", n, joinCard, "uniform", seed+77)
 	relL := loadRelation(t, c, "CL", left)

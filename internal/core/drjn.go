@@ -85,9 +85,9 @@ func BuildDRJN(c *kvstore.Cluster, rel Relation, opts DRJNOptions) (*DRJNIndex, 
 	res, err := mapreduce.Run(&mapreduce.Job{
 		Name:    "drjn-index-" + rel.Name,
 		Cluster: c,
-		Input:   kvstore.Scan{Table: rel.Table, Families: []string{rel.Family}},
+		Input:   rel.scan(),
 		Mapper: mapreduce.MapperFunc(func(row *kvstore.Row, ctx mapreduce.Context) error {
-			t, ok := TupleFromRow(&rel, row)
+			t, ok := TupleFromRow(row)
 			if !ok {
 				ctx.Counter("skipped", 1)
 				return nil
@@ -235,20 +235,14 @@ func FetchAllBands(c *kvstore.Cluster, idx *DRJNIndex) ([]*histogram.BandData, e
 // bound is written to tmpTable (server-side filtered scan; the scan reads
 // everything, the network carries only matches).
 func drjnPull(c *kvstore.Cluster, rel Relation, tmpTable string, bound float64) error {
+	scan := rel.scan()
+	scan.Filter = kvstore.FloatColumnMinFilter{Family: dataFamily, Qualifier: scoreQual, Min: bound}
 	_, err := mapreduce.Run(&mapreduce.Job{
 		Name:    "drjn-pull-" + rel.Name,
 		Cluster: c,
-		Input: kvstore.Scan{
-			Table:    rel.Table,
-			Families: []string{rel.Family},
-			Filter: kvstore.FloatColumnMinFilter{
-				Family:    rel.Family,
-				Qualifier: rel.ScoreQual,
-				Min:       bound,
-			},
-		},
+		Input:   scan,
 		Mapper: mapreduce.MapperFunc(func(row *kvstore.Row, ctx mapreduce.Context) error {
-			t, ok := TupleFromRow(&rel, row)
+			t, ok := TupleFromRow(row)
 			if !ok {
 				return nil
 			}

@@ -56,7 +56,7 @@ func dispatchShapes(t *testing.T, c *kvstore.Cluster) []dispatchShape {
 // EnsureIndex and Open return the shape error at no cost, and the row
 // reports no index and no index bytes.
 func TestExecutorTableDispatch(t *testing.T) {
-	c := newTestCluster()
+	c := newTestCluster(t)
 	store := NewIndexStore()
 	cfg := IndexBuildConfig{BFHMBuckets: 8, DRJNBuckets: 8, DRJNJoinParts: 16}
 	opts := ExecOptions{ISLBatch: 5}

@@ -52,9 +52,9 @@ func joinJob(c *kvstore.Cluster, t *JoinTree, name, tmpTable string, pad int) (*
 	if _, err := c.CreateTable(tmpTable, []string{tmpFamily}, hashSplits(c.Nodes())); err != nil {
 		return nil, err
 	}
-	mkMapper := func(rel Relation, tag byte) mapreduce.Mapper {
+	mkMapper := func(tag byte) mapreduce.Mapper {
 		return mapreduce.MapperFunc(func(row *kvstore.Row, ctx mapreduce.Context) error {
-			tp, ok := TupleFromRow(&rel, row)
+			tp, ok := TupleFromRow(row)
 			if !ok {
 				return nil
 			}
@@ -62,13 +62,12 @@ func joinJob(c *kvstore.Cluster, t *JoinTree, name, tmpTable string, pad int) (*
 			return nil
 		})
 	}
-	l, r := t.Relations[0], t.Relations[1]
 	return mapreduce.Run(&mapreduce.Job{
 		Name:    name,
 		Cluster: c,
 		Inputs: []mapreduce.TableInput{
-			{Scan: kvstore.Scan{Table: l.Table, Families: []string{l.Family}}, Mapper: mkMapper(l, hiveTagLeft)},
-			{Scan: kvstore.Scan{Table: r.Table, Families: []string{r.Family}}, Mapper: mkMapper(r, hiveTagRight)},
+			{Scan: t.Relations[0].scan(), Mapper: mkMapper(hiveTagLeft)},
+			{Scan: t.Relations[1].scan(), Mapper: mkMapper(hiveTagRight)},
 		},
 		Reducer: mapreduce.ReducerFunc(func(key string, values [][]byte, ctx mapreduce.Context) error {
 			var left, right []Tuple

@@ -22,6 +22,13 @@ type IJLMRIndex struct {
 	Families []string // one per relation, left then right
 }
 
+// ijlmrEntry is a tuple's entry in family fam of an IJLMR index:
+// emit(joinValue: rowKey, score), Algorithm 1 line 5. The build job and
+// the maintainer both place it here.
+func ijlmrEntry(fam string, t *Tuple) kvstore.Cell {
+	return kvstore.Cell{Row: t.JoinValue, Family: fam, Qualifier: t.RowKey, Value: kvstore.FloatValue(t.Score)}
+}
+
 // BuildIJLMRRelation indexes one relation into family fam of the index
 // table with the map-only job of Algorithm 1. The index table must
 // already exist with that family.
@@ -29,20 +36,14 @@ func BuildIJLMRRelation(c *kvstore.Cluster, rel Relation, indexTable, fam string
 	return mapreduce.Run(&mapreduce.Job{
 		Name:    "ijlmr-index-" + rel.Name,
 		Cluster: c,
-		Input:   kvstore.Scan{Table: rel.Table, Families: []string{rel.Family}},
+		Input:   rel.scan(),
 		Mapper: mapreduce.MapperFunc(func(row *kvstore.Row, ctx mapreduce.Context) error {
-			t, ok := TupleFromRow(&rel, row)
+			t, ok := TupleFromRow(row)
 			if !ok {
 				ctx.Counter("skipped", 1)
 				return nil
 			}
-			// emit(joinValue: rowKey, score) — Algorithm 1 line 5.
-			ctx.WriteCell(indexTable, kvstore.Cell{
-				Row:       t.JoinValue,
-				Family:    fam,
-				Qualifier: t.RowKey,
-				Value:     kvstore.FloatValue(t.Score),
-			})
+			ctx.WriteCell(indexTable, ijlmrEntry(fam, &t))
 			ctx.Counter("indexed", 1)
 			return nil
 		}),

@@ -39,6 +39,14 @@ type ISLIndex struct {
 	Table string
 }
 
+// islEntry is a tuple's entry in relation rel's inverse score list:
+// emit(score: rowKey, joinValue), Algorithm 3 line 5, with the
+// negated-score key encoding of Section 4.2.2. The build job and the
+// maintainer both place it here.
+func islEntry(rel string, t *Tuple) kvstore.Cell {
+	return kvstore.Cell{Row: kvstore.EncodeScoreDesc(t.Score), Family: rel, Qualifier: t.RowKey, Value: []byte(t.JoinValue)}
+}
+
 // BuildISLRelation creates the table isl_<relation> and indexes the
 // relation into it (Algorithm 3): a map-only job writing
 // {negated-score: rowKey, joinValue} cells.
@@ -51,21 +59,14 @@ func BuildISLRelation(c *kvstore.Cluster, rel Relation) (*ISLIndex, *mapreduce.R
 	res, err := mapreduce.Run(&mapreduce.Job{
 		Name:    "isl-index-" + rel.Name,
 		Cluster: c,
-		Input:   kvstore.Scan{Table: rel.Table, Families: []string{rel.Family}},
+		Input:   rel.scan(),
 		Mapper: mapreduce.MapperFunc(func(row *kvstore.Row, ctx mapreduce.Context) error {
-			t, ok := TupleFromRow(&rel, row)
+			t, ok := TupleFromRow(row)
 			if !ok {
 				ctx.Counter("skipped", 1)
 				return nil
 			}
-			// emit(score: rowKey, joinValue) — Algorithm 3 line 5,
-			// with the negated-score key encoding of Section 4.2.2.
-			ctx.WriteCell(idx.Table, kvstore.Cell{
-				Row:       kvstore.EncodeScoreDesc(t.Score),
-				Family:    rel.Name,
-				Qualifier: t.RowKey,
-				Value:     []byte(t.JoinValue),
-			})
+			ctx.WriteCell(idx.Table, islEntry(rel.Name, &t))
 			ctx.Counter("indexed", 1)
 			return nil
 		}),

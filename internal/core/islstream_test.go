@@ -15,7 +15,7 @@ import (
 // still read as written once the block has been reused.
 func TestISLStreamAllocsPerBatch(t *testing.T) {
 	const rows = 3000
-	c := newTestCluster()
+	c := newTestCluster(t)
 	if _, err := c.CreateTable("isl_t", []string{"f"}, scoreKeySplits(c.Nodes())); err != nil {
 		t.Fatal(err)
 	}

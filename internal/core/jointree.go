@@ -110,12 +110,6 @@ func (t *JoinTree) Validate() error {
 	if n < 2 {
 		return shapeErrf("%d relations, want >= 2", n)
 	}
-	for i := range t.Relations {
-		r := &t.Relations[i]
-		if r.Name == "" || r.Table == "" || r.Family == "" || r.JoinQual == "" || r.ScoreQual == "" {
-			return fmt.Errorf("core: relation %q underspecified", r.Name)
-		}
-	}
 	if len(t.Edges) != n-1 {
 		return shapeErrf("%d edges for %d relations; an acyclic connected tree needs exactly %d",
 			len(t.Edges), n, n-1)

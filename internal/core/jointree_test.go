@@ -185,7 +185,7 @@ func assertTreeResultsByteMatch(t *testing.T, label string, got, want []JoinResu
 func TestAnyKMatchesOracleRandomTrees(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		c := newTestCluster()
+		c := newTestCluster(t)
 		k := []int{1, 7, 25}[rng.Intn(3)]
 		tr, tuples := randomTreeEnv(t, c, rng, k)
 		want := bruteForceTreeTopK(tr, tuples, k)
@@ -207,7 +207,7 @@ func TestISLMatchesOracleSkewedEquiTrees(t *testing.T) {
 	var pulled, alternating int
 	for seed := int64(0); seed < 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		c := newTestCluster()
+		c := newTestCluster(t)
 		k := []int{1, 7, 25}[rng.Intn(3)]
 		tr, tuples := skewedEquiTreeEnv(t, c, rng, k)
 		label := fmt.Sprintf("seed %d isl (n=%d)", seed, len(tr.Relations))
@@ -284,7 +284,7 @@ func checkListCursor(t *testing.T, label string, c *kvstore.Cluster, tr *JoinTre
 func TestAnyKTreePagesMatchBatch(t *testing.T) {
 	const page, total = 3, 21
 	rng := rand.New(rand.NewSource(99))
-	c := newTestCluster()
+	c := newTestCluster(t)
 	tr, tuples := randomTreeEnv(t, c, rng, page)
 	store := NewIndexStore()
 	ex, _ := Lookup("isl")
@@ -320,7 +320,7 @@ func TestAnyKTreePagesMatchBatch(t *testing.T) {
 // two-way cursor honors extends to tree queries.
 func TestAnyKTreeEarlyCloseChargesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := newTestCluster()
+	c := newTestCluster(t)
 	tr, _ := randomTreeEnv(t, c, rng, 3)
 	store := NewIndexStore()
 	ex, _ := Lookup("isl")

@@ -260,34 +260,36 @@ func (m *Maintainer) apply(muts []indexMutation, ts int64) error {
 
 // mutations assembles the augmented batch of one old → new transition
 // (either may be nil: an insert has no old tuple, a delete no new one),
-// every cell stamped ts. The base row's two columns and each inverted
-// structure — every bound IJLMR table, then the inverse score list —
-// get new's entry and retire old's (appendMove): since an update keeps
-// the row key, the base row gets puts, or tombstones when new is nil.
-// The bucket indexes follow (appendBucketIndexes).
+// every cell stamped ts. The base row gets new's columns, or
+// tombstones when new is nil: an update keeps the row key, so new's
+// columns overwrite old's. Each inverted structure — every bound IJLMR
+// table, then the inverse score list — gets new's entry and retires
+// old's (appendMove). The bucket indexes follow (appendBucketIndexes).
+// Every cell comes from the builder its index's build job uses.
 func (m *Maintainer) mutations(old, new *Tuple, ts int64) []indexMutation {
-	rel := &m.Rel
-	base := appendMove(make([]kvstore.Cell, 0, 2), old, new, ts, func(t *Tuple) kvstore.Cell {
-		return kvstore.Cell{Row: t.RowKey, Family: rel.Family, Qualifier: rel.JoinQual, Value: []byte(t.JoinValue)}
-	})
-	base = appendMove(base, old, new, ts, func(t *Tuple) kvstore.Cell {
-		return kvstore.Cell{Row: t.RowKey, Family: rel.Family, Qualifier: rel.ScoreQual, Value: kvstore.FloatValue(t.Score)}
-	})
-	muts := []indexMutation{{index: "base", TableMutation: kvstore.TableMutation{Table: rel.Table, Cells: base}}}
+	base := make([]kvstore.Cell, 0, 2)
+	if new != nil {
+		base = AppendBaseRow(base, new, ts)
+	} else {
+		base = AppendBaseRow(base, old, ts)
+		for i := range base {
+			base[i].Value, base[i].Tombstone = nil, true
+		}
+	}
+	// One mutation per structure: the base row, each IJLMR table, the
+	// inverse score list, BFHM and DRJN.
+	muts := make([]indexMutation, 0, 4+len(m.IJLMR))
+	muts = append(muts, indexMutation{index: "base", TableMutation: kvstore.TableMutation{Table: m.Rel.Table(), Cells: base}})
 	for _, b := range m.IJLMR {
 		muts = append(muts, indexMutation{index: "ijlmr", TableMutation: kvstore.TableMutation{
 			Table: b.Idx.Table,
-			Cells: appendMove(nil, old, new, ts, func(t *Tuple) kvstore.Cell {
-				return kvstore.Cell{Row: t.JoinValue, Family: b.Family, Qualifier: t.RowKey, Value: kvstore.FloatValue(t.Score)}
-			}),
+			Cells: appendMove(nil, old, new, ts, func(t *Tuple) kvstore.Cell { return ijlmrEntry(b.Family, t) }),
 		}})
 	}
 	if m.ISL != nil {
 		muts = append(muts, indexMutation{index: "isl", TableMutation: kvstore.TableMutation{
 			Table: m.ISL.Table,
-			Cells: appendMove(nil, old, new, ts, func(t *Tuple) kvstore.Cell {
-				return kvstore.Cell{Row: kvstore.EncodeScoreDesc(t.Score), Family: rel.Name, Qualifier: t.RowKey, Value: []byte(t.JoinValue)}
-			}),
+			Cells: appendMove(nil, old, new, ts, func(t *Tuple) kvstore.Cell { return islEntry(m.Rel.Name, t) }),
 		}})
 	}
 	return m.appendBucketIndexes(muts, old, new, ts)
@@ -333,8 +335,7 @@ func (m *Maintainer) appendBucketIndexes(muts []indexMutation, old, new *Tuple, 
 	}
 	if idx := m.BFHM; idx != nil {
 		cells := appendMove(nil, old, new, ts, func(t *Tuple) kvstore.Cell {
-			return kvstore.Cell{Row: kvstore.ReverseMapKey(idx.Layout.BucketOf(t.Score), bloomBitPos(idx.MBits, t.JoinValue)),
-				Family: bfhmFamily, Qualifier: t.RowKey, Value: EncodeTuple(*t)}
+			return reverseMapEntry(idx.Layout.BucketOf(t.Score), bloomBitPos(idx.MBits, t.JoinValue), t)
 		})
 		muts = append(muts, indexMutation{index: "bfhm", TableMutation: kvstore.TableMutation{
 			Table: idx.Table, Cells: records(idx.Layout, bfhmFamily, cells)}})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ type maintSetup struct {
 
 func newMaintSetup(t *testing.T, seed int64) *maintSetup {
 	t.Helper()
-	c := newTestCluster()
+	c := newTestCluster(t)
 	left := synthTuples("l", 120, 20, "uniform", seed)
 	right := synthTuples("r", 120, 20, "uniform", seed+500)
 	relL := loadRelation(t, c, "L", left)
@@ -294,7 +295,7 @@ func TestMaintenanceTimestampsShared(t *testing.T) {
 	tp := Tuple{RowKey: "lts", JoinValue: "j2", Score: 0.5}
 	s.insertLeft(t, tp)
 
-	baseRow, err := s.c.Get(s.q.Relations[0].Table, tp.RowKey)
+	baseRow, err := s.c.Get(s.q.Relations[0].Table(), tp.RowKey)
 	if err != nil || baseRow == nil {
 		t.Fatalf("base row: %v %v", baseRow, err)
 	}
@@ -411,7 +412,7 @@ func TestMaintenanceErrorNamesDivergentIndex(t *testing.T) {
 	// The divergence is real: base and the earlier indexes got the write.
 	found := false
 	for _, tbl := range me.Applied {
-		if tbl == s.q.Relations[0].Table {
+		if tbl == s.q.Relations[0].Table() {
 			found = true
 		}
 	}
@@ -433,7 +434,7 @@ func TestMaintenanceErrorNamesDivergentIndex(t *testing.T) {
 	s.checkAll(t)
 
 	// The re-apply reused the timestamp: base and ISL agree on it.
-	row, err := s.c.Get(s.q.Relations[0].Table, tp.RowKey)
+	row, err := s.c.Get(s.q.Relations[0].Table(), tp.RowKey)
 	if err != nil || row == nil {
 		t.Fatalf("base row: %v %v", row, err)
 	}
@@ -735,5 +736,126 @@ func TestRecordLog(t *testing.T) {
 				t.Errorf("decodeBandRow left %+v for the offline pass, the log %+v", blog, log)
 			}
 		})
+	}
+}
+
+// TestMaintainedEntriesEqualBuiltEntries holds the Section 6 write path
+// to the build jobs cell by cell: after inserts, updates and deletes
+// through Maintainer.Write, the base rows and the IJLMR, ISL and BFHM
+// reverse-mapping entries live in the store must be exactly the cells a
+// fresh load and build write over the same tuples (row, family,
+// qualifier and value; timestamps aside). BFHM's width is pinned so both
+// sides place a tuple under the same Bloom bit; its bucket rows differ
+// by design (a blob at build time, mutation records at write time) and
+// are left out.
+func TestMaintainedEntriesEqualBuiltEntries(t *testing.T) {
+	const ijlmrTable = "ijlmr_entries"
+	bfhmOpts := BFHMOptions{NumBuckets: 8, MBits: 512}
+	build := func(c *kvstore.Cluster, rel Relation) *Maintainer {
+		t.Helper()
+		if _, err := c.CreateTable(ijlmrTable, []string{rel.Name}, hashSplits(c.Nodes())); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := BuildIJLMRRelation(c, rel, ijlmrTable, rel.Name); err != nil {
+			t.Fatal(err)
+		}
+		isl, _, err := BuildISLRelation(c, rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bfhm, _, err := BuildBFHM(c, rel, bfhmOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Maintainer{C: c, Rel: rel,
+			IJLMR: []BoundIJLMR{{Idx: &IJLMRIndex{Table: ijlmrTable, Families: []string{rel.Name}}, Family: rel.Name}},
+			ISL:   isl, BFHM: bfhm}
+	}
+	// entries lists a table's live cells without timestamps, sorted;
+	// keep drops the cells a comparison leaves out.
+	entries := func(c *kvstore.Cluster, table string, keep func(*kvstore.Cell) bool) []string {
+		t.Helper()
+		cells, err := c.TableCells(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for i := range cells {
+			if keep(&cells[i]) {
+				out = append(out, fmt.Sprintf("%s/%s:%s=%q", cells[i].Row, cells[i].Family, cells[i].Qualifier, cells[i].Value))
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+
+	initial := synthTuples("k", 150, 25, "uniform", 71)
+	maintained := newTestCluster(t)
+	m := build(maintained, loadRelation(t, maintained, "L", initial))
+	live := map[string]Tuple{}
+	for _, tp := range initial {
+		live[tp.RowKey] = tp
+	}
+	for _, tp := range synthTuples("n", 40, 25, "squared", 72) {
+		if err := m.Write(nil, &tp, 0); err != nil {
+			t.Fatal(err)
+		}
+		live[tp.RowKey] = tp
+	}
+	for i, tp := range initial[:20] {
+		switch {
+		case i%2 == 0: // a new score and join value under the same key
+			up := Tuple{RowKey: tp.RowKey, JoinValue: fmt.Sprintf("j%d", 100+i), Score: float64(i) / 40}
+			if err := m.Write(&tp, &up, 0); err != nil {
+				t.Fatal(err)
+			}
+			live[tp.RowKey] = up
+		default:
+			if err := m.Write(&tp, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, tp.RowKey)
+		}
+	}
+
+	var final []Tuple
+	for _, tp := range live {
+		final = append(final, tp)
+	}
+	slices.SortFunc(final, func(a, b Tuple) int { return strings.Compare(a.RowKey, b.RowKey) })
+	fresh := newTestCluster(t)
+	built := build(fresh, loadRelation(t, fresh, "L", final))
+
+	// minus lists the entries of sorted a that sorted b lacks.
+	minus := func(a, b []string) (out []string) {
+		for _, e := range a {
+			if _, ok := slices.BinarySearch(b, e); !ok {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	all := func(*kvstore.Cell) bool { return true }
+	reverseMap := func(c *kvstore.Cell) bool { return strings.Contains(c.Row, kvstore.KeySep) }
+	for _, tc := range []struct {
+		name, table string
+		keep        func(*kvstore.Cell) bool
+	}{
+		{"base", m.Rel.Table(), all},
+		{"ijlmr", ijlmrTable, all},
+		{"isl", m.ISL.Table, all},
+		{"bfhm reverse mapping", m.BFHM.Table, reverseMap},
+	} {
+		got, want := entries(maintained, tc.table, tc.keep), entries(fresh, tc.table, tc.keep)
+		if len(want) == 0 {
+			t.Fatalf("%s: the fresh build wrote no entries", tc.name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: %d maintained entries, %d built; only maintained: %v; only built: %v",
+				tc.name, len(got), len(want), minus(got, want), minus(want, got))
+		}
+	}
+	if built.BFHM.MBits != m.BFHM.MBits || built.BFHM.Layout != m.BFHM.Layout {
+		t.Fatalf("bfhm widths differ: %d/%v vs %d/%v", built.BFHM.MBits, built.BFHM.Layout, m.BFHM.MBits, m.BFHM.Layout)
 	}
 }

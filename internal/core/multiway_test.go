@@ -93,15 +93,10 @@ func TestMultiQueryValidate(t *testing.T) {
 	if err := starTree(rels, ScoreFunc{}, 5).Validate(); err == nil {
 		t.Error("nil score accepted")
 	}
-	bad := append([]Relation(nil), rels...)
-	bad[2].ScoreQual = ""
-	if err := starTree(bad, Sum, 5).Validate(); err == nil {
-		t.Error("relation without a score column accepted")
-	}
 }
 
 func TestISLThreeWayEndToEnd(t *testing.T) {
-	c := newTestCluster()
+	c := newTestCluster(t)
 	r1 := synthTuples("a", 120, 15, "uniform", 11)
 	r2 := synthTuples("b", 120, 15, "uniform", 12)
 	r3 := synthTuples("c", 120, 15, "zipfish", 13)
@@ -141,7 +136,7 @@ func TestISLThreeWayEndToEnd(t *testing.T) {
 }
 
 func TestISLFourWay(t *testing.T) {
-	c := newTestCluster()
+	c := newTestCluster(t)
 	var rels []Relation
 	var data [][]Tuple
 	for i := 0; i < 4; i++ {

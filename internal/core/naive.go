@@ -21,11 +21,11 @@ func NaiveTopK(c *kvstore.Cluster, t *JoinTree) (*Result, error) {
 
 	left, err := scanRelation(c, &t.Relations[0])
 	if err != nil {
-		return nil, fmt.Errorf("core: naive scan of %s: %w", t.Relations[0].Table, err)
+		return nil, fmt.Errorf("core: naive scan of %s: %w", t.Relations[0].Table(), err)
 	}
 	right, err := scanRelation(c, &t.Relations[1])
 	if err != nil {
-		return nil, fmt.Errorf("core: naive scan of %s: %w", t.Relations[1].Table, err)
+		return nil, fmt.Errorf("core: naive scan of %s: %w", t.Relations[1].Table(), err)
 	}
 
 	byJoin := map[string][]Tuple{}
@@ -53,11 +53,9 @@ const scanBatch = 1024
 // scanRelation drains a relation through the metered scanner, decoding
 // each row into a tuple before the next.
 func scanRelation(c *kvstore.Cluster, rel *Relation) ([]Tuple, error) {
-	sc, err := c.OpenScanner(kvstore.Scan{
-		Table:    rel.Table,
-		Families: []string{rel.Family},
-		Caching:  scanBatch,
-	})
+	scan := rel.scan()
+	scan.Caching = scanBatch
+	sc, err := c.OpenScanner(scan)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +68,7 @@ func scanRelation(c *kvstore.Cluster, rel *Relation) ([]Tuple, error) {
 		if row == nil {
 			return out, nil
 		}
-		if t, ok := TupleFromRow(rel, row); ok {
+		if t, ok := TupleFromRow(row); ok {
 			out = append(out, t)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // many scan batches.
 func parallelEnv(t *testing.T) (*kvstore.Cluster, *JoinTree, []Tuple, []Tuple) {
 	t.Helper()
-	c := newTestCluster()
+	c := newTestCluster(t)
 	lt := synthTuples("l", 4000, 400, "uniform", 11)
 	rt := synthTuples("r", 4000, 400, "uniform", 23)
 	relL := loadRelation(t, c, "pl", lt)

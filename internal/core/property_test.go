@@ -117,7 +117,7 @@ func TestHRJNThresholdIsUpperBound(t *testing.T) {
 // TestEmptyRelations: every algorithm must return empty results (not
 // errors) for empty inputs.
 func TestEmptyRelations(t *testing.T) {
-	c := newTestCluster()
+	c := newTestCluster(t)
 	relL := loadRelation(t, c, "L", nil)
 	relR := loadRelation(t, c, "R", paperR2)
 	q := binaryTree(relL, relR, Sum, 5)
@@ -171,7 +171,7 @@ func TestEmptyRelations(t *testing.T) {
 
 // TestSingleTupleRelations: one row per side.
 func TestSingleTupleRelations(t *testing.T) {
-	c := newTestCluster()
+	c := newTestCluster(t)
 	left := []Tuple{{RowKey: "l1", JoinValue: "x", Score: 0.5}}
 	right := []Tuple{{RowKey: "r1", JoinValue: "x", Score: 0.7}}
 	relL := loadRelation(t, c, "L", left)

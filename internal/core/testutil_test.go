@@ -99,42 +99,38 @@ func verifyResultsAreRealJoins(t *testing.T, label string, rs []JoinResult, f Sc
 }
 
 // newTestCluster builds a 4-node LC-profile cluster.
-func newTestCluster() *kvstore.Cluster {
+func newTestCluster(t testing.TB) *kvstore.Cluster {
+	t.Helper()
 	p := sim.LC()
 	p.Nodes = 4
-	c, err := kvstore.NewCluster(p)
-	if err != nil {
-		panic(err)
-	}
-	return c
+	return mustCluster(t, p)
 }
 
 // mustCluster builds a cluster with the given profile, failing the test
-// on setup errors (disk-mode scratch dir creation).
+// on setup errors (disk-mode scratch dir creation). The cluster closes
+// when the test ends, so a KVSTORE_DISK=1 run leaves no store behind.
 func mustCluster(t testing.TB, p sim.Profile) *kvstore.Cluster {
 	t.Helper()
 	c, err := kvstore.NewCluster(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	return c
 }
 
 // loadRelation creates a table and loads tuples as base rows.
 func loadRelation(t testing.TB, c *kvstore.Cluster, name string, tuples []Tuple) Relation {
 	t.Helper()
-	rel := Relation{Name: name, Table: "tbl_" + name, Family: "d", JoinQual: "join", ScoreQual: "score"}
-	if _, err := c.CreateTable(rel.Table, []string{rel.Family}, nil); err != nil {
+	rel := Relation{Name: name}
+	if err := rel.CreateTable(c); err != nil {
 		t.Fatal(err)
 	}
 	var cells []kvstore.Cell
-	for _, tp := range tuples {
-		cells = append(cells,
-			kvstore.Cell{Row: tp.RowKey, Family: rel.Family, Qualifier: rel.JoinQual, Value: []byte(tp.JoinValue)},
-			kvstore.Cell{Row: tp.RowKey, Family: rel.Family, Qualifier: rel.ScoreQual, Value: kvstore.FloatValue(tp.Score)},
-		)
+	for i := range tuples {
+		cells = AppendBaseRow(cells, &tuples[i], 0)
 	}
-	if err := c.BatchPut(rel.Table, cells); err != nil {
+	if err := c.BatchPut(rel.Table(), cells); err != nil {
 		t.Fatal(err)
 	}
 	return rel
@@ -200,7 +196,7 @@ func stubBinary(f ScoreFunc) *JoinTree {
 // stubRel names a relation no test loads (operator-level tests never
 // touch the store).
 func stubRel(name string) Relation {
-	return Relation{Name: name, Table: "tbl_" + name, Family: "d", JoinQual: "join", ScoreQual: "score"}
+	return Relation{Name: name}
 }
 
 // starEdges joins n leaves by equi edges that all meet at leaf 0.

@@ -23,6 +23,13 @@
 // Results are returned highest-score first with deterministic tie-breaking on
 // row keys in leaf order.
 //
+// A relation is its name (Relation): its base table rel_<name> holds
+// one row per tuple, with the join value and the score as the columns
+// d:join and d:score, and AppendBaseRow builds that row for bulk loads
+// and maintained writes alike. Each index's entry for a tuple has one
+// builder, shared by the index's build job and the Section 6
+// maintainer, so a maintained entry is the cell a fresh build writes.
+//
 // Buffers a query recycles: the list cursor's leaf arena pages, equi
 // tables and band grids come from package-level sync.Pools and go back
 // when the cursor closes, cleared of tuple strings (a table above
@@ -42,19 +49,55 @@ import (
 	"repro/internal/sim"
 )
 
-// Relation identifies one rank-join input stored in the NoSQL store: a
-// table whose rows each carry a join value and a normalized score.
+// Relation identifies one rank-join input by its name. Every relation
+// is stored the same way (Section 3), and the methods and functions
+// below are the one place that knows how: its base table rel_<name>
+// holds one row per tuple, keyed by the tuple's row key.
 type Relation struct {
-	// Name tags the relation in index table names ("part", "lineitem").
+	// Name tags the relation in its base and index table names
+	// ("part", "lineitem").
 	Name string
-	// Table is the base-data table.
-	Table string
-	// Family is the column family holding the data columns.
-	Family string
-	// JoinQual / ScoreQual are the qualifiers of the join-attribute and
-	// score-attribute columns.
-	JoinQual  string
-	ScoreQual string
+}
+
+// The base row's family and the qualifiers of its two columns.
+const (
+	dataFamily = "d"
+	joinQual   = "join"
+	scoreQual  = "score"
+)
+
+// Table is the relation's base-data table.
+func (r Relation) Table() string { return "rel_" + r.Name }
+
+// CreateTable creates the relation's base table on c, unsplit.
+func (r Relation) CreateTable(c *kvstore.Cluster) error {
+	_, err := c.CreateTable(r.Table(), []string{dataFamily}, nil)
+	return err
+}
+
+// Get reads the relation's tuple at rowKey, reporting ok=false when the
+// row is absent or lacks a column.
+func (r Relation) Get(c *kvstore.Cluster, rowKey string) (Tuple, bool, error) {
+	row, err := c.Get(r.Table(), rowKey, dataFamily)
+	if err != nil || row == nil {
+		return Tuple{}, false, err
+	}
+	t, ok := TupleFromRow(row)
+	return t, ok, nil
+}
+
+// scan is a scan of the relation's base rows.
+func (r Relation) scan() kvstore.Scan {
+	return kvstore.Scan{Table: r.Table(), Families: []string{dataFamily}}
+}
+
+// AppendBaseRow appends t's base row to cells: its join and score
+// columns, stamped ts (0 lets the store stamp them). Bulk loads and
+// maintained writes both build the row here.
+func AppendBaseRow(cells []kvstore.Cell, t *Tuple, ts int64) []kvstore.Cell {
+	return append(cells,
+		kvstore.Cell{Row: t.RowKey, Family: dataFamily, Qualifier: joinQual, Value: []byte(t.JoinValue), Timestamp: ts},
+		kvstore.Cell{Row: t.RowKey, Family: dataFamily, Qualifier: scoreQual, Value: kvstore.FloatValue(t.Score), Timestamp: ts})
 }
 
 // Tuple is the algorithm-facing view of one base row. The JSON tags
@@ -65,11 +108,11 @@ type Tuple struct {
 	Score     float64 `json:"score"`
 }
 
-// TupleFromRow extracts a Tuple, reporting ok=false when the row lacks
-// the relation's join or score column.
-func TupleFromRow(rel *Relation, r *kvstore.Row) (Tuple, bool) {
-	jc := r.Cell(rel.Family, rel.JoinQual)
-	sc := r.Cell(rel.Family, rel.ScoreQual)
+// TupleFromRow extracts a Tuple from a base row, reporting ok=false
+// when the row lacks the join or score column.
+func TupleFromRow(r *kvstore.Row) (Tuple, bool) {
+	jc := r.Cell(dataFamily, joinQual)
+	sc := r.Cell(dataFamily, scoreQual)
 	if jc == nil || sc == nil {
 		return Tuple{}, false
 	}

@@ -105,23 +105,15 @@ func TestJoinResultCodecRoundTrip(t *testing.T) {
 }
 
 func TestQueryValidate(t *testing.T) {
-	rel := func(name string) Relation {
-		return Relation{Name: name, Table: "t_" + name, Family: "d", JoinQual: "j", ScoreQual: "s"}
-	}
-	q := binaryTree(rel("l"), rel("r"), Sum, 5)
+	q := binaryTree(stubRel("l"), stubRel("r"), Sum, 5)
 	if err := q.Validate(); err != nil {
 		t.Errorf("valid query rejected: %v", err)
 	}
 	if err := withK(q, 0).Validate(); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if err := binaryTree(rel("l"), rel("r"), ScoreFunc{}, 5).Validate(); err == nil {
+	if err := binaryTree(stubRel("l"), stubRel("r"), ScoreFunc{}, 5).Validate(); err == nil {
 		t.Error("nil score fn accepted")
-	}
-	noTable := rel("r")
-	noTable.Table = ""
-	if err := binaryTree(rel("l"), noTable, Sum, 5).Validate(); err == nil {
-		t.Error("empty table accepted")
 	}
 	if q.ID() != "l_r_sum" {
 		t.Errorf("ID = %q", q.ID())

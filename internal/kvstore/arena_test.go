@@ -513,10 +513,7 @@ func TestDetachRowCopies(t *testing.T) {
 // cell (five objects per cell before the arenas).
 func TestResidentCellsAreNotHeapObjects(t *testing.T) {
 	const cells = 50000
-	c, err := NewCluster(sim.LC())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := testCluster(t)
 	if _, err := c.CreateTable("t", []string{"fa", "fb"}, []string{"row-00012500", "row-00025000", "row-00037500"}); err != nil {
 		t.Fatal(err)
 	}

@@ -45,6 +45,10 @@ type clusterState struct {
 	// store is the durable backing (nil = memory-only). Set once at
 	// construction, read-only afterwards.
 	store *diskStore
+	// scratch is the temporary directory NewCluster made for a
+	// KVSTORE_DISK=1 store ("" otherwise), removed on Close. Set once at
+	// construction, read-only afterwards.
+	scratch string
 }
 
 // Table is a named collection of regions with a declared column-family
@@ -78,9 +82,10 @@ func (t *Table) MutationSeq() uint64 { return t.mutSeq.Load() }
 //
 // When the KVSTORE_DISK=1 environment variable is set the cluster is
 // transparently backed by a fresh on-disk store in a temp directory —
-// the CI tier-2 hook that runs the whole suite over real SSTables. A
-// store setup failure (now reachable through fault injection, not just
-// exotic tempdir states) is returned, never panicked.
+// the CI tier-2 hook that runs the whole suite over real SSTables. Close
+// removes that directory. A store setup failure (now reachable through
+// fault injection, not just exotic tempdir states) is returned, never
+// panicked.
 func NewCluster(profile sim.Profile) (*Cluster, error) {
 	c := &Cluster{
 		state: &clusterState{
@@ -98,9 +103,10 @@ func NewCluster(profile sim.Profile) (*Cluster, error) {
 		}
 		store, err := openDiskStore(dir, DefaultBlockCacheBytes, nil)
 		if err != nil {
+			os.RemoveAll(dir)
 			return nil, fmt.Errorf("kvstore: KVSTORE_DISK store: %w", err)
 		}
-		c.state.store = store
+		c.state.store, c.state.scratch = store, dir
 	}
 	return c, nil
 }
@@ -216,7 +222,9 @@ func (c *Cluster) openRegion(table string, rec *manifestRegion) (*Region, error)
 }
 
 // Close releases every region's file handles and persists the logical
-// clock and ID counters. Memory-only clusters close trivially.
+// clock and ID counters; a KVSTORE_DISK=1 cluster from NewCluster then
+// removes its temp directory. A directory given to OpenCluster or
+// OpenClusterFS stays. Memory-only clusters close trivially.
 func (c *Cluster) Close() error {
 	var first error
 	for _, t := range c.allTables() {
@@ -238,6 +246,11 @@ func (c *Cluster) Close() error {
 			m.NextID = nextID
 			m.Seed = seed
 		}); err != nil && first == nil {
+			first = err
+		}
+	}
+	if s.scratch != "" {
+		if err := os.RemoveAll(s.scratch); err != nil && first == nil {
 			first = err
 		}
 	}

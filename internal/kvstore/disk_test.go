@@ -614,3 +614,59 @@ func TestBlockCacheServesRepeatReads(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestScratchStoreRemovedOnClose: under KVSTORE_DISK=1 NewCluster roots
+// each cluster in a temp directory of its own, and Close removes it. A
+// directory handed to OpenCluster belongs to the caller and stays.
+func TestScratchStoreRemovedOnClose(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	t.Setenv("KVSTORE_DISK", "1")
+	write := func(c *Cluster) {
+		t.Helper()
+		if _, err := c.CreateTable("t", []string{"f"}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Put("t", Cell{Row: "r", Family: "f", Qualifier: "q", Value: []byte("v")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scratch := func() []string {
+		dirs, err := filepath.Glob(filepath.Join(tmp, "kvstore-disk-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dirs
+	}
+
+	c, err := NewCluster(sim.LC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(c)
+	if dirs := scratch(); len(dirs) != 1 || !c.DiskBacked() {
+		t.Fatalf("NewCluster made scratch dirs %v (disk-backed %v), want one", dirs, c.DiskBacked())
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if dirs := scratch(); len(dirs) != 0 {
+		t.Errorf("Close left scratch dirs %v", dirs)
+	}
+
+	owned := filepath.Join(tmp, "owned")
+	o, err := OpenCluster(sim.LC(), owned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(o)
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(owned, manifestName)); err != nil {
+		t.Errorf("Close removed the caller's directory: %v", err)
+	}
+}

@@ -152,7 +152,8 @@
 // a MANIFEST naming them. A log lives only in its file — Region.WALSize
 // is the file's length — and is read back only at cold start. Both
 // modes share the per-family layout. The test suites run in disk mode
-// under KVSTORE_DISK=1.
+// under KVSTORE_DISK=1, where NewCluster roots each cluster in a fresh
+// temp directory and Close removes it.
 //
 // A flush of a region with n dirty families writes n SSTables and
 // registers all of them in ONE manifest save before the WAL truncates;

@@ -10,12 +10,15 @@ import (
 	"repro/internal/sim"
 )
 
+// testCluster builds an LC-profile cluster that closes when the test
+// ends, so a KVSTORE_DISK=1 run leaves no store behind.
 func testCluster(t testing.TB) *Cluster {
 	t.Helper()
 	c, err := NewCluster(sim.LC())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	return c
 }
 

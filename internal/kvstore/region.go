@@ -485,11 +485,14 @@ func (r *Region) Flush() error {
 	return r.flushLocked(nil, 0)
 }
 
-// gcIter filters a merged stream down to the survivors of a major
-// compaction: only the newest version of each column, and only when that
-// version is not a tombstone. Versions shadowed inside the merge are
-// dropped — callers must only apply it to a merge covering EVERY run
-// plus an empty memtable (see compactTieredLocked).
+// gcIter filters a merged stream down to its live cells: only the newest
+// version of each column, and only when that version is not a
+// tombstone. It states the "newest live version" rule once, for major
+// compaction (mergeSegments), the live-cell count (walkLiveLocked) and
+// the repair snapshot (allCells). Versions shadowed inside the merge
+// are dropped, so the merge must cover every version of its columns:
+// every run plus every memtable (iteratorsLocked), or every run plus an
+// empty memtable (see compactTieredLocked).
 type gcIter struct {
 	src                        cellIter
 	lastRow, lastFam, lastQual string
@@ -1099,18 +1102,9 @@ func (r *Region) LiveCellCount() uint64 {
 // store. Caller holds a read lock.
 func (r *Region) walkLiveLocked() (uint64, error) {
 	var n uint64
-	lastRow, lastFam, lastQual := "", "", ""
-	first := true
-	it := r.iteratorsLocked("", nil, nil)
+	it := newGCIter(r.iteratorsLocked("", nil, nil))
 	for ; it.valid(); it.next() {
-		c := it.cell()
-		if first || c.Row != lastRow || c.Family != lastFam || c.Qualifier != lastQual {
-			first = false
-			lastRow, lastFam, lastQual = c.Row, c.Family, c.Qualifier
-			if !c.Tombstone {
-				n++
-			}
-		}
+		n++
 	}
 	return n, it.fail()
 }
@@ -1166,19 +1160,9 @@ func (r *Region) allCells() ([]Cell, error) {
 		}
 	}
 	var out []Cell
-	lastRow, lastFam, lastQual := "", "", ""
-	first := true
-	it := r.iteratorsLocked("", nil, nil)
-	for it.valid() {
-		c := it.cell()
-		if first || c.Row != lastRow || c.Family != lastFam || c.Qualifier != lastQual {
-			first = false
-			lastRow, lastFam, lastQual = c.Row, c.Family, c.Qualifier
-			if !c.Tombstone {
-				out = append(out, *c)
-			}
-		}
-		it.next()
+	it := newGCIter(r.iteratorsLocked("", nil, nil))
+	for ; it.valid(); it.next() {
+		out = append(out, *it.cell())
 	}
 	if err := it.fail(); err != nil {
 		return nil, err

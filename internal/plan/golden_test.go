@@ -23,11 +23,8 @@ const goldenPath = "testdata/explain.golden"
 // are small integers, so the same relations serve equi and band edges.
 func goldenRelation(t *testing.T, c *kvstore.Cluster, name string, n int, rng *rand.Rand) core.Relation {
 	t.Helper()
-	rel := core.Relation{
-		Name: name, Table: "rel_" + name, Family: "d",
-		JoinQual: "join", ScoreQual: "score",
-	}
-	if _, err := c.CreateTable(rel.Table, []string{rel.Family}, nil); err != nil {
+	rel := core.Relation{Name: name}
+	if err := rel.CreateTable(c); err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 {
@@ -35,13 +32,11 @@ func goldenRelation(t *testing.T, c *kvstore.Cluster, name string, n int, rng *r
 	}
 	cells := make([]kvstore.Cell, 0, 2*n)
 	for i := 0; i < n; i++ {
-		row := fmt.Sprintf("%s%04d", name, i)
-		cells = append(cells,
-			kvstore.Cell{Row: row, Family: "d", Qualifier: "join", Value: []byte(strconv.Itoa(rng.Intn(37)))},
-			kvstore.Cell{Row: row, Family: "d", Qualifier: "score", Value: kvstore.FloatValue(float64(rng.Intn(1000)) / 1000)},
-		)
+		// The join value draws before the score, as the fixture always has.
+		cells = core.AppendBaseRow(cells, &core.Tuple{RowKey: fmt.Sprintf("%s%04d", name, i),
+			JoinValue: strconv.Itoa(rng.Intn(37)), Score: float64(rng.Intn(1000)) / 1000}, 0)
 	}
-	if err := c.BatchPut(rel.Table, cells); err != nil {
+	if err := c.BatchPut(rel.Table(), cells); err != nil {
 		t.Fatal(err)
 	}
 	return rel

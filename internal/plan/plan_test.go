@@ -18,22 +18,16 @@ func setupCluster(t *testing.T, n int) (*kvstore.Cluster, *core.JoinTree, *core.
 		t.Fatal(err)
 	}
 	mk := func(name string) core.Relation {
-		rel := core.Relation{
-			Name: name, Table: "rel_" + name, Family: "d",
-			JoinQual: "join", ScoreQual: "score",
-		}
-		if _, err := c.CreateTable(rel.Table, []string{rel.Family}, nil); err != nil {
+		rel := core.Relation{Name: name}
+		if err := rel.CreateTable(c); err != nil {
 			t.Fatal(err)
 		}
 		var cells []kvstore.Cell
 		for i := 0; i < n; i++ {
-			row := fmt.Sprintf("%s%04d", name, i)
-			cells = append(cells,
-				kvstore.Cell{Row: row, Family: "d", Qualifier: "join", Value: []byte(fmt.Sprintf("j%d", i%20))},
-				kvstore.Cell{Row: row, Family: "d", Qualifier: "score", Value: kvstore.FloatValue(float64(i%991) / 991)},
-			)
+			cells = core.AppendBaseRow(cells, &core.Tuple{RowKey: fmt.Sprintf("%s%04d", name, i),
+				JoinValue: fmt.Sprintf("j%d", i%20), Score: float64(i%991) / 991}, 0)
 		}
-		if err := c.BatchPut(rel.Table, cells); err != nil {
+		if err := c.BatchPut(rel.Table(), cells); err != nil {
 			t.Fatal(err)
 		}
 		return rel
@@ -173,21 +167,19 @@ func candidateReady(p *Plan, name string) bool {
 // several times with no compaction) must not inflate cardinalities.
 func TestStatsUseLiveRows(t *testing.T) {
 	c, q, store := setupCluster(t, 300)
-	// Rewrite every left row's score 4 times: 300 live rows now carry
-	// ~5x the stored versions.
+	// Rewrite every left row with a new score 4 times: 300 live rows
+	// now carry ~5x the stored versions.
 	for round := 0; round < 4; round++ {
 		var cells []kvstore.Cell
 		for i := 0; i < 300; i++ {
-			row := fmt.Sprintf("pl%04d", i)
-			cells = append(cells,
-				kvstore.Cell{Row: row, Family: "d", Qualifier: "score", Value: kvstore.FloatValue(float64((i+round)%991) / 991)},
-			)
+			cells = core.AppendBaseRow(cells, &core.Tuple{RowKey: fmt.Sprintf("pl%04d", i),
+				JoinValue: fmt.Sprintf("j%d", i%20), Score: float64((i+round)%991) / 991}, 0)
 		}
-		if err := c.BatchPut(q.Relations[0].Table, cells); err != nil {
+		if err := c.BatchPut(q.Relations[0].Table(), cells); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err := c.TableStats(q.Relations[0].Table)
+	st, err := c.TableStats(q.Relations[0].Table())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,16 +280,15 @@ func TestStatsCacheInvalidatedByWrites(t *testing.T) {
 	// ANY write to an input — here an update that keeps the live-column
 	// count identical (the shape a count-keyed cache missed) — moves the
 	// table's mutation sequence and must invalidate the entry.
-	if err := c.Put(q.Relations[0].Table, kvstore.Cell{
-		Row: "pl0000", Family: "d", Qualifier: "score", Value: kvstore.FloatValue(0.123),
-	}); err != nil {
+	update := core.AppendBaseRow(nil, &core.Tuple{RowKey: "pl0000", JoinValue: "j0", Score: 0.123}, 0)
+	if err := c.BatchPut(q.Relations[0].Table(), update); err != nil {
 		t.Fatal(err)
 	}
-	lt, err := c.TableStats(q.Relations[0].Table)
+	lt, err := c.TableStats(q.Relations[0].Table())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := c.TableStats(q.Relations[1].Table)
+	rt, err := c.TableStats(q.Relations[1].Table())
 	if err != nil {
 		t.Fatal(err)
 	}

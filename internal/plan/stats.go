@@ -41,7 +41,7 @@ func gatherStats(c *kvstore.Cluster, t *core.JoinTree, store *core.IndexStore, e
 	seqs := make([]uint64, len(t.Relations))
 	leaves := make([]core.RelStats, len(t.Relations))
 	for i := range t.Relations {
-		ts, err := c.TableStats(t.Relations[i].Table)
+		ts, err := c.TableStats(t.Relations[i].Table())
 		if err != nil {
 			return nil, err
 		}

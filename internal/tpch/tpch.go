@@ -20,6 +20,8 @@ package tpch
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/kvstore"
 )
 
 // Part mirrors the TPC-H PART table columns the queries touch.
@@ -202,4 +204,15 @@ func (d *Data) UpdateSet(setNo int, seed int64) []Mutation {
 		}
 	}
 	return out
+}
+
+// RowKeyPart builds the row key of a part tuple.
+func RowKeyPart(pk int) string { return "p" + kvstore.EncodeUint(uint64(pk), 10) }
+
+// RowKeyOrder builds the row key of an order tuple.
+func RowKeyOrder(ok int) string { return "o" + kvstore.EncodeUint(uint64(ok), 10) }
+
+// RowKeyLineitem builds the row key of a lineitem tuple.
+func RowKeyLineitem(ok, ln int) string {
+	return "l" + kvstore.EncodeUint(uint64(ok), 10) + "-" + kvstore.EncodeUint(uint64(ln), 2)
 }

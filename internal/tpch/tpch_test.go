@@ -2,9 +2,6 @@ package tpch
 
 import (
 	"testing"
-
-	"repro/internal/kvstore"
-	"repro/internal/sim"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -149,72 +146,4 @@ func TestRowKeysSortable(t *testing.T) {
 	if RowKeyLineitem(1, 7) >= RowKeyLineitem(2, 1) {
 		t.Error("lineitem keys must sort by order first")
 	}
-}
-
-func TestLineitemCellsJoinSelection(t *testing.T) {
-	l := Lineitem{OrderKey: 5, PartKey: 9, LineNumber: 1, Quantity: 2, ExtendedPrice: 10, Score: 0.5}
-	cells, err := LineitemCells(&l, "partkey")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(cells[0].Value) != "9" {
-		t.Errorf("partkey join value = %q", cells[0].Value)
-	}
-	cells, err = LineitemCells(&l, "orderkey")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(cells[0].Value) != "5" {
-		t.Errorf("orderkey join value = %q", cells[0].Value)
-	}
-	if _, err := LineitemCells(&l, "bogus"); err == nil {
-		t.Error("bogus join attribute accepted")
-	}
-}
-
-func TestLoadIntoCluster(t *testing.T) {
-	c, err := kvstore.NewCluster(sim.LC())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := Generate(0.0005, 11)
-	if err := Load(c, d, "partkey"); err != nil {
-		t.Fatal(err)
-	}
-	for _, tbl := range []string{PartTable, OrdersTable, LineitemT} {
-		rows, err := c.ScanAll(kvstore.Scan{Table: tbl, Caching: 10000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want int
-		switch tbl {
-		case PartTable:
-			want = len(d.Parts)
-		case OrdersTable:
-			want = len(d.Orders)
-		case LineitemT:
-			want = len(d.Lineitems)
-		}
-		if len(rows) != want {
-			t.Errorf("%s rows = %d, want %d", tbl, len(rows), want)
-		}
-		// Every row must expose join + score columns.
-		for _, r := range rows[:min(5, len(rows))] {
-			if r.Cell(DataFamily, JoinQual) == nil || r.Cell(DataFamily, ScoreQual) == nil {
-				t.Fatalf("%s row %s missing join/score columns", tbl, r.Key)
-			}
-		}
-	}
-	// Tables must span several regions for MR locality to matter.
-	regs, _ := c.TableRegions(LineitemT)
-	if len(regs) < 2 {
-		t.Errorf("lineitem regions = %d, want multiple", len(regs))
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -37,19 +37,6 @@ type catalog struct {
 	IdxCfg    IndexConfig
 }
 
-// relationFor renders the canonical storage mapping for a relation name
-// — shared by DefineRelation and catalog restore so the two can never
-// disagree on table layout.
-func relationFor(name string) core.Relation {
-	return core.Relation{
-		Name:      name,
-		Table:     "rel_" + name,
-		Family:    "d",
-		JoinQual:  "join",
-		ScoreQual: "score",
-	}
-}
-
 // OpenAt opens (or initializes) a durable DB rooted at cfg.Dir: the
 // cluster recovers its tables from the directory's manifest, SSTables,
 // and WALs, and the rankjoin catalog restores every defined relation
@@ -106,7 +93,7 @@ func (db *DB) loadCatalog() error {
 	}
 	db.mu.Lock()
 	for _, name := range cat.Relations {
-		db.relations[name] = &RelationHandle{db: db, rel: relationFor(name)}
+		db.relations[name] = &RelationHandle{db: db, rel: core.Relation{Name: name}}
 	}
 	db.idxCfg = cat.IdxCfg
 	db.mu.Unlock()

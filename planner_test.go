@@ -25,6 +25,7 @@ func TestPlannerAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer env.DB.Close()
 	queries := []struct {
 		name string
 		q    rankjoin.Query

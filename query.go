@@ -33,7 +33,7 @@ func newQuery(relations []string, edges []TreeEdge, f ScoreFunc, k int, defined 
 			return Query{}, fmt.Errorf("rankjoin: relation %q listed twice in tree query", name)
 		}
 		seen[name] = true
-		rels = append(rels, relationFor(name))
+		rels = append(rels, core.Relation{Name: name})
 	}
 	t := &core.JoinTree{
 		Relations: rels,

@@ -354,8 +354,8 @@ func (db *DB) DefineRelation(name string) (*RelationHandle, error) {
 		db.mu.Unlock()
 		return nil, fmt.Errorf("rankjoin: relation %q already defined", name)
 	}
-	rel := relationFor(name)
-	if _, err := db.cluster.CreateTable(rel.Table, []string{rel.Family}, nil); err != nil {
+	rel := core.Relation{Name: name}
+	if err := rel.CreateTable(db.cluster); err != nil {
 		db.mu.Unlock()
 		return nil, err
 	}
@@ -467,15 +467,7 @@ func (h *RelationHandle) Get(rowKey string) (Tuple, bool, error) {
 		}
 		return *t, true, nil
 	}
-	row, err := h.db.cluster.Get(h.rel.Table, rowKey, h.rel.Family)
-	if err != nil {
-		return Tuple{}, false, err
-	}
-	if row == nil {
-		return Tuple{}, false, nil
-	}
-	t, ok := core.TupleFromRow(&h.rel, row)
-	return t, ok, nil
+	return h.rel.Get(h.db.cluster, rowKey)
 }
 
 // Insert upserts one tuple, synchronously maintaining every index built
@@ -609,15 +601,12 @@ func (h *RelationHandle) BulkLoad(tuples []Tuple) error {
 // stamps each cell afresh) and bills the load.
 func (h *RelationHandle) bulkLoad(tuples []Tuple, ts int64) error {
 	cells := make([]kvstore.Cell, 0, 2*len(tuples))
-	for _, t := range tuples {
-		cells = append(cells,
-			kvstore.Cell{Row: t.RowKey, Family: h.rel.Family, Qualifier: h.rel.JoinQual, Value: []byte(t.JoinValue), Timestamp: ts},
-			kvstore.Cell{Row: t.RowKey, Family: h.rel.Family, Qualifier: h.rel.ScoreQual, Value: kvstore.FloatValue(t.Score), Timestamp: ts},
-		)
+	for i := range tuples {
+		cells = core.AppendBaseRow(cells, &tuples[i], ts)
 	}
 	c := h.db.cluster
 	//lint:allow maintcheck BulkLoad is the documented unmaintained path; EnsureIndexes rebuilds afterwards
-	if _, err := c.BulkWrite(h.rel.Table, cells); err != nil {
+	if _, err := c.BulkWrite(h.rel.Table(), cells); err != nil {
 		return err
 	}
 	for lo := 0; lo < len(cells); lo += bulkLoadBatch {
@@ -636,7 +625,7 @@ func (h *RelationHandle) DiskSize() uint64 {
 	if h.router != nil {
 		return 0
 	}
-	sz, _ := h.db.cluster.TableDiskSize(h.rel.Table)
+	sz, _ := h.db.cluster.TableDiskSize(h.rel.Table())
 	return sz
 }
 

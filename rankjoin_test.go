@@ -13,13 +13,15 @@ import (
 )
 
 // mustOpen builds a fresh in-memory DB, failing the test on setup
-// errors (disk-mode scratch dir creation).
+// errors (disk-mode scratch dir creation). The DB closes when the test
+// ends, so a KVSTORE_DISK=1 run leaves no store behind.
 func mustOpen(t testing.TB, cfg Config) *DB {
 	t.Helper()
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { db.Close() })
 	return db
 }
 
